@@ -12,9 +12,15 @@ import (
 // newline-delimited JSON the CI artifact uses.
 func quickTablesJSON(t *testing.T, sc Scale) []byte {
 	t.Helper()
+	return tablesJSON(t, sc.Name, AllTables(sc))
+}
+
+// tablesJSON renders tables exactly as `cmd/tables -json` prints them.
+func tablesJSON(t *testing.T, scale string, tabs []*Table) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	for _, tb := range AllTables(sc) {
-		if err := tb.WriteJSON(&buf, sc.Name); err != nil {
+	for _, tb := range tabs {
+		if err := tb.WriteJSON(&buf, scale); err != nil {
 			t.Fatal(err)
 		}
 	}
