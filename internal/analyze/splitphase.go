@@ -72,11 +72,20 @@ func runSplitPhase(pass *Pass) {
 func checkSplitPhase(pass *Pass, info *types.Info, body *ast.BlockStmt) {
 	handled := map[*ast.CallExpr]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
-		block, ok := n.(*ast.BlockStmt)
-		if !ok {
+		// Statement lists live in blocks and, without one, directly in
+		// switch cases and select arms.
+		var list []ast.Stmt
+		switch n := n.(type) {
+		case *ast.BlockStmt:
+			list = n.List
+		case *ast.CaseClause:
+			list = n.Body
+		case *ast.CommClause:
+			list = n.Body
+		default:
 			return true
 		}
-		for i, stmt := range block.List {
+		for i, stmt := range list {
 			switch s := stmt.(type) {
 			case *ast.ExprStmt:
 				// Start(...).Wait() chains: an empty window, always fine.
@@ -116,7 +125,7 @@ func checkSplitPhase(pass *Pass, info *types.Info, body *ast.BlockStmt) {
 					pass.Reportf(call.Pos(), "split-phase motion handle escapes into a non-local location; Wait cannot be verified — bind it to a local variable")
 					continue
 				}
-				auditOverlapWindow(pass, info, body, block.List[i+1:], mo, h)
+				auditOverlapWindow(pass, info, body, list[i+1:], mo, h)
 			}
 		}
 		return true

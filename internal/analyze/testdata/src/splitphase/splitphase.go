@@ -45,6 +45,36 @@ func GoodChainedWait(p *comm.Proc, rt *core.Runtime, ia []int32, x []float64) {
 	schedule.GatherWStart(p, sched, x, 1).Wait()
 }
 
+// GoodCaseBody starts and waits directly in a switch case and a select arm:
+// statement lists that are not block statements.
+func GoodCaseBody(p *comm.Proc, rt *core.Runtime, ia []int32, f []float64, op schedule.CombineOp, tick chan int) {
+	sched := mkSched(p, rt, ia)
+	switch op {
+	case schedule.OpAdd:
+		sm := schedule.ScatterWStart(p, sched, f, 1, op)
+		f[0] += 1
+		sm.Wait()
+	default:
+		schedule.ScatterW(p, sched, f, 1, op)
+	}
+	select {
+	case <-tick:
+		gm := schedule.GatherWStart(p, sched, f, 1)
+		gm.Wait()
+	default:
+	}
+}
+
+// BadCaseBodyNeverWaited is still flagged inside a case body.
+func BadCaseBodyNeverWaited(p *comm.Proc, rt *core.Runtime, ia []int32, f []float64, op schedule.CombineOp) {
+	sched := mkSched(p, rt, ia)
+	switch op {
+	case schedule.OpAdd:
+		sm := schedule.ScatterWStart(p, sched, f, 1, op) // want:split-phase
+		_ = sm
+	}
+}
+
 // BadDiscardedHandle drops the Motion on the floor; nothing can ever wait
 // the gather, and the schedule stays permanently in flight.
 func BadDiscardedHandle(p *comm.Proc, rt *core.Runtime, ia []int32, x []float64) {

@@ -136,6 +136,7 @@ func RunKernelHand(p *comm.Proc, cfg KernelConfig) *KernelResult {
 	timer.Mark("inspector")
 
 	remapCount := 0
+	var xb, fb []float64 // gather and contribution buffers, reused across iterations
 	for iter := 1; iter <= cfg.Iters; iter++ {
 		if cfg.RemapEvery > 0 && iter%cfg.RemapEvery == 0 {
 			owners := kernelPartitioner(p, remapCount, pos, ptr)
@@ -155,10 +156,10 @@ func RunKernelHand(p *comm.Proc, cfg KernelConfig) *KernelResult {
 		}
 		// Executor: gather x, run the Figure 10 body, scatter-add dx.
 		nBuf := ht.NLocal() + ht.NGhosts()
-		xb := make([]float64, 3*nBuf)
+		xb, fb = growF64(xb, 3*nBuf), growF64(fb, 3*nBuf)
 		copy(xb, pos)
 		schedule.GatherW(p, sched, xb, 3)
-		fb := make([]float64, 3*nBuf)
+		clear(fb)
 		pairs := 0
 		for i := 0; i < atoms.NLocal(); i++ {
 			xi := xb[3*i : 3*i+3]

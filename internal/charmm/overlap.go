@@ -193,10 +193,7 @@ func nbApplyOwned(s *simState, frc, delta []float64, nLocal int) {
 // and the non-bonded boundary work behind the bonded scatter.
 func executeStepOverlap(p *comm.Proc, s *simState, cfg Config) {
 	nLocal := s.ht.NLocal()
-	nBuf := nLocal + s.ht.NGhosts()
-	posBuf := make([]float64, 3*nBuf)
-	copy(posBuf, s.pos)
-	frc := make([]float64, 3*nBuf)
+	posBuf, frc := s.stepBuffers()
 	c2 := cfg.Cutoff * cfg.Cutoff
 	s.deltaB = growF64(s.deltaB, 3*len(s.locBI))
 	s.deltaNB = growF64(s.deltaNB, 3*len(s.locJnb))

@@ -71,6 +71,20 @@ type simState struct {
 	// Slots are zeroed at the write site, so no clearing pass is needed.
 	deltaB  []float64
 	deltaNB []float64
+	// Phase F's gather and force buffers (3 values per owned or ghost slot),
+	// reused across steps like the delta scratch; see stepBuffers.
+	posBuf, frc []float64
+}
+
+// stepBuffers readies phase F's persistent buffers for one step: the gather
+// buffer with the owned positions copied in (every ghost slot the force
+// loops read is refilled by the step's gathers) and the force buffer cleared.
+func (s *simState) stepBuffers() (posBuf, frc []float64) {
+	n := 3 * (s.ht.NLocal() + s.ht.NGhosts())
+	s.posBuf, s.frc = growF64(s.posBuf, n), growF64(s.frc, n)
+	copy(s.posBuf, s.pos)
+	clear(s.frc)
+	return s.posBuf, s.frc
 }
 
 // growF64 returns buf resized to n elements, reallocating only on growth.
@@ -388,10 +402,7 @@ func rebuildSchedules(p *comm.Proc, s *simState, cfg Config) {
 // forces, scatter-add force contributions, integrate owned atoms.
 func executeStep(p *comm.Proc, s *simState, cfg Config) {
 	nLocal := s.ht.NLocal()
-	nBuf := nLocal + s.ht.NGhosts()
-	posBuf := make([]float64, 3*nBuf)
-	copy(posBuf, s.pos)
-	frc := make([]float64, 3*nBuf)
+	posBuf, frc := s.stepBuffers()
 	c2 := cfg.Cutoff * cfg.Cutoff
 
 	if cfg.Merged {

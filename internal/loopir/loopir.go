@@ -16,7 +16,10 @@
 // by SetCSR), and the generated inspector compares recorded versions before
 // each loop execution — reusing the previous schedule when nothing changed,
 // rehashing just the changed stamp when an indirection array adapted, and
-// rebuilding from scratch when the decomposition was redistributed.
+// rebuilding from scratch when the decomposition was redistributed. Every
+// reduction loop then executes through one executor skeleton (executor.go),
+// of which blocking, fused, split-phase and self-scheduled execution are
+// spellings.
 //
 // REDUCE(APPEND, ...) is lowered to a light-weight schedule and
 // scatter_append; the generated code additionally recomputes the

@@ -3,7 +3,7 @@ package loopir
 import (
 	"fmt"
 
-	"repro/internal/comm"
+	"repro/internal/adapt"
 	"repro/internal/hashtab"
 	"repro/internal/schedule"
 )
@@ -27,42 +27,29 @@ type PairIterBody func(k int, xi, xj, fi, fj []float64)
 // loop uses a single merged schedule (§3.2.1) — the exact pattern the paper
 // optimizes for CHARMM's bonded and non-bonded loops.
 type PairLoop struct {
-	prog   *Program
+	loopCore
 	ia, ib *IndArray // flat, width 1, aligned with the iteration decomposition
-	x, f   *RealArray
 	body   PairIterBody
-	// flopsPerIter is the modeled arithmetic cost of one body invocation.
-	flopsPerIter int
 
-	ht           *hashtab.Table
+	// The localized indirection arrays and the recorded versions the cached
+	// inspector products were built against.
 	sa, sb       hashtab.Stamp
 	la, lb       []int32
-	sched        *schedule.Schedule
 	iaSeen       int64
 	ibSeen       int64
 	dataDistSeen int64
 	iterDistSeen int64
-	inspections  int
-
-	// Program-level optimization state, set by the fortd -O lowering (see
-	// SumLoop for the field semantics).
-	shared  *SharedSched
-	ma, mb  int
-	hoisted bool
-
-	// Adaptive self-scheduling executor state (nil = static executor) and
-	// the cumulative data-motion statistics of either executor path.
-	ss     *selfSched
-	motion comm.Stats
-
-	// Split-phase overlap executor state (overlap.go): the mode flag, the
-	// interior/boundary iteration split with the inspection count it was
-	// built at, and the per-iteration delta scratch.
-	overlap   bool
-	split     *schedule.Split
-	splitInsp int
-	odelta    []float64
+	// ma/mb are the arrays' member indices in the schedule group, if shared.
+	ma, mb int
 }
+
+// PairParamBody is the k-free kernel a self-scheduled PairLoop runs for
+// stolen iterations: prm carries the iteration's packed per-iteration
+// parameters (nil when the loop was enabled without a parameter array). It
+// must compute exactly the adds the loop's PairIterBody computes for the
+// same iteration — the donor ships xi, xj, and prm, so any other
+// k-dependence in the body cannot be reproduced on the thief.
+type PairParamBody func(prm, xi, xj, fi, fj []float64)
 
 // NewPairLoop compiles the two-indirection reduction loop. ia and ib must
 // be flat width-1 indirection arrays aligned with the same iteration
@@ -82,23 +69,11 @@ func (pr *Program) NewPairLoop(ia, ib *IndArray, x, f *RealArray, flopsPerIter i
 		panic(fmt.Sprintf("loopir: read width %d != reduce width %d", x.width, f.width))
 	}
 	return &PairLoop{
-		prog: pr, ia: ia, ib: ib, x: x, f: f,
-		body: body, flopsPerIter: flopsPerIter,
+		loopCore: loopCore{prog: pr, x: x, f: f, flops: flopsPerIter},
+		ia:       ia, ib: ib, body: body,
 		iaSeen: -1, ibSeen: -1, dataDistSeen: -1, iterDistSeen: -1,
 	}
 }
-
-// Inspections returns how many times the inspector actually ran. A loop
-// sharing a group schedule reports the group's count.
-func (l *PairLoop) Inspections() int {
-	if l.shared != nil {
-		return l.shared.inspections
-	}
-	return l.inspections
-}
-
-// Inspect runs the inspector if any recorded version is stale.
-func (l *PairLoop) Inspect() { l.maybeInspect() }
 
 // Share points the loop at a group schedule covering its data
 // decomposition; both indirection arrays join the group. Only legal for
@@ -112,21 +87,9 @@ func (l *PairLoop) Share(g *SharedSched) {
 	l.mb = g.Add(l.ib)
 }
 
-// SetHoisted records that the inspector was hoisted out of the enclosing
-// time loop.
-func (l *PairLoop) SetHoisted(b bool) { l.hoisted = b }
-
-// chargeGuard models the per-execution guard bookkeeping (see
-// SumLoop.chargeGuard).
-func (l *PairLoop) chargeGuard(p *comm.Proc) {
-	if l.hoisted {
-		p.ComputeMem(l.ia.dec.NLocal())
-	} else {
-		p.ComputeMem(2 * l.ia.dec.NLocal())
-	}
-}
-
-func (l *PairLoop) maybeInspect() {
+// Inspect is the generated guard: it reruns the inspector if any recorded
+// version is stale (see SumLoop.Inspect).
+func (l *PairLoop) Inspect() {
 	if l.shared != nil {
 		l.shared.Inspect()
 		l.ht = l.shared.ht
@@ -167,44 +130,157 @@ func (l *PairLoop) maybeInspect() {
 
 // Execute runs the loop once: gather x ghosts, run the body per iteration,
 // scatter-add the contributions, accumulate into f. Collective.
-func (l *PairLoop) Execute() {
-	if l.ss != nil {
-		l.executeSelfSched()
-		return
+func (l *PairLoop) Execute() { execute(l) }
+
+// SelfSched enables the adaptive self-scheduling executor mode for the
+// loop. kernel is the k-free stolen-iteration body; prm (optional, may be
+// nil) is a parameter array aligned with the iteration decomposition whose
+// row k is shipped to the thief alongside the pair values, covering bodies
+// like the bonded-force loop that read per-iteration constants. Results
+// stay bit-identical to the static Execute.
+func (l *PairLoop) SelfSched(ctl *adapt.Controller, prm *RealArray, kernel PairParamBody) {
+	if prm != nil && prm.dec != l.ia.dec {
+		panic("loopir: PairLoop self-scheduling parameters must be aligned with the iteration decomposition")
 	}
-	l.maybeInspect()
-	if l.overlap {
-		l.ensureSplit()
-		l.executeOverlap()
-		return
-	}
-	p := l.prog.P
-	reg := p.Phase("executor")
-	defer reg.End()
 	w := l.x.width
-	nLocal := l.ht.NLocal()
-	nBuf := nLocal + l.ht.NGhosts()
-	l.chargeGuard(p)
+	pw := 0
+	if prm != nil {
+		pw = prm.width
+	}
+	// Per stolen iteration: 2w+pw float64 inputs out, 2w deltas back.
+	ctl.Configure(l.prog.P.Machine(), l.flops, 8*(4*w+pw), 4*w+pw, 2*w)
+	l.ss = &selfSched{ctl: ctl, kernel: kernel, prm: prm, rec: 2*w + pw}
+}
 
-	xb := make([]float64, nBuf*w)
-	copy(xb, l.x.data)
-	s0 := p.Stats()
-	schedule.GatherW(p, l.sched, xb, w)
-	l.motion.Add(p.Stats().Sub(s0))
+// The iteration space: ranges are over the local iterations, a unit is one
+// iteration. Iterations live on their own decomposition, so BOTH referenced
+// slots (la[k] and lb[k]) may be ghosts, and an aliased iteration can sit on
+// a ghost slot — it is direct-executed by whichever apply pass owns that
+// slot.
 
-	fb := make([]float64, nBuf*w)
-	for k := 0; k < l.ia.dec.NLocal(); k++ {
-		i := int(l.la[k])
-		j := int(l.lb[k])
+func (l *PairLoop) extent() int { return l.ia.dec.NLocal() }
+
+func (l *PairLoop) units(lo, hi int) int { return hi - lo }
+
+func (l *PairLoop) run(lo, hi int) {
+	w, xb, fb := l.x.width, l.xb, l.fb
+	for k := lo; k < hi; k++ {
+		i, j := int(l.la[k]), int(l.lb[k])
 		l.body(k, xb[i*w:(i+1)*w], xb[j*w:(j+1)*w], fb[i*w:(i+1)*w], fb[j*w:(j+1)*w])
 	}
-	p.ComputeFlops(l.flopsPerIter * l.ia.dec.NLocal())
+}
 
-	s1 := p.Stats()
-	schedule.ScatterW(p, l.sched, fb, w, schedule.OpAdd)
-	l.motion.Add(p.Stats().Sub(s1))
-	for i := 0; i < l.x.dec.NLocal()*w; i++ {
-		l.f.data[i] += fb[i]
+func (l *PairLoop) buildSplit(sp *schedule.Split) *schedule.Split {
+	return schedule.SplitFlat(sp, l.la, l.lb, l.ht.NLocal())
+}
+
+func (l *PairLoop) interior() {
+	w, xb, nLocal := l.x.width, l.xb, l.ht.NLocal()
+	for k := 0; k < l.extent(); k++ {
+		i, j := int(l.la[k]), int(l.lb[k])
+		if i >= nLocal || j >= nLocal || i == j {
+			continue
+		}
+		d := zero2w(l.odelta, k, w)
+		l.body(k, xb[i*w:(i+1)*w], xb[j*w:(j+1)*w], d[:w], d[w:])
 	}
-	p.ComputeMem(l.x.dec.NLocal() * w)
+}
+
+func (l *PairLoop) boundary() {
+	w, xb := l.x.width, l.xb
+	for _, k32 := range l.split.BndIdx {
+		k := int(k32)
+		i, j := int(l.la[k]), int(l.lb[k])
+		if i == j {
+			continue
+		}
+		d := zero2w(l.odelta, k, w)
+		l.body(k, xb[i*w:(i+1)*w], xb[j*w:(j+1)*w], d[:w], d[w:])
+	}
+}
+
+func (l *PairLoop) applyGhost() {
+	w, xb, fb, nLocal := l.x.width, l.xb, l.fb, l.ht.NLocal()
+	for _, k32 := range l.split.BndIdx {
+		k := int(k32)
+		i, j := int(l.la[k]), int(l.lb[k])
+		if i == j {
+			l.body(k, xb[i*w:(i+1)*w], xb[j*w:(j+1)*w], fb[i*w:(i+1)*w], fb[j*w:(j+1)*w])
+			continue
+		}
+		d := l.odelta[k*2*w:]
+		if i >= nLocal {
+			addw(fb[i*w:(i+1)*w], d, w)
+		}
+		if j >= nLocal {
+			addw(fb[j*w:(j+1)*w], d[w:], w)
+		}
+	}
+}
+
+func (l *PairLoop) applyOwned() {
+	w, xb, fb, nLocal := l.x.width, l.xb, l.fb, l.ht.NLocal()
+	for k := 0; k < l.extent(); k++ {
+		i, j := int(l.la[k]), int(l.lb[k])
+		if i == j {
+			if i < nLocal {
+				l.body(k, xb[i*w:(i+1)*w], xb[j*w:(j+1)*w], fb[i*w:(i+1)*w], fb[j*w:(j+1)*w])
+			}
+			continue
+		}
+		d := l.odelta[k*2*w:]
+		if i < nLocal {
+			addw(fb[i*w:(i+1)*w], d, w)
+		}
+		if j < nLocal {
+			addw(fb[j*w:(j+1)*w], d[w:], w)
+		}
+	}
+}
+
+// chunk cuts fixed strides: each iteration is its own reduction group (one
+// fi add, one fj add), so any cut is owner-aligned.
+func (l *PairLoop) chunk(lo, target int) (int, bool) {
+	hi := min(lo+target, l.extent())
+	alias := false
+	for k := lo; k < hi; k++ {
+		if l.la[k] == l.lb[k] {
+			alias = true
+		}
+	}
+	return hi, alias
+}
+
+// cutWork: strided cuts need no search.
+func (l *PairLoop) cutWork() int { return 0 }
+
+func (l *PairLoop) pack(lo, hi int) {
+	w, xb, ss := l.x.width, l.xb, l.ss
+	for k := lo; k < hi; k++ {
+		i, j := int(l.la[k]), int(l.lb[k])
+		ss.payload = append(ss.payload, xb[i*w:(i+1)*w]...)
+		ss.payload = append(ss.payload, xb[j*w:(j+1)*w]...)
+		if ss.prm != nil {
+			pw := ss.prm.width
+			ss.payload = append(ss.payload, ss.prm.data[k*pw:(k+1)*pw]...)
+		}
+	}
+}
+
+func (l *PairLoop) runPacked(n int) {
+	w, ss := l.x.width, l.ss
+	for q := 0; q < n; q++ {
+		in := ss.payload[q*ss.rec : (q+1)*ss.rec]
+		out := ss.delta[q*2*w : (q+1)*2*w]
+		ss.kernel(in[2*w:], in[:w], in[w:2*w], out[:w], out[w:])
+	}
+}
+
+func (l *PairLoop) replay(lo, hi int) {
+	w, fb := l.x.width, l.fb
+	for k := lo; k < hi; k++ {
+		d := l.ss.delta[(k-lo)*2*w:]
+		addw(fb[int(l.la[k])*w:], d, w)
+		addw(fb[int(l.lb[k])*w:], d[w:], w)
+	}
 }

@@ -230,46 +230,71 @@ func TestSelfSchedImprovesSkewedMakespan(t *testing.T) {
 	}
 }
 
-// TestAdaptSteadyStateAllocs pins the PR 3/PR 5 discipline on the new
-// executor path: once warm, a self-scheduled Execute (chunking, planning
-// AllReduce, steal traffic, replay) allocates nothing on any rank.
+// TestAdaptSteadyStateAllocs pins the PR 3/PR 5 discipline on every spelling
+// of the executor skeleton: once warm, an Execute — self-scheduled (chunking,
+// planning AllReduce, steal traffic, replay), blocking, split-phase, both
+// together, or a fused two-loop run — allocates nothing on any rank; in
+// particular nothing proportional to the gather/contribution buffers, which
+// persist on the loop.
 func TestAdaptSteadyStateAllocs(t *testing.T) {
 	const n = 192
-	const nprocs = 4
 	gptr, gvals := skewedCSR(n, 16, 1, 11)
 	x0 := make([]float64, n)
 	for i := range x0 {
 		x0[i] = float64(i) * 0.5
 	}
-	got := make([]float64, nprocs)
-	plan := 0
-	comm.Run(nprocs, costmodel.Uniform(1e-9), func(p *comm.Proc) {
-		prog := NewProgram(p)
-		dec := prog.Decomposition(n)
-		x := dec.AlignReal(1)
-		f := dec.AlignReal(1)
-		x.SetByGlobal(func(g int32, c []float64) { c[0] = x0[g] })
-		ind := dec.AlignIndCSR()
-		ptr, vals := localizeCSR(p, n, gptr, gvals)
-		ind.SetCSR(ptr, vals)
-		ctl := adapt.NewController()
-		loop := prog.NewSumLoop(ind, x, f, 50, figure10Body)
-		loop.SelfSched(ctl)
-		body := func() { loop.Execute() }
-		for i := 0; i < 5; i++ {
-			body()
+	for _, tc := range []struct {
+		name             string
+		nprocs           int
+		self, over, fuse bool
+	}{
+		{name: "selfsched", nprocs: 4, self: true},
+		{name: "blocking", nprocs: 2},
+		{name: "overlap", nprocs: 2, over: true},
+		{name: "overlap+selfsched", nprocs: 2, self: true, over: true},
+		{name: "fused", nprocs: 2, fuse: true},
+	} {
+		got := make([]float64, tc.nprocs)
+		plan := 0
+		comm.Run(tc.nprocs, costmodel.Uniform(1e-9), func(p *comm.Proc) {
+			prog := NewProgram(p)
+			dec := prog.Decomposition(n)
+			x := dec.AlignReal(1)
+			f := dec.AlignReal(1)
+			x.SetByGlobal(func(g int32, c []float64) { c[0] = x0[g] })
+			ind := dec.AlignIndCSR()
+			ptr, vals := localizeCSR(p, n, gptr, gvals)
+			ind.SetCSR(ptr, vals)
+			ctl := adapt.NewController()
+			loop := prog.NewSumLoop(ind, x, f, 50, figure10Body)
+			if tc.self {
+				loop.SelfSched(ctl)
+			}
+			loop.Overlap(tc.over)
+			body := func() { loop.Execute() }
+			if tc.fuse {
+				second := prog.NewSumLoop(ind, x, dec.AlignReal(1), 50, figure10Body)
+				gr := prog.NewSharedSched(dec)
+				loop.Share(gr)
+				second.Share(gr)
+				run := []*SumLoop{loop, second}
+				body = func() { ExecuteFusedSum(run) }
+			}
+			for i := 0; i < 5; i++ {
+				body()
+			}
+			got[p.Rank()] = testing.AllocsPerRun(20, body)
+			if p.Rank() == 0 {
+				plan = len(ctl.Steals())
+			}
+		})
+		if tc.self && tc.nprocs == 4 && plan == 0 {
+			t.Fatalf("%s: steady state has no steals; the alloc test does not cover the steal path", tc.name)
 		}
-		got[p.Rank()] = testing.AllocsPerRun(20, body)
-		if p.Rank() == 0 {
-			plan = len(ctl.Steals())
-		}
-	})
-	if plan == 0 {
-		t.Fatal("steady state has no steals; the alloc test does not cover the steal path")
-	}
-	for r, a := range got {
-		if a != 0 {
-			t.Errorf("rank %d: %v allocs/op in self-scheduled Execute steady state, want 0", r, a)
+		for r, a := range got {
+			if a != 0 {
+				t.Errorf("%s: rank %d: %v allocs/op in Execute steady state, want 0", tc.name, r, a)
+			}
 		}
 	}
 }

@@ -108,161 +108,3 @@ func (g *SharedSched) Inspect() {
 	g.inspections++
 	reg.End()
 }
-
-// ExecuteFusedSum executes a run of SumLoops that share one SharedSched as
-// a single communication phase: one fused gather of the distinct read
-// arrays, the loop bodies in program order, one fused scatter-add of the
-// per-loop contributions, then the per-loop accumulations in program order.
-// The communication-fusion legality analysis guarantees no loop reads an
-// array an earlier run member reduces into, so values (and float addition
-// order) are bit-identical to executing the loops back to back — only the
-// message count drops. Collective.
-func ExecuteFusedSum(loops []*SumLoop) {
-	if len(loops) == 1 {
-		loops[0].Execute()
-		return
-	}
-	g := loops[0].shared
-	for _, l := range loops {
-		if l.shared == nil || l.shared != g {
-			panic("loopir: fused sum loops must share one SharedSched")
-		}
-		l.maybeInspect()
-	}
-	p := g.prog.P
-	reg := p.Phase("executor")
-	defer reg.End()
-	nLocal := g.ht.NLocal()
-	nBuf := nLocal + g.ht.NGhosts()
-
-	// Fused gather: one ghost buffer per distinct read array.
-	var xs []*RealArray
-	var xbs [][]float64
-	var xw []int
-	xbFor := make([]int, len(loops))
-	for li, l := range loops {
-		found := -1
-		for i, x := range xs {
-			if x == l.x {
-				found = i
-				break
-			}
-		}
-		if found < 0 {
-			xb := make([]float64, nBuf*l.x.width)
-			copy(xb, l.x.data)
-			xs = append(xs, l.x)
-			xbs = append(xbs, xb)
-			xw = append(xw, l.x.width)
-			found = len(xs) - 1
-		}
-		xbFor[li] = found
-	}
-	schedule.GatherWMulti(p, g.sched, xbs, xw)
-
-	// Loop bodies in program order, each into its own contribution buffer.
-	fbs := make([][]float64, len(loops))
-	fw := make([]int, len(loops))
-	for li, l := range loops {
-		w := l.x.width
-		l.chargeGuard(p, nLocal)
-		xb := xbs[xbFor[li]]
-		fb := make([]float64, nBuf*w)
-		ptr := l.ind.ptr
-		pairs := 0
-		for i := 0; i < l.ind.dec.NLocal(); i++ {
-			xi := xb[i*w : (i+1)*w]
-			fi := fb[i*w : (i+1)*w]
-			for k := ptr[i]; k < ptr[i+1]; k++ {
-				j := int(l.loc[k])
-				l.body(xi, xb[j*w:(j+1)*w], fi, fb[j*w:(j+1)*w])
-				pairs++
-			}
-		}
-		p.ComputeFlops(l.flopsPerPair * pairs)
-		fbs[li] = fb
-		fw[li] = w
-	}
-
-	// Fused scatter-add, then the sequential accumulations.
-	schedule.ScatterWMulti(p, g.sched, fbs, fw, schedule.OpAdd)
-	for li, l := range loops {
-		w := l.x.width
-		for i := 0; i < l.ind.dec.NLocal()*w; i++ {
-			l.f.data[i] += fbs[li][i]
-		}
-		p.ComputeMem(l.ind.dec.NLocal() * w)
-	}
-}
-
-// ExecuteFusedPair is ExecuteFusedSum for PairLoops: a run of two-
-// indirection reduction loops sharing one SharedSched executes with one
-// fused gather and one fused scatter-add. Collective.
-func ExecuteFusedPair(loops []*PairLoop) {
-	if len(loops) == 1 {
-		loops[0].Execute()
-		return
-	}
-	g := loops[0].shared
-	for _, l := range loops {
-		if l.shared == nil || l.shared != g {
-			panic("loopir: fused pair loops must share one SharedSched")
-		}
-		l.maybeInspect()
-	}
-	p := g.prog.P
-	reg := p.Phase("executor")
-	defer reg.End()
-	nLocal := g.ht.NLocal()
-	nBuf := nLocal + g.ht.NGhosts()
-
-	var xs []*RealArray
-	var xbs [][]float64
-	var xw []int
-	xbFor := make([]int, len(loops))
-	for li, l := range loops {
-		found := -1
-		for i, x := range xs {
-			if x == l.x {
-				found = i
-				break
-			}
-		}
-		if found < 0 {
-			xb := make([]float64, nBuf*l.x.width)
-			copy(xb, l.x.data)
-			xs = append(xs, l.x)
-			xbs = append(xbs, xb)
-			xw = append(xw, l.x.width)
-			found = len(xs) - 1
-		}
-		xbFor[li] = found
-	}
-	schedule.GatherWMulti(p, g.sched, xbs, xw)
-
-	fbs := make([][]float64, len(loops))
-	fw := make([]int, len(loops))
-	for li, l := range loops {
-		w := l.x.width
-		l.chargeGuard(p)
-		xb := xbs[xbFor[li]]
-		fb := make([]float64, nBuf*w)
-		for k := 0; k < l.ia.dec.NLocal(); k++ {
-			i := int(l.la[k])
-			j := int(l.lb[k])
-			l.body(k, xb[i*w:(i+1)*w], xb[j*w:(j+1)*w], fb[i*w:(i+1)*w], fb[j*w:(j+1)*w])
-		}
-		p.ComputeFlops(l.flopsPerIter * l.ia.dec.NLocal())
-		fbs[li] = fb
-		fw[li] = w
-	}
-
-	schedule.ScatterWMulti(p, g.sched, fbs, fw, schedule.OpAdd)
-	for li, l := range loops {
-		w := l.x.width
-		for i := 0; i < l.x.dec.NLocal()*w; i++ {
-			l.f.data[i] += fbs[li][i]
-		}
-		p.ComputeMem(l.x.dec.NLocal() * w)
-	}
-}

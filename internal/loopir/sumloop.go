@@ -3,7 +3,7 @@ package loopir
 import (
 	"fmt"
 
-	"repro/internal/comm"
+	"repro/internal/adapt"
 	"repro/internal/hashtab"
 	"repro/internal/schedule"
 )
@@ -24,44 +24,18 @@ type PairBody func(xi, xj, fi, fj []float64)
 // decomposition the indirection array is aligned with (all accesses through
 // one distribution, as in the CHARMM loop).
 type SumLoop struct {
-	prog *Program
+	loopCore
 	ind  *IndArray
-	x, f *RealArray
 	body PairBody
-	// flopsPerPair is the modeled arithmetic cost of one body invocation.
-	flopsPerPair int
 
-	// Cached inspector products and the recorded versions they were built
-	// against (the §5.3 reuse mechanism).
-	ht          *hashtab.Table
-	stamp       hashtab.Stamp
-	loc         []int32
-	sched       *schedule.Schedule
-	indSeen     int64
-	distSeen    int64
-	inspections int
-
-	// Program-level optimization state, set by the fortd -O lowering: a
-	// schedule group shared with other loops of identical indirection usage,
-	// and a flag recording that the inspector was hoisted out of the
-	// enclosing time loop (the guard then only re-checks, never rebuilds,
-	// inside the loop, so its modeled bookkeeping halves).
-	shared  *SharedSched
-	member  int
-	hoisted bool
-
-	// Adaptive self-scheduling executor state (nil = static executor) and
-	// the cumulative data-motion statistics of either executor path.
-	ss     *selfSched
-	motion comm.Stats
-
-	// Split-phase overlap executor state (overlap.go): the mode flag, the
-	// interior/boundary iteration split with the inspection count it was
-	// built at, and the per-iteration delta scratch.
-	overlap   bool
-	split     *schedule.Split
-	splitInsp int
-	odelta    []float64
+	// The localized indirection array and the recorded versions the cached
+	// inspector products were built against.
+	stamp    hashtab.Stamp
+	loc      []int32
+	indSeen  int64
+	distSeen int64
+	// member is the loop's index in its schedule group, if shared.
+	member int
 }
 
 // NewSumLoop compiles a FORALL/REDUCE(SUM) loop. ind must be a CSR
@@ -78,20 +52,10 @@ func (pr *Program) NewSumLoop(ind *IndArray, x, f *RealArray, flopsPerPair int, 
 		panic(fmt.Sprintf("loopir: read width %d != reduce width %d", x.width, f.width))
 	}
 	return &SumLoop{
-		prog: pr, ind: ind, x: x, f: f,
-		body: body, flopsPerPair: flopsPerPair,
+		loopCore: loopCore{prog: pr, x: x, f: f, flops: flopsPerPair},
+		ind:      ind, body: body,
 		indSeen: -1, distSeen: -1,
 	}
-}
-
-// Inspections returns how many times the inspector actually ran — tests use
-// it to verify the generated code reuses preprocessing when nothing changed.
-// A loop sharing a group schedule reports the group's count.
-func (l *SumLoop) Inspections() int {
-	if l.shared != nil {
-		return l.shared.inspections
-	}
-	return l.inspections
 }
 
 // Share points the loop at a group schedule: its indirection array joins
@@ -106,26 +70,11 @@ func (l *SumLoop) Share(g *SharedSched) {
 	l.member = g.Add(l.ind)
 }
 
-// SetHoisted records that the inspector was hoisted out of the enclosing
-// time loop (the hoist analysis proved the indirection array unmodified
-// across it). The caller is responsible for invoking Inspect at the hoist
-// point.
-func (l *SumLoop) SetHoisted(b bool) { l.hoisted = b }
-
-// chargeGuard models the per-execution guard and buffer bookkeeping of the
-// generated code. A hoisted inspector needs no version re-checks inside the
-// time loop, halving the bookkeeping.
-func (l *SumLoop) chargeGuard(p *comm.Proc, nLocal int) {
-	if l.hoisted {
-		p.ComputeMem(nLocal)
-	} else {
-		p.ComputeMem(2 * nLocal)
-	}
-}
-
-// maybeInspect is the generated guard: compare modification records, rerun
-// only the necessary part of the inspector.
-func (l *SumLoop) maybeInspect() {
+// Inspect is the generated guard: compare modification records, rerun only
+// the necessary part of the inspector (a no-op when nothing is stale).
+// Execute calls it implicitly; exposing it lets drivers time the inspector
+// and executor phases separately, as Table 6 reports.
+func (l *SumLoop) Inspect() {
 	if l.shared != nil {
 		l.shared.Inspect()
 		l.ht = l.shared.ht
@@ -165,60 +114,160 @@ func (l *SumLoop) maybeInspect() {
 	reg.End()
 }
 
-// Inspect runs the inspector now if the recorded versions are stale (a
-// no-op otherwise). Execute calls it implicitly; exposing it lets drivers
-// time the inspector and executor phases separately, as Table 6 reports.
-func (l *SumLoop) Inspect() { l.maybeInspect() }
-
 // Execute runs the loop once: inspector (if needed), gather, local
 // reduction, scatter-add. The reductions accumulate into f. Collective.
-func (l *SumLoop) Execute() {
-	if l.ss != nil {
-		l.executeSelfSched()
-		return
-	}
-	l.maybeInspect()
-	if l.overlap {
-		l.ensureSplit()
-		l.executeOverlap()
-		return
-	}
-	p := l.prog.P
-	reg := p.Phase("executor")
-	defer reg.End()
+func (l *SumLoop) Execute() { execute(l) }
+
+// SelfSched enables the adaptive self-scheduling executor mode for the
+// loop. Results stay bit-identical to the static Execute; only the virtual
+// (and measured) timeline changes. ctl must be dedicated to this loop.
+func (l *SumLoop) SelfSched(ctl *adapt.Controller) {
 	w := l.x.width
-	nLocal := l.ht.NLocal()
-	nBuf := nLocal + l.ht.NGhosts()
+	// Per stolen pair: 2w float64 inputs out and 2w deltas back on the
+	// wire; the donor packs 2w and replays 2w slots, the thief stores 2w.
+	ctl.Configure(l.prog.P.Machine(), l.flops, 8*4*w, 4*w, 2*w)
+	l.ss = &selfSched{ctl: ctl, rec: 2 * w}
+}
 
-	// Generated-code bookkeeping (guard evaluation, bounds arrays, buffer
-	// management): the small constant-factor overhead visible in Table 6.
-	l.chargeGuard(p, nLocal)
+// The iteration space: ranges are over the owned rows of the CSR
+// indirection array, a unit is one (i, ind(k)) pair. The row element i is
+// always owned, so only the j side of a pair can be a ghost, and an aliased
+// pair (j == i) always sits on an owned slot.
 
-	xb := make([]float64, nBuf*w)
-	copy(xb, l.x.data)
-	s0 := p.Stats()
-	schedule.GatherW(p, l.sched, xb, w)
-	l.motion.Add(p.Stats().Sub(s0))
+func (l *SumLoop) extent() int { return l.ind.dec.NLocal() }
 
-	fb := make([]float64, nBuf*w)
-	ptr := l.ind.ptr
-	pairs := 0
-	for i := 0; i < l.ind.dec.NLocal(); i++ {
+func (l *SumLoop) units(lo, hi int) int { return int(l.ind.ptr[hi] - l.ind.ptr[lo]) }
+
+func (l *SumLoop) run(lo, hi int) {
+	w, xb, fb, ptr, loc := l.x.width, l.xb, l.fb, l.ind.ptr, l.loc
+	for i := lo; i < hi; i++ {
 		xi := xb[i*w : (i+1)*w]
 		fi := fb[i*w : (i+1)*w]
 		for k := ptr[i]; k < ptr[i+1]; k++ {
-			j := int(l.loc[k])
+			j := int(loc[k])
 			l.body(xi, xb[j*w:(j+1)*w], fi, fb[j*w:(j+1)*w])
-			pairs++
 		}
 	}
-	p.ComputeFlops(l.flopsPerPair * pairs)
+}
 
-	s1 := p.Stats()
-	schedule.ScatterW(p, l.sched, fb, w, schedule.OpAdd)
-	l.motion.Add(p.Stats().Sub(s1))
-	for i := 0; i < l.ind.dec.NLocal()*w; i++ {
-		l.f.data[i] += fb[i]
+func (l *SumLoop) buildSplit(sp *schedule.Split) *schedule.Split {
+	return schedule.SplitCSR(sp, l.ind.ptr, l.loc, l.ht.NLocal())
+}
+
+func (l *SumLoop) interior() {
+	w, xb, ptr, loc, nLocal := l.x.width, l.xb, l.ind.ptr, l.loc, l.extent()
+	for i := 0; i < nLocal; i++ {
+		xi := xb[i*w : (i+1)*w]
+		for k := ptr[i]; k < ptr[i+1]; k++ {
+			j := int(loc[k])
+			if j >= nLocal || j == i {
+				continue
+			}
+			d := zero2w(l.odelta, int(k), w)
+			l.body(xi, xb[j*w:(j+1)*w], d[:w], d[w:])
+		}
 	}
-	p.ComputeMem(l.ind.dec.NLocal() * w)
+}
+
+// boundary relies on BndIdx being in ascending iteration order within each
+// row.
+func (l *SumLoop) boundary() {
+	w, xb, loc := l.x.width, l.xb, l.loc
+	bnd, bp := l.split.BndIdx, l.split.BndPtr
+	for i := 0; i < l.extent(); i++ {
+		if bp[i] == bp[i+1] {
+			continue
+		}
+		xi := xb[i*w : (i+1)*w]
+		for _, k := range bnd[bp[i]:bp[i+1]] {
+			j := int(loc[k])
+			d := zero2w(l.odelta, int(k), w)
+			l.body(xi, xb[j*w:(j+1)*w], d[:w], d[w:])
+		}
+	}
+}
+
+func (l *SumLoop) applyGhost() {
+	w := l.x.width
+	for _, k := range l.split.BndIdx {
+		j := int(l.loc[k])
+		addw(l.fb[j*w:(j+1)*w], l.odelta[int(k)*2*w+w:], w)
+	}
+}
+
+func (l *SumLoop) applyOwned() {
+	w, xb, fb, ptr, loc, nLocal := l.x.width, l.xb, l.fb, l.ind.ptr, l.loc, l.extent()
+	for i := 0; i < nLocal; i++ {
+		xi := xb[i*w : (i+1)*w]
+		fi := fb[i*w : (i+1)*w]
+		for k := ptr[i]; k < ptr[i+1]; k++ {
+			j := int(loc[k])
+			if j == i {
+				l.body(xi, xb[j*w:(j+1)*w], fi, fb[j*w:(j+1)*w])
+				continue
+			}
+			d := l.odelta[int(k)*2*w:]
+			addw(fi, d, w)
+			if j < nLocal {
+				addw(fb[j*w:(j+1)*w], d[w:], w)
+			}
+		}
+	}
+}
+
+// chunk cuts whole rows: a chunk is an owner-aligned block, so stealing one
+// never splits a reduction group.
+func (l *SumLoop) chunk(lo, target int) (int, bool) {
+	ptr, loc, n := l.ind.ptr, l.loc, l.extent()
+	alias := false
+	hi := lo
+	for hi < n {
+		for k := ptr[hi]; k < ptr[hi+1]; k++ {
+			if int(loc[k]) == hi {
+				alias = true
+			}
+		}
+		hi++
+		if int(ptr[hi]-ptr[lo]) >= target {
+			break
+		}
+	}
+	return hi, alias
+}
+
+// cutWork: finding the cuts walks every row.
+func (l *SumLoop) cutWork() int { return l.extent() }
+
+func (l *SumLoop) pack(lo, hi int) {
+	w, xb, ss := l.x.width, l.xb, l.ss
+	for i := lo; i < hi; i++ {
+		for k := l.ind.ptr[i]; k < l.ind.ptr[i+1]; k++ {
+			j := int(l.loc[k])
+			ss.payload = append(ss.payload, xb[i*w:(i+1)*w]...)
+			ss.payload = append(ss.payload, xb[j*w:(j+1)*w]...)
+		}
+	}
+}
+
+func (l *SumLoop) runPacked(n int) {
+	w, ss := l.x.width, l.ss
+	for q := 0; q < n; q++ {
+		in := ss.payload[q*2*w : (q+1)*2*w]
+		out := ss.delta[q*2*w : (q+1)*2*w]
+		l.body(in[:w], in[w:], out[:w], out[w:])
+	}
+}
+
+func (l *SumLoop) replay(lo, hi int) {
+	w, fb := l.x.width, l.fb
+	q := 0
+	for i := lo; i < hi; i++ {
+		fi := fb[i*w : (i+1)*w]
+		for k := l.ind.ptr[i]; k < l.ind.ptr[i+1]; k++ {
+			d := l.ss.delta[q*2*w:]
+			addw(fi, d, w)
+			addw(fb[int(l.loc[k])*w:], d[w:], w)
+			q++
+		}
+	}
 }

@@ -52,7 +52,8 @@ func lightEnv(p *comm.Proc, perPeer, width int) (*LightSchedule, []int32, []floa
 // TestGatherScatterSteadyStateAllocs checks the zero-allocation discipline:
 // after the first iteration has warmed the staging buffers and the send
 // arena, Gather + ScatterAdd and the light-weight scatter_append perform no
-// heap allocations on the in-memory transport. testing.AllocsPerRun
+// heap allocations on the in-memory transport, and neither does the
+// split-phase multi-array spelling of the same core. testing.AllocsPerRun
 // truncates the per-run average toward zero, so a handful of stray runtime
 // allocations (sudog refills etc.) across the 100 runs do not flake the
 // test, while any per-op allocation shows up as >= 1.
@@ -61,6 +62,7 @@ func TestGatherScatterSteadyStateAllocs(t *testing.T) {
 	nprocs := 4
 	got := make([]float64, nprocs)
 	gotLight := make([]float64, nprocs)
+	gotMulti := make([]float64, nprocs)
 	comm.Run(nprocs, costmodel.Uniform(1e-9), func(p *comm.Proc) {
 		sched, data := allocEnv(p, 512, 1024, 7)
 		ls, dest, items := lightEnv(p, 16, 3)
@@ -69,6 +71,12 @@ func TestGatherScatterSteadyStateAllocs(t *testing.T) {
 			Gather(p, sched, data)
 			Scatter(p, sched, data, OpAdd)
 		}
+		datas := [][]float64{data, make([]float64, 3*len(data))}
+		widths := []int{1, 3}
+		multiBody := func() {
+			GatherWMultiStart(p, sched, datas, widths).Wait()
+			ScatterWMultiStart(p, sched, datas, widths, OpMax).Wait()
+		}
 		lightBody := func() {
 			out = ls.MoveF64Into(p, dest, items, 3, out)
 		}
@@ -76,11 +84,13 @@ func TestGatherScatterSteadyStateAllocs(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			body()
 			lightBody()
+			multiBody()
 		}
 		// Every rank runs AllocsPerRun so the collectives stay in lockstep
 		// (AllocsPerRun invokes the body runs+1 times on each rank).
 		got[p.Rank()] = testing.AllocsPerRun(runs, body)
 		gotLight[p.Rank()] = testing.AllocsPerRun(runs, lightBody)
+		gotMulti[p.Rank()] = testing.AllocsPerRun(runs, multiBody)
 	})
 	for r, a := range got {
 		if a != 0 {
@@ -90,6 +100,11 @@ func TestGatherScatterSteadyStateAllocs(t *testing.T) {
 	for r, a := range gotLight {
 		if a != 0 {
 			t.Errorf("rank %d: light ScatterAppend steady state allocates %.0f allocs/op, want 0", r, a)
+		}
+	}
+	for r, a := range gotMulti {
+		if a != 0 {
+			t.Errorf("rank %d: MultiStart+Wait steady state allocates %.0f allocs/op, want 0", r, a)
 		}
 	}
 }

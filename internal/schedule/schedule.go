@@ -13,6 +13,10 @@
 // (exclude = stamps of earlier schedules whose data is already resident),
 // mirroring CHAOS_schedule in Figure 6 of the paper.
 //
+// Data moves through a regular schedule by one split-phase multi-array core
+// (motion.go); Gather/Scatter and their W, Multi and Start forms are
+// one-line spellings of it.
+//
 // Light-weight schedules (LightSchedule) support reduction-style movement
 // where placement order is irrelevant (scatter_append): they carry only
 // message sizes, skipping index translation and permutation lists entirely.
@@ -72,10 +76,14 @@ type Schedule struct {
 	reqOff  []int32
 	cur     []int32
 	recvBuf []int32
-	// motion is the schedule's split-phase handle (splitphase.go): at most
-	// one motion is in flight per schedule, so embedding it keeps the
-	// overlap steady state allocation-free.
+	// motion is the schedule's data-motion handle (motion.go): at most one
+	// motion is in flight per schedule, so embedding it keeps every
+	// collective allocation-free in steady state. one/oneW are the
+	// 1-element argument lists the single-array spellings pass to the
+	// multi-array core.
 	motion Motion
+	one    [1][]float64
+	oneW   [1]int
 }
 
 // stage returns scratch of exactly n elements backed by *buf, growing the
@@ -281,164 +289,4 @@ func FromTranslated(p *comm.Proc, nLocal int, owners, offsets []int32) (*Schedul
 	}
 	p.ComputeMem(s.TotalSend())
 	return s, loc
-}
-
-// checkLen panics if data is too short for the schedule.
-func (s *Schedule) checkLen(n, width int) {
-	if n < s.minLen*width {
-		panic(fmt.Sprintf("schedule: buffer of %d elements too short, need %d (width %d)", n, s.minLen*width, width))
-	}
-}
-
-// Gather fetches the off-processor elements named by the schedule into the
-// ghost section of data: after the call, data[slot] holds the owner's value
-// for every slot in the permutation lists. The owned section is read, the
-// ghost section written. Collective.
-func Gather(p *comm.Proc, s *Schedule, data []float64) {
-	GatherW(p, s, data, 1)
-}
-
-// GatherW is Gather for arrays with `width` float64 components per element
-// (stored row-major: element i occupies data[i*width : (i+1)*width]).
-// Steady-state calls are allocation-free: packing stages through
-// schedule-owned scratch, the wire bytes through the Proc send arena, and
-// unpacking through scratch grown on the first call.
-func GatherW(p *comm.Proc, s *Schedule, data []float64, width int) {
-	s.checkLen(len(data), width)
-	for k := 1; k < p.Size(); k++ {
-		dst := (p.Rank() + k) % p.Size()
-		offs := s.SendOffs(dst)
-		if len(offs) == 0 {
-			continue
-		}
-		buf := stage(&s.stageS, len(offs)*width)
-		for i, off := range offs {
-			copy(buf[i*width:], data[int(off)*width:int(off+1)*width])
-		}
-		p.ComputeMem(len(buf))
-		p.SendF64Buf(dst, tagGather, buf)
-	}
-	gatherRecv(p, s, data, width)
-}
-
-// gatherRecv is GatherW's receive half: ring-order receives with interleaved
-// unpacking. Shared verbatim by the blocking path and Motion.Wait, so the
-// two modes charge identical virtual sequences.
-func gatherRecv(p *comm.Proc, s *Schedule, data []float64, width int) {
-	for k := 1; k < p.Size(); k++ {
-		src := (p.Rank() - k + p.Size()) % p.Size()
-		slots := s.RecvSlots(src)
-		if len(slots) == 0 {
-			continue
-		}
-		vals := p.RecvF64Into(src, tagGather, s.stageR)
-		s.stageR = vals
-		if len(vals) != len(slots)*width {
-			panic(fmt.Sprintf("schedule: gather from %d delivered %d values, want %d", src, len(vals), len(slots)*width))
-		}
-		for i, slot := range slots {
-			copy(data[int(slot)*width:int(slot+1)*width], vals[i*width:(i+1)*width])
-		}
-		p.ComputeMem(len(vals))
-	}
-}
-
-// CombineOp selects how Scatter combines incoming values with resident ones.
-type CombineOp int
-
-// Scatter combine operations.
-const (
-	OpReplace CombineOp = iota
-	OpAdd
-	OpMax
-	OpMin
-)
-
-// Scatter pushes ghost-section values back to their owners, combining with
-// op at the destination (the reverse of Gather). With OpAdd this implements
-// the irregular reduction x(ia(i)) = x(ia(i)) + ... across processors.
-// Collective.
-func Scatter(p *comm.Proc, s *Schedule, data []float64, op CombineOp) {
-	ScatterW(p, s, data, 1, op)
-}
-
-// ScatterW is Scatter for width-component elements. Like GatherW it is
-// allocation-free in steady state, and the combine switch is resolved once
-// per message rather than once per element.
-func ScatterW(p *comm.Proc, s *Schedule, data []float64, width int, op CombineOp) {
-	s.checkLen(len(data), width)
-	for k := 1; k < p.Size(); k++ {
-		dst := (p.Rank() + k) % p.Size()
-		slots := s.RecvSlots(dst)
-		if len(slots) == 0 {
-			continue
-		}
-		buf := stage(&s.stageS, len(slots)*width)
-		for i, slot := range slots {
-			copy(buf[i*width:], data[int(slot)*width:int(slot+1)*width])
-		}
-		p.ComputeMem(len(buf))
-		p.SendF64Buf(dst, tagScatter, buf)
-	}
-	scatterRecv(p, s, data, width, op)
-}
-
-// scatterRecv is ScatterW's receive half: ring-order receives with the
-// combine applied per message. Shared by the blocking path and Motion.Wait.
-func scatterRecv(p *comm.Proc, s *Schedule, data []float64, width int, op CombineOp) {
-	for k := 1; k < p.Size(); k++ {
-		src := (p.Rank() - k + p.Size()) % p.Size()
-		offs := s.SendOffs(src)
-		if len(offs) == 0 {
-			continue
-		}
-		vals := p.RecvF64Into(src, tagScatter, s.stageR)
-		s.stageR = vals
-		if len(vals) != len(offs)*width {
-			panic(fmt.Sprintf("schedule: scatter from %d delivered %d values, want %d", src, len(vals), len(offs)*width))
-		}
-		combine(op, data, offs, vals, width)
-		p.ComputeMem(len(vals))
-	}
-}
-
-// combine merges one received message into data under op, with the op
-// dispatched once per message (branch per message, not per element).
-func combine(op CombineOp, data []float64, offs []int32, vals []float64, width int) {
-	switch op {
-	case OpReplace:
-		for i, off := range offs {
-			copy(data[int(off)*width:int(off+1)*width], vals[i*width:(i+1)*width])
-		}
-	case OpAdd:
-		for i, off := range offs {
-			dst := data[int(off)*width : int(off+1)*width]
-			src := vals[i*width : (i+1)*width]
-			for j := range dst {
-				dst[j] += src[j]
-			}
-		}
-	case OpMax:
-		for i, off := range offs {
-			dst := data[int(off)*width : int(off+1)*width]
-			src := vals[i*width : (i+1)*width]
-			for j := range dst {
-				if src[j] > dst[j] {
-					dst[j] = src[j]
-				}
-			}
-		}
-	case OpMin:
-		for i, off := range offs {
-			dst := data[int(off)*width : int(off+1)*width]
-			src := vals[i*width : (i+1)*width]
-			for j := range dst {
-				if src[j] < dst[j] {
-					dst[j] = src[j]
-				}
-			}
-		}
-	default:
-		panic("schedule: unknown combine op")
-	}
 }

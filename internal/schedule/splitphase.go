@@ -1,222 +1,6 @@
 package schedule
 
-import (
-	"fmt"
-	"runtime"
-
-	"repro/internal/comm"
-)
-
-// Split-phase data motion: GatherWStart/ScatterWStart run the send half of
-// the collective immediately (split-phase sends through comm.SendStart, so
-// even the socket writes happen off-thread) and return a Motion handle whose
-// Wait runs the receive half. Between Start and Wait the rank is free to
-// compute on data the motion does not touch — interior iterations — while
-// in-flight frames drain into the transport mailboxes in the background.
-//
-// Virtual-time contract: the Start functions charge exactly what the
-// blocking collectives' send halves charge, and Wait runs the identical
-// receive loops. Modeled clocks are therefore bit-identical to the blocking
-// collectives PROVIDED the caller issues no virtual-time charges (Compute*,
-// sends, receives) between Start and Wait: overlapped real work is charged
-// after Wait, at the position the blocking schedule would have charged it.
-// The loopir overlap executors follow this discipline; the chaosvet
-// split-phase analyzer enforces the buffer-hazard half of it.
-
-// Motion is one split-phase collective in flight. At most one motion can be
-// in flight per schedule (the handle lives in the schedule so steady-state
-// overlap allocates nothing); Wait is idempotent. The zero value is inert.
-type Motion struct {
-	p      *comm.Proc
-	s      *Schedule
-	data   []float64
-	width  int
-	datas  [][]float64
-	widths []int
-	op     CombineOp
-	gather bool
-	pend   []comm.Pending
-	active bool
-}
-
-// claimMotion readies the schedule's embedded motion handle, panicking if
-// one is already in flight (two concurrent motions would interleave on the
-// same tag and corrupt both).
-func (s *Schedule) claimMotion(p *comm.Proc, gather bool) *Motion {
-	mo := &s.motion
-	if mo.active {
-		panic("schedule: a split-phase motion is already in flight on this schedule")
-	}
-	mo.p, mo.s, mo.gather, mo.active = p, s, gather, true
-	mo.pend = mo.pend[:0]
-	return mo
-}
-
-// Active reports whether the motion has been started and not yet waited.
-func (mo *Motion) Active() bool { return mo != nil && mo.active }
-
-// flushStart yields the processor once after a Start batch so the rank's
-// sender goroutine (comm.SendStart hands frames to a per-rank queue, not to
-// the transport directly) gets scheduled and pushes the batch onto the wire
-// before the caller's interior computation begins. Without the yield, on a
-// host with few hardware threads the sender may not run until the caller's
-// next blocking point — typically Wait — which would start the wire latency
-// after the interior window instead of underneath it, defeating the overlap.
-func flushStart(mo *Motion) *Motion {
-	if len(mo.pend) > 0 {
-		runtime.Gosched()
-	}
-	return mo
-}
-
-// Wait completes the motion: it re-raises any asynchronous send failure,
-// then runs the blocking collective's receive half (identical code, so the
-// virtual receive accounting is bit-identical to the blocking call). For a
-// gather the ghost section of the data array is filled here; for a scatter
-// the incoming contributions are combined into the owned section here.
-// Calling Wait on a completed (or zero) motion is a no-op.
-func (mo *Motion) Wait() {
-	if mo == nil || !mo.active {
-		return
-	}
-	p := mo.p
-	// Background delivery progressed while the rank computed: the cached
-	// receive-path wall sample no longer marks the start of any wait.
-	p.InvalidateRecvSample()
-	for _, h := range mo.pend {
-		h.Wait()
-	}
-	mo.pend = mo.pend[:0]
-	switch {
-	case mo.gather && mo.datas != nil:
-		gatherRecvMulti(p, mo.s, mo.datas, mo.widths)
-	case mo.gather:
-		gatherRecv(p, mo.s, mo.data, mo.width)
-	case mo.datas != nil:
-		scatterRecvMulti(p, mo.s, mo.datas, mo.widths, mo.op)
-	default:
-		scatterRecv(p, mo.s, mo.data, mo.width, mo.op)
-	}
-	mo.p, mo.s = nil, nil
-	mo.data, mo.datas, mo.widths = nil, nil, nil
-	mo.active = false
-}
-
-// GatherWStart begins a split-phase GatherW: the send half runs now (packing
-// charges and per-message overheads identical to GatherW), the receive half
-// runs at Wait. The owned section of data is read here and may be mutated
-// after Start returns; the ghost section must not be read or written until
-// Wait returns.
-func GatherWStart(p *comm.Proc, s *Schedule, data []float64, width int) *Motion {
-	s.checkLen(len(data), width)
-	mo := s.claimMotion(p, true)
-	mo.data, mo.width = data, width
-	for k := 1; k < p.Size(); k++ {
-		dst := (p.Rank() + k) % p.Size()
-		offs := s.SendOffs(dst)
-		if len(offs) == 0 {
-			continue
-		}
-		buf := stage(&s.stageS, len(offs)*width)
-		for i, off := range offs {
-			copy(buf[i*width:], data[int(off)*width:int(off+1)*width])
-		}
-		p.ComputeMem(len(buf))
-		mo.pend = append(mo.pend, p.SendF64BufStart(dst, tagGather, buf))
-	}
-	return flushStart(mo)
-}
-
-// ScatterWStart begins a split-phase ScatterW: the ghost section of data is
-// packed and sent now, the receive-combine into the owned section runs at
-// Wait. The ghost section must be final before the call; the owned section
-// may still be written between Start and Wait (local contributions finish
-// while the wire is busy), because the blocking schedule's remote combines
-// land after all local writes anyway.
-func ScatterWStart(p *comm.Proc, s *Schedule, data []float64, width int, op CombineOp) *Motion {
-	s.checkLen(len(data), width)
-	mo := s.claimMotion(p, false)
-	mo.data, mo.width, mo.op = data, width, op
-	for k := 1; k < p.Size(); k++ {
-		dst := (p.Rank() + k) % p.Size()
-		slots := s.RecvSlots(dst)
-		if len(slots) == 0 {
-			continue
-		}
-		buf := stage(&s.stageS, len(slots)*width)
-		for i, slot := range slots {
-			copy(buf[i*width:], data[int(slot)*width:int(slot+1)*width])
-		}
-		p.ComputeMem(len(buf))
-		mo.pend = append(mo.pend, p.SendF64BufStart(dst, tagScatter, buf))
-	}
-	return flushStart(mo)
-}
-
-// GatherWMultiStart is GatherWStart for the fused multi-array gather: one
-// message per peer covering every array, receive half at Wait. The datas and
-// widths slices are retained until Wait returns.
-func GatherWMultiStart(p *comm.Proc, s *Schedule, datas [][]float64, widths []int) *Motion {
-	s.checkMulti(datas, widths)
-	mo := s.claimMotion(p, true)
-	mo.datas, mo.widths = datas, widths
-	for k := 1; k < p.Size(); k++ {
-		dst := (p.Rank() + k) % p.Size()
-		offs := s.SendOffs(dst)
-		if len(offs) == 0 {
-			continue
-		}
-		tot := 0
-		for _, w := range widths {
-			tot += len(offs) * w
-		}
-		buf := stage(&s.stageS, tot)
-		at := 0
-		for b, data := range datas {
-			width := widths[b]
-			sec := buf[at : at+len(offs)*width]
-			at += len(sec)
-			for i, off := range offs {
-				copy(sec[i*width:], data[int(off)*width:int(off+1)*width])
-			}
-		}
-		p.ComputeMem(len(buf))
-		mo.pend = append(mo.pend, p.SendF64BufStart(dst, tagGather, buf))
-	}
-	return flushStart(mo)
-}
-
-// ScatterWMultiStart is ScatterWStart for the fused multi-array scatter. The
-// datas and widths slices are retained until Wait returns.
-func ScatterWMultiStart(p *comm.Proc, s *Schedule, datas [][]float64, widths []int, op CombineOp) *Motion {
-	s.checkMulti(datas, widths)
-	mo := s.claimMotion(p, false)
-	mo.datas, mo.widths, mo.op = datas, widths, op
-	for k := 1; k < p.Size(); k++ {
-		dst := (p.Rank() + k) % p.Size()
-		slots := s.RecvSlots(dst)
-		if len(slots) == 0 {
-			continue
-		}
-		tot := 0
-		for _, w := range widths {
-			tot += len(slots) * w
-		}
-		buf := stage(&s.stageS, tot)
-		at := 0
-		for b, data := range datas {
-			width := widths[b]
-			sec := buf[at : at+len(slots)*width]
-			at += len(sec)
-			for i, slot := range slots {
-				copy(sec[i*width:], data[int(slot)*width:int(slot+1)*width])
-			}
-		}
-		p.ComputeMem(len(buf))
-		mo.pend = append(mo.pend, p.SendF64BufStart(dst, tagScatter, buf))
-	}
-	return flushStart(mo)
-}
+import "fmt"
 
 // Split is the schedule-build-time iteration classification the overlap
 // executors consume: every iteration of a loop is interior (touches only
