@@ -7,6 +7,7 @@
 //	charmm [-procs N] [-atoms N] [-steps N] [-nbevery N] [-part rcb|rib|chain|block]
 //	       [-multiple] [-remap N] [-adapt static|periodic:N|policy] [-adapt-verify]
 //	       [-ckpt-dir DIR -ckpt-every N] [-resume DIR|latest]
+//	       [-cpuprofile FILE] [-memprofile FILE]
 //
 // With -ckpt-dir and -ckpt-every the run writes periodic checkpoints;
 // -resume continues from a checkpoint directory (or the latest sealed one
@@ -25,6 +26,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/costmodel"
+	"repro/internal/prof"
 	"repro/internal/trace"
 )
 
@@ -65,6 +67,7 @@ func main() {
 	crashRank := flag.Int("crash-rank", 0, "rank that crashes at -crash-step")
 	measure := flag.Bool("measure", false, "run in measured wall-clock mode (real phase timers alongside virtual time)")
 	overlap := flag.Bool("overlap", false, "split-phase collectives: overlap communication with interior computation")
+	startProfiles := prof.Flags()
 	flag.Parse()
 
 	cfg := charmm.ConfigForAtoms(*atoms)
@@ -97,11 +100,13 @@ func main() {
 		results[p.Rank()] = runner(p, cfg)
 	}
 	var rep *comm.Report
+	stopProfiles := startProfiles()
 	if *measure {
 		rep = comm.RunMeasured(*procs, costmodel.IPSC860(), body)
 	} else {
 		rep = comm.Run(*procs, costmodel.IPSC860(), body)
 	}
+	stopProfiles()
 
 	kind := "hand-parallelized"
 	if *compiled {

@@ -8,6 +8,7 @@
 //	     [-mover light|regular|compiler] [-part block|rcb|rib|chain] [-remap N]
 //	     [-adapt static|periodic:N|policy] [-adapt-verify]
 //	     [-ckpt-dir DIR -ckpt-every N] [-resume DIR|latest]
+//	     [-cpuprofile FILE] [-memprofile FILE]
 //
 // With -ckpt-dir and -ckpt-every the run writes periodic checkpoints;
 // -resume continues from a checkpoint directory (or the latest sealed one
@@ -26,6 +27,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/dsmc"
+	"repro/internal/prof"
 	"repro/internal/trace"
 )
 
@@ -68,6 +70,7 @@ func main() {
 	crashRank := flag.Int("crash-rank", 0, "rank that crashes at -crash-step")
 	measure := flag.Bool("measure", false, "run in measured wall-clock mode (real phase timers alongside virtual time)")
 	overlap := flag.Bool("overlap", false, "split-phase collectives: overlap the regular mover's scatter with slot fills")
+	startProfiles := prof.Flags()
 	flag.Parse()
 
 	cfg := dsmc.Default2D(*nx)
@@ -103,11 +106,13 @@ func main() {
 		results[p.Rank()] = dsmc.Run(p, cfg)
 	}
 	var rep *comm.Report
+	stopProfiles := startProfiles()
 	if *measure {
 		rep = comm.RunMeasured(*procs, costmodel.IPSC860(), body)
 	} else {
 		rep = comm.Run(*procs, costmodel.IPSC860(), body)
 	}
+	stopProfiles()
 
 	fmt.Printf("mini-DSMC: %dx%dx%d cells, %d molecules, %d steps, mover=%s part=%s remap=%d\n",
 		cfg.NX, cfg.NY, cfg.NZ, cfg.NMols, cfg.Steps, cfg.Mover, cfg.Partitioner, cfg.RemapEvery)

@@ -9,10 +9,10 @@ import (
 // optimizations and the §5.3 modification-record guard):
 //
 //   - inspector work — hashtab Hash/HashInto, schedule Build/BuildInto,
-//     BuildLight, FromTranslated — executed inside a for/range loop even
-//     though every index input is loop-invariant: the same communication
-//     schedule is rebuilt each iteration and should be hoisted out of the
-//     loop (or guarded by a modification record);
+//     BuildLight/BuildLightInto, FromTranslated — executed inside a
+//     for/range loop even though every index input is loop-invariant: the
+//     same communication schedule is rebuilt each iteration and should be
+//     hoisted out of the loop (or guarded by a modification record);
 //   - a schedule built twice from the same hash table with the same stamp
 //     selection and no intervening rehash: the second build is a copy of
 //     the first and the earlier schedule should be reused.
@@ -76,9 +76,10 @@ func checkLoopInvariantBuilds(pass *Pass, info *types.Info, loop ast.Node, body 
 			if invariantExpr(info, call.Args[1], variant) {
 				report("HashInto of loop-invariant index slice runs every iteration; hoist the inspector out of the loop or guard it with a modification record")
 			}
-		case inPkg(fn, "internal/schedule") && fn.Name() == "BuildLight" && len(call.Args) == 2:
-			if invariantExpr(info, call.Args[1], variant) {
-				report("BuildLight of loop-invariant destinations runs every iteration; build the light schedule once before the loop")
+		case inPkg(fn, "internal/schedule") && fn.Name() == "BuildLight" && len(call.Args) == 2,
+			inPkg(fn, "internal/schedule") && fn.Name() == "BuildLightInto" && len(call.Args) == 3:
+			if invariantExpr(info, call.Args[len(call.Args)-1], variant) {
+				report("%s of loop-invariant destinations runs every iteration; build the light schedule once before the loop", fn.Name())
 			}
 		case inPkg(fn, "internal/schedule") && fn.Name() == "FromTranslated" && len(call.Args) == 4:
 			if invariantExpr(info, call.Args[2], variant) && invariantExpr(info, call.Args[3], variant) {

@@ -61,6 +61,16 @@ func BadLightScheduleInLoop(p *comm.Proc, owners []int32, recs []float64) {
 	}
 }
 
+// BadLightRebuildInLoop is the same miss through the in-place rebuild:
+// reusing the schedule's storage does not make the rebuild necessary.
+func BadLightRebuildInLoop(p *comm.Proc, owners []int32, recs []float64) {
+	var ls *schedule.LightSchedule
+	for step := 0; step < 10; step++ {
+		ls = schedule.BuildLightInto(ls, p, owners) // want:sched-reuse
+		ls.MoveF64(p, owners, recs, 1)
+	}
+}
+
 // BadDuplicateBuild builds the identical stamp selection twice from the
 // same table in straight-line code; the second schedule is a copy.
 func BadDuplicateBuild(p *comm.Proc, rt *core.Runtime, ia []int32, data []float64) {

@@ -64,8 +64,9 @@ func RunCompiled(p *comm.Proc, cfg Config) *ProcResult {
 	})
 	timer.Skip()
 
+	var nb nbSearch // reused across rebuilds; the lists it returns are fresh
 	rebuildList := func(phase string) {
-		ptr, vals := buildNBListPar(p, atoms.Globals(), x.Local(), cfg)
+		ptr, vals := buildNBListPar(p, atoms.Globals(), x.Local(), cfg, &nb)
 		jnb.SetCSR(ptr, vals)
 		p.Barrier()
 		timer.Mark(phase)

@@ -133,108 +133,6 @@ func integrate(pos, vel, frc []float64, box *[3]float64, dt float64) {
 	}
 }
 
-// cellGrid indexes atom positions into cutoff-sized cells for neighbour
-// search.
-type cellGrid struct {
-	nx, ny, nz int
-	inv        float64
-	cells      [][]int32
-}
-
-// newCellGrid bins the n atoms of pos (3-wide) into cells of edge >= cutoff.
-func newCellGrid(pos []float64, n int, box [3]float64, cutoff float64) *cellGrid {
-	g := &cellGrid{}
-	g.nx = maxInt(1, int(box[0]/cutoff))
-	g.ny = maxInt(1, int(box[1]/cutoff))
-	g.nz = maxInt(1, int(box[2]/cutoff))
-	g.inv = 1 / cutoff
-	g.cells = make([][]int32, g.nx*g.ny*g.nz)
-	for i := 0; i < n; i++ {
-		g.cells[g.cellOf(pos[3*i:])] = append(g.cells[g.cellOf(pos[3*i:])], int32(i))
-	}
-	return g
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func (g *cellGrid) clampCell(c, n int) int {
-	if c < 0 {
-		return 0
-	}
-	if c >= n {
-		return n - 1
-	}
-	return c
-}
-
-func (g *cellGrid) cellOf(p []float64) int {
-	cx := g.clampCell(int(p[0]*g.inv), g.nx)
-	cy := g.clampCell(int(p[1]*g.inv), g.ny)
-	cz := g.clampCell(int(p[2]*g.inv), g.nz)
-	return (cz*g.ny+cy)*g.nx + cx
-}
-
-// neighbors calls fn for every atom index in the 27-cell neighbourhood of
-// position p and returns the number of candidates examined.
-func (g *cellGrid) neighbors(p []float64, fn func(j int32)) int {
-	cx := g.clampCell(int(p[0]*g.inv), g.nx)
-	cy := g.clampCell(int(p[1]*g.inv), g.ny)
-	cz := g.clampCell(int(p[2]*g.inv), g.nz)
-	examined := 0
-	for dz := -1; dz <= 1; dz++ {
-		z := cz + dz
-		if z < 0 || z >= g.nz {
-			continue
-		}
-		for dy := -1; dy <= 1; dy++ {
-			y := cy + dy
-			if y < 0 || y >= g.ny {
-				continue
-			}
-			for dx := -1; dx <= 1; dx++ {
-				x := cx + dx
-				if x < 0 || x >= g.nx {
-					continue
-				}
-				for _, j := range g.cells[(z*g.ny+y)*g.nx+x] {
-					fn(j)
-					examined++
-				}
-			}
-		}
-	}
-	return examined
-}
-
-// buildNBListSeq builds the full non-bonded list sequentially: for each
-// atom i, the partners j > i within the cutoff, CSR layout.
-func buildNBListSeq(pos []float64, n int, cfg Config) (ptr []int32, jnb []int32) {
-	grid := newCellGrid(pos, n, cfg.Box, cfg.Cutoff)
-	c2 := cfg.Cutoff * cfg.Cutoff
-	ptr = make([]int32, n+1)
-	for i := 0; i < n; i++ {
-		pi := pos[3*i : 3*i+3]
-		grid.neighbors(pi, func(j int32) {
-			if int(j) <= i {
-				return
-			}
-			dx := pi[0] - pos[3*j]
-			dy := pi[1] - pos[3*j+1]
-			dz := pi[2] - pos[3*j+2]
-			if dx*dx+dy*dy+dz*dz < c2 {
-				jnb = append(jnb, j)
-			}
-		})
-		ptr[i+1] = int32(len(jnb))
-	}
-	return ptr, jnb
-}
-
 // Reference runs the whole simulation sequentially and returns the final
 // positions and a checksum (the mean absolute coordinate). It is the
 // correctness oracle for the parallel implementation.
@@ -244,11 +142,12 @@ func Reference(cfg Config) (pos []float64, checksum float64) {
 	vel := st.Vel
 	n := cfg.NAtoms
 	c2 := cfg.Cutoff * cfg.Cutoff
-	ptr, jnb := buildNBListSeq(pos, n, cfg)
+	var nb nbSearch
+	ptr, jnb := nb.buildSeq(pos, n, cfg)
 	frc := make([]float64, 3*n)
 	for step := 1; step <= cfg.Steps; step++ {
 		if step%cfg.NBEvery == 0 {
-			ptr, jnb = buildNBListSeq(pos, n, cfg)
+			ptr, jnb = nb.buildSeq(pos, n, cfg)
 		}
 		for i := range frc {
 			frc[i] = 0

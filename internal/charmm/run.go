@@ -2,7 +2,6 @@ package charmm
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/adapt"
 	"repro/internal/comm"
@@ -49,6 +48,7 @@ type simState struct {
 	atoms    *core.Dist
 	pos, vel []float64 // 3-wide, owned atoms in local order
 	ptr, jnb []int32   // non-bonded CSR (partner values are globals)
+	nb       nbSearch  // list-build working storage, reused across rebuilds
 	bondI    []int32   // local bonds, global endpoints
 	bondJ    []int32
 	bondLen  []float64
@@ -175,7 +175,7 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, *simState) {
 			remapCount++
 			t0 := adapt.EpisodePoint(p)
 			repartition(p, s, part, timer)
-			s.ptr, s.jnb = buildNBListPar(p, s.atoms.Globals(), s.pos, cfg)
+			s.ptr, s.jnb = buildNBListPar(p, s.atoms.Globals(), s.pos, cfg, &s.nb)
 			p.Barrier()
 			timer.Mark(PhaseNBUpdate)
 			buildInspector(p, s, cfg)
@@ -189,7 +189,7 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, *simState) {
 		} else if step%cfg.NBEvery == 0 {
 			// Adaptive phase: the non-bonded list changes; index analysis
 			// for unchanged indices is reused via the hash table.
-			s.ptr, s.jnb = buildNBListPar(p, s.atoms.Globals(), s.pos, cfg)
+			s.ptr, s.jnb = buildNBListPar(p, s.atoms.Globals(), s.pos, cfg, &s.nb)
 			p.Barrier()
 			timer.Mark(PhaseNBUpdate)
 			s.ht.ClearStamp(s.sNB)
@@ -246,7 +246,7 @@ func setup(p *comm.Proc, rt *core.Runtime, cfg Config, timer *core.PhaseTimer, p
 
 	// Initial non-bonded list on the block distribution: it supplies the
 	// computational weights the partitioner needs (§4.1).
-	s.ptr, s.jnb = buildNBListPar(p, s.atoms.Globals(), s.pos, cfg)
+	s.ptr, s.jnb = buildNBListPar(p, s.atoms.Globals(), s.pos, cfg, &s.nb)
 	p.Barrier()
 	timer.Mark(PhaseNBListInit)
 
@@ -256,7 +256,7 @@ func setup(p *comm.Proc, rt *core.Runtime, cfg Config, timer *core.PhaseTimer, p
 
 	// The paper regenerates the non-bonded list after redistribution,
 	// before the simulation (the Table 2 "Non-bonded List Update" row).
-	s.ptr, s.jnb = buildNBListPar(p, s.atoms.Globals(), s.pos, cfg)
+	s.ptr, s.jnb = buildNBListPar(p, s.atoms.Globals(), s.pos, cfg, &s.nb)
 	p.Barrier()
 	timer.Mark(PhaseNBList)
 
@@ -445,116 +445,4 @@ func executeStep(p *comm.Proc, s *simState, cfg Config) {
 		integrate(s.pos[3*i:3*i+3], s.vel[3*i:3*i+3], frc[3*i:3*i+3], &cfg.Box, cfg.Dt)
 	}
 	p.ComputeFlops(integrateFlops * s.atoms.NLocal())
-}
-
-// buildNBListPar regenerates the non-bonded list for the owned atoms using
-// a bounding-box halo exchange, the way distributed MD codes of the period
-// did: each processor publishes the bounding box of its atoms (a cheap
-// allgather of six floats), ships each of its atoms to every processor
-// whose box lies within the cutoff of that atom, then searches only its own
-// atoms against own + halo positions on a local cell grid. Both the search
-// work and the communication volume shrink with the processor count, which
-// is why the paper's "Non-bonded List Update" row in Table 2 decreases
-// from 16 to 128 processors.
-func buildNBListPar(p *comm.Proc, globals []int32, pos []float64, cfg Config) (ptr, jnb []int32) {
-	nOwn := len(globals)
-	c2 := cfg.Cutoff * cfg.Cutoff
-
-	// Publish per-processor bounding boxes.
-	box := []float64{inf, inf, inf, -inf, -inf, -inf}
-	for i := 0; i < nOwn; i++ {
-		for d := 0; d < 3; d++ {
-			v := pos[3*i+d]
-			if v < box[d] {
-				box[d] = v
-			}
-			if v > box[3+d] {
-				box[3+d] = v
-			}
-		}
-	}
-	p.ComputeMem(nOwn)
-	boxes := p.AllGather(comm.EncodeF64(box))
-
-	// Route each owned atom to every processor whose box is within the
-	// cutoff of it (itself excluded).
-	sendG := make([][]int32, p.Size())
-	sendP := make([][]float64, p.Size())
-	for r := 0; r < p.Size(); r++ {
-		if r == p.Rank() {
-			continue
-		}
-		b := comm.DecodeF64(boxes[r])
-		if len(b) != 6 || b[0] > b[3] {
-			continue // empty processor
-		}
-		for i := 0; i < nOwn; i++ {
-			if boxDist2(pos[3*i:3*i+3], b) < c2 {
-				sendG[r] = append(sendG[r], globals[i])
-				sendP[r] = append(sendP[r], pos[3*i:3*i+3]...)
-			}
-		}
-	}
-	p.ComputeMem(nOwn * p.Size())
-
-	gBufs := make([][]byte, p.Size())
-	pBufs := make([][]byte, p.Size())
-	for r := range sendG {
-		gBufs[r] = comm.EncodeI32(sendG[r])
-		pBufs[r] = comm.EncodeF64(sendP[r])
-	}
-	haloGB := p.AllToAll(gBufs)
-	haloPB := p.AllToAll(pBufs)
-
-	// Assemble own + halo atoms for the local grid.
-	allG := append([]int32(nil), globals...)
-	allP := append([]float64(nil), pos...)
-	for r := 0; r < p.Size(); r++ {
-		if r == p.Rank() {
-			continue
-		}
-		allG = append(allG, comm.DecodeI32(haloGB[r])...)
-		allP = append(allP, comm.DecodeF64(haloPB[r])...)
-	}
-	p.ComputeMem(len(allG))
-
-	grid := newCellGrid(allP, len(allG), cfg.Box, cfg.Cutoff)
-	p.ComputeMem(len(allG))
-	ptr = make([]int32, nOwn+1)
-	examined := 0
-	for i := 0; i < nOwn; i++ {
-		g := globals[i]
-		pg := allP[3*i : 3*i+3]
-		examined += grid.neighbors(pg, func(j int32) {
-			gj := allG[j]
-			if gj <= g {
-				return
-			}
-			dx := pg[0] - allP[3*j]
-			dy := pg[1] - allP[3*j+1]
-			dz := pg[2] - allP[3*j+2]
-			if dx*dx+dy*dy+dz*dz < c2 {
-				jnb = append(jnb, gj)
-			}
-		})
-		ptr[i+1] = int32(len(jnb))
-	}
-	p.ComputeMem(searchMemOps * examined)
-	return ptr, jnb
-}
-
-var inf = math.Inf(1)
-
-// boxDist2 returns the squared distance from point q to the axis-aligned
-// box (b[0:3] min corner, b[3:6] max corner).
-func boxDist2(q []float64, b []float64) float64 {
-	d2 := 0.0
-	for d := 0; d < 3; d++ {
-		if v := b[d] - q[d]; v > 0 {
-			d2 += v * v
-		} else if v := q[d] - b[3+d]; v > 0 {
-			d2 += v * v
-		}
-	}
-	return d2
 }

@@ -313,7 +313,10 @@ func (p *Proc) ExScanI64(v int64) (before, total int64) {
 
 // AllToAll exchanges bufs[r] to rank r for every r and returns the buffers
 // received, indexed by source rank. bufs[self] is passed through untouched
-// (and may be nil). bufs must have length Size.
+// (and may be nil). bufs must have length Size. Each bufs[r] is handed to
+// Send as is, so Send's ownership rule applies: the payloads belong to the
+// receivers afterwards and must not be written or recycled (the bufs header
+// slice itself is only read during the call and may be reused).
 func (p *Proc) AllToAll(bufs [][]byte) [][]byte {
 	if len(bufs) != p.size {
 		panic(fmt.Sprintf("comm: AllToAll with %d buffers on %d ranks", len(bufs), p.size))

@@ -205,9 +205,15 @@ func (p *Proc) ComputeMem(n int) { p.Compute(p.m.MemCost(n)) }
 
 // Send transmits data to rank `to` with the given tag. The sender is busy
 // for the per-message overhead Alpha; the message arrives at the receiver at
-// departure + Alpha + Beta*len(data). data is not retained nor modified, but
-// for the in-memory transport the receiver aliases it, so callers must not
-// mutate a buffer after sending it.
+// departure + Alpha + Beta*len(data).
+//
+// Ownership: data passes to the receiver. The in-memory transport delivers
+// raw payloads by reference, so the receiver aliases the very bytes handed
+// in here, possibly long after Send returned (nothing synchronizes the two
+// ranks until the receiver's matching Recv). A sender must therefore never
+// write to, or recycle, a buffer it has sent — allocate a fresh one per
+// message. Payloads that should be reused go through the arena-staged
+// SendF64Buf/SendI32Buf/SendI64Buf, which copy out of the caller's slice.
 func (p *Proc) Send(to, tag int, data []byte) { p.send(to, tag, data, nil) }
 
 // send is the shared transmit path. pool is non-nil only for arena-staged

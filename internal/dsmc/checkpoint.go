@@ -26,7 +26,7 @@ func saveCheckpoint(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64,
 // processor count the restore is exact; with a different count the shards
 // are merged round-robin onto the new ranks and remapCells rebalances cells
 // (and migrates molecules) for the new machine. Collective.
-func resume(p *comm.Proc, rt *core.Runtime, cfg *Config, timer *core.PhaseTimer) (*core.Dist, []float64, int) {
+func resume(p *comm.Proc, rt *core.Runtime, cfg *Config, timer *core.PhaseTimer, st *stepState) (*core.Dist, []float64, int) {
 	m, err := checkpoint.Open(cfg.ResumeFrom)
 	if err != nil {
 		panic(fmt.Sprintf("dsmc: open checkpoint: %v", err))
@@ -76,7 +76,7 @@ func resume(p *comm.Proc, rt *core.Runtime, cfg *Config, timer *core.PhaseTimer)
 			p.RestoreClock(clock)
 		}
 		timer.Skip()
-		cells, mols = remapCells(p, cfg, cells, mols, timer)
+		cells, mols = remapCells(p, cfg, cells, mols, timer, st)
 	}
 	return cells, mols, int(m.Step)
 }

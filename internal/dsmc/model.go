@@ -1,9 +1,10 @@
 package dsmc
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Molecule records are stored as flat float64 slices, recordWidth values
@@ -102,9 +103,9 @@ func collideCell(cfg *Config, mols []float64, members []int, cellGlobal, step in
 	if n < 2 {
 		return n
 	}
-	sort.Slice(members, func(a, b int) bool {
-		return mols[members[a]] < mols[members[b]]
-	})
+	// Ids are unique, so any comparison sort yields the same order; this one
+	// needs no reflection swapper and its closure stays on the stack.
+	slices.SortFunc(members, func(a, b int) int { return cmp.Compare(mols[a], mols[b]) })
 	rng := newCellRng(cfg.Seed, cellGlobal, step)
 	pairs := n / 2
 	for k := 0; k < pairs; k++ {
@@ -121,6 +122,24 @@ func collideCell(cfg *Config, mols []float64, members []int, cellGlobal, step in
 		mols[a+axis], mols[b+axis] = mols[b+axis], mols[a+axis]
 	}
 	return n
+}
+
+// bucketByCell returns rows resized to nRows and refilled: rows[rowOf(c)]
+// lists, in storage order, the record offsets (into mols) of the molecules
+// in cell c. Row storage is reused across calls.
+func bucketByCell(cfg *Config, mols []float64, rows [][]int, nRows int, rowOf func(cell int) int) [][]int {
+	if cap(rows) < nRows {
+		rows = append(rows[:cap(rows)], make([][]int, nRows-cap(rows))...)
+	}
+	rows = rows[:nRows]
+	for r := range rows {
+		rows[r] = rows[r][:0]
+	}
+	for off := 0; off+recordWidth <= len(mols); off += recordWidth {
+		r := rowOf(CellOf(cfg, mols[off:]))
+		rows[r] = append(rows[r], off)
+	}
+	return rows
 }
 
 // Checksum returns an order-independent fingerprint of a molecule
@@ -140,32 +159,16 @@ func Checksum(mols []float64) float64 {
 func Reference(cfg Config) ([]float64, float64) {
 	cfg.Validate()
 	mols := GenMolecules(cfg)
-	n := cfg.NMols
-	cells := make([][]int, cfg.NCells())
+	var cells [][]int
 	for step := 1; step <= cfg.Steps; step++ {
-		for i := 0; i < n; i++ {
+		for i := 0; i < cfg.NMols; i++ {
 			advance(&cfg, mols[i*recordWidth:(i+1)*recordWidth], cfg.Dt)
 		}
-		for c := range cells {
-			cells[c] = cells[c][:0]
-		}
-		for i := 0; i < n; i++ {
-			c := CellOf(&cfg, mols[i*recordWidth:])
-			cells[c] = append(cells[c], i*recordWidth)
-		}
+		cells = bucketByCell(&cfg, mols, cells, cfg.NCells(), func(c int) int { return c })
 		for c := range cells {
 			collideCell(&cfg, mols, cells[c], c, step)
 		}
 	}
-	// Sort records into id order for stable comparison.
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return mols[idx[a]*recordWidth] < mols[idx[b]*recordWidth] })
-	out := make([]float64, len(mols))
-	for k, i := range idx {
-		copy(out[k*recordWidth:], mols[i*recordWidth:(i+1)*recordWidth])
-	}
+	out := SortByID(mols)
 	return out, Checksum(out)
 }

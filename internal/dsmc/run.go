@@ -69,9 +69,10 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, []float64) {
 
 	var cells *core.Dist
 	var mols []float64
+	var st stepState
 	startStep := 0
 	if cfg.ResumeFrom != "" {
-		cells, mols, startStep = resume(p, rt, &cfg, timer)
+		cells, mols, startStep = resume(p, rt, &cfg, timer, &st)
 	} else {
 		cells = rt.BlockDist(cfg.NCells())
 		// Each rank keeps the molecules whose cell it owns.
@@ -89,7 +90,7 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, []float64) {
 		// policy engine prices its first episode from this bootstrap remap.
 		if (cfg.RemapEvery > 0 || mode == "static" || mode == "policy") && cfg.Partitioner != "block" {
 			t0 := adapt.EpisodePoint(p)
-			cells, mols = remapCells(p, &cfg, cells, mols, timer)
+			cells, mols = remapCells(p, &cfg, cells, mols, timer, &st)
 			if pol != nil {
 				pol.ObserveRemap(p, adapt.EpisodePoint(p)-t0)
 			}
@@ -97,7 +98,6 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, []float64) {
 	}
 
 	var remapSteps []int
-	var sc moveScratch
 	lastCost := adapt.CostPoint(p)
 	for step := startStep + 1; step <= cfg.Steps; step++ {
 		if cfg.CrashStep > 0 && step == cfg.CrashStep && p.Rank() == cfg.CrashRank {
@@ -105,15 +105,15 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, []float64) {
 		}
 		switch cfg.Mover {
 		case MoverLight:
-			mols = moveLight(p, &cfg, cells, mols)
+			mols = moveLight(p, &cfg, cells, mols, &st)
 		case MoverRegular:
-			mols = moveRegular(p, &cfg, cells, mols, &sc)
+			mols = moveRegular(p, &cfg, cells, mols, &st)
 		case MoverCompiler:
-			mols = moveCompiler(p, &cfg, cells, mols)
+			mols = moveCompiler(p, &cfg, cells, mols, &st)
 		}
 		timer.Mark(PhaseMove)
 
-		collideOwned(p, &cfg, cells, mols, step)
+		collideOwned(p, &cfg, cells, mols, step, &st)
 		timer.Mark(PhaseCollide)
 
 		doRemap := cfg.RemapEvery > 0 && step%cfg.RemapEvery == 0 && step < cfg.Steps
@@ -124,7 +124,7 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, []float64) {
 		}
 		if doRemap {
 			t0 := adapt.EpisodePoint(p)
-			cells, mols = remapCells(p, &cfg, cells, mols, timer)
+			cells, mols = remapCells(p, &cfg, cells, mols, timer, &st)
 			if pol != nil {
 				pol.ObserveRemap(p, adapt.EpisodePoint(p)-t0)
 				lastCost = adapt.CostPoint(p)
@@ -134,6 +134,9 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, []float64) {
 		if cfg.CheckpointEvery > 0 && step%cfg.CheckpointEvery == 0 {
 			saveCheckpoint(p, &cfg, cells, mols, step)
 			timer.Mark(PhaseCheckpoint)
+		}
+		if afterStep != nil {
+			afterStep(p, step, &st)
 		}
 	}
 
@@ -146,18 +149,23 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, []float64) {
 
 // moveLight is the MOVE phase with a light-weight schedule: advance every
 // molecule, then scatter_append the records to the owners of their new
-// cells. No index translation, no placement order.
-func moveLight(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64) []float64 {
+// cells. No index translation, no placement order. The schedule is rebuilt
+// in place and the records land in the spare list, so a warm step allocates
+// only the count exchange's by-reference buffer.
+func moveLight(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, st *stepState) []float64 {
 	n := len(mols) / recordWidth
-	dest := make([]int32, n)
+	dest := sizedI32(&st.dest, n)
 	for i := 0; i < n; i++ {
 		rec := mols[i*recordWidth : (i+1)*recordWidth]
 		advance(cfg, rec, cfg.Dt)
 		dest[i] = cells.TT().OwnerOf(CellOf(cfg, rec))
 	}
 	p.ComputeFlops(moveFlopsPerMol * n)
-	ls := schedule.BuildLight(p, dest)
-	return ls.MoveF64(p, dest, mols, recordWidth)
+	st.light = schedule.BuildLightInto(st.light, p, dest)
+	out := growF64(st.spare, st.light.TotalRecv()*recordWidth)
+	out = st.light.MoveF64Into(p, dest, mols, recordWidth, out)
+	st.spare = mols
+	return out
 }
 
 // moveCompiler is the MOVE phase as the Fortran 90D compiler generates it
@@ -165,9 +173,9 @@ func moveLight(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64) []fl
 // lowered to a light-weight schedule, but the generated code additionally
 // recomputes the per-cell sizes with an irregular sum-reduction, paying
 // extra communication the manually parallelized version avoids (Table 7).
-func moveCompiler(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64) []float64 {
+func moveCompiler(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, st *stepState) []float64 {
 	n := len(mols) / recordWidth
-	destRows := make([]int32, n)
+	destRows := sizedI32(&st.dest, n)
 	for i := 0; i < n; i++ {
 		rec := mols[i*recordWidth : (i+1)*recordWidth]
 		advance(cfg, rec, cfg.Dt)
@@ -193,12 +201,37 @@ type cellReq struct {
 	count int32
 }
 
-// moveScratch holds moveRegular's per-step working storage. The runner
-// reuses it across steps, so the slot-reservation pass (which the paper's
-// Table 4 charges every step by design) stops allocating scratch once warm;
-// the modeled per-step cost is unchanged.
-type moveScratch struct {
-	dest     []int32
+// stepState is the runner's per-run working storage: the molecule lists,
+// the slot array and every scratch buffer one time step needs, grown on
+// demand and then reused, so a warm step allocates none of them. (The
+// paper's Table 4 charges the regular mover's slot reservation and schedule
+// every step by design; the modeled per-step cost is unchanged and the
+// per-step schedule and its request/reply messages are still built afresh —
+// only the Go allocator is taken off the application's own buffers.) One
+// stepState belongs to one rank's run — ranks are goroutines, so none of
+// this may live in a package-level variable.
+//
+// Everything here except reqPos is scratch with unspecified contents between
+// steps: each step writes every element it later reads.
+type stepState struct {
+	// spare is the ping-pong partner of the live molecule list: a mover
+	// writes the new list into it and the list it consumed becomes the next
+	// spare. Lists that arrive from elsewhere (remapCells, resume) are
+	// fresh and simply join the rotation.
+	spare []float64
+	// slots is the regular mover's slot array (owned cells x SlotCap records,
+	// then one ghost slot per outbound molecule). It is never cleared: every
+	// slot in [0, fills[row]) of an owned row is written by exactly one
+	// molecule this step — by the local fill or by the OpReplace scatter —
+	// every ghost slot by its one outbound molecule before the scatter packs
+	// it, and nothing else is read.
+	slots []float64
+	fills []int32 // molecules placed in each owned cell this step
+
+	// dest is the per-molecule destination: owner rank (light mover,
+	// remapCells) or cell (regular and compiler movers).
+	dest []int32
+	// Slot reservation of the regular mover.
 	molSeq   []int32
 	owners   []int32
 	offsets  []int32
@@ -208,15 +241,36 @@ type moveScratch struct {
 	// for an O(touched) end-of-step reset.
 	reqPos  []int32
 	touched []int32
+
+	// light is the light mover's schedule, rebuilt in place every step so
+	// its packing scratch survives.
+	light *schedule.LightSchedule
+	// members[row] lists the record offsets of the molecules in owned cell
+	// row (collideOwned).
+	members [][]int
 }
 
-// sizedI32 returns scratch of exactly n elements backed by *buf.
+// afterStep, when set, runs on every rank at the end of every time step.
+// Tests use it to poison the scratch and to meter allocation; nil otherwise.
+var afterStep func(p *comm.Proc, step int, st *stepState)
+
+// sizedI32 returns scratch of exactly n elements backed by *buf, contents
+// unspecified. Growth leaves headroom, so a slowly rising high-water mark
+// (per-rank molecule counts drift) does not reallocate every step.
 func sizedI32(buf *[]int32, n int) []int32 {
 	if cap(*buf) < n {
-		*buf = make([]int32, n)
+		*buf = make([]int32, n, n+n/4)
 	}
 	*buf = (*buf)[:n]
 	return *buf
+}
+
+// growF64 is sizedI32 for a float64 buffer held by value.
+func growF64(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n, n+n/4)
+	}
+	return buf[:n]
 }
 
 // moveRegular is the MOVE phase with a regular communication schedule, as
@@ -225,10 +279,10 @@ func sizedI32(buf *[]int32, n int) []int32 {
 // through the cells' owners, indices are translated, and a schedule with
 // permutation lists is built and executed — all of it redone every step
 // because the access pattern changes every step.
-func moveRegular(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, sc *moveScratch) []float64 {
+func moveRegular(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, st *stepState) []float64 {
 	n := len(mols) / recordWidth
 	tt := cells.TT()
-	dest := sizedI32(&sc.dest, n)
+	dest := sizedI32(&st.dest, n)
 	for i := 0; i < n; i++ {
 		rec := mols[i*recordWidth : (i+1)*recordWidth]
 		advance(cfg, rec, cfg.Dt)
@@ -240,27 +294,27 @@ func moveRegular(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, sc
 	// cell's owner; owners assign bases in rank order and reply. The
 	// cell-request index is a flat per-cell array (1+list index, 0 = not
 	// yet requested) reset via the touched list, not a per-step map.
-	if cap(sc.perOwner) < p.Size() {
-		sc.perOwner = make([][]cellReq, p.Size())
+	if cap(st.perOwner) < p.Size() {
+		st.perOwner = make([][]cellReq, p.Size())
 	}
-	perOwner := sc.perOwner[:p.Size()]
+	perOwner := st.perOwner[:p.Size()]
 	for r := range perOwner {
 		perOwner[r] = perOwner[r][:0]
 	}
-	if len(sc.reqPos) < cfg.NCells() {
-		sc.reqPos = make([]int32, cfg.NCells())
+	if len(st.reqPos) < cfg.NCells() {
+		st.reqPos = make([]int32, cfg.NCells())
 	}
-	sc.touched = sc.touched[:0]
-	molSeq := sizedI32(&sc.molSeq, n)
+	st.touched = st.touched[:0]
+	molSeq := sizedI32(&st.molSeq, n)
 	for i := 0; i < n; i++ {
 		c := dest[i]
 		o := tt.OwnerOf(int(c))
-		if k := sc.reqPos[c]; k > 0 {
+		if k := st.reqPos[c]; k > 0 {
 			perOwner[o][k-1].count++
 			molSeq[i] = perOwner[o][k-1].count - 1
 		} else {
-			sc.reqPos[c] = int32(len(perOwner[o]) + 1)
-			sc.touched = append(sc.touched, c)
+			st.reqPos[c] = int32(len(perOwner[o]) + 1)
+			st.touched = append(st.touched, c)
 			perOwner[o] = append(perOwner[o], cellReq{cell: c, count: 1})
 			molSeq[i] = 0
 		}
@@ -280,7 +334,8 @@ func moveRegular(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, sc
 
 	// Owner side: assign bases in rank order; track fill totals.
 	nOwnedCells := cells.NLocal()
-	fills := make([]int32, nOwnedCells)
+	fills := sizedI32(&st.fills, nOwnedCells)
+	clear(fills)
 	replies := make([][]byte, p.Size())
 	for src := 0; src < p.Size(); src++ {
 		recs := comm.DecodeI32(incoming[src])
@@ -307,17 +362,17 @@ func moveRegular(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, sc
 	}
 
 	// Translate each molecule's slot to (owner, offset).
-	owners := sizedI32(&sc.owners, n)
-	offsets := sizedI32(&sc.offsets, n)
+	owners := sizedI32(&st.owners, n)
+	offsets := sizedI32(&st.offsets, n)
 	for i := 0; i < n; i++ {
 		c := dest[i]
 		o := tt.OwnerOf(int(c))
 		owners[i] = o
-		k := sc.reqPos[c] - 1
+		k := st.reqPos[c] - 1
 		offsets[i] = (tt.OffsetOf(int(c)))*int32(cfg.SlotCap) + bases[o][k] + molSeq[i]
 	}
-	for _, c := range sc.touched {
-		sc.reqPos[c] = 0
+	for _, c := range st.touched {
+		st.reqPos[c] = 0
 	}
 	p.ComputeMem(3 * n)
 
@@ -331,7 +386,8 @@ func moveRegular(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, sc
 	// scatter, so modeled clocks match exactly.
 	nLocalSlots := nOwnedCells * cfg.SlotCap
 	sched, loc := schedule.FromTranslated(p, nLocalSlots, owners, offsets)
-	buf := make([]float64, sched.MinLen()*recordWidth)
+	st.slots = growF64(st.slots, sched.MinLen()*recordWidth)
+	buf := st.slots
 	if cfg.Overlap {
 		for i := 0; i < n; i++ {
 			if int(loc[i]) >= nLocalSlots {
@@ -357,33 +413,35 @@ func moveRegular(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, sc
 	}
 
 	// Compact the owned slots back into a molecule list (the placement-
-	// order rearrangement cost regular schedules pay).
-	var out []float64
+	// order rearrangement cost regular schedules pay), into the spare list.
+	total := 0
+	for _, f := range fills {
+		total += int(f)
+	}
+	out := growF64(st.spare, total*recordWidth)[:0]
 	for row := 0; row < nOwnedCells; row++ {
 		lo := row * cfg.SlotCap
 		out = append(out, buf[lo*recordWidth:(lo+int(fills[row]))*recordWidth]...)
 	}
 	p.ComputeMem(nOwnedCells + len(out))
+	st.spare = mols
 	return out
 }
 
 // collideOwned buckets local molecules into owned-cell rows and runs the
 // collision phase.
-func collideOwned(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, step int) {
+func collideOwned(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, step int, st *stepState) {
 	tt := cells.TT()
-	members := make([][]int, cells.NLocal())
-	n := len(mols) / recordWidth
-	for i := 0; i < n; i++ {
-		c := CellOf(cfg, mols[i*recordWidth:])
+	st.members = bucketByCell(cfg, mols, st.members, cells.NLocal(), func(c int) int {
 		if int(tt.OwnerOf(c)) != p.Rank() {
 			panic(fmt.Sprintf("dsmc: rank %d holds molecule of cell %d owned by %d", p.Rank(), c, tt.OwnerOf(c)))
 		}
-		row := tt.OffsetOf(c)
-		members[row] = append(members[row], i*recordWidth)
-	}
-	for row, mm := range members {
+		return int(tt.OffsetOf(c))
+	})
+	for row, mm := range st.members {
 		collideCell(cfg, mols, mm, int(cells.Globals()[row]), step)
 	}
+	n := len(mols) / recordWidth
 	p.ComputeFlops(cfg.collideCost() * n)
 	p.ComputeMem(collideMemPerMol * n)
 }
@@ -391,7 +449,7 @@ func collideOwned(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, s
 // remapCells runs the load-balancing pipeline: weigh cells by their current
 // molecule population, partition, rebuild the distribution, and migrate
 // molecules to the new owners of their cells.
-func remapCells(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, timer *core.PhaseTimer) (*core.Dist, []float64) {
+func remapCells(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, timer *core.PhaseTimer, st *stepState) (*core.Dist, []float64) {
 	// Cell weights: molecules per cell + 1.
 	w := make([]float64, cells.NLocal())
 	for i := range w {
@@ -432,7 +490,7 @@ func remapCells(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, tim
 	timer.Mark(PhasePartition)
 
 	newCells, _ := cells.Repartition(owners)
-	dest := make([]int32, n)
+	dest := sizedI32(&st.dest, n)
 	for i := 0; i < n; i++ {
 		dest[i] = newCells.TT().OwnerOf(CellOf(cfg, mols[i*recordWidth:]))
 	}

@@ -63,6 +63,7 @@ func TestGatherScatterSteadyStateAllocs(t *testing.T) {
 	got := make([]float64, nprocs)
 	gotLight := make([]float64, nprocs)
 	gotMulti := make([]float64, nprocs)
+	gotRebuild := make([]float64, nprocs)
 	comm.Run(nprocs, costmodel.Uniform(1e-9), func(p *comm.Proc) {
 		sched, data := allocEnv(p, 512, 1024, 7)
 		ls, dest, items := lightEnv(p, 16, 3)
@@ -80,17 +81,26 @@ func TestGatherScatterSteadyStateAllocs(t *testing.T) {
 		lightBody := func() {
 			out = ls.MoveF64Into(p, dest, items, 3, out)
 		}
+		// The per-step spelling: rebuild the schedule in place, then move.
+		var ls2 *LightSchedule
+		var out2 []float64
+		rebuildBody := func() {
+			ls2 = BuildLightInto(ls2, p, dest)
+			out2 = ls2.MoveF64Into(p, dest, items, 3, out2)
+		}
 		// Warm up staging buffers, arena and mailbox capacity.
 		for i := 0; i < 5; i++ {
 			body()
 			lightBody()
 			multiBody()
+			rebuildBody()
 		}
 		// Every rank runs AllocsPerRun so the collectives stay in lockstep
 		// (AllocsPerRun invokes the body runs+1 times on each rank).
 		got[p.Rank()] = testing.AllocsPerRun(runs, body)
 		gotLight[p.Rank()] = testing.AllocsPerRun(runs, lightBody)
 		gotMulti[p.Rank()] = testing.AllocsPerRun(runs, multiBody)
+		gotRebuild[p.Rank()] = testing.AllocsPerRun(runs, rebuildBody)
 	})
 	for r, a := range got {
 		if a != 0 {
@@ -105,6 +115,16 @@ func TestGatherScatterSteadyStateAllocs(t *testing.T) {
 	for r, a := range gotMulti {
 		if a != 0 {
 			t.Errorf("rank %d: MultiStart+Wait steady state allocates %.0f allocs/op, want 0", r, a)
+		}
+	}
+	// A rebuild keeps exactly two allocations per rank, both owed to the
+	// by-reference transport: the count buffer its receivers alias, and
+	// AllToAll's result header. Nothing per item, nothing per peer. (The
+	// allocation counter is process-wide and the ranks run in lockstep, so
+	// each rank's reading covers all of them.)
+	for r, a := range gotRebuild {
+		if a > float64(2*nprocs) {
+			t.Errorf("rank %d: BuildLightInto+MoveF64Into steady state allocates %.0f allocs/op across %d ranks, want at most 2 per rank", r, a, nprocs)
 		}
 	}
 }

@@ -21,6 +21,9 @@ type LightSchedule struct {
 	// Move calls, so repeated appends with one schedule stop allocating.
 	packF [][]float64
 	packI [][]int32
+	// countMsgs holds the per-peer message headers of the count exchange
+	// (slices of a per-build buffer, see BuildLightInto).
+	countMsgs [][]byte
 }
 
 // BuildLight constructs a light-weight schedule from per-item destination
@@ -30,13 +33,38 @@ type LightSchedule struct {
 // the per-peer messages are slices of it, so the exchange costs one
 // allocation instead of one per peer (the wire traffic is unchanged: P-1
 // one-count messages).
+//
+// Ownership: the flat count buffer is handed to AllToAll as raw bytes, and
+// the in-memory transport delivers raw payloads by reference, so it belongs
+// to the receivers from then on and every build allocates a fresh one (it
+// is 4·P bytes). See BuildLightInto for what a rebuild does reuse.
 func BuildLight(p *comm.Proc, dest []int32) *LightSchedule {
-	ls := &LightSchedule{
-		nprocs:     p.Size(),
-		self:       p.Rank(),
-		SendCounts: make([]int32, p.Size()),
-		RecvCounts: make([]int32, p.Size()),
+	return BuildLightInto(nil, p, dest)
+}
+
+// BuildLightInto is BuildLight reusing ls's storage (ls may be nil, and must
+// otherwise have been built on p). Codes that rebuild a light-weight schedule
+// every time step pass the previous one back: the count arrays, the message
+// headers and — what matters — the MoveF64Into/MoveI32Into packing scratch
+// survive the rebuild, so build + move stop allocating per item once warm.
+// The returned schedule is ls (or a fresh one); the modeled cost and the
+// wire traffic are those of BuildLight.
+//
+// The one thing a rebuild must not recycle is the count buffer itself: with
+// no barrier between two builds, a fast rank would overwrite a count its
+// peer has not decoded yet. Only arena-staged sends (SendF64Buf and friends)
+// and receive-side or pack-side scratch are safe to reuse across collectives.
+func BuildLightInto(ls *LightSchedule, p *comm.Proc, dest []int32) *LightSchedule {
+	if ls == nil {
+		ls = &LightSchedule{
+			nprocs:     p.Size(),
+			self:       p.Rank(),
+			SendCounts: make([]int32, p.Size()),
+			RecvCounts: make([]int32, p.Size()),
+			countMsgs:  make([][]byte, p.Size()),
+		}
 	}
+	clear(ls.SendCounts)
 	for _, d := range dest {
 		if d < 0 || int(d) >= p.Size() {
 			panic(fmt.Sprintf("schedule: append destination %d out of range [0,%d)", d, p.Size()))
@@ -44,16 +72,15 @@ func BuildLight(p *comm.Proc, dest []int32) *LightSchedule {
 		ls.SendCounts[d]++
 	}
 	p.ComputeMem(len(dest))
-	bufs := make([][]byte, p.Size())
-	flat := make([]byte, 4*p.Size())
-	for r := range bufs {
+	flat := make([]byte, 4*p.Size()) // fresh every build: the receivers alias it
+	for r := range ls.countMsgs {
 		if r == p.Rank() {
 			continue
 		}
 		binary.LittleEndian.PutUint32(flat[4*r:], uint32(ls.SendCounts[r]))
-		bufs[r] = flat[4*r : 4*r+4 : 4*r+4]
+		ls.countMsgs[r] = flat[4*r : 4*r+4 : 4*r+4]
 	}
-	for r, b := range p.AllToAll(bufs) {
+	for r, b := range p.AllToAll(ls.countMsgs) {
 		if r == p.Rank() {
 			ls.RecvCounts[r] = ls.SendCounts[r]
 			continue
@@ -85,22 +112,16 @@ func (ls *LightSchedule) TotalSend() int {
 	return n
 }
 
-// growF64 returns scratch of length 0 and capacity >= n backed by *buf.
-func growF64(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, 0, n)
+// emptied returns buf truncated to length 0 with capacity for n values. When
+// it has to grow it allocates room values more: the per-peer packing scratch
+// of a schedule rebuilt in place every time step asks for a quarter of
+// headroom, so counts that drift from step to step do not reallocate on
+// every new maximum; results are sized exactly.
+func emptied[T any](buf []T, n, room int) []T {
+	if cap(buf) < n {
+		return make([]T, 0, n+room)
 	}
-	*buf = (*buf)[:0]
-	return *buf
-}
-
-// growI32 returns scratch of length 0 and capacity >= n backed by *buf.
-func growI32(buf *[]int32, n int) []int32 {
-	if cap(*buf) < n {
-		*buf = make([]int32, 0, n)
-	}
-	*buf = (*buf)[:0]
-	return *buf
+	return buf[:0]
 }
 
 // MoveI32 is MoveF64 for int32 payloads. When MoveF64 and MoveI32 are
@@ -121,14 +142,15 @@ func (ls *LightSchedule) MoveI32Into(p *comm.Proc, dest []int32, items []int32, 
 	}
 	packed := ls.packI
 	for r := range packed {
-		packed[r] = growI32(&packed[r], int(ls.SendCounts[r])*width)
+		need := int(ls.SendCounts[r]) * width
+		packed[r] = emptied(packed[r], need, need/4)
 	}
 	for i, d := range dest {
 		packed[d] = append(packed[d], items[i*width:(i+1)*width]...)
 	}
 	p.ComputeMem(len(items))
 
-	out = growI32(&out, ls.TotalRecv()*width)
+	out = emptied(out, ls.TotalRecv()*width, 0)
 	out = append(out, packed[p.Rank()]...)
 	for k := 1; k < p.Size(); k++ {
 		dst := (p.Rank() + k) % p.Size()
@@ -175,14 +197,15 @@ func (ls *LightSchedule) MoveF64Into(p *comm.Proc, dest []int32, items []float64
 	}
 	packed := ls.packF
 	for r := range packed {
-		packed[r] = growF64(&packed[r], int(ls.SendCounts[r])*width)
+		need := int(ls.SendCounts[r]) * width
+		packed[r] = emptied(packed[r], need, need/4)
 	}
 	for i, d := range dest {
 		packed[d] = append(packed[d], items[i*width:(i+1)*width]...)
 	}
 	p.ComputeMem(len(items))
 
-	out = growF64(&out, ls.TotalRecv()*width)
+	out = emptied(out, ls.TotalRecv()*width, 0)
 	out = append(out, packed[p.Rank()]...) // keep own items, in order
 	for k := 1; k < p.Size(); k++ {
 		dst := (p.Rank() + k) % p.Size()

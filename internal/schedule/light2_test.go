@@ -2,6 +2,8 @@ package schedule
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/comm"
@@ -173,4 +175,54 @@ func TestFromTranslatedDuplicatesFetchTwice(t *testing.T) {
 			Gather(p, sched, make([]float64, sched.MinLen()))
 		}
 	})
+}
+
+// backToBackDest is rank's destination list for rebuild k of
+// TestBuildLightIntoBackToBack: lengths and per-peer counts change with
+// every rebuild and differ between ranks.
+func backToBackDest(rank, size, k int) []int32 {
+	rng := propRng(uint64(1 + rank + 31*k))
+	dest := make([]int32, rng.intn(40))
+	for i := range dest {
+		dest[i] = int32(rng.intn(size))
+	}
+	return dest
+}
+
+// TestBuildLightIntoBackToBack rebuilds one light schedule 200 times with no
+// barrier (and no other collective) between builds, on the in-memory and the
+// TCP transport. The in-memory transport delivers raw payloads by reference:
+// were a rebuild to recycle its count buffer, a rank that runs ahead would
+// overwrite a count its peer has not decoded yet. The expected RecvCounts
+// come from fresh BuildLight schedules built beforehand, so nothing
+// synchronizes the ranks inside the loop under test.
+func TestBuildLightIntoBackToBack(t *testing.T) {
+	const nprocs, rebuilds = 4, 200
+	mesh, err := comm.NewTCPMesh(nprocs)
+	if err != nil {
+		t.Fatalf("NewTCPMesh(%d): %v", nprocs, err)
+	}
+	for name, tr := range map[string]comm.Transport{"mem": comm.NewMemTransport(nprocs), "tcp": mesh} {
+		comm.RunTransport(nprocs, costmodel.Uniform(1e-9), tr, func(p *comm.Proc) {
+			want := make([][]int32, rebuilds)
+			for k := range want {
+				want[k] = BuildLight(p, backToBackDest(p.Rank(), nprocs, k)).RecvCounts
+			}
+			var ls *LightSchedule
+			for k := 0; k < rebuilds; k++ {
+				dest := backToBackDest(p.Rank(), nprocs, k)
+				ls = BuildLightInto(ls, p, dest)
+				if !slices.Equal(ls.RecvCounts, want[k]) {
+					t.Errorf("%s: rank %d rebuild %d: RecvCounts %v, fresh BuildLight %v", name, p.Rank(), k, ls.RecvCounts, want[k])
+				}
+				if got := ls.TotalSend() + int(ls.SendCounts[p.Rank()]); got != len(dest) {
+					t.Errorf("%s: rank %d rebuild %d: SendCounts cover %d items, want %d", name, p.Rank(), k, got, len(dest))
+				}
+				// A rank-dependent stall lets the others run ahead.
+				if (k+p.Rank())%7 == 0 {
+					runtime.Gosched()
+				}
+			}
+		})
+	}
 }
