@@ -64,7 +64,8 @@ func RunCompiled(p *comm.Proc, cfg Config) *ProcResult {
 	})
 	timer.Skip()
 
-	var nb nbSearch // reused across rebuilds; the lists it returns are fresh
+	var nb nbSearch  // reused across rebuilds; the lists it returns are fresh
+	var ps partState // reused across repartitions
 	rebuildList := func(phase string) {
 		ptr, vals := buildNBListPar(p, atoms.Globals(), x.Local(), cfg, &nb)
 		jnb.SetCSR(ptr, vals)
@@ -74,7 +75,7 @@ func RunCompiled(p *comm.Proc, cfg Config) *ProcResult {
 	repartitionAll := func(part string) {
 		// Extrinsic partitioner on positions, weighted by list length.
 		ptr, _ := jnb.CSR()
-		owners := compiledAtomOwners(p, part, x.Local(), ptr, atoms)
+		owners := ps.atomOwners(p, part, atoms.Globals(), atoms.N(), x.Local(), ptr)
 		p.Barrier()
 		timer.Mark(PhasePartition)
 		atoms.Redistribute(owners)
@@ -155,37 +156,4 @@ func RunCompiled(p *comm.Proc, cfg Config) *ProcResult {
 func slabI32(p *comm.Proc, full []int32) []int32 {
 	lo, hi := partition.BlockRange(p.Rank(), len(full), p.Size())
 	return append([]int32(nil), full[lo:hi]...)
-}
-
-// compiledAtomOwners mirrors atomOwners for the compiled app's state.
-func compiledAtomOwners(p *comm.Proc, part string, pos []float64, ptr []int32, atoms *loopir.Decomposition) []int32 {
-	n := atoms.NLocal()
-	if part == "block" {
-		owners := make([]int32, n)
-		for i, g := range atoms.Globals() {
-			owners[i] = int32(partition.BlockOwner(int(g), atoms.N(), p.Size()))
-		}
-		return owners
-	}
-	g := &partition.Geom{
-		Dim: 3,
-		X:   make([]float64, n),
-		Y:   make([]float64, n),
-		Z:   make([]float64, n),
-		W:   make([]float64, n),
-	}
-	for i := 0; i < n; i++ {
-		g.X[i] = pos[3*i]
-		g.Y[i] = pos[3*i+1]
-		g.Z[i] = pos[3*i+2]
-		g.W[i] = 1 + float64(ptr[i+1]-ptr[i])
-	}
-	switch part {
-	case "rcb":
-		return partition.RCB(p, g)
-	case "rib":
-		return partition.RIB(p, g)
-	default:
-		return partition.Chain(p, 0, g)
-	}
 }

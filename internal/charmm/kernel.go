@@ -49,48 +49,30 @@ type KernelResult struct {
 // each of the three components.
 const kernelFlopsPerPair = 12
 
-// kernelSetup generates the shared inputs: positions and the non-bonded
-// CSR list of the synthetic case (identical on all ranks).
-func kernelSetup(cfg KernelConfig) (mdCfg Config, pos []float64, gptr, gjnb []int32) {
-	mdCfg = DefaultConfig().scaled(cfg.NAtoms)
+// kernelSetup generates the inputs of the synthetic case: every atom's
+// position (identical on all ranks) and this rank's BLOCK slab of the
+// non-bonded list in local CSR form. All atoms are binned once — cheap, O(N)
+// — and only the slab's rows are searched, so no rank builds the list of
+// atoms it does not start with. Setup is outside the modeled run: it charges
+// nothing.
+func kernelSetup(p *comm.Proc, cfg KernelConfig) (pos []float64, ptr, jnb []int32) {
+	mdCfg := DefaultConfig().scaled(cfg.NAtoms)
 	mdCfg.Seed = cfg.Seed
 	st := GenInitState(mdCfg)
-	gptr, gjnb = buildNBListSeq(st.Pos, cfg.NAtoms, mdCfg)
-	return mdCfg, st.Pos, gptr, gjnb
+	var nb nbSearch
+	nb.grid.build(st.Pos, nil, cfg.NAtoms, mdCfg.Box, mdCfg.Cutoff)
+	lo, hi := partition.BlockRange(p.Rank(), cfg.NAtoms, p.Size())
+	ptr, jnb = nb.searchRows(st.Pos, nil, lo, hi, mdCfg)
+	return st.Pos, ptr, jnb
 }
 
 // kernelPartitioner computes the alternating RCB/RIB owners for the current
 // local geometry, weighted by non-bonded row length.
-func kernelPartitioner(p *comm.Proc, which int, pos []float64, ptr []int32) []int32 {
-	n := len(ptr) - 1
-	g := &partition.Geom{
-		Dim: 3,
-		X:   make([]float64, n),
-		Y:   make([]float64, n),
-		Z:   make([]float64, n),
-		W:   make([]float64, n),
-	}
-	for i := 0; i < n; i++ {
-		g.X[i] = pos[3*i]
-		g.Y[i] = pos[3*i+1]
-		g.Z[i] = pos[3*i+2]
-		g.W[i] = 1 + float64(ptr[i+1]-ptr[i])
-	}
+func kernelPartitioner(p *comm.Proc, ps *partState, which int, pos []float64, ptr []int32) []int32 {
 	if which%2 == 0 {
-		return partition.RCB(p, g)
+		return ps.owners(p, "rcb", pos, ptr)
 	}
-	return partition.RIB(p, g)
-}
-
-// localizeKernelCSR extracts this rank's BLOCK slab of the global CSR.
-func localizeKernelCSR(p *comm.Proc, n int, gptr, gjnb []int32) (ptr, vals []int32) {
-	lo, hi := partition.BlockRange(p.Rank(), n, p.Size())
-	ptr = make([]int32, hi-lo+1)
-	for i := lo; i < hi; i++ {
-		vals = append(vals, gjnb[gptr[i]:gptr[i+1]]...)
-		ptr[i-lo+1] = int32(len(vals))
-	}
-	return ptr, vals
+	return ps.owners(p, "rib", pos, ptr)
 }
 
 // kernelChecksum reduces the mean absolute value of the accumulated
@@ -111,26 +93,30 @@ func kernelChecksum(p *comm.Proc, dx []float64) float64 {
 // RunKernelHand is the hand-parallelized kernel: direct CHAOS calls, the
 // comparator row of Table 6. Collective.
 func RunKernelHand(p *comm.Proc, cfg KernelConfig) *KernelResult {
-	mdCfg, gpos, gptr, gjnb := kernelSetup(cfg)
-	_ = mdCfg
+	gpos, ptr, jnb := kernelSetup(p, cfg)
 	rt := core.NewRuntime(p)
 	atoms := rt.BlockDist(cfg.NAtoms)
 	lo, hi := partition.BlockRange(p.Rank(), cfg.NAtoms, p.Size())
 	pos := append([]float64(nil), gpos[3*lo:3*hi]...)
 	dx := make([]float64, 3*(hi-lo))
-	ptr, jnb := localizeKernelCSR(p, cfg.NAtoms, gptr, gjnb)
 	timer := core.NewPhaseTimer(p)
 
+	// Every array here is the kernel's own, so each adaptive cycle reuses
+	// the previous one's storage: the inspector products are rebuilt in
+	// place and each moved array's old copy is the next move's destination.
 	var ht *hashtab.Table
 	var stamp hashtab.Stamp
 	var loc []int32
 	var sched *schedule.Schedule
 	inspect := func() {
-		ht = atoms.NewHashTable()
+		ht = atoms.NewHashTableInto(ht)
 		stamp = ht.NewStamp()
-		loc = ht.Hash(jnb, stamp)
-		sched = schedule.Build(p, ht, stamp, 0)
+		loc = ht.HashInto(loc, jnb, stamp)
+		sched = schedule.BuildInto(sched, p, ht, stamp, 0)
 	}
+	var ps partState
+	var posOld, dxOld []float64
+	var ptrOld, jnbOld []int32
 	inspect()
 	p.Barrier()
 	timer.Mark("inspector")
@@ -139,14 +125,15 @@ func RunKernelHand(p *comm.Proc, cfg KernelConfig) *KernelResult {
 	var xb, fb []float64 // gather and contribution buffers, reused across iterations
 	for iter := 1; iter <= cfg.Iters; iter++ {
 		if cfg.RemapEvery > 0 && iter%cfg.RemapEvery == 0 {
-			owners := kernelPartitioner(p, remapCount, pos, ptr)
+			owners := kernelPartitioner(p, &ps, remapCount, pos, ptr)
 			remapCount++
 			p.Barrier()
 			timer.Mark("partition")
 			newAtoms, plan := atoms.Repartition(owners)
-			pos = plan.MoveF64(p, pos, 3)
-			dx = plan.MoveF64(p, dx, 3)
-			ptr, jnb = plan.MoveCSR(p, ptr, jnb)
+			pos, posOld = plan.MoveF64Into(posOld, p, pos, 3), pos
+			dx, dxOld = plan.MoveF64Into(dxOld, p, dx, 3), dx
+			newPtr, newJnb := plan.MoveCSRInto(ptrOld, jnbOld, p, ptr, jnb)
+			ptr, jnb, ptrOld, jnbOld = newPtr, newJnb, ptr, jnb
 			atoms = newAtoms
 			p.Barrier()
 			timer.Mark("remap")
@@ -194,46 +181,70 @@ func RunKernelHand(p *comm.Proc, cfg KernelConfig) *KernelResult {
 	}
 }
 
-// RunKernelCompiled is the compiler-generated kernel: the same loop
-// expressed in the Fortran-D-style IR and lowered by loopir. Collective.
-func RunKernelCompiled(p *comm.Proc, cfg KernelConfig) *KernelResult {
-	_, gpos, gptr, gjnb := kernelSetup(cfg)
-	prog := loopir.NewProgram(p)
-	dec := prog.Decomposition(cfg.NAtoms)
-	x := dec.AlignReal(3)
-	dx := dec.AlignReal(3)
-	x.SetByGlobal(func(g int32, c []float64) { copy(c, gpos[3*g:3*g+3]) })
-	ind := dec.AlignIndCSR()
-	ptr, vals := localizeKernelCSR(p, cfg.NAtoms, gptr, gjnb)
-	ind.SetCSR(ptr, vals)
-	timer := core.NewPhaseTimer(p)
+// compiledKernel is the Table 6 loop expressed in the Fortran-D-style IR and
+// lowered by loopir: the declarations, the compiled loop and the host's
+// partitioner state.
+type compiledKernel struct {
+	p      *comm.Proc
+	dec    *loopir.Decomposition
+	x, dx  *loopir.RealArray
+	ind    *loopir.IndArray
+	loop   *loopir.SumLoop
+	timer  *core.PhaseTimer
+	ps     partState
+	remaps int
+}
 
-	loop := prog.NewSumLoop(ind, x, dx, kernelFlopsPerPair, func(xi, xj, fi, fj []float64) {
+func newCompiledKernel(p *comm.Proc, cfg KernelConfig) *compiledKernel {
+	gpos, ptr, vals := kernelSetup(p, cfg)
+	prog := loopir.NewProgram(p)
+	k := &compiledKernel{p: p, dec: prog.Decomposition(cfg.NAtoms)}
+	k.x = k.dec.AlignReal(3)
+	k.dx = k.dec.AlignReal(3)
+	k.x.SetByGlobal(func(g int32, c []float64) { copy(c, gpos[3*g:3*g+3]) })
+	k.ind = k.dec.AlignIndCSR()
+	k.ind.SetCSR(ptr, vals)
+	k.timer = core.NewPhaseTimer(p)
+	k.loop = prog.NewSumLoop(k.ind, k.x, k.dx, kernelFlopsPerPair, func(xi, xj, fi, fj []float64) {
 		for c := range xi {
 			fj[c] += xj[c] - xi[c]
 			fi[c] += xi[c] - xj[c]
 		}
 	})
-	loop.Inspect()
+	return k
+}
+
+// adapt is one adaptive cycle: extrinsic partitioner (RCB and RIB
+// alternately), DISTRIBUTE, and the generated guard re-running the
+// inspector.
+func (k *compiledKernel) adapt() {
+	curPtr, _ := k.ind.CSR()
+	owners := kernelPartitioner(k.p, &k.ps, k.remaps, k.x.Local(), curPtr)
+	k.remaps++
+	k.p.Barrier()
+	k.timer.Mark("partition")
+	k.dec.Redistribute(owners)
+	k.p.Barrier()
+	k.timer.Mark("remap")
+	k.loop.Inspect() // generated guard: versions changed, rebuild
+	k.p.Barrier()
+	k.timer.Mark("inspector")
+}
+
+// RunKernelCompiled is the compiler-generated kernel: the same loop
+// expressed in the Fortran-D-style IR and lowered by loopir. Collective.
+func RunKernelCompiled(p *comm.Proc, cfg KernelConfig) *KernelResult {
+	k := newCompiledKernel(p, cfg)
+	timer := k.timer
+	k.loop.Inspect()
 	p.Barrier()
 	timer.Mark("inspector")
 
-	remapCount := 0
 	for iter := 1; iter <= cfg.Iters; iter++ {
 		if cfg.RemapEvery > 0 && iter%cfg.RemapEvery == 0 {
-			curPtr, _ := ind.CSR()
-			owners := kernelPartitioner(p, remapCount, x.Local(), curPtr)
-			remapCount++
-			p.Barrier()
-			timer.Mark("partition")
-			dec.Redistribute(owners)
-			p.Barrier()
-			timer.Mark("remap")
-			loop.Inspect() // generated guard: versions changed, rebuild
-			p.Barrier()
-			timer.Mark("inspector")
+			k.adapt()
 		}
-		loop.Execute()
+		k.loop.Execute()
 		timer.Mark("executor")
 	}
 
@@ -243,6 +254,6 @@ func RunKernelCompiled(p *comm.Proc, cfg KernelConfig) *KernelResult {
 		Inspector: timer.Times["inspector"],
 		Executor:  timer.Times["executor"],
 		Total:     p.Clock(),
-		Checksum:  kernelChecksum(p, dx.Local()),
+		Checksum:  kernelChecksum(p, k.dx.Local()),
 	}
 }

@@ -136,13 +136,25 @@ type nbSearch struct {
 	sendP [][]float64
 }
 
-// search builds the CSR list of the first nRows atoms handed to grid.build
-// (same pos and ids: row i is the atom at pos[3*i:]) against the whole grid.
-func (nb *nbSearch) search(pos []float64, ids []int32, nRows int, c2 float64) (ptr, jnb []int32) {
-	ptr = make([]int32, nRows+1)
+// search builds the CSR list of the first nRows atoms handed to grid.build:
+// searchRows over [0, nRows).
+func (nb *nbSearch) search(pos []float64, ids []int32, nRows int, cfg Config) (ptr, jnb []int32) {
+	return nb.searchRows(pos, ids, 0, nRows, cfg)
+}
+
+// searchRows builds the CSR list of atoms [lo, hi) of those handed to
+// grid.build (same pos and ids: row i-lo is the atom at pos[3*i:]) against
+// the whole grid. The rows of a slab are exactly the rows the full search
+// produces for those atoms, in the same order.
+func (nb *nbSearch) searchRows(pos []float64, ids []int32, lo, hi int, cfg Config) (ptr, jnb []int32) {
+	if nb.hint == 0 {
+		nb.hint = nb.estimate(pos, ids, lo, hi, cfg)
+	}
+	c2 := cfg.Cutoff * cfg.Cutoff
+	ptr = make([]int32, hi-lo+1)
 	jnb = make([]int32, 0, nb.hint+nb.hint/8)
 	nb.examined = 0
-	for i := 0; i < nRows; i++ {
+	for i := lo; i < hi; i++ {
 		self := int32(i)
 		if ids != nil {
 			self = ids[i]
@@ -150,17 +162,48 @@ func (nb *nbSearch) search(pos []float64, ids []int32, nRows int, c2 float64) (p
 		var ex int
 		jnb, ex = nb.grid.appendPartners(jnb, pos[3*i:3*i+3], self, c2)
 		nb.examined += ex
-		ptr[i+1] = int32(len(jnb))
+		ptr[i-lo+1] = int32(len(jnb))
 	}
 	nb.hint = len(jnb)
 	return ptr, jnb
+}
+
+// estimate sizes a first build, which has no previous list to go by, from a
+// sample: up to 256 evenly spaced rows are searched, and their partner count
+// is scaled to the whole range by the fraction of ids above each row. A row
+// keeps only the partners with larger ids, so under BLOCK a slab of low ids
+// averages about twice the mean row and the last slab almost nothing — a
+// plain density estimate would miss by that factor. append remains the
+// fallback when the sample is unrepresentative.
+func (nb *nbSearch) estimate(pos []float64, ids []int32, lo, hi int, cfg Config) int {
+	c2 := cfg.Cutoff * cfg.Cutoff
+	stride := (hi-lo)/256 + 1
+	var row []int32
+	found, sampleAbove, allAbove := 0, 0.0, 0.0
+	for i := lo; i < hi; i++ {
+		self := int32(i)
+		if ids != nil {
+			self = ids[i]
+		}
+		above := float64(cfg.NAtoms - 1 - int(self))
+		allAbove += above
+		if (i-lo)%stride == 0 {
+			row, _ = nb.grid.appendPartners(row[:0], pos[3*i:3*i+3], self, c2)
+			found += len(row)
+			sampleAbove += above
+		}
+	}
+	if sampleAbove == 0 {
+		return found
+	}
+	return int(float64(found) * allAbove / sampleAbove)
 }
 
 // buildSeq builds the full non-bonded list sequentially: for each atom i,
 // the partners j > i within the cutoff, CSR layout.
 func (nb *nbSearch) buildSeq(pos []float64, n int, cfg Config) (ptr, jnb []int32) {
 	nb.grid.build(pos, nil, n, cfg.Box, cfg.Cutoff)
-	return nb.search(pos, nil, n, cfg.Cutoff*cfg.Cutoff)
+	return nb.search(pos, nil, n, cfg)
 }
 
 // buildNBListSeq is buildSeq with throw-away working storage.
@@ -258,7 +301,7 @@ func buildNBListPar(p *comm.Proc, globals []int32, pos []float64, cfg Config, nb
 
 	nb.grid.build(allP, allG, nAll, cfg.Box, cfg.Cutoff)
 	p.ComputeMem(nAll)
-	ptr, jnb = nb.search(allP, allG, nOwn, c2)
+	ptr, jnb = nb.search(allP, allG, nOwn, cfg)
 	p.ComputeMem(searchMemOps * nb.examined)
 	return ptr, jnb
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hashtab"
 	"repro/internal/partition"
+	"repro/internal/recycle"
 	"repro/internal/remap"
 	"repro/internal/schedule"
 	"repro/internal/ttable"
@@ -52,6 +53,13 @@ type simState struct {
 	bondI    []int32   // local bonds, global endpoints
 	bondJ    []int32
 	bondLen  []float64
+
+	// Repartition storage, reused across repartitions: the partitioner's
+	// working storage, and what the last one moved pos, vel and the list
+	// out of (the next one's destinations).
+	part           partState
+	posOld, velOld []float64
+	ptrOld, jnbOld []int32
 
 	ht           *hashtab.Table
 	sBond, sNB   hashtab.Stamp
@@ -296,14 +304,21 @@ func alternateOf(part string) string {
 // length), remap the atom arrays, and repartition+move the bonded pairs by
 // the almost-owner-computes rule.
 func repartition(p *comm.Proc, s *simState, part string, timer *core.PhaseTimer) {
-	owners := atomOwners(p, s, part)
+	owners := s.part.atomOwners(p, part, s.atoms.Globals(), s.atoms.N(), s.pos, s.ptr)
 	p.Barrier()
 	timer.Mark(PhasePartition)
 
 	atoms2, plan := s.atoms.Repartition(owners)
-	s.pos = plan.MoveF64(p, s.pos, 3)
-	s.vel = plan.MoveF64(p, s.vel, 3)
-	s.ptr, s.jnb = plan.MoveCSR(p, s.ptr, s.jnb)
+	// The arrays a move consumes are the state's own: they are the next
+	// repartition's destinations.
+	s.pos, s.posOld = plan.MoveF64Into(s.posOld, p, s.pos, 3), s.pos
+	s.vel, s.velOld = plan.MoveF64Into(s.velOld, p, s.vel, 3), s.vel
+	ptr, jnb := plan.MoveCSRInto(s.ptrOld, s.jnbOld, p, s.ptr, s.jnb)
+	s.ptr, s.jnb, s.ptrOld, s.jnbOld = ptr, jnb, s.ptr, s.jnb
+	recycle.PoisonF64(s.posOld)
+	recycle.PoisonF64(s.velOld)
+	recycle.PoisonI32(s.ptrOld)
+	recycle.PoisonI32(s.jnbOld)
 	s.atoms = atoms2
 
 	// Bonded loop iterations: almost-owner-computes, then move the pairs.
@@ -330,37 +345,54 @@ func repartition(p *comm.Proc, s *simState, part string, timer *core.PhaseTimer)
 	timer.Mark(PhaseRemap)
 }
 
-// atomOwners runs the configured phase-A partitioner.
-func atomOwners(p *comm.Proc, s *simState, part string) []int32 {
-	n := s.atoms.NLocal()
-	if part == "block" {
-		owners := make([]int32, n)
-		for i, g := range s.atoms.Globals() {
-			owners[i] = int32(partition.BlockOwner(int(g), s.atoms.N(), p.Size()))
-		}
-		return owners
-	}
-	g := &partition.Geom{
-		Dim: 3,
-		X:   make([]float64, n),
-		Y:   make([]float64, n),
-		Z:   make([]float64, n),
-		W:   make([]float64, n),
-	}
+// partState is the per-run working storage of the phase-A partitioner
+// calls: the geometry columns (which carry partition's bisection scratch)
+// and the owner list, refilled at every repartition instead of reallocated.
+// The owner list is consumed by the Repartition that follows each call.
+type partState struct {
+	geom partition.Geom
+	out  []int32
+}
+
+// owners runs the geometric partitioner part over this rank's atoms (pos
+// 3-wide, in local order), weighted by non-bonded row length.
+func (ps *partState) owners(p *comm.Proc, part string, pos []float64, ptr []int32) []int32 {
+	n := len(pos) / 3
+	g := &ps.geom
+	g.Dim = 3
+	g.X, g.Y, g.Z, g.W = recycle.Sized(g.X, n), recycle.Sized(g.Y, n), recycle.Sized(g.Z, n), recycle.Sized(g.W, n)
 	for i := 0; i < n; i++ {
-		g.X[i] = s.pos[3*i]
-		g.Y[i] = s.pos[3*i+1]
-		g.Z[i] = s.pos[3*i+2]
-		g.W[i] = 1 + float64(s.ptr[i+1]-s.ptr[i])
+		g.X[i] = pos[3*i]
+		g.Y[i] = pos[3*i+1]
+		g.Z[i] = pos[3*i+2]
+		g.W[i] = 1 + float64(ptr[i+1]-ptr[i])
 	}
 	switch part {
 	case "rcb":
-		return partition.RCB(p, g)
+		ps.out = partition.RCBInto(ps.out, p, g)
 	case "rib":
-		return partition.RIB(p, g)
+		ps.out = partition.RIBInto(ps.out, p, g)
 	default:
-		return partition.Chain(p, 0, g)
+		ps.out = partition.Chain(p, 0, g)
 	}
+	recycle.PoisonF64(g.X)
+	recycle.PoisonF64(g.Y)
+	recycle.PoisonF64(g.Z)
+	recycle.PoisonF64(g.W)
+	return ps.out
+}
+
+// atomOwners runs the configured phase-A partitioner over the atoms this
+// rank holds (globals, out of nAtoms).
+func (ps *partState) atomOwners(p *comm.Proc, part string, globals []int32, nAtoms int, pos []float64, ptr []int32) []int32 {
+	if part != "block" {
+		return ps.owners(p, part, pos, ptr)
+	}
+	ps.out = recycle.Sized(ps.out, len(globals))
+	for i, g := range globals {
+		ps.out[i] = int32(partition.BlockOwner(int(g), nAtoms, p.Size()))
+	}
+	return ps.out
 }
 
 // buildInspector hashes the indirection arrays into a clean hash table and
@@ -369,11 +401,7 @@ func atomOwners(p *comm.Proc, s *simState, part string) []int32 {
 // (rebound to the new translation table, entries and stamps dropped) rather
 // than reused.
 func buildInspector(p *comm.Proc, s *simState, cfg Config) {
-	if s.ht == nil {
-		s.ht = s.atoms.NewHashTable()
-	} else {
-		s.ht.Reset(s.atoms.TT())
-	}
+	s.ht = s.atoms.NewHashTableInto(s.ht)
 	s.sBond = s.ht.NewStamp()
 	s.sNB = s.ht.NewStamp()
 	s.locBI = s.ht.HashInto(s.locBI, s.bondI, s.sBond)

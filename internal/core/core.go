@@ -37,6 +37,10 @@ type Runtime struct {
 	// TableKind selects translation-table storage (default Replicated, as
 	// used for both applications in the paper).
 	TableKind ttable.Kind
+	// plan is the remap plan of the latest Repartition on this runtime,
+	// rebuilt in place by the next one: the move staging and the plan's
+	// index lists belong to the run, not to one repartition.
+	plan *remap.Plan
 }
 
 // NewRuntime returns a runtime with replicated translation tables.
@@ -125,22 +129,36 @@ func (d *Dist) N() int { return d.tt.N() }
 // each local element (typically partitioner output), it routes the map
 // array to block homes, builds the new translation table, and returns the
 // new distribution together with the remap plan that moves any array from
-// the old layout to the new. Collective.
+// the old layout to the new. The plan is rebuilt in place by the runtime's
+// next Repartition (of any Dist), so move everything that follows this
+// distribution before repartitioning again. Collective.
 func (d *Dist) Repartition(newOwners []int32) (*Dist, *remap.Plan) {
 	if len(newOwners) != len(d.globals) {
 		panic(fmt.Sprintf("core: %d owners for %d local elements", len(newOwners), len(d.globals)))
 	}
 	slab := remap.BlockMap(d.rt.P, d.globals, newOwners, d.N())
 	tt := ttable.Build(d.rt.P, d.rt.TableKind, slab)
-	plan := remap.NewPlan(d.rt.P, d.globals, tt)
+	d.rt.plan = remap.NewPlanInto(d.rt.plan, d.rt.P, d.globals, tt)
+	plan := d.rt.plan
+	// The new Dist retains its globals: a fresh array, never a recycled one.
 	newGlobals := plan.MoveI32(d.rt.P, d.globals, 1)
 	return &Dist{rt: d.rt, tt: tt, globals: newGlobals}, plan
 }
 
 // NewHashTable returns a fresh inspector hash table bound to this
 // distribution (phase E).
-func (d *Dist) NewHashTable() *hashtab.Table {
-	return hashtab.New(d.rt.P, d.tt)
+func (d *Dist) NewHashTable() *hashtab.Table { return d.NewHashTableInto(nil) }
+
+// NewHashTableInto is NewHashTable reusing ht's storage (ht may be nil): an
+// inspector that survives a repartition or a restore gets its table back
+// empty and rebound to this distribution — every cached translation is
+// stale — with the slot array and entry storage kept. Charges nothing.
+func (d *Dist) NewHashTableInto(ht *hashtab.Table) *hashtab.Table {
+	if ht == nil {
+		return hashtab.New(d.rt.P, d.tt)
+	}
+	ht.Reset(d.tt)
+	return ht
 }
 
 // Span is one timed interval on a rank's virtual timeline.

@@ -75,13 +75,23 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, []float64) {
 		cells, mols, startStep = resume(p, rt, &cfg, timer, &st)
 	} else {
 		cells = rt.BlockDist(cfg.NCells())
-		// Each rank keeps the molecules whose cell it owns.
+		// Each rank keeps the molecules whose cell it owns: count, then
+		// fill a list sized like every later one (it joins the movers'
+		// ping-pong as the first spare).
 		all := GenMolecules(cfg)
+		mine := func(i int) bool {
+			return int(cells.TT().OwnerOf(CellOf(&cfg, all[i*recordWidth:]))) == p.Rank()
+		}
+		nMine := 0
 		for i := 0; i < cfg.NMols; i++ {
-			rec := all[i*recordWidth : (i+1)*recordWidth]
-			c := CellOf(&cfg, rec)
-			if int(cells.TT().OwnerOf(c)) == p.Rank() {
-				mols = append(mols, rec...)
+			if mine(i) {
+				nMine++
+			}
+		}
+		mols = growF64(nil, nMine*recordWidth)[:0]
+		for i := 0; i < cfg.NMols; i++ {
+			if mine(i) {
+				mols = append(mols, all[i*recordWidth:(i+1)*recordWidth]...)
 			}
 		}
 		timer.Skip() // setup is not measured

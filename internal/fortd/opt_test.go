@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -408,6 +409,66 @@ func TestOptimizedMatchesNaiveRandom(t *testing.T) {
 	}
 	if !sawWin {
 		t.Error("no generated program produced an optimization win; generator is too weak")
+	}
+}
+
+// TestOptimizedMatchesNaiveAcrossRedistributions carries the lowering
+// property through the adaptive cycle: the random programs are stepped,
+// every decomposition is redistributed (three times, two alternating owner
+// maps), and stepped again. Each Redistribute recycles the aligned arrays'
+// storage and each re-inspection rewrites the hash table, the localized
+// indices and the schedule — shared by a whole loop group under -O — in
+// place; every buffer retired on the way is poisoned under `go test`. -O and
+// -O0 must still agree bit for bit on every rank, and -O must still never
+// build more inspectors.
+func TestOptimizedMatchesNaiveAcrossRedistributions(t *testing.T) {
+	const trials, cycles = 12, 3
+	for trial := 0; trial < trials; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)*977 + 5))
+		src := randProgram(rng)
+		prog, err := CompileFile(fmt.Sprintf("rand%d.fd", trial), src)
+		if err != nil {
+			t.Fatalf("trial %d: %v\n%s", trial, err, src)
+		}
+		nprocs := []int{1, 2, 3}[trial%3]
+		run := func(optimized bool) (bits []map[string][]uint64, builds int) {
+			bits = make([]map[string][]uint64, nprocs)
+			comm.Run(nprocs, costmodel.Uniform(1e-9), func(p *comm.Proc) {
+				in := instantiateSynthetic(prog, p, optimized)
+				in.Step()
+				for c := 0; c < cycles; c++ {
+					for _, name := range prog.DecompositionNames() {
+						dec := in.Decomposition(name)
+						owners := make([]int32, dec.NLocal())
+						for i, g := range dec.Globals() {
+							owners[i] = (g/3 + int32(c%2)*(g%5)) % int32(nprocs)
+						}
+						dec.Redistribute(owners)
+					}
+					in.Step()
+				}
+				bits[p.Rank()] = map[string][]uint64{}
+				for _, name := range prog.RealNames() {
+					bits[p.Rank()][name] = f64bits(in.Real(name).Local())
+				}
+				if p.Rank() == 0 {
+					builds = in.InspectorBuilds()
+				}
+			})
+			return bits, builds
+		}
+		naive, naiveBuilds := run(false)
+		opt, optBuilds := run(true)
+		for r := range naive {
+			for name, want := range naive[r] {
+				if !slices.Equal(opt[r][name], want) {
+					t.Fatalf("trial %d rank %d: %s differs between -O0 and -O after %d redistributions\n%s", trial, r, name, cycles, src)
+				}
+			}
+		}
+		if optBuilds > naiveBuilds {
+			t.Errorf("trial %d: -O did %d inspector builds, -O0 did %d\n%s", trial, optBuilds, naiveBuilds, src)
+		}
 	}
 }
 

@@ -216,15 +216,24 @@ func (t *Table) Hash(globals []int32, stamp Stamp) []int32 {
 }
 
 // HashInto is Hash writing the localized indices into dst's backing array
-// (grown as needed; dst may be nil). Feeding the previous result back each
-// adapt cycle makes steady-state rehashing allocation-free.
+// (grown as needed; dst may be nil, and may be globals itself to localize
+// an array in place). Feeding the previous result back each adapt cycle
+// makes steady-state rehashing allocation-free.
 func (t *Table) HashInto(dst []int32, globals []int32, stamp Stamp) []int32 {
-	// Pass 1: probe; unknown globals (each once) claim their slot
-	// immediately, with entry references past the current end of the
-	// entries slice, so in-stream duplicates resolve to the pending entry
-	// without a side lookup structure.
+	if cap(dst) < len(globals) {
+		dst = make([]int32, len(globals))
+	}
+	dst = dst[:len(globals)]
+
+	// Pass 1: probe each reference once and park its entry reference in
+	// dst. Unknown globals (each once) claim their slot immediately, with
+	// entry references past the current end of the entries slice, so
+	// in-stream duplicates resolve to the pending entry without a side
+	// lookup structure. grow moves slots, never references, so a parked
+	// reference stays valid across a mid-call growth. dst may alias globals:
+	// position i is read before it is written.
 	unknown := t.unknown[:0]
-	for _, g := range globals {
+	for i, g := range globals {
 		pos, ref := t.probe(g)
 		if ref < 0 {
 			// Keep occupancy (live entries + pending unknowns) <= 3/4.
@@ -232,9 +241,11 @@ func (t *Table) HashInto(dst []int32, globals []int32, stamp Stamp) []int32 {
 				t.grow()
 				pos, _ = t.probe(g)
 			}
-			t.slots[pos] = slot{key: g, ref: int32(len(t.entries) + len(unknown))}
+			ref = int32(len(t.entries) + len(unknown))
+			t.slots[pos] = slot{key: g, ref: ref}
 			unknown = append(unknown, g)
 		}
+		dst[i] = ref
 	}
 	t.unknown = unknown
 	t.probes += int64(len(globals))
@@ -257,15 +268,12 @@ func (t *Table) HashInto(dst []int32, globals []int32, stamp Stamp) []int32 {
 		t.p.ComputeMem(insertMemOps * len(unknown))
 	}
 
-	// Pass 2: mark stamps and produce localized indices.
-	if cap(dst) < len(globals) {
-		dst = make([]int32, len(globals))
-	}
-	dst = dst[:len(globals)]
-	for i, g := range globals {
-		_, ref := t.probe(g)
-		t.entries[ref].Stamps |= stamp
-		dst[i] = t.entries[ref].Local
+	// Pass 2: mark stamps and swap each parked entry reference for its
+	// localized index.
+	for i, ref := range dst {
+		e := &t.entries[ref]
+		e.Stamps |= stamp
+		dst[i] = e.Local
 	}
 	t.p.ComputeMem(stampMemOps * len(globals))
 	return dst

@@ -433,3 +433,79 @@ func TestRandomizedEquivalenceWithMapModel(t *testing.T) {
 		}
 	})
 }
+
+// TestHashIntoGrowsMidCallWithDuplicates hashes, in one call, a stream long
+// enough to double the slot array several times and dense with in-stream
+// duplicates, onto a table that already holds entries. Pass 1 parks entry
+// references in dst while the slots move under it; every parked reference
+// must still name the right entry afterwards.
+func TestHashIntoGrowsMidCallWithDuplicates(t *testing.T) {
+	const n = 4096
+	comm.Run(3, costmodel.Uniform(1e-9), func(p *comm.Proc) {
+		tt := buildBlockTable(p, n)
+		ht := New(p, tt)
+		model := newRefModel(p, tt)
+		s0, s1 := ht.NewStamp(), ht.NewStamp()
+		rng := rand.New(rand.NewSource(int64(77 + p.Rank())))
+
+		warm := []int32{5, 900, 5, 2000}
+		ht.Hash(warm, s0)
+		model.hash(warm, s0)
+		before := len(ht.slots)
+
+		// ~700 distinct globals (>> 3/4 of 16 slots) each seen about three
+		// times, old entries mixed in, the first repeats arriving while the
+		// global is still a pending unknown.
+		gs := make([]int32, 2100)
+		for i := range gs {
+			gs[i] = int32(rng.Intn(700) * 5)
+		}
+		got := ht.HashInto(make([]int32, 0, len(gs)), gs, s1)
+		if len(ht.slots) < 4*before {
+			t.Fatalf("slot array %d -> %d: the call was meant to grow it mid-stream", before, len(ht.slots))
+		}
+		want := model.hash(gs, s1)
+		for i := range gs {
+			if got[i] != want[i] {
+				t.Fatalf("rank %d: local[%d] (g=%d) = %d, want %d", p.Rank(), i, gs[i], got[i], want[i])
+			}
+		}
+		if ht.Len() != len(model.entries) || ht.NGhosts() != model.nGhosts {
+			t.Fatalf("rank %d: len/ghosts = %d/%d, want %d/%d", p.Rank(), ht.Len(), ht.NGhosts(), len(model.entries), model.nGhosts)
+		}
+		for i, e := range ht.Select(s0|s1, 0) {
+			if e != model.entries[i] {
+				t.Fatalf("rank %d: entry %d = %+v, want %+v", p.Rank(), i, e, model.entries[i])
+			}
+		}
+	})
+}
+
+// TestHashIntoAliasingGlobals localizes an indirection array in place: dst is
+// the globals slice itself.
+func TestHashIntoAliasingGlobals(t *testing.T) {
+	const n = 512
+	comm.Run(2, costmodel.Uniform(1e-9), func(p *comm.Proc) {
+		tt := buildBlockTable(p, n)
+		ht := New(p, tt)
+		model := newRefModel(p, tt)
+		st := ht.NewStamp()
+		rng := rand.New(rand.NewSource(int64(5 + p.Rank())))
+		for round := 0; round < 3; round++ {
+			gs := make([]int32, 300)
+			for i := range gs {
+				gs[i] = int32(rng.Intn(n))
+			}
+			want := model.hash(gs, st)
+			got := ht.HashInto(gs, gs, st)
+			if &got[0] != &gs[0] {
+				t.Fatalf("round %d: HashInto did not write into the offered array", round)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("rank %d round %d: in-place local[%d] = %d, want %d", p.Rank(), round, i, got[i], want[i])
+				}
+			}
+		}
+	})
+}

@@ -34,6 +34,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/core"
+	"repro/internal/recycle"
 )
 
 // Program is the compilation context bound to one SPMD rank.
@@ -89,22 +90,37 @@ func (d *Decomposition) Version() int64 { return d.version }
 // irregular distribution given by the new owner of each local element
 // (typically produced by an extrinsic partitioner), and every aligned array
 // is remapped. Collective.
+//
+// Each aligned array ping-pongs between two loopir-owned buffers: the array
+// a move consumed is the next move's destination. Every slice obtained from
+// Local or CSR before the call is dead after it — not merely out of date:
+// its storage is rewritten by a later Redistribute. Arrays the caller handed
+// to SetCSR/SetFlat are only ever read.
 func (d *Decomposition) Redistribute(newOwners []int32) {
 	newDist, plan := d.dist.Repartition(newOwners)
+	p := d.prog.P
 	for _, a := range d.reals {
-		a.data = plan.MoveF64(d.prog.P, a.data, a.width)
+		old := a.data
+		a.data = plan.MoveF64Into(a.spare, p, old, a.width)
+		a.spare = old
+		recycle.PoisonF64(old)
 		// Generated remap code manages each array through a generic
 		// descriptor (extra copy/bookkeeping the hand-written code avoids).
-		d.prog.P.ComputeMem(len(a.data))
+		p.ComputeMem(len(a.data))
 	}
 	for _, ia := range d.inds {
+		oldPtr, oldVals := ia.ptr, ia.vals
 		if ia.ptr != nil {
-			ia.ptr, ia.vals = plan.MoveCSR(d.prog.P, ia.ptr, ia.vals)
-			d.prog.P.ComputeMem(len(ia.vals))
+			ia.ptr, ia.vals = plan.MoveCSRInto(ia.sparePtr, ia.spareVals, p, oldPtr, oldVals)
 		} else {
-			ia.vals = plan.MoveI32(d.prog.P, ia.vals, ia.width)
-			d.prog.P.ComputeMem(len(ia.vals))
+			ia.vals = plan.MoveI32Into(ia.spareVals, p, oldVals, ia.width)
 		}
+		// The destination is live now; the consumed pair becomes the spare
+		// only if loopir allocated it.
+		ia.sparePtr, ia.spareVals = nil, nil
+		ia.retire(oldPtr, oldVals)
+		ia.owned = true
+		p.ComputeMem(len(ia.vals))
 		ia.version++
 	}
 	d.dist = newDist
@@ -117,6 +133,9 @@ type RealArray struct {
 	dec   *Decomposition
 	width int
 	data  []float64
+	// spare is the array the last Redistribute moved data out of: the next
+	// move's destination. Both are loopir's own (AlignReal's or a move's).
+	spare []float64
 }
 
 // AlignReal declares a real array aligned with d.
@@ -127,8 +146,8 @@ func (d *Decomposition) AlignReal(width int) *RealArray {
 }
 
 // Local returns the owned section (element i of this rank at [i*width ...]).
-// The caller may read and write values; the slice is invalidated by
-// Redistribute.
+// The caller may read and write values; the slice dies at the next
+// Redistribute (see there) — fetch it again rather than keeping it.
 func (a *RealArray) Local() []float64 { return a.data }
 
 // Width returns the component count per element.
@@ -160,18 +179,54 @@ type IndArray struct {
 	ptr     []int32 // CSR form: nil in flat form
 	vals    []int32
 	version int64
+	// owned records that ptr/vals are loopir's own arrays (a move's output)
+	// rather than the caller's (SetCSR/SetFlat retain what they are given):
+	// only owned arrays may be written or recycled. sparePtr/spareVals are
+	// retired owned arrays, the next move's destination.
+	owned               bool
+	sparePtr, spareVals []int32
+}
+
+// install makes the caller's arrays the contents and records the
+// modification. The caller may be handing back what CSR returned (mutated in
+// place): arrays that are already the contents are not retired, and stay
+// loopir's own if they were.
+func (ia *IndArray) install(ptr, vals []int32) {
+	keptPtr, keptVals := sameArray(ptr, ia.ptr), sameArray(vals, ia.vals)
+	if !keptPtr && !keptVals {
+		ia.retire(ia.ptr, ia.vals)
+	}
+	ia.owned = ia.owned && keptVals && (keptPtr || ia.ptr == nil)
+	ia.ptr, ia.vals = ptr, vals
+	ia.version++
+}
+
+// sameArray reports whether a and b start at the same element.
+func sameArray(a, b []int32) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0]
+}
+
+// retire takes a pair of arrays out of service: if they were loopir's own
+// they become the spare, the caller's are simply forgotten.
+func (ia *IndArray) retire(ptr, vals []int32) {
+	if !ia.owned {
+		return
+	}
+	ia.sparePtr, ia.spareVals = ptr, vals
+	recycle.PoisonI32(ptr)
+	recycle.PoisonI32(vals)
 }
 
 // AlignIndCSR declares a CSR indirection array aligned with d.
 func (d *Decomposition) AlignIndCSR() *IndArray {
-	ia := &IndArray{dec: d, ptr: make([]int32, d.NLocal()+1)}
+	ia := &IndArray{dec: d, ptr: make([]int32, d.NLocal()+1), owned: true}
 	d.inds = append(d.inds, ia)
 	return ia
 }
 
 // AlignIndFlat declares a flat indirection array (width indices/element).
 func (d *Decomposition) AlignIndFlat(width int) *IndArray {
-	ia := &IndArray{dec: d, width: width, vals: make([]int32, d.NLocal()*width)}
+	ia := &IndArray{dec: d, width: width, vals: make([]int32, d.NLocal()*width), owned: true}
 	d.inds = append(d.inds, ia)
 	return ia
 }
@@ -185,9 +240,7 @@ func (ia *IndArray) SetCSR(ptr, vals []int32) {
 	if len(ptr) != ia.dec.NLocal()+1 {
 		panic(fmt.Sprintf("loopir: CSR ptr length %d, want %d", len(ptr), ia.dec.NLocal()+1))
 	}
-	ia.ptr = ptr
-	ia.vals = vals
-	ia.version++
+	ia.install(ptr, vals)
 }
 
 // SetFlat replaces the flat contents and records the modification.
@@ -198,8 +251,7 @@ func (ia *IndArray) SetFlat(vals []int32) {
 	if len(vals) != ia.dec.NLocal()*ia.width {
 		panic(fmt.Sprintf("loopir: flat length %d, want %d", len(vals), ia.dec.NLocal()*ia.width))
 	}
-	ia.vals = vals
-	ia.version++
+	ia.install(nil, vals)
 }
 
 // Touch records a modification without replacing the contents: the host
@@ -207,7 +259,8 @@ func (ia *IndArray) SetFlat(vals []int32) {
 // treat it exactly like SetCSR/SetFlat and redo their preprocessing.
 func (ia *IndArray) Touch() { ia.version++ }
 
-// CSR returns the current CSR contents (do not modify).
+// CSR returns the current CSR contents (do not modify). The slices die at
+// the next SetCSR/SetFlat or Redistribute.
 func (ia *IndArray) CSR() (ptr, vals []int32) { return ia.ptr, ia.vals }
 
 // Version returns the modification record.

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/adapt"
 	"repro/internal/hashtab"
+	"repro/internal/recycle"
 	"repro/internal/schedule"
 )
 
@@ -107,9 +108,11 @@ func (l *PairLoop) Inspect() {
 	reg := l.prog.P.Phase("inspector")
 	if l.ht == nil || l.dataDistSeen != dataV || l.iterDistSeen != iterV {
 		// Data redistribution (or first run) invalidates translations.
-		l.ht = l.x.dec.dist.NewHashTable()
+		l.ht = l.x.dec.dist.NewHashTableInto(l.ht)
 		l.sa = l.ht.NewStamp()
 		l.sb = l.ht.NewStamp()
+		recycle.PoisonI32(l.la)
+		recycle.PoisonI32(l.lb)
 	} else {
 		// One or both indirection arrays adapted: clear just their stamps;
 		// cached translations are reused.

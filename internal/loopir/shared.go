@@ -2,6 +2,7 @@ package loopir
 
 import (
 	"repro/internal/hashtab"
+	"repro/internal/recycle"
 	"repro/internal/schedule"
 )
 
@@ -54,7 +55,7 @@ func (g *SharedSched) Add(ia *IndArray) int {
 	g.seen = append(g.seen, -1)
 	g.stamps = append(g.stamps, 0)
 	g.locs = append(g.locs, nil)
-	g.ht = nil // membership changed: force a full build on next Inspect
+	g.distSeen = -1 // membership changed: force a full build on next Inspect
 	return len(g.members) - 1
 }
 
@@ -81,10 +82,12 @@ func (g *SharedSched) Inspect() {
 	}
 	reg := g.prog.P.Phase("inspector")
 	if g.ht == nil || g.distSeen != g.dec.version {
-		// Redistribution (or first run) invalidates everything.
-		g.ht = g.dec.dist.NewHashTable()
+		// Redistribution (or first run, or a new member) invalidates
+		// everything: one empty table for the whole group.
+		g.ht = g.dec.dist.NewHashTableInto(g.ht)
 		for m := range g.members {
 			g.stamps[m] = g.ht.NewStamp()
+			recycle.PoisonI32(g.locs[m])
 		}
 	} else {
 		// Some member adapted: clear the stamps, reuse cached translations.

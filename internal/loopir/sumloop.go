@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/adapt"
 	"repro/internal/hashtab"
+	"repro/internal/recycle"
 	"repro/internal/schedule"
 )
 
@@ -87,28 +88,25 @@ func (l *SumLoop) Inspect() {
 		return
 	}
 	reg := l.prog.P.Phase("inspector")
-	switch {
-	case l.distSeen != d.version || l.ht == nil:
-		// Redistribution invalidates everything: fresh hash table.
-		l.ht = d.dist.NewHashTable()
+	if l.ht == nil || l.distSeen != d.version {
+		// Redistribution (or the first run) invalidates every translation:
+		// an empty table on the new distribution, its storage kept.
+		l.ht = d.dist.NewHashTableInto(l.ht)
 		l.stamp = l.ht.NewStamp()
-		l.loc = l.ht.Hash(l.ind.vals, l.stamp)
-		l.sched = schedule.Build(l.prog.P, l.ht, l.stamp, 0)
-		// Generated inspectors drive the hash and schedule calls through
-		// runtime descriptors rather than specialized code; the constant-
-		// factor interpretation overhead is what separates the Inspector
-		// columns of Table 6.
-		l.prog.P.ComputeMem(len(l.ind.vals))
-		l.inspections++
-	case l.indSeen != l.ind.version:
+		recycle.PoisonI32(l.loc)
+	} else {
 		// The indirection array adapted: clear and rehash its stamp; index
 		// analysis for unchanged entries is reused from the hash table.
 		l.ht.ClearStamp(l.stamp)
-		l.loc = l.ht.HashInto(l.loc, l.ind.vals, l.stamp)
-		l.sched = schedule.BuildInto(l.sched, l.prog.P, l.ht, l.stamp, 0)
-		l.prog.P.ComputeMem(len(l.ind.vals))
-		l.inspections++
 	}
+	l.loc = l.ht.HashInto(l.loc, l.ind.vals, l.stamp)
+	l.sched = schedule.BuildInto(l.sched, l.prog.P, l.ht, l.stamp, 0)
+	// Generated inspectors drive the hash and schedule calls through
+	// runtime descriptors rather than specialized code; the constant-
+	// factor interpretation overhead is what separates the Inspector
+	// columns of Table 6.
+	l.prog.P.ComputeMem(len(l.ind.vals))
+	l.inspections++
 	l.distSeen = d.version
 	l.indSeen = l.ind.version
 	reg.End()

@@ -22,6 +22,7 @@ import (
 	"math"
 
 	"repro/internal/comm"
+	"repro/internal/recycle"
 )
 
 // Geom describes this processor's local elements for geometric partitioning.
@@ -32,6 +33,11 @@ type Geom struct {
 	Z   []float64 // ignored when Dim == 2
 	// W are computational weights; nil means unit weight.
 	W []float64
+
+	// bs is the bisection partitioners' working storage. It lives here so
+	// that a caller that refills one Geom every adapt cycle repartitions
+	// without reallocating it.
+	bs bisectScratch
 }
 
 // Len returns the number of local elements.
@@ -114,16 +120,59 @@ type region struct {
 	plo, phi int // processor range [plo, phi)
 }
 
+// bisectScratch is the working storage of recursiveBisect, reused across
+// the levels of one call and, through Geom, across calls.
+type bisectScratch struct {
+	reg     []int32   // region (index into regions) of each local element
+	key     []float64 // split key of each local element
+	regions []region
+	next    []region   // the level's child regions
+	childOf [][2]int32 // left/right child ids of each region
+	// actOf maps a region to its position among the level's active regions
+	// (those spanning more than one processor), -1 for an inactive one.
+	actOf  []int32
+	active []int32
+	// Per-active-region vectors: the reduced ones with AllReduceF64Into's
+	// receive scratch, then RCB's split axis and RIB's principal axis and
+	// centroid.
+	lo, hi, wtot, target, cuts, wleft, mom, red []float64
+	axis                                        []int
+	axes, cents                                 [][3]float64
+}
+
+// allReduce reduces vec in place across all ranks (same messages and
+// charges as AllReduceF64).
+func (bs *bisectScratch) allReduce(p *comm.Proc, op comm.Op, vec []float64) {
+	bs.red = p.AllReduceF64Into(op, vec, bs.red)
+}
+
+// filled returns buf resized to n elements, all set to v.
+func filled(buf []float64, n int, v float64) []float64 {
+	buf = recycle.Sized(buf, n)
+	for i := range buf {
+		buf[i] = v
+	}
+	return buf
+}
+
 // RCB runs parallel recursive coordinate bisection and returns the new
 // owner of each local element. Collective.
-func RCB(p *comm.Proc, g *Geom) []int32 {
-	return recursiveBisect(p, g, false)
+func RCB(p *comm.Proc, g *Geom) []int32 { return RCBInto(nil, p, g) }
+
+// RCBInto is RCB writing the owners into dst's backing array (grown as
+// needed; dst may be nil). Collective.
+func RCBInto(dst []int32, p *comm.Proc, g *Geom) []int32 {
+	return recursiveBisect(dst, p, g, false)
 }
 
 // RIB runs parallel recursive inertial bisection: each region is split
 // orthogonally to its principal inertia axis. Collective.
-func RIB(p *comm.Proc, g *Geom) []int32 {
-	return recursiveBisect(p, g, true)
+func RIB(p *comm.Proc, g *Geom) []int32 { return RIBInto(nil, p, g) }
+
+// RIBInto is RIB writing the owners into dst's backing array (grown as
+// needed; dst may be nil). Collective.
+func RIBInto(dst []int32, p *comm.Proc, g *Geom) []int32 {
+	return recursiveBisect(dst, p, g, true)
 }
 
 // bisectIters controls the precision of the weighted-quantile interval
@@ -131,96 +180,92 @@ func RIB(p *comm.Proc, g *Geom) []int32 {
 const bisectIters = 30
 
 // recursiveBisect is the shared driver for RCB and RIB.
-func recursiveBisect(p *comm.Proc, g *Geom, inertial bool) []int32 {
+func recursiveBisect(dst []int32, p *comm.Proc, g *Geom, inertial bool) []int32 {
 	g.validate()
 	n := g.Len()
+	owners := recycle.Sized(dst, n)
 	if p.Size() == 1 {
-		return make([]int32, n)
+		clear(owners)
+		return owners
 	}
+	bs := &g.bs
 
 	// reg[i] is the region (index into regions) of local element i.
-	reg := make([]int, n)
-	regions := []region{{plo: 0, phi: p.Size()}}
+	bs.reg = recycle.Sized(bs.reg, n)
+	clear(bs.reg)
+	bs.regions = append(bs.regions[:0], region{plo: 0, phi: p.Size()})
 
 	for {
 		// Active regions are those spanning more than one processor.
-		active := make([]int, 0, len(regions))
-		for ri, r := range regions {
+		bs.active = bs.active[:0]
+		bs.actOf = recycle.Sized(bs.actOf, len(bs.regions))
+		for ri, r := range bs.regions {
+			bs.actOf[ri] = -1
 			if r.phi-r.plo > 1 {
-				active = append(active, ri)
+				bs.actOf[ri] = int32(len(bs.active))
+				bs.active = append(bs.active, int32(ri))
 			}
 		}
-		if len(active) == 0 {
+		if len(bs.active) == 0 {
 			break
-		}
-		actIdx := make(map[int]int, len(active)) // region -> position in active
-		for k, ri := range active {
-			actIdx[ri] = k
 		}
 
 		// Scalar split key per element for each active region.
-		key := splitKeys(p, g, reg, active, actIdx, inertial)
+		bs.key = recycle.Sized(bs.key, n)
+		splitKeys(p, g, inertial)
 
 		// Weighted quantile search, all active regions at once.
-		cuts := quantileCuts(p, g, reg, key, regions, active, actIdx)
+		quantileCuts(p, g)
 
 		// Split: create child regions and reassign elements.
-		newRegions := make([]region, 0, 2*len(regions))
-		childOf := make([][2]int, len(regions)) // left/right child ids
-		for ri, r := range regions {
+		bs.next = bs.next[:0]
+		bs.childOf = recycle.Sized(bs.childOf, len(bs.regions))
+		for ri, r := range bs.regions {
+			first := int32(len(bs.next))
 			if r.phi-r.plo <= 1 {
-				childOf[ri] = [2]int{len(newRegions), len(newRegions)}
-				newRegions = append(newRegions, r)
+				bs.childOf[ri] = [2]int32{first, first}
+				bs.next = append(bs.next, r)
 				continue
 			}
 			mid := (r.plo + r.phi) / 2
-			left := region{plo: r.plo, phi: mid}
-			right := region{plo: mid, phi: r.phi}
-			childOf[ri] = [2]int{len(newRegions), len(newRegions) + 1}
-			newRegions = append(newRegions, left, right)
+			bs.childOf[ri] = [2]int32{first, first + 1}
+			bs.next = append(bs.next, region{plo: r.plo, phi: mid}, region{plo: mid, phi: r.phi})
 		}
-		for i := 0; i < n; i++ {
-			ri := reg[i]
-			if k, ok := actIdx[ri]; ok {
-				if key[i] <= cuts[k] {
-					reg[i] = childOf[ri][0]
-				} else {
-					reg[i] = childOf[ri][1]
-				}
-			} else {
-				reg[i] = childOf[ri][0]
+		for i, ri := range bs.reg {
+			side := 0
+			if k := bs.actOf[ri]; k >= 0 && bs.key[i] > bs.cuts[k] {
+				side = 1
 			}
+			bs.reg[i] = bs.childOf[ri][side]
 		}
 		p.ComputeMem(n)
-		regions = newRegions
+		bs.regions, bs.next = bs.next, bs.regions
 	}
 
-	owners := make([]int32, n)
-	for i := 0; i < n; i++ {
-		owners[i] = int32(regions[reg[i]].plo)
+	for i, ri := range bs.reg {
+		owners[i] = int32(bs.regions[ri].plo)
 	}
+	recycle.PoisonI32(bs.reg)
+	recycle.PoisonF64(bs.key)
 	return owners
 }
 
-// splitKeys computes, for every local element in an active region, the
-// scalar it is bisected on: its coordinate along the longest axis (RCB) or
-// its projection onto the region's principal inertia axis (RIB). Elements
-// in inactive regions get 0 (unused).
-func splitKeys(p *comm.Proc, g *Geom, reg []int, active []int, actIdx map[int]int, inertial bool) []float64 {
-	n := g.Len()
-	na := len(active)
-	key := make([]float64, n)
+// splitKeys computes into g.bs.key, for every local element in an active
+// region, the scalar it is bisected on: its coordinate along the longest
+// axis (RCB) or its projection onto the region's principal inertia axis
+// (RIB). Elements in inactive regions keep whatever the slot held (unused).
+func splitKeys(p *comm.Proc, g *Geom, inertial bool) {
+	bs := &g.bs
+	n, na := g.Len(), len(bs.active)
+	reg, actOf, key := bs.reg, bs.actOf, bs.key
 	if !inertial {
 		// RCB: longest extent per active region.
-		lo := make([]float64, na*3)
-		hi := make([]float64, na*3)
-		for k := range lo {
-			lo[k] = math.Inf(1)
-			hi[k] = math.Inf(-1)
-		}
+		bs.lo = filled(bs.lo, na*3, math.Inf(1))
+		bs.hi = filled(bs.hi, na*3, math.Inf(-1))
+		lo, hi := bs.lo, bs.hi
 		for i := 0; i < n; i++ {
-			k, ok := actIdx[reg[i]]
-			if !ok {
+			k := int(actOf[reg[i]])
+			if k < 0 {
 				continue
 			}
 			for c := 0; c < g.Dim; c++ {
@@ -234,9 +279,10 @@ func splitKeys(p *comm.Proc, g *Geom, reg []int, active []int, actIdx map[int]in
 			}
 		}
 		p.ComputeMem(n)
-		lo = p.AllReduceF64(comm.OpMin, lo)
-		hi = p.AllReduceF64(comm.OpMax, hi)
-		axis := make([]int, na)
+		bs.allReduce(p, comm.OpMin, lo)
+		bs.allReduce(p, comm.OpMax, hi)
+		bs.axis = recycle.Sized(bs.axis, na)
+		axis := bs.axis
 		for k := 0; k < na; k++ {
 			best, bestExt := 0, -1.0
 			for c := 0; c < g.Dim; c++ {
@@ -247,21 +293,22 @@ func splitKeys(p *comm.Proc, g *Geom, reg []int, active []int, actIdx map[int]in
 			axis[k] = best
 		}
 		for i := 0; i < n; i++ {
-			if k, ok := actIdx[reg[i]]; ok {
+			if k := int(actOf[reg[i]]); k >= 0 {
 				key[i] = g.coord(axis[k], i)
 			}
 		}
 		p.ComputeMem(n)
-		return key
+		return
 	}
 
 	// RIB: weighted inertia tensor per active region. Moments layout per
 	// region: w, wx, wy, wz, wxx, wyy, wzz, wxy, wxz, wyz.
 	const nm = 10
-	mom := make([]float64, na*nm)
+	bs.mom = filled(bs.mom, na*nm, 0)
+	mom := bs.mom
 	for i := 0; i < n; i++ {
-		k, ok := actIdx[reg[i]]
-		if !ok {
+		k := int(actOf[reg[i]])
+		if k < 0 {
 			continue
 		}
 		w := g.weight(i)
@@ -283,13 +330,15 @@ func splitKeys(p *comm.Proc, g *Geom, reg []int, active []int, actIdx map[int]in
 		m[9] += w * y * z
 	}
 	p.ComputeFlops(10 * n)
-	mom = p.AllReduceF64(comm.OpSum, mom)
+	bs.allReduce(p, comm.OpSum, mom)
 
-	axes := make([][3]float64, na)
-	cents := make([][3]float64, na)
+	bs.axes = recycle.Sized(bs.axes, na)
+	bs.cents = recycle.Sized(bs.cents, na)
+	axes, cents := bs.axes, bs.cents
 	for k := 0; k < na; k++ {
 		m := mom[k*nm:]
 		w := m[0]
+		cents[k] = [3]float64{}
 		if w == 0 {
 			axes[k] = [3]float64{1, 0, 0}
 			continue
@@ -312,8 +361,8 @@ func splitKeys(p *comm.Proc, g *Geom, reg []int, active []int, actIdx map[int]in
 		axes[k] = principalAxis(cov)
 	}
 	for i := 0; i < n; i++ {
-		k, ok := actIdx[reg[i]]
-		if !ok {
+		k := int(actOf[reg[i]])
+		if k < 0 {
 			continue
 		}
 		a, c := axes[k], cents[k]
@@ -325,7 +374,6 @@ func splitKeys(p *comm.Proc, g *Geom, reg []int, active []int, actIdx map[int]in
 		key[i] = a[0]*(x-c[0]) + a[1]*(y-c[1]) + a[2]*(z-c[2])
 	}
 	p.ComputeFlops(6 * n)
-	return key
 }
 
 // principalAxis returns the eigenvector of the largest eigenvalue of a
@@ -359,25 +407,23 @@ func principalAxis(a [3][3]float64) [3]float64 {
 	return v
 }
 
-// quantileCuts finds, for each active region, the cut value c such that the
-// weight of elements with key <= c is the region's target fraction (the
-// share of processors in the left child). One vector AllReduce per
-// bisection iteration.
-func quantileCuts(p *comm.Proc, g *Geom, reg []int, key []float64, regions []region, active []int, actIdx map[int]int) []float64 {
-	n := g.Len()
-	na := len(active)
+// quantileCuts finds into g.bs.cuts, for each active region, the cut value c
+// such that the weight of elements with key <= c is the region's target
+// fraction (the share of processors in the left child). One vector AllReduce
+// per bisection iteration.
+func quantileCuts(p *comm.Proc, g *Geom) {
+	bs := &g.bs
+	n, na := g.Len(), len(bs.active)
+	reg, actOf, key := bs.reg, bs.actOf, bs.key
 
 	// Global extents and total weights per active region.
-	lo := make([]float64, na)
-	hi := make([]float64, na)
-	wtot := make([]float64, na)
-	for k := range lo {
-		lo[k] = math.Inf(1)
-		hi[k] = math.Inf(-1)
-	}
+	bs.lo = filled(bs.lo, na, math.Inf(1))
+	bs.hi = filled(bs.hi, na, math.Inf(-1))
+	bs.wtot = filled(bs.wtot, na, 0)
+	lo, hi, wtot := bs.lo, bs.hi, bs.wtot
 	for i := 0; i < n; i++ {
-		k, ok := actIdx[reg[i]]
-		if !ok {
+		k := int(actOf[reg[i]])
+		if k < 0 {
 			continue
 		}
 		if key[i] < lo[k] {
@@ -389,30 +435,29 @@ func quantileCuts(p *comm.Proc, g *Geom, reg []int, key []float64, regions []reg
 		wtot[k] += g.weight(i)
 	}
 	p.ComputeMem(n)
-	lo = p.AllReduceF64(comm.OpMin, lo)
-	hi = p.AllReduceF64(comm.OpMax, hi)
-	wtot = p.AllReduceF64(comm.OpSum, wtot)
+	bs.allReduce(p, comm.OpMin, lo)
+	bs.allReduce(p, comm.OpMax, hi)
+	bs.allReduce(p, comm.OpSum, wtot)
 
-	target := make([]float64, na)
-	for k, ri := range active {
-		r := regions[ri]
+	bs.target = recycle.Sized(bs.target, na)
+	bs.cuts = recycle.Sized(bs.cuts, na)
+	target, cuts := bs.target, bs.cuts
+	for k, ri := range bs.active {
+		r := bs.regions[ri]
 		mid := (r.plo + r.phi) / 2
 		target[k] = wtot[k] * float64(mid-r.plo) / float64(r.phi-r.plo)
-	}
-
-	cuts := make([]float64, na)
-	for k := range cuts {
 		cuts[k] = (lo[k] + hi[k]) / 2
 	}
 	for iter := 0; iter < bisectIters; iter++ {
-		wleft := make([]float64, na)
+		bs.wleft = filled(bs.wleft, na, 0)
+		wleft := bs.wleft
 		for i := 0; i < n; i++ {
-			if k, ok := actIdx[reg[i]]; ok && key[i] <= cuts[k] {
+			if k := int(actOf[reg[i]]); k >= 0 && key[i] <= cuts[k] {
 				wleft[k] += g.weight(i)
 			}
 		}
 		p.ComputeMem(n)
-		wleft = p.AllReduceF64(comm.OpSum, wleft)
+		bs.allReduce(p, comm.OpSum, wleft)
 		for k := range cuts {
 			if wleft[k] < target[k] {
 				lo[k] = cuts[k]
@@ -422,7 +467,6 @@ func quantileCuts(p *comm.Proc, g *Geom, reg []int, key []float64, regions []reg
 			cuts[k] = (lo[k] + hi[k]) / 2
 		}
 	}
-	return cuts
 }
 
 // ChainBins is the histogram resolution of the chain partitioner: fine

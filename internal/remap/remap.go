@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/partition"
+	"repro/internal/recycle"
 	"repro/internal/ttable"
 )
 
@@ -89,84 +90,94 @@ type Plan struct {
 	keepOff []int32
 	// newLen is the local length under the destination distribution.
 	newLen int
-	// stageF/stageI are pack/unpack scratch reused across Move calls, so a
-	// plan that moves many identically distributed arrays allocates staging
-	// space once. Wire bytes go through the Proc send arena (SendF64Buf and
-	// friends), so repeated moves are allocation-free apart from the result
-	// arrays themselves.
-	stageF []float64
-	stageI []int32
-}
 
-// stageF64 returns scratch of exactly n elements backed by *buf.
-func stageF64(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-// stageI32 returns scratch of exactly n elements backed by *buf.
-func stageI32(buf *[]int32, n int) []int32 {
-	if cap(*buf) < n {
-		*buf = make([]int32, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
+	// Working storage, reused across Move calls and — through NewPlanInto —
+	// across plans, so an adaptive run sizes it once rather than at every
+	// repartition. stageF/stageI are pack/unpack staging (wire bytes go
+	// through the Proc send arena: SendF64Buf and friends copy, so the
+	// staging is free again when the send returns); lens/newLens are
+	// MoveCSRInto's segment lengths under the source and destination
+	// layouts; ents, offOut and cur are NewPlanInto's build scratch.
+	stageF        []float64
+	stageI        []int32
+	lens, newLens []int32
+	ents          []ttable.Entry
+	offOut, cur   []int32
 }
 
 // NewPlan builds a remap plan. globals[i] is the global index of this
 // processor's i-th local element under the current distribution; dst
 // describes the new distribution. Collective.
 func NewPlan(p *comm.Proc, globals []int32, dst *ttable.Table) *Plan {
-	ents := dst.Dereference(p, globals)
-	pl := &Plan{
-		nprocs: p.Size(),
-		newLen: dst.NLocal(p.Rank()),
+	return NewPlanInto(nil, p, globals, dst)
+}
+
+// NewPlanInto is NewPlan rebuilding pl in place (pl may be nil): the index
+// lists and the move staging keep their storage, so a code that repartitions
+// every adapt cycle and passes the previous plan back stops allocating them.
+// The plan pl described before the call is gone. Collective.
+func NewPlanInto(pl *Plan, p *comm.Proc, globals []int32, dst *ttable.Table) *Plan {
+	if pl == nil {
+		pl = &Plan{}
 	}
+	np, me := p.Size(), p.Rank()
+	pl.ents = dst.DereferenceInto(p, globals, pl.ents)
+	pl.nprocs, pl.newLen = np, dst.NLocal(me)
 	// Route (destOffset) per destination; local stays in keep lists. The
 	// per-destination lists are built flat: count, prefix-sum, fill.
-	pl.sendPtr = make([]int32, p.Size()+1)
-	for _, e := range ents {
-		if int(e.Owner) != p.Rank() {
+	pl.sendPtr = recycle.Sized(pl.sendPtr, np+1)
+	clear(pl.sendPtr)
+	for _, e := range pl.ents {
+		if int(e.Owner) != me {
 			pl.sendPtr[e.Owner+1]++
 		}
 	}
-	for r := 0; r < p.Size(); r++ {
+	for r := 0; r < np; r++ {
 		pl.sendPtr[r+1] += pl.sendPtr[r]
 	}
-	nSend := int(pl.sendPtr[p.Size()])
-	pl.sendIdx = make([]int32, nSend)
-	offOut := make([]int32, nSend)
-	cur := make([]int32, p.Size())
-	for i, e := range ents {
-		if int(e.Owner) == p.Rank() {
+	nSend := int(pl.sendPtr[np])
+	pl.sendIdx = recycle.Sized(pl.sendIdx, nSend)
+	pl.offOut = recycle.Sized(pl.offOut, nSend)
+	pl.cur = recycle.Sized(pl.cur, np)
+	clear(pl.cur)
+	pl.keepIdx, pl.keepOff = pl.keepIdx[:0], pl.keepOff[:0]
+	for i, e := range pl.ents {
+		if int(e.Owner) == me {
 			pl.keepIdx = append(pl.keepIdx, int32(i))
 			pl.keepOff = append(pl.keepOff, e.Offset)
 			continue
 		}
-		k := pl.sendPtr[e.Owner] + cur[e.Owner]
-		cur[e.Owner]++
+		k := pl.sendPtr[e.Owner] + pl.cur[e.Owner]
+		pl.cur[e.Owner]++
 		pl.sendIdx[k] = int32(i)
-		offOut[k] = e.Offset
+		pl.offOut[k] = e.Offset
 	}
 	p.ComputeMem(len(globals))
-	bufs := make([][]byte, p.Size())
+	// The encoded offsets are handed to AllToAll as raw bytes, which a
+	// by-reference transport lets the receivers alias: always fresh.
+	bufs := make([][]byte, np)
 	flat := make([]byte, 0, 4*nSend)
-	for r := 0; r < p.Size(); r++ {
+	for r := 0; r < np; r++ {
 		start := len(flat)
-		flat = comm.AppendI32(flat, offOut[pl.sendPtr[r]:pl.sendPtr[r+1]])
+		flat = comm.AppendI32(flat, pl.offOut[pl.sendPtr[r]:pl.sendPtr[r+1]])
 		bufs[r] = flat[start:len(flat):len(flat)]
 	}
-	pl.placePtr = make([]int32, p.Size()+1)
-	for r, b := range p.AllToAll(bufs) {
-		if r == p.Rank() {
-			pl.placePtr[r+1] = pl.placePtr[r]
-			continue
+	in := p.AllToAll(bufs)
+	nPlace := 0
+	for r, b := range in {
+		if r != me {
+			nPlace += len(b) / 4
 		}
-		pl.placeOff = append(pl.placeOff, comm.DecodeI32(b)...)
-		pl.placePtr[r+1] = int32(len(pl.placeOff))
+	}
+	pl.placeOff = recycle.Sized(pl.placeOff, nPlace)
+	pl.placePtr = recycle.Sized(pl.placePtr, np+1)
+	pl.placePtr[0] = 0
+	for r, b := range in {
+		at := pl.placePtr[r]
+		if r != me {
+			at += int32(len(comm.DecodeI32Into(pl.placeOff[at:at], b)))
+		}
+		pl.placePtr[r+1] = at
 	}
 	return pl
 }
@@ -185,42 +196,20 @@ func (pl *Plan) NewLen() int { return pl.newLen }
 func (pl *Plan) MovedAway() int { return len(pl.sendIdx) }
 
 // MoveF64 relocates a float64 array (width components per element) from the
-// source layout to the destination layout. Collective.
+// source layout to the destination layout, into a freshly allocated array.
+// Collective.
 func (pl *Plan) MoveF64(p *comm.Proc, old []float64, width int) []float64 {
-	out := make([]float64, pl.newLen*width)
-	for k := range pl.keepIdx {
-		copy(out[int(pl.keepOff[k])*width:], old[int(pl.keepIdx[k])*width:int(pl.keepIdx[k]+1)*width])
-	}
-	p.ComputeMem(len(pl.keepIdx) * width)
-	for k := 1; k < p.Size(); k++ {
-		dst := (p.Rank() + k) % p.Size()
-		idx := pl.sendTo(dst)
-		if len(idx) == 0 {
-			continue
-		}
-		buf := stageF64(&pl.stageF, len(idx)*width)
-		for i, li := range idx {
-			copy(buf[i*width:], old[int(li)*width:int(li+1)*width])
-		}
-		p.ComputeMem(len(buf))
-		p.SendF64Buf(dst, tagRemap, buf)
-	}
-	for k := 1; k < p.Size(); k++ {
-		src := (p.Rank() - k + p.Size()) % p.Size()
-		offs := pl.placeFrom(src)
-		if len(offs) == 0 {
-			continue
-		}
-		vals := p.RecvF64Into(src, tagRemap, pl.stageF)
-		pl.stageF = vals
-		if len(vals) != len(offs)*width {
-			panic(fmt.Sprintf("remap: from %d got %d values, want %d", src, len(vals), len(offs)*width))
-		}
-		for i, off := range offs {
-			copy(out[int(off)*width:], vals[i*width:(i+1)*width])
-		}
-		p.ComputeMem(len(vals))
-	}
+	return pl.MoveF64Into(nil, p, old, width)
+}
+
+// MoveF64Into is MoveF64 writing the destination layout into dst's backing
+// array (grown as needed; dst may be nil but must not alias old). Every
+// destination element is written, so dst's old contents do not matter: an
+// adaptive code ping-pongs two arrays, handing the one the previous move
+// consumed back as the next destination. Collective.
+func (pl *Plan) MoveF64Into(dst []float64, p *comm.Proc, old []float64, width int) []float64 {
+	out := moveInto(pl, dst, p, old, width, &pl.stageF, (*comm.Proc).SendF64Buf, (*comm.Proc).RecvF64Into)
+	recycle.PoisonF64(pl.stageF)
 	return out
 }
 
@@ -228,23 +217,42 @@ func (pl *Plan) MoveF64(p *comm.Proc, old []float64, width int) []float64 {
 // indirection arrays whose values are global indices and travel unchanged.
 // Collective.
 func (pl *Plan) MoveI32(p *comm.Proc, old []int32, width int) []int32 {
-	out := make([]int32, pl.newLen*width)
-	for k := range pl.keepIdx {
-		copy(out[int(pl.keepOff[k])*width:], old[int(pl.keepIdx[k])*width:int(pl.keepIdx[k]+1)*width])
+	return pl.MoveI32Into(nil, p, old, width)
+}
+
+// MoveI32Into is MoveI32 writing into dst's backing array, under
+// MoveF64Into's rules. Collective.
+func (pl *Plan) MoveI32Into(dst []int32, p *comm.Proc, old []int32, width int) []int32 {
+	out := moveInto(pl, dst, p, old, width, &pl.stageI, (*comm.Proc).SendI32Buf, (*comm.Proc).RecvI32Into)
+	recycle.PoisonI32(pl.stageI)
+	return out
+}
+
+// moveInto is the fixed-width move, written once over the element type:
+// copy the elements that stay, pack and send one message per destination,
+// then place each arriving message at the offsets the plan recorded. stage
+// is the plan's staging of that type; send must copy (the staging is reused
+// for the next destination) and recv decodes into the buffer it is given.
+func moveInto[T any](pl *Plan, dst []T, p *comm.Proc, old []T, width int, stage *[]T,
+	send func(p *comm.Proc, to, tag int, xs []T), recv func(p *comm.Proc, from, tag int, dst []T) []T) []T {
+	out := recycle.Sized(dst, pl.newLen*width)
+	for k, li := range pl.keepIdx {
+		copy(out[int(pl.keepOff[k])*width:], old[int(li)*width:int(li+1)*width])
 	}
 	p.ComputeMem(len(pl.keepIdx) * width)
 	for k := 1; k < p.Size(); k++ {
-		dst := (p.Rank() + k) % p.Size()
-		idx := pl.sendTo(dst)
+		to := (p.Rank() + k) % p.Size()
+		idx := pl.sendTo(to)
 		if len(idx) == 0 {
 			continue
 		}
-		buf := stageI32(&pl.stageI, len(idx)*width)
+		*stage = recycle.Sized(*stage, len(idx)*width)
+		buf := *stage
 		for i, li := range idx {
 			copy(buf[i*width:], old[int(li)*width:int(li+1)*width])
 		}
 		p.ComputeMem(len(buf))
-		p.SendI32Buf(dst, tagRemap, buf)
+		send(p, to, tagRemap, buf)
 	}
 	for k := 1; k < p.Size(); k++ {
 		src := (p.Rank() - k + p.Size()) % p.Size()
@@ -252,8 +260,8 @@ func (pl *Plan) MoveI32(p *comm.Proc, old []int32, width int) []int32 {
 		if len(offs) == 0 {
 			continue
 		}
-		vals := p.RecvI32Into(src, tagRemap, pl.stageI)
-		pl.stageI = vals
+		vals := recv(p, src, tagRemap, *stage)
+		*stage = vals
 		if len(vals) != len(offs)*width {
 			panic(fmt.Sprintf("remap: from %d got %d values, want %d", src, len(vals), len(offs)*width))
 		}
@@ -267,31 +275,39 @@ func (pl *Plan) MoveI32(p *comm.Proc, old []int32, width int) []int32 {
 
 // MoveCSR relocates a CSR-shaped structure: element i of the source layout
 // owns the variable-length segment values[ptr[i]:ptr[i+1]]. The result is
-// the destination-layout (ptr, values) pair. Used to remap the CHARMM
-// non-bonded lists, where each atom carries its partner list. Collective.
+// the destination-layout (ptr, values) pair, freshly allocated. Used to
+// remap the CHARMM non-bonded lists, where each atom carries its partner
+// list. Collective.
 func (pl *Plan) MoveCSR(p *comm.Proc, ptr []int32, values []int32) ([]int32, []int32) {
+	return pl.MoveCSRInto(nil, nil, p, ptr, values)
+}
+
+// MoveCSRInto is MoveCSR writing the destination-layout pair into the
+// backing arrays of dstPtr and dstValues (grown as needed; either may be
+// nil, neither may alias ptr or values). Collective.
+func (pl *Plan) MoveCSRInto(dstPtr, dstValues []int32, p *comm.Proc, ptr []int32, values []int32) ([]int32, []int32) {
 	if len(ptr) == 0 {
 		// A rank holding no elements may pass a nil CSR; normalize to the
 		// zero-row form so len(ptr)-1 below stays non-negative.
 		ptr = []int32{0}
 	}
-	segLen := func(i int32) int32 { return ptr[i+1] - ptr[i] }
 	// First move the segment lengths as a width-1 int array.
-	lens := make([]int32, len(ptr)-1)
-	for i := range lens {
-		lens[i] = segLen(int32(i))
+	pl.lens = recycle.Sized(pl.lens, len(ptr)-1)
+	for i := range pl.lens {
+		pl.lens[i] = ptr[i+1] - ptr[i]
 	}
-	newLens := pl.MoveI32(p, lens, 1)
-	newPtr := make([]int32, pl.newLen+1)
+	pl.newLens = pl.MoveI32Into(pl.newLens, p, pl.lens, 1)
+	newLens := pl.newLens
+	newPtr := recycle.Sized(dstPtr, pl.newLen+1)
+	newPtr[0] = 0
 	for i, l := range newLens {
 		newPtr[i+1] = newPtr[i] + l
 	}
 	p.ComputeMem(pl.newLen)
 
 	// Then move the segments themselves with per-destination packing.
-	newValues := make([]int32, newPtr[pl.newLen])
-	for k := range pl.keepIdx {
-		src := pl.keepIdx[k]
+	newValues := recycle.Sized(dstValues, int(newPtr[pl.newLen]))
+	for k, src := range pl.keepIdx {
 		copy(newValues[newPtr[pl.keepOff[k]]:], values[ptr[src]:ptr[src+1]])
 	}
 	for k := 1; k < p.Size(); k++ {
@@ -302,9 +318,10 @@ func (pl *Plan) MoveCSR(p *comm.Proc, ptr []int32, values []int32) ([]int32, []i
 		}
 		n := 0
 		for _, li := range idx {
-			n += int(segLen(li))
+			n += int(pl.lens[li])
 		}
-		buf := stageI32(&pl.stageI, n)[:0]
+		pl.stageI = recycle.Sized(pl.stageI, n)
+		buf := pl.stageI[:0]
 		for _, li := range idx {
 			buf = append(buf, values[ptr[li]:ptr[li+1]]...)
 		}
@@ -330,6 +347,9 @@ func (pl *Plan) MoveCSR(p *comm.Proc, ptr []int32, values []int32) ([]int32, []i
 		}
 		p.ComputeMem(len(vals))
 	}
+	recycle.PoisonI32(pl.stageI)
+	recycle.PoisonI32(pl.lens)
+	recycle.PoisonI32(pl.newLens)
 	return newPtr, newValues
 }
 
