@@ -16,10 +16,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
+	"strings"
 
 	"repro/internal/charmm"
 	"repro/internal/checkpoint"
@@ -32,50 +35,76 @@ import (
 
 // resolveResume turns the -resume argument into a checkpoint directory,
 // resolving the special value "latest" against -ckpt-dir.
-func resolveResume(arg, base string) string {
+func resolveResume(arg, base string) (string, error) {
 	if arg != "latest" {
-		return arg
+		return arg, nil
 	}
 	if base == "" {
-		fmt.Fprintln(os.Stderr, "charmm: -resume latest requires -ckpt-dir")
-		os.Exit(2)
+		return "", errors.New("-resume latest requires -ckpt-dir")
 	}
 	dir, ok := checkpoint.Latest(base)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "charmm: no sealed checkpoint under %s\n", base)
-		os.Exit(2)
+		return "", fmt.Errorf("no sealed checkpoint under %s", base)
 	}
-	return dir
+	return dir, nil
+}
+
+// configError runs the application's validator, which panics on a bad
+// configuration, and returns what it complained about (nil when it passed).
+func configError(validate func()) (complaint any) {
+	defer func() { complaint = recover() }()
+	validate()
+	return nil
 }
 
 func main() {
-	procs := flag.Int("procs", 16, "number of simulated processors")
-	atoms := flag.Int("atoms", 14026, "number of atoms")
-	steps := flag.Int("steps", 200, "time steps")
-	nbevery := flag.Int("nbevery", 5, "non-bonded list update interval")
-	part := flag.String("part", "rcb", "partitioner: rcb, rib, chain, block")
-	multiple := flag.Bool("multiple", false, "use per-loop schedules instead of merged")
-	remapEvery := flag.Int("remap", 0, "repartition every N steps (0 = once at start)")
-	adaptMode := flag.String("adapt", "", "remap trigger: static, periodic:N or policy (overrides -remap)")
-	adaptVerify := flag.Bool("adapt-verify", false, "cross-check policy decisions across ranks (panics on divergence)")
-	doTrace := flag.Bool("trace", false, "print a virtual-time Gantt chart and phase summary")
-	compiled := flag.Bool("compiled", false, "run the compiler-generated (loopir) version of the application")
-	ckptDir := flag.String("ckpt-dir", "", "directory for periodic checkpoints")
-	ckptEvery := flag.Int("ckpt-every", 0, "checkpoint every N steps (0 = never)")
-	resume := flag.String("resume", "", `resume from a checkpoint directory, or "latest" under -ckpt-dir`)
-	crashStep := flag.Int("crash-step", 0, "inject a rank panic at step N (crash-recovery demo)")
-	crashRank := flag.Int("crash-rank", 0, "rank that crashes at -crash-step")
-	measure := flag.Bool("measure", false, "run in measured wall-clock mode (real phase timers alongside virtual time)")
-	overlap := flag.Bool("overlap", false, "split-phase collectives: overlap communication with interior computation")
-	startProfiles := prof.Flags()
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("charmm", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	procs := fs.Int("procs", 16, "number of simulated processors")
+	atoms := fs.Int("atoms", 14026, "number of atoms")
+	steps := fs.Int("steps", 200, "time steps")
+	nbevery := fs.Int("nbevery", 5, "non-bonded list update interval")
+	part := fs.String("part", "rcb", "partitioner: rcb, rib, chain, block")
+	multiple := fs.Bool("multiple", false, "use per-loop schedules instead of merged")
+	remapEvery := fs.Int("remap", 0, "repartition every N steps (0 = once at start)")
+	adaptMode := fs.String("adapt", "", "remap trigger: static, periodic:N or policy (overrides -remap)")
+	adaptVerify := fs.Bool("adapt-verify", false, "cross-check policy decisions across ranks (panics on divergence)")
+	doTrace := fs.Bool("trace", false, "print a virtual-time Gantt chart and phase summary")
+	compiled := fs.Bool("compiled", false, "run the compiler-generated (loopir) version of the application")
+	ckptDir := fs.String("ckpt-dir", "", "directory for periodic checkpoints")
+	ckptEvery := fs.Int("ckpt-every", 0, "checkpoint every N steps (0 = never)")
+	resume := fs.String("resume", "", `resume from a checkpoint directory, or "latest" under -ckpt-dir`)
+	crashStep := fs.Int("crash-step", 0, "inject a rank panic at step N (crash-recovery demo)")
+	crashRank := fs.Int("crash-rank", 0, "rank that crashes at -crash-step")
+	measure := fs.Bool("measure", false, "run in measured wall-clock mode (real phase timers alongside virtual time)")
+	startProfiles := prof.Flags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usageError := func(complaint any) int {
+		fmt.Fprintf(stderr, "charmm: %s\n", strings.TrimPrefix(fmt.Sprint(complaint), "charmm: "))
+		fs.Usage()
+		return 2
+	}
+	if fs.NArg() > 0 {
+		return usageError(fmt.Sprintf("unexpected argument %q", fs.Arg(0)))
+	}
+	if *procs < 1 {
+		return usageError(fmt.Sprintf("-procs must be at least 1, got %d", *procs))
+	}
 
 	cfg := charmm.ConfigForAtoms(*atoms)
 	cfg.Steps = *steps
 	cfg.NBEvery = *nbevery
 	cfg.Partitioner = *part
 	cfg.Merged = !*multiple
-	cfg.Overlap = *overlap
 	cfg.RemapEvery = *remapEvery
 	cfg.Adapt = *adaptMode
 	cfg.AdaptVerify = *adaptVerify
@@ -84,14 +113,20 @@ func main() {
 	cfg.CrashStep = *crashStep
 	cfg.CrashRank = *crashRank
 	if *resume != "" {
-		cfg.ResumeFrom = resolveResume(*resume, *ckptDir)
+		dir, err := resolveResume(*resume, *ckptDir)
+		if err != nil {
+			return usageError(err)
+		}
+		cfg.ResumeFrom = dir
+	}
+	if complaint := configError(cfg.Validate); complaint != nil {
+		return usageError(complaint)
 	}
 
 	runner := charmm.Run
 	if *compiled {
 		if *ckptEvery > 0 || *resume != "" {
-			fmt.Fprintln(os.Stderr, "charmm: checkpointing is not supported for the -compiled variant")
-			os.Exit(2)
+			return usageError("checkpointing is not supported for the -compiled variant")
 		}
 		runner = charmm.RunCompiled
 	}
@@ -112,22 +147,22 @@ func main() {
 	if *compiled {
 		kind = "compiler-generated"
 	}
-	fmt.Printf("mini-CHARMM (%s): %d atoms, %d steps, nb update every %d, partitioner=%s merged=%v\n",
+	fmt.Fprintf(stdout, "mini-CHARMM (%s): %d atoms, %d steps, nb update every %d, partitioner=%s merged=%v\n",
 		kind, cfg.NAtoms, cfg.Steps, cfg.NBEvery, cfg.Partitioner, cfg.Merged)
-	fmt.Printf("  processors          : %d\n", *procs)
-	fmt.Printf("  execution time      : %10.3f virtual s (wall %.2fs)\n", rep.MaxClock(), rep.Wall.Seconds())
-	fmt.Printf("  computation time    : %10.3f virtual s (mean)\n", rep.MeanComputeTime())
-	fmt.Printf("  communication time  : %10.3f virtual s (mean)\n", rep.MeanCommTime())
-	fmt.Printf("  load balance index  : %10.3f\n", rep.LoadBalance())
-	fmt.Printf("  messages / volume   : %d msgs, %.2f MB\n", rep.TotalMsgsSent(), float64(rep.TotalBytesSent())/1e6)
+	fmt.Fprintf(stdout, "  processors          : %d\n", *procs)
+	fmt.Fprintf(stdout, "  execution time      : %10.3f virtual s (wall %.2fs)\n", rep.MaxClock(), rep.Wall.Seconds())
+	fmt.Fprintf(stdout, "  computation time    : %10.3f virtual s (mean)\n", rep.MeanComputeTime())
+	fmt.Fprintf(stdout, "  communication time  : %10.3f virtual s (mean)\n", rep.MeanCommTime())
+	fmt.Fprintf(stdout, "  load balance index  : %10.3f\n", rep.LoadBalance())
+	fmt.Fprintf(stdout, "  messages / volume   : %d msgs, %.2f MB\n", rep.TotalMsgsSent(), float64(rep.TotalBytesSent())/1e6)
 	if cfg.Adapt != "" {
-		fmt.Printf("  adapt mode          : %s (remapped at steps %v)\n", cfg.Adapt, results[0].RemapSteps)
+		fmt.Fprintf(stdout, "  adapt mode          : %s (remapped at steps %v)\n", cfg.Adapt, results[0].RemapSteps)
 	}
-	fmt.Printf("  nb list entries     : %d\n", results[0].NBEntries)
-	fmt.Printf("  position checksum   : %.9f\n", results[0].Checksum)
+	fmt.Fprintf(stdout, "  nb list entries     : %d\n", results[0].NBEntries)
+	fmt.Fprintf(stdout, "  position checksum   : %.9f\n", results[0].Checksum)
 	if *measure {
-		fmt.Printf("  measured wall       : %10.3f s (max over ranks, %d workers)\n", rep.MaxMeasuredWall(), rep.Workers)
-		fmt.Printf("  measured comm wait  : %10.3f s (mean over ranks)\n", rep.MeanMeasuredCommWall())
+		fmt.Fprintf(stdout, "  measured wall       : %10.3f s (max over ranks, %d workers)\n", rep.MaxMeasuredWall(), rep.Workers)
+		fmt.Fprintf(stdout, "  measured comm wait  : %10.3f s (mean over ranks)\n", rep.MeanMeasuredCommWall())
 	}
 
 	// Preprocessing breakdown (max over ranks).
@@ -139,31 +174,20 @@ func main() {
 			}
 		}
 	}
-	if *measure {
-		// Measured-only phases (the overlap windows charge no virtual
-		// time) must still get a row.
-		for _, m := range rep.Measured {
-			for k := range m.Phases {
-				if _, ok := phases[k]; !ok {
-					phases[k] = 0
-				}
-			}
-		}
-	}
 	var keys []string
 	for k := range phases {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	if *measure {
-		fmt.Println("  phase breakdown (max over ranks: virtual s | measured s):")
+		fmt.Fprintln(stdout, "  phase breakdown (max over ranks: virtual s | measured s):")
 		for _, k := range keys {
-			fmt.Printf("    %-12s %10.3f  %10.4f\n", k, phases[k], rep.MeasuredPhaseMax(k))
+			fmt.Fprintf(stdout, "    %-12s %10.3f  %10.4f\n", k, phases[k], rep.MeasuredPhaseMax(k))
 		}
 	} else {
-		fmt.Println("  phase breakdown (max over ranks, virtual s):")
+		fmt.Fprintln(stdout, "  phase breakdown (max over ranks, virtual s):")
 		for _, k := range keys {
-			fmt.Printf("    %-12s %10.3f\n", k, phases[k])
+			fmt.Fprintf(stdout, "    %-12s %10.3f\n", k, phases[k])
 		}
 	}
 
@@ -172,9 +196,10 @@ func main() {
 		for r, res := range results {
 			spans[r] = res.Spans
 		}
-		fmt.Println()
-		fmt.Print(trace.Gantt(spans, 100))
-		fmt.Println()
-		fmt.Print(trace.RenderSummary(spans))
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, trace.Gantt(spans, 100))
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, trace.RenderSummary(spans))
 	}
+	return 0
 }

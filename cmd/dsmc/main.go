@@ -17,10 +17,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
+	"strings"
 
 	"repro/internal/checkpoint"
 	"repro/internal/comm"
@@ -33,45 +36,72 @@ import (
 
 // resolveResume turns the -resume argument into a checkpoint directory,
 // resolving the special value "latest" against -ckpt-dir.
-func resolveResume(arg, base string) string {
+func resolveResume(arg, base string) (string, error) {
 	if arg != "latest" {
-		return arg
+		return arg, nil
 	}
 	if base == "" {
-		fmt.Fprintln(os.Stderr, "dsmc: -resume latest requires -ckpt-dir")
-		os.Exit(2)
+		return "", errors.New("-resume latest requires -ckpt-dir")
 	}
 	dir, ok := checkpoint.Latest(base)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "dsmc: no sealed checkpoint under %s\n", base)
-		os.Exit(2)
+		return "", fmt.Errorf("no sealed checkpoint under %s", base)
 	}
-	return dir
+	return dir, nil
+}
+
+// configError runs the application's validator, which panics on a bad
+// configuration, and returns what it complained about (nil when it passed).
+func configError(validate func()) (complaint any) {
+	defer func() { complaint = recover() }()
+	validate()
+	return nil
 }
 
 func main() {
-	procs := flag.Int("procs", 16, "number of simulated processors")
-	nx := flag.Int("nx", 48, "cells along x")
-	ny := flag.Int("ny", 48, "cells along y")
-	nz := flag.Int("nz", 1, "cells along z (1 = 2-D)")
-	mols := flag.Int("mols", 0, "molecules (0 = 8 per cell)")
-	steps := flag.Int("steps", 50, "time steps")
-	mover := flag.String("mover", "light", "MOVE implementation: light, regular, compiler")
-	part := flag.String("part", "block", "partitioner for remapping")
-	remapEvery := flag.Int("remap", 0, "remap cells every N steps (0 = static)")
-	adaptMode := flag.String("adapt", "", "remap trigger: static, periodic:N or policy (overrides -remap)")
-	adaptVerify := flag.Bool("adapt-verify", false, "cross-check policy decisions across ranks (panics on divergence)")
-	slab := flag.Float64("slab", 1.0, "initial x-extent fraction holding all molecules")
-	doTrace := flag.Bool("trace", false, "print a virtual-time Gantt chart and phase summary")
-	ckptDir := flag.String("ckpt-dir", "", "directory for periodic checkpoints")
-	ckptEvery := flag.Int("ckpt-every", 0, "checkpoint every N steps (0 = never)")
-	resume := flag.String("resume", "", `resume from a checkpoint directory, or "latest" under -ckpt-dir`)
-	crashStep := flag.Int("crash-step", 0, "inject a rank panic at step N (crash-recovery demo)")
-	crashRank := flag.Int("crash-rank", 0, "rank that crashes at -crash-step")
-	measure := flag.Bool("measure", false, "run in measured wall-clock mode (real phase timers alongside virtual time)")
-	overlap := flag.Bool("overlap", false, "split-phase collectives: overlap the regular mover's scatter with slot fills")
-	startProfiles := prof.Flags()
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dsmc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	procs := fs.Int("procs", 16, "number of simulated processors")
+	nx := fs.Int("nx", 48, "cells along x")
+	ny := fs.Int("ny", 48, "cells along y")
+	nz := fs.Int("nz", 1, "cells along z (1 = 2-D)")
+	mols := fs.Int("mols", 0, "molecules (0 = 8 per cell)")
+	steps := fs.Int("steps", 50, "time steps")
+	mover := fs.String("mover", "light", "MOVE implementation: light, regular, compiler")
+	part := fs.String("part", "block", "partitioner for remapping")
+	remapEvery := fs.Int("remap", 0, "remap cells every N steps (0 = static)")
+	adaptMode := fs.String("adapt", "", "remap trigger: static, periodic:N or policy (overrides -remap)")
+	adaptVerify := fs.Bool("adapt-verify", false, "cross-check policy decisions across ranks (panics on divergence)")
+	slab := fs.Float64("slab", 1.0, "initial x-extent fraction holding all molecules")
+	doTrace := fs.Bool("trace", false, "print a virtual-time Gantt chart and phase summary")
+	ckptDir := fs.String("ckpt-dir", "", "directory for periodic checkpoints")
+	ckptEvery := fs.Int("ckpt-every", 0, "checkpoint every N steps (0 = never)")
+	resume := fs.String("resume", "", `resume from a checkpoint directory, or "latest" under -ckpt-dir`)
+	crashStep := fs.Int("crash-step", 0, "inject a rank panic at step N (crash-recovery demo)")
+	crashRank := fs.Int("crash-rank", 0, "rank that crashes at -crash-step")
+	measure := fs.Bool("measure", false, "run in measured wall-clock mode (real phase timers alongside virtual time)")
+	startProfiles := prof.Flags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usageError := func(complaint any) int {
+		fmt.Fprintf(stderr, "dsmc: %s\n", strings.TrimPrefix(fmt.Sprint(complaint), "dsmc: "))
+		fs.Usage()
+		return 2
+	}
+	if fs.NArg() > 0 {
+		return usageError(fmt.Sprintf("unexpected argument %q", fs.Arg(0)))
+	}
+	if *procs < 1 {
+		return usageError(fmt.Sprintf("-procs must be at least 1, got %d", *procs))
+	}
 
 	cfg := dsmc.Default2D(*nx)
 	cfg.NX, cfg.NY, cfg.NZ = *nx, *ny, *nz
@@ -87,7 +117,6 @@ func main() {
 	}
 	cfg.Steps = *steps
 	cfg.Mover = dsmc.Mover(*mover)
-	cfg.Overlap = *overlap
 	cfg.Partitioner = *part
 	cfg.RemapEvery = *remapEvery
 	cfg.Adapt = *adaptMode
@@ -98,7 +127,14 @@ func main() {
 	cfg.CrashStep = *crashStep
 	cfg.CrashRank = *crashRank
 	if *resume != "" {
-		cfg.ResumeFrom = resolveResume(*resume, *ckptDir)
+		dir, err := resolveResume(*resume, *ckptDir)
+		if err != nil {
+			return usageError(err)
+		}
+		cfg.ResumeFrom = dir
+	}
+	if complaint := configError(cfg.Validate); complaint != nil {
+		return usageError(complaint)
 	}
 
 	results := make([]*dsmc.ProcResult, *procs)
@@ -114,21 +150,21 @@ func main() {
 	}
 	stopProfiles()
 
-	fmt.Printf("mini-DSMC: %dx%dx%d cells, %d molecules, %d steps, mover=%s part=%s remap=%d\n",
+	fmt.Fprintf(stdout, "mini-DSMC: %dx%dx%d cells, %d molecules, %d steps, mover=%s part=%s remap=%d\n",
 		cfg.NX, cfg.NY, cfg.NZ, cfg.NMols, cfg.Steps, cfg.Mover, cfg.Partitioner, cfg.RemapEvery)
 	if cfg.Adapt != "" {
-		fmt.Printf("  adapt mode          : %s (remapped after steps %v)\n", cfg.Adapt, results[0].RemapSteps)
+		fmt.Fprintf(stdout, "  adapt mode          : %s (remapped after steps %v)\n", cfg.Adapt, results[0].RemapSteps)
 	}
-	fmt.Printf("  processors          : %d\n", *procs)
-	fmt.Printf("  execution time      : %10.3f virtual s (wall %.2fs)\n", rep.MaxClock(), rep.Wall.Seconds())
-	fmt.Printf("  computation time    : %10.3f virtual s (mean)\n", rep.MeanComputeTime())
-	fmt.Printf("  communication time  : %10.3f virtual s (mean)\n", rep.MeanCommTime())
-	fmt.Printf("  load balance index  : %10.3f\n", rep.LoadBalance())
-	fmt.Printf("  messages / volume   : %d msgs, %.2f MB\n", rep.TotalMsgsSent(), float64(rep.TotalBytesSent())/1e6)
-	fmt.Printf("  state checksum      : %.9f\n", results[0].Checksum)
+	fmt.Fprintf(stdout, "  processors          : %d\n", *procs)
+	fmt.Fprintf(stdout, "  execution time      : %10.3f virtual s (wall %.2fs)\n", rep.MaxClock(), rep.Wall.Seconds())
+	fmt.Fprintf(stdout, "  computation time    : %10.3f virtual s (mean)\n", rep.MeanComputeTime())
+	fmt.Fprintf(stdout, "  communication time  : %10.3f virtual s (mean)\n", rep.MeanCommTime())
+	fmt.Fprintf(stdout, "  load balance index  : %10.3f\n", rep.LoadBalance())
+	fmt.Fprintf(stdout, "  messages / volume   : %d msgs, %.2f MB\n", rep.TotalMsgsSent(), float64(rep.TotalBytesSent())/1e6)
+	fmt.Fprintf(stdout, "  state checksum      : %.9f\n", results[0].Checksum)
 	if *measure {
-		fmt.Printf("  measured wall       : %10.3f s (max over ranks, %d workers)\n", rep.MaxMeasuredWall(), rep.Workers)
-		fmt.Printf("  measured comm wait  : %10.3f s (mean over ranks)\n", rep.MeanMeasuredCommWall())
+		fmt.Fprintf(stdout, "  measured wall       : %10.3f s (max over ranks, %d workers)\n", rep.MaxMeasuredWall(), rep.Workers)
+		fmt.Fprintf(stdout, "  measured comm wait  : %10.3f s (mean over ranks)\n", rep.MeanMeasuredCommWall())
 	}
 
 	phases := map[string]float64{}
@@ -139,31 +175,20 @@ func main() {
 			}
 		}
 	}
-	if *measure {
-		// Measured-only phases (the overlap windows charge no virtual
-		// time) must still get a row.
-		for _, m := range rep.Measured {
-			for k := range m.Phases {
-				if _, ok := phases[k]; !ok {
-					phases[k] = 0
-				}
-			}
-		}
-	}
 	var keys []string
 	for k := range phases {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	if *measure {
-		fmt.Println("  phase breakdown (max over ranks: virtual s | measured s):")
+		fmt.Fprintln(stdout, "  phase breakdown (max over ranks: virtual s | measured s):")
 		for _, k := range keys {
-			fmt.Printf("    %-10s %10.3f  %10.4f\n", k, phases[k], rep.MeasuredPhaseMax(k))
+			fmt.Fprintf(stdout, "    %-10s %10.3f  %10.4f\n", k, phases[k], rep.MeasuredPhaseMax(k))
 		}
 	} else {
-		fmt.Println("  phase breakdown (max over ranks, virtual s):")
+		fmt.Fprintln(stdout, "  phase breakdown (max over ranks, virtual s):")
 		for _, k := range keys {
-			fmt.Printf("    %-10s %10.3f\n", k, phases[k])
+			fmt.Fprintf(stdout, "    %-10s %10.3f\n", k, phases[k])
 		}
 	}
 
@@ -172,9 +197,10 @@ func main() {
 		for r, res := range results {
 			spans[r] = res.Spans
 		}
-		fmt.Println()
-		fmt.Print(trace.Gantt(spans, 100))
-		fmt.Println()
-		fmt.Print(trace.RenderSummary(spans))
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, trace.Gantt(spans, 100))
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, trace.RenderSummary(spans))
 	}
+	return 0
 }

@@ -23,6 +23,7 @@ package adapt
 import (
 	"repro/internal/comm"
 	"repro/internal/costmodel"
+	"repro/internal/recycle"
 )
 
 // Steal names one whole chunk moved from a donor rank to a thief rank for
@@ -160,8 +161,8 @@ func (c *Controller) Plan(p *comm.Proc, chunkCost []float64, chunkUnits []int, s
 	if n == 1 {
 		return
 	}
-	c.obs = growF64(c.obs, 4*n)
-	c.scratch = growF64(c.scratch, 4*n)
+	c.obs = recycle.Sized(c.obs, 4*n)
+	c.scratch = recycle.Sized(c.scratch, 4*n)
 	for i := range c.obs {
 		c.obs[i] = 0
 	}
@@ -225,12 +226,12 @@ func (c *Controller) Steals() []Steal { return c.plan }
 // observation vector. Pure: every rank reaches the identical plan because
 // the inputs are identical and every tie-break is by lowest rank.
 func (c *Controller) planFromObs(n int) {
-	c.loads = growF64(c.loads, n)
-	c.chunkAvg = growF64(c.chunkAvg, n)
-	c.unitAvg = growF64(c.unitAvg, n)
-	c.left = growInt(c.left, n)
-	c.floor = growInt(c.floor, n)
-	c.role = growInt8(c.role, n)
+	c.loads = recycle.Sized(c.loads, n)
+	c.chunkAvg = recycle.Sized(c.chunkAvg, n)
+	c.unitAvg = recycle.Sized(c.unitAvg, n)
+	c.left = recycle.Sized(c.left, n)
+	c.floor = recycle.Sized(c.floor, n)
+	c.role = recycle.Sized(c.role, n)
 	var sum float64
 	for r := 0; r < n; r++ {
 		c.loads[r] = c.obs[4*r]
@@ -289,25 +290,4 @@ func (c *Controller) planFromObs(n int) {
 		c.role[donor] = roleDonor
 		c.role[thief] = roleThief
 	}
-}
-
-func growF64(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growInt(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func growInt8(s []int8, n int) []int8 {
-	if cap(s) < n {
-		return make([]int8, n)
-	}
-	return s[:n]
 }

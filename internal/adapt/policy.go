@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/comm"
+	"repro/internal/recycle"
 )
 
 // ParseMode parses an application-level adaptivity selector: "" (off —
@@ -129,8 +130,8 @@ func (pol *Policy) Step(p *comm.Proc, localCost float64) bool {
 	pol.steps++
 	pol.since++
 	n := p.Size()
-	pol.obs = growF64(pol.obs, n)
-	pol.scratch = growF64(pol.scratch, n)
+	pol.obs = recycle.Sized(pol.obs, n)
+	pol.scratch = recycle.Sized(pol.scratch, n)
 	for i := range pol.obs {
 		pol.obs[i] = 0
 	}
@@ -237,8 +238,8 @@ func (pol *Policy) Floor() float64 { return pol.floor }
 // instead of silently desynchronizing.
 func (pol *Policy) verifyAgreement(p *comm.Proc, dec bool) {
 	const fpLen = 5
-	pol.fp = growF64(pol.fp, fpLen)
-	pol.fpScratch = growF64(pol.fpScratch, fpLen)
+	pol.fp = recycle.Sized(pol.fp, fpLen)
+	pol.fpScratch = recycle.Sized(pol.fpScratch, fpLen)
 	local := [fpLen]float64{0, pol.gain, pol.floor, pol.debt, pol.remapCost}
 	if dec {
 		local[0] = 1

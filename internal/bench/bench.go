@@ -112,19 +112,8 @@ type Scale struct {
 	AdaptProcs int
 	AdaptMols  int
 	AdaptSteps int
-	// Measured wall-clock mode (BENCH_wallclock): scenario sizes and rank
-	// counts for the real-time speedup table. The first entry of WallProcs
-	// is the speedup baseline.
-	WallProcs       []int
-	WallReps        int
-	WallCharmmAtoms int
-	WallCharmmSteps int
-	WallDsmcEdge    int
-	WallDsmcMols    int
-	WallDsmcSteps   int
-	WallKernelAtoms int
-	WallKernelIters int
-	machineModel    *costmodel.Machine
+
+	machineModel *costmodel.Machine
 	// Transport, when non-nil, supplies the transport every experiment runs
 	// over (e.g. a TCP mesh, or a fault-injected wrapper for testing the
 	// tables under wire misbehaviour). Nil means the in-memory transport.
@@ -143,87 +132,56 @@ func (sc Scale) run(n int, body func(p *comm.Proc)) *comm.Report {
 	return comm.RunTransport(n, sc.machineModel, tr, body)
 }
 
-// runMeasured is run in wall-clock mode: same virtual accounting, plus real
-// per-rank phase timers and receive waits (comm.RunMeasured).
-func (sc Scale) runMeasured(n int, body func(p *comm.Proc)) *comm.Report {
-	if sc.Transport == nil {
-		return comm.RunMeasured(n, sc.machineModel, body)
-	}
-	tr, err := sc.Transport(n)
-	if err != nil {
-		panic(fmt.Sprintf("bench: transport factory for %d ranks: %v", n, err))
-	}
-	return comm.RunMeasuredTransport(n, sc.machineModel, tr, comm.MeasureOpts{}, body)
-}
-
 // Full returns the paper-sized scale: 14026 atoms, up to 128 processors,
 // 40 non-bonded list regenerations, the 48x48 and 96x96 DSMC grids.
 func Full() Scale {
 	return Scale{
-		Name:            "full",
-		CharmmAtoms:     14026,
-		CharmmSteps:     200,
-		CharmmNBEvry:    5,
-		CharmmProcs:     []int{1, 16, 32, 64, 128},
-		Dsmc2DEdges:     []int{48, 96},
-		Dsmc2DProcs:     []int{16, 32, 64, 128},
-		Dsmc3DProcs:     []int{8, 16, 32, 64, 128},
-		Dsmc3DMols:      18000,
-		Dsmc3DSteps:     200,
-		KernelAtoms:     14026,
-		KernelIters:     100,
-		KernelProcs:     []int{32, 64},
-		Dsmc7Procs:      []int{4, 8, 16, 32},
-		Dsmc7Mols:       5000,
-		Dsmc7Steps:      50,
-		AdaptProcs:      16,
-		AdaptMols:       18000,
-		AdaptSteps:      200,
-		WallProcs:       []int{1, 2, 4, 8},
-		WallReps:        3,
-		WallCharmmAtoms: 6000,
-		WallCharmmSteps: 10,
-		WallDsmcEdge:    48,
-		WallDsmcMols:    40000,
-		WallDsmcSteps:   40,
-		WallKernelAtoms: 8000,
-		WallKernelIters: 40,
-		machineModel:    costmodel.IPSC860(),
+		Name:         "full",
+		CharmmAtoms:  14026,
+		CharmmSteps:  200,
+		CharmmNBEvry: 5,
+		CharmmProcs:  []int{1, 16, 32, 64, 128},
+		Dsmc2DEdges:  []int{48, 96},
+		Dsmc2DProcs:  []int{16, 32, 64, 128},
+		Dsmc3DProcs:  []int{8, 16, 32, 64, 128},
+		Dsmc3DMols:   18000,
+		Dsmc3DSteps:  200,
+		KernelAtoms:  14026,
+		KernelIters:  100,
+		KernelProcs:  []int{32, 64},
+		Dsmc7Procs:   []int{4, 8, 16, 32},
+		Dsmc7Mols:    5000,
+		Dsmc7Steps:   50,
+		AdaptProcs:   16,
+		AdaptMols:    18000,
+		AdaptSteps:   200,
+		machineModel: costmodel.IPSC860(),
 	}
 }
 
 // Quick returns a shrunken scale for tests and `go test -bench`.
 func Quick() Scale {
 	return Scale{
-		Name:            "quick",
-		CharmmAtoms:     1200,
-		CharmmSteps:     10,
-		CharmmNBEvry:    5,
-		CharmmProcs:     []int{1, 2, 4, 8},
-		Dsmc2DEdges:     []int{12},
-		Dsmc2DProcs:     []int{2, 4, 8},
-		Dsmc3DProcs:     []int{2, 4, 8},
-		Dsmc3DMols:      2000,
-		Dsmc3DSteps:     40,
-		KernelAtoms:     800,
-		KernelIters:     8,
-		KernelProcs:     []int{2, 4},
-		Dsmc7Procs:      []int{2, 4},
-		Dsmc7Mols:       1000,
-		Dsmc7Steps:      10,
-		AdaptProcs:      8,
-		AdaptMols:       2400,
-		AdaptSteps:      96,
-		WallProcs:       []int{1, 2, 4},
-		WallReps:        3,
-		WallCharmmAtoms: 6000,
-		WallCharmmSteps: 8,
-		WallDsmcEdge:    32,
-		WallDsmcMols:    30000,
-		WallDsmcSteps:   16,
-		WallKernelAtoms: 8000,
-		WallKernelIters: 24,
-		machineModel:    costmodel.IPSC860(),
+		Name:         "quick",
+		CharmmAtoms:  1200,
+		CharmmSteps:  10,
+		CharmmNBEvry: 5,
+		CharmmProcs:  []int{1, 2, 4, 8},
+		Dsmc2DEdges:  []int{12},
+		Dsmc2DProcs:  []int{2, 4, 8},
+		Dsmc3DProcs:  []int{2, 4, 8},
+		Dsmc3DMols:   2000,
+		Dsmc3DSteps:  40,
+		KernelAtoms:  800,
+		KernelIters:  8,
+		KernelProcs:  []int{2, 4},
+		Dsmc7Procs:   []int{2, 4},
+		Dsmc7Mols:    1000,
+		Dsmc7Steps:   10,
+		AdaptProcs:   8,
+		AdaptMols:    2400,
+		AdaptSteps:   96,
+		machineModel: costmodel.IPSC860(),
 	}
 }
 

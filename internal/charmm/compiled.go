@@ -23,7 +23,7 @@ import (
 // floating-point summation order); the hand/compiled performance comparison
 // at kernel grain is Table 6 (see kernel.go).
 func RunCompiled(p *comm.Proc, cfg Config) *ProcResult {
-	validate(cfg)
+	cfg.Validate()
 	switch mode, period := adapt.ParseMode(cfg.Adapt); mode {
 	case "periodic":
 		cfg.RemapEvery = period

@@ -57,11 +57,6 @@ type Config struct {
 	// loops (true, the paper's preferred configuration) versus separate
 	// per-loop schedules (false; the right half of Table 3).
 	Merged bool
-	// Overlap runs the executor with split-phase collectives: interior
-	// force contributions are computed while gathers and scatters are in
-	// flight. Results and modeled virtual clocks are bit-identical to the
-	// blocking executor; only measured wall clocks change.
-	Overlap bool
 	// TableKind selects translation-table storage: "replicated" (default,
 	// as the paper used for CHARMM), "distributed" or "paged" (§3.1).
 	TableKind string

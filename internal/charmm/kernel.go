@@ -6,6 +6,7 @@ import (
 	"repro/internal/hashtab"
 	"repro/internal/loopir"
 	"repro/internal/partition"
+	"repro/internal/recycle"
 	"repro/internal/schedule"
 )
 
@@ -143,7 +144,7 @@ func RunKernelHand(p *comm.Proc, cfg KernelConfig) *KernelResult {
 		}
 		// Executor: gather x, run the Figure 10 body, scatter-add dx.
 		nBuf := ht.NLocal() + ht.NGhosts()
-		xb, fb = growF64(xb, 3*nBuf), growF64(fb, 3*nBuf)
+		xb, fb = recycle.Sized(xb, 3*nBuf), recycle.Sized(fb, 3*nBuf)
 		copy(xb, pos)
 		schedule.GatherW(p, sched, xb, 3)
 		clear(fb)

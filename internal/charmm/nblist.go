@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/comm"
+	"repro/internal/recycle"
 )
 
 // cellGrid indexes atoms into cutoff-sized cells for neighbour search as one
@@ -22,15 +23,6 @@ type cellGrid struct {
 	cell       []int32   // build scratch: cell of each input atom
 }
 
-// sizedI32 returns buf resized to exactly n elements, reallocating only on
-// growth. Contents are unspecified.
-func sizedI32(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
-	}
-	return buf[:n]
-}
-
 // build bins the n atoms of pos (3-wide) into cells of edge >= cutoff. Atom
 // i is recorded under ids[i], or under i itself when ids is nil.
 func (g *cellGrid) build(pos []float64, ids []int32, n int, box [3]float64, cutoff float64) {
@@ -41,9 +33,9 @@ func (g *cellGrid) build(pos []float64, ids []int32, n int, box [3]float64, cuto
 	nCells := g.nx * g.ny * g.nz
 
 	// Count per cell, prefix-sum, place — a stable counting sort.
-	g.start = sizedI32(g.start, nCells+1)
+	g.start = recycle.Sized(g.start, nCells+1)
 	clear(g.start)
-	g.cell = sizedI32(g.cell, n)
+	g.cell = recycle.Sized(g.cell, n)
 	for i := 0; i < n; i++ {
 		cx, cy, cz := g.cellOf(pos[3*i:])
 		c := (cz*g.ny+cy)*g.nx + cx
@@ -53,8 +45,8 @@ func (g *cellGrid) build(pos []float64, ids []int32, n int, box [3]float64, cuto
 	for c := 0; c < nCells; c++ {
 		g.start[c+1] += g.start[c]
 	}
-	g.ids = sizedI32(g.ids, n)
-	g.pos = growF64(g.pos, 3*n)
+	g.ids = recycle.Sized(g.ids, n)
+	g.pos = recycle.Sized(g.pos, 3*n)
 	for i := 0; i < n; i++ {
 		c := g.cell[i]
 		k := g.start[c]
@@ -283,7 +275,7 @@ func buildNBListPar(p *comm.Proc, globals []int32, pos []float64, cfg Config, nb
 			nAll += len(haloGB[r]) / 4
 		}
 	}
-	nb.allG, nb.allP = sizedI32(nb.allG, nAll), growF64(nb.allP, 3*nAll)
+	nb.allG, nb.allP = recycle.Sized(nb.allG, nAll), recycle.Sized(nb.allP, 3*nAll)
 	allG, allP := nb.allG, nb.allP
 	at := copy(allG, globals)
 	copy(allP, pos)

@@ -69,18 +69,8 @@ type simState struct {
 	schedB       *schedule.Schedule // per-loop (when !Merged)
 	schedNB      *schedule.Schedule
 
-	// Interior/boundary iteration splits for the overlap executor
-	// (cfg.Overlap), rebuilt with the schedules.
-	splitB  *schedule.Split
-	splitNB *schedule.Split
-	// Per-iteration delta scratch for the overlap executor's replay
-	// (6 slots per iteration), reused across steps: a fresh multi-megabyte
-	// allocation per step costs more real time than the overlap can hide.
-	// Slots are zeroed at the write site, so no clearing pass is needed.
-	deltaB  []float64
-	deltaNB []float64
 	// Phase F's gather and force buffers (3 values per owned or ghost slot),
-	// reused across steps like the delta scratch; see stepBuffers.
+	// reused across steps; see stepBuffers.
 	posBuf, frc []float64
 }
 
@@ -89,19 +79,10 @@ type simState struct {
 // loops read is refilled by the step's gathers) and the force buffer cleared.
 func (s *simState) stepBuffers() (posBuf, frc []float64) {
 	n := 3 * (s.ht.NLocal() + s.ht.NGhosts())
-	s.posBuf, s.frc = growF64(s.posBuf, n), growF64(s.frc, n)
+	s.posBuf, s.frc = recycle.Sized(s.posBuf, n), recycle.Sized(s.frc, n)
 	copy(s.posBuf, s.pos)
 	clear(s.frc)
 	return s.posBuf, s.frc
-}
-
-// growF64 returns buf resized to n elements, reallocating only on growth.
-// Contents are unspecified — every used slot must be written before read.
-func growF64(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
 }
 
 // Run executes the parallel CHARMM simulation on one SPMD rank. Collective:
@@ -129,7 +110,7 @@ func RunKeepState(p *comm.Proc, cfg Config) (*ProcResult, *FinalState) {
 }
 
 func run(p *comm.Proc, cfg Config) (*ProcResult, *simState) {
-	validate(cfg)
+	cfg.Validate()
 	mode, period := adapt.ParseMode(cfg.Adapt)
 	switch mode {
 	case "periodic":
@@ -206,11 +187,7 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, *simState) {
 			p.Barrier()
 			timer.Mark(PhaseSchedRegen)
 		}
-		if cfg.Overlap {
-			executeStepOverlap(p, s, cfg)
-		} else {
-			executeStep(p, s, cfg)
-		}
+		executeStep(p, s, cfg)
 		timer.Mark(PhaseExecutor)
 		if cfg.CheckpointEvery > 0 && step%cfg.CheckpointEvery == 0 {
 			saveCheckpoint(p, s, cfg, step, remapCount)
@@ -278,7 +255,8 @@ func setup(p *comm.Proc, rt *core.Runtime, cfg Config, timer *core.PhaseTimer, p
 	return s
 }
 
-func validate(cfg Config) {
+// Validate panics on inconsistent configuration.
+func (cfg Config) Validate() {
 	if cfg.NAtoms < 1 || cfg.Steps < 0 || cfg.NBEvery < 1 {
 		panic(fmt.Sprintf("charmm: bad config %+v", cfg))
 	}
@@ -420,9 +398,6 @@ func rebuildSchedules(p *comm.Proc, s *simState, cfg Config) {
 		s.schedB = schedule.BuildInto(s.schedB, p, s.ht, s.sBond, 0)
 		s.schedNB = schedule.BuildInto(s.schedNB, p, s.ht, s.sNB, 0)
 		s.sched = nil
-	}
-	if cfg.Overlap {
-		buildSplits(s)
 	}
 }
 

@@ -64,11 +64,6 @@ type Config struct {
 	Seed int64
 	// Mover selects the MOVE-phase implementation.
 	Mover Mover
-	// Overlap runs the regular mover's slot scatter split-phase: owned
-	// slots are filled while the ghost records are on the wire. Results
-	// and modeled clocks are bit-identical to the blocking scatter; only
-	// measured wall clocks change. Light/compiler movers are unaffected.
-	Overlap bool
 	// SlotCap is the per-cell slot capacity of the regular mover's global
 	// new_cells array.
 	SlotCap int

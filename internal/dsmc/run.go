@@ -387,40 +387,16 @@ func moveRegular(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, st
 	p.ComputeMem(3 * n)
 
 	// Build the regular schedule (with permutation lists) and scatter the
-	// records into the slot array. Overlap mode fills only the outbound
-	// (ghost) slots before starting the scatter and fills the owned slots
-	// while the records are on the wire; each slot holds exactly one
-	// molecule, so the OpReplace combines at Wait touch disjoint slots and
-	// the result is bit-identical to the blocking fill-then-scatter. The
-	// record-placement charge stays at its blocking position, before the
-	// scatter, so modeled clocks match exactly.
+	// records into the slot array.
 	nLocalSlots := nOwnedCells * cfg.SlotCap
 	sched, loc := schedule.FromTranslated(p, nLocalSlots, owners, offsets)
 	st.slots = growF64(st.slots, sched.MinLen()*recordWidth)
 	buf := st.slots
-	if cfg.Overlap {
-		for i := 0; i < n; i++ {
-			if int(loc[i]) >= nLocalSlots {
-				copy(buf[int(loc[i])*recordWidth:], mols[i*recordWidth:(i+1)*recordWidth])
-			}
-		}
-		p.ComputeMem(n * recordWidth)
-		mo := schedule.ScatterWStart(p, sched, buf, recordWidth, schedule.OpReplace)
-		ov := p.Phase(loopir.PhaseOverlap)
-		for i := 0; i < n; i++ {
-			if int(loc[i]) < nLocalSlots {
-				copy(buf[int(loc[i])*recordWidth:], mols[i*recordWidth:(i+1)*recordWidth])
-			}
-		}
-		ov.End()
-		mo.Wait()
-	} else {
-		for i := 0; i < n; i++ {
-			copy(buf[int(loc[i])*recordWidth:], mols[i*recordWidth:(i+1)*recordWidth])
-		}
-		p.ComputeMem(n * recordWidth)
-		schedule.ScatterW(p, sched, buf, recordWidth, schedule.OpReplace)
+	for i := 0; i < n; i++ {
+		copy(buf[int(loc[i])*recordWidth:], mols[i*recordWidth:(i+1)*recordWidth])
 	}
+	p.ComputeMem(n * recordWidth)
+	schedule.ScatterW(p, sched, buf, recordWidth, schedule.OpReplace)
 
 	// Compact the owned slots back into a molecule list (the placement-
 	// order rearrangement cost regular schedules pay), into the spare list.

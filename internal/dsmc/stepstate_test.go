@@ -57,19 +57,17 @@ func withAfterStep(hook func(p *comm.Proc, step int, st *stepState), body func()
 func TestScratchPoison(t *testing.T) {
 	poison := func(_ *comm.Proc, _ int, st *stepState) { st.poison() }
 	for _, mover := range []Mover{MoverLight, MoverRegular, MoverCompiler} {
-		for _, overlap := range []bool{false, true} {
-			for _, remapEvery := range []int{0, 3} {
-				cfg := smallConfig()
-				cfg.Mover, cfg.Overlap, cfg.RemapEvery = mover, overlap, remapEvery
-				cfg.InitSlabFrac, cfg.Partitioner = 0.5, "rcb"
-				want, _ := Reference(cfg)
-				for _, nprocs := range []int{1, 2, 3} {
-					label := fmt.Sprintf("%s overlap=%v remap=%d on %d ranks", mover, overlap, remapEvery, nprocs)
-					withAfterStep(poison, func() {
-						got, _ := gatherMols(t, nprocs, cfg)
-						expectBitIdentical(t, label, SortByID(got), want)
-					})
-				}
+		for _, remapEvery := range []int{0, 3} {
+			cfg := smallConfig()
+			cfg.Mover, cfg.RemapEvery = mover, remapEvery
+			cfg.InitSlabFrac, cfg.Partitioner = 0.5, "rcb"
+			want, _ := Reference(cfg)
+			for _, nprocs := range []int{1, 2, 3} {
+				label := fmt.Sprintf("%s remap=%d on %d ranks", mover, remapEvery, nprocs)
+				withAfterStep(poison, func() {
+					got, _ := gatherMols(t, nprocs, cfg)
+					expectBitIdentical(t, label, SortByID(got), want)
+				})
 			}
 		}
 	}

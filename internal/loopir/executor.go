@@ -4,6 +4,7 @@ import (
 	"repro/internal/adapt"
 	"repro/internal/comm"
 	"repro/internal/hashtab"
+	"repro/internal/recycle"
 	"repro/internal/schedule"
 )
 
@@ -215,13 +216,13 @@ func execute(loops ...space) {
 	for li, l := range loops {
 		c := l.core()
 		w := c.x.width
-		c.fb = grow(c.fb, nBuf*w)
+		c.fb = recycle.Sized(c.fb, nBuf*w)
 		lead.fbs, lead.fw = append(lead.fbs, c.fb), append(lead.fw, w)
 		if m := reader(loops[:li], c.x); m != nil {
 			c.xb = m.xb
 			continue
 		}
-		c.xb = grow(c.xb, nBuf*w)
+		c.xb = recycle.Sized(c.xb, nBuf*w)
 		copy(c.xb, c.x.data)
 		lead.xbs, lead.xw = append(lead.xbs, c.xb), append(lead.xw, w)
 	}
@@ -316,7 +317,7 @@ func (c *loopCore) prepareSplit(l space) {
 		c.split = l.buildSplit(c.split)
 		c.splitInsp = insp
 	}
-	c.odelta = grow(c.odelta, l.units(0, l.extent())*2*c.x.width)
+	c.odelta = recycle.Sized(c.odelta, l.units(0, l.extent())*2*c.x.width)
 }
 
 // executeFused runs loops through the skeleton as one fused run. Runs of up
@@ -444,7 +445,7 @@ func (ss *selfSched) run(p *comm.Proc, l space) {
 	for _, st := range ss.ctl.Work() {
 		ss.payload = p.RecvF64Into(st.Donor, tagStealIn, ss.payload)
 		n := len(ss.payload) / ss.rec
-		ss.delta = grow(ss.delta, 2*n*c.x.width)
+		ss.delta = recycle.Sized(ss.delta, 2*n*c.x.width)
 		clear(ss.delta)
 		l.runPacked(n)
 		p.ComputeFlops(c.flops * n)
@@ -472,15 +473,6 @@ func costNow(p *comm.Proc) float64 {
 		return p.WallNow()
 	}
 	return p.Clock()
-}
-
-// grow returns s with length n, reusing capacity when possible. Contents
-// are unspecified.
-func grow(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
 }
 
 // zero2w returns unit k's zeroed 2w-wide delta slot.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/adapt"
 	"repro/internal/comm"
@@ -23,6 +24,7 @@ const (
 	overMem overlapTransport = iota
 	overTCP
 	overFault
+	overDelay
 )
 
 func (k overlapTransport) run(t *testing.T, nprocs int, body func(p *comm.Proc)) *comm.Report {
@@ -42,6 +44,9 @@ func (k overlapTransport) run(t *testing.T, nprocs int, body func(p *comm.Proc))
 		}}
 		ft := fault.Wrap(comm.NewMemTransport(nprocs), nprocs, plan)
 		return comm.RunTransport(nprocs, costmodel.IPSC860(), ft, body)
+	case overDelay:
+		tr := comm.NewDelayTransport(comm.NewMemTransport(nprocs), time.Millisecond)
+		return comm.RunTransport(nprocs, costmodel.IPSC860(), tr, body)
 	default:
 		return comm.Run(nprocs, costmodel.IPSC860(), body)
 	}
@@ -243,6 +248,18 @@ func TestOverlapParityTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets in -short mode")
 	}
+	overlapParitySlice(t, overTCP)
+}
+
+// TestOverlapParityDelay runs the same slice over a wire with real latency
+// (a millisecond per frame on the in-memory mesh): the split-phase executor
+// really does compute while frames are in flight, and blocking and overlap
+// must still agree on every bit, count and virtual clock.
+func TestOverlapParityDelay(t *testing.T) {
+	overlapParitySlice(t, overDelay)
+}
+
+func overlapParitySlice(t *testing.T, kind overlapTransport) {
 	rng := rand.New(rand.NewSource(77))
 	const n = 90
 	gptr, gvals := skewedCSR(n, 7, 2, 21)
@@ -263,12 +280,12 @@ func TestOverlapParityTCP(t *testing.T) {
 	}
 	for _, nprocs := range []int{2, 3} {
 		for _, self := range []bool{false, true} {
-			block := sumOverlapTrial(t, overTCP, nprocs, n, 2, 2, gptr, gvals, x0, self, false)
-			over := sumOverlapTrial(t, overTCP, nprocs, n, 2, 2, gptr, gvals, x0, self, true)
-			compareOverlapTrial(t, "sum-tcp", nprocs, block, over)
-			block = pairOverlapTrial(t, overTCP, nprocs, n, nBonds, 2, 2, gia, gib, x0, prm0, self, false)
-			over = pairOverlapTrial(t, overTCP, nprocs, n, nBonds, 2, 2, gia, gib, x0, prm0, self, true)
-			compareOverlapTrial(t, "pair-tcp", nprocs, block, over)
+			block := sumOverlapTrial(t, kind, nprocs, n, 2, 2, gptr, gvals, x0, self, false)
+			over := sumOverlapTrial(t, kind, nprocs, n, 2, 2, gptr, gvals, x0, self, true)
+			compareOverlapTrial(t, "sum", nprocs, block, over)
+			block = pairOverlapTrial(t, kind, nprocs, n, nBonds, 2, 2, gia, gib, x0, prm0, self, false)
+			over = pairOverlapTrial(t, kind, nprocs, n, nBonds, 2, 2, gia, gib, x0, prm0, self, true)
+			compareOverlapTrial(t, "pair", nprocs, block, over)
 		}
 	}
 }

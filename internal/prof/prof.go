@@ -11,15 +11,15 @@ import (
 	"runtime/pprof"
 )
 
-// Flags registers -cpuprofile and -memprofile on the default flag set and
-// returns start. Call start after flag.Parse: it begins the CPU profile (if
-// asked for) and returns stop, which ends it and writes the heap profile —
+// Flags registers -cpuprofile and -memprofile on fs and returns start. Call
+// start after fs.Parse: it begins the CPU profile (if asked for) and
+// returns stop, which ends it and writes the heap profile —
 // allocation totals included, see `go tool pprof -sample_index=alloc_space`.
 // With neither flag set both are no-ops. A profile that cannot be written
 // is reported on stderr and exits the command with status 2.
-func Flags() (start func() (stop func())) {
-	cpu := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	mem := flag.String("memprofile", "", "write a heap/allocation profile to this file when the run ends")
+func Flags(fs *flag.FlagSet) (start func() (stop func())) {
+	cpu := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	mem := fs.String("memprofile", "", "write a heap/allocation profile to this file when the run ends")
 	return func() func() {
 		var cpuFile *os.File
 		if *cpu != "" {

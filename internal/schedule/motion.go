@@ -5,6 +5,7 @@ import (
 	"runtime"
 
 	"repro/internal/comm"
+	"repro/internal/recycle"
 )
 
 // Data transportation through a schedule has one implementation: a
@@ -123,7 +124,8 @@ func (s *Schedule) start(p *comm.Proc, datas [][]float64, widths []int, tag int,
 		if len(idx) == 0 {
 			continue
 		}
-		buf := stage(&s.stageS, len(idx)*tot)
+		s.stageS = recycle.Sized(s.stageS, len(idx)*tot)
+		buf := s.stageS
 		at := 0
 		for b, data := range datas {
 			width := widths[b]

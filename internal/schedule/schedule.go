@@ -86,16 +86,6 @@ type Schedule struct {
 	oneW   [1]int
 }
 
-// stage returns scratch of exactly n elements backed by *buf, growing the
-// backing array only when the schedule sees a larger message than before.
-func stage(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
 // NProcs returns the number of processors the schedule spans.
 func (s *Schedule) NProcs() int { return s.nprocs }
 
