@@ -81,20 +81,13 @@ func main() {
 		CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery,
 		CrashStep: *crashStep, CrashRank: *crashRank,
 	}
-	if *resume != "" {
-		spec.ResumeFrom = *resume
-		if *resume == "latest" {
-			if *ckptDir == "" {
-				fmt.Fprintln(os.Stderr, "chaosnode: -resume latest requires -ckpt-dir")
-				os.Exit(2)
-			}
-			dir, ok := checkpoint.Latest(*ckptDir)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "chaosnode: no sealed checkpoint under %s\n", *ckptDir)
-				os.Exit(2)
-			}
-			spec.ResumeFrom = dir
-		}
+	if spec.ResumeFrom, err = checkpoint.ResolveResume(*resume, *ckptDir); err != nil {
+		fmt.Fprintln(os.Stderr, "chaosnode:", err)
+		os.Exit(2)
+	}
+	if *crashRank >= n {
+		fmt.Fprintf(os.Stderr, "chaosnode: -crash-rank %d is not one of the %d ranks\n", *crashRank, n)
+		os.Exit(2)
 	}
 	spec.Normalize()
 	if err := spec.Validate(); err != nil {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -19,6 +21,8 @@ func TestBadInputExitsWithOneLine(t *testing.T) {
 		{"-adapt", "periodic:0"},
 		{"-nx", "0"},
 		{"-resume", "latest"},
+		{"-procs", "2", "-crash-rank", "7", "-crash-step", "2"},
+		{"-crash-rank", "-1"},
 		{"-steps", "2", "stray"},
 	} {
 		var stdout, stderr bytes.Buffer
@@ -49,5 +53,29 @@ func TestSmallRunReports(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "state checksum") {
 		t.Errorf("no checksum line in:\n%s", stdout.String())
+	}
+}
+
+// TestStdoutGolden: the report is byte-identical to what the binary printed
+// before the launcher moved into internal/launch (testdata/*.golden were
+// written by that binary; only the host-clock "(wall N.NNs)" field is
+// masked).
+func TestStdoutGolden(t *testing.T) {
+	wall := regexp.MustCompile(`\(wall [0-9.]+s\)`)
+	for name, args := range map[string][]string{
+		"plain": {"-procs", "2", "-nx", "8", "-ny", "8", "-mols", "200", "-steps", "6", "-mover", "regular"},
+		"trace": {"-procs", "3", "-nx", "24", "-ny", "4", "-mols", "600", "-steps", "14", "-slab", "0.4", "-part", "chain", "-adapt", "policy", "-trace"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%s: exit %d, stderr:\n%s", name, code, stderr.String())
+		}
+		want, err := os.ReadFile("testdata/" + name + ".golden")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := wall.ReplaceAll(stdout.Bytes(), []byte("(wall N.NNs)")); !bytes.Equal(got, want) {
+			t.Errorf("%s: stdout differs from testdata/%s.golden:\n%s", name, name, got)
+		}
 	}
 }

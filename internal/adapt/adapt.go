@@ -14,6 +14,9 @@
 //     cost of a repartition+remap episode from the last observed one, and
 //     triggers a remap only when the modeled payoff over a lookahead
 //     window exceeds that cost, with hysteresis and a cooldown.
+//   - Trigger is what an application holds: it resolves the configured
+//     remap selector to "never", a fixed period or a Policy, and owns the
+//     cost sampling and episode pricing that feed the Policy.
 //
 // Every decision either controller makes is derived exclusively from
 // AllReduce'd quantities, so all ranks compute identical plans and

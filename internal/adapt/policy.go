@@ -1,32 +1,9 @@
 package adapt
 
 import (
-	"strconv"
-	"strings"
-
 	"repro/internal/comm"
 	"repro/internal/recycle"
 )
-
-// ParseMode parses an application-level adaptivity selector: "" (off —
-// the application's own periodic knob stays in charge), "static" (never
-// remap beyond the initial partition), "periodic:N" (remap every N steps)
-// and "policy" (Policy decides online). Returns the mode name with the
-// period split out; panics on anything else.
-func ParseMode(s string) (mode string, period int) {
-	switch {
-	case s == "":
-		return "", 0
-	case s == "static" || s == "policy":
-		return s, 0
-	case strings.HasPrefix(s, "periodic:"):
-		n, err := strconv.Atoi(strings.TrimPrefix(s, "periodic:"))
-		if err == nil && n > 0 {
-			return "periodic", n
-		}
-	}
-	panic("adapt: bad mode " + strconv.Quote(s) + ` (want static, periodic:N or policy)`)
-}
 
 // Policy is the online "when to remap" controller: it generalizes the
 // paper's Table 7 remap-frequency sweep into a decision rule evaluated
@@ -99,27 +76,6 @@ type Policy struct {
 // NewPolicy returns a Policy with default tuning.
 func NewPolicy() *Policy {
 	return &Policy{Lookahead: 12, Hysteresis: 1.2, Cooldown: 3, EWMAAlpha: 0.5}
-}
-
-// CostPoint samples a rank's cumulative compute cost: virtual ComputeTime
-// on modeled runs, wall time outside blocking receives under
-// comm.RunMeasured. Applications feed per-step deltas of this quantity to
-// Policy.Step.
-func CostPoint(p *comm.Proc) float64 {
-	if p.MeasuredMode() {
-		return p.WallNow() - p.Measured().CommWall
-	}
-	return p.Stats().ComputeTime
-}
-
-// EpisodePoint samples the clock used to price a whole remap episode
-// (partition + distribution rebuild + migration, including waits); deltas
-// of it feed Policy.ObserveRemap.
-func EpisodePoint(p *comm.Proc) float64 {
-	if p.MeasuredMode() {
-		return p.WallNow()
-	}
-	return p.Clock()
 }
 
 // Step observes one time step and returns whether to remap now. Collective:

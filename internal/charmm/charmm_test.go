@@ -260,3 +260,22 @@ func TestInvalidConfigPanics(t *testing.T) {
 		Run(p, cfg)
 	})
 }
+
+// TestConfigValidate: Validate reports what Run would panic with, as an
+// error, so a launcher can refuse it before any rank starts.
+func TestConfigValidate(t *testing.T) {
+	if err := smallConfig().Validate(); err != nil {
+		t.Errorf("good config refused: %v", err)
+	}
+	for want, mutate := range map[string]func(*Config){
+		"charmm: unknown partitioner magic":                                func(c *Config) { c.Partitioner = "magic" },
+		"charmm: CheckpointEvery set without CheckpointDir":                func(c *Config) { c.CheckpointEvery = 2 },
+		`adapt: bad mode "periodic:0" (want static, periodic:N or policy)`: func(c *Config) { c.Adapt = "periodic:0" },
+	} {
+		bad := smallConfig()
+		mutate(&bad)
+		if err := bad.Validate(); err == nil || err.Error() != want {
+			t.Errorf("Validate returned %v, want %q", err, want)
+		}
+	}
+}

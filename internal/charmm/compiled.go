@@ -1,12 +1,10 @@
 package charmm
 
 import (
-	"repro/internal/adapt"
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/loopir"
 	"repro/internal/partition"
-	"repro/internal/remap"
 )
 
 // RunCompiled executes the FULL adaptive CHARMM simulation with both force
@@ -23,15 +21,7 @@ import (
 // floating-point summation order); the hand/compiled performance comparison
 // at kernel grain is Table 6 (see kernel.go).
 func RunCompiled(p *comm.Proc, cfg Config) *ProcResult {
-	cfg.Validate()
-	switch mode, period := adapt.ParseMode(cfg.Adapt); mode {
-	case "periodic":
-		cfg.RemapEvery = period
-	case "static":
-		cfg.RemapEvery = 0
-	case "policy":
-		panic("charmm: Adapt=policy is not supported for the compiled variant")
-	}
+	trig := cfg.mustTrigger()
 	init := GenInitState(cfg)
 	prog := loopir.NewProgram(p)
 	timer := core.NewPhaseTimer(p)
@@ -83,40 +73,32 @@ func RunCompiled(p *comm.Proc, cfg Config) *ProcResult {
 		// atom distribution.
 		_, ibv := ib.CSR()
 		_, jbv := jb.CSR()
-		refs := make([][]int32, len(ibv))
-		for k := range refs {
-			refs[k] = []int32{ibv[k], jbv[k]}
-		}
-		bOwners := remap.IterationOwners(p, refs, atoms.Dist().TT(), remap.AlmostOwnerComputes)
+		bOwners := bondOwners(p, ibv, jbv, atoms.Dist().TT())
 		bonds.Redistribute(bOwners)
 		p.Barrier()
 		timer.Mark(PhaseRemap)
 	}
 
-	// Initial preprocessing: list for weights, partition, fresh list,
-	// inspectors.
+	// One remap episode: partition and remap, a fresh list, the inspectors.
+	episode := func(part, listPhase, schedPhase string) {
+		repartitionAll(part)
+		rebuildList(listPhase)
+		bonded.Inspect()
+		nonbonded.Inspect()
+		p.Barrier()
+		timer.Mark(schedPhase)
+	}
+
+	// Initial preprocessing: a list for the weights, then the first episode.
 	rebuildList(PhaseNBListInit)
-	repartitionAll(cfg.Partitioner)
-	rebuildList(PhaseNBList)
-	bonded.Inspect()
-	nonbonded.Inspect()
-	p.Barrier()
-	timer.Mark(PhaseSchedGen)
+	trig.Episode(p, 0, func() { episode(cfg.Partitioner, PhaseNBList, PhaseSchedGen) })
 
 	remapCount := 0
+	trig.Start(p)
 	for step := 1; step <= cfg.Steps; step++ {
-		if cfg.RemapEvery > 0 && step%cfg.RemapEvery == 0 {
-			part := cfg.Partitioner
-			if cfg.AlternatePartitioners && remapCount%2 == 1 {
-				part = alternateOf(cfg.Partitioner)
-			}
+		if trig.Due(p, step) {
+			trig.Episode(p, step, func() { episode(cfg.partitionerAt(remapCount), PhaseNBUpdate, PhaseSchedRegen) })
 			remapCount++
-			repartitionAll(part)
-			rebuildList(PhaseNBUpdate)
-			bonded.Inspect()
-			nonbonded.Inspect()
-			p.Barrier()
-			timer.Mark(PhaseSchedRegen)
 		} else if step%cfg.NBEvery == 0 {
 			rebuildList(PhaseNBUpdate)
 			nonbonded.Inspect() // generated guard: jnb's record changed
@@ -136,17 +118,8 @@ func RunCompiled(p *comm.Proc, cfg Config) *ProcResult {
 		timer.Mark(PhaseExecutor)
 	}
 
-	res := &ProcResult{Phases: timer.Times, PhaseStats: timer.Stats, Spans: timer.Spans()}
-	sum := 0.0
-	for _, v := range x.Local() {
-		if v < 0 {
-			sum -= v
-		} else {
-			sum += v
-		}
-	}
-	tot := p.AllReduceF64(comm.OpSum, []float64{sum, float64(len(x.Local()))})
-	res.Checksum = tot[0] / tot[1]
+	res := &ProcResult{Phases: timer.Times, PhaseStats: timer.Stats, Spans: timer.Spans(), RemapSteps: trig.Steps}
+	res.Checksum = globalMeanAbs(p, x.Local())
 	_, vals := jnb.CSR()
 	res.NBEntries = p.AllReduceScalarI64(comm.OpSum, int64(len(vals)))
 	return res

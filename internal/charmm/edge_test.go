@@ -2,6 +2,7 @@ package charmm
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/comm"
@@ -170,5 +171,33 @@ func TestCompiledAppNearHandPerformance(t *testing.T) {
 	compiled := exec(RunCompiled)
 	if compiled > hand*1.25 {
 		t.Errorf("compiled app %.4fs more than 25%% over hand-coded %.4fs", compiled, hand)
+	}
+}
+
+// TestCompiledAppUnderPolicy: the compiled variant takes its remap decisions
+// from the same adapt.Trigger as the hand-parallelized one, so Adapt "policy"
+// — refused with a panic while the choreography existed only in Run — runs,
+// every rank agrees on when it remapped (AdaptVerify cross-checks each
+// decision), and the physics stays the reference's.
+func TestCompiledAppUnderPolicy(t *testing.T) {
+	cfg := DefaultConfig().scaled(450)
+	cfg.Steps = 12
+	cfg.NBEvery = 3
+	cfg.Partitioner = "block" // a poor partition, so the policy has skew to act on
+	cfg.Adapt = "policy"
+	cfg.AdaptVerify = true
+	_, want := Reference(cfg)
+	const nprocs = 3
+	results := make([]*ProcResult, nprocs)
+	comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
+		results[p.Rank()] = RunCompiled(p, cfg)
+	})
+	for r, res := range results {
+		if !slices.Equal(res.RemapSteps, results[0].RemapSteps) {
+			t.Errorf("rank %d remapped at %v, rank 0 at %v", r, res.RemapSteps, results[0].RemapSteps)
+		}
+	}
+	if math.Abs(results[0].Checksum-want) > 1e-9*math.Abs(want) {
+		t.Errorf("compiled checksum under policy %v, want %v", results[0].Checksum, want)
 	}
 }

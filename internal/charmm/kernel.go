@@ -70,15 +70,13 @@ func kernelSetup(p *comm.Proc, cfg KernelConfig) (pos []float64, ptr, jnb []int3
 // kernelPartitioner computes the alternating RCB/RIB owners for the current
 // local geometry, weighted by non-bonded row length.
 func kernelPartitioner(p *comm.Proc, ps *partState, which int, pos []float64, ptr []int32) []int32 {
-	if which%2 == 0 {
-		return ps.owners(p, "rcb", pos, ptr)
-	}
-	return ps.owners(p, "rib", pos, ptr)
+	return ps.owners(p, [2]string{"rcb", "rib"}[which%2], pos, ptr)
 }
 
-// kernelChecksum reduces the mean absolute value of the accumulated
-// displacements.
-func kernelChecksum(p *comm.Proc, dx []float64) float64 {
+// globalMeanAbs reduces the mean absolute value of a distributed array: the
+// checksum of the applications (over positions) and of the kernel (over the
+// accumulated displacements). Collective.
+func globalMeanAbs(p *comm.Proc, dx []float64) float64 {
 	s := 0.0
 	for _, v := range dx {
 		if v < 0 {
@@ -178,7 +176,7 @@ func RunKernelHand(p *comm.Proc, cfg KernelConfig) *KernelResult {
 		Inspector: timer.Times["inspector"],
 		Executor:  timer.Times["executor"],
 		Total:     p.Clock(),
-		Checksum:  kernelChecksum(p, dx),
+		Checksum:  globalMeanAbs(p, dx),
 	}
 }
 
@@ -255,6 +253,6 @@ func RunKernelCompiled(p *comm.Proc, cfg KernelConfig) *KernelResult {
 		Inspector: timer.Times["inspector"],
 		Executor:  timer.Times["executor"],
 		Total:     p.Clock(),
-		Checksum:  kernelChecksum(p, k.dx.Local()),
+		Checksum:  globalMeanAbs(p, k.dx.Local()),
 	}
 }

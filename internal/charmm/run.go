@@ -1,6 +1,7 @@
 package charmm
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/adapt"
@@ -110,19 +111,7 @@ func RunKeepState(p *comm.Proc, cfg Config) (*ProcResult, *FinalState) {
 }
 
 func run(p *comm.Proc, cfg Config) (*ProcResult, *simState) {
-	cfg.Validate()
-	mode, period := adapt.ParseMode(cfg.Adapt)
-	switch mode {
-	case "periodic":
-		cfg.RemapEvery = period
-	case "static", "policy":
-		cfg.RemapEvery = 0
-	}
-	var pol *adapt.Policy
-	if mode == "policy" {
-		pol = adapt.NewPolicy()
-		pol.Verify = cfg.AdaptVerify
-	}
+	trig := cfg.mustTrigger()
 	rt := core.NewRuntime(p)
 	switch cfg.TableKind {
 	case "", "replicated":
@@ -141,40 +130,19 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, *simState) {
 	if cfg.ResumeFrom != "" {
 		s, startStep, remapCount = resume(p, rt, cfg, timer)
 	} else {
-		s = setup(p, rt, cfg, timer, pol)
+		s = setup(p, rt, cfg, timer, trig)
 	}
 
-	var remapSteps []int
-	lastCost := adapt.CostPoint(p)
+	trig.Start(p)
 	for step := startStep + 1; step <= cfg.Steps; step++ {
 		if cfg.CrashStep > 0 && step == cfg.CrashStep && p.Rank() == cfg.CrashRank {
 			panic(fmt.Sprintf("charmm: injected crash on rank %d at step %d", p.Rank(), step))
 		}
-		doRemap := cfg.RemapEvery > 0 && step%cfg.RemapEvery == 0
-		if pol != nil {
-			now := adapt.CostPoint(p)
-			doRemap = pol.Step(p, now-lastCost)
-			lastCost = now
-		}
-		if doRemap {
-			part := cfg.Partitioner
-			if cfg.AlternatePartitioners && remapCount%2 == 1 {
-				part = alternateOf(cfg.Partitioner)
-			}
+		if trig.Due(p, step) {
+			trig.Episode(p, step, func() {
+				remapEpisode(p, s, cfg, cfg.partitionerAt(remapCount), timer, PhaseNBUpdate, PhaseSchedRegen)
+			})
 			remapCount++
-			t0 := adapt.EpisodePoint(p)
-			repartition(p, s, part, timer)
-			s.ptr, s.jnb = buildNBListPar(p, s.atoms.Globals(), s.pos, cfg, &s.nb)
-			p.Barrier()
-			timer.Mark(PhaseNBUpdate)
-			buildInspector(p, s, cfg)
-			p.Barrier()
-			timer.Mark(PhaseSchedRegen)
-			if pol != nil {
-				pol.ObserveRemap(p, adapt.EpisodePoint(p)-t0)
-				lastCost = adapt.CostPoint(p)
-			}
-			remapSteps = append(remapSteps, step)
 		} else if step%cfg.NBEvery == 0 {
 			// Adaptive phase: the non-bonded list changes; index analysis
 			// for unchanged indices is reused via the hash table.
@@ -195,27 +163,17 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, *simState) {
 		}
 	}
 
-	res := &ProcResult{Phases: timer.Times, PhaseStats: timer.Stats, Spans: timer.Spans(), RemapSteps: remapSteps}
-	// Global checksum: mean absolute coordinate.
-	sum := 0.0
-	for _, v := range s.pos {
-		if v < 0 {
-			sum -= v
-		} else {
-			sum += v
-		}
-	}
-	tot := p.AllReduceF64(comm.OpSum, []float64{sum, float64(len(s.pos))})
-	res.Checksum = tot[0] / tot[1]
+	res := &ProcResult{Phases: timer.Times, PhaseStats: timer.Stats, Spans: timer.Spans(), RemapSteps: trig.Steps}
+	res.Checksum = globalMeanAbs(p, s.pos)
 	res.NBEntries = p.AllReduceScalarI64(comm.OpSum, int64(len(s.jnb)))
 	return res, s
 }
 
 // setup generates the initial condition and runs the full preprocessing
-// pipeline (initial list, phases A-E) for a fresh run. When a remap policy
-// is active, the initial partition+list+inspector episode bootstraps its
-// remap-cost estimate.
-func setup(p *comm.Proc, rt *core.Runtime, cfg Config, timer *core.PhaseTimer, pol *adapt.Policy) *simState {
+// pipeline (initial list, phases A-E) for a fresh run. The partition+list+
+// inspector episode is the trigger's step 0: it bootstraps a remap policy's
+// cost estimate.
+func setup(p *comm.Proc, rt *core.Runtime, cfg Config, timer *core.PhaseTimer, trig *adapt.Trigger) *simState {
 	init := GenInitState(cfg)
 	s := &simState{atoms: rt.BlockDist(cfg.NAtoms)}
 	// Local slabs of the initial condition.
@@ -235,44 +193,58 @@ func setup(p *comm.Proc, rt *core.Runtime, cfg Config, timer *core.PhaseTimer, p
 	p.Barrier()
 	timer.Mark(PhaseNBListInit)
 
-	// Phases A-D.
-	t0 := adapt.EpisodePoint(p)
-	repartition(p, s, cfg.Partitioner, timer)
-
-	// The paper regenerates the non-bonded list after redistribution,
-	// before the simulation (the Table 2 "Non-bonded List Update" row).
-	s.ptr, s.jnb = buildNBListPar(p, s.atoms.Globals(), s.pos, cfg, &s.nb)
-	p.Barrier()
-	timer.Mark(PhaseNBList)
-
-	// Phase E: inspector.
-	buildInspector(p, s, cfg)
-	p.Barrier()
-	timer.Mark(PhaseSchedGen)
-	if pol != nil {
-		pol.ObserveRemap(p, adapt.EpisodePoint(p)-t0)
-	}
+	trig.Episode(p, 0, func() { remapEpisode(p, s, cfg, cfg.Partitioner, timer, PhaseNBList, PhaseSchedGen) })
 	return s
 }
 
-// Validate panics on inconsistent configuration.
-func (cfg Config) Validate() {
-	if cfg.NAtoms < 1 || cfg.Steps < 0 || cfg.NBEvery < 1 {
-		panic(fmt.Sprintf("charmm: bad config %+v", cfg))
-	}
-	switch cfg.Partitioner {
-	case "block", "rcb", "rib", "chain":
-	default:
-		panic("charmm: unknown partitioner " + cfg.Partitioner)
-	}
-	if cfg.CheckpointEvery > 0 && cfg.CheckpointDir == "" {
-		panic("charmm: CheckpointEvery set without CheckpointDir")
-	}
-	adapt.ParseMode(cfg.Adapt) // panics on a malformed Adapt string
+// remapEpisode is the adaptive cycle after the decision: phases A-D, the
+// non-bonded list regenerated on the new distribution (the paper does so
+// after the initial redistribution too: Table 2's "Non-bonded List Update"
+// row), and phase E, the inspector. listPhase and schedPhase name the rows
+// the last two are charged to.
+func remapEpisode(p *comm.Proc, s *simState, cfg Config, part string, timer *core.PhaseTimer, listPhase, schedPhase string) {
+	repartition(p, s, part, timer)
+	s.ptr, s.jnb = buildNBListPar(p, s.atoms.Globals(), s.pos, cfg, &s.nb)
+	p.Barrier()
+	timer.Mark(listPhase)
+	buildInspector(p, s, cfg)
+	p.Barrier()
+	timer.Mark(schedPhase)
 }
 
-func alternateOf(part string) string {
-	if part == "rcb" {
+// Validate reports an inconsistent configuration.
+func (cfg Config) Validate() error {
+	if cfg.NAtoms < 1 || cfg.Steps < 0 || cfg.NBEvery < 1 {
+		return fmt.Errorf("charmm: bad config %+v", cfg)
+	}
+	if !partition.Known(cfg.Partitioner) {
+		return errors.New("charmm: unknown partitioner " + cfg.Partitioner)
+	}
+	if cfg.CheckpointEvery > 0 && cfg.CheckpointDir == "" {
+		return errors.New("charmm: CheckpointEvery set without CheckpointDir")
+	}
+	_, err := adapt.NewTrigger(cfg.Adapt, cfg.RemapEvery, cfg.AdaptVerify)
+	return err
+}
+
+// mustTrigger validates the configuration, panicking with the complaint,
+// and returns the run's remap trigger.
+func (cfg Config) mustTrigger() *adapt.Trigger {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
+	trig, _ := adapt.NewTrigger(cfg.Adapt, cfg.RemapEvery, cfg.AdaptVerify) // Validate vetted it
+	return trig
+}
+
+// partitionerAt names the partitioner of the remap that follows remapCount
+// earlier ones: the configured one, or under AlternatePartitioners (the
+// Table 6 scenario) RCB and RIB in turn.
+func (cfg Config) partitionerAt(remapCount int) string {
+	switch {
+	case !cfg.AlternatePartitioners || remapCount%2 == 0:
+		return cfg.Partitioner
+	case cfg.Partitioner == "rcb":
 		return "rib"
 	}
 	return "rcb"
@@ -300,11 +272,7 @@ func repartition(p *comm.Proc, s *simState, part string, timer *core.PhaseTimer)
 	s.atoms = atoms2
 
 	// Bonded loop iterations: almost-owner-computes, then move the pairs.
-	refs := make([][]int32, len(s.bondI))
-	for k := range refs {
-		refs[k] = []int32{s.bondI[k], s.bondJ[k]}
-	}
-	bOwners := remap.IterationOwners(p, refs, s.atoms.TT(), remap.AlmostOwnerComputes)
+	bOwners := bondOwners(p, s.bondI, s.bondJ, s.atoms.TT())
 	ls := schedule.BuildLight(p, bOwners)
 	pairs := make([]int32, 2*len(s.bondI))
 	for k := range s.bondI {
@@ -321,6 +289,17 @@ func repartition(p *comm.Proc, s *simState, part string, timer *core.PhaseTimer)
 	}
 	p.Barrier()
 	timer.Mark(PhaseRemap)
+}
+
+// bondOwners partitions the bonded loop's iterations (bond k references
+// atoms bi[k] and bj[k]) over the atom distribution tt by the
+// almost-owner-computes rule. Collective.
+func bondOwners(p *comm.Proc, bi, bj []int32, tt *ttable.Table) []int32 {
+	refs := make([][]int32, len(bi))
+	for k := range refs {
+		refs[k] = []int32{bi[k], bj[k]}
+	}
+	return remap.IterationOwners(p, refs, tt, remap.AlmostOwnerComputes)
 }
 
 // partState is the per-run working storage of the phase-A partitioner
@@ -345,14 +324,7 @@ func (ps *partState) owners(p *comm.Proc, part string, pos []float64, ptr []int3
 		g.Z[i] = pos[3*i+2]
 		g.W[i] = 1 + float64(ptr[i+1]-ptr[i])
 	}
-	switch part {
-	case "rcb":
-		ps.out = partition.RCBInto(ps.out, p, g)
-	case "rib":
-		ps.out = partition.RIBInto(ps.out, p, g)
-	default:
-		ps.out = partition.Chain(p, 0, g)
-	}
+	ps.out = partition.ByName(ps.out, p, part, g)
 	recycle.PoisonF64(g.X)
 	recycle.PoisonF64(g.Y)
 	recycle.PoisonF64(g.Z)
@@ -366,10 +338,7 @@ func (ps *partState) atomOwners(p *comm.Proc, part string, globals []int32, nAto
 	if part != "block" {
 		return ps.owners(p, part, pos, ptr)
 	}
-	ps.out = recycle.Sized(ps.out, len(globals))
-	for i, g := range globals {
-		ps.out[i] = int32(partition.BlockOwner(int(g), nAtoms, p.Size()))
-	}
+	ps.out = partition.BlockOwnersInto(ps.out, globals, nAtoms, p.Size())
 	return ps.out
 }
 

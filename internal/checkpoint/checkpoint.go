@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -165,6 +166,23 @@ func Latest(base string) (dir string, ok bool) {
 		}
 	}
 	return "", false
+}
+
+// ResolveResume turns a launcher's -resume argument into a checkpoint
+// directory: arg itself (the empty string included), or, for the special
+// value "latest", the most recent sealed checkpoint under base.
+func ResolveResume(arg, base string) (string, error) {
+	if arg != "latest" {
+		return arg, nil
+	}
+	if base == "" {
+		return "", errors.New("-resume latest requires -ckpt-dir")
+	}
+	dir, ok := Latest(base)
+	if !ok {
+		return "", fmt.Errorf("no sealed checkpoint under %s", base)
+	}
+	return dir, nil
 }
 
 // Save writes one checkpoint collectively: every rank writes its shard,

@@ -127,6 +127,12 @@ func TestLatestPicksSealedCheckpoints(t *testing.T) {
 	if _, ok := Latest(base); ok {
 		t.Fatal("Latest on empty base should report none")
 	}
+	if dir, err := ResolveResume("latest", base); err == nil {
+		t.Fatalf(`ResolveResume("latest") on an empty base = %q, want an error`, dir)
+	}
+	if dir, err := ResolveResume("latest", ""); err == nil {
+		t.Fatalf(`ResolveResume("latest") without a base = %q, want an error`, dir)
+	}
 	m := &Manifest{App: "x", NRanks: 1, Step: 10, N: 1, ShardCRCs: []uint32{0}}
 	for _, step := range []int64{10, 20} {
 		dir := StepDir(base, step)
@@ -146,6 +152,14 @@ func TestLatestPicksSealedCheckpoints(t *testing.T) {
 	dir, ok := Latest(base)
 	if !ok || dir != StepDir(base, 20) {
 		t.Fatalf("Latest = %q, %v; want %q", dir, ok, StepDir(base, 20))
+	}
+	if dir, err := ResolveResume("latest", base); err != nil || dir != StepDir(base, 20) {
+		t.Fatalf(`ResolveResume("latest") = %q, %v; want %q`, dir, err, StepDir(base, 20))
+	}
+	for _, arg := range []string{"", "some/dir"} { // anything else is taken as given
+		if dir, err := ResolveResume(arg, base); err != nil || dir != arg {
+			t.Fatalf("ResolveResume(%q) = %q, %v", arg, dir, err)
+		}
 	}
 }
 

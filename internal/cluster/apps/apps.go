@@ -86,6 +86,11 @@ func (s Spec) Validate() error {
 	if s.Elems <= 0 {
 		return fmt.Errorf("apps: %s needs elems > 0, got %d", s.App, s.Elems)
 	}
+	if s.CrashRank < 0 {
+		// The upper bound is the launcher's to check: a spec does not fix
+		// the rank count (a cluster job's changes across restarts).
+		return fmt.Errorf("apps: crash_rank must not be negative, got %d", s.CrashRank)
+	}
 	return nil
 }
 

@@ -42,6 +42,7 @@ func TestValidateRejections(t *testing.T) {
 		{App: "dsmc", Elems: 10, Steps: 0},
 		{App: "dsmc", Elems: 10, Steps: 4, CheckpointEvery: 2}, // cadence without dir
 		{App: "charmm", Elems: 0, Steps: 4},
+		{App: "charmm", Elems: 10, Steps: 4, CrashStep: 2, CrashRank: -1},
 	}
 	for _, s := range cases {
 		if err := s.Validate(); err == nil {

@@ -205,33 +205,14 @@ func combineI64(op Op, dst, src []int64) {
 func (p *Proc) AllReduceF64(op Op, vec []float64) []float64 {
 	acc := make([]float64, len(vec))
 	copy(acc, vec)
-	if p.size == 1 {
-		return acc
-	}
-	// Binomial reduce to rank 0.
-	for mask := 1; mask < p.size; mask <<= 1 {
-		if p.rank&mask != 0 {
-			p.SendF64(p.rank-mask, tagReduce, acc)
-			acc = nil
-			break
-		}
-		if p.rank|mask < p.size {
-			combineF64(op, acc, p.RecvF64(p.rank|mask, tagReduce))
-		}
-	}
-	// Broadcast the result.
-	var buf []byte
-	if p.rank == 0 {
-		buf = EncodeF64(acc)
-	}
-	return DecodeF64(p.Broadcast(0, buf))
+	p.AllReduceF64Into(op, acc, nil)
+	return acc
 }
 
 // AllReduceF64Into combines vec element-wise across all ranks with op,
 // leaving the result in vec on every rank. scratch is caller-owned receive
 // space, grown as needed and returned for reuse; once scratch has capacity
-// len(vec) the call performs no allocations. The message pattern (peers,
-// tags, byte counts, virtual charges) is identical to AllReduceF64.
+// len(vec) the call performs no allocations.
 func (p *Proc) AllReduceF64Into(op Op, vec, scratch []float64) []float64 {
 	if p.size == 1 {
 		return scratch

@@ -1,6 +1,8 @@
 package dsmc
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/comm"
@@ -121,18 +123,24 @@ func TestAdaptStaticAndPeriodicModes(t *testing.T) {
 	}
 }
 
-// TestAdaptBadModePanics: a malformed Adapt string fails validation.
+// TestAdaptBadModePanics: a malformed Adapt string fails validation with an
+// error naming it, and a run started anyway panics with that message.
 func TestAdaptBadModePanics(t *testing.T) {
 	for _, bad := range []string{"periodic:0", "periodic:x", "sometimes"} {
+		cfg := smallConfig()
+		cfg.Adapt = bad
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(bad)) {
+			t.Errorf("Adapt=%q: Validate returned %v", bad, err)
+			continue
+		}
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("Adapt=%q did not panic", bad)
+				if got := recover(); got != err.Error() {
+					t.Errorf("Adapt=%q: Reference panicked with %v, want %q", bad, got, err)
 				}
 			}()
-			cfg := smallConfig()
-			cfg.Adapt = bad
-			cfg.Validate()
+			Reference(cfg)
 		}()
 	}
 }

@@ -21,9 +21,11 @@
 package dsmc
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/adapt"
+	"repro/internal/partition"
 )
 
 // Mover selects the MOVE-phase implementation.
@@ -111,36 +113,38 @@ func (c Config) collideCost() int {
 	return collideFlopsPerMol
 }
 
-// adaptMode parses Config.Adapt into (mode, period): ("", 0) when unset,
-// ("static", 0), ("periodic", N) or ("policy", 0). Panics on anything else.
-func (c Config) adaptMode() (string, int) { return adapt.ParseMode(c.Adapt) }
-
-// Validate panics on inconsistent configuration.
-func (c Config) Validate() {
+// Validate reports an inconsistent configuration.
+func (c Config) Validate() error {
 	if c.NX < 1 || c.NY < 1 || c.NZ < 1 || c.NMols < 0 || c.Steps < 0 {
-		panic(fmt.Sprintf("dsmc: bad config %+v", c))
+		return fmt.Errorf("dsmc: bad config %+v", c)
 	}
 	if c.Mover != MoverLight && c.Mover != MoverRegular && c.Mover != MoverCompiler {
-		panic("dsmc: unknown mover " + string(c.Mover))
+		return errors.New("dsmc: unknown mover " + string(c.Mover))
 	}
-	switch c.Partitioner {
-	case "block", "rcb", "rib", "chain":
-	default:
-		panic("dsmc: unknown partitioner " + c.Partitioner)
+	if !partition.Known(c.Partitioner) {
+		return errors.New("dsmc: unknown partitioner " + c.Partitioner)
 	}
 	if c.SlotCap < 1 {
-		panic("dsmc: SlotCap must be positive")
+		return errors.New("dsmc: SlotCap must be positive")
 	}
 	if c.InitSlabFrac <= 0 || c.InitSlabFrac > 1 {
-		panic("dsmc: InitSlabFrac must be in (0,1]")
+		return errors.New("dsmc: InitSlabFrac must be in (0,1]")
 	}
 	if c.Sigma <= 0 {
-		panic("dsmc: Sigma must be positive")
+		return errors.New("dsmc: Sigma must be positive")
 	}
 	if c.CheckpointEvery > 0 && c.CheckpointDir == "" {
-		panic("dsmc: CheckpointEvery set without CheckpointDir")
+		return errors.New("dsmc: CheckpointEvery set without CheckpointDir")
 	}
-	c.adaptMode() // panics on a malformed Adapt string
+	_, err := adapt.NewTrigger(c.Adapt, c.RemapEvery, c.AdaptVerify)
+	return err
+}
+
+// mustValidate panics with Validate's complaint.
+func (c Config) mustValidate() {
+	if err := c.Validate(); err != nil {
+		panic(err.Error())
+	}
 }
 
 // NCells returns the total cell count.

@@ -238,14 +238,22 @@ func TestSlotCapOverflowPanics(t *testing.T) {
 }
 
 func TestConfigValidate(t *testing.T) {
-	bad := smallConfig()
-	bad.Mover = "teleport"
-	defer func() {
-		if recover() == nil {
-			t.Error("bad mover did not panic")
+	if err := smallConfig().Validate(); err != nil {
+		t.Errorf("good config refused: %v", err)
+	}
+	for want, mutate := range map[string]func(*Config){
+		"dsmc: unknown mover teleport":                                func(c *Config) { c.Mover = "teleport" },
+		"dsmc: unknown partitioner voronoi":                           func(c *Config) { c.Partitioner = "voronoi" },
+		"dsmc: SlotCap must be positive":                              func(c *Config) { c.SlotCap = 0 },
+		"dsmc: CheckpointEvery set without CheckpointDir":             func(c *Config) { c.CheckpointEvery = 2 },
+		`adapt: bad mode "often" (want static, periodic:N or policy)`: func(c *Config) { c.Adapt = "often" },
+	} {
+		bad := smallConfig()
+		mutate(&bad)
+		if err := bad.Validate(); err == nil || err.Error() != want {
+			t.Errorf("Validate returned %v, want %q", err, want)
 		}
-	}()
-	bad.Validate()
+	}
 }
 
 func TestPhaseAccounting(t *testing.T) {

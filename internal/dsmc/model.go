@@ -157,7 +157,7 @@ func Checksum(mols []float64) float64 {
 // molecule population (in id order) and its checksum. It is the
 // correctness oracle for the parallel implementations.
 func Reference(cfg Config) ([]float64, float64) {
-	cfg.Validate()
+	cfg.mustValidate()
 	mols := GenMolecules(cfg)
 	var cells [][]int
 	for step := 1; step <= cfg.Steps; step++ {

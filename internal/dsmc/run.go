@@ -51,25 +51,15 @@ func RunKeepMols(p *comm.Proc, cfg Config) []float64 {
 }
 
 func run(p *comm.Proc, cfg Config) (*ProcResult, []float64) {
-	cfg.Validate()
-	mode, period := cfg.adaptMode()
-	switch mode {
-	case "periodic":
-		cfg.RemapEvery = period
-	case "static", "policy":
-		cfg.RemapEvery = 0
-	}
-	var pol *adapt.Policy
-	if mode == "policy" {
-		pol = adapt.NewPolicy()
-		pol.Verify = cfg.AdaptVerify
-	}
+	cfg.mustValidate()
+	trig, _ := adapt.NewTrigger(cfg.Adapt, cfg.RemapEvery, cfg.AdaptVerify) // Validate vetted it
 	rt := core.NewRuntime(p)
 	timer := core.NewPhaseTimer(p)
 
 	var cells *core.Dist
 	var mols []float64
 	var st stepState
+	remap := func() { cells, mols = remapCells(p, &cfg, cells, mols, timer, &st) }
 	startStep := 0
 	if cfg.ResumeFrom != "" {
 		cells, mols, startStep = resume(p, rt, &cfg, timer, &st)
@@ -96,19 +86,14 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, []float64) {
 		}
 		timer.Skip() // setup is not measured
 
-		// Remapping policies partition once before the run as well; the
-		// policy engine prices its first episode from this bootstrap remap.
-		if (cfg.RemapEvery > 0 || mode == "static" || mode == "policy") && cfg.Partitioner != "block" {
-			t0 := adapt.EpisodePoint(p)
-			cells, mols = remapCells(p, &cfg, cells, mols, timer, &st)
-			if pol != nil {
-				pol.ObserveRemap(p, adapt.EpisodePoint(p)-t0)
-			}
+		// A run that balances load partitions once before the first step as
+		// well: the trigger's step 0.
+		if trig.Active() && cfg.Partitioner != "block" {
+			trig.Episode(p, 0, remap)
 		}
 	}
 
-	var remapSteps []int
-	lastCost := adapt.CostPoint(p)
+	trig.Start(p)
 	for step := startStep + 1; step <= cfg.Steps; step++ {
 		if cfg.CrashStep > 0 && step == cfg.CrashStep && p.Rank() == cfg.CrashRank {
 			panic(fmt.Sprintf("dsmc: injected crash on rank %d at step %d", p.Rank(), step))
@@ -126,20 +111,8 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, []float64) {
 		collideOwned(p, &cfg, cells, mols, step, &st)
 		timer.Mark(PhaseCollide)
 
-		doRemap := cfg.RemapEvery > 0 && step%cfg.RemapEvery == 0 && step < cfg.Steps
-		if pol != nil && step < cfg.Steps {
-			now := adapt.CostPoint(p)
-			doRemap = pol.Step(p, now-lastCost)
-			lastCost = now
-		}
-		if doRemap {
-			t0 := adapt.EpisodePoint(p)
-			cells, mols = remapCells(p, &cfg, cells, mols, timer, &st)
-			if pol != nil {
-				pol.ObserveRemap(p, adapt.EpisodePoint(p)-t0)
-				lastCost = adapt.CostPoint(p)
-			}
-			remapSteps = append(remapSteps, step)
+		if step < cfg.Steps && trig.Due(p, step) {
+			trig.Episode(p, step, remap)
 		}
 		if cfg.CheckpointEvery > 0 && step%cfg.CheckpointEvery == 0 {
 			saveCheckpoint(p, &cfg, cells, mols, step)
@@ -152,7 +125,7 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, []float64) {
 
 	res := &ProcResult{Phases: timer.Times, PhaseStats: timer.Stats, Spans: timer.Spans()}
 	res.MoveTime = timer.Times[PhaseMove]
-	res.RemapSteps = remapSteps
+	res.RemapSteps = trig.Steps
 	res.Checksum = p.AllReduceScalarF64(comm.OpSum, Checksum(mols))
 	return res, mols
 }
@@ -448,29 +421,19 @@ func remapCells(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, tim
 	}
 	p.ComputeMem(n)
 
-	geom := &partition.Geom{Dim: 3, W: w}
-	if cfg.NZ == 1 {
-		geom.Dim = 2
-	}
-	geom.X = make([]float64, cells.NLocal())
-	geom.Y = make([]float64, cells.NLocal())
-	geom.Z = make([]float64, cells.NLocal())
-	for i, g := range cells.Globals() {
-		geom.X[i], geom.Y[i], geom.Z[i] = CellCenter(cfg, int(g))
-	}
 	var owners []int32
-	switch cfg.Partitioner {
-	case "rcb":
-		owners = partition.RCB(p, geom)
-	case "rib":
-		owners = partition.RIB(p, geom)
-	case "chain":
-		owners = partition.Chain(p, 0, geom)
-	default: // "block": keep the block assignment
-		owners = make([]int32, cells.NLocal())
-		for i, g := range cells.Globals() {
-			owners[i] = int32(partition.BlockOwner(int(g), cells.N(), p.Size()))
+	if cfg.Partitioner == "block" { // keep the block assignment
+		owners = partition.BlockOwnersInto(nil, cells.Globals(), cells.N(), p.Size())
+	} else {
+		nc := cells.NLocal()
+		geom := &partition.Geom{Dim: 3, X: make([]float64, nc), Y: make([]float64, nc), Z: make([]float64, nc), W: w}
+		if cfg.NZ == 1 {
+			geom.Dim = 2
 		}
+		for i, g := range cells.Globals() {
+			geom.X[i], geom.Y[i], geom.Z[i] = CellCenter(cfg, int(g))
+		}
+		owners = partition.ByName(nil, p, cfg.Partitioner, geom)
 	}
 	p.Barrier()
 	timer.Mark(PhasePartition)

@@ -3,7 +3,6 @@ package loopir
 import (
 	"repro/internal/adapt"
 	"repro/internal/comm"
-	"repro/internal/hashtab"
 	"repro/internal/recycle"
 	"repro/internal/schedule"
 )
@@ -63,19 +62,14 @@ type loopCore struct {
 	// flops is the modeled arithmetic cost of one body invocation.
 	flops int
 
-	// Cached inspector products (the §5.3 reuse mechanism); the recorded
-	// versions they were built against live with the indirection arrays in
-	// the loop types.
-	ht          *hashtab.Table
-	sched       *schedule.Schedule
-	inspections int
-
-	// Program-level optimization state, set by the fortd -O lowering: a
-	// schedule group shared with other loops of identical indirection usage,
-	// and a flag recording that the inspector was hoisted out of the
-	// enclosing time loop (the guard then only re-checks, never rebuilds,
-	// inside the loop, so its modeled bookkeeping halves).
-	shared  *SharedSched
+	// shared is the schedule group that inspects for the loop and holds the
+	// products — the §5.3 reuse mechanism: modification records, hash table,
+	// stamps, schedule. It is the loop's own until the fortd -O lowering
+	// points several loops of identical indirection usage at one group.
+	shared *SharedSched
+	// hoisted records that the inspector was hoisted out of the enclosing
+	// time loop (the guard then only re-checks, never rebuilds, inside the
+	// loop, so its modeled bookkeeping halves).
 	hoisted bool
 
 	// Executor modes: adaptive self-scheduling state (nil = static), the
@@ -105,12 +99,7 @@ func (c *loopCore) core() *loopCore { return c }
 // Inspections returns how many times the inspector actually ran — tests use
 // it to verify the generated code reuses preprocessing when nothing changed.
 // A loop sharing a group schedule reports the group's count.
-func (l *loopCore) Inspections() int {
-	if l.shared != nil {
-		return l.shared.inspections
-	}
-	return l.inspections
-}
+func (l *loopCore) Inspections() int { return l.shared.inspections }
 
 // SetHoisted records that the inspector was hoisted out of the enclosing
 // time loop (the hoist analysis proved the indirection arrays unmodified
@@ -187,7 +176,7 @@ type space interface {
 func execute(loops ...space) {
 	first, lead, single := loops[0], loops[0].core(), len(loops) == 1
 	for _, l := range loops {
-		if !single && (l.core().shared == nil || l.core().shared != lead.shared) {
+		if !single && l.core().shared != lead.shared {
 			panic("loopir: fused loops must share one SharedSched")
 		}
 		l.Inspect()
@@ -211,7 +200,7 @@ func execute(loops ...space) {
 
 	// Stage the buffers: a contribution buffer per loop, a gather buffer per
 	// distinct read array of the run.
-	nBuf := lead.ht.NLocal() + lead.ht.NGhosts()
+	nBuf := lead.shared.ht.NLocal() + lead.shared.ht.NGhosts()
 	lead.xbs, lead.xw, lead.fbs, lead.fw = lead.xbs[:0], lead.xw[:0], lead.fbs[:0], lead.fw[:0]
 	for li, l := range loops {
 		c := l.core()
@@ -229,13 +218,13 @@ func execute(loops ...space) {
 
 	s0 := p.Stats()
 	if overlap {
-		gm := schedule.GatherWMultiStart(p, lead.sched, lead.xbs, lead.xw)
+		gm := schedule.GatherWMultiStart(p, lead.shared.sched, lead.xbs, lead.xw)
 		ov := p.Phase(PhaseOverlap)
 		window(loops, ss, split)
 		ov.End()
 		gm.Wait()
 	} else {
-		schedule.GatherWMulti(p, lead.sched, lead.xbs, lead.xw)
+		schedule.GatherWMulti(p, lead.shared.sched, lead.xbs, lead.xw)
 		window(loops, ss, split)
 	}
 	lead.motion.Add(p.Stats().Sub(s0))
@@ -260,13 +249,13 @@ func execute(loops ...space) {
 
 	s1 := p.Stats()
 	if split {
-		sm := schedule.ScatterWMultiStart(p, lead.sched, lead.fbs, lead.fw, schedule.OpAdd)
+		sm := schedule.ScatterWMultiStart(p, lead.shared.sched, lead.fbs, lead.fw, schedule.OpAdd)
 		ov := p.Phase(PhaseOverlap)
 		first.applyOwned()
 		ov.End()
 		sm.Wait()
 	} else {
-		schedule.ScatterWMulti(p, lead.sched, lead.fbs, lead.fw, schedule.OpAdd)
+		schedule.ScatterWMulti(p, lead.shared.sched, lead.fbs, lead.fw, schedule.OpAdd)
 	}
 	lead.motion.Add(p.Stats().Sub(s1))
 

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/adapt"
-	"repro/internal/hashtab"
-	"repro/internal/recycle"
 	"repro/internal/schedule"
 )
 
@@ -32,15 +30,9 @@ type PairLoop struct {
 	ia, ib *IndArray // flat, width 1, aligned with the iteration decomposition
 	body   PairIterBody
 
-	// The localized indirection arrays and the recorded versions the cached
-	// inspector products were built against.
-	sa, sb       hashtab.Stamp
-	la, lb       []int32
-	iaSeen       int64
-	ibSeen       int64
-	dataDistSeen int64
-	iterDistSeen int64
-	// ma/mb are the arrays' member indices in the schedule group, if shared.
+	// la/lb are the localized indirection arrays and ma/mb the arrays'
+	// member indices in the loop's schedule group (see Inspect).
+	la, lb []int32
 	ma, mb int
 }
 
@@ -69,11 +61,9 @@ func (pr *Program) NewPairLoop(ia, ib *IndArray, x, f *RealArray, flopsPerIter i
 	if x.width != f.width {
 		panic(fmt.Sprintf("loopir: read width %d != reduce width %d", x.width, f.width))
 	}
-	return &PairLoop{
-		loopCore: loopCore{prog: pr, x: x, f: f, flops: flopsPerIter},
-		ia:       ia, ib: ib, body: body,
-		iaSeen: -1, ibSeen: -1, dataDistSeen: -1, iterDistSeen: -1,
-	}
+	l := &PairLoop{loopCore: loopCore{prog: pr, x: x, f: f, flops: flopsPerIter}, ia: ia, ib: ib, body: body}
+	l.Share(pr.NewSharedSched(x.dec)) // its own group until the optimizer shares another
+	return l
 }
 
 // Share points the loop at a group schedule covering its data
@@ -88,47 +78,16 @@ func (l *PairLoop) Share(g *SharedSched) {
 	l.mb = g.Add(l.ib)
 }
 
-// Inspect is the generated guard: it reruns the inspector if any recorded
-// version is stale (see SumLoop.Inspect).
+// Inspect is the generated guard: it reruns the group inspector if any
+// recorded version is stale (see SumLoop.Inspect). Both indirection arrays
+// hash into the group's one table under separate stamps, and the group
+// schedule is the merged one. Redistributing the iteration decomposition
+// alone bumps the arrays' modification records but not the data
+// distribution's, so the cached translations are kept.
 func (l *PairLoop) Inspect() {
-	if l.shared != nil {
-		l.shared.Inspect()
-		l.ht = l.shared.ht
-		l.la = l.shared.Loc(l.ma)
-		l.lb = l.shared.Loc(l.mb)
-		l.sched = l.shared.sched
-		return
-	}
-	dataV := l.x.dec.version
-	iterV := l.ia.dec.version
-	if l.ht != nil && l.iaSeen == l.ia.version && l.ibSeen == l.ib.version &&
-		l.dataDistSeen == dataV && l.iterDistSeen == iterV {
-		return
-	}
-	reg := l.prog.P.Phase("inspector")
-	if l.ht == nil || l.dataDistSeen != dataV || l.iterDistSeen != iterV {
-		// Data redistribution (or first run) invalidates translations.
-		l.ht = l.x.dec.dist.NewHashTableInto(l.ht)
-		l.sa = l.ht.NewStamp()
-		l.sb = l.ht.NewStamp()
-		recycle.PoisonI32(l.la)
-		recycle.PoisonI32(l.lb)
-	} else {
-		// One or both indirection arrays adapted: clear just their stamps;
-		// cached translations are reused.
-		l.ht.ClearStamp(l.sa)
-		l.ht.ClearStamp(l.sb)
-	}
-	l.la = l.ht.HashInto(l.la, l.ia.vals, l.sa)
-	l.lb = l.ht.HashInto(l.lb, l.ib.vals, l.sb)
-	l.sched = schedule.BuildInto(l.sched, l.prog.P, l.ht, l.sa|l.sb, 0) // merged schedule
-	l.prog.P.ComputeMem(len(l.ia.vals) + len(l.ib.vals))
-	l.iaSeen = l.ia.version
-	l.ibSeen = l.ib.version
-	l.dataDistSeen = dataV
-	l.iterDistSeen = iterV
-	l.inspections++
-	reg.End()
+	l.shared.Inspect()
+	l.la = l.shared.Loc(l.ma)
+	l.lb = l.shared.Loc(l.mb)
 }
 
 // Execute runs the loop once: gather x ghosts, run the body per iteration,
@@ -174,11 +133,11 @@ func (l *PairLoop) run(lo, hi int) {
 }
 
 func (l *PairLoop) buildSplit(sp *schedule.Split) *schedule.Split {
-	return schedule.SplitFlat(sp, l.la, l.lb, l.ht.NLocal())
+	return schedule.SplitFlat(sp, l.la, l.lb, l.shared.ht.NLocal())
 }
 
 func (l *PairLoop) interior() {
-	w, xb, nLocal := l.x.width, l.xb, l.ht.NLocal()
+	w, xb, nLocal := l.x.width, l.xb, l.shared.ht.NLocal()
 	for k := 0; k < l.extent(); k++ {
 		i, j := int(l.la[k]), int(l.lb[k])
 		if i >= nLocal || j >= nLocal || i == j {
@@ -203,7 +162,7 @@ func (l *PairLoop) boundary() {
 }
 
 func (l *PairLoop) applyGhost() {
-	w, xb, fb, nLocal := l.x.width, l.xb, l.fb, l.ht.NLocal()
+	w, xb, fb, nLocal := l.x.width, l.xb, l.fb, l.shared.ht.NLocal()
 	for _, k32 := range l.split.BndIdx {
 		k := int(k32)
 		i, j := int(l.la[k]), int(l.lb[k])
@@ -222,7 +181,7 @@ func (l *PairLoop) applyGhost() {
 }
 
 func (l *PairLoop) applyOwned() {
-	w, xb, fb, nLocal := l.x.width, l.xb, l.fb, l.ht.NLocal()
+	w, xb, fb, nLocal := l.x.width, l.xb, l.fb, l.shared.ht.NLocal()
 	for k := 0; k < l.extent(); k++ {
 		i, j := int(l.la[k]), int(l.lb[k])
 		if i == j {

@@ -6,12 +6,13 @@ import (
 	"repro/internal/schedule"
 )
 
-// SharedSched is one communication schedule shared by several compiled
-// loops — the target of the program-level schedule-reuse analysis (paper
-// §4/§5.3). The fortd optimizer groups FORALLs with identical indirection
-// usage over one data decomposition and points them all at one SharedSched,
-// so the inspector (hash + schedule build) runs once per adapt cycle
-// instead of once per loop.
+// SharedSched is a schedule group: the owner of the generated inspector and
+// of its §5.3 guard. Every compiled loop inspects through one — its own
+// group of one (SumLoop) or two (PairLoop) indirection arrays, or, as the
+// target of the program-level schedule-reuse analysis (paper §4/§5.3), one
+// group the fortd optimizer points several FORALLs with identical
+// indirection usage over one data decomposition at, so the inspector (hash
+// + schedule build) runs once per adapt cycle instead of once per loop.
 //
 // Members are the distinct indirection arrays the group hashes; each gets
 // its own stamp in one hash table, and the group schedule is built merged
@@ -65,13 +66,14 @@ func (g *SharedSched) Inspections() int { return g.inspections }
 // Loc returns the localized indices of member m (valid after Inspect).
 func (g *SharedSched) Loc(m int) []int32 { return g.locs[m] }
 
-// Inspect runs the group inspector if any recorded version is stale: one
-// hash table, one stamp per member, one merged schedule build — the shared
-// preprocessing all member loops then execute against. Collective (all
-// ranks reach the same staleness verdict because versions advance in
-// collective calls).
+// Inspect is the guard and the inspector it protects: a no-op unless a
+// recorded version is stale, else one hash table, one stamp per member, one
+// merged schedule build — the preprocessing all member loops then execute
+// against. Collective (all ranks reach the same staleness verdict because
+// versions advance in collective calls).
 func (g *SharedSched) Inspect() {
-	stale := g.ht == nil || g.distSeen != g.dec.version
+	redistributed := g.ht == nil || g.distSeen != g.dec.version
+	stale := redistributed
 	for m, ia := range g.members {
 		if g.seen[m] != ia.version {
 			stale = true
@@ -81,16 +83,18 @@ func (g *SharedSched) Inspect() {
 		return
 	}
 	reg := g.prog.P.Phase("inspector")
-	if g.ht == nil || g.distSeen != g.dec.version {
-		// Redistribution (or first run, or a new member) invalidates
-		// everything: one empty table for the whole group.
+	if redistributed {
+		// Redistribution (or first run, or a new member) invalidates every
+		// translation: one empty table on the new distribution for the whole
+		// group, its storage kept.
 		g.ht = g.dec.dist.NewHashTableInto(g.ht)
 		for m := range g.members {
 			g.stamps[m] = g.ht.NewStamp()
 			recycle.PoisonI32(g.locs[m])
 		}
 	} else {
-		// Some member adapted: clear the stamps, reuse cached translations.
+		// Some member adapted: clear the stamps and rehash; index analysis
+		// for unchanged entries is reused from the hash table.
 		for _, s := range g.stamps {
 			g.ht.ClearStamp(s)
 		}
@@ -103,6 +107,10 @@ func (g *SharedSched) Inspect() {
 		total += len(ia.vals)
 	}
 	g.sched = schedule.BuildInto(g.sched, g.prog.P, g.ht, include, 0)
+	// Generated inspectors drive the hash and schedule calls through
+	// runtime descriptors rather than specialized code; the constant-
+	// factor interpretation overhead is what separates the Inspector
+	// columns of Table 6.
 	g.prog.P.ComputeMem(total)
 	g.distSeen = g.dec.version
 	for m, ia := range g.members {

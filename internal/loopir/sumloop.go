@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/adapt"
-	"repro/internal/hashtab"
-	"repro/internal/recycle"
 	"repro/internal/schedule"
 )
 
@@ -29,13 +27,9 @@ type SumLoop struct {
 	ind  *IndArray
 	body PairBody
 
-	// The localized indirection array and the recorded versions the cached
-	// inspector products were built against.
-	stamp    hashtab.Stamp
-	loc      []int32
-	indSeen  int64
-	distSeen int64
-	// member is the loop's index in its schedule group, if shared.
+	// loc is the localized indirection array and member the array's index
+	// in the loop's schedule group (see Inspect).
+	loc    []int32
 	member int
 }
 
@@ -52,11 +46,9 @@ func (pr *Program) NewSumLoop(ind *IndArray, x, f *RealArray, flopsPerPair int, 
 	if x.width != f.width {
 		panic(fmt.Sprintf("loopir: read width %d != reduce width %d", x.width, f.width))
 	}
-	return &SumLoop{
-		loopCore: loopCore{prog: pr, x: x, f: f, flops: flopsPerPair},
-		ind:      ind, body: body,
-		indSeen: -1, distSeen: -1,
-	}
+	l := &SumLoop{loopCore: loopCore{prog: pr, x: x, f: f, flops: flopsPerPair}, ind: ind, body: body}
+	l.Share(pr.NewSharedSched(ind.dec)) // its own group until the optimizer shares another
+	return l
 }
 
 // Share points the loop at a group schedule: its indirection array joins
@@ -72,44 +64,13 @@ func (l *SumLoop) Share(g *SharedSched) {
 }
 
 // Inspect is the generated guard: compare modification records, rerun only
-// the necessary part of the inspector (a no-op when nothing is stale).
-// Execute calls it implicitly; exposing it lets drivers time the inspector
-// and executor phases separately, as Table 6 reports.
+// the necessary part of the inspector (a no-op when nothing is stale) — the
+// group inspector's job, whether the group is the loop's own or one shared
+// with other loops. Execute calls it implicitly; exposing it lets drivers
+// time the inspector and executor phases separately, as Table 6 reports.
 func (l *SumLoop) Inspect() {
-	if l.shared != nil {
-		l.shared.Inspect()
-		l.ht = l.shared.ht
-		l.loc = l.shared.Loc(l.member)
-		l.sched = l.shared.sched
-		return
-	}
-	d := l.ind.dec
-	if l.ht != nil && l.distSeen == d.version && l.indSeen == l.ind.version {
-		return
-	}
-	reg := l.prog.P.Phase("inspector")
-	if l.ht == nil || l.distSeen != d.version {
-		// Redistribution (or the first run) invalidates every translation:
-		// an empty table on the new distribution, its storage kept.
-		l.ht = d.dist.NewHashTableInto(l.ht)
-		l.stamp = l.ht.NewStamp()
-		recycle.PoisonI32(l.loc)
-	} else {
-		// The indirection array adapted: clear and rehash its stamp; index
-		// analysis for unchanged entries is reused from the hash table.
-		l.ht.ClearStamp(l.stamp)
-	}
-	l.loc = l.ht.HashInto(l.loc, l.ind.vals, l.stamp)
-	l.sched = schedule.BuildInto(l.sched, l.prog.P, l.ht, l.stamp, 0)
-	// Generated inspectors drive the hash and schedule calls through
-	// runtime descriptors rather than specialized code; the constant-
-	// factor interpretation overhead is what separates the Inspector
-	// columns of Table 6.
-	l.prog.P.ComputeMem(len(l.ind.vals))
-	l.inspections++
-	l.distSeen = d.version
-	l.indSeen = l.ind.version
-	reg.End()
+	l.shared.Inspect()
+	l.loc = l.shared.Loc(l.member)
 }
 
 // Execute runs the loop once: inspector (if needed), gather, local
@@ -149,7 +110,7 @@ func (l *SumLoop) run(lo, hi int) {
 }
 
 func (l *SumLoop) buildSplit(sp *schedule.Split) *schedule.Split {
-	return schedule.SplitCSR(sp, l.ind.ptr, l.loc, l.ht.NLocal())
+	return schedule.SplitCSR(sp, l.ind.ptr, l.loc, l.shared.ht.NLocal())
 }
 
 func (l *SumLoop) interior() {

@@ -1,8 +1,6 @@
 package mesh
 
 import (
-	"fmt"
-
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/partition"
@@ -190,14 +188,10 @@ func edgeWeightOf(m *Mesh, i, j int32) float64 {
 
 // vertexOwners runs the configured partitioner on the owned vertices.
 func vertexOwners(p *comm.Proc, m *Mesh, verts *core.Dist, part string) []int32 {
-	n := verts.NLocal()
 	if part == "block" {
-		owners := make([]int32, n)
-		for i, g := range verts.Globals() {
-			owners[i] = int32(partition.BlockOwner(int(g), m.NV, p.Size()))
-		}
-		return owners
+		return partition.BlockOwnersInto(nil, verts.Globals(), m.NV, p.Size())
 	}
+	n := verts.NLocal()
 	deg := m.Degrees()
 	g := &partition.Geom{Dim: 2, X: make([]float64, n), Y: make([]float64, n), W: make([]float64, n)}
 	for i, gv := range verts.Globals() {
@@ -205,14 +199,5 @@ func vertexOwners(p *comm.Proc, m *Mesh, verts *core.Dist, part string) []int32 
 		g.Y[i] = m.Y[gv]
 		g.W[i] = float64(1 + deg[gv])
 	}
-	switch part {
-	case "rcb":
-		return partition.RCB(p, g)
-	case "rib":
-		return partition.RIB(p, g)
-	case "chain":
-		return partition.Chain(p, 0, g)
-	default:
-		panic(fmt.Sprintf("mesh: unknown partitioner %q", part))
-	}
+	return partition.ByName(nil, p, part, g)
 }

@@ -89,3 +89,70 @@ func TestBisectIntoSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestByName: the named dispatch is the direct call — same owners, same
+// virtual clock, the owner buffer reused where the partitioner has an
+// ...Into form — and a name outside Known's geometric three is refused.
+func TestByName(t *testing.T) {
+	direct := map[string]func(dst []int32, p *comm.Proc, g *Geom) []int32{
+		"rcb":   RCBInto,
+		"rib":   RIBInto,
+		"chain": func(_ []int32, p *comm.Proc, g *Geom) []int32 { return Chain(p, 0, g) },
+	}
+	for name, call := range direct {
+		if !Known(name) {
+			t.Errorf("Known(%q) = false", name)
+		}
+		for _, nprocs := range []int{1, 3, 4} {
+			want, clock := make([][]int32, nprocs), make([]float64, nprocs)
+			comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
+				want[p.Rank()] = call(nil, p, cloudGeom(p, 700, 3, 11, true))
+				clock[p.Rank()] = p.Clock()
+			})
+			comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
+				g := cloudGeom(p, 700, 3, 11, true)
+				dst := make([]int32, 0, 2*g.Len())
+				got := ByName(dst, p, name, g)
+				if !slices.Equal(got, want[p.Rank()]) || p.Clock() != clock[p.Rank()] {
+					t.Errorf("%s on %d ranks: ByName differs from the direct call on rank %d", name, nprocs, p.Rank())
+				}
+				if name != "chain" && &got[0] != &dst[:1][0] {
+					t.Errorf("%s: ByName did not write into dst", name)
+				}
+			})
+		}
+	}
+	if !Known("block") || Known("voronoi") || Known("") {
+		t.Error(`Known must accept "block" and refuse "voronoi" and ""`)
+	}
+	for _, bad := range []string{"block", "voronoi", ""} {
+		comm.Run(1, costmodel.IPSC860(), func(p *comm.Proc) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ByName(%q) did not panic", bad)
+				}
+			}()
+			ByName(nil, p, bad, cloudGeom(p, 10, 2, 1, false))
+		})
+	}
+}
+
+// TestBlockOwnersInto: the fill is BlockOwner per global index, into the
+// buffer it is handed.
+func TestBlockOwnersInto(t *testing.T) {
+	const n, nprocs = 103, 7
+	globals := []int32{0, 102, 51, 14, 15, 88, 3}
+	dst := make([]int32, 2, 16)
+	got := BlockOwnersInto(dst, globals, n, nprocs)
+	if len(got) != len(globals) || &got[0] != &dst[0] {
+		t.Fatalf("got %d owners (reused=%v), want %d in dst's array", len(got), &got[0] == &dst[0], len(globals))
+	}
+	for i, g := range globals {
+		if got[i] != int32(BlockOwner(int(g), n, nprocs)) {
+			t.Errorf("global %d: owner %d, want %d", g, got[i], BlockOwner(int(g), n, nprocs))
+		}
+	}
+	if got := BlockOwnersInto(nil, nil, n, nprocs); len(got) != 0 {
+		t.Errorf("no globals gave %v", got)
+	}
+}

@@ -99,6 +99,17 @@ func BlockOwner(g, n, nprocs int) int {
 	return r
 }
 
+// BlockOwnersInto writes the BLOCK owner of each of globals (indices into
+// an n-element array over nprocs processors) into dst's backing array,
+// grown as needed; dst may be nil.
+func BlockOwnersInto(dst, globals []int32, n, nprocs int) []int32 {
+	dst = recycle.Sized(dst, len(globals))
+	for i, g := range globals {
+		dst[i] = int32(BlockOwner(int(g), n, nprocs))
+	}
+	return dst
+}
+
 // BlockRange returns the global interval [lo, hi) that BLOCK assigns to
 // rank r.
 func BlockRange(r, n, nprocs int) (lo, hi int) {
@@ -173,6 +184,29 @@ func RIB(p *comm.Proc, g *Geom) []int32 { return RIBInto(nil, p, g) }
 // needed; dst may be nil). Collective.
 func RIBInto(dst []int32, p *comm.Proc, g *Geom) []int32 {
 	return recursiveBisect(dst, p, g, true)
+}
+
+// Known reports whether name selects a partitioner: "block" (see
+// BlockOwnersInto, which needs global indices rather than geometry) or one
+// of ByName's.
+func Known(name string) bool {
+	return name == "block" || name == "rcb" || name == "rib" || name == "chain"
+}
+
+// ByName runs the geometric partitioner an application's configuration
+// names — "rcb", "rib" or "chain" (along x) — writing the owners into dst's
+// backing array where the partitioner has an ...Into form. It panics on any
+// other name: configurations are vetted with Known. Collective.
+func ByName(dst []int32, p *comm.Proc, name string, g *Geom) []int32 {
+	switch name {
+	case "rcb":
+		return RCBInto(dst, p, g)
+	case "rib":
+		return RIBInto(dst, p, g)
+	case "chain":
+		return Chain(p, 0, g)
+	}
+	panic(fmt.Sprintf("partition: no geometric partitioner %q", name))
 }
 
 // bisectIters controls the precision of the weighted-quantile interval

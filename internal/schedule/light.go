@@ -134,45 +134,7 @@ func (ls *LightSchedule) MoveI32(p *comm.Proc, dest []int32, items []int32, widt
 
 // MoveI32Into is MoveI32 appending into out[:0] (see MoveF64Into).
 func (ls *LightSchedule) MoveI32Into(p *comm.Proc, dest []int32, items []int32, width int, out []int32) []int32 {
-	if len(items) != len(dest)*width {
-		panic(fmt.Sprintf("schedule: MoveI32 with %d values for %d items of width %d", len(items), len(dest), width))
-	}
-	if ls.packI == nil {
-		ls.packI = make([][]int32, ls.nprocs)
-	}
-	packed := ls.packI
-	for r := range packed {
-		need := int(ls.SendCounts[r]) * width
-		packed[r] = emptied(packed[r], need, need/4)
-	}
-	for i, d := range dest {
-		packed[d] = append(packed[d], items[i*width:(i+1)*width]...)
-	}
-	p.ComputeMem(len(items))
-
-	out = emptied(out, ls.TotalRecv()*width, 0)
-	out = append(out, packed[p.Rank()]...)
-	for k := 1; k < p.Size(); k++ {
-		dst := (p.Rank() + k) % p.Size()
-		if len(packed[dst]) > 0 {
-			p.SendI32Buf(dst, tagAppend, packed[dst])
-		}
-	}
-	for k := 1; k < p.Size(); k++ {
-		src := (p.Rank() - k + p.Size()) % p.Size()
-		if ls.RecvCounts[src] == 0 || src == p.Rank() {
-			continue
-		}
-		pos := len(out)
-		want := int(ls.RecvCounts[src]) * width
-		vals := p.RecvI32Into(src, tagAppend, out[pos:pos+want])
-		if len(vals) != want {
-			panic(fmt.Sprintf("schedule: append from %d delivered %d values, want %d", src, len(vals), want))
-		}
-		out = out[:pos+want]
-	}
-	p.ComputeMem(ls.TotalRecv() * width)
-	return out
+	return moveLightInto(ls, p, dest, items, width, out, &ls.packI, (*comm.Proc).SendI32Buf, (*comm.Proc).RecvI32Into)
 }
 
 // MoveF64 performs scatter_append: item i (the width float64 values
@@ -188,14 +150,23 @@ func (ls *LightSchedule) MoveF64(p *comm.Proc, dest []int32, items []float64, wi
 // returned slice and feed it back on the next time step make the append
 // allocation-free in steady state. out may be nil.
 func (ls *LightSchedule) MoveF64Into(p *comm.Proc, dest []int32, items []float64, width int, out []float64) []float64 {
+	return moveLightInto(ls, p, dest, items, width, out, &ls.packF, (*comm.Proc).SendF64Buf, (*comm.Proc).RecvF64Into)
+}
+
+// moveLightInto is scatter_append, written once over the element type: pack
+// per destination into *pack (the schedule's scratch of that type), keep
+// the rank's own items, send one message per other destination, append each
+// arriving one. send and recv are passed as method expressions, which,
+// unlike method values, allocate no closure per call.
+func moveLightInto[T any](ls *LightSchedule, p *comm.Proc, dest []int32, items []T, width int, out []T, pack *[][]T,
+	send func(p *comm.Proc, to, tag int, xs []T), recv func(p *comm.Proc, from, tag int, dst []T) []T) []T {
 	if len(items) != len(dest)*width {
-		panic(fmt.Sprintf("schedule: MoveF64 with %d values for %d items of width %d", len(items), len(dest), width))
+		panic(fmt.Sprintf("schedule: light move with %d values for %d items of width %d", len(items), len(dest), width))
 	}
-	// Pack per destination into schedule-owned scratch.
-	if ls.packF == nil {
-		ls.packF = make([][]float64, ls.nprocs)
+	if *pack == nil {
+		*pack = make([][]T, ls.nprocs)
 	}
-	packed := ls.packF
+	packed := *pack
 	for r := range packed {
 		need := int(ls.SendCounts[r]) * width
 		packed[r] = emptied(packed[r], need, need/4)
@@ -210,7 +181,7 @@ func (ls *LightSchedule) MoveF64Into(p *comm.Proc, dest []int32, items []float64
 	for k := 1; k < p.Size(); k++ {
 		dst := (p.Rank() + k) % p.Size()
 		if len(packed[dst]) > 0 {
-			p.SendF64Buf(dst, tagAppend, packed[dst])
+			send(p, dst, tagAppend, packed[dst])
 		}
 	}
 	for k := 1; k < p.Size(); k++ {
@@ -220,7 +191,7 @@ func (ls *LightSchedule) MoveF64Into(p *comm.Proc, dest []int32, items []float64
 		}
 		pos := len(out)
 		want := int(ls.RecvCounts[src]) * width
-		vals := p.RecvF64Into(src, tagAppend, out[pos:pos+want])
+		vals := recv(p, src, tagAppend, out[pos:pos+want])
 		if len(vals) != want {
 			panic(fmt.Sprintf("schedule: append from %d delivered %d values, want %d", src, len(vals), want))
 		}
