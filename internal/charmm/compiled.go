@@ -49,8 +49,8 @@ func RunCompiled(p *comm.Proc, cfg Config) *ProcResult {
 	bonded := prog.NewPairLoop(ib, jb, x, frc, bondFlops, func(k int, xi, xj, fi, fj []float64) {
 		bondForce(xi, xj, fi, fj, blen.Local()[k])
 	})
-	nonbonded := prog.NewSumLoop(jnb, x, frc, pairFlops, func(xi, xj, fi, fj []float64) {
-		pairForce(xi, xj, fi, fj, c2)
+	nonbonded := prog.NewSumLoopRows(jnb, x, frc, pairFlops, func(xi, fi []float64, js []int32, xb, fb []float64) {
+		pairForceRow(xi, fi, js, xb, fb, c2)
 	})
 	timer.Skip()
 

@@ -89,87 +89,133 @@ func globalMeanAbs(p *comm.Proc, dx []float64) float64 {
 	return tot[0] / tot[1]
 }
 
+// kernelRow is the Figure 10 body over one row of the list: two REDUCE(SUM)
+// statements per partner j over the three components, f(j) += x(j) - x(i)
+// and f(i) += x(i) - x(j). Written once in fixed-width form (xi and the fi
+// accumulators in registers across the row) and run by both kernels — the
+// hand-coded one calls it per row, the compiled one hands it to loopir as
+// its row body — so on the host clock they differ by loopir's per-row
+// overhead only. The list has no self pairs (partners are gj > g).
+func kernelRow(xi, fi []float64, js []int32, xb, fb []float64) {
+	x, f := (*[3]float64)(xi), (*[3]float64)(fi)
+	x0, x1, x2 := x[0], x[1], x[2]
+	f0, f1, f2 := f[0], f[1], f[2]
+	for _, j := range js {
+		xj, fj := (*[3]float64)(xb[3*j:]), (*[3]float64)(fb[3*j:])
+		fj[0] += xj[0] - x0
+		f0 += x0 - xj[0]
+		fj[1] += xj[1] - x1
+		f1 += x1 - xj[1]
+		fj[2] += xj[2] - x2
+		f2 += x2 - xj[2]
+	}
+	f[0], f[1], f[2] = f0, f1, f2
+}
+
+// handKernel is the hand-parallelized kernel: direct CHAOS calls over arrays
+// that are all the kernel's own, so each adaptive cycle reuses the previous
+// one's storage — the inspector products are rebuilt in place and each moved
+// array's old copy is the next move's destination.
+type handKernel struct {
+	p        *comm.Proc
+	atoms    *core.Dist
+	pos, dx  []float64
+	ptr, jnb []int32
+	timer    *core.PhaseTimer
+
+	ht    *hashtab.Table
+	stamp hashtab.Stamp
+	loc   []int32
+	sched *schedule.Schedule
+
+	ps             partState
+	remaps         int
+	posOld, dxOld  []float64
+	ptrOld, jnbOld []int32
+
+	xb, fb []float64 // gather and contribution buffers, reused across iterations
+}
+
+func newHandKernel(p *comm.Proc, cfg KernelConfig) *handKernel {
+	gpos, ptr, jnb := kernelSetup(p, cfg)
+	lo, hi := partition.BlockRange(p.Rank(), cfg.NAtoms, p.Size())
+	return &handKernel{
+		p:     p,
+		atoms: core.NewRuntime(p).BlockDist(cfg.NAtoms),
+		pos:   append([]float64(nil), gpos[3*lo:3*hi]...),
+		dx:    make([]float64, 3*(hi-lo)),
+		ptr:   ptr,
+		jnb:   jnb,
+		timer: core.NewPhaseTimer(p),
+	}
+}
+
+func (k *handKernel) inspect() {
+	k.ht = k.atoms.NewHashTableInto(k.ht)
+	k.stamp = k.ht.NewStamp()
+	k.loc = k.ht.HashInto(k.loc, k.jnb, k.stamp)
+	k.sched = schedule.BuildInto(k.sched, k.p, k.ht, k.stamp, 0)
+	k.p.Barrier()
+	k.timer.Mark("inspector")
+}
+
+// adapt is one adaptive cycle: partitioner (RCB and RIB alternately), remap
+// of the data and indirection arrays, inspector.
+func (k *handKernel) adapt() {
+	p := k.p
+	owners := kernelPartitioner(p, &k.ps, k.remaps, k.pos, k.ptr)
+	k.remaps++
+	p.Barrier()
+	k.timer.Mark("partition")
+	newAtoms, plan := k.atoms.Repartition(owners)
+	k.pos, k.posOld = plan.MoveF64Into(k.posOld, p, k.pos, 3), k.pos
+	k.dx, k.dxOld = plan.MoveF64Into(k.dxOld, p, k.dx, 3), k.dx
+	newPtr, newJnb := plan.MoveCSRInto(k.ptrOld, k.jnbOld, p, k.ptr, k.jnb)
+	k.ptr, k.jnb, k.ptrOld, k.jnbOld = newPtr, newJnb, k.ptr, k.jnb
+	k.atoms = newAtoms
+	p.Barrier()
+	k.timer.Mark("remap")
+	k.inspect()
+}
+
+// execute is the executor: gather x, run the Figure 10 rows, scatter-add
+// and accumulate into dx.
+func (k *handKernel) execute() {
+	p, nLocal := k.p, k.atoms.NLocal()
+	nBuf := k.ht.NLocal() + k.ht.NGhosts()
+	k.xb, k.fb = recycle.Sized(k.xb, 3*nBuf), recycle.Sized(k.fb, 3*nBuf)
+	xb, fb := k.xb, k.fb
+	copy(xb, k.pos)
+	schedule.GatherW(p, k.sched, xb, 3)
+	clear(fb)
+	for i := 0; i < nLocal; i++ {
+		kernelRow(xb[3*i:3*i+3], fb[3*i:3*i+3], k.loc[k.ptr[i]:k.ptr[i+1]], xb, fb)
+	}
+	p.ComputeFlops(kernelFlopsPerPair * int(k.ptr[nLocal]))
+	schedule.ScatterW(p, k.sched, fb, 3, schedule.OpAdd)
+	for i := 0; i < nLocal*3; i++ {
+		k.dx[i] += fb[i]
+	}
+	p.ComputeMem(nLocal * 3)
+}
+
 // RunKernelHand is the hand-parallelized kernel: direct CHAOS calls, the
 // comparator row of Table 6. Collective.
 func RunKernelHand(p *comm.Proc, cfg KernelConfig) *KernelResult {
-	gpos, ptr, jnb := kernelSetup(p, cfg)
-	rt := core.NewRuntime(p)
-	atoms := rt.BlockDist(cfg.NAtoms)
-	lo, hi := partition.BlockRange(p.Rank(), cfg.NAtoms, p.Size())
-	pos := append([]float64(nil), gpos[3*lo:3*hi]...)
-	dx := make([]float64, 3*(hi-lo))
-	timer := core.NewPhaseTimer(p)
-
-	// Every array here is the kernel's own, so each adaptive cycle reuses
-	// the previous one's storage: the inspector products are rebuilt in
-	// place and each moved array's old copy is the next move's destination.
-	var ht *hashtab.Table
-	var stamp hashtab.Stamp
-	var loc []int32
-	var sched *schedule.Schedule
-	inspect := func() {
-		ht = atoms.NewHashTableInto(ht)
-		stamp = ht.NewStamp()
-		loc = ht.HashInto(loc, jnb, stamp)
-		sched = schedule.BuildInto(sched, p, ht, stamp, 0)
-	}
-	var ps partState
-	var posOld, dxOld []float64
-	var ptrOld, jnbOld []int32
-	inspect()
-	p.Barrier()
-	timer.Mark("inspector")
-
-	remapCount := 0
-	var xb, fb []float64 // gather and contribution buffers, reused across iterations
+	k := newHandKernel(p, cfg)
+	k.inspect()
 	for iter := 1; iter <= cfg.Iters; iter++ {
 		if cfg.RemapEvery > 0 && iter%cfg.RemapEvery == 0 {
-			owners := kernelPartitioner(p, &ps, remapCount, pos, ptr)
-			remapCount++
-			p.Barrier()
-			timer.Mark("partition")
-			newAtoms, plan := atoms.Repartition(owners)
-			pos, posOld = plan.MoveF64Into(posOld, p, pos, 3), pos
-			dx, dxOld = plan.MoveF64Into(dxOld, p, dx, 3), dx
-			newPtr, newJnb := plan.MoveCSRInto(ptrOld, jnbOld, p, ptr, jnb)
-			ptr, jnb, ptrOld, jnbOld = newPtr, newJnb, ptr, jnb
-			atoms = newAtoms
-			p.Barrier()
-			timer.Mark("remap")
-			inspect()
-			p.Barrier()
-			timer.Mark("inspector")
+			k.adapt()
 		}
-		// Executor: gather x, run the Figure 10 body, scatter-add dx.
-		nBuf := ht.NLocal() + ht.NGhosts()
-		xb, fb = recycle.Sized(xb, 3*nBuf), recycle.Sized(fb, 3*nBuf)
-		copy(xb, pos)
-		schedule.GatherW(p, sched, xb, 3)
-		clear(fb)
-		pairs := 0
-		for i := 0; i < atoms.NLocal(); i++ {
-			xi := xb[3*i : 3*i+3]
-			fi := fb[3*i : 3*i+3]
-			for k := ptr[i]; k < ptr[i+1]; k++ {
-				j := int(loc[k])
-				xj := xb[3*j : 3*j+3]
-				fj := fb[3*j : 3*j+3]
-				for c := 0; c < 3; c++ {
-					fj[c] += xj[c] - xi[c]
-					fi[c] += xi[c] - xj[c]
-				}
-				pairs++
-			}
-		}
-		p.ComputeFlops(kernelFlopsPerPair * pairs)
-		schedule.ScatterW(p, sched, fb, 3, schedule.OpAdd)
-		for i := 0; i < atoms.NLocal()*3; i++ {
-			dx[i] += fb[i]
-		}
-		p.ComputeMem(atoms.NLocal() * 3)
-		timer.Mark("executor")
+		k.execute()
+		k.timer.Mark("executor")
 	}
+	return kernelResult(p, k.timer, k.dx)
+}
 
+// kernelResult collects the Table 6 columns of a finished kernel run.
+func kernelResult(p *comm.Proc, timer *core.PhaseTimer, dx []float64) *KernelResult {
 	return &KernelResult{
 		Partition: timer.Times["partition"],
 		Remap:     timer.Times["remap"],
@@ -204,12 +250,7 @@ func newCompiledKernel(p *comm.Proc, cfg KernelConfig) *compiledKernel {
 	k.ind = k.dec.AlignIndCSR()
 	k.ind.SetCSR(ptr, vals)
 	k.timer = core.NewPhaseTimer(p)
-	k.loop = prog.NewSumLoop(k.ind, k.x, k.dx, kernelFlopsPerPair, func(xi, xj, fi, fj []float64) {
-		for c := range xi {
-			fj[c] += xj[c] - xi[c]
-			fi[c] += xi[c] - xj[c]
-		}
-	})
+	k.loop = prog.NewSumLoopRows(k.ind, k.x, k.dx, kernelFlopsPerPair, kernelRow)
 	return k
 }
 
@@ -247,12 +288,5 @@ func RunKernelCompiled(p *comm.Proc, cfg KernelConfig) *KernelResult {
 		timer.Mark("executor")
 	}
 
-	return &KernelResult{
-		Partition: timer.Times["partition"],
-		Remap:     timer.Times["remap"],
-		Inspector: timer.Times["inspector"],
-		Executor:  timer.Times["executor"],
-		Total:     p.Clock(),
-		Checksum:  globalMeanAbs(p, k.dx.Local()),
-	}
+	return kernelResult(p, timer, k.dx.Local())
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/costmodel"
+	"repro/internal/loopir"
 )
 
 func smallKernelConfig() KernelConfig {
@@ -69,4 +70,67 @@ func TestKernelPhaseBreakdown(t *testing.T) {
 	if math.Abs(sum-r.Total) > 0.02*r.Total {
 		t.Errorf("phases sum to %v but total is %v", sum, r.Total)
 	}
+}
+
+// BenchmarkKernelExecutor puts Table 6's executor column on the host clock:
+// one execution of the kernel at the benchmark's size, 1 rank, schedule
+// warm, as ns per pair — hand-coded (kernelRow called per row), compiled
+// from the same row body (what RunKernelCompiled runs: the difference to
+// hand is loopir's per-row overhead), and compiled from the per-pair closure
+// loopir lifts (what the kernel ran before the row form). The compiled
+// variants also report their ratio to hand when hand ran first. Reported,
+// not asserted: a wall-clock bound would make tier-1 flaky.
+func BenchmarkKernelExecutor(b *testing.B) {
+	cfg := KernelConfig{NAtoms: 8000, Seed: 1994}
+	// bench runs exec b.N times after a warm-up and returns ns per pair.
+	bench := func(b *testing.B, pairs int, exec func()) float64 {
+		exec()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			exec()
+		}
+		ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N*pairs)
+		b.ReportMetric(ns, "ns/pair")
+		return ns
+	}
+	hand := 0.0
+	b.Run("hand", func(b *testing.B) {
+		comm.Run(1, costmodel.IPSC860(), func(p *comm.Proc) {
+			k := newHandKernel(p, cfg)
+			k.inspect()
+			hand = bench(b, len(k.jnb), k.execute)
+		})
+	})
+	// compiled benchmarks a compiled loop over pairs references.
+	compiled := func(b *testing.B, loop *loopir.SumLoop, pairs int) {
+		loop.Inspect()
+		if ns := bench(b, pairs, loop.Execute); hand > 0 {
+			b.ReportMetric(ns/hand, "x-hand")
+		}
+	}
+	b.Run("compiled-rows", func(b *testing.B) {
+		comm.Run(1, costmodel.IPSC860(), func(p *comm.Proc) {
+			k := newCompiledKernel(p, cfg)
+			_, vals := k.ind.CSR()
+			compiled(b, k.loop, len(vals))
+		})
+	})
+	// The same declarations as newCompiledKernel, the loop from a pair body.
+	b.Run("compiled-pairs", func(b *testing.B) {
+		comm.Run(1, costmodel.IPSC860(), func(p *comm.Proc) {
+			gpos, ptr, vals := kernelSetup(p, cfg)
+			prog := loopir.NewProgram(p)
+			dec := prog.Decomposition(cfg.NAtoms)
+			x, dx := dec.AlignReal(3), dec.AlignReal(3)
+			x.SetByGlobal(func(g int32, c []float64) { copy(c, gpos[3*g:3*g+3]) })
+			ind := dec.AlignIndCSR()
+			ind.SetCSR(ptr, vals)
+			compiled(b, prog.NewSumLoop(ind, x, dx, kernelFlopsPerPair, func(xi, xj, fi, fj []float64) {
+				for c := range xi {
+					fj[c] += xj[c] - xi[c]
+					fi[c] += xi[c] - xj[c]
+				}
+			}), len(vals))
+		})
+	})
 }

@@ -399,11 +399,7 @@ func executeStep(p *comm.Proc, s *simState, cfg Config) {
 
 	// Non-bonded forces (loop L3 of Figure 2): atom i is local row i.
 	for i := 0; i < s.atoms.NLocal(); i++ {
-		fi := frc[3*i : 3*i+3]
-		pi := posBuf[3*i : 3*i+3]
-		for _, lj := range s.locJnb[s.ptr[i]:s.ptr[i+1]] {
-			pairForce(pi, posBuf[3*lj:3*lj+3], fi, frc[3*lj:3*lj+3], c2)
-		}
+		pairForceRow(posBuf[3*i:3*i+3], frc[3*i:3*i+3], s.locJnb[s.ptr[i]:s.ptr[i+1]], posBuf, frc, c2)
 	}
 	p.ComputeFlops(pairFlops * len(s.locJnb))
 

@@ -44,23 +44,29 @@ func roundUp(n int) int {
 }
 
 // get returns a zero-length buffer with capacity at least n. It prefers a
-// recycled buffer (first fit, newest first) and allocates a fresh
-// power-of-two one only when none fits — after warm-up, steady-state
-// executor loops find a fit every time.
+// recycled buffer — the smallest that fits, the newest among equals, so a
+// small request never takes the buffer a later large one needs — and
+// allocates a fresh power-of-two one only when none fits; after warm-up,
+// steady-state executor loops find a fit every time.
 func (a *byteArena) get(n int) []byte {
 	a.mu.Lock()
+	best := -1
 	for i := len(a.free) - 1; i >= 0; i-- {
-		if cap(a.free[i]) >= n {
-			b := a.free[i]
-			a.free[i] = a.free[len(a.free)-1]
-			a.free[len(a.free)-1] = nil
-			a.free = a.free[:len(a.free)-1]
-			a.mu.Unlock()
-			return b[:0]
+		if c := cap(a.free[i]); c >= n && (best < 0 || c < cap(a.free[best])) {
+			best = i
 		}
 	}
+	if best < 0 {
+		a.mu.Unlock()
+		return make([]byte, 0, roundUp(n))
+	}
+	b := a.free[best]
+	last := len(a.free) - 1
+	a.free[best] = a.free[last]
+	a.free[last] = nil
+	a.free = a.free[:last]
 	a.mu.Unlock()
-	return make([]byte, 0, roundUp(n))
+	return b[:0]
 }
 
 // put returns a buffer to the free list. put may be called from any

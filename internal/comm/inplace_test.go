@@ -186,3 +186,27 @@ func TestPooledRoundTripRecycles(t *testing.T) {
 		}
 	})
 }
+
+// TestArenaBestFit checks a small request leaves the large buffers alone: a
+// 64-byte get between a 1 MiB put and the next 1 MiB get must not take the
+// 1 MiB buffer, whichever was returned last.
+func TestArenaBestFit(t *testing.T) {
+	for _, smallLast := range []bool{false, true} {
+		var a byteArena
+		big, small := a.get(1<<20), a.get(64)
+		bigAt := &big[:1][0]
+		if smallLast {
+			a.put(big)
+			a.put(small)
+		} else {
+			a.put(small)
+			a.put(big)
+		}
+		if got := a.get(64); cap(got) != 64 {
+			t.Errorf("smallLast=%v: get(64) took a buffer of capacity %d", smallLast, cap(got))
+		}
+		if got := a.get(1 << 20); cap(got) != 1<<20 || &got[:1][0] != bigAt {
+			t.Errorf("smallLast=%v: get(1 MiB) after get(64) did not reuse the free 1 MiB buffer", smallLast)
+		}
+	}
+}

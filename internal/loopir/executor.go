@@ -34,6 +34,20 @@ import (
 // the body's own internal order, are direct-executed at their static
 // position and never stolen.
 //
+// Row-body contract: the unit of generated code is the inner FORALL over one
+// CSR row (RowBody), so the hot loop of run is one call per row, not per
+// pair. A row body only adds — into fi and into the fb slots its js name —
+// one pair after the other in js order; that is all "static order" needs. A
+// row-constructed loop (NewSumLoopRows) has no self pairs (Inspect checks the
+// localized list and panics on ind(k) == i), so no add through fb can land
+// on fi's slot during the row and the body may accumulate fi in registers and
+// store it once: the adds reach fi in the same order either way, hence the
+// same bits. A pair-constructed loop (NewSumLoop) is lifted into the generic
+// in-memory row loop, which tolerates self pairs. Wherever the skeleton needs
+// a single pair — a delta slot of the split-phase or stolen paths, an aliased
+// pair replayed in place — it calls the same body on a one-entry row
+// (js = {0}, xb = xj, fb = the pair's fj slot): there is no second body.
+//
 // Charge-order contract: virtual time is bit-identical between blocking and
 // split-phase execution because the skeleton charges in a fixed order. A
 // loop run on its own charges its guard before the gather, a fused run

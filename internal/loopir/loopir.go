@@ -240,6 +240,19 @@ func (ia *IndArray) SetCSR(ptr, vals []int32) {
 	if len(ptr) != ia.dec.NLocal()+1 {
 		panic(fmt.Sprintf("loopir: CSR ptr length %d, want %d", len(ptr), ia.dec.NLocal()+1))
 	}
+	// The executors slice vals by ptr unchecked, and the inspector hashes all
+	// of vals: the rows must tile it exactly.
+	if ptr[0] != 0 {
+		panic(fmt.Sprintf("loopir: CSR row 0 starts at %d, want 0", ptr[0]))
+	}
+	for i := 1; i < len(ptr); i++ {
+		if ptr[i] < ptr[i-1] {
+			panic(fmt.Sprintf("loopir: CSR row %d ends at %d, before its start %d", i-1, ptr[i], ptr[i-1]))
+		}
+	}
+	if last := len(ptr) - 1; int(ptr[last]) != len(vals) {
+		panic(fmt.Sprintf("loopir: CSR rows end at ptr[%d] = %d, but there are %d values", last, ptr[last], len(vals)))
+	}
 	ia.install(ptr, vals)
 }
 

@@ -1,8 +1,10 @@
 package loopir
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/comm"
@@ -55,6 +57,58 @@ func figure10Body(xi, xj, fi, fj []float64) {
 		fj[c] += xj[c] - xi[c]
 		fi[c] += xi[c] - xj[c]
 	}
+}
+
+// figure10Rows is figure10Body as a row body that keeps fi in locals from
+// the row's first pair to its last — what a row-constructed loop may do, and
+// wrong on a self pair. Widths up to 3.
+func figure10Rows(xi, fi []float64, js []int32, xb, fb []float64) {
+	w := len(xi)
+	var acc [3]float64
+	copy(acc[:], fi)
+	for _, j := range js {
+		xj, fj := xb[int(j)*w:][:w], fb[int(j)*w:][:w]
+		for c := range xi {
+			fj[c] += xj[c] - xi[c]
+			acc[c] += xi[c] - xj[c]
+		}
+	}
+	copy(fi, acc[:w])
+}
+
+// dropSelf returns the global CSR without its self pairs (vals[k] == row).
+func dropSelf(ptr, vals []int32) (outPtr, outVals []int32) {
+	outPtr = make([]int32, len(ptr))
+	for i := 0; i+1 < len(ptr); i++ {
+		for _, j := range vals[ptr[i]:ptr[i+1]] {
+			if int(j) != i {
+				outVals = append(outVals, j)
+			}
+		}
+		outPtr[i+1] = int32(len(outVals))
+	}
+	return outPtr, outVals
+}
+
+// newFigure10Loop compiles the Figure 10 loop from its pair body or, with
+// rows, from its row body.
+func newFigure10Loop(prog *Program, ind *IndArray, x, f *RealArray, flops int, rows bool) *SumLoop {
+	if rows {
+		return prog.NewSumLoopRows(ind, x, f, flops, figure10Rows)
+	}
+	return prog.NewSumLoop(ind, x, f, flops, figure10Body)
+}
+
+// panicMessage runs fn and returns the message it panicked with ("" if it
+// returned).
+func panicMessage(fn func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	fn()
+	return ""
 }
 
 func TestSumLoopMatchesSequential(t *testing.T) {
@@ -272,6 +326,71 @@ func TestSetCSRWrongLengthPanics(t *testing.T) {
 		}()
 		ind.SetCSR(make([]int32, 3), nil)
 	})
+}
+
+// TestSetCSRRejectsInconsistentRows: a row-pointer array that does not tile
+// vals is refused where it is installed, with a message naming the row, not
+// as an index panic (or silently dropped references) inside an executor.
+func TestSetCSRRejectsInconsistentRows(t *testing.T) {
+	comm.Run(1, costmodel.Uniform(1e-9), func(p *comm.Proc) {
+		ind := NewProgram(p).Decomposition(3).AlignIndCSR()
+		vals := []int32{1, 2, 0, 1}
+		for _, tc := range []struct {
+			name string
+			ptr  []int32
+			want string
+		}{
+			{"first row not at 0", []int32{1, 2, 3, 4}, "loopir: CSR row 0 starts at 1"},
+			{"decreasing entry", []int32{0, 3, 2, 4}, "loopir: CSR row 1 ends at 2, before its start 3"},
+			{"trailing values", []int32{0, 1, 2, 3}, "loopir: CSR rows end at ptr[3] = 3, but there are 4 values"},
+			{"rows past the values", []int32{0, 2, 4, 6}, "loopir: CSR rows end at ptr[3] = 6, but there are 4 values"},
+		} {
+			if got := panicMessage(func() { ind.SetCSR(tc.ptr, vals) }); !strings.HasPrefix(got, tc.want) {
+				t.Errorf("%s: SetCSR panicked with %q, want %q", tc.name, got, tc.want)
+			}
+		}
+		ind.SetCSR([]int32{0, 2, 2, 4}, vals) // an empty row is fine
+	})
+}
+
+// TestRowLoopRejectsSelfPair: a row-constructed loop refuses a list with
+// ind(k) == i at the inspection that localizes it — again after the list is
+// adapted into one — while the pair-constructed loop runs the same list.
+func TestRowLoopRejectsSelfPair(t *testing.T) {
+	const n = 12
+	for _, nprocs := range []int{1, 3} {
+		comm.Run(nprocs, costmodel.Uniform(1e-9), func(p *comm.Proc) {
+			prog := NewProgram(p)
+			dec := prog.Decomposition(n)
+			x, f := dec.AlignReal(2), dec.AlignReal(2)
+			ind := dec.AlignIndCSR()
+			ptr := make([]int32, dec.NLocal()+1)
+			clean := make([]int32, dec.NLocal())
+			self := make([]int32, dec.NLocal())
+			for i, g := range dec.Globals() {
+				ptr[i+1] = int32(i + 1)
+				clean[i] = (g + 1) % n
+				self[i] = clean[i]
+			}
+			self[len(self)-1] = dec.Globals()[len(self)-1] // the last row names itself
+			const want = "loopir: row-constructed SumLoop: ind(k) == i"
+
+			ind.SetCSR(ptr, self)
+			rows := prog.NewSumLoopRows(ind, x, f, 4, figure10Rows)
+			if got := panicMessage(rows.Inspect); !strings.HasPrefix(got, want) {
+				t.Errorf("nprocs=%d: Inspect over a self pair panicked with %q, want %q", nprocs, got, want)
+			}
+			prog.NewSumLoop(ind, x, f, 4, figure10Body).Execute() // legal for a pair body
+
+			ind.SetCSR(ptr, clean)
+			rows = prog.NewSumLoopRows(ind, x, f, 4, figure10Rows)
+			rows.Execute()
+			ind.SetCSR(ptr, self)
+			if got := panicMessage(rows.Inspect); !strings.HasPrefix(got, want) {
+				t.Errorf("nprocs=%d: Inspect after adapting to a self pair panicked with %q, want %q", nprocs, got, want)
+			}
+		})
+	}
 }
 
 func TestFlatCSRMisusePanics(t *testing.T) {

@@ -61,9 +61,10 @@ type trialOut struct {
 	rep    *comm.Report
 }
 
-// sumOverlapTrial runs the Figure 10 sum loop, optionally self-scheduled,
-// in blocking or split-phase overlap mode.
-func sumOverlapTrial(t *testing.T, kind overlapTransport, nprocs, n, w, execs int, gptr, gvals []int32, x0 []float64, self, overlap bool) trialOut {
+// sumOverlapTrial runs the Figure 10 sum loop, compiled from its pair body
+// or (rows) its row body, optionally self-scheduled, in blocking or
+// split-phase overlap mode.
+func sumOverlapTrial(t *testing.T, kind overlapTransport, nprocs, n, w, execs int, gptr, gvals []int32, x0 []float64, rows, self, overlap bool) trialOut {
 	out := trialOut{bits: make([][]uint64, nprocs), motion: make([]comm.Stats, nprocs)}
 	out.rep = kind.run(t, nprocs, func(p *comm.Proc) {
 		prog := NewProgram(p)
@@ -78,7 +79,7 @@ func sumOverlapTrial(t *testing.T, kind overlapTransport, nprocs, n, w, execs in
 		ind := dec.AlignIndCSR()
 		ptr, vals := localizeCSR(p, n, gptr, gvals)
 		ind.SetCSR(ptr, vals)
-		loop := prog.NewSumLoop(ind, x, f, 40, figure10Body)
+		loop := newFigure10Loop(prog, ind, x, f, 40, rows)
 		if self {
 			loop.SelfSched(adapt.NewController())
 		}
@@ -146,33 +147,34 @@ func pairOverlapTrial(t *testing.T, kind overlapTransport, nprocs, nData, nBonds
 	return out
 }
 
-// compareOverlapTrial asserts the split-phase contract between a blocking
-// run and an overlap run of the same program: every REAL array
-// bit-identical, the executor data-motion message/byte counts identical,
-// and every rank's virtual clock and full statistics bit-identical.
-func compareOverlapTrial(t *testing.T, label string, nprocs int, block, over trialOut) {
+// compareOverlapTrial asserts two runs of the same program that may differ
+// only in when real work happens — a blocking run (want) and its overlap run,
+// a pair-constructed loop (want) and its row-constructed twin — are
+// observationally identical: every REAL array bit-identical, the executor
+// data-motion message/byte counts identical, and every rank's virtual clock
+// and full statistics bit-identical.
+func compareOverlapTrial(t *testing.T, label string, nprocs int, want, got trialOut) {
 	t.Helper()
 	for r := 0; r < nprocs; r++ {
-		if len(block.bits[r]) != len(over.bits[r]) {
+		if len(want.bits[r]) != len(got.bits[r]) {
 			t.Fatalf("%s rank %d: result lengths differ", label, r)
 		}
-		for i := range block.bits[r] {
-			if block.bits[r][i] != over.bits[r][i] {
-				t.Fatalf("%s rank %d elem %d: overlap %016x != blocking %016x",
-					label, r, i, over.bits[r][i], block.bits[r][i])
+		for i := range want.bits[r] {
+			if want.bits[r][i] != got.bits[r][i] {
+				t.Fatalf("%s rank %d elem %d: got %016x, want %016x",
+					label, r, i, got.bits[r][i], want.bits[r][i])
 			}
 		}
-		bm, om := block.motion[r], over.motion[r]
-		if bm.MsgsSent != om.MsgsSent || bm.BytesSent != om.BytesSent ||
-			bm.MsgsRecv != om.MsgsRecv || bm.BytesRecv != om.BytesRecv {
-			t.Errorf("%s rank %d: data motion differs: overlap %+v blocking %+v", label, r, om, bm)
+		wm, gm := want.motion[r], got.motion[r]
+		if wm.MsgsSent != gm.MsgsSent || wm.BytesSent != gm.BytesSent ||
+			wm.MsgsRecv != gm.MsgsRecv || wm.BytesRecv != gm.BytesRecv {
+			t.Errorf("%s rank %d: data motion %+v, want %+v", label, r, gm, wm)
 		}
-		if math.Float64bits(block.rep.Clocks[r]) != math.Float64bits(over.rep.Clocks[r]) {
-			t.Errorf("%s rank %d: clock %v (blocking) != %v (overlap)",
-				label, r, block.rep.Clocks[r], over.rep.Clocks[r])
+		if math.Float64bits(want.rep.Clocks[r]) != math.Float64bits(got.rep.Clocks[r]) {
+			t.Errorf("%s rank %d: clock %v, want %v", label, r, got.rep.Clocks[r], want.rep.Clocks[r])
 		}
-		if block.rep.Stats[r] != over.rep.Stats[r] {
-			t.Errorf("%s rank %d: stats %+v != %+v", label, r, block.rep.Stats[r], over.rep.Stats[r])
+		if want.rep.Stats[r] != got.rep.Stats[r] {
+			t.Errorf("%s rank %d: stats %+v, want %+v", label, r, got.rep.Stats[r], want.rep.Stats[r])
 		}
 	}
 }
@@ -202,8 +204,8 @@ func TestOverlapPropertyBitIdentical(t *testing.T) {
 			for i := range x0 {
 				x0[i] = rng.NormFloat64()
 			}
-			block := sumOverlapTrial(t, kind, nprocs, n, w, execs, gptr, gvals, x0, self, false)
-			over := sumOverlapTrial(t, kind, nprocs, n, w, execs, gptr, gvals, x0, self, true)
+			block := sumOverlapTrial(t, kind, nprocs, n, w, execs, gptr, gvals, x0, false, self, false)
+			over := sumOverlapTrial(t, kind, nprocs, n, w, execs, gptr, gvals, x0, false, self, true)
 			compareOverlapTrial(t, "sum", nprocs, block, over)
 			trials++
 
@@ -226,14 +228,17 @@ func TestOverlapPropertyBitIdentical(t *testing.T) {
 			// Self-sched trials above only toggle with the seed; always run
 			// one explicit self-scheduled sum trial so every (transport,
 			// nprocs) cell covers the composed gather-side overlap.
-			block = sumOverlapTrial(t, kind, nprocs, n, w, 2, gptr, gvals, x0, true, false)
-			over = sumOverlapTrial(t, kind, nprocs, n, w, 2, gptr, gvals, x0, true, true)
+			block = sumOverlapTrial(t, kind, nprocs, n, w, 2, gptr, gvals, x0, false, true, false)
+			over = sumOverlapTrial(t, kind, nprocs, n, w, 2, gptr, gvals, x0, false, true, true)
 			compareOverlapTrial(t, "sum-selfsched", nprocs, block, over)
 			trials++
 
 			block = pairOverlapTrial(t, kind, nprocs, n, nBonds, w, 2, gia, gib, x0, prm0, true, false)
 			over = pairOverlapTrial(t, kind, nprocs, n, nBonds, w, 2, gia, gib, x0, prm0, true, true)
 			compareOverlapTrial(t, "pair-selfsched", nprocs, block, over)
+			trials++
+
+			rowFormTrials(t, kind, nprocs, n, w, execs, gptr, gvals, x0)
 			trials++
 		}
 	}
@@ -259,6 +264,29 @@ func TestOverlapParityDelay(t *testing.T) {
 	overlapParitySlice(t, overDelay)
 }
 
+// rowFormTrials holds the row form to the pair form: over the list without
+// its self pairs, the row-constructed loop in every mode of a loop run on
+// its own (blocking, split-phase, self-scheduled, both) must match the
+// pair-constructed loop in the same mode bit for bit — REAL arrays, virtual
+// clocks, message and byte counts.
+func rowFormTrials(t *testing.T, kind overlapTransport, nprocs, n, w, execs int, gptr, gvals []int32, x0 []float64) {
+	t.Helper()
+	gptr, gvals = dropSelf(gptr, gvals)
+	for _, mode := range []struct {
+		label         string
+		self, overlap bool
+	}{
+		{"rows", false, false},
+		{"rows-overlap", false, true},
+		{"rows-selfsched", true, false},
+		{"rows-overlap-selfsched", true, true},
+	} {
+		pairs := sumOverlapTrial(t, kind, nprocs, n, w, execs, gptr, gvals, x0, false, mode.self, mode.overlap)
+		rows := sumOverlapTrial(t, kind, nprocs, n, w, execs, gptr, gvals, x0, true, mode.self, mode.overlap)
+		compareOverlapTrial(t, mode.label, nprocs, pairs, rows)
+	}
+}
+
 func overlapParitySlice(t *testing.T, kind overlapTransport) {
 	rng := rand.New(rand.NewSource(77))
 	const n = 90
@@ -280,12 +308,13 @@ func overlapParitySlice(t *testing.T, kind overlapTransport) {
 	}
 	for _, nprocs := range []int{2, 3} {
 		for _, self := range []bool{false, true} {
-			block := sumOverlapTrial(t, kind, nprocs, n, 2, 2, gptr, gvals, x0, self, false)
-			over := sumOverlapTrial(t, kind, nprocs, n, 2, 2, gptr, gvals, x0, self, true)
+			block := sumOverlapTrial(t, kind, nprocs, n, 2, 2, gptr, gvals, x0, false, self, false)
+			over := sumOverlapTrial(t, kind, nprocs, n, 2, 2, gptr, gvals, x0, false, self, true)
 			compareOverlapTrial(t, "sum", nprocs, block, over)
 			block = pairOverlapTrial(t, kind, nprocs, n, nBonds, 2, 2, gia, gib, x0, prm0, self, false)
 			over = pairOverlapTrial(t, kind, nprocs, n, nBonds, 2, 2, gia, gib, x0, prm0, self, true)
 			compareOverlapTrial(t, "pair", nprocs, block, over)
 		}
+		rowFormTrials(t, kind, nprocs, n, 2, 2, gptr, gvals, x0)
 	}
 }

@@ -30,10 +30,11 @@ func skewedCSR(n, headDeg, tailDeg int, seed int64) (ptr, vals []int32) {
 	return ptr, vals
 }
 
-// sumTrial runs a sum loop `execs` times, returning per-rank Float64bits
-// of f, the executor data-motion stats, and the run makespan. steals
-// reports the size of the global steal plan seen on rank 0's last Execute.
-func sumTrial(nprocs, n, w, execs, flops int, gptr, gvals []int32, x0 []float64, self bool) (bits [][]uint64, motion []comm.Stats, clk float64, steals int) {
+// sumTrial runs a sum loop (compiled from its row body if rows) `execs`
+// times, returning per-rank Float64bits of f, the executor data-motion
+// stats, and the run makespan. steals reports the size of the global steal
+// plan seen on rank 0's last Execute.
+func sumTrial(nprocs, n, w, execs, flops int, gptr, gvals []int32, x0 []float64, rows, self bool) (bits [][]uint64, motion []comm.Stats, clk float64, steals int) {
 	bits = make([][]uint64, nprocs)
 	motion = make([]comm.Stats, nprocs)
 	rep := comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
@@ -49,7 +50,7 @@ func sumTrial(nprocs, n, w, execs, flops int, gptr, gvals []int32, x0 []float64,
 		ind := dec.AlignIndCSR()
 		ptr, vals := localizeCSR(p, n, gptr, gvals)
 		ind.SetCSR(ptr, vals)
-		loop := prog.NewSumLoop(ind, x, f, flops, figure10Body)
+		loop := newFigure10Loop(prog, ind, x, f, flops, rows)
 		var ctl *adapt.Controller
 		if self {
 			ctl = adapt.NewController()
@@ -159,7 +160,7 @@ func compareTrial(t *testing.T, label string, nprocs int, sBits, aBits [][]uint6
 // identical message/byte count in the executor's data-motion phase.
 func TestSelfSchedPropertyBitIdentical(t *testing.T) {
 	trials := 0
-	totalSteals := 0
+	totalSteals, rowSteals := 0, 0
 	for seed := int64(0); seed < 26; seed++ {
 		for _, nprocs := range []int{1, 2, 3, 4} {
 			rng := rand.New(rand.NewSource(1000 + seed))
@@ -171,11 +172,20 @@ func TestSelfSchedPropertyBitIdentical(t *testing.T) {
 			for i := range x0 {
 				x0[i] = rng.NormFloat64()
 			}
-			sBits, sMotion, _, _ := sumTrial(nprocs, n, w, execs, 50, gptr, gvals, x0, false)
-			aBits, aMotion, _, st := sumTrial(nprocs, n, w, execs, 50, gptr, gvals, x0, true)
+			sBits, sMotion, _, _ := sumTrial(nprocs, n, w, execs, 50, gptr, gvals, x0, false, false)
+			aBits, aMotion, _, st := sumTrial(nprocs, n, w, execs, 50, gptr, gvals, x0, false, true)
 			compareTrial(t, "sum", nprocs, sBits, aBits, sMotion, aMotion)
 			trials++
 			totalSteals += st
+
+			// The row form, stolen chunks included, against the static pair
+			// form over the list without its self pairs.
+			rptr, rvals := dropSelf(gptr, gvals)
+			sBits, sMotion, _, _ = sumTrial(nprocs, n, w, execs, 50, rptr, rvals, x0, false, false)
+			aBits, aMotion, _, st = sumTrial(nprocs, n, w, execs, 50, rptr, rvals, x0, true, true)
+			compareTrial(t, "sum-rows", nprocs, sBits, aBits, sMotion, aMotion)
+			trials++
+			rowSteals += st
 
 			nBonds := 60 + rng.Intn(200)
 			gia := make([]int32, nBonds)
@@ -199,7 +209,7 @@ func TestSelfSchedPropertyBitIdentical(t *testing.T) {
 	if trials < 200 {
 		t.Fatalf("only %d trials, want >= 200", trials)
 	}
-	if totalSteals == 0 {
+	if totalSteals == 0 || rowSteals == 0 {
 		t.Fatal("no trial ever stole a chunk; the property test is vacuous")
 	}
 }
@@ -220,8 +230,8 @@ func TestSelfSchedImprovesSkewedMakespan(t *testing.T) {
 	for i := range x0 {
 		x0[i] = rng.Float64()
 	}
-	_, _, staticClk, _ := sumTrial(4, n, 1, 4, 200, gptr, gvals, x0, false)
-	_, _, adaptClk, steals := sumTrial(4, n, 1, 4, 200, gptr, gvals, x0, true)
+	_, _, staticClk, _ := sumTrial(4, n, 1, 4, 200, gptr, gvals, x0, false, false)
+	_, _, adaptClk, steals := sumTrial(4, n, 1, 4, 200, gptr, gvals, x0, false, true)
 	if steals == 0 {
 		t.Fatal("skewed layout produced no steals")
 	}
@@ -243,17 +253,33 @@ func TestAdaptSteadyStateAllocs(t *testing.T) {
 	for i := range x0 {
 		x0[i] = float64(i) * 0.5
 	}
-	for _, tc := range []struct {
-		name             string
-		nprocs           int
-		self, over, fuse bool
-	}{
+	// The pair form keeps the list as drawn, self pairs included (the aliased
+	// arm of applyOwned, alias chunks under self-scheduling); only the row
+	// form, which rejects them, runs the list without.
+	rptr, rvals := dropSelf(gptr, gvals)
+	if len(rvals) == len(gvals) {
+		t.Fatal("list has no self pair; the pair-form cases do not cover the aliased arm")
+	}
+	type mode struct {
+		name                   string
+		nprocs                 int
+		self, over, fuse, rows bool
+	}
+	var modes []mode
+	for _, tc := range []mode{
 		{name: "selfsched", nprocs: 4, self: true},
 		{name: "blocking", nprocs: 2},
 		{name: "overlap", nprocs: 2, over: true},
 		{name: "overlap+selfsched", nprocs: 2, self: true, over: true},
 		{name: "fused", nprocs: 2, fuse: true},
 	} {
+		// The row form's one-entry rows (delta slots, stolen pairs) index
+		// through an array that lives on the loop, not one made per call.
+		modes = append(modes, tc)
+		tc.name, tc.rows = tc.name+"/rows", true
+		modes = append(modes, tc)
+	}
+	for _, tc := range modes {
 		got := make([]float64, tc.nprocs)
 		plan := 0
 		comm.Run(tc.nprocs, costmodel.Uniform(1e-9), func(p *comm.Proc) {
@@ -263,17 +289,21 @@ func TestAdaptSteadyStateAllocs(t *testing.T) {
 			f := dec.AlignReal(1)
 			x.SetByGlobal(func(g int32, c []float64) { c[0] = x0[g] })
 			ind := dec.AlignIndCSR()
-			ptr, vals := localizeCSR(p, n, gptr, gvals)
+			cptr, cvals := gptr, gvals
+			if tc.rows {
+				cptr, cvals = rptr, rvals
+			}
+			ptr, vals := localizeCSR(p, n, cptr, cvals)
 			ind.SetCSR(ptr, vals)
 			ctl := adapt.NewController()
-			loop := prog.NewSumLoop(ind, x, f, 50, figure10Body)
+			loop := newFigure10Loop(prog, ind, x, f, 50, tc.rows)
 			if tc.self {
 				loop.SelfSched(ctl)
 			}
 			loop.Overlap(tc.over)
 			body := func() { loop.Execute() }
 			if tc.fuse {
-				second := prog.NewSumLoop(ind, x, dec.AlignReal(1), 50, figure10Body)
+				second := newFigure10Loop(prog, ind, x, dec.AlignReal(1), 50, tc.rows)
 				gr := prog.NewSharedSched(dec)
 				loop.Share(gr)
 				second.Share(gr)

@@ -11,8 +11,9 @@ import (
 )
 
 // twoLoopEnv builds two sum loops over the SAME indirection array — the
-// identical-usage case the reuse analysis merges — plus reference data.
-func twoLoopEnv(p *comm.Proc, n int, gptr, gvals, ptr, vals []int32, x0 []float64) (prog *Program, dec *Decomposition, x, f, g *RealArray, l1, l2 *SumLoop) {
+// identical-usage case the reuse analysis merges — plus reference data. With
+// rows the first loop is compiled from its row body.
+func twoLoopEnv(p *comm.Proc, n int, gptr, gvals, ptr, vals []int32, x0 []float64, rows bool) (prog *Program, dec *Decomposition, x, f, g *RealArray, l1, l2 *SumLoop) {
 	prog = NewProgram(p)
 	dec = prog.Decomposition(n)
 	x = dec.AlignReal(1)
@@ -21,7 +22,7 @@ func twoLoopEnv(p *comm.Proc, n int, gptr, gvals, ptr, vals []int32, x0 []float6
 	x.SetByGlobal(func(gi int32, c []float64) { c[0] = x0[gi] })
 	ind := dec.AlignIndCSR()
 	ind.SetCSR(ptr, vals)
-	l1 = prog.NewSumLoop(ind, x, f, 4, figure10Body)
+	l1 = newFigure10Loop(prog, ind, x, f, 4, rows)
 	l2 = prog.NewSumLoop(ind, x, g, 2, func(xi, xj, fi, fj []float64) {
 		for c := range xi {
 			fj[c] += xj[c] * 0.5
@@ -46,7 +47,7 @@ func TestSharedSchedMatchesUnshared(t *testing.T) {
 		want := make(map[string][]uint64) // rank-indexed f and g bits
 		comm.Run(nprocs, costmodel.Uniform(1e-9), func(p *comm.Proc) {
 			ptr, vals := localizeCSR(p, n, gptr, gvals)
-			_, _, _, f, g, l1, l2 := twoLoopEnv(p, n, gptr, gvals, ptr, vals, x0)
+			_, _, _, f, g, l1, l2 := twoLoopEnv(p, n, gptr, gvals, ptr, vals, x0, false)
 			l1.Execute()
 			l2.Execute()
 			if p.Rank() == 0 {
@@ -56,7 +57,7 @@ func TestSharedSchedMatchesUnshared(t *testing.T) {
 		})
 		comm.Run(nprocs, costmodel.Uniform(1e-9), func(p *comm.Proc) {
 			ptr, vals := localizeCSR(p, n, gptr, gvals)
-			prog, dec, _, f, g, l1, l2 := twoLoopEnv(p, n, gptr, gvals, ptr, vals, x0)
+			prog, dec, _, f, g, l1, l2 := twoLoopEnv(p, n, gptr, gvals, ptr, vals, x0, false)
 			gr := prog.NewSharedSched(dec)
 			l1.Share(gr)
 			l2.Share(gr)
@@ -78,46 +79,53 @@ func TestSharedSchedMatchesUnshared(t *testing.T) {
 
 // TestSharedSchedFusedExecution runs the same two loops through
 // ExecuteFusedSum (one message per peer per direction) and demands
-// bit-identical results to back-to-back Execute calls.
+// bit-identical results to back-to-back Execute calls — also when the first
+// loop of the fused run is the row form (over the list without self pairs)
+// and the back-to-back reference the pair form.
 func TestSharedSchedFusedExecution(t *testing.T) {
 	const n = 72
-	gptr, gvals := randCSR(n, 2, 23)
 	x0 := make([]float64, n)
 	rng := rand.New(rand.NewSource(4))
 	for i := range x0 {
 		x0[i] = rng.Float64()
 	}
-	for _, nprocs := range []int{1, 2, 4} {
-		want := map[string][]uint64{}
-		comm.Run(nprocs, costmodel.Uniform(1e-9), func(p *comm.Proc) {
-			ptr, vals := localizeCSR(p, n, gptr, gvals)
-			_, _, _, f, g, l1, l2 := twoLoopEnv(p, n, gptr, gvals, ptr, vals, x0)
-			l1.Execute()
-			l2.Execute()
-			if p.Rank() == 0 {
-				want["f"] = bitsOf(f.Local())
-				want["g"] = bitsOf(g.Local())
-			}
-		})
-		comm.Run(nprocs, costmodel.Uniform(1e-9), func(p *comm.Proc) {
-			ptr, vals := localizeCSR(p, n, gptr, gvals)
-			prog, dec, _, f, g, l1, l2 := twoLoopEnv(p, n, gptr, gvals, ptr, vals, x0)
-			gr := prog.NewSharedSched(dec)
-			l1.Share(gr)
-			l2.Share(gr)
-			l1.Inspect() // build the group schedule before counting executor messages
-			before := p.Stats()
-			ExecuteFusedSum([]*SumLoop{l1, l2})
-			msgs := p.Stats().MsgsSent - before.MsgsSent
-			if nprocs > 1 && msgs != int64(2*(nprocs-1)) {
-				t.Errorf("nprocs=%d rank=%d: fused pair sent %d messages, want %d",
-					nprocs, p.Rank(), msgs, 2*(nprocs-1))
-			}
-			if p.Rank() == 0 {
-				compareBits(t, "f", want["f"], bitsOf(f.Local()))
-				compareBits(t, "g", want["g"], bitsOf(g.Local()))
-			}
-		})
+	for _, rows := range []bool{false, true} {
+		gptr, gvals := randCSR(n, 2, 23)
+		if rows {
+			gptr, gvals = dropSelf(gptr, gvals)
+		}
+		for _, nprocs := range []int{1, 2, 4} {
+			want := map[string][]uint64{}
+			comm.Run(nprocs, costmodel.Uniform(1e-9), func(p *comm.Proc) {
+				ptr, vals := localizeCSR(p, n, gptr, gvals)
+				_, _, _, f, g, l1, l2 := twoLoopEnv(p, n, gptr, gvals, ptr, vals, x0, false)
+				l1.Execute()
+				l2.Execute()
+				if p.Rank() == 0 {
+					want["f"] = bitsOf(f.Local())
+					want["g"] = bitsOf(g.Local())
+				}
+			})
+			comm.Run(nprocs, costmodel.Uniform(1e-9), func(p *comm.Proc) {
+				ptr, vals := localizeCSR(p, n, gptr, gvals)
+				prog, dec, _, f, g, l1, l2 := twoLoopEnv(p, n, gptr, gvals, ptr, vals, x0, rows)
+				gr := prog.NewSharedSched(dec)
+				l1.Share(gr)
+				l2.Share(gr)
+				l1.Inspect() // build the group schedule before counting executor messages
+				before := p.Stats()
+				ExecuteFusedSum([]*SumLoop{l1, l2})
+				msgs := p.Stats().MsgsSent - before.MsgsSent
+				if nprocs > 1 && msgs != int64(2*(nprocs-1)) {
+					t.Errorf("rows=%v nprocs=%d rank=%d: fused pair sent %d messages, want %d",
+						rows, nprocs, p.Rank(), msgs, 2*(nprocs-1))
+				}
+				if p.Rank() == 0 {
+					compareBits(t, "f", want["f"], bitsOf(f.Local()))
+					compareBits(t, "g", want["g"], bitsOf(g.Local()))
+				}
+			})
+		}
 	}
 }
 

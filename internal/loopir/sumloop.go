@@ -13,6 +13,16 @@ import (
 // body must only add into fi/fj (REDUCE(SUM) semantics).
 type PairBody func(xi, xj, fi, fj []float64)
 
+// RowBody is the unit of generated executor code: the inner FORALL over one
+// CSR row. xi and fi are the row element's read values and accumulation slot
+// (w wide); js holds the row's localized indices, and pair k of the row
+// reads xb[js[k]*w:][:w] and accumulates into fb[js[k]*w:][:w]. The contract
+// (see executor.go): the body only adds into fi and the fb slots, one pair
+// after the other in js order, and — because no js[k] of a row-constructed
+// loop names the row's own element — may keep fi in registers from the first
+// pair to the last.
+type RowBody func(xi, fi []float64, js []int32, xb, fb []float64)
+
 // SumLoop is the compiled form of the irregular reduction template of
 // Figures 8 and 10: for every owned element i of the decomposition and
 // every inner index k in the CSR row of the indirection array,
@@ -25,18 +35,48 @@ type PairBody func(xi, xj, fi, fj []float64)
 type SumLoop struct {
 	loopCore
 	ind  *IndArray
-	body PairBody
+	body RowBody
+
+	// selfFree marks a row-constructed loop: its body may hold fi in
+	// registers, so Inspect refuses a list with ind(k) == i. selfChecked is
+	// the inspection count the current localized list was checked at.
+	selfFree    bool
+	selfChecked int
 
 	// loc is the localized indirection array and member the array's index
 	// in the loop's schedule group (see Inspect).
 	loc    []int32
 	member int
+
+	// one is the index array of a one-entry row: the skeleton's per-pair
+	// sites run the body on (js = {0}, xb = xj, fb = the pair's delta slot).
+	one [1]int32
 }
 
-// NewSumLoop compiles a FORALL/REDUCE(SUM) loop. ind must be a CSR
-// indirection array; x (read) and f (reduced) must be aligned with the same
-// decomposition.
+// NewSumLoopRows compiles a FORALL/REDUCE(SUM) loop whose inner FORALL is
+// the row body. ind must be a CSR indirection array free of self pairs
+// (ind(k) != i, checked at every inspection); x (read) and f (reduced) must
+// be aligned with the same decomposition.
+func (pr *Program) NewSumLoopRows(ind *IndArray, x, f *RealArray, flopsPerPair int, body RowBody) *SumLoop {
+	l := pr.newSumLoop(ind, x, f, flopsPerPair, body)
+	l.selfFree = true
+	return l
+}
+
+// NewSumLoop compiles a FORALL/REDUCE(SUM) loop from the body of one pair,
+// lifted into the generic in-memory row loop: every add goes straight to
+// its slot, so a self pair (ind(k) == i, fi and fj one slot) is legal.
 func (pr *Program) NewSumLoop(ind *IndArray, x, f *RealArray, flopsPerPair int, body PairBody) *SumLoop {
+	w := x.width
+	return pr.newSumLoop(ind, x, f, flopsPerPair, func(xi, fi []float64, js []int32, xb, fb []float64) {
+		for _, j := range js {
+			o := int(j) * w
+			body(xi, xb[o:o+w], fi, fb[o:o+w])
+		}
+	})
+}
+
+func (pr *Program) newSumLoop(ind *IndArray, x, f *RealArray, flopsPerPair int, body RowBody) *SumLoop {
 	if ind.ptr == nil {
 		panic("loopir: SumLoop requires a CSR indirection array")
 	}
@@ -61,6 +101,7 @@ func (l *SumLoop) Share(g *SharedSched) {
 	}
 	l.shared = g
 	l.member = g.Add(l.ind)
+	l.selfChecked = 0 // the group's list is not the one Inspect checked
 }
 
 // Inspect is the generated guard: compare modification records, rerun only
@@ -68,9 +109,27 @@ func (l *SumLoop) Share(g *SharedSched) {
 // group inspector's job, whether the group is the loop's own or one shared
 // with other loops. Execute calls it implicitly; exposing it lets drivers
 // time the inspector and executor phases separately, as Table 6 reports.
+//
+// A row-constructed loop also checks the list each real inspection localized
+// for self pairs (one compare per reference, not modeled): its body would
+// lose the fj add of such a pair, so the loop panics rather than run.
 func (l *SumLoop) Inspect() {
 	l.shared.Inspect()
 	l.loc = l.shared.Loc(l.member)
+	if !l.selfFree || l.selfChecked == l.shared.inspections {
+		return
+	}
+	reg := l.prog.P.Phase("inspector")
+	ptr := l.ind.ptr
+	for i := 0; i < l.extent(); i++ {
+		for _, j := range l.loc[ptr[i]:ptr[i+1]] {
+			if int(j) == i {
+				panic(fmt.Sprintf("loopir: row-constructed SumLoop: ind(k) == i at global element %d; self pairs need a pair body (NewSumLoop)", l.ind.dec.Globals()[i]))
+			}
+		}
+	}
+	l.selfChecked = l.shared.inspections
+	reg.End()
 }
 
 // Execute runs the loop once: inspector (if needed), gather, local
@@ -100,14 +159,13 @@ func (l *SumLoop) units(lo, hi int) int { return int(l.ind.ptr[hi] - l.ind.ptr[l
 func (l *SumLoop) run(lo, hi int) {
 	w, xb, fb, ptr, loc := l.x.width, l.xb, l.fb, l.ind.ptr, l.loc
 	for i := lo; i < hi; i++ {
-		xi := xb[i*w : (i+1)*w]
-		fi := fb[i*w : (i+1)*w]
-		for k := ptr[i]; k < ptr[i+1]; k++ {
-			j := int(loc[k])
-			l.body(xi, xb[j*w:(j+1)*w], fi, fb[j*w:(j+1)*w])
-		}
+		l.body(xb[i*w:(i+1)*w], fb[i*w:(i+1)*w], loc[ptr[i]:ptr[i+1]], xb, fb)
 	}
 }
+
+// pair runs the body on the single pair (xi, xj) as a one-entry row,
+// accumulating into fi and fj.
+func (l *SumLoop) pair(xi, xj, fi, fj []float64) { l.body(xi, fi, l.one[:], xj, fj) }
 
 func (l *SumLoop) buildSplit(sp *schedule.Split) *schedule.Split {
 	return schedule.SplitCSR(sp, l.ind.ptr, l.loc, l.shared.ht.NLocal())
@@ -123,7 +181,7 @@ func (l *SumLoop) interior() {
 				continue
 			}
 			d := zero2w(l.odelta, int(k), w)
-			l.body(xi, xb[j*w:(j+1)*w], d[:w], d[w:])
+			l.pair(xi, xb[j*w:(j+1)*w], d[:w], d[w:])
 		}
 	}
 }
@@ -141,7 +199,7 @@ func (l *SumLoop) boundary() {
 		for _, k := range bnd[bp[i]:bp[i+1]] {
 			j := int(loc[k])
 			d := zero2w(l.odelta, int(k), w)
-			l.body(xi, xb[j*w:(j+1)*w], d[:w], d[w:])
+			l.pair(xi, xb[j*w:(j+1)*w], d[:w], d[w:])
 		}
 	}
 }
@@ -162,7 +220,7 @@ func (l *SumLoop) applyOwned() {
 		for k := ptr[i]; k < ptr[i+1]; k++ {
 			j := int(loc[k])
 			if j == i {
-				l.body(xi, xb[j*w:(j+1)*w], fi, fb[j*w:(j+1)*w])
+				l.pair(xi, xi, fi, fi)
 				continue
 			}
 			d := l.odelta[int(k)*2*w:]
@@ -213,7 +271,7 @@ func (l *SumLoop) runPacked(n int) {
 	for q := 0; q < n; q++ {
 		in := ss.payload[q*2*w : (q+1)*2*w]
 		out := ss.delta[q*2*w : (q+1)*2*w]
-		l.body(in[:w], in[w:], out[:w], out[w:])
+		l.pair(in[:w], in[w:], out[:w], out[w:])
 	}
 }
 

@@ -34,19 +34,28 @@ func BlockMap(p *comm.Proc, globals, owners []int32, n int) []int32 {
 	if len(globals) != len(owners) {
 		panic(fmt.Sprintf("remap: %d globals but %d owners", len(globals), len(owners)))
 	}
-	out := make([][]int32, p.Size())
+	// Count the records per home, then write each (global, owner) record
+	// straight into its home's section of one flat wire buffer: within a
+	// home the records keep the order of globals. Appending to the empty
+	// slice at the write offset encodes in place (flat has the capacity).
+	size := p.Size()
+	at := make([]int, size+1) // at[r] becomes home r's write offset
+	for _, g := range globals {
+		at[partition.BlockOwner(int(g), n, size)+1] += 8
+	}
+	flat := make([]byte, 8*len(globals))
+	bufs := make([][]byte, size)
+	for r := 0; r < size; r++ {
+		at[r+1] += at[r]
+		bufs[r] = flat[at[r]:at[r+1]:at[r+1]]
+	}
 	for i, g := range globals {
-		home := partition.BlockOwner(int(g), n, p.Size())
-		out[home] = append(out[home], g, owners[i])
+		home := partition.BlockOwner(int(g), n, size)
+		rec := [2]int32{g, owners[i]}
+		comm.AppendI32(flat[at[home]:at[home]], rec[:])
+		at[home] += 8
 	}
 	p.ComputeMem(len(globals))
-	bufs := make([][]byte, p.Size())
-	flat := make([]byte, 0, 8*len(globals))
-	for r := range out {
-		start := len(flat)
-		flat = comm.AppendI32(flat, out[r])
-		bufs[r] = flat[start:len(flat):len(flat)]
-	}
 	lo, hi := partition.BlockRange(p.Rank(), n, p.Size())
 	slab := make([]int32, hi-lo)
 	filled := make([]bool, hi-lo)
