@@ -25,8 +25,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -37,46 +39,76 @@ import (
 )
 
 func main() {
-	procs := flag.Int("procs", 4, "number of simulated processors")
-	steps := flag.Int("steps", 3, "number of Step() executions")
-	degree := flag.Int("degree", 4, "partners per CSR indirection row")
-	redist := flag.Int("redistribute", 0, "redistribute MAP decompositions every N steps (0 = never)")
-	optimize := flag.Bool("O", false, "apply program-level optimizations (schedule reuse, hoisting, fusion)")
-	vet := flag.Bool("vet", false, "report program-level analysis diagnostics and exit")
-	jsonOut := flag.Bool("json", false, "with -vet, emit diagnostics as JSON")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: fortd [flags] program.fd")
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fortd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	procs := fs.Int("procs", 4, "number of simulated processors")
+	steps := fs.Int("steps", 3, "number of Step() executions")
+	degree := fs.Int("degree", 4, "partners per CSR indirection row")
+	redist := fs.Int("redistribute", 0, "redistribute MAP decompositions every N steps (0 = never)")
+	optimize := fs.Bool("O", false, "apply program-level optimizations (schedule reuse, hoisting, fusion)")
+	vet := fs.Bool("vet", false, "report program-level analysis diagnostics and exit")
+	jsonOut := fs.Bool("json", false, "with -vet, emit diagnostics as JSON")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: fortd [-procs N] [-steps N] [-degree D] [-redistribute N] [-O] program.fd")
+		fmt.Fprintln(stderr, "       fortd -vet [-json] program.fd")
+		fs.PrintDefaults()
 	}
-	src, err := os.ReadFile(flag.Arg(0))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fortd:", err)
-		os.Exit(1)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	prog, err := fortd.CompileFile(flag.Arg(0), string(src))
+	usageError := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "fortd: "+format+"\n", a...)
+		fs.Usage()
+		return 2
+	}
+	switch {
+	case fs.NArg() != 1:
+		return usageError("want exactly one program file, got %d argument(s)", fs.NArg())
+	case *procs < 1:
+		return usageError("-procs must be at least 1, got %d", *procs)
+	case *steps < 1:
+		return usageError("-steps must be at least 1, got %d", *steps)
+	case *degree < 0:
+		return usageError("-degree must not be negative, got %d", *degree)
+	case *redist < 0:
+		return usageError("-redistribute must not be negative, got %d", *redist)
+	}
+	file := fs.Arg(0)
+	src, err := os.ReadFile(file)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "fortd:", err)
+		return 1
+	}
+	prog, err := fortd.CompileFile(file, string(src))
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	if *vet {
 		diags := prog.Vet()
 		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
+			enc := json.NewEncoder(stdout)
 			enc.SetIndent("", "  ")
 			if err := enc.Encode(diags); err != nil {
-				fmt.Fprintln(os.Stderr, "fortd:", err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, "fortd:", err)
+				return 1
 			}
-			return
+			return 0
 		}
 		for _, d := range diags {
-			fmt.Println(d)
+			fmt.Fprintln(stdout, d)
 		}
-		fmt.Printf("%d finding(s)\n", len(diags))
-		return
+		fmt.Fprintf(stdout, "%d finding(s)\n", len(diags))
+		return 0
 	}
-	fmt.Printf("compiled %s: %d FORALL nest(s)\n", flag.Arg(0), prog.NumLoops())
+	fmt.Fprintf(stdout, "compiled %s: %d FORALL nest(s)\n", file, prog.NumLoops())
 
 	type summary struct {
 		checks map[string]float64
@@ -108,7 +140,7 @@ func main() {
 			appends := in.Step()
 			if p.Rank() == 0 && len(appends) > 0 && s == *steps {
 				for _, a := range appends {
-					fmt.Printf("  append loop %d: rank 0 received %d records\n",
+					fmt.Fprintf(stdout, "  append loop %d: rank 0 received %d records\n",
 						a.Loop, len(a.Records))
 				}
 			}
@@ -130,7 +162,7 @@ func main() {
 		results[p.Rank()] = sum
 	})
 
-	fmt.Printf("ran %d step(s) on %d processors: %.4f virtual s (wall %v)\n",
+	fmt.Fprintf(stdout, "ran %d step(s) on %d processors: %.4f virtual s (wall %v)\n",
 		*steps, *procs, rep.MaxClock(), rep.Wall)
 	var names []string
 	for name := range results[0].checks {
@@ -138,15 +170,16 @@ func main() {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		fmt.Printf("  checksum %-10s %18.9f\n", name, results[0].checks[name])
+		fmt.Fprintf(stdout, "  checksum %-10s %18.9f\n", name, results[0].checks[name])
 	}
 	for i, n := range results[0].insp {
-		fmt.Printf("  sum loop %d: inspector ran %d time(s) over %d step(s)\n", i, n, *steps)
+		fmt.Fprintf(stdout, "  sum loop %d: inspector ran %d time(s) over %d step(s)\n", i, n, *steps)
 	}
 	mode := "-O0"
 	if *optimize {
 		mode = "-O"
 	}
-	fmt.Printf("  %s: %d inspector build(s), inspector %.4f virtual s, executor %.4f virtual s\n",
+	fmt.Fprintf(stdout, "  %s: %d inspector build(s), inspector %.4f virtual s, executor %.4f virtual s\n",
 		mode, results[0].builds, results[0].inspT, results[0].execT)
+	return 0
 }

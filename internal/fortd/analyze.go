@@ -1,5 +1,7 @@
 package fortd
 
+import "sort"
+
 // symbols is the semantic-analysis symbol table.
 type symbols struct {
 	decomps map[string]*decl // DECOMPOSITION
@@ -8,92 +10,21 @@ type symbols struct {
 	inds    map[string]*decl // INDIRECTION arrays
 }
 
-// sumLoopInfo is the analyzed form of a Figure 10-style loop.
-type sumLoopInfo struct {
-	f       *forall
-	readArr string // the single array read by the body
-	redArr  string // the single array reduced into
-	width   int
-	flops   int // modeled arithmetic per pair
-}
-
-// appendLoopInfo is the analyzed form of a Figure 9/11-style loop.
-type appendLoopInfo struct {
-	f     *forall
-	width int
-}
-
-// pairLoopInfo is the analyzed form of a Figure 2 bonded-style loop: a
-// single-level FORALL over an iteration decomposition whose body reads and
-// reduces a different data decomposition through two flat indirections.
-type pairLoopInfo struct {
-	f          *forall
-	indA, indB string // the two flat indirections (may coincide)
-	dataDec    string
-	readArr    string
-	redArr     string
-	width      int
-	flops      int
-}
-
-// loopKind discriminates the compiled loop forms.
+// loopKind discriminates the FORALL forms.
 type loopKind int
 
 const (
-	loopSum loopKind = iota
-	loopAppend
-	loopPair
+	loopSum    loopKind = iota // Figure 10: nested CSR FORALL, REDUCE(SUM)
+	loopAppend                 // Figures 9/11: REDUCE(APPEND)
+	loopPair                   // Figure 2 bonded: two flat indirections, REDUCE(SUM)
 )
 
-// loopRef locates a compiled loop: program order entry -> (kind, index
-// within that kind's slice).
-type loopRef struct {
-	kind loopKind
-	idx  int
-}
+func (k loopKind) String() string { return [...]string{"sum", "append", "pair"}[k] }
 
-// stmtInfo is the analyzed statement tree (mirrors the AST stmt tree with
-// loops resolved to loopRefs). The dataflow pass and the instance executor
-// both walk it.
-type stmtInfo struct {
-	kind  stmtKind
-	pos   Pos
-	loop  loopRef // stmtForall
-	ord   int     // stmtForall: index into analysis.order
-	adapt string  // stmtAdapt: indirection array name
-	doVar string  // stmtDo
-	doN   int     // stmtDo
-	body  []stmtInfo
-}
-
-// analysis is the result of semantic checking.
-type analysis struct {
-	file    string
-	syms    *symbols
-	sums    []*sumLoopInfo
-	appends []*appendLoopInfo
-	pairs   []*pairLoopInfo
-	// order[i] locates the i-th FORALL in source order (each loop appears
-	// once even when nested in a DO).
-	order []loopRef
-	// stmts is the executable statement tree in program order.
-	stmts []stmtInfo
-}
-
-// loopInfoPos returns the source position of the loop behind ref.
-func (an *analysis) loopInfoPos(ref loopRef) Pos {
-	switch ref.kind {
-	case loopSum:
-		return an.sums[ref.idx].f.pos
-	case loopPair:
-		return an.pairs[ref.idx].f.pos
-	default:
-		return an.appends[ref.idx].f.pos
-	}
-}
-
-// analyze performs semantic checking and classifies each FORALL.
-func analyze(file string, prog *program) (*analysis, error) {
+// analyze performs semantic checking: it resolves the declarations, checks
+// each statement into the irScope tree (one irLoop per FORALL), and runs the
+// program-level analyses over that tree.
+func analyze(file string, prog *program) (*irProgram, error) {
 	syms := &symbols{
 		decomps: map[string]*decl{},
 		dists:   map[string]DistKind{},
@@ -139,94 +70,97 @@ func analyze(file string, prog *program) (*analysis, error) {
 		}
 	}
 
-	an := &analysis{file: file, syms: syms}
-	stmts, err := an.analyzeStmts(prog.stmts)
-	if err != nil {
+	ir := &irProgram{file: file, syms: syms, root: &irScope{}, targets: map[string]string{}}
+	if err := ir.analyzeScope(ir.root, prog.stmts); err != nil {
 		return nil, err
 	}
-	an.stmts = stmts
-	return an, nil
+	ir.findGroups()
+	ir.findHoists()
+	ir.findFuseRuns()
+	return ir, nil
 }
 
-// analyzeStmts checks one statement sequence (the program body or a DO
-// body) and returns its analyzed form.
-func (an *analysis) analyzeStmts(stmts []stmt) ([]stmtInfo, error) {
-	out := make([]stmtInfo, 0, len(stmts))
+// analyzeScope checks one statement sequence (the program body or a DO
+// body) into sc.
+func (ir *irProgram) analyzeScope(sc *irScope, stmts []stmt) error {
 	for k := range stmts {
 		s := &stmts[k]
 		switch s.kind {
 		case stmtForall:
-			ref, err := an.analyzeForall(s.forall)
+			l, err := ir.analyzeForall(s.forall, sc)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			out = append(out, stmtInfo{kind: stmtForall, pos: s.pos, loop: ref, ord: len(an.order) - 1})
+			sc.stmts = append(sc.stmts, irStmt{loop: l})
 		case stmtAdapt:
-			if _, ok := an.syms.inds[s.adapt]; !ok {
-				return nil, errAt(an.file, s.pos, "ADAPT of undeclared indirection array %q", s.adapt)
+			if _, ok := ir.syms.inds[s.adapt]; !ok {
+				return errAt(ir.file, s.pos, "ADAPT of undeclared indirection array %q", s.adapt)
 			}
-			out = append(out, stmtInfo{kind: stmtAdapt, pos: s.pos, adapt: s.adapt})
+			sc.stmts = append(sc.stmts, irStmt{adapt: s.adapt})
 		case stmtDo:
-			body, err := an.analyzeStmts(s.body)
-			if err != nil {
-				return nil, err
+			child := &irScope{parent: sc, doN: s.doN, pos: s.pos}
+			if err := ir.analyzeScope(child, s.body); err != nil {
+				return err
 			}
-			out = append(out, stmtInfo{kind: stmtDo, pos: s.pos, doVar: s.doVar, doN: s.doN, body: body})
+			sc.stmts = append(sc.stmts, irStmt{child: child})
 		}
 	}
-	return out, nil
+	return nil
 }
 
-// analyzeForall classifies one FORALL nest and records it in program order.
-func (an *analysis) analyzeForall(f *forall) (loopRef, error) {
-	syms := an.syms
-	if _, ok := syms.decomps[f.overDec]; !ok {
-		return loopRef{}, errAt(an.file, f.pos, "FORALL over undeclared decomposition %q", f.overDec)
+// analyzeForall classifies one FORALL nest into its irLoop and records it in
+// program order.
+func (ir *irProgram) analyzeForall(f *forall, sc *irScope) (*irLoop, error) {
+	if _, ok := ir.syms.decomps[f.overDec]; !ok {
+		return nil, errAt(ir.file, f.pos, "FORALL over undeclared decomposition %q", f.overDec)
 	}
-	var ref loopRef
+	l := &irLoop{f: f, ord: len(ir.loops), scope: sc, group: -1}
+	var err error
 	switch {
 	case f.isAppend:
-		info, err := analyzeAppend(an.file, syms, f)
-		if err != nil {
-			return loopRef{}, err
-		}
-		ref = loopRef{loopAppend, len(an.appends)}
-		an.appends = append(an.appends, info)
+		l.kind = loopAppend
+		err = ir.analyzeAppend(l)
 	case f.isPair:
-		info, err := analyzePair(an.file, syms, f)
-		if err != nil {
-			return loopRef{}, err
-		}
-		ref = loopRef{loopPair, len(an.pairs)}
-		an.pairs = append(an.pairs, info)
+		l.kind = loopPair
+		err = ir.analyzePair(l)
 	default:
-		info, err := analyzeSum(an.file, syms, f)
-		if err != nil {
-			return loopRef{}, err
-		}
-		ref = loopRef{loopSum, len(an.sums)}
-		an.sums = append(an.sums, info)
+		err = ir.analyzeSum(l)
 	}
-	an.order = append(an.order, ref)
-	return ref, nil
+	if err != nil {
+		return nil, err
+	}
+	// An indirection array's values index one decomposition in every loop
+	// that reads it; the synthetic data and the hash tables rely on that.
+	for _, ind := range l.inds {
+		if t, ok := ir.targets[ind]; ok && t != l.dataDec {
+			return nil, errAt(ir.file, f.pos, "indirection %q indexes %q here but %q in an earlier FORALL", ind, l.dataDec, t)
+		}
+		ir.targets[ind] = l.dataDec
+	}
+	ir.loops = append(ir.loops, l)
+	return l, nil
 }
 
-// analyzeSum checks the Figure 10 template constraints.
-func analyzeSum(file string, syms *symbols, f *forall) (*sumLoopInfo, error) {
-	ind, ok := syms.inds[f.innerInd]
+// analyzeSum checks the Figure 10 template constraints: a nested FORALL
+// over a CSR indirection aligned with the loop decomposition, whose
+// subscripts are the outer variable (the i side) or ind(innerVar) (the j
+// side).
+func (ir *irProgram) analyzeSum(l *irLoop) error {
+	file, f := ir.file, l.f
+	ind, ok := ir.syms.inds[f.innerInd]
 	if !ok {
-		return nil, errAt(file, f.pos, "inner FORALL over undeclared indirection %q", f.innerInd)
+		return errAt(file, f.pos, "inner FORALL over undeclared indirection %q", f.innerInd)
 	}
 	if !ind.csr {
-		return nil, errAt(file, f.pos, "inner FORALL requires a CSR indirection, %q is flat", f.innerInd)
+		return errAt(file, f.pos, "inner FORALL requires a CSR indirection, %q is flat", f.innerInd)
 	}
 	if ind.decomp != f.overDec {
-		return nil, errAt(file, f.pos, "indirection %q is aligned with %q, not with the loop decomposition %q",
+		return errAt(file, f.pos, "indirection %q is aligned with %q, not with the loop decomposition %q",
 			f.innerInd, ind.decomp, f.overDec)
 	}
-
-	info := &sumLoopInfo{f: f}
-	checkSub := func(s subscript) error {
+	l.inds = []string{f.innerInd}
+	l.dataDec = f.overDec
+	return ir.analyzeReduces(l, func(s *subscript) error {
 		if s.Ind == "" {
 			if s.Var != f.outerVar {
 				return errAt(file, s.pos, "direct subscript must be the outer variable %q, found %q", f.outerVar, s.Var)
@@ -239,124 +173,29 @@ func analyzeSum(file string, syms *symbols, f *forall) (*sumLoopInfo, error) {
 		if s.Var != f.innerVar {
 			return errAt(file, s.pos, "indirection subscript must be %s(%s)", f.innerInd, f.innerVar)
 		}
+		s.j = true
 		return nil
-	}
-	noteRead := func(r *refExpr) error {
-		ra, ok := syms.reals[r.array]
-		if !ok {
-			return errAt(file, r.sub.pos, "read of undeclared array %q", r.array)
-		}
-		if ra.decomp != f.overDec {
-			return errAt(file, r.sub.pos, "array %q is aligned with %q, not %q", r.array, ra.decomp, f.overDec)
-		}
-		if info.readArr == "" {
-			info.readArr = r.array
-			info.width = ra.width
-		} else if info.readArr != r.array {
-			return errAt(file, r.sub.pos, "body reads both %q and %q; a single read array is supported", info.readArr, r.array)
-		}
-		return checkSub(r.sub)
-	}
-
-	var walk func(e expr) error
-	walk = func(e expr) error {
-		switch v := e.(type) {
-		case *binExpr:
-			if err := walk(v.l); err != nil {
-				return err
-			}
-			return walk(v.r)
-		case *negExpr:
-			return walk(v.e)
-		case *numExpr:
-			return nil
-		case *refExpr:
-			return noteRead(v)
-		default:
-			return errAt(file, f.pos, "unknown expression node %T", e)
-		}
-	}
-
-	for i := range f.reduces {
-		st := &f.reduces[i]
-		ta, ok := syms.reals[st.target.array]
-		if !ok {
-			return nil, errAt(file, st.pos, "REDUCE into undeclared array %q", st.target.array)
-		}
-		if ta.decomp != f.overDec {
-			return nil, errAt(file, st.pos, "array %q is aligned with %q, not %q", st.target.array, ta.decomp, f.overDec)
-		}
-		if info.redArr == "" {
-			info.redArr = st.target.array
-		} else if info.redArr != st.target.array {
-			return nil, errAt(file, st.pos, "body reduces into both %q and %q; a single reduction array is supported",
-				info.redArr, st.target.array)
-		}
-		if err := checkSub(st.target.sub); err != nil {
-			return nil, err
-		}
-		if err := walk(st.value); err != nil {
-			return nil, err
-		}
-		info.flops += exprOps(st.value) + 1 // +1 for the accumulation
-	}
-	if info.readArr == "" {
-		return nil, errAt(file, f.pos, "loop body reads no array")
-	}
-	if info.readArr == info.redArr {
-		return nil, errAt(file, f.pos, "array %q is both read and reduced; use distinct arrays", info.readArr)
-	}
-	if syms.reals[info.redArr].width != info.width {
-		return nil, errAt(file, f.pos, "read array %q (width %d) and reduction array %q (width %d) differ",
-			info.readArr, info.width, info.redArr, syms.reals[info.redArr].width)
-	}
-	info.flops *= info.width
-	return info, nil
-}
-
-// analyzeAppend checks the Figure 9/11 template constraints.
-func analyzeAppend(file string, syms *symbols, f *forall) (*appendLoopInfo, error) {
-	if _, ok := syms.decomps[f.appendTarget]; !ok {
-		return nil, errAt(file, f.pos, "REDUCE(APPEND) into undeclared decomposition %q", f.appendTarget)
-	}
-	dst, ok := syms.inds[f.appendDest]
-	if !ok {
-		return nil, errAt(file, f.pos, "undeclared destination indirection %q", f.appendDest)
-	}
-	if dst.csr || dst.width != 1 {
-		return nil, errAt(file, f.pos, "destination indirection %q must be flat with WIDTH 1", f.appendDest)
-	}
-	if dst.decomp != f.overDec {
-		return nil, errAt(file, f.pos, "destination %q aligned with %q, not %q", f.appendDest, dst.decomp, f.overDec)
-	}
-	src, ok := syms.reals[f.appendSrc]
-	if !ok {
-		return nil, errAt(file, f.pos, "undeclared record array %q", f.appendSrc)
-	}
-	if src.decomp != f.overDec {
-		return nil, errAt(file, f.pos, "record array %q aligned with %q, not %q", f.appendSrc, src.decomp, f.overDec)
-	}
-	return &appendLoopInfo{f: f, width: src.width}, nil
+	})
 }
 
 // analyzePair checks the Figure 2 bonded-template constraints: every
 // subscript is flatInd(outerVar) with at most two distinct flat
-// indirections aligned with the iteration decomposition, and all arrays
-// referenced share one (possibly different) data decomposition.
-func analyzePair(file string, syms *symbols, f *forall) (*pairLoopInfo, error) {
-	info := &pairLoopInfo{f: f}
-	noteInd := func(s subscript) error {
+// indirections aligned with the iteration decomposition; the first one seen
+// is the i side, the other the j side.
+func (ir *irProgram) analyzePair(l *irLoop) error {
+	file, f := ir.file, l.f
+	err := ir.analyzeReduces(l, func(s *subscript) error {
 		if s.Ind == "" {
 			return errAt(file, s.pos, "pair-form subscripts must go through an indirection array")
 		}
 		if s.Var != f.outerVar {
 			return errAt(file, s.pos, "subscript variable must be %q", f.outerVar)
 		}
-		ind, ok := syms.inds[s.Ind]
+		ind, ok := ir.syms.inds[s.Ind]
 		if !ok {
 			return errAt(file, s.pos, "undeclared indirection %q", s.Ind)
 		}
-		if ind.csr || ind.width != 1 {
+		if ind.csr {
 			return errAt(file, s.pos, "pair-form indirection %q must be flat WIDTH 1", s.Ind)
 		}
 		if ind.decomp != f.overDec {
@@ -364,40 +203,58 @@ func analyzePair(file string, syms *symbols, f *forall) (*pairLoopInfo, error) {
 				s.Ind, ind.decomp, f.overDec)
 		}
 		switch {
-		case info.indA == "" || info.indA == s.Ind:
-			info.indA = s.Ind
-		case info.indB == "" || info.indB == s.Ind:
-			info.indB = s.Ind
+		case l.ia == "" || l.ia == s.Ind:
+			l.ia = s.Ind
+		case l.ib == "" || l.ib == s.Ind:
+			l.ib = s.Ind
+			s.j = true
 		default:
 			return errAt(file, s.pos, "pair form supports at most two indirections; %q is a third", s.Ind)
 		}
 		return nil
+	})
+	if err != nil {
+		return err
 	}
-	noteArr := func(name string, pos Pos, reduced bool) error {
-		ra, ok := syms.reals[name]
+	l.inds = []string{l.ia}
+	if l.ib == "" {
+		l.ib = l.ia
+	} else {
+		l.inds = append(l.inds, l.ib)
+		sort.Strings(l.inds)
+	}
+	return nil
+}
+
+// analyzeReduces checks the REDUCE(SUM) statements of a sum or pair loop:
+// one expression walk and one array-noting rule (a single read array, a
+// single reduction array of the same width, all aligned with one data
+// decomposition). sub is the form's subscript rule: it validates a
+// subscript and records the side it resolves to.
+func (ir *irProgram) analyzeReduces(l *irLoop, sub func(s *subscript) error) error {
+	file, f := ir.file, l.f
+	noteArr := func(r *refExpr, pos Pos, reduced bool) error {
+		ra, ok := ir.syms.reals[r.array]
 		if !ok {
-			return errAt(file, pos, "undeclared array %q", name)
+			return errAt(file, pos, "undeclared array %q", r.array)
 		}
-		if info.dataDec == "" {
-			info.dataDec = ra.decomp
-		} else if info.dataDec != ra.decomp {
-			return errAt(file, pos, "arrays span decompositions %q and %q", info.dataDec, ra.decomp)
+		if l.dataDec == "" {
+			l.dataDec = ra.decomp
+		} else if l.dataDec != ra.decomp {
+			return errAt(file, pos, "arrays span decompositions %q and %q", l.dataDec, ra.decomp)
 		}
-		if reduced {
-			if info.redArr == "" {
-				info.redArr = name
-			} else if info.redArr != name {
-				return errAt(file, pos, "body reduces into both %q and %q", info.redArr, name)
-			}
-		} else {
-			if info.readArr == "" {
-				info.readArr = name
-				info.width = ra.width
-			} else if info.readArr != name {
-				return errAt(file, pos, "body reads both %q and %q; a single read array is supported", info.readArr, name)
-			}
+		switch {
+		case reduced && l.redArr == "":
+			l.redArr = r.array
+		case reduced && l.redArr != r.array:
+			return errAt(file, pos, "body reduces into both %q and %q; a single reduction array is supported", l.redArr, r.array)
+		case !reduced && l.readArr == "":
+			l.readArr = r.array
+			l.width = ra.width
+		case !reduced && l.readArr != r.array:
+			return errAt(file, pos, "body reads both %q and %q; a single read array is supported", l.readArr, r.array)
 		}
-		return nil
+		return sub(&r.sub)
 	}
 	var walk func(e expr) error
 	walk = func(e expr) error {
@@ -412,42 +269,62 @@ func analyzePair(file string, syms *symbols, f *forall) (*pairLoopInfo, error) {
 		case *numExpr:
 			return nil
 		case *refExpr:
-			if err := noteArr(v.array, v.sub.pos, false); err != nil {
-				return err
-			}
-			return noteInd(v.sub)
+			return noteArr(v, v.sub.pos, false)
 		default:
 			return errAt(file, f.pos, "unknown expression node %T", e)
 		}
 	}
 	for i := range f.reduces {
 		st := &f.reduces[i]
-		if err := noteArr(st.target.array, st.pos, true); err != nil {
-			return nil, err
-		}
-		if err := noteInd(st.target.sub); err != nil {
-			return nil, err
+		if err := noteArr(&st.target, st.pos, true); err != nil {
+			return err
 		}
 		if err := walk(st.value); err != nil {
-			return nil, err
+			return err
 		}
-		info.flops += exprOps(st.value) + 1
+		l.flops += exprOps(st.value) + 1 // +1 for the accumulation
 	}
-	if info.readArr == "" {
-		return nil, errAt(file, f.pos, "pair loop reads no array")
+	if l.readArr == "" {
+		return errAt(file, f.pos, "loop body reads no array")
 	}
-	if info.readArr == info.redArr {
-		return nil, errAt(file, f.pos, "array %q is both read and reduced", info.readArr)
+	if l.readArr == l.redArr {
+		return errAt(file, f.pos, "array %q is both read and reduced; use distinct arrays", l.readArr)
 	}
-	if syms.reals[info.redArr].width != info.width {
-		return nil, errAt(file, f.pos, "read array %q (width %d) and reduction array %q (width %d) differ",
-			info.readArr, info.width, info.redArr, syms.reals[info.redArr].width)
+	if w := ir.syms.reals[l.redArr].width; w != l.width {
+		return errAt(file, f.pos, "read array %q (width %d) and reduction array %q (width %d) differ",
+			l.readArr, l.width, l.redArr, w)
 	}
-	if info.indB == "" {
-		info.indB = info.indA
+	l.flops *= l.width
+	return nil
+}
+
+// analyzeAppend checks the Figure 9/11 template constraints.
+func (ir *irProgram) analyzeAppend(l *irLoop) error {
+	file, f := ir.file, l.f
+	if _, ok := ir.syms.decomps[f.appendTarget]; !ok {
+		return errAt(file, f.pos, "REDUCE(APPEND) into undeclared decomposition %q", f.appendTarget)
 	}
-	info.flops *= info.width
-	return info, nil
+	dst, ok := ir.syms.inds[f.appendDest]
+	if !ok {
+		return errAt(file, f.pos, "undeclared destination indirection %q", f.appendDest)
+	}
+	if dst.csr {
+		return errAt(file, f.pos, "destination indirection %q must be flat with WIDTH 1", f.appendDest)
+	}
+	if dst.decomp != f.overDec {
+		return errAt(file, f.pos, "destination %q aligned with %q, not %q", f.appendDest, dst.decomp, f.overDec)
+	}
+	src, ok := ir.syms.reals[f.appendSrc]
+	if !ok {
+		return errAt(file, f.pos, "undeclared record array %q", f.appendSrc)
+	}
+	if src.decomp != f.overDec {
+		return errAt(file, f.pos, "record array %q aligned with %q, not %q", f.appendSrc, src.decomp, f.overDec)
+	}
+	l.inds = []string{f.appendDest}
+	l.dataDec = f.appendTarget
+	l.width = src.width
+	return nil
 }
 
 // exprOps counts arithmetic operations for the cost model.
@@ -459,27 +336,5 @@ func exprOps(e expr) int {
 		return 1 + exprOps(v.e)
 	default:
 		return 0
-	}
-}
-
-// indsOfLoop returns the indirection-array names a loop's inspector hashes,
-// sorted (sum loops hash one CSR array; pair loops hash their two flat
-// arrays; append loops route through their destination array).
-func (an *analysis) indsOfLoop(ref loopRef) []string {
-	switch ref.kind {
-	case loopSum:
-		return []string{an.sums[ref.idx].f.innerInd}
-	case loopPair:
-		info := an.pairs[ref.idx]
-		if info.indA == info.indB {
-			return []string{info.indA}
-		}
-		a, b := info.indA, info.indB
-		if a > b {
-			a, b = b, a
-		}
-		return []string{a, b}
-	default:
-		return []string{an.appends[ref.idx].f.appendDest}
 	}
 }

@@ -48,6 +48,7 @@ type subscript struct {
 	Ind string // indirection array name, "" for direct
 	Var string // loop variable name
 	pos Pos
+	j   bool // set by analysis: the reference resolves to the j side of the pair
 }
 
 // expr is an arithmetic expression over array references and literals.
@@ -116,8 +117,8 @@ const (
 // stmt is one executable statement: a FORALL nest, an ADAPT of an
 // indirection array (the host's adapter callback mutates it, modeling the
 // list regeneration of the paper's adaptive applications), or a DO time
-// loop whose body is a statement sequence. The statement tree is what the
-// program-level dataflow pass (ir.go) analyzes.
+// loop whose body is a statement sequence. analyze checks it into the
+// irScope tree (ir.go).
 type stmt struct {
 	kind   stmtKind
 	pos    Pos

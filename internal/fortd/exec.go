@@ -12,7 +12,6 @@ import (
 // SPMD ranks.
 type Program struct {
 	ast *program
-	an  *analysis
 	ir  *irProgram
 }
 
@@ -23,11 +22,11 @@ func CompileFile(file, src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	an, err := analyze(file, ast)
+	ir, err := analyze(file, ast)
 	if err != nil {
 		return nil, err
 	}
-	return &Program{ast: ast, an: an, ir: buildIR(an)}, nil
+	return &Program{ast: ast, ir: ir}, nil
 }
 
 // Compile parses and checks src with positions attributed to "<input>".
@@ -37,7 +36,7 @@ func Compile(src string) (*Program, error) {
 
 // NumLoops returns the number of FORALL nests (each counted once, even when
 // nested in a DO time loop).
-func (pr *Program) NumLoops() int { return len(pr.an.order) }
+func (pr *Program) NumLoops() int { return len(pr.ir.loops) }
 
 // Adapter is the host callback an ADAPT statement invokes: the host mutates
 // the named indirection array in place (list regeneration in the paper's
@@ -45,6 +44,16 @@ func (pr *Program) NumLoops() int { return len(pr.an.order) }
 // array's modification record (IndArray.Touch), forcing non-hoisted
 // inspectors to rebuild — the conservative model of "the host changed it".
 type Adapter func(name string, ia *loopir.IndArray)
+
+// lowered is a sum or pair FORALL bound to the runtime: what the Instance
+// asks of *loopir.SumLoop and *loopir.PairLoop alike.
+type lowered interface {
+	Inspect()
+	Execute()
+	SetHoisted(bool)
+	Share(*loopir.SharedSched)
+	Inspections() int
+}
 
 // Instance is a program instantiated on one SPMD rank: decompositions,
 // aligned arrays and compiled loops bound to the loopir runtime. Hosts set
@@ -62,18 +71,19 @@ type Instance struct {
 	decs  map[string]*loopir.Decomposition
 	reals map[string]*loopir.RealArray
 	inds  map[string]*loopir.IndArray
-	sums  []*loopir.SumLoop
-	pairs []*loopir.PairLoop
+	// loops[ord] is the lowered sum or pair loop (nil for an append loop,
+	// executed per encounter during Step); shared[ord] marks a loop that
+	// delegates its preprocessing to a group schedule.
+	loops  []lowered
+	shared []bool
 
 	optimized bool
 	adapter   Adapter
 
 	// Optimization plan (nil/empty at -O0).
-	groups     []*loopir.SharedSched
-	sharedSum  map[int]bool // an.sums index -> loop is in a group
-	sharedPair map[int]bool // an.pairs index -> loop is in a group
-	hoistAt    map[*irScope][]*irLoop
-	runAt      map[int][]int // run-starting ord -> ords of the fused run
+	groups  []*loopir.SharedSched
+	hoistAt map[*irScope][]lowered
+	runAt   map[int][]int // run-starting ord -> ords of the fused run
 
 	// Phase metrics (virtual seconds / cumulative counts).
 	inspTime     float64
@@ -122,7 +132,7 @@ func (pr *Program) instantiate(p *comm.Proc, optimized bool) *Instance {
 		d := &pr.ast.decls[k]
 		switch d.kind {
 		case declDecomposition:
-			if pr.an.syms.dists[d.name] == DistCyclic {
+			if pr.ir.syms.dists[d.name] == DistCyclic {
 				in.decs[d.name] = in.lp.CyclicDecomposition(d.n)
 			} else {
 				in.decs[d.name] = in.lp.Decomposition(d.n)
@@ -139,20 +149,18 @@ func (pr *Program) instantiate(p *comm.Proc, optimized bool) *Instance {
 	}
 	// Compile the sum and pair loops now; append loops are executed per
 	// encounter during Step.
-	for _, info := range pr.an.sums {
-		x := in.reals[info.readArr]
-		f := in.reals[info.redArr]
-		ind := in.inds[info.f.innerInd]
-		body := compileBody(info)
-		in.sums = append(in.sums, in.lp.NewSumLoop(ind, x, f, info.flops, body))
-	}
-	for _, info := range pr.an.pairs {
-		x := in.reals[info.readArr]
-		f := in.reals[info.redArr]
-		ia := in.inds[info.indA]
-		ib := in.inds[info.indB]
-		body := compilePairBody(info)
-		in.pairs = append(in.pairs, in.lp.NewPairLoop(ia, ib, x, f, info.flops, body))
+	in.loops = make([]lowered, len(pr.ir.loops))
+	in.shared = make([]bool, len(pr.ir.loops))
+	for _, l := range pr.ir.loops {
+		x, f := in.reals[l.readArr], in.reals[l.redArr]
+		body := compileBody(l)
+		switch l.kind {
+		case loopSum:
+			in.loops[l.ord] = in.lp.NewSumLoop(in.inds[l.f.innerInd], x, f, l.flops, body)
+		case loopPair:
+			in.loops[l.ord] = in.lp.NewPairLoop(in.inds[l.ia], in.inds[l.ib], x, f, l.flops,
+				func(_ int, xi, xj, fi, fj []float64) { body(xi, xj, fi, fj) })
+		}
 	}
 	if optimized {
 		in.applyPlan()
@@ -163,27 +171,17 @@ func (pr *Program) instantiate(p *comm.Proc, optimized bool) *Instance {
 // applyPlan wires the dataflow-analysis results into the lowered loops.
 func (in *Instance) applyPlan() {
 	ir := in.prog.ir
-	in.sharedSum = map[int]bool{}
-	in.sharedPair = map[int]bool{}
-	in.hoistAt = map[*irScope][]*irLoop{}
+	in.hoistAt = map[*irScope][]lowered{}
 	in.runAt = map[int][]int{}
 
 	// Schedule-sharing groups: one SharedSched per group, every member loop
 	// delegates its preprocessing to it.
 	// chaosvet:ignore clock-charge — plan wiring only; charges happen when the loops run
 	for _, g := range ir.groups {
-		first := ir.loops[g[0]]
-		shared := in.lp.NewSharedSched(in.decs[first.dataDec])
+		shared := in.lp.NewSharedSched(in.decs[ir.loops[g[0]].dataDec])
 		for _, ord := range g {
-			l := ir.loops[ord]
-			switch l.ref.kind {
-			case loopSum:
-				in.sums[l.ref.idx].Share(shared)
-				in.sharedSum[l.ref.idx] = true
-			case loopPair:
-				in.pairs[l.ref.idx].Share(shared)
-				in.sharedPair[l.ref.idx] = true
-			}
+			in.loops[ord].Share(shared)
+			in.shared[ord] = true
 		}
 		in.groups = append(in.groups, shared)
 	}
@@ -191,15 +189,9 @@ func (in *Instance) applyPlan() {
 	// Hoisted inspectors run at the entry of the DO they hoist out of; the
 	// in-loop guard is compiled down to the re-check-only form.
 	for _, l := range ir.loops {
-		if l.hoistScope == nil {
-			continue
-		}
-		in.hoistAt[l.hoistScope] = append(in.hoistAt[l.hoistScope], l)
-		switch l.ref.kind {
-		case loopSum:
-			in.sums[l.ref.idx].SetHoisted(true)
-		case loopPair:
-			in.pairs[l.ref.idx].SetHoisted(true)
+		if l.hoistScope != nil {
+			in.hoistAt[l.hoistScope] = append(in.hoistAt[l.hoistScope], in.loops[l.ord])
+			in.loops[l.ord].SetHoisted(true)
 		}
 	}
 
@@ -242,7 +234,7 @@ func (in *Instance) Ind(name string) *loopir.IndArray {
 // decomposition: newOwners gives the new owner of each local element
 // (typically from an extrinsic partitioner, §5.1.1). Collective.
 func (in *Instance) Redistribute(name string, newOwners []int32) {
-	if in.prog.an.syms.dists[name] != DistMap {
+	if in.prog.ir.syms.dists[name] != DistMap {
 		panic(fmt.Sprintf("fortd: decomposition %q was not declared DISTRIBUTE(%s)", name, "MAP"))
 	}
 	in.Decomposition(name).Redistribute(newOwners)
@@ -264,12 +256,7 @@ func (in *Instance) execScope(sc *irScope, out *[]AppendResult) {
 		// Hoisted inspectors: loop-invariant preprocessing once at DO entry.
 		t0 := in.P.Clock()
 		for _, l := range in.hoistAt[sc] {
-			switch l.ref.kind {
-			case loopSum:
-				in.sums[l.ref.idx].Inspect()
-			case loopPair:
-				in.pairs[l.ref.idx].Inspect()
-			}
+			l.Inspect()
 		}
 		in.inspTime += in.P.Clock() - t0
 	}
@@ -308,82 +295,73 @@ func (in *Instance) execScope(sc *irScope, out *[]AppendResult) {
 // separately (the Table 6 split).
 func (in *Instance) execLoop(l *irLoop, out *[]AppendResult) {
 	p := in.P
-	switch l.ref.kind {
-	case loopSum:
-		s := in.sums[l.ref.idx]
-		t0 := p.Clock()
-		s.Inspect()
-		t1 := p.Clock()
-		s.Execute()
-		in.inspTime += t1 - t0
-		in.execTime += p.Clock() - t1
-	case loopPair:
-		pl := in.pairs[l.ref.idx]
-		t0 := p.Clock()
-		pl.Inspect()
-		t1 := p.Clock()
-		pl.Execute()
-		in.inspTime += t1 - t0
-		in.execTime += p.Clock() - t1
-	case loopAppend:
-		info := in.prog.an.appends[l.ref.idx]
-		dest := in.inds[info.f.appendDest]
-		src := in.reals[info.f.appendSrc]
-		target := in.decs[info.f.appendTarget]
+	if l.kind == loopAppend {
+		dest := in.inds[l.f.appendDest]
+		src := in.reals[l.f.appendSrc]
+		target := in.decs[l.dataDec]
 		_, destRows := dest.CSR()
 		t0 := p.Clock()
 		var recv []float64
 		var sizes []int32
 		if in.optimized {
-			recv, sizes = loopir.ReduceAppendFused(p, target.Dist(), destRows, src.Local(), info.width)
+			recv, sizes = loopir.ReduceAppendFused(p, target.Dist(), destRows, src.Local(), l.width)
 		} else {
-			recv, sizes = loopir.ReduceAppend(p, target.Dist(), destRows, src.Local(), info.width)
+			recv, sizes = loopir.ReduceAppend(p, target.Dist(), destRows, src.Local(), l.width)
 			in.appendBuilds++
 		}
 		in.execTime += p.Clock() - t0
 		*out = append(*out, AppendResult{Loop: l.ord, Records: recv, Sizes: sizes})
+		return
 	}
+	lo := in.loops[l.ord]
+	t0 := p.Clock()
+	lo.Inspect()
+	t1 := p.Clock()
+	lo.Execute()
+	in.inspTime += t1 - t0
+	in.execTime += p.Clock() - t1
 }
 
 // execFusedRun executes a fused run of same-group loops as one
 // communication phase.
 func (in *Instance) execFusedRun(run []int) {
-	ir := in.prog.ir
 	p := in.P
 	t0 := p.Clock()
-	switch ir.loops[run[0]].ref.kind {
-	case loopSum:
-		loops := make([]*loopir.SumLoop, len(run))
-		// chaosvet:ignore clock-charge — Inspect and ExecuteFusedSum charge internally
-		for i, ord := range run {
-			loops[i] = in.sums[ir.loops[ord].ref.idx]
-			loops[i].Inspect()
-		}
-		t1 := p.Clock()
-		loopir.ExecuteFusedSum(loops)
-		in.inspTime += t1 - t0
-		in.execTime += p.Clock() - t1
-	case loopPair:
-		loops := make([]*loopir.PairLoop, len(run))
-		// chaosvet:ignore clock-charge — Inspect and ExecuteFusedPair charge internally
-		for i, ord := range run {
-			loops[i] = in.pairs[ir.loops[ord].ref.idx]
-			loops[i].Inspect()
-		}
-		t1 := p.Clock()
-		loopir.ExecuteFusedPair(loops)
-		in.inspTime += t1 - t0
-		in.execTime += p.Clock() - t1
+	// chaosvet:ignore clock-charge — Inspect charges internally
+	for _, ord := range run {
+		in.loops[ord].Inspect()
 	}
+	t1 := p.Clock()
+	if in.prog.ir.loops[run[0]].kind == loopSum {
+		loopir.ExecuteFusedSum(typedRun[*loopir.SumLoop](in.loops, run))
+	} else {
+		loopir.ExecuteFusedPair(typedRun[*loopir.PairLoop](in.loops, run))
+	}
+	in.inspTime += t1 - t0
+	in.execTime += p.Clock() - t1
+}
+
+// typedRun collects a fused run's loops as the concrete type loopir's fused
+// executor takes.
+func typedRun[T lowered](loops []lowered, run []int) []T {
+	out := make([]T, len(run))
+	for i, ord := range run {
+		out[i] = loops[ord].(T)
+	}
+	return out
 }
 
 // Inspections returns the cumulative inspector executions of the i-th sum
 // loop (program order over sum loops), exposing the §5.3 reuse behaviour.
-func (in *Instance) Inspections(i int) int { return in.sums[i].Inspections() }
+func (in *Instance) Inspections(i int) int {
+	return in.loops[in.prog.ir.ofKind(loopSum)[i].ord].Inspections()
+}
 
 // PairInspections returns the cumulative inspector executions of the i-th
 // pair loop.
-func (in *Instance) PairInspections(i int) int { return in.pairs[i].Inspections() }
+func (in *Instance) PairInspections(i int) int {
+	return in.loops[in.prog.ir.ofKind(loopPair)[i].ord].Inspections()
+}
 
 // InspectorBuilds returns the cumulative number of inspector builds this
 // rank paid: per-loop (or per-group) hash/schedule builds plus the per-
@@ -391,13 +369,8 @@ func (in *Instance) PairInspections(i int) int { return in.pairs[i].Inspections(
 // -O delta on this counter is what BENCH_loopir tracks.
 func (in *Instance) InspectorBuilds() int {
 	n := in.appendBuilds
-	for i, l := range in.sums {
-		if !in.sharedSum[i] {
-			n += l.Inspections()
-		}
-	}
-	for i, l := range in.pairs {
-		if !in.sharedPair[i] {
+	for ord, l := range in.loops {
+		if l != nil && !in.shared[ord] {
 			n += l.Inspections()
 		}
 	}
@@ -415,71 +388,20 @@ func (in *Instance) InspectorTime() float64 { return in.inspTime }
 // executor phases (gathers, loop bodies, scatters, append data motion).
 func (in *Instance) ExecutorTime() float64 { return in.execTime }
 
-// compilePairBody turns the pair-form REDUCE(SUM) statements into a
-// loopir.PairBody: references through indA resolve to the (xi, fi) side,
-// references through indB to the (xj, fj) side.
-func compilePairBody(info *pairLoopInfo) loopir.PairIterBody {
-	stmts := info.f.reduces
-	width := info.width
-	indA := info.indA
-	return func(_ int, xi, xj, fi, fj []float64) {
-		for c := 0; c < width; c++ {
-			for k := range stmts {
-				v := evalPairExpr(stmts[k].value, indA, xi, xj, c)
-				if stmts[k].target.sub.Ind == indA {
-					fi[c] += v
-				} else {
-					fj[c] += v
-				}
-			}
-		}
-	}
-}
-
-// evalPairExpr interprets an expression with indirection-keyed operand
-// resolution.
-func evalPairExpr(e expr, indA string, xi, xj []float64, c int) float64 {
-	switch v := e.(type) {
-	case *numExpr:
-		return v.v
-	case *negExpr:
-		return -evalPairExpr(v.e, indA, xi, xj, c)
-	case *binExpr:
-		l := evalPairExpr(v.l, indA, xi, xj, c)
-		r := evalPairExpr(v.r, indA, xi, xj, c)
-		switch v.op {
-		case '+':
-			return l + r
-		case '-':
-			return l - r
-		case '*':
-			return l * r
-		default:
-			return l / r
-		}
-	case *refExpr:
-		if v.sub.Ind == indA {
-			return xi[c]
-		}
-		return xj[c]
-	default:
-		panic(fmt.Sprintf("fortd: unknown expression node %T", e))
-	}
-}
-
-// compileBody turns the REDUCE(SUM) statements into a loopir.PairBody by
-// interpreting the expression AST per component.
-func compileBody(info *sumLoopInfo) loopir.PairBody {
-	stmts := info.f.reduces
-	width := info.width
+// compileBody turns the REDUCE(SUM) statements of a sum or pair loop into a
+// loopir.PairBody by interpreting the expression AST per component: each
+// reference and each target resolves to the side analysis marked it with.
+func compileBody(l *irLoop) loopir.PairBody {
+	stmts := l.f.reduces
+	width := l.width
 	return func(xi, xj, fi, fj []float64) {
 		for c := 0; c < width; c++ {
 			for k := range stmts {
 				v := evalExpr(stmts[k].value, xi, xj, c)
-				if stmts[k].target.sub.Ind == "" {
-					fi[c] += v
-				} else {
+				if stmts[k].target.sub.j {
 					fj[c] += v
+				} else {
+					fi[c] += v
 				}
 			}
 		}
@@ -507,10 +429,10 @@ func evalExpr(e expr, xi, xj []float64, c int) float64 {
 			return l / r
 		}
 	case *refExpr:
-		if v.sub.Ind == "" {
-			return xi[c]
+		if v.sub.j {
+			return xj[c]
 		}
-		return xj[c]
+		return xi[c]
 	default:
 		panic(fmt.Sprintf("fortd: unknown expression node %T", e))
 	}

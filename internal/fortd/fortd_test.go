@@ -105,6 +105,19 @@ INDIRECTION d(p) CSR
 FORALL i IN p
  REDUCE(APPEND, c(d(i)), v(i))
 END FORALL`, "WIDTH 1"},
+		{"wide flat indirection", "DECOMPOSITION atoms(40)\nINDIRECTION p(atoms) WIDTH 2",
+			`fortd: <input>:2:28: flat INDIRECTION must have WIDTH 1, found "2"`},
+		{"one indirection, two index spaces", `DECOMPOSITION c(4)
+DECOMPOSITION a(9)
+DECOMPOSITION p(8)
+REAL v(p), x(a), f(a)
+INDIRECTION d(p) WIDTH 1
+FORALL i IN p
+ REDUCE(APPEND, c(d(i)), v(i))
+END FORALL
+FORALL i IN p
+ REDUCE(SUM, f(d(i)), x(d(i)))
+END FORALL`, `fortd: <input>:9:1: indirection "d" indexes "a" here but "c" in an earlier FORALL`},
 		{"bad char", "DECOMPOSITION a(4) @", "unexpected character"},
 	}
 	for _, tc := range cases {

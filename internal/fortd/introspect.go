@@ -8,7 +8,7 @@ import "sort"
 // RealNames returns the declared REAL array names, sorted.
 func (pr *Program) RealNames() []string {
 	var out []string
-	for name := range pr.an.syms.reals {
+	for name := range pr.ir.syms.reals {
 		out = append(out, name)
 	}
 	sort.Strings(out)
@@ -18,7 +18,7 @@ func (pr *Program) RealNames() []string {
 // IndNames returns the declared INDIRECTION array names, sorted.
 func (pr *Program) IndNames() []string {
 	var out []string
-	for name := range pr.an.syms.inds {
+	for name := range pr.ir.syms.inds {
 		out = append(out, name)
 	}
 	sort.Strings(out)
@@ -28,7 +28,7 @@ func (pr *Program) IndNames() []string {
 // DecompositionNames returns the declared decomposition names, sorted.
 func (pr *Program) DecompositionNames() []string {
 	var out []string
-	for name := range pr.an.syms.decomps {
+	for name := range pr.ir.syms.decomps {
 		out = append(out, name)
 	}
 	sort.Strings(out)
@@ -39,7 +39,7 @@ func (pr *Program) DecompositionNames() []string {
 // sorted.
 func (pr *Program) MapDecompositions() []string {
 	var out []string
-	for name, k := range pr.an.syms.dists {
+	for name, k := range pr.ir.syms.dists {
 		if k == DistMap {
 			out = append(out, name)
 		}
@@ -50,7 +50,7 @@ func (pr *Program) MapDecompositions() []string {
 
 // IndDecomp returns the decomposition an indirection array is aligned with.
 func (pr *Program) IndDecomp(name string) string {
-	d, ok := pr.an.syms.inds[name]
+	d, ok := pr.ir.syms.inds[name]
 	if !ok {
 		panic("fortd: unknown indirection array " + name)
 	}
@@ -59,7 +59,7 @@ func (pr *Program) IndDecomp(name string) string {
 
 // IndIsCSR reports whether the indirection array has CSR form.
 func (pr *Program) IndIsCSR(name string) bool {
-	d, ok := pr.an.syms.inds[name]
+	d, ok := pr.ir.syms.inds[name]
 	if !ok {
 		panic("fortd: unknown indirection array " + name)
 	}
@@ -67,33 +67,28 @@ func (pr *Program) IndIsCSR(name string) bool {
 }
 
 // IndTargetN returns the size of the index space an indirection array's
-// values refer to: the decomposition it subscripts in a sum loop (its own
-// aligned decomposition), or the append-target decomposition when the array
-// routes a REDUCE(APPEND).
+// values refer to: the decomposition the FORALLs reading it index through it
+// (a sum loop's own aligned decomposition, a pair loop's data decomposition,
+// an append's target), or its own aligned decomposition when no FORALL reads
+// it.
 func (pr *Program) IndTargetN(name string) int {
-	for _, info := range pr.an.appends {
-		if info.f.appendDest == name {
-			return pr.an.syms.decomps[info.f.appendTarget].n
-		}
+	syms := pr.ir.syms
+	if t, ok := pr.ir.targets[name]; ok {
+		return syms.decomps[t].n
 	}
-	for _, info := range pr.an.pairs {
-		if info.indA == name || info.indB == name {
-			return pr.an.syms.decomps[info.dataDec].n
-		}
-	}
-	d, ok := pr.an.syms.inds[name]
+	d, ok := syms.inds[name]
 	if !ok {
 		panic("fortd: unknown indirection array " + name)
 	}
-	return pr.an.syms.decomps[d.decomp].n
+	return syms.decomps[d.decomp].n
 }
 
 // NumSumLoops returns the number of FORALL/REDUCE(SUM) nests.
-func (pr *Program) NumSumLoops() int { return len(pr.an.sums) }
+func (pr *Program) NumSumLoops() int { return len(pr.ir.ofKind(loopSum)) }
 
 // NumAppendLoops returns the number of REDUCE(APPEND) nests.
-func (pr *Program) NumAppendLoops() int { return len(pr.an.appends) }
+func (pr *Program) NumAppendLoops() int { return len(pr.ir.ofKind(loopAppend)) }
 
 // NumPairLoops returns the number of single-level two-indirection
 // reduction nests (the Figure 2 bonded template).
-func (pr *Program) NumPairLoops() int { return len(pr.an.pairs) }
+func (pr *Program) NumPairLoops() int { return len(pr.ir.ofKind(loopPair)) }

@@ -6,10 +6,10 @@ import (
 	"strings"
 )
 
-// This file is the program-level dataflow pass over the compiled statement
-// tree: an analyzable representation (def-use chains for INDIRECTION
-// arrays, loop-nest structure, inspector signatures) plus the three
-// analyses the paper's §4 compile-time support calls for —
+// This file is the program-level dataflow pass over the analyzed statement
+// tree: one representation (loop-nest structure, the ADAPT definitions of
+// INDIRECTION arrays, one descriptor and inspector signature per FORALL)
+// plus the three analyses the paper's §4 compile-time support calls for —
 //
 //   - schedule reuse: FORALLs whose inspectors hash the identical set of
 //     indirection arrays over the same data decomposition can share one
@@ -31,7 +31,6 @@ import (
 type irScope struct {
 	parent *irScope
 	doN    int // 0 at the root
-	doVar  string
 	pos    Pos
 	stmts  []irStmt
 }
@@ -39,27 +38,32 @@ type irScope struct {
 // irStmt is one statement in a scope: exactly one of loop, adapt or child
 // is set.
 type irStmt struct {
-	pos   Pos
 	loop  *irLoop
 	adapt string   // ADAPT target, "" otherwise
 	child *irScope // nested DO
 }
 
-// irLoop is the dataflow view of one FORALL: its inspector signature (the
-// sorted indirection arrays it hashes and the decomposition the resulting
-// schedule spans) and its executor's read/reduce arrays.
+// irLoop is the one descriptor of a FORALL, whatever its form: the AST it
+// lowers (whose subscripts analysis marked with their side), its inspector
+// signature (the sorted indirection arrays it hashes and the decomposition
+// the resulting schedule spans) and its executor's arrays and cost.
 type irLoop struct {
-	ord   int // index into analysis.order
-	ref   loopRef
-	pos   Pos
+	kind  loopKind
+	f     *forall
+	ord   int // source order among all FORALLs
 	scope *irScope
 	inds  []string // sorted indirection arrays the inspector hashes
+	// ia and ib are a pair loop's i-side and j-side flat indirections (ib
+	// equals ia when the body names only one).
+	ia, ib string
 	// dataDec is the decomposition the schedule communicates over (gather
 	// and scatter targets for sum/pair loops, append destination rows for
 	// append loops).
 	dataDec string
 	readArr string // "" for append loops
 	redArr  string // "" for append loops
+	width   int    // components per element (append: per record)
+	flops   int    // modeled arithmetic per pair or iteration
 
 	// Analysis results.
 	group      int      // schedule-sharing group, -1 if alone
@@ -69,26 +73,20 @@ type irLoop struct {
 // sig is the inspector signature: loops with equal signatures build
 // identical hash tables and schedules.
 func (l *irLoop) sig() string {
-	kind := "sum"
-	switch l.ref.kind {
-	case loopPair:
-		kind = "pair"
-	case loopAppend:
-		kind = "append"
-	}
-	return kind + "|" + l.dataDec + "|" + strings.Join(l.inds, ",")
+	return l.kind.String() + "|" + l.dataDec + "|" + strings.Join(l.inds, ",")
 }
 
-// irProgram is the analyzable whole-program representation.
+// irProgram is the analyzed whole program: the symbol table, the statement
+// tree and the program-level analysis results.
 type irProgram struct {
-	an    *analysis
+	file  string
+	syms  *symbols
 	root  *irScope
 	loops []*irLoop // indexed by ord
 
-	// defs is the def-use chain head per indirection array: every ADAPT
-	// site (the array's initial contents are a definition at program entry,
-	// which precedes every scope and so never blocks hoisting).
-	defs map[string][]*irStmt
+	// targets maps each indirection array a FORALL reads to the
+	// decomposition its values index.
+	targets map[string]string
 
 	// groups lists schedule-sharing groups: each entry holds the ords of
 	// loops with an identical inspector signature, in program order.
@@ -101,63 +99,15 @@ type irProgram struct {
 	fuseRuns [][]int
 }
 
-// buildIR constructs the dataflow representation from the analyzed
-// statement tree.
-func buildIR(an *analysis) *irProgram {
-	ir := &irProgram{
-		an:    an,
-		loops: make([]*irLoop, len(an.order)),
-		defs:  map[string][]*irStmt{},
-	}
-	ir.root = ir.buildScope(nil, an.stmts, 0, "", Pos{})
-	ir.findGroups()
-	ir.findHoists()
-	ir.findFuseRuns()
-	return ir
-}
-
-func (ir *irProgram) buildScope(parent *irScope, stmts []stmtInfo, doN int, doVar string, pos Pos) *irScope {
-	sc := &irScope{parent: parent, doN: doN, doVar: doVar, pos: pos}
-	for k := range stmts {
-		s := &stmts[k]
-		switch s.kind {
-		case stmtForall:
-			an := ir.an
-			l := &irLoop{
-				ord:   s.ord,
-				ref:   s.loop,
-				pos:   s.pos,
-				scope: sc,
-				inds:  an.indsOfLoop(s.loop),
-				group: -1,
-			}
-			switch s.loop.kind {
-			case loopSum:
-				info := an.sums[s.loop.idx]
-				l.dataDec = info.f.overDec
-				l.readArr = info.readArr
-				l.redArr = info.redArr
-			case loopPair:
-				info := an.pairs[s.loop.idx]
-				l.dataDec = info.dataDec
-				l.readArr = info.readArr
-				l.redArr = info.redArr
-			case loopAppend:
-				info := an.appends[s.loop.idx]
-				l.dataDec = info.f.appendTarget
-			}
-			ir.loops[s.ord] = l
-			sc.stmts = append(sc.stmts, irStmt{pos: s.pos, loop: l})
-		case stmtAdapt:
-			sc.stmts = append(sc.stmts, irStmt{pos: s.pos, adapt: s.adapt})
-			st := &sc.stmts[len(sc.stmts)-1]
-			ir.defs[s.adapt] = append(ir.defs[s.adapt], st)
-		case stmtDo:
-			child := ir.buildScope(sc, s.body, s.doN, s.doVar, s.pos)
-			sc.stmts = append(sc.stmts, irStmt{pos: s.pos, child: child})
+// ofKind returns the loops of one form, in program order.
+func (ir *irProgram) ofKind(k loopKind) []*irLoop {
+	var out []*irLoop
+	for _, l := range ir.loops {
+		if l.kind == k {
+			out = append(out, l)
 		}
 	}
-	return sc
+	return out
 }
 
 // findGroups assigns schedule-sharing groups: loops with equal inspector
@@ -170,7 +120,7 @@ func (ir *irProgram) findGroups() {
 	bySig := map[string][]int{}
 	var sigs []string
 	for _, l := range ir.loops {
-		if l.ref.kind == loopAppend {
+		if l.kind == loopAppend {
 			continue
 		}
 		s := l.sig()
@@ -220,7 +170,7 @@ func (ir *irProgram) scopeHasDef(sc *irScope, inds []string) bool {
 // is loop-invariant there.
 func (ir *irProgram) findHoists() {
 	for _, l := range ir.loops {
-		if l.ref.kind == loopAppend {
+		if l.kind == loopAppend {
 			// Append inspectors are rebuilt from run-time destination rows;
 			// their optimization is the fused data motion, not hoisting.
 			continue
@@ -308,7 +258,7 @@ func (d Diag) String() string {
 // the optimizer deliberately leaves alone.
 func (ir *irProgram) findings() []Diag {
 	var out []Diag
-	file := ir.an.file
+	file := ir.file
 	add := func(pos Pos, kind, format string, args ...any) {
 		out = append(out, Diag{
 			File: file, Line: pos.Line, Col: pos.Col,
@@ -320,9 +270,9 @@ func (ir *irProgram) findings() []Diag {
 		first := ir.loops[g[0]]
 		for _, ord := range g[1:] {
 			l := ir.loops[ord]
-			add(l.pos, "reuse",
+			add(l.f.pos, "reuse",
 				"inspector hashes index array(s) %s already hashed by the FORALL at line %d; one shared schedule serves both (applied at -O)",
-				strings.Join(l.inds, ","), first.pos.Line)
+				strings.Join(l.inds, ","), first.f.pos.Line)
 		}
 	}
 
@@ -333,17 +283,17 @@ func (ir *irProgram) findings() []Diag {
 	// adds, which is not bit-identical for IEEE -0.0 accumulations, so -O
 	// does not apply it.
 	for _, l := range ir.loops {
-		if l.ref.kind == loopAppend || l.group >= 0 {
+		if l.kind == loopAppend || l.group >= 0 {
 			continue
 		}
 		for _, o := range ir.loops {
-			if o == l || o.ref.kind == loopAppend || o.dataDec != l.dataDec {
+			if o == l || o.kind == loopAppend || o.dataDec != l.dataDec {
 				continue
 			}
 			if strictSubset(l.inds, o.inds) {
-				add(l.pos, "subset",
+				add(l.f.pos, "subset",
 					"index array(s) %s are a subset of %s used by the FORALL at line %d; an incremental or merged schedule could be shared",
-					strings.Join(l.inds, ","), strings.Join(o.inds, ","), o.pos.Line)
+					strings.Join(l.inds, ","), strings.Join(o.inds, ","), o.f.pos.Line)
 				break
 			}
 		}
@@ -351,7 +301,7 @@ func (ir *irProgram) findings() []Diag {
 
 	for _, l := range ir.loops {
 		if l.hoistScope != nil {
-			add(l.pos, "hoist",
+			add(l.f.pos, "hoist",
 				"index array(s) %s have no ADAPT in the DO at line %d; the inspector is loop-invariant and hoists out (applied at -O)",
 				strings.Join(l.inds, ","), l.hoistScope.pos.Line)
 		}
@@ -361,17 +311,17 @@ func (ir *irProgram) findings() []Diag {
 		first := ir.loops[run[0]]
 		for _, ord := range run[1:] {
 			l := ir.loops[ord]
-			add(l.pos, "fuse",
+			add(l.f.pos, "fuse",
 				"gather/scatter uses the same schedule as the FORALL at line %d; data motion fuses into one message per peer (applied at -O)",
-				first.pos.Line)
+				first.f.pos.Line)
 		}
 	}
 
 	for _, l := range ir.loops {
-		if l.ref.kind != loopAppend {
+		if l.kind != loopAppend {
 			continue
 		}
-		add(l.pos, "fuse",
+		add(l.f.pos, "fuse",
 			"REDUCE(APPEND) size recomputation builds a fresh schedule every execution; destination-row counts ride the data motion instead (applied at -O)")
 	}
 

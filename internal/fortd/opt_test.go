@@ -224,8 +224,9 @@ END FORALL`
 	}
 }
 
-// instantiateSynthetic mirrors cmd/fortd's deterministic synthetic data so
-// two instances of the same program start bit-identical.
+// instantiateSynthetic instantiates prog at -O0 or -O and fills it with the
+// synthetic data set cmd/fortd uses (InitSynthetic, degree 3), so two
+// instances of the same program start bit-identical.
 func instantiateSynthetic(prog *Program, p *comm.Proc, optimized bool) *Instance {
 	var in *Instance
 	if optimized {
@@ -233,40 +234,7 @@ func instantiateSynthetic(prog *Program, p *comm.Proc, optimized bool) *Instance
 	} else {
 		in = prog.Instantiate(p)
 	}
-	for _, name := range prog.RealNames() {
-		in.Real(name).SetByGlobal(func(g int32, c []float64) {
-			for k := range c {
-				c[k] = math.Sin(float64(g)*0.1 + float64(k))
-			}
-		})
-	}
-	for _, name := range prog.IndNames() {
-		dec := in.Decomposition(prog.IndDecomp(name))
-		if prog.IndIsCSR(name) {
-			n := int32(dec.N())
-			ptr := make([]int32, dec.NLocal()+1)
-			var vals []int32
-			for i, g := range dec.Globals() {
-				for d := 0; d < 3; d++ {
-					vals = append(vals, (g*31+int32(d)*17+7)%n)
-				}
-				ptr[i+1] = int32(len(vals))
-			}
-			in.Ind(name).SetCSR(ptr, vals)
-		} else {
-			targetN := int32(prog.IndTargetN(name))
-			salt := int32(0)
-			for _, ch := range name {
-				salt = salt*31 + int32(ch)
-			}
-			salt = (salt%97 + 97) % 97
-			vals := make([]int32, dec.NLocal())
-			for i, g := range dec.Globals() {
-				vals[i] = (g*13 + 5 + salt) % targetN
-			}
-			in.Ind(name).SetFlat(vals)
-		}
-	}
+	in.InitSynthetic(3)
 	return in
 }
 

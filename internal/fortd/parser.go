@@ -336,7 +336,7 @@ func (p *parser) parseReal() ([]decl, error) {
 	return out, p.endOfStmt()
 }
 
-// INDIRECTION name(dec) CSR | INDIRECTION name(dec) WIDTH k
+// INDIRECTION name(dec) CSR | INDIRECTION name(dec) WIDTH 1
 func (p *parser) parseIndirection() (decl, error) {
 	d := decl{kind: declIndirection, pos: p.at(), width: 1}
 	if err := p.keyword("INDIRECTION"); err != nil {
@@ -370,11 +370,11 @@ func (p *parser) parseIndirection() (decl, error) {
 		if err != nil {
 			return d, err
 		}
-		width, err := strconv.Atoi(w.text)
-		if err != nil || width <= 0 {
-			return d, p.errAt(w.pos, "bad width %q", w.text)
+		// Every FORALL form reads one flat entry per iteration (d.width
+		// stays 1); a wider row would compile and then never fit the data.
+		if width, err := strconv.Atoi(w.text); err != nil || width != 1 {
+			return d, p.errAt(w.pos, "flat INDIRECTION must have WIDTH 1, found %q", w.text)
 		}
-		d.width = width
 	default:
 		return d, p.errAt(form.pos, "indirection form must be CSR or WIDTH, found %q", form.text)
 	}
