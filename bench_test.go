@@ -17,7 +17,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/costmodel"
 	"repro/internal/hashtab"
-	"repro/internal/mesh"
 	"repro/internal/schedule"
 	"repro/internal/ttable"
 )
@@ -252,37 +251,5 @@ func BenchmarkAblationVectorization(b *testing.B) {
 	b.ReportMetric(scalar, "vsec-scalar")
 	if vec >= scalar {
 		b.Errorf("vectorized gather (%.4f) not cheaper than per-element sends (%.4f)", vec, scalar)
-	}
-}
-
-// BenchmarkAblationMeshPartitioners measures the communication footprint
-// (ghost vertices per sweep) of BLOCK vs geometric partitioning on the
-// unstructured-mesh workload — the locality argument behind phase A.
-func BenchmarkAblationMeshPartitioners(b *testing.B) {
-	cfg := mesh.DefaultRunConfig()
-	cfg.NX, cfg.NY = 48, 48
-	cfg.Sweeps = 1
-	ghosts := func(part string) float64 {
-		cfg := cfg
-		cfg.Partitioner = part
-		results := make([]*mesh.ProcResult, 8)
-		comm.Run(8, costmodel.IPSC860(), func(p *comm.Proc) {
-			results[p.Rank()] = mesh.Run(p, cfg)
-		})
-		total := 0
-		for _, r := range results {
-			total += r.GhostCount
-		}
-		return float64(total)
-	}
-	var blk, rcb float64
-	for i := 0; i < b.N; i++ {
-		blk = ghosts("block")
-		rcb = ghosts("rcb")
-	}
-	b.ReportMetric(blk, "ghosts-block")
-	b.ReportMetric(rcb, "ghosts-rcb")
-	if rcb >= blk {
-		b.Errorf("RCB ghosts %v not below BLOCK %v", rcb, blk)
 	}
 }

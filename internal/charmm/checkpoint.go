@@ -12,7 +12,7 @@ import (
 // The non-bonded list is checkpointed (not rebuilt on restore): mid-interval
 // it derives from positions several steps old, so regenerating it would
 // change the forces and break bit-identical continuation. Its partner
-// entries are atom globals, so it survives redistribution via MoveCSR.
+// entries are atom globals, so it survives redistribution via MoveCSRInto.
 var atomFields = []checkpoint.Field{
 	{Name: "pos", Kind: checkpoint.FieldF64, Width: 3},
 	{Name: "vel", Kind: checkpoint.FieldF64, Width: 3},

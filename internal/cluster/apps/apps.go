@@ -1,5 +1,5 @@
 // Package apps hosts the runnable CHAOS applications shared by every
-// process-level launcher: the one-shot cmd/chaosnode, the chaosd worker
+// process-level launcher: chaosd's one-process-per-rank role, its worker
 // pool, and the in-process cluster bench. A Spec names an application and
 // its size; Run executes one rank's share of it as a collective body under
 // comm.Run or comm.RunRank. The launchers differ only in how they wire the
@@ -46,8 +46,7 @@ type Spec struct {
 	CrashRank int `json:"crash_rank,omitempty"`
 }
 
-// Normalize fills zero-valued fields with the launcher defaults
-// (the sizes cmd/chaosnode has always used).
+// Normalize fills zero-valued fields with the defaults every launcher shares.
 func (s *Spec) Normalize() {
 	if s.App == "" {
 		s.App = "fig1"

@@ -73,7 +73,7 @@ func TestDsmcMatchesDirectRun(t *testing.T) {
 	spec := Spec{App: "dsmc", Elems: 500, Steps: 6}
 	got := run(t, spec, 3).Checksum
 
-	// The same configuration chaosnode has always built by hand.
+	// The configuration Run builds for a dsmc Spec, written out by hand.
 	cfg := dsmc.Default2D(24)
 	cfg.NMols = 500
 	cfg.Steps = 6

@@ -52,7 +52,7 @@ func TestElasticRestoreGrowBeyondWriter(t *testing.T) {
 }
 
 // runTCPMesh runs cfg on nprocs ranks that are each a real TCP endpoint on
-// a freshly reserved loopback port — the deployment shape of chaosnode and
+// a freshly reserved loopback port — the deployment shape of chaosd rank and
 // the chaosd workers, minus the extra processes.
 func runTCPMesh(t *testing.T, nprocs int, cfg Config) []float64 {
 	t.Helper()

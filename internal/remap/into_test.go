@@ -53,7 +53,7 @@ func recycledChain(t *testing.T, nprocs, n, hops int, seed int64) {
 
 			fresh := NewPlan(p, gs, tt)
 			f = fresh.MoveF64(p, f, 3)
-			ptr, vals = fresh.MoveCSR(p, ptr, vals)
+			ptr, vals = fresh.MoveCSRInto(nil, nil, p, ptr, vals)
 			gs = fresh.MoveI32(p, gs, 1)
 
 			plan = NewPlanInto(plan, p, rgs, tt)

@@ -282,18 +282,12 @@ func moveInto[T any](pl *Plan, dst []T, p *comm.Proc, old []T, width int, stage 
 	return out
 }
 
-// MoveCSR relocates a CSR-shaped structure: element i of the source layout
-// owns the variable-length segment values[ptr[i]:ptr[i+1]]. The result is
-// the destination-layout (ptr, values) pair, freshly allocated. Used to
-// remap the CHARMM non-bonded lists, where each atom carries its partner
-// list. Collective.
-func (pl *Plan) MoveCSR(p *comm.Proc, ptr []int32, values []int32) ([]int32, []int32) {
-	return pl.MoveCSRInto(nil, nil, p, ptr, values)
-}
-
-// MoveCSRInto is MoveCSR writing the destination-layout pair into the
-// backing arrays of dstPtr and dstValues (grown as needed; either may be
-// nil, neither may alias ptr or values). Collective.
+// MoveCSRInto relocates a CSR-shaped structure: element i of the source
+// layout owns the variable-length segment values[ptr[i]:ptr[i+1]]. The
+// destination-layout (ptr, values) pair is written into the backing arrays
+// of dstPtr and dstValues (grown as needed; either may be nil for a fresh
+// allocation, neither may alias ptr or values). Used to remap the CHARMM
+// non-bonded lists, where each atom carries its partner list. Collective.
 func (pl *Plan) MoveCSRInto(dstPtr, dstValues []int32, p *comm.Proc, ptr []int32, values []int32) ([]int32, []int32) {
 	if len(ptr) == 0 {
 		// A rank holding no elements may pass a nil CSR; normalize to the

@@ -165,7 +165,7 @@ func TestPlanMoveCSR(t *testing.T) {
 			}
 			ptr[i+1] = int32(len(vals))
 		}
-		newPtr, newVals := pl.MoveCSR(p, ptr, vals)
+		newPtr, newVals := pl.MoveCSRInto(nil, nil, p, ptr, vals)
 		if len(newPtr) != tt.NLocal(p.Rank())+1 {
 			t.Fatalf("newPtr length %d", len(newPtr))
 		}
@@ -202,7 +202,7 @@ func TestPlanMoveCSREmptyRows(t *testing.T) {
 		tt := ttable.Build(p, ttable.Replicated, BlockMap(p, gs, mine, n))
 		pl := NewPlan(p, gs, tt)
 		ptr := make([]int32, len(gs)+1) // all zeros: every row empty
-		newPtr, newVals := pl.MoveCSR(p, ptr, nil)
+		newPtr, newVals := pl.MoveCSRInto(nil, nil, p, ptr, nil)
 		if len(newPtr) != tt.NLocal(p.Rank())+1 {
 			t.Fatalf("rank %d: newPtr length %d, want %d", p.Rank(), len(newPtr), tt.NLocal(p.Rank())+1)
 		}
@@ -239,7 +239,7 @@ func TestPlanMoveCSRAllLocal(t *testing.T) {
 			}
 			ptr[i+1] = int32(len(vals))
 		}
-		newPtr, newVals := pl.MoveCSR(p, ptr, vals)
+		newPtr, newVals := pl.MoveCSRInto(nil, nil, p, ptr, vals)
 		for g := 0; g < n; g++ {
 			if int(tt.OwnerOf(g)) != p.Rank() {
 				continue
@@ -270,7 +270,7 @@ func TestPlanMoveCSRSingleRank(t *testing.T) {
 		pl := NewPlan(p, gs, tt)
 		ptr := []int32{0, 2, 2, 5, 5, 5, 6, 6, 8, 9}
 		vals := []int32{1, 2, 3, 4, 5, 6, 7, 8, 9}
-		newPtr, newVals := pl.MoveCSR(p, ptr, vals)
+		newPtr, newVals := pl.MoveCSRInto(nil, nil, p, ptr, vals)
 		for i := range ptr {
 			if newPtr[i] != ptr[i] {
 				t.Fatalf("newPtr[%d] = %d, want %d", i, newPtr[i], ptr[i])
@@ -312,7 +312,7 @@ func TestPlanMoveCSRNilPtrOnEmptyRank(t *testing.T) {
 		if p.Rank() == nprocs-1 {
 			ptr, vals = nil, nil // the empty rank's natural zero values
 		}
-		newPtr, newVals := pl.MoveCSR(p, ptr, vals)
+		newPtr, newVals := pl.MoveCSRInto(nil, nil, p, ptr, vals)
 		if len(newPtr) != tt.NLocal(p.Rank())+1 {
 			t.Fatalf("rank %d: newPtr length %d, want %d", p.Rank(), len(newPtr), tt.NLocal(p.Rank())+1)
 		}
