@@ -1,262 +1,41 @@
 package comm
 
-import "sync"
-
-// Split-phase sends. SendStart (and the typed *BufStart variants) charge the
-// virtual cost model exactly like their blocking counterparts — the
-// per-message overhead Alpha at issue time, arrival computed from that
-// departure — and then hand the frame to a per-rank sender goroutine, so the
-// rank can compute while the transport does its (real) work. Modeled clocks
-// are therefore bit-identical whether a program uses Send or SendStart+Wait;
-// only measured wall time changes.
+// Split-phase sends. SendStart is the blocking send issued early: it charges
+// the virtual cost model exactly like Send — the per-message overhead Alpha
+// at issue time, arrival computed from that departure — and hands the frame
+// to the transport on the caller's thread. Modeled clocks are therefore
+// bit-identical whether a program uses Send or SendStart+Wait, and per-link
+// FIFO order holds across the two spellings; only measured wall time can
+// change.
 //
-// Receiver-side progress needs no counterpart: every transport already
-// drains in-flight frames into tag-matching mailboxes from background
-// goroutines (the in-memory transport's Send enqueues directly; the TCP
-// transport runs one reader per connection), so frames sent while a rank
-// computes are buffered and a later receive completes without blocking.
+// No background sender is needed because Transport.Send must not block
+// indefinitely, and every transport drains frames into the receiver's
+// tag-matching mailboxes from its own goroutines (the in-memory mailbox,
+// TCP's per-connection readers, DelayTransport's couriers, the fault
+// injector). Frames sent before a rank computes are buffered at the
+// receiver, and a later receive completes without blocking.
 
-// Pending is the handle returned by SendStart. Wait blocks until the payload
-// has been handed to the transport and re-raises any failure the send hit
-// (e.g. PeerFailure on a dead TCP link). Until Wait returns the caller must
-// not mutate the buffer passed to SendStart. The zero value is inert.
-type Pending struct {
-	p   *Proc
-	seq uint64
-}
+// Pending is the handle returned by SendStart. The send is complete when
+// SendStart returns, so the handle carries nothing and Wait is a no-op.
+type Pending struct{}
 
-// Wait blocks until the asynchronous send has been handed to the transport.
-// In measured mode the real blocking window is charged to Measured.CommWall
-// with two fresh clock readings (async completions never reuse the amortized
-// receive sample — see Proc.InvalidateRecvSample).
-func (h Pending) Wait() {
-	if h.p != nil {
-		h.p.waitAsync(h.seq)
-	}
-}
+// Wait completes a split-phase send: a no-op, kept so split-phase programs
+// read as Start … Wait.
+func (Pending) Wait() {}
 
-// SendStart begins an asynchronous send of data to rank `to`. Virtual-time
-// charging is identical to Send and happens here, at issue time. The caller
-// must not mutate data until the returned handle's Wait returns.
+// SendStart begins a split-phase send of data to rank `to`. It is Send:
+// the virtual charge and the hand-off to the transport both happen here, so
+// a failing send (PeerFailure on a dead TCP link) panics here too. Send's
+// ownership rule applies to data.
 func (p *Proc) SendStart(to, tag int, data []byte) Pending {
-	return p.sendStart(to, tag, data, nil)
-}
-
-// SendF64BufStart is SendStart for a []float64 payload staged through the
-// per-Proc arena: xs may be reused as soon as the call returns (the values
-// are encoded into a recycled byte buffer before the send is queued). The
-// modeled cost is identical to SendF64Buf.
-func (p *Proc) SendF64BufStart(to, tag int, xs []float64) Pending {
-	b := AppendF64(p.arena.get(8*len(xs)), xs)
-	return p.sendStart(to, tag, b, &p.arena)
+	p.send(to, tag, data, nil)
+	return Pending{}
 }
 
 // InvalidateRecvSample drops the cached receive-path wall reading. The
-// amortized sampling in recvMsg assumes blocking receives back to back; any
-// split-phase completion (Pending.Wait, schedule.Motion.Wait) invalidates
-// the cache so the next blocking receive takes a fresh start reading —
-// reusing a reading taken before background progress would misattribute
-// compute-overlap time to Measured.CommWall.
+// amortized sampling in recvMsg assumes blocking receives back to back; a
+// split-phase motion (schedule's *Start spellings) calls this at issue, so
+// the first receive of its Wait takes a fresh start reading — reusing a
+// reading taken before the caller's uncharged overlap work would bill that
+// work to Measured.CommWall.
 func (p *Proc) InvalidateRecvSample() { p.sampleValid = false }
-
-// sendStart charges the virtual send cost and queues the frame on the
-// rank's sender goroutine (started lazily on first use).
-func (p *Proc) sendStart(to, tag int, data []byte, pool *byteArena) Pending {
-	if to == p.rank {
-		panic("comm: send to self (use local copy instead)")
-	}
-	depart := p.clock
-	p.clock += p.m.Alpha
-	p.stats.CommTime += p.m.Alpha
-	p.stats.MsgsSent++
-	p.stats.BytesSent += int64(len(data))
-	p.sampleValid = false // encode/copy time must not count as receive wait
-	m := Message{
-		From:   p.rank,
-		To:     to,
-		Tag:    tag,
-		Arrive: depart + p.m.MsgCost(len(data)),
-		Data:   data,
-		pool:   pool,
-	}
-	p.asyncOn = true
-	return Pending{p: p, seq: p.async.enqueue(p.tr, m)}
-}
-
-// waitAsync blocks until send seq has been handed to the transport. The
-// measured branch always takes its own two readings, even when the send
-// completed long ago: the window is then ~0, CommWall stays truthful, and
-// the sample count per Wait is deterministic for scripted-clock tests.
-func (p *Proc) waitAsync(seq uint64) {
-	var t0 float64
-	if p.wall != nil {
-		t0 = p.sampleWall()
-		p.sampleValid = false
-	}
-	e := p.async.waitSeq(seq)
-	if p.wall != nil {
-		t1 := p.sampleWall()
-		p.meas.CommWall += t1 - t0
-		p.sampleValid = false
-	}
-	if e != nil {
-		panic(e)
-	}
-}
-
-// drainAsync blocks until every queued asynchronous send has been handed to
-// the transport. The blocking send path calls it so per-link FIFO order is
-// preserved: a blocking send must not overtake split-phase frames still in
-// the queue.
-func (p *Proc) drainAsync() {
-	if !p.asyncOn {
-		return
-	}
-	if e := p.async.drain(); e != nil {
-		panic(e)
-	}
-}
-
-// finishAsync completes the rank's asynchronous sends at body exit. On a
-// healthy return every queued frame must reach the transport before
-// RankDone fires (a decorating fault injector flushes link state there); a
-// panicking rank abandons its queue instead — the sender goroutine stops
-// after the frame in flight, and transport poisoning errors out anything
-// still blocked on a dead link. The first async failure is returned rather
-// than re-panicked so the caller's deferred bookkeeping still runs.
-func (p *Proc) finishAsync(panicked bool) any {
-	if !p.asyncOn {
-		return nil
-	}
-	return p.async.stop(panicked)
-}
-
-// asyncSender is the per-rank split-phase send engine: a FIFO queue drained
-// by one lazily-started goroutine, so frames from one rank keep their issue
-// order on every link. issued/done sequence numbers order completions;
-// a panic inside Transport.Send (PeerFailure from a dead TCP link) is
-// captured and re-raised on the owner at Wait, drain, or the next enqueue.
-type asyncSender struct {
-	mu      sync.Mutex
-	cond    sync.Cond
-	q       []Message
-	issued  uint64
-	done    uint64
-	err     any
-	running bool
-	stopped bool
-	abandon bool
-}
-
-// enqueue appends m and returns its completion sequence number, spawning the
-// sender goroutine on first use. Only the owning rank calls it.
-func (a *asyncSender) enqueue(tr Transport, m Message) uint64 {
-	a.mu.Lock()
-	if a.cond.L == nil {
-		a.cond.L = &a.mu
-	}
-	if e := a.err; e != nil {
-		a.mu.Unlock()
-		panic(e)
-	}
-	a.q = append(a.q, m)
-	a.issued++
-	seq := a.issued
-	if !a.running {
-		a.running = true
-		go a.run(tr)
-	}
-	a.cond.Broadcast()
-	a.mu.Unlock()
-	return seq
-}
-
-// run is the sender goroutine: dequeue in FIFO order, hand to the transport,
-// publish completion. It exits when the queue is empty after stop, or
-// immediately on abandon.
-func (a *asyncSender) run(tr Transport) {
-	a.mu.Lock()
-	for {
-		for len(a.q) == 0 && !a.stopped {
-			a.cond.Wait()
-		}
-		if len(a.q) == 0 || a.abandon {
-			a.running = false
-			a.cond.Broadcast()
-			a.mu.Unlock()
-			return
-		}
-		m := a.q[0]
-		copy(a.q, a.q[1:])
-		a.q[len(a.q)-1] = Message{}
-		a.q = a.q[:len(a.q)-1]
-		a.mu.Unlock()
-		e := protectedSend(tr, m)
-		a.mu.Lock()
-		a.done++
-		if e != nil && a.err == nil {
-			a.err = e
-		}
-		a.cond.Broadcast()
-	}
-}
-
-// protectedSend runs tr.Send, converting a panic into a value the sender
-// goroutine can park for the owning rank.
-func protectedSend(tr Transport, m Message) (e any) {
-	defer func() { e = recover() }()
-	tr.Send(m)
-	return nil
-}
-
-// waitSeq blocks until send seq completed (or any send failed) and returns
-// the sticky failure, if one occurred.
-func (a *asyncSender) waitSeq(seq uint64) any {
-	a.mu.Lock()
-	if a.cond.L == nil {
-		a.cond.L = &a.mu
-	}
-	for a.done < seq && a.err == nil {
-		a.cond.Wait()
-	}
-	e := a.err
-	a.mu.Unlock()
-	return e
-}
-
-// drain blocks until the queue is empty and every frame completed.
-func (a *asyncSender) drain() any {
-	return a.waitSeq(a.issuedNow())
-}
-
-func (a *asyncSender) issuedNow() uint64 {
-	a.mu.Lock()
-	n := a.issued
-	a.mu.Unlock()
-	return n
-}
-
-// stop shuts the sender down. Healthy ranks (abandon=false) first wait for
-// the queue to drain; panicking ranks drop queued frames and let the
-// goroutine exit after the frame in flight.
-func (a *asyncSender) stop(abandon bool) any {
-	a.mu.Lock()
-	if a.cond.L == nil {
-		a.mu.Unlock()
-		return nil
-	}
-	var e any
-	if !abandon {
-		for a.done < a.issued && a.err == nil {
-			a.cond.Wait()
-		}
-		e = a.err
-	}
-	a.stopped = true
-	if abandon {
-		a.abandon = true
-	}
-	a.cond.Broadcast()
-	a.mu.Unlock()
-	return e
-}

@@ -19,7 +19,7 @@ func TestSendStartVirtualParity(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				xs := []float64{float64(i), float64(p.Rank())}
 				if split {
-					h := p.SendF64BufStart(peer, 7, xs)
+					h := p.SendStart(peer, 7, EncodeF64(xs))
 					p.ComputeFlops(1000) // overlapped-looking work, charged identically
 					h.Wait()
 				} else {
@@ -45,16 +45,16 @@ func TestSendStartVirtualParity(t *testing.T) {
 	}
 }
 
-// TestSendStartFIFOWithBlockingSend: a blocking send issued while split-phase
-// frames are still queued must not overtake them — the receiver sees issue
-// order on the link.
+// TestSendStartFIFOWithBlockingSend: a blocking send issued after unwaited
+// split-phase sends must not overtake them — the receiver sees issue order
+// on the link.
 func TestSendStartFIFOWithBlockingSend(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		Run(2, costmodel.Uniform(1e-9), func(p *Proc) {
 			const n = 6
 			if p.Rank() == 0 {
 				for i := 0; i < n; i++ {
-					p.SendF64BufStart(1, 7, []float64{float64(i)})
+					p.SendStart(1, 7, EncodeF64([]float64{float64(i)}))
 				}
 				p.SendF64Buf(1, 7, []float64{float64(n)}) // must arrive last
 				return
@@ -69,12 +69,10 @@ func TestSendStartFIFOWithBlockingSend(t *testing.T) {
 }
 
 // TestPendingWaitScriptedClockSamples pins the measured-mode sampling
-// contract of split-phase sends: SendStart itself never reads the clock,
-// every Pending.Wait takes exactly two fresh readings (deterministically,
-// even when the send completed long ago), and a Wait invalidates the
-// receive path's cached sample so the next receive takes a fresh start
-// reading — background completions must not let a stale reading
-// misattribute overlap time to CommWall.
+// contract of split-phase sends: neither SendStart nor Pending.Wait reads
+// the clock, and SendStart, like every send, invalidates the receive path's
+// cached sample so the next receive takes a fresh start reading — the
+// encode and copy time of the send must not be misattributed to CommWall.
 func TestPendingWaitScriptedClockSamples(t *testing.T) {
 	c := &tickClock{}
 	var samples int64
@@ -87,16 +85,16 @@ func TestPendingWaitScriptedClockSamples(t *testing.T) {
 			return
 		}
 		before := p.Measured().ClockSamples
-		p.RecvF64(0, 7)                            // fresh start + end: 2 readings
-		p.RecvF64(0, 7)                            // amortized: 1 reading
-		h := p.SendF64BufStart(0, 8, []float64{1}) // no readings at issue
-		h.Wait()                                   // always 2 fresh readings
-		p.RecvF64(0, 7)                            // cache invalidated by Wait: 2 readings
-		p.RecvF64(0, 7)                            // amortized again: 1 reading
+		p.RecvF64(0, 7)                                 // fresh start + end: 2 readings
+		p.RecvF64(0, 7)                                 // amortized: 1 reading
+		h := p.SendStart(0, 8, EncodeF64([]float64{1})) // no readings at issue
+		h.Wait()                                        // no readings: the send is done
+		p.RecvF64(0, 7)                                 // cache invalidated by the send: 2 readings
+		p.RecvF64(0, 7)                                 // amortized again: 1 reading
 		samples = p.Measured().ClockSamples - before
 	})
-	if samples != 8 {
-		t.Errorf("scripted sequence took %d readings, want 8 (2+1+0+2+2+1)", samples)
+	if samples != 6 {
+		t.Errorf("scripted sequence took %d readings, want 6 (2+1+0+0+2+1)", samples)
 	}
 	for r := 0; r < 2; r++ {
 		if rep.Measured[r].CommWall < 0 {
@@ -119,9 +117,10 @@ func (f *failSendTransport) Send(m Message) {
 	f.Transport.Send(m)
 }
 
-// TestSendStartErrorSurfacesAtWait: a failure inside the background sender
-// must re-raise on the owning rank at Wait, not vanish or kill the process.
-func TestSendStartErrorSurfacesAtWait(t *testing.T) {
+// TestSendStartErrorSurfacesAtIssue: SendStart hands the frame to the
+// transport inline, so a failing send panics inside SendStart on the owning
+// rank — it neither vanishes nor waits for Wait.
+func TestSendStartErrorSurfacesAtIssue(t *testing.T) {
 	defer func() {
 		e := recover()
 		if e == nil {
@@ -136,8 +135,8 @@ func TestSendStartErrorSurfacesAtWait(t *testing.T) {
 		if p.Rank() != 0 {
 			return
 		}
-		h := p.SendF64BufStart(1, 13, []float64{1, 2, 3})
+		h := p.SendStart(1, 13, EncodeF64([]float64{1, 2, 3}))
+		t.Error("SendStart returned despite the send failing")
 		h.Wait()
-		t.Error("Wait returned despite the send failing")
 	})
 }

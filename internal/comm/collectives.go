@@ -148,33 +148,8 @@ func (p *Proc) AllGather(data []byte) [][]byte {
 	return out
 }
 
-func combineF64(op Op, dst, src []float64) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("comm: reduce length mismatch %d vs %d", len(dst), len(src)))
-	}
-	switch op {
-	case OpSum:
-		for i, v := range src {
-			dst[i] += v
-		}
-	case OpMax:
-		for i, v := range src {
-			if v > dst[i] {
-				dst[i] = v
-			}
-		}
-	case OpMin:
-		for i, v := range src {
-			if v < dst[i] {
-				dst[i] = v
-			}
-		}
-	default:
-		panic("comm: unknown reduction op")
-	}
-}
-
-func combineI64(op Op, dst, src []int64) {
+// combine folds src into dst element-wise under op, in index order.
+func combine[T float64 | int64](op Op, dst, src []T) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("comm: reduce length mismatch %d vs %d", len(dst), len(src)))
 	}
@@ -225,7 +200,7 @@ func (p *Proc) AllReduceF64Into(op Op, vec, scratch []float64) []float64 {
 		}
 		if p.rank|mask < p.size {
 			scratch = p.RecvF64Into(p.rank|mask, tagReduce, scratch)
-			combineF64(op, vec, scratch)
+			combine(op, vec, scratch)
 		}
 	}
 	// Broadcast the result along the same binomial tree as Broadcast
@@ -258,7 +233,7 @@ func (p *Proc) AllReduceI64(op Op, vec []int64) []int64 {
 			break
 		}
 		if p.rank|mask < p.size {
-			combineI64(op, acc, p.RecvI64(p.rank|mask, tagReduce))
+			combine(op, acc, p.RecvI64(p.rank|mask, tagReduce))
 		}
 	}
 	var buf []byte

@@ -453,6 +453,52 @@ func TestNewProcValidation(t *testing.T) {
 	NewProc(5, 2, NewMemTransport(2), costmodel.Uniform(1))
 }
 
+// TestBadPeerRankRefused: a peer rank outside [0, Size) is refused by the
+// Proc before any transport sees it. Unchecked, the in-memory transport's
+// receive read another rank's mailbox (rank 0 got back its own message to
+// rank 1) and TCP died on a raw index error.
+func TestBadPeerRankRefused(t *testing.T) {
+	transports := []struct {
+		name string
+		mk   func() (Transport, error)
+	}{
+		{"mem", func() (Transport, error) { return NewMemTransport(2), nil }},
+		{"tcp", func() (Transport, error) { return NewTCPMesh(2) }},
+	}
+	ops := []struct {
+		name string
+		op   func(p *Proc)
+		want string
+	}{
+		{"recv", func(p *Proc) { p.RecvF64(2, 5) }, "comm: recv from bad rank 2 (n=2)"},
+		{"recv-negative", func(p *Proc) { p.Recv(-1, 5) }, "comm: recv from bad rank -1 (n=2)"},
+		{"send", func(p *Proc) { p.SendF64(2, 5, []float64{1}) }, "comm: send to bad rank 2 (n=2)"},
+		{"sendstart-negative", func(p *Proc) { p.SendStart(-1, 5, nil) }, "comm: send to bad rank -1 (n=2)"},
+	}
+	for _, tr := range transports {
+		for _, o := range ops {
+			t.Run(tr.name+"/"+o.name, func(t *testing.T) {
+				link, err := tr.mk()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer func() {
+					e := recover()
+					if s, _ := e.(string); !strings.Contains(s, o.want) {
+						t.Fatalf("panic %v, want one containing %q", e, o.want)
+					}
+				}()
+				RunTransport(2, costmodel.Uniform(1e-9), link, func(p *Proc) {
+					if p.Rank() == 0 {
+						p.SendF64(1, 5, []float64{42})
+						o.op(p)
+					}
+				})
+			})
+		}
+	}
+}
+
 func TestPoisonUnblocksPeersOnFailure(t *testing.T) {
 	// A rank that panics while peers are blocked in Recv must not deadlock
 	// the run: the transport is poisoned and the original panic re-raised.

@@ -73,11 +73,6 @@ type Proc struct {
 	// of the next unless compute or a send ran in between.
 	lastSample  float64
 	sampleValid bool
-
-	// Split-phase send state (async.go). asyncOn is owner-only and keeps the
-	// blocking paths free of even a mutex touch until SendStart is used.
-	async   asyncSender
-	asyncOn bool
 }
 
 // NewProc constructs a processor endpoint. Most code should use Run instead.
@@ -220,12 +215,10 @@ func (p *Proc) Send(to, tag int, data []byte) { p.send(to, tag, data, nil) }
 // payloads (SendF64Buf and friends); the virtual-time accounting is
 // identical either way, so pooled sends are invisible to the cost model.
 func (p *Proc) send(to, tag int, data []byte, pool *byteArena) {
+	p.checkPeer("send to", to)
 	if to == p.rank {
 		panic("comm: send to self (use local copy instead)")
 	}
-	// A blocking send must not overtake split-phase frames still queued on
-	// the sender goroutine, or per-link FIFO order breaks.
-	p.drainAsync()
 	depart := p.clock
 	p.clock += p.m.Alpha
 	p.stats.CommTime += p.m.Alpha
@@ -242,6 +235,15 @@ func (p *Proc) send(to, tag int, data []byte, pool *byteArena) {
 	})
 }
 
+// checkPeer refuses a peer rank outside [0, Size) before any transport sees
+// it: the in-memory transport would otherwise index another rank's mailbox,
+// and TCP would die on a raw index error.
+func (p *Proc) checkPeer(op string, r int) {
+	if r < 0 || r >= p.size {
+		panic(fmt.Sprintf("comm: %s bad rank %d (n=%d)", op, r, p.size))
+	}
+}
+
 // recvMsg blocks until a message from `from` with the given tag is
 // available. Waiting time (virtual) is accounted as communication time; in
 // measured mode the real blocking window is additionally charged to
@@ -249,6 +251,7 @@ func (p *Proc) send(to, tag int, data []byte, pool *byteArena) {
 // share one reading), and a multiplexed rank yields its worker slot for
 // the duration of the wait so runnable peers can use it.
 func (p *Proc) recvMsg(from, tag int) Message {
+	p.checkPeer("recv from", from)
 	if from == p.rank {
 		panic("comm: recv from self")
 	}

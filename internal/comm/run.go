@@ -236,12 +236,6 @@ func runSPMD(n int, m *costmodel.Machine, tr Transport, mc *measureCfg, body fun
 				if slot != nil {
 					slot.release()
 				}
-				// Finish (healthy rank) or abandon (panicking rank) the
-				// split-phase send queue: every frame a healthy rank issued
-				// must be on the wire before RankDone below.
-				if ae := p.finishAsync(e != nil); e == nil {
-					e = ae
-				}
 				// Tell decorating transports the rank is done: a fault
 				// injector holding a reorder frame on one of this rank's
 				// links must put it on the wire now, or a peer still
@@ -317,16 +311,10 @@ func raisePanics(panics []any) {
 // owns transport cleanup.
 func RunRank(rank, n int, m *costmodel.Machine, tr Transport, body func(p *Proc)) (float64, Stats) {
 	p := NewProc(rank, n, tr, m)
+	// RankDone fires whether body returns or panics; a panic keeps going.
 	defer func() {
-		e := recover()
-		if ae := p.finishAsync(e != nil); e == nil {
-			e = ae
-		}
 		if ro, ok := tr.(RankObserver); ok {
 			ro.RankDone(rank)
-		}
-		if e != nil {
-			panic(e)
 		}
 	}()
 	body(p)

@@ -153,6 +153,14 @@ func BenchmarkDataMotionGather(b *testing.B) {
 	})
 }
 
+// BenchmarkDataMotionGatherStart is BenchmarkDataMotionGather through the
+// split-phase spelling, waited at once.
+func BenchmarkDataMotionGatherStart(b *testing.B) {
+	benchDataMotion(b, func(p *comm.Proc, sched *Schedule, data []float64) {
+		GatherWStart(p, sched, data, 1).Wait()
+	})
+}
+
 func BenchmarkDataMotionGatherW3(b *testing.B) {
 	b.ReportAllocs()
 	comm.Run(4, costmodel.Uniform(1e-9), func(p *comm.Proc) {

@@ -2,7 +2,6 @@ package schedule
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/comm"
 	"repro/internal/recycle"
@@ -17,12 +16,11 @@ import (
 //     section; a scatter combines them with the caller's op into the owned
 //     section — the same loops with the send and permutation lists swapped;
 //   - a single-array call is a multi-array call of one;
-//   - a blocking call is start with inline sends followed at once by Wait;
-//     a *Start call sends through comm.SendStart (so even the socket writes
-//     happen off-thread) and leaves Wait to the caller. Between Start and
-//     Wait the rank is free to compute on data the motion does not touch —
-//     interior iterations — while in-flight frames drain into the transport
-//     mailboxes in the background.
+//   - a blocking call is start(…).Wait(); a *Start call returns the same
+//     motion unwaited. start's sends are the ordinary blocking ones, issued
+//     early — no Transport.Send blocks indefinitely — so between Start and
+//     Wait the frames wait in the receivers' transport mailboxes while the
+//     rank computes on data the motion does not touch (interior iterations).
 //
 // Multi-array semantics are bit-identical to one call per array: the wire
 // payload for each peer is the concatenation of the per-array payloads in
@@ -61,8 +59,6 @@ type Motion struct {
 	op     CombineOp
 	tag    int // tagGather or tagScatter: the motion's direction
 	tot    int // float64 values one element contributes to a message
-	async  bool
-	pend   []comm.Pending
 	active bool
 }
 
@@ -105,10 +101,8 @@ func (s *Schedule) lists(tag, r int) (pack, place []int32) {
 // motion handle and sends each peer one message holding, array by array,
 // the elements the schedule names. Packing stages through schedule-owned
 // scratch and the wire bytes through the Proc send arena, so steady-state
-// calls are allocation-free. tag is tagGather or tagScatter; async selects
-// split-phase sends, the blocking spellings keep the inline send (no
-// sender-goroutine hop).
-func (s *Schedule) start(p *comm.Proc, datas [][]float64, widths []int, tag int, op CombineOp, async bool) *Motion {
+// calls are allocation-free. tag is tagGather or tagScatter.
+func (s *Schedule) start(p *comm.Proc, datas [][]float64, widths []int, tag int, op CombineOp) *Motion {
 	tot := s.check(datas, widths)
 	mo := &s.motion
 	if mo.active {
@@ -116,8 +110,7 @@ func (s *Schedule) start(p *comm.Proc, datas [][]float64, widths []int, tag int,
 		panic("schedule: a motion is already in flight on this schedule")
 	}
 	mo.p, mo.s, mo.datas, mo.widths, mo.op = p, s, datas, widths, op
-	mo.tag, mo.tot, mo.async, mo.active = tag, tot, async, true
-	mo.pend = mo.pend[:0]
+	mo.tag, mo.tot, mo.active = tag, tot, true
 	for k := 1; k < p.Size(); k++ {
 		dst := (p.Rank() + k) % p.Size()
 		idx, _ := s.lists(tag, dst)
@@ -136,46 +129,32 @@ func (s *Schedule) start(p *comm.Proc, datas [][]float64, widths []int, tag int,
 			}
 		}
 		p.ComputeMem(len(buf))
-		if async {
-			mo.pend = append(mo.pend, p.SendF64BufStart(dst, tag, buf))
-		} else {
-			p.SendF64Buf(dst, tag, buf)
-		}
-	}
-	if len(mo.pend) > 0 {
-		// Yield once so the rank's sender goroutine (comm.SendStart hands
-		// frames to a per-rank queue, not to the transport directly) pushes
-		// the batch onto the wire before the caller's interior computation
-		// begins. Without the yield, on a host with few hardware threads the
-		// sender may not run until the caller's next blocking point —
-		// typically Wait — which would start the wire latency after the
-		// interior window instead of underneath it, defeating the overlap.
-		runtime.Gosched()
+		p.SendF64Buf(dst, tag, buf)
 	}
 	return mo
 }
 
-// Wait completes the motion: it re-raises any asynchronous send failure,
-// then receives in ring order, placing or combining each message as it
-// arrives (the combine switch is resolved once per message, not once per
-// element). For a gather the ghost section of each data array is filled
-// here; for a scatter the incoming contributions are combined into the
-// owned section here. Calling Wait on a completed (or zero) motion is a
-// no-op.
+// startSplit is start for the *Start spellings. The caller's work between
+// Start and Wait is uncharged, so the receive path's cached wall sample is
+// dropped at issue: Wait's first receive then takes a fresh start reading
+// instead of billing that work to Measured.CommWall. (start's own sends and
+// packing drop it too, but a rank that sends nothing would keep it.)
+func (s *Schedule) startSplit(p *comm.Proc, datas [][]float64, widths []int, tag int, op CombineOp) *Motion {
+	p.InvalidateRecvSample()
+	return s.start(p, datas, widths, tag, op)
+}
+
+// Wait completes the motion: it receives in ring order, placing or
+// combining each message as it arrives (the combine switch is resolved once
+// per message, not once per element). For a gather the ghost section of
+// each data array is filled here; for a scatter the incoming contributions
+// are combined into the owned section here. Calling Wait on a completed (or
+// zero) motion is a no-op.
 func (mo *Motion) Wait() {
 	if mo == nil || !mo.active {
 		return
 	}
 	p, s := mo.p, mo.s
-	if mo.async {
-		// Background delivery progressed while the rank computed: the cached
-		// receive-path wall sample no longer marks the start of any wait.
-		p.InvalidateRecvSample()
-		for _, h := range mo.pend {
-			h.Wait()
-		}
-		mo.pend = mo.pend[:0]
-	}
 	for k := 1; k < p.Size(); k++ {
 		src := (p.Rank() - k + p.Size()) % p.Size()
 		_, idx := s.lists(mo.tag, src)
@@ -259,7 +238,7 @@ func Gather(p *comm.Proc, s *Schedule, data []float64) { GatherW(p, s, data, 1) 
 // Steady-state calls are allocation-free.
 func GatherW(p *comm.Proc, s *Schedule, data []float64, width int) {
 	datas, widths := s.single(data, width)
-	s.start(p, datas, widths, tagGather, OpReplace, false).Wait()
+	s.start(p, datas, widths, tagGather, OpReplace).Wait()
 }
 
 // Scatter pushes ghost-section values back to their owners, combining with
@@ -272,7 +251,7 @@ func Scatter(p *comm.Proc, s *Schedule, data []float64, op CombineOp) { ScatterW
 // allocation-free in steady state.
 func ScatterW(p *comm.Proc, s *Schedule, data []float64, width int, op CombineOp) {
 	datas, widths := s.single(data, width)
-	s.start(p, datas, widths, tagScatter, op, false).Wait()
+	s.start(p, datas, widths, tagScatter, op).Wait()
 }
 
 // GatherWMulti gathers the ghost sections of several width-component arrays
@@ -280,7 +259,7 @@ func ScatterW(p *comm.Proc, s *Schedule, data []float64, width int, op CombineOp
 // calling GatherW(p, s, datas[k], widths[k]) for each k in order, with
 // len(datas)× fewer messages. Collective.
 func GatherWMulti(p *comm.Proc, s *Schedule, datas [][]float64, widths []int) {
-	s.start(p, datas, widths, tagGather, OpReplace, false).Wait()
+	s.start(p, datas, widths, tagGather, OpReplace).Wait()
 }
 
 // ScatterWMulti scatters the ghost sections of several width-component
@@ -289,7 +268,7 @@ func GatherWMulti(p *comm.Proc, s *Schedule, datas [][]float64, widths []int) {
 // calling ScatterW(p, s, datas[k], widths[k], op) for each k in order, with
 // len(datas)× fewer messages. Collective.
 func ScatterWMulti(p *comm.Proc, s *Schedule, datas [][]float64, widths []int, op CombineOp) {
-	s.start(p, datas, widths, tagScatter, op, false).Wait()
+	s.start(p, datas, widths, tagScatter, op).Wait()
 }
 
 // GatherWStart begins a split-phase GatherW: the send half runs now (packing
@@ -299,7 +278,7 @@ func ScatterWMulti(p *comm.Proc, s *Schedule, datas [][]float64, widths []int, o
 // Wait returns.
 func GatherWStart(p *comm.Proc, s *Schedule, data []float64, width int) *Motion {
 	datas, widths := s.single(data, width)
-	return s.start(p, datas, widths, tagGather, OpReplace, true)
+	return s.startSplit(p, datas, widths, tagGather, OpReplace)
 }
 
 // ScatterWStart begins a split-phase ScatterW: the ghost section of data is
@@ -310,18 +289,18 @@ func GatherWStart(p *comm.Proc, s *Schedule, data []float64, width int) *Motion 
 // land after all local writes anyway.
 func ScatterWStart(p *comm.Proc, s *Schedule, data []float64, width int, op CombineOp) *Motion {
 	datas, widths := s.single(data, width)
-	return s.start(p, datas, widths, tagScatter, op, true)
+	return s.startSplit(p, datas, widths, tagScatter, op)
 }
 
 // GatherWMultiStart is GatherWStart for the fused multi-array gather: one
 // message per peer covering every array, receive half at Wait. The datas and
 // widths slices are retained until Wait returns.
 func GatherWMultiStart(p *comm.Proc, s *Schedule, datas [][]float64, widths []int) *Motion {
-	return s.start(p, datas, widths, tagGather, OpReplace, true)
+	return s.startSplit(p, datas, widths, tagGather, OpReplace)
 }
 
 // ScatterWMultiStart is ScatterWStart for the fused multi-array scatter. The
 // datas and widths slices are retained until Wait returns.
 func ScatterWMultiStart(p *comm.Proc, s *Schedule, datas [][]float64, widths []int, op CombineOp) *Motion {
-	return s.start(p, datas, widths, tagScatter, op, true)
+	return s.startSplit(p, datas, widths, tagScatter, op)
 }
