@@ -11,9 +11,22 @@ import (
 // machine time.
 
 func BenchmarkPointToPoint(b *testing.B) {
-	payload := make([]byte, 1024)
 	b.ReportAllocs()
-	Run(2, costmodel.Uniform(1e-9), func(p *Proc) {
+	Run(2, costmodel.Uniform(1e-9), pingPong(b))
+}
+
+// BenchmarkPointToPointMeasured is BenchmarkPointToPoint under RunMeasured:
+// each rank pinned to its own OS thread, the path benchmarks/run.sh times.
+func BenchmarkPointToPointMeasured(b *testing.B) {
+	b.ReportAllocs()
+	RunMeasured(2, costmodel.Uniform(1e-9), pingPong(b))
+}
+
+// pingPong is a 2-rank body bouncing a 1 KiB message and an empty reply
+// b.N times.
+func pingPong(b *testing.B) func(p *Proc) {
+	payload := make([]byte, 1024)
+	return func(p *Proc) {
 		if p.Rank() == 0 {
 			for i := 0; i < b.N; i++ {
 				p.Send(1, 1, payload)
@@ -25,7 +38,7 @@ func BenchmarkPointToPoint(b *testing.B) {
 				p.Send(0, 2, nil)
 			}
 		}
-	})
+	}
 }
 
 func BenchmarkBarrier8(b *testing.B) {

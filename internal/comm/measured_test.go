@@ -68,23 +68,30 @@ func TestRunMeasuredVirtualParity(t *testing.T) {
 	}
 }
 
-// TestRunMeasuredMultiplexed forces 4 ranks onto a single worker slot: the
-// barrier-aware scheduler must keep collectives and blocking receives
-// deadlock-free while never running two ranks at once.
+// TestRunMeasuredMultiplexed forces every rank onto a single worker slot:
+// the barrier-aware scheduler must keep collectives and blocking receives
+// deadlock-free while never running two ranks at once, and the run must stay
+// bit-identical to the modeled one.
 func TestRunMeasuredMultiplexed(t *testing.T) {
 	m := costmodel.IPSC860()
-	sums := make([]float64, 4)
-	rep := RunMeasuredTransport(4, m, NewMemTransport(4), MeasureOpts{Workers: 1}, measuredParityBody(sums))
-	if rep.Workers != 1 {
-		t.Fatalf("Workers = %d, want 1", rep.Workers)
-	}
-	for r, s := range sums {
-		if s != 1+2+3+4 {
-			t.Errorf("rank %d: reduction result %v, want 10", r, s)
+	for _, n := range []int{2, 4} {
+		wantSums, sums := make([]float64, n), make([]float64, n)
+		want := Run(n, m, measuredParityBody(wantSums))
+		rep := RunMeasuredTransport(n, m, NewMemTransport(n), MeasureOpts{Workers: 1}, measuredParityBody(sums))
+		if rep.Workers != 1 {
+			t.Fatalf("n=%d: Workers = %d, want 1", n, rep.Workers)
 		}
-	}
-	if rep.MaxMeasuredWall() <= 0 {
-		t.Error("no measured wall time recorded")
+		for r, s := range sums {
+			if s != float64(n*(n+1)/2) || s != wantSums[r] {
+				t.Errorf("n=%d rank %d: reduction result %v, want %d", n, r, s, n*(n+1)/2)
+			}
+			if rep.Clocks[r] != want.Clocks[r] || rep.Stats[r] != want.Stats[r] {
+				t.Errorf("n=%d rank %d: measured clock/stats %v %+v != modeled %v %+v", n, r, rep.Clocks[r], rep.Stats[r], want.Clocks[r], want.Stats[r])
+			}
+		}
+		if rep.MaxMeasuredWall() <= 0 {
+			t.Errorf("n=%d: no measured wall time recorded", n)
+		}
 	}
 }
 

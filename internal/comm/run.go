@@ -206,6 +206,17 @@ func runSPMD(n int, m *costmodel.Machine, tr Transport, mc *measureCfg, body fun
 		rep.Measured = make([]Measured, n)
 		rep.Workers = mc.workers
 	}
+	// One dedicated worker per rank: each is bound to an OS thread so the
+	// measured numbers are not polluted by rank migration, and with a core
+	// per rank an in-memory receiver spins briefly instead of paying a
+	// futex round trip per message. Everywhere else receivers park at once.
+	pinned := mc != nil && mc.sched == nil
+	if mt, ok := tr.(*MemTransport); ok {
+		mt.spin = 0
+		if pinned {
+			mt.spin = memSpin
+		}
+	}
 	start := time.Now()
 	var wg sync.WaitGroup
 	panics := make([]any, n)
@@ -213,9 +224,7 @@ func runSPMD(n int, m *costmodel.Machine, tr Transport, mc *measureCfg, body fun
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			if mc != nil && mc.sched == nil {
-				// One dedicated worker per rank: bind it to an OS thread so
-				// the measured numbers are not polluted by rank migration.
+			if pinned {
 				runtime.LockOSThread()
 				defer runtime.UnlockOSThread()
 			}

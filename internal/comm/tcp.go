@@ -225,7 +225,9 @@ func (t *TCPTransport) Recv(self, from, tag int) Message {
 	if self != t.rank {
 		panic(fmt.Sprintf("comm: tcp endpoint for rank %d used as rank %d", t.rank, self))
 	}
-	return t.boxes[from].take(tag)
+	// Never spin: the reader goroutines that put into boxes need a core to
+	// drain the socket, and a spinning receiver takes it.
+	return t.boxes[from].take(tag, 0)
 }
 
 // Poison implements Poisoner.
