@@ -118,7 +118,7 @@ func RunCompiled(p *comm.Proc, cfg Config) *ProcResult {
 		timer.Mark(PhaseExecutor)
 	}
 
-	res := &ProcResult{Phases: timer.Times, PhaseStats: timer.Stats, Spans: timer.Spans(), RemapSteps: trig.Steps}
+	res := &ProcResult{Phases: timer.Times, Spans: timer.Spans(), RemapSteps: trig.Steps}
 	res.Checksum = globalMeanAbs(p, x.Local())
 	_, vals := jnb.CSR()
 	res.NBEntries = p.AllReduceScalarI64(comm.OpSum, int64(len(vals)))

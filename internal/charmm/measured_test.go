@@ -1,6 +1,7 @@
 package charmm
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/comm"
@@ -92,6 +93,32 @@ func TestMeasuredModeMultiplexedParity(t *testing.T) {
 	for r := 0; r < nprocs; r++ {
 		if measured.Clocks[r] != modeled.Clocks[r] {
 			t.Errorf("rank %d: clock %v != %v", r, measured.Clocks[r], modeled.Clocks[r])
+		}
+	}
+}
+
+// tickClock is a scripted measured-mode clock shared by all ranks: every
+// reading advances time by exactly one second.
+type tickClock struct{ t atomic.Int64 }
+
+func (c *tickClock) Now() float64 { return float64(c.t.Add(1)) }
+
+// TestKernelCompiledPhasesWithinWall holds the measured ledger of the
+// compiled kernel to one owner per phase key: the host's PhaseTimer charges
+// consecutive intervals of the rank body, so on every rank the measured
+// phases can add up to at most the rank's wall. A second owner charging a
+// key inside one of those intervals would count its time twice.
+func TestKernelCompiledPhasesWithinWall(t *testing.T) {
+	rep := comm.RunMeasuredTransport(2, costmodel.IPSC860(), comm.NewMemTransport(2), comm.MeasureOpts{Clock: &tickClock{}}, func(p *comm.Proc) {
+		RunKernelCompiled(p, smallKernelConfig())
+	})
+	for r, m := range rep.Measured {
+		sum := 0.0
+		for _, v := range m.Phases {
+			sum += v
+		}
+		if sum <= 0 || sum > m.Wall {
+			t.Errorf("rank %d: measured phases sum to %v, wall %v: want 0 < sum <= wall (%v)", r, sum, m.Wall, m.Phases)
 		}
 	}
 }

@@ -35,11 +35,10 @@ const (
 // are virtual seconds on this rank; Checksum and NBEntries are global
 // (identical on every rank).
 type ProcResult struct {
-	Phases     map[string]float64
-	PhaseStats map[string]comm.Stats
-	Spans      []core.Span
-	Checksum   float64
-	NBEntries  int64
+	Phases    map[string]float64
+	Spans     []core.Span
+	Checksum  float64
+	NBEntries int64
 	// RemapSteps lists the time steps at which atoms were repartitioned
 	// (identical on all ranks).
 	RemapSteps []int
@@ -163,7 +162,7 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, *simState) {
 		}
 	}
 
-	res := &ProcResult{Phases: timer.Times, PhaseStats: timer.Stats, Spans: timer.Spans(), RemapSteps: trig.Steps}
+	res := &ProcResult{Phases: timer.Times, Spans: timer.Spans(), RemapSteps: trig.Steps}
 	res.Checksum = globalMeanAbs(p, s.pos)
 	res.NBEntries = p.AllReduceScalarI64(comm.OpSum, int64(len(s.jnb)))
 	return res, s

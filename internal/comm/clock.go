@@ -47,9 +47,9 @@ type Measured struct {
 	// payload decode between consecutive receives of a collective, and any
 	// wait to reacquire a worker slot after the message arrived.
 	CommWall float64
-	// Phases accumulates named scoped regions opened through Proc.Phase or
-	// charged by interval timers (core.PhaseTimer feeds the same keys it
-	// uses for virtual time, so modeled and measured breakdowns line up).
+	// Phases accumulates the measured time charged through ChargePhaseWall
+	// by the interval timers (core.PhaseTimer feeds the same keys it uses for
+	// virtual time, so modeled and measured breakdowns line up).
 	Phases map[string]float64
 	// ClockSamples counts wall-clock readings taken on this rank. The
 	// amortized sampling in the receive path keeps it well below two per

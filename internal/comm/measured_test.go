@@ -96,24 +96,24 @@ func TestRunMeasuredMultiplexed(t *testing.T) {
 }
 
 // TestRunMeasuredScriptedClock checks the exact accounting on one rank with
-// a deterministic clock: body start/end and region open/close each take one
-// reading, so every duration is known in advance.
+// a deterministic clock: body start/end and each WallNow take one reading,
+// so every duration is known in advance.
 func TestRunMeasuredScriptedClock(t *testing.T) {
 	c := &tickClock{}
 	rep := RunMeasuredTransport(1, costmodel.Uniform(1e-6), NewMemTransport(1), MeasureOpts{Clock: c}, func(p *Proc) {
 		if !p.MeasuredMode() {
 			t.Error("MeasuredMode() = false inside RunMeasured")
 		}
-		reg := p.Phase("inspector") // reading 2
+		t0 := p.WallNow() // reading 2
 		p.Compute(1e-3)
-		reg.End()                 // reading 3
-		reg = p.Phase("executor") // reading 4
-		reg.End()                 // reading 5
-		reg = p.Phase("executor") // reading 6
-		reg.End()                 // reading 7
+		p.ChargePhaseWall("inspector", p.WallNow()-t0) // reading 3
+		for i := 0; i < 2; i++ {
+			t0 = p.WallNow()                              // readings 4, 6
+			p.ChargePhaseWall("executor", p.WallNow()-t0) // readings 5, 7
+		}
 	})
 	mm := rep.Measured[0]
-	// Readings: 1 body start, 2..7 regions, 8 body end.
+	// Readings: 1 body start, 2..7 intervals, 8 body end.
 	if mm.ClockSamples != 8 {
 		t.Errorf("ClockSamples = %d, want 8", mm.ClockSamples)
 	}
@@ -124,7 +124,7 @@ func TestRunMeasuredScriptedClock(t *testing.T) {
 		t.Errorf(`Phases["inspector"] = %v, want 1`, mm.Phases["inspector"])
 	}
 	if mm.Phases["executor"] != 2 {
-		t.Errorf(`Phases["executor"] = %v, want 2 (two regions of 1)`, mm.Phases["executor"])
+		t.Errorf(`Phases["executor"] = %v, want 2 (two intervals of 1)`, mm.Phases["executor"])
 	}
 	if rep.MeasuredPhaseMax("executor") != 2 || rep.MeasuredPhaseMax("nosuch") != 0 {
 		t.Errorf("MeasuredPhaseMax wrong: %v / %v", rep.MeasuredPhaseMax("executor"), rep.MeasuredPhaseMax("nosuch"))
@@ -191,19 +191,18 @@ func TestMeasuredRecvSamplingAmortized(t *testing.T) {
 
 // TestMeasuredTimerPathZeroAllocs checks the steady-state allocation
 // discipline of the wall-clock instrumentation itself: once the Phases map
-// holds its keys, a Phase region and a measured ping-pong allocate nothing
-// beyond what the modeled path does (which is nothing — see
+// holds its keys, a charged interval and a measured ping-pong allocate
+// nothing beyond what the modeled path does (which is nothing — see
 // schedule.TestGatherScatterSteadyStateAllocs).
 func TestMeasuredTimerPathZeroAllocs(t *testing.T) {
 	const runs = 100
 	perRank := make([]float64, 2)
 	pingpong := make([]float64, 2)
 	RunMeasured(2, costmodel.Uniform(1e-9), func(p *Proc) {
-		reg := p.Phase("warm") // allocate the Phases map once
-		reg.End()
+		p.ChargePhaseWall("warm", 1) // allocate the Phases map once
 		perRank[p.Rank()] = testing.AllocsPerRun(runs, func() {
-			r := p.Phase("warm")
-			r.End()
+			t0 := p.WallNow()
+			p.ChargePhaseWall("warm", p.WallNow()-t0)
 		})
 
 		peer := 1 - p.Rank()
@@ -225,7 +224,7 @@ func TestMeasuredTimerPathZeroAllocs(t *testing.T) {
 	})
 	for r := 0; r < 2; r++ {
 		if perRank[r] != 0 {
-			t.Errorf("rank %d: Phase region allocates %v per op, want 0", r, perRank[r])
+			t.Errorf("rank %d: charged interval allocates %v per op, want 0", r, perRank[r])
 		}
 		if pingpong[r] != 0 {
 			t.Errorf("rank %d: measured ping-pong allocates %v per op, want 0", r, pingpong[r])

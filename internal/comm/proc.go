@@ -148,38 +148,6 @@ func (p *Proc) ChargePhaseWall(name string, dt float64) {
 	p.meas.Phases[name] += dt
 }
 
-// PhaseRegion is an open measured region returned by Proc.Phase; End closes
-// it. The zero value (from a modeled run) is an inert no-op, and the type is
-// a plain value so opening and closing a region allocates nothing.
-type PhaseRegion struct {
-	p    *Proc
-	name string
-	t0   float64
-}
-
-// Phase opens a named wall-clock region:
-//
-//	reg := p.Phase("inspector")
-//	... build schedules ...
-//	reg.End()
-//
-// Regions with the same name accumulate. On modeled runs Phase returns an
-// inert region and reads no clock.
-func (p *Proc) Phase(name string) PhaseRegion {
-	if p.wall == nil {
-		return PhaseRegion{}
-	}
-	return PhaseRegion{p: p, name: name, t0: p.sampleWall()}
-}
-
-// End closes the region, charging its measured duration.
-func (r PhaseRegion) End() {
-	if r.p == nil {
-		return
-	}
-	r.p.ChargePhaseWall(r.name, r.p.sampleWall()-r.t0)
-}
-
 // Compute advances the virtual clock by cost seconds of application work.
 func (p *Proc) Compute(cost float64) {
 	if cost < 0 {

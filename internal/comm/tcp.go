@@ -3,6 +3,7 @@ package comm
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -21,7 +22,7 @@ import (
 // len int32, payload bytes.
 type TCPTransport struct {
 	n     int
-	rank  int // -1 for the coordinator handle returned by NewTCPCluster
+	rank  int
 	boxes []*mailbox
 	conns []net.Conn // conns[to] on the sender side
 	// sendBufs[to] stages one whole frame (header + payload) per send, so a
@@ -47,99 +48,6 @@ const (
 	sendRetryBudget  = 3
 	sendRetryBackoff = time.Millisecond
 )
-
-// NewTCPCluster builds n TCPTransport endpoints wired through loopback TCP.
-// Endpoint i must only be used by rank i. Closing any endpoint closes the
-// whole mesh.
-func NewTCPCluster(n int) ([]*TCPTransport, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("comm: tcp cluster needs n > 0, got %d", n)
-	}
-	eps := make([]*TCPTransport, n)
-	for i := range eps {
-		eps[i] = &TCPTransport{
-			n:        n,
-			rank:     i,
-			boxes:    make([]*mailbox, n),
-			conns:    make([]net.Conn, n),
-			sendBufs: make([][]byte, n),
-			wmu:      make([]sync.Mutex, n),
-		}
-		for j := range eps[i].boxes {
-			eps[i].boxes[j] = newMailbox()
-		}
-	}
-	if n == 1 {
-		return eps, nil
-	}
-	// One listener per rank; rank i dials every rank j > i, and the
-	// connection is used bidirectionally.
-	listeners := make([]net.Listener, n)
-	for i := range listeners {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("comm: tcp listen: %w", err)
-		}
-		listeners[i] = ln
-	}
-	type accepted struct {
-		owner int
-		from  int
-		conn  net.Conn
-		err   error
-	}
-	acceptCh := make(chan accepted, n*n)
-	for i, ln := range listeners {
-		expect := i // ranks 0..i-1 dial rank i
-		go func(owner int, ln net.Listener, expect int) {
-			for k := 0; k < expect; k++ {
-				conn, err := ln.Accept()
-				if err != nil {
-					acceptCh <- accepted{owner: owner, err: err}
-					return
-				}
-				var hdr [4]byte
-				if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-					acceptCh <- accepted{owner: owner, err: err}
-					return
-				}
-				from := int(binary.LittleEndian.Uint32(hdr[:]))
-				acceptCh <- accepted{owner: owner, from: from, conn: conn}
-			}
-		}(i, ln, expect)
-	}
-	// Dial phase: rank i (lower) dials rank j (higher).
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			conn, err := net.Dial("tcp", listeners[j].Addr().String())
-			if err != nil {
-				return nil, fmt.Errorf("comm: tcp dial %d->%d: %w", i, j, err)
-			}
-			var hdr [4]byte
-			binary.LittleEndian.PutUint32(hdr[:], uint32(i))
-			if _, err := conn.Write(hdr[:]); err != nil {
-				return nil, fmt.Errorf("comm: tcp handshake %d->%d: %w", i, j, err)
-			}
-			eps[i].attach(j, conn)
-		}
-	}
-	// Collect accepted connections on the higher-ranked side.
-	pending := 0
-	for i := range listeners {
-		pending += i
-	}
-	for k := 0; k < pending; k++ {
-		a := <-acceptCh
-		if a.err != nil {
-			return nil, fmt.Errorf("comm: tcp accept on rank %d: %w", a.owner, a.err)
-		}
-		eps[a.owner].attach(a.from, a.conn)
-	}
-	for _, ln := range listeners {
-		ln.Close()
-	}
-	return eps, nil
-}
 
 // attach registers conn as the link to peer and starts its reader.
 func (t *TCPTransport) attach(peer int, conn net.Conn) {
@@ -264,10 +172,47 @@ func (t *TCPTransport) Close() error {
 // interface RunTransport expects.
 type tcpMesh struct{ eps []*TCPTransport }
 
-// NewTCPMesh builds a Transport over loopback TCP suitable for RunTransport.
+// meshTimeout bounds NewTCPMesh's wiring: every listener is bound before any
+// rank dials, so only a failing rank makes its peers wait this long.
+const meshTimeout = 10 * time.Second
+
+// NewTCPMesh builds a Transport over loopback TCP suitable for RunTransport:
+// it binds n loopback listeners and brings every rank up concurrently
+// through NewTCPEndpointOn, the wiring a multi-process deployment uses.
+// Closing the mesh closes every endpoint.
 func NewTCPMesh(n int) (Transport, error) {
-	eps, err := NewTCPCluster(n)
-	if err != nil {
+	if n <= 0 {
+		return nil, fmt.Errorf("comm: tcp mesh needs n > 0, got %d", n)
+	}
+	lns := make([]net.Listener, n)
+	addrs := make([]string, n)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			for _, l := range lns[:i] {
+				l.Close()
+			}
+			return nil, fmt.Errorf("comm: tcp listen: %w", err)
+		}
+		lns[i], addrs[i] = ln, ln.Addr().String()
+	}
+	eps := make([]*TCPTransport, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for r := range eps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			eps[r], errs[r] = NewTCPEndpointOn(lns[r], r, addrs, meshTimeout)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		for _, ep := range eps {
+			if ep != nil {
+				_ = ep.Close() // best-effort teardown; the setup error is what matters
+			}
+		}
 		return nil, err
 	}
 	return &tcpMesh{eps: eps}, nil
@@ -311,8 +256,8 @@ func (m *tcpMesh) Close() error {
 // address of rank i. The endpoint listens on addrs[rank], accepts
 // connections from all lower ranks, and dials all higher ranks (retrying
 // while peers start up). It returns once the full mesh is connected.
-// Unlike NewTCPCluster (which wires all ranks inside one process), each
-// process calls this exactly once with its own rank.
+// Each process calls this exactly once with its own rank (NewTCPMesh wires
+// all ranks inside one process the same way).
 func NewTCPEndpoint(rank int, addrs []string, timeout time.Duration) (*TCPTransport, error) {
 	n := len(addrs)
 	if rank < 0 || rank >= n {

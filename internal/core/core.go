@@ -167,20 +167,20 @@ type Span struct {
 	Start, End float64
 }
 
-// PhaseTimer accumulates per-phase virtual time and communication
-// statistics, for the preprocessing-overhead breakdowns the paper reports
-// (Tables 2 and 6). It also records the raw span list for timeline
-// rendering (internal/trace). Under comm.RunMeasured each Mark additionally
-// charges the interval's real duration to the same phase name through
-// Proc.ChargePhaseWall, so the modeled and measured breakdowns share keys;
-// on modeled runs the wall side is a no-op.
+// PhaseTimer accumulates per-phase virtual time for the preprocessing-
+// overhead breakdowns the paper reports (Tables 2 and 6), and records the
+// raw span list for timeline rendering (internal/trace). Under
+// comm.RunMeasured each Mark also charges the interval's real duration to
+// the same phase name through Proc.ChargePhaseWall, so the modeled and
+// measured breakdowns share keys; on modeled runs the wall side is a no-op.
+// The timer is the only owner of the keys it charges: the intervals it
+// charges tile the rank body, so its measured phases never add up to more
+// than the rank's wall.
 type PhaseTimer struct {
 	p         *comm.Proc
 	lastClock float64
 	lastWall  float64
-	lastStats comm.Stats
 	Times     map[string]float64
-	Stats     map[string]comm.Stats
 	order     []string
 	spans     []Span
 }
@@ -191,9 +191,7 @@ func NewPhaseTimer(p *comm.Proc) *PhaseTimer {
 		p:         p,
 		lastClock: p.Clock(),
 		lastWall:  p.WallNow(),
-		lastStats: p.Stats(),
 		Times:     map[string]float64{},
-		Stats:     map[string]comm.Stats{},
 	}
 }
 
@@ -201,18 +199,12 @@ func NewPhaseTimer(p *comm.Proc) *PhaseTimer {
 // to the named phase. Phases may repeat; time accumulates.
 func (t *PhaseTimer) Mark(name string) {
 	now := t.p.Clock()
-	st := t.p.Stats()
 	if _, seen := t.Times[name]; !seen {
 		t.order = append(t.order, name)
 	}
 	t.Times[name] += now - t.lastClock
-	delta := st.Sub(t.lastStats)
-	acc := t.Stats[name]
-	acc.Add(delta)
-	t.Stats[name] = acc
 	t.spans = append(t.spans, Span{Phase: name, Start: t.lastClock, End: now})
 	t.lastClock = now
-	t.lastStats = st
 	w := t.p.WallNow()
 	t.p.ChargePhaseWall(name, w-t.lastWall)
 	t.lastWall = w
@@ -222,7 +214,6 @@ func (t *PhaseTimer) Mark(name string) {
 func (t *PhaseTimer) Skip() {
 	t.lastClock = t.p.Clock()
 	t.lastWall = t.p.WallNow()
-	t.lastStats = t.p.Stats()
 }
 
 // Phases returns the phase names in first-appearance order.

@@ -24,10 +24,9 @@ const (
 // ProcResult is one rank's outcome of a parallel DSMC run. Checksum is
 // global (identical on all ranks).
 type ProcResult struct {
-	Phases     map[string]float64
-	PhaseStats map[string]comm.Stats
-	Spans      []core.Span
-	Checksum   float64
+	Phases   map[string]float64
+	Spans    []core.Span
+	Checksum float64
 	// MoveTime is the total virtual time of the MOVE phase (the paper's
 	// "Reduce append" row in Table 7 for the light mover).
 	MoveTime float64
@@ -123,7 +122,7 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, []float64) {
 		}
 	}
 
-	res := &ProcResult{Phases: timer.Times, PhaseStats: timer.Stats, Spans: timer.Spans()}
+	res := &ProcResult{Phases: timer.Times, Spans: timer.Spans()}
 	res.MoveTime = timer.Times[PhaseMove]
 	res.RemapSteps = trig.Steps
 	res.Checksum = p.AllReduceScalarF64(comm.OpSum, Checksum(mols))

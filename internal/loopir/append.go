@@ -30,8 +30,6 @@ func ReduceAppend(p *comm.Proc, dist *core.Dist, destRows []int32, records []flo
 	if len(records) != len(destRows)*width {
 		panic(fmt.Sprintf("loopir: %d values for %d records of width %d", len(records), len(destRows), width))
 	}
-	reg := p.Phase("append")
-	defer reg.End()
 	tt := dist.TT()
 
 	// Data motion: REDUCE(APPEND) -> light-weight schedule + scatter_append.
@@ -81,8 +79,6 @@ func ReduceAppendFused(p *comm.Proc, dist *core.Dist, destRows []int32, records 
 	if len(records) != len(destRows)*width {
 		panic(fmt.Sprintf("loopir: %d values for %d records of width %d", len(records), len(destRows), width))
 	}
-	reg := p.Phase("append")
-	defer reg.End()
 	tt := dist.TT()
 
 	owners := make([]int32, len(destRows))

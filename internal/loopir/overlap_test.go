@@ -3,6 +3,7 @@ package loopir
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -10,7 +11,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/comm/fault"
 	"repro/internal/costmodel"
-	"repro/internal/partition"
 )
 
 // overlapTransport selects the wire the parity trials run over. The fault
@@ -101,52 +101,6 @@ func sumOverlapTrial(t *testing.T, kind overlapTransport, nprocs, n, w, execs in
 	return out
 }
 
-// pairOverlapTrial runs the Figure 2 bonded pair loop, optionally
-// self-scheduled with a shipped parameter row, in blocking or overlap mode.
-func pairOverlapTrial(t *testing.T, kind overlapTransport, nprocs, nData, nBonds, w, execs int, gia, gib []int32, x0, prm0 []float64, self, overlap bool) trialOut {
-	out := trialOut{bits: make([][]uint64, nprocs), motion: make([]comm.Stats, nprocs)}
-	out.rep = kind.run(t, nprocs, func(p *comm.Proc) {
-		prog := NewProgram(p)
-		data := prog.Decomposition(nData)
-		bonds := prog.Decomposition(nBonds)
-		x := data.AlignReal(w)
-		f := data.AlignReal(w)
-		x.SetByGlobal(func(g int32, c []float64) {
-			for cc := range c {
-				c[cc] = x0[int(g)*w+cc]
-			}
-		})
-		prm := bonds.AlignReal(1)
-		prm.SetByGlobal(func(g int32, c []float64) { c[0] = prm0[g] })
-		ia := bonds.AlignIndFlat(1)
-		ib := bonds.AlignIndFlat(1)
-		lo, hi := partition.BlockRange(p.Rank(), nBonds, p.Size())
-		ia.SetFlat(append([]int32(nil), gia[lo:hi]...))
-		ib.SetFlat(append([]int32(nil), gib[lo:hi]...))
-		body := func(k int, xi, xj, fi, fj []float64) {
-			pairParamKernel(prm.Local()[k:k+1], xi, xj, fi, fj)
-		}
-		loop := prog.NewPairLoop(ia, ib, x, f, 9, body)
-		if self {
-			ctl := adapt.NewController()
-			ctl.MinChunkUnits = 8
-			loop.SelfSched(ctl, prm, pairParamKernel)
-		}
-		loop.Overlap(overlap)
-		for e := 0; e < execs; e++ {
-			loop.Execute()
-		}
-		lf := f.Local()
-		b := make([]uint64, 0, len(lf))
-		for _, v := range lf {
-			b = append(b, math.Float64bits(v))
-		}
-		out.bits[p.Rank()] = b
-		out.motion[p.Rank()] = loop.DataMotion()
-	})
-	return out
-}
-
 // compareOverlapTrial asserts two runs of the same program that may differ
 // only in when real work happens — a blocking run (want) and its overlap run,
 // a pair-constructed loop (want) and its row-constructed twin — are
@@ -183,8 +137,8 @@ func compareOverlapTrial(t *testing.T, label string, nprocs int, want, got trial
 // randomized trials asserting the split-phase overlap executor is
 // observationally identical to the blocking executor — bit-identical REAL
 // arrays, identical message and byte counts, bit-identical virtual clocks —
-// across {1,2,3} ranks, sum / pair / self-scheduled loops, and memory and
-// fault-injected transports. Overlap changes when real work happens, never
+// across {1,2,3} ranks, blocking / self-scheduled sum loops in pair and row
+// form, and memory and fault-injected transports. Overlap changes when real work happens, never
 // what the modeled machine observes.
 func TestOverlapPropertyBitIdentical(t *testing.T) {
 	trials := 0
@@ -209,22 +163,6 @@ func TestOverlapPropertyBitIdentical(t *testing.T) {
 			compareOverlapTrial(t, "sum", nprocs, block, over)
 			trials++
 
-			nBonds := 60 + rng.Intn(160)
-			gia := make([]int32, nBonds)
-			gib := make([]int32, nBonds)
-			for k := range gia {
-				gia[k] = int32(rng.Intn(n))
-				gib[k] = int32(rng.Intn(n))
-			}
-			prm0 := make([]float64, nBonds)
-			for i := range prm0 {
-				prm0[i] = 0.5 + rng.Float64()
-			}
-			block = pairOverlapTrial(t, kind, nprocs, n, nBonds, w, execs, gia, gib, x0, prm0, self, false)
-			over = pairOverlapTrial(t, kind, nprocs, n, nBonds, w, execs, gia, gib, x0, prm0, self, true)
-			compareOverlapTrial(t, "pair", nprocs, block, over)
-			trials++
-
 			// Self-sched trials above only toggle with the seed; always run
 			// one explicit self-scheduled sum trial so every (transport,
 			// nprocs) cell covers the composed gather-side overlap.
@@ -233,13 +171,8 @@ func TestOverlapPropertyBitIdentical(t *testing.T) {
 			compareOverlapTrial(t, "sum-selfsched", nprocs, block, over)
 			trials++
 
-			block = pairOverlapTrial(t, kind, nprocs, n, nBonds, w, 2, gia, gib, x0, prm0, true, false)
-			over = pairOverlapTrial(t, kind, nprocs, n, nBonds, w, 2, gia, gib, x0, prm0, true, true)
-			compareOverlapTrial(t, "pair-selfsched", nprocs, block, over)
-			trials++
-
 			rowFormTrials(t, kind, nprocs, n, w, execs, gptr, gvals, x0)
-			trials++
+			trials += 4 // one comparison per mode
 		}
 	}
 	if trials < 200 {
@@ -295,26 +228,30 @@ func overlapParitySlice(t *testing.T, kind overlapTransport) {
 	for i := range x0 {
 		x0[i] = rng.NormFloat64()
 	}
-	nBonds := 120
-	gia := make([]int32, nBonds)
-	gib := make([]int32, nBonds)
-	for k := range gia {
-		gia[k] = int32(rng.Intn(n))
-		gib[k] = int32(rng.Intn(n))
-	}
-	prm0 := make([]float64, nBonds)
-	for i := range prm0 {
-		prm0[i] = 0.5 + rng.Float64()
-	}
 	for _, nprocs := range []int{2, 3} {
 		for _, self := range []bool{false, true} {
 			block := sumOverlapTrial(t, kind, nprocs, n, 2, 2, gptr, gvals, x0, false, self, false)
 			over := sumOverlapTrial(t, kind, nprocs, n, 2, 2, gptr, gvals, x0, false, self, true)
 			compareOverlapTrial(t, "sum", nprocs, block, over)
-			block = pairOverlapTrial(t, kind, nprocs, n, nBonds, 2, 2, gia, gib, x0, prm0, self, false)
-			over = pairOverlapTrial(t, kind, nprocs, n, nBonds, 2, 2, gia, gib, x0, prm0, self, true)
-			compareOverlapTrial(t, "pair", nprocs, block, over)
 		}
 		rowFormTrials(t, kind, nprocs, n, 2, 2, gptr, gvals, x0)
+	}
+}
+
+// TestBoundaryList unit-tests the split-phase interior/boundary
+// classification.
+func TestBoundaryList(t *testing.T) {
+	// 3 rows; nLocal=4 so slots 4,5 are ghosts.
+	ptr := []int32{0, 2, 2, 5}
+	loc := []int32{0, 4, 1, 5, 3}
+	bp, bi := boundaryList(nil, nil, ptr, loc, 4)
+	if !slices.Equal(bp, []int32{0, 1, 1, 2}) || !slices.Equal(bi, []int32{1, 3}) {
+		t.Fatalf("boundary list bp=%v bi=%v, want [0 1 1 2] [1 3]", bp, bi)
+	}
+
+	// Rebuild into the same storage with different data.
+	bp2, bi2 := boundaryList(bp, bi, []int32{0, 1}, []int32{2}, 4)
+	if &bp2[0] != &bp[0] || !slices.Equal(bp2, []int32{0, 0}) || len(bi2) != 0 {
+		t.Fatalf("boundary list reuse: bp=%v bi=%v", bp2, bi2)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/adapt"
 	"repro/internal/comm"
 	"repro/internal/costmodel"
-	"repro/internal/partition"
 )
 
 // skewedCSR builds a global CSR whose head rows are much denser than the
@@ -73,66 +72,6 @@ func sumTrial(nprocs, n, w, execs, flops int, gptr, gvals []int32, x0 []float64,
 	return bits, motion, rep.MaxClock(), steals
 }
 
-func pairParamKernel(prm, xi, xj, fi, fj []float64) {
-	for c := range xi {
-		d := (xi[c] - xj[c]) * prm[0]
-		fi[c] += d
-		fj[c] -= d
-	}
-}
-
-// pairTrial is sumTrial for a PairLoop whose body reads a per-iteration
-// parameter (the bonded-force pattern): the static body closes over the
-// aligned parameter array, the stolen-iteration kernel receives the row
-// shipped in the payload.
-func pairTrial(nprocs, nData, nBonds, w, execs int, gia, gib []int32, x0, prm0 []float64, self bool) (bits [][]uint64, motion []comm.Stats, steals int) {
-	bits = make([][]uint64, nprocs)
-	motion = make([]comm.Stats, nprocs)
-	comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
-		prog := NewProgram(p)
-		data := prog.Decomposition(nData)
-		bonds := prog.Decomposition(nBonds)
-		x := data.AlignReal(w)
-		f := data.AlignReal(w)
-		x.SetByGlobal(func(g int32, c []float64) {
-			for cc := range c {
-				c[cc] = x0[int(g)*w+cc]
-			}
-		})
-		prm := bonds.AlignReal(1)
-		prm.SetByGlobal(func(g int32, c []float64) { c[0] = prm0[g] })
-		ia := bonds.AlignIndFlat(1)
-		ib := bonds.AlignIndFlat(1)
-		lo, hi := partition.BlockRange(p.Rank(), nBonds, p.Size())
-		ia.SetFlat(append([]int32(nil), gia[lo:hi]...))
-		ib.SetFlat(append([]int32(nil), gib[lo:hi]...))
-		body := func(k int, xi, xj, fi, fj []float64) {
-			pairParamKernel(prm.Local()[k:k+1], xi, xj, fi, fj)
-		}
-		loop := prog.NewPairLoop(ia, ib, x, f, 9, body)
-		var ctl *adapt.Controller
-		if self {
-			ctl = adapt.NewController()
-			ctl.MinChunkUnits = 8
-			loop.SelfSched(ctl, prm, pairParamKernel)
-		}
-		for e := 0; e < execs; e++ {
-			loop.Execute()
-		}
-		lf := f.Local()
-		b := make([]uint64, len(lf))
-		for i, v := range lf {
-			b[i] = math.Float64bits(v)
-		}
-		bits[p.Rank()] = b
-		motion[p.Rank()] = loop.DataMotion()
-		if ctl != nil && p.Rank() == 0 {
-			steals = len(ctl.Steals())
-		}
-	})
-	return bits, motion, steals
-}
-
 func compareTrial(t *testing.T, label string, nprocs int, sBits, aBits [][]uint64, sMotion, aMotion []comm.Stats) {
 	t.Helper()
 	for r := 0; r < nprocs; r++ {
@@ -154,8 +93,8 @@ func compareTrial(t *testing.T, label string, nprocs int, sBits, aBits [][]uint6
 }
 
 // TestSelfSchedPropertyBitIdentical is the adaptivity analogue of the
-// fortd -O bit-identity property test: 200+ randomized trials of sum and
-// pair loops across {1,2,3,4} procs, asserting the self-scheduling
+// fortd -O bit-identity property test: 200+ randomized trials of sum loops,
+// in pair and row form, across {1,2,3,4} procs, asserting the self-scheduling
 // executor produces identical Float64bits on every REAL array and an
 // identical message/byte count in the executor's data-motion phase.
 func TestSelfSchedPropertyBitIdentical(t *testing.T) {
@@ -186,24 +125,6 @@ func TestSelfSchedPropertyBitIdentical(t *testing.T) {
 			compareTrial(t, "sum-rows", nprocs, sBits, aBits, sMotion, aMotion)
 			trials++
 			rowSteals += st
-
-			nBonds := 60 + rng.Intn(200)
-			gia := make([]int32, nBonds)
-			gib := make([]int32, nBonds)
-			for k := range gia {
-				gia[k] = int32(rng.Intn(n))
-				gib[k] = int32(rng.Intn(n))
-			}
-			prm0 := make([]float64, nBonds)
-			for i := range prm0 {
-				prm0[i] = 0.5 + rng.Float64()
-			}
-			sBits, sMotion, _ = pairTrialSplit(nprocs, n, nBonds, w, execs, gia, gib, x0, prm0, false)
-			var st2 int
-			aBits, aMotion, st2 = pairTrialSplit(nprocs, n, nBonds, w, execs, gia, gib, x0, prm0, true)
-			compareTrial(t, "pair", nprocs, sBits, aBits, sMotion, aMotion)
-			trials++
-			totalSteals += st2
 		}
 	}
 	if trials < 200 {
@@ -212,11 +133,6 @@ func TestSelfSchedPropertyBitIdentical(t *testing.T) {
 	if totalSteals == 0 || rowSteals == 0 {
 		t.Fatal("no trial ever stole a chunk; the property test is vacuous")
 	}
-}
-
-// pairTrialSplit exists so pairTrial's name stays usable from other tests.
-func pairTrialSplit(nprocs, nData, nBonds, w, execs int, gia, gib []int32, x0, prm0 []float64, self bool) ([][]uint64, []comm.Stats, int) {
-	return pairTrial(nprocs, nData, nBonds, w, execs, gia, gib, x0, prm0, self)
 }
 
 // TestSelfSchedImprovesSkewedMakespan pins the point of the mode: on a

@@ -82,7 +82,6 @@ func (g *SharedSched) Inspect() {
 	if !stale {
 		return
 	}
-	reg := g.prog.P.Phase("inspector")
 	if redistributed {
 		// Redistribution (or first run, or a new member) invalidates every
 		// translation: one empty table on the new distribution for the whole
@@ -117,5 +116,4 @@ func (g *SharedSched) Inspect() {
 		g.seen[m] = ia.version
 	}
 	g.inspections++
-	reg.End()
 }

@@ -1,11 +1,6 @@
 package loopir
 
-import (
-	"fmt"
-
-	"repro/internal/adapt"
-	"repro/internal/schedule"
-)
+import "fmt"
 
 // PairBody is the body of a FORALL/REDUCE(SUM) loop iteration over the pair
 // (outer element i, indirection target j = ind(k)): xi and xj are the read
@@ -51,6 +46,15 @@ type SumLoop struct {
 	// one is the index array of a one-entry row: the skeleton's per-pair
 	// sites run the body on (js = {0}, xb = xj, fb = the pair's delta slot).
 	one [1]int32
+
+	// Executor modes (modes.go): adaptive self-scheduling state (nil =
+	// static), the split-phase flag with the boundary list, the inspection
+	// count it was built at and the per-pair delta scratch.
+	ss             *selfSched
+	overlap        bool
+	bndPtr, bndIdx []int32
+	splitInsp      int
+	odelta         []float64
 }
 
 // NewSumLoopRows compiles a FORALL/REDUCE(SUM) loop whose inner FORALL is
@@ -101,7 +105,8 @@ func (l *SumLoop) Share(g *SharedSched) {
 	}
 	l.shared = g
 	l.member = g.Add(l.ind)
-	l.selfChecked = 0 // the group's list is not the one Inspect checked
+	// The group's list is not the one Inspect checked or the split built on.
+	l.selfChecked, l.splitInsp = 0, 0
 }
 
 // Inspect is the generated guard: compare modification records, rerun only
@@ -119,7 +124,6 @@ func (l *SumLoop) Inspect() {
 	if !l.selfFree || l.selfChecked == l.shared.inspections {
 		return
 	}
-	reg := l.prog.P.Phase("inspector")
 	ptr := l.ind.ptr
 	for i := 0; i < l.extent(); i++ {
 		for _, j := range l.loc[ptr[i]:ptr[i+1]] {
@@ -129,23 +133,11 @@ func (l *SumLoop) Inspect() {
 		}
 	}
 	l.selfChecked = l.shared.inspections
-	reg.End()
 }
 
 // Execute runs the loop once: inspector (if needed), gather, local
 // reduction, scatter-add. The reductions accumulate into f. Collective.
 func (l *SumLoop) Execute() { execute(l) }
-
-// SelfSched enables the adaptive self-scheduling executor mode for the
-// loop. Results stay bit-identical to the static Execute; only the virtual
-// (and measured) timeline changes. ctl must be dedicated to this loop.
-func (l *SumLoop) SelfSched(ctl *adapt.Controller) {
-	w := l.x.width
-	// Per stolen pair: 2w float64 inputs out and 2w deltas back on the
-	// wire; the donor packs 2w and replays 2w slots, the thief stores 2w.
-	ctl.Configure(l.prog.P.Machine(), l.flops, 8*4*w, 4*w, 2*w)
-	l.ss = &selfSched{ctl: ctl, rec: 2 * w}
-}
 
 // The iteration space: ranges are over the owned rows of the CSR
 // indirection array, a unit is one (i, ind(k)) pair. The row element i is
@@ -166,125 +158,3 @@ func (l *SumLoop) run(lo, hi int) {
 // pair runs the body on the single pair (xi, xj) as a one-entry row,
 // accumulating into fi and fj.
 func (l *SumLoop) pair(xi, xj, fi, fj []float64) { l.body(xi, fi, l.one[:], xj, fj) }
-
-func (l *SumLoop) buildSplit(sp *schedule.Split) *schedule.Split {
-	return schedule.SplitCSR(sp, l.ind.ptr, l.loc, l.shared.ht.NLocal())
-}
-
-func (l *SumLoop) interior() {
-	w, xb, ptr, loc, nLocal := l.x.width, l.xb, l.ind.ptr, l.loc, l.extent()
-	for i := 0; i < nLocal; i++ {
-		xi := xb[i*w : (i+1)*w]
-		for k := ptr[i]; k < ptr[i+1]; k++ {
-			j := int(loc[k])
-			if j >= nLocal || j == i {
-				continue
-			}
-			d := zero2w(l.odelta, int(k), w)
-			l.pair(xi, xb[j*w:(j+1)*w], d[:w], d[w:])
-		}
-	}
-}
-
-// boundary relies on BndIdx being in ascending iteration order within each
-// row.
-func (l *SumLoop) boundary() {
-	w, xb, loc := l.x.width, l.xb, l.loc
-	bnd, bp := l.split.BndIdx, l.split.BndPtr
-	for i := 0; i < l.extent(); i++ {
-		if bp[i] == bp[i+1] {
-			continue
-		}
-		xi := xb[i*w : (i+1)*w]
-		for _, k := range bnd[bp[i]:bp[i+1]] {
-			j := int(loc[k])
-			d := zero2w(l.odelta, int(k), w)
-			l.pair(xi, xb[j*w:(j+1)*w], d[:w], d[w:])
-		}
-	}
-}
-
-func (l *SumLoop) applyGhost() {
-	w := l.x.width
-	for _, k := range l.split.BndIdx {
-		j := int(l.loc[k])
-		addw(l.fb[j*w:(j+1)*w], l.odelta[int(k)*2*w+w:], w)
-	}
-}
-
-func (l *SumLoop) applyOwned() {
-	w, xb, fb, ptr, loc, nLocal := l.x.width, l.xb, l.fb, l.ind.ptr, l.loc, l.extent()
-	for i := 0; i < nLocal; i++ {
-		xi := xb[i*w : (i+1)*w]
-		fi := fb[i*w : (i+1)*w]
-		for k := ptr[i]; k < ptr[i+1]; k++ {
-			j := int(loc[k])
-			if j == i {
-				l.pair(xi, xi, fi, fi)
-				continue
-			}
-			d := l.odelta[int(k)*2*w:]
-			addw(fi, d, w)
-			if j < nLocal {
-				addw(fb[j*w:(j+1)*w], d[w:], w)
-			}
-		}
-	}
-}
-
-// chunk cuts whole rows: a chunk is an owner-aligned block, so stealing one
-// never splits a reduction group.
-func (l *SumLoop) chunk(lo, target int) (int, bool) {
-	ptr, loc, n := l.ind.ptr, l.loc, l.extent()
-	alias := false
-	hi := lo
-	for hi < n {
-		for k := ptr[hi]; k < ptr[hi+1]; k++ {
-			if int(loc[k]) == hi {
-				alias = true
-			}
-		}
-		hi++
-		if int(ptr[hi]-ptr[lo]) >= target {
-			break
-		}
-	}
-	return hi, alias
-}
-
-// cutWork: finding the cuts walks every row.
-func (l *SumLoop) cutWork() int { return l.extent() }
-
-func (l *SumLoop) pack(lo, hi int) {
-	w, xb, ss := l.x.width, l.xb, l.ss
-	for i := lo; i < hi; i++ {
-		for k := l.ind.ptr[i]; k < l.ind.ptr[i+1]; k++ {
-			j := int(l.loc[k])
-			ss.payload = append(ss.payload, xb[i*w:(i+1)*w]...)
-			ss.payload = append(ss.payload, xb[j*w:(j+1)*w]...)
-		}
-	}
-}
-
-func (l *SumLoop) runPacked(n int) {
-	w, ss := l.x.width, l.ss
-	for q := 0; q < n; q++ {
-		in := ss.payload[q*2*w : (q+1)*2*w]
-		out := ss.delta[q*2*w : (q+1)*2*w]
-		l.pair(in[:w], in[w:], out[:w], out[w:])
-	}
-}
-
-func (l *SumLoop) replay(lo, hi int) {
-	w, fb := l.x.width, l.fb
-	q := 0
-	for i := lo; i < hi; i++ {
-		fi := fb[i*w : (i+1)*w]
-		for k := l.ind.ptr[i]; k < l.ind.ptr[i+1]; k++ {
-			d := l.ss.delta[q*2*w:]
-			addw(fi, d, w)
-			addw(fb[int(l.loc[k])*w:], d[w:], w)
-			q++
-		}
-	}
-}

@@ -242,40 +242,3 @@ func TestMotionInFlightPanic(t *testing.T) {
 		mo.Wait()
 	})
 }
-
-// TestSplitBuilders unit-tests the interior/boundary classification.
-func TestSplitBuilders(t *testing.T) {
-	// CSR: 3 rows; nLocal=4 so slots 4,5 are ghosts.
-	ptr := []int32{0, 2, 2, 5}
-	loc := []int32{0, 4, 1, 5, 3}
-	sp := SplitCSR(nil, ptr, loc, 4)
-	if sp.NIter != 5 || sp.Boundary() != 2 || sp.Interior() != 3 {
-		t.Fatalf("SplitCSR: NIter=%d boundary=%d interior=%d", sp.NIter, sp.Boundary(), sp.Interior())
-	}
-	wantPtr := []int32{0, 1, 1, 2}
-	for i, w := range wantPtr {
-		if sp.BndPtr[i] != w {
-			t.Fatalf("BndPtr=%v, want %v", sp.BndPtr, wantPtr)
-		}
-	}
-	if sp.BndIdx[0] != 1 || sp.BndIdx[1] != 3 {
-		t.Fatalf("BndIdx=%v, want [1 3]", sp.BndIdx)
-	}
-
-	// Rebuild into the same storage with different data.
-	sp2 := SplitCSR(sp, []int32{0, 1}, []int32{2}, 4)
-	if sp2 != sp || sp2.Boundary() != 0 || sp2.NIter != 1 {
-		t.Fatalf("SplitCSR reuse: %+v", sp2)
-	}
-
-	// Flat: boundary iff either side is a ghost.
-	la := []int32{0, 5, 1, 2}
-	lb := []int32{1, 0, 6, 3}
-	fp := SplitFlat(nil, la, lb, 4)
-	if fp.NIter != 4 || fp.Boundary() != 2 {
-		t.Fatalf("SplitFlat: NIter=%d boundary=%d", fp.NIter, fp.Boundary())
-	}
-	if fp.BndIdx[0] != 1 || fp.BndIdx[1] != 2 {
-		t.Fatalf("SplitFlat BndIdx=%v, want [1 2]", fp.BndIdx)
-	}
-}
