@@ -178,3 +178,19 @@ func BenchmarkDSMCStep(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkDSMCReference times the sequential Reference at the dsmc-regular
+// size (48x48 cells, 18432 molecules, 60 steps): advance, bucketing and
+// collision on one goroutine, with none of the hand-off and parking that
+// BenchmarkDSMCStep's unpinned 2-rank comm.Run includes.
+func BenchmarkDSMCReference(b *testing.B) {
+	cfg := Default2D(48)
+	cfg.NMols, cfg.Steps = 18432, 60
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_, referenceSink = Reference(cfg)
+	}
+}
+
+// referenceSink keeps BenchmarkDSMCReference's result alive.
+var referenceSink float64
