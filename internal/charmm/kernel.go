@@ -91,25 +91,29 @@ func globalMeanAbs(p *comm.Proc, dx []float64) float64 {
 
 // kernelRow is the Figure 10 body over one row of the list: two REDUCE(SUM)
 // statements per partner j over the three components, f(j) += x(j) - x(i)
-// and f(i) += x(i) - x(j). Written once in fixed-width form (xi and the fi
-// accumulators in registers across the row) and run by both kernels — the
-// hand-coded one calls it per row, the compiled one hands it to loopir as
-// its row body — so on the host clock they differ by loopir's per-row
-// overhead only. The list has no self pairs (partners are gj > g).
+// and f(i) += x(i) - x(j). Written once (xi and the fi accumulators in
+// registers across the row) and run by both kernels — the hand-coded one
+// calls it per row, the compiled one hands it to loopir as its row body — so
+// on the host clock they differ by loopir's per-row overhead only. The list
+// has no self pairs (partners are gj > g).
+//
+// Partner slots are indexed directly at k = 3j: a (*[3]float64) view per
+// partner costs a length check, a masked base pointer and a stack spill per
+// array, and leaves no register for xb and fb's headers. The three
+// coordinates of j are read before any of its force slots is written, since
+// the compiler cannot see that xb and fb never alias and would reload them.
 func kernelRow(xi, fi []float64, js []int32, xb, fb []float64) {
 	x, f := (*[3]float64)(xi), (*[3]float64)(fi)
 	x0, x1, x2 := x[0], x[1], x[2]
 	f0, f1, f2 := f[0], f[1], f[2]
 	for _, j := range js {
-		// xj is read once, before fj is written: the compiler cannot see
-		// that xb and fb never alias, and would reload xj after each store.
-		xj, fj := (*[3]float64)(xb[3*j:]), (*[3]float64)(fb[3*j:])
-		y0, y1, y2 := xj[0], xj[1], xj[2]
-		fj[0] += y0 - x0
+		k := 3 * int(j)
+		y0, y1, y2 := xb[k], xb[k+1], xb[k+2]
+		fb[k] += y0 - x0
 		f0 += x0 - y0
-		fj[1] += y1 - x1
+		fb[k+1] += y1 - x1
 		f1 += x1 - y1
-		fj[2] += y2 - x2
+		fb[k+2] += y2 - x2
 		f2 += x2 - y2
 	}
 	f[0], f[1], f[2] = f0, f1, f2

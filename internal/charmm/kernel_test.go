@@ -2,6 +2,7 @@ package charmm
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/comm"
@@ -72,6 +73,109 @@ func TestKernelPhaseBreakdown(t *testing.T) {
 	}
 }
 
+// TestRowKernelsMatchPairForm holds both row kernels bit for bit to a per-pair
+// form over random rows: pairForceRow to pairForce, the oracle Reference
+// computes with, and kernelRow to the Figure 10 body written pair by pair.
+// The rows include partners beyond the cutoff, a coincident partner (r2 ==
+// 0), empty rows and a partner shared by most rows; every force slot starts
+// nonzero and is compared after several passes. A partner index outside the
+// arrays must still panic.
+func TestRowKernelsMatchPairForm(t *testing.T) {
+	const n, passes = 48, 3
+	const shared = 5
+	rng := rand.New(rand.NewSource(33))
+	pos := make([]float64, 3*n)
+	for i := range pos {
+		pos[i] = 4 * rng.Float64()
+	}
+	copy(pos[3:6], pos[0:3]) // atom 1 sits on atom 0
+	c2 := 1.5 * 1.5
+	ptr := []int32{0}
+	var jnb []int32
+	for i := 0; i < n; i++ {
+		if i%4 != 3 { // every fourth row is empty
+			if i == 0 {
+				jnb = append(jnb, 1)
+			}
+			if i != shared {
+				jnb = append(jnb, shared)
+			}
+			for range rng.Intn(8) {
+				if j := int32(rng.Intn(n)); int(j) != i {
+					jnb = append(jnb, j)
+				}
+			}
+		}
+		ptr = append(ptr, int32(len(jnb)))
+	}
+	within, beyond := 0, 0
+	for i := 0; i < n; i++ {
+		for _, j := range jnb[ptr[i]:ptr[i+1]] {
+			if d := dist3(pos[3*i:], pos[3*j:]); d*d < c2 {
+				within++
+			} else {
+				beyond++
+			}
+		}
+	}
+	if within == 0 || beyond == 0 {
+		t.Fatalf("rows have %d partners within the cutoff and %d beyond; want both", within, beyond)
+	}
+	start := make([]float64, 3*n)
+	for i := range start {
+		start[i] = rng.NormFloat64()
+	}
+	row := func(i int) []int32 { return jnb[ptr[i]:ptr[i+1]] }
+	compare := func(name string, got, want []float64) {
+		t.Helper()
+		for k := range got {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Errorf("%s: slot %d = %v, per-pair form %v", name, k, got[k], want[k])
+			}
+		}
+	}
+
+	got, want := append([]float64(nil), start...), append([]float64(nil), start...)
+	for range passes {
+		for i := 0; i < n; i++ {
+			pairForceRow(pos[3*i:3*i+3], got[3*i:3*i+3], row(i), pos, got, c2)
+			for _, j := range row(i) {
+				pairForce(pos[3*i:3*i+3], pos[3*j:3*j+3], want[3*i:3*i+3], want[3*j:3*j+3], c2)
+			}
+		}
+	}
+	compare("pairForceRow", got, want)
+
+	got, want = append(got[:0], start...), append(want[:0], start...)
+	for range passes {
+		for i := 0; i < n; i++ {
+			kernelRow(pos[3*i:3*i+3], got[3*i:3*i+3], row(i), pos, got)
+			for _, j := range row(i) {
+				for c := 0; c < 3; c++ {
+					want[3*int(j)+c] += pos[3*int(j)+c] - pos[3*i+c]
+					want[3*i+c] += pos[3*i+c] - pos[3*int(j)+c]
+				}
+			}
+		}
+	}
+	compare("kernelRow", got, want)
+
+	for _, j := range []int32{-1, n} {
+		mustPanic(t, "pairForceRow", j, func() { pairForceRow(pos[:3], got[:3], []int32{j}, pos, got, c2) })
+		mustPanic(t, "kernelRow", j, func() { kernelRow(pos[:3], got[:3], []int32{j}, pos, got) })
+	}
+}
+
+func mustPanic(t *testing.T, name string, j int32, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s with partner %d did not panic", name, j)
+		}
+	}()
+	f()
+}
+
 // BenchmarkKernelExecutor puts Table 6's executor column on the host clock:
 // one execution of the kernel at the benchmark's size, 1 rank, schedule
 // warm, as ns per pair — hand-coded (kernelRow called per row), compiled
@@ -133,4 +237,27 @@ func BenchmarkKernelExecutor(b *testing.B) {
 			}), len(vals))
 		})
 	})
+}
+
+// BenchmarkPairForceRow puts charmm-md's non-bonded executor on the host
+// clock, beside BenchmarkKernelExecutor: pairForceRow over every row of the
+// 8000-atom benchmark configuration's list at 1 rank, the list warm, as ns
+// per pair. Reported, not asserted.
+func BenchmarkPairForceRow(b *testing.B) {
+	cfg := ConfigForAtoms(8000)
+	pos := GenInitState(cfg).Pos
+	ptr, jnb := buildNBListSeq(pos, cfg.NAtoms, cfg)
+	frc := make([]float64, len(pos))
+	c2 := cfg.Cutoff * cfg.Cutoff
+	exec := func() {
+		for i := 0; i < cfg.NAtoms; i++ {
+			pairForceRow(pos[3*i:3*i+3], frc[3*i:3*i+3], jnb[ptr[i]:ptr[i+1]], pos, frc, c2)
+		}
+	}
+	exec()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		exec()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(jnb)), "ns/pair")
 }

@@ -32,9 +32,22 @@ type ledgerRow struct {
 // schedules) on 2 ranks at seed 1994, and compares the virtual time bit for
 // bit, the message count and the byte count against testdata/ledger.json.
 // Rewrite the file with `go test ./internal/charmm -run TestLedger -update`
-// only when the virtual timeline is meant to change.
+// only when the virtual timeline is meant to change. The "short" subtest
+// holds chaosbench's -short sizes of both workloads to their oracles.
 func TestLedger(t *testing.T) {
 	const seed = 1994
+	t.Run("short", func(t *testing.T) {
+		md := ConfigForAtoms(300)
+		md.Steps, md.NBEvery, md.Seed = 4, 2, seed
+		md.Partitioner, md.Merged = "rcb", true
+		_, want := Reference(md)
+		checksumsWithin(t, "charmm-md", func(p *comm.Proc) float64 { return Run(p, md).Checksum }, want)
+
+		// The kernel has no sequential twin; its 1-rank run is the oracle.
+		kernel := KernelConfig{NAtoms: 300, Iters: 4, RemapEvery: 2, Seed: seed}
+		comm.Run(1, costmodel.IPSC860(), func(p *comm.Proc) { want = RunKernelCompiled(p, kernel).Checksum })
+		checksumsWithin(t, "kernel-remap", func(p *comm.Proc) float64 { return RunKernelCompiled(p, kernel).Checksum }, want)
+	})
 	md := ConfigForAtoms(8000)
 	md.Steps, md.NBEvery, md.Seed = 20, 5, seed
 	md.Partitioner, md.Merged = "rcb", true
@@ -87,6 +100,19 @@ func TestLedger(t *testing.T) {
 		if g.Workload != w.Workload || g.VirtualBits != w.VirtualBits || g.Msgs != w.Msgs || g.Bytes != w.Bytes {
 			t.Errorf("%s: virtual_s %v (%s) / %d msgs / %d bytes, ledger has %s: %v (%s) / %d / %d",
 				g.Workload, g.VirtualS, g.VirtualBits, g.Msgs, g.Bytes, w.Workload, w.VirtualS, w.VirtualBits, w.Msgs, w.Bytes)
+		}
+	}
+}
+
+// checksumsWithin runs body on 2 ranks and checks that every rank's checksum
+// is within 1e-9 of want, relative.
+func checksumsWithin(t *testing.T, name string, body func(p *comm.Proc) float64, want float64) {
+	t.Helper()
+	got := make([]float64, 2)
+	comm.Run(2, costmodel.IPSC860(), func(p *comm.Proc) { got[p.Rank()] = body(p) })
+	for r, g := range got {
+		if !(math.Abs(g-want) <= 1e-9*math.Abs(want)) {
+			t.Errorf("%s: rank %d checksum %.17g, oracle %.17g", name, r, g, want)
 		}
 	}
 }

@@ -77,17 +77,18 @@ func dist3(a, b []float64) float64 {
 // atom i against the partners js (slot indices into pos and frc, 3 values
 // per slot, none of them i's own) — into fi and the partners' frc slots: a
 // smooth repulsive force that vanishes at the cutoff. It is the inner loop
-// of the hand-coded executor and the row body of the compiled one, in
-// fixed-width form: pi and the fi accumulators stay in registers across the
-// row, which adds to fi in the same order as pairForce pair by pair would.
+// of the hand-coded executor and the row body of the compiled one. pi and
+// the fi accumulators stay in registers across the row, which adds to fi in
+// the same order as pairForce pair by pair would, and partner slots are
+// indexed directly at k = 3j, as in kernelRow and for the same reason.
 // Arithmetic cost: pairFlops per partner.
 func pairForceRow(pi, fi []float64, js []int32, pos, frc []float64, cutoff2 float64) {
 	p, f := (*[3]float64)(pi), (*[3]float64)(fi)
 	px, py, pz := p[0], p[1], p[2]
 	fx, fy, fz := f[0], f[1], f[2]
 	for _, j := range js {
-		pj, fj := (*[3]float64)(pos[3*j:]), (*[3]float64)(frc[3*j:])
-		dx, dy, dz := px-pj[0], py-pj[1], pz-pj[2]
+		k := 3 * int(j)
+		dx, dy, dz := px-pos[k], py-pos[k+1], pz-pos[k+2]
 		r2 := dx*dx + dy*dy + dz*dz
 		if r2 >= cutoff2 || r2 == 0 {
 			continue
@@ -96,9 +97,9 @@ func pairForceRow(pi, fi []float64, js []int32, pos, frc []float64, cutoff2 floa
 		fx += s * dx
 		fy += s * dy
 		fz += s * dz
-		fj[0] -= s * dx
-		fj[1] -= s * dy
-		fj[2] -= s * dz
+		frc[k] -= s * dx
+		frc[k+1] -= s * dy
+		frc[k+2] -= s * dz
 	}
 	f[0], f[1], f[2] = fx, fy, fz
 }

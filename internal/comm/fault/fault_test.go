@@ -1,6 +1,7 @@
 package fault_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -189,7 +190,13 @@ func TestParseStringRoundTrip(t *testing.T) {
 	if pl2.Seed != pl.Seed || pl2.Link != pl.Link || len(pl2.Kills) != len(pl.Kills) {
 		t.Errorf("round-trip changed the plan: %+v vs %+v", pl2, pl)
 	}
-	for _, bad := range []string{"drop", "drop=1.5", "drop=-0.1", "retry=3", "delay=0.5", "kill=1", "seed=x", "bogus=1"} {
+	for _, bad := range []string{
+		"drop", "drop=1.5", "drop=-0.1", "retry=3", "delay=0.5", "kill=1", "seed=x", "bogus=1",
+		// Values no plan can represent, or that String would not render.
+		"drop=NaN", "dup=nan", "reorder=-Inf", "delay=NaN:1", "delay=0.5:-1", "delay=0.1:Inf",
+		"retry=-2:NaN", "retry=-2:1", "retry=2:NaN", "retry=2:-1e-6", "retry=2:+Inf",
+		"kill=-1@5", "kill=1@0", "kill=1@-3", "killv=-1@0.5", "killv=1@0", "killv=1@NaN", "killv=1@Inf",
+	} {
 		if _, err := fault.Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted a malformed plan", bad)
 		}
@@ -197,6 +204,31 @@ func TestParseStringRoundTrip(t *testing.T) {
 	if pl, err := fault.Parse("  "); err != nil || pl.Seed != 1 {
 		t.Errorf("empty plan: got %+v, %v; want benign default seed 1", pl, err)
 	}
+}
+
+// FuzzParse holds Parse and String to being inverses: every plan Parse
+// accepts must render to a string that parses back to an equal plan.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{
+		"seed=42,drop=0.01,retry=3:2e-05,dup=0.02,reorder=0.05,delay=0.1:1e-05,kill=1@200,killv=2@0.5",
+		"", "seed=7,kill=1@250", "retry=0:1e-5", "delay=0:2", "drop=-0", "drop=NaN",
+		"delay=0.5:-1", "retry=-2:NaN", "kill=-1@5", "kill=1@0", "killv=0@1e-300",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		pl, err := fault.Parse(s)
+		if err != nil {
+			return
+		}
+		back, err := fault.Parse(pl.String())
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, but its String %q is rejected: %v", s, pl.String(), err)
+		}
+		if !reflect.DeepEqual(back, pl) {
+			t.Fatalf("Parse(%q) = %#v, but String %q parses to %#v", s, *pl, pl.String(), *back)
+		}
+	})
 }
 
 // TestDupAndReorderPreserveByteStream is the wire-versus-contract check in

@@ -16,6 +16,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -131,12 +132,16 @@ func (pl *Plan) rnd(from, to int, seq uint64, salt, attempt uint64) float64 {
 //
 //	seed=N        PRNG seed (default 1)
 //	drop=P        per-attempt drop probability
-//	retry=N:D     retry budget N and per-retry virtual delay D seconds
+//	retry=N:D     retry budget N (0: DefaultRetryBudget) and per-retry virtual delay D seconds
 //	dup=P         duplicate probability
 //	reorder=P     adjacent-swap probability
 //	delay=P:MAX   delay probability and maximum virtual delay in seconds
-//	kill=R@N      hard-kill rank R after its N-th send
-//	killv=R@T     hard-kill rank R at virtual send time >= T seconds
+//	kill=R@N      hard-kill rank R after its N-th send (N >= 1)
+//	killv=R@T     hard-kill rank R at virtual send time >= T seconds (T > 0)
+//
+// Probabilities lie in [0, 1], durations are finite and not negative, and
+// ranks and budgets are not negative; anything else is an error, so every
+// plan Parse accepts is one String renders back to an equal plan.
 func Parse(s string) (*Plan, error) {
 	pl := &Plan{Seed: 1}
 	if strings.TrimSpace(s) == "" {
@@ -162,8 +167,8 @@ func Parse(s string) (*Plan, error) {
 			if !ok {
 				return nil, fmt.Errorf("fault: retry wants N:D, got %q", val)
 			}
-			if pl.Link.RetryBudget, err = strconv.Atoi(n); err == nil {
-				pl.Link.RetryDelay, err = strconv.ParseFloat(d, 64)
+			if pl.Link.RetryBudget, err = parseCount(n, 0); err == nil {
+				pl.Link.RetryDelay, err = parseSeconds(d)
 			}
 		case "delay":
 			p, mx, ok := strings.Cut(val, ":")
@@ -171,7 +176,7 @@ func Parse(s string) (*Plan, error) {
 				return nil, fmt.Errorf("fault: delay wants P:MAX, got %q", val)
 			}
 			if pl.Link.DelayProb, err = parseProb(p); err == nil {
-				pl.Link.MaxDelay, err = strconv.ParseFloat(mx, 64)
+				pl.Link.MaxDelay, err = parseSeconds(mx)
 			}
 		case "kill", "killv":
 			r, at, ok := strings.Cut(val, "@")
@@ -179,13 +184,16 @@ func Parse(s string) (*Plan, error) {
 				return nil, fmt.Errorf("fault: %s wants R@N, got %q", key, val)
 			}
 			var k KillSpec
-			if k.Rank, err = strconv.Atoi(r); err != nil {
+			if k.Rank, err = parseCount(r, 0); err != nil {
 				break
 			}
 			if key == "kill" {
-				k.AfterSends, err = strconv.Atoi(at)
+				k.AfterSends, err = parseCount(at, 1)
 			} else {
-				k.AfterVirtual, err = strconv.ParseFloat(at, 64)
+				k.AfterVirtual, err = parseSeconds(at)
+				if err == nil && k.AfterVirtual == 0 {
+					err = fmt.Errorf("kill time must be > 0")
+				}
 			}
 			pl.Kills = append(pl.Kills, k)
 		default:
@@ -204,14 +212,39 @@ func parseProb(s string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) { // also NaN
 		return 0, fmt.Errorf("probability %v outside [0,1]", p)
 	}
 	return p, nil
 }
 
+// parseSeconds parses a virtual duration: finite and not negative.
+func parseSeconds(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	if !(v >= 0 && v <= math.MaxFloat64) { // also NaN and +Inf
+		return 0, fmt.Errorf("duration %v is not a finite value >= 0", v)
+	}
+	return v, nil
+}
+
+// parseCount parses an integer that must be at least lo.
+func parseCount(s string, lo int) (int, error) {
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		return 0, err
+	}
+	if n < lo {
+		return 0, fmt.Errorf("%d is below %d", n, lo)
+	}
+	return n, nil
+}
+
 // String renders the plan in the form Parse accepts (per-link overrides,
-// which have no textual form, are omitted).
+// which have no textual form, are omitted). Fields at their zero value are
+// omitted too; the retry budget is rendered as stored, 0 for the default.
 func (pl *Plan) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "seed=%d", pl.Seed)
@@ -220,7 +253,7 @@ func (pl *Plan) String() string {
 		fmt.Fprintf(&b, ",drop=%g", lf.DropProb)
 	}
 	if lf.RetryBudget > 0 || lf.RetryDelay > 0 {
-		fmt.Fprintf(&b, ",retry=%d:%g", lf.budget(), lf.RetryDelay)
+		fmt.Fprintf(&b, ",retry=%d:%g", lf.RetryBudget, lf.RetryDelay)
 	}
 	if lf.DupProb > 0 {
 		fmt.Fprintf(&b, ",dup=%g", lf.DupProb)
@@ -228,7 +261,7 @@ func (pl *Plan) String() string {
 	if lf.ReorderProb > 0 {
 		fmt.Fprintf(&b, ",reorder=%g", lf.ReorderProb)
 	}
-	if lf.DelayProb > 0 {
+	if lf.DelayProb > 0 || lf.MaxDelay > 0 {
 		fmt.Fprintf(&b, ",delay=%g:%g", lf.DelayProb, lf.MaxDelay)
 	}
 	for _, k := range pl.Kills {

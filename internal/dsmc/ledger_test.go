@@ -38,9 +38,34 @@ type ledgerRow struct {
 // compares the virtual time bit for bit, the message count, the byte count
 // and a hash of the final population against testdata/ledger.json. Rewrite
 // the file with `go test ./internal/dsmc -run TestLedger -update` only when
-// the virtual timeline or the physics is meant to change.
+// the virtual timeline or the physics is meant to change. The "short"
+// subtest holds chaosbench's -short sizes of both workloads to Reference bit
+// for bit.
 func TestLedger(t *testing.T) {
 	const seed = 1994
+	t.Run("short", func(t *testing.T) {
+		regular := Default2D(8)
+		regular.NMols, regular.Steps, regular.Mover, regular.Seed = 256, 5, MoverRegular, seed
+		finegrain := Default2D(16)
+		finegrain.NMols, finegrain.Steps, finegrain.Mover, finegrain.Seed = 128, 20, MoverLight, seed
+		for _, r := range []struct {
+			name string
+			cfg  Config
+		}{{"dsmc-regular", regular}, {"dsmc-finegrain", finegrain}} {
+			perRank := make([][]float64, 2)
+			comm.Run(2, costmodel.IPSC860(), func(p *comm.Proc) { perRank[p.Rank()] = RunKeepMols(p, r.cfg) })
+			got := SortByID(append(perRank[0], perRank[1]...))
+			want, _ := Reference(r.cfg)
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d molecule values, Reference has %d", r.name, len(got), len(want))
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s: molecule value %d is %v, Reference %v", r.name, i, got[i], want[i])
+				}
+			}
+		}
+	})
 	regular := Default2D(48)
 	regular.NMols, regular.Steps, regular.Mover, regular.Seed = 18432, 60, MoverRegular, seed
 	finegrain := Default2D(16)
