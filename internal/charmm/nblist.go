@@ -2,6 +2,7 @@ package charmm
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/comm"
 	"repro/internal/recycle"
@@ -13,14 +14,16 @@ import (
 // through contiguous memory instead of chasing per-cell slices. Cells are
 // numbered x-fastest, which makes the (up to) three x-adjacent cells of one
 // (z, y) row a single contiguous range. Within a cell atoms keep their
-// insertion (input) order. Storage is reused across builds.
+// insertion (input) order. A position is one [3]float64, so a candidate
+// costs one bounds check, not one per coordinate. Storage is reused across
+// builds.
 type cellGrid struct {
 	nx, ny, nz int
 	inv        float64
-	start      []int32   // nx*ny*nz + 1 cell extents
-	ids        []int32   // atom ids in cell order
-	pos        []float64 // 3-wide positions in cell order
-	cell       []int32   // build scratch: cell of each input atom
+	start      []int32      // nx*ny*nz + 1 cell extents
+	ids        []int32      // atom ids in cell order
+	pos        [][3]float64 // positions in cell order
+	cell       []int32      // build scratch: cell of each input atom
 }
 
 // build bins the n atoms of pos (3-wide) into cells of edge >= cutoff. Atom
@@ -46,7 +49,7 @@ func (g *cellGrid) build(pos []float64, ids []int32, n int, box [3]float64, cuto
 		g.start[c+1] += g.start[c]
 	}
 	g.ids = recycle.Sized(g.ids, n)
-	g.pos = recycle.Sized(g.pos, 3*n)
+	g.pos = recycle.Sized(g.pos, n)
 	for i := 0; i < n; i++ {
 		c := g.cell[i]
 		k := g.start[c]
@@ -55,7 +58,7 @@ func (g *cellGrid) build(pos []float64, ids []int32, n int, box [3]float64, cuto
 		if ids != nil {
 			g.ids[k] = ids[i]
 		}
-		copy(g.pos[3*k:3*k+3], pos[3*i:3*i+3])
+		g.pos[k] = [3]float64(pos[3*i : 3*i+3])
 	}
 	// Placement advanced start[c] to the end of cell c; shift back.
 	copy(g.start[1:], g.start[:nCells])
@@ -85,7 +88,9 @@ func (g *cellGrid) cellOf(p []float64) (cx, cy, cz int) {
 // A neighbour cell whose nearest face lies beyond the cutoff holds no
 // partner, so the walk skips it (a whole (z, y) row, or its first or last x
 // cell) without changing the order of what is left. The examined count, which
-// the model charges, still covers every atom of the neighbourhood.
+// the model charges, still covers every atom of the neighbourhood. What is
+// left of each row is one call to scanRange, the leaf loop that does the
+// distance tests.
 func (g *cellGrid) appendPartners(jnb []int32, p []float64, self int32, c2 float64) ([]int32, int) {
 	cx, cy, cz := g.cellOf(p)
 	px, py, pz := p[0], p[1], p[2]
@@ -112,22 +117,42 @@ func (g *cellGrid) appendPartners(jnb []int32, p []float64, self int32, c2 float
 			if gx := faceGap(sx, x1, cx); gyz+gx*gx > lim {
 				hi = int(g.start[row+cx+1])
 			}
-			ids, pos := g.ids[lo:hi], g.pos[3*lo:3*hi]
-			for k, id := range ids {
-				if id <= self {
-					continue
-				}
-				q := pos[3*k : 3*k+3 : 3*k+3]
-				dx := px - q[0]
-				dy := py - q[1]
-				dz := pz - q[2]
-				if dx*dx+dy*dy+dz*dz < c2 {
-					jnb = append(jnb, id)
-				}
-			}
+			jnb = scanRange(jnb, g.ids[lo:hi], g.pos[lo:hi], self, px, py, pz, c2)
 		}
 	}
 	return jnb, examined
+}
+
+// scanRange appends to jnb, in order, every ids[k] > self whose position
+// pos[k] lies within the cutoff (squared: c2) of (px, py, pz).
+//
+// It is a leaf so that its loop state stays in registers, and it picks
+// partners without a branch on the distance: the capacity for every
+// candidate is reserved up front, each candidate with a qualifying id is
+// written to the next free slot, and the slot is kept only when the distance
+// test passes — a conditional move, where a branch would mispredict on the
+// ~1 in 4 tests that pass in no pattern. dx is q - p rather than p - q so
+// that the loaded coordinate is the destination register; IEEE subtraction
+// is sign-symmetric, so dx*dx has the same bits either way.
+func scanRange(jnb, ids []int32, pos [][3]float64, self int32, px, py, pz, c2 float64) []int32 {
+	jnb = slices.Grow(jnb, len(ids))
+	n := len(jnb)
+	out := jnb[:n+len(ids)]
+	pos = pos[:len(ids)]
+	for k, id := range ids {
+		if id <= self {
+			continue
+		}
+		q := &pos[k]
+		dx := q[0] - px
+		dy := q[1] - py
+		dz := q[2] - pz
+		out[n] = id
+		if dx*dx+dy*dy+dz*dz < c2 {
+			n++
+		}
+	}
+	return jnb[:n]
 }
 
 // faceGap is the distance, in cell units, from scaled coordinate s (in cell

@@ -245,16 +245,129 @@ func TestNBListParMatchesClosureWalk(t *testing.T) {
 	}
 }
 
+// atCutoffCase places pairs at exactly the cutoff along each axis and in
+// both directions (3.5 − 1.0 = 2.5 and 6.0 − 3.5 = 2.5 are exact, so d² ==
+// c2 == 6.25): every one of them is excluded. Around them, pairs just inside
+// the cutoff are included. wantJnb is the list written out by hand.
+func atCutoffCase() (c nbCase, wantPtr, wantJnb []int32) {
+	pos := []float64{
+		3.5, 1, 1, // 0
+		1, 1, 1, // 1: 2.5 below 0 in x
+		6, 1, 1, // 2: 2.5 above 0 in x
+		1, 3.5, 1, // 3: 2.5 from 1 in y
+		1, 1, 3.5, // 4: 2.5 from 1 in z
+		1, 1, 1.5, // 5: 0.5 from 1, 2.0 from 4
+		3.5, 1, 3.4999999, // 6: just inside the cutoff of 0 in z
+	}
+	cfg := Config{NAtoms: len(pos) / 3, Box: [3]float64{10, 10, 10}, Cutoff: 2.5}
+	return nbCase{"at-cutoff", cfg, pos}, []int32{0, 1, 2, 2, 2, 3, 3, 3}, []int32{6, 5, 5}
+}
+
+// coincidentCase stacks atoms on one position (d² == 0: partners), twice on
+// the box corner, and puts one atom at exactly the cutoff from a stack.
+func coincidentCase() (c nbCase, wantPtr, wantJnb []int32) {
+	pos := []float64{
+		4, 4, 4, // 0
+		4, 4, 4, // 1
+		4, 4, 4, // 2
+		0, 0, 0, // 3
+		0, 0, 0, // 4
+		6.5, 4, 4, // 5: 2.5 from 0, 1 and 2
+	}
+	cfg := Config{NAtoms: len(pos) / 3, Box: [3]float64{10, 10, 10}, Cutoff: 2.5}
+	return nbCase{"coincident", cfg, pos}, []int32{0, 2, 3, 3, 4, 4, 4}, []int32{1, 2, 2, 4}
+}
+
+// checkNBListCase holds the sequential build, and the halo-exchange build on
+// 1–3 ranks under a round-robin ownership, to the closure walk over the same
+// atoms. With hint1 set, nbSearch.hint is forced to 1 before the build, so
+// the list starts without room and all of it is reserved range by range.
+func checkNBListCase(t *testing.T, c nbCase, hint1 bool) {
+	t.Helper()
+	n := c.cfg.NAtoms
+	var nb nbSearch
+	if hint1 {
+		nb.hint = 1
+	}
+	wantPtr, wantJnb, _ := refNBList(c.pos, nil, n, n, c.cfg)
+	ptr, jnb := nb.buildSeq(c.pos, n, c.cfg)
+	if !slices.Equal(ptr, wantPtr) || !slices.Equal(jnb, wantJnb) {
+		t.Errorf("%s: sequential list %v %v, closure walk %v %v", c.name, ptr, jnb, wantPtr, wantJnb)
+	}
+	for _, nprocs := range []int{1, 2, 3} {
+		comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
+			var globals []int32
+			var pos []float64
+			for g := p.Rank(); g < n; g += nprocs {
+				globals = append(globals, int32(g))
+				pos = append(pos, c.pos[3*g:3*g+3]...)
+			}
+			var nb nbSearch
+			if hint1 {
+				nb.hint = 1
+			}
+			ptr, jnb := buildNBListPar(p, globals, pos, c.cfg, &nb)
+			wantPtr, wantJnb, _ := refNBList(nb.allP, nb.allG, len(nb.allG), len(globals), c.cfg)
+			if !slices.Equal(ptr, wantPtr) || !slices.Equal(jnb, wantJnb) {
+				t.Errorf("%s on %d ranks: rank %d's list %v %v, closure walk %v %v",
+					c.name, nprocs, p.Rank(), ptr, jnb, wantPtr, wantJnb)
+			}
+		})
+	}
+}
+
+// TestNBListBoundaryCases: a pair at exactly the cutoff is not a partner and
+// coincident atoms are, in the list written out by hand and on 1–3 ranks.
+func TestNBListBoundaryCases(t *testing.T) {
+	for _, mk := range []func() (nbCase, []int32, []int32){atCutoffCase, coincidentCase} {
+		c, wantPtr, wantJnb := mk()
+		ptr, jnb := buildNBListSeq(c.pos, c.cfg.NAtoms, c.cfg)
+		if !slices.Equal(ptr, wantPtr) || !slices.Equal(jnb, wantJnb) {
+			t.Errorf("%s: list %v %v, want %v %v", c.name, ptr, jnb, wantPtr, wantJnb)
+		}
+		checkNBListCase(t, c, false)
+	}
+}
+
+// TestNBListGrowsFromHintOne builds every configuration — the 55 random
+// ones and the two boundary cases — from a list hint of 1, so the list's
+// capacity comes from scanRange's per-range reservations, not from the
+// up-front estimate.
+func TestNBListGrowsFromHintOne(t *testing.T) {
+	cutoff, _, _ := atCutoffCase()
+	coincident, _, _ := coincidentCase()
+	for _, c := range append(nbCases(), cutoff, coincident) {
+		checkNBListCase(t, c, true)
+	}
+}
+
 // BenchmarkNBListBuild times one non-bonded list rebuild of the 8000-atom
-// benchmark configuration (block-distributed initial positions) on 1 and 2
-// ranks, with the working storage warm as it is inside a run. B/op covers
-// all ranks: what is left is the list itself and the halo messages.
+// benchmark configuration with the working storage warm, as it is inside a
+// run: "seq" is buildSeq (the ids == nil path of Reference and kernelSetup),
+// "ranks=N" the halo-exchange build of block-distributed initial positions on
+// N ranks. B/op covers all ranks: what is left is the list itself and the
+// halo messages. ns/cand divides the time per build by the candidates all
+// ranks examine in it.
 func BenchmarkNBListBuild(b *testing.B) {
 	cfg := ConfigForAtoms(8000)
 	init := GenInitState(cfg)
+	perCand := func(b *testing.B, examined int) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(examined), "ns/cand")
+	}
+	b.Run("seq", func(b *testing.B) {
+		b.ReportAllocs()
+		var nb nbSearch
+		nb.buildSeq(init.Pos, cfg.NAtoms, cfg) // warm-up
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			nb.buildSeq(init.Pos, cfg.NAtoms, cfg)
+		}
+		perCand(b, nb.examined)
+	})
 	for _, nprocs := range []int{1, 2} {
 		b.Run(fmt.Sprintf("ranks=%d", nprocs), func(b *testing.B) {
 			b.ReportAllocs()
+			examined := make([]int, nprocs)
 			comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
 				lo, hi := partition.BlockRange(p.Rank(), cfg.NAtoms, nprocs)
 				globals := make([]int32, hi-lo)
@@ -271,7 +384,13 @@ func BenchmarkNBListBuild(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					buildNBListPar(p, globals, pos, cfg, &nb)
 				}
+				examined[p.Rank()] = nb.examined
 			})
+			total := 0
+			for _, e := range examined {
+				total += e
+			}
+			perCand(b, total)
 		})
 	}
 }

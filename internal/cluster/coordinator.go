@@ -175,10 +175,17 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
+// decodeJobSpec reads a submitted job spec from the first 1 MiB of body.
+func decodeJobSpec(r io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	err := json.NewDecoder(io.LimitReader(r, 1<<20)).Decode(&spec)
+	return spec, err
+}
+
 // handleSubmit is POST /jobs.
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&spec); err != nil {
+	spec, err := decodeJobSpec(r.Body)
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad job spec: %v", err)
 		return
 	}
