@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cluster/apps"
+	"repro/internal/comm/fault"
 )
 
 // JobState is one station of the job lifecycle state machine:
@@ -182,6 +183,11 @@ func validateSpec(spec *JobSpec, defRanksPerWorker, defMaxRestarts int) error {
 	}
 	if spec.RanksPerWorker > 64 {
 		return fmt.Errorf("cluster: ranks_per_worker %d is unreasonable (max 64)", spec.RanksPerWorker)
+	}
+	// Every worker's /start parses the plan again; refusing it here keeps a
+	// bad submission from failing the start on each worker in turn.
+	if _, err := fault.Parse(spec.FaultPlan); err != nil {
+		return fmt.Errorf("cluster: bad fault_plan: %v", err)
 	}
 	// The coordinator assigns CheckpointDir at submission; stand in a
 	// placeholder so Validate's cadence-needs-dir check passes.

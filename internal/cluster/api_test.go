@@ -6,13 +6,15 @@ import (
 	"testing"
 
 	"repro/internal/cluster/apps"
+	"repro/internal/comm/fault"
 )
 
 // FuzzValidateSpec feeds arbitrary bytes through the submit handler's
 // decoding and validation. Nothing may panic; a spec that is accepted must,
 // once the coordinator has assigned its checkpoint directory, be runnable
-// (apps.Spec.Validate, which apps.Run panics on), and validating it again
-// must accept it unchanged.
+// (apps.Spec.Validate, which apps.Run panics on), carry a fault plan every
+// worker's /start can parse, and validating it again must accept it
+// unchanged.
 func FuzzValidateSpec(f *testing.F) {
 	dsmc := apps.Spec{App: "dsmc", Elems: 600, Steps: 8, CheckpointEvery: 2}
 	for _, spec := range []JobSpec{
@@ -29,7 +31,7 @@ func FuzzValidateSpec(f *testing.F) {
 		}
 		f.Add(b)
 	}
-	for _, s := range []string{``, `{}`, `null`, `[]`, `{"app":"nope"}`, `{"crash_rank":-1}`, `{"elems":1e99}`, `{"app":"dsmc","ckpt_dir":"/elsewhere"}`} {
+	for _, s := range []string{``, `{}`, `null`, `[]`, `{"app":"nope"}`, `{"crash_rank":-1}`, `{"elems":1e99}`, `{"app":"dsmc","ckpt_dir":"/elsewhere"}`, `{"app":"fig1","fault_plan":"seed=x"}`} {
 		f.Add([]byte(s))
 	}
 	const ranksPerWorker, maxRestarts = 2, 3 // the coordinator's defaults
@@ -48,6 +50,9 @@ func FuzzValidateSpec(f *testing.F) {
 		}
 		if err := stored.Spec.Validate(); err != nil {
 			t.Fatalf("accepted spec %+v does not run: %v", stored, err)
+		}
+		if _, err := fault.Parse(stored.FaultPlan); err != nil {
+			t.Fatalf("accepted spec %+v has a fault plan the workers refuse: %v", stored, err)
 		}
 		again := stored
 		if err := validateSpec(&again, ranksPerWorker, maxRestarts); err != nil {

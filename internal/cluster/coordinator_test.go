@@ -20,6 +20,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		`{"app":"nonesuch"}`,
 		`{"app":"fig1","ckpt_every":3}`,
 		`{"app":"dsmc","ranks_per_worker":1000}`,
+		`{"app":"fig1","fault_plan":"seed=x"}`,
 	} {
 		resp, err := http.Post(tc.srv.URL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

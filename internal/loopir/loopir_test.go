@@ -2,8 +2,8 @@ package loopir
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,20 +11,6 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/partition"
 )
-
-// seqSumLoop is the sequential semantics of the Figure 10 template:
-// f(jnb(k)) += x(jnb(k)) - x(i); f(i) += x(i) - x(jnb(k)).
-func seqSumLoop(n int, ptr, jnb []int32, x []float64) []float64 {
-	f := make([]float64, n)
-	for i := 0; i < n; i++ {
-		for k := ptr[i]; k < ptr[i+1]; k++ {
-			j := jnb[k]
-			f[j] += x[j] - x[i]
-			f[i] += x[i] - x[j]
-		}
-	}
-	return f
-}
 
 // randCSR builds a random global CSR over n elements, rowsPer average
 // entries per row.
@@ -90,15 +76,6 @@ func dropSelf(ptr, vals []int32) (outPtr, outVals []int32) {
 	return outPtr, outVals
 }
 
-// newFigure10Loop compiles the Figure 10 loop from its pair body or, with
-// rows, from its row body.
-func newFigure10Loop(prog *Program, ind *IndArray, x, f *RealArray, flops int, rows bool) *SumLoop {
-	if rows {
-		return prog.NewSumLoopRows(ind, x, f, flops, figure10Rows)
-	}
-	return prog.NewSumLoop(ind, x, f, flops, figure10Body)
-}
-
 // panicMessage runs fn and returns the message it panicked with ("" if it
 // returned).
 func panicMessage(fn func()) (msg string) {
@@ -109,77 +86,6 @@ func panicMessage(fn func()) (msg string) {
 	}()
 	fn()
 	return ""
-}
-
-func TestSumLoopMatchesSequential(t *testing.T) {
-	const n = 120
-	gptr, gvals := randCSR(n, 3, 7)
-	x0 := make([]float64, n)
-	rng := rand.New(rand.NewSource(9))
-	for i := range x0 {
-		x0[i] = rng.Float64()
-	}
-	want := seqSumLoop(n, gptr, gvals, x0)
-
-	for _, nprocs := range []int{1, 2, 4} {
-		comm.Run(nprocs, costmodel.Uniform(1e-9), func(p *comm.Proc) {
-			prog := NewProgram(p)
-			dec := prog.Decomposition(n)
-			x := dec.AlignReal(1)
-			f := dec.AlignReal(1)
-			x.SetByGlobal(func(g int32, c []float64) { c[0] = x0[g] })
-			ind := dec.AlignIndCSR()
-			ptr, vals := localizeCSR(p, n, gptr, gvals)
-			ind.SetCSR(ptr, vals)
-			loop := prog.NewSumLoop(ind, x, f, 4, figure10Body)
-			loop.Execute()
-			for i, g := range dec.Globals() {
-				if math.Abs(f.Local()[i]-want[g]) > 1e-12 {
-					t.Errorf("nprocs=%d global %d: got %v want %v", nprocs, g, f.Local()[i], want[g])
-				}
-			}
-		})
-	}
-}
-
-func TestSumLoopReusesInspector(t *testing.T) {
-	const n = 60
-	gptr, gvals := randCSR(n, 2, 3)
-	comm.Run(2, costmodel.Uniform(1e-9), func(p *comm.Proc) {
-		prog := NewProgram(p)
-		dec := prog.Decomposition(n)
-		x := dec.AlignReal(1)
-		f := dec.AlignReal(1)
-		ind := dec.AlignIndCSR()
-		ptr, vals := localizeCSR(p, n, gptr, gvals)
-		ind.SetCSR(ptr, vals)
-		loop := prog.NewSumLoop(ind, x, f, 4, figure10Body)
-
-		loop.Execute()
-		loop.Execute()
-		loop.Execute()
-		if loop.Inspections() != 1 {
-			t.Errorf("inspector ran %d times for unchanged loop, want 1", loop.Inspections())
-		}
-
-		// Modifying the indirection array forces re-inspection.
-		ind.SetCSR(ptr, vals)
-		loop.Execute()
-		if loop.Inspections() != 2 {
-			t.Errorf("inspector did not detect indirection modification: %d", loop.Inspections())
-		}
-
-		// Redistribution forces re-inspection too.
-		owners := make([]int32, dec.NLocal())
-		for i, g := range dec.Globals() {
-			owners[i] = int32((g + 1) % 2)
-		}
-		dec.Redistribute(owners)
-		loop.Execute()
-		if loop.Inspections() != 3 {
-			t.Errorf("inspector did not detect redistribution: %d", loop.Inspections())
-		}
-	})
 }
 
 func TestRedistributeMovesAlignedArrays(t *testing.T) {
@@ -209,39 +115,6 @@ func TestRedistributeMovesAlignedArrays(t *testing.T) {
 			_, v := ind.CSR()
 			if v[i] != (g+5)%n {
 				t.Errorf("aligned indirection wrong for global %d: %d", g, v[i])
-			}
-		}
-	})
-}
-
-func TestSumLoopAfterRedistributeStillCorrect(t *testing.T) {
-	const n = 80
-	gptr, gvals := randCSR(n, 3, 17)
-	x0 := make([]float64, n)
-	for i := range x0 {
-		x0[i] = float64(i) * 0.25
-	}
-	want := seqSumLoop(n, gptr, gvals, x0)
-	comm.Run(3, costmodel.Uniform(1e-9), func(p *comm.Proc) {
-		prog := NewProgram(p)
-		dec := prog.Decomposition(n)
-		x := dec.AlignReal(1)
-		f := dec.AlignReal(1)
-		x.SetByGlobal(func(g int32, c []float64) { c[0] = x0[g] })
-		ind := dec.AlignIndCSR()
-		ptr, vals := localizeCSR(p, n, gptr, gvals)
-		ind.SetCSR(ptr, vals)
-		loop := prog.NewSumLoop(ind, x, f, 4, figure10Body)
-
-		owners := make([]int32, dec.NLocal())
-		for i, g := range dec.Globals() {
-			owners[i] = int32((g * 7) % 3)
-		}
-		dec.Redistribute(owners)
-		loop.Execute()
-		for i, g := range dec.Globals() {
-			if math.Abs(f.Local()[i]-want[g]) > 1e-12 {
-				t.Errorf("global %d after redistribute: got %v want %v", g, f.Local()[i], want[g])
 			}
 		}
 	})
@@ -297,120 +170,68 @@ func TestReduceAppend(t *testing.T) {
 	}
 }
 
-func TestMisalignedArraysPanic(t *testing.T) {
+// TestRefusals: what the compiled-loop API refuses, each with the message
+// it panics with where the mistake is made (want "" is a case it accepts).
+func TestRefusals(t *testing.T) {
 	comm.Run(1, costmodel.Uniform(1e-9), func(p *comm.Proc) {
 		prog := NewProgram(p)
-		d1 := prog.Decomposition(10)
-		d2 := prog.Decomposition(10)
-		x := d1.AlignReal(1)
-		f := d2.AlignReal(1)
-		ind := d1.AlignIndCSR()
-		defer func() {
-			if recover() == nil {
-				t.Error("misaligned arrays did not panic")
-			}
-		}()
-		prog.NewSumLoop(ind, x, f, 1, figure10Body)
-	})
-}
-
-func TestSetCSRWrongLengthPanics(t *testing.T) {
-	comm.Run(1, costmodel.Uniform(1e-9), func(p *comm.Proc) {
-		prog := NewProgram(p)
-		dec := prog.Decomposition(10)
-		ind := dec.AlignIndCSR()
-		defer func() {
-			if recover() == nil {
-				t.Error("bad CSR length did not panic")
-			}
-		}()
-		ind.SetCSR(make([]int32, 3), nil)
-	})
-}
-
-// TestSetCSRRejectsInconsistentRows: a row-pointer array that does not tile
-// vals is refused where it is installed, with a message naming the row, not
-// as an index panic (or silently dropped references) inside an executor.
-func TestSetCSRRejectsInconsistentRows(t *testing.T) {
-	comm.Run(1, costmodel.Uniform(1e-9), func(p *comm.Proc) {
-		ind := NewProgram(p).Decomposition(3).AlignIndCSR()
+		d1, d2 := prog.Decomposition(4), prog.Decomposition(4)
+		x, f := d1.AlignReal(1), d1.AlignReal(1)
+		csr, flat := d1.AlignIndCSR(), d1.AlignIndFlat(1)
+		csr2, flat2 := d2.AlignIndCSR(), d2.AlignIndFlat(1)
 		vals := []int32{1, 2, 0, 1}
+		sum := prog.NewSumLoop(csr, x, f, 1, figure10Body)
+		pair := prog.NewPairLoop(flat2, flat2, x, f, 1, bondBody)
 		for _, tc := range []struct {
 			name string
-			ptr  []int32
+			fn   func()
 			want string
 		}{
-			{"first row not at 0", []int32{1, 2, 3, 4}, "loopir: CSR row 0 starts at 1"},
-			{"decreasing entry", []int32{0, 3, 2, 4}, "loopir: CSR row 1 ends at 2, before its start 3"},
-			{"trailing values", []int32{0, 1, 2, 3}, "loopir: CSR rows end at ptr[3] = 3, but there are 4 values"},
-			{"rows past the values", []int32{0, 2, 4, 6}, "loopir: CSR rows end at ptr[3] = 6, but there are 4 values"},
+			{"SumLoop/flat list", func() { prog.NewSumLoop(flat, x, f, 1, figure10Body) }, "loopir: SumLoop requires a CSR indirection array"},
+			{"SumLoop/misaligned arrays", func() { prog.NewSumLoop(csr, x, d2.AlignReal(1), 1, figure10Body) }, "loopir: SumLoop arrays must be aligned"},
+			{"SumLoop/width mismatch", func() { prog.NewSumLoop(csr, x, d1.AlignReal(2), 1, figure10Body) }, "loopir: read width 1 != reduce width 2"},
+			{"SumLoop/Share foreign decomposition", func() { sum.Share(prog.NewSharedSched(d2)) }, "loopir: SumLoop shared schedule must cover"},
+			{"PairLoop/CSR list", func() { prog.NewPairLoop(csr2, flat2, x, f, 1, bondBody) }, "loopir: PairLoop requires flat width-1"},
+			{"PairLoop/two iteration decompositions", func() { prog.NewPairLoop(flat2, flat, x, f, 1, bondBody) }, "loopir: PairLoop indirection arrays must share"},
+			{"PairLoop/data on two decompositions", func() { prog.NewPairLoop(flat2, flat2, x, d2.AlignReal(1), 1, bondBody) }, "loopir: PairLoop data arrays must share"},
+			{"PairLoop/Share foreign decomposition", func() { pair.Share(prog.NewSharedSched(d2)) }, "loopir: PairLoop shared schedule must cover"},
+			{"fused loops on two groups", func() { ExecuteFusedSum([]*SumLoop{sum, prog.NewSumLoop(csr, x, f, 1, figure10Body)}) }, "loopir: fused loops must share one SharedSched"},
+			{"SetCSR/flat list", func() { flat.SetCSR(make([]int32, 5), nil) }, "loopir: SetCSR on a flat indirection array"},
+			{"SetCSR/wrong length", func() { csr.SetCSR(make([]int32, 3), nil) }, "loopir: CSR ptr length 3, want 5"},
+			{"SetCSR/first row not at 0", func() { csr.SetCSR([]int32{1, 2, 3, 4, 4}, vals) }, "loopir: CSR row 0 starts at 1"},
+			{"SetCSR/decreasing entry", func() { csr.SetCSR([]int32{0, 3, 2, 4, 4}, vals) }, "loopir: CSR row 1 ends at 2, before its start 3"},
+			{"SetCSR/trailing values", func() { csr.SetCSR([]int32{0, 1, 2, 3, 3}, vals) }, "loopir: CSR rows end at ptr[4] = 3, but there are 4 values"},
+			{"SetCSR/rows past the values", func() { csr.SetCSR([]int32{0, 2, 4, 6, 6}, vals) }, "loopir: CSR rows end at ptr[4] = 6, but there are 4 values"},
+			{"SetCSR/empty rows", func() { csr.SetCSR([]int32{0, 2, 2, 4, 4}, vals) }, ""},
+			{"NewSumLoopRows/self pair", func() {
+				csr.SetCSR([]int32{0, 1, 1, 1, 1}, []int32{0})
+				prog.NewSumLoopRows(csr, x, f, 1, figure10Rows).Inspect()
+			}, "loopir: row-constructed SumLoop: ind(k) == i at global element 0"},
+			{"SetFlat/CSR list", func() { csr.SetFlat(make([]int32, 4)) }, "loopir: SetFlat on a CSR indirection array"},
+			{"SetFlat/wrong length", func() { flat.SetFlat(make([]int32, 3)) }, "loopir: flat length 3, want 4"},
 		} {
-			if got := panicMessage(func() { ind.SetCSR(tc.ptr, vals) }); !strings.HasPrefix(got, tc.want) {
-				t.Errorf("%s: SetCSR panicked with %q, want %q", tc.name, got, tc.want)
+			got := panicMessage(tc.fn)
+			if tc.want == "" && got != "" || !strings.HasPrefix(got, tc.want) {
+				t.Errorf("%s: panicked with %q, want %q", tc.name, got, tc.want)
 			}
 		}
-		ind.SetCSR([]int32{0, 2, 2, 4}, vals) // an empty row is fine
 	})
 }
 
-// TestRowLoopRejectsSelfPair: a row-constructed loop refuses a list with
-// ind(k) == i at the inspection that localizes it — again after the list is
-// adapted into one — while the pair-constructed loop runs the same list.
-func TestRowLoopRejectsSelfPair(t *testing.T) {
-	const n = 12
-	for _, nprocs := range []int{1, 3} {
-		comm.Run(nprocs, costmodel.Uniform(1e-9), func(p *comm.Proc) {
-			prog := NewProgram(p)
-			dec := prog.Decomposition(n)
-			x, f := dec.AlignReal(2), dec.AlignReal(2)
-			ind := dec.AlignIndCSR()
-			ptr := make([]int32, dec.NLocal()+1)
-			clean := make([]int32, dec.NLocal())
-			self := make([]int32, dec.NLocal())
-			for i, g := range dec.Globals() {
-				ptr[i+1] = int32(i + 1)
-				clean[i] = (g + 1) % n
-				self[i] = clean[i]
-			}
-			self[len(self)-1] = dec.Globals()[len(self)-1] // the last row names itself
-			const want = "loopir: row-constructed SumLoop: ind(k) == i"
-
-			ind.SetCSR(ptr, self)
-			rows := prog.NewSumLoopRows(ind, x, f, 4, figure10Rows)
-			if got := panicMessage(rows.Inspect); !strings.HasPrefix(got, want) {
-				t.Errorf("nprocs=%d: Inspect over a self pair panicked with %q, want %q", nprocs, got, want)
-			}
-			prog.NewSumLoop(ind, x, f, 4, figure10Body).Execute() // legal for a pair body
-
-			ind.SetCSR(ptr, clean)
-			rows = prog.NewSumLoopRows(ind, x, f, 4, figure10Rows)
-			rows.Execute()
-			ind.SetCSR(ptr, self)
-			if got := panicMessage(rows.Inspect); !strings.HasPrefix(got, want) {
-				t.Errorf("nprocs=%d: Inspect after adapting to a self pair panicked with %q, want %q", nprocs, got, want)
-			}
-		})
+// TestBoundaryList unit-tests the split-phase interior/boundary
+// classification.
+func TestBoundaryList(t *testing.T) {
+	// 3 rows; nLocal=4 so slots 4,5 are ghosts.
+	ptr := []int32{0, 2, 2, 5}
+	loc := []int32{0, 4, 1, 5, 3}
+	bp, bi := boundaryList(nil, nil, ptr, loc, 4)
+	if !slices.Equal(bp, []int32{0, 1, 1, 2}) || !slices.Equal(bi, []int32{1, 3}) {
+		t.Fatalf("boundary list bp=%v bi=%v, want [0 1 1 2] [1 3]", bp, bi)
 	}
-}
 
-func TestFlatCSRMisusePanics(t *testing.T) {
-	comm.Run(1, costmodel.Uniform(1e-9), func(p *comm.Proc) {
-		prog := NewProgram(p)
-		dec := prog.Decomposition(4)
-		flat := dec.AlignIndFlat(1)
-		csr := dec.AlignIndCSR()
-		for _, fn := range []func(){
-			func() { flat.SetCSR(make([]int32, 5), nil) },
-			func() { csr.SetFlat(make([]int32, 4)) },
-		} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Error("form misuse did not panic")
-					}
-				}()
-				fn()
-			}()
-		}
-	})
+	// Rebuild into the same storage with different data.
+	bp2, bi2 := boundaryList(bp, bi, []int32{0, 1}, []int32{2}, 4)
+	if &bp2[0] != &bp[0] || !slices.Equal(bp2, []int32{0, 0}) || len(bi2) != 0 {
+		t.Fatalf("boundary list reuse: bp=%v bi=%v", bp2, bi2)
+	}
 }

@@ -1,8 +1,10 @@
 package schedule
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -20,152 +22,6 @@ func buildEnv(p *comm.Proc, owners []int32) (*ttable.Table, *hashtab.Table) {
 	hi := (p.Rank() + 1) * n / p.Size()
 	tt := ttable.Build(p, ttable.Replicated, owners[lo:hi])
 	return tt, hashtab.New(p, tt)
-}
-
-// localValue defines the test data: element with global index g holds
-// 1000 + g.
-func fillLocal(p *comm.Proc, tt *ttable.Table, owners []int32, data []float64) {
-	for g, o := range owners {
-		if int(o) == p.Rank() {
-			data[tt.OffsetOf(g)] = 1000 + float64(g)
-		}
-	}
-}
-
-func TestGatherDeliversOwnersValues(t *testing.T) {
-	for _, nprocs := range []int{2, 3, 4, 8} {
-		rng := rand.New(rand.NewSource(int64(nprocs)))
-		n := 200
-		owners := make([]int32, n)
-		for i := range owners {
-			owners[i] = int32(rng.Intn(nprocs))
-		}
-		refs := make([]int32, 150)
-		for i := range refs {
-			refs[i] = int32(rng.Intn(n))
-		}
-		comm.Run(nprocs, costmodel.Uniform(1e-9), func(p *comm.Proc) {
-			tt, ht := buildEnv(p, owners)
-			st := ht.NewStamp()
-			loc := ht.Hash(refs, st)
-			sched := Build(p, ht, st, 0)
-			data := make([]float64, sched.MinLen())
-			fillLocal(p, tt, owners, data)
-			Gather(p, sched, data)
-			for k, g := range refs {
-				if got := data[loc[k]]; got != 1000+float64(g) {
-					t.Errorf("nprocs=%d rank=%d ref %d (g=%d): got %v", nprocs, p.Rank(), k, g, got)
-				}
-			}
-		})
-	}
-}
-
-func TestScatterAddMatchesSequential(t *testing.T) {
-	// Each processor owns a block; every processor adds a contribution to a
-	// random set of globals; the result must equal the sequential sum.
-	const n = 120
-	const nprocs = 4
-	rng := rand.New(rand.NewSource(7))
-	owners := make([]int32, n)
-	for i := range owners {
-		owners[i] = int32(rng.Intn(nprocs))
-	}
-	// refs per rank and expected totals.
-	refs := make([][]int32, nprocs)
-	want := make([]float64, n)
-	for r := 0; r < nprocs; r++ {
-		refs[r] = make([]int32, 80)
-		for i := range refs[r] {
-			g := rng.Intn(n)
-			refs[r][i] = int32(g)
-			want[g] += float64(r + 1)
-		}
-	}
-	comm.Run(nprocs, costmodel.Uniform(1e-9), func(p *comm.Proc) {
-		tt, ht := buildEnv(p, owners)
-		st := ht.NewStamp()
-		loc := ht.Hash(refs[p.Rank()], st)
-		sched := Build(p, ht, st, 0)
-		data := make([]float64, sched.MinLen())
-		// Accumulate contributions locally (ghost slots start at zero).
-		for _, l := range loc {
-			data[l] += float64(p.Rank() + 1)
-		}
-		Scatter(p, sched, data, OpAdd)
-		for g, o := range owners {
-			if int(o) == p.Rank() {
-				if got := data[tt.OffsetOf(g)]; got != want[g] {
-					t.Errorf("rank %d global %d: got %v want %v", p.Rank(), g, got, want[g])
-				}
-			}
-		}
-	})
-}
-
-func TestScatterReplaceAndMax(t *testing.T) {
-	const n = 16
-	owners := make([]int32, n) // all owned by rank 0
-	comm.Run(2, costmodel.Uniform(1e-9), func(p *comm.Proc) {
-		tt, ht := buildEnv(p, owners)
-		_ = tt
-		st := ht.NewStamp()
-		var sched *Schedule
-		if p.Rank() == 1 {
-			loc := ht.Hash([]int32{3}, st)
-			sched = Build(p, ht, st, 0)
-			data := make([]float64, sched.MinLen())
-			data[loc[0]] = 55
-			Scatter(p, sched, data, OpReplace)
-			data[loc[0]] = 11 // lower than resident: OpMax must keep 55
-			Scatter(p, sched, data, OpMax)
-		} else {
-			ht.Hash(nil, st)
-			sched = Build(p, ht, st, 0)
-			data := make([]float64, 16)
-			Scatter(p, sched, data, OpReplace)
-			if data[3] != 55 {
-				t.Errorf("after replace, data[3] = %v", data[3])
-			}
-			Scatter(p, sched, data, OpMax)
-			if data[3] != 55 {
-				t.Errorf("after max, data[3] = %v", data[3])
-			}
-		}
-	})
-}
-
-func TestGatherWide(t *testing.T) {
-	const n = 40
-	const width = 3
-	owners := make([]int32, n)
-	for i := range owners {
-		owners[i] = int32(i % 2)
-	}
-	comm.Run(2, costmodel.Uniform(1e-9), func(p *comm.Proc) {
-		tt, ht := buildEnv(p, owners)
-		st := ht.NewStamp()
-		refs := []int32{0, 1, 2, 3, 38, 39}
-		loc := ht.Hash(refs, st)
-		sched := Build(p, ht, st, 0)
-		data := make([]float64, sched.MinLen()*width)
-		for g, o := range owners {
-			if int(o) == p.Rank() {
-				off := int(tt.OffsetOf(g))
-				for c := 0; c < width; c++ {
-					data[off*width+c] = float64(g*10 + c)
-				}
-			}
-		}
-		GatherW(p, sched, data, width)
-		for k, g := range refs {
-			for c := 0; c < width; c++ {
-				if got := data[int(loc[k])*width+c]; got != float64(int(g)*10+c) {
-					t.Errorf("rank %d g=%d comp %d: got %v", p.Rank(), g, c, got)
-				}
-			}
-		}
-	})
 }
 
 func TestIncrementalScheduleFetchesOnlyNew(t *testing.T) {
@@ -245,22 +101,6 @@ func TestScheduleSizes(t *testing.T) {
 				t.Errorf("rank 1 sizes: send=%d fetch=%d", sched.SendSize(0), sched.FetchSize(0))
 			}
 		}
-	})
-}
-
-func TestGatherShortBufferPanics(t *testing.T) {
-	owners := []int32{0, 1}
-	comm.Run(2, costmodel.Uniform(1e-9), func(p *comm.Proc) {
-		_, ht := buildEnv(p, owners)
-		st := ht.NewStamp()
-		ht.Hash([]int32{0, 1}, st)
-		sched := Build(p, ht, st, 0)
-		defer func() {
-			if recover() == nil {
-				t.Error("gather with short buffer did not panic")
-			}
-		}()
-		Gather(p, sched, make([]float64, 0))
 	})
 }
 
@@ -364,17 +204,6 @@ func TestLightScheduleCounts(t *testing.T) {
 	})
 }
 
-func TestBuildLightBadDestPanics(t *testing.T) {
-	comm.Run(1, costmodel.Uniform(1e-9), func(p *comm.Proc) {
-		defer func() {
-			if recover() == nil {
-				t.Error("bad destination did not panic")
-			}
-		}()
-		BuildLight(p, []int32{5})
-	})
-}
-
 func TestLightweightCheaperThanRegular(t *testing.T) {
 	// The headline claim behind Table 4: moving the same records with a
 	// light-weight schedule costs less virtual time than building and using
@@ -420,33 +249,51 @@ func TestLightweightCheaperThanRegular(t *testing.T) {
 	}
 }
 
-func TestScatterMin(t *testing.T) {
-	const n = 16
-	owners := make([]int32, n) // all owned by rank 0
-	comm.Run(2, costmodel.Uniform(1e-9), func(p *comm.Proc) {
-		_, ht := buildEnv(p, owners)
+// TestRefusals: what the transport primitives refuse, each with the message
+// it panics with.
+func TestRefusals(t *testing.T) {
+	comm.Run(1, costmodel.Uniform(1e-9), func(p *comm.Proc) {
+		_, ht := buildEnv(p, []int32{0, 0, 0, 0})
 		st := ht.NewStamp()
-		if p.Rank() == 1 {
-			loc := ht.Hash([]int32{5}, st)
-			sched := Build(p, ht, st, 0)
-			data := make([]float64, sched.MinLen())
-			data[loc[0]] = -2
-			Scatter(p, sched, data, OpMin)
-			data[loc[0]] = 7 // higher than resident: OpMin must keep -2
-			Scatter(p, sched, data, OpMin)
-		} else {
-			ht.Hash(nil, st)
-			sched := Build(p, ht, st, 0)
-			data := make([]float64, 16)
-			data[5] = 3
-			Scatter(p, sched, data, OpMin)
-			if data[5] != -2 {
-				t.Errorf("after first min, data[5] = %v, want -2", data[5])
-			}
-			Scatter(p, sched, data, OpMin)
-			if data[5] != -2 {
-				t.Errorf("after second min, data[5] = %v, want -2", data[5])
+		ht.Hash([]int32{1, 3}, st)
+		sched := Build(p, ht, st, 0)
+		data := make([]float64, sched.MinLen())
+		ls := BuildLight(p, []int32{0, 0})
+		for _, tc := range []struct {
+			name string
+			fn   func()
+			want string
+		}{
+			{"Gather/short buffer", func() { Gather(p, sched, nil) }, "schedule: buffer of 0 elements too short, need 4 (width 1)"},
+			{"ScatterWMulti/short buffer", func() { ScatterWMulti(p, sched, [][]float64{data}, []int{2}, OpAdd) }, "schedule: buffer of 4 elements too short, need 8 (width 2)"},
+			{"GatherWMulti/mismatched lengths", func() { GatherWMulti(p, sched, [][]float64{data}, []int{1, 2}) }, "schedule: 1 buffers with 2 widths"},
+			{"GatherWMulti/zero width", func() { GatherWMulti(p, sched, [][]float64{data}, []int{0}) }, "schedule: buffer 0 has width 0"},
+			{"GatherWMulti/no buffers", func() { GatherWMulti(p, sched, nil, nil) }, "schedule: fused transport of zero buffers"},
+			{"Start/motion in flight", func() {
+				mo := GatherWStart(p, sched, data, 1)
+				defer mo.Wait()
+				ScatterWStart(p, sched, data, 1, OpAdd)
+			}, "schedule: a motion is already in flight on this schedule"},
+			{"BuildLight/bad destination", func() { BuildLight(p, []int32{5}) }, "schedule: append destination 5 out of range [0,1)"},
+			{"MoveI32/length mismatch", func() { ls.MoveI32(p, []int32{0, 0}, make([]int32, 3), 2) }, "schedule: light move with 3 values for 2 items of width 2"},
+			{"MoveF64/length mismatch", func() { ls.MoveF64(p, []int32{0}, make([]float64, 3), 2) }, "schedule: light move with 3 values for 1 items of width 2"},
+			{"FromTranslated/mismatched inputs", func() { FromTranslated(p, 4, make([]int32, 3), make([]int32, 2)) }, "schedule: 3 owners but 2 offsets"},
+		} {
+			if got := panicMessage(tc.fn); !strings.HasPrefix(got, tc.want) {
+				t.Errorf("%s: panicked with %q, want %q", tc.name, got, tc.want)
 			}
 		}
 	})
+}
+
+// panicMessage runs fn and returns the message it panicked with ("" if it
+// returned).
+func panicMessage(fn func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	fn()
+	return ""
 }
