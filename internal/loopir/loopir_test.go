@@ -172,7 +172,37 @@ func TestReduceAppend(t *testing.T) {
 
 // TestRefusals: what the compiled-loop API refuses, each with the message
 // it panics with where the mistake is made (want "" is a case it accepts).
-func TestRefusals(t *testing.T) {
+// The tests after it hold named rows of the same table.
+func TestRefusals(t *testing.T) { refuse(t) }
+
+func TestMisalignedArraysPanic(t *testing.T) {
+	refuse(t, "SumLoop/misaligned arrays", "PairLoop/data on two decompositions")
+}
+
+func TestShareRejectsForeignDecomposition(t *testing.T) {
+	refuse(t, "SumLoop/Share foreign decomposition", "PairLoop/Share foreign decomposition")
+}
+
+func TestPairLoopValidation(t *testing.T) {
+	refuse(t, "PairLoop/CSR list", "PairLoop/two iteration decompositions", "PairLoop/data on two decompositions")
+}
+
+func TestFlatCSRMisusePanics(t *testing.T) { refuse(t, "SetCSR/flat list", "SetFlat/CSR list") }
+
+func TestSetCSRWrongLengthPanics(t *testing.T) {
+	refuse(t, "SetCSR/wrong length", "SetFlat/wrong length")
+}
+
+func TestSetCSRRejectsInconsistentRows(t *testing.T) {
+	refuse(t, "SetCSR/first row not at 0", "SetCSR/decreasing entry", "SetCSR/trailing values",
+		"SetCSR/rows past the values", "SetCSR/empty rows")
+}
+
+func TestRowLoopRejectsSelfPair(t *testing.T) { refuse(t, "NewSumLoopRows/self pair") }
+
+// refuse runs the named rows of the refusal table (none named: every row).
+func refuse(t *testing.T, names ...string) {
+	ran := 0
 	comm.Run(1, costmodel.Uniform(1e-9), func(p *comm.Proc) {
 		prog := NewProgram(p)
 		d1, d2 := prog.Decomposition(4), prog.Decomposition(4)
@@ -210,12 +240,19 @@ func TestRefusals(t *testing.T) {
 			{"SetFlat/CSR list", func() { csr.SetFlat(make([]int32, 4)) }, "loopir: SetFlat on a CSR indirection array"},
 			{"SetFlat/wrong length", func() { flat.SetFlat(make([]int32, 3)) }, "loopir: flat length 3, want 4"},
 		} {
+			if names != nil && !slices.Contains(names, tc.name) {
+				continue
+			}
+			ran++
 			got := panicMessage(tc.fn)
 			if tc.want == "" && got != "" || !strings.HasPrefix(got, tc.want) {
 				t.Errorf("%s: panicked with %q, want %q", tc.name, got, tc.want)
 			}
 		}
 	})
+	if names != nil && ran != len(names) {
+		t.Errorf("%d of the rows %q are in the refusal table", ran, names)
+	}
 }
 
 // TestBoundaryList unit-tests the split-phase interior/boundary

@@ -91,18 +91,6 @@ func (f shape) modes() []mode {
 	return []mode{blocking, overlap, selfsched, both}
 }
 
-// seeds returns the instances a cell runs: the pinned one (-1), plus the
-// random ones on the in-memory columns.
-func (f form) seeds(col commtest.Transport) []int64 {
-	seeds := []int64{-1}
-	if col == commtest.Mem || col == commtest.Fault {
-		for s := range f.trials {
-			seeds = append(seeds, int64(s))
-		}
-	}
-	return seeds
-}
-
 // script is the program every cell runs; list is the version of the global
 // lists in force after the step, and every step ends in an execution with
 // the reduced arrays zeroed. Each step re-inspects exactly once
@@ -568,55 +556,39 @@ func (tl *tally) add(key string, n int) {
 func TestExecutorOracle(t *testing.T) {
 	tl := tally{n: map[string]int{}}
 	t.Run("matrix", func(t *testing.T) {
-		for _, f := range forms {
-			for _, col := range commtest.Transports {
-				for n := 1; n <= 3; n++ {
-					t.Run(fmt.Sprintf("%s/%v/p%d", f.name, col, n), func(t *testing.T) {
-						t.Parallel()
-						if col == commtest.Mem || col == commtest.Fault {
-							tl.add("cells", 1)
-						}
-						for _, seed := range f.seeds(col) {
-							runs := map[runKey]*result{}
-							get := func(s shape, m mode) *result {
-								k := runKey{s, m, col, n, seed}
-								if runs[k] == nil {
-									runs[k] = runScript(t, k)
-								}
-								return runs[k]
-							}
-							for _, m := range f.modes() {
-								label := fmt.Sprintf("%s, seed %d", m.name, seed)
-								got := get(f.shape, m)
-								checkSequential(t, label, f, got)
-								for r, want := range f.pinned[n] {
-									if seed < 0 && col == commtest.Mem && m == blocking && !slices.Equal(got.clocks[r][:len(want)], want) {
-										t.Errorf("rank %d: clocks %#x, pinned %#x", r, got.clocks[r][:len(want)], want)
-									}
-								}
-								compareResults(t, label, f, got, get(f.ref(), blocking))
-								if !f.two {
-									compareTimelines(t, label, got, get(f.ref(), m.timeline()))
-								}
-								for _, s := range got.motion {
-									tl.add("messages", int(s.MsgsSent))
-								}
-								if seed >= 0 && m.overlap {
-									tl.add("split", 1)
-								}
-								if seed >= 0 && m.self {
-									tl.add("self", 1)
-									tl.add("steals in "+f.name, got.steals)
-								}
-							}
-						}
-					})
-				}
-			}
+		for _, col := range commtest.Transports {
+			t.Run(col.String(), func(t *testing.T) {
+				view(t, nil, nil, col, -1, func(c cell) {
+					c.values(0)
+					c.inspections()
+					c.fresh()
+					c.translations()
+					c.pinned()
+					c.matchesRef()
+					c.matchesTimeline()
+					if c.col == commtest.Mem || c.col == commtest.Fault {
+						tl.add("runs", 1)
+					}
+					for _, s := range c.got.motion {
+						tl.add("messages", int(s.MsgsSent))
+					}
+					if c.seed >= 0 && c.m.overlap {
+						tl.add("split", 1)
+					}
+					if c.seed >= 0 && c.m.self {
+						tl.add("self", 1)
+						tl.add("steals in "+c.f.name, c.got.steals)
+					}
+				})
+			})
 		}
 	})
-	if want := len(forms) * 2 * 3; tl.n["cells"] < want {
-		t.Logf("%d of %d mem and fault cells ran: non-vacuity not checked", tl.n["cells"], want)
+	want := 0
+	for _, f := range forms {
+		want += 2 * 3 * len(f.modes()) * (1 + f.trials)
+	}
+	if tl.n["runs"] < want {
+		t.Logf("%d of %d mem and fault runs checked: non-vacuity not checked", tl.n["runs"], want)
 		return
 	}
 	if tl.n["split"] < 200 || tl.n["self"] < 200 {
@@ -628,90 +600,268 @@ func TestExecutorOracle(t *testing.T) {
 	t.Logf("tally: %v", tl.n)
 }
 
-// checkSequential holds a run to the sequential loop and to the script's
-// guard verdicts.
-func checkSequential(t *testing.T, label string, f form, got *result) {
-	t.Helper()
-	in := got.in
+// The tests below are slices of the matrix, each held to one of the
+// contracts TestExecutorOracle checks everywhere: the named forms (nil:
+// every form) in the named modes (nil: each form's modes) on one column
+// over {1,2,3} ranks, the pinned instance plus the given number of random
+// ones on the mem and fault columns.
+
+func TestSumLoopMatchesSequential(t *testing.T) {
+	view(t, []string{"sum-pair", "sum-rows"}, []mode{blocking}, commtest.Mem, 0, func(c cell) { c.values(0) })
+}
+
+func TestSumLoopReusesInspector(t *testing.T) {
+	view(t, []string{"sum-pair"}, []mode{blocking}, commtest.Mem, 0, cell.inspections)
+}
+
+func TestSumLoopAfterRedistributeStillCorrect(t *testing.T) {
+	view(t, []string{"sum-pair"}, nil, commtest.Fault, 0, func(c cell) { c.values(4) })
+}
+
+func TestPairLoopMatchesSequential(t *testing.T) {
+	view(t, []string{"pair"}, nil, commtest.Mem, 0, func(c cell) { c.values(0) })
+}
+
+func TestPairLoopInspectorReuse(t *testing.T) {
+	view(t, []string{"pair"}, nil, commtest.Mem, 0, cell.inspections)
+}
+
+func TestPairLoopAfterIterationRedistribute(t *testing.T) {
+	view(t, []string{"pair"}, nil, commtest.Fault, 0, func(c cell) { c.values(7) })
+}
+
+func TestPairLoopIterationRedistributeKeepsTranslations(t *testing.T) {
+	view(t, []string{"pair", "fused-pair"}, nil, commtest.Mem, 0, cell.translations)
+}
+
+func TestOverlapPropertyBitIdentical(t *testing.T) {
+	view(t, []string{"sum-pair", "sum-rows"}, []mode{overlap, both}, commtest.Fault, 1, matchesBlocking)
+}
+
+func TestOverlapParityTCP(t *testing.T) {
+	view(t, []string{"sum-pair"}, []mode{overlap}, commtest.TCP, 0, matchesBlocking)
+}
+
+func TestOverlapParityDelay(t *testing.T) {
+	view(t, []string{"sum-pair"}, []mode{overlap}, commtest.Delay, 0, matchesBlocking)
+}
+
+func TestSelfSchedPropertyBitIdentical(t *testing.T) {
+	view(t, []string{"sum-pair", "sum-rows"}, []mode{selfsched, both}, commtest.Mem, 1, matchesBlocking)
+}
+
+func TestSharedSchedMatchesUnshared(t *testing.T) {
+	view(t, []string{"shared"}, nil, commtest.Mem, 0, cell.matchesRef)
+}
+
+func TestSharedSchedFusedExecution(t *testing.T) {
+	view(t, []string{"fused-sum", "fused-pair"}, nil, commtest.Mem, 0, cell.matchesRef)
+}
+
+func TestSharedSchedTracksAdaptAndRedistribute(t *testing.T) {
+	view(t, []string{"shared", "fused-sum", "fused-pair"}, nil, commtest.Fault, 0, cell.inspections)
+}
+
+func TestRecycledStorageMatchesFreshAllocation(t *testing.T) {
+	view(t, nil, nil, commtest.Mem, 0, cell.fresh)
+}
+
+func TestPrivateGroupParity(t *testing.T) {
+	view(t, []string{"sum-pair", "pair"}, []mode{blocking}, commtest.Mem, 0, func(c cell) {
+		c.pinned()
+		c.inspections()
+		c.values(0)
+	})
+}
+
+// matchesBlocking holds a mode's run to blocking on the same column: bits
+// and counts, and the virtual timeline.
+func matchesBlocking(c cell) {
+	c.matchesRef()
+	c.matchesTimeline()
+}
+
+// cell is one run of a row on a column, with the runs it is compared with.
+type cell struct {
+	t     *testing.T
+	label string
+	f     form
+	m     mode
+	col   commtest.Transport
+	n     int
+	seed  int64
+	got   *result
+	get   func(shape, mode) *result
+}
+
+// view runs, in parallel with other tests, the named forms (nil: all) in
+// the named modes (nil: each form's modes) on col over {1,2,3} ranks, on
+// the pinned instance and the first trials random ones (-1: the form's own
+// count) on the mem and fault columns, handing every run to check.
+func view(t *testing.T, names []string, modes []mode, col commtest.Transport, trials int, check func(cell)) {
+	t.Parallel()
+	for _, f := range forms {
+		if names != nil && !slices.Contains(names, f.name) {
+			continue
+		}
+		var ms []mode
+		for _, m := range f.modes() {
+			if modes == nil || slices.Contains(modes, m) {
+				ms = append(ms, m)
+			}
+		}
+		seeds, k := []int64{-1}, trials
+		if k < 0 {
+			k = f.trials
+		}
+		for s := range k {
+			if col == commtest.Mem || col == commtest.Fault {
+				seeds = append(seeds, int64(s))
+			}
+		}
+		for n := 1; n <= 3; n++ {
+			t.Run(fmt.Sprintf("%s/p%d", f.name, n), func(t *testing.T) {
+				t.Parallel()
+				for _, seed := range seeds {
+					runs := map[runKey]*result{}
+					get := func(s shape, m mode) *result {
+						k := runKey{s, m, col, n, seed}
+						if runs[k] == nil {
+							runs[k] = runScript(t, k)
+						}
+						return runs[k]
+					}
+					for _, m := range ms {
+						label := fmt.Sprintf("%s, seed %d", m.name, seed)
+						check(cell{t, label, f, m, col, n, seed, get(f.shape, m), get})
+					}
+				}
+			})
+		}
+	}
+}
+
+// values holds the run to the sequential loop from step from on.
+func (c cell) values(from int) {
+	c.t.Helper()
+	in := c.got.in
 	var wants [3][2][]float64 // [list version][loop]
-	for s, st := range script {
-		for a, vals := range got.vals[s] {
+	for s, st := range script[from:] {
+		for a, vals := range c.got.vals[from+s] {
 			want := wants[st.list][a]
 			if want == nil {
-				want = in.sequential(f.shape, a, st.list)
+				want = in.sequential(c.f.shape, a, st.list)
 				wants[st.list][a] = want
 			}
 			for i, v := range vals {
 				w := want[i]
 				if in.exact[i%in.w] && math.Float64bits(v) != math.Float64bits(w) || math.Abs(v-w) > 1e-9 {
-					t.Errorf("%s, %s: loop %d at %d is %v, the sequential loop gives %v", label, st.name, a, i, v, w)
+					c.t.Errorf("%s, %s: loop %d at %d is %v, the sequential loop gives %v", c.label, st.name, a, i, v, w)
 					break
 				}
 			}
 		}
-		for r, insp := range got.insp[s] {
+	}
+}
+
+// inspections holds every rank's inspector runs to the script's verdicts.
+func (c cell) inspections() {
+	c.t.Helper()
+	for s, st := range script {
+		for r, insp := range c.got.insp[s] {
 			if insp != wantInspections[s] {
-				t.Errorf("%s, %s: rank %d has inspected %d times, want %d", label, st.name, r, insp, wantInspections[s])
+				c.t.Errorf("%s, %s: rank %d has inspected %d times, want %d", c.label, st.name, r, insp, wantInspections[s])
 			}
-		}
-	}
-	last := len(script) - 1
-	for a := range got.fresh {
-		if !sameBits(got.fresh[a], got.vals[last][a]) {
-			t.Errorf("%s: loop %d of a fresh program at the final layout differs from the chained program's", label, a)
-		}
-	}
-	if !f.pair {
-		return
-	}
-	// Moving only the iteration decomposition leaves the data distribution,
-	// so the group keeps the translations its hash table caches.
-	for r := range got.tables[last] {
-		before, same, moved := got.tables[last-2][r], got.tables[last-1][r], got.tables[last][r]
-		if same.ht != before.ht || same.translations != before.translations || moved.ht != before.ht || moved.len < same.len {
-			t.Errorf("%s: rank %d: hash table %+v, then %+v and %+v across two iteration redistributions, want the cached translations kept",
-				label, r, before, same, moved)
 		}
 	}
 }
 
-// compareResults holds a row's run to its reference run on the same column:
-// REAL arrays bit for bit, and the executor's data-motion counts — equal,
-// or half the messages for a fused run.
-func compareResults(t *testing.T, label string, f form, got, want *result) {
-	t.Helper()
+// fresh holds a fresh program at the final layout and lists to the chained
+// one, bit for bit.
+func (c cell) fresh() {
+	c.t.Helper()
+	last := len(script) - 1
+	for a := range c.got.fresh {
+		if !sameBits(c.got.fresh[a], c.got.vals[last][a]) {
+			c.t.Errorf("%s: loop %d of a fresh program at the final layout differs from the chained program's", c.label, a)
+		}
+	}
+}
+
+// translations: moving only the iteration decomposition of a pair form
+// leaves the data distribution, so the group keeps the translations its
+// hash table caches.
+func (c cell) translations() {
+	c.t.Helper()
+	if !c.f.pair {
+		return
+	}
+	last := len(script) - 1
+	for r := range c.got.tables[last] {
+		before, same, moved := c.got.tables[last-2][r], c.got.tables[last-1][r], c.got.tables[last][r]
+		if same.ht != before.ht || same.translations != before.translations || moved.ht != before.ht || moved.len < same.len {
+			c.t.Errorf("%s: rank %d: hash table %+v, then %+v and %+v across two iteration redistributions, want the cached translations kept",
+				c.label, r, before, same, moved)
+		}
+	}
+}
+
+// pinned holds the blocking mem run on the pinned instance to the form's
+// pinned clocks.
+func (c cell) pinned() {
+	c.t.Helper()
+	if c.seed >= 0 || c.col != commtest.Mem || c.m != blocking {
+		return
+	}
+	for r, want := range c.f.pinned[c.n] {
+		if !slices.Equal(c.got.clocks[r][:len(want)], want) {
+			c.t.Errorf("rank %d: clocks %#x, pinned %#x", r, c.got.clocks[r][:len(want)], want)
+		}
+	}
+}
+
+// matchesRef holds the run to its reference run on the same column: REAL
+// arrays bit for bit, and the executor's data-motion counts — equal, or
+// half the messages for a fused run.
+func (c cell) matchesRef() {
+	c.t.Helper()
+	got, want := c.got, c.get(c.f.ref(), blocking)
 	for s, st := range script {
 		for a := range want.vals[s] {
 			if !sameBits(got.vals[s][a], want.vals[s][a]) {
-				t.Errorf("%s, %s: loop %d differs from the reference run", label, st.name, a)
+				c.t.Errorf("%s, %s: loop %d differs from the reference run", c.label, st.name, a)
 			}
 		}
 	}
 	for r, wm := range want.motion {
 		gm, half := got.motion[r], int64(1)
-		if f.fused {
+		if c.f.fused {
 			half = 2
 		}
 		if gm.MsgsSent*half != wm.MsgsSent || gm.MsgsRecv*half != wm.MsgsRecv ||
-			!f.fused && (gm.BytesSent != wm.BytesSent || gm.BytesRecv != wm.BytesRecv) {
-			t.Errorf("%s: rank %d data motion %+v, reference %+v", label, r, gm, wm)
+			!c.f.fused && (gm.BytesSent != wm.BytesSent || gm.BytesRecv != wm.BytesRecv) {
+			c.t.Errorf("%s: rank %d data motion %+v, reference %+v", c.label, r, gm, wm)
 		}
 	}
 }
 
-// compareTimelines holds a run to one on the same virtual timeline: every
-// rank's clock after every step, and the run's final clocks and statistics,
-// bit for bit.
-func compareTimelines(t *testing.T, label string, got, want *result) {
-	t.Helper()
+// matchesTimeline holds a one-loop run to the run on its timeline (see
+// mode.timeline): every rank's clock after every step, and the run's final
+// clocks and statistics, bit for bit.
+func (c cell) matchesTimeline() {
+	c.t.Helper()
+	if c.f.two {
+		return
+	}
+	got, want := c.got, c.get(c.f.ref(), c.m.timeline())
 	for r := range want.clocks {
 		if !slices.Equal(got.clocks[r], want.clocks[r]) {
-			t.Errorf("%s: rank %d: clocks %#x, reference %#x", label, r, got.clocks[r], want.clocks[r])
+			c.t.Errorf("%s: rank %d: clocks %#x, reference %#x", c.label, r, got.clocks[r], want.clocks[r])
 		}
 	}
 	for r := range want.rep.Clocks {
 		if math.Float64bits(got.rep.Clocks[r]) != math.Float64bits(want.rep.Clocks[r]) || got.rep.Stats[r] != want.rep.Stats[r] {
-			t.Errorf("%s: rank %d final clock %v stats %+v, reference %v %+v", label, r,
+			c.t.Errorf("%s: rank %d final clock %v stats %+v, reference %v %+v", c.label, r,
 				got.rep.Clocks[r], got.rep.Stats[r], want.rep.Clocks[r], want.rep.Stats[r])
 		}
 	}

@@ -159,8 +159,8 @@ type observed struct {
 
 // runMotions runs every row on one cell, blocking or split-phase, checking
 // each against the sequential gather or scatter.
-func runMotions(t *testing.T, label string, kind ttable.Kind, col commtest.Transport, mc *motionCase, split bool) [][]observed {
-	rows, nprocs := motionRows(), len(mc.refs)
+func runMotions(t *testing.T, label string, rows []motionRow, kind ttable.Kind, col commtest.Transport, mc *motionCase, split bool) [][]observed {
+	nprocs := len(mc.refs)
 	obs := make([][]observed, len(rows)) // [row][rank]
 	for ri := range obs {
 		obs[ri] = make([]observed, nprocs)
@@ -254,39 +254,133 @@ func runMotions(t *testing.T, label string, kind ttable.Kind, col commtest.Trans
 // the same bytes.
 func TestMotionOracle(t *testing.T) {
 	moved := int64(0)
-	for _, kind := range []ttable.Kind{ttable.Replicated, ttable.Distributed} {
-		for _, col := range commtest.Transports {
-			for nprocs := 1; nprocs <= 3; nprocs++ {
-				name := fmt.Sprintf("%s/%v/p%d", [...]string{"replicated", "distributed"}[kind], col, nprocs)
-				t.Run(name, func(t *testing.T) {
-					mc := newMotionCase(nprocs)
-					block := runMotions(t, name+" blocking", kind, col, mc, false)
-					split := runMotions(t, name+" split-phase", kind, col, mc, true)
-					for ri, row := range motionRows() {
-						for r := range nprocs {
-							b, sp := block[ri][r], split[ri][r]
-							sameBits := slices.EqualFunc(sp.data, b.data, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
-							if !sameBits || sp.clock != b.clock || sp.stats != b.stats {
-								t.Errorf("%s: rank %d: split-phase clock %v stats %+v, blocking %v %+v (or the data differ)",
-									row.name, r, sp.clock, sp.stats, b.clock, b.stats)
-							}
-							// Rows come in triples: narrow, wide, both in one message.
-							if ri%3 != 2 {
-								continue
-							}
-							multi, narrow, wide := b.moved, block[ri-2][r].moved, block[ri-1][r].moved
-							if 2*multi.MsgsSent != narrow.MsgsSent+wide.MsgsSent || multi.BytesSent != narrow.BytesSent+wide.BytesSent {
-								t.Errorf("%s: rank %d sent %d messages of %d bytes, the single-array spellings %d + %d messages of %d + %d bytes",
-									row.name, r, multi.MsgsSent, multi.BytesSent, narrow.MsgsSent, wide.MsgsSent, narrow.BytesSent, wide.BytesSent)
-							}
-							moved += multi.MsgsSent
-						}
-					}
-				})
-			}
-		}
+	for _, col := range commtest.Transports {
+		motionView(t, nil, ttable.Distributed, col, func(t *testing.T, rows []motionRow, block, split [][]observed) {
+			splitParity(t, rows, block, split)
+			moved += multiVsSingles(t, rows, block)
+		})
 	}
 	if moved == 0 {
 		t.Error("no spelling moved a message; the oracle is vacuous")
 	}
+}
+
+// The tests below are slices of the matrix: the spellings keep selects on
+// one column, each held to the sequential gather or scatter (runMotions)
+// and to the contract its check names.
+
+func TestGatherDeliversOwnersValues(t *testing.T) {
+	motionView(t, named("Gather"), ttable.Replicated, commtest.Mem, nil)
+}
+
+func TestGatherWide(t *testing.T) {
+	motionView(t, named("GatherW"), ttable.Replicated, commtest.Mem, nil)
+}
+
+func TestScatterAddMatchesSequential(t *testing.T) {
+	motionView(t, named("Scatter/add", "ScatterW/add"), ttable.Replicated, commtest.Mem, nil)
+}
+
+func TestScatterReplaceAndMax(t *testing.T) {
+	motionView(t, named("Scatter/replace", "Scatter/max", "ScatterW/replace", "ScatterW/max"), ttable.Replicated, commtest.Mem, nil)
+}
+
+func TestScatterMin(t *testing.T) {
+	motionView(t, named("Scatter/min", "ScatterW/min"), ttable.Replicated, commtest.Mem, nil)
+}
+
+func TestSplitPhaseParity(t *testing.T) {
+	single := func(row motionRow) bool { return len(row.arrays) == 1 }
+	motionView(t, single, ttable.Replicated, commtest.Mem, splitParity)
+}
+
+func TestSplitPhaseMultiParity(t *testing.T) {
+	multi := func(row motionRow) bool { return len(row.arrays) == 2 }
+	motionView(t, multi, ttable.Replicated, commtest.Mem, splitParity)
+}
+
+func TestMultiGatherBitIdenticalToSingles(t *testing.T) {
+	gather := func(row motionRow) bool { return !row.scatter }
+	motionView(t, gather, ttable.Replicated, commtest.Mem, func(t *testing.T, rows []motionRow, block, _ [][]observed) {
+		multiVsSingles(t, rows, block)
+	})
+}
+
+func TestMultiScatterBitIdenticalToSingles(t *testing.T) {
+	scatter := func(row motionRow) bool { return row.scatter }
+	motionView(t, scatter, ttable.Replicated, commtest.Mem, func(t *testing.T, rows []motionRow, block, _ [][]observed) {
+		multiVsSingles(t, rows, block)
+	})
+}
+
+func TestGhostExchangeUnderFaults(t *testing.T) {
+	motionView(t, nil, ttable.Distributed, commtest.Fault, splitParity)
+}
+
+// named keeps the rows with the given names.
+func named(names ...string) func(motionRow) bool {
+	return func(row motionRow) bool { return slices.Contains(names, row.name) }
+}
+
+// motionView runs the rows keep selects (nil: every row) on col over
+// {1,2,3} ranks, with a replicated translation table and, if kind is
+// distributed, a distributed one too: each row through its blocking
+// spelling and its split-phase twin, both checked against the sequential
+// gather or scatter, then both handed to check (if not nil).
+func motionView(t *testing.T, keep func(motionRow) bool, kind ttable.Kind, col commtest.Transport,
+	check func(t *testing.T, rows []motionRow, block, split [][]observed)) {
+	var rows []motionRow
+	for _, row := range motionRows() {
+		if keep == nil || keep(row) {
+			rows = append(rows, row)
+		}
+	}
+	for k := ttable.Replicated; k <= kind; k++ {
+		for nprocs := 1; nprocs <= 3; nprocs++ {
+			name := fmt.Sprintf("%s/%v/p%d", [...]string{"replicated", "distributed"}[k], col, nprocs)
+			t.Run(name, func(t *testing.T) {
+				mc := newMotionCase(nprocs)
+				block := runMotions(t, name+" blocking", rows, k, col, mc, false)
+				split := runMotions(t, name+" split-phase", rows, k, col, mc, true)
+				if check != nil {
+					check(t, rows, block, split)
+				}
+			})
+		}
+	}
+}
+
+// splitParity holds each split-phase twin to its blocking spelling: data
+// bits, and every rank's virtual clock and statistics after the row.
+func splitParity(t *testing.T, rows []motionRow, block, split [][]observed) {
+	t.Helper()
+	for ri, row := range rows {
+		for r := range block[ri] {
+			b, sp := block[ri][r], split[ri][r]
+			sameBits := slices.EqualFunc(sp.data, b.data, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+			if !sameBits || sp.clock != b.clock || sp.stats != b.stats {
+				t.Errorf("%s: rank %d: split-phase clock %v stats %+v, blocking %v %+v (or the data differ)",
+					row.name, r, sp.clock, sp.stats, b.clock, b.stats)
+			}
+		}
+	}
+}
+
+// multiVsSingles holds each multi-array spelling to the two single-array
+// ones before it (rows come in triples: narrow, wide, both in one message):
+// half the messages, the same bytes. It returns the multi spellings'
+// messages.
+func multiVsSingles(t *testing.T, rows []motionRow, block [][]observed) (moved int64) {
+	t.Helper()
+	for ri := 2; ri < len(rows); ri += 3 {
+		for r := range block[ri] {
+			multi, narrow, wide := block[ri][r].moved, block[ri-2][r].moved, block[ri-1][r].moved
+			if 2*multi.MsgsSent != narrow.MsgsSent+wide.MsgsSent || multi.BytesSent != narrow.BytesSent+wide.BytesSent {
+				t.Errorf("%s: rank %d sent %d messages of %d bytes, the single-array spellings %d + %d messages of %d + %d bytes",
+					rows[ri].name, r, multi.MsgsSent, multi.BytesSent, narrow.MsgsSent, wide.MsgsSent, narrow.BytesSent, wide.BytesSent)
+			}
+			moved += multi.MsgsSent
+		}
+	}
+	return moved
 }

@@ -3,6 +3,7 @@ package schedule
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -250,8 +251,32 @@ func TestLightweightCheaperThanRegular(t *testing.T) {
 }
 
 // TestRefusals: what the transport primitives refuse, each with the message
-// it panics with.
-func TestRefusals(t *testing.T) {
+// it panics with. The tests after it hold named rows of the same table.
+func TestRefusals(t *testing.T) { refuse(t) }
+
+func TestGatherShortBufferPanics(t *testing.T) {
+	refuse(t, "Gather/short buffer", "ScatterWMulti/short buffer")
+}
+
+func TestMultiValidation(t *testing.T) {
+	refuse(t, "ScatterWMulti/short buffer", "GatherWMulti/mismatched lengths", "GatherWMulti/zero width", "GatherWMulti/no buffers")
+}
+
+func TestMotionInFlightPanic(t *testing.T) { refuse(t, "Start/motion in flight") }
+
+func TestBuildLightBadDestPanics(t *testing.T) { refuse(t, "BuildLight/bad destination") }
+
+func TestMoveI32LengthMismatchPanics(t *testing.T) { refuse(t, "MoveI32/length mismatch") }
+
+func TestMoveF64LengthMismatchPanics(t *testing.T) { refuse(t, "MoveF64/length mismatch") }
+
+func TestFromTranslatedMismatchedInputsPanic(t *testing.T) {
+	refuse(t, "FromTranslated/mismatched inputs")
+}
+
+// refuse runs the named rows of the refusal table (none named: every row).
+func refuse(t *testing.T, names ...string) {
+	ran := 0
 	comm.Run(1, costmodel.Uniform(1e-9), func(p *comm.Proc) {
 		_, ht := buildEnv(p, []int32{0, 0, 0, 0})
 		st := ht.NewStamp()
@@ -279,11 +304,18 @@ func TestRefusals(t *testing.T) {
 			{"MoveF64/length mismatch", func() { ls.MoveF64(p, []int32{0}, make([]float64, 3), 2) }, "schedule: light move with 3 values for 1 items of width 2"},
 			{"FromTranslated/mismatched inputs", func() { FromTranslated(p, 4, make([]int32, 3), make([]int32, 2)) }, "schedule: 3 owners but 2 offsets"},
 		} {
+			if names != nil && !slices.Contains(names, tc.name) {
+				continue
+			}
+			ran++
 			if got := panicMessage(tc.fn); !strings.HasPrefix(got, tc.want) {
 				t.Errorf("%s: panicked with %q, want %q", tc.name, got, tc.want)
 			}
 		}
 	})
+	if names != nil && ran != len(names) {
+		t.Errorf("%d of the rows %q are in the refusal table", ran, names)
+	}
 }
 
 // panicMessage runs fn and returns the message it panicked with ("" if it
