@@ -28,27 +28,33 @@ const (
 	Fault
 	// Delay is the in-memory mesh with Latency of real wire time per frame
 	// (comm.DelayTransport): split-phase executors really compute while
-	// frames are in flight.
+	// frames are in flight, and Outcome.InFlight counts the receives that
+	// had to wait for the wire.
 	Delay
 	// TCP is a loopback socket mesh; Run skips it under -short.
 	TCP
+	// FaultTCP is the loopback socket mesh under FaultPlan; Run skips it
+	// under -short.
+	FaultTCP
 )
 
 // Transports lists every column.
-var Transports = []Transport{Mem, Fault, Delay, TCP}
+var Transports = []Transport{Mem, Fault, Delay, TCP, FaultTCP}
 
 func (k Transport) String() string {
-	return [...]string{"mem", "fault", "delay", "tcp"}[k]
+	return [...]string{"mem", "fault", "delay", "tcp", "fault-tcp"}[k]
 }
 
-// FaultPlan drops (with retries), duplicates, reorders and delays frames.
-// Its decisions are pure functions of per-link sequence numbers, so two
-// programs that send the same frames see the same faults and the same
-// virtual clocks: if a mode reordered or renumbered a single frame, its
-// clocks would diverge from blocking.
+// FaultPlan duplicates and reorders aggressively — about a third of the
+// frames each — and drops (with retries) and delays some. Its decisions are
+// pure functions of per-link sequence numbers, so two programs that send the
+// same frames see the same faults and the same virtual clocks: if a mode
+// reordered or renumbered a single frame, its clocks would diverge from
+// blocking. Duplicates and reorders leave virtual time alone, so a
+// divergence they cause is a delivery bug.
 var FaultPlan = fault.Plan{Seed: 9, Link: fault.LinkFaults{
 	DropProb: 0.03, RetryDelay: 2e-5,
-	DupProb: 0.03, ReorderProb: 0.05,
+	DupProb: 0.3, ReorderProb: 0.35,
 	DelayProb: 0.1, MaxDelay: 1e-5,
 }}
 
@@ -64,9 +70,17 @@ const Deadline = 2 * time.Minute
 // New returns a fresh transport of kind k connecting n ranks.
 func (k Transport) New(n int) (comm.Transport, error) {
 	switch k {
-	case Fault:
+	case Fault, FaultTCP:
+		var inner comm.Transport = comm.NewMemTransport(n)
+		if k == FaultTCP {
+			mesh, err := comm.NewTCPMesh(n)
+			if err != nil {
+				return nil, err
+			}
+			inner = mesh
+		}
 		plan := FaultPlan
-		return fault.Wrap(comm.NewMemTransport(n), n, &plan), nil
+		return fault.Wrap(inner, n, &plan), nil
 	case Delay:
 		return comm.NewDelayTransport(comm.NewMemTransport(n), Latency), nil
 	case TCP:
@@ -76,63 +90,143 @@ func (k Transport) New(n int) (comm.Transport, error) {
 	}
 }
 
-// Run runs body on n ranks of machine m over a new transport of kind k and
-// returns the report. A run still going after Deadline fails t with label
-// and every rank's pending receive. Under -short the TCP column is skipped.
-func Run(t testing.TB, label string, k Transport, n int, m *costmodel.Machine, body func(*comm.Proc)) *comm.Report {
+// Skip skips t on a column that -short leaves out: the real sockets.
+func Skip(t testing.TB, k Transport) {
 	t.Helper()
-	if k == TCP && testing.Short() {
+	if (k == TCP || k == FaultTCP) && testing.Short() {
 		t.Skip("real sockets in -short mode")
 	}
-	tr, err := k.New(n)
-	if err != nil {
-		t.Fatalf("%s: %v transport: %v", label, k, err)
-	}
-	rep, err := run(Deadline, tr, n, m, body)
+}
+
+// Outcome is a finished run: the runner's report and, on the Delay column,
+// how many receives of each tag began while their frame was still on the
+// wire — each of them waited for the wire.
+type Outcome struct {
+	*comm.Report
+	InFlight map[int]int
+}
+
+// Run runs body on n ranks of machine m over a new transport of kind k. A
+// run still going after Deadline fails t with label and every rank's
+// pending receive. Under -short the socket columns are skipped.
+func Run(t testing.TB, label string, k Transport, n int, m *costmodel.Machine, body func(*comm.Proc)) Outcome {
+	t.Helper()
+	Skip(t, k)
+	out, err := Try(k, n, m, body)
 	if err != nil {
 		t.Fatalf("%s over %v on %d ranks: %v", label, k, n, err)
 	}
-	return rep
+	return out
 }
 
-// run is Run with the deadline as a parameter: a hung run returns an error
-// listing the pending receives rather than the peer-failure panic the
-// poisoning raises.
-func run(deadline time.Duration, tr comm.Transport, n int, m *costmodel.Machine, body func(*comm.Proc)) (rep *comm.Report, err error) {
-	w := &watched{Transport: tr, pending: make([]recvKey, n)}
+// Try is Run returning an error instead of failing a test, for callers that
+// share one run among several tests: the transport could not be built, or
+// the run hung.
+func Try(k Transport, n int, m *costmodel.Machine, body func(*comm.Proc)) (Outcome, error) {
+	tr, err := k.New(n)
+	if err != nil {
+		return Outcome{}, fmt.Errorf("%v transport: %w", k, err)
+	}
+	var latency time.Duration
+	if k == Delay {
+		latency = Latency
+	}
+	return run(Deadline, tr, latency, n, m, body)
+}
+
+// run is Try with the deadline and the wire latency (0: not counted) as
+// parameters: a hung run returns an error listing the pending receives
+// rather than the peer-failure panic the poisoning raises.
+func run(deadline time.Duration, tr comm.Transport, latency time.Duration, n int, m *costmodel.Machine, body func(*comm.Proc)) (out Outcome, err error) {
+	w := &watched{Transport: tr, pending: make([]recvKey, n), latency: latency}
 	for r := range w.pending {
 		w.pending[r].from = -1
+	}
+	if latency > 0 {
+		w.sent, w.inFlight = map[[3]int][]time.Time{}, map[int]int{}
 	}
 	timer := time.AfterFunc(deadline, w.expire)
 	defer timer.Stop()
 	defer func() {
 		if e := recover(); e != nil {
 			if hung := w.hung(); hung != "" {
-				rep, err = nil, fmt.Errorf("no progress within %v; pending receives: %s", deadline, hung)
+				out, err = Outcome{}, fmt.Errorf("no progress within %v; pending receives: %s", deadline, hung)
 				return
 			}
 			panic(e)
 		}
 	}()
-	return comm.RunTransport(n, m, w, body), nil
+	rep := comm.RunTransport(n, m, w, body)
+	return Outcome{rep, w.inFlight}, nil
+}
+
+// Memo holds deterministic runs by key, so a matrix and the named tests
+// that slice it share each run: the first caller of a key runs it, later
+// ones wait for its result.
+type Memo[K comparable, V any] struct{ m sync.Map }
+
+type memoEntry[V any] struct {
+	once sync.Once
+	v    V
+	err  error
+}
+
+// Get returns the result of run for k, running it on first use.
+func (c *Memo[K, V]) Get(k K, run func() (V, error)) (V, error) {
+	e, _ := c.m.LoadOrStore(k, new(memoEntry[V]))
+	me := e.(*memoEntry[V])
+	me.once.Do(func() { me.v, me.err = run() })
+	return me.v, me.err
 }
 
 // recvKey is the (from, tag) a rank's receive waits on; from < 0 when idle.
 type recvKey struct{ from, tag int }
 
 // watched decorates a transport with each rank's pending receive, forwarding
-// the poisoning and rank-completion hooks the runners use.
+// the poisoning and rank-completion hooks the runners use. With a latency
+// it also stamps every frame's send time per (from, to, tag), which the
+// wire keeps in FIFO order, to count the receives begun before their frame
+// could have arrived.
 type watched struct {
 	comm.Transport
-	mu      sync.Mutex
-	pending []recvKey
-	report  string // set by expire
+	mu       sync.Mutex
+	pending  []recvKey
+	report   string // set by expire
+	latency  time.Duration
+	sent     map[[3]int][]time.Time
+	inFlight map[int]int
+}
+
+func (w *watched) Send(m comm.Message) {
+	if w.sent != nil {
+		k := [3]int{m.From, m.To, m.Tag}
+		w.mu.Lock()
+		w.sent[k] = append(w.sent[k], time.Now()) // chaosvet:ignore determinism — times the real wire, not the program
+		w.mu.Unlock()
+	}
+	w.Transport.Send(m)
 }
 
 func (w *watched) Recv(self, from, tag int) comm.Message {
 	w.set(self, recvKey{from, tag})
 	defer w.set(self, recvKey{from: -1})
-	return w.Transport.Recv(self, from, tag)
+	var begun time.Time
+	if w.sent != nil {
+		begun = time.Now() // chaosvet:ignore determinism — times the real wire, not the program
+	}
+	m := w.Transport.Recv(self, from, tag)
+	if w.sent != nil {
+		k := [3]int{from, self, tag}
+		w.mu.Lock()
+		if q := w.sent[k]; len(q) > 0 {
+			if begun.Sub(q[0]) < w.latency {
+				w.inFlight[tag]++
+			}
+			w.sent[k] = q[1:]
+		}
+		w.mu.Unlock()
+	}
+	return m
 }
 
 func (w *watched) set(rank int, k recvKey) {

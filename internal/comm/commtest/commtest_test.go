@@ -2,6 +2,8 @@ package commtest
 
 import (
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,7 +20,7 @@ func TestWatchdogNamesPendingReceives(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = run(50*time.Millisecond, tr, 3, costmodel.Uniform(1e-9), func(p *comm.Proc) {
+		_, err = run(50*time.Millisecond, tr, 0, 3, costmodel.Uniform(1e-9), func(p *comm.Proc) {
 			if p.Rank() < 2 {
 				p.RecvF64(1-p.Rank(), 7+p.Rank())
 			}
@@ -33,15 +35,9 @@ func TestWatchdogNamesPendingReceives(t *testing.T) {
 // TestRunPassesThroughHealthyRuns: a run that completes returns its report,
 // and a rank's own panic is not mistaken for a hang.
 func TestRunPassesThroughHealthyRuns(t *testing.T) {
-	rep := Run(t, "ping", Mem, 2, costmodel.Uniform(1e-9), func(p *comm.Proc) {
-		if p.Rank() == 0 {
-			p.SendF64(1, 3, []float64{1})
-		} else {
-			p.RecvF64(0, 3)
-		}
-	})
-	if rep.TotalMsgsSent() != 1 {
-		t.Errorf("report counts %d messages, want 1", rep.TotalMsgsSent())
+	rep := Run(t, "ping", Mem, 2, costmodel.Uniform(1e-9), ping)
+	if rep.TotalMsgsSent() != 1 || rep.InFlight != nil {
+		t.Errorf("report counts %d messages, %v in flight, want 1 and none counted", rep.TotalMsgsSent(), rep.InFlight)
 	}
 	defer func() {
 		if e := recover(); e == nil || !strings.Contains(e.(string), "boom") {
@@ -49,5 +45,53 @@ func TestRunPassesThroughHealthyRuns(t *testing.T) {
 		}
 	}()
 	tr, _ := Mem.New(1)
-	run(time.Minute, tr, 1, costmodel.Uniform(1e-9), func(*comm.Proc) { panic("boom") })
+	run(time.Minute, tr, 0, 1, costmodel.Uniform(1e-9), func(*comm.Proc) { panic("boom") })
+}
+
+func ping(p *comm.Proc) {
+	if p.Rank() == 0 {
+		p.SendF64(1, 3, []float64{1})
+	} else {
+		p.RecvF64(0, 3)
+	}
+}
+
+// TestInFlightCountsWaitsForTheWire: on a wire with latency, a receive
+// begun at once waits for the frame; one begun after the frame arrived
+// does not.
+func TestInFlightCountsWaitsForTheWire(t *testing.T) {
+	const latency = 20 * time.Millisecond
+	for _, late := range []bool{false, true} {
+		tr := comm.NewDelayTransport(comm.NewMemTransport(2), latency)
+		out, err := run(time.Minute, tr, latency, 2, costmodel.Uniform(1e-9), func(p *comm.Proc) {
+			if late && p.Rank() == 1 {
+				time.Sleep(3 * latency)
+			}
+			ping(p)
+		})
+		if want := map[bool]int{false: 1, true: 0}[late]; err != nil || out.InFlight[3] != want {
+			t.Errorf("receive begun late=%v: %v in flight (err %v), want %d of tag 3", late, out.InFlight, err, want)
+		}
+	}
+}
+
+// TestMemoRunsEachKeyOnce: concurrent callers of one key share one run.
+func TestMemoRunsEachKeyOnce(t *testing.T) {
+	var memo Memo[int, int]
+	var calls atomic.Int32
+	var wg sync.WaitGroup
+	for i := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, err := memo.Get(i%2, func() (int, error) { return int(calls.Add(1)), nil })
+			if err != nil || v < 1 || v > 2 {
+				t.Errorf("key %d: %d, %v", i%2, v, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if calls.Load() != 2 {
+		t.Errorf("%d runs for two keys, want 2", calls.Load())
+	}
 }

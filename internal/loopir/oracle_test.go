@@ -91,6 +91,15 @@ func (f shape) modes() []mode {
 	return []mode{blocking, overlap, selfsched, both}
 }
 
+// ranks returns the rank counts of the form's cells on col: 1 to 3, and 4
+// for a lone SumLoop on the mem column.
+func (f shape) ranks(col commtest.Transport) []int {
+	if col == commtest.Mem && len(f.modes()) > 1 {
+		return []int{1, 2, 3, 4}
+	}
+	return []int{1, 2, 3}
+}
+
 // script is the program every cell runs; list is the version of the global
 // lists in force after the step, and every step ends in an execution with
 // the reduced arrays zeroed. Each step re-inspects exactly once
@@ -287,7 +296,7 @@ type oloop interface {
 
 // trial is a row's program on one rank.
 type trial struct {
-	t           *testing.T
+	errorf      func(format string, args ...any)
 	p           *comm.Proc
 	in          *instance
 	data, iters *Decomposition // the same for sum forms
@@ -302,10 +311,11 @@ type trial struct {
 	handed, kept [][]int32
 }
 
-// build compiles form f in mode m over list version v of in.
-func build(t *testing.T, p *comm.Proc, f shape, m mode, in *instance, v int) *trial {
+// build compiles form f in mode m over list version v of in; errorf
+// reports what the program does wrong.
+func build(errorf func(string, ...any), p *comm.Proc, f shape, m mode, in *instance, v int) *trial {
 	prog := NewProgram(p)
-	tr := &trial{t: t, p: p, in: in, data: prog.Decomposition(in.n)}
+	tr := &trial{errorf: errorf, p: p, in: in, data: prog.Decomposition(in.n)}
 	tr.iters = tr.data
 	if f.pair {
 		tr.iters = prog.Decomposition(in.nb)
@@ -413,7 +423,7 @@ func (tr *trial) redistribute() {
 	tr.data.Redistribute(spread(tr.data, mul, tr.p))
 	for _, v := range stale {
 		if !math.IsNaN(v) {
-			tr.t.Errorf("rank %d: a Local() slice from before Redistribute still reads %v", tr.p.Rank(), v)
+			tr.errorf("rank %d: a Local() slice from before Redistribute still reads %v", tr.p.Rank(), v)
 			break
 		}
 	}
@@ -444,7 +454,15 @@ type result struct {
 	tables [][]tableState
 	motion []comm.Stats // [rank] the loops' DataMotion, summed
 	steals int          // steal plan sizes seen on rank 0, summed over steps
-	rep    *comm.Report
+	rep    commtest.Outcome
+	mu     sync.Mutex
+	errs   []string // what the ranks saw the program do wrong
+}
+
+func (r *result) errorf(format string, args ...any) {
+	r.mu.Lock()
+	r.errs = append(r.errs, fmt.Sprintf(format, args...))
+	r.mu.Unlock()
 }
 
 func (r *result) record(s int, tr *trial) {
@@ -479,8 +497,40 @@ type runKey struct {
 	seed int64
 }
 
-func runScript(t *testing.T, k runKey) *result {
+func (k runKey) String() string {
+	return fmt.Sprintf("%+v %s over %v on %d ranks, seed %d", k.f, k.m.name, k.col, k.n, k.seed)
+}
+
+// runs shares each run of the script between the matrix and its slices.
+var runs commtest.Memo[runKey, *result]
+
+// memoRun returns run k, failing t with what the run saw go wrong.
+func memoRun(t *testing.T, k runKey) *result {
+	t.Helper()
+	commtest.Skip(t, k.col)
+	r, err := runs.Get(k, func() (*result, error) { return runScript(k) })
+	if err != nil {
+		t.Fatalf("%v: %v", k, err)
+	}
+	for _, err := range r.errs {
+		t.Errorf("%v: %s", k, err)
+	}
+	return r
+}
+
+// steps is how much of the script run k takes: all of it on the pinned
+// instance, the first executions and list edit on a random one (what the
+// property tests the oracle replaced ran on theirs).
+func (k runKey) steps() int {
+	if k.seed < 0 {
+		return len(script)
+	}
+	return 3
+}
+
+func runScript(k runKey) (*result, error) {
 	in := newInstance(k.f, k.seed)
+	steps := script[:k.steps()]
 	nl := 1
 	if k.f.two {
 		nl = 2
@@ -493,18 +543,21 @@ func runScript(t *testing.T, k runKey) *result {
 		}
 		return g
 	}
-	for range script {
+	for range steps {
 		r.vals = append(r.vals, grid())
 		r.insp = append(r.insp, make([]int, k.n))
 		r.tables = append(r.tables, make([]tableState, k.n))
 	}
-	r.fresh = grid()
-	for range k.n {
-		r.clocks = append(r.clocks, make([]uint64, len(script)))
+	if len(steps) == len(script) {
+		r.fresh = grid()
 	}
-	r.rep = commtest.Run(t, fmt.Sprintf("%+v %s seed %d", k.f, k.m.name, k.seed), k.col, k.n, costmodel.IPSC860(), func(p *comm.Proc) {
-		tr := build(t, p, k.f, k.m, in, 0)
-		for s, st := range script {
+	for range k.n {
+		r.clocks = append(r.clocks, make([]uint64, len(steps)))
+	}
+	var err error
+	r.rep, err = commtest.Try(k.col, k.n, costmodel.IPSC860(), func(p *comm.Proc) {
+		tr := build(r.errorf, p, k.f, k.m, in, 0)
+		for s, st := range steps {
 			if st.do != nil {
 				st.do(tr)
 			}
@@ -513,13 +566,16 @@ func runScript(t *testing.T, k runKey) *result {
 		}
 		for i := range tr.handed {
 			if !slices.Equal(tr.handed[i], tr.kept[i]) {
-				t.Errorf("rank %d: loopir wrote an array it was handed through SetCSR/SetFlat", p.Rank())
+				r.errorf("rank %d: loopir wrote an array it was handed through SetCSR/SetFlat", p.Rank())
 			}
 		}
 		for _, l := range tr.loops {
 			r.motion[p.Rank()].Add(l.DataMotion())
 		}
-		fresh := build(t, p, k.f, k.m, in, 2)
+		if r.fresh == nil {
+			return
+		}
+		fresh := build(r.errorf, p, k.f, k.m, in, 2)
 		if k.f.pair {
 			fresh.data.Redistribute(spread(fresh.data, 7, p))
 		}
@@ -529,7 +585,7 @@ func runScript(t *testing.T, k runKey) *result {
 			scatterByGlobal(r.fresh[a], out)
 		}
 	})
-	return r
+	return r, err
 }
 
 // tally counts, across the concurrent cells, the randomized comparisons
@@ -551,8 +607,9 @@ func (tl *tally) add(key string, n int) {
 // for a fused run); for a mode or a row body, also every rank's virtual
 // clock after every step and the run's statistics (mode.timeline).
 // Inspections follow wantInspections, a fresh program equals the chained
-// one, and the pinned clocks hold. A cell is a form on one column; its rows
-// are the form's modes.
+// one, the pinned clocks hold, and on the delay column some split-phase Wait
+// waits for the wire. A cell is a form on one column; its rows are the
+// form's modes.
 func TestExecutorOracle(t *testing.T) {
 	tl := tally{n: map[string]int{}}
 	t.Run("matrix", func(t *testing.T) {
@@ -566,6 +623,7 @@ func TestExecutorOracle(t *testing.T) {
 					c.pinned()
 					c.matchesRef()
 					c.matchesTimeline()
+					c.waited()
 					if c.col == commtest.Mem || c.col == commtest.Fault {
 						tl.add("runs", 1)
 					}
@@ -585,7 +643,9 @@ func TestExecutorOracle(t *testing.T) {
 	})
 	want := 0
 	for _, f := range forms {
-		want += 2 * 3 * len(f.modes()) * (1 + f.trials)
+		for _, col := range []commtest.Transport{commtest.Mem, commtest.Fault} {
+			want += len(f.ranks(col)) * len(f.modes()) * (1 + f.trials)
+		}
 	}
 	if tl.n["runs"] < want {
 		t.Logf("%d of %d mem and fault runs checked: non-vacuity not checked", tl.n["runs"], want)
@@ -603,8 +663,9 @@ func TestExecutorOracle(t *testing.T) {
 // The tests below are slices of the matrix, each held to one of the
 // contracts TestExecutorOracle checks everywhere: the named forms (nil:
 // every form) in the named modes (nil: each form's modes) on one column
-// over {1,2,3} ranks, the pinned instance plus the given number of random
-// ones on the mem and fault columns.
+// over the form's rank counts (shape.ranks), the pinned instance plus the
+// given number of random ones on the mem and fault columns. They share
+// their runs with the matrix (see memoRun).
 
 func TestSumLoopMatchesSequential(t *testing.T) {
 	view(t, []string{"sum-pair", "sum-rows"}, []mode{blocking}, commtest.Mem, 0, func(c cell) { c.values(0) })
@@ -643,7 +704,10 @@ func TestOverlapParityTCP(t *testing.T) {
 }
 
 func TestOverlapParityDelay(t *testing.T) {
-	view(t, []string{"sum-pair"}, []mode{overlap}, commtest.Delay, 0, matchesBlocking)
+	view(t, []string{"sum-pair"}, []mode{overlap}, commtest.Delay, 0, func(c cell) {
+		matchesBlocking(c)
+		c.waited()
+	})
 }
 
 func TestSelfSchedPropertyBitIdentical(t *testing.T) {
@@ -695,9 +759,10 @@ type cell struct {
 }
 
 // view runs, in parallel with other tests, the named forms (nil: all) in
-// the named modes (nil: each form's modes) on col over {1,2,3} ranks, on
-// the pinned instance and the first trials random ones (-1: the form's own
-// count) on the mem and fault columns, handing every run to check.
+// the named modes (nil: each form's modes) on col over the form's rank
+// counts, on the pinned instance and the first trials random ones (-1: the
+// form's own count) on the mem and fault columns, handing every run to
+// check.
 func view(t *testing.T, names []string, modes []mode, col commtest.Transport, trials int, check func(cell)) {
 	t.Parallel()
 	for _, f := range forms {
@@ -719,18 +784,11 @@ func view(t *testing.T, names []string, modes []mode, col commtest.Transport, tr
 				seeds = append(seeds, int64(s))
 			}
 		}
-		for n := 1; n <= 3; n++ {
+		for _, n := range f.ranks(col) {
 			t.Run(fmt.Sprintf("%s/p%d", f.name, n), func(t *testing.T) {
 				t.Parallel()
 				for _, seed := range seeds {
-					runs := map[runKey]*result{}
-					get := func(s shape, m mode) *result {
-						k := runKey{s, m, col, n, seed}
-						if runs[k] == nil {
-							runs[k] = runScript(t, k)
-						}
-						return runs[k]
-					}
+					get := func(s shape, m mode) *result { return memoRun(t, runKey{s, m, col, n, seed}) }
 					for _, m := range ms {
 						label := fmt.Sprintf("%s, seed %d", m.name, seed)
 						check(cell{t, label, f, m, col, n, seed, get(f.shape, m), get})
@@ -746,8 +804,9 @@ func (c cell) values(from int) {
 	c.t.Helper()
 	in := c.got.in
 	var wants [3][2][]float64 // [list version][loop]
-	for s, st := range script[from:] {
-		for a, vals := range c.got.vals[from+s] {
+	for s := from; s < len(c.got.vals); s++ {
+		st := script[s]
+		for a, vals := range c.got.vals[s] {
 			want := wants[st.list][a]
 			if want == nil {
 				want = in.sequential(c.f.shape, a, st.list)
@@ -767,17 +826,17 @@ func (c cell) values(from int) {
 // inspections holds every rank's inspector runs to the script's verdicts.
 func (c cell) inspections() {
 	c.t.Helper()
-	for s, st := range script {
-		for r, insp := range c.got.insp[s] {
+	for s, insps := range c.got.insp {
+		for r, insp := range insps {
 			if insp != wantInspections[s] {
-				c.t.Errorf("%s, %s: rank %d has inspected %d times, want %d", c.label, st.name, r, insp, wantInspections[s])
+				c.t.Errorf("%s, %s: rank %d has inspected %d times, want %d", c.label, script[s].name, r, insp, wantInspections[s])
 			}
 		}
 	}
 }
 
 // fresh holds a fresh program at the final layout and lists to the chained
-// one, bit for bit.
+// one, bit for bit (a run of the whole script).
 func (c cell) fresh() {
 	c.t.Helper()
 	last := len(script) - 1
@@ -793,7 +852,7 @@ func (c cell) fresh() {
 // hash table caches.
 func (c cell) translations() {
 	c.t.Helper()
-	if !c.f.pair {
+	if !c.f.pair || len(c.got.tables) < len(script) {
 		return
 	}
 	last := len(script) - 1
@@ -826,10 +885,10 @@ func (c cell) pinned() {
 func (c cell) matchesRef() {
 	c.t.Helper()
 	got, want := c.got, c.get(c.f.ref(), blocking)
-	for s, st := range script {
-		for a := range want.vals[s] {
-			if !sameBits(got.vals[s][a], want.vals[s][a]) {
-				c.t.Errorf("%s, %s: loop %d differs from the reference run", c.label, st.name, a)
+	for s, vals := range want.vals {
+		for a := range vals {
+			if !sameBits(got.vals[s][a], vals[a]) {
+				c.t.Errorf("%s, %s: loop %d differs from the reference run", c.label, script[s].name, a)
 			}
 		}
 	}
@@ -864,6 +923,20 @@ func (c cell) matchesTimeline() {
 			c.t.Errorf("%s: rank %d final clock %v stats %+v, reference %v %+v", c.label, r,
 				got.rep.Clocks[r], got.rep.Stats[r], want.rep.Clocks[r], want.rep.Stats[r])
 		}
+	}
+}
+
+// waited holds a split-phase run on the Delay column to its point: some
+// Wait found its frame still on the wire. The gather and scatter receives
+// (schedule's tags 101 and 102) of an overlap run are issued in Wait, after
+// the interior window.
+func (c cell) waited() {
+	c.t.Helper()
+	if c.col != commtest.Delay || !c.m.overlap || c.n < 2 {
+		return
+	}
+	if fl := c.got.rep.InFlight; fl[101]+fl[102] == 0 {
+		c.t.Errorf("%s: no gather or scatter receive began with its frame on the wire (%v): no Wait waited", c.label, fl)
 	}
 }
 

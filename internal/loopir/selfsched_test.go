@@ -102,7 +102,7 @@ func TestAdaptSteadyStateAllocs(t *testing.T) {
 			got := make([]float64, tc.nprocs)
 			steals := 0
 			comm.Run(tc.nprocs, costmodel.Uniform(1e-9), func(p *comm.Proc) {
-				tr := build(t, p, s, tc.m, in, 0)
+				tr := build(t.Errorf, p, s, tc.m, in, 0)
 				for range 5 {
 					tr.exec()
 				}

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/comm"
@@ -157,18 +159,65 @@ type observed struct {
 	stats, moved comm.Stats
 }
 
+// motionKey names one run of every row: a cell, blocking or split-phase.
+type motionKey struct {
+	kind   ttable.Kind
+	col    commtest.Transport
+	nprocs int
+	split  bool
+}
+
+func (k motionKey) String() string {
+	return fmt.Sprintf("%s/%v/p%d split-phase %v", [...]string{"replicated", "distributed"}[k.kind], k.col, k.nprocs, k.split)
+}
+
+// motionRun is what one run saw of each row, and what it saw go wrong.
+type motionRun struct {
+	obs  [][]observed // [row][rank]
+	mu   sync.Mutex
+	errs [][]string // [row]
+}
+
+func (mr *motionRun) errorf(ri int, format string, args ...any) {
+	mr.mu.Lock()
+	mr.errs[ri] = append(mr.errs[ri], fmt.Sprintf(format, args...))
+	mr.mu.Unlock()
+}
+
+// motionRuns shares each run between the matrix and its slices.
+var motionRuns commtest.Memo[motionKey, *motionRun]
+
+// motions returns run k's observations of the rows keep selects (indices
+// into motionRows), failing t with what went wrong in them.
+func motions(t *testing.T, k motionKey, keep []int) [][]observed {
+	t.Helper()
+	commtest.Skip(t, k.col)
+	mr, err := motionRuns.Get(k, func() (*motionRun, error) { return runMotions(k) })
+	if err != nil {
+		t.Fatalf("%v: %v", k, err)
+	}
+	var obs [][]observed
+	for _, ri := range keep {
+		for _, err := range mr.errs[ri] {
+			t.Errorf("%v: %s", k, err)
+		}
+		obs = append(obs, mr.obs[ri])
+	}
+	return obs
+}
+
 // runMotions runs every row on one cell, blocking or split-phase, checking
 // each against the sequential gather or scatter.
-func runMotions(t *testing.T, label string, rows []motionRow, kind ttable.Kind, col commtest.Transport, mc *motionCase, split bool) [][]observed {
-	nprocs := len(mc.refs)
-	obs := make([][]observed, len(rows)) // [row][rank]
-	for ri := range obs {
-		obs[ri] = make([]observed, nprocs)
+func runMotions(k motionKey) (*motionRun, error) {
+	rows, mc, nprocs := motionRows(), newMotionCase(k.nprocs), k.nprocs
+	mr := &motionRun{obs: make([][]observed, len(rows)), errs: make([][]string, len(rows))}
+	for ri := range mr.obs {
+		mr.obs[ri] = make([]observed, nprocs)
 	}
-	commtest.Run(t, label, col, nprocs, costmodel.Uniform(2e-8), func(p *comm.Proc) {
+	_, err := commtest.Try(k.col, nprocs, costmodel.Uniform(2e-8), func(p *comm.Proc) {
 		me := p.Rank()
 		lo, hi := me*len(mc.owners)/nprocs, (me+1)*len(mc.owners)/nprocs
-		tt := ttable.Build(p, kind, mc.owners[lo:hi])
+		tt := ttable.Build(p, k.kind, mc.owners[lo:hi])
 		ht := hashtab.New(p, tt)
 		st := ht.NewStamp()
 		loc := ht.Hash(mc.refs[me], st)
@@ -209,14 +258,14 @@ func runMotions(t *testing.T, label string, rows []motionRow, kind ttable.Kind, 
 						if row.scatter && row.op == OpAdd {
 							data[b][i] += 0.25
 						} else if math.IsNaN(data[b][i]) {
-							t.Errorf("%s, %s: owned slot %d reads NaN", label, row.name, i)
+							mr.errorf(ri, "%s: owned slot %d reads NaN", row.name, i)
 						}
 					}
 				}
 			}
 			before := p.Stats()
-			row.move(p, s, data, split, window)
-			obs[ri][me] = observed{slices.Concat(data[0], data[1]), p.Clock(), p.Stats(), p.Stats().Sub(before)}
+			row.move(p, s, data, k.split, window)
+			mr.obs[ri][me] = observed{slices.Concat(data[0], data[1]), p.Clock(), p.Stats(), p.Stats().Sub(before)}
 			for _, b := range row.arrays {
 				w := []int{1, motionWidth}[b]
 				for i, g := range elems {
@@ -231,7 +280,7 @@ func runMotions(t *testing.T, label string, rows []motionRow, kind ttable.Kind, 
 							want = value(g, b, c)
 						}
 						if got := data[b][i*w+c]; math.Float64bits(got) != math.Float64bits(want) {
-							t.Errorf("%s, %s: rank %d, array %d, element %d component %d is %v, sequential %v", label, row.name, me, b, g, c, got, want)
+							mr.errorf(ri, "%s: rank %d, array %d, element %d component %d is %v, sequential %v", row.name, me, b, g, c, got, want)
 						}
 					}
 				}
@@ -239,12 +288,12 @@ func runMotions(t *testing.T, label string, rows []motionRow, kind ttable.Kind, 
 			// A gather also delivers through the localized references.
 			for k, g := range mc.refs[me] {
 				if b := row.arrays[0]; !row.scatter && data[b][int(loc[k])*[]int{1, motionWidth}[b]] != value(g, b, 0) {
-					t.Errorf("%s, %s: rank %d, reference %d (global %d) reads the wrong value", label, row.name, me, k, g)
+					mr.errorf(ri, "%s: rank %d, reference %d (global %d) reads the wrong value", row.name, me, k, g)
 				}
 			}
 		}
 	})
-	return obs
+	return mr, err
 }
 
 // TestMotionOracle holds every spelling to the sequential gather or
@@ -253,21 +302,23 @@ func runMotions(t *testing.T, label string, rows []motionRow, kind ttable.Kind, 
 // each multi-array spelling to its two single-array ones: half the messages,
 // the same bytes.
 func TestMotionOracle(t *testing.T) {
-	moved := int64(0)
-	for _, col := range commtest.Transports {
-		motionView(t, nil, ttable.Distributed, col, func(t *testing.T, rows []motionRow, block, split [][]observed) {
-			splitParity(t, rows, block, split)
-			moved += multiVsSingles(t, rows, block)
-		})
-	}
-	if moved == 0 {
+	var moved atomic.Int64
+	t.Run("matrix", func(t *testing.T) {
+		for _, col := range commtest.Transports {
+			motionView(t, nil, ttable.Distributed, col, func(t *testing.T, rows []motionRow, block, split [][]observed) {
+				splitParity(t, rows, block, split)
+				moved.Add(multiVsSingles(t, rows, block))
+			})
+		}
+	})
+	if moved.Load() == 0 {
 		t.Error("no spelling moved a message; the oracle is vacuous")
 	}
 }
 
-// The tests below are slices of the matrix: the spellings keep selects on
-// one column, each held to the sequential gather or scatter (runMotions)
-// and to the contract its check names.
+// The tests below are slices of the matrix, sharing its runs: the
+// spellings keep selects on one column, each held to the sequential gather
+// or scatter (runMotions) and to the contract its check names.
 
 func TestGatherDeliversOwnersValues(t *testing.T) {
 	motionView(t, named("Gather"), ttable.Replicated, commtest.Mem, nil)
@@ -314,7 +365,9 @@ func TestMultiScatterBitIdenticalToSingles(t *testing.T) {
 }
 
 func TestGhostExchangeUnderFaults(t *testing.T) {
-	motionView(t, nil, ttable.Distributed, commtest.Fault, splitParity)
+	for _, col := range []commtest.Transport{commtest.Fault, commtest.FaultTCP} {
+		motionView(t, nil, ttable.Distributed, col, splitParity)
+	}
 }
 
 // named keeps the rows with the given names.
@@ -322,26 +375,28 @@ func named(names ...string) func(motionRow) bool {
 	return func(row motionRow) bool { return slices.Contains(names, row.name) }
 }
 
-// motionView runs the rows keep selects (nil: every row) on col over
-// {1,2,3} ranks, with a replicated translation table and, if kind is
-// distributed, a distributed one too: each row through its blocking
-// spelling and its split-phase twin, both checked against the sequential
-// gather or scatter, then both handed to check (if not nil).
+// motionView runs, in parallel subtests, the rows keep selects (nil: every
+// row) on col over {1,2,3} ranks, with a replicated translation table and,
+// if kind is distributed, a distributed one too: each row through its
+// blocking spelling and its split-phase twin, both checked against the
+// sequential gather or scatter, then both handed to check (if not nil).
+// Every test gets its runs from motionRuns.
 func motionView(t *testing.T, keep func(motionRow) bool, kind ttable.Kind, col commtest.Transport,
 	check func(t *testing.T, rows []motionRow, block, split [][]observed)) {
 	var rows []motionRow
-	for _, row := range motionRows() {
+	var kept []int
+	for ri, row := range motionRows() {
 		if keep == nil || keep(row) {
-			rows = append(rows, row)
+			rows, kept = append(rows, row), append(kept, ri)
 		}
 	}
 	for k := ttable.Replicated; k <= kind; k++ {
 		for nprocs := 1; nprocs <= 3; nprocs++ {
 			name := fmt.Sprintf("%s/%v/p%d", [...]string{"replicated", "distributed"}[k], col, nprocs)
 			t.Run(name, func(t *testing.T) {
-				mc := newMotionCase(nprocs)
-				block := runMotions(t, name+" blocking", rows, k, col, mc, false)
-				split := runMotions(t, name+" split-phase", rows, k, col, mc, true)
+				t.Parallel()
+				block := motions(t, motionKey{k, col, nprocs, false}, kept)
+				split := motions(t, motionKey{k, col, nprocs, true}, kept)
 				if check != nil {
 					check(t, rows, block, split)
 				}
