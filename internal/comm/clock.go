@@ -55,4 +55,8 @@ type Measured struct {
 	// amortized sampling in the receive path keeps it well below two per
 	// message; tests pin that down.
 	ClockSamples int64
+	// Waits counts the rank's receives by the wait phase that served them:
+	// spinning, yield-polling or after a park. Only a bare MemTransport
+	// counts; zero on other transports.
+	Waits WaitCounts
 }

@@ -201,14 +201,17 @@ func (t *Transport) Send(m comm.Message) {
 			panic(comm.PeerFailure{})
 		}
 		if drops > 0 {
-			d := float64(drops) * lf.RetryDelay
+			// The conversion rounds the product, so no GOARCH fuses it
+			// into the addition below (see costmodel.MsgCost).
+			d := float64(float64(drops) * lf.RetryDelay)
 			arrive += d
 			t.record(Event{From: from, To: to, Seq: seq, Action: "drop", N: drops, Delay: d})
 		}
 	}
 
 	if lf.DelayProb > 0 && t.plan.rnd(from, to, seq, saltDelay, 0) < lf.DelayProb {
-		d := t.plan.rnd(from, to, seq, saltDelayU, 0) * lf.MaxDelay
+		// Rounded before the addition, as above.
+		d := float64(t.plan.rnd(from, to, seq, saltDelayU, 0) * lf.MaxDelay)
 		arrive += d
 		t.record(Event{From: from, To: to, Seq: seq, Action: "delay", Delay: d})
 	}

@@ -154,9 +154,12 @@ type MeasureOpts struct {
 // is unchanged (Clocks and Stats are bit-identical to Run), but every rank
 // additionally records real phase timers, receive waits, and its total
 // measured duration (Report.Measured). The n virtual ranks execute on a
-// GOMAXPROCS-aware worker pool: with n <= GOMAXPROCS each rank is pinned to
-// its own OS thread; otherwise ranks are multiplexed onto min(n, GOMAXPROCS)
-// worker slots by a barrier-aware scheduler (comm waits yield the slot).
+// GOMAXPROCS-aware worker pool: with n <= GOMAXPROCS each rank is pinned —
+// locked to its own OS thread and, when the process may run on at least n
+// CPUs, that thread bound to the rank-th of them for the length of the run
+// (Linux only; the previous mask is restored on exit). Otherwise ranks are
+// multiplexed onto min(n, GOMAXPROCS) worker slots by a barrier-aware
+// scheduler (comm waits yield the slot).
 func RunMeasured(n int, m *costmodel.Machine, body func(p *Proc)) *Report {
 	return RunMeasuredTransport(n, m, NewMemTransport(n), MeasureOpts{}, body)
 }
@@ -206,15 +209,20 @@ func runSPMD(n int, m *costmodel.Machine, tr Transport, mc *measureCfg, body fun
 		rep.Measured = make([]Measured, n)
 		rep.Workers = mc.workers
 	}
-	// One dedicated worker per rank: each is bound to an OS thread so the
-	// measured numbers are not polluted by rank migration, and with a core
-	// per rank an in-memory receiver spins briefly instead of paying a
-	// futex round trip per message. Everywhere else receivers park at once.
+	// One dedicated worker per rank: each is locked to an OS thread so the
+	// measured numbers are not polluted by rank migration. Over a bare
+	// in-memory transport each thread is also bound to a CPU of its own
+	// (while the process has enough), and a receiver spins, then
+	// yield-polls, before it pays a futex round trip per message.
+	// Everywhere else receivers park at once.
 	pinned := mc != nil && mc.sched == nil
-	if mt, ok := tr.(*MemTransport); ok {
-		mt.spin = 0
+	mt, bare := tr.(*MemTransport)
+	bind := pinned && bare && n <= len(allowedCPUs)
+	if bare {
 		if pinned {
-			mt.spin = memSpin
+			mt.setWait(memSpin, memYield)
+		} else {
+			mt.setWait(0, 0)
 		}
 	}
 	start := time.Now()
@@ -227,6 +235,9 @@ func runSPMD(n int, m *costmodel.Machine, tr Transport, mc *measureCfg, body fun
 			if pinned {
 				runtime.LockOSThread()
 				defer runtime.UnlockOSThread()
+			}
+			if bind {
+				defer bindThread(rank)()
 			}
 			p := NewProc(rank, n, tr, m)
 			var slot *rankSlot
@@ -257,6 +268,9 @@ func runSPMD(n int, m *costmodel.Machine, tr Transport, mc *measureCfg, body fun
 				rep.Stats[rank] = p.stats
 				if mc != nil {
 					rep.Measured[rank] = p.meas
+					if bare {
+						rep.Measured[rank].Waits = mt.waits(rank)
+					}
 				}
 				if e != nil {
 					panics[rank] = e

@@ -9,10 +9,12 @@ import (
 	"repro/internal/costmodel"
 )
 
-// White-box tests of the mailbox's spin-then-park receive. The receiver's
-// state is read off its goroutine's stack — spinning in spinForPut, or
-// parked in sync.Cond.Wait — so each put lands on the path the test names
-// instead of on whichever one the scheduler happened to pick.
+// White-box tests of the mailbox's spin, yield-poll, park receive. The
+// receiver's state is read off its goroutine's stack — polling in
+// spinForPut, or parked in sync.Cond.Wait — so each put lands on the path
+// the test names instead of on whichever one the scheduler happened to pick.
+// A take with no spin budget is in its yield phase whenever it is in
+// spinForPut.
 
 const (
 	inSpin = "(*mailbox).spinForPut"
@@ -21,15 +23,15 @@ const (
 
 // takeReq is one take call for spinReceiver to make.
 type takeReq struct {
-	tag  int
-	spin time.Duration
+	tag         int
+	spin, yield time.Duration
 }
 
 // spinReceiver makes one take call per request read from next and forwards
 // the message to out. Its name marks the receiver's stack for waitIn.
 func spinReceiver(mb *mailbox, next <-chan takeReq, out chan<- Message) {
 	for r := range next {
-		out <- mb.take(r.tag, r.spin)
+		out <- mb.take(r.tag, r.spin, r.yield)
 	}
 }
 
@@ -62,7 +64,7 @@ func TestMailboxSpinReturnsPutDuringSpin(t *testing.T) {
 	next, out := startReceiver(mb)
 	defer close(next)
 	start := time.Now()
-	next <- takeReq{1, 10 * time.Second}
+	next <- takeReq{1, 10 * time.Second, 0}
 	waitIn(t, "comm.spinReceiver", inSpin)
 	mb.put(Message{Tag: 1, Data: []byte{7}})
 	if m := <-out; m.Tag != 1 || seqOf(m) != 7 {
@@ -83,7 +85,7 @@ func TestMailboxSpinOtherTagStaysQueued(t *testing.T) {
 		mb := newMailbox()
 		next, out := startReceiver(mb)
 		start := time.Now()
-		next <- takeReq{1, budget}
+		next <- takeReq{1, budget, 0}
 		waitIn(t, "comm.spinReceiver", inSpin)
 		mb.put(Message{Tag: 2, Data: []byte{2}})
 		if time.Since(start) >= budget {
@@ -129,38 +131,38 @@ func TestMailboxFIFOAcrossSpinAndPark(t *testing.T) {
 	// Spin path: one put wakes the spinning receiver, then two more land
 	// around a message with another tag; the second is found by the next
 	// take's first scan.
-	next <- takeReq{1, long}
+	next <- takeReq{1, long, 0}
 	waitIn(t, "comm.spinReceiver", inSpin)
 	mb.put(Message{Tag: 1, Data: []byte{0}})
 	expect()
-	next <- takeReq{1, long}
+	next <- takeReq{1, long, 0}
 	waitIn(t, "comm.spinReceiver", inSpin)
 	mb.put(Message{Tag: 1, Data: []byte{1}})
 	mb.put(Message{Tag: 2, Data: []byte{99}})
 	mb.put(Message{Tag: 1, Data: []byte{2}})
 	expect()
-	next <- takeReq{1, long}
+	next <- takeReq{1, long, 0}
 	expect()
 
 	// Park path: a 1 ms budget runs out, the receiver parks, and two puts
 	// arrive while it sleeps.
-	next <- takeReq{1, short}
+	next <- takeReq{1, short, 0}
 	waitIn(t, "comm.spinReceiver", inPark)
 	mb.put(Message{Tag: 1, Data: []byte{3}})
 	mb.put(Message{Tag: 1, Data: []byte{4}})
 	expect()
-	next <- takeReq{1, short}
+	next <- takeReq{1, short, 0}
 	expect()
 
 	// And back to spinning with the park's leftovers still in order.
 	mb.put(Message{Tag: 1, Data: []byte{5}})
-	next <- takeReq{1, long}
+	next <- takeReq{1, long, 0}
 	expect()
-	next <- takeReq{1, long}
+	next <- takeReq{1, long, 0}
 	waitIn(t, "comm.spinReceiver", inSpin)
 	mb.put(Message{Tag: 1, Data: []byte{6}})
 	expect()
-	next <- takeReq{2, long}
+	next <- takeReq{2, long, 0}
 	if m := <-out; m.Tag != 2 || seqOf(m) != 99 {
 		t.Fatalf("take(2) returned %+v", m)
 	}
@@ -242,4 +244,150 @@ func TestSpinOnlyWhenEveryRankIsPinned(t *testing.T) {
 			t.Errorf("%s: spin %v, want %v", c.name, got, c.want)
 		}
 	}
+}
+
+// waitsOf reads mb's wait counts under its lock.
+func waitsOf(mb *mailbox) WaitCounts {
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	return mb.waits
+}
+
+// A put that lands while the receiver yield-polls is served there: the
+// receiver never parks.
+func TestMailboxYieldServesPutWithoutPark(t *testing.T) {
+	mb := newMailbox()
+	next, out := startReceiver(mb)
+	defer close(next)
+	start := time.Now()
+	next <- takeReq{1, 0, 10 * time.Second}
+	waitIn(t, "comm.spinReceiver", inSpin)
+	mb.put(Message{Tag: 1, Data: []byte{7}})
+	if m := <-out; m.Tag != 1 || seqOf(m) != 7 {
+		t.Fatalf("take returned %+v, want tag 1 payload 7", m)
+	}
+	if d := time.Since(start); d >= 10*time.Second {
+		t.Fatalf("take returned after %v: the put was not seen by the yield phase", d)
+	}
+	if w := waitsOf(mb); w != (WaitCounts{Yielded: 1}) {
+		t.Fatalf("waits = %+v, want one yielded receive", w)
+	}
+}
+
+// A wait that outlasts both budgets parks, and the put wakes it there.
+func TestMailboxParksPastYieldCap(t *testing.T) {
+	mb := newMailbox()
+	next, out := startReceiver(mb)
+	defer close(next)
+	next <- takeReq{1, 100 * time.Microsecond, time.Millisecond}
+	waitIn(t, "comm.spinReceiver", inPark)
+	mb.put(Message{Tag: 1, Data: []byte{7}})
+	if m := <-out; m.Tag != 1 || seqOf(m) != 7 {
+		t.Fatalf("take returned %+v, want tag 1 payload 7", m)
+	}
+	if w := waitsOf(mb); w != (WaitCounts{Parked: 1}) {
+		t.Fatalf("waits = %+v, want one parked receive", w)
+	}
+}
+
+func TestMailboxFIFOAcrossSpinYieldAndPark(t *testing.T) {
+	const long, short = 10 * time.Second, time.Millisecond
+	mb := newMailbox()
+	next, out := startReceiver(mb)
+	defer close(next)
+	want := 0
+	expect := func() {
+		t.Helper()
+		if m := <-out; m.Tag != 1 || seqOf(m) != want {
+			t.Fatalf("take(1) returned %+v, want tag 1 payload %d", m, want)
+		}
+		want++
+	}
+
+	// Spin phase.
+	next <- takeReq{1, long, 0}
+	waitIn(t, "comm.spinReceiver", inSpin)
+	mb.put(Message{Tag: 1, Data: []byte{0}})
+	expect()
+	// Yield phase: three puts land around a message with another tag; the
+	// second is found by the next take's first scan.
+	next <- takeReq{1, 0, long}
+	waitIn(t, "comm.spinReceiver", inSpin)
+	mb.put(Message{Tag: 1, Data: []byte{1}})
+	mb.put(Message{Tag: 2, Data: []byte{99}})
+	mb.put(Message{Tag: 1, Data: []byte{2}})
+	expect()
+	next <- takeReq{1, 0, long}
+	expect()
+	// Park phase: both budgets run out and two puts arrive while it sleeps.
+	next <- takeReq{1, short, short}
+	waitIn(t, "comm.spinReceiver", inPark)
+	mb.put(Message{Tag: 1, Data: []byte{3}})
+	mb.put(Message{Tag: 1, Data: []byte{4}})
+	expect()
+	next <- takeReq{1, 0, long}
+	expect()
+	next <- takeReq{2, 0, 0}
+	if m := <-out; m.Tag != 2 || seqOf(m) != 99 {
+		t.Fatalf("take(2) returned %+v", m)
+	}
+	// Payloads 0, 2, 4 and 99 were served by a spin (three of them queued
+	// on arrival), 1 by a yield-poll and 3 after a park.
+	if w := waitsOf(mb); w != (WaitCounts{Spun: 4, Yielded: 1, Parked: 1}) {
+		t.Fatalf("waits = %+v, want {Spun:4 Yielded:1 Parked:1}", w)
+	}
+}
+
+// lateRankBody has rank 0 reach each of a few barriers 1 ms after rank 1.
+func lateRankBody(p *Proc) {
+	for i := 0; i < 3; i++ {
+		if p.Rank() == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		p.Barrier()
+	}
+}
+
+// parked sums the run's parked receives, after checking that each rank's
+// wait counts add up to the receives it made in this run.
+func parked(t *testing.T, rep *Report) (n int64) {
+	t.Helper()
+	for r, m := range rep.Measured {
+		if w := m.Waits; w.Spun+w.Yielded+w.Parked != rep.Stats[r].MsgsRecv {
+			t.Errorf("rank %d: waits %+v do not add up to its %d receives", r, w, rep.Stats[r].MsgsRecv)
+		}
+		n += m.Waits.Parked
+	}
+	return n
+}
+
+// A bound 2-rank run waits out a 1 ms late peer without parking; the same
+// body multiplexed onto one worker parks. A transport reused by a second
+// run counts that run's receives alone.
+func TestPollParksOnlyWhenMultiplexed(t *testing.T) {
+	m := costmodel.Uniform(1e-9)
+	tr := NewMemTransport(2)
+	for run := 0; run < 2; run++ {
+		multiplexed := RunMeasuredTransport(2, m, tr, MeasureOpts{Workers: 1}, lateRankBody)
+		if parked(t, multiplexed) == 0 {
+			t.Errorf("multiplexed run parked no receive: %+v", multiplexed.Measured)
+		}
+	}
+	if runtime.GOMAXPROCS(0) < 2 || len(allowedCPUs) < 2 {
+		t.Skipf("a bound 2-rank run needs 2 CPUs (GOMAXPROCS %d, %d allowed)", runtime.GOMAXPROCS(0), len(allowedCPUs))
+	}
+	// A host busy enough to hold the late rank off its CPU for the whole
+	// 20 ms yield budget forces a park; such an attempt is retried.
+	var seen []WaitCounts
+	for attempt := 0; attempt < 5; attempt++ {
+		rep := RunMeasured(2, m, lateRankBody)
+		if parked(t, rep) == 0 {
+			if rep.Measured[1].Waits.Yielded == 0 {
+				t.Errorf("rank 1 waited 1 ms for rank 0 without a yield-poll: %+v", rep.Measured[1].Waits)
+			}
+			return
+		}
+		seen = append(seen, rep.Measured[0].Waits, rep.Measured[1].Waits)
+	}
+	t.Fatalf("every bound run parked; per-rank waits: %+v", seen)
 }

@@ -135,7 +135,7 @@ func (t *TCPTransport) Recv(self, from, tag int) Message {
 	}
 	// Never spin: the reader goroutines that put into boxes need a core to
 	// drain the socket, and a spinning receiver takes it.
-	return t.boxes[from].take(tag, 0)
+	return t.boxes[from].take(tag, 0, 0)
 }
 
 // Poison implements Poisoner.

@@ -90,13 +90,29 @@ type RankObserver interface {
 	RankDone(rank int)
 }
 
-// memSpin is how long a receiver on the in-memory transport spins for a
-// put before it parks on the condition variable, when its rank is pinned to
-// an OS thread of its own (see runSPMD). A park costs a futex sleep/wake
-// round trip per message; a budget shorter than one such wake-up is worse
-// than none (a sweep of 0/20/50/200/1000 µs on dsmc-finegrain gave
-// 0.259/0.403/0.161/0.054/0.062 s).
-const memSpin = 200 * time.Microsecond
+// memSpin and memYield are how a receiver on the in-memory transport waits
+// for a put when its rank is pinned to an OS thread bound to a CPU of its own
+// (see runSPMD): it spins for memSpin, then polls with an OS yield between
+// checks for up to memYield more, and only then parks on the condition
+// variable. A park costs the late peer a futex wake-up, 80–125 µs on a
+// 2-vCPU host; a yield-poll sees the put within one sched_yield and lends
+// the CPU to any runnable thread meanwhile. Measured on a 2-vCPU host, a
+// full-size 2-rank run of each benchmark workload parks no receive (31 on
+// kernel-remap with the earlier 200 µs spin-then-park), and kernel-remap's
+// wall fell 7.7 % in the median of 10 alternating pairs. A longer pure spin
+// burns the CPU an oversubscribed peer needs. Yield-polling relies on the
+// binding: with both ranks' threads free to share one CPU, 33 AllReduces
+// took ~390 µs instead of ~55 µs.
+const (
+	memSpin  = 5 * time.Microsecond
+	memYield = 20 * time.Millisecond
+)
+
+// WaitCounts counts one rank's receives on the in-memory transport by the
+// wait phase that served them. A message already queued counts as spun.
+type WaitCounts struct {
+	Spun, Yielded, Parked int64
+}
 
 // mailbox is an unbounded FIFO of messages from one sender with tag
 // matching: a receiver may ask for a specific tag and messages with other
@@ -106,9 +122,11 @@ type mailbox struct {
 	cond    *sync.Cond
 	pending []Message
 	dead    bool
-	// puts counts puts and poisonings, bumped under mu, so a spinning
+	// puts counts puts and poisonings, bumped under mu, so a polling
 	// receiver sees either without taking the lock.
 	puts atomic.Uint64
+	// waits is bumped under mu by take.
+	waits WaitCounts
 }
 
 func newMailbox() *mailbox {
@@ -126,49 +144,66 @@ func (mb *mailbox) put(m Message) {
 }
 
 // take removes and returns the oldest message with tag, waiting for one if
-// none is queued: it spins for up to spin (0: not at all), then parks.
-func (mb *mailbox) take(tag int, spin time.Duration) Message {
+// none is queued: it spins for spin, then polls with an OS yield between
+// checks until spin+yield has passed since the wait began, then parks. Zero
+// budgets skip their phase.
+func (mb *mailbox) take(tag int, spin, yield time.Duration) Message {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	var deadline time.Time
+	var start time.Time
+	served := &mb.waits.Spun
 	for {
 		for i, m := range mb.pending {
 			if m.Tag == tag {
 				copy(mb.pending[i:], mb.pending[i+1:])
 				mb.pending[len(mb.pending)-1] = Message{}
 				mb.pending = mb.pending[:len(mb.pending)-1]
+				*served++
 				return m
 			}
 		}
 		if mb.dead {
 			panic(PeerFailure{})
 		}
-		if spin > 0 {
-			if deadline.IsZero() {
-				deadline = time.Now().Add(spin)
-			}
-			if mb.spinForPut(deadline) {
-				continue
+		// One clock read per pass: the first pass starts the wait at zero.
+		var waited time.Duration
+		if spin+yield > 0 {
+			if start.IsZero() {
+				start = time.Now()
+			} else {
+				waited = time.Since(start)
 			}
 		}
-		mb.cond.Wait()
+		switch {
+		case waited < spin:
+			mb.spinForPut(start.Add(spin), false)
+		case waited < spin+yield:
+			served = &mb.waits.Yielded
+			mb.spinForPut(start.Add(spin+yield), true)
+		default:
+			served = &mb.waits.Parked
+			mb.cond.Wait()
+		}
 	}
 }
 
-// spinForPut is called with mu held. It releases mu, spins until puts moves
-// or deadline passes, and re-locks; it reports whether puts moved. The
-// check after re-locking is what makes parking safe: a put that lands while
-// mu is released is seen here instead of having its Signal lost.
-func (mb *mailbox) spinForPut(deadline time.Time) bool {
+// spinForPut is called with mu held. It releases mu, polls until puts moves
+// or deadline passes — back to back, or with an OS yield between checks when
+// yield is set — and re-locks. The rescan after re-locking is what makes
+// parking safe: a put that lands while mu is released is seen there instead
+// of having its Signal lost.
+func (mb *mailbox) spinForPut(deadline time.Time, yield bool) {
 	seen := mb.puts.Load()
 	mb.mu.Unlock()
 	for i := 1; mb.puts.Load() == seen; i++ {
-		if i%64 == 0 && time.Now().After(deadline) {
+		if yield {
+			osYield()
+		}
+		if (yield || i%64 == 0) && time.Now().After(deadline) {
 			break
 		}
 	}
 	mb.mu.Lock()
-	return mb.puts.Load() != seen
 }
 
 // poison wakes every waiter with a PeerFailure panic.
@@ -185,9 +220,10 @@ func (mb *mailbox) poison() {
 type MemTransport struct {
 	n     int
 	boxes []*mailbox // boxes[to*n+from]
-	// spin is the receive spin budget: memSpin while runSPMD runs every
-	// rank pinned to its own OS thread, else 0 (park at once).
-	spin time.Duration
+	// spin and yield are the receive wait budgets: memSpin and memYield
+	// while runSPMD runs every rank on an OS thread bound to its own CPU,
+	// else 0 (park at once).
+	spin, yield time.Duration
 }
 
 // NewMemTransport returns an in-memory transport connecting n ranks.
@@ -209,7 +245,31 @@ func (t *MemTransport) Send(m Message) {
 
 // Recv implements Transport.
 func (t *MemTransport) Recv(self, from, tag int) Message {
-	return t.boxes[self*t.n+from].take(tag, t.spin)
+	return t.boxes[self*t.n+from].take(tag, t.spin, t.yield)
+}
+
+// waits sums rank's receive wait counts over its inbound links.
+func (t *MemTransport) waits(rank int) WaitCounts {
+	var w WaitCounts
+	for _, mb := range t.boxes[rank*t.n : (rank+1)*t.n] {
+		mb.mu.Lock()
+		w.Spun += mb.waits.Spun
+		w.Yielded += mb.waits.Yielded
+		w.Parked += mb.waits.Parked
+		mb.mu.Unlock()
+	}
+	return w
+}
+
+// setWait sets the receive wait budgets and zeroes the wait counts, so a
+// transport reused by another run reports that run's waits alone.
+func (t *MemTransport) setWait(spin, yield time.Duration) {
+	t.spin, t.yield = spin, yield
+	for _, mb := range t.boxes {
+		mb.mu.Lock()
+		mb.waits = WaitCounts{}
+		mb.mu.Unlock()
+	}
 }
 
 // Close implements Transport.

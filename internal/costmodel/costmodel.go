@@ -52,15 +52,21 @@ func Uniform(c float64) *Machine {
 
 // MsgCost returns the modeled time to transfer one message of n bytes:
 // Alpha + Beta*n.
+//
+// Every product in this file is wrapped in an explicit float64 conversion,
+// which the Go spec defines to round it: without it, gc on arm64, ppc64le,
+// s390x and riscv64 may fuse the product into the caller's addition (a
+// clock advance, after inlining) with one rounding, and the virtual
+// timeline would differ from amd64's in the last bit.
 func (m *Machine) MsgCost(n int) float64 {
-	return m.Alpha + m.Beta*float64(n)
+	return m.Alpha + float64(m.Beta*float64(n))
 }
 
 // FlopCost returns the modeled time for n floating-point operations.
-func (m *Machine) FlopCost(n int) float64 { return m.Flop * float64(n) }
+func (m *Machine) FlopCost(n int) float64 { return float64(m.Flop * float64(n)) }
 
 // MemCost returns the modeled time for n irregular memory operations.
-func (m *Machine) MemCost(n int) float64 { return m.Mem * float64(n) }
+func (m *Machine) MemCost(n int) float64 { return float64(m.Mem * float64(n)) }
 
 // Validate reports an error if any constant is non-positive.
 func (m *Machine) Validate() error {

@@ -118,6 +118,9 @@ func (l *Launcher) Report(w io.Writer, rep *comm.Report, head, tail string, keyW
 	if l.measure {
 		fmt.Fprintf(w, "  measured wall       : %10.3f s (max over ranks, %d workers)\n", rep.MaxMeasuredWall(), rep.Workers)
 		fmt.Fprintf(w, "  measured comm wait  : %10.3f s (mean over ranks)\n", rep.MeanMeasuredCommWall())
+		for r, m := range rep.Measured {
+			fmt.Fprintf(w, "  receives, rank %-4d : %d spun, %d yielded, %d parked\n", r, m.Waits.Spun, m.Waits.Yielded, m.Waits.Parked)
+		}
 	}
 
 	phases := map[string]float64{}
