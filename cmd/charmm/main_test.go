@@ -19,6 +19,8 @@ func TestBadInputExitsWithOneLine(t *testing.T) {
 		{"-adapt", "bogus"},
 		{"-adapt", "periodic:0"},
 		{"-atoms", "0"},
+		{"-remap", "-1"},
+		{"-ckpt-every", "-1"},
 		{"-resume", "latest"},
 		{"-procs", "2", "-crash-rank", "7", "-crash-step", "2"},
 		{"-crash-rank", "-1"},

@@ -52,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	cfg.NX, cfg.NY, cfg.NZ = *nx, *ny, *nz
 	cfg.NMols = *mols
-	if *mols <= 0 {
+	if *mols == 0 {
 		cfg.NMols = 8 * cfg.NCells()
 	}
 	cfg.Steps = *steps

@@ -20,6 +20,9 @@ func TestBadInputExitsWithOneLine(t *testing.T) {
 		{"-adapt", "bogus"},
 		{"-adapt", "periodic:0"},
 		{"-nx", "0"},
+		{"-mols", "-1"},
+		{"-remap", "-1"},
+		{"-ckpt-every", "-1"},
 		{"-resume", "latest"},
 		{"-procs", "2", "-crash-rank", "7", "-crash-step", "2"},
 		{"-crash-rank", "-1"},

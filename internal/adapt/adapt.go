@@ -141,7 +141,9 @@ func (c *Controller) Observe(units int, cost float64) {
 		c.costPerUnit, c.seeded = per, true
 		return
 	}
-	c.costPerUnit += c.ewmaAlpha * (per - c.costPerUnit)
+	// The conversion rounds the product, so no GOARCH fuses it into the sum
+	// (see costmodel.MsgCost); the same holds for every EWMA in the package.
+	c.costPerUnit += float64(c.ewmaAlpha * (per - c.costPerUnit))
 }
 
 // CostPerUnit exposes the current per-unit cost estimate (for tests and
@@ -276,9 +278,11 @@ func (c *Controller) planFromObs(n int) {
 		}
 		// Cost-charged payoff: moving the tail chunk must strictly lower
 		// the pairwise makespan after paying for the extra messages, the
-		// wire traffic, and the pack/replay and unpack/store work.
-		donorNew := c.loads[donor] - move + units*c.ownerPerUnit + c.alpha
-		thiefNew := c.loads[thief] + move + units*c.thiefPerUnit + c.alpha + c.beta*units*c.wireBytes
+		// wire traffic, and the pack/replay and unpack/store work. The
+		// conversions round each product, so no GOARCH fuses it into the
+		// sum (see costmodel.MsgCost).
+		donorNew := c.loads[donor] - move + float64(units*c.ownerPerUnit) + c.alpha
+		thiefNew := c.loads[thief] + move + float64(units*c.thiefPerUnit) + c.alpha + float64(c.beta*units*c.wireBytes)
 		newMax := donorNew
 		if thiefNew > newMax {
 			newMax = thiefNew

@@ -138,14 +138,14 @@ func (pol *Policy) decide(red []float64) bool {
 		case gain < pol.floor:
 			pol.floor = gain
 		default:
-			pol.floor += pol.EWMAAlpha * (gain - pol.floor)
+			pol.floor += float64(pol.EWMAAlpha * (gain - pol.floor))
 		}
 		pol.awaitFloor = false
 	}
 	if !pol.haveGain {
 		pol.gain, pol.haveGain = gain, true
 	} else {
-		pol.gain += pol.EWMAAlpha * (gain - pol.gain)
+		pol.gain += float64(pol.EWMAAlpha * (gain - pol.gain))
 	}
 	// Debt accrues from the raw per-step gain: the EWMA's smoothing lag
 	// would systematically under-count a growing skew ramp.
@@ -175,7 +175,7 @@ func (pol *Policy) ObserveRemap(p *comm.Proc, localCost float64) {
 		pol.remapCost, pol.haveCost = c, true
 		return
 	}
-	pol.remapCost += 0.5 * (c - pol.remapCost)
+	pol.remapCost += float64(0.5 * (c - pol.remapCost))
 }
 
 // RemapCost exposes the fitted remap cost (for tests and reports).

@@ -17,7 +17,7 @@ func cell(t *testing.T, tab *Table, row, col int) float64 {
 }
 
 func TestTable1Shape(t *testing.T) {
-	tab := Table1(Quick())
+	tab := cleanQuickTables()[0] // Table 1
 	// Row 1 is computation time: strictly decreasing with processors.
 	for c := 2; c < len(tab.Rows[1]); c++ {
 		if cell(t, tab, 1, c) >= cell(t, tab, 1, c-1) {
@@ -33,7 +33,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	tab := Table2(Quick())
+	tab := cleanQuickTables()[1] // Table 2
 	// Schedule regeneration (last row) decreases with processors.
 	last := len(tab.Rows) - 1
 	first := cell(t, tab, last, 1)
@@ -48,7 +48,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestTable3Shape(t *testing.T) {
-	tab := Table3(Quick())
+	tab := cleanQuickTables()[2] // Table 3
 	for _, row := range tab.Rows {
 		merged, _ := strconv.ParseFloat(row[1], 64)
 		multiple, _ := strconv.ParseFloat(row[3], 64)
@@ -59,7 +59,7 @@ func TestTable3Shape(t *testing.T) {
 }
 
 func TestTable4Shape(t *testing.T) {
-	tab := Table4(Quick())
+	tab := cleanQuickTables()[3] // Table 4
 	// Rows come in (regular, light) pairs per grid: light must win at
 	// every processor count.
 	for r := 0; r+1 < len(tab.Rows); r += 2 {
@@ -74,7 +74,7 @@ func TestTable4Shape(t *testing.T) {
 }
 
 func TestTable5Shape(t *testing.T) {
-	tab := Table5(Quick())
+	tab := cleanQuickTables()[4] // Table 5
 	// Chain remapping (row 2) beats static (row 0) at every proc count.
 	for c := 1; c < len(tab.Rows[0])-1; c++ {
 		static := cell(t, tab, 0, c)
@@ -90,7 +90,7 @@ func TestTable5Shape(t *testing.T) {
 }
 
 func TestTable6Shape(t *testing.T) {
-	tab := Table6(Quick())
+	tab := cleanQuickTables()[5] // Table 6
 	// Hand rows come first, then compiler rows, same proc order. Compiler
 	// total within 10% of hand total.
 	n := len(tab.Rows) / 2
@@ -104,7 +104,7 @@ func TestTable6Shape(t *testing.T) {
 }
 
 func TestTable7Shape(t *testing.T) {
-	tab := Table7(Quick())
+	tab := cleanQuickTables()[6] // Table 7
 	// Rows: reduce-append compiler, reduce-append manual, total compiler,
 	// total manual. Compiler must be slower in both metrics everywhere.
 	for c := 2; c < len(tab.Rows[0]); c++ {

@@ -40,14 +40,15 @@ func firstDiffLine(a, b []byte) (int, string, string) {
 }
 
 // TestTablesGoldenParityUnderFaults regenerates the full Tables 1-7 quick
-// JSON three times — clean in-memory, fault-injected in-memory, and
-// fault-injected TCP — with a duplicate+reorder plan active, and demands
-// byte-identical output. Wire-order faults must be invisible to every
-// virtual-time metric the paper reports; a single differing cell means the
-// fault layer leaked into delivery order or timing.
+// JSON twice — fault-injected in-memory and fault-injected TCP — with a
+// duplicate+reorder plan active, and demands output byte-identical to the
+// clean in-memory pass (cleanQuickTables, shared with TestQuickGoldens).
+// Wire-order faults must be invisible to every virtual-time metric the
+// paper reports; a single differing cell means the fault layer leaked into
+// delivery order or timing.
 func TestTablesGoldenParityUnderFaults(t *testing.T) {
 	if testing.Short() {
-		t.Skip("three full quick-scale table passes")
+		t.Skip("two full quick-scale table passes beside the clean one")
 	}
 	const planStr = "seed=31,dup=0.1,reorder=0.15"
 	plan, err := fault.Parse(planStr)
@@ -55,7 +56,7 @@ func TestTablesGoldenParityUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want := quickTablesJSON(t, Quick())
+	want := tablesJSON(t, Quick().Name, cleanQuickTables())
 
 	faultMem := Quick()
 	faultMem.Transport = func(n int) (comm.Transport, error) {

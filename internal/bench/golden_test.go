@@ -5,10 +5,17 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/*_quick.ndjson from this build instead of comparing")
+
+// cleanQuickTables is Tables 1-7 at the quick scale, computed once per test
+// binary: TestQuickGoldens pins them, TestTablesGoldenParityUnderFaults
+// holds its fault-injected passes to them and the TestTable*Shape tests read
+// their shapes off them.
+var cleanQuickTables = sync.OnceValue(func() []*Table { return AllTables(Quick()) })
 
 // TestQuickGoldens holds the virtual timeline to pinned answers: the
 // quick-scale JSON of Tables 1-7 (`tables -quick -json`), the schedule-reuse
@@ -24,7 +31,7 @@ func TestQuickGoldens(t *testing.T) {
 		file string
 		tabs func() []*Table
 	}{
-		{"tables_quick.ndjson", func() []*Table { return AllTables(sc) }},
+		{"tables_quick.ndjson", cleanQuickTables},
 		{"loopir_quick.ndjson", func() []*Table { return []*Table{Loopir()} }},
 		{"adapt_quick.ndjson", func() []*Table { return []*Table{Adapt(sc)} }},
 	} {

@@ -16,6 +16,14 @@ func smallConfig() Config {
 	return cfg
 }
 
+// runAll runs cfg through run (Run, RunCompiled) on n ranks and returns
+// every rank's result and the run's report.
+func runAll(n int, cfg Config, run func(*comm.Proc, Config) *ProcResult) ([]*ProcResult, *comm.Report) {
+	results := make([]*ProcResult, n)
+	rep := comm.Run(n, costmodel.IPSC860(), func(p *comm.Proc) { results[p.Rank()] = run(p, cfg) })
+	return results, rep
+}
+
 func TestGenInitStateDeterministic(t *testing.T) {
 	cfg := smallConfig()
 	a := GenInitState(cfg)
@@ -126,41 +134,6 @@ func TestIntegrateReflectsAtWalls(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSequential(t *testing.T) {
-	cfg := smallConfig()
-	_, wantSum := Reference(cfg)
-	for _, nprocs := range []int{1, 2, 4} {
-		results := make([]*ProcResult, nprocs)
-		comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
-			results[p.Rank()] = Run(p, cfg)
-		})
-		for r, res := range results {
-			if math.Abs(res.Checksum-wantSum) > 1e-9*math.Abs(wantSum) {
-				t.Errorf("nprocs=%d rank=%d checksum %v, want %v", nprocs, r, res.Checksum, wantSum)
-			}
-		}
-	}
-}
-
-func TestMergedAndMultipleSchedulesAgree(t *testing.T) {
-	cfg := smallConfig()
-	run := func(merged bool) float64 {
-		cfg := cfg
-		cfg.Merged = merged
-		var sum float64
-		results := make([]*ProcResult, 3)
-		comm.Run(3, costmodel.IPSC860(), func(p *comm.Proc) {
-			results[p.Rank()] = Run(p, cfg)
-		})
-		sum = results[0].Checksum
-		return sum
-	}
-	a, b := run(true), run(false)
-	if math.Abs(a-b) > 1e-9*math.Abs(a) {
-		t.Errorf("merged %v vs multiple %v checksums differ", a, b)
-	}
-}
-
 func TestMergedSchedulesReduceCommunication(t *testing.T) {
 	// The Table 3 shape: merged schedules move fewer bytes and less
 	// communication time than per-loop schedules.
@@ -169,9 +142,7 @@ func TestMergedSchedulesReduceCommunication(t *testing.T) {
 	volume := func(merged bool) (int64, float64) {
 		cfg := cfg
 		cfg.Merged = merged
-		rep := comm.Run(4, costmodel.IPSC860(), func(p *comm.Proc) {
-			Run(p, cfg)
-		})
+		_, rep := runAll(4, cfg, Run)
 		return rep.TotalBytesSent(), rep.MeanCommTime()
 	}
 	mergedBytes, mergedComm := volume(true)
@@ -190,9 +161,7 @@ func TestPartitionersProduceBalancedRuns(t *testing.T) {
 	for _, part := range []string{"rcb", "rib", "chain", "block"} {
 		cfg := cfg
 		cfg.Partitioner = part
-		rep := comm.Run(4, costmodel.IPSC860(), func(p *comm.Proc) {
-			Run(p, cfg)
-		})
+		_, rep := runAll(4, cfg, Run)
 		if lb := rep.LoadBalance(); lb > 2.0 {
 			t.Errorf("partitioner %s load balance %v", part, lb)
 		}
@@ -207,10 +176,7 @@ func TestRemapEveryRuns(t *testing.T) {
 	cfg.RemapEvery = 4
 	cfg.AlternatePartitioners = true
 	_, wantSum := Reference(cfg)
-	results := make([]*ProcResult, 3)
-	comm.Run(3, costmodel.IPSC860(), func(p *comm.Proc) {
-		results[p.Rank()] = Run(p, cfg)
-	})
+	results, _ := runAll(3, cfg, Run)
 	if math.Abs(results[0].Checksum-wantSum) > 1e-9*math.Abs(wantSum) {
 		t.Errorf("remapped run checksum %v, want %v", results[0].Checksum, wantSum)
 	}
@@ -227,9 +193,7 @@ func TestScalingShape(t *testing.T) {
 	cfg.NBEvery = 3
 	var compTimes []float64
 	for _, nprocs := range []int{1, 2, 4, 8} {
-		rep := comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
-			Run(p, cfg)
-		})
+		_, rep := runAll(nprocs, cfg, Run)
 		compTimes = append(compTimes, rep.MeanComputeTime())
 		if nprocs > 1 {
 			if lb := rep.LoadBalance(); lb > 1.6 {
@@ -269,6 +233,7 @@ func TestConfigValidate(t *testing.T) {
 	}
 	for want, mutate := range map[string]func(*Config){
 		"charmm: unknown partitioner magic":                                func(c *Config) { c.Partitioner = "magic" },
+		"charmm: NBEvery is 0, want at least 1":                            func(c *Config) { c.NBEvery = 0 },
 		"charmm: CheckpointEvery set without CheckpointDir":                func(c *Config) { c.CheckpointEvery = 2 },
 		`adapt: bad mode "periodic:0" (want static, periodic:N or policy)`: func(c *Config) { c.Adapt = "periodic:0" },
 	} {

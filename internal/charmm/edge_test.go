@@ -17,10 +17,7 @@ func TestTinyProblemManyProcs(t *testing.T) {
 	cfg.NBEvery = 2
 	_, want := Reference(cfg)
 	for _, nprocs := range []int{4, 8} {
-		results := make([]*ProcResult, nprocs)
-		comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
-			results[p.Rank()] = Run(p, cfg)
-		})
+		results, _ := runAll(nprocs, cfg, Run)
 		if math.Abs(results[0].Checksum-want) > 1e-9*math.Abs(want) {
 			t.Errorf("nprocs=%d checksum %v, want %v", nprocs, results[0].Checksum, want)
 		}
@@ -32,10 +29,7 @@ func TestSingleAtom(t *testing.T) {
 	cfg.Steps = 3
 	cfg.NBEvery = 1
 	_, want := Reference(cfg)
-	results := make([]*ProcResult, 2)
-	comm.Run(2, costmodel.IPSC860(), func(p *comm.Proc) {
-		results[p.Rank()] = Run(p, cfg)
-	})
+	results, _ := runAll(2, cfg, Run)
 	if math.Abs(results[0].Checksum-want) > 1e-12 {
 		t.Errorf("checksum %v, want %v", results[0].Checksum, want)
 	}
@@ -44,10 +38,7 @@ func TestSingleAtom(t *testing.T) {
 func TestZeroSteps(t *testing.T) {
 	cfg := DefaultConfig().scaled(40)
 	cfg.Steps = 0
-	results := make([]*ProcResult, 2)
-	comm.Run(2, costmodel.IPSC860(), func(p *comm.Proc) {
-		results[p.Rank()] = Run(p, cfg)
-	})
+	results, _ := runAll(2, cfg, Run)
 	if results[0].Checksum <= 0 {
 		t.Errorf("checksum %v after zero steps", results[0].Checksum)
 	}
@@ -59,10 +50,7 @@ func TestChainPartitionerOnCharmm(t *testing.T) {
 	cfg.NBEvery = 2
 	cfg.Partitioner = "chain"
 	_, want := Reference(cfg)
-	results := make([]*ProcResult, 3)
-	comm.Run(3, costmodel.IPSC860(), func(p *comm.Proc) {
-		results[p.Rank()] = Run(p, cfg)
-	})
+	results, _ := runAll(3, cfg, Run)
 	if math.Abs(results[0].Checksum-want) > 1e-9*math.Abs(want) {
 		t.Errorf("chain checksum %v, want %v", results[0].Checksum, want)
 	}
@@ -97,10 +85,7 @@ func TestTranslationTableKinds(t *testing.T) {
 	for _, kind := range []string{"replicated", "distributed", "paged"} {
 		cfg := cfg
 		cfg.TableKind = kind
-		results := make([]*ProcResult, 3)
-		comm.Run(3, costmodel.IPSC860(), func(p *comm.Proc) {
-			results[p.Rank()] = Run(p, cfg)
-		})
+		results, _ := runAll(3, cfg, Run)
 		if math.Abs(results[0].Checksum-want) > 1e-9*math.Abs(want) {
 			t.Errorf("kind=%s checksum %v, want %v", kind, results[0].Checksum, want)
 		}
@@ -120,51 +105,12 @@ func TestUnknownTableKindPanics(t *testing.T) {
 	})
 }
 
-func TestCompiledAppMatchesHandAndReference(t *testing.T) {
-	// The fully compiled adaptive application (PairLoop + SumLoop +
-	// automatic re-preprocessing) must reproduce the hand-parallelized
-	// physics, including under periodic repartitioning.
-	cfg := DefaultConfig().scaled(450)
-	cfg.Steps = 6
-	cfg.NBEvery = 3
-	_, want := Reference(cfg)
-	for _, nprocs := range []int{1, 3} {
-		results := make([]*ProcResult, nprocs)
-		comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
-			results[p.Rank()] = RunCompiled(p, cfg)
-		})
-		if math.Abs(results[0].Checksum-want) > 1e-9*math.Abs(want) {
-			t.Errorf("nprocs=%d compiled checksum %v, want %v", nprocs, results[0].Checksum, want)
-		}
-		if results[0].NBEntries == 0 {
-			t.Errorf("nprocs=%d: empty non-bonded list", nprocs)
-		}
-	}
-
-	// With remapping (the fully adaptive scenario).
-	cfg.RemapEvery = 4
-	cfg.AlternatePartitioners = true
-	_, want = Reference(cfg)
-	results := make([]*ProcResult, 3)
-	comm.Run(3, costmodel.IPSC860(), func(p *comm.Proc) {
-		results[p.Rank()] = RunCompiled(p, cfg)
-	})
-	if math.Abs(results[0].Checksum-want) > 1e-9*math.Abs(want) {
-		t.Errorf("remapped compiled checksum %v, want %v", results[0].Checksum, want)
-	}
-	if results[0].Phases[PhaseSchedRegen] <= 0 {
-		t.Errorf("no schedule regeneration recorded: %v", results[0].Phases)
-	}
-}
-
 func TestCompiledAppNearHandPerformance(t *testing.T) {
 	cfg := DefaultConfig().scaled(1200)
 	cfg.Steps = 8
 	cfg.NBEvery = 4
 	exec := func(run func(p *comm.Proc, cfg Config) *ProcResult) float64 {
-		rep := comm.Run(4, costmodel.IPSC860(), func(p *comm.Proc) {
-			run(p, cfg)
-		})
+		_, rep := runAll(4, cfg, run)
 		return rep.MaxClock()
 	}
 	hand := exec(Run)
@@ -188,10 +134,7 @@ func TestCompiledAppUnderPolicy(t *testing.T) {
 	cfg.AdaptVerify = true
 	_, want := Reference(cfg)
 	const nprocs = 3
-	results := make([]*ProcResult, nprocs)
-	comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
-		results[p.Rank()] = RunCompiled(p, cfg)
-	})
+	results, _ := runAll(nprocs, cfg, RunCompiled)
 	for r, res := range results {
 		if !slices.Equal(res.RemapSteps, results[0].RemapSteps) {
 			t.Errorf("rank %d remapped at %v, rank 0 at %v", r, res.RemapSteps, results[0].RemapSteps)

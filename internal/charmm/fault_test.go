@@ -46,9 +46,7 @@ func TestFaultKillElasticRecovery(t *testing.T) {
 	ckpt := cfg
 	ckpt.CheckpointEvery = 3
 	ckpt.CheckpointDir = t.TempDir()
-	rep := comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
-		Run(p, ckpt)
-	})
+	_, rep := runAll(nprocs, ckpt, Run)
 	kills := rep.Stats[victim].MsgsSent * 4 / 5
 	if kills == 0 {
 		t.Fatalf("victim rank %d sent no messages; cannot schedule a kill", victim)

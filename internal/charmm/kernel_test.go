@@ -14,27 +14,6 @@ func smallKernelConfig() KernelConfig {
 	return KernelConfig{NAtoms: 500, Iters: 8, RemapEvery: 4, Seed: 3}
 }
 
-func TestKernelHandMatchesCompiled(t *testing.T) {
-	cfg := smallKernelConfig()
-	for _, nprocs := range []int{1, 2, 4} {
-		hand := make([]*KernelResult, nprocs)
-		compiled := make([]*KernelResult, nprocs)
-		comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
-			hand[p.Rank()] = RunKernelHand(p, cfg)
-		})
-		comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
-			compiled[p.Rank()] = RunKernelCompiled(p, cfg)
-		})
-		h, c := hand[0], compiled[0]
-		if math.Abs(h.Checksum-c.Checksum) > 1e-9*math.Abs(h.Checksum) {
-			t.Errorf("nprocs=%d checksum hand %v vs compiled %v", nprocs, h.Checksum, c.Checksum)
-		}
-		if h.Checksum == 0 {
-			t.Errorf("nprocs=%d zero checksum: kernel did nothing", nprocs)
-		}
-	}
-}
-
 func TestKernelCompiledNearHandPerformance(t *testing.T) {
 	// Table 6: the compiler-generated code should be within a few percent
 	// of the hand-coded version.

@@ -211,10 +211,18 @@ func remapEpisode(p *comm.Proc, s *simState, cfg Config, part string, timer *cor
 	timer.Mark(schedPhase)
 }
 
-// Validate reports an inconsistent configuration.
+// Validate reports an inconsistent configuration, naming the field at fault.
 func (cfg Config) Validate() error {
-	if cfg.NAtoms < 1 || cfg.Steps < 0 || cfg.NBEvery < 1 {
-		return fmt.Errorf("charmm: bad config %+v", cfg)
+	for _, f := range []struct {
+		name     string
+		val, min int
+	}{
+		{"NAtoms", cfg.NAtoms, 1}, {"Steps", cfg.Steps, 0}, {"NBEvery", cfg.NBEvery, 1},
+		{"RemapEvery", cfg.RemapEvery, 0}, {"CheckpointEvery", cfg.CheckpointEvery, 0},
+	} {
+		if f.val < f.min {
+			return fmt.Errorf("charmm: %s is %d, want at least %d", f.name, f.val, f.min)
+		}
 	}
 	if !partition.Known(cfg.Partitioner) {
 		return errors.New("charmm: unknown partitioner " + cfg.Partitioner)

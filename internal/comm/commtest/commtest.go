@@ -1,9 +1,10 @@
 // Package commtest runs SPMD test bodies over each kind of transport the
-// runtime supports, under a watchdog. It supplies the columns of the
-// table-driven oracles that hold the executors to their sequential loops
-// (internal/loopir's TestExecutorOracle, internal/schedule's
-// TestMotionOracle): a row that deadlocks fails naming every rank's pending
-// receive instead of hanging until the go test timeout.
+// runtime supports, and under each measured-mode runner, under a watchdog.
+// It supplies the columns of the table-driven oracles that hold the
+// executors to their sequential loops (internal/loopir's TestExecutorOracle,
+// internal/schedule's TestMotionOracle) and the workloads to their
+// references (internal/workload): a row that deadlocks fails naming every
+// rank's pending receive instead of hanging until the go test timeout.
 package commtest
 
 import (
@@ -31,18 +32,28 @@ const (
 	// frames are in flight, and Outcome.InFlight counts the receives that
 	// had to wait for the wire.
 	Delay
-	// TCP is a loopback socket mesh; Run skips it under -short.
+	// TCP is a loopback socket mesh; -short skips it (Skip).
 	TCP
-	// FaultTCP is the loopback socket mesh under FaultPlan; Run skips it
-	// under -short.
+	// FaultTCP is the loopback socket mesh under FaultPlan; -short skips it.
 	FaultTCP
+	// Measured runs the ranks under comm.RunMeasuredTransport over a bare
+	// in-memory mesh, the path a timed benchmark run takes: while the ranks
+	// fit GOMAXPROCS each is pinned to a thread bound to a CPU of its own and
+	// a receive waits spin, then yield, then park. A decorated mesh parks at
+	// once, so the watchdog cannot log this column's pending receives.
+	Measured
+	// Multiplexed is Measured with every rank on one worker slot.
+	Multiplexed
 )
 
-// Transports lists every column.
+// Transports lists every transport column.
 var Transports = []Transport{Mem, Fault, Delay, TCP, FaultTCP}
 
+// Runners lists the measured-mode columns, which Transports leaves out.
+var Runners = []Transport{Measured, Multiplexed}
+
 func (k Transport) String() string {
-	return [...]string{"mem", "fault", "delay", "tcp", "fault-tcp"}[k]
+	return [...]string{"mem", "fault", "delay", "tcp", "fault-tcp", "measured", "multiplexed"}[k]
 }
 
 // FaultPlan duplicates and reorders aggressively — about a third of the
@@ -90,13 +101,16 @@ func (k Transport) New(n int) (comm.Transport, error) {
 	}
 }
 
-// Skip skips t on a column that -short leaves out: the real sockets.
+// Skip skips t on a column that -short leaves out (see Skipped).
 func Skip(t testing.TB, k Transport) {
 	t.Helper()
-	if (k == TCP || k == FaultTCP) && testing.Short() {
+	if Skipped(k) {
 		t.Skip("real sockets in -short mode")
 	}
 }
+
+// Skipped reports whether -short leaves column k out: the real sockets.
+func Skipped(k Transport) bool { return (k == TCP || k == FaultTCP) && testing.Short() }
 
 // Outcome is a finished run: the runner's report and, on the Delay column,
 // how many receives of each tag began while their frame was still on the
@@ -106,22 +120,12 @@ type Outcome struct {
 	InFlight map[int]int
 }
 
-// Run runs body on n ranks of machine m over a new transport of kind k. A
-// run still going after Deadline fails t with label and every rank's
-// pending receive. Under -short the socket columns are skipped.
-func Run(t testing.TB, label string, k Transport, n int, m *costmodel.Machine, body func(*comm.Proc)) Outcome {
-	t.Helper()
-	Skip(t, k)
-	out, err := Try(k, n, m, body)
-	if err != nil {
-		t.Fatalf("%s over %v on %d ranks: %v", label, k, n, err)
-	}
-	return out
-}
-
-// Try is Run returning an error instead of failing a test, for callers that
-// share one run among several tests: the transport could not be built, or
-// the run hung.
+// Try runs body on n ranks of machine m over a new transport of kind k
+// (measured, on a runner column). It returns an error rather than failing a
+// test, so that several tests can share one run: the transport could not be
+// built, or the run was still going after Deadline (the error names every
+// rank's pending receive). Callers skip the socket columns under -short
+// (Skip).
 func Try(k Transport, n int, m *costmodel.Machine, body func(*comm.Proc)) (Outcome, error) {
 	tr, err := k.New(n)
 	if err != nil {
@@ -131,14 +135,22 @@ func Try(k Transport, n int, m *costmodel.Machine, body func(*comm.Proc)) (Outco
 	if k == Delay {
 		latency = Latency
 	}
-	return run(Deadline, tr, latency, n, m, body)
+	var opts *comm.MeasureOpts
+	switch k {
+	case Measured:
+		opts = &comm.MeasureOpts{}
+	case Multiplexed:
+		opts = &comm.MeasureOpts{Workers: 1}
+	}
+	return run(Deadline, tr, latency, opts, n, m, body)
 }
 
-// run is Try with the deadline and the wire latency (0: not counted) as
-// parameters: a hung run returns an error listing the pending receives
-// rather than the peer-failure panic the poisoning raises.
-func run(deadline time.Duration, tr comm.Transport, latency time.Duration, n int, m *costmodel.Machine, body func(*comm.Proc)) (out Outcome, err error) {
-	w := &watched{Transport: tr, pending: make([]recvKey, n), latency: latency}
+// run is Try with the deadline, the wire latency (0: not counted) and the
+// measured-mode options (nil: a modeled run) as parameters: a hung run
+// returns an error listing the pending receives rather than the
+// peer-failure panic the poisoning raises.
+func run(deadline time.Duration, tr comm.Transport, latency time.Duration, opts *comm.MeasureOpts, n int, m *costmodel.Machine, body func(*comm.Proc)) (out Outcome, err error) {
+	w := &watched{Transport: tr, pending: make([]recvKey, n), latency: latency, bare: opts != nil}
 	for r := range w.pending {
 		w.pending[r].from = -1
 	}
@@ -156,8 +168,10 @@ func run(deadline time.Duration, tr comm.Transport, latency time.Duration, n int
 			panic(e)
 		}
 	}()
-	rep := comm.RunTransport(n, m, w, body)
-	return Outcome{rep, w.inFlight}, nil
+	if w.bare {
+		return Outcome{Report: comm.RunMeasuredTransport(n, m, tr, *opts, body)}, nil
+	}
+	return Outcome{comm.RunTransport(n, m, w, body), w.inFlight}, nil
 }
 
 // Memo holds deterministic runs by key, so a matrix and the named tests
@@ -183,7 +197,8 @@ func (c *Memo[K, V]) Get(k K, run func() (V, error)) (V, error) {
 type recvKey struct{ from, tag int }
 
 // watched decorates a transport with each rank's pending receive, forwarding
-// the poisoning and rank-completion hooks the runners use. With a latency
+// the poisoning and rank-completion hooks the runners use; on a bare run it
+// only poisons the transport it does not decorate. With a latency
 // it also stamps every frame's send time per (from, to, tag), which the
 // wire keeps in FIFO order, to count the receives begun before their frame
 // could have arrived.
@@ -192,6 +207,7 @@ type watched struct {
 	mu       sync.Mutex
 	pending  []recvKey
 	report   string // set by expire
+	bare     bool
 	latency  time.Duration
 	sent     map[[3]int][]time.Time
 	inFlight map[int]int
@@ -250,6 +266,9 @@ func (w *watched) expire() {
 		}
 	}
 	w.report = b.String()
+	if w.bare {
+		w.report = "not logged on a bare mesh"
+	}
 	w.mu.Unlock()
 	w.Poison()
 }

@@ -113,10 +113,18 @@ func (c Config) collideCost() int {
 	return collideFlopsPerMol
 }
 
-// Validate reports an inconsistent configuration.
+// Validate reports an inconsistent configuration, naming the field at fault.
 func (c Config) Validate() error {
-	if c.NX < 1 || c.NY < 1 || c.NZ < 1 || c.NMols < 0 || c.Steps < 0 {
-		return fmt.Errorf("dsmc: bad config %+v", c)
+	for _, f := range []struct {
+		name     string
+		val, min int
+	}{
+		{"NX", c.NX, 1}, {"NY", c.NY, 1}, {"NZ", c.NZ, 1}, {"NMols", c.NMols, 0}, {"Steps", c.Steps, 0},
+		{"RemapEvery", c.RemapEvery, 0}, {"CheckpointEvery", c.CheckpointEvery, 0},
+	} {
+		if f.val < f.min {
+			return fmt.Errorf("dsmc: %s is %d, want at least %d", f.name, f.val, f.min)
+		}
 	}
 	if c.Mover != MoverLight && c.Mover != MoverRegular && c.Mover != MoverCompiler {
 		return errors.New("dsmc: unknown mover " + string(c.Mover))

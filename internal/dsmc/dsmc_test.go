@@ -25,6 +25,14 @@ func small3D() Config {
 	return cfg
 }
 
+// runAll runs cfg on n ranks and returns every rank's result and the run's
+// report.
+func runAll(n int, cfg Config) ([]*ProcResult, *comm.Report) {
+	results := make([]*ProcResult, n)
+	rep := comm.Run(n, costmodel.IPSC860(), func(p *comm.Proc) { results[p.Rank()] = Run(p, cfg) })
+	return results, rep
+}
+
 func TestGenMoleculesDeterministic(t *testing.T) {
 	cfg := smallConfig()
 	a := GenMolecules(cfg)
@@ -119,63 +127,13 @@ func TestCollideCellOrderIndependent(t *testing.T) {
 	}
 }
 
-// gatherAll collects every rank's molecules on the caller (all ranks).
-func gatherAll(p *comm.Proc, mols []float64) []float64 {
-	var out []float64
-	for _, b := range p.AllGather(comm.EncodeF64(mols)) {
-		out = append(out, comm.DecodeF64(b)...)
-	}
-	return out
-}
-
-func TestParallelMatchesReferenceBitExact(t *testing.T) {
-	cfg := smallConfig()
-	wantMols, _ := Reference(cfg)
-	for _, mover := range []Mover{MoverLight, MoverRegular} {
-		for _, nprocs := range []int{1, 2, 4} {
-			cfg := cfg
-			cfg.Mover = mover
-			fail := make([]string, nprocs)
-			comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
-				// Re-run the simulation, then gather and sort by id.
-				res := runAndGather(p, cfg)
-				if len(res) != len(wantMols) {
-					fail[p.Rank()] = "length mismatch"
-					return
-				}
-				for i := range res {
-					if res[i] != wantMols[i] {
-						fail[p.Rank()] = "value mismatch"
-						return
-					}
-				}
-			})
-			for r, f := range fail {
-				if f != "" {
-					t.Errorf("mover=%s nprocs=%d rank=%d: %s", mover, nprocs, r, f)
-				}
-			}
-		}
-	}
-}
-
-// runAndGather runs the simulation inline (duplicating Run's loop) so the
-// final distributed molecule population can be gathered and compared.
-func runAndGather(p *comm.Proc, cfg Config) []float64 {
-	res := RunKeepMols(p, cfg)
-	return SortByID(gatherAll(p, res))
-}
-
 func TestRemapPoliciesPreservePhysics(t *testing.T) {
 	cfg := small3D()
 	_, want := Reference(cfg)
 	for _, part := range []string{"chain", "rcb", "rib", "block"} {
 		cfg := cfg
 		cfg.Partitioner = part
-		results := make([]*ProcResult, 4)
-		comm.Run(4, costmodel.IPSC860(), func(p *comm.Proc) {
-			results[p.Rank()] = Run(p, cfg)
-		})
+		results, _ := runAll(4, cfg)
 		if math.Abs(results[0].Checksum-want) > 1e-9*math.Abs(want) {
 			t.Errorf("partitioner %s: checksum %v, want %v", part, results[0].Checksum, want)
 		}
@@ -190,9 +148,7 @@ func TestLightMoverCheaperThanRegular(t *testing.T) {
 	exec := func(m Mover) float64 {
 		cfg := cfg
 		cfg.Mover = m
-		rep := comm.Run(8, costmodel.IPSC860(), func(p *comm.Proc) {
-			Run(p, cfg)
-		})
+		_, rep := runAll(8, cfg)
 		return rep.MaxClock()
 	}
 	light, regular := exec(MoverLight), exec(MoverRegular)
@@ -211,9 +167,7 @@ func TestRemappingBeatsStaticUnderDrift(t *testing.T) {
 		cfg := cfg
 		cfg.Partitioner = part
 		cfg.RemapEvery = remapEvery
-		rep := comm.Run(8, costmodel.IPSC860(), func(p *comm.Proc) {
-			Run(p, cfg)
-		})
+		_, rep := runAll(8, cfg)
 		return rep.MaxClock()
 	}
 	static := exec("block", 0)
@@ -243,6 +197,7 @@ func TestConfigValidate(t *testing.T) {
 	}
 	for want, mutate := range map[string]func(*Config){
 		"dsmc: unknown mover teleport":                                func(c *Config) { c.Mover = "teleport" },
+		"dsmc: NMols is -1, want at least 0":                          func(c *Config) { c.NMols = -1 },
 		"dsmc: unknown partitioner voronoi":                           func(c *Config) { c.Partitioner = "voronoi" },
 		"dsmc: SlotCap must be positive":                              func(c *Config) { c.SlotCap = 0 },
 		"dsmc: CheckpointEvery set without CheckpointDir":             func(c *Config) { c.CheckpointEvery = 2 },
@@ -258,10 +213,7 @@ func TestConfigValidate(t *testing.T) {
 
 func TestPhaseAccounting(t *testing.T) {
 	cfg := small3D()
-	results := make([]*ProcResult, 2)
-	comm.Run(2, costmodel.IPSC860(), func(p *comm.Proc) {
-		results[p.Rank()] = Run(p, cfg)
-	})
+	results, _ := runAll(2, cfg)
 	for r, res := range results {
 		if res.Phases[PhaseMove] <= 0 || res.Phases[PhaseCollide] <= 0 {
 			t.Errorf("rank %d: missing move/collide time: %v", r, res.Phases)
@@ -275,44 +227,13 @@ func TestPhaseAccounting(t *testing.T) {
 	}
 }
 
-func TestCompilerMoverMatchesManual(t *testing.T) {
-	// Table 7: compiler-generated MOVE (REDUCE(APPEND) + new_size
-	// recomputation) must produce identical physics and cost more than the
-	// manual light-schedule version.
-	cfg := smallConfig()
-	_, want := Reference(cfg)
-	exec := func(m Mover) (float64, float64, float64) {
-		cfg := cfg
-		cfg.Mover = m
-		results := make([]*ProcResult, 4)
-		rep := comm.Run(4, costmodel.IPSC860(), func(p *comm.Proc) {
-			results[p.Rank()] = Run(p, cfg)
-		})
-		return results[0].Checksum, rep.MaxClock(), results[0].MoveTime
-	}
-	sumM, totM, moveM := exec(MoverLight)
-	sumC, totC, moveC := exec(MoverCompiler)
-	if math.Abs(sumM-want) > 1e-9*math.Abs(want) || math.Abs(sumC-want) > 1e-9*math.Abs(want) {
-		t.Errorf("checksums: manual %v compiler %v want %v", sumM, sumC, want)
-	}
-	if moveC <= moveM {
-		t.Errorf("compiler move %.4fs not slower than manual %.4fs (no extra comm?)", moveC, moveM)
-	}
-	if totC <= totM {
-		t.Errorf("compiler total %.4fs not slower than manual %.4fs", totC, totM)
-	}
-}
-
 func TestZeroMolecules(t *testing.T) {
 	cfg := smallConfig()
 	cfg.NMols = 0
 	for _, mover := range []Mover{MoverLight, MoverRegular, MoverCompiler} {
 		cfg := cfg
 		cfg.Mover = mover
-		results := make([]*ProcResult, 3)
-		comm.Run(3, costmodel.IPSC860(), func(p *comm.Proc) {
-			results[p.Rank()] = Run(p, cfg)
-		})
+		results, _ := runAll(3, cfg)
 		if results[0].Checksum != 0 {
 			t.Errorf("mover=%s: checksum %v for empty system", mover, results[0].Checksum)
 		}
@@ -324,10 +245,7 @@ func TestMoreProcsThanCells(t *testing.T) {
 	cfg.NMols = 40
 	cfg.Steps = 5
 	_, want := Reference(cfg)
-	results := make([]*ProcResult, 6)
-	comm.Run(6, costmodel.IPSC860(), func(p *comm.Proc) {
-		results[p.Rank()] = Run(p, cfg)
-	})
+	results, _ := runAll(6, cfg)
 	if math.Abs(results[0].Checksum-want) > 1e-9*math.Abs(want) {
 		t.Errorf("checksum %v, want %v", results[0].Checksum, want)
 	}
@@ -337,10 +255,7 @@ func TestCompilerMoverWithRemapping(t *testing.T) {
 	cfg := small3D()
 	cfg.Mover = MoverCompiler
 	_, want := Reference(cfg)
-	results := make([]*ProcResult, 4)
-	comm.Run(4, costmodel.IPSC860(), func(p *comm.Proc) {
-		results[p.Rank()] = Run(p, cfg)
-	})
+	results, _ := runAll(4, cfg)
 	if math.Abs(results[0].Checksum-want) > 1e-9*math.Abs(want) {
 		t.Errorf("checksum %v, want %v", results[0].Checksum, want)
 	}
@@ -355,9 +270,7 @@ func TestCollideCostKnob(t *testing.T) {
 	}
 	// Doubling the knob must increase modeled compute.
 	run := func(c Config) float64 {
-		rep := comm.Run(2, costmodel.IPSC860(), func(p *comm.Proc) {
-			Run(p, c)
-		})
+		_, rep := runAll(2, c)
 		return rep.MeanComputeTime()
 	}
 	small := smallConfig()

@@ -27,9 +27,7 @@ func TestFaultKillElasticRecovery(t *testing.T) {
 	ckpt := cfg
 	ckpt.CheckpointEvery = 2
 	ckpt.CheckpointDir = t.TempDir()
-	rep := comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
-		Run(p, ckpt)
-	})
+	_, rep := runAll(nprocs, ckpt)
 	kills := rep.Stats[victim].MsgsSent * 3 / 4
 	if kills == 0 {
 		t.Fatalf("victim rank %d sent no messages; cannot schedule a kill", victim)

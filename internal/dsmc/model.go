@@ -21,7 +21,7 @@ func GenMolecules(cfg Config) []float64 {
 		m[0] = float64(i)
 		m[1] = rng.Float64() * float64(cfg.NX) * cfg.InitSlabFrac
 		m[2] = rng.Float64() * float64(cfg.NY)
-		m[4] = cfg.Drift + cfg.Sigma*rng.NormFloat64()
+		m[4] = cfg.Drift + float64(cfg.Sigma*rng.NormFloat64())
 		m[5] = cfg.Sigma * rng.NormFloat64()
 		if cfg.NZ > 1 {
 			m[3] = rng.Float64() * float64(cfg.NZ)
@@ -61,11 +61,13 @@ func CellCenter(cfg *Config, c int) (x, y, z float64) {
 }
 
 // advance free-flies one molecule record for dt with periodic wrapping.
+// Each product is rounded by its explicit conversion before the addition,
+// so no GOARCH fuses the two (see costmodel.MsgCost).
 func advance(cfg *Config, m []float64, dt float64) {
-	m[1] = wrap(m[1]+m[4]*dt, float64(cfg.NX))
-	m[2] = wrap(m[2]+m[5]*dt, float64(cfg.NY))
+	m[1] = wrap(m[1]+float64(m[4]*dt), float64(cfg.NX))
+	m[2] = wrap(m[2]+float64(m[5]*dt), float64(cfg.NY))
 	if cfg.NZ > 1 {
-		m[3] = wrap(m[3]+m[6]*dt, float64(cfg.NZ))
+		m[3] = wrap(m[3]+float64(m[6]*dt), float64(cfg.NZ))
 	}
 }
 
