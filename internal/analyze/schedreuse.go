@@ -9,10 +9,11 @@ import (
 // optimizations and the §5.3 modification-record guard):
 //
 //   - inspector work — hashtab Hash/HashInto, schedule Build/BuildInto,
-//     BuildLight/BuildLightInto, FromTranslated — executed inside a
-//     for/range loop even though every index input is loop-invariant: the
-//     same communication schedule is rebuilt each iteration and should be
-//     hoisted out of the loop (or guarded by a modification record);
+//     BuildLight/BuildLightInto, FromTranslated/FromTranslatedInto —
+//     executed inside a for/range loop even though every index input is
+//     loop-invariant: the same communication schedule is rebuilt each
+//     iteration and should be hoisted out of the loop (or guarded by a
+//     modification record);
 //   - a schedule built twice from the same hash table with the same stamp
 //     selection and no intervening rehash: the second build is a copy of
 //     the first and the earlier schedule should be reused.
@@ -81,9 +82,11 @@ func checkLoopInvariantBuilds(pass *Pass, info *types.Info, loop ast.Node, body 
 			if invariantExpr(info, call.Args[len(call.Args)-1], variant) {
 				report("%s of loop-invariant destinations runs every iteration; build the light schedule once before the loop", fn.Name())
 			}
-		case inPkg(fn, "internal/schedule") && fn.Name() == "FromTranslated" && len(call.Args) == 4:
-			if invariantExpr(info, call.Args[2], variant) && invariantExpr(info, call.Args[3], variant) {
-				report("FromTranslated of loop-invariant translations runs every iteration; build the schedule once before the loop")
+		case inPkg(fn, "internal/schedule") && fn.Name() == "FromTranslated" && len(call.Args) == 4,
+			inPkg(fn, "internal/schedule") && fn.Name() == "FromTranslatedInto" && len(call.Args) == 6:
+			owners, offsets := call.Args[len(call.Args)-2], call.Args[len(call.Args)-1]
+			if invariantExpr(info, owners, variant) && invariantExpr(info, offsets, variant) {
+				report("%s of loop-invariant translations runs every iteration; build the schedule once before the loop", fn.Name())
 			}
 		case inPkg(fn, "internal/schedule") && (fn.Name() == "Build" || fn.Name() == "BuildInto"):
 			tblArg := 1

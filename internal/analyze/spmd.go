@@ -18,8 +18,10 @@ var procCollectives = map[string]bool{
 // scheduleCollectives are package-level collective entry points in
 // internal/schedule.
 var scheduleCollectives = map[string]bool{
-	"Build": true, "FromTranslated": true,
-	"Gather": true, "GatherW": true, "Scatter": true, "ScatterW": true,
+	"Build": true, "BuildInto": true, "BuildLight": true, "BuildLightInto": true,
+	"FromTranslated": true, "FromTranslatedInto": true,
+	"Gather": true, "GatherW": true, "GatherWMulti": true,
+	"Scatter": true, "ScatterW": true, "ScatterWMulti": true,
 }
 
 // SPMDCollective flags collective calls that are lexically reachable only
@@ -66,8 +68,9 @@ func collectiveName(info *types.Info, call *ast.CallExpr) (string, bool) {
 		return "checkpoint.Save", true
 	case isMethodOn(fn, "internal/core", "Dist", "Repartition"):
 		return "(*core.Dist).Repartition", true
-	case isMethodOn(fn, "internal/ttable", "Table", "Dereference"):
-		return "(*ttable.Table).Dereference", true
+	case isMethodOn(fn, "internal/ttable", "Table", "Dereference"),
+		isMethodOn(fn, "internal/ttable", "Table", "DereferenceInto"):
+		return "(*ttable.Table)." + fn.Name(), true
 	}
 	return "", false
 }

@@ -47,6 +47,9 @@ func runStampLifetimeFunc(pass *Pass, info *types.Info, body *ast.BlockStmt) {
 	// schedVars maps schedule-typed idents to their builds so "use" events
 	// can be matched; collected in the same sweep.
 	schedVars := map[types.Object]bool{}
+	// reused holds the schedule arguments of in-place rebuilds, which are
+	// not uses.
+	reused := map[*ast.Ident]bool{}
 
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -58,16 +61,25 @@ func runStampLifetimeFunc(pass *Pass, info *types.Info, body *ast.BlockStmt) {
 					continue
 				}
 				ev := stampEvent{pos: n.Pos(), kind: "assign", objs: []types.Object{o}}
-				// Record schedule builds: s := schedule.Build(p, ht, ...).
+				// Record schedule builds: s := schedule.Build(p, ht, ...),
+				// and the schedule result of the two-result translated
+				// builds (s, loc := schedule.FromTranslatedInto(...)).
+				var rhs ast.Expr
 				if len(n.Rhs) == len(n.Lhs) {
-					if call, ok := ast.Unparen(n.Rhs[i]).(*ast.CallExpr); ok {
-						if fn := callee(info, call); fn != nil && inPkg(fn, "internal/schedule") &&
-							(fn.Name() == "Build" || fn.Name() == "FromTranslated") {
-							ev.kind = "assign-build"
-							if len(call.Args) >= 2 {
-								ev.tab = identObj(info, call.Args[1])
-							}
-							schedVars[o] = true
+					rhs = n.Rhs[i]
+				} else if len(n.Rhs) == 1 && i == 0 {
+					rhs = n.Rhs[0]
+				}
+				if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok {
+					if fn := scheduleBuild(info, call); fn != nil {
+						schedVars[o] = true
+						// A translated schedule reads no hash table, so
+						// no Reset can stale it: it stays a plain assign.
+						switch fn.Name() {
+						case "Build":
+							ev.kind, ev.tab = "assign-build", identObj(info, call.Args[1])
+						case "BuildInto":
+							ev.kind, ev.tab = "assign-build", identObj(info, call.Args[2])
 						}
 					}
 				}
@@ -77,6 +89,13 @@ func runStampLifetimeFunc(pass *Pass, info *types.Info, body *ast.BlockStmt) {
 			fn := callee(info, n)
 			if fn == nil {
 				return true
+			}
+			// An in-place rebuild's first argument hands the schedule's
+			// storage back for reuse; it reads none of its contents.
+			if scheduleBuild(info, n) != nil && (fn.Name() == "BuildInto" || fn.Name() == "FromTranslatedInto") {
+				if id, ok := ast.Unparen(n.Args[0]).(*ast.Ident); ok {
+					reused[id] = true
+				}
 			}
 			switch {
 			case isMethodOn(fn, "internal/hashtab", "Table", "ClearStamp"):
@@ -119,7 +138,7 @@ func runStampLifetimeFunc(pass *Pass, info *types.Info, body *ast.BlockStmt) {
 		if !ok {
 			return true
 		}
-		if o := info.Uses[id]; o != nil && schedVars[o] {
+		if o := info.Uses[id]; o != nil && schedVars[o] && !reused[id] {
 			events = append(events, stampEvent{pos: id.Pos(), kind: "use", objs: []types.Object{o}})
 		}
 		return true
@@ -158,6 +177,7 @@ func runStampLifetimeFunc(pass *Pass, info *types.Info, body *ast.BlockStmt) {
 				delete(stampEra, o)
 				if schedVars[o] {
 					schedStale[o] = false
+					delete(schedTab, o)
 				}
 			}
 		case "assign-build":
@@ -200,6 +220,20 @@ func runStampLifetimeFunc(pass *Pass, info *types.Info, body *ast.BlockStmt) {
 			}
 		}
 	}
+}
+
+// scheduleBuild returns the callee of call when it is one of package
+// schedule's regular-schedule builds, nil otherwise.
+func scheduleBuild(info *types.Info, call *ast.CallExpr) *types.Func {
+	fn := callee(info, call)
+	if fn == nil || !inPkg(fn, "internal/schedule") || recvTypeName(fn) != "" {
+		return nil
+	}
+	switch fn.Name() {
+	case "Build", "BuildInto", "FromTranslated", "FromTranslatedInto":
+		return fn
+	}
+	return nil
 }
 
 // methodRecvObj resolves the receiver of a method call to an identifier

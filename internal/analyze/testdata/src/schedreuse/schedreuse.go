@@ -71,6 +71,18 @@ func BadLightRebuildInLoop(p *comm.Proc, owners []int32, recs []float64) {
 	}
 }
 
+// BadTranslatedRebuildInLoop rebuilds a schedule in place from
+// translations that never change inside the loop: every rebuild is the
+// same schedule.
+func BadTranslatedRebuildInLoop(p *comm.Proc, owners, offsets []int32, data []float64) {
+	var sched *schedule.Schedule
+	var loc []int32
+	for step := 0; step < 10; step++ {
+		sched, loc = schedule.FromTranslatedInto(sched, loc, p, 64, owners, offsets) // want:sched-reuse
+		schedule.Gather(p, sched, data)
+	}
+}
+
 // BadDuplicateBuild builds the identical stamp selection twice from the
 // same table in straight-line code; the second schedule is a copy.
 func BadDuplicateBuild(p *comm.Proc, rt *core.Runtime, ia []int32, data []float64) {
@@ -129,6 +141,21 @@ func GoodDistinctSelections(p *comm.Proc, rt *core.Runtime, ia, ib []int32, data
 	merged := schedule.Build(p, ht, sa|sb, 0)
 	schedule.Gather(p, onlyA, data)
 	schedule.Gather(p, merged, data)
+}
+
+// GoodTranslatedPerStep retranslates every step (the DSMC regular mover's
+// pattern), so each in-place rebuild is a new schedule.
+func GoodTranslatedPerStep(p *comm.Proc, owners, offsets []int32, data []float64) {
+	var sched *schedule.Schedule
+	var loc []int32
+	for step := 0; step < 10; step++ {
+		for k := range offsets {
+			offsets[k] = (offsets[k] + 1) % 64
+		}
+		p.ComputeMem(len(offsets))
+		sched, loc = schedule.FromTranslatedInto(sched, loc, p, 64, owners, offsets)
+		schedule.Gather(p, sched, data)
+	}
 }
 
 // GoodLightPerStepDests recomputes the destinations every step (migrating

@@ -7,6 +7,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/hashtab"
 	"repro/internal/schedule"
+	"repro/internal/ttable"
 )
 
 // BadGuardedBarrier deadlocks: only rank 0 enters the barrier.
@@ -47,6 +48,22 @@ func BadGuardedBuild(p *comm.Proc, ht *hashtab.Table, s hashtab.Stamp) *schedule
 		return nil
 	} else {
 		return schedule.Build(p, ht, s, 0) // want:spmd-collective
+	}
+}
+
+// BadGuardedInPlaceBuilds reaches every in-place and light-weight build,
+// the multi-array motions and the in-place dereference on one rank only:
+// each exchanges messages with every peer, exactly as Build does.
+func BadGuardedInPlaceBuilds(p *comm.Proc, ht *hashtab.Table, tt *ttable.Table, s *schedule.Schedule, st hashtab.Stamp,
+	dest, owners, offsets, globals []int32, datas [][]float64, widths []int) {
+	if p.Rank() == 0 {
+		s = schedule.BuildInto(s, p, ht, st, 0)                           // want:spmd-collective
+		ls := schedule.BuildLight(p, dest)                                // want:spmd-collective
+		ls = schedule.BuildLightInto(ls, p, dest)                         // want:spmd-collective
+		s, _ = schedule.FromTranslatedInto(s, nil, p, 8, owners, offsets) // want:spmd-collective
+		schedule.GatherWMulti(p, s, datas, widths)                        // want:spmd-collective
+		schedule.ScatterWMulti(p, s, datas, widths, schedule.OpAdd)       // want:spmd-collective
+		_ = tt.DereferenceInto(p, globals, nil)                           // want:spmd-collective
 	}
 }
 

@@ -83,3 +83,36 @@ func GoodRebuildAfterReset(p *comm.Proc, rt *core.Runtime, tt *ttable.Table, ia 
 	sched = schedule.Build(p, ht, s, 0)
 	schedule.Gather(p, sched, data)
 }
+
+// BadReusedStorageOutlivesReset rebuilds into the stale schedule's storage
+// (not a use) but keeps gathering through the stale variable itself.
+func BadReusedStorageOutlivesReset(p *comm.Proc, rt *core.Runtime, tt *ttable.Table, ia, owners, offsets []int32, data []float64) {
+	d := rt.BlockDist(1024)
+	ht := d.NewHashTable()
+	s := ht.NewStamp()
+	ht.Hash(ia, s)
+	sched := schedule.Build(p, ht, s, 0)
+	schedule.Gather(p, sched, data)
+	ht.Reset(tt)
+	fresh, loc := schedule.FromTranslatedInto(sched, nil, p, 64, owners, offsets)
+	schedule.Gather(p, fresh, data)
+	schedule.Gather(p, sched, data) // want:stamp-lifetime
+	_ = loc
+}
+
+// GoodTranslatedRebuildAfterReset rebuilds the schedule in place from
+// translated references, which read no hash table, before using it again.
+func GoodTranslatedRebuildAfterReset(p *comm.Proc, rt *core.Runtime, tt *ttable.Table, ia, owners, offsets []int32, data []float64) {
+	d := rt.BlockDist(1024)
+	ht := d.NewHashTable()
+	s := ht.NewStamp()
+	ht.Hash(ia, s)
+	sched := schedule.Build(p, ht, s, 0)
+	schedule.Gather(p, sched, data)
+	ht.Reset(tt)
+	sched, loc := schedule.FromTranslatedInto(sched, nil, p, 64, owners, offsets)
+	schedule.Gather(p, sched, data)
+	ht.Reset(tt)
+	schedule.Gather(p, sched, data)
+	_ = loc
+}

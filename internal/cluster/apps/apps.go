@@ -160,7 +160,7 @@ func runFig1(p *comm.Proc, s Spec) Result {
 	}
 	want := make([]float64, elems)
 	for i := 0; i < iters; i++ {
-		want[ia[i]] += float64(ib[i]) * 0.5
+		want[ia[i]] += float64(float64(ib[i]) * 0.5)
 	}
 
 	rt := core.NewRuntime(p)

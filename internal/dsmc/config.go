@@ -67,7 +67,8 @@ type Config struct {
 	// Mover selects the MOVE-phase implementation.
 	Mover Mover
 	// SlotCap is the per-cell slot capacity of the regular mover's global
-	// new_cells array.
+	// new_cells array: a cell receiving more molecules in one step panics.
+	// Owners lay their rows out packed, so it sizes no buffer.
 	SlotCap int
 	// RemapEvery repartitions cells every RemapEvery steps (0 = static).
 	RemapEvery int

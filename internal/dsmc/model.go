@@ -171,16 +171,20 @@ func orderByID(mols []float64, members []int) {
 // lists, in storage order, the record offsets (into mols) of the molecules
 // in cell c. Row storage is reused across calls.
 func bucketByCell(cfg *Config, mols []float64, rows [][]int, nRows int, rowOf func(cell int) int) [][]int {
-	if cap(rows) < nRows {
-		rows = append(rows[:cap(rows)], make([][]int, nRows-cap(rows))...)
-	}
-	rows = rows[:nRows]
-	for r := range rows {
-		rows[r] = rows[r][:0]
-	}
+	rows = resetRows(rows, nRows)
 	for off := 0; off+recordWidth <= len(mols); off += recordWidth {
 		r := rowOf(CellOf(cfg, mols[off:]))
 		rows[r] = append(rows[r], off)
+	}
+	return rows
+}
+
+// resetRows returns rows resized to nRows empty rows, reusing the storage of
+// rows and of each row.
+func resetRows(rows [][]int, nRows int) [][]int {
+	rows = resized(&rows, nRows)
+	for r := range rows {
+		rows[r] = rows[r][:0]
 	}
 	return rows
 }

@@ -97,17 +97,21 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, []float64) {
 		if cfg.CrashStep > 0 && step == cfg.CrashStep && p.Rank() == cfg.CrashRank {
 			panic(fmt.Sprintf("dsmc: injected crash on rank %d at step %d", p.Rank(), step))
 		}
+		var rows [][]int // nil: collideOwned buckets the list itself
 		switch cfg.Mover {
 		case MoverLight:
 			mols = moveLight(p, &cfg, cells, mols, &st)
 		case MoverRegular:
-			mols = moveRegular(p, &cfg, cells, mols, &st)
+			mols, rows = moveRegular(p, &cfg, cells, mols, &st)
 		case MoverCompiler:
 			mols = moveCompiler(p, &cfg, cells, mols, &st)
 		}
 		timer.Mark(PhaseMove)
+		if beforeCollide != nil {
+			beforeCollide(p, step, cells, mols, rows)
+		}
 
-		collideOwned(p, &cfg, cells, mols, step, &st)
+		collideOwned(p, &cfg, cells, mols, rows, step, &st)
 		timer.Mark(PhaseCollide)
 
 		if step < cfg.Steps && trig.Due(p, step) {
@@ -177,21 +181,15 @@ func moveCompiler(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, s
 	return recv
 }
 
-// cellReq is one (cell, molecule count) slot-reservation request.
-type cellReq struct {
-	cell  int32
-	count int32
-}
-
 // stepState is the runner's per-run working storage: the molecule lists,
-// the slot array and every scratch buffer one time step needs, grown on
-// demand and then reused, so a warm step allocates none of them. (The
-// paper's Table 4 charges the regular mover's slot reservation and schedule
-// every step by design; the modeled per-step cost is unchanged and the
-// per-step schedule and its request/reply messages are still built afresh —
-// only the Go allocator is taken off the application's own buffers.) One
-// stepState belongs to one rank's run — ranks are goroutines, so none of
-// this may live in a package-level variable.
+// the regular mover's schedule and every scratch buffer one time step
+// needs, grown on demand and then reused, so a warm step allocates none of
+// them. (The paper's Table 4 charges the regular mover's slot reservation
+// and schedule every step by design; the modeled per-step cost is unchanged
+// and the schedule and its request/reply messages are still computed every
+// step — only the Go allocator is taken off the application's own
+// buffers.) One stepState belongs to one rank's run — ranks are goroutines,
+// so none of this may live in a package-level variable.
 //
 // Everything here except reqPos is scratch with unspecified contents between
 // steps: each step writes every element it later reads.
@@ -199,36 +197,51 @@ type stepState struct {
 	// spare is the ping-pong partner of the live molecule list: a mover
 	// writes the new list into it and the list it consumed becomes the next
 	// spare. Lists that arrive from elsewhere (remapCells, resume) are
-	// fresh and simply join the rotation.
+	// fresh and simply join the rotation. The regular mover uses it as its
+	// slot array: the owned cells' rows packed, then one ghost slot per
+	// outbound molecule. It is never cleared: every owned slot is written
+	// by exactly one molecule this step — by the local copy or by the
+	// OpReplace scatter — every ghost slot by its one outbound molecule
+	// before the scatter packs it, and nothing else is read.
 	spare []float64
-	// slots is the regular mover's slot array (owned cells x SlotCap records,
-	// then one ghost slot per outbound molecule). It is never cleared: every
-	// slot in [0, fills[row]) of an owned row is written by exactly one
-	// molecule this step — by the local fill or by the OpReplace scatter —
-	// every ghost slot by its one outbound molecule before the scatter packs
-	// it, and nothing else is read.
-	slots []float64
-	fills []int32 // molecules placed in each owned cell this step
 
 	// dest is the per-molecule destination: owner rank (light mover,
 	// remapCells) or cell (regular and compiler movers).
 	dest []int32
-	// Slot reservation of the regular mover.
+	// Slot reservation of the regular mover. perOwner[o] holds this rank's
+	// (cell, molecule count) request pairs to owner o.
 	molSeq   []int32
 	owners   []int32
 	offsets  []int32
-	perOwner [][]cellReq
+	perOwner [][]int32
 	// reqPos[c] is 1 + the index of cell c's request in its owner's list,
 	// or 0 when c has no request this step; touched lists the cells set,
 	// for an O(touched) end-of-step reset.
 	reqPos  []int32
 	touched []int32
+	// Owner side of the reservation: the decoded requests per source (cells
+	// rewritten to rows), the start of each owned row in the packed slot
+	// array (one extra entry: the total), the next free slot of each row,
+	// and the bases replied to one source.
+	reqIn    [][]int32
+	rowStart []int32
+	cursor   []int32
+	base     []int32
+	// wire holds the per-peer payloads of one AllToAll (each freshly
+	// encoded: the in-memory transport hands them over by reference);
+	// bases the decoded replies per owner.
+	wire  [][]byte
+	bases [][]int32
+	// sched and loc are the regular mover's schedule and localized slots,
+	// rebuilt in place every step.
+	sched *schedule.Schedule
+	loc   []int32
 
 	// light is the light mover's schedule, rebuilt in place every step so
 	// its packing scratch survives.
 	light *schedule.LightSchedule
 	// members[row] lists the record offsets of the molecules in owned cell
-	// row (collideOwned).
+	// row: built by the regular mover, or by collideOwned's bucketing.
 	members [][]int
 }
 
@@ -236,12 +249,28 @@ type stepState struct {
 // Tests use it to poison the scratch and to meter allocation; nil otherwise.
 var afterStep func(p *comm.Proc, step int, st *stepState)
 
+// beforeCollide, when set, runs on every rank between the MOVE and COLLIDE
+// phases with the cell distribution, the list the mover returned and the
+// rows it built (nil when collideOwned buckets the list). Tests use it; nil
+// otherwise.
+var beforeCollide func(p *comm.Proc, step int, cells *core.Dist, mols []float64, rows [][]int)
+
 // sizedI32 returns scratch of exactly n elements backed by *buf, contents
 // unspecified. Growth leaves headroom, so a slowly rising high-water mark
 // (per-rank molecule counts drift) does not reallocate every step.
 func sizedI32(buf *[]int32, n int) []int32 {
 	if cap(*buf) < n {
 		*buf = make([]int32, n, n+n/4)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
+// resized returns *buf resized to n elements, growing it when needed;
+// surviving elements keep their contents (the per-peer buffers they hold).
+func resized[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = append((*buf)[:cap(*buf)], make([]T, n-cap(*buf))...)
 	}
 	*buf = (*buf)[:n]
 	return *buf
@@ -257,11 +286,15 @@ func growF64(buf []float64, n int) []float64 {
 
 // moveRegular is the MOVE phase with a regular communication schedule, as
 // contrasted in Table 4: every molecule is assigned a placement slot in a
-// global new_cells array (cells x SlotCap), destination slots are reserved
-// through the cells' owners, indices are translated, and a schedule with
-// permutation lists is built and executed — all of it redone every step
-// because the access pattern changes every step.
-func moveRegular(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, st *stepState) []float64 {
+// global new_cells array (at most SlotCap per cell), destination slots are
+// reserved through the cells' owners, indices are translated, and a
+// schedule with permutation lists is built and executed — all of it redone
+// every step because the access pattern changes every step.
+//
+// Owners lay their rows out packed, so the scatter lands the records in the
+// next molecule list already grouped by cell; moveRegular returns that list
+// and its rows, which collideOwned takes as its collision buckets.
+func moveRegular(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, st *stepState) ([]float64, [][]int) {
 	n := len(mols) / recordWidth
 	tt := cells.TT()
 	dest := sizedI32(&st.dest, n)
@@ -276,10 +309,7 @@ func moveRegular(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, st
 	// cell's owner; owners assign bases in rank order and reply. The
 	// cell-request index is a flat per-cell array (1+list index, 0 = not
 	// yet requested) reset via the touched list, not a per-step map.
-	if cap(st.perOwner) < p.Size() {
-		st.perOwner = make([][]cellReq, p.Size())
-	}
-	perOwner := st.perOwner[:p.Size()]
+	perOwner := resized(&st.perOwner, p.Size())
 	for r := range perOwner {
 		perOwner[r] = perOwner[r][:0]
 	}
@@ -292,55 +322,66 @@ func moveRegular(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, st
 		c := dest[i]
 		o := tt.OwnerOf(int(c))
 		if k := st.reqPos[c]; k > 0 {
-			perOwner[o][k-1].count++
-			molSeq[i] = perOwner[o][k-1].count - 1
+			perOwner[o][2*k-1]++
+			molSeq[i] = perOwner[o][2*k-1] - 1
 		} else {
-			st.reqPos[c] = int32(len(perOwner[o]) + 1)
+			st.reqPos[c] = int32(len(perOwner[o])/2 + 1)
 			st.touched = append(st.touched, c)
-			perOwner[o] = append(perOwner[o], cellReq{cell: c, count: 1})
+			perOwner[o] = append(perOwner[o], c, 1)
 			molSeq[i] = 0
 		}
 	}
 	p.ComputeMem(2 * n)
 
-	reqBufs := make([][]byte, p.Size())
+	wire := resized(&st.wire, p.Size())
 	for r := range perOwner {
-		flat := make([]int32, 2*len(perOwner[r]))
-		for k, cr := range perOwner[r] {
-			flat[2*k] = cr.cell
-			flat[2*k+1] = cr.count
-		}
-		reqBufs[r] = comm.EncodeI32(flat)
+		wire[r] = comm.EncodeI32(perOwner[r])
 	}
-	incoming := p.AllToAll(reqBufs)
+	incoming := p.AllToAll(wire)
 
-	// Owner side: assign bases in rank order; track fill totals.
+	// Owner side: one pass over the requests gives each owned row its fill
+	// (rowStart[row+1] until the prefix sum), the prefix sum the packed
+	// row starts; then bases are assigned in rank order from each row's
+	// start.
 	nOwnedCells := cells.NLocal()
-	fills := sizedI32(&st.fills, nOwnedCells)
-	clear(fills)
-	replies := make([][]byte, p.Size())
-	for src := 0; src < p.Size(); src++ {
-		recs := comm.DecodeI32(incoming[src])
-		base := make([]int32, len(recs)/2)
+	rowStart := sizedI32(&st.rowStart, nOwnedCells+1)
+	clear(rowStart)
+	reqIn := resized(&st.reqIn, p.Size())
+	for src := range incoming {
+		recs := comm.DecodeI32Into(reqIn[src], incoming[src])
+		reqIn[src] = recs
 		for k := 0; k+1 < len(recs); k += 2 {
 			c, cnt := recs[k], recs[k+1]
 			if int(tt.OwnerOf(int(c))) != p.Rank() {
 				panic(fmt.Sprintf("dsmc: slot request for cell %d not owned by rank %d", c, p.Rank()))
 			}
 			row := tt.OffsetOf(int(c))
-			base[k/2] = fills[row]
-			fills[row] += cnt
-			if fills[row] > int32(cfg.SlotCap) {
-				panic(fmt.Sprintf("dsmc: cell %d overflows SlotCap=%d (%d molecules)", c, cfg.SlotCap, fills[row]))
+			recs[k] = row
+			rowStart[row+1] += cnt
+			if rowStart[row+1] > int32(cfg.SlotCap) {
+				panic(fmt.Sprintf("dsmc: cell %d overflows SlotCap=%d (%d molecules)", c, cfg.SlotCap, rowStart[row+1]))
 			}
 		}
-		p.ComputeMem(len(recs))
-		replies[src] = comm.EncodeI32(base)
 	}
-	answered := p.AllToAll(replies)
-	bases := make([][]int32, p.Size())
+	for row := 0; row < nOwnedCells; row++ {
+		rowStart[row+1] += rowStart[row]
+	}
+	cursor := sizedI32(&st.cursor, nOwnedCells)
+	copy(cursor, rowStart)
+	for src, recs := range reqIn {
+		base := sizedI32(&st.base, len(recs)/2)
+		for k := 0; k+1 < len(recs); k += 2 {
+			row := recs[k]
+			base[k/2] = cursor[row]
+			cursor[row] += recs[k+1]
+		}
+		p.ComputeMem(len(recs))
+		wire[src] = comm.EncodeI32(base)
+	}
+	answered := p.AllToAll(wire)
+	bases := resized(&st.bases, p.Size())
 	for r := range answered {
-		bases[r] = comm.DecodeI32(answered[r])
+		bases[r] = comm.DecodeI32Into(bases[r], answered[r])
 	}
 
 	// Translate each molecule's slot to (owner, offset).
@@ -350,8 +391,7 @@ func moveRegular(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, st
 		c := dest[i]
 		o := tt.OwnerOf(int(c))
 		owners[i] = o
-		k := st.reqPos[c] - 1
-		offsets[i] = (tt.OffsetOf(int(c)))*int32(cfg.SlotCap) + bases[o][k] + molSeq[i]
+		offsets[i] = bases[o][st.reqPos[c]-1] + molSeq[i]
 	}
 	for _, c := range st.touched {
 		st.reqPos[c] = 0
@@ -359,44 +399,51 @@ func moveRegular(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, st
 	p.ComputeMem(3 * n)
 
 	// Build the regular schedule (with permutation lists) and scatter the
-	// records into the slot array.
-	nLocalSlots := nOwnedCells * cfg.SlotCap
-	sched, loc := schedule.FromTranslated(p, nLocalSlots, owners, offsets)
-	st.slots = growF64(st.slots, sched.MinLen()*recordWidth)
-	buf := st.slots
-	for i := 0; i < n; i++ {
-		copy(buf[int(loc[i])*recordWidth:], mols[i*recordWidth:(i+1)*recordWidth])
+	// records into the slot array: the spare list, whose owned section
+	// becomes the next molecule list.
+	total := int(rowStart[nOwnedCells])
+	st.sched, st.loc = schedule.FromTranslatedInto(st.sched, st.loc, p, total, owners, offsets)
+	buf := growF64(st.spare, st.sched.MinLen()*recordWidth)
+	for i, slot := range st.loc {
+		copy(buf[int(slot)*recordWidth:], mols[i*recordWidth:(i+1)*recordWidth])
 	}
 	p.ComputeMem(n * recordWidth)
-	schedule.ScatterW(p, sched, buf, recordWidth, schedule.OpReplace)
+	schedule.ScatterW(p, st.sched, buf, recordWidth, schedule.OpReplace)
 
-	// Compact the owned slots back into a molecule list (the placement-
-	// order rearrangement cost regular schedules pay), into the spare list.
-	total := 0
-	for _, f := range fills {
-		total += int(f)
-	}
-	out := growF64(st.spare, total*recordWidth)[:0]
-	for row := 0; row < nOwnedCells; row++ {
-		lo := row * cfg.SlotCap
-		out = append(out, buf[lo*recordWidth:(lo+int(fills[row]))*recordWidth]...)
+	// The owned rows are the collision buckets (the placement-order
+	// rearrangement cost regular schedules pay). Every record must sit in
+	// the row of its own cell.
+	out := buf[:total*recordWidth]
+	rows := resetRows(st.members, nOwnedCells)
+	for row, g := range cells.Globals() {
+		for off := int(rowStart[row]) * recordWidth; off < int(rowStart[row+1])*recordWidth; off += recordWidth {
+			if c := CellOf(cfg, out[off:]); c != int(g) {
+				panic(fmt.Sprintf("dsmc: rank %d placed a molecule of cell %d in the row of cell %d", p.Rank(), c, g))
+			}
+			rows[row] = append(rows[row], off)
+		}
 	}
 	p.ComputeMem(nOwnedCells + len(out))
+	st.members = rows
 	st.spare = mols
-	return out
+	return out, rows
 }
 
-// collideOwned buckets local molecules into owned-cell rows and runs the
-// collision phase.
-func collideOwned(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, step int, st *stepState) {
-	tt := cells.TT()
-	st.members = bucketByCell(cfg, mols, st.members, cells.NLocal(), func(c int) int {
-		if int(tt.OwnerOf(c)) != p.Rank() {
-			panic(fmt.Sprintf("dsmc: rank %d holds molecule of cell %d owned by %d", p.Rank(), c, tt.OwnerOf(c)))
-		}
-		return int(tt.OffsetOf(c))
-	})
-	for row, mm := range st.members {
+// collideOwned runs the collision phase over the owned-cell rows: rows as
+// the regular mover built them or, when rows is nil, the local molecules
+// bucketed here.
+func collideOwned(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, rows [][]int, step int, st *stepState) {
+	if rows == nil {
+		tt := cells.TT()
+		st.members = bucketByCell(cfg, mols, st.members, cells.NLocal(), func(c int) int {
+			if int(tt.OwnerOf(c)) != p.Rank() {
+				panic(fmt.Sprintf("dsmc: rank %d holds molecule of cell %d owned by %d", p.Rank(), c, tt.OwnerOf(c)))
+			}
+			return int(tt.OffsetOf(c))
+		})
+		rows = st.members
+	}
+	for row, mm := range rows {
 		collideCell(cfg, mols, mm, int(cells.Globals()[row]), step)
 	}
 	n := len(mols) / recordWidth

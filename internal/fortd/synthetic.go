@@ -14,7 +14,7 @@ func (in *Instance) InitSynthetic(degree int) {
 	for _, name := range prog.RealNames() {
 		in.Real(name).SetByGlobal(func(g int32, c []float64) {
 			for k := range c {
-				c[k] = math.Sin(float64(g)*0.1 + float64(k))
+				c[k] = math.Sin(float64(float64(g)*0.1) + float64(k))
 			}
 		})
 	}

@@ -363,7 +363,9 @@ func splitKeys(p *comm.Proc, g *Geom, inertial bool) {
 	}
 
 	// RIB: weighted inertia tensor per active region. Moments layout per
-	// region: w, wx, wy, wz, wxx, wyy, wzz, wxy, wxz, wyz.
+	// region: w, wx, wy, wz, wxx, wyy, wzz, wxy, wxz, wyz. Here and in
+	// principalAxis every product is rounded by its explicit conversion
+	// before it is added, so no GOARCH fuses the two (see costmodel.MsgCost).
 	const nm = 10
 	bs.mom = filled(bs.mom, na*nm, 0)
 	mom := bs.mom
@@ -380,15 +382,15 @@ func splitKeys(p *comm.Proc, g *Geom, inertial bool) {
 		}
 		m := mom[k*nm:]
 		m[0] += w
-		m[1] += w * x
-		m[2] += w * y
-		m[3] += w * z
-		m[4] += w * x * x
-		m[5] += w * y * y
-		m[6] += w * z * z
-		m[7] += w * x * y
-		m[8] += w * x * z
-		m[9] += w * y * z
+		m[1] += float64(w * x)
+		m[2] += float64(w * y)
+		m[3] += float64(w * z)
+		m[4] += float64(w * x * x)
+		m[5] += float64(w * y * y)
+		m[6] += float64(w * z * z)
+		m[7] += float64(w * x * y)
+		m[8] += float64(w * x * z)
+		m[9] += float64(w * y * z)
 	}
 	p.ComputeFlops(10 * n)
 	bs.allReduce(p, comm.OpSum, mom)
@@ -408,12 +410,12 @@ func splitKeys(p *comm.Proc, g *Geom, inertial bool) {
 		cents[k] = [3]float64{cx, cy, cz}
 		// Central second moments (covariance * w).
 		var cov [3][3]float64
-		cov[0][0] = m[4] - w*cx*cx
-		cov[1][1] = m[5] - w*cy*cy
-		cov[2][2] = m[6] - w*cz*cz
-		cov[0][1] = m[7] - w*cx*cy
-		cov[0][2] = m[8] - w*cx*cz
-		cov[1][2] = m[9] - w*cy*cz
+		cov[0][0] = m[4] - float64(w*cx*cx)
+		cov[1][1] = m[5] - float64(w*cy*cy)
+		cov[2][2] = m[6] - float64(w*cz*cz)
+		cov[0][1] = m[7] - float64(w*cx*cy)
+		cov[0][2] = m[8] - float64(w*cx*cz)
+		cov[1][2] = m[9] - float64(w*cy*cz)
 		cov[1][0], cov[2][0], cov[2][1] = cov[0][1], cov[0][2], cov[1][2]
 		if g.Dim == 2 {
 			cov[2][2] = 0
@@ -432,7 +434,7 @@ func splitKeys(p *comm.Proc, g *Geom, inertial bool) {
 		if g.Dim == 3 {
 			z = g.Z[i]
 		}
-		key[i] = a[0]*(x-c[0]) + a[1]*(y-c[1]) + a[2]*(z-c[2])
+		key[i] = float64(a[0]*(x-c[0])) + float64(a[1]*(y-c[1])) + float64(a[2]*(z-c[2]))
 	}
 	p.ComputeFlops(6 * n)
 }
@@ -454,9 +456,9 @@ func principalAxis(a [3][3]float64) [3]float64 {
 	for iter := 0; iter < 60; iter++ {
 		var u [3]float64
 		for i := 0; i < 3; i++ {
-			u[i] = a[i][0]*v[0] + a[i][1]*v[1] + a[i][2]*v[2]
+			u[i] = float64(a[i][0]*v[0]) + float64(a[i][1]*v[1]) + float64(a[i][2]*v[2])
 		}
-		norm := math.Sqrt(u[0]*u[0] + u[1]*u[1] + u[2]*u[2])
+		norm := math.Sqrt(float64(u[0]*u[0]) + float64(u[1]*u[1]) + float64(u[2]*u[2]))
 		if norm == 0 {
 			return [3]float64{1, 0, 0}
 		}
@@ -663,7 +665,7 @@ func splitAround(ks, ws []float64, c, l float64) (int32, float64) {
 			s = 1
 		}
 		m += s
-		l += w * float64(s)
+		l += float64(w * float64(s))
 	}
 	return int32(m), l
 }
@@ -731,7 +733,7 @@ func Chain(p *comm.Proc, axis int, g *Geom) []int32 {
 	proc := 0
 	for b := 0; b < ChainBins; b++ {
 		// Advance to the processor whose weight span covers acc's middle.
-		for proc < p.Size()-1 && acc+histo[b]/2 >= total*float64(proc+1)/float64(p.Size()) {
+		for proc < p.Size()-1 && acc+float64(histo[b]/2) >= total*float64(proc+1)/float64(p.Size()) {
 			proc++
 		}
 		binOwner[b] = int32(proc)

@@ -53,7 +53,9 @@ func lightEnv(p *comm.Proc, perPeer, width int) (*LightSchedule, []int32, []floa
 // after the first iteration has warmed the staging buffers and the send
 // arena, Gather + ScatterAdd and the light-weight scatter_append perform no
 // heap allocations on the in-memory transport, and neither does the
-// split-phase multi-array spelling of the same core. testing.AllocsPerRun
+// split-phase multi-array spelling of the same core nor a regular schedule
+// rebuilt in place from translated references (FromTranslatedInto, the
+// DSMC regular mover's per-step build) and gathered through. testing.AllocsPerRun
 // truncates the per-run average toward zero, so a handful of stray runtime
 // allocations (sudog refills etc.) across the 100 runs do not flake the
 // test, while any per-op allocation shows up as >= 1.
@@ -64,6 +66,7 @@ func TestGatherScatterSteadyStateAllocs(t *testing.T) {
 	gotLight := make([]float64, nprocs)
 	gotMulti := make([]float64, nprocs)
 	gotRebuild := make([]float64, nprocs)
+	gotTranslated := make([]float64, nprocs)
 	comm.Run(nprocs, costmodel.Uniform(1e-9), func(p *comm.Proc) {
 		sched, data := allocEnv(p, 512, 1024, 7)
 		ls, dest, items := lightEnv(p, 16, 3)
@@ -88,12 +91,26 @@ func TestGatherScatterSteadyStateAllocs(t *testing.T) {
 			ls2 = BuildLightInto(ls2, p, dest)
 			out2 = ls2.MoveF64Into(p, dest, items, 3, out2)
 		}
+		// The regular-schedule spelling: rebuild from translated references
+		// in place, then gather through the rebuilt schedule.
+		owners, offsets := make([]int32, 64), make([]int32, 64)
+		for i := range owners {
+			owners[i], offsets[i] = int32(i%p.Size()), int32(i)
+		}
+		var ts *Schedule
+		var tloc []int32
+		tdata := make([]float64, 2*len(owners)) // owned section + one ghost slot per reference
+		translatedBody := func() {
+			ts, tloc = FromTranslatedInto(ts, tloc, p, len(owners), owners, offsets)
+			Gather(p, ts, tdata[:ts.MinLen()])
+		}
 		// Warm up staging buffers, arena and mailbox capacity.
 		for i := 0; i < 5; i++ {
 			body()
 			lightBody()
 			multiBody()
 			rebuildBody()
+			translatedBody()
 		}
 		// Every rank runs AllocsPerRun so the collectives stay in lockstep
 		// (AllocsPerRun invokes the body runs+1 times on each rank).
@@ -101,6 +118,7 @@ func TestGatherScatterSteadyStateAllocs(t *testing.T) {
 		gotLight[p.Rank()] = testing.AllocsPerRun(runs, lightBody)
 		gotMulti[p.Rank()] = testing.AllocsPerRun(runs, multiBody)
 		gotRebuild[p.Rank()] = testing.AllocsPerRun(runs, rebuildBody)
+		gotTranslated[p.Rank()] = testing.AllocsPerRun(runs, translatedBody)
 	})
 	for r, a := range got {
 		if a != 0 {
@@ -115,6 +133,11 @@ func TestGatherScatterSteadyStateAllocs(t *testing.T) {
 	for r, a := range gotMulti {
 		if a != 0 {
 			t.Errorf("rank %d: MultiStart+Wait steady state allocates %.0f allocs/op, want 0", r, a)
+		}
+	}
+	for r, a := range gotTranslated {
+		if a != 0 {
+			t.Errorf("rank %d: FromTranslatedInto+Gather steady state allocates %.0f allocs/op, want 0", r, a)
 		}
 	}
 	// A rebuild keeps exactly two allocations per rank, both owed to the

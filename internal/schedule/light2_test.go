@@ -54,11 +54,30 @@ func TestMoveI32AlignsWithMoveF64(t *testing.T) {
 	})
 }
 
+// TestFromTranslatedMatchesHashedBuild: with duplicate-free references,
+// FromTranslated must transport exactly the same values as the hash-table
+// route, and so must FromTranslatedInto rebuilding a schedule (and index
+// slice) last built for a different, larger pattern.
 func TestFromTranslatedMatchesHashedBuild(t *testing.T) {
-	// With duplicate-free references, FromTranslated must transport exactly
-	// the same values as the hash-table route.
 	const n = 120
 	const nprocs = 4
+	spellings := map[string]func(p *comm.Proc, nLocal int, owners, offsets []int32) (*Schedule, []int32){
+		"FromTranslated": FromTranslated,
+		"FromTranslatedInto": func(p *comm.Proc, nLocal int, owners, offsets []int32) (*Schedule, []int32) {
+			wide := make([]int32, 3*len(owners))
+			for k := range wide {
+				wide[k] = int32((p.Rank() + 1 + k) % nprocs)
+			}
+			s, loc := FromTranslatedInto(nil, nil, p, 2*nLocal, wide, wide)
+			return FromTranslatedInto(s, loc, p, nLocal, owners, offsets)
+		},
+	}
+	for name, build := range spellings {
+		t.Run(name, func(t *testing.T) { fromTranslatedMatchesHashedBuild(t, n, nprocs, build) })
+	}
+}
+
+func fromTranslatedMatchesHashedBuild(t *testing.T, n, nprocs int, build func(p *comm.Proc, nLocal int, owners, offsets []int32) (*Schedule, []int32)) {
 	comm.Run(nprocs, costmodel.Uniform(1e-9), func(p *comm.Proc) {
 		lo := p.Rank() * n / nprocs
 		hi := (p.Rank() + 1) * n / nprocs
@@ -80,7 +99,7 @@ func TestFromTranslatedMatchesHashedBuild(t *testing.T) {
 			owners[k] = e.Owner
 			offsets[k] = e.Offset
 		}
-		sched, loc := FromTranslated(p, tt.NLocal(p.Rank()), owners, offsets)
+		sched, loc := build(p, tt.NLocal(p.Rank()), owners, offsets)
 		if sched.NProcs() != nprocs {
 			t.Errorf("NProcs = %d", sched.NProcs())
 		}
@@ -182,6 +201,66 @@ func TestBuildLightIntoBackToBack(t *testing.T) {
 				}
 				if got := ls.TotalSend() + int(ls.SendCounts[p.Rank()]); got != len(dest) {
 					t.Errorf("%s: rank %d rebuild %d: SendCounts cover %d items, want %d", name, p.Rank(), k, got, len(dest))
+				}
+				// A rank-dependent stall lets the others run ahead.
+				if (k+p.Rank())%7 == 0 {
+					runtime.Gosched()
+				}
+			}
+		})
+	}
+}
+
+// translatedLocal is how many elements rank owns in rebuild k of
+// TestFromTranslatedIntoBackToBack.
+func translatedLocal(rank, k int) int { return 4 + (rank*7+k*3)%13 }
+
+// translatedRefs is rank's reference list for rebuild k of
+// TestFromTranslatedIntoBackToBack: lengths, owners and offsets change with
+// every rebuild and differ between ranks (duplicates included).
+func translatedRefs(rank, size, k int) (owners, offsets []int32) {
+	rng := propRng(uint64(7 + rank + 131*k))
+	owners = make([]int32, rng.intn(40))
+	offsets = make([]int32, len(owners))
+	for i := range owners {
+		o := rng.intn(size)
+		owners[i] = int32(o)
+		offsets[i] = int32(rng.intn(translatedLocal(o, k)))
+	}
+	return owners, offsets
+}
+
+// TestFromTranslatedIntoBackToBack rebuilds one schedule from translated
+// references 200 times, gathering through each rebuild, with no barrier
+// between them, on the in-memory and the TCP transport — the DSMC regular
+// mover's per-step pattern. A rank that runs ahead starts its next rebuild
+// while a peer is still serving the last one, so a request recycled too
+// early, or a send list left over from the previous pattern, surfaces as a
+// wrong value: owner o's element j holds k*1e6 + o*1e3 + j in rebuild k.
+func TestFromTranslatedIntoBackToBack(t *testing.T) {
+	const nprocs, rebuilds = 4, 200
+	mesh, err := comm.NewTCPMesh(nprocs)
+	if err != nil {
+		t.Fatalf("NewTCPMesh(%d): %v", nprocs, err)
+	}
+	value := func(k, o, j int) float64 { return float64(k)*1e6 + float64(o)*1e3 + float64(j) }
+	for name, tr := range map[string]comm.Transport{"mem": comm.NewMemTransport(nprocs), "tcp": mesh} {
+		comm.RunTransport(nprocs, costmodel.Uniform(1e-9), tr, func(p *comm.Proc) {
+			var s *Schedule
+			var loc []int32
+			for k := 0; k < rebuilds; k++ {
+				nLocal := translatedLocal(p.Rank(), k)
+				owners, offsets := translatedRefs(p.Rank(), nprocs, k)
+				s, loc = FromTranslatedInto(s, loc, p, nLocal, owners, offsets)
+				data := make([]float64, s.MinLen())
+				for j := 0; j < nLocal; j++ {
+					data[j] = value(k, p.Rank(), j)
+				}
+				Gather(p, s, data)
+				for i := range owners {
+					if got, want := data[loc[i]], value(k, int(owners[i]), int(offsets[i])); got != want {
+						t.Errorf("%s: rank %d rebuild %d ref %d: got %v, want %v", name, p.Rank(), k, i, got, want)
+					}
 				}
 				// A rank-dependent stall lets the others run ahead.
 				if (k+p.Rank())%7 == 0 {

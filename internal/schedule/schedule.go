@@ -69,9 +69,10 @@ type Schedule struct {
 	// die with the schedule, so a rebuild naturally invalidates them.
 	stageS []float64
 	stageR []float64
-	// Build scratch, reused across BuildInto calls: selected hash-table
-	// entries, the per-owner request lists (sharing recvPtr's extents), a
-	// per-owner fill cursor, and the request-exchange receive buffer.
+	// Build scratch, reused across BuildInto and FromTranslatedInto calls:
+	// selected hash-table entries, the per-owner request lists (sharing
+	// recvPtr's extents), a per-owner fill cursor, and the request-exchange
+	// receive buffer.
 	selEnts []hashtab.Entry
 	reqOff  []int32
 	cur     []int32
@@ -193,12 +194,21 @@ func BuildInto(s *Schedule, p *comm.Proc, ht *hashtab.Table, include, exclude ha
 		}
 	}
 
-	// Exchange requests; what arrives from r is my send list to r. Sends
-	// stage through the Proc arena, receives decode into schedule scratch
-	// and append to the flat send-list backing in arrival order.
+	s.exchange(p)
+	p.ComputeMem(s.TotalSend() + s.TotalFetch())
+	return s
+}
+
+// exchange sends owner r its request list reqOff[recvPtr[r]:recvPtr[r+1]]
+// over the AllToAll ring (see BuildInto); what arrives from r is the send
+// list to r. Sends stage through the Proc arena, receives decode into
+// schedule scratch and append to the flat send-list backing in arrival
+// order.
+func (s *Schedule) exchange(p *comm.Proc) {
+	ptr := s.recvPtr
 	for k := 1; k < p.Size(); k++ {
 		dst := (p.Rank() + k) % p.Size()
-		p.SendI32Buf(dst, tagBuild, reqOff[ptr[dst]:ptr[dst+1]])
+		p.SendI32Buf(dst, tagBuild, s.reqOff[ptr[dst]:ptr[dst+1]])
 	}
 	sendIx := zeroI32(&s.sendIx, 2*p.Size())
 	s.sendOff = s.sendOff[:0]
@@ -209,8 +219,6 @@ func BuildInto(s *Schedule, p *comm.Proc, ht *hashtab.Table, include, exclude ha
 		s.sendOff = append(s.sendOff, s.recvBuf...)
 		sendIx[2*src+1] = int32(len(s.sendOff))
 	}
-	p.ComputeMem(s.TotalSend() + s.TotalFetch())
-	return s
 }
 
 // FromTranslated builds a schedule directly from already-translated
@@ -224,12 +232,26 @@ func BuildInto(s *Schedule, p *comm.Proc, ht *hashtab.Table, include, exclude ha
 // Table 4 pays on every DSMC time step: a full schedule with permutation
 // lists is constructed for a data access pattern that changes each step.
 func FromTranslated(p *comm.Proc, nLocal int, owners, offsets []int32) (*Schedule, []int32) {
+	return FromTranslatedInto(nil, nil, p, nLocal, owners, offsets)
+}
+
+// FromTranslatedInto is FromTranslated reusing s's storage and loc's (either
+// may be nil), as BuildInto is Build: a caller that rebuilds every step
+// passes both back and a warm rebuild allocates nothing. The returned
+// schedule is s (or a fresh one) and the returned indices are loc resized.
+func FromTranslatedInto(s *Schedule, loc []int32, p *comm.Proc, nLocal int, owners, offsets []int32) (*Schedule, []int32) {
 	if len(owners) != len(offsets) {
 		panic(fmt.Sprintf("schedule: %d owners but %d offsets", len(owners), len(offsets)))
 	}
-	s := &Schedule{nprocs: p.Size(), minLen: nLocal}
-	loc := make([]int32, len(owners))
-	ptr := make([]int32, p.Size()+1)
+	if s == nil {
+		s = &Schedule{}
+	}
+	s.nprocs = p.Size()
+	if cap(loc) < len(owners) {
+		loc = make([]int32, len(owners))
+	}
+	loc = loc[:len(owners)]
+	ptr := zeroI32(&s.recvPtr, p.Size()+1)
 	for _, o := range owners {
 		if int(o) != p.Rank() {
 			ptr[o+1]++
@@ -239,10 +261,9 @@ func FromTranslated(p *comm.Proc, nLocal int, owners, offsets []int32) (*Schedul
 		ptr[r+1] += ptr[r]
 	}
 	nFetch := int(ptr[p.Size()])
-	s.recvSlot = make([]int32, nFetch)
-	s.recvPtr = ptr
-	reqOff := make([]int32, nFetch)
-	cur := make([]int32, p.Size())
+	recvSlot := zeroI32(&s.recvSlot, nFetch)
+	reqOff := zeroI32(&s.reqOff, nFetch)
+	cur := zeroI32(&s.cur, p.Size())
 	ghost := 0
 	for k, o := range owners {
 		if int(o) == p.Rank() {
@@ -255,28 +276,12 @@ func FromTranslated(p *comm.Proc, nLocal int, owners, offsets []int32) (*Schedul
 		i := ptr[o] + cur[o]
 		cur[o]++
 		reqOff[i] = offsets[k]
-		s.recvSlot[i] = slot
+		recvSlot[i] = slot
 	}
 	s.minLen = nLocal + ghost
 	p.ComputeMem(len(owners))
 
-	// One flat request buffer, per-peer subslices (wire bytes unchanged).
-	bufs := make([][]byte, p.Size())
-	flat := make([]byte, 0, 4*nFetch)
-	for r := 0; r < p.Size(); r++ {
-		start := len(flat)
-		flat = comm.AppendI32(flat, reqOff[ptr[r]:ptr[r+1]])
-		bufs[r] = flat[start:len(flat):len(flat)]
-	}
-	s.sendIx = make([]int32, 2*p.Size())
-	for r, b := range p.AllToAll(bufs) {
-		if r == p.Rank() {
-			continue
-		}
-		s.sendIx[2*r] = int32(len(s.sendOff))
-		s.sendOff = append(s.sendOff, comm.DecodeI32(b)...)
-		s.sendIx[2*r+1] = int32(len(s.sendOff))
-	}
+	s.exchange(p)
 	p.ComputeMem(s.TotalSend())
 	return s, loc
 }
