@@ -26,11 +26,14 @@ func GenInitState(cfg Config) *InitState {
 		Vel: make([]float64, 3*n),
 	}
 	// Molecules of three consecutive atoms: centre at a uniform point,
-	// satellites offset by ~0.3 units.
+	// satellites offset by ~0.3 units. rand's Float64 is a product once
+	// inlined, so its result is converted before the subtraction: like every
+	// product here, it is rounded on its own on every GOARCH (see
+	// costmodel.MsgCost).
 	for base := 0; base < n; base += 3 {
 		var c [3]float64
 		for d := 0; d < 3; d++ {
-			c[d] = 0.05*cfg.Box[d] + 0.9*cfg.Box[d]*rng.Float64()
+			c[d] = float64(0.05*cfg.Box[d]) + float64(0.9*cfg.Box[d]*rng.Float64())
 		}
 		size := 3
 		if base+size > n {
@@ -40,7 +43,7 @@ func GenInitState(cfg Config) *InitState {
 			for d := 0; d < 3; d++ {
 				off := 0.0
 				if a > 0 {
-					off = 0.3 * (rng.Float64() - 0.5)
+					off = 0.3 * (float64(rng.Float64()) - 0.5)
 				}
 				st.Pos[3*(base+a)+d] = clamp(c[d]+off, 0, cfg.Box[d])
 			}
@@ -53,7 +56,7 @@ func GenInitState(cfg Config) *InitState {
 		}
 	}
 	for i := range st.Vel {
-		st.Vel[i] = 0.2 * (rng.Float64() - 0.5)
+		st.Vel[i] = 0.2 * (float64(rng.Float64()) - 0.5)
 	}
 	return st
 }
@@ -70,7 +73,7 @@ func clamp(v, lo, hi float64) float64 {
 
 func dist3(a, b []float64) float64 {
 	dx, dy, dz := a[0]-b[0], a[1]-b[1], a[2]-b[2]
-	return math.Sqrt(dx*dx + dy*dy + dz*dz)
+	return math.Sqrt(float64(dx*dx) + float64(dy*dy) + float64(dz*dz))
 }
 
 // pairForceRow accumulates the non-bonded forces of one row of the list —
@@ -81,7 +84,8 @@ func dist3(a, b []float64) float64 {
 // the fi accumulators stay in registers across the row, which adds to fi in
 // the same order as pairForce pair by pair would, and partner slots are
 // indexed directly at k = 3j, as in kernelRow and for the same reason.
-// Arithmetic cost: pairFlops per partner.
+// Each product is rounded by its explicit conversion before it is added, so
+// no GOARCH fuses the two. Arithmetic cost: pairFlops per partner.
 func pairForceRow(pi, fi []float64, js []int32, pos, frc []float64, cutoff2 float64) {
 	p, f := (*[3]float64)(pi), (*[3]float64)(fi)
 	px, py, pz := p[0], p[1], p[2]
@@ -89,17 +93,17 @@ func pairForceRow(pi, fi []float64, js []int32, pos, frc []float64, cutoff2 floa
 	for _, j := range js {
 		k := 3 * int(j)
 		dx, dy, dz := px-pos[k], py-pos[k+1], pz-pos[k+2]
-		r2 := dx*dx + dy*dy + dz*dz
+		r2 := float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
 		if r2 >= cutoff2 || r2 == 0 {
 			continue
 		}
 		s := pairStrength * (1 - r2/cutoff2)
-		fx += s * dx
-		fy += s * dy
-		fz += s * dz
-		frc[k] -= s * dx
-		frc[k+1] -= s * dy
-		frc[k+2] -= s * dz
+		fx += float64(s * dx)
+		fy += float64(s * dy)
+		fz += float64(s * dz)
+		frc[k] -= float64(s * dx)
+		frc[k+1] -= float64(s * dy)
+		frc[k+2] -= float64(s * dz)
 	}
 	f[0], f[1], f[2] = fx, fy, fz
 }
@@ -109,34 +113,34 @@ func pairForceRow(pi, fi []float64, js []int32, pos, frc []float64, cutoff2 floa
 // to an oracle that shares no code with them.
 func pairForce(pi, pj, fi, fj []float64, cutoff2 float64) {
 	dx, dy, dz := pi[0]-pj[0], pi[1]-pj[1], pi[2]-pj[2]
-	r2 := dx*dx + dy*dy + dz*dz
+	r2 := float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
 	if r2 >= cutoff2 || r2 == 0 {
 		return
 	}
 	s := pairStrength * (1 - r2/cutoff2)
-	fi[0] += s * dx
-	fi[1] += s * dy
-	fi[2] += s * dz
-	fj[0] -= s * dx
-	fj[1] -= s * dy
-	fj[2] -= s * dz
+	fi[0] += float64(s * dx)
+	fi[1] += float64(s * dy)
+	fi[2] += float64(s * dz)
+	fj[0] -= float64(s * dx)
+	fj[1] -= float64(s * dy)
+	fj[2] -= float64(s * dz)
 }
 
 // bondForce accumulates the harmonic bond force for the pair with rest
 // length l. Arithmetic cost: bondFlops.
 func bondForce(pi, pj, fi, fj []float64, l float64) {
 	dx, dy, dz := pi[0]-pj[0], pi[1]-pj[1], pi[2]-pj[2]
-	r := math.Sqrt(dx*dx + dy*dy + dz*dz)
+	r := math.Sqrt(float64(dx*dx) + float64(dy*dy) + float64(dz*dz))
 	if r == 0 {
 		return
 	}
 	s := -bondK * (r - l) / r
-	fi[0] += s * dx
-	fi[1] += s * dy
-	fi[2] += s * dz
-	fj[0] -= s * dx
-	fj[1] -= s * dy
-	fj[2] -= s * dz
+	fi[0] += float64(s * dx)
+	fi[1] += float64(s * dy)
+	fi[2] += float64(s * dz)
+	fj[0] -= float64(s * dx)
+	fj[1] -= float64(s * dy)
+	fj[2] -= float64(s * dz)
 }
 
 // Modeled arithmetic operation counts, used for virtual-time accounting.
@@ -151,8 +155,8 @@ const (
 // walls.
 func integrate(pos, vel, frc []float64, box *[3]float64, dt float64) {
 	for d := 0; d < 3; d++ {
-		vel[d] = vel[d]*velDamping + frc[d]*dt
-		pos[d] += vel[d] * dt
+		vel[d] = float64(vel[d]*velDamping) + float64(frc[d]*dt)
+		pos[d] += float64(vel[d] * dt)
 		if pos[d] < 0 {
 			pos[d] = -pos[d]
 			vel[d] = -vel[d]

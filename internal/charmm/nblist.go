@@ -97,7 +97,9 @@ func (g *cellGrid) appendPartners(jnb []int32, p []float64, self int32, c2 float
 	x0, x1 := max(cx-1, 0), min(cx+1, g.nx-1)
 	// Distances to cell faces are taken in cell units (position × inv); the
 	// bound is widened by 1e-6 so that rounding can never skip a partner.
-	sx, sy, sz := px*g.inv, py*g.inv, pz*g.inv
+	// The scaled coordinates are converted so that faceGap's subtraction,
+	// once inlined, does not fuse with the product.
+	sx, sy, sz := float64(px*g.inv), float64(py*g.inv), float64(pz*g.inv)
 	lim := c2 * g.inv * g.inv * (1 + 1e-6)
 	examined := 0
 	for z := max(cz-1, 0); z <= min(cz+1, g.nz-1); z++ {
@@ -107,14 +109,14 @@ func (g *cellGrid) appendPartners(jnb []int32, p []float64, self int32, c2 float
 			lo, hi := int(g.start[row+x0]), int(g.start[row+x1+1])
 			examined += hi - lo
 			gy := faceGap(sy, y, cy)
-			gyz := gy*gy + gz*gz
+			gyz := float64(gy*gy) + float64(gz*gz)
 			if gyz > lim {
 				continue
 			}
-			if gx := faceGap(sx, x0, cx); gyz+gx*gx > lim {
+			if gx := faceGap(sx, x0, cx); gyz+float64(gx*gx) > lim {
 				lo = int(g.start[row+cx])
 			}
-			if gx := faceGap(sx, x1, cx); gyz+gx*gx > lim {
+			if gx := faceGap(sx, x1, cx); gyz+float64(gx*gx) > lim {
 				hi = int(g.start[row+cx+1])
 			}
 			jnb = scanRange(jnb, g.ids[lo:hi], g.pos[lo:hi], self, px, py, pz, c2)
@@ -148,7 +150,7 @@ func scanRange(jnb, ids []int32, pos [][3]float64, self int32, px, py, pz, c2 fl
 		dy := q[1] - py
 		dz := q[2] - pz
 		out[n] = id
-		if dx*dx+dy*dy+dz*dz < c2 {
+		if float64(dx*dx)+float64(dy*dy)+float64(dz*dz) < c2 {
 			n++
 		}
 	}
@@ -366,9 +368,9 @@ func boxDist2(q []float64, b []float64) float64 {
 	d2 := 0.0
 	for d := 0; d < 3; d++ {
 		if v := b[d] - q[d]; v > 0 {
-			d2 += v * v
+			d2 += float64(v * v)
 		} else if v := q[d] - b[3+d]; v > 0 {
-			d2 += v * v
+			d2 += float64(v * v)
 		}
 	}
 	return d2

@@ -97,21 +97,21 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, []float64) {
 		if cfg.CrashStep > 0 && step == cfg.CrashStep && p.Rank() == cfg.CrashRank {
 			panic(fmt.Sprintf("dsmc: injected crash on rank %d at step %d", p.Rank(), step))
 		}
-		var rows [][]int // nil: collideOwned buckets the list itself
+		var rows [][]int
 		switch cfg.Mover {
 		case MoverLight:
-			mols = moveLight(p, &cfg, cells, mols, &st)
+			mols, rows = moveLight(p, &cfg, cells, mols, &st)
 		case MoverRegular:
 			mols, rows = moveRegular(p, &cfg, cells, mols, &st)
 		case MoverCompiler:
-			mols = moveCompiler(p, &cfg, cells, mols, &st)
+			mols, rows = moveCompiler(p, &cfg, cells, mols, &st)
 		}
 		timer.Mark(PhaseMove)
 		if beforeCollide != nil {
 			beforeCollide(p, step, cells, mols, rows)
 		}
 
-		collideOwned(p, &cfg, cells, mols, rows, step, &st)
+		collideOwned(p, &cfg, cells, mols, rows, step)
 		timer.Mark(PhaseCollide)
 
 		if step < cfg.Steps && trig.Due(p, step) {
@@ -135,23 +135,39 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, []float64) {
 
 // moveLight is the MOVE phase with a light-weight schedule: advance every
 // molecule, then scatter_append the records to the owners of their new
-// cells. No index translation, no placement order. The schedule is rebuilt
-// in place and the records land in the spare list, so a warm step allocates
-// only the count exchange's by-reference buffer.
-func moveLight(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, st *stepState) []float64 {
+// cells. No index translation, no placement order. It returns the new list
+// and its collision rows. Each molecule's cell is computed once, in the
+// advance loop: it gives the owner, and a molecule that stays is put in its
+// row at the offset it will have in the new list, where scatter_append keeps
+// own records first and in order. Only the received records, which follow
+// them, are bucketed after the move. The schedule is rebuilt in place and
+// the records land in the spare list, so a warm step allocates only the
+// count exchange's by-reference buffer.
+func moveLight(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, st *stepState) ([]float64, [][]int) {
 	n := len(mols) / recordWidth
+	tt := cells.TT()
+	self := int32(p.Rank())
 	dest := sizedI32(&st.dest, n)
+	rows := resetRows(st.members, cells.NLocal())
+	kept := 0
 	for i := 0; i < n; i++ {
 		rec := mols[i*recordWidth : (i+1)*recordWidth]
 		advance(cfg, rec, cfg.Dt)
-		dest[i] = cells.TT().OwnerOf(CellOf(cfg, rec))
+		c := CellOf(cfg, rec)
+		if dest[i] = tt.OwnerOf(c); dest[i] == self {
+			row := tt.OffsetOf(c)
+			rows[row] = append(rows[row], kept*recordWidth)
+			kept++
+		}
 	}
 	p.ComputeFlops(moveFlopsPerMol * n)
 	st.light = schedule.BuildLightInto(st.light, p, dest)
 	out := growF64(st.spare, st.light.TotalRecv()*recordWidth)
 	out = st.light.MoveF64Into(p, dest, mols, recordWidth, out)
+	bucketOwned(p, cfg, cells, out, kept*recordWidth, rows)
+	st.members = rows
 	st.spare = mols
-	return out
+	return out, rows
 }
 
 // moveCompiler is the MOVE phase as the Fortran 90D compiler generates it
@@ -159,7 +175,8 @@ func moveLight(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, st *
 // lowered to a light-weight schedule, but the generated code additionally
 // recomputes the per-cell sizes with an irregular sum-reduction, paying
 // extra communication the manually parallelized version avoids (Table 7).
-func moveCompiler(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, st *stepState) []float64 {
+// It returns the received list and its collision rows, bucketed here.
+func moveCompiler(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, st *stepState) ([]float64, [][]int) {
 	n := len(mols) / recordWidth
 	destRows := sizedI32(&st.dest, n)
 	for i := 0; i < n; i++ {
@@ -178,7 +195,25 @@ func moveCompiler(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, s
 	if int(total)*recordWidth != len(recv) {
 		panic(fmt.Sprintf("dsmc: compiler new_size %d disagrees with %d received records", total, len(recv)/recordWidth))
 	}
-	return recv
+	st.members = resetRows(st.members, cells.NLocal())
+	bucketOwned(p, cfg, cells, recv, 0, st.members)
+	return recv, st.members
+}
+
+// bucketOwned appends the offset of every record of mols from offset from on
+// to rows[row], row being the owned row of the record's cell, in storage
+// order. It panics on a record whose cell this rank does not own: the
+// records a mover received must all belong here.
+func bucketOwned(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, from int, rows [][]int) {
+	tt := cells.TT()
+	for off := from; off+recordWidth <= len(mols); off += recordWidth {
+		c := CellOf(cfg, mols[off:])
+		if int(tt.OwnerOf(c)) != p.Rank() {
+			panic(fmt.Sprintf("dsmc: rank %d holds molecule of cell %d owned by %d", p.Rank(), c, tt.OwnerOf(c)))
+		}
+		row := tt.OffsetOf(c)
+		rows[row] = append(rows[row], off)
+	}
 }
 
 // stepState is the runner's per-run working storage: the molecule lists,
@@ -241,7 +276,11 @@ type stepState struct {
 	// its packing scratch survives.
 	light *schedule.LightSchedule
 	// members[row] lists the record offsets of the molecules in owned cell
-	// row: built by the regular mover, or by collideOwned's bucketing.
+	// row of the new list, in storage order: the collision rows every mover
+	// builds and hands to collideOwned. The regular mover reads them off its
+	// packed slot rows, the light mover fills them as it advances (own
+	// records) and after the move (received ones), the compiler mover
+	// buckets its received list.
 	members [][]int
 }
 
@@ -251,8 +290,7 @@ var afterStep func(p *comm.Proc, step int, st *stepState)
 
 // beforeCollide, when set, runs on every rank between the MOVE and COLLIDE
 // phases with the cell distribution, the list the mover returned and the
-// rows it built (nil when collideOwned buckets the list). Tests use it; nil
-// otherwise.
+// rows it built. Tests use it; nil otherwise.
 var beforeCollide func(p *comm.Proc, step int, cells *core.Dist, mols []float64, rows [][]int)
 
 // sizedI32 returns scratch of exactly n elements backed by *buf, contents
@@ -429,20 +467,10 @@ func moveRegular(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, st
 	return out, rows
 }
 
-// collideOwned runs the collision phase over the owned-cell rows: rows as
-// the regular mover built them or, when rows is nil, the local molecules
-// bucketed here.
-func collideOwned(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, rows [][]int, step int, st *stepState) {
-	if rows == nil {
-		tt := cells.TT()
-		st.members = bucketByCell(cfg, mols, st.members, cells.NLocal(), func(c int) int {
-			if int(tt.OwnerOf(c)) != p.Rank() {
-				panic(fmt.Sprintf("dsmc: rank %d holds molecule of cell %d owned by %d", p.Rank(), c, tt.OwnerOf(c)))
-			}
-			return int(tt.OffsetOf(c))
-		})
-		rows = st.members
-	}
+// collideOwned runs the collision phase over the owned-cell rows the mover
+// handed over: rows[row] lists, in storage order, the record offsets of the
+// molecules in owned cell row — what bucketByCell makes of mols.
+func collideOwned(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, rows [][]int, step int) {
 	for row, mm := range rows {
 		collideCell(cfg, mols, mm, int(cells.Globals()[row]), step)
 	}

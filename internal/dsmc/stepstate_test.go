@@ -99,47 +99,77 @@ func TestScratchPoison(t *testing.T) {
 	}
 }
 
-// TestRegularMoverRowsAreBuckets checks the regular mover's hand-off to the
-// collision phase: at every step, the rows it returns are exactly what
-// bucketByCell makes of the list it returns — the same records, row by row
-// and in storage order — so collideOwned may skip the bucketing. Remapping
-// runs (RemapEvery 3) move cells between ranks, so the rows change shape.
-func TestRegularMoverRowsAreBuckets(t *testing.T) {
-	for _, remapEvery := range []int{0, 3} {
-		cfg := smallConfig()
-		cfg.Mover, cfg.RemapEvery = MoverRegular, remapEvery
-		cfg.InitSlabFrac, cfg.Partitioner = 0.5, "rcb"
-		for _, nprocs := range []int{1, 2, 3} {
-			label := fmt.Sprintf("remap=%d on %d ranks", remapEvery, nprocs)
-			checked := make([]int, nprocs)
-			hook := func(p *comm.Proc, step int, cells *core.Dist, mols []float64, rows [][]int) {
-				checked[p.Rank()]++
-				tt := cells.TT()
-				want := bucketByCell(&cfg, mols, nil, cells.NLocal(), func(c int) int { return int(tt.OffsetOf(c)) })
-				if len(rows) != len(want) {
-					t.Errorf("%s: rank %d step %d: %d rows, want %d", label, p.Rank(), step, len(rows), len(want))
-					return
-				}
-				for row := range want {
-					if !slices.Equal(rows[row], want[row]) {
-						t.Errorf("%s: rank %d step %d row %d (cell %d): mover rows %v, bucketByCell %v",
-							label, p.Rank(), step, row, cells.Globals()[row], rows[row], want[row])
+// TestMoverRowsAreBuckets checks every mover's hand-off to the collision
+// phase: at every step, the rows it returns are exactly what bucketByCell
+// makes of the list it returns — the same records, row by row and in
+// storage order — so collideOwned needs no bucketing of its own. The light
+// mover builds its rows from the cells it computed while advancing plus the
+// received records, the regular mover from its packed slot rows, the
+// compiler mover by bucketing. Remapping runs (RemapEvery 3) move cells
+// between ranks, so the rows change shape.
+func TestMoverRowsAreBuckets(t *testing.T) {
+	for _, mover := range []Mover{MoverLight, MoverRegular, MoverCompiler} {
+		for _, remapEvery := range []int{0, 3} {
+			cfg := smallConfig()
+			cfg.Mover, cfg.RemapEvery = mover, remapEvery
+			cfg.InitSlabFrac, cfg.Partitioner = 0.5, "rcb"
+			for _, nprocs := range []int{1, 2, 3} {
+				label := fmt.Sprintf("%s remap=%d on %d ranks", mover, remapEvery, nprocs)
+				checked := make([]int, nprocs)
+				hook := func(p *comm.Proc, step int, cells *core.Dist, mols []float64, rows [][]int) {
+					checked[p.Rank()]++
+					tt := cells.TT()
+					want := bucketByCell(&cfg, mols, nil, cells.NLocal(), func(c int) int { return int(tt.OffsetOf(c)) })
+					if len(rows) != len(want) {
+						t.Errorf("%s: rank %d step %d: %d rows, want %d", label, p.Rank(), step, len(rows), len(want))
 						return
 					}
+					for row := range want {
+						if !slices.Equal(rows[row], want[row]) {
+							t.Errorf("%s: rank %d step %d row %d (cell %d): mover rows %v, bucketByCell %v",
+								label, p.Rank(), step, row, cells.Globals()[row], rows[row], want[row])
+							return
+						}
+					}
 				}
-			}
-			func() {
-				beforeCollide = hook
-				defer func() { beforeCollide = nil }()
-				comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) { RunKeepMols(p, cfg) })
-			}()
-			for r, n := range checked {
-				if n != cfg.Steps {
-					t.Errorf("%s: rank %d checked %d steps, want %d", label, r, n, cfg.Steps)
+				func() {
+					beforeCollide = hook
+					defer func() { beforeCollide = nil }()
+					comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) { RunKeepMols(p, cfg) })
+				}()
+				for r, n := range checked {
+					if n != cfg.Steps {
+						t.Errorf("%s: rank %d checked %d steps, want %d", label, r, n, cfg.Steps)
+					}
 				}
 			}
 		}
 	}
+}
+
+// TestBucketOwnedPanicsOnForeignCell feeds the bucketing of received records
+// a record whose cell the other rank owns, after one record of this rank's
+// (the light mover's kept section, which bucketOwned skips): it must panic,
+// naming this rank, the cell and its owner.
+func TestBucketOwnedPanicsOnForeignCell(t *testing.T) {
+	cfg := smallConfig()
+	comm.Run(2, costmodel.IPSC860(), func(p *comm.Proc) {
+		cells := core.NewRuntime(p).BlockDist(cfg.NCells())
+		own := int(cells.Globals()[0])
+		foreign := (own + cfg.NCells()/2) % cfg.NCells() // the other rank's first cell
+		mols := make([]float64, 2*recordWidth)
+		mols[1], mols[2], mols[3] = CellCenter(&cfg, own)
+		mols[recordWidth+1], mols[recordWidth+2], mols[recordWidth+3] = CellCenter(&cfg, foreign)
+		want := fmt.Sprintf("dsmc: rank %d holds molecule of cell %d owned by %d", p.Rank(), foreign, 1-p.Rank())
+		got := func() (msg any) {
+			defer func() { msg = recover() }()
+			bucketOwned(p, &cfg, cells, mols, recordWidth, resetRows(nil, cells.NLocal()))
+			return nil
+		}()
+		if got != want {
+			t.Errorf("rank %d: bucketOwned panicked with %v, want %q", p.Rank(), got, want)
+		}
+	})
 }
 
 // TestScratchPoisonAcrossResume poisons the scratch on both sides of a
@@ -237,15 +267,29 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkDSMCStep times one warm time step (move + collide) of the
-// dsmc-regular benchmark configuration at 2 ranks, per mover. B/op covers
-// both ranks.
+// BenchmarkDSMCStep times one warm time step (move + collide) at 2 ranks:
+// the dsmc-regular benchmark configuration per mover, and the
+// dsmc-finegrain one (16x16 cells, 1024 molecules, light mover). B/op
+// covers both ranks.
 func BenchmarkDSMCStep(b *testing.B) {
 	const nprocs, warm = 2, 3
-	for _, mover := range []Mover{MoverRegular, MoverLight} {
-		b.Run(string(mover), func(b *testing.B) {
-			cfg := Default2D(48)
-			cfg.NMols, cfg.Steps, cfg.Mover = 18432, warm+b.N, mover
+	regular := Default2D(48)
+	regular.NMols = 18432
+	finegrain := Default2D(16)
+	finegrain.NMols = 1024
+	rows := []struct {
+		name  string
+		mover Mover
+		cfg   Config
+	}{
+		{"regular", MoverRegular, regular},
+		{"light", MoverLight, regular},
+		{"finegrain", MoverLight, finegrain},
+	}
+	for _, row := range rows {
+		b.Run(row.name, func(b *testing.B) {
+			cfg := row.cfg
+			cfg.Steps, cfg.Mover = warm+b.N, row.mover
 			b.ReportAllocs()
 			hook := func(p *comm.Proc, step int, _ *stepState) {
 				if step == warm {

@@ -19,6 +19,8 @@ type LightSchedule struct {
 	RecvCounts []int32
 	// packF/packI are per-destination packing scratch reused across
 	// Move calls, so repeated appends with one schedule stop allocating.
+	// The entry of the schedule's own rank stays nil: own items are packed
+	// straight into the result.
 	packF [][]float64
 	packI [][]int32
 	// countMsgs holds the per-peer message headers of the count exchange
@@ -139,9 +141,13 @@ func (ls *LightSchedule) MoveI32Into(p *comm.Proc, dest []int32, items []int32, 
 
 // MoveF64 performs scatter_append: item i (the width float64 values
 // items[i*width:(i+1)*width]) is delivered to processor dest[i] and appended
-// to its result in arrival order (own items first, then by increasing rank
-// distance). dest must be the same slice contents used for BuildLight.
-// Collective. The result has ls.TotalRecv() items.
+// to its result. The result holds the caller's own items first, in their
+// order in items, then each source's items in their order there, sources by
+// increasing rank distance — so a caller that knows which items it keeps
+// knows their offsets in the result before the move. Own items are copied
+// once, straight into the result; the others are packed per destination and
+// sent as one message each. dest must be the same slice contents used for
+// BuildLight. Collective. The result has ls.TotalRecv() items.
 func (ls *LightSchedule) MoveF64(p *comm.Proc, dest []int32, items []float64, width int) []float64 {
 	return ls.MoveF64Into(p, dest, items, width, nil)
 }
@@ -154,10 +160,13 @@ func (ls *LightSchedule) MoveF64Into(p *comm.Proc, dest []int32, items []float64
 }
 
 // moveLightInto is scatter_append, written once over the element type: pack
-// per destination into *pack (the schedule's scratch of that type), keep
-// the rank's own items, send one message per other destination, append each
-// arriving one. send and recv are passed as method expressions, which,
-// unlike method values, allocate no closure per call.
+// per destination into *pack (the schedule's scratch of that type), send one
+// message per other destination, append each arriving one. The rank's own
+// row is out itself, sized for every item kept and received, so own items
+// land in the result in the pack pass, in order, and are copied once; the
+// schedule keeps no packing row for itself between calls. send and recv are
+// passed as method expressions, which, unlike method values, allocate no
+// closure per call.
 func moveLightInto[T any](ls *LightSchedule, p *comm.Proc, dest []int32, items []T, width int, out []T, pack *[][]T,
 	send func(p *comm.Proc, to, tag int, xs []T), recv func(p *comm.Proc, from, tag int, dst []T) []T) []T {
 	if len(items) != len(dest)*width {
@@ -168,16 +177,18 @@ func moveLightInto[T any](ls *LightSchedule, p *comm.Proc, dest []int32, items [
 	}
 	packed := *pack
 	for r := range packed {
-		need := int(ls.SendCounts[r]) * width
-		packed[r] = emptied(packed[r], need, need/4)
+		if r != ls.self {
+			need := int(ls.SendCounts[r]) * width
+			packed[r] = emptied(packed[r], need, need/4)
+		}
 	}
+	packed[ls.self] = emptied(out, ls.TotalRecv()*width, 0)
 	for i, d := range dest {
 		packed[d] = append(packed[d], items[i*width:(i+1)*width]...)
 	}
+	out, packed[ls.self] = packed[ls.self], nil
 	p.ComputeMem(len(items))
 
-	out = emptied(out, ls.TotalRecv()*width, 0)
-	out = append(out, packed[p.Rank()]...) // keep own items, in order
 	for k := 1; k < p.Size(); k++ {
 		dst := (p.Rank() + k) % p.Size()
 		if len(packed[dst]) > 0 {

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -268,5 +269,77 @@ func TestFromTranslatedIntoBackToBack(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLightMoveIntoOwnItemsFirst runs MoveF64Into and MoveI32Into on a
+// schedule rebuilt in place, at 1–3 ranks. The result must be
+// scatter_append's order: the rank's own items first and in order, then each
+// source's in order, by increasing rank distance. Once warm, the move must
+// allocate nothing (the rebuild's by-reference count buffer is
+// TestGatherScatterSteadyStateAllocs' business), and the schedule must keep
+// no packing row for its own rank: own items are packed straight into the
+// result.
+func TestLightMoveIntoOwnItemsFirst(t *testing.T) {
+	for _, nprocs := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("MoveF64Into/p%d", nprocs), func(t *testing.T) {
+			lightMoveIntoRow(t, nprocs, (*LightSchedule).MoveF64Into, func(ls *LightSchedule) [][]float64 { return ls.packF })
+		})
+		t.Run(fmt.Sprintf("MoveI32Into/p%d", nprocs), func(t *testing.T) {
+			lightMoveIntoRow(t, nprocs, (*LightSchedule).MoveI32Into, func(ls *LightSchedule) [][]int32 { return ls.packI })
+		})
+	}
+}
+
+func lightMoveIntoRow[T int32 | float64](t *testing.T, nprocs int,
+	move func(ls *LightSchedule, p *comm.Proc, dest []int32, items []T, width int, out []T) []T,
+	pack func(ls *LightSchedule) [][]T) {
+	const n, width, warm, runs = 40, 3, 3, 50
+	destOf := func(rank int) []int32 {
+		rng := propRng(uint64(11 + rank))
+		dest := make([]int32, n)
+		for i := range dest {
+			dest[i] = int32(rng.intn(nprocs))
+		}
+		return dest
+	}
+	val := func(rank, i, c int) T { return T(rank*1000 + i*width + c) }
+	allocs := make([]float64, nprocs)
+	comm.Run(nprocs, costmodel.Uniform(1e-9), func(p *comm.Proc) {
+		me := p.Rank()
+		dest := destOf(me)
+		items := make([]T, 0, n*width)
+		for i := 0; i < n; i++ {
+			for c := 0; c < width; c++ {
+				items = append(items, val(me, i, c))
+			}
+		}
+		var want []T
+		for k := 0; k < nprocs; k++ {
+			src := (me - k + nprocs) % nprocs
+			for i, to := range destOf(src) {
+				for c := 0; c < width && int(to) == me; c++ {
+					want = append(want, val(src, i, c))
+				}
+			}
+		}
+		var ls *LightSchedule
+		var out []T
+		for k := 0; k < warm; k++ {
+			ls = BuildLightInto(ls, p, dest)
+			out = move(ls, p, dest, items, width, out)
+			if !slices.Equal(out, want) {
+				t.Errorf("rank %d move %d: got %v, want own items first, then by rank distance: %v", me, k, out, want)
+			}
+		}
+		allocs[me] = testing.AllocsPerRun(runs, func() { out = move(ls, p, dest, items, width, out) })
+		if row := pack(ls)[me]; row != nil {
+			t.Errorf("rank %d: the schedule keeps a packing row of capacity %d for its own rank", me, cap(row))
+		}
+	})
+	for r, a := range allocs {
+		if a != 0 {
+			t.Errorf("rank %d: warm move allocates %.0f allocs/op, want 0", r, a)
+		}
 	}
 }
