@@ -67,6 +67,15 @@ func BadGuardedInPlaceBuilds(p *comm.Proc, ht *hashtab.Table, tt *ttable.Table, 
 	}
 }
 
+// BadGuardedTypedCollectives reduces in place (the bisection's form) and
+// exchanges index lists on one rank only.
+func BadGuardedTypedCollectives(p *comm.Proc, vec, scratch []float64, send [][]int32) {
+	if p.Rank() == 0 {
+		p.AllReduceF64Into(comm.OpSum, vec, scratch) // want:spmd-collective
+		p.AllToAllI32(send, nil)                     // want:spmd-collective
+	}
+}
+
 // GoodUnguarded runs the same collective sequence on every rank.
 func GoodUnguarded(p *comm.Proc) float64 {
 	p.Barrier()

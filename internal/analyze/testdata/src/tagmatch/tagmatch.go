@@ -29,6 +29,11 @@ func BadOrphanRecv(p *comm.Proc) []byte {
 	return p.Recv(left, 500) // want:tag-match
 }
 
+// BadOrphanTypedRecv decodes tag 501, which nothing in the package sends.
+func BadOrphanTypedRecv(p *comm.Proc, dst []float64) []float64 {
+	return p.RecvF64(0, 501, dst) // want:tag-match
+}
+
 // GoodPairedTags is a matched ring exchange: every constant tag appears on
 // both sides.
 func GoodPairedTags(p *comm.Proc) {
@@ -38,9 +43,9 @@ func GoodPairedTags(p *comm.Proc) {
 	right := (p.Rank() + 1) % p.Size()
 	left := (p.Rank() - 1 + p.Size()) % p.Size()
 	p.SendF64(right, tagPing, []float64{1})
-	vals := p.RecvF64(left, tagPing)
+	vals := p.RecvF64(left, tagPing, nil)
 	p.SendF64(left, tagPong, vals)
-	p.RecvF64(right, tagPong)
+	p.RecvF64(right, tagPong, nil)
 }
 
 // GoodVariableTag uses a computed tag; the analyzer only judges constants.

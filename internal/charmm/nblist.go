@@ -183,11 +183,12 @@ type nbSearch struct {
 	hint int
 	// examined is the candidate count of the last build.
 	examined int
-	// Parallel build: own + halo atoms, and the per-peer halo staging.
-	allG  []int32
-	allP  []float64
-	sendG [][]int32
-	sendP [][]float64
+	// Parallel build: own + halo atoms, the per-peer halo staging and the
+	// halos received per peer.
+	allG         []int32
+	allP         []float64
+	sendG, haloG [][]int32
+	sendP, haloP [][]float64
 }
 
 // search builds the CSR list of the first nRows atoms handed to grid.build:
@@ -295,8 +296,7 @@ func buildNBListPar(p *comm.Proc, globals []int32, pos []float64, cfg Config, nb
 	boxes := p.AllGather(comm.EncodeF64(box))
 
 	// Route each owned atom to every processor whose box is within the
-	// cutoff of it (itself excluded). The staging rows are reused; the
-	// encoded payloads are fresh, as everything handed to AllToAll must be.
+	// cutoff of it (itself excluded). The staging rows are reused.
 	if len(nb.sendG) != p.Size() {
 		nb.sendG = make([][]int32, p.Size())
 		nb.sendP = make([][]float64, p.Size())
@@ -319,37 +319,29 @@ func buildNBListPar(p *comm.Proc, globals []int32, pos []float64, cfg Config, nb
 		}
 	}
 	p.ComputeMem(nOwn * p.Size())
+	nb.haloG = p.AllToAllI32(nb.sendG, nb.haloG)
+	nb.haloP = p.AllToAllF64(nb.sendP, nb.haloP)
 
-	gBufs := make([][]byte, p.Size())
-	pBufs := make([][]byte, p.Size())
-	for r := range nb.sendG {
-		gBufs[r] = comm.EncodeI32(nb.sendG[r])
-		pBufs[r] = comm.EncodeF64(nb.sendP[r])
-	}
-	haloGB := p.AllToAll(gBufs)
-	haloPB := p.AllToAll(pBufs)
-
-	// Assemble own + halo atoms for the local grid, decoding each peer's
-	// halo straight into place.
+	// Assemble own + halo atoms for the local grid.
 	nAll := nOwn
-	for r := 0; r < p.Size(); r++ {
+	for r, ids := range nb.haloG {
 		if r != p.Rank() {
-			nAll += len(haloGB[r]) / 4
+			if len(nb.haloP[r]) != 3*len(ids) {
+				panic("charmm: halo ids and positions from one peer disagree in length")
+			}
+			nAll += len(ids)
 		}
 	}
 	nb.allG, nb.allP = recycle.Sized(nb.allG, nAll), recycle.Sized(nb.allP, 3*nAll)
 	allG, allP := nb.allG, nb.allP
 	at := copy(allG, globals)
 	copy(allP, pos)
-	for r := 0; r < p.Size(); r++ {
-		if r == p.Rank() {
-			continue
+	for r, ids := range nb.haloG {
+		if r != p.Rank() {
+			copy(allG[at:], ids)
+			copy(allP[3*at:], nb.haloP[r])
+			at += len(ids)
 		}
-		n := len(comm.DecodeI32Into(allG[at:at], haloGB[r]))
-		if len(comm.DecodeF64Into(allP[3*at:3*at], haloPB[r])) != 3*n {
-			panic("charmm: halo ids and positions from one peer disagree in length")
-		}
-		at += n
 	}
 	p.ComputeMem(nAll)
 

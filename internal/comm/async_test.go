@@ -23,10 +23,10 @@ func TestSendStartVirtualParity(t *testing.T) {
 					p.ComputeFlops(1000) // overlapped-looking work, charged identically
 					h.Wait()
 				} else {
-					p.SendF64Buf(peer, 7, xs)
+					p.SendF64(peer, 7, xs)
 					p.ComputeFlops(1000)
 				}
-				got := p.RecvF64(peer, 7)
+				got := p.RecvF64(peer, 7, nil)
 				if got[0] != float64(i) || got[1] != float64(peer) {
 					t.Errorf("rank %d: got %v", p.Rank(), got)
 				}
@@ -56,11 +56,11 @@ func TestSendStartFIFOWithBlockingSend(t *testing.T) {
 				for i := 0; i < n; i++ {
 					p.SendStart(1, 7, EncodeF64([]float64{float64(i)}))
 				}
-				p.SendF64Buf(1, 7, []float64{float64(n)}) // must arrive last
+				p.SendF64(1, 7, []float64{float64(n)}) // must arrive last
 				return
 			}
 			for i := 0; i <= n; i++ {
-				if got := p.RecvF64(0, 7); got[0] != float64(i) {
+				if got := p.RecvF64(0, 7, nil); got[0] != float64(i) {
 					t.Fatalf("trial %d: message %d carried %v (order broken)", trial, i, got[0])
 				}
 			}
@@ -81,16 +81,16 @@ func TestPendingWaitScriptedClockSamples(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				p.SendF64(1, 7, []float64{float64(i)})
 			}
-			p.RecvF64(1, 8)
+			p.RecvF64(1, 8, nil)
 			return
 		}
 		before := p.Measured().ClockSamples
-		p.RecvF64(0, 7)                                 // fresh start + end: 2 readings
-		p.RecvF64(0, 7)                                 // amortized: 1 reading
+		p.RecvF64(0, 7, nil)                            // fresh start + end: 2 readings
+		p.RecvF64(0, 7, nil)                            // amortized: 1 reading
 		h := p.SendStart(0, 8, EncodeF64([]float64{1})) // no readings at issue
 		h.Wait()                                        // no readings: the send is done
-		p.RecvF64(0, 7)                                 // cache invalidated by the send: 2 readings
-		p.RecvF64(0, 7)                                 // amortized again: 1 reading
+		p.RecvF64(0, 7, nil)                            // cache invalidated by the send: 2 readings
+		p.RecvF64(0, 7, nil)                            // amortized again: 1 reading
 		samples = p.Measured().ClockSamples - before
 	})
 	if samples != 6 {

@@ -59,13 +59,15 @@ func BenchmarkAllReduce8(b *testing.B) {
 }
 
 func BenchmarkAllToAll8(b *testing.B) {
+	b.ReportAllocs()
 	Run(8, costmodel.Uniform(1e-9), func(p *Proc) {
-		bufs := make([][]byte, 8)
-		for r := range bufs {
-			bufs[r] = make([]byte, 256)
+		send := make([][]int32, 8)
+		for r := range send {
+			send[r] = make([]int32, 64)
 		}
+		var recv [][]int32
 		for i := 0; i < b.N; i++ {
-			p.AllToAll(bufs)
+			recv = p.AllToAllI32(send, recv)
 		}
 	})
 }

@@ -189,33 +189,7 @@ func (p *Proc) AllReduceF64(op Op, vec []float64) []float64 {
 // space, grown as needed and returned for reuse; once scratch has capacity
 // len(vec) the call performs no allocations.
 func (p *Proc) AllReduceF64Into(op Op, vec, scratch []float64) []float64 {
-	if p.size == 1 {
-		return scratch
-	}
-	// Binomial reduce to rank 0; vec accumulates in place.
-	for mask := 1; mask < p.size; mask <<= 1 {
-		if p.rank&mask != 0 {
-			p.SendF64Buf(p.rank-mask, tagReduce, vec)
-			break
-		}
-		if p.rank|mask < p.size {
-			scratch = p.RecvF64Into(p.rank|mask, tagReduce, scratch)
-			combine(op, vec, scratch)
-		}
-	}
-	// Broadcast the result along the same binomial tree as Broadcast
-	// (root 0), overwriting vec on every non-root rank.
-	mask := lowestRecvMask(p.rank, p.size)
-	if p.rank != 0 {
-		scratch = p.RecvF64Into(p.rank-mask, tagBcast, scratch)
-		copy(vec, scratch)
-	}
-	for m := mask >> 1; m > 0; m >>= 1 {
-		if p.rank+m < p.size {
-			p.SendF64Buf(p.rank+m, tagBcast, vec)
-		}
-	}
-	return scratch
+	return allReduceInto(p, op, vec, scratch, (*Proc).SendF64, (*Proc).RecvF64)
 }
 
 // AllReduceI64 combines vec element-wise across all ranks with op and
@@ -223,24 +197,39 @@ func (p *Proc) AllReduceF64Into(op Op, vec, scratch []float64) []float64 {
 func (p *Proc) AllReduceI64(op Op, vec []int64) []int64 {
 	acc := make([]int64, len(vec))
 	copy(acc, vec)
+	allReduceInto(p, op, acc, nil, (*Proc).SendI64, (*Proc).RecvI64)
+	return acc
+}
+
+// allReduceInto is the in-place all-reduce, written once over the element
+// type: a binomial reduce to rank 0, then a broadcast of the result along
+// the same binomial tree as Broadcast (root 0).
+func allReduceInto[T float64 | int64](p *Proc, op Op, vec, scratch []T,
+	sendT func(p *Proc, to, tag int, xs []T), recvT func(p *Proc, from, tag int, dst []T) []T) []T {
 	if p.size == 1 {
-		return acc
+		return scratch
 	}
 	for mask := 1; mask < p.size; mask <<= 1 {
 		if p.rank&mask != 0 {
-			p.SendI64(p.rank-mask, tagReduce, acc)
-			acc = nil
+			sendT(p, p.rank-mask, tagReduce, vec)
 			break
 		}
 		if p.rank|mask < p.size {
-			combine(op, acc, p.RecvI64(p.rank|mask, tagReduce))
+			scratch = recvT(p, p.rank|mask, tagReduce, scratch)
+			combine(op, vec, scratch)
 		}
 	}
-	var buf []byte
-	if p.rank == 0 {
-		buf = EncodeI64(acc)
+	mask := lowestRecvMask(p.rank, p.size)
+	if p.rank != 0 {
+		scratch = recvT(p, p.rank-mask, tagBcast, scratch)
+		copy(vec, scratch)
 	}
-	return DecodeI64(p.Broadcast(0, buf))
+	for m := mask >> 1; m > 0; m >>= 1 {
+		if p.rank+m < p.size {
+			sendT(p, p.rank+m, tagBcast, vec)
+		}
+	}
+	return scratch
 }
 
 // AllReduceScalarF64 is AllReduceF64 for a single value.
@@ -267,25 +256,42 @@ func (p *Proc) ExScanI64(v int64) (before, total int64) {
 	return before, total
 }
 
-// AllToAll exchanges bufs[r] to rank r for every r and returns the buffers
-// received, indexed by source rank. bufs[self] is passed through untouched
-// (and may be nil). bufs must have length Size. Each bufs[r] is handed to
-// Send as is, so Send's ownership rule applies: the payloads belong to the
-// receivers afterwards and must not be written or recycled (the bufs header
-// slice itself is only read during the call and may be reused).
-func (p *Proc) AllToAll(bufs [][]byte) [][]byte {
-	if len(bufs) != p.size {
-		panic(fmt.Sprintf("comm: AllToAll with %d buffers on %d ranks", len(bufs), p.size))
+// AllToAllI32 sends send[r] to rank r for every r and returns the lists
+// received, indexed by source rank. Each arrival is decoded into recv[src]'s
+// backing array (grown as needed), and the result is recv itself (allocated
+// unless recv has length Size), so a caller that hands the result back on
+// the next call stops allocating once warm. The caller's own entry
+// send[self] is passed through uncopied as the result's self entry. Sends
+// are staged through the arena, so send may be reused as soon as the call
+// returns. Every pair exchanges exactly one message, empty lists included,
+// in ring order: send to rank+k, then receive from rank-k.
+func (p *Proc) AllToAllI32(send, recv [][]int32) [][]int32 {
+	return allToAll(p, send, recv, (*Proc).SendI32, (*Proc).RecvI32)
+}
+
+// AllToAllF64 is AllToAllI32 for []float64 lists.
+func (p *Proc) AllToAllF64(send, recv [][]float64) [][]float64 {
+	return allToAll(p, send, recv, (*Proc).SendF64, (*Proc).RecvF64)
+}
+
+// allToAll is the typed all-to-all ring, written once over the element
+// type; sendT and recvT are method expressions, which allocate no closure.
+func allToAll[T any](p *Proc, send, recv [][]T,
+	sendT func(p *Proc, to, tag int, xs []T), recvT func(p *Proc, from, tag int, dst []T) []T) [][]T {
+	if len(send) != p.size {
+		panic(fmt.Sprintf("comm: all-to-all with %d lists on %d ranks", len(send), p.size))
 	}
-	out := make([][]byte, p.size)
-	out[p.rank] = bufs[p.rank]
+	if len(recv) != p.size {
+		recv = make([][]T, p.size)
+	}
+	recv[p.rank] = send[p.rank]
 	for k := 1; k < p.size; k++ {
 		dst := (p.rank + k) % p.size
-		p.Send(dst, tagAllToAll, bufs[dst])
+		sendT(p, dst, tagAllToAll, send[dst])
 	}
 	for k := 1; k < p.size; k++ {
 		src := (p.rank - k + p.size) % p.size
-		out[src] = p.Recv(src, tagAllToAll)
+		recv[src] = recvT(p, src, tagAllToAll, recv[src])
 	}
-	return out
+	return recv
 }

@@ -71,12 +71,12 @@ func TestPointToPoint(t *testing.T) {
 	Run(2, m, func(p *Proc) {
 		if p.Rank() == 0 {
 			p.SendF64(1, 7, []float64{1, 2, 3})
-			got := p.RecvF64(1, 8)
+			got := p.RecvF64(1, 8, nil)
 			if len(got) != 1 || got[0] != 42 {
 				t.Errorf("rank 0 got %v, want [42]", got)
 			}
 		} else {
-			got := p.RecvF64(0, 7)
+			got := p.RecvF64(0, 7, nil)
 			if len(got) != 3 || got[2] != 3 {
 				t.Errorf("rank 1 got %v, want [1 2 3]", got)
 			}
@@ -93,10 +93,10 @@ func TestTagMatchingOutOfOrder(t *testing.T) {
 			p.SendI32(1, 1, []int32{11})
 			p.SendI32(1, 2, []int32{22})
 		} else {
-			if got := p.RecvI32(0, 2); got[0] != 22 {
+			if got := p.RecvI32(0, 2, nil); got[0] != 22 {
 				t.Errorf("tag 2 payload = %v, want 22", got[0])
 			}
-			if got := p.RecvI32(0, 1); got[0] != 11 {
+			if got := p.RecvI32(0, 1, nil); got[0] != 11 {
 				t.Errorf("tag 1 payload = %v, want 11", got[0])
 			}
 		}
@@ -112,7 +112,7 @@ func TestFIFOPerPair(t *testing.T) {
 			}
 		} else {
 			for i := 0; i < n; i++ {
-				if got := p.RecvI32(0, 5)[0]; got != int32(i) {
+				if got := p.RecvI32(0, 5, nil)[0]; got != int32(i) {
 					t.Fatalf("message %d arrived with payload %d", i, got)
 				}
 			}
@@ -250,13 +250,13 @@ func TestExScan(t *testing.T) {
 func TestAllToAll(t *testing.T) {
 	testCollectiveSizes(t, func(t *testing.T, n int) {
 		Run(n, costmodel.Uniform(1e-6), func(p *Proc) {
-			bufs := make([][]byte, n)
+			send := make([][]int32, n)
 			for to := 0; to < n; to++ {
-				bufs[to] = EncodeI32([]int32{int32(p.Rank()*1000 + to)})
+				send[to] = []int32{int32(p.Rank()*1000 + to)}
 			}
-			got := p.AllToAll(bufs)
+			got := p.AllToAllI32(send, nil)
 			for from := 0; from < n; from++ {
-				v := DecodeI32(got[from])[0]
+				v := got[from][0]
 				want := int32(from*1000 + p.Rank())
 				if v != want {
 					t.Errorf("n=%d rank=%d from=%d got %d want %d", n, p.Rank(), from, v, want)
@@ -470,7 +470,7 @@ func TestBadPeerRankRefused(t *testing.T) {
 		op   func(p *Proc)
 		want string
 	}{
-		{"recv", func(p *Proc) { p.RecvF64(2, 5) }, "comm: recv from bad rank 2 (n=2)"},
+		{"recv", func(p *Proc) { p.RecvF64(2, 5, nil) }, "comm: recv from bad rank 2 (n=2)"},
 		{"recv-negative", func(p *Proc) { p.Recv(-1, 5) }, "comm: recv from bad rank -1 (n=2)"},
 		{"send", func(p *Proc) { p.SendF64(2, 5, []float64{1}) }, "comm: send to bad rank 2 (n=2)"},
 		{"sendstart-negative", func(p *Proc) { p.SendStart(-1, 5, nil) }, "comm: send to bad rank -1 (n=2)"},
@@ -555,13 +555,13 @@ func TestCollectivesAt128Ranks(t *testing.T) {
 				t.Errorf("allgather entry %d wrong", r)
 			}
 		}
-		bufs := make([][]byte, 128)
-		for to := range bufs {
-			bufs[to] = EncodeI32([]int32{int32(p.Rank() ^ to)})
+		send := make([][]float64, 128)
+		for to := range send {
+			send[to] = []float64{float64(p.Rank() ^ to)}
 		}
-		got := p.AllToAll(bufs)
+		got := p.AllToAllF64(send, nil)
 		for from := range got {
-			if DecodeI32(got[from])[0] != int32(from^p.Rank()) {
+			if got[from][0] != float64(from^p.Rank()) {
 				t.Errorf("alltoall from %d wrong", from)
 			}
 		}

@@ -36,7 +36,7 @@ func TestWatchdogNamesPendingReceives(t *testing.T) {
 
 func deadlock(p *comm.Proc) {
 	if p.Rank() < 2 {
-		p.RecvF64(1-p.Rank(), 7+p.Rank())
+		p.RecvF64(1-p.Rank(), 7+p.Rank(), nil)
 	}
 }
 
@@ -70,7 +70,7 @@ func ping(p *comm.Proc) {
 	if p.Rank() == 0 {
 		p.SendF64(1, 3, []float64{1})
 	} else {
-		p.RecvF64(0, 3)
+		p.RecvF64(0, 3, nil)
 	}
 }
 

@@ -7,6 +7,8 @@
 //   - payload and virtual-arrival integrity;
 //   - arena ownership discipline for pooled sends (a staging buffer is
 //     reusable the moment Send returns, and typed receives recycle it);
+//   - the typed all-to-all (one message per pair, empty lists included, the
+//     caller's own entry passed through, receive lists reused);
 //   - PeerFailure poisoning (a poisoned transport wakes blocked receivers
 //     instead of hanging them).
 //
@@ -16,6 +18,7 @@
 package conformance
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/comm"
@@ -36,6 +39,7 @@ func RunConformance(t *testing.T, factory Factory) {
 	t.Run("PayloadIntegrity", func(t *testing.T) { testPayloadIntegrity(t, factory) })
 	t.Run("VirtualArrival", func(t *testing.T) { testVirtualArrival(t, factory) })
 	t.Run("ArenaOwnership", func(t *testing.T) { testArenaOwnership(t, factory) })
+	t.Run("TypedAllToAll", func(t *testing.T) { testTypedAllToAll(t, factory) })
 	t.Run("PeerFailurePoisoning", func(t *testing.T) { testPoisoning(t, factory) })
 }
 
@@ -60,7 +64,7 @@ func testFIFO(t *testing.T, factory Factory) {
 			}
 		} else {
 			for i := 0; i < rounds; i++ {
-				if got := p.RecvI64(0, 7)[0]; got != int64(i) {
+				if got := p.RecvI64(0, 7, nil)[0]; got != int64(i) {
 					t.Errorf("message %d arrived as %d: FIFO violated", i, got)
 					return
 				}
@@ -79,16 +83,16 @@ func testTagMatching(t *testing.T, factory Factory) {
 			p.SendI64(1, 1, []int64{11})
 			p.SendI64(1, 3, []int64{30})
 		} else {
-			if got := p.RecvI64(0, 3)[0]; got != 30 {
+			if got := p.RecvI64(0, 3, nil)[0]; got != 30 {
 				t.Errorf("tag 3 delivered %d, want 30", got)
 			}
-			if got := p.RecvI64(0, 1)[0]; got != 10 {
+			if got := p.RecvI64(0, 1, nil)[0]; got != 10 {
 				t.Errorf("tag 1 first delivery %d, want 10", got)
 			}
-			if got := p.RecvI64(0, 2)[0]; got != 20 {
+			if got := p.RecvI64(0, 2, nil)[0]; got != 20 {
 				t.Errorf("tag 2 delivered %d, want 20", got)
 			}
-			if got := p.RecvI64(0, 1)[0]; got != 11 {
+			if got := p.RecvI64(0, 1, nil)[0]; got != 11 {
 				t.Errorf("tag 1 second delivery %d, want 11", got)
 			}
 		}
@@ -108,11 +112,11 @@ func testMultiPeer(t *testing.T, factory Factory) {
 			}
 			for d := 1; d < n; d++ {
 				from := (p.Rank() - d + n) % n
-				if got := p.RecvI64(from, 5)[0]; got != int64(from*1000+i) {
+				if got := p.RecvI64(from, 5, nil)[0]; got != int64(from*1000+i) {
 					t.Errorf("round %d from %d tag 5: got %d", i, from, got)
 					return
 				}
-				if got := p.RecvI64(from, 6)[0]; got != int64(from*1000-i) {
+				if got := p.RecvI64(from, 6, nil)[0]; got != int64(from*1000-i) {
 					t.Errorf("round %d from %d tag 6: got %d", i, from, got)
 					return
 				}
@@ -197,8 +201,8 @@ func testVirtualArrival(t *testing.T, factory Factory) {
 }
 
 // testArenaOwnership exercises the pooled send paths: the source slice is
-// mutated immediately after each SendF64Buf (legal, since the arena copy is
-// complete when Send returns) and receivers decode through RecvF64Into,
+// mutated immediately after each SendF64 (legal, since the arena copy is
+// complete when Send returns) and receivers decode through RecvF64,
 // which recycles staging buffers. Any ownership violation shows up as
 // corrupted values.
 func testArenaOwnership(t *testing.T, factory Factory) {
@@ -212,11 +216,11 @@ func testArenaOwnership(t *testing.T, factory Factory) {
 			for k := range src {
 				src[k] = float64(p.Rank()*1_000_000 + i*100 + k)
 			}
-			p.SendF64Buf(next, 4, src)
+			p.SendF64(next, 4, src)
 			for k := range src {
 				src[k] = -1 // scribble over the staging source: must not affect the payload
 			}
-			dst = p.RecvF64Into(prev, 4, dst)
+			dst = p.RecvF64(prev, 4, dst)
 			if len(dst) != 32 {
 				t.Errorf("round %d: received %d values, want 32", i, len(dst))
 				return
@@ -226,6 +230,59 @@ func testArenaOwnership(t *testing.T, factory Factory) {
 					t.Errorf("round %d value %d: %v, want %v (arena ownership violated)", i, k, v, want)
 					return
 				}
+			}
+		}
+	})
+}
+
+// testTypedAllToAll runs AllToAllI32 twice and AllToAllF64 once on three
+// ranks. In the first round every list holds two values; in the second the
+// list from f to t holds (f+t)%3, so some are empty and every one fits the
+// receive list the first round left, which the second must decode into.
+// Each call must send one message per peer and pass the own entry through
+// uncopied; send lists are scribbled over once a call returns (staging).
+func testTypedAllToAll(t *testing.T, factory Factory) {
+	list := func(from, to, round int) []int32 {
+		xs := make([]int32, 2-round*(2-(from+to)%3))
+		for k := range xs {
+			xs[k] = int32(1000*from + 100*to + 10*round + k)
+		}
+		return xs
+	}
+	run(t, factory, 3, func(p *comm.Proc) {
+		me := p.Rank()
+		var recv [][]int32
+		var first [3]*int32
+		for round := 0; round < 2; round++ {
+			send := [][]int32{list(me, 0, round), list(me, 1, round), list(me, 2, round)}
+			sent := p.Stats().MsgsSent
+			recv = p.AllToAllI32(send, recv)
+			if d := p.Stats().MsgsSent - sent; d != 2 {
+				t.Errorf("rank %d round %d: %d messages, want 2", me, round, d)
+			}
+			if len(send[me]) > 0 && &recv[me][0] != &send[me][0] {
+				t.Errorf("rank %d round %d: own entry was copied", me, round)
+			}
+			for _, xs := range send {
+				clear(xs)
+			}
+			for from, xs := range recv {
+				switch {
+				case from == me:
+				case !slices.Equal(xs, list(from, me, round)):
+					t.Errorf("rank %d round %d from %d: got %v, want %v", me, round, from, xs, list(from, me, round))
+				case round == 0:
+					first[from] = &xs[0]
+				case len(xs) > 0 && &xs[0] != first[from]:
+					t.Errorf("rank %d from %d: the receive list was not reused", me, from)
+				}
+			}
+		}
+		send := [][]float64{{0.5}, {1.5}, {2.5}}
+		send[me] = nil
+		for from, xs := range p.AllToAllF64(send, nil) {
+			if from != me && !slices.Equal(xs, []float64{float64(me) + 0.5}) || from == me && xs != nil {
+				t.Errorf("rank %d from %d: got %v", me, from, xs)
 			}
 		}
 	})

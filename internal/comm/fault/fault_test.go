@@ -27,7 +27,7 @@ func ringWorkload(rounds int) func(p *comm.Proc) {
 			}
 			for d := 1; d < n; d++ {
 				from := (p.Rank() - d + n) % n
-				got := p.RecvI64(from, 3)
+				got := p.RecvI64(from, 3, nil)
 				for k, v := range got {
 					if want := int64(from*10_000 + i*100 + k); v != want {
 						panic("payload corrupted under faults")
@@ -131,7 +131,7 @@ func TestRetryBudgetCut(t *testing.T) {
 		if p.Rank() == 0 {
 			p.SendI64(1, 1, []int64{42})
 		} else {
-			p.RecvI64(0, 1)
+			p.RecvI64(0, 1, nil)
 		}
 	})
 	tr := ft.Trace()

@@ -120,17 +120,17 @@ func pooledExchange(p *Proc, rounds int) [][]float64 {
 			xs[i] = rng.NormFloat64() // same stream on all ranks
 		}
 		if p.Rank() == 1 {
-			p.SendF64Buf(0, 5, xs)
-			p.SendI32Buf(0, 6, []int32{int32(round), int32(n)})
-			p.SendI64Buf(0, 7, []int64{int64(round) << 32})
+			p.SendF64(0, 5, xs)
+			p.SendI32(0, 6, []int32{int32(round), int32(n)})
+			p.SendI64(0, 7, []int64{int64(round) << 32})
 		} else if p.Rank() == 0 {
-			scratch = p.RecvF64Into(1, 5, scratch)
+			scratch = p.RecvF64(1, 5, scratch)
 			got = append(got, append([]float64(nil), scratch...))
-			hdr := p.RecvI32(1, 6)
+			hdr := p.RecvI32(1, 6, nil)
 			if hdr[0] != int32(round) || hdr[1] != int32(n) {
 				panic("pooled i32 header corrupted")
 			}
-			if v := p.RecvI64(1, 7); v[0] != int64(round)<<32 {
+			if v := p.RecvI64(1, 7, nil); v[0] != int64(round)<<32 {
 				panic("pooled i64 payload corrupted")
 			}
 		}
@@ -170,11 +170,11 @@ func TestPooledRoundTripRecycles(t *testing.T) {
 		var scratch []float64
 		step := func() {
 			if p.Rank() == 0 {
-				p.SendF64Buf(1, 9, xs)
-				scratch = p.RecvF64Into(1, 9, scratch)
+				p.SendF64(1, 9, xs)
+				scratch = p.RecvF64(1, 9, scratch)
 			} else {
-				scratch = p.RecvF64Into(0, 9, scratch)
-				p.SendF64Buf(0, 9, xs)
+				scratch = p.RecvF64(0, 9, scratch)
+				p.SendF64(0, 9, xs)
 			}
 		}
 		for i := 0; i < 4; i++ {

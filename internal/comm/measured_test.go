@@ -24,7 +24,7 @@ func measuredParityBody(sums []float64) func(p *Proc) {
 			next := (p.Rank() + 1) % p.Size()
 			prev := (p.Rank() + p.Size() - 1) % p.Size()
 			p.SendF64(next, 3, []float64{float64(p.Rank()), 2, 3})
-			got := p.RecvF64(prev, 3)
+			got := p.RecvF64(prev, 3, nil)
 			p.Compute(1e-6 * got[0])
 		}
 		v := p.AllReduceF64(OpSum, []float64{float64(p.Rank() + 1)})
@@ -150,7 +150,7 @@ func TestMeasuredRecvSamplingAmortized(t *testing.T) {
 		}
 		before := p.Measured().ClockSamples
 		for i := 0; i < k; i++ {
-			p.RecvF64(0, 7)
+			p.RecvF64(0, 7, nil)
 		}
 		recvSamples = p.Measured().ClockSamples - before
 		commWall = p.Measured().CommWall
@@ -175,13 +175,13 @@ func TestMeasuredRecvSamplingAmortized(t *testing.T) {
 		if p.Rank() == 0 {
 			p.SendF64(1, 7, []float64{1})
 			p.SendF64(1, 7, []float64{2})
-			p.RecvF64(1, 8)
+			p.RecvF64(1, 8, nil)
 			return
 		}
 		before := p.Measured().ClockSamples
-		p.RecvF64(0, 7)      // start + end: 2 readings
+		p.RecvF64(0, 7, nil) // start + end: 2 readings
 		p.SendF64(0, 8, nil) // invalidates the cached sample
-		p.RecvF64(0, 7)      // start + end again: 2 readings
+		p.RecvF64(0, 7, nil) // start + end again: 2 readings
 		samples = p.Measured().ClockSamples - before
 	})
 	if samples != 4 {
@@ -210,11 +210,11 @@ func TestMeasuredTimerPathZeroAllocs(t *testing.T) {
 		var in []float64
 		body := func() {
 			if p.Rank() == 0 {
-				p.SendF64Buf(peer, 5, buf)
-				in = p.RecvF64Into(peer, 6, in)
+				p.SendF64(peer, 5, buf)
+				in = p.RecvF64(peer, 6, in)
 			} else {
-				in = p.RecvF64Into(peer, 5, in)
-				p.SendF64Buf(peer, 6, buf)
+				in = p.RecvF64(peer, 5, in)
+				p.SendF64(peer, 6, buf)
 			}
 		}
 		for i := 0; i < 5; i++ {

@@ -51,8 +51,8 @@ type Proc struct {
 	m     *costmodel.Machine
 	clock float64
 	stats Stats
-	// arena recycles payload buffers for the pooled send paths (SendF64Buf
-	// and friends). Buffers flow out through send and come back through
+	// arena recycles payload buffers for the typed sends (SendF64 and
+	// friends). Buffers flow out through send and come back through
 	// Message.Release — from the TCP writer once the payload is copied to
 	// the socket, or from the receiving rank's typed receive once the
 	// payload is decoded (the in-memory transport aliases payloads, so only
@@ -170,17 +170,14 @@ func (p *Proc) ComputeMem(n int) { p.Compute(p.m.MemCost(n)) }
 // for the per-message overhead Alpha; the message arrives at the receiver at
 // departure + Alpha + Beta*len(data).
 //
-// Ownership: data passes to the receiver. The in-memory transport delivers
-// raw payloads by reference, so the receiver aliases the very bytes handed
-// in here, possibly long after Send returned (nothing synchronizes the two
-// ranks until the receiver's matching Recv). A sender must therefore never
-// write to, or recycle, a buffer it has sent — allocate a fresh one per
-// message. Payloads that should be reused go through the arena-staged
-// SendF64Buf/SendI32Buf/SendI64Buf, which copy out of the caller's slice.
+// Ownership: data passes to the receiver, which may alias it long after
+// Send returned, so a sender must never write to or recycle a buffer it has
+// sent. The typed sends (SendF64, SendI32, SendI64, AllToAllI32, ...) stage
+// through the send arena instead, so their callers may reuse their slices.
 func (p *Proc) Send(to, tag int, data []byte) { p.send(to, tag, data, nil) }
 
 // send is the shared transmit path. pool is non-nil only for arena-staged
-// payloads (SendF64Buf and friends); the virtual-time accounting is
+// payloads (the typed sends); the virtual-time accounting is
 // identical either way, so pooled sends are invisible to the cost model.
 func (p *Proc) send(to, tag int, data []byte, pool *byteArena) {
 	p.checkPeer("send to", to)
@@ -259,68 +256,47 @@ func (p *Proc) Recv(from, tag int) []byte {
 	return p.recvMsg(from, tag).Data
 }
 
-// SendF64 sends a []float64 payload.
-func (p *Proc) SendF64(to, tag int, xs []float64) { p.Send(to, tag, EncodeF64(xs)) }
-
-// SendF64Buf sends a []float64 payload staged through the per-Proc buffer
+// SendF64 sends a []float64 payload staged through the per-Proc buffer
 // arena: the values are encoded into a recycled byte buffer, so xs may be
 // reused (or mutated) as soon as the call returns and the send itself does
-// not allocate in steady state. The modeled cost is identical to SendF64.
-func (p *Proc) SendF64Buf(to, tag int, xs []float64) {
-	b := AppendF64(p.arena.get(8*len(xs)), xs)
-	p.send(to, tag, b, &p.arena)
+// not allocate in steady state. The modeled cost is that of Send with the
+// encoded bytes.
+func (p *Proc) SendF64(to, tag int, xs []float64) {
+	p.send(to, tag, AppendF64(p.arena.get(8*len(xs)), xs), &p.arena)
 }
 
-// RecvF64 receives a []float64 payload.
-func (p *Proc) RecvF64(from, tag int) []float64 { return p.RecvF64Into(from, tag, nil) }
+// RecvF64 receives a []float64 payload, decoding into dst's backing array
+// (reallocating only if it is too small; dst may be nil) and returning the
+// decoded slice. A payload staged through a send arena is reclaimed here,
+// completing the pooled round trip.
+func (p *Proc) RecvF64(from, tag int, dst []float64) []float64 {
+	return recvInto(p, from, tag, dst, DecodeF64Into)
+}
 
-// RecvF64Into receives a []float64 payload, decoding into dst's backing
-// array (reallocating only if it is too small) and returning the decoded
-// slice. If the payload was staged through a send arena it is reclaimed
-// here, completing the pooled round trip.
-func (p *Proc) RecvF64Into(from, tag int, dst []float64) []float64 {
+// SendI32 is SendF64 for []int32 payloads.
+func (p *Proc) SendI32(to, tag int, xs []int32) {
+	p.send(to, tag, AppendI32(p.arena.get(4*len(xs)), xs), &p.arena)
+}
+
+// RecvI32 is RecvF64 for []int32 payloads.
+func (p *Proc) RecvI32(from, tag int, dst []int32) []int32 {
+	return recvInto(p, from, tag, dst, DecodeI32Into)
+}
+
+// SendI64 is SendF64 for []int64 payloads.
+func (p *Proc) SendI64(to, tag int, xs []int64) {
+	p.send(to, tag, AppendI64(p.arena.get(8*len(xs)), xs), &p.arena)
+}
+
+// RecvI64 is RecvF64 for []int64 payloads.
+func (p *Proc) RecvI64(from, tag int, dst []int64) []int64 {
+	return recvInto(p, from, tag, dst, DecodeI64Into)
+}
+
+// recvInto is the typed receive: decode, then release the payload.
+func recvInto[T any](p *Proc, from, tag int, dst []T, decode func([]T, []byte) []T) []T {
 	m := p.recvMsg(from, tag)
-	dst = DecodeF64Into(dst, m.Data)
-	m.Release()
-	return dst
-}
-
-// SendI32 sends a []int32 payload.
-func (p *Proc) SendI32(to, tag int, xs []int32) { p.Send(to, tag, EncodeI32(xs)) }
-
-// SendI32Buf is SendF64Buf for []int32 payloads.
-func (p *Proc) SendI32Buf(to, tag int, xs []int32) {
-	b := AppendI32(p.arena.get(4*len(xs)), xs)
-	p.send(to, tag, b, &p.arena)
-}
-
-// RecvI32 receives a []int32 payload.
-func (p *Proc) RecvI32(from, tag int) []int32 { return p.RecvI32Into(from, tag, nil) }
-
-// RecvI32Into is RecvF64Into for []int32 payloads.
-func (p *Proc) RecvI32Into(from, tag int, dst []int32) []int32 {
-	m := p.recvMsg(from, tag)
-	dst = DecodeI32Into(dst, m.Data)
-	m.Release()
-	return dst
-}
-
-// SendI64 sends a []int64 payload.
-func (p *Proc) SendI64(to, tag int, xs []int64) { p.Send(to, tag, EncodeI64(xs)) }
-
-// SendI64Buf is SendF64Buf for []int64 payloads.
-func (p *Proc) SendI64Buf(to, tag int, xs []int64) {
-	b := AppendI64(p.arena.get(8*len(xs)), xs)
-	p.send(to, tag, b, &p.arena)
-}
-
-// RecvI64 receives a []int64 payload.
-func (p *Proc) RecvI64(from, tag int) []int64 { return p.RecvI64Into(from, tag, nil) }
-
-// RecvI64Into is RecvF64Into for []int64 payloads.
-func (p *Proc) RecvI64Into(from, tag int, dst []int64) []int64 {
-	m := p.recvMsg(from, tag)
-	dst = DecodeI64Into(dst, m.Data)
+	dst = decode(dst, m.Data)
 	m.Release()
 	return dst
 }

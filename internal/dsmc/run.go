@@ -141,8 +141,8 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, []float64) {
 // row at the offset it will have in the new list, where scatter_append keeps
 // own records first and in order. Only the received records, which follow
 // them, are bucketed after the move. The schedule is rebuilt in place and
-// the records land in the spare list, so a warm step allocates only the
-// count exchange's by-reference buffer.
+// the records land in the spare list, so a warm step allocates none of its
+// own buffers.
 func moveLight(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, st *stepState) ([]float64, [][]int) {
 	n := len(mols) / recordWidth
 	tt := cells.TT()
@@ -254,19 +254,16 @@ type stepState struct {
 	// for an O(touched) end-of-step reset.
 	reqPos  []int32
 	touched []int32
-	// Owner side of the reservation: the decoded requests per source (cells
-	// rewritten to rows), the start of each owned row in the packed slot
-	// array (one extra entry: the total), the next free slot of each row,
-	// and the bases replied to one source.
+	// Owner side of the reservation: the requests received per source
+	// (cells rewritten to rows), the start of each owned row in the packed
+	// slot array (one extra entry: the total), the next free slot of each
+	// row, and the bases replied to each source; bases holds the replies
+	// received per owner.
 	reqIn    [][]int32
 	rowStart []int32
 	cursor   []int32
-	base     []int32
-	// wire holds the per-peer payloads of one AllToAll (each freshly
-	// encoded: the in-memory transport hands them over by reference);
-	// bases the decoded replies per owner.
-	wire  [][]byte
-	bases [][]int32
+	base     [][]int32
+	bases    [][]int32
 	// sched and loc are the regular mover's schedule and localized slots,
 	// rebuilt in place every step.
 	sched *schedule.Schedule
@@ -371,11 +368,11 @@ func moveRegular(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, st
 	}
 	p.ComputeMem(2 * n)
 
-	wire := resized(&st.wire, p.Size())
-	for r := range perOwner {
-		wire[r] = comm.EncodeI32(perOwner[r])
-	}
-	incoming := p.AllToAll(wire)
+	// The requests are rewritten in place below (cells become rows),
+	// including this rank's own list, which the exchange passes through
+	// uncopied: perOwner is not read again this step.
+	reqIn := p.AllToAllI32(perOwner, st.reqIn)
+	st.reqIn = reqIn
 
 	// Owner side: one pass over the requests gives each owned row its fill
 	// (rowStart[row+1] until the prefix sum), the prefix sum the packed
@@ -384,10 +381,7 @@ func moveRegular(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, st
 	nOwnedCells := cells.NLocal()
 	rowStart := sizedI32(&st.rowStart, nOwnedCells+1)
 	clear(rowStart)
-	reqIn := resized(&st.reqIn, p.Size())
-	for src := range incoming {
-		recs := comm.DecodeI32Into(reqIn[src], incoming[src])
-		reqIn[src] = recs
+	for _, recs := range reqIn {
 		for k := 0; k+1 < len(recs); k += 2 {
 			c, cnt := recs[k], recs[k+1]
 			if int(tt.OwnerOf(int(c))) != p.Rank() {
@@ -406,21 +400,18 @@ func moveRegular(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, st
 	}
 	cursor := sizedI32(&st.cursor, nOwnedCells)
 	copy(cursor, rowStart)
+	base := resized(&st.base, p.Size())
 	for src, recs := range reqIn {
-		base := sizedI32(&st.base, len(recs)/2)
+		b := sizedI32(&base[src], len(recs)/2)
 		for k := 0; k+1 < len(recs); k += 2 {
 			row := recs[k]
-			base[k/2] = cursor[row]
+			b[k/2] = cursor[row]
 			cursor[row] += recs[k+1]
 		}
 		p.ComputeMem(len(recs))
-		wire[src] = comm.EncodeI32(base)
 	}
-	answered := p.AllToAll(wire)
-	bases := resized(&st.bases, p.Size())
-	for r := range answered {
-		bases[r] = comm.DecodeI32Into(bases[r], answered[r])
-	}
+	bases := p.AllToAllI32(base, st.bases)
+	st.bases = bases
 
 	// Translate each molecule's slot to (owner, offset).
 	owners := sizedI32(&st.owners, n)

@@ -262,7 +262,7 @@ func (ss *selfSched) run(p *comm.Proc, l *SumLoop) {
 		ss.payload = ss.payload[:0]
 		l.pack(lo, hi)
 		p.ComputeMem(len(ss.payload))
-		p.SendF64Buf(st.Thief, tagStealIn, ss.payload)
+		p.SendF64(st.Thief, tagStealIn, ss.payload)
 	}
 
 	// Local chunks: everything below the stolen suffix, in static order,
@@ -281,14 +281,14 @@ func (ss *selfSched) run(p *comm.Proc, l *SumLoop) {
 	// Thief: run stolen pairs into zeroed delta slots and send the per-pair
 	// deltas back.
 	for _, st := range ss.ctl.Work() {
-		ss.payload = p.RecvF64Into(st.Donor, tagStealIn, ss.payload)
+		ss.payload = p.RecvF64(st.Donor, tagStealIn, ss.payload)
 		n := len(ss.payload) / (2 * w)
 		ss.delta = recycle.Sized(ss.delta, 2*n*w)
 		clear(ss.delta)
 		l.runPacked(n)
 		p.ComputeFlops(l.flops * n)
 		p.ComputeMem(len(ss.payload))
-		p.SendF64Buf(st.Donor, tagStealOut, ss.delta)
+		p.SendF64(st.Donor, tagStealOut, ss.delta)
 	}
 
 	// Owner: replay stolen contributions after all local chunks, ascending
@@ -296,7 +296,7 @@ func (ss *selfSched) run(p *comm.Proc, l *SumLoop) {
 	// schedule, bit-exact.
 	for _, st := range ss.ctl.Sends() {
 		lo, hi := ss.chunkRange(st.Chunk)
-		ss.delta = p.RecvF64Into(st.Thief, tagStealOut, ss.delta)
+		ss.delta = p.RecvF64(st.Thief, tagStealOut, ss.delta)
 		l.replay(lo, hi)
 		p.ComputeMem(len(ss.delta))
 	}

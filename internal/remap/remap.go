@@ -35,32 +35,29 @@ func BlockMap(p *comm.Proc, globals, owners []int32, n int) []int32 {
 		panic(fmt.Sprintf("remap: %d globals but %d owners", len(globals), len(owners)))
 	}
 	// Count the records per home, then write each (global, owner) record
-	// straight into its home's section of one flat wire buffer: within a
-	// home the records keep the order of globals. Appending to the empty
-	// slice at the write offset encodes in place (flat has the capacity).
+	// straight into its home's section of one flat list: within a home the
+	// records keep the order of globals.
 	size := p.Size()
 	at := make([]int, size+1) // at[r] becomes home r's write offset
 	for _, g := range globals {
-		at[partition.BlockOwner(int(g), n, size)+1] += 8
+		at[partition.BlockOwner(int(g), n, size)+1] += 2
 	}
-	flat := make([]byte, 8*len(globals))
-	bufs := make([][]byte, size)
+	flat := make([]int32, 2*len(globals))
+	lists := make([][]int32, size)
 	for r := 0; r < size; r++ {
 		at[r+1] += at[r]
-		bufs[r] = flat[at[r]:at[r+1]:at[r+1]]
+		lists[r] = flat[at[r]:at[r+1]]
 	}
 	for i, g := range globals {
 		home := partition.BlockOwner(int(g), n, size)
-		rec := [2]int32{g, owners[i]}
-		comm.AppendI32(flat[at[home]:at[home]], rec[:])
-		at[home] += 8
+		flat[at[home]], flat[at[home]+1] = g, owners[i]
+		at[home] += 2
 	}
 	p.ComputeMem(len(globals))
 	lo, hi := partition.BlockRange(p.Rank(), n, p.Size())
 	slab := make([]int32, hi-lo)
 	filled := make([]bool, hi-lo)
-	for _, b := range p.AllToAll(bufs) {
-		recs := comm.DecodeI32(b)
+	for _, recs := range p.AllToAllI32(lists, nil) {
 		for i := 0; i+1 < len(recs); i += 2 {
 			g := int(recs[i])
 			if g < lo || g >= hi {
@@ -89,11 +86,10 @@ type Plan struct {
 	// sendIdx[sendPtr[r]:sendPtr[r+1]] (flat CSR, like the schedules).
 	sendIdx []int32
 	sendPtr []int32
-	// placeOff backs the per-source lists of destination offsets for
-	// arriving elements: the list for rank r is
-	// placeOff[placePtr[r]:placePtr[r+1]].
-	placeOff []int32
-	placePtr []int32
+	// place[r] lists the destination offsets of the elements arriving from
+	// rank r, as the offset exchange delivered them (place[self] is the
+	// empty list this rank sent itself).
+	place [][]int32
 	// keepIdx/keepOff move elements that stay on this processor.
 	keepIdx []int32
 	keepOff []int32
@@ -102,16 +98,17 @@ type Plan struct {
 
 	// Working storage, reused across Move calls and — through NewPlanInto —
 	// across plans, so an adaptive run sizes it once rather than at every
-	// repartition. stageF/stageI are pack/unpack staging (wire bytes go
-	// through the Proc send arena: SendF64Buf and friends copy, so the
-	// staging is free again when the send returns); lens/newLens are
-	// MoveCSRInto's segment lengths under the source and destination
-	// layouts; ents, offOut and cur are NewPlanInto's build scratch.
+	// repartition. stageF/stageI are pack/unpack staging (the typed sends
+	// copy into the Proc send arena, so the staging is free again when the
+	// send returns); lens/newLens are MoveCSRInto's segment lengths under
+	// the source and destination layouts; ents, offOut, offTo and cur are
+	// NewPlanInto's build scratch (offTo[r] is rank r's section of offOut).
 	stageF        []float64
 	stageI        []int32
 	lens, newLens []int32
 	ents          []ttable.Entry
 	offOut, cur   []int32
+	offTo         [][]int32
 }
 
 // NewPlan builds a remap plan. globals[i] is the global index of this
@@ -162,32 +159,11 @@ func NewPlanInto(pl *Plan, p *comm.Proc, globals []int32, dst *ttable.Table) *Pl
 		pl.offOut[k] = e.Offset
 	}
 	p.ComputeMem(len(globals))
-	// The encoded offsets are handed to AllToAll as raw bytes, which a
-	// by-reference transport lets the receivers alias: always fresh.
-	bufs := make([][]byte, np)
-	flat := make([]byte, 0, 4*nSend)
-	for r := 0; r < np; r++ {
-		start := len(flat)
-		flat = comm.AppendI32(flat, pl.offOut[pl.sendPtr[r]:pl.sendPtr[r+1]])
-		bufs[r] = flat[start:len(flat):len(flat)]
+	pl.offTo = recycle.Sized(pl.offTo, np)
+	for r := range pl.offTo {
+		pl.offTo[r] = pl.offOut[pl.sendPtr[r]:pl.sendPtr[r+1]]
 	}
-	in := p.AllToAll(bufs)
-	nPlace := 0
-	for r, b := range in {
-		if r != me {
-			nPlace += len(b) / 4
-		}
-	}
-	pl.placeOff = recycle.Sized(pl.placeOff, nPlace)
-	pl.placePtr = recycle.Sized(pl.placePtr, np+1)
-	pl.placePtr[0] = 0
-	for r, b := range in {
-		at := pl.placePtr[r]
-		if r != me {
-			at += int32(len(comm.DecodeI32Into(pl.placeOff[at:at], b)))
-		}
-		pl.placePtr[r+1] = at
-	}
+	pl.place = p.AllToAllI32(pl.offTo, pl.place)
 	return pl
 }
 
@@ -196,7 +172,7 @@ func (pl *Plan) sendTo(r int) []int32 { return pl.sendIdx[pl.sendPtr[r]:pl.sendP
 
 // placeFrom returns the destination offsets for elements arriving from rank
 // r (aliases plan storage).
-func (pl *Plan) placeFrom(r int) []int32 { return pl.placeOff[pl.placePtr[r]:pl.placePtr[r+1]] }
+func (pl *Plan) placeFrom(r int) []int32 { return pl.place[r] }
 
 // NewLen returns the local array length under the destination distribution.
 func (pl *Plan) NewLen() int { return pl.newLen }
@@ -217,7 +193,7 @@ func (pl *Plan) MoveF64(p *comm.Proc, old []float64, width int) []float64 {
 // adaptive code ping-pongs two arrays, handing the one the previous move
 // consumed back as the next destination. Collective.
 func (pl *Plan) MoveF64Into(dst []float64, p *comm.Proc, old []float64, width int) []float64 {
-	out := moveInto(pl, dst, p, old, width, &pl.stageF, (*comm.Proc).SendF64Buf, (*comm.Proc).RecvF64Into)
+	out := moveInto(pl, dst, p, old, width, &pl.stageF, (*comm.Proc).SendF64, (*comm.Proc).RecvF64)
 	recycle.PoisonF64(pl.stageF)
 	return out
 }
@@ -232,7 +208,7 @@ func (pl *Plan) MoveI32(p *comm.Proc, old []int32, width int) []int32 {
 // MoveI32Into is MoveI32 writing into dst's backing array, under
 // MoveF64Into's rules. Collective.
 func (pl *Plan) MoveI32Into(dst []int32, p *comm.Proc, old []int32, width int) []int32 {
-	out := moveInto(pl, dst, p, old, width, &pl.stageI, (*comm.Proc).SendI32Buf, (*comm.Proc).RecvI32Into)
+	out := moveInto(pl, dst, p, old, width, &pl.stageI, (*comm.Proc).SendI32, (*comm.Proc).RecvI32)
 	recycle.PoisonI32(pl.stageI)
 	return out
 }
@@ -329,7 +305,7 @@ func (pl *Plan) MoveCSRInto(dstPtr, dstValues []int32, p *comm.Proc, ptr []int32
 			buf = append(buf, values[ptr[li]:ptr[li+1]]...)
 		}
 		p.ComputeMem(len(buf))
-		p.SendI32Buf(dst, tagRemap, buf)
+		p.SendI32(dst, tagRemap, buf)
 	}
 	for k := 1; k < p.Size(); k++ {
 		src := (p.Rank() - k + p.Size()) % p.Size()
@@ -337,7 +313,7 @@ func (pl *Plan) MoveCSRInto(dstPtr, dstValues []int32, p *comm.Proc, ptr []int32
 		if len(offs) == 0 {
 			continue
 		}
-		vals := p.RecvI32Into(src, tagRemap, pl.stageI)
+		vals := p.RecvI32(src, tagRemap, pl.stageI)
 		pl.stageI = vals
 		pos := 0
 		for _, off := range offs {

@@ -1,7 +1,6 @@
 package schedule
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/comm"
@@ -23,39 +22,26 @@ type LightSchedule struct {
 	// straight into the result.
 	packF [][]float64
 	packI [][]int32
-	// countMsgs holds the per-peer message headers of the count exchange
-	// (slices of a per-build buffer, see BuildLightInto).
-	countMsgs [][]byte
+	// countsTo/countsFrom are the count exchange's one-count lists:
+	// countsTo[r] is SendCounts[r:r+1], countsFrom[r] the count from r.
+	countsTo, countsFrom [][]int32
 }
 
 // BuildLight constructs a light-weight schedule from per-item destination
 // processors. Items destined to the calling processor are counted in
-// SendCounts[self] but never travel. Collective: a single pre-sized count
-// exchange — every peer's 4-byte count is encoded into one flat buffer and
-// the per-peer messages are slices of it, so the exchange costs one
-// allocation instead of one per peer (the wire traffic is unchanged: P-1
-// one-count messages).
-//
-// Ownership: the flat count buffer is handed to AllToAll as raw bytes, and
-// the in-memory transport delivers raw payloads by reference, so it belongs
-// to the receivers from then on and every build allocates a fresh one (it
-// is 4·P bytes). See BuildLightInto for what a rebuild does reuse.
+// SendCounts[self] but never travel. Collective: one count exchange, P-1
+// one-count messages.
 func BuildLight(p *comm.Proc, dest []int32) *LightSchedule {
 	return BuildLightInto(nil, p, dest)
 }
 
 // BuildLightInto is BuildLight reusing ls's storage (ls may be nil, and must
 // otherwise have been built on p). Codes that rebuild a light-weight schedule
-// every time step pass the previous one back: the count arrays, the message
-// headers and — what matters — the MoveF64Into/MoveI32Into packing scratch
-// survive the rebuild, so build + move stop allocating per item once warm.
+// every time step pass the previous one back: the count arrays, the count
+// exchange's lists and — what matters — the MoveF64Into/MoveI32Into packing
+// scratch survive the rebuild, so build + move stop allocating once warm.
 // The returned schedule is ls (or a fresh one); the modeled cost and the
 // wire traffic are those of BuildLight.
-//
-// The one thing a rebuild must not recycle is the count buffer itself: with
-// no barrier between two builds, a fast rank would overwrite a count its
-// peer has not decoded yet. Only arena-staged sends (SendF64Buf and friends)
-// and receive-side or pack-side scratch are safe to reuse across collectives.
 func BuildLightInto(ls *LightSchedule, p *comm.Proc, dest []int32) *LightSchedule {
 	if ls == nil {
 		ls = &LightSchedule{
@@ -63,7 +49,10 @@ func BuildLightInto(ls *LightSchedule, p *comm.Proc, dest []int32) *LightSchedul
 			self:       p.Rank(),
 			SendCounts: make([]int32, p.Size()),
 			RecvCounts: make([]int32, p.Size()),
-			countMsgs:  make([][]byte, p.Size()),
+			countsTo:   make([][]int32, p.Size()),
+		}
+		for r := range ls.countsTo {
+			ls.countsTo[r] = ls.SendCounts[r : r+1]
 		}
 	}
 	clear(ls.SendCounts)
@@ -74,20 +63,9 @@ func BuildLightInto(ls *LightSchedule, p *comm.Proc, dest []int32) *LightSchedul
 		ls.SendCounts[d]++
 	}
 	p.ComputeMem(len(dest))
-	flat := make([]byte, 4*p.Size()) // fresh every build: the receivers alias it
-	for r := range ls.countMsgs {
-		if r == p.Rank() {
-			continue
-		}
-		binary.LittleEndian.PutUint32(flat[4*r:], uint32(ls.SendCounts[r]))
-		ls.countMsgs[r] = flat[4*r : 4*r+4 : 4*r+4]
-	}
-	for r, b := range p.AllToAll(ls.countMsgs) {
-		if r == p.Rank() {
-			ls.RecvCounts[r] = ls.SendCounts[r]
-			continue
-		}
-		ls.RecvCounts[r] = int32(binary.LittleEndian.Uint32(b))
+	ls.countsFrom = p.AllToAllI32(ls.countsTo, ls.countsFrom)
+	for r, c := range ls.countsFrom {
+		ls.RecvCounts[r] = c[0]
 	}
 	return ls
 }
@@ -136,7 +114,7 @@ func (ls *LightSchedule) MoveI32(p *comm.Proc, dest []int32, items []int32, widt
 
 // MoveI32Into is MoveI32 appending into out[:0] (see MoveF64Into).
 func (ls *LightSchedule) MoveI32Into(p *comm.Proc, dest []int32, items []int32, width int, out []int32) []int32 {
-	return moveLightInto(ls, p, dest, items, width, out, &ls.packI, (*comm.Proc).SendI32Buf, (*comm.Proc).RecvI32Into)
+	return moveLightInto(ls, p, dest, items, width, out, &ls.packI, (*comm.Proc).SendI32, (*comm.Proc).RecvI32)
 }
 
 // MoveF64 performs scatter_append: item i (the width float64 values
@@ -156,7 +134,7 @@ func (ls *LightSchedule) MoveF64(p *comm.Proc, dest []int32, items []float64, wi
 // returned slice and feed it back on the next time step make the append
 // allocation-free in steady state. out may be nil.
 func (ls *LightSchedule) MoveF64Into(p *comm.Proc, dest []int32, items []float64, width int, out []float64) []float64 {
-	return moveLightInto(ls, p, dest, items, width, out, &ls.packF, (*comm.Proc).SendF64Buf, (*comm.Proc).RecvF64Into)
+	return moveLightInto(ls, p, dest, items, width, out, &ls.packF, (*comm.Proc).SendF64, (*comm.Proc).RecvF64)
 }
 
 // moveLightInto is scatter_append, written once over the element type: pack

@@ -176,9 +176,10 @@ func backToBackDest(rank, size, k int) []int32 {
 
 // TestBuildLightIntoBackToBack rebuilds one light schedule 200 times with no
 // barrier (and no other collective) between builds, on the in-memory and the
-// TCP transport. The in-memory transport delivers raw payloads by reference:
-// were a rebuild to recycle its count buffer, a rank that runs ahead would
-// overwrite a count its peer has not decoded yet. The expected RecvCounts
+// TCP transport. A rebuild reuses the count exchange's lists, and the
+// in-memory transport delivers raw payloads by reference: were those sends
+// not staged through the arena, a rank that runs ahead would overwrite a
+// count its peer has not decoded yet. The expected RecvCounts
 // come from fresh BuildLight schedules built beforehand, so nothing
 // synchronizes the ranks inside the loop under test.
 func TestBuildLightIntoBackToBack(t *testing.T) {
@@ -276,10 +277,9 @@ func TestFromTranslatedIntoBackToBack(t *testing.T) {
 // schedule rebuilt in place, at 1–3 ranks. The result must be
 // scatter_append's order: the rank's own items first and in order, then each
 // source's in order, by increasing rank distance. Once warm, the move must
-// allocate nothing (the rebuild's by-reference count buffer is
-// TestGatherScatterSteadyStateAllocs' business), and the schedule must keep
-// no packing row for its own rank: own items are packed straight into the
-// result.
+// allocate nothing (the rebuild is TestGatherScatterSteadyStateAllocs'
+// business), and the schedule must keep no packing row for its own rank:
+// own items are packed straight into the result.
 func TestLightMoveIntoOwnItemsFirst(t *testing.T) {
 	for _, nprocs := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("MoveF64Into/p%d", nprocs), func(t *testing.T) {

@@ -129,7 +129,7 @@ func (s *Schedule) start(p *comm.Proc, datas [][]float64, widths []int, tag int,
 			}
 		}
 		p.ComputeMem(len(buf))
-		p.SendF64Buf(dst, tag, buf)
+		p.SendF64(dst, tag, buf)
 	}
 	return mo
 }
@@ -161,7 +161,7 @@ func (mo *Motion) Wait() {
 		if len(idx) == 0 {
 			continue
 		}
-		vals := p.RecvF64Into(src, mo.tag, s.stageR)
+		vals := p.RecvF64(src, mo.tag, s.stageR)
 		s.stageR = vals
 		if len(vals) != len(idx)*mo.tot {
 			panic(fmt.Sprintf("schedule: motion from %d delivered %d values, want %d", src, len(vals), len(idx)*mo.tot))

@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/hashtab"
+	"repro/internal/recycle"
 )
 
 // Point-to-point tags used by the transport primitives. They stay below the
@@ -35,25 +36,20 @@ const (
 	tagGather  = 101
 	tagScatter = 102
 	tagAppend  = 103
-	tagBuild   = 104
 )
 
-// Schedule is a regular communication schedule. The send and permutation
-// lists are stored flat (CSR): one backing []int32 per direction plus
-// per-peer extents, instead of a [][]int32 per direction. The executor pack
-// and unpack loops then stream through contiguous memory, and rebuilding a
-// schedule in place (BuildInto) reuses the backing arrays, so the adaptive
+// Schedule is a regular communication schedule. The permutation lists are
+// stored flat (CSR): one backing []int32 plus per-peer extents; the send
+// lists are the per-peer lists the build exchange delivered. Rebuilding a
+// schedule in place (BuildInto) reuses all of them, so the adaptive
 // inspector stops allocating once warm.
 type Schedule struct {
 	nprocs int
-	// sendOff backs the send lists: local offsets (into the owned section)
-	// of elements this processor must send during Gather (and
-	// receive-combine during Scatter*). The list for peer r is
-	// sendOff[sendIx[2r]:sendIx[2r+1]]; extents are recorded pairwise
-	// because the lists are appended in ring arrival order during the build
-	// exchange, not in rank order.
-	sendOff []int32
-	sendIx  []int32
+	// sendOffs[r] is the send list for peer r: local offsets (into the
+	// owned section) of elements this processor must send during Gather
+	// (and receive-combine during Scatter*), as r requested them in the
+	// build exchange. sendOffs[self] is this rank's own, empty, request.
+	sendOffs [][]int32
 	// recvSlot backs the permutation lists: local buffer slots (>= nLocal,
 	// in the ghost section) where arriving elements are placed. The list
 	// for peer r is recvSlot[recvPtr[r]:recvPtr[r+1]] (rank-ascending CSR).
@@ -71,12 +67,12 @@ type Schedule struct {
 	stageR []float64
 	// Build scratch, reused across BuildInto and FromTranslatedInto calls:
 	// selected hash-table entries, the per-owner request lists (sharing
-	// recvPtr's extents), a per-owner fill cursor, and the request-exchange
-	// receive buffer.
+	// recvPtr's extents; reqTo[r] is owner r's section) and a per-owner
+	// fill cursor.
 	selEnts []hashtab.Entry
 	reqOff  []int32
 	cur     []int32
-	recvBuf []int32
+	reqTo   [][]int32
 	// motion is the schedule's data-motion handle (motion.go): at most one
 	// motion is in flight per schedule, so embedding it keeps every
 	// collective allocation-free in steady state. one/oneW are the
@@ -93,9 +89,7 @@ func (s *Schedule) NProcs() int { return s.nprocs }
 // SendOffs returns the send list for rank r: local offsets of the elements
 // this processor sends to r. The slice aliases schedule storage; do not
 // modify or retain it across a rebuild.
-func (s *Schedule) SendOffs(r int) []int32 {
-	return s.sendOff[s.sendIx[2*r]:s.sendIx[2*r+1]]
-}
+func (s *Schedule) SendOffs(r int) []int32 { return s.sendOffs[r] }
 
 // RecvSlots returns the permutation list for rank r: local buffer slots
 // where elements arriving from r are placed. The slice aliases schedule
@@ -106,7 +100,7 @@ func (s *Schedule) RecvSlots(r int) []int32 {
 
 // SendSize returns the number of elements sent to rank r (the paper's
 // send_size array).
-func (s *Schedule) SendSize(r int) int { return int(s.sendIx[2*r+1] - s.sendIx[2*r]) }
+func (s *Schedule) SendSize(r int) int { return len(s.sendOffs[r]) }
 
 // FetchSize returns the number of elements fetched from rank r (the paper's
 // fetch_size array).
@@ -117,7 +111,13 @@ func (s *Schedule) FetchSize(r int) int { return int(s.recvPtr[r+1] - s.recvPtr[
 func (s *Schedule) TotalFetch() int { return len(s.recvSlot) }
 
 // TotalSend returns the total number of elements this schedule sends.
-func (s *Schedule) TotalSend() int { return len(s.sendOff) }
+func (s *Schedule) TotalSend() int {
+	n := 0
+	for _, offs := range s.sendOffs {
+		n += len(offs)
+	}
+	return n
+}
 
 // MinLen returns the minimum local buffer length (owned section + ghost
 // section) a data array must have to be used with this schedule.
@@ -152,11 +152,6 @@ func Build(p *comm.Proc, ht *hashtab.Table, include, exclude hashtab.Stamp) *Sch
 // steady-state rebuilds perform no heap allocation: the CSR backing arrays,
 // the request/reply exchange buffers and the selection scratch are all
 // retained across calls. The returned schedule is s (or a fresh one).
-//
-// The request exchange is point-to-point in the exact ring order AllToAll
-// uses (send to rank+k, receive from rank-k, empty messages included), so
-// the modeled message counts, wire bytes and virtual times are identical to
-// the collective form.
 func BuildInto(s *Schedule, p *comm.Proc, ht *hashtab.Table, include, exclude hashtab.Stamp) *Schedule {
 	if s == nil {
 		s = &Schedule{}
@@ -200,25 +195,13 @@ func BuildInto(s *Schedule, p *comm.Proc, ht *hashtab.Table, include, exclude ha
 }
 
 // exchange sends owner r its request list reqOff[recvPtr[r]:recvPtr[r+1]]
-// over the AllToAll ring (see BuildInto); what arrives from r is the send
-// list to r. Sends stage through the Proc arena, receives decode into
-// schedule scratch and append to the flat send-list backing in arrival
-// order.
+// in one all-to-all; what arrives from r is the send list to r.
 func (s *Schedule) exchange(p *comm.Proc) {
-	ptr := s.recvPtr
-	for k := 1; k < p.Size(); k++ {
-		dst := (p.Rank() + k) % p.Size()
-		p.SendI32Buf(dst, tagBuild, s.reqOff[ptr[dst]:ptr[dst+1]])
+	s.reqTo = recycle.Sized(s.reqTo, p.Size())
+	for r := range s.reqTo {
+		s.reqTo[r] = s.reqOff[s.recvPtr[r]:s.recvPtr[r+1]]
 	}
-	sendIx := zeroI32(&s.sendIx, 2*p.Size())
-	s.sendOff = s.sendOff[:0]
-	for k := 1; k < p.Size(); k++ {
-		src := (p.Rank() - k + p.Size()) % p.Size()
-		s.recvBuf = p.RecvI32Into(src, tagBuild, s.recvBuf)
-		sendIx[2*src] = int32(len(s.sendOff))
-		s.sendOff = append(s.sendOff, s.recvBuf...)
-		sendIx[2*src+1] = int32(len(s.sendOff))
-	}
+	s.sendOffs = p.AllToAllI32(s.reqTo, s.sendOffs)
 }
 
 // FromTranslated builds a schedule directly from already-translated

@@ -42,7 +42,7 @@ func TestSplitPhaseWindowNotBilledToCommWall(t *testing.T) {
 		if len(s.SendOffs(0)) != 0 || len(s.RecvSlots(0)) == 0 {
 			t.Errorf("rank 1 sends %d and receives %d elements, want 0 and some", len(s.SendOffs(0)), len(s.RecvSlots(0)))
 		}
-		p.RecvF64(0, 1) // caches a valid receive sample
+		p.RecvF64(0, 1, nil) // caches a valid receive sample
 		before := p.Measured().CommWall
 		mo := GatherWStart(p, s, data, 1)
 		c.t.Add(jump) // the uncharged overlap window

@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"repro/internal/comm"
+	"repro/internal/recycle"
 )
 
 // Kind selects the storage mode of a translation table.
@@ -84,18 +85,19 @@ type Table struct {
 	pageCache map[int][]Entry // pages fetched from other processors
 
 	// Dereference scratch, reused across calls so the collective lookup
-	// path stops allocating request/reply staging once warm. All of it is
-	// flat storage: per-peer request lists live back-to-back in one slice
-	// with a pointer array, mirroring the CSR schedules downstream.
-	drPtr   []int32 // per-peer request offsets (len nprocs+1)
-	drReq   []int32 // request payloads, grouped by peer
-	drWhere []int32 // position in globals of each request, grouped by peer
-	drQs    []int32 // incoming request decode scratch
-	drAns   []int32 // reply encode scratch
-	drFlat  []byte  // flat request wire buffer (per-peer subslices)
-	drRFlat []byte  // flat reply wire buffer (per-peer subslices)
-	drBufs  [][]byte
-	drNeed  []int32 // paged: sorted deduplicated missing-page list
+	// path stops allocating request/reply staging once warm. Requests are
+	// grouped per peer back-to-back in one flat slice with a pointer array,
+	// mirroring the CSR schedules downstream; the per-peer lists handed to
+	// and returned by the all-to-all exchanges are kept too.
+	drPtr   []int32   // per-peer request offsets (len nprocs+1)
+	drReq   []int32   // request payloads, grouped by peer
+	drWhere []int32   // input position of each request, grouped by peer
+	drCur   []int32   // per-peer fill cursor
+	drTo    [][]int32 // per-peer request lists (subslices of drReq)
+	drIn    [][]int32 // requests received, per source
+	drOut   [][]int32 // replies, per source
+	drBack  [][]int32 // replies received, per home
+	drNeed  []int32   // paged: sorted deduplicated missing-page list
 }
 
 // growI32 returns a zeroed slice of n int32 backed by *buf.
@@ -109,17 +111,6 @@ func growI32(buf *[]int32, n int) []int32 {
 	}
 	*buf = s
 	return s
-}
-
-// growBytes returns a zero-length byte slice with capacity >= n backed by
-// *buf. Callers append at most n bytes, so earlier subslices of the result
-// stay valid (the backing array never regrows mid-use).
-func growBytes(buf *[]byte, n int) []byte {
-	if cap(*buf) < n {
-		*buf = make([]byte, 0, n)
-	}
-	*buf = (*buf)[:0]
-	return *buf
 }
 
 // Build constructs a translation table collectively. myOwners[i] gives the
@@ -205,12 +196,7 @@ func (t *Table) distributePages(p *comm.Proc, myOwners, myOffsets []int32) {
 		out[dst] = append(out[dst], int32(g), myOwners[i], myOffsets[i])
 	}
 	p.ComputeMem(len(myOwners))
-	bufs := make([][]byte, p.Size())
-	for r := range out {
-		bufs[r] = comm.EncodeI32(out[r])
-	}
-	for _, b := range p.AllToAll(bufs) {
-		recs := comm.DecodeI32(b)
+	for _, recs := range p.AllToAllI32(out, nil) {
 		for i := 0; i+2 < len(recs); i += 3 {
 			g := int(recs[i])
 			page := g / t.pageSize
@@ -283,95 +269,66 @@ func (t *Table) DereferenceInto(p *comm.Proc, globals []int32, dst []Entry) []En
 	}
 }
 
-// derefDistributed resolves lookups with a request/reply alltoall exchange.
-// Requests are grouped per home processor in flat table-owned scratch (one
-// payload slice plus a pointer array) instead of per-peer append lists.
+// derefDistributed resolves lookups with a request/reply all-to-all
+// exchange: each global is asked of the rank whose block holds it.
 func (t *Table) derefDistributed(p *comm.Proc, globals []int32, out []Entry) []Entry {
 	lo := t.blockStarts[p.Rank()]
-	// Count per home, prefix-sum, then fill: the flat-CSR shape of the
-	// request lists. blockOf runs twice per global; the modeled charge is
-	// per translated index, as before, so virtual time is unchanged.
-	ptr := growI32(&t.drPtr, p.Size()+1)
-	for _, g := range globals {
-		ptr[t.blockOf(int(g))+1]++
-	}
-	for r := 0; r < p.Size(); r++ {
-		ptr[r+1] += ptr[r]
-	}
-	req := growI32(&t.drReq, len(globals))
-	where := growI32(&t.drWhere, len(globals))
-	fill := growI32(&t.drQs, p.Size())
-	for i, g := range globals {
-		home := t.blockOf(int(g))
-		k := ptr[home] + fill[home]
-		fill[home]++
-		req[k] = g
-		where[k] = int32(i)
-	}
 	p.ComputeMem(len(globals))
+	incoming := t.route(p, globals, func(g int32) int { return t.blockOf(int(g)) })
 
-	// All request lists are encoded back-to-back into one pre-sized buffer;
-	// the per-peer messages are subslices of it, so the exchange costs no
-	// per-peer allocation. The wire bytes are unchanged.
-	bufs := t.peerBufs(p.Size())
-	flat := growBytes(&t.drFlat, 4*len(globals))
-	for r := 0; r < p.Size(); r++ {
-		start := len(flat)
-		flat = comm.AppendI32(flat, req[ptr[r]:ptr[r+1]])
-		bufs[r] = flat[start:len(flat):len(flat)]
-	}
-	t.drFlat = flat
-	incoming := p.AllToAll(bufs)
-
-	// Answer incoming requests from the local slab, again into one flat
-	// reply buffer. flat never regrows (it is pre-sized exactly), so earlier
-	// subslices stay valid as later replies are appended.
-	total := 0
-	for _, b := range incoming {
-		total += len(b) / 4
-	}
-	replies := t.peerBufs(p.Size())
-	rflat := growBytes(&t.drRFlat, 8*total)
-	qs, ans := t.drQs[:0], t.drAns
-	for r, b := range incoming {
-		qs = comm.DecodeI32Into(qs, b)
-		if cap(ans) < 2*len(qs) {
-			ans = make([]int32, 2*len(qs))
-		}
-		ans = ans[:2*len(qs)]
+	// Answer incoming requests from the local slab, one reply list per
+	// source.
+	t.drOut = recycle.Sized(t.drOut, p.Size())
+	replies := t.drOut
+	for r, qs := range incoming {
+		ans := recycle.Sized(replies[r], 2*len(qs))
 		for k, g := range qs {
 			i := int(g) - lo
 			ans[2*k] = t.locOwners[i]
 			ans[2*k+1] = t.locOffsets[i]
 		}
 		p.ComputeMem(len(qs))
-		start := len(rflat)
-		rflat = comm.AppendI32(rflat, ans)
-		replies[r] = rflat[start:len(rflat):len(rflat)]
+		replies[r] = ans
 	}
-	t.drQs, t.drAns, t.drRFlat = qs[:0], ans, rflat
-	answered := p.AllToAll(replies)
+	answered := p.AllToAllI32(replies, t.drBack)
+	t.drBack = answered
 
-	for r, b := range answered {
-		ans = comm.DecodeI32Into(ans, b)
-		for k, w := range where[ptr[r]:ptr[r+1]] {
+	for r, ans := range answered {
+		for k, w := range t.drWhere[t.drPtr[r]:t.drPtr[r+1]] {
 			out[w] = Entry{Owner: ans[2*k], Offset: ans[2*k+1]}
 		}
 	}
-	t.drAns = ans
 	return out
 }
 
-// peerBufs returns the reusable per-peer wire-buffer slice, cleared.
-func (t *Table) peerBufs(n int) [][]byte {
-	if cap(t.drBufs) < n {
-		t.drBufs = make([][]byte, n)
+// route groups keys per home rank in flat table-owned scratch — count,
+// prefix-sum, then fill, each home's keys in input order — and sends every
+// rank its group in one all-to-all, returning the keys each rank sent
+// here. The grouping stays in drPtr and drWhere: home r's keys came from
+// input positions drWhere[drPtr[r]:drPtr[r+1]].
+func (t *Table) route(p *comm.Proc, keys []int32, home func(int32) int) [][]int32 {
+	ptr := growI32(&t.drPtr, p.Size()+1)
+	for _, k := range keys {
+		ptr[home(k)+1]++
 	}
-	t.drBufs = t.drBufs[:n]
-	for i := range t.drBufs {
-		t.drBufs[i] = nil
+	for r := 0; r < p.Size(); r++ {
+		ptr[r+1] += ptr[r]
 	}
-	return t.drBufs
+	req := growI32(&t.drReq, len(keys))
+	where := growI32(&t.drWhere, len(keys))
+	fill := growI32(&t.drCur, p.Size())
+	for i, k := range keys {
+		h := home(k)
+		j := ptr[h] + fill[h]
+		fill[h]++
+		req[j], where[j] = k, int32(i)
+	}
+	t.drTo = recycle.Sized(t.drTo, p.Size())
+	for r := range t.drTo {
+		t.drTo[r] = req[ptr[r]:ptr[r+1]]
+	}
+	t.drIn = p.AllToAllI32(t.drTo, t.drIn)
+	return t.drIn
 }
 
 // derefPaged fetches any missing pages from their home processors, caches
@@ -402,73 +359,34 @@ func (t *Table) derefPaged(p *comm.Proc, globals []int32, out []Entry) []Entry {
 	t.drNeed = need
 	p.ComputeMem(len(globals))
 
-	// Group by home processor: a count/prefix/fill pass over the sorted
-	// list, so each peer's request list is ascending (as before).
-	ptr := growI32(&t.drPtr, p.Size()+1)
-	for _, pg := range need {
-		ptr[int(pg)%p.Size()+1]++
-	}
-	for r := 0; r < p.Size(); r++ {
-		ptr[r+1] += ptr[r]
-	}
-	req := growI32(&t.drReq, len(need))
-	fill := growI32(&t.drQs, p.Size())
-	for _, pg := range need {
-		home := int(pg) % p.Size()
-		req[ptr[home]+fill[home]] = pg
-		fill[home]++
-	}
-	// One flat request buffer, per-peer subslices (wire bytes unchanged).
-	bufs := t.peerBufs(p.Size())
-	flat := growBytes(&t.drFlat, 4*len(need))
-	for r := 0; r < p.Size(); r++ {
-		start := len(flat)
-		flat = comm.AppendI32(flat, req[ptr[r]:ptr[r+1]])
-		bufs[r] = flat[start:len(flat):len(flat)]
-	}
-	t.drFlat = flat
-	incoming := p.AllToAll(bufs)
+	// Each home's request list is ascending: need is sorted.
+	size := p.Size()
+	incoming := t.route(p, need, func(pg int32) int { return int(pg) % size })
 
 	// Serve pages: reply is a sequence of (page, size, owner..., offset...).
-	// Replies are staged through one int32 scratch and encoded back-to-back
-	// into a flat buffer sized by a first pass over the requests.
-	reqIn := make([][]int32, p.Size())
-	total := 0
-	for r, b := range incoming {
-		reqIn[r] = comm.DecodeI32(b)
-		for _, pg := range reqIn[r] {
-			total += 2 + 2*len(t.homePages[int(pg)])
-		}
-	}
-	replies := make([][]byte, p.Size())
-	rflat := make([]byte, 0, 4*total)
-	var scratch []int32
-	for r, pgs := range reqIn {
+	t.drOut = recycle.Sized(t.drOut, p.Size())
+	replies := t.drOut
+	for r, pgs := range incoming {
 		n := 0
 		for _, pg := range pgs {
 			n += 2 + 2*len(t.homePages[int(pg)])
 		}
-		if cap(scratch) < n {
-			scratch = make([]int32, 0, n)
-		}
-		scratch = scratch[:0]
+		rep := recycle.Sized(replies[r], n)[:0]
 		for _, pg := range pgs {
 			ents := t.homePages[int(pg)]
-			scratch = append(scratch, pg, int32(len(ents)))
+			rep = append(rep, pg, int32(len(ents)))
 			for _, e := range ents {
-				scratch = append(scratch, e.Owner)
+				rep = append(rep, e.Owner)
 			}
 			for _, e := range ents {
-				scratch = append(scratch, e.Offset)
+				rep = append(rep, e.Offset)
 			}
 		}
-		start := len(rflat)
-		rflat = comm.AppendI32(rflat, scratch)
-		replies[r] = rflat[start:len(rflat):len(rflat)]
+		replies[r] = rep
 	}
-	served := p.AllToAll(replies)
-	for _, b := range served {
-		recs := comm.DecodeI32(b)
+	served := p.AllToAllI32(replies, t.drBack)
+	t.drBack = served
+	for _, recs := range served {
 		for i := 0; i < len(recs); {
 			page := int(recs[i])
 			size := int(recs[i+1])
