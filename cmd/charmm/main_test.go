@@ -6,6 +6,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/charmm"
 )
 
 // TestBadInputExitsWithOneLine: input the run cannot honour is refused
@@ -61,23 +63,29 @@ func TestSmallRunReports(t *testing.T) {
 // TestStdoutGolden: the report is byte-identical to what the binary printed
 // before the launcher moved into internal/launch (testdata/*.golden were
 // written by that binary; only the host-clock "(wall N.NNs)" field is
-// masked).
+// masked) — on the kernels the host selects and with the portable Go loops
+// forced (charmm.VectorKernels), which must print the same bytes.
 func TestStdoutGolden(t *testing.T) {
+	host := charmm.VectorKernels
+	defer func() { charmm.VectorKernels = host }()
 	wall := regexp.MustCompile(`\(wall [0-9.]+s\)`)
-	for name, args := range map[string][]string{
-		"plain": {"-procs", "2", "-atoms", "200", "-steps", "6", "-nbevery", "2", "-adapt", "periodic:3"},
-		"trace": {"-procs", "3", "-atoms", "240", "-steps", "4", "-nbevery", "2", "-remap", "2", "-compiled", "-trace"},
-	} {
-		var stdout, stderr bytes.Buffer
-		if code := run(args, &stdout, &stderr); code != 0 {
-			t.Fatalf("%s: exit %d, stderr:\n%s", name, code, stderr.String())
-		}
-		want, err := os.ReadFile("testdata/" + name + ".golden")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := wall.ReplaceAll(stdout.Bytes(), []byte("(wall N.NNs)")); !bytes.Equal(got, want) {
-			t.Errorf("%s: stdout differs from testdata/%s.golden:\n%s", name, name, got)
+	for _, vec := range []bool{host, false} {
+		charmm.VectorKernels = vec
+		for name, args := range map[string][]string{
+			"plain": {"-procs", "2", "-atoms", "200", "-steps", "6", "-nbevery", "2", "-adapt", "periodic:3"},
+			"trace": {"-procs", "3", "-atoms", "240", "-steps", "4", "-nbevery", "2", "-remap", "2", "-compiled", "-trace"},
+		} {
+			var stdout, stderr bytes.Buffer
+			if code := run(args, &stdout, &stderr); code != 0 {
+				t.Fatalf("%s, vector kernels %v: exit %d, stderr:\n%s", name, vec, code, stderr.String())
+			}
+			want, err := os.ReadFile("testdata/" + name + ".golden")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := wall.ReplaceAll(stdout.Bytes(), []byte("(wall N.NNs)")); !bytes.Equal(got, want) {
+				t.Errorf("%s, vector kernels %v: stdout differs from testdata/%s.golden:\n%s", name, vec, name, got)
+			}
 		}
 	}
 }

@@ -221,8 +221,13 @@ func BenchmarkKernelExecutor(b *testing.B) {
 // BenchmarkPairForceRow puts charmm-md's non-bonded executor on the host
 // clock, beside BenchmarkKernelExecutor: pairForceRow over every row of the
 // 8000-atom benchmark configuration's list at 1 rank, the list warm, as ns
-// per pair. Reported, not asserted.
+// per pair, under "go" (the portable loop) and "avx2" (the vector kernel).
+// Reported, not asserted.
 func BenchmarkPairForceRow(b *testing.B) {
+	benchKernels(b, benchPairForceRow)
+}
+
+func benchPairForceRow(b *testing.B) {
 	cfg := ConfigForAtoms(8000)
 	pos := GenInitState(cfg).Pos
 	ptr, jnb := buildNBListSeq(pos, cfg.NAtoms, cfg)

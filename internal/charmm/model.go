@@ -80,14 +80,34 @@ func dist3(a, b []float64) float64 {
 // atom i against the partners js (slot indices into pos and frc, 3 values
 // per slot, none of them i's own) — into fi and the partners' frc slots: a
 // smooth repulsive force that vanishes at the cutoff. It is the inner loop
-// of the hand-coded executor and the row body of the compiled one. pi and
-// the fi accumulators stay in registers across the row, which adds to fi in
-// the same order as pairForce pair by pair would, and partner slots are
-// indexed directly at k = 3j, as in kernelRow and for the same reason.
-// Each product is rounded by its explicit conversion before it is added, so
-// no GOARCH fuses the two. Arithmetic cost: pairFlops per partner.
+// of the hand-coded executor and the row body of the compiled one. pos and
+// frc must not overlap.
+//
+// With VectorKernels set, pairForceRowAVX2 handles the partners four at a
+// time and pairRowTail the last len(js) % 4; without, pairRowTail handles
+// the whole row. The two give the same bits: see pairForceRowAVX2. A row
+// with a partner whose slot lies outside pos or frc is left to pairRowTail,
+// whose bounds checks panic at that partner, as they do without the vector
+// kernel. Arithmetic cost: pairFlops per partner.
 func pairForceRow(pi, fi []float64, js []int32, pos, frc []float64, cutoff2 float64) {
 	p, f := (*[3]float64)(pi), (*[3]float64)(fi)
+	if VectorKernels && len(js) >= 4 {
+		k := len(js) &^ 3
+		slots := min(min(len(pos), len(frc))/3, math.MaxInt32)
+		if pairForceRowAVX2(p, f, js[:k], &pos[0], &frc[0], pairStrength, cutoff2, slots) {
+			js = js[k:]
+		}
+	}
+	pairRowTail(p, f, js, pos, frc, cutoff2)
+}
+
+// pairRowTail is pairForceRow's portable loop. pi and the fi accumulators
+// stay in registers across the row, which adds to fi in the same order as
+// pairForce pair by pair would, and partner slots are indexed directly at
+// k = 3j, as in kernelRow and for the same reason. Each product is rounded
+// by its explicit conversion before it is added, so no GOARCH fuses the
+// two.
+func pairRowTail(p, f *[3]float64, js []int32, pos, frc []float64, cutoff2 float64) {
 	px, py, pz := p[0], p[1], p[2]
 	fx, fy, fz := f[0], f[1], f[2]
 	for _, j := range js {

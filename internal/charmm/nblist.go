@@ -14,16 +14,16 @@ import (
 // through contiguous memory instead of chasing per-cell slices. Cells are
 // numbered x-fastest, which makes the (up to) three x-adjacent cells of one
 // (z, y) row a single contiguous range. Within a cell atoms keep their
-// insertion (input) order. A position is one [3]float64, so a candidate
-// costs one bounds check, not one per coordinate. Storage is reused across
-// builds.
+// insertion (input) order. Positions are three columns, x, y and z, each in
+// cell order, so that four consecutive candidates' coordinates are one
+// vector load per axis (scanRange). Storage is reused across builds.
 type cellGrid struct {
 	nx, ny, nz int
 	inv        float64
-	start      []int32      // nx*ny*nz + 1 cell extents
-	ids        []int32      // atom ids in cell order
-	pos        [][3]float64 // positions in cell order
-	cell       []int32      // build scratch: cell of each input atom
+	start      []int32   // nx*ny*nz + 1 cell extents
+	ids        []int32   // atom ids in cell order
+	x, y, z    []float64 // positions in cell order, one column per axis
+	cell       []int32   // build scratch: cell of each input atom
 }
 
 // build bins the n atoms of pos (3-wide) into cells of edge >= cutoff. Atom
@@ -49,7 +49,7 @@ func (g *cellGrid) build(pos []float64, ids []int32, n int, box [3]float64, cuto
 		g.start[c+1] += g.start[c]
 	}
 	g.ids = recycle.Sized(g.ids, n)
-	g.pos = recycle.Sized(g.pos, n)
+	g.x, g.y, g.z = recycle.Sized(g.x, n), recycle.Sized(g.y, n), recycle.Sized(g.z, n)
 	for i := 0; i < n; i++ {
 		c := g.cell[i]
 		k := g.start[c]
@@ -58,7 +58,7 @@ func (g *cellGrid) build(pos []float64, ids []int32, n int, box [3]float64, cuto
 		if ids != nil {
 			g.ids[k] = ids[i]
 		}
-		g.pos[k] = [3]float64(pos[3*i : 3*i+3])
+		g.x[k], g.y[k], g.z[k] = pos[3*i], pos[3*i+1], pos[3*i+2]
 	}
 	// Placement advanced start[c] to the end of cell c; shift back.
 	copy(g.start[1:], g.start[:nCells])
@@ -119,42 +119,66 @@ func (g *cellGrid) appendPartners(jnb []int32, p []float64, self int32, c2 float
 			if gx := faceGap(sx, x1, cx); gyz+float64(gx*gx) > lim {
 				hi = int(g.start[row+cx+1])
 			}
-			jnb = scanRange(jnb, g.ids[lo:hi], g.pos[lo:hi], self, px, py, pz, c2)
+			jnb = scanRange(jnb, g.ids[lo:hi], g.x[lo:hi], g.y[lo:hi], g.z[lo:hi], self, px, py, pz, c2)
 		}
 	}
 	return jnb, examined
 }
 
 // scanRange appends to jnb, in order, every ids[k] > self whose position
-// pos[k] lies within the cutoff (squared: c2) of (px, py, pz).
+// (x[k], y[k], z[k]) lies within the cutoff (squared: c2) of (px, py, pz).
+// The coordinate columns must be as long as ids.
 //
-// It is a leaf so that its loop state stays in registers, and it picks
-// partners without a branch on the distance: the capacity for every
-// candidate is reserved up front, each candidate with a qualifying id is
-// written to the next free slot, and the slot is kept only when the distance
-// test passes — a conditional move, where a branch would mispredict on the
-// ~1 in 4 tests that pass in no pattern. dx is q - p rather than p - q so
-// that the loaded coordinate is the destination register; IEEE subtraction
-// is sign-symmetric, so dx*dx has the same bits either way.
-func scanRange(jnb, ids []int32, pos [][3]float64, self int32, px, py, pz, c2 float64) []int32 {
+// With VectorKernels set it tests four candidates per step in AVX2
+// (scanRangeAVX2) and leaves the last len(ids) % 4 to scanTail, the
+// portable loop; without, scanTail does the whole range. Both write the
+// same list: the vector kernel computes each lane's distance with the
+// operations scanTail uses, in the same order, and packs the kept ids in
+// lane order. Capacity for every candidate is reserved up front, so both may
+// write a slot they do not keep.
+func scanRange(jnb, ids []int32, x, y, z []float64, self int32, px, py, pz, c2 float64) []int32 {
 	jnb = slices.Grow(jnb, len(ids))
 	n := len(jnb)
 	out := jnb[:n+len(ids)]
-	pos = pos[:len(ids)]
+	if len(x) != len(ids) || len(y) != len(ids) || len(z) != len(ids) {
+		panic("charmm: scanRange's id and coordinate columns differ in length")
+	}
+	k := 0
+	if VectorKernels && len(ids) >= 4 {
+		k = len(ids) &^ 3
+		n += scanRangeAVX2(&out[n], ids[:k], &x[0], &y[0], &z[0], self, px, py, pz, c2)
+	}
+	return jnb[:scanTail(out, n, ids[k:], x[k:], y[k:], z[k:], self, px, py, pz, c2)]
+}
+
+// scanTail is scanRange's portable loop: it writes the qualifying ids among
+// ids to out from out[n] on and returns the new n. out must have room for
+// every candidate.
+//
+// It is a leaf so that its loop state stays in registers, and it picks
+// partners without a branch on the distance: each candidate with a
+// qualifying id is written to the next free slot, and the slot is kept only
+// when the distance test passes — a conditional move, where a branch would
+// mispredict on the ~1 in 4 tests that pass in no pattern. dx is q - p
+// rather than p - q so that the loaded coordinate is the destination
+// register; IEEE subtraction is sign-symmetric, so dx*dx has the same bits
+// either way.
+func scanTail(out []int32, n int, ids []int32, x, y, z []float64, self int32, px, py, pz, c2 float64) int {
+	out = out[:n+len(ids)]
+	x, y, z = x[:len(ids)], y[:len(ids)], z[:len(ids)]
 	for k, id := range ids {
 		if id <= self {
 			continue
 		}
-		q := &pos[k]
-		dx := q[0] - px
-		dy := q[1] - py
-		dz := q[2] - pz
+		dx := x[k] - px
+		dy := y[k] - py
+		dz := z[k] - pz
 		out[n] = id
 		if float64(dx*dx)+float64(dy*dy)+float64(dz*dz) < c2 {
 			n++
 		}
 	}
-	return jnb[:n]
+	return n
 }
 
 // faceGap is the distance, in cell units, from scaled coordinate s (in cell

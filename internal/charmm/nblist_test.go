@@ -347,8 +347,13 @@ func TestNBListGrowsFromHintOne(t *testing.T) {
 // "ranks=N" the halo-exchange build of block-distributed initial positions on
 // N ranks. B/op covers all ranks: what is left is the list itself and the
 // halo messages. ns/cand divides the time per build by the candidates all
-// ranks examine in it.
+// ranks examine in it. Each runs under "go" (the portable scan) and "avx2"
+// (the vector kernel).
 func BenchmarkNBListBuild(b *testing.B) {
+	benchKernels(b, benchNBListBuild)
+}
+
+func benchNBListBuild(b *testing.B) {
 	cfg := ConfigForAtoms(8000)
 	init := GenInitState(cfg)
 	perCand := func(b *testing.B, examined int) {

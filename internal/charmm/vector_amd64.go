@@ -1,0 +1,42 @@
+package charmm
+
+// VectorKernels selects the AVX2 kernels of the neighbour scan (scanRange)
+// and the non-bonded force row (pairForceRow). It is set at package init
+// when the CPU has AVX2 and POPCNT and the OS saves the YMM registers, and
+// tests set it false to run the portable Go loops instead. Both paths give
+// the same bits, so it changes no list, force, checksum or clock. Set it
+// only while no run is in flight.
+var VectorKernels = cpuHasAVX2()
+
+// cpuHasAVX2 reports AVX2, POPCNT and OS-saved YMM state (CPUID, XGETBV).
+func cpuHasAVX2() bool
+
+// scanRangeAVX2 is scanRange's vector kernel over len(ids), a positive
+// multiple of 4: the qualifying ids are written from out on, in order, and
+// their number is returned. x, y and z point at columns as long as ids. A
+// group of four is compared at once — each id > self as a signed int32, each
+// ((dx·dx + dy·dy) + dz·dz) < c2 with dx = q − p, as scanTail does — and the
+// ids of both tests are packed to the front of a 16-byte store by a PSHUFB
+// table indexed by the 4-bit mask, which POPCNT then counts. A store is
+// made at out[n] with n at most the number of candidates already examined,
+// so it stays inside the room scanRange reserved for them.
+//
+//go:noescape
+func scanRangeAVX2(out *int32, ids []int32, x, y, z *float64, self int32, px, py, pz, c2 float64) int
+
+// pairForceRowAVX2 is pairForceRow's vector kernel over len(js), a positive
+// multiple of 4. It first checks, in one vector pass over js, that every
+// partner j is below slots (as unsigned, so a negative j fails), and returns
+// false having touched nothing if one is not; slots must be at most
+// min(len(pos), len(frc)) / 3 and at most MaxInt32. Then it evaluates four
+// partners at once: their coordinates are loaded from slot 3j, and r2,
+// s = strength·(1 − r2/c2) and s·d are computed lane-wise with the operands
+// in the order pairRowTail's compiled code uses (no fused multiply-add), so
+// every lane has its Go bits, NaN payloads included. The lanes are then
+// applied one at a time, in partner order: the fi accumulators, held in
+// registers as in pairRowTail, then the partner's three frc slots. A partner
+// with r2 >= c2 or r2 == 0 is skipped, not added as zero (−0 + +0 is +0),
+// and a NaN r2 takes the path it takes in Go.
+//
+//go:noescape
+func pairForceRowAVX2(p, f *[3]float64, js []int32, pos, frc *float64, strength, c2 float64, slots int) bool

@@ -1,0 +1,239 @@
+package charmm
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// hostHasVector is whether this host runs the vector kernels at all.
+var hostHasVector = VectorKernels
+
+// withKernels runs f with VectorKernels set to vec, then restores it.
+func withKernels(vec bool, f func()) {
+	defer func(old bool) { VectorKernels = old }(VectorKernels)
+	VectorKernels = vec
+	f()
+}
+
+// needVector skips a test that holds the vector kernels to the Go loops on
+// a host that cannot run them, saying so: such a test must not pass there
+// without having compared anything.
+func needVector(t *testing.T) {
+	t.Helper()
+	if !hostHasVector {
+		t.Skip("this host has no AVX2 kernels (not amd64, or no AVX2, POPCNT or OS-saved YMM state): nothing to compare")
+	}
+}
+
+// kernelValue draws a coordinate: uniform in [0, 4) except, with odds 1 in
+// special, a special one — ±0, ±Inf, a NaN of one of three payloads, or one
+// of the exact values 2.5 and 1.5 (which put a partner at exactly the cutoff
+// 2.5 of the origin, or exactly on another atom).
+func kernelValue(rng *rand.Rand, special int) float64 {
+	if rng.Intn(special) > 0 {
+		return 4 * rng.Float64()
+	}
+	specials := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.NaN(), math.Float64frombits(0x7ff8_0000_0000_0bad), math.Float64frombits(0xfff8_0000_0000_0001),
+		2.5, 1.5,
+	}
+	return specials[rng.Intn(len(specials))]
+}
+
+// sameBits reports whether a and b hold the same float64 bits.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// FuzzScanRange holds scanRange's vector path to its Go loop, bit for bit:
+// the same ids in the same order after the same prefix of jnb. The seed
+// corpus runs every length from 0 to 67, so every tail length meets every
+// number of vector steps; ids equal to self, partners at exactly the cutoff
+// or on p itself, and ±0, ±Inf and NaN coordinates are drawn throughout.
+func FuzzScanRange(f *testing.F) {
+	for n := range 68 {
+		f.Add(int64(n), uint8(n))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
+		needVector(t)
+		rng := rand.New(rand.NewSource(seed))
+		special := 1 + rng.Intn(8) // odds of a special value: 1 in 1 to 8
+		value := func() float64 { return kernelValue(rng, special) }
+		self := int32(rng.Intn(64) - 8)
+		ids := make([]int32, n)
+		x, y, z := make([]float64, n), make([]float64, n), make([]float64, n)
+		for k := range ids {
+			ids[k] = self + int32(rng.Intn(9)) - 4
+			if rng.Intn(16) == 0 {
+				ids[k] = int32(rng.Uint32()) // far from self, either sign
+			}
+			x[k], y[k], z[k] = value(), value(), value()
+		}
+		px, py, pz := 0.0, 0.0, 0.0
+		if rng.Intn(2) == 0 {
+			px, py, pz = value(), value(), value()
+		}
+		c2 := 6.25
+		if rng.Intn(4) == 0 {
+			c2 = value()
+		}
+		prefix := make([]int32, 1+rng.Intn(5))
+		for k := range prefix {
+			prefix[k] = rng.Int31()
+		}
+		var got, want []int32
+		withKernels(true, func() {
+			got = scanRange(slices.Clone(prefix), ids, x, y, z, self, px, py, pz, c2)
+		})
+		withKernels(false, func() {
+			want = scanRange(slices.Clone(prefix), ids, x, y, z, self, px, py, pz, c2)
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("self %d, p (%v, %v, %v), c2 %v, ids %v:\nvector %v\nGo     %v", self, px, py, pz, c2, ids, got, want)
+		}
+	})
+}
+
+// FuzzPairForceRow holds pairForceRow's vector path to its Go loop, bit for
+// bit, over every fi accumulator and every frc slot. The seed corpus runs
+// every row length from 0 to 67; partners repeat, sit at exactly the cutoff
+// (skipped) or on atom i (r2 == 0, skipped), and positions, fi and frc draw
+// ±0, ±Inf and NaNs of several payloads.
+func FuzzPairForceRow(f *testing.F) {
+	for n := range 68 {
+		f.Add(int64(n), uint8(n))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
+		needVector(t)
+		rng := rand.New(rand.NewSource(seed))
+		special := 1 + rng.Intn(8) // odds of a special value: 1 in 1 to 8
+		value := func() float64 { return kernelValue(rng, special) }
+		atoms := 1 + rng.Intn(24)
+		pos := make([]float64, 3*atoms)
+		start := make([]float64, 3*atoms)
+		for k := range pos {
+			pos[k], start[k] = value(), value()
+			if rng.Intn(2) == 0 {
+				start[k] = -start[k] // −0 among them
+			}
+		}
+		i := rng.Intn(atoms)
+		if rng.Intn(2) == 0 {
+			copy(pos[3*i:3*i+3], []float64{0, 0, 0})
+		}
+		js := make([]int32, n)
+		for k := range js {
+			js[k] = int32(rng.Intn(atoms))
+		}
+		c2 := 6.25
+		if rng.Intn(4) == 0 {
+			c2 = value()
+		}
+		run := func(vec bool) []float64 {
+			frc := slices.Clone(start)
+			withKernels(vec, func() { pairForceRow(pos[3*i:3*i+3], frc[3*i:3*i+3], js, pos, frc, c2) })
+			return frc
+		}
+		if got, want := run(true), run(false); !sameBits(got, want) {
+			for k := range got {
+				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+					t.Errorf("slot %d: vector %v (%#x), Go %v (%#x)", k, got[k], math.Float64bits(got[k]), want[k], math.Float64bits(want[k]))
+				}
+			}
+			t.Fatalf("row %d, partners %v, c2 %v", i, js, c2)
+		}
+	})
+}
+
+// TestPairForceRowRejectsBadPartner: on either path, a partner whose slot
+// lies outside pos or frc — negative, one past the end, or with only its
+// last coordinate outside — panics, and nothing is written outside the
+// arrays: the slots just past them, in the same backing array, keep their
+// sentinel.
+func TestPairForceRowRejectsBadPartner(t *testing.T) {
+	const n = 8
+	for _, vec := range []bool{false, hostHasVector} {
+		for _, bad := range []struct {
+			name    string
+			j       int32
+			posLen  int
+			frcLen  int
+			atFront bool
+		}{
+			{"negative", -1, 3 * n, 3 * n, false},
+			{"past-end", n, 3 * n, 3 * n, true},
+			{"last-coordinate", n - 1, 3*n - 1, 3 * n, false},
+			{"short-frc", n - 1, 3 * n, 3*n - 3, true},
+			{"huge", math.MaxInt32, 3 * n, 3 * n, false},
+		} {
+			// pos, a gap, frc, a tail: the gap and the tail hold sentinels.
+			backing := make([]float64, 2*3*n+8)
+			for k := range backing {
+				backing[k] = 7
+			}
+			pos, frc := backing[:bad.posLen], backing[3*n+4:3*n+4+bad.frcLen]
+			for k := range pos {
+				pos[k] = 0.05 * float64(k) // every partner within the cutoff of atom 0
+			}
+			clear(frc)
+			js := []int32{1, 2, 3, 4, 5, 6, 1, 2, 3}
+			js[5] = bad.j
+			if bad.atFront {
+				js[0] = bad.j
+			}
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				withKernels(vec, func() { pairForceRow(pos[:3], frc[:3], js, pos, frc, 6.25) })
+				return
+			}()
+			if !panicked {
+				t.Errorf("vector %v, %s partner %d: no panic", vec, bad.name, bad.j)
+			}
+			for k, v := range backing {
+				if (k >= bad.posLen && k < 3*n+4 || k >= 3*n+4+bad.frcLen) && v != 7 {
+					t.Errorf("vector %v, %s partner %d: slot %d outside the arrays was written (%v)", vec, bad.name, bad.j, k, v)
+				}
+			}
+		}
+	}
+}
+
+// TestScanRangeRejectsShortColumns: coordinate columns shorter or longer
+// than the ids panic on either path instead of being read past their end.
+func TestScanRangeRejectsShortColumns(t *testing.T) {
+	ids := []int32{1, 2, 3, 4, 5, 6, 7, 8}
+	full := make([]float64, len(ids))
+	for _, vec := range []bool{false, hostHasVector} {
+		for _, cols := range [][3][]float64{
+			{full[:7], full, full}, {full, full[:7], full}, {full, full, full[:4]}, {full, full, append(full, 0)},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("vector %v: columns of %d, %d, %d for %d ids did not panic", vec, len(cols[0]), len(cols[1]), len(cols[2]), len(ids))
+					}
+				}()
+				withKernels(vec, func() { scanRange(nil, ids, cols[0], cols[1], cols[2], 0, 0, 0, 0, 6.25) })
+			}()
+		}
+	}
+}
+
+// benchKernels runs bench as two sub-benchmarks: "go", the portable loops,
+// and "avx2", the vector kernels (skipped on a host without them).
+func benchKernels(b *testing.B, bench func(b *testing.B)) {
+	for _, k := range []struct {
+		name string
+		vec  bool
+	}{{"go", false}, {"avx2", true}} {
+		b.Run(k.name, func(b *testing.B) {
+			if k.vec && !hostHasVector {
+				b.Skip("this host has no AVX2 kernels")
+			}
+			withKernels(k.vec, func() { bench(b) })
+		})
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/checkpoint"
@@ -36,6 +37,8 @@ type Launcher struct {
 
 	trace, measure bool
 	startProfiles  func() (stop func())
+	// measureOpts configures -measure runs; tests script its Clock.
+	measureOpts comm.MeasureOpts
 }
 
 // New registers the shared flags on a fresh flag set named after the
@@ -97,15 +100,16 @@ func (l *Launcher) Refuse(complaint error) int {
 func (l *Launcher) Run(body func(p *comm.Proc)) *comm.Report {
 	defer l.startProfiles()()
 	if l.measure {
-		return comm.RunMeasured(l.Procs, costmodel.IPSC860(), body)
+		return comm.RunMeasuredTransport(l.Procs, costmodel.IPSC860(), comm.NewMemTransport(l.Procs), l.measureOpts, body)
 	}
 	return comm.Run(l.Procs, costmodel.IPSC860(), body)
 }
 
 // Report prints the run: head (the command's title lines), the machine-level
 // metrics, tail (the command's result lines), the phase table — the maximum
-// over ranks of each phase, keys padded to keyWidth — and under -trace the
-// Gantt chart. rank returns one rank's phase times and spans.
+// over ranks of each phase, keys padded to keyWidth — then under -measure
+// the per-rank table (rankTable), and under -trace the Gantt chart. rank
+// returns one rank's phase times and spans.
 func (l *Launcher) Report(w io.Writer, rep *comm.Report, head, tail string, keyWidth int, rank func(r int) (map[string]float64, []core.Span)) {
 	fmt.Fprint(w, head)
 	fmt.Fprintf(w, "  processors          : %d\n", l.Procs)
@@ -124,11 +128,11 @@ func (l *Launcher) Report(w io.Writer, rep *comm.Report, head, tail string, keyW
 	}
 
 	phases := map[string]float64{}
+	times := make([]map[string]float64, l.Procs)
 	spans := make([][]core.Span, l.Procs)
 	for r := range spans {
-		var times map[string]float64
-		times, spans[r] = rank(r)
-		for k, v := range times {
+		times[r], spans[r] = rank(r)
+		for k, v := range times[r] {
 			if v > phases[k] {
 				phases[k] = v
 			}
@@ -151,11 +155,44 @@ func (l *Launcher) Report(w io.Writer, rep *comm.Report, head, tail string, keyW
 		}
 		fmt.Fprintln(w)
 	}
+	if l.measure {
+		rankTable(w, rep, keys, times)
+	}
 
 	if l.trace {
 		fmt.Fprintln(w)
 		fmt.Fprint(w, trace.Gantt(spans, 100))
 		fmt.Fprintln(w)
 		fmt.Fprint(w, trace.RenderSummary(spans))
+	}
+}
+
+// rankTable prints one row per rank of a measured run: each phase's virtual
+// and measured seconds, the measured receive wait (Measured.CommWall) and
+// the messages and bytes the rank sent. The maximum over ranks above hides
+// which rank waits, and in which phase; this shows it.
+func rankTable(w io.Writer, rep *comm.Report, keys []string, times []map[string]float64) {
+	rows := [][]string{append(append([]string{"rank"}, keys...), "comm wait", "msgs", "bytes")}
+	for r, t := range times {
+		m, st := rep.Measured[r], rep.Stats[r]
+		row := []string{strconv.Itoa(r)}
+		for _, k := range keys {
+			row = append(row, fmt.Sprintf("%.3f|%.4f", t[k], m.Phases[k]))
+		}
+		rows = append(rows, append(row, fmt.Sprintf("%.4f", m.CommWall), strconv.FormatInt(st.MsgsSent, 10), strconv.FormatInt(st.BytesSent, 10)))
+	}
+	width := make([]int, len(rows[0]))
+	for _, row := range rows {
+		for c, cell := range row {
+			width[c] = max(width[c], len(cell))
+		}
+	}
+	fmt.Fprintln(w, "  per rank (each phase virtual s|measured s; measured comm wait s; messages and bytes sent):")
+	for _, row := range rows {
+		fmt.Fprint(w, "  ")
+		for c, cell := range row {
+			fmt.Fprintf(w, "  %*s", width[c], cell)
+		}
+		fmt.Fprintln(w)
 	}
 }

@@ -1,0 +1,73 @@
+package launch
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"io"
+	"os"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/charmm"
+	"repro/internal/comm"
+	"repro/internal/core"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/rank_table.golden")
+
+// tickClock is a scripted measured clock: every reading is one millisecond
+// after the last, or, with step 0, the same as every other.
+type tickClock struct {
+	step float64
+	n    atomic.Int64
+}
+
+func (c *tickClock) Now() float64 { return float64(c.n.Add(1)) * c.step }
+
+// TestRankTableGolden pins the per-rank table -measure prints after a small
+// CHARMM run, under a scripted clock: on 1 rank a ticking one, so that every
+// measured figure is a fixed count of ticks; on 2 ranks a frozen one, since
+// two ranks reading one ticking clock interleave their readings by the
+// host's scheduling. The 2-rank table still pins each rank's virtual phase
+// times, messages and bytes.
+func TestRankTableGolden(t *testing.T) {
+	var got []byte
+	for _, c := range []struct {
+		procs string
+		step  float64
+	}{{"1", 1e-3}, {"2", 0}} {
+		cfg := charmm.ConfigForAtoms(240)
+		cfg.Steps, cfg.NBEvery = 4, 2
+		l := New("charmm", io.Discard)
+		if _, ok := l.Parse([]string{"-procs", c.procs, "-measure"}); !ok {
+			t.Fatal("flags refused")
+		}
+		l.measureOpts.Clock = &tickClock{step: c.step}
+		res := make([]*charmm.ProcResult, l.Procs)
+		rep := l.Run(func(p *comm.Proc) { res[p.Rank()] = charmm.Run(p, cfg) })
+		var out bytes.Buffer
+		l.Report(&out, rep, "", "", 12, func(r int) (map[string]float64, []core.Span) {
+			return res[r].Phases, res[r].Spans
+		})
+		_, table, ok := strings.Cut(out.String(), "  per rank")
+		if !ok {
+			t.Fatalf("-procs %s: no per-rank table in:\n%s", c.procs, out.String())
+		}
+		got = fmt.Appendf(got, "-procs %s, clock step %v s:\n  per rank%s", c.procs, c.step, table)
+	}
+	const golden = "testdata/rank_table.golden"
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("per-rank tables differ from %s:\n%s", golden, got)
+	}
+}
