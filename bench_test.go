@@ -234,13 +234,13 @@ func BenchmarkAblationVectorization(b *testing.B) {
 			for dst := 0; dst < p.Size(); dst++ {
 				k := (p.Rank() + dst) % p.Size()
 				for range make([]struct{}, sched.SendSize(k)) {
-					p.Send(k, 99, comm.EncodeF64([]float64{1}))
+					p.SendF64(k, 99, []float64{1})
 				}
 			}
 			for src := 0; src < p.Size(); src++ {
 				k := (p.Rank() - src + p.Size()) % p.Size()
 				for range make([]struct{}, sched.FetchSize(k)) {
-					p.Recv(k, 99)
+					p.RecvF64(k, 99, nil)
 				}
 			}
 		})

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"go/types"
 	"os"
 	"path/filepath"
 	"sort"
@@ -234,5 +235,40 @@ func TestLoaderResolvesModuleTypes(t *testing.T) {
 	}
 	if fmt.Sprintf("%s", pkg.Types.Name()) != "comm" {
 		t.Errorf("package name = %q", pkg.Types.Name())
+	}
+}
+
+// TestCollectiveNamesExist holds the analyzers' name lists to the API they
+// describe: every name must be a method of *comm.Proc or a function of
+// package schedule. The lists are strings the compiler never checks, so a
+// deleted or renamed collective would otherwise leave a stale entry behind.
+func TestCollectiveNamesExist(t *testing.T) {
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.Load(filepath.Join("..", "comm"), filepath.Join("..", "schedule"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	commPkg, schedPkg := pkgs[0].Types, pkgs[1].Types
+	proc, ok := commPkg.Scope().Lookup("Proc").(*types.TypeName)
+	if !ok {
+		t.Fatalf("package %s has no type Proc", commPkg.Path())
+	}
+	procMethods := types.NewMethodSet(types.NewPointer(proc.Type()))
+	for list, names := range map[string]map[string]bool{
+		"procCollectives": procCollectives, "sendMethods": sendMethods, "recvMethods": recvMethods,
+	} {
+		for name := range names {
+			if procMethods.Lookup(commPkg, name) == nil {
+				t.Errorf("%s names %q, which is not a method of *comm.Proc", list, name)
+			}
+		}
+	}
+	for name := range scheduleCollectives {
+		if fn, ok := schedPkg.Scope().Lookup(name).(*types.Func); !ok || fn.Type().(*types.Signature).Recv() != nil {
+			t.Errorf("scheduleCollectives names %q, which is not a function of package schedule", name)
+		}
 	}
 }

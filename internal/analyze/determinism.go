@@ -145,7 +145,7 @@ func mapRangeBodyOrdered(info *types.Info, body *ast.BlockStmt) bool {
 			}
 		}
 		if fn := callee(info, call); fn != nil && recvTypeName(fn) == "Proc" &&
-			inPkg(fn, "internal/comm") && (sendMethods[fn.Name()] || strings.HasPrefix(fn.Name(), "All") || fn.Name() == "Broadcast") {
+			inPkg(fn, "internal/comm") && (sendMethods[fn.Name()] || strings.HasPrefix(fn.Name(), "All")) {
 			found = true
 		}
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {

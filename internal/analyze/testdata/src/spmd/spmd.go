@@ -29,12 +29,12 @@ func BadGuardedAllReduce(p *comm.Proc) float64 {
 func BadDerivedRankGuard(p *comm.Proc) {
 	leader := p.Rank() == 0
 	if leader {
-		p.Broadcast(0, nil) // want:spmd-collective
+		p.AllGatherI32(nil) // want:spmd-collective
 	}
 }
 
 // BadGuardedSave checkpoints on one rank only; Save is collective (CRC
-// AllGather + barrier), so the others hang.
+// AllGatherI64 + barrier), so the others hang.
 func BadGuardedSave(p *comm.Proc, snap *checkpoint.Snapshot) {
 	if p.Rank() == 0 {
 		checkpoint.Save(p, "/tmp/ckpt", "fixture", 1, 1, snap) // want:spmd-collective
@@ -84,12 +84,12 @@ func GoodUnguarded(p *comm.Proc) float64 {
 
 // GoodRankGuardedPrint is the ubiquitous correct pattern: only the
 // rank-dependent part is non-collective.
-func GoodRankGuardedPrint(p *comm.Proc) []byte {
-	var buf []byte
+func GoodRankGuardedPrint(p *comm.Proc) [][]int32 {
+	var ids []int32
 	if p.Rank() == 0 {
-		buf = []byte("hello")
+		ids = []int32{42}
 	}
-	return p.Broadcast(0, buf)
+	return p.AllGatherI32(ids)
 }
 
 // GoodSizeGuard gates on the machine size, which is uniform across ranks.

@@ -317,7 +317,7 @@ func buildNBListPar(p *comm.Proc, globals []int32, pos []float64, cfg Config, nb
 		}
 	}
 	p.ComputeMem(nOwn)
-	boxes := p.AllGather(comm.EncodeF64(box))
+	boxes := p.AllGatherF64(box)
 
 	// Route each owned atom to every processor whose box is within the
 	// cutoff of it (itself excluded). The staging rows are reused.
@@ -325,13 +325,12 @@ func buildNBListPar(p *comm.Proc, globals []int32, pos []float64, cfg Config, nb
 		nb.sendG = make([][]int32, p.Size())
 		nb.sendP = make([][]float64, p.Size())
 	}
-	var peerBox [6]float64
 	for r := 0; r < p.Size(); r++ {
 		nb.sendG[r], nb.sendP[r] = nb.sendG[r][:0], nb.sendP[r][:0]
 		if r == p.Rank() {
 			continue
 		}
-		b := comm.DecodeF64Into(peerBox[:0], boxes[r])
+		b := boxes[r]
 		if len(b) != 6 || b[0] > b[3] {
 			continue // empty processor
 		}

@@ -201,11 +201,11 @@ func Save(p *comm.Proc, base, app string, n, step int64, snap *Snapshot) string 
 	if err != nil {
 		panic(fmt.Sprintf("checkpoint: write shard %d: %v", p.Rank(), err))
 	}
-	gathered := p.AllGather(comm.EncodeI64([]int64{int64(crc)}))
+	gathered := p.AllGatherI64([]int64{int64(crc)})
 	if p.Rank() == 0 {
 		m := &Manifest{App: app, NRanks: p.Size(), Step: step, N: n, ShardCRCs: make([]uint32, p.Size())}
 		for r := range gathered {
-			m.ShardCRCs[r] = uint32(comm.DecodeI64(gathered[r])[0])
+			m.ShardCRCs[r] = uint32(gathered[r][0])
 		}
 		if err := WriteManifest(dir, m); err != nil {
 			panic(fmt.Sprintf("checkpoint: write manifest: %v", err))

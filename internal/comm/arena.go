@@ -24,6 +24,9 @@ import "sync"
 //   - Raw Proc.Recv hands the payload to the caller, which may retain it
 //     indefinitely; such buffers are simply never reclaimed (the arena
 //     allocates a replacement) — a lost reuse, never a use-after-release.
+//   - The all-gathers' frames never come from the arena: the broadcast
+//     hands one frame to several children, so no single receiver ends its
+//     lifetime.
 //
 // Under this rule a buffer is mutated only by its current owner, so pooled
 // sends are race-free on both transports.

@@ -19,7 +19,7 @@ func TestSendStartVirtualParity(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				xs := []float64{float64(i), float64(p.Rank())}
 				if split {
-					h := p.SendStart(peer, 7, EncodeF64(xs))
+					h := p.SendStart(peer, 7, appendF64(nil, xs))
 					p.ComputeFlops(1000) // overlapped-looking work, charged identically
 					h.Wait()
 				} else {
@@ -54,7 +54,7 @@ func TestSendStartFIFOWithBlockingSend(t *testing.T) {
 			const n = 6
 			if p.Rank() == 0 {
 				for i := 0; i < n; i++ {
-					p.SendStart(1, 7, EncodeF64([]float64{float64(i)}))
+					p.SendStart(1, 7, appendF64(nil, []float64{float64(i)}))
 				}
 				p.SendF64(1, 7, []float64{float64(n)}) // must arrive last
 				return
@@ -85,12 +85,12 @@ func TestPendingWaitScriptedClockSamples(t *testing.T) {
 			return
 		}
 		before := p.Measured().ClockSamples
-		p.RecvF64(0, 7, nil)                            // fresh start + end: 2 readings
-		p.RecvF64(0, 7, nil)                            // amortized: 1 reading
-		h := p.SendStart(0, 8, EncodeF64([]float64{1})) // no readings at issue
-		h.Wait()                                        // no readings: the send is done
-		p.RecvF64(0, 7, nil)                            // cache invalidated by the send: 2 readings
-		p.RecvF64(0, 7, nil)                            // amortized again: 1 reading
+		p.RecvF64(0, 7, nil)                                 // fresh start + end: 2 readings
+		p.RecvF64(0, 7, nil)                                 // amortized: 1 reading
+		h := p.SendStart(0, 8, appendF64(nil, []float64{1})) // no readings at issue
+		h.Wait()                                             // no readings: the send is done
+		p.RecvF64(0, 7, nil)                                 // cache invalidated by the send: 2 readings
+		p.RecvF64(0, 7, nil)                                 // amortized again: 1 reading
 		samples = p.Measured().ClockSamples - before
 	})
 	if samples != 6 {
@@ -135,7 +135,7 @@ func TestSendStartErrorSurfacesAtIssue(t *testing.T) {
 		if p.Rank() != 0 {
 			return
 		}
-		h := p.SendStart(1, 13, EncodeF64([]float64{1, 2, 3}))
+		h := p.SendStart(1, 13, appendF64(nil, []float64{1, 2, 3}))
 		t.Error("SendStart returned despite the send failing")
 		h.Wait()
 	})

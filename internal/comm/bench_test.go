@@ -74,9 +74,12 @@ func BenchmarkAllToAll8(b *testing.B) {
 
 func BenchmarkCodecF64(b *testing.B) {
 	xs := make([]float64, 4096)
+	var buf []byte
+	var dst []float64
 	b.SetBytes(int64(8 * len(xs)))
 	for i := 0; i < b.N; i++ {
-		DecodeF64(EncodeF64(xs))
+		buf = appendF64(buf[:0], xs)
+		dst = decodeF64Into(dst, buf)
 	}
 }
 

@@ -3,116 +3,79 @@ package comm
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 )
 
-// The codec helpers convert numeric slices to and from the little-endian
-// wire format used by both transports. They exist so that application code
-// never hand-rolls binary packing; all higher layers (translation tables,
-// schedules, remap) speak in terms of typed slices.
+// The codecs convert numeric slices to and from the little-endian wire
+// format both transports carry. They are private to comm: callers speak in
+// typed slices (SendF64, AllToAllI32, AllGatherI64, ...) and never see
+// message bytes. The append* forms write into a caller-supplied buffer and
+// the decode*Into forms into a caller-supplied slice, so steady-state
+// typed sends and receives encode and decode without heap allocation.
 
-// The Append*/Decode*Into variants are the in-place forms the executor hot
-// path uses: they write into caller-supplied buffers so that steady-state
-// loops encode and decode without heap allocation.
-
-// AppendF64 appends the wire form of xs to b and returns the extended slice.
-func AppendF64(b []byte, xs []float64) []byte {
+// appendF64 appends the wire form of xs to b and returns the extended slice.
+func appendF64(b []byte, xs []float64) []byte {
 	for _, x := range xs {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
 	}
 	return b
 }
 
-// EncodeF64 packs xs into a fresh little-endian byte slice.
-func EncodeF64(xs []float64) []byte {
-	return AppendF64(make([]byte, 0, 8*len(xs)), xs)
-}
-
-// DecodeF64Into unpacks a buffer produced by EncodeF64/AppendF64 into dst's
-// backing array, reallocating only if dst's capacity is too small, and
-// returns the decoded slice (length exactly len(b)/8). dst may be nil.
-func DecodeF64Into(dst []float64, b []byte) []float64 {
+// decodeF64Into unpacks a buffer produced by appendF64 into dst's backing
+// array, reallocating only if dst's capacity is too small, and returns the
+// decoded slice (length exactly len(b)/8). dst may be nil.
+func decodeF64Into(dst []float64, b []byte) []float64 {
 	if len(b)%8 != 0 {
-		panic("comm: DecodeF64 on buffer whose length is not a multiple of 8")
+		panic("comm: decodeF64Into on buffer whose length is not a multiple of 8")
 	}
 	n := len(b) / 8
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	} else {
-		dst = dst[:n]
-	}
+	dst = slices.Grow(dst[:0], n)[:n]
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return dst
 }
 
-// DecodeF64 unpacks a buffer produced by EncodeF64 into a fresh slice.
-func DecodeF64(b []byte) []float64 { return DecodeF64Into(nil, b) }
-
-// AppendI32 appends the wire form of xs to b and returns the extended slice.
-func AppendI32(b []byte, xs []int32) []byte {
+// appendI32 appends the wire form of xs to b and returns the extended slice.
+func appendI32(b []byte, xs []int32) []byte {
 	for _, x := range xs {
 		b = binary.LittleEndian.AppendUint32(b, uint32(x))
 	}
 	return b
 }
 
-// EncodeI32 packs xs into a fresh little-endian byte slice.
-func EncodeI32(xs []int32) []byte {
-	return AppendI32(make([]byte, 0, 4*len(xs)), xs)
-}
-
-// DecodeI32Into unpacks a buffer produced by EncodeI32/AppendI32 into dst's
-// backing array (see DecodeF64Into).
-func DecodeI32Into(dst []int32, b []byte) []int32 {
+// decodeI32Into unpacks a buffer produced by appendI32 into dst's backing
+// array (see decodeF64Into).
+func decodeI32Into(dst []int32, b []byte) []int32 {
 	if len(b)%4 != 0 {
-		panic("comm: DecodeI32 on buffer whose length is not a multiple of 4")
+		panic("comm: decodeI32Into on buffer whose length is not a multiple of 4")
 	}
 	n := len(b) / 4
-	if cap(dst) < n {
-		dst = make([]int32, n)
-	} else {
-		dst = dst[:n]
-	}
+	dst = slices.Grow(dst[:0], n)[:n]
 	for i := range dst {
 		dst[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
 	}
 	return dst
 }
 
-// DecodeI32 unpacks a buffer produced by EncodeI32 into a fresh slice.
-func DecodeI32(b []byte) []int32 { return DecodeI32Into(nil, b) }
-
-// AppendI64 appends the wire form of xs to b and returns the extended slice.
-func AppendI64(b []byte, xs []int64) []byte {
+// appendI64 appends the wire form of xs to b and returns the extended slice.
+func appendI64(b []byte, xs []int64) []byte {
 	for _, x := range xs {
 		b = binary.LittleEndian.AppendUint64(b, uint64(x))
 	}
 	return b
 }
 
-// EncodeI64 packs xs into a fresh little-endian byte slice.
-func EncodeI64(xs []int64) []byte {
-	return AppendI64(make([]byte, 0, 8*len(xs)), xs)
-}
-
-// DecodeI64Into unpacks a buffer produced by EncodeI64/AppendI64 into dst's
-// backing array (see DecodeF64Into).
-func DecodeI64Into(dst []int64, b []byte) []int64 {
+// decodeI64Into unpacks a buffer produced by appendI64 into dst's backing
+// array (see decodeF64Into).
+func decodeI64Into(dst []int64, b []byte) []int64 {
 	if len(b)%8 != 0 {
-		panic("comm: DecodeI64 on buffer whose length is not a multiple of 8")
+		panic("comm: decodeI64Into on buffer whose length is not a multiple of 8")
 	}
 	n := len(b) / 8
-	if cap(dst) < n {
-		dst = make([]int64, n)
-	} else {
-		dst = dst[:n]
-	}
+	dst = slices.Grow(dst[:0], n)[:n]
 	for i := range dst {
 		dst[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return dst
 }
-
-// DecodeI64 unpacks a buffer produced by EncodeI64 into a fresh slice.
-func DecodeI64(b []byte) []int64 { return DecodeI64Into(nil, b) }

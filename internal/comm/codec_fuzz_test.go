@@ -1,10 +1,11 @@
-package comm_test
+package comm
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
-
-	"repro/internal/comm"
 )
 
 // decodeGuarded calls decode and reports whether it panicked. A panic is the
@@ -34,9 +35,9 @@ func FuzzDecodeInto(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add(make([]byte, 8*257)) // spans arena capacity classes
-	f.Add(comm.EncodeF64([]float64{0, 1, math.Inf(1), math.NaN(), -0.0}))
-	f.Add(comm.EncodeI32([]int32{math.MinInt32, -1, 0, math.MaxInt32}))
-	f.Add(comm.EncodeI64([]int64{math.MinInt64, -1, 0, math.MaxInt64}))
+	f.Add(appendF64(nil, []float64{0, 1, math.Inf(1), math.NaN(), -0.0}))
+	f.Add(appendI32(nil, []int32{math.MinInt32, -1, 0, math.MaxInt32}))
+	f.Add(appendI64(nil, []int64{math.MinInt64, -1, 0, math.MaxInt64}))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		// Reused destinations with stale contents and spare capacity: the
 		// decoders must overwrite, never blend with or run past, old data.
@@ -48,39 +49,118 @@ func FuzzDecodeInto(f *testing.F) {
 		}
 
 		var outF []float64
-		if panicked := decodeGuarded(func() { outF = comm.DecodeF64Into(dstF, b) }); panicked != (len(b)%8 != 0) {
-			t.Fatalf("DecodeF64Into(%d bytes): panicked=%v, want %v", len(b), panicked, len(b)%8 != 0)
+		if panicked := decodeGuarded(func() { outF = decodeF64Into(dstF, b) }); panicked != (len(b)%8 != 0) {
+			t.Fatalf("decodeF64Into(%d bytes): panicked=%v, want %v", len(b), panicked, len(b)%8 != 0)
 		} else if !panicked {
 			if len(outF) != len(b)/8 {
-				t.Fatalf("DecodeF64Into(%d bytes): %d elements, want %d", len(b), len(outF), len(b)/8)
+				t.Fatalf("decodeF64Into(%d bytes): %d elements, want %d", len(b), len(outF), len(b)/8)
 			}
-			if got := comm.EncodeF64(outF); string(got) != string(b) {
-				t.Fatalf("DecodeF64Into did not round-trip %d bytes", len(b))
+			if got := appendF64(nil, outF); string(got) != string(b) {
+				t.Fatalf("decodeF64Into did not round-trip %d bytes", len(b))
 			}
 		}
 
 		var outI32 []int32
-		if panicked := decodeGuarded(func() { outI32 = comm.DecodeI32Into(dstI32, b) }); panicked != (len(b)%4 != 0) {
-			t.Fatalf("DecodeI32Into(%d bytes): panicked=%v, want %v", len(b), panicked, len(b)%4 != 0)
+		if panicked := decodeGuarded(func() { outI32 = decodeI32Into(dstI32, b) }); panicked != (len(b)%4 != 0) {
+			t.Fatalf("decodeI32Into(%d bytes): panicked=%v, want %v", len(b), panicked, len(b)%4 != 0)
 		} else if !panicked {
 			if len(outI32) != len(b)/4 {
-				t.Fatalf("DecodeI32Into(%d bytes): %d elements, want %d", len(b), len(outI32), len(b)/4)
+				t.Fatalf("decodeI32Into(%d bytes): %d elements, want %d", len(b), len(outI32), len(b)/4)
 			}
-			if got := comm.EncodeI32(outI32); string(got) != string(b) {
-				t.Fatalf("DecodeI32Into did not round-trip %d bytes", len(b))
+			if got := appendI32(nil, outI32); string(got) != string(b) {
+				t.Fatalf("decodeI32Into did not round-trip %d bytes", len(b))
 			}
 		}
 
 		var outI64 []int64
-		if panicked := decodeGuarded(func() { outI64 = comm.DecodeI64Into(dstI64, b) }); panicked != (len(b)%8 != 0) {
-			t.Fatalf("DecodeI64Into(%d bytes): panicked=%v, want %v", len(b), panicked, len(b)%8 != 0)
+		if panicked := decodeGuarded(func() { outI64 = decodeI64Into(dstI64, b) }); panicked != (len(b)%8 != 0) {
+			t.Fatalf("decodeI64Into(%d bytes): panicked=%v, want %v", len(b), panicked, len(b)%8 != 0)
 		} else if !panicked {
 			if len(outI64) != len(b)/8 {
-				t.Fatalf("DecodeI64Into(%d bytes): %d elements, want %d", len(b), len(outI64), len(b)/8)
+				t.Fatalf("decodeI64Into(%d bytes): %d elements, want %d", len(b), len(outI64), len(b)/8)
 			}
-			if got := comm.EncodeI64(outI64); string(got) != string(b) {
-				t.Fatalf("DecodeI64Into did not round-trip %d bytes", len(b))
+			if got := appendI64(nil, outI64); string(got) != string(b) {
+				t.Fatalf("decodeI64Into did not round-trip %d bytes", len(b))
 			}
 		}
 	})
+}
+
+// gatherRecord is one (rank, payload) record of a gather frame; length
+// overrides the header's byte count when non-negative.
+func gatherRecord(frame []byte, rank uint32, length int, payload []byte) []byte {
+	n := uint32(len(payload))
+	if length >= 0 {
+		n = uint32(length)
+	}
+	frame = binary.LittleEndian.AppendUint32(frame, rank)
+	frame = binary.LittleEndian.AppendUint32(frame, n)
+	return append(frame, payload...)
+}
+
+// FuzzGatherFrame feeds arbitrary frames to the all-gather's decoder. A
+// frame arrives over TCP from another process, so a bad one must panic with
+// a "comm: gather frame" message, never with a runtime bounds error and
+// never by returning a missing rank. A frame that decodes must be exactly
+// one record per rank, each the wire form of the list returned for it.
+func FuzzGatherFrame(f *testing.F) {
+	one := appendI32(nil, []int32{7})
+	two := appendI32(nil, []int32{1, -2})
+	valid := gatherRecord(gatherRecord(gatherRecord(nil, 0, -1, two), 2, -1, nil), 1, -1, one)
+	f.Add(valid, uint8(3))
+	f.Add(valid[:len(valid)-2], uint8(3))                                    // truncated payload
+	f.Add(valid[:5], uint8(3))                                               // truncated header
+	f.Add(append(valid[:len(valid):len(valid)], 1, 2, 3), uint8(3))          // trailing partial header
+	f.Add(gatherRecord(nil, 0, 1<<20, one), uint8(1))                        // overlong length
+	f.Add(gatherRecord(nil, 0, 3, one), uint8(1))                            // length not a multiple of the width
+	f.Add(gatherRecord(gatherRecord(nil, 0, -1, one), 0, -1, two), uint8(2)) // duplicate rank
+	f.Add(append(valid, gatherRecord(nil, 1, -1, two)...), uint8(3))         // duplicate rank, none missing
+	f.Add(gatherRecord(nil, 1, -1, one), uint8(2))                           // missing rank
+	f.Add(gatherRecord(nil, 5, -1, one), uint8(2))                           // rank out of range
+	f.Add([]byte{}, uint8(1))                                                // no record at all
+	f.Add(gatherRecord(nil, 0, -1, make([]byte, 16)), uint8(1))
+	f.Fuzz(func(t *testing.T, frame []byte, size uint8) {
+		n := max(1, int(size%9)) // 1 to 8 ranks
+		checkGatherFrame(t, frame, n, 4, appendI32, decodeI32Into)
+		checkGatherFrame(t, frame, n, 8, appendF64, decodeF64Into)
+	})
+}
+
+func checkGatherFrame[T any](t *testing.T, frame []byte, size, w int,
+	appendT func([]byte, []T) []byte, decode func([]T, []byte) []T) {
+	t.Helper()
+	var out [][]T
+	func() {
+		defer func() {
+			if v := recover(); v != nil {
+				if msg := fmt.Sprint(v); !strings.HasPrefix(msg, "comm: gather frame ") {
+					t.Fatalf("width %d, %d ranks: panic %q", w, size, msg)
+				}
+			}
+		}()
+		out = decodeFrame(frame, size, w, decode)
+	}()
+	if out == nil {
+		return
+	}
+	if len(out) != size {
+		t.Fatalf("width %d: %d lists for %d ranks", w, len(out), size)
+	}
+	for r, xs := range out {
+		if xs == nil {
+			t.Fatalf("width %d: decoded without rank %d", w, r)
+		}
+	}
+	off := 0
+	for range out {
+		rank := binary.LittleEndian.Uint32(frame[off:])
+		rec := gatherRecord(nil, rank, -1, appendT(nil, out[rank]))
+		if off+len(rec) > len(frame) || string(frame[off:off+len(rec)]) != string(rec) {
+			t.Fatalf("width %d: rank %d's list does not re-encode to its record at byte %d", w, rank, off)
+		}
+		off += len(rec)
+	}
+	if off != len(frame) {
+		t.Fatalf("width %d: %d records end at byte %d of %d", w, size, off, len(frame))
+	}
 }

@@ -13,7 +13,6 @@ const (
 	tagCollBase  = 1 << 24
 	tagBarrier   = tagCollBase + 0
 	tagBcast     = tagCollBase + 1
-	tagGather    = tagCollBase + 2
 	tagReduce    = tagCollBase + 3
 	tagAllToAll  = tagCollBase + 4
 	tagAllGather = tagCollBase + 5
@@ -54,97 +53,91 @@ func lowestRecvMask(relRank, size int) int {
 	return mask
 }
 
-// Broadcast distributes data from root to all ranks along a binomial tree
-// and returns it. Non-root callers pass nil.
-func (p *Proc) Broadcast(root int, data []byte) []byte {
-	if p.size == 1 {
-		return data
+// AllGatherI32 collects every rank's list on every rank and returns them
+// indexed by rank, each decoded fresh from the wire (lists may differ in
+// length; empty ones included). The lists travel as one frame of
+// (rank, byte length) records: a binomial gather to rank 0, then a
+// binomial broadcast of the whole frame.
+func (p *Proc) AllGatherI32(xs []int32) [][]int32 {
+	return allGather(p, xs, 4, appendI32, decodeI32Into)
+}
+
+// AllGatherI64 is AllGatherI32 for []int64 lists.
+func (p *Proc) AllGatherI64(xs []int64) [][]int64 {
+	return allGather(p, xs, 8, appendI64, decodeI64Into)
+}
+
+// AllGatherF64 is AllGatherI32 for []float64 lists.
+func (p *Proc) AllGatherF64(xs []float64) [][]float64 {
+	return allGather(p, xs, 8, appendF64, decodeF64Into)
+}
+
+// allGather is the typed all-gather, written once over the element type of
+// width w bytes. A rank first receives its children's frames, so it can
+// size its own frame once: its 8-byte record header and payload, then the
+// children's frames in tree order.
+func allGather[T any](p *Proc, xs []T, w int,
+	appendT func([]byte, []T) []byte, decode func([]T, []byte) []T) [][]T {
+	var kids [][]byte
+	n := 8 + w*len(xs)
+	mask := 1
+	for ; mask < p.size && p.rank&mask == 0; mask <<= 1 {
+		if p.rank|mask < p.size {
+			kids = append(kids, p.Recv(p.rank|mask, tagAllGather))
+			n += len(kids[len(kids)-1])
+		}
 	}
-	rel := (p.rank - root + p.size) % p.size
-	mask := lowestRecvMask(rel, p.size)
-	if rel != 0 {
-		src := (rel - mask + root) % p.size
-		data = p.Recv(src, tagBcast)
+	frame := make([]byte, 8, n)
+	binary.LittleEndian.PutUint32(frame, uint32(p.rank))
+	binary.LittleEndian.PutUint32(frame[4:], uint32(w*len(xs)))
+	frame = appendT(frame, xs)
+	for _, k := range kids {
+		frame = append(frame, k...)
+	}
+	if p.rank != 0 {
+		p.Send(p.rank-mask, tagAllGather, frame)
+		frame = p.Recv(p.rank-mask, tagBcast)
 	}
 	for m := mask >> 1; m > 0; m >>= 1 {
-		if rel+m < p.size {
-			dst := (rel + m + root) % p.size
-			p.Send(dst, tagBcast, data)
+		if p.rank+m < p.size {
+			p.Send(p.rank+m, tagBcast, frame)
 		}
 	}
-	return data
+	return decodeFrame(frame, p.size, w, decode)
 }
 
-// frameAppend appends one (rank, payload) record to a gather frame.
-func frameAppend(frame []byte, rank int, payload []byte) []byte {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(rank))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(payload)))
-	frame = append(frame, hdr[:]...)
-	return append(frame, payload...)
-}
-
-// frameDecode splits a gather frame into per-rank payloads.
-func frameDecode(frame []byte, size int) [][]byte {
-	out := make([][]byte, size)
+// decodeFrame splits a gather frame into per-rank lists sharing one backing
+// array. Over TCP the frame comes from another process, so every header and
+// length is checked against the frame, and every rank must appear exactly
+// once. Decoding into the non-nil backing never yields a nil list, so a nil
+// entry marks a rank not seen yet.
+func decodeFrame[T any](frame []byte, size, w int, decode func([]T, []byte) []T) [][]T {
+	out := make([][]T, size)
+	all := make([]T, len(frame)/w)
 	for off := 0; off < len(frame); {
-		rank := int(binary.LittleEndian.Uint32(frame[off:]))
-		n := int(binary.LittleEndian.Uint32(frame[off+4:]))
+		if len(frame)-off < 8 {
+			panic(fmt.Sprintf("comm: gather frame cut inside a header at byte %d of %d", off, len(frame)))
+		}
+		rank := binary.LittleEndian.Uint32(frame[off:])
+		n := binary.LittleEndian.Uint32(frame[off+4:])
 		off += 8
-		if rank < 0 || rank >= size {
+		switch {
+		case rank >= uint32(size):
 			panic(fmt.Sprintf("comm: gather frame names rank %d of %d", rank, size))
+		case out[rank] != nil:
+			panic(fmt.Sprintf("comm: gather frame holds rank %d twice", rank))
+		case uint64(n) > uint64(len(frame)-off) || int(n)%w != 0:
+			panic(fmt.Sprintf("comm: gather frame gives rank %d %d bytes, %d left, width %d", rank, n, len(frame)-off, w))
 		}
-		out[rank] = frame[off : off+n : off+n]
-		off += n
+		k := int(n) / w
+		out[rank], all = decode(all[:k:k], frame[off:off+int(n)]), all[k:]
+		off += int(n)
 	}
-	return out
-}
-
-// Gather collects each rank's payload at root along a binomial tree. At
-// root the result is indexed by rank (the root's own entry aliases data);
-// other ranks get nil.
-func (p *Proc) Gather(root int, data []byte) [][]byte {
-	if p.size == 1 {
-		return [][]byte{data}
-	}
-	rel := (p.rank - root + p.size) % p.size
-	frame := frameAppend(nil, p.rank, data)
-	for mask := 1; mask < p.size; mask <<= 1 {
-		if rel&mask != 0 {
-			dst := (rel - mask + root) % p.size
-			p.Send(dst, tagGather, frame)
-			return nil
-		}
-		if rel|mask < p.size {
-			src := (rel | mask + root) % p.size
-			frame = append(frame, p.Recv(src, tagGather)...)
+	for r, xs := range out {
+		if xs == nil {
+			panic(fmt.Sprintf("comm: gather frame lacks rank %d of %d", r, size))
 		}
 	}
-	out := frameDecode(frame, p.size)
-	out[p.rank] = data
-	return out
-}
-
-// AllGather collects every rank's payload on every rank, indexed by rank.
-func (p *Proc) AllGather(data []byte) [][]byte {
-	if p.size == 1 {
-		return [][]byte{data}
-	}
-	rel := p.rank // root 0
-	frame := frameAppend(nil, p.rank, data)
-	for mask := 1; mask < p.size; mask <<= 1 {
-		if rel&mask != 0 {
-			p.Send(rel-mask, tagAllGather, frame)
-			frame = nil
-			break
-		}
-		if rel|mask < p.size {
-			frame = append(frame, p.Recv(rel|mask, tagAllGather)...)
-		}
-	}
-	frame = p.Broadcast(0, frame)
-	out := frameDecode(frame, p.size)
-	out[p.rank] = data
 	return out
 }
 
@@ -203,7 +196,7 @@ func (p *Proc) AllReduceI64(op Op, vec []int64) []int64 {
 
 // allReduceInto is the in-place all-reduce, written once over the element
 // type: a binomial reduce to rank 0, then a broadcast of the result along
-// the same binomial tree as Broadcast (root 0).
+// the same binomial tree as allGather's broadcast of its frame.
 func allReduceInto[T float64 | int64](p *Proc, op Op, vec, scratch []T,
 	sendT func(p *Proc, to, tag int, xs []T), recvT func(p *Proc, from, tag int, dst []T) []T) []T {
 	if p.size == 1 {
@@ -240,20 +233,6 @@ func (p *Proc) AllReduceScalarF64(op Op, v float64) float64 {
 // AllReduceScalarI64 is AllReduceI64 for a single value.
 func (p *Proc) AllReduceScalarI64(op Op, v int64) int64 {
 	return p.AllReduceI64(op, []int64{v})[0]
-}
-
-// ExScanI64 returns the exclusive prefix sum of v over ranks: the sum of v
-// on all ranks with smaller rank (0 on rank 0), plus the global total.
-func (p *Proc) ExScanI64(v int64) (before, total int64) {
-	all := p.AllGather(EncodeI64([]int64{v}))
-	for r, b := range all {
-		x := DecodeI64(b)[0]
-		if r < p.rank {
-			before += x
-		}
-		total += x
-	}
-	return before, total
 }
 
 // AllToAllI32 sends send[r] to rank r for every r and returns the lists

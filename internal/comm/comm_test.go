@@ -2,6 +2,7 @@ package comm
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -11,7 +12,7 @@ import (
 
 func TestCodecRoundTrip(t *testing.T) {
 	f := func(xs []float64) bool {
-		got := DecodeF64(EncodeF64(xs))
+		got := decodeF64Into(nil, appendF64(nil, xs))
 		if len(got) != len(xs) {
 			return false
 		}
@@ -26,7 +27,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		t.Errorf("float64 roundtrip: %v", err)
 	}
 	g := func(xs []int32) bool {
-		got := DecodeI32(EncodeI32(xs))
+		got := decodeI32Into(nil, appendI32(nil, xs))
 		if len(got) != len(xs) {
 			return false
 		}
@@ -41,7 +42,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		t.Errorf("int32 roundtrip: %v", err)
 	}
 	h := func(xs []int64) bool {
-		got := DecodeI64(EncodeI64(xs))
+		got := decodeI64Into(nil, appendI64(nil, xs))
 		if len(got) != len(xs) {
 			return false
 		}
@@ -60,10 +61,10 @@ func TestCodecRoundTrip(t *testing.T) {
 func TestDecodeBadLengthPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("DecodeF64 on odd-length buffer did not panic")
+			t.Fatal("decodeF64Into on odd-length buffer did not panic")
 		}
 	}()
-	DecodeF64(make([]byte, 7))
+	decodeF64Into(nil, make([]byte, 7))
 }
 
 func TestPointToPoint(t *testing.T) {
@@ -146,67 +147,115 @@ func testCollectiveSizes(t *testing.T, f func(t *testing.T, n int)) {
 	}
 }
 
-func TestBroadcast(t *testing.T) {
-	testCollectiveSizes(t, func(t *testing.T, n int) {
-		for root := 0; root < n; root++ {
-			Run(n, costmodel.Uniform(1e-6), func(p *Proc) {
-				var in []byte
-				if p.Rank() == root {
-					in = EncodeI32([]int32{int32(root), 99})
-				}
-				out := DecodeI32(p.Broadcast(root, in))
-				if len(out) != 2 || out[0] != int32(root) || out[1] != 99 {
-					t.Errorf("n=%d root=%d rank=%d got %v", n, root, p.Rank(), out)
-				}
-			})
-		}
-	})
-}
-
-func TestGather(t *testing.T) {
-	testCollectiveSizes(t, func(t *testing.T, n int) {
-		for root := 0; root < n; root++ {
-			Run(n, costmodel.Uniform(1e-6), func(p *Proc) {
-				// Variable-length payload: rank r sends r+1 values.
-				mine := make([]int32, p.Rank()+1)
-				for i := range mine {
-					mine[i] = int32(p.Rank()*100 + i)
-				}
-				got := p.Gather(root, EncodeI32(mine))
-				if p.Rank() != root {
-					if got != nil {
-						t.Errorf("n=%d non-root rank %d got non-nil gather", n, p.Rank())
-					}
-					return
-				}
-				for r := 0; r < n; r++ {
-					vals := DecodeI32(got[r])
-					if len(vals) != r+1 {
-						t.Errorf("n=%d root=%d: rank %d payload len %d, want %d", n, root, r, len(vals), r+1)
-						continue
-					}
-					for i, v := range vals {
-						if v != int32(r*100+i) {
-							t.Errorf("n=%d root=%d: rank %d payload[%d] = %d", n, root, r, i, v)
-						}
-					}
-				}
-			})
-		}
-	})
-}
-
 func TestAllGather(t *testing.T) {
 	testCollectiveSizes(t, func(t *testing.T, n int) {
 		Run(n, costmodel.Uniform(1e-6), func(p *Proc) {
-			got := p.AllGather(EncodeI32([]int32{int32(p.Rank() * 3)}))
+			got := p.AllGatherI64([]int64{int64(p.Rank() * 3)})
 			for r := 0; r < n; r++ {
-				if v := DecodeI32(got[r])[0]; v != int32(r*3) {
-					t.Errorf("n=%d rank=%d: entry %d = %d, want %d", n, p.Rank(), r, v, r*3)
+				if len(got[r]) != 1 || got[r][0] != int64(r*3) {
+					t.Errorf("n=%d rank=%d: entry %d = %v, want [%d]", n, p.Rank(), r, got[r], r*3)
+				}
+			}
+			// Variable-length lists: rank r sends r+1 values.
+			mine := make([]int32, p.Rank()+1)
+			for i := range mine {
+				mine[i] = int32(p.Rank()*100 + i)
+			}
+			all := p.AllGatherI32(mine)
+			mine[0] = -1 // the result must not alias the caller's list
+			for r := 0; r < n; r++ {
+				if len(all[r]) != r+1 {
+					t.Errorf("n=%d rank=%d: entry %d has %d values, want %d", n, p.Rank(), r, len(all[r]), r+1)
+					continue
+				}
+				for i, v := range all[r] {
+					if v != int32(r*100+i) {
+						t.Errorf("n=%d rank=%d: entry %d[%d] = %d", n, p.Rank(), r, i, v)
+					}
 				}
 			}
 		})
 	})
+}
+
+// TestAllGatherWire pins the typed all-gathers' wire under the iPSC/860
+// model: each rank's messages and bytes sent and its final clock, for
+// uneven lists (empty ones included, on the root too). The figures are
+// those of the byte-level all-gather the typed ones replaced, so dropping
+// the (rank, length) record header or changing the tree fails here. Every
+// rank must also receive every list, empty ones as empty.
+func TestAllGatherWire(t *testing.T) {
+	lens := []int{0, 3, 5, 1, 0, 7, 2, 0}
+	type wire struct {
+		msgs, bytes int64
+		clock       float64
+	}
+	// Keyed by element width, then rank count.
+	want := map[int]map[int][]wire{
+		4: {
+			1: {{0, 0, 0}},
+			2: {{1, 28, 0.00015719999999999997}, {1, 20, 0.00016727999999999998}},
+			3: {{2, 112, 0.00023507999999999998}, {1, 20, 0.00025524}, {1, 28, 0.00018023999999999997}},
+			5: {{3, 228, 0.0003937199999999999}, {1, 20, 0.0004210799999999999}, {2, 116, 0.0004210799999999999}, {1, 12, 0.00044843999999999993}, {1, 8, 0.00027107999999999993}},
+			8: {{3, 408, 0.0004859999999999999}, {1, 20, 0.0005349599999999999}, {2, 176, 0.0005349599999999999}, {1, 12, 0.0005839199999999999}, {3, 340, 0.0005349599999999999}, {1, 36, 0.0005839199999999999}, {2, 160, 0.0005839199999999999}, {1, 8, 0.0006328799999999999}},
+		},
+		8: {
+			1: {{0, 0, 0}},
+			2: {{1, 40, 0.00016151999999999998}, {1, 32, 0.00017591999999999998}},
+			3: {{2, 176, 0.00024228}, {1, 32, 0.00027395999999999996}, {1, 48, 0.00019895999999999998}},
+			5: {{3, 336, 0.00040379999999999995}, {1, 32, 0.00044412}, {2, 176, 0.00044412}, {1, 16, 0.00048444000000000004}, {1, 8, 0.00029412}},
+			8: {{3, 624, 0.0005018399999999999}, {1, 32, 0.00057672}, {2, 272, 0.00057672}, {1, 16, 0.0006516}, {3, 520, 0.00057672}, {1, 64, 0.0006516}, {2, 240, 0.0006516}, {1, 8, 0.00072648}},
+		},
+	}
+	gathers := []struct {
+		name   string
+		width  int
+		gather func(p *Proc) bool // reports whether the lists arrived intact
+	}{
+		{"I32", 4, func(p *Proc) bool {
+			return gatheredIntact(p.AllGatherI32(wireList[int32](p.Rank(), lens)), lens[:p.Size()])
+		}},
+		{"I64", 8, func(p *Proc) bool {
+			return gatheredIntact(p.AllGatherI64(wireList[int64](p.Rank(), lens)), lens[:p.Size()])
+		}},
+		{"F64", 8, func(p *Proc) bool {
+			return gatheredIntact(p.AllGatherF64(wireList[float64](p.Rank(), lens)), lens[:p.Size()])
+		}},
+	}
+	for _, g := range gathers {
+		for n, rows := range want[g.width] {
+			rep := Run(n, costmodel.IPSC860(), func(p *Proc) {
+				if !g.gather(p) {
+					t.Errorf("AllGather%s n=%d: rank %d received wrong lists", g.name, n, p.Rank())
+				}
+			})
+			for r, w := range rows {
+				got := wire{rep.Stats[r].MsgsSent, rep.Stats[r].BytesSent, rep.Clocks[r]}
+				if got != w {
+					t.Errorf("AllGather%s n=%d rank %d: (msgs, bytes, clock) = %v, want %v", g.name, n, r, got, w)
+				}
+			}
+		}
+	}
+}
+
+// wireList returns rank's list for TestAllGatherWire: lens[rank] values.
+func wireList[T int32 | int64 | float64](rank int, lens []int) []T {
+	xs := make([]T, lens[rank])
+	for i := range xs {
+		xs[i] = T(rank*100 + i)
+	}
+	return xs
+}
+
+// gatheredIntact reports whether got holds exactly every rank's wireList.
+func gatheredIntact[T int32 | int64 | float64](got [][]T, lens []int) bool {
+	for r, xs := range got {
+		if !slices.Equal(xs, wireList[T](r, lens)) {
+			return false
+		}
+	}
+	return len(got) == len(lens)
 }
 
 func TestAllReduce(t *testing.T) {
@@ -228,20 +277,6 @@ func TestAllReduce(t *testing.T) {
 			min := p.AllReduceScalarI64(OpMin, int64(p.Rank())-5)
 			if min != -5 {
 				t.Errorf("n=%d min = %v, want -5", n, min)
-			}
-		})
-	})
-}
-
-func TestExScan(t *testing.T) {
-	testCollectiveSizes(t, func(t *testing.T, n int) {
-		Run(n, costmodel.Uniform(1e-6), func(p *Proc) {
-			before, total := p.ExScanI64(int64(p.Rank() + 1))
-			wantBefore := int64(p.Rank() * (p.Rank() + 1) / 2)
-			wantTotal := int64(n * (n + 1) / 2)
-			if before != wantBefore || total != wantTotal {
-				t.Errorf("n=%d rank=%d scan = (%d,%d), want (%d,%d)",
-					n, p.Rank(), before, total, wantBefore, wantTotal)
 			}
 		})
 	})
@@ -549,9 +584,9 @@ func TestCollectivesAt128Ranks(t *testing.T) {
 		if sum != 128*127/2 {
 			t.Errorf("rank %d: sum = %d", p.Rank(), sum)
 		}
-		all := p.AllGather(EncodeI32([]int32{int32(p.Rank())}))
+		all := p.AllGatherI32([]int32{int32(p.Rank())})
 		for r := range all {
-			if DecodeI32(all[r])[0] != int32(r) {
+			if all[r][0] != int32(r) {
 				t.Errorf("allgather entry %d wrong", r)
 			}
 		}

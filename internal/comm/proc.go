@@ -168,7 +168,10 @@ func (p *Proc) ComputeMem(n int) { p.Compute(p.m.MemCost(n)) }
 
 // Send transmits data to rank `to` with the given tag. The sender is busy
 // for the per-message overhead Alpha; the message arrives at the receiver at
-// departure + Alpha + Beta*len(data).
+// departure + Alpha + Beta*len(data). Send, SendStart and Recv are the only
+// exported calls that carry raw bytes (a timing probe needs a payload of
+// any size); everything else speaks typed lists, and the wire format stays
+// inside this package.
 //
 // Ownership: data passes to the receiver, which may alias it long after
 // Send returned, so a sender must never write to or recycle a buffer it has
@@ -262,7 +265,7 @@ func (p *Proc) Recv(from, tag int) []byte {
 // not allocate in steady state. The modeled cost is that of Send with the
 // encoded bytes.
 func (p *Proc) SendF64(to, tag int, xs []float64) {
-	p.send(to, tag, AppendF64(p.arena.get(8*len(xs)), xs), &p.arena)
+	p.send(to, tag, appendF64(p.arena.get(8*len(xs)), xs), &p.arena)
 }
 
 // RecvF64 receives a []float64 payload, decoding into dst's backing array
@@ -270,27 +273,27 @@ func (p *Proc) SendF64(to, tag int, xs []float64) {
 // decoded slice. A payload staged through a send arena is reclaimed here,
 // completing the pooled round trip.
 func (p *Proc) RecvF64(from, tag int, dst []float64) []float64 {
-	return recvInto(p, from, tag, dst, DecodeF64Into)
+	return recvInto(p, from, tag, dst, decodeF64Into)
 }
 
 // SendI32 is SendF64 for []int32 payloads.
 func (p *Proc) SendI32(to, tag int, xs []int32) {
-	p.send(to, tag, AppendI32(p.arena.get(4*len(xs)), xs), &p.arena)
+	p.send(to, tag, appendI32(p.arena.get(4*len(xs)), xs), &p.arena)
 }
 
 // RecvI32 is RecvF64 for []int32 payloads.
 func (p *Proc) RecvI32(from, tag int, dst []int32) []int32 {
-	return recvInto(p, from, tag, dst, DecodeI32Into)
+	return recvInto(p, from, tag, dst, decodeI32Into)
 }
 
 // SendI64 is SendF64 for []int64 payloads.
 func (p *Proc) SendI64(to, tag int, xs []int64) {
-	p.send(to, tag, AppendI64(p.arena.get(8*len(xs)), xs), &p.arena)
+	p.send(to, tag, appendI64(p.arena.get(8*len(xs)), xs), &p.arena)
 }
 
 // RecvI64 is RecvF64 for []int64 payloads.
 func (p *Proc) RecvI64(from, tag int, dst []int64) []int64 {
-	return recvInto(p, from, tag, dst, DecodeI64Into)
+	return recvInto(p, from, tag, dst, decodeI64Into)
 }
 
 // recvInto is the typed receive: decode, then release the payload.

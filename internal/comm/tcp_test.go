@@ -44,9 +44,9 @@ func TestTCPCollectives(t *testing.T) {
 			if sum != want {
 				t.Errorf("n=%d rank=%d sum = %d, want %d", n, p.Rank(), sum, want)
 			}
-			all := p.AllGather(EncodeI32([]int32{int32(p.Rank())}))
+			all := p.AllGatherI32([]int32{int32(p.Rank())})
 			for r := range all {
-				if DecodeI32(all[r])[0] != int32(r) {
+				if all[r][0] != int32(r) {
 					t.Errorf("n=%d allgather entry %d wrong", n, r)
 				}
 			}

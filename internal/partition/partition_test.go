@@ -267,10 +267,10 @@ func TestDeterminism(t *testing.T) {
 				_ = owners
 			}
 			// Collect rank 0's owners deterministically.
-			b := p.Gather(0, comm.EncodeI32(owners))
+			all := p.AllGatherI32(owners)
 			if p.Rank() == 0 {
 				for r := 0; r < 4; r++ {
-					for _, o := range comm.DecodeI32(b[r]) {
+					for _, o := range all[r] {
 						mu.add(float64(o))
 					}
 				}

@@ -122,10 +122,10 @@ func Build(p *comm.Proc, kind Kind, myOwners []int32) *Table {
 	t := &Table{kind: kind, nprocs: p.Size(), pageSize: DefaultPageSize}
 
 	// Establish the block decomposition of the map array.
-	sizes := p.AllGather(comm.EncodeI64([]int64{int64(len(myOwners))}))
+	sizes := p.AllGatherI64([]int64{int64(len(myOwners))})
 	t.blockStarts = make([]int, p.Size()+1)
-	for r := 0; r < p.Size(); r++ {
-		t.blockStarts[r+1] = t.blockStarts[r] + int(comm.DecodeI64(sizes[r])[0])
+	for r, size := range sizes {
+		t.blockStarts[r+1] = t.blockStarts[r] + int(size[0])
 	}
 	t.n = t.blockStarts[p.Size()]
 
@@ -139,11 +139,9 @@ func Build(p *comm.Proc, kind Kind, myOwners []int32) *Table {
 		myCnt[o]++
 	}
 	p.ComputeMem(len(myOwners))
-	allCnt := p.AllGather(comm.EncodeI64(myCnt))
 	before := make([]int32, p.Size())
 	t.counts = make([]int32, p.Size())
-	for r := 0; r < p.Size(); r++ {
-		cnt := comm.DecodeI64(allCnt[r])
+	for r, cnt := range p.AllGatherI64(myCnt) {
 		for o := 0; o < p.Size(); o++ {
 			if r < p.Rank() {
 				before[o] += int32(cnt[o])
@@ -165,11 +163,11 @@ func Build(p *comm.Proc, kind Kind, myOwners []int32) *Table {
 	case Replicated:
 		t.owners = make([]int32, 0, t.n)
 		t.offsets = make([]int32, 0, t.n)
-		for _, b := range p.AllGather(comm.EncodeI32(myOwners)) {
-			t.owners = append(t.owners, comm.DecodeI32(b)...)
+		for _, xs := range p.AllGatherI32(myOwners) {
+			t.owners = append(t.owners, xs...)
 		}
-		for _, b := range p.AllGather(comm.EncodeI32(myOffsets)) {
-			t.offsets = append(t.offsets, comm.DecodeI32(b)...)
+		for _, xs := range p.AllGatherI32(myOffsets) {
+			t.offsets = append(t.offsets, xs...)
 		}
 	case Distributed:
 		t.locOwners = append([]int32(nil), myOwners...)
