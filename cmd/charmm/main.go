@@ -22,6 +22,7 @@ import (
 	"os"
 
 	"repro/internal/charmm"
+	"repro/internal/checkpoint"
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/launch"
@@ -53,7 +54,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.Adapt, cfg.AdaptVerify = l.Adapt, l.AdaptVerify
 	cfg.CheckpointDir, cfg.CheckpointEvery, cfg.ResumeFrom = l.CkptDir, l.CkptEvery, l.Resume
 	cfg.CrashStep, cfg.CrashRank = l.CrashStep, l.CrashRank
-	if err := cfg.Validate(); err != nil {
+	err := cfg.Validate()
+	if err == nil && cfg.ResumeFrom != "" {
+		_, err = checkpoint.Check(cfg.ResumeFrom, "charmm", int64(cfg.NAtoms))
+	}
+	if err != nil {
 		return l.Refuse(err)
 	}
 	runner, kind := charmm.Run, "hand-parallelized"

@@ -3,18 +3,26 @@ package main
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 
 	"repro/internal/charmm"
+	"repro/internal/checkpoint"
 )
 
 // TestBadInputExitsWithOneLine: input the run cannot honour is refused
 // before any rank starts — exit status 2, one "charmm:" line and the usage on
 // stderr, nothing on stdout, and no goroutine dump.
 func TestBadInputExitsWithOneLine(t *testing.T) {
+	foreign := t.TempDir() // a checkpoint dsmc wrote
+	if err := checkpoint.WriteManifest(foreign, &checkpoint.Manifest{App: "dsmc", NRanks: 1, ShardCRCs: []uint32{0}}); err != nil {
+		t.Fatal(err)
+	}
 	for _, args := range [][]string{
+		{"-resume", foreign},
+		{"-resume", filepath.Join(foreign, "missing")},
 		{"-procs", "0"},
 		{"-procs", "-1"},
 		{"-part", "nonsense"},

@@ -21,6 +21,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/checkpoint"
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/dsmc"
@@ -63,7 +64,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.Adapt, cfg.AdaptVerify = l.Adapt, l.AdaptVerify
 	cfg.CheckpointDir, cfg.CheckpointEvery, cfg.ResumeFrom = l.CkptDir, l.CkptEvery, l.Resume
 	cfg.CrashStep, cfg.CrashRank = l.CrashStep, l.CrashRank
-	if err := cfg.Validate(); err != nil {
+	err := cfg.Validate()
+	if err == nil && cfg.ResumeFrom != "" {
+		_, err = checkpoint.Check(cfg.ResumeFrom, "dsmc", int64(cfg.NCells()))
+	}
+	if err != nil {
 		return l.Refuse(err)
 	}
 

@@ -266,6 +266,12 @@ func TestCollectiveNamesExist(t *testing.T) {
 			}
 		}
 	}
+	for i := range procMethods.Len() {
+		name := procMethods.At(i).Obj().Name()
+		if list := map[bool]map[string]bool{true: sendMethods, false: recvMethods}[strings.HasPrefix(name, "Send")]; (strings.HasPrefix(name, "Send") || strings.HasPrefix(name, "Recv")) && !list[name] {
+			t.Errorf("*comm.Proc has %s, which sendMethods and recvMethods leave out", name)
+		}
+	}
 	for name := range scheduleCollectives {
 		if fn, ok := schedPkg.Scope().Lookup(name).(*types.Func); !ok || fn.Type().(*types.Signature).Recv() != nil {
 			t.Errorf("scheduleCollectives names %q, which is not a function of package schedule", name)

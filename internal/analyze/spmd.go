@@ -33,7 +33,7 @@ var scheduleCollectives = map[string]bool{
 var SPMDCollective = &Analyzer{
 	Name: "spmd-collective",
 	Doc: "collective call (Barrier, AllReduce*, AllGatherI32/I64/F64, AllToAllI32/F64, " +
-		"schedule.Build/Gather/Scatter, checkpoint.Save, ...) guarded by a " +
+		"schedule.Build/Gather/Scatter, checkpoint.Save/Restore, ...) guarded by a " +
 		"rank-dependent condition: potential SPMD deadlock",
 	Run: runSPMDCollective,
 }
@@ -64,8 +64,8 @@ func collectiveName(info *types.Info, call *ast.CallExpr) (string, bool) {
 		return "(*comm.Proc)." + fn.Name(), true
 	case recvTypeName(fn) == "" && inPkg(fn, "internal/schedule") && scheduleCollectives[fn.Name()]:
 		return "schedule." + fn.Name(), true
-	case recvTypeName(fn) == "" && inPkg(fn, "internal/checkpoint") && fn.Name() == "Save":
-		return "checkpoint.Save", true
+	case recvTypeName(fn) == "" && inPkg(fn, "internal/checkpoint") && (fn.Name() == "Save" || fn.Name() == "Restore"):
+		return "checkpoint." + fn.Name(), true
 	case isMethodOn(fn, "internal/core", "Dist", "Repartition"):
 		return "(*core.Dist).Repartition", true
 	case isMethodOn(fn, "internal/ttable", "Table", "Dereference"),

@@ -6,8 +6,9 @@ import (
 )
 
 // sendMethods and recvMethods are the point-to-point primitives whose
-// second argument is the message tag.
-var sendMethods = map[string]bool{"Send": true, "SendF64": true, "SendI32": true, "SendI64": true}
+// second argument is the message tag: every *comm.Proc method named Send* or
+// Recv* (TestCollectiveNamesExist), the split-phase SendStart included.
+var sendMethods = map[string]bool{"Send": true, "SendF64": true, "SendI32": true, "SendI64": true, "SendStart": true}
 var recvMethods = map[string]bool{"Recv": true, "RecvF64": true, "RecvI32": true, "RecvI64": true}
 
 // TagMatch flags constant message tags that appear on only one side of the

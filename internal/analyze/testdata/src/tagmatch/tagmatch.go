@@ -7,6 +7,7 @@ import "repro/internal/comm"
 const (
 	tagPing   = 7
 	tagPong   = 8
+	tagSplit  = 9
 	tagOrphan = 99 // sent below but never received anywhere in the package
 )
 
@@ -57,4 +58,23 @@ func GoodVariableTag(p *comm.Proc, tag int) {
 	left := (p.Rank() - 1 + p.Size()) % p.Size()
 	p.Send(right, tag, nil)
 	p.Recv(left, tag)
+}
+
+// GoodSplitPhasePair starts a send that a blocking Recv takes: SendStart is
+// one side of the pairing like Send.
+func GoodSplitPhasePair(p *comm.Proc) {
+	if p.Size() < 2 {
+		return
+	}
+	right := (p.Rank() + 1) % p.Size()
+	left := (p.Rank() - 1 + p.Size()) % p.Size()
+	pending := p.SendStart(right, tagSplit, []byte{1})
+	p.Recv(left, tagSplit)
+	pending.Wait()
+}
+
+// BadOrphanSendStart starts a send of tag 98, which nothing in the package
+// receives.
+func BadOrphanSendStart(p *comm.Proc) {
+	p.SendStart(0, 98, nil).Wait() // want:tag-match
 }

@@ -1,6 +1,7 @@
 package charmm
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/checkpoint"
@@ -31,7 +32,6 @@ func saveCheckpoint(p *comm.Proc, s *simState, cfg Config, step, remapCount int)
 	snap.PutI32("bond.j", s.bondJ)
 	snap.PutF64("bond.len", s.bondLen)
 	snap.PutScalarI64("remapcount", int64(remapCount))
-	snap.PutScalarF64("clock", p.Clock())
 	checkpoint.Save(p, cfg.CheckpointDir, "charmm", int64(cfg.NAtoms), int64(step), snap)
 }
 
@@ -42,80 +42,22 @@ func saveCheckpoint(p *comm.Proc, s *simState, cfg Config, step, remapCount int)
 // are merged round-robin and the configured partitioner rebalances the
 // restored state onto the new machine (elastic restart). Collective.
 func resume(p *comm.Proc, rt *core.Runtime, cfg Config, timer *core.PhaseTimer) (*simState, int, int) {
-	m, err := checkpoint.Open(cfg.ResumeFrom)
-	if err != nil {
-		panic(fmt.Sprintf("charmm: open checkpoint: %v", err))
-	}
-	if m.App != "charmm" {
-		panic(fmt.Sprintf("charmm: checkpoint %s was written by %q", cfg.ResumeFrom, m.App))
-	}
-	if int(m.N) != cfg.NAtoms {
-		panic(fmt.Sprintf("charmm: checkpoint has %d atoms, config wants %d", m.N, cfg.NAtoms))
-	}
-	shards, err := checkpoint.LoadShards(cfg.ResumeFrom, m, p.Rank(), p.Size())
-	if err != nil {
-		panic(fmt.Sprintf("charmm: read shards: %v", err))
-	}
-	el, err := checkpoint.MergeShards(shards, atomFields)
-	if err != nil {
-		panic(fmt.Sprintf("charmm: merge shards: %v", err))
-	}
-
-	remapCount, clock := int64(0), 0.0
-	var bondI, bondJ []int32
-	var bondLen []float64
-	for _, sh := range shards {
+	r := checkpoint.Restore(p, rt, timer, cfg.ResumeFrom, "charmm", cfg.NAtoms, atomFields, "remapcount")
+	s := &simState{atoms: r.Dist, pos: r.F64["pos"], vel: r.F64["vel"], ptr: r.CSRPtr["nb"], jnb: r.CSRVal["nb"]}
+	for _, sh := range r.Shards {
 		bi, err1 := sh.I32("bond.i")
 		bj, err2 := sh.I32("bond.j")
 		bl, err3 := sh.F64("bond.len")
-		rc, err4 := sh.ScalarI64("remapcount")
-		ck, err5 := sh.ScalarF64("clock")
-		for _, e := range []error{err1, err2, err3, err4, err5} {
-			if e != nil {
-				panic(fmt.Sprintf("charmm: shard missing state: %v", e))
-			}
+		if err := errors.Join(err1, err2, err3); err != nil {
+			panic(fmt.Sprintf("charmm: shard missing state: %v", err))
 		}
-		bondI = append(bondI, bi...)
-		bondJ = append(bondJ, bj...)
-		bondLen = append(bondLen, bl...)
-		if rc > remapCount {
-			remapCount = rc
-		}
-		if ck > clock {
-			clock = ck
-		}
+		s.bondI, s.bondJ, s.bondLen = append(s.bondI, bi...), append(s.bondJ, bj...), append(s.bondLen, bl...)
 	}
-
-	exact := m.NRanks == p.Size()
-	if exact {
-		// Continue this rank's own virtual timeline before any collective,
-		// and rebase the timer so the jump is not charged to a phase.
-		p.RestoreClock(clock)
-		timer.Skip()
-	}
-	s := &simState{
-		atoms:   rt.DistFromGlobals(el.Globals, cfg.NAtoms),
-		pos:     el.F64["pos"],
-		vel:     el.F64["vel"],
-		ptr:     el.CSRPtr["nb"],
-		jnb:     el.CSRVal["nb"],
-		bondI:   bondI,
-		bondJ:   bondJ,
-		bondLen: bondLen,
-	}
-	if !exact {
-		// Ranks holding no shard (growing P) contributed zeros; align the
-		// counters globally, then rebalance for the new processor count.
-		remapCount = p.AllReduceScalarI64(comm.OpMax, remapCount)
-		clock = p.AllReduceScalarF64(comm.OpMax, clock)
-		if clock > p.Clock() {
-			p.RestoreClock(clock)
-		}
-		timer.Skip()
+	if !r.Exact {
 		repartition(p, s, cfg.Partitioner, timer)
 	}
 	buildInspector(p, s, cfg)
 	p.Barrier()
 	timer.Mark(PhaseSchedGen)
-	return s, int(m.Step), int(remapCount)
+	return s, int(r.Step), int(r.Max[0])
 }

@@ -71,7 +71,7 @@ func TestPortableKernels(t *testing.T) {
 			charmm.VectorKernels = vec
 			in := w.Prepare(w.Variants[0], 1994, short)
 			answers[i] = make([]any, 2)
-			reps[i] = comm.Run(2, costmodel.IPSC860(), func(p *comm.Proc) { answers[i][p.Rank()] = in.Body(p) })
+			reps[i] = comm.Run(2, costmodel.IPSC860(), func(p *comm.Proc) { answers[i][p.Rank()] = in.Body(p, workload.Restart{}) })
 			if short {
 				if err := in.Reference()(answers[i]); err != nil {
 					t.Errorf("short run, vector kernels %v: the reference: %v", vec, err)
@@ -86,4 +86,30 @@ func TestPortableKernels(t *testing.T) {
 			t.Errorf("short %v: the results differ between the host's kernels and the Go loops", short)
 		}
 	}
+}
+
+// The tests below are slices of the oracle's recovery checks (workload's
+// Resume, Elastic and Kill) on charmm-md/remapped, which repartitions with
+// RCB and RIB in turn, so that a restore must also carry the remap count.
+
+func TestExactRestoreBitIdentical(t *testing.T) {
+	workload.Resume(t, []string{"charmm-md/remapped"}, [][2]int{{4, 4}})
+}
+
+func TestElasticRestoreAcrossProcCounts(t *testing.T) {
+	workload.Elastic(t, []string{"charmm-md/remapped"}, [][2]int{{4, 2}, {4, 6}})
+}
+
+// TestElasticRestoreEdgeCounts: every shard on one rank, and more ranks than
+// shards, so that some start with no atoms at all.
+func TestElasticRestoreEdgeCounts(t *testing.T) {
+	workload.Elastic(t, []string{"charmm-md/remapped"}, [][2]int{{4, 1}, {2, 5}})
+}
+
+func TestCrashRecoveryOverTCP(t *testing.T) {
+	workload.Kill(t, []string{"charmm-md/remapped"}, [][2]int{{3, 2}}, commtest.TCP)
+}
+
+func TestFaultKillElasticRecovery(t *testing.T) {
+	workload.Kill(t, []string{"charmm-md/remapped"}, [][2]int{{3, 2}}, commtest.Fault)
 }

@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"repro/internal/comm"
+	"repro/internal/core"
 )
 
 // ManifestName is the file that seals a checkpoint directory: it is written
@@ -189,10 +190,12 @@ func ResolveResume(arg, base string) (string, error) {
 // rank 0 gathers the shard CRCs and seals the directory with the manifest,
 // and the final barrier guarantees that when Save returns on any rank, the
 // checkpoint is complete on all of them. app and n are validated on
-// restore; snap is this rank's state. Returns the checkpoint directory.
-// I/O failures panic, like any other collective failure in this codebase,
-// and surface as PeerFailure on the other ranks.
+// restore; snap is this rank's state, to which Save adds the rank's virtual
+// clock as a last record, "clock", for Restore. Returns the checkpoint
+// directory. I/O failures panic, like any other collective failure in this
+// codebase, and surface as PeerFailure on the other ranks.
 func Save(p *comm.Proc, base, app string, n, step int64, snap *Snapshot) string {
+	snap.PutScalarF64("clock", p.Clock())
 	dir := StepDir(base, step)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		panic(fmt.Sprintf("checkpoint: mkdir %s: %v", dir, err))
@@ -229,4 +232,81 @@ func LoadShards(dir string, m *Manifest, rank, nranks int) ([]*Snapshot, error) 
 		out = append(out, s)
 	}
 	return out, nil
+}
+
+// Check opens the checkpoint in dir and checks that app wrote it over n
+// elements. It is not collective: a launcher refuses a wrong checkpoint
+// with it before any rank starts.
+func Check(dir, app string, n int64) (*Manifest, error) {
+	m, err := Open(dir)
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("open checkpoint: %w", err)
+	case m.App != app:
+		return nil, fmt.Errorf("checkpoint %s was written by %q", dir, m.App)
+	case m.N != n:
+		return nil, fmt.Errorf("checkpoint %s holds %d elements, want %d", dir, m.N, n)
+	}
+	return m, nil
+}
+
+// Restored is one rank's share of a checkpoint, as Restore leaves it.
+type Restored struct {
+	*Manifest
+	Shards    []*Snapshot // the shards this rank read, in ascending order
+	*Elements             // their fields, merged
+	Dist      *core.Dist  // over Elements.Globals
+	Exact     bool        // restored on as many ranks as wrote it
+	Max       []int64     // the largest value of each of Restore's maxima
+}
+
+// Restore is the collective prologue of a restart from the checkpoint in
+// dir that app wrote over n elements: it checks the checkpoint (Check),
+// reads this rank's shards (LoadShards), merges their fields (MergeShards)
+// into a distribution rt builds, and takes each int64 scalar named in
+// maxima to its largest value. It restores the virtual clock Save
+// recorded: on an exact restore this rank's own, before any collective; on
+// an elastic one the largest of all ranks', agreed after the maxima. timer
+// starts its next phase at the restored clock. Failures panic, naming app.
+func Restore(p *comm.Proc, rt *core.Runtime, timer *core.PhaseTimer, dir, app string, n int, fields []Field, maxima ...string) *Restored {
+	fail := func(err error) {
+		if err != nil {
+			panic(fmt.Sprintf("%s: %v", app, err))
+		}
+	}
+	m, err := Check(dir, app, int64(n))
+	fail(err)
+	shards, err := LoadShards(dir, m, p.Rank(), p.Size())
+	fail(err)
+	el, err := MergeShards(shards, fields)
+	fail(err)
+	exact := m.NRanks == p.Size()
+	r := &Restored{Manifest: m, Shards: shards, Elements: el, Exact: exact, Max: make([]int64, len(maxima))}
+	clock := 0.0
+	for _, sh := range shards {
+		c, err := sh.ScalarF64("clock")
+		fail(err)
+		clock = max(clock, c)
+		for i, name := range maxima {
+			v, err := sh.ScalarI64(name)
+			fail(err)
+			r.Max[i] = max(r.Max[i], v)
+		}
+	}
+	if exact {
+		p.RestoreClock(clock)
+		timer.Skip()
+	}
+	r.Dist = rt.DistFromGlobals(el.Globals, n)
+	if !exact {
+		// A rank with no shard (Q > P) contributes zeros.
+		for i := range maxima {
+			r.Max[i] = p.AllReduceScalarI64(comm.OpMax, r.Max[i])
+		}
+		if clock = p.AllReduceScalarF64(comm.OpMax, clock); clock > p.Clock() {
+			p.RestoreClock(clock)
+		}
+		timer.Skip()
+	}
+	return r
 }

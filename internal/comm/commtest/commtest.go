@@ -78,8 +78,9 @@ const Latency = 5 * time.Microsecond
 // Deadline bounds one run: past it the runner poisons the transport.
 const Deadline = 2 * time.Minute
 
-// New returns a fresh transport of kind k connecting n ranks.
-func (k Transport) New(n int) (comm.Transport, error) {
+// New returns a fresh transport of kind k connecting n ranks; on the fault
+// columns, kills join FaultPlan.
+func (k Transport) New(n int, kills ...fault.KillSpec) (comm.Transport, error) {
 	switch k {
 	case Fault, FaultTCP:
 		var inner comm.Transport = comm.NewMemTransport(n)
@@ -91,6 +92,7 @@ func (k Transport) New(n int) (comm.Transport, error) {
 			inner = mesh
 		}
 		plan := FaultPlan
+		plan.Kills = kills
 		return fault.Wrap(inner, n, &plan), nil
 	case Delay:
 		return comm.NewDelayTransport(comm.NewMemTransport(n), Latency), nil
@@ -125,9 +127,9 @@ type Outcome struct {
 // test, so that several tests can share one run: the transport could not be
 // built, or the run was still going after Deadline (the error names every
 // rank's pending receive). Callers skip the socket columns under -short
-// (Skip).
-func Try(k Transport, n int, m *costmodel.Machine, body func(*comm.Proc)) (Outcome, error) {
-	tr, err := k.New(n)
+// (Skip). kills hard-kill ranks on a fault column (New).
+func Try(k Transport, n int, m *costmodel.Machine, body func(*comm.Proc), kills ...fault.KillSpec) (Outcome, error) {
+	tr, err := k.New(n, kills...)
 	if err != nil {
 		return Outcome{}, fmt.Errorf("%v transport: %w", k, err)
 	}

@@ -1,7 +1,6 @@
 package dsmc
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -69,111 +68,4 @@ func writeCheckpointAt(t *testing.T, nprocs, step int, cfg Config, base string) 
 		t.Fatalf("checkpoint at step %d: %v", step, err)
 	}
 	return dir
-}
-
-// TestExactRestoreBitIdentical checks same-processor-count restore: the
-// continued run finishes bit-identical to the uninterrupted one, per rank.
-func TestExactRestoreBitIdentical(t *testing.T) {
-	const nprocs = 4
-	cfg := skewedConfig()
-	want, wantCounts := gatherMols(t, nprocs, cfg)
-
-	dir := writeCheckpointAt(t, nprocs, 4, cfg, t.TempDir())
-	resumed := cfg
-	resumed.ResumeFrom = dir
-	got, gotCounts := gatherMols(t, nprocs, resumed)
-
-	for r := range wantCounts {
-		if gotCounts[r] != wantCounts[r] {
-			t.Fatalf("rank %d holds %d molecules, want %d", r, gotCounts[r], wantCounts[r])
-		}
-	}
-	expectBitIdentical(t, "per-rank state", got, want)
-}
-
-// TestElasticRestoreAcrossProcCounts is the acceptance scenario: a
-// checkpoint written at P=8 restored at P=16 and one written at P=16
-// restored at P=8. The collision physics is order-independent, so even the
-// elastically restored run must conserve every particle and finish
-// bit-identical to the sequential reference; the restored run's molecule
-// balance must also stay close to a fresh run's at the same count.
-func TestElasticRestoreAcrossProcCounts(t *testing.T) {
-	cfg := skewedConfig()
-	wantSorted, _ := Reference(cfg)
-
-	for _, pc := range []struct{ writeP, restoreP int }{{8, 16}, {16, 8}} {
-		dir := writeCheckpointAt(t, pc.writeP, 4, cfg, t.TempDir())
-		resumed := cfg
-		resumed.ResumeFrom = dir
-		got, gotCounts := gatherMols(t, pc.restoreP, resumed)
-
-		if len(got)/recordWidth != cfg.NMols {
-			t.Fatalf("P=%d->%d: %d molecules after elastic restore, want %d",
-				pc.writeP, pc.restoreP, len(got)/recordWidth, cfg.NMols)
-		}
-		expectBitIdentical(t, "sorted state vs reference", SortByID(got), wantSorted)
-
-		// Load balance: the restored run's final molecule imbalance should
-		// be close to what a fresh run at the restore count reaches.
-		_, freshCounts := gatherMols(t, pc.restoreP, cfg)
-		imb := func(counts []int) float64 {
-			max, sum := 0, 0
-			for _, c := range counts {
-				if c > max {
-					max = c
-				}
-				sum += c
-			}
-			return float64(max) * float64(len(counts)) / float64(sum)
-		}
-		if got, fresh := imb(gotCounts), imb(freshCounts); got > fresh*1.5+0.5 {
-			t.Fatalf("P=%d->%d: restored imbalance %.2f far above fresh run's %.2f",
-				pc.writeP, pc.restoreP, got, fresh)
-		}
-	}
-}
-
-// TestCrashRecovery injects a rank panic between checkpoints, checks the
-// failure poisons the run (peers surface PeerFailure instead of hanging)
-// while leaving the last sealed checkpoint behind, then restarts from it —
-// on a different processor count — and finishes with the exact reference
-// state.
-func TestCrashRecovery(t *testing.T) {
-	cfg := skewedConfig()
-	base := t.TempDir()
-
-	crashing := cfg
-	crashing.CheckpointEvery = 2
-	crashing.CheckpointDir = base
-	crashing.CrashStep = 6
-	crashing.CrashRank = 2
-	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatal("crashing run did not fail")
-			}
-			if !strings.Contains(r.(string), "injected crash") {
-				t.Fatalf("unexpected failure: %v", r)
-			}
-		}()
-		comm.Run(4, costmodel.IPSC860(), func(p *comm.Proc) {
-			Run(p, crashing)
-		})
-	}()
-
-	dir, ok := checkpoint.Latest(base)
-	if !ok {
-		t.Fatal("no sealed checkpoint survived the crash")
-	}
-	if dir != checkpoint.StepDir(base, 4) {
-		t.Fatalf("latest checkpoint %q, want the step-4 one", dir)
-	}
-
-	// Elastic restart: the replacement machine has 3 ranks, not 4.
-	resumed := cfg
-	resumed.ResumeFrom = dir
-	got, _ := gatherMols(t, 3, resumed)
-	wantSorted, _ := Reference(cfg)
-	expectBitIdentical(t, "state after crash recovery", SortByID(got), wantSorted)
 }

@@ -47,3 +47,49 @@ func TestLedger(t *testing.T) {
 	})
 	workload.Ledger(t, "dsmc-regular", "dsmc-finegrain")
 }
+
+// The tests below are slices of the oracle's recovery checks (workload's
+// Resume, Elastic and Kill) on dsmc-regular/remapped: a skewed start that
+// RCB rebalances, so that an elastic restore has load imbalance to repair.
+
+var remapped = []string{"dsmc-regular/remapped"}
+
+func TestExactRestoreBitIdentical(t *testing.T) {
+	workload.Resume(t, remapped, [][2]int{{4, 4}})
+}
+
+// TestElasticRestoreAcrossProcCounts also holds the restored run's final
+// molecule imbalance close to that of a fresh run on as many ranks.
+func TestElasticRestoreAcrossProcCounts(t *testing.T) {
+	workload.Elastic(t, remapped, [][2]int{{8, 16}, {16, 8}}, func(t *testing.T, restored, fresh []any) {
+		imbalance := func(answers []any) float64 {
+			most, sum := 0, 0
+			for _, a := range answers {
+				most, sum = max(most, len(a.([]float64))), sum+len(a.([]float64))
+			}
+			return float64(most*len(answers)) / float64(sum)
+		}
+		if got, want := imbalance(restored), imbalance(fresh); got > want*1.5+0.5 {
+			t.Errorf("restored imbalance %.2f far above a fresh run's %.2f", got, want)
+		}
+	})
+}
+
+func TestCrashRecovery(t *testing.T) {
+	workload.Kill(t, remapped, [][2]int{{4, 3}}, commtest.Mem)
+}
+
+func TestFaultKillElasticRecovery(t *testing.T) {
+	workload.Kill(t, remapped, [][2]int{{4, 3}}, commtest.Fault)
+}
+
+// TestElasticRestoreToSingleRank: every shard lands on the one rank.
+func TestElasticRestoreToSingleRank(t *testing.T) {
+	workload.Elastic(t, remapped, [][2]int{{4, 1}})
+}
+
+// TestElasticRestoreGrowBeyondWriter: more ranks than shards, so that some
+// start empty and only the remap gives them load.
+func TestElasticRestoreGrowBeyondWriter(t *testing.T) {
+	workload.Elastic(t, remapped, [][2]int{{2, 5}})
+}

@@ -7,14 +7,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/comm"
 	"repro/internal/comm/commtest"
+	"repro/internal/comm/fault"
 	"repro/internal/costmodel"
 )
 
@@ -22,12 +25,17 @@ import (
 const oracleSeed = 1994
 
 // cellKey names a run: a row ("workload/variant") on a column at n ranks,
-// at the short size or, for the ledger, at full size.
+// at the short size or, for the ledger, at full size. A recovery run writes
+// checkpoints under root (with kill, rank 1 dies after the first) or, with
+// from > 0, restores what the writing run on from ranks left (source).
 type cellKey struct {
-	row  string
-	col  commtest.Transport
-	n    int
-	full bool
+	row         string
+	col         commtest.Transport
+	n           int
+	full        bool
+	root        string
+	write, kill bool
+	from        int
 }
 
 type cell struct {
@@ -64,11 +72,49 @@ func (k cellKey) run() (*cell, error) {
 		}()
 		w, v := find(k.row)
 		in := w.Prepare(v, oracleSeed, !k.full)
+		var r Restart
+		var kills []fault.KillSpec
+		switch {
+		case k.from > 0:
+			src := k.source()
+			if _, err := src.run(); err != nil && !k.kill {
+				return nil, fmt.Errorf("the writer: %v", err)
+			}
+			r.Resume = checkpoint.StepDir(src.dir(), int64(in.Every))
+			if dir, ok := checkpoint.Latest(src.dir()); k.kill && ok {
+				r.Resume = dir
+			}
+		case k.write:
+			r.Every, r.Dir = in.Every, k.dir()
+			if k.kill && k.col != commtest.Fault {
+				r.CrashStep = in.Every + 1
+			} else if k.kill {
+				// Rank 1 dies halfway through the sends a restore on as
+				// many ranks makes, counted back from the mem writer's last.
+				resume := cellKey{row: k.row, col: commtest.Mem, n: k.n, root: k.root, from: k.n}
+				c, err := resume.run()
+				if err != nil {
+					return nil, err
+				}
+				wr, _ := resume.source().run()
+				kills = []fault.KillSpec{{Rank: 1, AfterSends: int(wr.Stats[1].MsgsSent - c.Stats[1].MsgsSent/2)}}
+			}
+		}
 		c = &cell{answers: make([]any, k.n)}
-		c.Outcome, err = commtest.Try(k.col, k.n, costmodel.IPSC860(), func(p *comm.Proc) { c.answers[p.Rank()] = in.Body(p) })
+		c.Outcome, err = commtest.Try(k.col, k.n, costmodel.IPSC860(), func(p *comm.Proc) { c.answers[p.Rank()] = in.Body(p, r) }, kills...)
 		return c, err
 	})
 }
+
+// plain is the uninterrupted mem run of k's row on k.n ranks; source is the
+// writing run whose checkpoint the restore k restores.
+func (k cellKey) plain() cellKey { return cellKey{row: k.row, col: commtest.Mem, n: k.n} }
+func (k cellKey) source() cellKey {
+	return cellKey{row: k.row, col: k.col, n: k.from, root: k.root, write: true, kill: k.kill}
+}
+
+// dir is the checkpoint base directory of a writing run.
+func (k cellKey) dir() string { return filepath.Join(k.root, k.row, fmt.Sprint(k.col, k.n, k.kill)) }
 
 func (k cellKey) get(t *testing.T) *cell {
 	t.Helper()
@@ -103,7 +149,7 @@ func prefetch(keys []cellKey) {
 
 // Outcome returns the short run of row on col at n ranks.
 func Outcome(t *testing.T, row string, col commtest.Transport, n int) commtest.Outcome {
-	return cellKey{row, col, n, false}.get(t).Outcome
+	return cellKey{row: row, col: col, n: n}.get(t).Outcome
 }
 
 // timeline is the column whose virtual timeline col reproduces: the fault
@@ -134,13 +180,9 @@ func Check(t *testing.T, rows []string, ranks []int, cols ...commtest.Transport)
 		t.Run(col.String(), func(t *testing.T) {
 			t.Parallel()
 			var keys []cellKey
-			for _, w := range Workloads {
-				for _, v := range w.Variants {
-					if row := w.Name + "/" + v; rows == nil || slices.Contains(rows, row) {
-						for _, n := range ranks {
-							keys = append(keys, cellKey{row, col, n, false})
-						}
-					}
+			for _, row := range rowsOf(rows) {
+				for _, n := range ranks {
+					keys = append(keys, cellKey{row: row, col: col, n: n})
 				}
 			}
 			prefetch(keys)
@@ -151,15 +193,36 @@ func Check(t *testing.T, rows []string, ranks []int, cols ...commtest.Transport)
 	}
 }
 
-func (k cellKey) check(t *testing.T) {
-	got := k.get(t)
-	w, v := find(k.row)
-	ref, _ := refs.Get(k.row, func() (func([]any) error, error) { return w.Prepare(v, oracleSeed, true).Reference(), nil })
-	if err := ref(got.answers); err != nil {
+// rowsOf lists the named rows (nil: every row) in the oracle's order.
+func rowsOf(rows []string) []string {
+	var all []string
+	for _, w := range Workloads {
+		for _, v := range w.Variants {
+			if row := w.Name + "/" + v; rows == nil || slices.Contains(rows, row) {
+				all = append(all, row)
+			}
+		}
+	}
+	return all
+}
+
+// reference checks a short run's answers against its row's reference.
+func (k cellKey) reference(t *testing.T, answers []any) {
+	ref, _ := refs.Get(k.row, func() (func([]any) error, error) {
+		w, v := find(k.row)
+		return w.Prepare(v, oracleSeed, true).Reference(), nil
+	})
+	if err := ref(answers); err != nil {
 		t.Errorf("the reference: %v", err)
 	}
-	mem := cellKey{k.row, commtest.Mem, k.n, false}.get(t)
-	tl := cellKey{k.row, timeline(k.col), k.n, false}.get(t)
+}
+
+func (k cellKey) check(t *testing.T) {
+	got := k.get(t)
+	w, _ := find(k.row)
+	k.reference(t, got.answers)
+	mem := k.plain().get(t)
+	tl := cellKey{row: k.row, col: timeline(k.col), n: k.n}.get(t)
 	if got.TotalMsgsSent() != mem.TotalMsgsSent() || got.TotalBytesSent() != mem.TotalBytesSent() {
 		t.Errorf("%d messages, %d bytes; mem sends %d, %d", got.TotalMsgsSent(), got.TotalBytesSent(), mem.TotalMsgsSent(), mem.TotalBytesSent())
 	}
@@ -182,6 +245,89 @@ func (k cellKey) check(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Resume restores the mem writer's checkpoint at step Every on P ranks
+// (restores): every rank must end with the uninterrupted run's answer bit
+// for bit, but for a CHARMM result's phase times and remap steps.
+func Resume(t *testing.T, rows []string, pairs [][2]int) {
+	restores(t, "resume", rows, commtest.Mem, false, pairs, func(t *testing.T, k cellKey) {
+		got, want := k.get(t), k.plain().get(t)
+		for r := range got.answers {
+			if !reflect.DeepEqual(continued(got.answers[r]), continued(want.answers[r])) {
+				t.Errorf("rank %d's answer differs from the uninterrupted run's", r)
+			}
+		}
+	})
+}
+
+// continued is what a restored rank must reproduce of its answer.
+func continued(a any) any {
+	if a, ok := a.(charmmAnswer); ok {
+		return [2]any{a.Checksum, a.FinalState}
+	}
+	return a
+}
+
+// Elastic restores the mem writer's checkpoint at step Every on Q != P
+// ranks: the answers must pass the row's reference and each of also, which
+// is given them and those of the uninterrupted run on Q ranks.
+func Elastic(t *testing.T, rows []string, pairs [][2]int, also ...func(t *testing.T, restored, fresh []any)) {
+	restores(t, "elastic", rows, commtest.Mem, false, pairs, func(t *testing.T, k cellKey) {
+		got := k.get(t)
+		k.reference(t, got.answers)
+		for _, f := range also {
+			f(t, got.answers, k.plain().get(t).answers)
+		}
+	})
+}
+
+// Kill has rank 1 of a run on P ranks die after its first checkpoint: by a
+// panic at the next step on mem and tcp, by the fault plan's kill on fault.
+// The run must end in that failure, not in a hang, and its last sealed
+// checkpoint, restored on Q ranks on the same column, pass the reference.
+func Kill(t *testing.T, rows []string, pairs [][2]int, cols ...commtest.Transport) {
+	for _, col := range cols {
+		restores(t, "kill/"+col.String(), rows, col, true, pairs, func(t *testing.T, k cellKey) {
+			want := map[bool]string{false: "injected crash", true: "aborted by a peer failure"}[col == commtest.Fault]
+			if _, err := k.source().run(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("the run on %d ranks ended with %v, want %q", k.from, err, want)
+			}
+			k.reference(t, k.get(t).answers)
+		})
+	}
+}
+
+// roots holds each test's checkpoint root, which its checks share.
+var roots commtest.Memo[*testing.T, string]
+
+// restores is a recovery check (DESIGN.md, "The workload oracle"): in one
+// parallel subtest name, check holds the restore on col, at the short size,
+// of what a run of each named row (nil: every row) on P ranks left on Q
+// ranks, for each pair {P, Q}, in subtests workload/variant/pPtoQ. A row
+// with no checkpoint path is skipped.
+func restores(t *testing.T, name string, rows []string, col commtest.Transport, kill bool, pairs [][2]int, check func(*testing.T, cellKey)) {
+	root, _ := roots.Get(t, func() (string, error) { return t.TempDir(), nil })
+	t.Run(name, func(t *testing.T) {
+		t.Parallel()
+		var keys []cellKey
+		for _, row := range rowsOf(rows) {
+			if w, v := find(row); w.Prepare(v, oracleSeed, true).Every == 0 {
+				t.Run(row, func(t *testing.T) { t.Skip("no checkpoint path") })
+				continue
+			}
+			for _, pq := range pairs {
+				keys = append(keys, cellKey{row: row, col: col, n: pq[1], root: root, kill: kill, from: pq[0]})
+			}
+		}
+		prefetch(keys)
+		for _, k := range keys {
+			t.Run(fmt.Sprintf("%s/p%dto%d", k.row, k.from, k.n), func(t *testing.T) {
+				commtest.Skip(t, col)
+				check(t, k)
+			})
+		}
+	})
 }
 
 //go:embed testdata/ledger.json
@@ -214,7 +360,7 @@ func Ledger(t *testing.T, names ...string) {
 	keys := make([]cellKey, len(names))
 	for i, name := range names {
 		w, _ := find(name)
-		keys[i] = cellKey{name + "/" + w.Variants[0], commtest.Mem, 2, true}
+		keys[i] = cellKey{row: name + "/" + w.Variants[0], col: commtest.Mem, n: 2, full: true}
 	}
 	prefetch(keys)
 	for i, name := range names {

@@ -26,18 +26,34 @@ type Workload struct {
 }
 
 // An Instance is a variant bound to a size and a seed: Body runs it on one
-// rank and returns that rank's answer; Reference solves the same problem
-// apart and returns a checker of a parallel run's per-rank answers.
+// rank as r asks and returns that rank's answer; Reference solves the same
+// problem apart and checks a parallel run's per-rank answers. Every, the
+// recovery checks' checkpoint interval, is 0 without a checkpoint path.
 type Instance struct {
-	Body      func(p *comm.Proc) any
+	Body      func(p *comm.Proc, r Restart) any
 	Reference func() func(answers []any) error
+	Every     int
+}
+
+// A Restart asks a run to checkpoint every Every steps under Dir, to crash
+// rank 1 at step CrashStep, or to resume from Resume (zero: a plain run).
+type Restart struct {
+	Every, CrashStep int
+	Dir, Resume      string
+}
+
+// charmmAnswer is a hand-coded CHARMM rank's answer: its result and its
+// final atoms.
+type charmmAnswer struct {
+	*charmm.ProcResult
+	*charmm.FinalState
 }
 
 // Workloads lists the four workloads in BENCHMARK.json's order.
 var Workloads = []Workload{
 	{
 		Name:     "charmm-md",
-		Variants: []string{"merged", "multiple", "compiled"},
+		Variants: []string{"merged", "multiple", "compiled", "remapped"},
 		Phases:   []string{charmm.PhaseExecutor, charmm.PhaseNBList, charmm.PhasePartition, charmm.PhaseSchedRegen},
 		Prepare: func(variant string, seed int64, short bool) *Instance {
 			cfg := charmm.ConfigForAtoms(8000)
@@ -47,24 +63,33 @@ var Workloads = []Workload{
 				cfg.Steps, cfg.NBEvery = 4, 2
 			}
 			cfg.Seed, cfg.Partitioner, cfg.Merged = seed, "rcb", variant != "multiple"
-			run := charmm.Run
-			if variant == "compiled" {
-				// Fully adaptive: repartitioned RCB and RIB in turn, with a
-				// list update between two repartitions.
-				cfg.NBEvery, cfg.RemapEvery, cfg.AlternatePartitioners, run = 3, 2, true, charmm.RunCompiled
-			}
-			return &Instance{
-				Body: func(p *comm.Proc) any { return run(p, cfg) },
+			in := &Instance{
+				Body: func(p *comm.Proc, r Restart) any {
+					cfg := cfg
+					cfg.CheckpointEvery, cfg.CheckpointDir, cfg.CrashStep, cfg.CrashRank, cfg.ResumeFrom = r.Every, r.Dir, r.CrashStep, 1, r.Resume
+					res, fin := charmm.RunKeepState(p, cfg)
+					return charmmAnswer{res, fin}
+				},
 				Reference: func() func([]any) error {
 					_, want := charmm.Reference(cfg)
 					return checksumWithin(want)
 				},
+				Every: cfg.Steps / 2,
 			}
+			if variant == "compiled" || variant == "remapped" {
+				// Fully adaptive: repartitioned RCB and RIB in turn, with a
+				// list update between two repartitions.
+				cfg.NBEvery, cfg.RemapEvery, cfg.AlternatePartitioners = 3, 2, true
+			}
+			if variant == "compiled" {
+				in.Body, in.Every = func(p *comm.Proc, _ Restart) any { return charmmAnswer{charmm.RunCompiled(p, cfg), nil} }, 0
+			}
+			return in
 		},
 	},
 	{
 		Name:     "dsmc-regular",
-		Variants: []string{"regular", "light", "compiler"},
+		Variants: []string{"regular", "light", "compiler", "remapped"},
 		Phases:   []string{dsmc.PhaseMove, dsmc.PhaseCollide},
 		Prepare: func(variant string, seed int64, short bool) *Instance {
 			cfg := dsmc.Default2D(48)
@@ -72,6 +97,10 @@ var Workloads = []Workload{
 			if short {
 				cfg = dsmc.Default2D(8)
 				cfg.NMols, cfg.Steps = 256, 5
+			}
+			if variant == "remapped" {
+				// A skewed start that RCB rebalances every other step.
+				cfg.InitSlabFrac, cfg.RemapEvery, cfg.Partitioner, variant = 0.5, 2, "rcb", "light"
 			}
 			return dsmcInstance(cfg, variant, seed)
 		},
@@ -90,7 +119,7 @@ var Workloads = []Workload{
 				run = charmm.RunKernelHand
 			}
 			return &Instance{
-				Body: func(p *comm.Proc) any { return run(p, cfg) },
+				Body: func(p *comm.Proc, _ Restart) any { return run(p, cfg) },
 				Reference: func() func([]any) error {
 					// No sequential twin: the compiled 1-rank run is the oracle.
 					var want float64
@@ -125,7 +154,7 @@ func checksumWithin(want float64) func([]any) error {
 		for r, a := range answers {
 			got := math.NaN()
 			switch a := a.(type) {
-			case *charmm.ProcResult:
+			case charmmAnswer:
 				got = a.Checksum
 			case *charmm.KernelResult:
 				got = a.Checksum
@@ -145,7 +174,12 @@ func checksumWithin(want float64) func([]any) error {
 func dsmcInstance(cfg dsmc.Config, mover string, seed int64) *Instance {
 	cfg.Mover, cfg.Seed = dsmc.Mover(mover), seed
 	return &Instance{
-		Body: func(p *comm.Proc) any { return dsmc.RunKeepMols(p, cfg) },
+		Body: func(p *comm.Proc, r Restart) any {
+			cfg := cfg
+			cfg.CheckpointEvery, cfg.CheckpointDir, cfg.CrashStep, cfg.CrashRank, cfg.ResumeFrom = r.Every, r.Dir, r.CrashStep, 1, r.Resume
+			return dsmc.RunKeepMols(p, cfg)
+		},
+		Every: cfg.Steps / 2,
 		Reference: func() func([]any) error {
 			want, _ := dsmc.Reference(cfg)
 			return func(answers []any) error {
