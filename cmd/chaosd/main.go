@@ -441,6 +441,9 @@ func rank(fs *flag.FlagSet) func(io.Writer) error {
 		if err := app.Validate(); err != nil {
 			return badInput(err)
 		}
+		if err := app.CheckResume(); err != nil {
+			return badInput(err)
+		}
 		plan, err := fault.Parse(spec.FaultPlan)
 		if err != nil {
 			return badInput(err)

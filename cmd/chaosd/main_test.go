@@ -3,11 +3,16 @@ package main
 import (
 	"bytes"
 	"net"
+	"os"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/checkpoint"
 )
 
 // reserveAddrs returns n distinct free loopback addresses. The listeners
@@ -79,27 +84,64 @@ func TestBadInputExitsWithOneLine(t *testing.T) {
 		{"oneshot", "-workers", "0"},
 		{"oneshot", "-workers", "-3"},
 	} {
-		var stdout, stderr bytes.Buffer
-		done := make(chan int, 1)
-		go func() { done <- run(args, &stdout, &stderr) }()
-		select {
-		case code := <-done:
-			if code != 2 {
-				t.Errorf("%q: exit %d, want 2", args, code)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatalf("%q: still running after 30s", args)
+		wantRefused(t, args)
+	}
+}
+
+// TestRankRefusesBadResume: a rank's -resume must name a sealed checkpoint
+// the same app wrote over the index space it will restore — charmm's atoms,
+// dsmc's 576 cells — or the rank exits as on any other bad input, before it
+// listens, instead of panicking with a goroutine dump.
+func TestRankRefusesBadResume(t *testing.T) {
+	dir := t.TempDir()
+	manifest := func(name, app string, n int64) string {
+		d := filepath.Join(dir, name)
+		if err := os.Mkdir(d, 0o755); err != nil {
+			t.Fatal(err)
 		}
-		first, rest, _ := strings.Cut(stderr.String(), "\n")
-		if !strings.HasPrefix(first, "chaosd: ") || strings.Contains(rest, "chaosd: ") {
-			t.Errorf("%q: want exactly one chaosd: line, stderr:\n%s", args, stderr.String())
+		if err := checkpoint.WriteManifest(d, &checkpoint.Manifest{App: app, NRanks: 1, N: n, ShardCRCs: []uint32{0}}); err != nil {
+			t.Fatal(err)
 		}
-		if !strings.Contains(strings.ToLower(rest), "usage") {
-			t.Errorf("%q: no usage after the complaint:\n%s", args, rest)
+		return d
+	}
+	charmm, dsmc := manifest("charmm", "charmm", 450), manifest("dsmc", "dsmc", 576)
+	rank := []string{"rank", "-rank", "0", "-addrs", "127.0.0.1:1,127.0.0.1:2", "-steps", "4"}
+	for _, args := range [][]string{
+		{"-app", "dsmc", "-elems", "600", "-resume", charmm},
+		{"-app", "charmm", "-elems", "450", "-resume", dsmc},
+		{"-app", "charmm", "-elems", "300", "-resume", charmm},
+		{"-app", "dsmc", "-elems", "600", "-resume", manifest("small-dsmc", "dsmc", 144)},
+		{"-app", "charmm", "-elems", "450", "-resume", filepath.Join(dir, "missing")},
+		{"-app", "charmm", "-elems", "450", "-ckpt-dir", filepath.Join(dir, "empty"), "-resume", "latest"},
+	} {
+		wantRefused(t, slices.Concat(rank, args))
+	}
+}
+
+// wantRefused runs chaosd with args and wants exit status 2, exactly one
+// "chaosd:" line followed by the usage on stderr, and nothing on stdout.
+func wantRefused(t *testing.T, args []string) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	done := make(chan int, 1)
+	go func() { done <- run(args, &stdout, &stderr) }()
+	select {
+	case code := <-done:
+		if code != 2 {
+			t.Errorf("%q: exit %d, want 2", args, code)
 		}
-		if stdout.Len() > 0 {
-			t.Errorf("%q: wrote to stdout:\n%s", args, stdout.String())
-		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("%q: still running after 30s", args)
+	}
+	first, rest, _ := strings.Cut(stderr.String(), "\n")
+	if !strings.HasPrefix(first, "chaosd: ") || strings.Contains(rest, "chaosd: ") {
+		t.Errorf("%q: want exactly one chaosd: line, stderr:\n%s", args, stderr.String())
+	}
+	if !strings.Contains(strings.ToLower(rest), "usage") {
+		t.Errorf("%q: no usage after the complaint:\n%s", args, rest)
+	}
+	if stdout.Len() > 0 {
+		t.Errorf("%q: wrote to stdout:\n%s", args, stdout.String())
 	}
 }
 

@@ -97,13 +97,27 @@ func globalMeanAbs(p *comm.Proc, dx []float64) float64 {
 // on the host clock they differ by loopir's per-row overhead only. The list
 // has no self pairs (partners are gj > g).
 //
-// Partner slots are indexed directly at k = 3j: a (*[3]float64) view per
-// partner costs a length check, a masked base pointer and a stack spill per
-// array, and leaves no register for xb and fb's headers. The three
-// coordinates of j are read before any of its force slots is written, since
-// the compiler cannot see that xb and fb never alias and would reload them.
+// With VectorKernels set, kernelRowAVX2 applies all but the last len(js) % 4
+// partners and kernelRowTail the rest; without, kernelRowTail applies the
+// whole row. The two give the same bits: see kernelRowAVX2. The kernel stops
+// at a partner whose slot lies outside xb or fb and leaves it to
+// kernelRowTail, whose bounds checks panic there, as they do without the
+// vector kernel.
 func kernelRow(xi, fi []float64, js []int32, xb, fb []float64) {
 	x, f := (*[3]float64)(xi), (*[3]float64)(fi)
+	if VectorKernels && len(js) >= 4 {
+		js = js[kernelRowAVX2(x, f, js[:len(js)&^3], &xb[0], &fb[0], min(len(xb), len(fb))/3):]
+	}
+	kernelRowTail(x, f, js, xb, fb)
+}
+
+// kernelRowTail is kernelRow's portable loop. Partner slots are indexed
+// directly at k = 3j: a (*[3]float64) view per partner costs a length check,
+// a masked base pointer and a stack spill per array, and leaves no register
+// for xb and fb's headers. The three coordinates of j are read before any of
+// its force slots is written, since the compiler cannot see that xb and fb
+// never alias and would reload them.
+func kernelRowTail(x, f *[3]float64, js []int32, xb, fb []float64) {
 	x0, x1, x2 := x[0], x[1], x[2]
 	f0, f1, f2 := f[0], f[1], f[2]
 	for _, j := range js {

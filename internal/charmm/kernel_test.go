@@ -53,12 +53,13 @@ func TestKernelPhaseBreakdown(t *testing.T) {
 }
 
 // TestRowKernelsMatchPairForm holds both row kernels bit for bit to a per-pair
-// form over random rows: pairForceRow to pairForce, the oracle Reference
-// computes with, and kernelRow to the Figure 10 body written pair by pair.
-// The rows include partners beyond the cutoff, a coincident partner (r2 ==
-// 0), empty rows and a partner shared by most rows; every force slot starts
-// nonzero and is compared after several passes. A partner index outside the
-// arrays must still panic.
+// form over random rows, with the vector kernels on (where the host has
+// them) and off: pairForceRow to pairForce, the oracle Reference computes
+// with, and kernelRow to the Figure 10 body written pair by pair. The rows
+// include partners beyond the cutoff, a coincident partner (r2 == 0), empty
+// rows, rows of every length from 1 to 8 and a partner shared by most rows;
+// every force slot starts nonzero and is compared after several passes. A
+// partner index outside the arrays must still panic.
 func TestRowKernelsMatchPairForm(t *testing.T) {
 	const n, passes = 48, 3
 	const shared = 5
@@ -88,7 +89,9 @@ func TestRowKernelsMatchPairForm(t *testing.T) {
 		ptr = append(ptr, int32(len(jnb)))
 	}
 	within, beyond := 0, 0
+	lengths := map[int32]bool{}
 	for i := 0; i < n; i++ {
+		lengths[ptr[i+1]-ptr[i]] = true
 		for _, j := range jnb[ptr[i]:ptr[i+1]] {
 			if d := dist3(pos[3*i:], pos[3*j:]); d*d < c2 {
 				within++
@@ -100,48 +103,56 @@ func TestRowKernelsMatchPairForm(t *testing.T) {
 	if within == 0 || beyond == 0 {
 		t.Fatalf("rows have %d partners within the cutoff and %d beyond; want both", within, beyond)
 	}
+	for l := int32(1); l <= 8; l++ {
+		if !lengths[l] {
+			t.Fatalf("no row has %d partners; want every length from 1 to 8", l)
+		}
+	}
 	start := make([]float64, 3*n)
 	for i := range start {
 		start[i] = rng.NormFloat64()
 	}
 	row := func(i int) []int32 { return jnb[ptr[i]:ptr[i+1]] }
-	compare := func(name string, got, want []float64) {
-		t.Helper()
-		for k := range got {
-			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
-				t.Errorf("%s: slot %d = %v, per-pair form %v", name, k, got[k], want[k])
-			}
-		}
-	}
-
-	got, want := append([]float64(nil), start...), append([]float64(nil), start...)
-	for range passes {
-		for i := 0; i < n; i++ {
-			pairForceRow(pos[3*i:3*i+3], got[3*i:3*i+3], row(i), pos, got, c2)
-			for _, j := range row(i) {
-				pairForce(pos[3*i:3*i+3], pos[3*j:3*j+3], want[3*i:3*i+3], want[3*j:3*j+3], c2)
-			}
-		}
-	}
-	compare("pairForceRow", got, want)
-
-	got, want = append(got[:0], start...), append(want[:0], start...)
-	for range passes {
-		for i := 0; i < n; i++ {
-			kernelRow(pos[3*i:3*i+3], got[3*i:3*i+3], row(i), pos, got)
-			for _, j := range row(i) {
-				for c := 0; c < 3; c++ {
-					want[3*int(j)+c] += pos[3*int(j)+c] - pos[3*i+c]
-					want[3*i+c] += pos[3*i+c] - pos[3*int(j)+c]
+	for _, vec := range []bool{false, hostHasVector} {
+		compare := func(name string, got, want []float64) {
+			t.Helper()
+			for k := range got {
+				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+					t.Errorf("%s, vector %v: slot %d = %v, per-pair form %v", name, vec, k, got[k], want[k])
 				}
 			}
 		}
-	}
-	compare("kernelRow", got, want)
+		withKernels(vec, func() {
+			got, want := append([]float64(nil), start...), append([]float64(nil), start...)
+			for range passes {
+				for i := 0; i < n; i++ {
+					pairForceRow(pos[3*i:3*i+3], got[3*i:3*i+3], row(i), pos, got, c2)
+					for _, j := range row(i) {
+						pairForce(pos[3*i:3*i+3], pos[3*j:3*j+3], want[3*i:3*i+3], want[3*j:3*j+3], c2)
+					}
+				}
+			}
+			compare("pairForceRow", got, want)
 
-	for _, j := range []int32{-1, n} {
-		mustPanic(t, "pairForceRow", j, func() { pairForceRow(pos[:3], got[:3], []int32{j}, pos, got, c2) })
-		mustPanic(t, "kernelRow", j, func() { kernelRow(pos[:3], got[:3], []int32{j}, pos, got) })
+			got, want = append(got[:0], start...), append(want[:0], start...)
+			for range passes {
+				for i := 0; i < n; i++ {
+					kernelRow(pos[3*i:3*i+3], got[3*i:3*i+3], row(i), pos, got)
+					for _, j := range row(i) {
+						for c := 0; c < 3; c++ {
+							want[3*int(j)+c] += pos[3*int(j)+c] - pos[3*i+c]
+							want[3*i+c] += pos[3*i+c] - pos[3*int(j)+c]
+						}
+					}
+				}
+			}
+			compare("kernelRow", got, want)
+
+			for _, j := range []int32{-1, n} {
+				mustPanic(t, "pairForceRow", j, func() { pairForceRow(pos[:3], got[:3], []int32{j}, pos, got, c2) })
+				mustPanic(t, "kernelRow", j, func() { kernelRow(pos[:3], got[:3], []int32{j}, pos, got) })
+			}
+		})
 	}
 }
 
@@ -160,10 +171,16 @@ func mustPanic(t *testing.T, name string, j int32, f func()) {
 // warm, as ns per pair — hand-coded (kernelRow called per row), compiled
 // from the same row body (what RunKernelCompiled runs: the difference to
 // hand is loopir's per-row overhead), and compiled from the per-pair closure
-// loopir lifts (what the kernel ran before the row form). The compiled
-// variants also report their ratio to hand when hand ran first. Reported,
-// not asserted: a wall-clock bound would make tier-1 flaky.
+// loopir lifts (what the kernel ran before the row form) — under "go" (the
+// portable loop) and "avx2" (the vector kernel; the per-pair closure does
+// not call kernelRow). The compiled variants also report their ratio to the
+// same kernel's hand when it ran first. Reported, not asserted: a
+// wall-clock bound would make tier-1 flaky.
 func BenchmarkKernelExecutor(b *testing.B) {
+	benchKernels(b, benchKernelExecutor)
+}
+
+func benchKernelExecutor(b *testing.B) {
 	cfg := KernelConfig{NAtoms: 8000, Seed: 1994}
 	// bench runs exec b.N times after a warm-up and returns ns per pair.
 	bench := func(b *testing.B, pairs int, exec func()) float64 {

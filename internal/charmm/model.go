@@ -104,9 +104,9 @@ func pairForceRow(pi, fi []float64, js []int32, pos, frc []float64, cutoff2 floa
 // pairRowTail is pairForceRow's portable loop. pi and the fi accumulators
 // stay in registers across the row, which adds to fi in the same order as
 // pairForce pair by pair would, and partner slots are indexed directly at
-// k = 3j, as in kernelRow and for the same reason. Each product is rounded
-// by its explicit conversion before it is added, so no GOARCH fuses the
-// two.
+// k = 3j, as in kernelRowTail and for the same reason. Each product is
+// rounded by its explicit conversion before it is added, so no GOARCH fuses
+// the two.
 func pairRowTail(p, f *[3]float64, js []int32, pos, frc []float64, cutoff2 float64) {
 	px, py, pz := p[0], p[1], p[2]
 	fx, fy, fz := f[0], f[1], f[2]

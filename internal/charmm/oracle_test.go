@@ -51,39 +51,41 @@ func TestLedger(t *testing.T) {
 }
 
 // TestPortableKernels holds the portable Go loops to the vector kernels on
-// charmm-md's ledger slice: its full-size 2-rank run at the ledger's seed
-// and its short run, each made once with VectorKernels as the host sets it
-// and once with the Go loops forced, must agree bit for bit on every rank's
-// virtual clock, statistics and result, and so hold the ledger TestLedger
-// holds the first to. The short run's reference, whose list search takes
-// the same path, must pass both. Run fresh, not shared with the oracle.
+// charmm-md's and kernel-remap's ledger slices: each workload's full-size
+// 2-rank run at the ledger's seed and its short run, each made once with
+// VectorKernels as the host sets it and once with the Go loops forced, must
+// agree bit for bit on every rank's virtual clock, statistics and result,
+// and so hold the ledger TestLedger holds the first to. The short run's
+// reference must pass both. Run fresh, not shared with the oracle.
 func TestPortableKernels(t *testing.T) {
 	host := charmm.VectorKernels
 	defer func() { charmm.VectorKernels = host }()
-	w := workload.Workloads[0]
-	if w.Name != "charmm-md" {
-		t.Fatalf("workload 0 is %s, want charmm-md", w.Name)
-	}
-	for _, short := range []bool{false, true} {
-		var reps [2]*comm.Report
-		var answers [2][]any
-		for i, vec := range []bool{host, false} {
-			charmm.VectorKernels = vec
-			in := w.Prepare(w.Variants[0], 1994, short)
-			answers[i] = make([]any, 2)
-			reps[i] = comm.Run(2, costmodel.IPSC860(), func(p *comm.Proc) { answers[i][p.Rank()] = in.Body(p, workload.Restart{}) })
-			if short {
-				if err := in.Reference()(answers[i]); err != nil {
-					t.Errorf("short run, vector kernels %v: the reference: %v", vec, err)
+	for k, name := range map[int]string{0: "charmm-md", 2: "kernel-remap"} {
+		w := workload.Workloads[k]
+		if w.Name != name {
+			t.Fatalf("workload %d is %s, want %s", k, w.Name, name)
+		}
+		for _, short := range []bool{false, true} {
+			var reps [2]*comm.Report
+			var answers [2][]any
+			for i, vec := range []bool{host, false} {
+				charmm.VectorKernels = vec
+				in := w.Prepare(w.Variants[0], 1994, short)
+				answers[i] = make([]any, 2)
+				reps[i] = comm.Run(2, costmodel.IPSC860(), func(p *comm.Proc) { answers[i][p.Rank()] = in.Body(p, workload.Restart{}) })
+				if short {
+					if err := in.Reference()(answers[i]); err != nil {
+						t.Errorf("%s short run, vector kernels %v: the reference: %v", name, vec, err)
+					}
 				}
 			}
-		}
-		if !slices.Equal(reps[0].Clocks, reps[1].Clocks) || !slices.Equal(reps[0].Stats, reps[1].Stats) {
-			t.Errorf("short %v: clocks %v, stats %+v on the host's kernels; %v, %+v on the Go loops",
-				short, reps[0].Clocks, reps[0].Stats, reps[1].Clocks, reps[1].Stats)
-		}
-		if !reflect.DeepEqual(answers[0], answers[1]) {
-			t.Errorf("short %v: the results differ between the host's kernels and the Go loops", short)
+			if !slices.Equal(reps[0].Clocks, reps[1].Clocks) || !slices.Equal(reps[0].Stats, reps[1].Stats) {
+				t.Errorf("%s short %v: clocks %v, stats %+v on the host's kernels; %v, %+v on the Go loops",
+					name, short, reps[0].Clocks, reps[0].Stats, reps[1].Clocks, reps[1].Stats)
+			}
+			if !reflect.DeepEqual(answers[0], answers[1]) {
+				t.Errorf("%s short %v: the results differ between the host's kernels and the Go loops", name, short)
+			}
 		}
 	}
 }

@@ -1,11 +1,11 @@
 package charmm
 
-// VectorKernels selects the AVX2 kernels of the neighbour scan (scanRange)
-// and the non-bonded force row (pairForceRow). It is set at package init
-// when the CPU has AVX2 and POPCNT and the OS saves the YMM registers, and
-// tests set it false to run the portable Go loops instead. Both paths give
-// the same bits, so it changes no list, force, checksum or clock. Set it
-// only while no run is in flight.
+// VectorKernels selects the AVX2 kernels of the neighbour scan (scanRange),
+// the non-bonded force row (pairForceRow) and Table 6's row body
+// (kernelRow). It is set at package init when the CPU has AVX2 and POPCNT
+// and the OS saves the YMM registers, and tests set it false to run the
+// portable Go loops instead. Both paths give the same bits, so it changes
+// no list, force, checksum or clock. Set it only while no run is in flight.
 var VectorKernels = cpuHasAVX2()
 
 // cpuHasAVX2 reports AVX2, POPCNT and OS-saved YMM state (CPUID, XGETBV).
@@ -40,3 +40,21 @@ func scanRangeAVX2(out *int32, ids []int32, x, y, z *float64, self int32, px, py
 //
 //go:noescape
 func pairForceRowAVX2(p, f *[3]float64, js []int32, pos, frc *float64, strength, c2 float64, slots int) bool
+
+// kernelRowAVX2 is kernelRow's vector kernel over len(js), a positive
+// multiple of 4: it applies the partners one at a time, in js order, and
+// returns how many it applied. That is len(js), or the position of the
+// first partner j not below slots (as unsigned, so a negative j is not),
+// where it stops without storing fi. slots must be min(len(xb), len(fb)) /
+// 3: then kernelRowTail, handed the rest of the row, panics at that partner
+// with the arrays as the Go loop would have left them. For each partner,
+// (y0, y1) = xb[3j:3j+2] is one 16-byte load and y2 a scalar one; y − x is
+// added to the three fb slots (a two-lane load, add and store, then a
+// scalar one) and x − y to the fi accumulators, three lanes of one register
+// held for the whole row as in kernelRowTail and stored at its end. Each
+// operation takes its operands in the order kernelRowTail's compiled code
+// does — (y − x) + fb[k] and f + (x − y) — so every slot has its Go bits,
+// NaN payloads and the sign of zero included.
+//
+//go:noescape
+func kernelRowAVX2(x, f *[3]float64, js []int32, xb, fb *float64, slots int) int

@@ -278,3 +278,76 @@ next4:
 	VZEROUPPER
 	MOVB    $1, ret+80(FP)
 	RET
+
+// kernelLane applies the partner whose index is at off(SI), or jumps to bad
+// if its slot is not below slots (R14; unsigned, so a negative index is
+// never below). In kernelRowTail's operand order: (y0, y1) and y2 are
+// loaded from slot k = 3j of xb (DX); y − x is added to fb's slot k (DI) as
+// (y − x) + fb[k], in two lanes (x0, x1 in X12) and a scalar (x2 in X13);
+// and x − y to the fi accumulators as f + (x − y), in three lanes of Y9
+// against (x0, x1, x2) in Y12, the fourth lane adding +0 to +0.
+#define kernelLane(off, bad) \
+	MOVLQSX     off(SI), R9; \
+	CMPQ        R9, R14; \
+	JCC         bad; \
+	LEAQ        (R9)(R9*2), R9; \
+	VMOVUPD     (DX)(R9*8), X0; \
+	VMOVSD      16(DX)(R9*8), X1; \
+	VSUBPD      X12, X0, X2; \
+	VADDPD      (DI)(R9*8), X2, X2; \
+	VMOVUPD     X2, (DI)(R9*8); \
+	VSUBSD      X13, X1, X3; \
+	VADDSD      16(DI)(R9*8), X3, X3; \
+	VMOVSD      X3, 16(DI)(R9*8); \
+	VINSERTF128 $1, X1, Y0, Y0; \
+	VSUBPD      Y0, Y12, Y0; \
+	VADDPD      Y0, Y9, Y9
+
+// func kernelRowAVX2(x, f *[3]float64, js []int32, xb, fb *float64, slots int) int
+TEXT ·kernelRowAVX2(SB), NOSPLIT, $0-72
+	MOVQ        x+0(FP), AX
+	MOVQ        f+8(FP), BX
+	MOVQ        js_base+16(FP), SI
+	MOVQ        js_len+24(FP), CX
+	MOVQ        xb+40(FP), DX
+	MOVQ        fb+48(FP), DI
+	MOVQ        slots+56(FP), R14
+	VMOVUPD     0(AX), X12
+	VMOVSD      16(AX), X13
+	VINSERTF128 $1, X13, Y12, Y12
+	VMOVUPD     0(BX), X9
+	VMOVSD      16(BX), X11
+	VINSERTF128 $1, X11, Y9, Y9
+
+row4:
+	kernelLane(0, bad0)
+	kernelLane(4, bad1)
+	kernelLane(8, bad2)
+	kernelLane(12, bad3)
+	ADDQ $16, SI
+	SUBQ $4, CX
+	JNZ  row4
+
+	VEXTRACTF128 $1, Y9, X11
+	VMOVUPD      X9, 0(BX)
+	VMOVSD       X11, 16(BX)
+
+applied:
+	VZEROUPPER
+	SUBQ js_base+16(FP), SI
+	SHRQ $2, SI
+	MOVQ SI, ret+64(FP)
+	RET
+
+	// A bad partner in lane l: SI moves to it, and fi is not stored.
+bad3:
+	ADDQ $4, SI
+
+bad2:
+	ADDQ $4, SI
+
+bad1:
+	ADDQ $4, SI
+
+bad0:
+	JMP applied

@@ -13,3 +13,7 @@ func scanRangeAVX2(out *int32, ids []int32, x, y, z *float64, self int32, px, py
 func pairForceRowAVX2(p, f *[3]float64, js []int32, pos, frc *float64, strength, c2 float64, slots int) bool {
 	panic("charmm: no vector kernels on this GOARCH")
 }
+
+func kernelRowAVX2(x, f *[3]float64, js []int32, xb, fb *float64, slots int) int {
+	panic("charmm: no vector kernels on this GOARCH")
+}

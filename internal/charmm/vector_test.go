@@ -148,37 +148,100 @@ func FuzzPairForceRow(f *testing.F) {
 	})
 }
 
-// TestPairForceRowRejectsBadPartner: on either path, a partner whose slot
-// lies outside pos or frc — negative, one past the end, or with only its
-// last coordinate outside — panics, and nothing is written outside the
-// arrays: the slots just past them, in the same backing array, keep their
-// sentinel.
+// FuzzKernelRow holds kernelRow's vector path to its Go loop, bit for bit,
+// over every fi accumulator and every fb slot. The seed corpus runs every
+// row length from 0 to 67; partners repeat and sit on atom i's coordinates
+// (y == x: a zero difference, +0 or −0 added to ±0), and xb, fb and the fi
+// accumulators draw ±0, ±Inf and NaNs of three payloads, so that an add
+// meets two NaNs and the operand order decides which payload it keeps.
+func FuzzKernelRow(f *testing.F) {
+	for n := range 68 {
+		f.Add(int64(n), uint8(n))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
+		needVector(t)
+		rng := rand.New(rand.NewSource(seed))
+		special := 1 + rng.Intn(8) // odds of a special value: 1 in 1 to 8
+		value := func() float64 { return kernelValue(rng, special) }
+		atoms := 1 + rng.Intn(24)
+		xb := make([]float64, 3*atoms)
+		start := make([]float64, 3*atoms)
+		for k := range xb {
+			xb[k], start[k] = value(), value()
+			if rng.Intn(2) == 0 {
+				xb[k], start[k] = -xb[k], -start[k] // −0 among them
+			}
+		}
+		i := rng.Intn(atoms)
+		for a := range atoms {
+			if rng.Intn(4) == 0 {
+				copy(xb[3*a:3*a+3], xb[3*i:3*i+3])
+			}
+		}
+		js := make([]int32, n)
+		for k := range js {
+			js[k] = int32(rng.Intn(atoms))
+		}
+		run := func(vec bool) []float64 {
+			fb := slices.Clone(start)
+			withKernels(vec, func() { kernelRow(xb[3*i:3*i+3], fb[3*i:3*i+3], js, xb, fb) })
+			return fb
+		}
+		if got, want := run(true), run(false); !sameBits(got, want) {
+			for k := range got {
+				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+					t.Errorf("slot %d: vector %v (%#x), Go %v (%#x)", k, got[k], math.Float64bits(got[k]), want[k], math.Float64bits(want[k]))
+				}
+			}
+			t.Fatalf("row %d, partners %v, xb %v, fb %v", i, js, xb, start)
+		}
+	})
+}
+
+// TestPairForceRowRejectsBadPartner and TestKernelRowRejectsBadPartner: on
+// either path, a partner whose slot lies outside xb or fb — negative, one
+// past the end, with only its last coordinate outside, past the end of an fb
+// shorter than xb, or MaxInt32 — panics in a row long enough for the vector
+// kernel. Nothing is written outside the arrays (the slots just past them,
+// in the same backing array, keep their sentinel), and the vector path
+// leaves every slot as the Go loop leaves it.
 func TestPairForceRowRejectsBadPartner(t *testing.T) {
+	rejectsBadPartner(t, func(xi, fi []float64, js []int32, xb, fb []float64) { pairForceRow(xi, fi, js, xb, fb, 6.25) })
+}
+
+func TestKernelRowRejectsBadPartner(t *testing.T) {
+	rejectsBadPartner(t, kernelRow)
+}
+
+func rejectsBadPartner(t *testing.T, row func(xi, fi []float64, js []int32, xb, fb []float64)) {
 	const n = 8
-	for _, vec := range []bool{false, hostHasVector} {
-		for _, bad := range []struct {
-			name    string
-			j       int32
-			posLen  int
-			frcLen  int
-			atFront bool
-		}{
-			{"negative", -1, 3 * n, 3 * n, false},
-			{"past-end", n, 3 * n, 3 * n, true},
-			{"last-coordinate", n - 1, 3*n - 1, 3 * n, false},
-			{"short-frc", n - 1, 3 * n, 3*n - 3, true},
-			{"huge", math.MaxInt32, 3 * n, 3 * n, false},
-		} {
-			// pos, a gap, frc, a tail: the gap and the tail hold sentinels.
+	for _, bad := range []struct {
+		name    string
+		j       int32
+		xbLen   int
+		fbLen   int
+		atFront bool
+	}{
+		{"negative", -1, 3 * n, 3 * n, false},
+		{"past-end", n, 3 * n, 3 * n, true},
+		{"last-coordinate", n - 1, 3*n - 1, 3 * n, false},
+		{"short-fb", n - 1, 3 * n, 3*n - 3, true},
+		{"huge", math.MaxInt32, 3 * n, 3 * n, false},
+	} {
+		var left [2][]float64 // the backing array each path leaves
+		for i, vec := range []bool{false, hostHasVector} {
+			// xb, a gap, fb, a tail: the gap and the tail hold sentinels.
 			backing := make([]float64, 2*3*n+8)
 			for k := range backing {
 				backing[k] = 7
 			}
-			pos, frc := backing[:bad.posLen], backing[3*n+4:3*n+4+bad.frcLen]
-			for k := range pos {
-				pos[k] = 0.05 * float64(k) // every partner within the cutoff of atom 0
+			xb, fb := backing[:bad.xbLen], backing[3*n+4:3*n+4+bad.fbLen]
+			for k := range xb {
+				xb[k] = 0.05 * float64(k) // every partner within the cutoff of atom 0
 			}
-			clear(frc)
+			for k := range fb {
+				fb[k] = 0.5 * float64(k)
+			}
 			js := []int32{1, 2, 3, 4, 5, 6, 1, 2, 3}
 			js[5] = bad.j
 			if bad.atFront {
@@ -186,17 +249,21 @@ func TestPairForceRowRejectsBadPartner(t *testing.T) {
 			}
 			panicked := func() (p bool) {
 				defer func() { p = recover() != nil }()
-				withKernels(vec, func() { pairForceRow(pos[:3], frc[:3], js, pos, frc, 6.25) })
+				withKernels(vec, func() { row(xb[:3], fb[:3], js, xb, fb) })
 				return
 			}()
 			if !panicked {
 				t.Errorf("vector %v, %s partner %d: no panic", vec, bad.name, bad.j)
 			}
 			for k, v := range backing {
-				if (k >= bad.posLen && k < 3*n+4 || k >= 3*n+4+bad.frcLen) && v != 7 {
+				if (k >= bad.xbLen && k < 3*n+4 || k >= 3*n+4+bad.fbLen) && v != 7 {
 					t.Errorf("vector %v, %s partner %d: slot %d outside the arrays was written (%v)", vec, bad.name, bad.j, k, v)
 				}
 			}
+			left[i] = backing
+		}
+		if !sameBits(left[0], left[1]) {
+			t.Errorf("%s partner %d: the vector path left %v, the Go loop %v", bad.name, bad.j, left[1], left[0])
 		}
 	}
 }

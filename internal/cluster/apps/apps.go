@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"repro/internal/charmm"
+	"repro/internal/checkpoint"
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/dsmc"
@@ -93,6 +94,39 @@ func (s Spec) Validate() error {
 	return nil
 }
 
+// CheckResume checks, before any rank starts, the checkpoint ResumeFrom
+// names (none: nil): it must be sealed and written by this app over the
+// index space Run restores — the atoms for charmm, the cells of the 24×24
+// grid for dsmc. A launcher refuses a spec it rejects with one line, where
+// Run would panic on every rank. The spec must be Valid.
+func (s Spec) CheckResume() error {
+	if s.ResumeFrom == "" {
+		return nil
+	}
+	n := s.Elems
+	if s.App == "dsmc" {
+		n = s.dsmcConfig().NCells()
+	}
+	_, err := checkpoint.Check(s.ResumeFrom, s.App, int64(n))
+	return err
+}
+
+// dsmcConfig is the DSMC configuration Run steps for the spec.
+func (s Spec) dsmcConfig() dsmc.Config {
+	cfg := dsmc.Default2D(24)
+	cfg.NMols = s.Elems
+	cfg.Steps = s.Steps
+	cfg.RemapEvery = 4
+	cfg.Partitioner = "rcb"
+	cfg.InitSlabFrac = 0.5
+	cfg.CheckpointDir = s.CheckpointDir
+	cfg.CheckpointEvery = s.CheckpointEvery
+	cfg.ResumeFrom = s.ResumeFrom
+	cfg.CrashStep = s.CrashStep
+	cfg.CrashRank = s.CrashRank
+	return cfg
+}
+
 // Result is one rank's outcome. Checksum is global (identical across
 // ranks): the charmm/dsmc application checksum, or for fig1 the
 // all-reduced sum of the accumulated owned sections. MaxErr is fig1's
@@ -126,18 +160,7 @@ func Run(p *comm.Proc, s Spec) Result {
 		p.Barrier()
 		return Result{Checksum: res.Checksum}
 	case "dsmc":
-		cfg := dsmc.Default2D(24)
-		cfg.NMols = s.Elems
-		cfg.Steps = s.Steps
-		cfg.RemapEvery = 4
-		cfg.Partitioner = "rcb"
-		cfg.InitSlabFrac = 0.5
-		cfg.CheckpointDir = s.CheckpointDir
-		cfg.CheckpointEvery = s.CheckpointEvery
-		cfg.ResumeFrom = s.ResumeFrom
-		cfg.CrashStep = s.CrashStep
-		cfg.CrashRank = s.CrashRank
-		res := dsmc.Run(p, cfg)
+		res := dsmc.Run(p, s.dsmcConfig())
 		p.Barrier()
 		return Result{Checksum: res.Checksum}
 	}
