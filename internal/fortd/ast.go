@@ -80,26 +80,37 @@ type reduceStmt struct {
 	value  expr
 }
 
-// forall is a FORALL nest. Two shapes are accepted:
+// loopKind is a FORALL nest's form, recorded by the parser.
+type loopKind int
+
+const (
+	loopSum    loopKind = iota // Figure 10: nested CSR FORALL, REDUCE(SUM)
+	loopAppend                 // Figures 9/11: REDUCE(APPEND)
+	loopPair                   // Figure 2 bonded: two flat indirections, REDUCE(SUM)
+)
+
+func (k loopKind) String() string { return [...]string{"sum", "append", "pair"}[k] }
+
+// forall is a FORALL nest in one of three forms:
 //
 //   - sum loop: FORALL i IN dec / FORALL j IN ind(i) / REDUCE(SUM,...)* —
 //     the Figure 10 template;
+//   - pair loop: FORALL k IN dec / REDUCE(SUM,...)* over flat indirections
+//     ind(k) — Figure 2's bonded template;
 //   - append loop: FORALL i IN dec / REDUCE(APPEND, target(ind(i)), src(i))
 //     — the Figure 9/11 template.
 type forall struct {
 	pos      Pos
+	kind     loopKind
 	outerVar string
 	overDec  string // decomposition iterated by the outer loop
 
-	// Sum-loop form (nested CSR FORALL) and pair form (flat indirections)
-	// share the reduce-statement list.
-	innerVar string
-	innerInd string // CSR indirection array
-	isPair   bool   // flat-indirection pair form (Figure 2 bonded template)
+	// Sum and pair forms share the reduce-statement list.
+	innerVar string // sum form: inner loop variable
+	innerInd string // sum form: CSR indirection array
 	reduces  []reduceStmt
 
 	// Append form.
-	isAppend     bool
 	appendTarget string // destination decomposition name
 	appendDest   string // flat indirection array with destinations
 	appendSrc    string // real array providing the records

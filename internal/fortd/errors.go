@@ -27,7 +27,12 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("fortd: %s:%d:%d: %s", e.File, e.Pos.Line, e.Pos.Col, e.Msg)
 }
 
-// errAt constructs a positioned error.
-func errAt(file string, pos Pos, format string, args ...any) *Error {
-	return &Error{File: file, Pos: pos, Msg: fmt.Sprintf(format, args...)}
+// bailout carries a diagnostic from the production that raised it to
+// CompileFile, the front end's one recover: the lexer, parser and checker
+// stop at the first error without forwarding it.
+type bailout struct{ *Error }
+
+// fail ends compilation with a positioned diagnostic.
+func fail(file string, pos Pos, format string, args ...any) {
+	panic(bailout{&Error{File: file, Pos: pos, Msg: fmt.Sprintf(format, args...)}})
 }

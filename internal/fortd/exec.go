@@ -16,17 +16,21 @@ type Program struct {
 }
 
 // CompileFile parses and checks src, attributing diagnostic positions to
-// the given file name.
-func CompileFile(file, src string) (*Program, error) {
-	ast, err := parse(file, src)
-	if err != nil {
-		return nil, err
-	}
-	ir, err := analyze(file, ast)
-	if err != nil {
-		return nil, err
-	}
-	return &Program{ast: ast, ir: ir}, nil
+// the given file name. It is the front end's one error exit: the first
+// diagnostic any production raises (fail) is recovered here, and any other
+// panic is a bug and goes on.
+func CompileFile(file, src string) (pr *Program, err error) {
+	defer func() {
+		if e := recover(); e != nil {
+			b, ok := e.(bailout)
+			if !ok {
+				panic(e)
+			}
+			pr, err = nil, b.Error
+		}
+	}()
+	ast := parse(file, src)
+	return &Program{ast: ast, ir: analyze(file, ast)}, nil
 }
 
 // Compile parses and checks src with positions attributed to "<input>".
@@ -154,7 +158,7 @@ func (pr *Program) instantiate(p *comm.Proc, optimized bool) *Instance {
 	for _, l := range pr.ir.loops {
 		x, f := in.reals[l.readArr], in.reals[l.redArr]
 		body := compileBody(l)
-		switch l.kind {
+		switch l.f.kind {
 		case loopSum:
 			in.loops[l.ord] = in.lp.NewSumLoop(in.inds[l.f.innerInd], x, f, l.flops, body)
 		case loopPair:
@@ -295,7 +299,7 @@ func (in *Instance) execScope(sc *irScope, out *[]AppendResult) {
 // separately (the Table 6 split).
 func (in *Instance) execLoop(l *irLoop, out *[]AppendResult) {
 	p := in.P
-	if l.kind == loopAppend {
+	if l.f.kind == loopAppend {
 		dest := in.inds[l.f.appendDest]
 		src := in.reals[l.f.appendSrc]
 		target := in.decs[l.dataDec]
@@ -332,7 +336,7 @@ func (in *Instance) execFusedRun(run []int) {
 		in.loops[ord].Inspect()
 	}
 	t1 := p.Clock()
-	if in.prog.ir.loops[run[0]].kind == loopSum {
+	if in.prog.ir.loops[run[0]].f.kind == loopSum {
 		loopir.ExecuteFusedSum(typedRun[*loopir.SumLoop](in.loops, run))
 	} else {
 		loopir.ExecuteFusedPair(typedRun[*loopir.PairLoop](in.loops, run))

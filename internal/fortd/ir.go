@@ -48,7 +48,6 @@ type irStmt struct {
 // signature (the sorted indirection arrays it hashes and the decomposition
 // the resulting schedule spans) and its executor's arrays and cost.
 type irLoop struct {
-	kind  loopKind
 	f     *forall
 	ord   int // source order among all FORALLs
 	scope *irScope
@@ -73,7 +72,7 @@ type irLoop struct {
 // sig is the inspector signature: loops with equal signatures build
 // identical hash tables and schedules.
 func (l *irLoop) sig() string {
-	return l.kind.String() + "|" + l.dataDec + "|" + strings.Join(l.inds, ",")
+	return l.f.kind.String() + "|" + l.dataDec + "|" + strings.Join(l.inds, ",")
 }
 
 // irProgram is the analyzed whole program: the symbol table, the statement
@@ -103,7 +102,7 @@ type irProgram struct {
 func (ir *irProgram) ofKind(k loopKind) []*irLoop {
 	var out []*irLoop
 	for _, l := range ir.loops {
-		if l.kind == k {
+		if l.f.kind == k {
 			out = append(out, l)
 		}
 	}
@@ -120,7 +119,7 @@ func (ir *irProgram) findGroups() {
 	bySig := map[string][]int{}
 	var sigs []string
 	for _, l := range ir.loops {
-		if l.kind == loopAppend {
+		if l.f.kind == loopAppend {
 			continue
 		}
 		s := l.sig()
@@ -170,7 +169,7 @@ func (ir *irProgram) scopeHasDef(sc *irScope, inds []string) bool {
 // is loop-invariant there.
 func (ir *irProgram) findHoists() {
 	for _, l := range ir.loops {
-		if l.kind == loopAppend {
+		if l.f.kind == loopAppend {
 			// Append inspectors are rebuilt from run-time destination rows;
 			// their optimization is the fused data motion, not hoisting.
 			continue
@@ -283,11 +282,11 @@ func (ir *irProgram) findings() []Diag {
 	// adds, which is not bit-identical for IEEE -0.0 accumulations, so -O
 	// does not apply it.
 	for _, l := range ir.loops {
-		if l.kind == loopAppend || l.group >= 0 {
+		if l.f.kind == loopAppend || l.group >= 0 {
 			continue
 		}
 		for _, o := range ir.loops {
-			if o == l || o.kind == loopAppend || o.dataDec != l.dataDec {
+			if o == l || o.f.kind == loopAppend || o.dataDec != l.dataDec {
 				continue
 			}
 			if strictSubset(l.inds, o.inds) {
@@ -318,7 +317,7 @@ func (ir *irProgram) findings() []Diag {
 	}
 
 	for _, l := range ir.loops {
-		if l.kind != loopAppend {
+		if l.f.kind != loopAppend {
 			continue
 		}
 		add(l.f.pos, "fuse",

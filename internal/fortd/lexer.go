@@ -102,7 +102,7 @@ type token struct {
 // 'C'/'c' in the first column (Fortran style); both run to end of line.
 // Newlines are significant (statements are line-oriented). Columns are
 // 1-based byte offsets within the line.
-func lex(file, src string) ([]token, error) {
+func lex(file, src string) []token {
 	var toks []token
 	lines := strings.Split(src, "\n")
 	for ln, raw := range lines {
@@ -145,7 +145,7 @@ func lex(file, src string) ([]token, error) {
 			default:
 				kind, ok := punct(c)
 				if !ok {
-					return nil, errAt(file, pos, "unexpected character %q", c)
+					fail(file, pos, "unexpected character %q", c)
 				}
 				toks = append(toks, token{kind, string(c), pos})
 				i++
@@ -157,7 +157,7 @@ func lex(file, src string) ([]token, error) {
 		}
 	}
 	toks = append(toks, token{tokEOF, "", Pos{Line: len(lines), Col: 1}})
-	return toks, nil
+	return toks
 }
 
 func isIdentChar(c rune) bool {
