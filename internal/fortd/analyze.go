@@ -258,31 +258,47 @@ func (ir *irProgram) analyzeReduces(l *irLoop, sub func(s *subscript)) {
 	l.flops *= l.width
 }
 
-// analyzeAppend checks the Figure 9/11 template constraints.
+// analyzeAppend checks the Figure 9/11 template constraints: the records
+// src(outerVar) append to target(ind(outerVar)) through a flat indirection
+// aligned, like src, with the loop decomposition.
 func (ir *irProgram) analyzeAppend(l *irLoop) {
 	file, f := ir.file, l.f
-	if _, ok := ir.syms.decomps[f.appendTarget]; !ok {
-		fail(file, f.pos, "REDUCE(APPEND) into undeclared decomposition %q", f.appendTarget)
+	dest, recs := &f.appendDest.sub, &f.appendSrc.sub
+	target, ind, rec := f.appendDest.array, dest.Ind, f.appendSrc.array
+	if _, ok := ir.syms.decomps[target]; !ok {
+		fail(file, f.pos, "REDUCE(APPEND) into undeclared decomposition %q", target)
 	}
-	dst, ok := ir.syms.inds[f.appendDest]
+	if ind == "" {
+		fail(file, dest.pos, "REDUCE(APPEND) destination must be subscripted through an indirection array")
+	}
+	dst, ok := ir.syms.inds[ind]
 	if !ok {
-		fail(file, f.pos, "undeclared destination indirection %q", f.appendDest)
+		fail(file, f.pos, "undeclared destination indirection %q", ind)
 	}
 	if dst.csr {
-		fail(file, f.pos, "destination indirection %q must be flat with WIDTH 1", f.appendDest)
+		fail(file, f.pos, "destination indirection %q must be flat with WIDTH 1", ind)
 	}
 	if dst.decomp != f.overDec {
-		fail(file, f.pos, "destination %q aligned with %q, not %q", f.appendDest, dst.decomp, f.overDec)
+		fail(file, f.pos, "destination %q aligned with %q, not %q", ind, dst.decomp, f.overDec)
 	}
-	src, ok := ir.syms.reals[f.appendSrc]
+	src, ok := ir.syms.reals[rec]
 	if !ok {
-		fail(file, f.pos, "undeclared record array %q", f.appendSrc)
+		fail(file, f.pos, "undeclared record array %q", rec)
 	}
 	if src.decomp != f.overDec {
-		fail(file, f.pos, "record array %q aligned with %q, not %q", f.appendSrc, src.decomp, f.overDec)
+		fail(file, f.pos, "record array %q aligned with %q, not %q", rec, src.decomp, f.overDec)
 	}
-	l.inds = []string{f.appendDest}
-	l.dataDec = f.appendTarget
+	if dest.Var != f.outerVar {
+		fail(file, dest.pos, "indirection subscript must be %s(%s)", ind, f.outerVar)
+	}
+	if recs.Ind != "" {
+		fail(file, recs.pos, "record array %q must be subscripted directly by %q", rec, f.outerVar)
+	}
+	if recs.Var != f.outerVar {
+		fail(file, recs.pos, "direct subscript must be the outer variable %q, found %q", f.outerVar, recs.Var)
+	}
+	l.inds = []string{ind}
+	l.dataDec = target
 	l.width = src.width
 }
 

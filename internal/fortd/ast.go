@@ -110,10 +110,11 @@ type forall struct {
 	innerInd string // sum form: CSR indirection array
 	reduces  []reduceStmt
 
-	// Append form.
-	appendTarget string // destination decomposition name
-	appendDest   string // flat indirection array with destinations
-	appendSrc    string // real array providing the records
+	// Append form: REDUCE(APPEND, appendDest, appendSrc), the destination
+	// target(ind(i)) naming the decomposition and the flat indirection that
+	// routes each record, the source records(i) the real array providing
+	// them.
+	appendDest, appendSrc refExpr
 }
 
 // stmtKind discriminates executable statements.

@@ -300,8 +300,8 @@ func (in *Instance) execScope(sc *irScope, out *[]AppendResult) {
 func (in *Instance) execLoop(l *irLoop, out *[]AppendResult) {
 	p := in.P
 	if l.f.kind == loopAppend {
-		dest := in.inds[l.f.appendDest]
-		src := in.reals[l.f.appendSrc]
+		dest := in.inds[l.f.appendDest.sub.Ind]
+		src := in.reals[l.f.appendSrc.array]
 		target := in.decs[l.dataDec]
 		_, destRows := dest.CSR()
 		t0 := p.Clock()

@@ -119,6 +119,14 @@ FORALL i IN p
  REDUCE(SUM, f(d(i)), x(d(i)))
 END FORALL`, `fortd: <input>:9:1: indirection "d" indexes "a" here but "c" in an earlier FORALL`},
 		{"bad char", "DECOMPOSITION a(4) @", "unexpected character"},
+		{"append dest subscript", appendSrc("c(d(k)), v(i)"),
+			`fortd: <input>:6:19: indirection subscript must be d(i)`},
+		{"append src subscript", appendSrc("c(d(i)), v(zz)"),
+			`fortd: <input>:6:28: direct subscript must be the outer variable "i", found "zz"`},
+		{"append direct dest", appendSrc("c(i), v(i)"),
+			`fortd: <input>:6:19: REDUCE(APPEND) destination must be subscripted through an indirection array`},
+		{"append indirect src", appendSrc("c(d(i)), v(d(i))"),
+			`fortd: <input>:6:28: record array "v" must be subscripted directly by "i"`},
 	}
 	for _, tc := range cases {
 		_, err := Compile(tc.src)
@@ -130,6 +138,12 @@ END FORALL`, `fortd: <input>:9:1: indirection "d" indexes "a" here but "c" in an
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// appendSrc is an append loop whose REDUCE(APPEND, ...) arguments are args.
+func appendSrc(args string) string {
+	return "DECOMPOSITION c(4)\nDECOMPOSITION p(8)\nREAL v(p)\nINDIRECTION d(p) WIDTH 1\n" +
+		"FORALL i IN p\n REDUCE(APPEND, " + args + ")\nEND FORALL"
 }
 
 func TestLexerComments(t *testing.T) {

@@ -289,18 +289,9 @@ func (p *parser) parseForall() *forall {
 	case strings.EqualFold(op.text, "APPEND"):
 		f.kind = loopAppend
 		p.expect(tokComma)
-		f.appendTarget = p.ident()
-		p.expect(tokLParen)
-		f.appendDest = p.ident()
-		p.expect(tokLParen)
-		p.ident()
-		p.expect(tokRParen)
-		p.expect(tokRParen)
+		f.appendDest = p.parseRef()
 		p.expect(tokComma)
-		f.appendSrc = p.ident()
-		p.expect(tokLParen)
-		p.ident()
-		p.expect(tokRParen)
+		f.appendSrc = p.parseRef()
 		p.expect(tokRParen)
 		p.endOfStmt()
 		p.skipNL()
