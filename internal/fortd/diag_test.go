@@ -122,7 +122,7 @@ func compileOutcome(src string) (out, msg string) {
 
 // readDiagGolden returns the golden's seed and case lines in order, and the
 // source of every case.
-func readDiagGolden(t *testing.T) (lines, cases []string) {
+func readDiagGolden(t testing.TB) (lines, cases []string) {
 	f, err := os.Open(diagGolden)
 	if err != nil {
 		t.Fatal(err)

@@ -127,6 +127,14 @@ END FORALL`, `fortd: <input>:9:1: indirection "d" indexes "a" here but "c" in an
 			`fortd: <input>:6:19: REDUCE(APPEND) destination must be subscripted through an indirection array`},
 		{"append indirect src", appendSrc("c(d(i)), v(d(i))"),
 			`fortd: <input>:6:28: record array "v" must be subscripted directly by "i"`},
+		// One level past maxExprDepth fails at the token that opens it,
+		// however deep the input goes.
+		{"deep parentheses", sumSrc(strings.Repeat("(", 1_000_000) + "x(i"),
+			`fortd: <input>:6:277: expression nested deeper than 256`},
+		{"deep unary minus", sumSrc(strings.Repeat("-", 1_000_000) + "x(i)"),
+			`fortd: <input>:6:277: expression nested deeper than 256`},
+		{"long chain", sumSrc(strings.Repeat("x(i) + ", 300) + "x(i)"),
+			`fortd: <input>:6:1818: expression nested deeper than 256`},
 	}
 	for _, tc := range cases {
 		_, err := Compile(tc.src)
@@ -138,6 +146,12 @@ END FORALL`, `fortd: <input>:9:1: indirection "d" indexes "a" here but "c" in an
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// sumSrc is a sum loop reducing value into f.
+func sumSrc(value string) string {
+	return "DECOMPOSITION a(4)\nINDIRECTION nb(a) CSR\nREAL x(a), f(a)\nFORALL i IN a\n FORALL j IN nb(i)\n" +
+		"  REDUCE(SUM, f(i), " + value + ")\n END FORALL\nEND FORALL"
 }
 
 // appendSrc is an append loop whose REDUCE(APPEND, ...) arguments are args.

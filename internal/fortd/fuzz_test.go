@@ -77,6 +77,14 @@ func FuzzCompile(f *testing.F) {
 		f.Add(src)
 	}
 	f.Add("DECOMPOSITION atoms(40)\nINDIRECTION p(atoms) WIDTH 2")
+	_, cases := readDiagGolden(f)
+	for _, src := range cases {
+		f.Add(src)
+	}
+	// Nesting past maxExprDepth; TestCompileErrors goes 1 000 000 deep, too
+	// large an input to mutate.
+	f.Add(sumSrc(strings.Repeat("(", 1000) + "x(i" + strings.Repeat(")", 1000)))
+	f.Add(sumSrc(strings.Repeat("-", 1000) + "x(i)"))
 	f.Fuzz(func(t *testing.T, src string) {
 		defer func() {
 			if e := recover(); e != nil {

@@ -8,9 +8,10 @@ import (
 // parser consumes the token stream produced by lex. Every production
 // returns its node; the first error ends compilation through fail.
 type parser struct {
-	file string
-	toks []token
-	pos  int
+	file  string
+	toks  []token
+	pos   int
+	depth int // expression levels open at the current token
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
@@ -113,9 +114,12 @@ func parse(file, src string) *program {
 	return prog
 }
 
-// maxDoDepth bounds DO nesting (keeps the recursive-descent parser robust
-// against adversarial inputs).
-const maxDoDepth = 16
+// maxDoDepth and maxExprDepth bound DO and expression nesting (they keep
+// the recursive-descent parser robust against adversarial inputs).
+const (
+	maxDoDepth   = 16
+	maxExprDepth = 256
+)
 
 // parseStmt parses one executable statement: FORALL, ADAPT or DO. Each
 // statement parser is entered at its keyword, which the caller has matched.
@@ -350,17 +354,33 @@ func (p *parser) parseRef() refExpr {
 
 // Expression grammar: expr := term {(+|-) term}; term := factor {(*|/) factor};
 // factor := number | ref | (expr) | -factor.
+//
+// A parenthesis, a unary minus and each operator of a chain open one level
+// (nest), and no more than maxExprDepth may be open at once. So the parser
+// recurses at most that deep, and the tree it builds, which the checker's
+// walk, exprOps and the evaluator recurse over, is less than maxExprDepth²
+// levels deep.
 func (p *parser) parseExpr() expr { return p.binary(p.parseTerm, tokPlus, tokMinus) }
 func (p *parser) parseTerm() expr { return p.binary(p.parseFactor, tokStar, tokSlash) }
+
+// nest opens one expression level at t.
+func (p *parser) nest(t token) {
+	if p.depth++; p.depth > maxExprDepth {
+		p.failAt(t.pos, "expression nested deeper than %d", maxExprDepth)
+	}
+}
 
 // binary parses operand {op operand} for the two operators of one
 // precedence level, associating to the left.
 func (p *parser) binary(operand func() expr, op1, op2 tokKind) expr {
+	depth := p.depth
 	l := operand()
-	for k := p.peek().kind; k == op1 || k == op2; k = p.peek().kind {
-		op := p.next().text[0]
-		l = &binExpr{op: op, l: l, r: operand()}
+	for t := p.peek(); t.kind == op1 || t.kind == op2; t = p.peek() {
+		p.next()
+		p.nest(t)
+		l = &binExpr{op: t.text[0], l: l, r: operand()}
 	}
+	p.depth = depth
 	return l
 }
 
@@ -375,11 +395,16 @@ func (p *parser) parseFactor() expr {
 		return nil
 	case tokMinus:
 		p.next()
-		return &negExpr{e: p.parseFactor()}
+		p.nest(t)
+		e := &negExpr{e: p.parseFactor()}
+		p.depth--
+		return e
 	case tokLParen:
 		p.next()
+		p.nest(t)
 		e := p.parseExpr()
 		p.expect(tokRParen)
+		p.depth--
 		return e
 	case tokIdent:
 		r := p.parseRef()
