@@ -263,7 +263,7 @@ func (ir *irProgram) analyzeReduces(l *irLoop, sub func(s *subscript)) {
 // aligned, like src, with the loop decomposition.
 func (ir *irProgram) analyzeAppend(l *irLoop) {
 	file, f := ir.file, l.f
-	dest, recs := &f.appendDest.sub, &f.appendSrc.sub
+	dest, recs := f.appendDest.sub, f.appendSrc.sub
 	target, ind, rec := f.appendDest.array, dest.Ind, f.appendSrc.array
 	if _, ok := ir.syms.decomps[target]; !ok {
 		fail(file, f.pos, "REDUCE(APPEND) into undeclared decomposition %q", target)

@@ -246,10 +246,10 @@ func forEachMutant(src string, fn func(id, mutant string)) {
 
 // diagFormats returns the format string of every diagnostic in the
 // package's non-test source: the first string-literal argument of each call
-// to a diagnostic helper (errf, errAt, fail, failAt) and to number, whose
-// message is a format too.
+// to fail, to the parser's failAt and to number, whose message is a format
+// too.
 func diagFormats(t *testing.T) []string {
-	helpers := map[string]bool{"errf": true, "errAt": true, "fail": true, "failAt": true, "number": true}
+	helpers := map[string]bool{"fail": true, "failAt": true, "number": true}
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)

@@ -287,7 +287,7 @@ func (p *parser) parseForall() *forall {
 	p.expect(tokLParen)
 	switch op := p.expect(tokIdent); {
 	case strings.EqualFold(op.text, "SUM"):
-		p.pos = start // the first statement of the list
+		p.pos = start // reread it as the list's first statement
 		f.kind = loopPair
 		f.reduces = p.parseReduces()
 	case strings.EqualFold(op.text, "APPEND"):
