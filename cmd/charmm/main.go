@@ -7,12 +7,19 @@
 //	charmm [-procs N] [-atoms N] [-steps N] [-nbevery N] [-part rcb|rib|chain|block]
 //	       [-multiple] [-compiled] [-remap N] [-adapt static|periodic:N|policy] [-adapt-verify]
 //	       [-ckpt-dir DIR -ckpt-every N] [-resume DIR|latest]
-//	       [-cpuprofile FILE] [-memprofile FILE]
+//	       [-kernel] [-measure] [-trace] [-cpuprofile FILE] [-memprofile FILE]
 //
 // With -ckpt-dir and -ckpt-every the run writes periodic checkpoints;
 // -resume continues from a checkpoint directory (or the latest sealed one
 // under -ckpt-dir), at the same processor count for a bit-identical
 // continuation or at a different one for an elastic restart.
+//
+// With -kernel the command runs Table 6's non-bonded force kernel instead
+// of the MD run: -atoms atoms, -steps iterations, the data redistributed
+// every -remap iterations by RCB and RIB alternately (0: never), the
+// compiler-generated version under -compiled and the hand-coded one
+// otherwise. Under -measure its per-rank table splits the run into the
+// kernel's phases (setup, partition, remap, inspector, executor).
 package main
 
 import (
@@ -41,6 +48,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	multiple := l.FS.Bool("multiple", false, "use per-loop schedules instead of merged")
 	remapEvery := l.FS.Int("remap", 0, "repartition every N steps (0 = once at start)")
 	compiled := l.FS.Bool("compiled", false, "run the compiler-generated (loopir) version of the application")
+	kernel := l.FS.Bool("kernel", false, "run Table 6's non-bonded force kernel (-steps iterations, redistributed every -remap) instead of the MD run")
 	if code, ok := l.Parse(args); !ok {
 		return code
 	}
@@ -58,8 +66,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err == nil && cfg.ResumeFrom != "" {
 		_, err = checkpoint.Check(cfg.ResumeFrom, "charmm", int64(cfg.NAtoms))
 	}
+	if err == nil && *kernel && (l.CkptEvery > 0 || l.Resume != "" || l.Adapt != "" || l.CrashStep > 0) {
+		err = errors.New("-kernel takes none of -ckpt-every, -resume, -adapt and -crash-step")
+	}
 	if err != nil {
 		return l.Refuse(err)
+	}
+	if *kernel {
+		return runKernel(l, cfg, *compiled, stdout)
 	}
 	runner, kind := charmm.Run, "hand-parallelized"
 	if *compiled {
@@ -80,6 +94,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	tail += fmt.Sprintf("  nb list entries     : %d\n", results[0].NBEntries)
 	tail += fmt.Sprintf("  position checksum   : %.9f\n", results[0].Checksum)
+	l.Report(stdout, rep, head, tail, 12, func(r int) (map[string]float64, []core.Span) {
+		return results[r].Phases, results[r].Spans
+	})
+	return 0
+}
+
+// runKernel runs Table 6's kernel over cfg's atoms, steps (iterations) and
+// remap interval, and reports it like the MD run.
+func runKernel(l *launch.Launcher, cfg charmm.Config, compiled bool, stdout io.Writer) int {
+	kcfg := charmm.DefaultKernelConfig()
+	kcfg.NAtoms, kcfg.Iters, kcfg.RemapEvery = cfg.NAtoms, cfg.Steps, cfg.RemapEvery
+	runner, kind := charmm.RunKernelHand, "hand-coded"
+	if compiled {
+		runner, kind = charmm.RunKernelCompiled, "compiler-generated"
+	}
+	results := make([]*charmm.KernelResult, l.Procs)
+	rep := l.Run(func(p *comm.Proc) { results[p.Rank()] = runner(p, kcfg) })
+
+	head := fmt.Sprintf("Table 6 kernel (%s): %d atoms, %d iterations, remap every %d (RCB and RIB alternately)\n",
+		kind, kcfg.NAtoms, kcfg.Iters, kcfg.RemapEvery)
+	tail := fmt.Sprintf("  kernel checksum     : %.9f\n", results[0].Checksum)
 	l.Report(stdout, rep, head, tail, 12, func(r int) (map[string]float64, []core.Span) {
 		return results[r].Phases, results[r].Spans
 	})

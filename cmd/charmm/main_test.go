@@ -35,6 +35,9 @@ func TestBadInputExitsWithOneLine(t *testing.T) {
 		{"-procs", "2", "-crash-rank", "7", "-crash-step", "2"},
 		{"-crash-rank", "-1"},
 		{"-compiled", "-resume", "somewhere"},
+		{"-kernel", "-adapt", "policy"},
+		{"-kernel", "-ckpt-dir", foreign, "-ckpt-every", "2"},
+		{"-kernel", "-atoms", "0"},
 		{"-steps", "2", "stray"},
 	} {
 		var stdout, stderr bytes.Buffer
@@ -69,10 +72,11 @@ func TestSmallRunReports(t *testing.T) {
 }
 
 // TestStdoutGolden: the report is byte-identical to what the binary printed
-// before the launcher moved into internal/launch (testdata/*.golden were
-// written by that binary; only the host-clock "(wall N.NNs)" field is
-// masked) — on the kernels the host selects and with the portable Go loops
-// forced (charmm.VectorKernels), which must print the same bytes.
+// before the launcher moved into internal/launch (plain and trace were
+// written by that binary, kernel by the first with -kernel; only the
+// host-clock "(wall N.NNs)" field is masked) — on the kernels the host
+// selects and with the portable Go loops forced (charmm.VectorKernels), which
+// must print the same bytes.
 func TestStdoutGolden(t *testing.T) {
 	host := charmm.VectorKernels
 	defer func() { charmm.VectorKernels = host }()
@@ -80,8 +84,9 @@ func TestStdoutGolden(t *testing.T) {
 	for _, vec := range []bool{host, false} {
 		charmm.VectorKernels = vec
 		for name, args := range map[string][]string{
-			"plain": {"-procs", "2", "-atoms", "200", "-steps", "6", "-nbevery", "2", "-adapt", "periodic:3"},
-			"trace": {"-procs", "3", "-atoms", "240", "-steps", "4", "-nbevery", "2", "-remap", "2", "-compiled", "-trace"},
+			"plain":  {"-procs", "2", "-atoms", "200", "-steps", "6", "-nbevery", "2", "-adapt", "periodic:3"},
+			"trace":  {"-procs", "3", "-atoms", "240", "-steps", "4", "-nbevery", "2", "-remap", "2", "-compiled", "-trace"},
+			"kernel": {"-kernel", "-compiled", "-atoms", "300", "-steps", "4", "-remap", "2", "-procs", "2"},
 		} {
 			var stdout, stderr bytes.Buffer
 			if code := run(args, &stdout, &stderr); code != 0 {

@@ -36,7 +36,8 @@ func DefaultKernelConfig() KernelConfig {
 }
 
 // KernelResult reports the Table 6 columns in virtual seconds (this rank's
-// view) plus a global checksum for cross-validation.
+// view) plus a global checksum for cross-validation. Phases and Spans are
+// the rank's phase timer (setup included), as a ProcResult carries them.
 type KernelResult struct {
 	Partition float64
 	Remap     float64
@@ -44,6 +45,8 @@ type KernelResult struct {
 	Executor  float64
 	Total     float64
 	Checksum  float64
+	Phases    map[string]float64
+	Spans     []core.Span
 }
 
 // kernelFlopsPerPair models the Figure 10 body: two REDUCE(SUM) pairs over
@@ -250,6 +253,8 @@ func kernelResult(p *comm.Proc, timer *core.PhaseTimer, dx []float64) *KernelRes
 		Executor:  timer.Times["executor"],
 		Total:     p.Clock(),
 		Checksum:  globalMeanAbs(p, dx),
+		Phases:    timer.Times,
+		Spans:     timer.Spans(),
 	}
 }
 

@@ -38,4 +38,4 @@ func (p *Proc) SendStart(to, tag int, data []byte) Pending {
 // the first receive of its Wait takes a fresh start reading — reusing a
 // reading taken before the caller's uncharged overlap work would bill that
 // work to Measured.CommWall.
-func (p *Proc) InvalidateRecvSample() { p.sampleValid = false }
+func (p *Proc) InvalidateRecvSample() { p.lastSample = staleSample }

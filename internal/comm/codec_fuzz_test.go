@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -84,6 +85,65 @@ func FuzzDecodeInto(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzCodecPaths holds the memmove codecs to the value loops they replace on
+// a little-endian host: for each element type, the values decoded from the
+// input are bit for bit the same on both paths, both paths encode them back
+// to exactly the input (so NaN payloads, signed zeros, infinities and
+// subnormals survive), and both append after an odd-length prefix alike.
+func FuzzCodecPaths(f *testing.F) {
+	var specials []byte
+	for _, bits := range []uint64{
+		0x7ff0000000000001, 0x7ff8000000000000, 0x7ff4dead0000beef, 0xfff0000000000001, 0xffffffffffffffff, // NaNs
+		0, 0x8000000000000000, // ±0
+		0x7ff0000000000000, 0xfff0000000000000, // ±Inf
+		1, 0x000fffffffffffff, 0x8000000000000001, // subnormals
+		math.Float64bits(math.MaxFloat64), math.Float64bits(math.SmallestNonzeroFloat64), math.Float64bits(-1.5),
+	} {
+		specials = binary.LittleEndian.AppendUint64(specials, bits)
+	}
+	f.Add(specials)
+	f.Add(specials[4:])               // every word straddles two float64s
+	f.Add(specials[:len(specials)-3]) // a ragged tail each type drops
+	var ints []byte
+	for _, v := range []uint32{0x80000000, 0xffffffff, 0, 1, 0x7fffffff, 0xdeadbeef} {
+		ints = binary.LittleEndian.AppendUint32(ints, v)
+	}
+	f.Add(ints)
+	f.Add([]byte{})
+	f.Add(make([]byte, 8*257))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if !nativeWire {
+			t.Skip("big-endian host: the codecs have no memmove path to compare")
+		}
+		checkCodecPaths(t, b, appendF64, decodeF64Into)
+		checkCodecPaths(t, b, appendI32, decodeI32Into)
+		checkCodecPaths(t, b, appendI64, decodeI64Into)
+	})
+}
+
+func checkCodecPaths[T word](t *testing.T, b []byte, appendT func([]byte, []T) []byte, decode func([]T, []byte) []T) {
+	t.Helper()
+	w := sizeOf[T]()
+	b = b[:len(b)/w*w]
+	var loopXs []T
+	var loopB, loopPre []byte
+	restore := ForceWireLoops()
+	loopXs = decode(nil, b)
+	loopB = appendT(nil, loopXs)
+	loopPre = appendT([]byte{0xa5}, loopXs)
+	restore()
+	memXs := decode(make([]T, 1, 3), b)
+	if !bytes.Equal(bytesOf(memXs), bytesOf(loopXs)) {
+		t.Fatalf("width %d: memmove and loop decode %d bytes to different values", w, len(b))
+	}
+	if got := appendT(nil, memXs); !bytes.Equal(got, b) || !bytes.Equal(loopB, b) {
+		t.Fatalf("width %d: %d bytes do not round-trip bit for bit (memmove %v, loop %v)", w, len(b), bytes.Equal(got, b), bytes.Equal(loopB, b))
+	}
+	if got := appendT([]byte{0xa5}, loopXs); !bytes.Equal(got, loopPre) {
+		t.Fatalf("width %d: memmove and loop append differently after an odd prefix", w)
+	}
 }
 
 // gatherRecord is one (rank, payload) record of a gather frame; length

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/costmodel"
 )
@@ -52,14 +53,18 @@ type Proc struct {
 	clock float64
 	stats Stats
 	// arena recycles payload buffers for the typed sends (SendF64 and
-	// friends). Buffers flow out through send and come back through
-	// Message.Release — from the TCP writer once the payload is copied to
-	// the socket, or from the receiving rank's typed receive once the
-	// payload is decoded (the in-memory transport aliases payloads, so only
-	// the receiver knows when the bytes are dead). Proc itself is
-	// single-goroutine; the arena carries the lock because releases arrive
-	// from other goroutines.
+	// friends, SendPacked). Buffers flow out through send and come back
+	// through Message.Release — from the TCP writer once the payload is
+	// copied to the socket, or from the receiving rank's typed receive once
+	// the payload is decoded or its view released (the in-memory transport
+	// aliases payloads, so only the receiver knows when the bytes are
+	// dead). Proc itself is single-goroutine; the arena carries the lock
+	// because releases arrive from other goroutines.
 	arena byteArena
+	// wire is the message a Pack* call handed out and SendPacked sends,
+	// and the payload a Recv*View call handed out and ReleaseView gives up
+	// (packed.go); nil until the rank's first such call.
+	wire *wireState
 
 	// Measured-mode state, set by RunMeasured. wall is nil on modeled runs,
 	// which keeps every measured branch a single pointer test on the hot
@@ -68,12 +73,16 @@ type Proc struct {
 	wall Clock
 	slot *rankSlot
 	meas Measured
-	// lastSample/sampleValid amortize wall-clock reads across consecutive
-	// receives: the end reading of one receive serves as the start reading
-	// of the next unless compute or a send ran in between.
-	lastSample  float64
-	sampleValid bool
+	// lastSample amortizes wall-clock reads across consecutive receives:
+	// the end reading of one receive serves as the start reading of the
+	// next unless compute or a send ran in between, which set it to
+	// staleSample. (A NaN rather than a flag keeps Proc in its allocation
+	// size class.)
+	lastSample float64
 }
+
+// staleSample marks Proc.lastSample as no reading to reuse.
+var staleSample = math.NaN()
 
 // NewProc constructs a processor endpoint. Most code should use Run instead.
 func NewProc(rank, size int, tr Transport, m *costmodel.Machine) *Proc {
@@ -83,7 +92,7 @@ func NewProc(rank, size int, tr Transport, m *costmodel.Machine) *Proc {
 	if rank < 0 || rank >= size {
 		panic(fmt.Sprintf("comm: rank %d out of range [0,%d)", rank, size))
 	}
-	return &Proc{rank: rank, size: size, tr: tr, m: m}
+	return &Proc{rank: rank, size: size, tr: tr, m: m, lastSample: staleSample}
 }
 
 // Rank returns this processor's rank in [0, Size).
@@ -156,7 +165,7 @@ func (p *Proc) Compute(cost float64) {
 	p.clock += cost
 	p.stats.ComputeTime += cost
 	// Real work happened: the cached receive-path wall sample is stale.
-	p.sampleValid = false
+	p.lastSample = staleSample
 }
 
 // ComputeFlops accounts n floating-point operations.
@@ -192,7 +201,7 @@ func (p *Proc) send(to, tag int, data []byte, pool *byteArena) {
 	p.stats.CommTime += p.m.Alpha
 	p.stats.MsgsSent++
 	p.stats.BytesSent += int64(len(data))
-	p.sampleValid = false // encode/copy time must not count as receive wait
+	p.lastSample = staleSample // encode/copy time must not count as receive wait
 	p.tr.Send(Message{
 		From:   p.rank,
 		To:     to,
@@ -225,9 +234,7 @@ func (p *Proc) recvMsg(from, tag int) Message {
 	}
 	var t0 float64
 	if p.wall != nil {
-		if p.sampleValid {
-			t0 = p.lastSample
-		} else {
+		if t0 = p.lastSample; math.IsNaN(t0) {
 			t0 = p.sampleWall()
 		}
 		if p.slot != nil {
@@ -241,7 +248,7 @@ func (p *Proc) recvMsg(from, tag int) Message {
 		}
 		t1 := p.sampleWall()
 		p.meas.CommWall += t1 - t0
-		p.lastSample, p.sampleValid = t1, true
+		p.lastSample = t1
 	}
 	if m.Arrive > p.clock {
 		p.stats.CommTime += m.Arrive - p.clock
@@ -260,7 +267,8 @@ func (p *Proc) Recv(from, tag int) []byte {
 }
 
 // SendF64 sends a []float64 payload staged through the per-Proc buffer
-// arena: the values are encoded into a recycled byte buffer, so xs may be
+// arena: the values are encoded into a recycled byte buffer (a memmove on a
+// little-endian host; what PackF64, a copy and SendPacked do), so xs may be
 // reused (or mutated) as soon as the call returns and the send itself does
 // not allocate in steady state. The modeled cost is that of Send with the
 // encoded bytes.

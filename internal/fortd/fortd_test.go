@@ -119,6 +119,11 @@ FORALL i IN p
  REDUCE(SUM, f(d(i)), x(d(i)))
 END FORALL`, `fortd: <input>:9:1: indirection "d" indexes "a" here but "c" in an earlier FORALL`},
 		{"bad char", "DECOMPOSITION a(4) @", "unexpected character"},
+		// The source is UTF-8 and columns count runes: a non-ASCII letter is
+		// one unexpected character at its own column, never an identifier.
+		{"non-ASCII letter", "DECOMPOSITION é(4)", `fortd: <input>:1:15: unexpected character 'é'`},
+		{"non-ASCII letter that is two Latin-1 letters", "DECOMPOSITION ĵ(4)", `fortd: <input>:1:15: unexpected character 'ĵ'`},
+		{"column after a multibyte rune", "DECOMPOSITION a(4) ! ü\nREAL x(a) ü", `fortd: <input>:2:11: unexpected character 'ü'`},
 		{"append dest subscript", appendSrc("c(d(k)), v(i)"),
 			`fortd: <input>:6:19: indirection subscript must be d(i)`},
 		{"append src subscript", appendSrc("c(d(i)), v(zz)"),

@@ -61,6 +61,13 @@ func FuzzCompile(f *testing.F) {
 	f.Add("REAL x(")
 	f.Add("REDUCE(SUM, x(i), )")
 	f.Add("C just a comment\n! another\n")
+	// UTF-8: multibyte runes in a comment, in place of a name and after one,
+	// and a byte that is not UTF-8 at all.
+	f.Add("DECOMPOSITION a(4) ! ∑ é\nREAL x(a)")
+	f.Add("DECOMPOSITION é(4)")
+	f.Add("DECOMPOSITION ĵ(4)")
+	f.Add("DECOMPOSITION a(4) 😀")
+	f.Add("DECOMPOSITION a\xff(4)")
 	f.Add("DECOMPOSITION a(4)\nINDIRECTION nb(a) CSR\nREAL x(a), f(a)\nFORALL i IN a\n FORALL j IN nb(i)\n  REDUCE(SUM, f(i), x(i) * -3.5 / (x(nb(j)) + 1))\n END FORALL\nEND FORALL")
 	examples, err := filepath.Glob("../../examples/fortd/*.fd")
 	if err != nil || len(examples) == 0 {

@@ -39,7 +39,7 @@ package fortd
 
 import (
 	"strings"
-	"unicode"
+	"unicode/utf8"
 )
 
 // tokKind enumerates token kinds.
@@ -100,8 +100,10 @@ type token struct {
 
 // lex splits src into tokens. Comments start with '!' anywhere, or with
 // 'C'/'c' in the first column (Fortran style); both run to end of line.
-// Newlines are significant (statements are line-oriented). Columns are
-// 1-based byte offsets within the line.
+// Newlines are significant (statements are line-oriented). src is read as
+// UTF-8, and columns are 1-based rune counts within the line. Identifiers
+// and numbers are ASCII; any other rune outside a comment is an unexpected
+// character at its own column.
 func lex(file, src string) []token {
 	var toks []token
 	lines := strings.Split(src, "\n")
@@ -118,50 +120,54 @@ func lex(file, src string) []token {
 		if i := strings.IndexByte(raw, '!'); i >= 0 {
 			raw = raw[:i]
 		}
-		i := 0
+		// i is the byte offset, col the rune column.
+		i, col := 0, 1
 		emitted := false
 		for i < len(raw) {
-			c := rune(raw[i])
-			pos := Pos{Line: line, Col: i + 1}
+			c := raw[i]
+			pos := Pos{Line: line, Col: col}
+			j := i + 1
 			switch {
 			case c == ' ' || c == '\t' || c == '\r':
-				i++
-			case unicode.IsLetter(c) || c == '_':
-				j := i
-				for j < len(raw) && (isIdentChar(rune(raw[j]))) {
+			case isLetter(c) || c == '_':
+				for j < len(raw) && isIdentChar(raw[j]) {
 					j++
 				}
 				toks = append(toks, token{tokIdent, raw[i:j], pos})
-				i = j
 				emitted = true
-			case unicode.IsDigit(c) || c == '.':
-				j := i
-				for j < len(raw) && (unicode.IsDigit(rune(raw[j])) || raw[j] == '.') {
+			case isDigit(c) || c == '.':
+				for j < len(raw) && (isDigit(raw[j]) || raw[j] == '.') {
 					j++
 				}
 				toks = append(toks, token{tokNumber, raw[i:j], pos})
-				i = j
 				emitted = true
 			default:
-				kind, ok := punct(c)
+				r, size := utf8.DecodeRuneInString(raw[i:])
+				kind, ok := punct(r)
 				if !ok {
-					fail(file, pos, "unexpected character %q", c)
+					fail(file, pos, "unexpected character %q", r)
 				}
-				toks = append(toks, token{kind, string(c), pos})
-				i++
+				toks = append(toks, token{kind, string(r), pos})
+				j = i + size
 				emitted = true
 			}
+			col += utf8.RuneCountInString(raw[i:j])
+			i = j
 		}
 		if emitted {
-			toks = append(toks, token{tokNewline, "", Pos{Line: line, Col: len(raw) + 1}})
+			toks = append(toks, token{tokNewline, "", Pos{Line: line, Col: col}})
 		}
 	}
 	toks = append(toks, token{tokEOF, "", Pos{Line: len(lines), Col: 1}})
 	return toks
 }
 
-func isIdentChar(c rune) bool {
-	return unicode.IsLetter(c) || unicode.IsDigit(c) || c == '_' || c == '$'
+func isLetter(c byte) bool { return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' }
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+func isIdentChar(c byte) bool {
+	return isLetter(c) || isDigit(c) || c == '_' || c == '$'
 }
 
 func punct(c rune) (tokKind, bool) {

@@ -39,6 +39,7 @@ import (
 	"fmt"
 
 	"repro/internal/comm"
+	"repro/internal/recycle"
 	"repro/internal/ttable"
 )
 
@@ -259,14 +260,12 @@ func (t *Table) Hash(globals []int32, stamp Stamp) []int32 {
 }
 
 // HashInto is Hash writing the localized indices into dst's backing array
-// (grown as needed; dst may be nil, and may be globals itself to localize
-// an array in place). Feeding the previous result back each adapt cycle
-// makes steady-state rehashing allocation-free.
+// (dst may be nil, and may be globals itself to localize an array in place).
+// A dst too short is replaced under recycle.Sized's rule, with 1/8 headroom,
+// so feeding the previous result back each adapt cycle makes steady-state
+// rehashing allocation-free even while the list grows a little per cycle.
 func (t *Table) HashInto(dst []int32, globals []int32, stamp Stamp) []int32 {
-	if cap(dst) < len(globals) {
-		dst = make([]int32, len(globals))
-	}
-	dst = dst[:len(globals)]
+	dst = recycle.Sized(dst, len(globals))
 	if t.tt.Kind() == ttable.Replicated {
 		return t.hashReplicated(dst, globals, stamp)
 	}

@@ -509,3 +509,33 @@ func TestHashIntoAliasingGlobals(t *testing.T) {
 		}
 	})
 }
+
+// TestHashIntoGrowsWithHeadroom: a dst too short for the list is replaced
+// with 1/8 headroom (recycle.Sized's rule), so rehashing a list that grew by
+// at most 1/8 next cycle writes into the same array instead of allocating.
+func TestHashIntoGrowsWithHeadroom(t *testing.T) {
+	const n = 512
+	comm.Run(2, costmodel.Uniform(1e-9), func(p *comm.Proc) {
+		tt := buildBlockTable(p, n)
+		ht := New(p, tt)
+		gs := make([]int32, 160)
+		for i := range gs {
+			gs[i] = int32((7*i + p.Rank()) % n)
+		}
+		dst := ht.HashInto(make([]int32, 128), gs, ht.NewStamp())
+		if len(dst) != 160 || cap(dst) != 180 {
+			t.Fatalf("rank %d: a short dst regrew to len %d cap %d, want 160 and 180", p.Rank(), len(dst), cap(dst))
+		}
+		grown := append(gs, make([]int32, 20)...)
+		for i := 160; i < len(grown); i++ {
+			grown[i] = int32((3*i + 1) % n)
+		}
+		ht.Reset(tt)
+		if again := ht.HashInto(dst, grown, ht.NewStamp()); &again[0] != &dst[0] || len(again) != 180 {
+			t.Errorf("rank %d: rehashing a list grown by 1/8 did not reuse dst", p.Rank())
+		}
+		if fresh := ht.HashInto(nil, gs, ht.NewStamp()); cap(fresh) != len(gs) {
+			t.Errorf("rank %d: a nil dst got cap %d, want the exact %d", p.Rank(), cap(fresh), len(gs))
+		}
+	})
+}

@@ -98,13 +98,12 @@ type Plan struct {
 
 	// Working storage, reused across Move calls and — through NewPlanInto —
 	// across plans, so an adaptive run sizes it once rather than at every
-	// repartition. stageF/stageI are pack/unpack staging (the typed sends
-	// copy into the Proc send arena, so the staging is free again when the
-	// send returns); lens/newLens are MoveCSRInto's segment lengths under
-	// the source and destination layouts; ents, offOut, offTo and cur are
+	// repartition. lens/newLens are MoveCSRInto's segment lengths under the
+	// source and destination layouts; ents, offOut, offTo and cur are
 	// NewPlanInto's build scratch (offTo[r] is rank r's section of offOut).
-	stageF        []float64
-	stageI        []int32
+	// The moves themselves stage nothing: they pack into and place out of
+	// the message payloads (comm's PackI32 and RecvI32View, and the F64
+	// pair).
 	lens, newLens []int32
 	ents          []ttable.Entry
 	offOut, cur   []int32
@@ -193,9 +192,7 @@ func (pl *Plan) MoveF64(p *comm.Proc, old []float64, width int) []float64 {
 // adaptive code ping-pongs two arrays, handing the one the previous move
 // consumed back as the next destination. Collective.
 func (pl *Plan) MoveF64Into(dst []float64, p *comm.Proc, old []float64, width int) []float64 {
-	out := moveInto(pl, dst, p, old, width, &pl.stageF, (*comm.Proc).SendF64, (*comm.Proc).RecvF64)
-	recycle.PoisonF64(pl.stageF)
-	return out
+	return moveInto(pl, dst, p, old, width, (*comm.Proc).PackF64, (*comm.Proc).RecvF64View)
 }
 
 // MoveI32 relocates an int32 array (width components per element), e.g.
@@ -208,18 +205,16 @@ func (pl *Plan) MoveI32(p *comm.Proc, old []int32, width int) []int32 {
 // MoveI32Into is MoveI32 writing into dst's backing array, under
 // MoveF64Into's rules. Collective.
 func (pl *Plan) MoveI32Into(dst []int32, p *comm.Proc, old []int32, width int) []int32 {
-	out := moveInto(pl, dst, p, old, width, &pl.stageI, (*comm.Proc).SendI32, (*comm.Proc).RecvI32)
-	recycle.PoisonI32(pl.stageI)
-	return out
+	return moveInto(pl, dst, p, old, width, (*comm.Proc).PackI32, (*comm.Proc).RecvI32View)
 }
 
 // moveInto is the fixed-width move, written once over the element type:
-// copy the elements that stay, pack and send one message per destination,
-// then place each arriving message at the offsets the plan recorded. stage
-// is the plan's staging of that type; send must copy (the staging is reused
-// for the next destination) and recv decodes into the buffer it is given.
-func moveInto[T any](pl *Plan, dst []T, p *comm.Proc, old []T, width int, stage *[]T,
-	send func(p *comm.Proc, to, tag int, xs []T), recv func(p *comm.Proc, from, tag int, dst []T) []T) []T {
+// copy the elements that stay, pack each destination's elements straight
+// into its message and send it, then place each arriving message's elements
+// at the offsets the plan recorded, straight out of the payload. pack and
+// view are the comm calls of that type.
+func moveInto[T any](pl *Plan, dst []T, p *comm.Proc, old []T, width int,
+	pack func(p *comm.Proc, n int) []T, view func(p *comm.Proc, from, tag int) []T) []T {
 	out := recycle.Sized(dst, pl.newLen*width)
 	for k, li := range pl.keepIdx {
 		copy(out[int(pl.keepOff[k])*width:], old[int(li)*width:int(li+1)*width])
@@ -231,13 +226,12 @@ func moveInto[T any](pl *Plan, dst []T, p *comm.Proc, old []T, width int, stage 
 		if len(idx) == 0 {
 			continue
 		}
-		*stage = recycle.Sized(*stage, len(idx)*width)
-		buf := *stage
+		buf := pack(p, len(idx)*width)
 		for i, li := range idx {
 			copy(buf[i*width:], old[int(li)*width:int(li+1)*width])
 		}
 		p.ComputeMem(len(buf))
-		send(p, to, tagRemap, buf)
+		p.SendPacked(to, tagRemap)
 	}
 	for k := 1; k < p.Size(); k++ {
 		src := (p.Rank() - k + p.Size()) % p.Size()
@@ -245,8 +239,7 @@ func moveInto[T any](pl *Plan, dst []T, p *comm.Proc, old []T, width int, stage 
 		if len(offs) == 0 {
 			continue
 		}
-		vals := recv(p, src, tagRemap, *stage)
-		*stage = vals
+		vals := view(p, src, tagRemap)
 		if len(vals) != len(offs)*width {
 			panic(fmt.Sprintf("remap: from %d got %d values, want %d", src, len(vals), len(offs)*width))
 		}
@@ -254,6 +247,7 @@ func moveInto[T any](pl *Plan, dst []T, p *comm.Proc, old []T, width int, stage 
 			copy(out[int(off)*width:], vals[i*width:(i+1)*width])
 		}
 		p.ComputeMem(len(vals))
+		p.ReleaseView()
 	}
 	return out
 }
@@ -299,13 +293,13 @@ func (pl *Plan) MoveCSRInto(dstPtr, dstValues []int32, p *comm.Proc, ptr []int32
 		for _, li := range idx {
 			n += int(pl.lens[li])
 		}
-		pl.stageI = recycle.Sized(pl.stageI, n)
-		buf := pl.stageI[:0]
+		buf := p.PackI32(n)
+		at := 0
 		for _, li := range idx {
-			buf = append(buf, values[ptr[li]:ptr[li+1]]...)
+			at += copy(buf[at:], values[ptr[li]:ptr[li+1]])
 		}
 		p.ComputeMem(len(buf))
-		p.SendI32(dst, tagRemap, buf)
+		p.SendPacked(dst, tagRemap)
 	}
 	for k := 1; k < p.Size(); k++ {
 		src := (p.Rank() - k + p.Size()) % p.Size()
@@ -313,8 +307,7 @@ func (pl *Plan) MoveCSRInto(dstPtr, dstValues []int32, p *comm.Proc, ptr []int32
 		if len(offs) == 0 {
 			continue
 		}
-		vals := p.RecvI32(src, tagRemap, pl.stageI)
-		pl.stageI = vals
+		vals := p.RecvI32View(src, tagRemap)
 		pos := 0
 		for _, off := range offs {
 			l := int(newLens[off])
@@ -325,8 +318,8 @@ func (pl *Plan) MoveCSRInto(dstPtr, dstValues []int32, p *comm.Proc, ptr []int32
 			panic(fmt.Sprintf("remap: CSR from %d got %d values, consumed %d", src, len(vals), pos))
 		}
 		p.ComputeMem(len(vals))
+		p.ReleaseView()
 	}
-	recycle.PoisonI32(pl.stageI)
 	recycle.PoisonI32(pl.lens)
 	recycle.PoisonI32(pl.newLens)
 	return newPtr, newValues

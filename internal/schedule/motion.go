@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/comm"
-	"repro/internal/recycle"
 )
 
 // Data transportation through a schedule has one implementation: a
@@ -99,9 +98,9 @@ func (s *Schedule) lists(tag, r int) (pack, place []int32) {
 
 // start is the send half of every collective: it claims the schedule's
 // motion handle and sends each peer one message holding, array by array,
-// the elements the schedule names. Packing stages through schedule-owned
-// scratch and the wire bytes through the Proc send arena, so steady-state
-// calls are allocation-free. tag is tagGather or tagScatter.
+// the elements the schedule names. Each peer's sections are packed straight
+// into its message payload (comm's PackF64, drawn from the Proc send arena),
+// so steady-state calls are allocation-free. tag is tagGather or tagScatter.
 func (s *Schedule) start(p *comm.Proc, datas [][]float64, widths []int, tag int, op CombineOp) *Motion {
 	tot := s.check(datas, widths)
 	mo := &s.motion
@@ -117,8 +116,7 @@ func (s *Schedule) start(p *comm.Proc, datas [][]float64, widths []int, tag int,
 		if len(idx) == 0 {
 			continue
 		}
-		s.stageS = recycle.Sized(s.stageS, len(idx)*tot)
-		buf := s.stageS
+		buf := p.PackF64(len(idx) * tot)
 		at := 0
 		for b, data := range datas {
 			width := widths[b]
@@ -129,7 +127,7 @@ func (s *Schedule) start(p *comm.Proc, datas [][]float64, widths []int, tag int,
 			}
 		}
 		p.ComputeMem(len(buf))
-		p.SendF64(dst, tag, buf)
+		p.SendPacked(dst, tag)
 	}
 	return mo
 }
@@ -145,11 +143,11 @@ func (s *Schedule) startSplit(p *comm.Proc, datas [][]float64, widths []int, tag
 }
 
 // Wait completes the motion: it receives in ring order, placing or
-// combining each message as it arrives (the combine switch is resolved once
-// per message, not once per element). For a gather the ghost section of
-// each data array is filled here; for a scatter the incoming contributions
-// are combined into the owned section here. Calling Wait on a completed (or
-// zero) motion is a no-op.
+// combining each message straight out of its payload as it arrives (the
+// combine switch is resolved once per message, not once per element). For a
+// gather the ghost section of each data array is filled here; for a scatter
+// the incoming contributions are combined into the owned section here.
+// Calling Wait on a completed (or zero) motion is a no-op.
 func (mo *Motion) Wait() {
 	if mo == nil || !mo.active {
 		return
@@ -161,8 +159,7 @@ func (mo *Motion) Wait() {
 		if len(idx) == 0 {
 			continue
 		}
-		vals := p.RecvF64(src, mo.tag, s.stageR)
-		s.stageR = vals
+		vals := p.RecvF64View(src, mo.tag)
 		if len(vals) != len(idx)*mo.tot {
 			panic(fmt.Sprintf("schedule: motion from %d delivered %d values, want %d", src, len(vals), len(idx)*mo.tot))
 		}
@@ -174,6 +171,7 @@ func (mo *Motion) Wait() {
 			combine(mo.op, data, idx, sec, width)
 		}
 		p.ComputeMem(len(vals))
+		p.ReleaseView()
 	}
 	mo.p, mo.s, mo.datas, mo.widths = nil, nil, nil, nil
 	s.one[0] = nil

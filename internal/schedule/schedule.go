@@ -57,14 +57,6 @@ type Schedule struct {
 	recvPtr  []int32
 	// minLen is 1 + the largest local index referenced, for buffer checks.
 	minLen int
-	// stageS/stageR are staging scratch for the pack/unpack loops, reused
-	// across Gather/Scatter calls so the executor stops allocating after
-	// the first iteration. One buffer per direction suffices: packed values
-	// are encoded into the send arena before the next peer is packed, and
-	// received values are unpacked before the next peer is received. Both
-	// die with the schedule, so a rebuild naturally invalidates them.
-	stageS []float64
-	stageR []float64
 	// Build scratch, reused across BuildInto and FromTranslatedInto calls:
 	// selected hash-table entries, the per-owner request lists (sharing
 	// recvPtr's extents; reqTo[r] is owner r's section) and a per-owner
