@@ -54,20 +54,21 @@ type KernelResult struct {
 const kernelFlopsPerPair = 12
 
 // kernelSetup generates the inputs of the synthetic case: every atom's
-// position (identical on all ranks) and this rank's BLOCK slab of the
-// non-bonded list in local CSR form. All atoms are binned once — cheap, O(N)
-// — and only the slab's rows are searched, so no rank builds the list of
-// atoms it does not start with. Setup is outside the modeled run: it charges
-// nothing.
+// position (identical on all ranks: charmm-md's initial positions, drawn
+// without the velocities and bonds the kernel never reads) and this rank's
+// BLOCK slab of the non-bonded list in local CSR form. All atoms are binned
+// once — cheap, O(N) — and only the slab's rows are searched, so no rank
+// builds the list of atoms it does not start with. Setup is outside the
+// modeled run: it charges nothing.
 func kernelSetup(p *comm.Proc, cfg KernelConfig) (pos []float64, ptr, jnb []int32) {
 	mdCfg := DefaultConfig().scaled(cfg.NAtoms)
 	mdCfg.Seed = cfg.Seed
-	st := GenInitState(mdCfg)
+	pos = initPositions(mdCfg)
 	var nb nbSearch
-	nb.grid.build(st.Pos, nil, cfg.NAtoms, mdCfg.Box, mdCfg.Cutoff)
+	nb.grid.build(pos, nil, cfg.NAtoms, mdCfg.Box, mdCfg.Cutoff)
 	lo, hi := partition.BlockRange(p.Rank(), cfg.NAtoms, p.Size())
-	ptr, jnb = nb.searchRows(st.Pos, nil, lo, hi, mdCfg)
-	return st.Pos, ptr, jnb
+	ptr, jnb = nb.searchRows(pos, nil, lo, hi, mdCfg)
+	return pos, ptr, jnb
 }
 
 // kernelPartitioner computes the alternating RCB/RIB owners for the current

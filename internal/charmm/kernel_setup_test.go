@@ -162,3 +162,30 @@ func BenchmarkKernelRemapCycle(b *testing.B) {
 		})
 	}
 }
+
+// TestKernelPositionsMatchInitState: the kernel draws charmm-md's initial
+// positions, bit for bit, in one allocation and without the velocities and
+// bonds GenInitState also builds.
+func TestKernelPositionsMatchInitState(t *testing.T) {
+	for _, n := range []int{1, 2, 300, 8000, 14026} {
+		for _, seed := range []int64{1994, 7} {
+			mdCfg := DefaultConfig().scaled(n)
+			mdCfg.Seed = seed
+			want := GenInitState(mdCfg).Pos
+			comm.Run(1, costmodel.IPSC860(), func(p *comm.Proc) {
+				pos, _, _ := kernelSetup(p, KernelConfig{NAtoms: n, Seed: seed})
+				if len(pos) != len(want) {
+					t.Fatalf("n=%d seed %d: %d coordinates, want %d", n, seed, len(pos), len(want))
+				}
+				for i := range want {
+					if math.Float64bits(pos[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("n=%d seed %d: coordinate %d is %v, GenInitState's is %v", n, seed, i, pos[i], want[i])
+					}
+				}
+			})
+			if allocs := testing.AllocsPerRun(3, func() { initPositions(mdCfg) }); allocs > 3 {
+				t.Errorf("n=%d seed %d: drawing the positions took %.0f allocations, want the positions and the generator's", n, seed, allocs)
+			}
+		}
+	}
+}

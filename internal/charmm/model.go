@@ -18,47 +18,58 @@ type InitState struct {
 
 // GenInitState generates the initial condition for cfg. It is a pure
 // function of the configuration, so every rank can generate it identically.
+// The random stream draws the positions (genPositions) and then the
+// velocities; the bonds are computed from the positions and draw nothing.
 func GenInitState(cfg Config) *InitState {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := cfg.NAtoms
-	st := &InitState{
-		Pos: make([]float64, 3*n),
-		Vel: make([]float64, 3*n),
+	st := &InitState{Pos: genPositions(rng, cfg)}
+	// Each molecule bonds its centre to its satellites.
+	for base := 0; base < n; base += 3 {
+		for j := base + 1; j < min(base+3, n); j++ {
+			st.BondI = append(st.BondI, int32(base))
+			st.BondJ = append(st.BondJ, int32(j))
+			st.BondLen = append(st.BondLen, dist3(st.Pos[3*base:3*base+3], st.Pos[3*j:3*j+3]))
+		}
 	}
-	// Molecules of three consecutive atoms: centre at a uniform point,
-	// satellites offset by ~0.3 units. rand's Float64 is a product once
-	// inlined, so its result is converted before the subtraction: like every
-	// product here, it is rounded on its own on every GOARCH (see
-	// costmodel.MsgCost).
+	st.Vel = make([]float64, 3*n)
+	for i := range st.Vel {
+		st.Vel[i] = 0.2 * (float64(rng.Float64()) - 0.5)
+	}
+	return st
+}
+
+// initPositions is GenInitState(cfg).Pos without the velocities and bonds:
+// the same positions, bit for bit, from the same stream.
+func initPositions(cfg Config) []float64 {
+	return genPositions(rand.New(rand.NewSource(cfg.Seed)), cfg)
+}
+
+// genPositions draws the atom positions of cfg's initial condition from
+// rng: molecules of three consecutive atoms, the centre at a uniform point
+// and the satellites offset by ~0.3 units. rand's Float64 is a product once
+// inlined, so its result is converted before the subtraction: like every
+// product here, it is rounded on its own on every GOARCH (see
+// costmodel.MsgCost).
+func genPositions(rng *rand.Rand, cfg Config) []float64 {
+	n := cfg.NAtoms
+	pos := make([]float64, 3*n)
 	for base := 0; base < n; base += 3 {
 		var c [3]float64
 		for d := 0; d < 3; d++ {
 			c[d] = float64(0.05*cfg.Box[d]) + float64(0.9*cfg.Box[d]*rng.Float64())
 		}
-		size := 3
-		if base+size > n {
-			size = n - base
-		}
-		for a := 0; a < size; a++ {
+		for a := 0; a < min(3, n-base); a++ {
 			for d := 0; d < 3; d++ {
 				off := 0.0
 				if a > 0 {
 					off = 0.3 * (float64(rng.Float64()) - 0.5)
 				}
-				st.Pos[3*(base+a)+d] = clamp(c[d]+off, 0, cfg.Box[d])
+				pos[3*(base+a)+d] = clamp(c[d]+off, 0, cfg.Box[d])
 			}
 		}
-		for a := 1; a < size; a++ {
-			i, j := int32(base), int32(base+a)
-			st.BondI = append(st.BondI, i)
-			st.BondJ = append(st.BondJ, j)
-			st.BondLen = append(st.BondLen, dist3(st.Pos[3*i:3*i+3], st.Pos[3*j:3*j+3]))
-		}
 	}
-	for i := range st.Vel {
-		st.Vel[i] = 0.2 * (float64(rng.Float64()) - 0.5)
-	}
-	return st
+	return pos
 }
 
 func clamp(v, lo, hi float64) float64 {

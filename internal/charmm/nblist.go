@@ -198,13 +198,17 @@ func faceGap(s float64, c, own int) float64 {
 // nbSearch is the working storage of the non-bonded list build, kept on
 // per-run state (simState, RunCompiled's rebuild closure, a local of
 // Reference) so successive rebuilds reuse the grid and the halo staging.
-// The lists themselves are never recycled: callers retain ptr and jnb (the
-// compiled path hands them to SetCSR), so every build returns fresh slices,
-// jnb pre-sized from the previous list's length.
+// A list is recycled only when its caller hands it back through retire,
+// once nothing reads it: the next build is written into its storage. Any
+// other build returns fresh slices, jnb pre-sized from the previous list's
+// length — callers that retain their lists (the compiled path hands them to
+// SetCSR) never retire them.
 type nbSearch struct {
 	grid cellGrid
 	// hint is the length of the last list built.
 	hint int
+	// spare is a retired list, the next build's storage.
+	sparePtr, spareJnb []int32
 	// examined is the candidate count of the last build.
 	examined int
 	// Parallel build: own + halo atoms, the per-peer halo staging and the
@@ -213,6 +217,15 @@ type nbSearch struct {
 	allP         []float64
 	sendG, haloG [][]int32
 	sendP, haloP [][]float64
+}
+
+// retire hands nb a list nothing reads any more as the next build's
+// storage. In test binaries it is poisoned first, so a build that leaves a
+// cell of it unwritten shows.
+func (nb *nbSearch) retire(ptr, jnb []int32) {
+	recycle.PoisonI32(ptr)
+	recycle.PoisonI32(jnb)
+	nb.sparePtr, nb.spareJnb = ptr, jnb
 }
 
 // search builds the CSR list of the first nRows atoms handed to grid.build:
@@ -230,8 +243,15 @@ func (nb *nbSearch) searchRows(pos []float64, ids []int32, lo, hi int, cfg Confi
 		nb.hint = nb.estimate(pos, ids, lo, hi, cfg)
 	}
 	c2 := cfg.Cutoff * cfg.Cutoff
-	ptr = make([]int32, hi-lo+1)
-	jnb = make([]int32, 0, nb.hint+nb.hint/8)
+	// A retired list is reused when it holds the last list's length, and a
+	// fresh one gets 1/8 headroom over it. Either way a longer list grows
+	// by append (scanRange's slices.Grow).
+	ptr = recycle.Sized(nb.sparePtr, hi-lo+1)
+	ptr[0] = 0
+	if jnb = nb.spareJnb[:0]; jnb == nil || cap(jnb) < nb.hint {
+		jnb = make([]int32, 0, nb.hint+nb.hint/8)
+	}
+	nb.sparePtr, nb.spareJnb = nil, nil
 	nb.examined = 0
 	for i := lo; i < hi; i++ {
 		self := int32(i)

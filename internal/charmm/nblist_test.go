@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/comm"
 	"repro/internal/costmodel"
@@ -396,6 +397,67 @@ func benchNBListBuild(b *testing.B) {
 				total += e
 			}
 			perCand(b, total)
+		})
+	}
+}
+
+// TestNBListRebuildReusesRetired: a list handed back through retire is the
+// next build's storage — its backing arrays are reused when they hold the
+// last list's length (and the new list fits), and a fresh array is
+// allocated when they do not — and the list built there equals, bit for
+// bit, the build of a fresh nbSearch. The retired arrays are poisoned, so a
+// cell the build leaves unwritten shows.
+func TestNBListRebuildReusesRetired(t *testing.T) {
+	cases := nbCases()
+	for _, nprocs := range []int{1, 2, 3} {
+		comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
+			var nb nbSearch
+			var ptr, jnb []int32
+			reused, fresh := 0, 0
+			for ci, c := range cases {
+				lo, hi := partition.BlockRange(p.Rank(), c.cfg.NAtoms, nprocs)
+				globals := make([]int32, hi-lo)
+				for i := range globals {
+					globals[i] = int32(lo + i)
+				}
+				pos := c.pos[3*lo : 3*hi]
+				if ci%3 == 2 {
+					jnb = jnb[: 0 : len(jnb)/2] // a retired array shorter than the hint
+				}
+				fitsJnb := jnb != nil && cap(jnb) >= nb.hint
+				fitsPtr := cap(ptr) >= hi-lo+1
+				oldPtr, oldJnb := unsafe.SliceData(ptr), unsafe.SliceData(jnb)
+				oldCap := cap(jnb)
+				nb.retire(ptr, jnb)
+				ptr, jnb = buildNBListPar(p, globals, pos, c.cfg, &nb)
+
+				var other nbSearch
+				wantPtr, wantJnb := buildNBListPar(p, globals, pos, c.cfg, &other)
+				if !slices.Equal(ptr, wantPtr) || !slices.Equal(jnb, wantJnb) {
+					t.Fatalf("%s on %d ranks: rank %d's list built in a retired one differs from a fresh build", c.name, nprocs, p.Rank())
+				}
+				if ci == 0 {
+					continue
+				}
+				if (unsafe.SliceData(ptr) == oldPtr) != fitsPtr {
+					t.Errorf("%s on %d ranks: rank %d's ptr reused the retired one %v, want %v", c.name, nprocs, p.Rank(), !fitsPtr, fitsPtr)
+				}
+				switch sameJnb := unsafe.SliceData(jnb) == oldJnb; {
+				case fitsJnb && len(jnb) <= oldCap:
+					reused++
+					if !sameJnb {
+						t.Errorf("%s on %d ranks: rank %d's list of %d fits the retired %d but was not built there", c.name, nprocs, p.Rank(), len(jnb), oldCap)
+					}
+				case !fitsJnb:
+					fresh++
+					if sameJnb {
+						t.Errorf("%s on %d ranks: rank %d's list was built in a retired array shorter than the hint", c.name, nprocs, p.Rank())
+					}
+				}
+			}
+			if reused == 0 || fresh == 0 {
+				t.Errorf("%d ranks: rank %d reused %d retired lists and outgrew %d; the cases should do both", nprocs, p.Rank(), reused, fresh)
+			}
 		})
 	}
 }

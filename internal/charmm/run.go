@@ -144,7 +144,9 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, *simState) {
 			remapCount++
 		} else if step%cfg.NBEvery == 0 {
 			// Adaptive phase: the non-bonded list changes; index analysis
-			// for unchanged indices is reused via the hash table.
+			// for unchanged indices is reused via the hash table. The new
+			// list is written into the storage of the one it replaces.
+			s.nb.retire(s.ptr, s.jnb)
 			s.ptr, s.jnb = buildNBListPar(p, s.atoms.Globals(), s.pos, cfg, &s.nb)
 			p.Barrier()
 			timer.Mark(PhaseNBUpdate)
@@ -203,6 +205,9 @@ func setup(p *comm.Proc, rt *core.Runtime, cfg Config, timer *core.PhaseTimer, t
 // the last two are charged to.
 func remapEpisode(p *comm.Proc, s *simState, cfg Config, part string, timer *core.PhaseTimer, listPhase, schedPhase string) {
 	repartition(p, s, part, timer)
+	// The list the repartition moved is replaced at once: the new one is
+	// built in its storage.
+	s.nb.retire(s.ptr, s.jnb)
 	s.ptr, s.jnb = buildNBListPar(p, s.atoms.Globals(), s.pos, cfg, &s.nb)
 	p.Barrier()
 	timer.Mark(listPhase)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -162,22 +163,24 @@ func gatherRecord(frame []byte, rank uint32, length int, payload []byte) []byte 
 // frame arrives over TCP from another process, so a bad one must panic with
 // a "comm: gather frame" message, never with a runtime bounds error and
 // never by returning a missing rank. A frame that decodes must be exactly
-// one record per rank, each the wire form of the list returned for it.
+// one record per rank, in rank order, each the wire form of the list
+// returned for it, and the flat result their concatenation.
 func FuzzGatherFrame(f *testing.F) {
 	one := appendI32(nil, []int32{7})
 	two := appendI32(nil, []int32{1, -2})
-	valid := gatherRecord(gatherRecord(gatherRecord(nil, 0, -1, two), 2, -1, nil), 1, -1, one)
+	valid := gatherRecord(gatherRecord(gatherRecord(nil, 0, -1, two), 1, -1, nil), 2, -1, one)
 	f.Add(valid, uint8(3))
-	f.Add(valid[:len(valid)-2], uint8(3))                                    // truncated payload
-	f.Add(valid[:5], uint8(3))                                               // truncated header
-	f.Add(append(valid[:len(valid):len(valid)], 1, 2, 3), uint8(3))          // trailing partial header
-	f.Add(gatherRecord(nil, 0, 1<<20, one), uint8(1))                        // overlong length
-	f.Add(gatherRecord(nil, 0, 3, one), uint8(1))                            // length not a multiple of the width
-	f.Add(gatherRecord(gatherRecord(nil, 0, -1, one), 0, -1, two), uint8(2)) // duplicate rank
-	f.Add(append(valid, gatherRecord(nil, 1, -1, two)...), uint8(3))         // duplicate rank, none missing
-	f.Add(gatherRecord(nil, 1, -1, one), uint8(2))                           // missing rank
-	f.Add(gatherRecord(nil, 5, -1, one), uint8(2))                           // rank out of range
-	f.Add([]byte{}, uint8(1))                                                // no record at all
+	f.Add(gatherRecord(gatherRecord(gatherRecord(nil, 0, -1, two), 2, -1, nil), 1, -1, one), uint8(3)) // out of rank order
+	f.Add(valid[:len(valid)-2], uint8(3))                                                              // truncated payload
+	f.Add(valid[:5], uint8(3))                                                                         // truncated header
+	f.Add(append(valid[:len(valid):len(valid)], 1, 2, 3), uint8(3))                                    // trailing partial header
+	f.Add(gatherRecord(nil, 0, 1<<20, one), uint8(1))                                                  // overlong length
+	f.Add(gatherRecord(nil, 0, 3, one), uint8(1))                                                      // length not a multiple of the width
+	f.Add(gatherRecord(gatherRecord(nil, 0, -1, one), 0, -1, two), uint8(2))                           // duplicate rank
+	f.Add(append(valid, gatherRecord(nil, 1, -1, two)...), uint8(3))                                   // duplicate rank, none missing
+	f.Add(gatherRecord(nil, 1, -1, one), uint8(2))                                                     // missing rank
+	f.Add(gatherRecord(nil, 5, -1, one), uint8(2))                                                     // rank out of range
+	f.Add([]byte{}, uint8(1))                                                                          // no record at all
 	f.Add(gatherRecord(nil, 0, -1, make([]byte, 16)), uint8(1))
 	f.Fuzz(func(t *testing.T, frame []byte, size uint8) {
 		n := max(1, int(size%9)) // 1 to 8 ranks
@@ -190,6 +193,7 @@ func checkGatherFrame[T any](t *testing.T, frame []byte, size, w int,
 	appendT func([]byte, []T) []byte, decode func([]T, []byte) []T) {
 	t.Helper()
 	var out [][]T
+	var flat []T
 	func() {
 		defer func() {
 			if v := recover(); v != nil {
@@ -198,10 +202,15 @@ func checkGatherFrame[T any](t *testing.T, frame []byte, size, w int,
 				}
 			}
 		}()
-		out = decodeFrame(frame, size, w, decode)
+		lists := make([][]T, size)
+		flat = decodeFrame(nil, lists, frame, size, w, decode)
+		out = lists
 	}()
 	if out == nil {
 		return
+	}
+	if got, want := appendT(nil, flat), appendT(nil, slices.Concat(out...)); !bytes.Equal(got, want) {
+		t.Fatalf("width %d: the flat result is not the lists' concatenation", w)
 	}
 	if len(out) != size {
 		t.Fatalf("width %d: %d lists for %d ranks", w, len(out), size)
@@ -212,8 +221,11 @@ func checkGatherFrame[T any](t *testing.T, frame []byte, size, w int,
 		}
 	}
 	off := 0
-	for range out {
+	for r := range out {
 		rank := binary.LittleEndian.Uint32(frame[off:])
+		if int(rank) != r {
+			t.Fatalf("width %d: record %d names rank %d", w, r, rank)
+		}
 		rec := gatherRecord(nil, rank, -1, appendT(nil, out[rank]))
 		if off+len(rec) > len(frame) || string(frame[off:off+len(rec)]) != string(rec) {
 			t.Fatalf("width %d: rank %d's list does not re-encode to its record at byte %d", w, rank, off)

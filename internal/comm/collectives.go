@@ -3,6 +3,8 @@ package comm
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/recycle"
 )
 
 // Reserved tags for collectives. User point-to-point tags must stay below
@@ -59,25 +61,42 @@ func lowestRecvMask(relRank, size int) int {
 // (rank, byte length) records: a binomial gather to rank 0, then a
 // binomial broadcast of the whole frame.
 func (p *Proc) AllGatherI32(xs []int32) [][]int32 {
-	return allGather(p, xs, 4, appendI32, decodeI32Into)
+	lists := make([][]int32, p.size)
+	allGather(p, nil, lists, xs, 4, appendI32, decodeI32Into)
+	return lists
+}
+
+// AllGatherI32Into is AllGatherI32 returning the lists concatenated in rank
+// order, decoded into dst's backing array (dst may be nil; one too short is
+// replaced under recycle.Sized's rule, so a nil dst is allocated exactly).
+// The wire is AllGatherI32's.
+func (p *Proc) AllGatherI32Into(dst, xs []int32) []int32 {
+	return allGather(p, dst, nil, xs, 4, appendI32, decodeI32Into)
 }
 
 // AllGatherI64 is AllGatherI32 for []int64 lists.
 func (p *Proc) AllGatherI64(xs []int64) [][]int64 {
-	return allGather(p, xs, 8, appendI64, decodeI64Into)
+	lists := make([][]int64, p.size)
+	allGather(p, nil, lists, xs, 8, appendI64, decodeI64Into)
+	return lists
 }
 
 // AllGatherF64 is AllGatherI32 for []float64 lists.
 func (p *Proc) AllGatherF64(xs []float64) [][]float64 {
-	return allGather(p, xs, 8, appendF64, decodeF64Into)
+	lists := make([][]float64, p.size)
+	allGather(p, nil, lists, xs, 8, appendF64, decodeF64Into)
+	return lists
 }
 
 // allGather is the typed all-gather, written once over the element type of
-// width w bytes. A rank first receives its children's frames, so it can
-// size its own frame once: its 8-byte record header and payload, then the
-// children's frames in tree order.
-func allGather[T any](p *Proc, xs []T, w int,
-	appendT func([]byte, []T) []byte, decode func([]T, []byte) []T) [][]T {
+// width w bytes: it returns the ranks' lists concatenated in rank order in
+// dst's backing array and, when lists is non-nil, points lists[r] at rank
+// r's part (see decodeFrame). A rank first receives its children's frames,
+// so it can size its own frame once: its 8-byte record header and payload,
+// then the children's frames in tree order. Tree order is rank order: the
+// child at mask m roots the ranks rank+m up to rank+2m-1.
+func allGather[T any](p *Proc, dst []T, lists [][]T, xs []T, w int,
+	appendT func([]byte, []T) []byte, decode func([]T, []byte) []T) []T {
 	var kids [][]byte
 	n := 8 + w*len(xs)
 	mask := 1
@@ -103,42 +122,50 @@ func allGather[T any](p *Proc, xs []T, w int,
 			p.Send(p.rank+m, tagBcast, frame)
 		}
 	}
-	return decodeFrame(frame, p.size, w, decode)
+	return decodeFrame(dst, lists, frame, p.size, w, decode)
 }
 
-// decodeFrame splits a gather frame into per-rank lists sharing one backing
-// array. Over TCP the frame comes from another process, so every header and
-// length is checked against the frame, and every rank must appear exactly
-// once. Decoding into the non-nil backing never yields a nil list, so a nil
-// entry marks a rank not seen yet.
-func decodeFrame[T any](frame []byte, size, w int, decode func([]T, []byte) []T) [][]T {
-	out := make([][]T, size)
-	all := make([]T, len(frame)/w)
-	for off := 0; off < len(frame); {
+// decodeFrame decodes a gather frame into dst's backing array (replaced
+// under recycle.Sized's rule when too short) and returns the ranks' lists
+// concatenated in rank order. When lists is non-nil (length size) it also
+// points lists[r] at rank r's part; each part is capped at its end, and none
+// is nil. Over TCP the frame comes from another process, so every header
+// and length is checked against the frame, and the records must name ranks
+// 0 to size-1 in order, as allGather sends them.
+func decodeFrame[T any](dst []T, lists [][]T, frame []byte, size, w int, decode func([]T, []byte) []T) []T {
+	total := max(len(frame)-8*size, 0) / w
+	if dst = recycle.Sized(dst, total); dst == nil {
+		dst = []T{} // so that no part is nil, even when every list is empty
+	}
+	off, at := 0, 0
+	for r := 0; r < size; r++ {
 		if len(frame)-off < 8 {
-			panic(fmt.Sprintf("comm: gather frame cut inside a header at byte %d of %d", off, len(frame)))
+			panic(fmt.Sprintf("comm: gather frame cut inside the header of rank %d at byte %d of %d", r, off, len(frame)))
 		}
 		rank := binary.LittleEndian.Uint32(frame[off:])
 		n := binary.LittleEndian.Uint32(frame[off+4:])
 		off += 8
+		// The records still to come need their headers.
+		left := len(frame) - off - 8*(size-1-r)
 		switch {
-		case rank >= uint32(size):
-			panic(fmt.Sprintf("comm: gather frame names rank %d of %d", rank, size))
-		case out[rank] != nil:
-			panic(fmt.Sprintf("comm: gather frame holds rank %d twice", rank))
-		case uint64(n) > uint64(len(frame)-off) || int(n)%w != 0:
-			panic(fmt.Sprintf("comm: gather frame gives rank %d %d bytes, %d left, width %d", rank, n, len(frame)-off, w))
+		case rank != uint32(r):
+			panic(fmt.Sprintf("comm: gather frame names rank %d where rank %d of %d belongs", rank, r, size))
+		case uint64(n) > uint64(max(left, 0)) || int(n)%w != 0:
+			panic(fmt.Sprintf("comm: gather frame gives rank %d %d bytes, %d left, width %d", rank, n, left, w))
 		}
 		k := int(n) / w
-		out[rank], all = decode(all[:k:k], frame[off:off+int(n)]), all[k:]
+		part := dst[at : at+k : at+k]
+		decode(part, frame[off:off+int(n)])
+		if lists != nil {
+			lists[r] = part
+		}
+		at += k
 		off += int(n)
 	}
-	for r, xs := range out {
-		if xs == nil {
-			panic(fmt.Sprintf("comm: gather frame lacks rank %d of %d", r, size))
-		}
+	if off != len(frame) {
+		panic(fmt.Sprintf("comm: gather frame runs %d bytes past its last record", len(frame)-off))
 	}
-	return out
+	return dst
 }
 
 // combine folds src into dst element-wise under op, in index order.

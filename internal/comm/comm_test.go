@@ -603,3 +603,47 @@ func TestCollectivesAt128Ranks(t *testing.T) {
 		p.Barrier()
 	})
 }
+
+// TestAllGatherI32IntoWire: the flat all-gather sends what AllGatherI32
+// sends — the same messages and bytes from every rank, and the same clocks
+// — over mem and TCP at 1 to 5 ranks, empty lists included, and returns the
+// lists' concatenation in rank order, in dst's storage when it fits.
+func TestAllGatherI32IntoWire(t *testing.T) {
+	lens := []int{0, 3, 5, 0, 7}
+	run := func(n int, tcp bool, body func(p *Proc)) *Report {
+		if tcp {
+			return runTCP(t, n, body)
+		}
+		return Run(n, costmodel.Uniform(1e-6), body)
+	}
+	for n := 1; n <= len(lens); n++ {
+		for _, tcp := range []bool{false, true} {
+			var want []int32
+			for r := 0; r < n; r++ {
+				want = append(want, wireList[int32](r, lens)...)
+			}
+			lists := run(n, tcp, func(p *Proc) {
+				if got := p.AllGatherI32(wireList[int32](p.Rank(), lens)); !gatheredIntact(got, lens[:n]) {
+					t.Errorf("%d ranks, tcp %v: AllGatherI32 gave rank %d %v", n, tcp, p.Rank(), got)
+				}
+			})
+			flat := run(n, tcp, func(p *Proc) {
+				dst := make([]int32, 0, 64)
+				got := p.AllGatherI32Into(dst, wireList[int32](p.Rank(), lens))
+				if !slices.Equal(got, want) || got == nil {
+					t.Errorf("%d ranks, tcp %v: AllGatherI32Into gave rank %d %v, want %v", n, tcp, p.Rank(), got, want)
+				}
+				if len(got) > 0 && &got[0] != &dst[:1][0] {
+					t.Errorf("%d ranks, tcp %v: rank %d's result left dst's storage", n, tcp, p.Rank())
+				}
+			})
+			for r := 0; r < n; r++ {
+				if lists.Stats[r].MsgsSent != flat.Stats[r].MsgsSent || lists.Stats[r].BytesSent != flat.Stats[r].BytesSent || lists.Clocks[r] != flat.Clocks[r] {
+					t.Errorf("%d ranks, tcp %v: rank %d sent %d messages, %d bytes by %v flat, %d, %d by %v as lists",
+						n, tcp, r, flat.Stats[r].MsgsSent, flat.Stats[r].BytesSent, flat.Clocks[r],
+						lists.Stats[r].MsgsSent, lists.Stats[r].BytesSent, lists.Clocks[r])
+				}
+			}
+		}
+	}
+}

@@ -27,6 +27,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/hashtab"
 	"repro/internal/partition"
+	"repro/internal/recycle"
 	"repro/internal/remap"
 	"repro/internal/ttable"
 )
@@ -38,8 +39,9 @@ type Runtime struct {
 	// used for both applications in the paper).
 	TableKind ttable.Kind
 	// plan is the remap plan of the latest Repartition on this runtime,
-	// rebuilt in place by the next one: the move staging and the plan's
-	// index lists belong to the run, not to one repartition.
+	// rebuilt in place by the next one: the block map's working arrays,
+	// the move staging and the plan's index lists belong to the run, not to
+	// one repartition.
 	plan *remap.Plan
 }
 
@@ -136,8 +138,14 @@ func (d *Dist) Repartition(newOwners []int32) (*Dist, *remap.Plan) {
 	if len(newOwners) != len(d.globals) {
 		panic(fmt.Sprintf("core: %d owners for %d local elements", len(newOwners), len(d.globals)))
 	}
-	slab := remap.BlockMap(d.rt.P, d.globals, newOwners, d.N())
+	// The block map is routed in the plan's storage; its slab is dead once
+	// the translation table is built.
+	if d.rt.plan == nil {
+		d.rt.plan = new(remap.Plan)
+	}
+	slab := d.rt.plan.BlockMap(d.rt.P, d.globals, newOwners, d.N())
 	tt := ttable.Build(d.rt.P, d.rt.TableKind, slab)
+	recycle.PoisonI32(slab)
 	d.rt.plan = remap.NewPlanInto(d.rt.plan, d.rt.P, d.globals, tt)
 	plan := d.rt.plan
 	// The new Dist retains its globals: a fresh array, never a recycled one.

@@ -3,6 +3,7 @@ package fortd
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -149,6 +150,29 @@ END FORALL`, `fortd: <input>:9:1: indirection "d" indexes "a" here but "c" in an
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestDeepInputStaysSmall holds the front end to the tokens it looks at:
+// TestCompileErrors' million-level inputs fail 257 levels in, so compiling
+// one allocates a few KB (2–8 KB when the bound was set), not a token per
+// character of the input (over 200 MB when the lexer built them all first).
+func TestDeepInputStaysSmall(t *testing.T) {
+	for _, src := range []string{
+		sumSrc(strings.Repeat("(", 1_000_000) + "x(i"),
+		sumSrc(strings.Repeat("-", 1_000_000) + "x(i)"),
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := Compile(src)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%.20q...: compiled without error", src[len(src)/2:])
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+			t.Errorf("%.20q...: compiling %d bytes allocated %d bytes, want at most 64 KB", src[len(src)/2:], len(src), got)
 		}
 	}
 }

@@ -98,68 +98,106 @@ type token struct {
 	pos  Pos
 }
 
-// lex splits src into tokens. Comments start with '!' anywhere, or with
-// 'C'/'c' in the first column (Fortran style); both run to end of line.
-// Newlines are significant (statements are line-oriented). src is read as
-// UTF-8, and columns are 1-based rune counts within the line. Identifiers
-// and numbers are ASCII; any other rune outside a comment is an unexpected
-// character at its own column.
-func lex(file, src string) []token {
-	var toks []token
-	lines := strings.Split(src, "\n")
-	for ln, raw := range lines {
-		line := ln + 1
-		// Fortran comment card: C or * in column one.
-		if len(raw) > 0 && (raw[0] == 'C' || raw[0] == 'c' || raw[0] == '*') {
-			// Only if followed by space or nothing (so identifiers starting
-			// with c at column 0 in free form still work when indented).
-			if len(raw) == 1 || raw[1] == ' ' || raw[1] == '\t' || raw[1] == '$' {
-				continue
-			}
+// lexer is a pull lexer over src: each call of next scans one more token,
+// so the front end holds only the token it is looking at, whatever the
+// length of the input. Comments start with '!' anywhere, or with 'C'/'c'/'*'
+// in the first column (Fortran style); both run to end of line. Newlines are
+// significant (statements are line-oriented): a line that yields a token
+// ends with a tokNewline. src is read as UTF-8, and columns are 1-based
+// rune counts within the line. Identifiers and numbers are ASCII; any other
+// rune outside a comment is an unexpected character at its own column.
+type lexer struct {
+	file string
+	rest string // the input after the current line
+	more bool   // rest holds another line (possibly empty)
+	line int    // the current line's number
+	raw  string // the current line, its comment cut off
+	i    int    // byte offset of the next character of raw
+	col  int    // rune column of raw[i]
+	// emitted reports that the current line has yielded a token and so
+	// still owes its tokNewline.
+	emitted bool
+}
+
+// next scans and returns the next token. At the end of the input it
+// returns tokEOF, positioned at column 1 of the last line, on every call.
+func (l *lexer) next() token {
+	for {
+		for l.i < len(l.raw) && (l.raw[l.i] == ' ' || l.raw[l.i] == '\t' || l.raw[l.i] == '\r') {
+			l.i++
+			l.col++
 		}
-		if i := strings.IndexByte(raw, '!'); i >= 0 {
-			raw = raw[:i]
+		if l.i < len(l.raw) {
+			return l.scan()
 		}
-		// i is the byte offset, col the rune column.
-		i, col := 0, 1
-		emitted := false
-		for i < len(raw) {
-			c := raw[i]
-			pos := Pos{Line: line, Col: col}
-			j := i + 1
-			switch {
-			case c == ' ' || c == '\t' || c == '\r':
-			case isLetter(c) || c == '_':
-				for j < len(raw) && isIdentChar(raw[j]) {
-					j++
-				}
-				toks = append(toks, token{tokIdent, raw[i:j], pos})
-				emitted = true
-			case isDigit(c) || c == '.':
-				for j < len(raw) && (isDigit(raw[j]) || raw[j] == '.') {
-					j++
-				}
-				toks = append(toks, token{tokNumber, raw[i:j], pos})
-				emitted = true
-			default:
-				r, size := utf8.DecodeRuneInString(raw[i:])
-				kind, ok := punct(r)
-				if !ok {
-					fail(file, pos, "unexpected character %q", r)
-				}
-				toks = append(toks, token{kind, string(r), pos})
-				j = i + size
-				emitted = true
-			}
-			col += utf8.RuneCountInString(raw[i:j])
-			i = j
+		if l.emitted {
+			l.emitted = false
+			return token{tokNewline, "", Pos{Line: l.line, Col: l.col}}
 		}
-		if emitted {
-			toks = append(toks, token{tokNewline, "", Pos{Line: line, Col: col}})
+		if !l.nextLine() {
+			return token{tokEOF, "", Pos{Line: l.line, Col: 1}}
 		}
 	}
-	toks = append(toks, token{tokEOF, "", Pos{Line: len(lines), Col: 1}})
-	return toks
+}
+
+// nextLine moves to the next line of the input, with its comment cut off,
+// and reports whether there was one.
+func (l *lexer) nextLine() bool {
+	if !l.more {
+		return false
+	}
+	raw := l.rest
+	if k := strings.IndexByte(raw, '\n'); k >= 0 {
+		raw, l.rest = raw[:k], raw[k+1:]
+	} else {
+		l.rest, l.more = "", false
+	}
+	l.line++
+	l.i, l.col = 0, 1
+	// Fortran comment card: C or * in column one, followed by a space, a
+	// tab, '$' or nothing (so identifiers starting with c at column 1 in free
+	// form still work).
+	if len(raw) > 0 && (raw[0] == 'C' || raw[0] == 'c' || raw[0] == '*') &&
+		(len(raw) == 1 || raw[1] == ' ' || raw[1] == '\t' || raw[1] == '$') {
+		raw = ""
+	}
+	if k := strings.IndexByte(raw, '!'); k >= 0 {
+		raw = raw[:k]
+	}
+	l.raw = raw
+	return true
+}
+
+// scan returns the token that starts at raw[i], which is not blank.
+func (l *lexer) scan() token {
+	raw, i := l.raw, l.i
+	c := raw[i]
+	pos := Pos{Line: l.line, Col: l.col}
+	j := i + 1
+	var kind tokKind
+	switch {
+	case isLetter(c) || c == '_':
+		for j < len(raw) && isIdentChar(raw[j]) {
+			j++
+		}
+		kind = tokIdent
+	case isDigit(c) || c == '.':
+		for j < len(raw) && (isDigit(raw[j]) || raw[j] == '.') {
+			j++
+		}
+		kind = tokNumber
+	default:
+		r, size := utf8.DecodeRuneInString(raw[i:])
+		k, ok := punct(r)
+		if !ok {
+			fail(l.file, pos, "unexpected character %q", r)
+		}
+		kind, j = k, i+size
+	}
+	l.col += utf8.RuneCountInString(raw[i:j])
+	l.i = j
+	l.emitted = true
+	return token{kind, raw[i:j], pos}
 }
 
 func isLetter(c byte) bool { return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' }

@@ -5,22 +5,23 @@ import (
 	"strings"
 )
 
-// parser consumes the token stream produced by lex. Every production
-// returns its node; the first error ends compilation through fail.
+// parser consumes the tokens the lexer scans, one token ahead: ahead is the
+// next token, and no production looks further. Every production returns
+// its node; the first error ends compilation through fail.
 type parser struct {
 	file  string
-	toks  []token
-	pos   int
+	lex   *lexer
+	ahead token
 	depth int // expression levels open at the current token
 }
 
-func (p *parser) peek() token { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
+func (p *parser) peek() token { return p.ahead }
+func (p *parser) next() token { t := p.ahead; p.ahead = p.lex.next(); return t }
 func (p *parser) atEOF() bool { return p.peek().kind == tokEOF }
 func (p *parser) at() Pos     { return p.peek().pos }
 func (p *parser) skipNL() {
 	for p.peek().kind == tokNewline {
-		p.pos++
+		p.next()
 	}
 }
 
@@ -89,7 +90,8 @@ func (p *parser) endOfStmt() {
 
 // parse builds the program AST.
 func parse(file, src string) *program {
-	p := &parser{file: file, toks: lex(file, src)}
+	p := &parser{file: file, lex: &lexer{file: file, rest: src, more: true}}
+	p.next()
 	prog := &program{}
 	for p.skipNL(); !p.atEOF(); p.skipNL() {
 		t := p.peek()
@@ -282,14 +284,12 @@ func (p *parser) parseForall() *forall {
 	// Single-level body: REDUCE(APPEND, ...) (Figure 9/11) or a list of
 	// REDUCE(SUM, ...) statements over flat indirections (Figure 2's
 	// bonded template).
-	start := p.pos
 	p.keyword("REDUCE")
 	p.expect(tokLParen)
 	switch op := p.expect(tokIdent); {
 	case strings.EqualFold(op.text, "SUM"):
-		p.pos = start // reread it as the list's first statement
 		f.kind = loopPair
-		f.reduces = p.parseReduces()
+		f.reduces = append([]reduceStmt{p.parseReduceSum()}, p.parseReduces()...)
 	case strings.EqualFold(op.text, "APPEND"):
 		f.kind = loopAppend
 		p.expect(tokComma)
@@ -320,16 +320,22 @@ func (p *parser) parseReduces() []reduceStmt {
 		p.keyword("REDUCE")
 		p.expect(tokLParen)
 		p.keyword("SUM")
-		st := reduceStmt{pos: p.at()}
-		p.expect(tokComma)
-		st.target = p.parseRef()
-		p.expect(tokComma)
-		st.value = p.parseExpr()
-		p.expect(tokRParen)
-		p.endOfStmt()
-		out = append(out, st)
+		out = append(out, p.parseReduceSum())
 	}
 	return out
+}
+
+// parseReduceSum parses the rest of a REDUCE(SUM, target, expr) statement,
+// entered past its SUM.
+func (p *parser) parseReduceSum() reduceStmt {
+	st := reduceStmt{pos: p.at()}
+	p.expect(tokComma)
+	st.target = p.parseRef()
+	p.expect(tokComma)
+	st.value = p.parseExpr()
+	p.expect(tokRParen)
+	p.endOfStmt()
+	return st
 }
 
 // parseRef parses array(subscript) where subscript is a loop variable or

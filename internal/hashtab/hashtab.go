@@ -37,6 +37,7 @@ package hashtab
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/comm"
 	"repro/internal/recycle"
@@ -179,10 +180,14 @@ func (t *Table) probe(g int32) (pos uint32, ref int32) {
 // grow doubles the slot array and reinserts every occupied cell. Keys are
 // stored inline, so growth never touches the entry columns (which may hold
 // fewer entries than live slots mid-Hash, when unknowns are pending).
-func (t *Table) grow() {
+func (t *Table) grow() { t.growTo(2 * len(t.slots)) }
+
+// growTo grows the slot array to n cells (a power of two larger than it)
+// and reinserts every occupied cell.
+func (t *Table) growTo(n int) {
 	old := t.slots
 	t.slots = nil // old aliases the live backing; initSlots must not reuse it
-	t.initSlots(2 * len(old))
+	t.initSlots(n)
 	for _, s := range old {
 		if s.ref < 0 {
 			continue
@@ -321,6 +326,7 @@ func (t *Table) HashInto(dst []int32, globals []int32, stamp Stamp) []int32 {
 // two-pass form's, in its order — the probes, then for the unknowns the
 // table lookup DereferenceInto charges and the insertions, then the stamps.
 func (t *Table) hashReplicated(dst, globals []int32, stamp Stamp) []int32 {
+	t.reserve(len(globals))
 	before := t.Len()
 	n, dir, marked := uint32(t.tt.N()), t.dir, t.marked[:(t.tt.N()+63)/64]
 	clear(marked)
@@ -354,6 +360,28 @@ func (t *Table) hashReplicated(dst, globals []int32, stamp Stamp) []int32 {
 	}
 	t.p.ComputeMem(stampMemOps * len(globals))
 	return dst
+}
+
+// reserve readies a Replicated table for a HashInto of k references: they
+// add at most min(N, Len+k) - Len entries, so the entry columns grow once to
+// hold that many and the slot array to keep them under 3/4 occupancy, where
+// appending and doubling would reallocate both a dozen times over as a cold
+// table fills.
+func (t *Table) reserve(k int) {
+	need := min(t.tt.N(), t.Len()+k)
+	more := need - t.Len()
+	t.global = slices.Grow(t.global, more)
+	t.owner = slices.Grow(t.owner, more)
+	t.offset = slices.Grow(t.offset, more)
+	t.local = slices.Grow(t.local, more)
+	t.stamps = slices.Grow(t.stamps, more)
+	n := len(t.slots)
+	for 4*need > 3*n {
+		n *= 2
+	}
+	if n > len(t.slots) {
+		t.growTo(n)
+	}
 }
 
 // insert appends the entry for a translated global: its local index is its
@@ -413,6 +441,12 @@ func (t *Table) SelectInto(dst []Entry, include, exclude Stamp) []Entry {
 	dst = dst[:0]
 	for ref, st := range t.stamps {
 		if st&include != 0 && st&exclude == 0 {
+			// At the first match, make room for every entry left, so the
+			// result is allocated at most once (and not at all when nothing
+			// matches).
+			if len(dst) == 0 {
+				dst = slices.Grow(dst, t.Len()-ref)
+			}
 			dst = append(dst, t.entry(ref))
 		}
 	}

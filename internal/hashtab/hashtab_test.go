@@ -539,3 +539,41 @@ func TestHashIntoGrowsWithHeadroom(t *testing.T) {
 		}
 	})
 }
+
+// TestColdTableSizedOnce: a cold Replicated table sizes itself once for a
+// HashInto — each of the five entry columns is allocated once and the slot
+// array grown once, however many distinct globals arrive — and SelectInto
+// allocates its result at most once, returning nil when given nil and
+// nothing matches.
+func TestColdTableSizedOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race instrumentation allocates on its own")
+	}
+	const n, k = 4096, 3000
+	comm.Run(1, costmodel.Uniform(1e-9), func(p *comm.Proc) {
+		tt := buildBlockTable(p, n)
+		gs := make([]int32, 0, 2*k)
+		for _, g := range rand.New(rand.NewSource(3)).Perm(n)[:k] {
+			gs = append(gs, int32(g))
+		}
+		gs = append(gs, gs...) // every global referenced twice
+		dst := make([]int32, len(gs))
+		empty := testing.AllocsPerRun(20, func() { New(p, tt) })
+		cold := testing.AllocsPerRun(20, func() { New(p, tt).HashInto(dst, gs, 1) })
+		if extra := cold - empty; extra > 6 {
+			t.Errorf("hashing %d distinct globals into a cold table took %.0f allocations, want the 5 columns and the slots once each", k, extra)
+		}
+		ht := New(p, tt)
+		st := ht.NewStamp()
+		ht.HashInto(dst, gs, st)
+		if ht.Len() != k {
+			t.Fatalf("table holds %d entries, want %d", ht.Len(), k)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { ht.SelectInto(nil, st, 0) }); allocs > 1 {
+			t.Errorf("SelectInto(nil, ...) of %d entries took %.0f allocations, want 1", k, allocs)
+		}
+		if got := ht.SelectInto(nil, ht.NewStamp(), 0); got != nil {
+			t.Errorf("SelectInto(nil, ...) matching nothing returned %v, want nil", got)
+		}
+	})
+}

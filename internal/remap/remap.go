@@ -31,6 +31,17 @@ const tagRemap = 110
 // lists the globals this processor currently holds (in any order), owners
 // their newly assigned owners, and n the global array length. Collective.
 func BlockMap(p *comm.Proc, globals, owners []int32, n int) []int32 {
+	return new(Plan).BlockMap(p, globals, owners, n)
+}
+
+// BlockMap is the package's BlockMap working in pl's storage: the per-home
+// offsets, the record lists, the exchange and the slab with its filled
+// marks are kept on pl, so a runtime that repartitions every adapt cycle
+// and keeps one plan sizes them once. The slab returned is pl's: it is
+// overwritten by pl's next BlockMap, so it must be consumed (by
+// ttable.Build, which keeps no reference to it) before then. The plan's
+// moves do not use this storage. Collective.
+func (pl *Plan) BlockMap(p *comm.Proc, globals, owners []int32, n int) []int32 {
 	if len(globals) != len(owners) {
 		panic(fmt.Sprintf("remap: %d globals but %d owners", len(globals), len(owners)))
 	}
@@ -38,12 +49,13 @@ func BlockMap(p *comm.Proc, globals, owners []int32, n int) []int32 {
 	// straight into its home's section of one flat list: within a home the
 	// records keep the order of globals.
 	size := p.Size()
-	at := make([]int, size+1) // at[r] becomes home r's write offset
+	at := recycle.Sized(pl.bmAt, size+1) // at[r] becomes home r's write offset
+	clear(at)
 	for _, g := range globals {
 		at[partition.BlockOwner(int(g), n, size)+1] += 2
 	}
-	flat := make([]int32, 2*len(globals))
-	lists := make([][]int32, size)
+	flat := recycle.Sized(pl.bmFlat, 2*len(globals))
+	lists := recycle.Sized(pl.bmLists, size)
 	for r := 0; r < size; r++ {
 		at[r+1] += at[r]
 		lists[r] = flat[at[r]:at[r+1]]
@@ -55,9 +67,11 @@ func BlockMap(p *comm.Proc, globals, owners []int32, n int) []int32 {
 	}
 	p.ComputeMem(len(globals))
 	lo, hi := partition.BlockRange(p.Rank(), n, p.Size())
-	slab := make([]int32, hi-lo)
-	filled := make([]bool, hi-lo)
-	for _, recs := range p.AllToAllI32(lists, nil) {
+	slab := recycle.Sized(pl.bmSlab, hi-lo)
+	filled := recycle.Sized(pl.bmFilled, hi-lo)
+	clear(filled)
+	recv := p.AllToAllI32(lists, pl.bmRecv)
+	for _, recs := range recv {
 		for i := 0; i+1 < len(recs); i += 2 {
 			g := int(recs[i])
 			if g < lo || g >= hi {
@@ -73,6 +87,7 @@ func BlockMap(p *comm.Proc, globals, owners []int32, n int) []int32 {
 		}
 	}
 	p.ComputeMem(hi - lo)
+	pl.bmAt, pl.bmFlat, pl.bmLists, pl.bmRecv, pl.bmSlab, pl.bmFilled = at, flat, lists, recv, slab, filled
 	return slab
 }
 
@@ -108,6 +123,11 @@ type Plan struct {
 	ents          []ttable.Entry
 	offOut, cur   []int32
 	offTo         [][]int32
+	// BlockMap's working storage (see (*Plan).BlockMap).
+	bmAt            []int
+	bmFlat, bmSlab  []int32
+	bmLists, bmRecv [][]int32
+	bmFilled        []bool
 }
 
 // NewPlan builds a remap plan. globals[i] is the global index of this

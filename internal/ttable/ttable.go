@@ -161,14 +161,10 @@ func Build(p *comm.Proc, kind Kind, myOwners []int32) *Table {
 
 	switch kind {
 	case Replicated:
-		t.owners = make([]int32, 0, t.n)
-		t.offsets = make([]int32, 0, t.n)
-		for _, xs := range p.AllGatherI32(myOwners) {
-			t.owners = append(t.owners, xs...)
-		}
-		for _, xs := range p.AllGatherI32(myOffsets) {
-			t.offsets = append(t.offsets, xs...)
-		}
+		// The gathered map arrives in rank order, which is global order:
+		// it is decoded straight into the tables.
+		t.owners = p.AllGatherI32Into(nil, myOwners)
+		t.offsets = p.AllGatherI32Into(nil, myOffsets)
 	case Distributed:
 		t.locOwners = append([]int32(nil), myOwners...)
 		t.locOffsets = myOffsets

@@ -2,6 +2,7 @@ package ttable
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -224,4 +225,26 @@ func TestKindString(t *testing.T) {
 	if Kind(42).String() != "Kind(42)" {
 		t.Error("unknown Kind.String mismatch")
 	}
+}
+
+// TestReplicatedBuildDecodesOnce: a Replicated Build decodes the gathered
+// map straight into its owners and offsets. On one rank it allocates, per
+// element, the block's offsets, the two all-gather frames and the two
+// tables — 20 bytes — and no staging copy of the map besides.
+func TestReplicatedBuildDecodesOnce(t *testing.T) {
+	const n = 1 << 17
+	comm.Run(1, costmodel.Uniform(1e-9), func(p *comm.Proc) {
+		slab := make([]int32, n)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		tt := Build(p, Replicated, slab)
+		runtime.ReadMemStats(&after)
+		if tt.N() != n {
+			t.Fatalf("table of %d elements, want %d", tt.N(), n)
+		}
+		if perElem := float64(after.TotalAlloc-before.TotalAlloc) / n; perElem > 20.5 {
+			t.Errorf("Build allocated %.2f bytes per element, want 20", perElem)
+		}
+	})
 }
