@@ -9,7 +9,7 @@ import (
 // global order (they are built from point-to-point messages with fixed
 // tags; a missing participant deadlocks the mesh or corrupts matching).
 var procCollectives = map[string]bool{
-	"Barrier": true, "AllGatherI32": true, "AllGatherI64": true, "AllGatherF64": true,
+	"Barrier": true, "AllGatherI32": true, "AllGatherI32Into": true, "AllGatherI64": true, "AllGatherF64": true,
 	"AllReduceF64": true, "AllReduceF64Into": true, "AllReduceI64": true,
 	"AllReduceScalarF64": true, "AllReduceScalarI64": true,
 	"AllToAllI32": true, "AllToAllF64": true,
@@ -32,7 +32,7 @@ var scheduleCollectives = map[string]bool{
 // worst the run deadlocks silently.
 var SPMDCollective = &Analyzer{
 	Name: "spmd-collective",
-	Doc: "collective call (Barrier, AllReduce*, AllGatherI32/I64/F64, AllToAllI32/F64, " +
+	Doc: "collective call (Barrier, AllReduce*, AllGatherI32/I32Into/I64/F64, AllToAllI32/F64, " +
 		"schedule.Build/Gather/Scatter, checkpoint.Save/Restore, ...) guarded by a " +
 		"rank-dependent condition: potential SPMD deadlock",
 	Run: runSPMDCollective,

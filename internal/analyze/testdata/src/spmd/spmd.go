@@ -67,12 +67,13 @@ func BadGuardedInPlaceBuilds(p *comm.Proc, ht *hashtab.Table, tt *ttable.Table, 
 	}
 }
 
-// BadGuardedTypedCollectives reduces in place (the bisection's form) and
-// exchanges index lists on one rank only.
+// BadGuardedTypedCollectives reduces in place (the bisection's form),
+// exchanges index lists and gathers a flat map on one rank only.
 func BadGuardedTypedCollectives(p *comm.Proc, vec, scratch []float64, send [][]int32) {
 	if p.Rank() == 0 {
 		p.AllReduceF64Into(comm.OpSum, vec, scratch) // want:spmd-collective
 		p.AllToAllI32(send, nil)                     // want:spmd-collective
+		_ = p.AllGatherI32Into(nil, send[0])         // want:spmd-collective
 	}
 }
 
