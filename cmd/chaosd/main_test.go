@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -64,6 +65,87 @@ func TestRankRoleEndToEnd(t *testing.T) {
 	}
 }
 
+// rankRun is one in-process chaosd rank's outcome.
+type rankRun struct {
+	code           int
+	stdout, stderr string
+}
+
+// runRanks runs n ranks of "chaosd rank args..." concurrently over
+// reserved loopback addresses and returns each rank's outcome.
+func runRanks(t *testing.T, n int, args ...string) []rankRun {
+	t.Helper()
+	addrs := reserveAddrs(t, n)
+	out := make([]rankRun, n)
+	var wg sync.WaitGroup
+	for r := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var stdout, stderr bytes.Buffer
+			code := run(slices.Concat([]string{"rank", "-rank", strconv.Itoa(r), "-addrs", addrs, "-timeout", "20s"}, args),
+				&stdout, &stderr)
+			out[r] = rankRun{code, stdout.String(), stderr.String()}
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// checksumLine returns rank 0's checksum line.
+func checksumLine(t *testing.T, runs []rankRun) string {
+	t.Helper()
+	for _, line := range strings.Split(runs[0].stdout, "\n") {
+		if strings.Contains(line, "checksum") {
+			return line
+		}
+	}
+	t.Fatalf("rank 0 printed no checksum line:\n%s", runs[0].stdout)
+	return ""
+}
+
+// TestRankKillResumesElastic: three dsmc ranks checkpoint every 2 steps
+// until the fault plan kills rank 1 at its 100th send. Every rank exits 3,
+// the victim saying the plan killed it and its peers that a peer failed,
+// and ckpt-00000002 stays sealed. Two ranks resumed from the latest sealed
+// checkpoint (an elastic 3 → 2 restore) print the checksum of a fault-free
+// 3-rank run, bit for bit.
+func TestRankKillResumesElastic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("TCP mesh test")
+	}
+	dir := t.TempDir()
+	app := []string{"-app", "dsmc", "-elems", "600", "-steps", "8"}
+
+	killed := runRanks(t, 3, slices.Concat(app, []string{"-ckpt-dir", dir, "-ckpt-every", "2",
+		"-fault-plan", "seed=7,kill=1@100"})...)
+	for r, k := range killed {
+		why := "a peer rank failed"
+		if r == 1 {
+			why = "the fault plan killed it"
+		}
+		if want := fmt.Sprintf("chaosd: rank %d aborted: %s;", r, why); k.code != 3 || !strings.HasPrefix(k.stderr, want) {
+			t.Errorf("killed run, rank %d: exit %d, want 3 and %q; stderr:\n%s", r, k.code, want, k.stderr)
+		}
+	}
+	if _, err := checkpoint.Open(filepath.Join(dir, "ckpt-00000002")); err != nil {
+		t.Fatalf("ckpt-00000002 is not sealed: %v", err)
+	}
+
+	resumed := runRanks(t, 2, slices.Concat(app, []string{"-ckpt-dir", dir, "-resume", "latest"})...)
+	clean := runRanks(t, 3, app...)
+	for _, runs := range [][]rankRun{resumed, clean} {
+		for r, o := range runs {
+			if o.code != 0 {
+				t.Fatalf("rank %d of %d: exit %d, stderr:\n%s", r, len(runs), o.code, o.stderr)
+			}
+		}
+	}
+	if got, want := checksumLine(t, resumed), checksumLine(t, clean); got != want {
+		t.Errorf("3 → 2 resume: %q, fault-free 3 ranks: %q", got, want)
+	}
+}
+
 // TestBadInputExitsWithOneLine: input no run can honour is refused before
 // any listener starts — exit status 2, one "chaosd:" line followed by the
 // usage on stderr, and nothing on stdout.
@@ -81,8 +163,6 @@ func TestBadInputExitsWithOneLine(t *testing.T) {
 		{"rank", "-rank", "0", "-addrs", two, "-fault-plan", "seed=x"},
 		{"rank", "-rank", "0", "-addrs", two, "-app", "nosuch"},
 		{"rank", "-rank", "0", "-addrs", two, "stray"},
-		{"oneshot", "-workers", "0"},
-		{"oneshot", "-workers", "-3"},
 	} {
 		wantRefused(t, args)
 	}
@@ -150,7 +230,6 @@ func wantRefused(t *testing.T, args []string) {
 func TestBadFlagExits2(t *testing.T) {
 	for _, args := range [][]string{
 		{"rank", "-ranks-per-worker", "2"},
-		{"oneshot", "-workers", "two"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {

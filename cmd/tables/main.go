@@ -4,18 +4,16 @@
 //
 // Usage:
 //
-//	tables [-quick] [-table 1..7|loopir|adapt|cluster] [-markdown | -json]
+//	tables [-quick] [-table 1..7|loopir|adapt] [-markdown | -json]
 //
 // Without -table, Tables 1-7 run. -table picks one table by name: a paper
-// table by number, loopir (the fortd -O0 vs -O schedule-reuse table), adapt
+// table by number, loopir (the fortd -O0 vs -O schedule-reuse table) or adapt
 // (static, periodic and policy-driven remapping across three DSMC skew
-// scenarios) or cluster (jobs/min and elastic restore counts through an
-// in-process chaosd coordinator and worker pool). Every table but cluster
-// reports virtual seconds under the cost model; host time is measured by
-// `bash benchmarks/run.sh`. -quick uses the shrunken scale (seconds instead
-// of minutes of wall time). -markdown emits GitHub-flavoured markdown
-// instead of aligned text; -json emits newline-delimited JSON, one record
-// per table row, for downstream tooling.
+// scenarios). Every table reports virtual seconds under the cost model; host
+// time is measured by `bash benchmarks/run.sh`. -quick uses the shrunken
+// scale (seconds instead of minutes of wall time). -markdown emits
+// GitHub-flavoured markdown instead of aligned text; -json emits
+// newline-delimited JSON, one record per table row, for downstream tooling.
 package main
 
 import (
@@ -45,7 +43,6 @@ var generators = []struct {
 	{"7", bench.Table7},
 	{"loopir", func(bench.Scale) *bench.Table { return bench.Loopir() }},
 	{"adapt", bench.Adapt},
-	{"cluster", func(bench.Scale) *bench.Table { return bench.Cluster() }},
 }
 
 const paperTables = 7

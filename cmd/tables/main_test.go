@@ -42,7 +42,7 @@ func TestBadInvocationsExit2(t *testing.T) {
 		args []string
 		want string // must appear on stderr
 	}{
-		{[]string{"-table", "inspector"}, `no table "inspector" (valid: 1, 2, 3, 4, 5, 6, 7, loopir, adapt, cluster)`},
+		{[]string{"-table", "inspector"}, `no table "inspector" (valid: 1, 2, 3, 4, 5, 6, 7, loopir, adapt)`},
 		{[]string{"-table", "8"}, `no table "8"`},
 		{[]string{"-markdown", "-json"}, "mutually exclusive"},
 		{[]string{"-quick", "loopir"}, `unexpected argument "loopir"`},

@@ -9,11 +9,10 @@ import (
 
 // determinismAllowlist names package-path suffixes exempt from the
 // determinism analyzer: transports legitimately consult wall-clock time
-// (dial deadlines, backoff), the cluster serving layer lives on wall-clock
-// heartbeats and probes by design (its compute payload, internal/cluster/
-// apps, is NOT exempt — the suffix match does not cover subpackages), and
-// CLI drivers report wall time to humans.
-var determinismAllowlist = []string{"internal/comm", "internal/cluster"}
+// (dial deadlines, backoff). CLI drivers, which report wall time to humans,
+// are exempt by path below; the applications they run (internal/apps) are
+// not.
+var determinismAllowlist = []string{"internal/comm"}
 
 // randConstructors are math/rand functions that build seeded generators
 // rather than draw from the shared global source; they are deterministic

@@ -1,10 +1,8 @@
-// Package apps hosts the runnable CHAOS applications shared by every
-// process-level launcher: chaosd's one-process-per-rank role, its worker
-// pool, and the in-process cluster bench. A Spec names an application and
-// its size; Run executes one rank's share of it as a collective body under
-// comm.Run or comm.RunRank. The launchers differ only in how they wire the
-// transport and how many virtual ranks a process hosts — the computation,
-// checkpoint cadence, and resume path live here exactly once.
+// Package apps hosts the runnable CHAOS applications of chaosd's
+// one-process-per-rank role. A Spec names an application and its size; Run
+// executes one rank's share of it as a collective body under comm.Run or
+// comm.RunRank. The computation, checkpoint cadence and resume path live
+// here rather than in cmd/chaosd, so the determinism analyzer covers them.
 package apps
 
 import (
@@ -88,7 +86,7 @@ func (s Spec) Validate() error {
 	}
 	if s.CrashRank < 0 {
 		// The upper bound is the launcher's to check: a spec does not fix
-		// the rank count (a cluster job's changes across restarts).
+		// the rank count (a resumed run may use another).
 		return fmt.Errorf("apps: crash_rank must not be negative, got %d", s.CrashRank)
 	}
 	return nil

@@ -274,10 +274,10 @@ func NewTCPEndpoint(rank int, addrs []string, timeout time.Duration) (*TCPTransp
 }
 
 // NewTCPEndpointOn is NewTCPEndpoint over a listener the caller has already
-// bound. It exists for supervisors (the chaosd worker pool) that must
-// reserve ports first, report the resulting addresses to a coordinator, and
-// only then — once the coordinator has assembled the full address list —
-// bring the rank up on the reserved port, without a close-and-rebind race.
+// bound. It exists for callers that must reserve ports first and assemble
+// the full address list from them (NewTCPMesh binds every rank to port 0),
+// and only then bring each rank up on its reserved port, without a
+// close-and-rebind race.
 // The endpoint takes ownership of ln and closes it once the mesh is
 // connected (ln may be nil when n == 1, where no wiring happens at all).
 func NewTCPEndpointOn(ln net.Listener, rank int, addrs []string, timeout time.Duration) (*TCPTransport, error) {

@@ -207,10 +207,10 @@ func TestTCPEndpointRefusedPortBackoff(t *testing.T) {
 	}
 }
 
-// TestTCPEndpointOnPreBoundListeners is the chaosd worker path: every rank
-// reserves its listener up front (so a scheduler can assemble the global
-// address list before anyone dials), then the mesh forms from the already-
-// bound listeners — no close-and-rebind race on the reserved ports.
+// TestTCPEndpointOnPreBoundListeners: every rank reserves its listener up
+// front (so the global address list is known before anyone dials), then the
+// mesh forms from the already-bound listeners — no close-and-rebind race on
+// the reserved ports.
 func TestTCPEndpointOnPreBoundListeners(t *testing.T) {
 	const n = 3
 	lns := make([]net.Listener, n)
