@@ -23,26 +23,26 @@ import (
 type Spec struct {
 	// App is the computation: "fig1" (the paper's Figure 1 irregular
 	// loop), "charmm", or "dsmc".
-	App string `json:"app"`
+	App string
 	// Elems is the fig1 data-array length, the CHARMM atom count, or the
 	// DSMC molecule count.
-	Elems int `json:"elems,omitempty"`
+	Elems int
 	// Iters is the fig1 irregular-loop iteration count.
-	Iters int `json:"iters,omitempty"`
+	Iters int
 	// Steps is the charmm/dsmc time-step count.
-	Steps int `json:"steps,omitempty"`
+	Steps int
 	// CheckpointEvery, when positive, checkpoints every N steps under
 	// CheckpointDir (charmm and dsmc only).
-	CheckpointEvery int `json:"ckpt_every,omitempty"`
+	CheckpointEvery int
 	// CheckpointDir is the checkpoint base directory.
-	CheckpointDir string `json:"ckpt_dir,omitempty"`
+	CheckpointDir string
 	// ResumeFrom, when non-empty, restores from the given sealed
 	// checkpoint directory before stepping (elastic if the rank count
 	// differs from the writer's).
-	ResumeFrom string `json:"resume,omitempty"`
+	ResumeFrom string
 	// CrashStep/CrashRank inject a rank panic at a step (demos, tests).
-	CrashStep int `json:"crash_step,omitempty"`
-	CrashRank int `json:"crash_rank,omitempty"`
+	CrashStep int
+	CrashRank int
 }
 
 // Normalize fills zero-valued fields with the defaults every launcher shares.

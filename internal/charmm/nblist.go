@@ -16,15 +16,26 @@ import (
 // (z, y) row a single contiguous range. Within a cell atoms keep their
 // insertion (input) order. Positions are three columns, x, y and z, each in
 // cell order, so that four consecutive candidates' coordinates are one
-// vector load per axis (scanRange). Storage is reused across builds.
+// vector load per axis (walkAVX2). Every column ends in walkPad padding
+// entries — id MinInt32, which is no atom's partner, at NaN, which is within
+// no cutoff — so that a group of four starting at a range's last candidate
+// still reads inside the columns. Storage is reused across builds.
 type cellGrid struct {
 	nx, ny, nz int
 	inv        float64
 	start      []int32   // nx*ny*nz + 1 cell extents
-	ids        []int32   // atom ids in cell order
-	x, y, z    []float64 // positions in cell order, one column per axis
-	cell       []int32   // build scratch: cell of each input atom
+	ids        []int32   // atom ids in cell order, then walkPad padding
+	x, y, z    []float64 // positions in cell order, one column per axis, then padding
+	// scratch is the cell of each input atom during build, and after it a
+	// walk's output where the list is short of room (appendPartners): with
+	// room for all the atoms plus walkPad, it holds any atom's reservation.
+	scratch []int32
 }
+
+// walkPad is the padding at the end of the grid's columns, and the room a
+// walk reserves past an atom's candidates: a 16-byte store or load of four
+// lanes that starts at the last one reaches 3 slots past it.
+const walkPad = 3
 
 // build bins the n atoms of pos (3-wide) into cells of edge >= cutoff. Atom
 // i is recorded under ids[i], or under i itself when ids is nil.
@@ -38,20 +49,20 @@ func (g *cellGrid) build(pos []float64, ids []int32, n int, box [3]float64, cuto
 	// Count per cell, prefix-sum, place — a stable counting sort.
 	g.start = recycle.Sized(g.start, nCells+1)
 	clear(g.start)
-	g.cell = recycle.Sized(g.cell, n)
+	g.scratch = recycle.Sized(g.scratch, n+walkPad)
 	for i := 0; i < n; i++ {
 		cx, cy, cz := g.cellOf(pos[3*i:])
 		c := (cz*g.ny+cy)*g.nx + cx
-		g.cell[i] = int32(c)
+		g.scratch[i] = int32(c)
 		g.start[c+1]++
 	}
 	for c := 0; c < nCells; c++ {
 		g.start[c+1] += g.start[c]
 	}
-	g.ids = recycle.Sized(g.ids, n)
-	g.x, g.y, g.z = recycle.Sized(g.x, n), recycle.Sized(g.y, n), recycle.Sized(g.z, n)
+	g.ids = recycle.Sized(g.ids, n+walkPad)
+	g.x, g.y, g.z = recycle.Sized(g.x, n+walkPad), recycle.Sized(g.y, n+walkPad), recycle.Sized(g.z, n+walkPad)
 	for i := 0; i < n; i++ {
-		c := g.cell[i]
+		c := g.scratch[i]
 		k := g.start[c]
 		g.start[c]++
 		g.ids[k] = int32(i)
@@ -59,6 +70,10 @@ func (g *cellGrid) build(pos []float64, ids []int32, n int, box [3]float64, cuto
 			g.ids[k] = ids[i]
 		}
 		g.x[k], g.y[k], g.z[k] = pos[3*i], pos[3*i+1], pos[3*i+2]
+	}
+	for k := n; k < n+walkPad; k++ {
+		g.ids[k] = math.MinInt32
+		g.x[k], g.y[k], g.z[k] = math.NaN(), math.NaN(), math.NaN()
 	}
 	// Placement advanced start[c] to the end of cell c; shift back.
 	copy(g.start[1:], g.start[:nCells])
@@ -73,6 +88,10 @@ func (g *cellGrid) cellOf(p []float64) (cx, cy, cz int) {
 	return
 }
 
+// cellRange is the candidates [lo, hi) of the grid's columns that one (z, y)
+// row of an atom's neighbourhood leaves to the distance tests.
+type cellRange struct{ lo, hi int32 }
+
 // appendPartners appends to jnb the id of every atom with id > self within
 // the cutoff (squared: c2) of position p, and returns the extended list and
 // the number of candidates examined — every atom of the 27-cell
@@ -83,77 +102,107 @@ func (g *cellGrid) cellOf(p []float64) (cx, cy, cz int) {
 // of the non-bonded list, hence the floating-point summation order of the
 // force loops, which the goldens and the 1e-9 oracle pin. Rows are keyed by
 // id, not by cell, so a half-shell walk would reorder them; the full shell
-// is walked and the gain comes from the layout alone.
+// is walked and the gain comes from the layout alone. The ranges left after
+// pruning (ranges) go to walk in one call, which does the distance tests
+// and reserves room for every candidate.
+func (g *cellGrid) appendPartners(jnb []int32, p []float64, self int32, c2 float64) ([]int32, int) {
+	var rs [9]cellRange
+	nr, cands, examined := g.ranges(&rs, p, c2)
+	if cap(jnb)-len(jnb) >= cands+walkPad {
+		return walk(jnb, rs[:nr], g.ids, g.x, g.y, g.z, self, p[0], p[1], p[2], c2), examined
+	}
+	// The list's storage may hold the partners but not the reservation for
+	// every candidate: near the end of a list built in storage of its final
+	// length, growing it would move the whole list. The walk goes to the
+	// grid's scratch, and only what it kept is appended.
+	kept := walk(g.scratch[:0], rs[:nr], g.ids, g.x, g.y, g.z, self, p[0], p[1], p[2], c2)
+	return append(jnb, kept...), examined
+}
+
+// ranges writes to rs, in walk order, the ranges of the grid's columns that
+// may hold partners of an atom at p — at most nine, one per (z, y) row of
+// its 27-cell neighbourhood — and returns how many there are, the
+// candidates in them and the candidates examined: every atom of the
+// neighbourhood, which is what the model charges.
 //
 // A neighbour cell whose nearest face lies beyond the cutoff holds no
-// partner, so the walk skips it (a whole (z, y) row, or its first or last x
-// cell) without changing the order of what is left. The examined count, which
-// the model charges, still covers every atom of the neighbourhood. What is
-// left of each row is one call to scanRange, the leaf loop that does the
-// distance tests.
-func (g *cellGrid) appendPartners(jnb []int32, p []float64, self int32, c2 float64) ([]int32, int) {
+// partner, so it is left out (a whole (z, y) row, or its first or last x
+// cell) without changing the order of what is left.
+func (g *cellGrid) ranges(rs *[9]cellRange, p []float64, c2 float64) (nr, cands, examined int) {
 	cx, cy, cz := g.cellOf(p)
-	px, py, pz := p[0], p[1], p[2]
 	x0, x1 := max(cx-1, 0), min(cx+1, g.nx-1)
 	// Distances to cell faces are taken in cell units (position × inv); the
 	// bound is widened by 1e-6 so that rounding can never skip a partner.
 	// The scaled coordinates are converted so that faceGap's subtraction,
 	// once inlined, does not fuse with the product.
-	sx, sy, sz := float64(px*g.inv), float64(py*g.inv), float64(pz*g.inv)
+	sx, sy, sz := float64(p[0]*g.inv), float64(p[1]*g.inv), float64(p[2]*g.inv)
 	lim := c2 * g.inv * g.inv * (1 + 1e-6)
-	examined := 0
 	for z := max(cz-1, 0); z <= min(cz+1, g.nz-1); z++ {
 		gz := faceGap(sz, z, cz)
 		for y := max(cy-1, 0); y <= min(cy+1, g.ny-1); y++ {
 			row := (z*g.ny + y) * g.nx
-			lo, hi := int(g.start[row+x0]), int(g.start[row+x1+1])
-			examined += hi - lo
+			lo, hi := g.start[row+x0], g.start[row+x1+1]
+			examined += int(hi - lo)
 			gy := faceGap(sy, y, cy)
 			gyz := float64(gy*gy) + float64(gz*gz)
 			if gyz > lim {
 				continue
 			}
 			if gx := faceGap(sx, x0, cx); gyz+float64(gx*gx) > lim {
-				lo = int(g.start[row+cx])
+				lo = g.start[row+cx]
 			}
 			if gx := faceGap(sx, x1, cx); gyz+float64(gx*gx) > lim {
-				hi = int(g.start[row+cx+1])
+				hi = g.start[row+cx+1]
 			}
-			jnb = scanRange(jnb, g.ids[lo:hi], g.x[lo:hi], g.y[lo:hi], g.z[lo:hi], self, px, py, pz, c2)
+			rs[nr] = cellRange{lo, hi}
+			nr++
+			cands += int(hi - lo)
 		}
 	}
-	return jnb, examined
+	return nr, cands, examined
 }
 
-// scanRange appends to jnb, in order, every ids[k] > self whose position
-// (x[k], y[k], z[k]) lies within the cutoff (squared: c2) of (px, py, pz).
-// The coordinate columns must be as long as ids.
+// walk appends to jnb, range by range and in order within each range, every
+// ids[k] > self whose position (x[k], y[k], z[k]) lies within the cutoff
+// (squared: c2) of (px, py, pz). The coordinate columns must be as long as
+// ids, and every range must end walkPad entries before the columns do.
 //
-// With VectorKernels set it tests four candidates per step in AVX2
-// (scanRangeAVX2) and leaves the last len(ids) % 4 to scanTail, the
-// portable loop; without, scanTail does the whole range. Both write the
-// same list: the vector kernel computes each lane's distance with the
-// operations scanTail uses, in the same order, and packs the kept ids in
-// lane order. Capacity for every candidate is reserved up front, so both may
-// write a slot they do not keep.
-func scanRange(jnb, ids []int32, x, y, z []float64, self int32, px, py, pz, c2 float64) []int32 {
-	jnb = slices.Grow(jnb, len(ids))
-	n := len(jnb)
-	out := jnb[:n+len(ids)]
+// Room for every candidate, plus walkPad, is reserved once, so a kernel may
+// write a slot it does not keep. With VectorKernels set, all the ranges go
+// to walkAVX2 in one call, which tests four candidates at a time and a
+// range's last one to three under a lane mask; without, scanTail, the
+// portable loop, does each range. Both write the same list: the vector kernel
+// computes each lane's distance with the operations scanTail uses, in the
+// same order, and packs the kept ids in lane order.
+func walk(jnb []int32, rs []cellRange, ids []int32, x, y, z []float64, self int32, px, py, pz, c2 float64) []int32 {
 	if len(x) != len(ids) || len(y) != len(ids) || len(z) != len(ids) {
-		panic("charmm: scanRange's id and coordinate columns differ in length")
+		panic("charmm: walk's id and coordinate columns differ in length")
 	}
-	k := 0
-	if VectorKernels && len(ids) >= 4 {
-		k = len(ids) &^ 3
-		n += scanRangeAVX2(&out[n], ids[:k], &x[0], &y[0], &z[0], self, px, py, pz, c2)
+	cands := 0
+	for _, r := range rs {
+		if r.lo < 0 || r.lo > r.hi || int(r.hi) > len(ids)-walkPad {
+			panic("charmm: walk's range is not inside its padded columns")
+		}
+		cands += int(r.hi - r.lo)
 	}
-	return jnb[:scanTail(out, n, ids[k:], x[k:], y[k:], z[k:], self, px, py, pz, c2)]
+	jnb = slices.Grow(jnb, cands+walkPad)
+	n := len(jnb)
+	out := jnb[:n+cands+walkPad]
+	if VectorKernels {
+		if len(rs) > 0 {
+			n += walkAVX2(&out[n], &rs[0], len(rs), &ids[0], &x[0], &y[0], &z[0], self, px, py, pz, c2)
+		}
+	} else {
+		for _, r := range rs {
+			n = scanTail(out, n, ids[r.lo:r.hi], x[r.lo:r.hi], y[r.lo:r.hi], z[r.lo:r.hi], self, px, py, pz, c2)
+		}
+	}
+	return jnb[:n]
 }
 
-// scanTail is scanRange's portable loop: it writes the qualifying ids among
-// ids to out from out[n] on and returns the new n. out must have room for
-// every candidate.
+// scanTail is walk's portable loop over one range: it writes the qualifying
+// ids among ids to out from out[n] on and returns the new n. out must have
+// room for every candidate.
 //
 // It is a leaf so that its loop state stays in registers, and it picks
 // partners without a branch on the distance: each candidate with a
@@ -205,7 +254,9 @@ func faceGap(s float64, c, own int) float64 {
 // SetCSR) never retire them.
 type nbSearch struct {
 	grid cellGrid
-	// hint is the length of the last list built.
+	// hint is the length of the last list built or retired: after a
+	// repartition the retired list is the moved one, which has the rows of
+	// the new distribution.
 	hint int
 	// spare is a retired list, the next build's storage.
 	sparePtr, spareJnb []int32
@@ -220,9 +271,13 @@ type nbSearch struct {
 }
 
 // retire hands nb a list nothing reads any more as the next build's
-// storage. In test binaries it is poisoned first, so a build that leaves a
-// cell of it unwritten shows.
+// storage, and its length, when it has one, as the next build's size. In
+// test binaries it is poisoned first, so a build that leaves a cell of it
+// unwritten shows.
 func (nb *nbSearch) retire(ptr, jnb []int32) {
+	if len(jnb) > 0 {
+		nb.hint = len(jnb)
+	}
 	recycle.PoisonI32(ptr)
 	recycle.PoisonI32(jnb)
 	nb.sparePtr, nb.spareJnb = ptr, jnb
@@ -243,9 +298,8 @@ func (nb *nbSearch) searchRows(pos []float64, ids []int32, lo, hi int, cfg Confi
 		nb.hint = nb.estimate(pos, ids, lo, hi, cfg)
 	}
 	c2 := cfg.Cutoff * cfg.Cutoff
-	// A retired list is reused when it holds the last list's length, and a
-	// fresh one gets 1/8 headroom over it. Either way a longer list grows
-	// by append (scanRange's slices.Grow).
+	// A retired list is reused when it holds the hint, and a fresh one gets
+	// 1/8 headroom over it. Either way a longer list grows by append.
 	ptr = recycle.Sized(nb.sparePtr, hi-lo+1)
 	ptr[0] = 0
 	if jnb = nb.spareJnb[:0]; jnb == nil || cap(jnb) < nb.hint {
@@ -277,7 +331,7 @@ func (nb *nbSearch) searchRows(pos []float64, ids []int32, lo, hi int, cfg Confi
 func (nb *nbSearch) estimate(pos []float64, ids []int32, lo, hi int, cfg Config) int {
 	c2 := cfg.Cutoff * cfg.Cutoff
 	stride := (hi-lo)/256 + 1
-	var row []int32
+	row := nb.grid.scratch // a sample row is counted, not kept: the scratch holds it
 	found, sampleAbove, allAbove := 0, 0.0, 0.0
 	for i := lo; i < hi; i++ {
 		self := int32(i)

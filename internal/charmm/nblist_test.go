@@ -332,7 +332,7 @@ func TestNBListBoundaryCases(t *testing.T) {
 
 // TestNBListGrowsFromHintOne builds every configuration — the 55 random
 // ones and the two boundary cases — from a list hint of 1, so the list's
-// capacity comes from scanRange's per-range reservations, not from the
+// capacity comes from walk's per-atom reservations, not from the
 // up-front estimate.
 func TestNBListGrowsFromHintOne(t *testing.T) {
 	cutoff, _, _ := atCutoffCase()
@@ -348,8 +348,10 @@ func TestNBListGrowsFromHintOne(t *testing.T) {
 // "ranks=N" the halo-exchange build of block-distributed initial positions on
 // N ranks. B/op covers all ranks: what is left is the list itself and the
 // halo messages. ns/cand divides the time per build by the candidates all
-// ranks examine in it. Each runs under "go" (the portable scan) and "avx2"
-// (the vector kernel).
+// ranks examine in it, ns/atom by the rows they search, and ranges/atom is
+// the mean number of cell ranges a row's walk is handed (ranges): a cost
+// per call or per range shows in ns/atom, not in ns/cand. Each runs under
+// "go" (the portable scan) and "avx2" (the vector kernel).
 func BenchmarkNBListBuild(b *testing.B) {
 	benchKernels(b, benchNBListBuild)
 }
@@ -357,9 +359,14 @@ func BenchmarkNBListBuild(b *testing.B) {
 func benchNBListBuild(b *testing.B) {
 	cfg := ConfigForAtoms(8000)
 	init := GenInitState(cfg)
-	perCand := func(b *testing.B, examined int) {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(examined), "ns/cand")
+	// report divides one build's time among its candidates and rows.
+	report := func(b *testing.B, examined, rows, ranges int) {
+		perBuild := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+		b.ReportMetric(perBuild/float64(examined), "ns/cand")
+		b.ReportMetric(perBuild/float64(rows), "ns/atom")
+		b.ReportMetric(float64(ranges)/float64(rows), "ranges/atom")
 	}
+	c2 := cfg.Cutoff * cfg.Cutoff
 	b.Run("seq", func(b *testing.B) {
 		b.ReportAllocs()
 		var nb nbSearch
@@ -368,12 +375,12 @@ func benchNBListBuild(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			nb.buildSeq(init.Pos, cfg.NAtoms, cfg)
 		}
-		perCand(b, nb.examined)
+		report(b, nb.examined, cfg.NAtoms, walkRanges(&nb.grid, init.Pos, cfg.NAtoms, c2))
 	})
 	for _, nprocs := range []int{1, 2} {
 		b.Run(fmt.Sprintf("ranks=%d", nprocs), func(b *testing.B) {
 			b.ReportAllocs()
-			examined := make([]int, nprocs)
+			examined, ranges := make([]int, nprocs), make([]int, nprocs)
 			comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
 				lo, hi := partition.BlockRange(p.Rank(), cfg.NAtoms, nprocs)
 				globals := make([]int32, hi-lo)
@@ -391,14 +398,32 @@ func benchNBListBuild(b *testing.B) {
 					buildNBListPar(p, globals, pos, cfg, &nb)
 				}
 				examined[p.Rank()] = nb.examined
+				ranges[p.Rank()] = walkRanges(&nb.grid, nb.allP, len(globals), c2)
 			})
-			total := 0
-			for _, e := range examined {
-				total += e
-			}
-			perCand(b, total)
+			report(b, sum(examined), cfg.NAtoms, sum(ranges))
 		})
 	}
+}
+
+// walkRanges counts the ranges the walks of the first n atoms at pos are
+// handed on grid g.
+func walkRanges(g *cellGrid, pos []float64, n int, c2 float64) int {
+	total := 0
+	var rs [9]cellRange
+	for i := range n {
+		nr, _, _ := g.ranges(&rs, pos[3*i:3*i+3], c2)
+		total += nr
+	}
+	return total
+}
+
+// sum adds up xs.
+func sum(xs []int) int {
+	total := 0
+	for _, x := range xs {
+		total += x
+	}
+	return total
 }
 
 // TestNBListRebuildReusesRetired: a list handed back through retire is the

@@ -1,6 +1,6 @@
 package charmm
 
-// VectorKernels selects the AVX2 kernels of the neighbour scan (scanRange),
+// VectorKernels selects the AVX2 kernels of the neighbour search (walk),
 // the non-bonded force row (pairForceRow) and Table 6's row body
 // (kernelRow). It is set at package init when the CPU has AVX2 and POPCNT
 // and the OS saves the YMM registers, and tests set it false to run the
@@ -11,18 +11,22 @@ var VectorKernels = cpuHasAVX2()
 // cpuHasAVX2 reports AVX2, POPCNT and OS-saved YMM state (CPUID, XGETBV).
 func cpuHasAVX2() bool
 
-// scanRangeAVX2 is scanRange's vector kernel over len(ids), a positive
-// multiple of 4: the qualifying ids are written from out on, in order, and
-// their number is returned. x, y and z point at columns as long as ids. A
-// group of four is compared at once — each id > self as a signed int32, each
-// ((dx·dx + dy·dy) + dz·dz) < c2 with dx = q − p, as scanTail does — and the
-// ids of both tests are packed to the front of a 16-byte store by a PSHUFB
-// table indexed by the 4-bit mask, which POPCNT then counts. A store is
-// made at out[n] with n at most the number of candidates already examined,
-// so it stays inside the room scanRange reserved for them.
+// walkAVX2 is walk's vector kernel over the nr > 0 ranges at rs, each a
+// range [lo, hi) of the columns at ids, x, y and z: the qualifying ids are
+// written from out on, range by range and in order within each, and their
+// number is returned. A group of four is compared at once — each id > self
+// as a signed int32, each ((dx·dx + dy·dy) + dz·dz) < c2 with dx = q − p, as
+// scanTail does — and the ids of both tests are packed to the front of a
+// 16-byte store by a PSHUFB table indexed by the 4-bit mask, which POPCNT
+// then counts. A range's last one to three candidates are a group of four
+// too, with the lanes past its end masked off: the loads then reach up to 3
+// entries past hi, so the columns must extend walkPad entries past every
+// range. A store is made at out[n] with n at most the number of candidates
+// before its group, so it stays inside the room walk reserved: every
+// candidate plus walkPad.
 //
 //go:noescape
-func scanRangeAVX2(out *int32, ids []int32, x, y, z *float64, self int32, px, py, pz, c2 float64) int
+func walkAVX2(out *int32, rs *cellRange, nr int, ids *int32, x, y, z *float64, self int32, px, py, pz, c2 float64) int
 
 // pairForceRowAVX2 is pairForceRow's vector kernel over len(js), a positive
 // multiple of 4. It first checks, in one vector pass over js, that every

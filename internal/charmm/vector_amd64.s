@@ -72,11 +72,12 @@ DATA packIDs<>+240(SB)/8, $0x0706050403020100
 DATA packIDs<>+248(SB)/8, $0x0f0e0d0c0b0a0908
 GLOBL packIDs<>(SB), RODATA|NOPTR, $256
 
-// func scanRangeAVX2(out *int32, ids []int32, x, y, z *float64, self int32, px, py, pz, c2 float64) int
-TEXT ·scanRangeAVX2(SB), NOSPLIT, $0-104
+// func walkAVX2(out *int32, rs *cellRange, nr int, ids *int32, x, y, z *float64, self int32, px, py, pz, c2 float64) int
+TEXT ·walkAVX2(SB), NOSPLIT, $0-104
 	MOVQ         out+0(FP), DI
-	MOVQ         ids_base+8(FP), SI
-	MOVQ         ids_len+16(FP), CX
+	MOVQ         rs+8(FP), R13
+	MOVQ         nr+16(FP), BX
+	MOVQ         ids+24(FP), SI
 	MOVQ         x+32(FP), R10
 	MOVQ         y+40(FP), R11
 	MOVQ         z+48(FP), R12
@@ -89,19 +90,28 @@ TEXT ·scanRangeAVX2(SB), NOSPLIT, $0-104
 	VBROADCASTSD c2+88(FP), Y11
 	LEAQ         packIDs<>(SB), DX
 	XORQ         AX, AX
+	TESTQ        BX, BX
+	JZ           done
+
+walkRange:
+	// Candidate index R14 from lo, CX candidates left: hi - lo.
+	MOVLQSX 0(R13), R14
+	MOVLQSX 4(R13), CX
+	SUBQ    R14, CX
+	JLE     nextRange
 
 scan4:
 	// Lanes whose id > self (signed).
-	VMOVDQU   (SI), X0
+	VMOVDQU   (SI)(R14*4), X0
 	VPCMPGTD  X15, X0, X1
 	VMOVMSKPS X1, R8
 
 	// Lanes within the cutoff: ((dx*dx + dy*dy) + dz*dz) < c2, dx = q - p.
-	VMOVUPD   (R10), Y2
+	VMOVUPD   (R10)(R14*8), Y2
 	VSUBPD    Y12, Y2, Y2
-	VMOVUPD   (R11), Y3
+	VMOVUPD   (R11)(R14*8), Y3
 	VSUBPD    Y13, Y3, Y3
-	VMOVUPD   (R12), Y4
+	VMOVUPD   (R12)(R14*8), Y4
 	VSUBPD    Y14, Y4, Y4
 	VMULPD    Y2, Y2, Y2
 	VMULPD    Y3, Y3, Y3
@@ -110,9 +120,18 @@ scan4:
 	VADDPD    Y4, Y2, Y2
 	VCMPPD    $0x11, Y11, Y2, Y2 // LT_OQ: false for NaN, as Go's <
 	VMOVMSKPD Y2, R9
+	ANDL      R8, R9
 
+	// The range's last 1-3 candidates: only the lanes below CX are its own.
+	CMPQ CX, $4
+	JGE  pack
+	MOVL $1, R8
+	SHLL CX, R8
+	SUBL $1, R8
+	ANDL R8, R9
+
+pack:
 	// Pack the ids of both tests, store 16 bytes at out[n], count them.
-	ANDL    R8, R9
 	MOVL    R9, R8
 	SHLL    $4, R8
 	VPSHUFB (DX)(R8*1), X0, X0
@@ -120,13 +139,16 @@ scan4:
 	POPCNTL R9, R9
 	ADDQ    R9, AX
 
-	ADDQ $16, SI
-	ADDQ $32, R10
-	ADDQ $32, R11
-	ADDQ $32, R12
+	ADDQ $4, R14
 	SUBQ $4, CX
-	JNZ  scan4
+	JGT  scan4
 
+nextRange:
+	ADDQ $8, R13
+	SUBQ $1, BX
+	JNZ  walkRange
+
+done:
 	VZEROUPPER
 	MOVQ AX, ret+96(FP)
 	RET

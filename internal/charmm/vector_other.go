@@ -6,7 +6,7 @@ package charmm
 // portable Go loops run everywhere else.
 var VectorKernels = false
 
-func scanRangeAVX2(out *int32, ids []int32, x, y, z *float64, self int32, px, py, pz, c2 float64) int {
+func walkAVX2(out *int32, rs *cellRange, nr int, ids *int32, x, y, z *float64, self int32, px, py, pz, c2 float64) int {
 	panic("charmm: no vector kernels on this GOARCH")
 }
 

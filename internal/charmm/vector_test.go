@@ -48,11 +48,72 @@ func sameBits(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
-// FuzzScanRange holds scanRange's vector path to its Go loop, bit for bit:
-// the same ids in the same order after the same prefix of jnb. The seed
-// corpus runs every length from 0 to 67, so every tail length meets every
-// number of vector steps; ids equal to self, partners at exactly the cutoff
-// or on p itself, and ±0, ±Inf and NaN coordinates are drawn throughout.
+// walkInput is one search for the walk fuzzers: columns of candidates
+// ending in the grid's padding, an atom (self at p) and a list prefix.
+type walkInput struct {
+	ids     []int32
+	x, y, z []float64
+	self    int32
+	p       [3]float64
+	c2      float64
+	prefix  []int32
+}
+
+// drawWalk draws n candidates. Ids cluster around self (equal to it
+// among them) with some far away of either sign; coordinates are kernelValue's,
+// so partners sit at exactly the cutoff 2.5 of an atom at the origin or on
+// the atom itself, and ±0, ±Inf and NaN occur throughout.
+func drawWalk(rng *rand.Rand, n int) walkInput {
+	special := 1 + rng.Intn(8) // odds of a special value: 1 in 1 to 8
+	value := func() float64 { return kernelValue(rng, special) }
+	w := walkInput{self: int32(rng.Intn(64) - 8), c2: 6.25}
+	w.ids = make([]int32, n, n+walkPad)
+	w.x, w.y, w.z = make([]float64, n, n+walkPad), make([]float64, n, n+walkPad), make([]float64, n, n+walkPad)
+	for k := range w.ids {
+		w.ids[k] = w.self + int32(rng.Intn(9)) - 4
+		if rng.Intn(16) == 0 {
+			w.ids[k] = int32(rng.Uint32()) // far from self, either sign
+		}
+		w.x[k], w.y[k], w.z[k] = value(), value(), value()
+	}
+	for range walkPad {
+		w.ids = append(w.ids, math.MinInt32)
+		w.x, w.y, w.z = append(w.x, math.NaN()), append(w.y, math.NaN()), append(w.z, math.NaN())
+	}
+	if rng.Intn(2) == 0 {
+		w.p = [3]float64{value(), value(), value()}
+	}
+	if rng.Intn(4) == 0 {
+		w.c2 = value()
+	}
+	w.prefix = make([]int32, 1+rng.Intn(5))
+	for k := range w.prefix {
+		w.prefix[k] = rng.Int31()
+	}
+	return w
+}
+
+// checkWalk holds walk over rs on the vector path (walkAVX2, all ranges in
+// one call) to the Go path (scanTail range by range): the same ids in the
+// same order after the same prefix.
+func checkWalk(t *testing.T, w walkInput, rs []cellRange) {
+	t.Helper()
+	run := func(vec bool) (jnb []int32) {
+		withKernels(vec, func() {
+			jnb = walk(slices.Clone(w.prefix), rs, w.ids, w.x, w.y, w.z, w.self, w.p[0], w.p[1], w.p[2], w.c2)
+		})
+		return jnb
+	}
+	if got, want := run(true), run(false); !slices.Equal(got, want) {
+		t.Fatalf("self %d, p %v, c2 %v, ranges %v, ids %v:\nvector %v\nGo     %v", w.self, w.p, w.c2, rs, w.ids, got, want)
+	}
+}
+
+// FuzzScanRange holds a walk over one range to its Go loop, bit for bit. The
+// seed corpus runs every range length from 0 to 67, so every tail length
+// meets every number of vector steps; the range starts at the front of the
+// columns or a few candidates in, and ends at their padding or before other
+// candidates, which its masked tail must not take.
 func FuzzScanRange(f *testing.F) {
 	for n := range 68 {
 		f.Add(int64(n), uint8(n))
@@ -60,40 +121,43 @@ func FuzzScanRange(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
 		needVector(t)
 		rng := rand.New(rand.NewSource(seed))
-		special := 1 + rng.Intn(8) // odds of a special value: 1 in 1 to 8
-		value := func() float64 { return kernelValue(rng, special) }
-		self := int32(rng.Intn(64) - 8)
-		ids := make([]int32, n)
-		x, y, z := make([]float64, n), make([]float64, n), make([]float64, n)
-		for k := range ids {
-			ids[k] = self + int32(rng.Intn(9)) - 4
-			if rng.Intn(16) == 0 {
-				ids[k] = int32(rng.Uint32()) // far from self, either sign
+		before, after := rng.Intn(4), rng.Intn(4)
+		w := drawWalk(rng, before+int(n)+after)
+		checkWalk(t, w, []cellRange{{int32(before), int32(before + int(n))}})
+	})
+}
+
+// FuzzWalk holds walk's vector kernel, all of an atom's ranges in one call,
+// to scanTail run range by range, bit for bit. Each input has 0 to 9 ranges
+// over columns of 0 to 67 candidates (the seed corpus runs every column
+// length): empty ones, the whole column, ranges that start at its front or
+// end at its padding, and ranges that overlap or repeat.
+func FuzzWalk(f *testing.F) {
+	for n := range 68 {
+		f.Add(int64(n), uint8(n))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
+		needVector(t)
+		rng := rand.New(rand.NewSource(seed))
+		cols := int(n) % 68
+		w := drawWalk(rng, cols)
+		rs := make([]cellRange, rng.Intn(10))
+		for i := range rs {
+			lo, hi := rng.Intn(cols+1), rng.Intn(cols+1)
+			lo, hi = min(lo, hi), max(lo, hi)
+			switch rng.Intn(6) {
+			case 0:
+				hi = lo // empty
+			case 1:
+				lo, hi = 0, cols // the whole column
+			case 2:
+				lo = 0
+			case 3:
+				hi = cols
 			}
-			x[k], y[k], z[k] = value(), value(), value()
+			rs[i] = cellRange{int32(lo), int32(hi)}
 		}
-		px, py, pz := 0.0, 0.0, 0.0
-		if rng.Intn(2) == 0 {
-			px, py, pz = value(), value(), value()
-		}
-		c2 := 6.25
-		if rng.Intn(4) == 0 {
-			c2 = value()
-		}
-		prefix := make([]int32, 1+rng.Intn(5))
-		for k := range prefix {
-			prefix[k] = rng.Int31()
-		}
-		var got, want []int32
-		withKernels(true, func() {
-			got = scanRange(slices.Clone(prefix), ids, x, y, z, self, px, py, pz, c2)
-		})
-		withKernels(false, func() {
-			want = scanRange(slices.Clone(prefix), ids, x, y, z, self, px, py, pz, c2)
-		})
-		if !slices.Equal(got, want) {
-			t.Fatalf("self %d, p (%v, %v, %v), c2 %v, ids %v:\nvector %v\nGo     %v", self, px, py, pz, c2, ids, got, want)
-		}
+		checkWalk(t, w, rs)
 	})
 }
 
@@ -268,22 +332,34 @@ func rejectsBadPartner(t *testing.T, row func(xi, fi []float64, js []int32, xb, 
 	}
 }
 
-// TestScanRangeRejectsShortColumns: coordinate columns shorter or longer
-// than the ids panic on either path instead of being read past their end.
-func TestScanRangeRejectsShortColumns(t *testing.T) {
+// TestWalkRejectsShortColumns: coordinate columns shorter or longer than
+// the ids, and ranges that are reversed, start before the columns or reach
+// into their padding, panic on either path instead of being read past the
+// columns' end.
+func TestWalkRejectsShortColumns(t *testing.T) {
 	ids := []int32{1, 2, 3, 4, 5, 6, 7, 8}
 	full := make([]float64, len(ids))
+	whole := []cellRange{{0, int32(len(ids) - walkPad)}}
 	for _, vec := range []bool{false, hostHasVector} {
-		for _, cols := range [][3][]float64{
-			{full[:7], full, full}, {full, full[:7], full}, {full, full, full[:4]}, {full, full, append(full, 0)},
+		for _, c := range []struct {
+			cols [3][]float64
+			rs   []cellRange
+		}{
+			{[3][]float64{full[:7], full, full}, whole},
+			{[3][]float64{full, full[:7], full}, whole},
+			{[3][]float64{full, full, full[:4]}, whole},
+			{[3][]float64{full, full, append(full, 0)}, whole},
+			{[3][]float64{full, full, full}, []cellRange{{0, 2}, {0, int32(len(ids) - walkPad + 1)}}},
+			{[3][]float64{full, full, full}, []cellRange{{3, 2}}},
+			{[3][]float64{full, full, full}, []cellRange{{-1, 2}}},
 		} {
 			func() {
 				defer func() {
 					if recover() == nil {
-						t.Errorf("vector %v: columns of %d, %d, %d for %d ids did not panic", vec, len(cols[0]), len(cols[1]), len(cols[2]), len(ids))
+						t.Errorf("vector %v: columns of %d, %d, %d for %d ids, ranges %v did not panic", vec, len(c.cols[0]), len(c.cols[1]), len(c.cols[2]), len(ids), c.rs)
 					}
 				}()
-				withKernels(vec, func() { scanRange(nil, ids, cols[0], cols[1], cols[2], 0, 0, 0, 0, 6.25) })
+				withKernels(vec, func() { walk(nil, c.rs, ids, c.cols[0], c.cols[1], c.cols[2], 0, 0, 0, 0, 6.25) })
 			}()
 		}
 	}
