@@ -7,12 +7,16 @@
 //	charmm [-procs N] [-atoms N] [-steps N] [-nbevery N] [-part rcb|rib|chain|block]
 //	       [-multiple] [-compiled] [-remap N] [-adapt static|periodic:N|policy] [-adapt-verify]
 //	       [-ckpt-dir DIR -ckpt-every N] [-resume DIR|latest]
+//	       [-rank R -addrs HOST:PORT,... [-timeout D] [-fault-plan PLAN]]
 //	       [-kernel] [-measure] [-trace] [-cpuprofile FILE] [-memprofile FILE]
 //
 // With -ckpt-dir and -ckpt-every the run writes periodic checkpoints;
 // -resume continues from a checkpoint directory (or the latest sealed one
 // under -ckpt-dir), at the same processor count for a bit-identical
 // continuation or at a different one for an elastic restart.
+//
+// With -addrs the process runs rank -rank of a multi-process run over TCP,
+// one process per address (see internal/launch).
 //
 // With -kernel the command runs Table 6's non-bonded force kernel instead
 // of the MD run: -atoms atoms, -steps iterations, the data redistributed
@@ -84,16 +88,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	results := make([]*charmm.ProcResult, l.Procs)
-	rep := l.Run(func(p *comm.Proc) { results[p.Rank()] = runner(p, cfg) })
+	rep, code := l.Run(func(p *comm.Proc) { results[p.Rank()] = runner(p, cfg) })
+	if rep == nil {
+		return code
+	}
 
 	head := fmt.Sprintf("mini-CHARMM (%s): %d atoms, %d steps, nb update every %d, partitioner=%s merged=%v\n",
 		kind, cfg.NAtoms, cfg.Steps, cfg.NBEvery, cfg.Partitioner, cfg.Merged)
 	tail := ""
 	if cfg.Adapt != "" {
-		tail = fmt.Sprintf("  adapt mode          : %s (remapped at steps %v)\n", cfg.Adapt, results[0].RemapSteps)
+		tail = fmt.Sprintf("  adapt mode          : %s (remapped at steps %v)\n", cfg.Adapt, results[l.Rank].RemapSteps)
 	}
-	tail += fmt.Sprintf("  nb list entries     : %d\n", results[0].NBEntries)
-	tail += fmt.Sprintf("  position checksum   : %.9f\n", results[0].Checksum)
+	tail += fmt.Sprintf("  nb list entries     : %d\n", results[l.Rank].NBEntries)
+	tail += fmt.Sprintf("  position checksum   : %.9f\n", results[l.Rank].Checksum)
 	l.Report(stdout, rep, head, tail, 12, func(r int) (map[string]float64, []core.Span) {
 		return results[r].Phases, results[r].Spans
 	})
@@ -110,11 +117,14 @@ func runKernel(l *launch.Launcher, cfg charmm.Config, compiled bool, stdout io.W
 		runner, kind = charmm.RunKernelCompiled, "compiler-generated"
 	}
 	results := make([]*charmm.KernelResult, l.Procs)
-	rep := l.Run(func(p *comm.Proc) { results[p.Rank()] = runner(p, kcfg) })
+	rep, code := l.Run(func(p *comm.Proc) { results[p.Rank()] = runner(p, kcfg) })
+	if rep == nil {
+		return code
+	}
 
 	head := fmt.Sprintf("Table 6 kernel (%s): %d atoms, %d iterations, remap every %d (RCB and RIB alternately)\n",
 		kind, kcfg.NAtoms, kcfg.Iters, kcfg.RemapEvery)
-	tail := fmt.Sprintf("  kernel checksum     : %.9f\n", results[0].Checksum)
+	tail := fmt.Sprintf("  kernel checksum     : %.9f\n", results[l.Rank].Checksum)
 	l.Report(stdout, rep, head, tail, 12, func(r int) (map[string]float64, []core.Span) {
 		return results[r].Phases, results[r].Spans
 	})

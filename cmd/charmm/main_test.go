@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,16 +13,22 @@ import (
 	"repro/internal/checkpoint"
 )
 
-// TestBadInputExitsWithOneLine: input the run cannot honour is refused
-// before any rank starts — exit status 2, one "charmm:" line and the usage on
+// TestBadInputExitsWithOneLine: input the run cannot honour — among it a
+// -resume of another application's checkpoint or of another size — is
+// refused before any rank starts — exit status 2, one "charmm:" line and the usage on
 // stderr, nothing on stdout, and no goroutine dump.
 func TestBadInputExitsWithOneLine(t *testing.T) {
 	foreign := t.TempDir() // a checkpoint dsmc wrote
 	if err := checkpoint.WriteManifest(foreign, &checkpoint.Manifest{App: "dsmc", NRanks: 1, ShardCRCs: []uint32{0}}); err != nil {
 		t.Fatal(err)
 	}
-	for _, args := range [][]string{
+	small := t.TempDir() // a checkpoint of 300 atoms
+	if err := checkpoint.WriteManifest(small, &checkpoint.Manifest{App: "charmm", NRanks: 1, N: 300, ShardCRCs: []uint32{0}}); err != nil {
+		t.Fatal(err)
+	}
+	rows := [][]string{
 		{"-resume", foreign},
+		{"-atoms", "450", "-resume", small},
 		{"-resume", filepath.Join(foreign, "missing")},
 		{"-procs", "0"},
 		{"-procs", "-1"},
@@ -39,7 +46,14 @@ func TestBadInputExitsWithOneLine(t *testing.T) {
 		{"-kernel", "-ckpt-dir", foreign, "-ckpt-every", "2"},
 		{"-kernel", "-atoms", "0"},
 		{"-steps", "2", "stray"},
-	} {
+	}
+	// As rank 0 of two processes every row is refused the same way, before
+	// the rank listens: one that dialled its absent peer would exit 1.
+	rank := []string{"-rank", "0", "-addrs", reserveAddrs(t, 2), "-timeout", "1s"}
+	for _, args := range rows {
+		rows = append(rows, slices.Concat(rank, args))
+	}
+	for _, args := range rows {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {
 			t.Errorf("%v: exit %d, want 2", args, code)

@@ -8,12 +8,16 @@
 //	     [-mover light|regular|compiler] [-part block|rcb|rib|chain] [-remap N]
 //	     [-adapt static|periodic:N|policy] [-adapt-verify]
 //	     [-ckpt-dir DIR -ckpt-every N] [-resume DIR|latest]
-//	     [-cpuprofile FILE] [-memprofile FILE]
+//	     [-rank R -addrs HOST:PORT,... [-timeout D] [-fault-plan PLAN]]
+//	     [-measure] [-trace] [-cpuprofile FILE] [-memprofile FILE]
 //
 // With -ckpt-dir and -ckpt-every the run writes periodic checkpoints;
 // -resume continues from a checkpoint directory (or the latest sealed one
 // under -ckpt-dir), at the same processor count for a bit-identical
 // continuation or at a different one for an elastic restart.
+//
+// With -addrs the process runs rank -rank of a multi-process run over TCP,
+// one process per address (see internal/launch).
 package main
 
 import (
@@ -73,14 +77,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	results := make([]*dsmc.ProcResult, l.Procs)
-	rep := l.Run(func(p *comm.Proc) { results[p.Rank()] = dsmc.Run(p, cfg) })
+	rep, code := l.Run(func(p *comm.Proc) { results[p.Rank()] = dsmc.Run(p, cfg) })
+	if rep == nil {
+		return code
+	}
 
 	head := fmt.Sprintf("mini-DSMC: %dx%dx%d cells, %d molecules, %d steps, mover=%s part=%s remap=%d\n",
 		cfg.NX, cfg.NY, cfg.NZ, cfg.NMols, cfg.Steps, cfg.Mover, cfg.Partitioner, cfg.RemapEvery)
 	if cfg.Adapt != "" {
-		head += fmt.Sprintf("  adapt mode          : %s (remapped after steps %v)\n", cfg.Adapt, results[0].RemapSteps)
+		head += fmt.Sprintf("  adapt mode          : %s (remapped after steps %v)\n", cfg.Adapt, results[l.Rank].RemapSteps)
 	}
-	tail := fmt.Sprintf("  state checksum      : %.9f\n", results[0].Checksum)
+	tail := fmt.Sprintf("  state checksum      : %.9f\n", results[l.Rank].Checksum)
 	l.Report(stdout, rep, head, tail, 10, func(r int) (map[string]float64, []core.Span) {
 		return results[r].Phases, results[r].Spans
 	})

@@ -5,22 +5,29 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/checkpoint"
 )
 
-// TestBadInputExitsWithOneLine: input the run cannot honour is refused
-// before any rank starts — exit status 2, one "dsmc:" line and the usage on
+// TestBadInputExitsWithOneLine: input the run cannot honour — among it a
+// -resume of another application's checkpoint or of another size — is
+// refused before any rank starts — exit status 2, one "dsmc:" line and the usage on
 // stderr, nothing on stdout, and no goroutine dump.
 func TestBadInputExitsWithOneLine(t *testing.T) {
 	foreign := t.TempDir() // a checkpoint charmm wrote
 	if err := checkpoint.WriteManifest(foreign, &checkpoint.Manifest{App: "charmm", NRanks: 1, ShardCRCs: []uint32{0}}); err != nil {
 		t.Fatal(err)
 	}
-	for _, args := range [][]string{
+	small := t.TempDir() // a checkpoint of a 12×12 grid
+	if err := checkpoint.WriteManifest(small, &checkpoint.Manifest{App: "dsmc", NRanks: 1, N: 144, ShardCRCs: []uint32{0}}); err != nil {
+		t.Fatal(err)
+	}
+	rows := [][]string{
 		{"-resume", foreign},
+		{"-nx", "24", "-ny", "24", "-resume", small},
 		{"-resume", filepath.Join(foreign, "missing")},
 		{"-procs", "0"},
 		{"-procs", "-1"},
@@ -36,24 +43,39 @@ func TestBadInputExitsWithOneLine(t *testing.T) {
 		{"-procs", "2", "-crash-rank", "7", "-crash-step", "2"},
 		{"-crash-rank", "-1"},
 		{"-steps", "2", "stray"},
-	} {
-		var stdout, stderr bytes.Buffer
-		if code := run(args, &stdout, &stderr); code != 2 {
-			t.Errorf("%v: exit %d, want 2", args, code)
-		}
-		first, rest, _ := strings.Cut(stderr.String(), "\n")
-		if !strings.HasPrefix(first, "dsmc: ") || strings.HasPrefix(first, "dsmc: dsmc:") {
-			t.Errorf("%v: stderr starts %q, want one dsmc: line", args, first)
-		}
-		if !strings.Contains(rest, "-procs") {
-			t.Errorf("%v: no usage after the complaint:\n%s", args, rest)
-		}
-		if strings.Contains(stderr.String(), "goroutine") || strings.Contains(stderr.String(), "panicked") {
-			t.Errorf("%v: stderr carries a panic:\n%s", args, stderr.String())
-		}
-		if stdout.Len() > 0 {
-			t.Errorf("%v: wrote to stdout:\n%s", args, stdout.String())
-		}
+	}
+	// As rank 0 of two processes every row is refused the same way, before
+	// the rank listens: one that dialled its absent peer would exit 1.
+	rank := []string{"-rank", "0", "-addrs", reserveAddrs(t, 2), "-timeout", "1s"}
+	for _, args := range rows {
+		rows = append(rows, slices.Concat(rank, args))
+	}
+	for _, args := range rows {
+		wantRefused(t, args)
+	}
+}
+
+// wantRefused runs dsmc with args and demands the refusal of bad input:
+// exit status 2, one "dsmc:" line and the usage on stderr, nothing on
+// stdout, and no goroutine dump.
+func wantRefused(t *testing.T, args []string) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 2 {
+		t.Errorf("%v: exit %d, want 2", args, code)
+	}
+	first, rest, _ := strings.Cut(stderr.String(), "\n")
+	if !strings.HasPrefix(first, "dsmc: ") || strings.HasPrefix(first, "dsmc: dsmc:") {
+		t.Errorf("%v: stderr starts %q, want one dsmc: line", args, first)
+	}
+	if !strings.Contains(rest, "-procs") {
+		t.Errorf("%v: no usage after the complaint:\n%s", args, rest)
+	}
+	if strings.Contains(stderr.String(), "goroutine") || strings.Contains(stderr.String(), "panicked") {
+		t.Errorf("%v: stderr carries a panic:\n%s", args, stderr.String())
+	}
+	if stdout.Len() > 0 {
+		t.Errorf("%v: wrote to stdout:\n%s", args, stdout.String())
 	}
 }
 

@@ -1,0 +1,179 @@
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"net"
+	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/checkpoint"
+)
+
+// sized is the multi-process reference run: 600 molecules on a 24×24 grid
+// for 8 steps, remapped by RCB every 4, all molecules starting in the left
+// half. Every rank count prints wantChecksum.
+var sized = []string{"-nx", "24", "-ny", "24", "-mols", "600", "-steps", "8", "-part", "rcb", "-remap", "4", "-slab", "0.5"}
+
+const wantChecksum = "  state checksum      : 13676.474737912"
+
+// reserveAddrs returns n distinct free loopback addresses. The listeners
+// are closed again before return, so the ranks can bind them.
+func reserveAddrs(t *testing.T, n int) string {
+	t.Helper()
+	addrs := make([]string, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("reserve port: %v", err)
+		}
+		defer ln.Close()
+		addrs[i] = ln.Addr().String()
+	}
+	return strings.Join(addrs, ",")
+}
+
+// rankRun is one in-process rank's outcome.
+type rankRun struct {
+	code           int
+	stdout, stderr string
+}
+
+// runRanks runs n ranks of "dsmc -rank R -addrs ... args..." concurrently,
+// each as its own run call, over reserved loopback addresses.
+func runRanks(t *testing.T, n int, args ...string) []rankRun {
+	t.Helper()
+	addrs := reserveAddrs(t, n)
+	out := make([]rankRun, n)
+	var wg sync.WaitGroup
+	for r := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var stdout, stderr bytes.Buffer
+			code := run(slices.Concat([]string{"-rank", strconv.Itoa(r), "-addrs", addrs, "-timeout", "20s"}, args), &stdout, &stderr)
+			out[r] = rankRun{code, stdout.String(), stderr.String()}
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// checksumLine returns the checksum line of a report.
+func checksumLine(t *testing.T, report string) string {
+	t.Helper()
+	for _, line := range strings.Split(report, "\n") {
+		if strings.Contains(line, "state checksum") {
+			return line
+		}
+	}
+	t.Fatalf("no checksum line in:\n%s", report)
+	return ""
+}
+
+// wantExit0 fails the test unless every rank exited 0.
+func wantExit0(t *testing.T, runs []rankRun) {
+	t.Helper()
+	for r, o := range runs {
+		if o.code != 0 {
+			t.Fatalf("rank %d of %d: exit %d, stderr:\n%s", r, len(runs), o.code, o.stderr)
+		}
+	}
+}
+
+// TestMultiProcessChecksum: three ranks over loopback TCP and the
+// in-process run on three simulated processors print the same checksum
+// line, the reference one. Only rank 0 prints it; every rank prints its own
+// clock and counts.
+func TestMultiProcessChecksum(t *testing.T) {
+	if testing.Short() {
+		t.Skip("TCP mesh test")
+	}
+	clean := runRanks(t, 3, sized...)
+	wantExit0(t, clean)
+	if got := checksumLine(t, clean[0].stdout); got != wantChecksum {
+		t.Errorf("3 processes: %q, want %q", got, wantChecksum)
+	}
+	for r, o := range clean {
+		if r > 0 && strings.Contains(o.stdout, "checksum") {
+			t.Errorf("rank %d printed a checksum line:\n%s", r, o.stdout)
+		}
+		if !strings.Contains(o.stdout, fmt.Sprintf("  rank %d ", r)) {
+			t.Errorf("rank %d printed no line of its own:\n%s", r, o.stdout)
+		}
+	}
+
+	var stdout, stderr bytes.Buffer
+	if code := run(slices.Concat([]string{"-procs", "3"}, sized), &stdout, &stderr); code != 0 {
+		t.Fatalf("-procs 3: exit %d, stderr:\n%s", code, stderr.String())
+	}
+	if got := checksumLine(t, stdout.String()); got != wantChecksum {
+		t.Errorf("-procs 3: %q, want %q", got, wantChecksum)
+	}
+}
+
+// TestRankKillResumesElastic: three ranks checkpoint every 2 steps until
+// the fault plan kills rank 1 at its 100th send. Every rank exits 3, the
+// victim saying the plan killed it and its peers that a peer failed, and
+// ckpt-00000002 stays sealed. Two ranks resumed from the latest sealed
+// checkpoint (an elastic 3 → 2 restore) print the fault-free checksum, bit
+// for bit.
+func TestRankKillResumesElastic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("TCP mesh test")
+	}
+	dir := t.TempDir()
+	killed := runRanks(t, 3, slices.Concat(sized, []string{"-ckpt-dir", dir, "-ckpt-every", "2",
+		"-fault-plan", "seed=7,kill=1@100"})...)
+	for r, k := range killed {
+		why := "a peer rank failed"
+		if r == 1 {
+			why = "the fault plan killed it"
+		}
+		if want := fmt.Sprintf("dsmc: rank %d aborted: %s;", r, why); k.code != 3 || !strings.HasPrefix(k.stderr, want) {
+			t.Errorf("killed run, rank %d: exit %d, want 3 and %q; stderr:\n%s", r, k.code, want, k.stderr)
+		}
+	}
+	if _, err := checkpoint.Open(filepath.Join(dir, "ckpt-00000002")); err != nil {
+		t.Fatalf("ckpt-00000002 is not sealed: %v", err)
+	}
+
+	resumed := runRanks(t, 2, slices.Concat(sized, []string{"-ckpt-dir", dir, "-resume", "latest"})...)
+	wantExit0(t, resumed)
+	if got := checksumLine(t, resumed[0].stdout); got != wantChecksum {
+		t.Errorf("3 → 2 resume: %q, want %q", got, wantChecksum)
+	}
+}
+
+// TestRankRefusesBadResume: a rank asked to resume a checkpoint it cannot
+// continue — another application's, another grid size's, a missing one, or
+// "latest" under a -ckpt-dir with no sealed checkpoint — refuses it as bad
+// input (exit 2, one dsmc: line) before it listens, so its absent peer is
+// never dialled.
+func TestRankRefusesBadResume(t *testing.T) {
+	dir := t.TempDir()
+	manifest := func(name, app string, n int64) string {
+		d := filepath.Join(dir, name)
+		if err := os.Mkdir(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := checkpoint.WriteManifest(d, &checkpoint.Manifest{App: app, NRanks: 1, N: n, ShardCRCs: []uint32{0}}); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	rank := []string{"-rank", "0", "-addrs", reserveAddrs(t, 2), "-timeout", "1s", "-nx", "24", "-ny", "24", "-steps", "4"}
+	for _, args := range [][]string{
+		{"-resume", manifest("charmm", "charmm", 576)},
+		{"-resume", manifest("small-dsmc", "dsmc", 144)},
+		{"-resume", filepath.Join(dir, "missing")},
+		{"-ckpt-dir", t.TempDir(), "-resume", "latest"},
+	} {
+		wantRefused(t, slices.Concat(rank, args))
+	}
+}

@@ -181,9 +181,6 @@ func (pol *Policy) ObserveRemap(p *comm.Proc, localCost float64) {
 // RemapCost exposes the fitted remap cost (for tests and reports).
 func (pol *Policy) RemapCost() float64 { return pol.remapCost }
 
-// Gain exposes the smoothed skew-gain signal (for tests and reports).
-func (pol *Policy) Gain() float64 { return pol.gain }
-
 // Floor exposes the fitted unrecoverable-skew floor (for tests and
 // reports).
 func (pol *Policy) Floor() float64 { return pol.floor }

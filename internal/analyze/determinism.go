@@ -10,8 +10,8 @@ import (
 // determinismAllowlist names package-path suffixes exempt from the
 // determinism analyzer: transports legitimately consult wall-clock time
 // (dial deadlines, backoff). CLI drivers, which report wall time to humans,
-// are exempt by path below; the applications they run (internal/apps) are
-// not.
+// are exempt by path below; the launcher and the applications they run
+// (internal/launch, internal/charmm, internal/dsmc) are not.
 var determinismAllowlist = []string{"internal/comm"}
 
 // randConstructors are math/rand functions that build seeded generators

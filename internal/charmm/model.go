@@ -213,6 +213,7 @@ func Reference(cfg Config) (pos []float64, checksum float64) {
 	frc := make([]float64, 3*n)
 	for step := 1; step <= cfg.Steps; step++ {
 		if step%cfg.NBEvery == 0 {
+			nb.retire(ptr, jnb)
 			ptr, jnb = nb.buildSeq(pos, n, cfg)
 		}
 		for i := range frc {

@@ -3,6 +3,7 @@ package charmm
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"unsafe"
@@ -484,5 +485,27 @@ func TestNBListRebuildReusesRetired(t *testing.T) {
 				t.Errorf("%d ranks: rank %d reused %d retired lists and outgrew %d; the cases should do both", nprocs, p.Rank(), reused, fresh)
 			}
 		})
+	}
+}
+
+// TestReferenceRetiresItsLists: Reference hands each non-bonded list back
+// before the next rebuild, so a run with several rebuilds allocates about
+// what a run with one build does, not a list per rebuild.
+func TestReferenceRetiresItsLists(t *testing.T) {
+	alloc := func(cfg Config) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		Reference(cfg)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	cfg := ConfigForAtoms(3000)
+	cfg.NBEvery = 2
+	cfg.Steps = 1 // the initial build only
+	once := alloc(cfg)
+	cfg.Steps = 12 // and six rebuilds
+	if rebuilt := alloc(cfg); float64(rebuilt) > 1.25*float64(once) {
+		t.Errorf("Reference allocated %d bytes with six rebuilds, %d with one build: the rebuilds do not reuse the retired lists", rebuilt, once)
 	}
 }

@@ -86,12 +86,6 @@ func (rt *Runtime) CyclicDist(n int) *Dist {
 	return &Dist{rt: rt, tt: ttable.Build(rt.P, rt.TableKind, slab), globals: globals}
 }
 
-// DistFromOwners builds a distribution directly from a full block map slab
-// (advanced use; most callers use BlockDist + Repartition).
-func (rt *Runtime) DistFromOwners(slab []int32, myGlobals []int32) *Dist {
-	return &Dist{rt: rt, tt: ttable.Build(rt.P, rt.TableKind, slab), globals: myGlobals}
-}
-
 // DistFromGlobals rebuilds a distribution in which the calling processor
 // owns exactly the given globals (which must be in ascending order, the
 // local layout convention) out of an n-element index space. Checkpoint

@@ -18,8 +18,8 @@ import (
 // manifest. Both must end bit-identical to the uninterrupted reference.
 
 // runTCPMesh runs cfg on nprocs ranks that are each a real TCP endpoint on
-// a freshly reserved loopback port — the deployment shape of chaosd rank,
-// minus the extra processes.
+// a freshly reserved loopback port — the deployment shape of cmd/dsmc
+// -rank R -addrs A, minus the extra processes.
 func runTCPMesh(t *testing.T, nprocs int, cfg Config) []float64 {
 	t.Helper()
 	lns := make([]net.Listener, nprocs)

@@ -359,13 +359,3 @@ func strictSubset(a, b []string) bool {
 func (pr *Program) Vet() []Diag {
 	return pr.ir.findings()
 }
-
-// VetFile compiles src (attributing positions to the given file name) and
-// returns its diagnostics.
-func VetFile(file, src string) ([]Diag, error) {
-	pr, err := CompileFile(file, src)
-	if err != nil {
-		return nil, err
-	}
-	return pr.Vet(), nil
-}

@@ -46,7 +46,7 @@ func TestRankTableGolden(t *testing.T) {
 		}
 		l.measureOpts.Clock = &tickClock{step: c.step}
 		res := make([]*charmm.ProcResult, l.Procs)
-		rep := l.Run(func(p *comm.Proc) { res[p.Rank()] = charmm.Run(p, cfg) })
+		rep, _ := l.Run(func(p *comm.Proc) { res[p.Rank()] = charmm.Run(p, cfg) })
 		var out bytes.Buffer
 		l.Report(&out, rep, "", "", 12, func(r int) (map[string]float64, []core.Span) {
 			return res[r].Phases, res[r].Spans
@@ -69,5 +69,56 @@ func TestRankTableGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("per-rank tables differ from %s:\n%s", golden, got)
+	}
+}
+
+// TestBadInputExitsWithOneLine: multi-process flags no run can honour are
+// refused by Parse, before any rank listens or dials — exit status 2, one
+// "dsmc:" line followed by the usage on stderr.
+func TestBadInputExitsWithOneLine(t *testing.T) {
+	two := "127.0.0.1:1,127.0.0.1:2"
+	for _, args := range [][]string{
+		{"-rank", "0", "-addrs", ""},
+		{"-rank", "0", "-addrs", "127.0.0.1:1,127.0.0.1:1"},
+		{"-rank", "0", "-addrs", "127.0.0.1:1, ,127.0.0.1:2"},
+		{"-addrs", two},
+		{"-rank", "2", "-addrs", two},
+		{"-rank", "-1", "-addrs", two},
+		{"-rank", "0", "-addrs", two, "-crash-rank", "2"},
+		{"-rank", "0", "-addrs", two, "-procs", "2"},
+		{"-rank", "0", "-addrs", two, "-measure"},
+		{"-rank", "0", "-addrs", two, "-trace"},
+		{"-rank", "0", "-addrs", two, "stray"},
+		{"-rank", "1"},
+		{"-timeout", "5s"},
+		{"-fault-plan", "seed=7,dup=0.3"},
+	} {
+		var stderr bytes.Buffer
+		l := New("dsmc", &stderr)
+		if code, ok := l.Parse(args); ok || code != 2 {
+			t.Errorf("%q: Parse = %d, %v; want 2, false", args, code, ok)
+		}
+		first, rest, _ := strings.Cut(stderr.String(), "\n")
+		if !strings.HasPrefix(first, "dsmc: ") || strings.Contains(rest, "dsmc: ") {
+			t.Errorf("%q: want exactly one dsmc: line, stderr:\n%s", args, stderr.String())
+		}
+		if !strings.Contains(rest, "-addrs") {
+			t.Errorf("%q: no usage after the complaint:\n%s", args, rest)
+		}
+	}
+}
+
+// TestBadFlagExits2: a flag the launcher does not declare, or a value its
+// flag cannot parse, is the flag package's error plus usage, exit status 2.
+func TestBadFlagExits2(t *testing.T) {
+	for _, args := range [][]string{
+		{"-ranks-per-worker", "2"},
+		{"-rank", "0", "-addrs", "127.0.0.1:1,127.0.0.1:2", "-fault-plan", "seed=x"},
+		{"-rank", "0", "-addrs", "127.0.0.1:1,127.0.0.1:2", "-timeout", "soon"},
+	} {
+		var stderr bytes.Buffer
+		if code, ok := New("dsmc", &stderr).Parse(args); ok || code != 2 {
+			t.Errorf("%q: Parse = %d, %v; want 2, false; stderr:\n%s", args, code, ok, stderr.String())
+		}
 	}
 }
