@@ -24,6 +24,11 @@
 // compiler-generated version under -compiled and the hand-coded one
 // otherwise. Under -measure its per-rank table splits the run into the
 // kernel's phases (setup, partition, remap, inspector, executor).
+//
+// Exit status: 2 for refused input (one "charmm:" line and the usage), 1 on
+// a transport error, 3 when a peer rank failed or the fault plan killed this
+// one, 4 when a rank crashed (one "charmm: rank R crashed:" line, then the
+// stack).
 package main
 
 import (
@@ -35,7 +40,6 @@ import (
 	"repro/internal/charmm"
 	"repro/internal/checkpoint"
 	"repro/internal/comm"
-	"repro/internal/core"
 	"repro/internal/launch"
 )
 
@@ -101,9 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	tail += fmt.Sprintf("  nb list entries     : %d\n", results[l.Rank].NBEntries)
 	tail += fmt.Sprintf("  position checksum   : %.9f\n", results[l.Rank].Checksum)
-	l.Report(stdout, rep, head, tail, 12, func(r int) (map[string]float64, []core.Span) {
-		return results[r].Phases, results[r].Spans
-	})
+	l.Report(stdout, rep, head, tail, 12)
 	return 0
 }
 
@@ -125,8 +127,6 @@ func runKernel(l *launch.Launcher, cfg charmm.Config, compiled bool, stdout io.W
 	head := fmt.Sprintf("Table 6 kernel (%s): %d atoms, %d iterations, remap every %d (RCB and RIB alternately)\n",
 		kind, kcfg.NAtoms, kcfg.Iters, kcfg.RemapEvery)
 	tail := fmt.Sprintf("  kernel checksum     : %.9f\n", results[l.Rank].Checksum)
-	l.Report(stdout, rep, head, tail, 12, func(r int) (map[string]float64, []core.Span) {
-		return results[r].Phases, results[r].Spans
-	})
+	l.Report(stdout, rep, head, tail, 12)
 	return 0
 }

@@ -51,26 +51,69 @@ func TestRankRoleEndToEnd(t *testing.T) {
 	}
 	want := positionChecksum(stdout.String())
 	for _, plan := range [][]string{nil, {"-fault-plan", "seed=7,dup=0.3,reorder=0.35"}} {
-		addrs := reserveAddrs(t, 2)
-		var stdout, stderr [2]bytes.Buffer
-		var codes [2]int
-		var wg sync.WaitGroup
-		for r := range codes {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				codes[r] = run(slices.Concat([]string{"-rank", strconv.Itoa(r), "-addrs", addrs, "-timeout", "20s"}, md, plan),
-					&stdout[r], &stderr[r])
-			}()
-		}
-		wg.Wait()
-		for r, code := range codes {
-			if code != 0 {
-				t.Errorf("%q: rank %d exit %d, stderr:\n%s", plan, r, code, stderr[r].String())
+		ranks := runTwoRanks(t, slices.Concat(md, plan))
+		for r, o := range ranks {
+			if o.code != 0 {
+				t.Errorf("%q: rank %d exit %d, stderr:\n%s", plan, r, o.code, o.stderr)
 			}
 		}
-		if got := positionChecksum(stdout[0].String()); want == "" || got != want {
+		if got := positionChecksum(ranks[0].stdout); want == "" || got != want {
 			t.Errorf("%q: rank 0 printed %q, -procs 2 %q", plan, got, want)
 		}
+	}
+}
+
+// rankRun is one in-process rank's outcome.
+type rankRun struct {
+	code           int
+	stdout, stderr string
+}
+
+// runTwoRanks runs ranks 0 and 1 of "charmm -rank R -addrs ... args..."
+// concurrently, each as its own run call, over reserved loopback addresses.
+func runTwoRanks(t *testing.T, args []string) [2]rankRun {
+	t.Helper()
+	addrs := reserveAddrs(t, 2)
+	var out [2]rankRun
+	var wg sync.WaitGroup
+	for r := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var stdout, stderr bytes.Buffer
+			code := run(slices.Concat([]string{"-rank", strconv.Itoa(r), "-addrs", addrs, "-timeout", "20s"}, args), &stdout, &stderr)
+			out[r] = rankRun{code, stdout.String(), stderr.String()}
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// TestCrashExits4: a rank that crashes (-crash-step) ends its process with
+// exit status 4, one "charmm: rank R crashed:" line and then the stack, both
+// in-process and as rank 1 of two processes, whose peer exits 3.
+func TestCrashExits4(t *testing.T) {
+	md := []string{"-atoms", "300", "-steps", "6", "-nbevery", "3", "-crash-step", "2", "-crash-rank", "1"}
+	var stdout, stderr bytes.Buffer
+	wantCrash(t, "-procs 2", run(slices.Concat([]string{"-procs", "2"}, md), &stdout, &stderr), stderr.String())
+	if testing.Short() {
+		return
+	}
+	ranks := runTwoRanks(t, md)
+	wantCrash(t, "rank 1 of two processes", ranks[1].code, ranks[1].stderr)
+	if ranks[0].code != 3 {
+		t.Errorf("rank 0 of two processes: exit %d, want 3; stderr:\n%s", ranks[0].code, ranks[0].stderr)
+	}
+}
+
+// wantCrash demands the report of rank 1's injected crash at step 2.
+func wantCrash(t *testing.T, label string, code int, stderr string) {
+	t.Helper()
+	const line = "charmm: rank 1 crashed: charmm: injected crash on rank 1 at step 2\n"
+	if code != 4 || !strings.HasPrefix(stderr, line) || strings.Count(stderr, " crashed: ") != 1 {
+		t.Errorf("%s: exit %d, want 4 and one line %q first; stderr:\n%s", label, code, line, stderr)
+	}
+	if !strings.Contains(stderr, "goroutine ") {
+		t.Errorf("%s: no stack after the crash line:\n%s", label, stderr)
 	}
 }

@@ -18,6 +18,11 @@
 //
 // With -addrs the process runs rank -rank of a multi-process run over TCP,
 // one process per address (see internal/launch).
+//
+// Exit status: 2 for refused input (one "dsmc:" line and the usage), 1 on a
+// transport error, 3 when a peer rank failed or the fault plan killed this
+// one, 4 when a rank crashed (one "dsmc: rank R crashed:" line, then the
+// stack).
 package main
 
 import (
@@ -27,7 +32,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/comm"
-	"repro/internal/core"
 	"repro/internal/dsmc"
 	"repro/internal/launch"
 )
@@ -88,8 +92,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		head += fmt.Sprintf("  adapt mode          : %s (remapped after steps %v)\n", cfg.Adapt, results[l.Rank].RemapSteps)
 	}
 	tail := fmt.Sprintf("  state checksum      : %.9f\n", results[l.Rank].Checksum)
-	l.Report(stdout, rep, head, tail, 10, func(r int) (map[string]float64, []core.Span) {
-		return results[r].Phases, results[r].Spans
-	})
+	l.Report(stdout, rep, head, tail, 10)
 	return 0
 }

@@ -177,3 +177,32 @@ func TestRankRefusesBadResume(t *testing.T) {
 		wantRefused(t, slices.Concat(rank, args))
 	}
 }
+
+// TestCrashExits4: a rank that crashes (-crash-step) ends its process with
+// exit status 4, one "dsmc: rank R crashed:" line and then the stack, both
+// in-process and as rank 1 of two processes, whose peer exits 3.
+func TestCrashExits4(t *testing.T) {
+	app := []string{"-nx", "8", "-ny", "8", "-mols", "200", "-steps", "4", "-crash-step", "2", "-crash-rank", "1"}
+	var stdout, stderr bytes.Buffer
+	wantCrash(t, "-procs 2", run(slices.Concat([]string{"-procs", "2"}, app), &stdout, &stderr), stderr.String())
+	if testing.Short() {
+		return
+	}
+	ranks := runRanks(t, 2, app...)
+	wantCrash(t, "rank 1 of two processes", ranks[1].code, ranks[1].stderr)
+	if ranks[0].code != 3 {
+		t.Errorf("rank 0 of two processes: exit %d, want 3; stderr:\n%s", ranks[0].code, ranks[0].stderr)
+	}
+}
+
+// wantCrash demands the report of rank 1's injected crash at step 2.
+func wantCrash(t *testing.T, label string, code int, stderr string) {
+	t.Helper()
+	const line = "dsmc: rank 1 crashed: dsmc: injected crash on rank 1 at step 2\n"
+	if code != 4 || !strings.HasPrefix(stderr, line) || strings.Count(stderr, " crashed: ") != 1 {
+		t.Errorf("%s: exit %d, want 4 and one line %q first; stderr:\n%s", label, code, line, stderr)
+	}
+	if !strings.Contains(stderr, "goroutine ") {
+		t.Errorf("%s: no stack after the crash line:\n%s", label, stderr)
+	}
+}

@@ -152,7 +152,8 @@ func identObjsIn(info *types.Info, e ast.Expr) []types.Object {
 
 // funcHasProcAccess reports whether fn's parameters or receiver give it a
 // *comm.Proc to charge against: either directly, or through a named struct
-// with a comm.Proc field (e.g. core.Runtime, core.PhaseTimer holders).
+// with a comm.Proc field (e.g. core.Runtime, or an application's kernel
+// state).
 func funcHasProcAccess(info *types.Info, fd *ast.FuncDecl) bool {
 	check := func(fl *ast.FieldList) bool {
 		if fl == nil {

@@ -9,6 +9,7 @@ package bench
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/charmm"
 	"repro/internal/comm"
@@ -202,35 +203,37 @@ func (sc Scale) charmmConfig() charmm.Config {
 	return cfg
 }
 
+// charmmRuns memoises runCharmm: Table 1's runs are Table 2's and Table 3's
+// merged column. A memoised report is read, never written.
+var charmmRuns = struct {
+	sync.Mutex
+	reps map[charmmKey]*comm.Report
+}{reps: map[charmmKey]*comm.Report{}}
+
+// charmmKey is what a CHARMM run's report depends on.
+type charmmKey struct {
+	cfg charmm.Config
+	n   int
+	m   costmodel.Machine
+}
+
 // runCharmm runs parallel CHARMM on n processors and returns the comm
-// report plus rank 0's phase results and the maximum of each phase time
-// over ranks.
-func (sc Scale) runCharmm(n int, cfg charmm.Config) (*comm.Report, map[string]float64) {
-	results := make([]*charmm.ProcResult, n)
-	rep := sc.run(n, func(p *comm.Proc) {
-		results[p.Rank()] = charmm.Run(p, cfg)
-	})
-	return rep, maxPhases(phasesOf(results))
-}
-
-func phasesOf(results []*charmm.ProcResult) []map[string]float64 {
-	out := make([]map[string]float64, len(results))
-	for i, r := range results {
-		out[i] = r.Phases
+// report, once per configuration, processor count and machine over the
+// in-memory transport; a scale with its own transport runs every time.
+func (sc Scale) runCharmm(n int, cfg charmm.Config) *comm.Report {
+	body := func(p *comm.Proc) { charmm.Run(p, cfg) }
+	if sc.Transport != nil {
+		return sc.run(n, body)
 	}
-	return out
-}
-
-func maxPhases(phases []map[string]float64) map[string]float64 {
-	out := map[string]float64{}
-	for _, m := range phases {
-		for k, v := range m {
-			if v > out[k] {
-				out[k] = v
-			}
-		}
+	key := charmmKey{cfg, n, *sc.machineModel}
+	charmmRuns.Lock()
+	defer charmmRuns.Unlock()
+	rep, ok := charmmRuns.reps[key]
+	if !ok {
+		rep = sc.run(n, body)
+		charmmRuns.reps[key] = rep
 	}
-	return out
+	return rep
 }
 
 // Table1 regenerates "Performance of Parallel CHARMM" (execution,
@@ -250,7 +253,7 @@ func Table1(sc Scale) *Table {
 	commT := []string{"Communication Time"}
 	lb := []string{"Load Balance Index"}
 	for _, n := range sc.CharmmProcs {
-		rep, _ := sc.runCharmm(n, cfg)
+		rep := sc.runCharmm(n, cfg)
 		exec = append(exec, f3(rep.MaxClock()))
 		compT = append(compT, f3(rep.MeanComputeTime()))
 		commT = append(commT, f3(rep.MeanCommTime()))
@@ -285,9 +288,9 @@ func Table2(sc Scale) *Table {
 		rows[name] = []string{name}
 	}
 	for _, n := range procs {
-		_, phases := sc.runCharmm(n, cfg)
+		rep := sc.runCharmm(n, cfg)
 		for _, name := range order {
-			rows[name] = append(rows[name], f3(phases[keys[name]]))
+			rows[name] = append(rows[name], f3(rep.PhaseMax(keys[name])))
 		}
 	}
 	for _, name := range order {
@@ -307,9 +310,9 @@ func Table3(sc Scale) *Table {
 	}
 	for _, n := range procs {
 		cfg.Merged = true
-		repM, _ := sc.runCharmm(n, cfg)
+		repM := sc.runCharmm(n, cfg)
 		cfg.Merged = false
-		repS, _ := sc.runCharmm(n, cfg)
+		repS := sc.runCharmm(n, cfg)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n),
 			f3(repM.MeanCommTime()), f3(repM.MaxClock()),
@@ -416,20 +419,16 @@ func Table6(sc Scale) *Table {
 	}
 	for _, v := range variants {
 		for _, n := range sc.KernelProcs {
-			results := make([]*charmm.KernelResult, n)
-			sc.run(n, func(p *comm.Proc) {
-				results[p.Rank()] = v.run(p, cfg)
-			})
-			var part, rem, insp, exec, total float64
-			for _, r := range results {
-				part = maxf(part, r.Partition)
-				rem = maxf(rem, r.Remap)
-				insp = maxf(insp, r.Inspector)
-				exec = maxf(exec, r.Executor)
-				total = maxf(total, r.Total)
+			rep := sc.run(n, func(p *comm.Proc) { v.run(p, cfg) })
+			// Total is the clock at the kernel's last Mark, before the
+			// checksum's reduction: the end of each rank's last span.
+			total := 0.0
+			for _, spans := range rep.Spans {
+				total = max(total, spans[len(spans)-1].End)
 			}
 			t.Rows = append(t.Rows, []string{
-				v.name, fmt.Sprint(n), f3(part), f3(rem), f3(insp), f3(exec), f3(total),
+				v.name, fmt.Sprint(n), f3(rep.PhaseMax("partition")), f3(rep.PhaseMax("remap")),
+				f3(rep.PhaseMax("inspector")), f3(rep.PhaseMax("executor")), f3(total),
 			})
 		}
 	}
@@ -466,15 +465,8 @@ func Table7(sc Scale) *Table {
 		for _, n := range sc.Dsmc7Procs {
 			c := cfg
 			c.Mover = v.mover
-			results := make([]*dsmc.ProcResult, n)
-			rep := sc.run(n, func(p *comm.Proc) {
-				results[p.Rank()] = dsmc.Run(p, c)
-			})
-			move := 0.0
-			for _, r := range results {
-				move = maxf(move, r.MoveTime)
-			}
-			appendRows[v.name] = append(appendRows[v.name], f3(move))
+			rep := sc.run(n, func(p *comm.Proc) { dsmc.Run(p, c) })
+			appendRows[v.name] = append(appendRows[v.name], f3(rep.PhaseMax(dsmc.PhaseMove)))
 			totalRows[v.name] = append(totalRows[v.name], f3(rep.MaxClock()))
 		}
 	}
@@ -511,11 +503,4 @@ func withoutOne(xs []int) []int {
 		}
 	}
 	return out
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

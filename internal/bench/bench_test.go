@@ -134,3 +134,20 @@ func TestRenderFormats(t *testing.T) {
 		t.Errorf("Markdown output incomplete:\n%s", md)
 	}
 }
+
+// TestTables1to3ShareRuns counts the CHARMM runs of one quick Tables 1-3
+// pass from an empty memo — each run adds one entry: one per processor
+// count of Table 1, which Table 2 and Table 3's merged column reuse, plus
+// Table 3's per-loop column.
+func TestTables1to3ShareRuns(t *testing.T) {
+	charmmRuns.Lock()
+	clear(charmmRuns.reps)
+	charmmRuns.Unlock()
+	sc := Quick()
+	Table1(sc)
+	Table2(sc)
+	Table3(sc)
+	if want := len(sc.CharmmProcs) + len(withoutOne(sc.CharmmProcs)); len(charmmRuns.reps) != want {
+		t.Errorf("Tables 1-3 ran CHARMM %d times, want %d", len(charmmRuns.reps), want)
+	}
+}

@@ -176,12 +176,12 @@ func TestRemapEveryRuns(t *testing.T) {
 	cfg.RemapEvery = 4
 	cfg.AlternatePartitioners = true
 	_, wantSum := Reference(cfg)
-	results, _ := runAll(3, cfg, Run)
+	results, rep := runAll(3, cfg, Run)
 	if math.Abs(results[0].Checksum-wantSum) > 1e-9*math.Abs(wantSum) {
 		t.Errorf("remapped run checksum %v, want %v", results[0].Checksum, wantSum)
 	}
-	if results[0].Phases[PhasePartition] <= 0 || results[0].Phases[PhaseSchedRegen] <= 0 {
-		t.Errorf("phase accounting missing: %v", results[0].Phases)
+	if rep.Phases[0][PhasePartition] <= 0 || rep.Phases[0][PhaseSchedRegen] <= 0 {
+		t.Errorf("phase accounting missing: %v", rep.Phases[0])
 	}
 }
 

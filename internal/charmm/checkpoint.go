@@ -41,8 +41,8 @@ func saveCheckpoint(p *comm.Proc, s *simState, cfg Config, step, remapCount int)
 // and the continuation is bit-identical); with a different count the shards
 // are merged round-robin and the configured partitioner rebalances the
 // restored state onto the new machine (elastic restart). Collective.
-func resume(p *comm.Proc, rt *core.Runtime, cfg Config, timer *core.PhaseTimer) (*simState, int, int) {
-	r := checkpoint.Restore(p, rt, timer, cfg.ResumeFrom, "charmm", cfg.NAtoms, atomFields, "remapcount")
+func resume(p *comm.Proc, rt *core.Runtime, cfg Config) (*simState, int, int) {
+	r := checkpoint.Restore(p, rt, cfg.ResumeFrom, "charmm", cfg.NAtoms, atomFields, "remapcount")
 	s := &simState{atoms: r.Dist, pos: r.F64["pos"], vel: r.F64["vel"], ptr: r.CSRPtr["nb"], jnb: r.CSRVal["nb"]}
 	for _, sh := range r.Shards {
 		bi, err1 := sh.I32("bond.i")
@@ -54,10 +54,10 @@ func resume(p *comm.Proc, rt *core.Runtime, cfg Config, timer *core.PhaseTimer) 
 		s.bondI, s.bondJ, s.bondLen = append(s.bondI, bi...), append(s.bondJ, bj...), append(s.bondLen, bl...)
 	}
 	if !r.Exact {
-		repartition(p, s, cfg.Partitioner, timer)
+		repartition(p, s, cfg.Partitioner)
 	}
 	buildInspector(p, s, cfg)
 	p.Barrier()
-	timer.Mark(PhaseSchedGen)
+	p.Mark(PhaseSchedGen)
 	return s, int(r.Step), int(r.Max[0])
 }

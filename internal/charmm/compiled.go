@@ -2,7 +2,6 @@ package charmm
 
 import (
 	"repro/internal/comm"
-	"repro/internal/core"
 	"repro/internal/loopir"
 	"repro/internal/partition"
 )
@@ -24,7 +23,6 @@ func RunCompiled(p *comm.Proc, cfg Config) *ProcResult {
 	trig := cfg.mustTrigger()
 	init := GenInitState(cfg)
 	prog := loopir.NewProgram(p)
-	timer := core.NewPhaseTimer(p)
 
 	// Declarations: atoms and bonds decompositions, aligned arrays.
 	atoms := prog.Decomposition(cfg.NAtoms)
@@ -52,7 +50,7 @@ func RunCompiled(p *comm.Proc, cfg Config) *ProcResult {
 	nonbonded := prog.NewSumLoopRows(jnb, x, frc, pairFlops, func(xi, fi []float64, js []int32, xb, fb []float64) {
 		pairForceRow(xi, fi, js, xb, fb, c2)
 	})
-	timer.Skip()
+	p.SkipPhase()
 
 	var nb nbSearch  // reused across rebuilds; the lists it returns are fresh
 	var ps partState // reused across repartitions
@@ -60,14 +58,14 @@ func RunCompiled(p *comm.Proc, cfg Config) *ProcResult {
 		ptr, vals := buildNBListPar(p, atoms.Globals(), x.Local(), cfg, &nb)
 		jnb.SetCSR(ptr, vals)
 		p.Barrier()
-		timer.Mark(phase)
+		p.Mark(phase)
 	}
 	repartitionAll := func(part string) {
 		// Extrinsic partitioner on positions, weighted by list length.
 		ptr, _ := jnb.CSR()
 		owners := ps.atomOwners(p, part, atoms.Globals(), atoms.N(), x.Local(), ptr)
 		p.Barrier()
-		timer.Mark(PhasePartition)
+		p.Mark(PhasePartition)
 		atoms.Redistribute(owners)
 		// Bonded iterations follow almost-owner-computes over the new
 		// atom distribution.
@@ -76,7 +74,7 @@ func RunCompiled(p *comm.Proc, cfg Config) *ProcResult {
 		bOwners := bondOwners(p, ibv, jbv, atoms.Dist().TT())
 		bonds.Redistribute(bOwners)
 		p.Barrier()
-		timer.Mark(PhaseRemap)
+		p.Mark(PhaseRemap)
 	}
 
 	// One remap episode: partition and remap, a fresh list, the inspectors.
@@ -86,7 +84,7 @@ func RunCompiled(p *comm.Proc, cfg Config) *ProcResult {
 		bonded.Inspect()
 		nonbonded.Inspect()
 		p.Barrier()
-		timer.Mark(schedPhase)
+		p.Mark(schedPhase)
 	}
 
 	// Initial preprocessing: a list for the weights, then the first episode.
@@ -103,7 +101,7 @@ func RunCompiled(p *comm.Proc, cfg Config) *ProcResult {
 			rebuildList(PhaseNBUpdate)
 			nonbonded.Inspect() // generated guard: jnb's record changed
 			p.Barrier()
-			timer.Mark(PhaseSchedRegen)
+			p.Mark(PhaseSchedRegen)
 		}
 
 		frc.Zero()
@@ -115,10 +113,10 @@ func RunCompiled(p *comm.Proc, cfg Config) *ProcResult {
 			integrate(xs[3*i:3*i+3], vs[3*i:3*i+3], fs[3*i:3*i+3], &cfg.Box, cfg.Dt)
 		}
 		p.ComputeFlops(integrateFlops * atoms.NLocal())
-		timer.Mark(PhaseExecutor)
+		p.Mark(PhaseExecutor)
 	}
 
-	res := &ProcResult{Phases: timer.Times, Spans: timer.Spans(), RemapSteps: trig.Steps}
+	res := &ProcResult{RemapSteps: trig.Steps}
 	res.Checksum = globalMeanAbs(p, x.Local())
 	_, vals := jnb.CSR()
 	res.NBEntries = p.AllReduceScalarI64(comm.OpSum, int64(len(vals)))

@@ -61,7 +61,7 @@ func TestKernelWithoutRemaps(t *testing.T) {
 	cfg.RemapEvery = 0
 	hand := make([]*KernelResult, 2)
 	compiled := make([]*KernelResult, 2)
-	comm.Run(2, costmodel.IPSC860(), func(p *comm.Proc) {
+	rep := comm.Run(2, costmodel.IPSC860(), func(p *comm.Proc) {
 		hand[p.Rank()] = RunKernelHand(p, cfg)
 	})
 	comm.Run(2, costmodel.IPSC860(), func(p *comm.Proc) {
@@ -70,8 +70,8 @@ func TestKernelWithoutRemaps(t *testing.T) {
 	if math.Abs(hand[0].Checksum-compiled[0].Checksum) > 1e-9*math.Abs(hand[0].Checksum) {
 		t.Errorf("no-remap kernel checksums differ: %v vs %v", hand[0].Checksum, compiled[0].Checksum)
 	}
-	if hand[0].Partition != 0 || hand[0].Remap != 0 {
-		t.Errorf("no-remap run reported partition/remap time: %+v", hand[0])
+	if rep.Phases[0]["partition"] != 0 || rep.Phases[0]["remap"] != 0 {
+		t.Errorf("no-remap run reported partition/remap time: %v", rep.Phases[0])
 	}
 }
 

@@ -35,18 +35,12 @@ func DefaultKernelConfig() KernelConfig {
 	return KernelConfig{NAtoms: 14026, Iters: 100, RemapEvery: 25, Seed: 1994}
 }
 
-// KernelResult reports the Table 6 columns in virtual seconds (this rank's
-// view) plus a global checksum for cross-validation. Phases and Spans are
-// the rank's phase timer (setup included), as a ProcResult carries them.
+// KernelResult is one rank's outcome of a kernel run: a global checksum
+// for cross-validation. The Table 6 columns are the rank's phases in the
+// run's comm.Report (setup, partition, remap, inspector, executor); its
+// total is the clock at the last Mark, the end of its last span.
 type KernelResult struct {
-	Partition float64
-	Remap     float64
-	Inspector float64
-	Executor  float64
-	Total     float64
-	Checksum  float64
-	Phases    map[string]float64
-	Spans     []core.Span
+	Checksum float64
 }
 
 // kernelFlopsPerPair models the Figure 10 body: two REDUCE(SUM) pairs over
@@ -146,7 +140,6 @@ type handKernel struct {
 	atoms    *core.Dist
 	pos, dx  []float64
 	ptr, jnb []int32
-	timer    *core.PhaseTimer
 
 	ht    *hashtab.Table
 	stamp hashtab.Stamp
@@ -161,11 +154,9 @@ type handKernel struct {
 	xb, fb []float64 // gather and contribution buffers, reused across iterations
 }
 
-// newHandKernel builds the kernel's initial state. Its timer starts before
-// kernelSetup, so the list search and the copies are charged to "setup"
-// rather than to no phase.
+// newHandKernel builds the kernel's initial state. The list search and the
+// copies are charged to "setup", the phase the rank body opens with.
 func newHandKernel(p *comm.Proc, cfg KernelConfig) *handKernel {
-	timer := core.NewPhaseTimer(p)
 	gpos, ptr, jnb := kernelSetup(p, cfg)
 	lo, hi := partition.BlockRange(p.Rank(), cfg.NAtoms, p.Size())
 	k := &handKernel{
@@ -175,9 +166,8 @@ func newHandKernel(p *comm.Proc, cfg KernelConfig) *handKernel {
 		dx:    make([]float64, 3*(hi-lo)),
 		ptr:   ptr,
 		jnb:   jnb,
-		timer: timer,
 	}
-	timer.Mark("setup")
+	p.Mark("setup")
 	return k
 }
 
@@ -187,7 +177,7 @@ func (k *handKernel) inspect() {
 	k.loc = k.ht.HashInto(k.loc, k.jnb, k.stamp)
 	k.sched = schedule.BuildInto(k.sched, k.p, k.ht, k.stamp, 0)
 	k.p.Barrier()
-	k.timer.Mark("inspector")
+	k.p.Mark("inspector")
 }
 
 // adapt is one adaptive cycle: partitioner (RCB and RIB alternately), remap
@@ -197,7 +187,7 @@ func (k *handKernel) adapt() {
 	owners := kernelPartitioner(p, &k.ps, k.remaps, k.pos, k.ptr)
 	k.remaps++
 	p.Barrier()
-	k.timer.Mark("partition")
+	p.Mark("partition")
 	newAtoms, plan := k.atoms.Repartition(owners)
 	k.pos, k.posOld = plan.MoveF64Into(k.posOld, p, k.pos, 3), k.pos
 	k.dx, k.dxOld = plan.MoveF64Into(k.dxOld, p, k.dx, 3), k.dx
@@ -205,7 +195,7 @@ func (k *handKernel) adapt() {
 	k.ptr, k.jnb, k.ptrOld, k.jnbOld = newPtr, newJnb, k.ptr, k.jnb
 	k.atoms = newAtoms
 	p.Barrier()
-	k.timer.Mark("remap")
+	p.Mark("remap")
 	k.inspect()
 }
 
@@ -240,23 +230,9 @@ func RunKernelHand(p *comm.Proc, cfg KernelConfig) *KernelResult {
 			k.adapt()
 		}
 		k.execute()
-		k.timer.Mark("executor")
+		p.Mark("executor")
 	}
-	return kernelResult(p, k.timer, k.dx)
-}
-
-// kernelResult collects the Table 6 columns of a finished kernel run.
-func kernelResult(p *comm.Proc, timer *core.PhaseTimer, dx []float64) *KernelResult {
-	return &KernelResult{
-		Partition: timer.Times["partition"],
-		Remap:     timer.Times["remap"],
-		Inspector: timer.Times["inspector"],
-		Executor:  timer.Times["executor"],
-		Total:     p.Clock(),
-		Checksum:  globalMeanAbs(p, dx),
-		Phases:    timer.Times,
-		Spans:     timer.Spans(),
-	}
+	return &KernelResult{Checksum: globalMeanAbs(p, k.dx)}
 }
 
 // compiledKernel is the Table 6 loop expressed in the Fortran-D-style IR and
@@ -268,7 +244,6 @@ type compiledKernel struct {
 	x, dx  *loopir.RealArray
 	ind    *loopir.IndArray
 	loop   *loopir.SumLoop
-	timer  *core.PhaseTimer
 	ps     partState
 	remaps int
 }
@@ -277,16 +252,15 @@ type compiledKernel struct {
 // newHandKernel, the list search, SetByGlobal and SetCSR are charged to
 // "setup".
 func newCompiledKernel(p *comm.Proc, cfg KernelConfig) *compiledKernel {
-	timer := core.NewPhaseTimer(p)
 	gpos, ptr, vals := kernelSetup(p, cfg)
 	prog := loopir.NewProgram(p)
-	k := &compiledKernel{p: p, dec: prog.Decomposition(cfg.NAtoms), timer: timer}
+	k := &compiledKernel{p: p, dec: prog.Decomposition(cfg.NAtoms)}
 	k.x = k.dec.AlignReal(3)
 	k.dx = k.dec.AlignReal(3)
 	k.x.SetByGlobal(func(g int32, c []float64) { copy(c, gpos[3*g:3*g+3]) })
 	k.ind = k.dec.AlignIndCSR()
 	k.ind.SetCSR(ptr, vals)
-	timer.Mark("setup")
+	p.Mark("setup")
 	k.loop = prog.NewSumLoopRows(k.ind, k.x, k.dx, kernelFlopsPerPair, kernelRow)
 	return k
 }
@@ -299,31 +273,30 @@ func (k *compiledKernel) adapt() {
 	owners := kernelPartitioner(k.p, &k.ps, k.remaps, k.x.Local(), curPtr)
 	k.remaps++
 	k.p.Barrier()
-	k.timer.Mark("partition")
+	k.p.Mark("partition")
 	k.dec.Redistribute(owners)
 	k.p.Barrier()
-	k.timer.Mark("remap")
+	k.p.Mark("remap")
 	k.loop.Inspect() // generated guard: versions changed, rebuild
 	k.p.Barrier()
-	k.timer.Mark("inspector")
+	k.p.Mark("inspector")
 }
 
 // RunKernelCompiled is the compiler-generated kernel: the same loop
 // expressed in the Fortran-D-style IR and lowered by loopir. Collective.
 func RunKernelCompiled(p *comm.Proc, cfg KernelConfig) *KernelResult {
 	k := newCompiledKernel(p, cfg)
-	timer := k.timer
 	k.loop.Inspect()
 	p.Barrier()
-	timer.Mark("inspector")
+	p.Mark("inspector")
 
 	for iter := 1; iter <= cfg.Iters; iter++ {
 		if cfg.RemapEvery > 0 && iter%cfg.RemapEvery == 0 {
 			k.adapt()
 		}
 		k.loop.Execute()
-		timer.Mark("executor")
+		p.Mark("executor")
 	}
 
-	return kernelResult(p, timer, k.dx.Local())
+	return &KernelResult{Checksum: globalMeanAbs(p, k.dx.Local())}
 }

@@ -38,17 +38,14 @@ func TestKernelCompiledNearHandPerformance(t *testing.T) {
 
 func TestKernelPhaseBreakdown(t *testing.T) {
 	cfg := smallKernelConfig()
-	results := make([]*KernelResult, 2)
-	comm.Run(2, costmodel.IPSC860(), func(p *comm.Proc) {
-		results[p.Rank()] = RunKernelHand(p, cfg)
-	})
-	r := results[0]
-	if r.Partition <= 0 || r.Remap <= 0 || r.Inspector <= 0 || r.Executor <= 0 {
-		t.Errorf("phase breakdown incomplete: %+v", r)
+	rep := comm.Run(2, costmodel.IPSC860(), func(p *comm.Proc) { RunKernelHand(p, cfg) })
+	r, spans := rep.Phases[0], rep.Spans[0]
+	if r["partition"] <= 0 || r["remap"] <= 0 || r["inspector"] <= 0 || r["executor"] <= 0 {
+		t.Errorf("phase breakdown incomplete: %v", r)
 	}
-	sum := r.Partition + r.Remap + r.Inspector + r.Executor
-	if math.Abs(sum-r.Total) > 0.02*r.Total {
-		t.Errorf("phases sum to %v but total is %v", sum, r.Total)
+	sum := r["partition"] + r["remap"] + r["inspector"] + r["executor"]
+	if total := spans[len(spans)-1].End; math.Abs(sum-total) > 0.02*total {
+		t.Errorf("phases sum to %v but total is %v", sum, total)
 	}
 }
 

@@ -15,7 +15,7 @@ type tickClock struct{ t atomic.Int64 }
 func (c *tickClock) Now() float64 { return float64(c.t.Add(1)) }
 
 // TestKernelCompiledPhasesWithinWall holds the measured ledger of the
-// compiled kernel to one owner per phase key: the host's PhaseTimer charges
+// compiled kernel to one owner per phase key: the rank's Proc.Mark charges
 // consecutive intervals of the rank body, so on every rank the measured
 // phases can add up to at most the rank's wall. A second owner charging a
 // key inside one of those intervals would count its time twice. The setup

@@ -15,7 +15,7 @@ import (
 	"repro/internal/ttable"
 )
 
-// Phase keys used in ProcResult.Phases. Table 2 reports PhasePartition,
+// Phase keys a run marks (comm.Report.Phases). Table 2 reports PhasePartition,
 // PhaseNBList, PhaseRemap, PhaseSchedGen and PhaseSchedRegen; Table 6
 // reports PhasePartition, PhaseRemap, inspector (PhaseSchedGen +
 // PhaseSchedRegen) and PhaseExecutor.
@@ -31,12 +31,10 @@ const (
 	PhaseCheckpoint = "checkpoint"
 )
 
-// ProcResult is one rank's outcome of a parallel CHARMM run. Phase times
-// are virtual seconds on this rank; Checksum and NBEntries are global
-// (identical on every rank).
+// ProcResult is one rank's outcome of a parallel CHARMM run. Checksum and
+// NBEntries are global (identical on every rank); the rank's phase times
+// are in the run's comm.Report.
 type ProcResult struct {
-	Phases    map[string]float64
-	Spans     []core.Span
 	Checksum  float64
 	NBEntries int64
 	// RemapSteps lists the time steps at which atoms were repartitioned
@@ -122,14 +120,13 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, *simState) {
 	default:
 		panic("charmm: unknown TableKind " + cfg.TableKind)
 	}
-	timer := core.NewPhaseTimer(p)
 
 	var s *simState
 	startStep, remapCount := 0, 0
 	if cfg.ResumeFrom != "" {
-		s, startStep, remapCount = resume(p, rt, cfg, timer)
+		s, startStep, remapCount = resume(p, rt, cfg)
 	} else {
-		s = setup(p, rt, cfg, timer, trig)
+		s = setup(p, rt, cfg, trig)
 	}
 
 	trig.Start(p)
@@ -139,7 +136,7 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, *simState) {
 		}
 		if trig.Due(p, step) {
 			trig.Episode(p, step, func() {
-				remapEpisode(p, s, cfg, cfg.partitionerAt(remapCount), timer, PhaseNBUpdate, PhaseSchedRegen)
+				remapEpisode(p, s, cfg, cfg.partitionerAt(remapCount), PhaseNBUpdate, PhaseSchedRegen)
 			})
 			remapCount++
 		} else if step%cfg.NBEvery == 0 {
@@ -149,22 +146,22 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, *simState) {
 			s.nb.retire(s.ptr, s.jnb)
 			s.ptr, s.jnb = buildNBListPar(p, s.atoms.Globals(), s.pos, cfg, &s.nb)
 			p.Barrier()
-			timer.Mark(PhaseNBUpdate)
+			p.Mark(PhaseNBUpdate)
 			s.ht.ClearStamp(s.sNB)
 			s.locJnb = s.ht.HashInto(s.locJnb, s.jnb, s.sNB)
 			rebuildSchedules(p, s, cfg)
 			p.Barrier()
-			timer.Mark(PhaseSchedRegen)
+			p.Mark(PhaseSchedRegen)
 		}
 		executeStep(p, s, cfg)
-		timer.Mark(PhaseExecutor)
+		p.Mark(PhaseExecutor)
 		if cfg.CheckpointEvery > 0 && step%cfg.CheckpointEvery == 0 {
 			saveCheckpoint(p, s, cfg, step, remapCount)
-			timer.Mark(PhaseCheckpoint)
+			p.Mark(PhaseCheckpoint)
 		}
 	}
 
-	res := &ProcResult{Phases: timer.Times, Spans: timer.Spans(), RemapSteps: trig.Steps}
+	res := &ProcResult{RemapSteps: trig.Steps}
 	res.Checksum = globalMeanAbs(p, s.pos)
 	res.NBEntries = p.AllReduceScalarI64(comm.OpSum, int64(len(s.jnb)))
 	return res, s
@@ -174,7 +171,7 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, *simState) {
 // pipeline (initial list, phases A-E) for a fresh run. The partition+list+
 // inspector episode is the trigger's step 0: it bootstraps a remap policy's
 // cost estimate.
-func setup(p *comm.Proc, rt *core.Runtime, cfg Config, timer *core.PhaseTimer, trig *adapt.Trigger) *simState {
+func setup(p *comm.Proc, rt *core.Runtime, cfg Config, trig *adapt.Trigger) *simState {
 	init := GenInitState(cfg)
 	s := &simState{atoms: rt.BlockDist(cfg.NAtoms)}
 	// Local slabs of the initial condition.
@@ -186,15 +183,15 @@ func setup(p *comm.Proc, rt *core.Runtime, cfg Config, timer *core.PhaseTimer, t
 	s.bondI = append([]int32(nil), init.BondI[blo:bhi]...)
 	s.bondJ = append([]int32(nil), init.BondJ[blo:bhi]...)
 	s.bondLen = append([]float64(nil), init.BondLen[blo:bhi]...)
-	timer.Skip() // setup is not a measured phase
+	p.SkipPhase() // setup is not a measured phase
 
 	// Initial non-bonded list on the block distribution: it supplies the
 	// computational weights the partitioner needs (§4.1).
 	s.ptr, s.jnb = buildNBListPar(p, s.atoms.Globals(), s.pos, cfg, &s.nb)
 	p.Barrier()
-	timer.Mark(PhaseNBListInit)
+	p.Mark(PhaseNBListInit)
 
-	trig.Episode(p, 0, func() { remapEpisode(p, s, cfg, cfg.Partitioner, timer, PhaseNBList, PhaseSchedGen) })
+	trig.Episode(p, 0, func() { remapEpisode(p, s, cfg, cfg.Partitioner, PhaseNBList, PhaseSchedGen) })
 	return s
 }
 
@@ -203,17 +200,17 @@ func setup(p *comm.Proc, rt *core.Runtime, cfg Config, timer *core.PhaseTimer, t
 // after the initial redistribution too: Table 2's "Non-bonded List Update"
 // row), and phase E, the inspector. listPhase and schedPhase name the rows
 // the last two are charged to.
-func remapEpisode(p *comm.Proc, s *simState, cfg Config, part string, timer *core.PhaseTimer, listPhase, schedPhase string) {
-	repartition(p, s, part, timer)
+func remapEpisode(p *comm.Proc, s *simState, cfg Config, part string, listPhase, schedPhase string) {
+	repartition(p, s, part)
 	// The list the repartition moved is replaced at once: the new one is
 	// built in its storage.
 	s.nb.retire(s.ptr, s.jnb)
 	s.ptr, s.jnb = buildNBListPar(p, s.atoms.Globals(), s.pos, cfg, &s.nb)
 	p.Barrier()
-	timer.Mark(listPhase)
+	p.Mark(listPhase)
 	buildInspector(p, s, cfg)
 	p.Barrier()
-	timer.Mark(schedPhase)
+	p.Mark(schedPhase)
 }
 
 // Validate reports an inconsistent configuration, naming the field at fault.
@@ -265,10 +262,10 @@ func (cfg Config) partitionerAt(remapCount int) string {
 // repartition runs phases A-D: partition atoms (weighted by non-bonded list
 // length), remap the atom arrays, and repartition+move the bonded pairs by
 // the almost-owner-computes rule.
-func repartition(p *comm.Proc, s *simState, part string, timer *core.PhaseTimer) {
+func repartition(p *comm.Proc, s *simState, part string) {
 	owners := s.part.atomOwners(p, part, s.atoms.Globals(), s.atoms.N(), s.pos, s.ptr)
 	p.Barrier()
-	timer.Mark(PhasePartition)
+	p.Mark(PhasePartition)
 
 	atoms2, plan := s.atoms.Repartition(owners)
 	// The arrays a move consumes are the state's own: they are the next
@@ -300,7 +297,7 @@ func repartition(p *comm.Proc, s *simState, part string, timer *core.PhaseTimer)
 		s.bondJ[k] = moved[2*k+1]
 	}
 	p.Barrier()
-	timer.Mark(PhaseRemap)
+	p.Mark(PhaseRemap)
 }
 
 // bondOwners partitions the bonded loop's iterations (bond k references

@@ -266,9 +266,10 @@ type Restored struct {
 // into a distribution rt builds, and takes each int64 scalar named in
 // maxima to its largest value. It restores the virtual clock Save
 // recorded: on an exact restore this rank's own, before any collective; on
-// an elastic one the largest of all ranks', agreed after the maxima. timer
-// starts its next phase at the restored clock. Failures panic, naming app.
-func Restore(p *comm.Proc, rt *core.Runtime, timer *core.PhaseTimer, dir, app string, n int, fields []Field, maxima ...string) *Restored {
+// an elastic one the largest of all ranks', agreed after the maxima. The
+// rank's next phase starts at the restored clock (Proc.SkipPhase). Failures
+// panic, naming app.
+func Restore(p *comm.Proc, rt *core.Runtime, dir, app string, n int, fields []Field, maxima ...string) *Restored {
 	fail := func(err error) {
 		if err != nil {
 			panic(fmt.Sprintf("%s: %v", app, err))
@@ -295,7 +296,7 @@ func Restore(p *comm.Proc, rt *core.Runtime, timer *core.PhaseTimer, dir, app st
 	}
 	if exact {
 		p.RestoreClock(clock)
-		timer.Skip()
+		p.SkipPhase()
 	}
 	r.Dist = rt.DistFromGlobals(el.Globals, n)
 	if !exact {
@@ -306,7 +307,7 @@ func Restore(p *comm.Proc, rt *core.Runtime, timer *core.PhaseTimer, dir, app st
 		if clock = p.AllReduceScalarF64(comm.OpMax, clock); clock > p.Clock() {
 			p.RestoreClock(clock)
 		}
-		timer.Skip()
+		p.SkipPhase()
 	}
 	return r
 }

@@ -106,10 +106,10 @@ func TestRunMeasuredScriptedClock(t *testing.T) {
 		}
 		t0 := p.WallNow() // reading 2
 		p.Compute(1e-3)
-		p.ChargePhaseWall("inspector", p.WallNow()-t0) // reading 3
+		p.chargePhaseWall("inspector", p.WallNow()-t0) // reading 3
 		for i := 0; i < 2; i++ {
 			t0 = p.WallNow()                              // readings 4, 6
-			p.ChargePhaseWall("executor", p.WallNow()-t0) // readings 5, 7
+			p.chargePhaseWall("executor", p.WallNow()-t0) // readings 5, 7
 		}
 	})
 	mm := rep.Measured[0]
@@ -199,10 +199,10 @@ func TestMeasuredTimerPathZeroAllocs(t *testing.T) {
 	perRank := make([]float64, 2)
 	pingpong := make([]float64, 2)
 	RunMeasured(2, costmodel.Uniform(1e-9), func(p *Proc) {
-		p.ChargePhaseWall("warm", 1) // allocate the Phases map once
+		p.chargePhaseWall("warm", 1) // allocate the Phases map once
 		perRank[p.Rank()] = testing.AllocsPerRun(runs, func() {
 			t0 := p.WallNow()
-			p.ChargePhaseWall("warm", p.WallNow()-t0)
+			p.chargePhaseWall("warm", p.WallNow()-t0)
 		})
 
 		peer := 1 - p.Rank()

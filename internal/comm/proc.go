@@ -79,6 +79,12 @@ type Proc struct {
 	// staleSample. (A NaN rather than a flag keeps Proc in its allocation
 	// size class.)
 	lastSample float64
+
+	// The phase ledger (phase.go): virtual time per phase, the spans in
+	// order, and the virtual and measured clock at the last boundary.
+	phases              map[string]float64
+	spans               []Span
+	markClock, markWall float64
 }
 
 // staleSample marks Proc.lastSample as no reading to reuse.
@@ -137,24 +143,11 @@ func (p *Proc) sampleWall() float64 {
 }
 
 // WallNow returns real seconds since the run epoch, or 0 on modeled runs.
-// Interval timers (core.PhaseTimer) use it together with ChargePhaseWall.
 func (p *Proc) WallNow() float64 {
 	if p.wall == nil {
 		return 0
 	}
 	return p.sampleWall()
-}
-
-// ChargePhaseWall adds dt measured seconds to the named phase region. It is
-// a no-op on modeled runs, so instrumentation can run unconditionally.
-func (p *Proc) ChargePhaseWall(name string, dt float64) {
-	if p.wall == nil || dt == 0 {
-		return
-	}
-	if p.meas.Phases == nil {
-		p.meas.Phases = make(map[string]float64)
-	}
-	p.meas.Phases[name] += dt
 }
 
 // Compute advances the virtual clock by cost seconds of application work.

@@ -10,13 +10,19 @@ import (
 	"repro/internal/costmodel"
 )
 
-// Report summarizes one SPMD run: per-rank final virtual clocks and
-// statistics, plus the real wall time the simulation took. Measured runs
-// (RunMeasured) additionally carry per-rank wall-clock accounting.
+// Report summarizes one SPMD run: per-rank final virtual clocks,
+// statistics and phase ledgers, plus the real wall time the simulation
+// took. Measured runs (RunMeasured) additionally carry per-rank wall-clock
+// accounting.
 type Report struct {
 	N      int
 	Clocks []float64
 	Stats  []Stats
+	// Phases holds each rank's virtual time per phase and Spans its phase
+	// intervals in order, as Proc.Mark charged them (nil for a rank that
+	// marked none).
+	Phases []map[string]float64
+	Spans  [][]Span
 	Wall   time.Duration
 	// Measured holds per-rank wall-clock accounting when the run was
 	// executed by RunMeasured; nil for modeled runs.
@@ -115,6 +121,18 @@ func (r *Report) MeanMeasuredCommWall() float64 {
 	return s / float64(len(r.Measured))
 }
 
+// PhaseMax returns the maximum over ranks of the named virtual phase, 0 for
+// a phase no rank marked.
+func (r *Report) PhaseMax(name string) float64 {
+	max := 0.0
+	for _, ph := range r.Phases {
+		if v := ph[name]; v > max {
+			max = v
+		}
+	}
+	return max
+}
+
 // MeasuredPhaseMax returns the maximum over ranks of the named measured
 // phase region, in real seconds. 0 for modeled runs or unknown phases.
 func (r *Report) MeasuredPhaseMax(name string) float64 {
@@ -204,7 +222,8 @@ func runSPMD(n int, m *costmodel.Machine, tr Transport, mc *measureCfg, body fun
 		panic("comm: Run needs at least one processor")
 	}
 	defer tr.Close()
-	rep := &Report{N: n, Clocks: make([]float64, n), Stats: make([]Stats, n)}
+	rep := &Report{N: n, Clocks: make([]float64, n), Stats: make([]Stats, n),
+		Phases: make([]map[string]float64, n), Spans: make([][]Span, n)}
 	if mc != nil {
 		rep.Measured = make([]Measured, n)
 		rep.Workers = mc.workers
@@ -266,6 +285,7 @@ func runSPMD(n int, m *costmodel.Machine, tr Transport, mc *measureCfg, body fun
 				}
 				rep.Clocks[rank] = p.clock
 				rep.Stats[rank] = p.stats
+				rep.Phases[rank], rep.Spans[rank] = p.phases, p.spans
 				if mc != nil {
 					rep.Measured[rank] = p.meas
 					if bare {
@@ -289,6 +309,7 @@ func runSPMD(n int, m *costmodel.Machine, tr Transport, mc *measureCfg, body fun
 				slot.acquire()
 			}
 			t0 := p.sampleWall()
+			p.markWall = t0
 			body(p)
 			p.meas.Wall = p.sampleWall() - t0
 		}(r)

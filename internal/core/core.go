@@ -105,9 +105,6 @@ func (rt *Runtime) DistFromGlobals(globals []int32, n int) *Dist {
 	return &Dist{rt: rt, tt: ttable.Build(rt.P, rt.TableKind, slab), globals: append([]int32(nil), globals...)}
 }
 
-// Runtime returns the owning runtime.
-func (d *Dist) Runtime() *Runtime { return d.rt }
-
 // TT returns the translation table describing this distribution.
 func (d *Dist) TT() *ttable.Table { return d.tt }
 
@@ -162,65 +159,3 @@ func (d *Dist) NewHashTableInto(ht *hashtab.Table) *hashtab.Table {
 	ht.Reset(d.tt)
 	return ht
 }
-
-// Span is one timed interval on a rank's virtual timeline.
-type Span struct {
-	Phase      string
-	Start, End float64
-}
-
-// PhaseTimer accumulates per-phase virtual time for the preprocessing-
-// overhead breakdowns the paper reports (Tables 2 and 6), and records the
-// raw span list for timeline rendering (internal/trace). Under
-// comm.RunMeasured each Mark also charges the interval's real duration to
-// the same phase name through Proc.ChargePhaseWall, so the modeled and
-// measured breakdowns share keys; on modeled runs the wall side is a no-op.
-// The timer is the only owner of the keys it charges: the intervals it
-// charges tile the rank body, so its measured phases never add up to more
-// than the rank's wall.
-type PhaseTimer struct {
-	p         *comm.Proc
-	lastClock float64
-	lastWall  float64
-	Times     map[string]float64
-	order     []string
-	spans     []Span
-}
-
-// NewPhaseTimer starts a timer at the processor's current clock.
-func NewPhaseTimer(p *comm.Proc) *PhaseTimer {
-	return &PhaseTimer{
-		p:         p,
-		lastClock: p.Clock(),
-		lastWall:  p.WallNow(),
-		Times:     map[string]float64{},
-	}
-}
-
-// Mark charges the virtual time since the previous Mark (or construction)
-// to the named phase. Phases may repeat; time accumulates.
-func (t *PhaseTimer) Mark(name string) {
-	now := t.p.Clock()
-	if _, seen := t.Times[name]; !seen {
-		t.order = append(t.order, name)
-	}
-	t.Times[name] += now - t.lastClock
-	t.spans = append(t.spans, Span{Phase: name, Start: t.lastClock, End: now})
-	t.lastClock = now
-	w := t.p.WallNow()
-	t.p.ChargePhaseWall(name, w-t.lastWall)
-	t.lastWall = w
-}
-
-// Skip discards the time since the previous Mark without charging it.
-func (t *PhaseTimer) Skip() {
-	t.lastClock = t.p.Clock()
-	t.lastWall = t.p.WallNow()
-}
-
-// Phases returns the phase names in first-appearance order.
-func (t *PhaseTimer) Phases() []string { return t.order }
-
-// Spans returns the raw timed intervals in chronological order (do not
-// modify).
-func (t *PhaseTimer) Spans() []Span { return t.spans }

@@ -135,31 +135,6 @@ func TestEndToEndIrregularLoop(t *testing.T) {
 	})
 }
 
-func TestPhaseTimer(t *testing.T) {
-	comm.Run(1, costmodel.Uniform(1e-3), func(p *comm.Proc) {
-		pt := NewPhaseTimer(p)
-		p.Compute(0.5)
-		pt.Mark("a")
-		p.Compute(0.25)
-		pt.Mark("b")
-		p.Compute(1.0)
-		pt.Mark("a")
-		if pt.Times["a"] != 1.5 || pt.Times["b"] != 0.25 {
-			t.Errorf("times = %v", pt.Times)
-		}
-		if got := pt.Phases(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-			t.Errorf("phases = %v", got)
-		}
-		p.Compute(9)
-		pt.Skip()
-		p.Compute(0.5)
-		pt.Mark("c")
-		if pt.Times["c"] != 0.5 {
-			t.Errorf("c = %v (Skip leaked time)", pt.Times["c"])
-		}
-	})
-}
-
 func TestRepartitionLengthMismatchPanics(t *testing.T) {
 	comm.Run(1, costmodel.Uniform(1e-9), func(p *comm.Proc) {
 		rt := NewRuntime(p)

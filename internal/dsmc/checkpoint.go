@@ -25,8 +25,8 @@ func saveCheckpoint(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64,
 // processor count the restore is exact; with a different count the shards
 // are merged round-robin onto the new ranks and remapCells rebalances cells
 // (and migrates molecules) for the new machine. Collective.
-func resume(p *comm.Proc, rt *core.Runtime, cfg *Config, timer *core.PhaseTimer, st *stepState) (*core.Dist, []float64, int) {
-	r := checkpoint.Restore(p, rt, timer, cfg.ResumeFrom, "dsmc", cfg.NCells(), nil)
+func resume(p *comm.Proc, rt *core.Runtime, cfg *Config, st *stepState) (*core.Dist, []float64, int) {
+	r := checkpoint.Restore(p, rt, cfg.ResumeFrom, "dsmc", cfg.NCells(), nil)
 	var mols []float64
 	for _, sh := range r.Shards {
 		ms, err := sh.F64("mols")
@@ -40,7 +40,7 @@ func resume(p *comm.Proc, rt *core.Runtime, cfg *Config, timer *core.PhaseTimer,
 	}
 	cells := r.Dist
 	if !r.Exact {
-		cells, mols = remapCells(p, cfg, cells, mols, timer, st)
+		cells, mols = remapCells(p, cfg, cells, mols, st)
 	}
 	return cells, mols, int(r.Step)
 }

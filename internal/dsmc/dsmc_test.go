@@ -213,16 +213,13 @@ func TestConfigValidate(t *testing.T) {
 
 func TestPhaseAccounting(t *testing.T) {
 	cfg := small3D()
-	results, _ := runAll(2, cfg)
-	for r, res := range results {
-		if res.Phases[PhaseMove] <= 0 || res.Phases[PhaseCollide] <= 0 {
-			t.Errorf("rank %d: missing move/collide time: %v", r, res.Phases)
+	_, rep := runAll(2, cfg)
+	for r, ph := range rep.Phases {
+		if ph[PhaseMove] <= 0 || ph[PhaseCollide] <= 0 {
+			t.Errorf("rank %d: missing move/collide time: %v", r, ph)
 		}
-		if res.Phases[PhasePartition] <= 0 || res.Phases[PhaseRemap] <= 0 {
-			t.Errorf("rank %d: missing partition/remap time: %v", r, res.Phases)
-		}
-		if res.MoveTime != res.Phases[PhaseMove] {
-			t.Errorf("rank %d: MoveTime mismatch", r)
+		if ph[PhasePartition] <= 0 || ph[PhaseRemap] <= 0 {
+			t.Errorf("rank %d: missing partition/remap time: %v", r, ph)
 		}
 	}
 }

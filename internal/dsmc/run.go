@@ -12,7 +12,8 @@ import (
 	"repro/internal/schedule"
 )
 
-// Phase keys in ProcResult.Phases.
+// Phase keys a run marks (comm.Report.Phases). Table 7's "Reduce append"
+// row is PhaseMove under the light and compiler movers.
 const (
 	PhaseMove       = "move"
 	PhaseCollide    = "collide"
@@ -24,12 +25,7 @@ const (
 // ProcResult is one rank's outcome of a parallel DSMC run. Checksum is
 // global (identical on all ranks).
 type ProcResult struct {
-	Phases   map[string]float64
-	Spans    []core.Span
 	Checksum float64
-	// MoveTime is the total virtual time of the MOVE phase (the paper's
-	// "Reduce append" row in Table 7 for the light mover).
-	MoveTime float64
 	// RemapSteps lists the time steps after which cells were repartitioned
 	// and molecules migrated (identical on all ranks: periodic remaps are
 	// schedule-driven and policy remaps decide from AllReduce'd inputs).
@@ -53,15 +49,14 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, []float64) {
 	cfg.mustValidate()
 	trig, _ := adapt.NewTrigger(cfg.Adapt, cfg.RemapEvery, cfg.AdaptVerify) // Validate vetted it
 	rt := core.NewRuntime(p)
-	timer := core.NewPhaseTimer(p)
 
 	var cells *core.Dist
 	var mols []float64
 	var st stepState
-	remap := func() { cells, mols = remapCells(p, &cfg, cells, mols, timer, &st) }
+	remap := func() { cells, mols = remapCells(p, &cfg, cells, mols, &st) }
 	startStep := 0
 	if cfg.ResumeFrom != "" {
-		cells, mols, startStep = resume(p, rt, &cfg, timer, &st)
+		cells, mols, startStep = resume(p, rt, &cfg, &st)
 	} else {
 		cells = rt.BlockDist(cfg.NCells())
 		// Each rank keeps the molecules whose cell it owns: count, then
@@ -83,7 +78,7 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, []float64) {
 				mols = append(mols, all[i*recordWidth:(i+1)*recordWidth]...)
 			}
 		}
-		timer.Skip() // setup is not measured
+		p.SkipPhase() // setup is not measured
 
 		// A run that balances load partitions once before the first step as
 		// well: the trigger's step 0.
@@ -106,29 +101,27 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, []float64) {
 		case MoverCompiler:
 			mols, rows = moveCompiler(p, &cfg, cells, mols, &st)
 		}
-		timer.Mark(PhaseMove)
+		p.Mark(PhaseMove)
 		if beforeCollide != nil {
 			beforeCollide(p, step, cells, mols, rows)
 		}
 
 		collideOwned(p, &cfg, cells, mols, rows, step)
-		timer.Mark(PhaseCollide)
+		p.Mark(PhaseCollide)
 
 		if step < cfg.Steps && trig.Due(p, step) {
 			trig.Episode(p, step, remap)
 		}
 		if cfg.CheckpointEvery > 0 && step%cfg.CheckpointEvery == 0 {
 			saveCheckpoint(p, &cfg, cells, mols, step)
-			timer.Mark(PhaseCheckpoint)
+			p.Mark(PhaseCheckpoint)
 		}
 		if afterStep != nil {
 			afterStep(p, step, &st)
 		}
 	}
 
-	res := &ProcResult{Phases: timer.Times, Spans: timer.Spans()}
-	res.MoveTime = timer.Times[PhaseMove]
-	res.RemapSteps = trig.Steps
+	res := &ProcResult{RemapSteps: trig.Steps}
 	res.Checksum = p.AllReduceScalarF64(comm.OpSum, Checksum(mols))
 	return res, mols
 }
@@ -473,7 +466,7 @@ func collideOwned(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, r
 // remapCells runs the load-balancing pipeline: weigh cells by their current
 // molecule population, partition, rebuild the distribution, and migrate
 // molecules to the new owners of their cells.
-func remapCells(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, timer *core.PhaseTimer, st *stepState) (*core.Dist, []float64) {
+func remapCells(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, st *stepState) (*core.Dist, []float64) {
 	// Cell weights: molecules per cell + 1.
 	w := make([]float64, cells.NLocal())
 	for i := range w {
@@ -501,7 +494,7 @@ func remapCells(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, tim
 		owners = partition.ByName(nil, p, cfg.Partitioner, geom)
 	}
 	p.Barrier()
-	timer.Mark(PhasePartition)
+	p.Mark(PhasePartition)
 
 	newCells, _ := cells.Repartition(owners)
 	dest := sizedI32(&st.dest, n)
@@ -512,7 +505,7 @@ func remapCells(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, tim
 	ls := schedule.BuildLight(p, dest)
 	newMols := ls.MoveF64(p, dest, mols, recordWidth)
 	p.Barrier()
-	timer.Mark(PhaseRemap)
+	p.Mark(PhaseRemap)
 	return newCells, newMols
 }
 

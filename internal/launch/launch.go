@@ -15,6 +15,9 @@
 // bytes. SIGINT or SIGTERM closes the transport first, so the survivors fail
 // fast instead of hanging. A process whose run fails exits 3 when a peer
 // rank failed or the fault plan killed this one, and 1 on a transport error.
+// A rank that panics (-crash-step, or any other panic in the run) makes the
+// process exit 4, in-process and under -addrs alike, after one
+// "name: rank R crashed: value" line and the stack on stderr.
 package launch
 
 import (
@@ -24,17 +27,18 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/comm"
 	"repro/internal/comm/fault"
-	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/prof"
 	"repro/internal/trace"
@@ -176,9 +180,33 @@ func (l *Launcher) Refuse(complaint error) int {
 // Run executes body on every rank of the simulated machine, measured under
 // -measure, or under -addrs on this process's rank only; profiled under
 // -cpuprofile/-memprofile. rep is nil when the run failed, after one line on
-// stderr; the command then exits with code.
+// stderr (and, when a rank crashed, its stack); the command then exits with
+// code.
 func (l *Launcher) Run(body func(p *comm.Proc)) (rep *comm.Report, code int) {
 	defer l.startProfiles()()
+	var once sync.Once
+	crash := "" // the first rank panic that is not a PeerFailure, and its stack
+	run := body
+	body = func(p *comm.Proc) {
+		defer func() {
+			if e := recover(); e != nil {
+				if _, peer := e.(comm.PeerFailure); !peer {
+					once.Do(func() { crash = fmt.Sprintf("rank %d crashed: %v\n%s", p.Rank(), e, debug.Stack()) })
+				}
+				panic(e) // on to fail the run, and its peers
+			}
+		}()
+		run(p)
+	}
+	defer func() {
+		if e := recover(); e != nil {
+			if crash == "" {
+				panic(e)
+			}
+			fmt.Fprintf(l.FS.Output(), "%s: %s", l.FS.Name(), crash)
+			rep, code = nil, 4
+		}
+	}()
 	switch {
 	case l.addrs != nil:
 		return l.runRank(body)
@@ -225,7 +253,8 @@ func (l *Launcher) runRank(body func(p *comm.Proc)) (rep *comm.Report, code int)
 	}()
 	// A peer process crashing (or being killed) poisons our mailboxes and
 	// surfaces as a PeerFailure panic out of RunRank; so does a fault-plan
-	// kill of this rank, which the plan's trace tells apart.
+	// kill of this rank, which the plan's trace tells apart. Any other panic
+	// is this rank's own crash, which Run reports.
 	defer func() {
 		if e := recover(); e != nil {
 			if _, ok := e.(comm.PeerFailure); !ok {
@@ -252,12 +281,11 @@ func (l *Launcher) runRank(body func(p *comm.Proc)) (rep *comm.Report, code int)
 
 // Report prints the run: head (the command's title lines), the machine-level
 // metrics, tail (the command's result lines), the phase table — the maximum
-// over ranks of each phase, keys padded to keyWidth — then under -measure
-// the per-rank table (rankTable), and under -trace the Gantt chart. rank
-// returns one rank's phase times and spans. Under -addrs rank 0 prints head
-// and tail, and every rank one line of its own virtual clock, messages and
-// bytes.
-func (l *Launcher) Report(w io.Writer, rep *comm.Report, head, tail string, keyWidth int, rank func(r int) (map[string]float64, []core.Span)) {
+// over ranks of each phase some rank spent time in, keys padded to
+// keyWidth — then under -measure the per-rank table (rankTable), and under
+// -trace the Gantt chart. Under -addrs rank 0 prints head and tail, and
+// every rank one line of its own virtual clock, messages and bytes.
+func (l *Launcher) Report(w io.Writer, rep *comm.Report, head, tail string, keyWidth int) {
 	if l.addrs != nil {
 		if l.Rank == 0 {
 			fmt.Fprint(w, head)
@@ -284,20 +312,13 @@ func (l *Launcher) Report(w io.Writer, rep *comm.Report, head, tail string, keyW
 		}
 	}
 
-	phases := map[string]float64{}
-	times := make([]map[string]float64, l.Procs)
-	spans := make([][]core.Span, l.Procs)
-	for r := range spans {
-		times[r], spans[r] = rank(r)
-		for k, v := range times[r] {
-			if v > phases[k] {
-				phases[k] = v
+	var keys []string // the phases some rank spent time in
+	for _, ph := range rep.Phases {
+		for k, v := range ph {
+			if v > 0 && !slices.Contains(keys, k) {
+				keys = append(keys, k)
 			}
 		}
-	}
-	keys := make([]string, 0, len(phases))
-	for k := range phases {
-		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	if l.measure {
@@ -306,21 +327,21 @@ func (l *Launcher) Report(w io.Writer, rep *comm.Report, head, tail string, keyW
 		fmt.Fprintln(w, "  phase breakdown (max over ranks, virtual s):")
 	}
 	for _, k := range keys {
-		fmt.Fprintf(w, "    %-*s %10.3f", keyWidth, k, phases[k])
+		fmt.Fprintf(w, "    %-*s %10.3f", keyWidth, k, rep.PhaseMax(k))
 		if l.measure {
 			fmt.Fprintf(w, "  %10.4f", rep.MeasuredPhaseMax(k))
 		}
 		fmt.Fprintln(w)
 	}
 	if l.measure {
-		rankTable(w, rep, keys, times)
+		rankTable(w, rep, keys)
 	}
 
 	if l.trace {
 		fmt.Fprintln(w)
-		fmt.Fprint(w, trace.Gantt(spans, 100))
+		fmt.Fprint(w, trace.Gantt(rep.Spans, 100))
 		fmt.Fprintln(w)
-		fmt.Fprint(w, trace.RenderSummary(spans))
+		fmt.Fprint(w, trace.RenderSummary(rep.Spans))
 	}
 }
 
@@ -328,9 +349,9 @@ func (l *Launcher) Report(w io.Writer, rep *comm.Report, head, tail string, keyW
 // and measured seconds, the measured receive wait (Measured.CommWall) and
 // the messages and bytes the rank sent. The maximum over ranks above hides
 // which rank waits, and in which phase; this shows it.
-func rankTable(w io.Writer, rep *comm.Report, keys []string, times []map[string]float64) {
+func rankTable(w io.Writer, rep *comm.Report, keys []string) {
 	rows := [][]string{append(append([]string{"rank"}, keys...), "comm wait", "msgs", "bytes")}
-	for r, t := range times {
+	for r, t := range rep.Phases {
 		m, st := rep.Measured[r], rep.Stats[r]
 		row := []string{strconv.Itoa(r)}
 		for _, k := range keys {

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/charmm"
 	"repro/internal/comm"
-	"repro/internal/core"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/rank_table.golden")
@@ -45,12 +44,9 @@ func TestRankTableGolden(t *testing.T) {
 			t.Fatal("flags refused")
 		}
 		l.measureOpts.Clock = &tickClock{step: c.step}
-		res := make([]*charmm.ProcResult, l.Procs)
-		rep, _ := l.Run(func(p *comm.Proc) { res[p.Rank()] = charmm.Run(p, cfg) })
+		rep, _ := l.Run(func(p *comm.Proc) { charmm.Run(p, cfg) })
 		var out bytes.Buffer
-		l.Report(&out, rep, "", "", 12, func(r int) (map[string]float64, []core.Span) {
-			return res[r].Phases, res[r].Spans
-		})
+		l.Report(&out, rep, "", "", 12)
 		_, table, ok := strings.Cut(out.String(), "  per rank")
 		if !ok {
 			t.Fatalf("-procs %s: no per-rank table in:\n%s", c.procs, out.String())

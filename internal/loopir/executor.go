@@ -58,8 +58,8 @@ import (
 // boundary pass; self-scheduling charges its chunk bookkeeping after the
 // gather completes.
 //
-// Measured wall time is the host's to charge: the drivers' core.PhaseTimer
-// owns every phase key on both clocks, so the executor opens no wall-clock
+// Measured wall time is the host's to charge: the drivers' Proc.Mark owns
+// every phase key on both clocks, so the executor opens no wall-clock
 // region of its own.
 
 // Steal-protocol tags: user point-to-point tag space (the collective range

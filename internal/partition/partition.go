@@ -82,16 +82,6 @@ func (g *Geom) validate() {
 	}
 }
 
-// Block returns the BLOCK distribution map for n elements over nprocs
-// processors: near-equal contiguous slabs.
-func Block(n, nprocs int) []int32 {
-	owners := make([]int32, n)
-	for i := range owners {
-		owners[i] = int32(BlockOwner(i, n, nprocs))
-	}
-	return owners
-}
-
 // BlockOwner returns the BLOCK owner of global index g.
 func BlockOwner(g, n, nprocs int) int {
 	// Inverse of lo(r) = r*n/nprocs.
@@ -120,16 +110,6 @@ func BlockOwnersInto(dst, globals []int32, n, nprocs int) []int32 {
 // rank r.
 func BlockRange(r, n, nprocs int) (lo, hi int) {
 	return r * n / nprocs, (r + 1) * n / nprocs
-}
-
-// Cyclic returns the CYCLIC distribution map: element i to processor
-// i mod nprocs.
-func Cyclic(n, nprocs int) []int32 {
-	owners := make([]int32, n)
-	for i := range owners {
-		owners[i] = int32(i % nprocs)
-	}
-	return owners
 }
 
 // region tracks one node of the bisection recursion.

@@ -36,18 +36,14 @@ func TestBlockOwnerMatchesRange(t *testing.T) {
 	}
 }
 
+// TestBlockAndCyclicMaps pins the BLOCK map of 10 elements over 3 ranks;
+// CYCLIC layouts are covered by core's TestCyclicDist.
 func TestBlockAndCyclicMaps(t *testing.T) {
-	owners := Block(10, 3)
+	owners := BlockOwnersInto(nil, []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 10, 3)
 	want := []int32{0, 0, 0, 1, 1, 1, 2, 2, 2, 2}
 	for i := range owners {
 		if owners[i] != want[i] {
-			t.Errorf("Block(10,3)[%d] = %d, want %d", i, owners[i], want[i])
-		}
-	}
-	cyc := Cyclic(7, 3)
-	for i := range cyc {
-		if cyc[i] != int32(i%3) {
-			t.Errorf("Cyclic(7,3)[%d] = %d", i, cyc[i])
+			t.Errorf("BLOCK owner of %d of 10 over 3 = %d, want %d", i, owners[i], want[i])
 		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // renderedRun executes a small CHAOS pipeline (inspector + executor over a
-// deterministic indirection pattern) with a PhaseTimer on every rank and
-// returns the rendered Gantt chart plus phase summary.
+// deterministic indirection pattern) that marks its phases on every rank
+// and returns the rendered Gantt chart plus phase summary.
 func renderedRun(t *testing.T) string {
 	t.Helper()
 	const (
@@ -20,29 +20,27 @@ func renderedRun(t *testing.T) string {
 		nElems = 120
 		nIters = 360
 	)
-	spans := make([][]core.Span, nProcs)
-	comm.Run(nProcs, costmodel.IPSC860(), func(p *comm.Proc) {
+	rep := comm.Run(nProcs, costmodel.IPSC860(), func(p *comm.Proc) {
 		ia := make([]int32, nIters)
 		ib := make([]int32, nIters)
 		for i := range ia {
 			ia[i] = int32((i * 31) % nElems)
 			ib[i] = int32((i*53 + 7) % nElems)
 		}
-		pt := core.NewPhaseTimer(p)
 		rt := core.NewRuntime(p)
 		d := rt.BlockDist(nElems)
 		y := make([]float64, d.NLocal())
 		for i, g := range d.Globals() {
 			y[i] = float64(g)
 		}
-		pt.Mark("partition")
+		p.Mark("partition")
 		lo, hi := partition.BlockRange(p.Rank(), nIters, p.Size())
 		ht := d.NewHashTable()
 		sa, sb := ht.NewStamp(), ht.NewStamp()
 		la := ht.Hash(ia[lo:hi], sa)
 		lb := ht.Hash(ib[lo:hi], sb)
 		sched := schedule.Build(p, ht, sa|sb, 0)
-		pt.Mark("inspector")
+		p.Mark("inspector")
 		buf := make([]float64, sched.MinLen())
 		copy(buf, y)
 		schedule.Gather(p, sched, buf)
@@ -52,10 +50,9 @@ func renderedRun(t *testing.T) string {
 		}
 		p.ComputeFlops(len(la))
 		schedule.Scatter(p, sched, acc, schedule.OpAdd)
-		pt.Mark("executor")
-		spans[p.Rank()] = pt.Spans()
+		p.Mark("executor")
 	})
-	return Gantt(spans, 64) + RenderSummary(spans)
+	return Gantt(rep.Spans, 64) + RenderSummary(rep.Spans)
 }
 
 // TestRenderingDeterministic asserts the full pipeline — virtual-time

@@ -1,5 +1,5 @@
 // Package trace renders per-rank virtual-time execution timelines (text
-// Gantt charts) from the spans recorded by core.PhaseTimer — release-grade
+// Gantt charts) from the spans recorded by comm.Proc.Mark — release-grade
 // observability for understanding where a CHAOS run spends its modeled
 // time: which ranks idle in which phase, how remapping and inspector
 // intervals interleave with executor sweeps.
@@ -10,7 +10,7 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/core"
+	"repro/internal/comm"
 )
 
 // phaseGlyphs are assigned to phases in first-appearance order.
@@ -20,7 +20,7 @@ const phaseGlyphs = "EPNRSHMCXABDFGIJKLOQTUVWYZ"
 // virtual-time axis. Each character cell shows the phase occupying the
 // majority of that cell's interval on that rank ('.' for untracked time).
 // A legend follows.
-func Gantt(spans [][]core.Span, width int) string {
+func Gantt(spans [][]comm.Span, width int) string {
 	if width < 10 {
 		width = 10
 	}
@@ -109,7 +109,7 @@ type Summary struct {
 }
 
 // Summarize computes per-phase aggregates, ordered by descending max.
-func Summarize(spans [][]core.Span) []Summary {
+func Summarize(spans [][]comm.Span) []Summary {
 	totals := map[string]*Summary{}
 	perRank := map[string][]float64{}
 	for r, rank := range spans {
@@ -145,7 +145,7 @@ func Summarize(spans [][]core.Span) []Summary {
 }
 
 // RenderSummary formats Summarize output as an aligned table.
-func RenderSummary(spans [][]core.Span) string {
+func RenderSummary(spans [][]comm.Span) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-14s %10s %10s %10s\n", "phase", "max", "mean", "total")
 	for _, s := range Summarize(spans) {

@@ -4,11 +4,11 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/comm"
 )
 
-func sampleSpans() [][]core.Span {
-	return [][]core.Span{
+func sampleSpans() [][]comm.Span {
+	return [][]comm.Span{
 		{
 			{Phase: "inspector", Start: 0, End: 1},
 			{Phase: "executor", Start: 1, End: 4},

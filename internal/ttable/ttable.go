@@ -217,9 +217,6 @@ func (t *Table) N() int { return t.n }
 // NLocal returns the number of elements owned by rank r.
 func (t *Table) NLocal(r int) int { return int(t.counts[r]) }
 
-// Counts returns the per-processor element counts (do not modify).
-func (t *Table) Counts() []int32 { return t.counts }
-
 // blockOf returns the processor storing the map-array entry for global g.
 func (t *Table) blockOf(g int) int {
 	return sort.SearchInts(t.blockStarts[1:], g+1)

@@ -249,7 +249,7 @@ func (k cellKey) check(t *testing.T) {
 
 // Resume restores the mem writer's checkpoint at step Every on P ranks
 // (restores): every rank must end with the uninterrupted run's answer bit
-// for bit, but for a CHARMM result's phase times and remap steps.
+// for bit, but for a CHARMM result's remap steps and list size.
 func Resume(t *testing.T, rows []string, pairs [][2]int) {
 	restores(t, "resume", rows, commtest.Mem, false, pairs, func(t *testing.T, k cellKey) {
 		got, want := k.get(t), k.plain().get(t)
