@@ -5,18 +5,14 @@
 // Usage:
 //
 //	charmm [-procs N] [-atoms N] [-steps N] [-nbevery N] [-part rcb|rib|chain|block]
-//	       [-multiple] [-compiled] [-remap N] [-adapt static|periodic:N|policy] [-adapt-verify]
-//	       [-ckpt-dir DIR -ckpt-every N] [-resume DIR|latest]
+//	       [-multiple] [-compiled] [-remap N|static|policy] [-adapt-verify]
+//	       [-ckpt-dir DIR -ckpt-every N] [-resume DIR|latest] [-crash-step N -crash-rank R]
 //	       [-rank R -addrs HOST:PORT,... [-timeout D] [-fault-plan PLAN]]
 //	       [-kernel] [-measure] [-trace] [-cpuprofile FILE] [-memprofile FILE]
 //
-// With -ckpt-dir and -ckpt-every the run writes periodic checkpoints;
-// -resume continues from a checkpoint directory (or the latest sealed one
-// under -ckpt-dir), at the same processor count for a bit-identical
-// continuation or at a different one for an elastic restart.
-//
-// With -addrs the process runs rank -rank of a multi-process run over TCP,
-// one process per address (see internal/launch).
+// -remap repartitions the atoms every N steps (0: only during setup, as
+// under static) or when the online policy decides. The checkpoint, crash
+// and -addrs flags are internal/launch's; -compiled writes no checkpoints.
 //
 // With -kernel the command runs Table 6's non-bonded force kernel instead
 // of the MD run: -atoms atoms, -steps iterations, the data redistributed
@@ -32,13 +28,15 @@
 package main
 
 import (
-	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strconv"
 
+	"repro/internal/adapt"
 	"repro/internal/charmm"
-	"repro/internal/checkpoint"
 	"repro/internal/comm"
 	"repro/internal/launch"
 )
@@ -54,7 +52,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	nbevery := l.FS.Int("nbevery", 5, "non-bonded list update interval")
 	part := l.FS.String("part", "rcb", "partitioner: rcb, rib, chain, block")
 	multiple := l.FS.Bool("multiple", false, "use per-loop schedules instead of merged")
-	remapEvery := l.FS.Int("remap", 0, "repartition every N steps (0 = once at start)")
 	compiled := l.FS.Bool("compiled", false, "run the compiler-generated (loopir) version of the application")
 	kernel := l.FS.Bool("kernel", false, "run Table 6's non-bonded force kernel (-steps iterations, redistributed every -remap) instead of the MD run")
 	if code, ok := l.Parse(args); !ok {
@@ -62,20 +59,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	cfg := charmm.ConfigForAtoms(*atoms)
-	cfg.Steps = *steps
-	cfg.NBEvery = *nbevery
-	cfg.Partitioner = *part
-	cfg.Merged = !*multiple
-	cfg.RemapEvery = *remapEvery
-	cfg.Adapt, cfg.AdaptVerify = l.Adapt, l.AdaptVerify
-	cfg.CheckpointDir, cfg.CheckpointEvery, cfg.ResumeFrom = l.CkptDir, l.CkptEvery, l.Resume
-	cfg.CrashStep, cfg.CrashRank = l.CrashStep, l.CrashRank
+	cfg.Steps, cfg.NBEvery, cfg.Partitioner, cfg.Merged = *steps, *nbevery, *part, !*multiple
+	cfg.Remap, cfg.AdaptVerify, cfg.Recovery = l.Remap, l.AdaptVerify, l.Recovery
 	err := cfg.Validate()
-	if err == nil && cfg.ResumeFrom != "" {
-		_, err = checkpoint.Check(cfg.ResumeFrom, "charmm", int64(cfg.NAtoms))
-	}
-	if err == nil && *kernel && (l.CkptEvery > 0 || l.Resume != "" || l.Adapt != "" || l.CrashStep > 0) {
-		err = errors.New("-kernel takes none of -ckpt-every, -resume, -adapt and -crash-step")
+	l.FS.Visit(func(f *flag.Flag) { // refuse what the variant ignores or cannot honour
+		switch {
+		case *kernel && slices.Contains([]string{"multiple", "part", "nbevery", "ckpt-every", "resume", "crash-step"}, f.Name):
+			err = fmt.Errorf("-kernel takes no -%s", f.Name)
+		case *compiled && slices.Contains([]string{"multiple", "ckpt-every", "resume"}, f.Name):
+			err = fmt.Errorf("-compiled takes no -%s", f.Name)
+		}
+	})
+	if err == nil {
+		err = cfg.CheckResume("charmm", int64(cfg.NAtoms))
 	}
 	if err != nil {
 		return l.Refuse(err)
@@ -85,9 +81,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	runner, kind := charmm.Run, "hand-parallelized"
 	if *compiled {
-		if l.CkptEvery > 0 || l.Resume != "" {
-			return l.Refuse(errors.New("checkpointing is not supported for the -compiled variant"))
-		}
 		runner, kind = charmm.RunCompiled, "compiler-generated"
 	}
 
@@ -100,8 +93,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	head := fmt.Sprintf("mini-CHARMM (%s): %d atoms, %d steps, nb update every %d, partitioner=%s merged=%v\n",
 		kind, cfg.NAtoms, cfg.Steps, cfg.NBEvery, cfg.Partitioner, cfg.Merged)
 	tail := ""
-	if cfg.Adapt != "" {
-		tail = fmt.Sprintf("  adapt mode          : %s (remapped at steps %v)\n", cfg.Adapt, results[l.Rank].RemapSteps)
+	if mode := adapt.Mode(cfg.Remap); mode != "" {
+		tail = fmt.Sprintf("  adapt mode          : %s (remapped at steps %v)\n", mode, results[l.Rank].RemapSteps)
 	}
 	tail += fmt.Sprintf("  nb list entries     : %d\n", results[l.Rank].NBEntries)
 	tail += fmt.Sprintf("  position checksum   : %.9f\n", results[l.Rank].Checksum)
@@ -113,7 +106,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 // remap interval, and reports it like the MD run.
 func runKernel(l *launch.Launcher, cfg charmm.Config, compiled bool, stdout io.Writer) int {
 	kcfg := charmm.DefaultKernelConfig()
-	kcfg.NAtoms, kcfg.Iters, kcfg.RemapEvery = cfg.NAtoms, cfg.Steps, cfg.RemapEvery
+	remapEvery, err := strconv.Atoi(cfg.Remap)
+	if err != nil {
+		return l.Refuse(fmt.Errorf("-kernel redistributes every N iterations: -remap %q is not a step count", cfg.Remap))
+	}
+	kcfg.NAtoms, kcfg.Iters, kcfg.RemapEvery = cfg.NAtoms, cfg.Steps, remapEvery
 	runner, kind := charmm.RunKernelHand, "hand-coded"
 	if compiled {
 		runner, kind = charmm.RunKernelCompiled, "compiler-generated"

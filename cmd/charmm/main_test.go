@@ -33,8 +33,8 @@ func TestBadInputExitsWithOneLine(t *testing.T) {
 		{"-procs", "0"},
 		{"-procs", "-1"},
 		{"-part", "nonsense"},
-		{"-adapt", "bogus"},
-		{"-adapt", "periodic:0"},
+		{"-remap", "bogus"},
+		{"-remap", "periodic:3"},
 		{"-atoms", "0"},
 		{"-remap", "-1"},
 		{"-ckpt-every", "-1"},
@@ -42,8 +42,13 @@ func TestBadInputExitsWithOneLine(t *testing.T) {
 		{"-procs", "2", "-crash-rank", "7", "-crash-step", "2"},
 		{"-crash-rank", "-1"},
 		{"-compiled", "-resume", "somewhere"},
-		{"-kernel", "-adapt", "policy"},
+		{"-compiled", "-ckpt-dir", foreign, "-ckpt-every", "2"},
+		{"-compiled", "-multiple"},
+		{"-kernel", "-remap", "policy"},
 		{"-kernel", "-ckpt-dir", foreign, "-ckpt-every", "2"},
+		{"-kernel", "-multiple"},
+		{"-kernel", "-part", "rib"},
+		{"-kernel", "-nbevery", "3"},
 		{"-kernel", "-atoms", "0"},
 		{"-steps", "2", "stray"},
 	}
@@ -98,7 +103,7 @@ func TestStdoutGolden(t *testing.T) {
 	for _, vec := range []bool{host, false} {
 		charmm.VectorKernels = vec
 		for name, args := range map[string][]string{
-			"plain":  {"-procs", "2", "-atoms", "200", "-steps", "6", "-nbevery", "2", "-adapt", "periodic:3"},
+			"plain":  {"-procs", "2", "-atoms", "200", "-steps", "6", "-nbevery", "2", "-remap", "3"},
 			"trace":  {"-procs", "3", "-atoms", "240", "-steps", "4", "-nbevery", "2", "-remap", "2", "-compiled", "-trace"},
 			"kernel": {"-kernel", "-compiled", "-atoms", "300", "-steps", "4", "-remap", "2", "-procs", "2"},
 		} {

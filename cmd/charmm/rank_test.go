@@ -91,11 +91,14 @@ func runTwoRanks(t *testing.T, args []string) [2]rankRun {
 
 // TestCrashExits4: a rank that crashes (-crash-step) ends its process with
 // exit status 4, one "charmm: rank R crashed:" line and then the stack, both
-// in-process and as rank 1 of two processes, whose peer exits 3.
+// in-process (hand-coded and compiled) and as rank 1 of two processes, whose
+// peer exits 3.
 func TestCrashExits4(t *testing.T) {
 	md := []string{"-atoms", "300", "-steps", "6", "-nbevery", "3", "-crash-step", "2", "-crash-rank", "1"}
-	var stdout, stderr bytes.Buffer
-	wantCrash(t, "-procs 2", run(slices.Concat([]string{"-procs", "2"}, md), &stdout, &stderr), stderr.String())
+	for _, variant := range [][]string{{"-procs", "2"}, {"-procs", "2", "-compiled"}} {
+		var stdout, stderr bytes.Buffer
+		wantCrash(t, strings.Join(variant, " "), run(slices.Concat(variant, md), &stdout, &stderr), stderr.String())
+	}
 	if testing.Short() {
 		return
 	}

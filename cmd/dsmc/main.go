@@ -5,19 +5,17 @@
 // Usage:
 //
 //	dsmc [-procs N] [-nx N -ny N -nz N] [-mols N] [-steps N]
-//	     [-mover light|regular|compiler] [-part block|rcb|rib|chain] [-remap N]
-//	     [-adapt static|periodic:N|policy] [-adapt-verify]
-//	     [-ckpt-dir DIR -ckpt-every N] [-resume DIR|latest]
+//	     [-mover light|regular|compiler] [-part block|rcb|rib|chain]
+//	     [-remap N|static|policy] [-adapt-verify]
+//	     [-ckpt-dir DIR -ckpt-every N] [-resume DIR|latest] [-crash-step N -crash-rank R]
 //	     [-rank R -addrs HOST:PORT,... [-timeout D] [-fault-plan PLAN]]
 //	     [-measure] [-trace] [-cpuprofile FILE] [-memprofile FILE]
 //
-// With -ckpt-dir and -ckpt-every the run writes periodic checkpoints;
-// -resume continues from a checkpoint directory (or the latest sealed one
-// under -ckpt-dir), at the same processor count for a bit-identical
-// continuation or at a different one for an elastic restart.
-//
-// With -addrs the process runs rank -rank of a multi-process run over TCP,
-// one process per address (see internal/launch).
+// -remap repartitions the cells by -part every N steps, once before the
+// first step (static) or when the online policy decides. Under -remap 0 the
+// cells keep their BLOCK distribution, so another -part is refused unless
+// -resume is given (an elastic restore rebalances with it). The checkpoint,
+// crash and -addrs flags are internal/launch's.
 //
 // Exit status: 2 for refused input (one "dsmc:" line and the usage), 1 on a
 // transport error, 3 when a peer rank failed or the fault plan killed this
@@ -30,7 +28,7 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/checkpoint"
+	"repro/internal/adapt"
 	"repro/internal/comm"
 	"repro/internal/dsmc"
 	"repro/internal/launch"
@@ -49,7 +47,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	steps := l.FS.Int("steps", 50, "time steps")
 	mover := l.FS.String("mover", "light", "MOVE implementation: light, regular, compiler")
 	part := l.FS.String("part", "block", "partitioner for remapping")
-	remapEvery := l.FS.Int("remap", 0, "remap cells every N steps (0 = static)")
 	slab := l.FS.Float64("slab", 1.0, "initial x-extent fraction holding all molecules")
 	if code, ok := l.Parse(args); !ok {
 		return code
@@ -64,17 +61,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *mols == 0 {
 		cfg.NMols = 8 * cfg.NCells()
 	}
-	cfg.Steps = *steps
-	cfg.Mover = dsmc.Mover(*mover)
-	cfg.Partitioner = *part
-	cfg.RemapEvery = *remapEvery
-	cfg.InitSlabFrac = *slab
-	cfg.Adapt, cfg.AdaptVerify = l.Adapt, l.AdaptVerify
-	cfg.CheckpointDir, cfg.CheckpointEvery, cfg.ResumeFrom = l.CkptDir, l.CkptEvery, l.Resume
-	cfg.CrashStep, cfg.CrashRank = l.CrashStep, l.CrashRank
+	cfg.Steps, cfg.Mover, cfg.Partitioner, cfg.InitSlabFrac = *steps, dsmc.Mover(*mover), *part, *slab
+	cfg.Remap, cfg.AdaptVerify, cfg.Recovery = l.Remap, l.AdaptVerify, l.Recovery
 	err := cfg.Validate()
-	if err == nil && cfg.ResumeFrom != "" {
-		_, err = checkpoint.Check(cfg.ResumeFrom, "dsmc", int64(cfg.NCells()))
+	if err == nil {
+		err = cfg.CheckResume("dsmc", int64(cfg.NCells()))
+	}
+	if err == nil && cfg.Partitioner != "block" && adapt.Mode(cfg.Remap) == "" && cfg.ResumeFrom == "" {
+		err = fmt.Errorf("-part %s has no effect without -remap: the cells keep their BLOCK distribution", cfg.Partitioner)
 	}
 	if err != nil {
 		return l.Refuse(err)
@@ -86,10 +80,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 
-	head := fmt.Sprintf("mini-DSMC: %dx%dx%d cells, %d molecules, %d steps, mover=%s part=%s remap=%d\n",
-		cfg.NX, cfg.NY, cfg.NZ, cfg.NMols, cfg.Steps, cfg.Mover, cfg.Partitioner, cfg.RemapEvery)
-	if cfg.Adapt != "" {
-		head += fmt.Sprintf("  adapt mode          : %s (remapped after steps %v)\n", cfg.Adapt, results[l.Rank].RemapSteps)
+	head := fmt.Sprintf("mini-DSMC: %dx%dx%d cells, %d molecules, %d steps, mover=%s part=%s remap=%s\n",
+		cfg.NX, cfg.NY, cfg.NZ, cfg.NMols, cfg.Steps, cfg.Mover, cfg.Partitioner, cfg.Remap)
+	if mode := adapt.Mode(cfg.Remap); mode != "" {
+		head += fmt.Sprintf("  adapt mode          : %s (remapped after steps %v)\n", mode, results[l.Rank].RemapSteps)
 	}
 	tail := fmt.Sprintf("  state checksum      : %.9f\n", results[l.Rank].Checksum)
 	l.Report(stdout, rep, head, tail, 10)

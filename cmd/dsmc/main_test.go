@@ -33,8 +33,10 @@ func TestBadInputExitsWithOneLine(t *testing.T) {
 		{"-procs", "-1"},
 		{"-mover", "bogus"},
 		{"-part", "nonsense"},
-		{"-adapt", "bogus"},
-		{"-adapt", "periodic:0"},
+		{"-remap", "bogus"},
+		{"-remap", "periodic:3"},
+		{"-part", "rcb"},
+		{"-part", "chain", "-remap", "0"},
 		{"-nx", "0"},
 		{"-mols", "-1"},
 		{"-remap", "-1"},
@@ -98,7 +100,7 @@ func TestStdoutGolden(t *testing.T) {
 	wall := regexp.MustCompile(`\(wall [0-9.]+s\)`)
 	for name, args := range map[string][]string{
 		"plain": {"-procs", "2", "-nx", "8", "-ny", "8", "-mols", "200", "-steps", "6", "-mover", "regular"},
-		"trace": {"-procs", "3", "-nx", "24", "-ny", "4", "-mols", "600", "-steps", "14", "-slab", "0.4", "-part", "chain", "-adapt", "policy", "-trace"},
+		"trace": {"-procs", "3", "-nx", "24", "-ny", "4", "-mols", "600", "-steps", "14", "-slab", "0.4", "-part", "chain", "-remap", "policy", "-trace"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 0 {

@@ -3,7 +3,6 @@ package adapt
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/comm"
 )
@@ -28,34 +27,42 @@ type Trigger struct {
 	lastCost float64
 }
 
-// NewTrigger parses the selector: "" (the application's own periodic knob,
-// remapEvery, stays in charge) or, overriding remapEvery, "static" (never
-// remap beyond the initial partition), "periodic:N" (every N steps) or
-// "policy" (Policy decides online; verify turns on its cross-rank agreement
-// check).
-func NewTrigger(selector string, remapEvery int, verify bool) (*Trigger, error) {
-	t := &Trigger{every: remapEvery, active: selector != "" || remapEvery > 0}
-	switch {
-	case selector == "":
-	case selector == "static":
-		t.every = 0
-	case selector == "policy":
-		t.every = 0
+// NewTrigger parses the remap selector: a step count N (remap every N
+// steps; "" and "0" never remap after set-up), "static" (the initial
+// partition only) or "policy" (Policy decides online; verify turns on its
+// cross-rank agreement check).
+func NewTrigger(selector string, verify bool) (*Trigger, error) {
+	t := &Trigger{active: selector != "" && selector != "0"}
+	switch selector {
+	case "", "static":
+	case "policy":
 		t.pol = NewPolicy()
 		t.pol.Verify = verify
 	default:
-		n, err := strconv.Atoi(strings.TrimPrefix(selector, "periodic:"))
-		if !strings.HasPrefix(selector, "periodic:") || err != nil || n < 1 {
-			return nil, fmt.Errorf("adapt: bad mode %q (want static, periodic:N or policy)", selector)
+		n, err := strconv.Atoi(selector)
+		if err != nil || n < 0 {
+			return nil, fmt.Errorf("adapt: bad remap %q (want a step count, static or policy)", selector)
 		}
 		t.every = n
 	}
 	return t, nil
 }
 
-// Active reports whether the run balances load at all: false only when the
-// selector is empty and remapEvery is zero, the configuration under which
-// DSMC keeps its initial BLOCK distribution.
+// Mode names a valid selector's regime for reports: "" for never after
+// set-up, "periodic:N" for a step count N, "static" and "policy" as given.
+func Mode(selector string) string {
+	switch selector {
+	case "0":
+		return ""
+	case "", "static", "policy":
+		return selector
+	}
+	return "periodic:" + selector
+}
+
+// Active reports whether the run balances load at all: false only for an
+// empty or zero selector, the configuration under which DSMC keeps its
+// initial BLOCK distribution.
 func (t *Trigger) Active() bool { return t.active }
 
 // Start begins cost sampling; call it once, immediately before the first

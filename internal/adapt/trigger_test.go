@@ -8,30 +8,28 @@ import (
 	"repro/internal/costmodel"
 )
 
-// TestTriggerDue: the selector and the application's periodic knob resolve
-// to one remap schedule — every selector but "" overrides remapEvery.
+// TestTriggerDue: the selector resolves to one remap schedule — a step
+// count N remaps every N steps, "", "0" and "static" never after set-up —
+// and Active is false only where no remap was asked for.
 func TestTriggerDue(t *testing.T) {
 	for _, tc := range []struct {
-		selector   string
-		remapEvery int
-		want       []int // steps in 1..12 at which Due is true
-		active     bool
+		selector string
+		want     []int // steps in 1..12 at which Due is true
+		active   bool
 	}{
-		{"", 0, nil, false},
-		{"", 4, []int{4, 8, 12}, true},
-		{"", 1, []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, true},
-		{"static", 0, nil, true},
-		{"static", 4, nil, true},
-		{"periodic:5", 0, []int{5, 10}, true},
-		{"periodic:5", 4, []int{5, 10}, true},
-		{"periodic:12", 3, []int{12}, true},
+		{"", nil, false},
+		{"0", nil, false},
+		{"static", nil, true},
+		{"4", []int{4, 8, 12}, true},
+		{"1", []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, true},
+		{"12", []int{12}, true},
 	} {
-		trig, err := NewTrigger(tc.selector, tc.remapEvery, false)
+		trig, err := NewTrigger(tc.selector, false)
 		if err != nil {
-			t.Fatalf("NewTrigger(%q, %d): %v", tc.selector, tc.remapEvery, err)
+			t.Fatalf("NewTrigger(%q): %v", tc.selector, err)
 		}
 		if trig.Active() != tc.active {
-			t.Errorf("(%q, %d): Active() = %v, want %v", tc.selector, tc.remapEvery, trig.Active(), tc.active)
+			t.Errorf("%q: Active() = %v, want %v", tc.selector, trig.Active(), tc.active)
 		}
 		var got []int
 		comm.Run(1, costmodel.IPSC860(), func(p *comm.Proc) {
@@ -44,14 +42,14 @@ func TestTriggerDue(t *testing.T) {
 			}
 		})
 		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("(%q, %d): due at %v, want %v", tc.selector, tc.remapEvery, got, tc.want)
+			t.Errorf("%q: due at %v, want %v", tc.selector, got, tc.want)
 		}
 		if !reflect.DeepEqual(trig.Steps, tc.want) {
-			t.Errorf("(%q, %d): Steps() = %v, want %v", tc.selector, tc.remapEvery, trig.Steps, tc.want)
+			t.Errorf("%q: Steps() = %v, want %v", tc.selector, trig.Steps, tc.want)
 		}
 	}
-	for _, bad := range []string{"periodic:0", "periodic:-3", "periodic:x", "periodic", "sometimes", "Policy"} {
-		if _, err := NewTrigger(bad, 0, false); err == nil {
+	for _, bad := range []string{"-1", "x", "Policy", "periodic:3"} {
+		if _, err := NewTrigger(bad, false); err == nil {
 			t.Errorf("NewTrigger(%q) accepted", bad)
 		}
 	}
@@ -87,7 +85,7 @@ func TestTriggerPolicyMatchesHandDrivenPolicy(t *testing.T) {
 	}
 	viaTrigger := make([]outcome, nprocs)
 	comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
-		trig, err := NewTrigger("policy", 7, true) // remapEvery is overridden
+		trig, err := NewTrigger("policy", true)
 		if err != nil {
 			t.Error(err)
 			return

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"repro/internal/adapt"
 	"repro/internal/comm"
 	"repro/internal/dsmc"
 )
@@ -58,15 +59,15 @@ func adaptScenarios(sc Scale) []adaptScenario {
 	}
 }
 
-// AdaptModes are the remap triggers BENCH_adapt sweeps: never (beyond the
+// AdaptModes are the remap selectors BENCH_adapt sweeps: never (beyond the
 // initial partition), three Table 7-style fixed periods, and the online
-// policy engine.
-var AdaptModes = []string{"static", "periodic:2", "periodic:5", "periodic:10", "policy"}
+// policy engine. The rows are labelled adapt.Mode(selector).
+var AdaptModes = []string{"static", "2", "5", "10", "policy"}
 
 // Adapt compares remap triggers across the skew scenarios: one row per
 // mode, one virtual-seconds column per scenario, plus the per-scenario
-// remap counts. The policy rows run with cross-rank decision verification
-// armed, so a determinism regression fails the table loudly.
+// remap counts. The policy rows run without cross-rank decision
+// verification (see RunAdaptScenario); TestAdaptPolicyDeterministic arms it.
 func Adapt(sc Scale) *Table {
 	scens := adaptScenarios(sc)
 	t := &Table{
@@ -83,7 +84,7 @@ func Adapt(sc Scale) *Table {
 	}
 	t.Columns = append(t.Columns, "remaps")
 	for _, mode := range AdaptModes {
-		row := []string{mode}
+		row := []string{adapt.Mode(mode)}
 		counts := ""
 		for _, s := range scens {
 			clk, remaps := RunAdaptScenario(sc, s.cfg, mode)
@@ -98,12 +99,12 @@ func Adapt(sc Scale) *Table {
 	return t
 }
 
-// RunAdaptScenario runs one DSMC scenario under one remap trigger and
+// RunAdaptScenario runs one DSMC scenario under one remap selector and
 // returns the run makespan (virtual seconds) and the steps at which the
 // trigger remapped. Exported for the regression test that pins "policy
 // beats static and every fixed period on drifting flow".
 func RunAdaptScenario(sc Scale, cfg dsmc.Config, mode string) (clock float64, remaps []int) {
-	cfg.Adapt = mode
+	cfg.Remap = mode
 	// Verify stays off: its fingerprint reductions are test instrumentation
 	// and would bill the policy rows for communication the production
 	// configuration never does.

@@ -362,25 +362,23 @@ func Table5(sc Scale) *Table {
 		Notes:   []string{"remapped every 40 time steps; drifting molecule concentration"},
 	}
 	seq := sc.run(1, func(p *comm.Proc) {
-		c := cfg
-		c.RemapEvery = 0
-		dsmc.Run(p, c)
+		dsmc.Run(p, cfg)
 	})
 	policies := []struct {
 		name  string
 		part  string
-		remap int
+		remap string
 	}{
-		{"Static partition", "block", 0},
-		{"Recursive bisection", "rcb", 40},
-		{"Chain partition", "chain", 40},
+		{"Static partition", "block", ""},
+		{"Recursive bisection", "rcb", "40"},
+		{"Chain partition", "chain", "40"},
 	}
 	for i, pol := range policies {
 		row := []string{pol.name}
 		for _, n := range sc.Dsmc3DProcs {
 			c := cfg
 			c.Partitioner = pol.part
-			c.RemapEvery = pol.remap
+			c.Remap = pol.remap
 			rep := sc.run(n, func(p *comm.Proc) {
 				dsmc.Run(p, c)
 			})

@@ -173,7 +173,7 @@ func TestRemapEveryRuns(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Steps = 8
 	cfg.NBEvery = 2
-	cfg.RemapEvery = 4
+	cfg.Remap = "4"
 	cfg.AlternatePartitioners = true
 	_, wantSum := Reference(cfg)
 	results, rep := runAll(3, cfg, Run)
@@ -232,10 +232,10 @@ func TestConfigValidate(t *testing.T) {
 		t.Errorf("good config refused: %v", err)
 	}
 	for want, mutate := range map[string]func(*Config){
-		"charmm: unknown partitioner magic":                                func(c *Config) { c.Partitioner = "magic" },
-		"charmm: NBEvery is 0, want at least 1":                            func(c *Config) { c.NBEvery = 0 },
-		"charmm: CheckpointEvery set without CheckpointDir":                func(c *Config) { c.CheckpointEvery = 2 },
-		`adapt: bad mode "periodic:0" (want static, periodic:N or policy)`: func(c *Config) { c.Adapt = "periodic:0" },
+		"charmm: unknown partitioner magic":                                   func(c *Config) { c.Partitioner = "magic" },
+		"charmm: NBEvery is 0, want at least 1":                               func(c *Config) { c.NBEvery = 0 },
+		"charmm: CheckpointEvery set without CheckpointDir":                   func(c *Config) { c.CheckpointEvery = 2 },
+		`adapt: bad remap "periodic:3" (want a step count, static or policy)`: func(c *Config) { c.Remap = "periodic:3" },
 	} {
 		bad := smallConfig()
 		mutate(&bad)

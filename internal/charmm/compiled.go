@@ -14,13 +14,14 @@ import (
 // The generated inspectors re-run exactly when the non-bonded list is
 // regenerated (SetCSR bumps its modification record) or a decomposition is
 // redistributed — the host only integrates, rebuilds the list, and calls
-// the extrinsic partitioner, as a Fortran D program would. Collective.
+// the extrinsic partitioner, as a Fortran D program would. It refuses, like
+// Validate, to checkpoint or resume. Collective.
 //
 // The result is physically identical to the hand-parallelized Run (within
 // floating-point summation order); the hand/compiled performance comparison
 // at kernel grain is Table 6 (see kernel.go).
 func RunCompiled(p *comm.Proc, cfg Config) *ProcResult {
-	trig := cfg.mustTrigger()
+	trig := cfg.mustTrigger(true)
 	init := GenInitState(cfg)
 	prog := loopir.NewProgram(p)
 
@@ -94,6 +95,7 @@ func RunCompiled(p *comm.Proc, cfg Config) *ProcResult {
 	remapCount := 0
 	trig.Start(p)
 	for step := 1; step <= cfg.Steps; step++ {
+		cfg.Crash("charmm", p.Rank(), step)
 		if trig.Due(p, step) {
 			trig.Episode(p, step, func() { episode(cfg.partitionerAt(remapCount), PhaseNBUpdate, PhaseSchedRegen) })
 			remapCount++

@@ -12,7 +12,11 @@
 // merged or per-loop communication schedules.
 package charmm
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/checkpoint"
+)
 
 // Config parameterizes one CHARMM-like simulation.
 type Config struct {
@@ -32,16 +36,10 @@ type Config struct {
 	Steps int
 	// NBEvery regenerates the non-bonded list every NBEvery steps.
 	NBEvery int
-	// RemapEvery, when positive, repartitions atoms (and re-runs the whole
-	// preprocessing pipeline) every RemapEvery steps, alternating RCB and
-	// RIB when AlternatePartitioners is set (the Table 6 scenario).
-	RemapEvery int
-	// Adapt selects how repartitioning is triggered: "" leaves RemapEvery
-	// in charge, "static" repartitions only during setup, "periodic:N"
-	// repartitions every N steps, and "policy" lets the adapt.Policy engine
-	// decide online from AllReduce'd per-step compute costs. "static" and
-	// "policy" override RemapEvery.
-	Adapt string
+	// Remap selects when atoms are repartitioned, and the preprocessing
+	// re-run: every N steps for a step count N ("", "0" and "static": only
+	// during setup), or when the adapt.Policy engine decides ("policy").
+	Remap string
 	// AdaptVerify enables the policy engine's cross-rank agreement check.
 	AdaptVerify bool
 	// Dt is the integration step.
@@ -60,22 +58,7 @@ type Config struct {
 	// TableKind selects translation-table storage: "replicated" (default,
 	// as the paper used for CHARMM), "distributed" or "paged" (§3.1).
 	TableKind string
-	// CheckpointEvery, when positive, writes a checkpoint of the full
-	// distributed state under CheckpointDir every CheckpointEvery steps.
-	CheckpointEvery int
-	// CheckpointDir is the base directory checkpoints are written under.
-	CheckpointDir string
-	// ResumeFrom, when non-empty, restores from the given checkpoint
-	// directory instead of generating the initial condition, then continues
-	// from the saved step. The run may use a different processor count than
-	// the one that wrote the checkpoint (elastic restart); with the same
-	// count the continuation is bit-identical to an uninterrupted run.
-	ResumeFrom string
-	// CrashStep, when positive, makes rank CrashRank panic at the start of
-	// that step — fault injection for crash-recovery tests and demos.
-	CrashStep int
-	// CrashRank selects the rank that crashes at CrashStep.
-	CrashRank int
+	checkpoint.Recovery
 }
 
 // DefaultConfig returns the benchmark configuration: 14026 atoms in a box

@@ -3,6 +3,7 @@ package charmm
 import (
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/comm"
@@ -121,7 +122,7 @@ func TestCompiledAppNearHandPerformance(t *testing.T) {
 }
 
 // TestCompiledAppUnderPolicy: the compiled variant takes its remap decisions
-// from the same adapt.Trigger as the hand-parallelized one, so Adapt "policy"
+// from the same adapt.Trigger as the hand-parallelized one, so Remap "policy"
 // — refused with a panic while the choreography existed only in Run — runs,
 // every rank agrees on when it remapped (AdaptVerify cross-checks each
 // decision), and the physics stays the reference's.
@@ -130,7 +131,7 @@ func TestCompiledAppUnderPolicy(t *testing.T) {
 	cfg.Steps = 12
 	cfg.NBEvery = 3
 	cfg.Partitioner = "block" // a poor partition, so the policy has skew to act on
-	cfg.Adapt = "policy"
+	cfg.Remap = "policy"
 	cfg.AdaptVerify = true
 	_, want := Reference(cfg)
 	const nprocs = 3
@@ -142,5 +143,31 @@ func TestCompiledAppUnderPolicy(t *testing.T) {
 	}
 	if math.Abs(results[0].Checksum-want) > 1e-9*math.Abs(want) {
 		t.Errorf("compiled checksum under policy %v, want %v", results[0].Checksum, want)
+	}
+}
+
+// TestCompiledRefusesCheckpoints: RunCompiled writes no checkpoint and
+// resumes none, so asking it to is a configuration error: it panics with a
+// Validate-style complaint instead of quietly running without the recovery
+// it was asked for, while the hand-coded run takes the same configuration.
+func TestCompiledRefusesCheckpoints(t *testing.T) {
+	for name, mutate := range map[string]func(*Config){
+		"checkpoint": func(c *Config) { c.CheckpointEvery, c.CheckpointDir = 2, t.TempDir() },
+		"resume":     func(c *Config) { c.ResumeFrom = t.TempDir() },
+	} {
+		cfg := smallConfig()
+		mutate(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%s: Validate refused the hand-coded run's configuration: %v", name, err)
+		}
+		comm.Run(1, costmodel.IPSC860(), func(p *comm.Proc) {
+			defer func() {
+				const want = "charmm: the compiled run writes no checkpoints and resumes none"
+				if got, _ := recover().(string); !strings.HasPrefix(got, want) {
+					t.Errorf("%s: RunCompiled panicked with %q, want %q...", name, got, want)
+				}
+			}()
+			RunCompiled(p, cfg)
+		})
 	}
 }

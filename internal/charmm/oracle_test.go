@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/charmm"
+	"repro/internal/checkpoint"
 	"repro/internal/comm"
 	"repro/internal/comm/commtest"
 	"repro/internal/costmodel"
@@ -72,7 +73,7 @@ func TestPortableKernels(t *testing.T) {
 				charmm.VectorKernels = vec
 				in := w.Prepare(w.Variants[0], 1994, short)
 				answers[i] = make([]any, 2)
-				reps[i] = comm.Run(2, costmodel.IPSC860(), func(p *comm.Proc) { answers[i][p.Rank()] = in.Body(p, workload.Restart{}) })
+				reps[i] = comm.Run(2, costmodel.IPSC860(), func(p *comm.Proc) { answers[i][p.Rank()] = in.Body(p, checkpoint.Recovery{}) })
 				if short {
 					if err := in.Reference()(answers[i]); err != nil {
 						t.Errorf("%s short run, vector kernels %v: the reference: %v", name, vec, err)

@@ -1,6 +1,7 @@
 package charmm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 
@@ -108,7 +109,7 @@ func RunKeepState(p *comm.Proc, cfg Config) (*ProcResult, *FinalState) {
 }
 
 func run(p *comm.Proc, cfg Config) (*ProcResult, *simState) {
-	trig := cfg.mustTrigger()
+	trig := cfg.mustTrigger(false)
 	rt := core.NewRuntime(p)
 	switch cfg.TableKind {
 	case "", "replicated":
@@ -131,9 +132,7 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, *simState) {
 
 	trig.Start(p)
 	for step := startStep + 1; step <= cfg.Steps; step++ {
-		if cfg.CrashStep > 0 && step == cfg.CrashStep && p.Rank() == cfg.CrashRank {
-			panic(fmt.Sprintf("charmm: injected crash on rank %d at step %d", p.Rank(), step))
-		}
+		cfg.Crash("charmm", p.Rank(), step)
 		if trig.Due(p, step) {
 			trig.Episode(p, step, func() {
 				remapEpisode(p, s, cfg, cfg.partitionerAt(remapCount), PhaseNBUpdate, PhaseSchedRegen)
@@ -155,7 +154,7 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, *simState) {
 		}
 		executeStep(p, s, cfg)
 		p.Mark(PhaseExecutor)
-		if cfg.CheckpointEvery > 0 && step%cfg.CheckpointEvery == 0 {
+		if cfg.SaveDue(step) {
 			saveCheckpoint(p, s, cfg, step, remapCount)
 			p.Mark(PhaseCheckpoint)
 		}
@@ -220,7 +219,6 @@ func (cfg Config) Validate() error {
 		val, min int
 	}{
 		{"NAtoms", cfg.NAtoms, 1}, {"Steps", cfg.Steps, 0}, {"NBEvery", cfg.NBEvery, 1},
-		{"RemapEvery", cfg.RemapEvery, 0}, {"CheckpointEvery", cfg.CheckpointEvery, 0},
 	} {
 		if f.val < f.min {
 			return fmt.Errorf("charmm: %s is %d, want at least %d", f.name, f.val, f.min)
@@ -229,20 +227,22 @@ func (cfg Config) Validate() error {
 	if !partition.Known(cfg.Partitioner) {
 		return errors.New("charmm: unknown partitioner " + cfg.Partitioner)
 	}
-	if cfg.CheckpointEvery > 0 && cfg.CheckpointDir == "" {
-		return errors.New("charmm: CheckpointEvery set without CheckpointDir")
-	}
-	_, err := adapt.NewTrigger(cfg.Adapt, cfg.RemapEvery, cfg.AdaptVerify)
-	return err
+	_, err := adapt.NewTrigger(cfg.Remap, cfg.AdaptVerify)
+	return cmp.Or(cfg.Recovery.Validate("charmm"), err)
 }
 
 // mustTrigger validates the configuration, panicking with the complaint,
-// and returns the run's remap trigger.
-func (cfg Config) mustTrigger() *adapt.Trigger {
-	if err := cfg.Validate(); err != nil {
+// and returns the run's remap trigger. The compiled run writes no
+// checkpoints and resumes none, so it also refuses to be asked to.
+func (cfg Config) mustTrigger(compiled bool) *adapt.Trigger {
+	err := cfg.Validate()
+	if err == nil && compiled && (cfg.CheckpointEvery > 0 || cfg.ResumeFrom != "") {
+		err = fmt.Errorf("charmm: the compiled run writes no checkpoints and resumes none, but CheckpointEvery is %d and ResumeFrom %q", cfg.CheckpointEvery, cfg.ResumeFrom)
+	}
+	if err != nil {
 		panic(err.Error())
 	}
-	trig, _ := adapt.NewTrigger(cfg.Adapt, cfg.RemapEvery, cfg.AdaptVerify) // Validate vetted it
+	trig, _ := adapt.NewTrigger(cfg.Remap, cfg.AdaptVerify) // validated
 	return trig
 }
 

@@ -250,6 +250,56 @@ func Check(dir, app string, n int64) (*Manifest, error) {
 	return m, nil
 }
 
+// Recovery is a run's checkpoint, resume and crash-injection settings, which
+// the applications' configurations embed and internal/launch's flags set.
+type Recovery struct {
+	// CheckpointEvery > 0 checkpoints under CheckpointDir every N steps.
+	CheckpointEvery int
+	CheckpointDir   string
+	// ResumeFrom, when set, continues the checkpoint in that directory on any
+	// processor count; on the writer's, bit-identically.
+	ResumeFrom string
+	// CrashStep > 0 makes rank CrashRank panic at the start of that step.
+	CrashStep, CrashRank int
+}
+
+// Validate reports inconsistent settings as app's configuration complaint.
+func (r *Recovery) Validate(app string) error {
+	switch {
+	case r.CheckpointEvery < 0:
+		return fmt.Errorf("%s: CheckpointEvery is %d, want at least 0", app, r.CheckpointEvery)
+	case r.CheckpointEvery > 0 && r.CheckpointDir == "":
+		return fmt.Errorf("%s: CheckpointEvery set without CheckpointDir", app)
+	}
+	return nil
+}
+
+// CheckResume runs Check on ResumeFrom, when set. Not collective.
+func (r *Recovery) CheckResume(app string, n int64) (err error) {
+	if r.ResumeFrom != "" {
+		_, err = Check(r.ResumeFrom, app, n)
+	}
+	return err
+}
+
+// Crash panics, as app's injected crash, when rank is to crash at step. It
+// inlines to the compares: the panic is out of line.
+func (r *Recovery) Crash(app string, rank, step int) {
+	if r.CrashStep > 0 && step == r.CrashStep && rank == r.CrashRank {
+		crash(app, rank, step)
+	}
+}
+
+//go:noinline
+func crash(app string, rank, step int) {
+	panic(fmt.Sprintf("%s: injected crash on rank %d at step %d", app, rank, step))
+}
+
+// SaveDue reports whether a checkpoint is due after step.
+func (r *Recovery) SaveDue(step int) bool {
+	return r.CheckpointEvery > 0 && step%r.CheckpointEvery == 0
+}
+
 // Restored is one rank's share of a checkpoint, as Restore leaves it.
 type Restored struct {
 	*Manifest

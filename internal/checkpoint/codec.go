@@ -159,12 +159,6 @@ func (s *Snapshot) PutScalarI64(name string, v int64) { s.PutI64(name, []int64{v
 // PutScalarF64 stores a single float64.
 func (s *Snapshot) PutScalarF64(name string, v float64) { s.PutF64(name, []float64{v}) }
 
-// Has reports whether the named section exists.
-func (s *Snapshot) Has(name string) bool {
-	_, ok := s.index[name]
-	return ok
-}
-
 // Names returns the section names in insertion order.
 func (s *Snapshot) Names() []string {
 	out := make([]string, len(s.recs))
@@ -363,7 +357,7 @@ func decodeSnapshot(b []byte, wantKind fileKind) (*Snapshot, error) {
 			return nil, fmt.Errorf("checkpoint: record %q CRC mismatch (got %08x, want %08x)", name, got, want)
 		}
 		cur += 4
-		if s.Has(name) {
+		if _, dup := s.index[name]; dup {
 			return nil, fmt.Errorf("checkpoint: duplicate section %q", name)
 		}
 		s.put(name, typ, append([]byte(nil), payload...))

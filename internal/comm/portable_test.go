@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/comm"
 	"repro/internal/costmodel"
 	"repro/internal/workload"
@@ -35,7 +36,7 @@ func TestPortableWire(t *testing.T) {
 				}
 				in := w.Prepare(w.Variants[0], 1994, short)
 				answers[k] = make([]any, 2)
-				reps[k] = comm.Run(2, costmodel.IPSC860(), func(p *comm.Proc) { answers[k][p.Rank()] = in.Body(p, workload.Restart{}) })
+				reps[k] = comm.Run(2, costmodel.IPSC860(), func(p *comm.Proc) { answers[k][p.Rank()] = in.Body(p, checkpoint.Recovery{}) })
 				restore()
 				if short {
 					if err := in.Reference()(answers[k]); err != nil {

@@ -19,7 +19,7 @@ func policyConfig() Config {
 	cfg.NMols = 2000
 	cfg.Steps = 30
 	cfg.Partitioner = "chain"
-	cfg.Adapt = "policy"
+	cfg.Remap = "policy"
 	cfg.AdaptVerify = true
 	return cfg
 }
@@ -97,47 +97,47 @@ func TestAdaptPolicyDeterministicUnderFaultTransport(t *testing.T) {
 	}
 }
 
-// TestAdaptStaticAndPeriodicModes pins the two non-policy modes: static
-// never remaps after setup, periodic:N remaps exactly on the N-grid.
+// TestAdaptStaticAndPeriodicModes pins the two non-policy selectors: static
+// never remaps after setup, a step count N remaps exactly on the N-grid.
 func TestAdaptStaticAndPeriodicModes(t *testing.T) {
 	const nprocs = 4
 	cfg := policyConfig()
 	cfg.AdaptVerify = false
 
-	cfg.Adapt = "static"
+	cfg.Remap = "static"
 	steps, _ := runRemapSteps(nprocs, cfg, nil)
 	if len(steps[0]) != 0 {
 		t.Errorf("static mode remapped at %v", steps[0])
 	}
 
-	cfg.Adapt = "periodic:7"
+	cfg.Remap = "7"
 	steps, _ = runRemapSteps(nprocs, cfg, nil)
 	want := []int{7, 14, 21, 28}
 	if len(steps[0]) != len(want) {
-		t.Fatalf("periodic:7 remapped at %v, want %v", steps[0], want)
+		t.Fatalf("remap 7 remapped at %v, want %v", steps[0], want)
 	}
 	for i := range want {
 		if steps[0][i] != want[i] {
-			t.Fatalf("periodic:7 remapped at %v, want %v", steps[0], want)
+			t.Fatalf("remap 7 remapped at %v, want %v", steps[0], want)
 		}
 	}
 }
 
-// TestAdaptBadModePanics: a malformed Adapt string fails validation with an
+// TestAdaptBadModePanics: a malformed Remap selector fails validation with an
 // error naming it, and a run started anyway panics with that message.
 func TestAdaptBadModePanics(t *testing.T) {
-	for _, bad := range []string{"periodic:0", "periodic:x", "sometimes"} {
+	for _, bad := range []string{"-1", "periodic:7", "sometimes"} {
 		cfg := smallConfig()
-		cfg.Adapt = bad
+		cfg.Remap = bad
 		err := cfg.Validate()
 		if err == nil || !strings.Contains(err.Error(), strconv.Quote(bad)) {
-			t.Errorf("Adapt=%q: Validate returned %v", bad, err)
+			t.Errorf("Remap=%q: Validate returned %v", bad, err)
 			continue
 		}
 		func() {
 			defer func() {
 				if got := recover(); got != err.Error() {
-					t.Errorf("Adapt=%q: Reference panicked with %v, want %q", bad, got, err)
+					t.Errorf("Remap=%q: Reference panicked with %v, want %q", bad, got, err)
 				}
 			}()
 			Reference(cfg)

@@ -21,10 +21,12 @@
 package dsmc
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 
 	"repro/internal/adapt"
+	"repro/internal/checkpoint"
 	"repro/internal/partition"
 )
 
@@ -70,14 +72,10 @@ type Config struct {
 	// new_cells array: a cell receiving more molecules in one step panics.
 	// Owners lay their rows out packed, so it sizes no buffer.
 	SlotCap int
-	// RemapEvery repartitions cells every RemapEvery steps (0 = static).
-	RemapEvery int
-	// Adapt selects how remapping is triggered: "" leaves RemapEvery in
-	// charge (the historical knob), "static" never remaps beyond the
-	// initial partition, "periodic:N" remaps every N steps, and "policy"
-	// lets the adapt.Policy engine decide online from AllReduce'd per-step
-	// compute costs. "static" and "policy" override RemapEvery.
-	Adapt string
+	// Remap selects when cells are repartitioned: every N steps for a step
+	// count N, once before the first step ("static") or when the adapt.Policy
+	// engine decides ("policy"). "" and "0" keep the BLOCK distribution.
+	Remap string
 	// AdaptVerify enables the policy engine's cross-rank agreement check:
 	// every decision's inputs are fingerprint-AllReduce'd and a divergence
 	// panics instead of silently desynchronizing remap schedules.
@@ -89,21 +87,7 @@ type Config struct {
 	// substantially more work per molecule (3-D cross sections, more
 	// collision candidates), which Default3D reflects.
 	CollideFlops int
-	// CheckpointEvery, when positive, writes a checkpoint of the full
-	// distributed state under CheckpointDir every CheckpointEvery steps.
-	CheckpointEvery int
-	// CheckpointDir is the base directory checkpoints are written under.
-	CheckpointDir string
-	// ResumeFrom, when non-empty, restores from the given checkpoint
-	// directory instead of generating molecules, then continues from the
-	// saved step. The run may use a different processor count than the one
-	// that wrote the checkpoint (elastic restart).
-	ResumeFrom string
-	// CrashStep, when positive, makes rank CrashRank panic at the start of
-	// that step — fault injection for crash-recovery tests and demos.
-	CrashStep int
-	// CrashRank selects the rank that crashes at CrashStep.
-	CrashRank int
+	checkpoint.Recovery
 }
 
 // collideCost returns the effective per-molecule collision flops.
@@ -121,7 +105,6 @@ func (c Config) Validate() error {
 		val, min int
 	}{
 		{"NX", c.NX, 1}, {"NY", c.NY, 1}, {"NZ", c.NZ, 1}, {"NMols", c.NMols, 0}, {"Steps", c.Steps, 0},
-		{"RemapEvery", c.RemapEvery, 0}, {"CheckpointEvery", c.CheckpointEvery, 0},
 	} {
 		if f.val < f.min {
 			return fmt.Errorf("dsmc: %s is %d, want at least %d", f.name, f.val, f.min)
@@ -142,11 +125,8 @@ func (c Config) Validate() error {
 	if c.Sigma <= 0 {
 		return errors.New("dsmc: Sigma must be positive")
 	}
-	if c.CheckpointEvery > 0 && c.CheckpointDir == "" {
-		return errors.New("dsmc: CheckpointEvery set without CheckpointDir")
-	}
-	_, err := adapt.NewTrigger(c.Adapt, c.RemapEvery, c.AdaptVerify)
-	return err
+	_, err := adapt.NewTrigger(c.Remap, c.AdaptVerify)
+	return cmp.Or(c.Recovery.Validate("dsmc"), err)
 }
 
 // mustValidate panics with Validate's complaint.

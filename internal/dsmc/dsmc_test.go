@@ -20,7 +20,7 @@ func small3D() Config {
 	cfg.NX, cfg.NY, cfg.NZ = 64, 4, 4
 	cfg.NMols = 700
 	cfg.Steps = 10
-	cfg.RemapEvery = 4
+	cfg.Remap = "4"
 	cfg.Partitioner = "chain"
 	return cfg
 }
@@ -162,16 +162,15 @@ func TestRemappingBeatsStaticUnderDrift(t *testing.T) {
 	cfg := small3D()
 	cfg.NMols = 3000
 	cfg.Steps = 30
-	cfg.RemapEvery = 10
-	exec := func(part string, remapEvery int) float64 {
+	exec := func(part, remap string) float64 {
 		cfg := cfg
 		cfg.Partitioner = part
-		cfg.RemapEvery = remapEvery
+		cfg.Remap = remap
 		_, rep := runAll(8, cfg)
 		return rep.MaxClock()
 	}
-	static := exec("block", 0)
-	chain := exec("chain", 10)
+	static := exec("block", "0")
+	chain := exec("chain", "10")
 	if chain >= static {
 		t.Errorf("chain remapping %.4fs not better than static %.4fs", chain, static)
 	}
@@ -196,12 +195,12 @@ func TestConfigValidate(t *testing.T) {
 		t.Errorf("good config refused: %v", err)
 	}
 	for want, mutate := range map[string]func(*Config){
-		"dsmc: unknown mover teleport":                                func(c *Config) { c.Mover = "teleport" },
-		"dsmc: NMols is -1, want at least 0":                          func(c *Config) { c.NMols = -1 },
-		"dsmc: unknown partitioner voronoi":                           func(c *Config) { c.Partitioner = "voronoi" },
-		"dsmc: SlotCap must be positive":                              func(c *Config) { c.SlotCap = 0 },
-		"dsmc: CheckpointEvery set without CheckpointDir":             func(c *Config) { c.CheckpointEvery = 2 },
-		`adapt: bad mode "often" (want static, periodic:N or policy)`: func(c *Config) { c.Adapt = "often" },
+		"dsmc: unknown mover teleport":                                   func(c *Config) { c.Mover = "teleport" },
+		"dsmc: NMols is -1, want at least 0":                             func(c *Config) { c.NMols = -1 },
+		"dsmc: unknown partitioner voronoi":                              func(c *Config) { c.Partitioner = "voronoi" },
+		"dsmc: SlotCap must be positive":                                 func(c *Config) { c.SlotCap = 0 },
+		"dsmc: CheckpointEvery set without CheckpointDir":                func(c *Config) { c.CheckpointEvery = 2 },
+		`adapt: bad remap "often" (want a step count, static or policy)`: func(c *Config) { c.Remap = "often" },
 	} {
 		bad := smallConfig()
 		mutate(&bad)

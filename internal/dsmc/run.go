@@ -47,7 +47,7 @@ func RunKeepMols(p *comm.Proc, cfg Config) []float64 {
 
 func run(p *comm.Proc, cfg Config) (*ProcResult, []float64) {
 	cfg.mustValidate()
-	trig, _ := adapt.NewTrigger(cfg.Adapt, cfg.RemapEvery, cfg.AdaptVerify) // Validate vetted it
+	trig, _ := adapt.NewTrigger(cfg.Remap, cfg.AdaptVerify) // Validate vetted it
 	rt := core.NewRuntime(p)
 
 	var cells *core.Dist
@@ -89,9 +89,7 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, []float64) {
 
 	trig.Start(p)
 	for step := startStep + 1; step <= cfg.Steps; step++ {
-		if cfg.CrashStep > 0 && step == cfg.CrashStep && p.Rank() == cfg.CrashRank {
-			panic(fmt.Sprintf("dsmc: injected crash on rank %d at step %d", p.Rank(), step))
-		}
+		cfg.Crash("dsmc", p.Rank(), step)
 		var rows [][]int
 		switch cfg.Mover {
 		case MoverLight:
@@ -112,7 +110,7 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, []float64) {
 		if step < cfg.Steps && trig.Due(p, step) {
 			trig.Episode(p, step, remap)
 		}
-		if cfg.CheckpointEvery > 0 && step%cfg.CheckpointEvery == 0 {
+		if cfg.SaveDue(step) {
 			saveCheckpoint(p, &cfg, cells, mols, step)
 			p.Mark(PhaseCheckpoint)
 		}

@@ -79,17 +79,17 @@ func withAfterStep(hook func(p *comm.Proc, step int, st *stepState), body func()
 // ping-pong lists never alias the live one. Every scratch buffer is filled
 // with NaN / garbage between steps; a single stale read would surface in the
 // final records, which must still equal the sequential reference bit for
-// bit. RemapEvery 3 exercises the spare / remapCells hand-over.
+// bit. Remap "3" exercises the spare / remapCells hand-over.
 func TestScratchPoison(t *testing.T) {
 	poison := func(_ *comm.Proc, _ int, st *stepState) { st.poison() }
 	for _, mover := range []Mover{MoverLight, MoverRegular, MoverCompiler} {
-		for _, remapEvery := range []int{0, 3} {
+		for _, remap := range []string{"0", "3"} {
 			cfg := smallConfig()
-			cfg.Mover, cfg.RemapEvery = mover, remapEvery
+			cfg.Mover, cfg.Remap = mover, remap
 			cfg.InitSlabFrac, cfg.Partitioner = 0.5, "rcb"
 			want, _ := Reference(cfg)
 			for _, nprocs := range []int{1, 2, 3} {
-				label := fmt.Sprintf("%s remap=%d on %d ranks", mover, remapEvery, nprocs)
+				label := fmt.Sprintf("%s remap=%s on %d ranks", mover, remap, nprocs)
 				withAfterStep(poison, func() {
 					got, _ := gatherMols(t, nprocs, cfg)
 					expectBitIdentical(t, label, SortByID(got), want)
@@ -105,16 +105,16 @@ func TestScratchPoison(t *testing.T) {
 // storage order — so collideOwned needs no bucketing of its own. The light
 // mover builds its rows from the cells it computed while advancing plus the
 // received records, the regular mover from its packed slot rows, the
-// compiler mover by bucketing. Remapping runs (RemapEvery 3) move cells
+// compiler mover by bucketing. Remapping runs (Remap "3") move cells
 // between ranks, so the rows change shape.
 func TestMoverRowsAreBuckets(t *testing.T) {
 	for _, mover := range []Mover{MoverLight, MoverRegular, MoverCompiler} {
-		for _, remapEvery := range []int{0, 3} {
+		for _, remap := range []string{"0", "3"} {
 			cfg := smallConfig()
-			cfg.Mover, cfg.RemapEvery = mover, remapEvery
+			cfg.Mover, cfg.Remap = mover, remap
 			cfg.InitSlabFrac, cfg.Partitioner = 0.5, "rcb"
 			for _, nprocs := range []int{1, 2, 3} {
-				label := fmt.Sprintf("%s remap=%d on %d ranks", mover, remapEvery, nprocs)
+				label := fmt.Sprintf("%s remap=%s on %d ranks", mover, remap, nprocs)
 				checked := make([]int, nprocs)
 				hook := func(p *comm.Proc, step int, cells *core.Dist, mols []float64, rows [][]int) {
 					checked[p.Rank()]++

@@ -3,6 +3,10 @@
 // "name: complaint" line, the usage, exit status 2), the modeled or measured
 // run, and the common part of the report. A command adds its own flags to
 // FS, maps the parsed values to its Config and prints its own report lines.
+// The common flags include -remap, adapt.NewTrigger's selector, and the
+// checkpoint.Recovery flags: -ckpt-dir and -ckpt-every, -resume (a sealed
+// checkpoint, or "latest" under -ckpt-dir; on another processor count, an
+// elastic restart), -crash-step and -crash-rank.
 //
 // The same command also runs one rank of a multi-process run, one OS process
 // per rank over TCP:
@@ -48,14 +52,9 @@ import (
 type Launcher struct {
 	FS          *flag.FlagSet
 	Procs       int
-	Adapt       string
+	Remap       string
 	AdaptVerify bool
-	CkptDir     string
-	CkptEvery   int
-	// Resume is the checkpoint directory to resume from ("latest" already
-	// resolved), or empty.
-	Resume               string
-	CrashStep, CrashRank int
+	Recovery    checkpoint.Recovery // -resume "latest" already resolved
 	// Rank is this process's rank under -addrs, and 0 otherwise: the rank
 	// whose results the report's head and tail describe.
 	Rank int
@@ -80,14 +79,15 @@ func New(name string, stderr io.Writer) *Launcher {
 	fs.SetOutput(stderr)
 	l := &Launcher{FS: fs, startProfiles: prof.Flags(fs)}
 	fs.IntVar(&l.Procs, "procs", 16, "number of simulated processors")
-	fs.StringVar(&l.Adapt, "adapt", "", "remap trigger: static, periodic:N or policy (overrides -remap)")
+	fs.StringVar(&l.Remap, "remap", "0", "remap every N steps (0 = never after setup), or static or policy")
 	fs.BoolVar(&l.AdaptVerify, "adapt-verify", false, "cross-check policy decisions across ranks (panics on divergence)")
 	fs.BoolVar(&l.trace, "trace", false, "print a virtual-time Gantt chart and phase summary")
-	fs.StringVar(&l.CkptDir, "ckpt-dir", "", "directory for periodic checkpoints")
-	fs.IntVar(&l.CkptEvery, "ckpt-every", 0, "checkpoint every N steps (0 = never)")
-	fs.StringVar(&l.Resume, "resume", "", `resume from a checkpoint directory, or "latest" under -ckpt-dir`)
-	fs.IntVar(&l.CrashStep, "crash-step", 0, "inject a rank panic at step N (crash-recovery demo)")
-	fs.IntVar(&l.CrashRank, "crash-rank", 0, "rank that crashes at -crash-step")
+	r := &l.Recovery
+	fs.StringVar(&r.CheckpointDir, "ckpt-dir", "", "directory for periodic checkpoints")
+	fs.IntVar(&r.CheckpointEvery, "ckpt-every", 0, "checkpoint every N steps (0 = never)")
+	fs.StringVar(&r.ResumeFrom, "resume", "", `resume from a checkpoint directory, or "latest" under -ckpt-dir`)
+	fs.IntVar(&r.CrashStep, "crash-step", 0, "inject a rank panic at step N (crash-recovery demo)")
+	fs.IntVar(&r.CrashRank, "crash-rank", 0, "rank that crashes at -crash-step")
 	fs.BoolVar(&l.measure, "measure", false, "run in measured wall-clock mode (real phase timers alongside virtual time)")
 	fs.IntVar(&l.Rank, "rank", 0, "this process's rank (with -addrs)")
 	fs.Func("addrs", "comma-separated listen addresses, one per rank: run rank -rank of them in this process, over TCP", func(s string) error {
@@ -126,10 +126,10 @@ func (l *Launcher) Parse(args []string) (code int, ok bool) {
 	case err != nil:
 	case l.Procs < 1:
 		err = fmt.Errorf("-procs must be at least 1, got %d", l.Procs)
-	case l.CrashRank < 0 || l.CrashRank >= l.Procs:
-		err = fmt.Errorf("-crash-rank %d is not one of the %d ranks", l.CrashRank, l.Procs)
+	case l.Recovery.CrashRank < 0 || l.Recovery.CrashRank >= l.Procs:
+		err = fmt.Errorf("-crash-rank %d is not one of the %d ranks", l.Recovery.CrashRank, l.Procs)
 	default:
-		l.Resume, err = checkpoint.ResolveResume(l.Resume, l.CkptDir)
+		l.Recovery.ResumeFrom, err = checkpoint.ResolveResume(l.Recovery.ResumeFrom, l.Recovery.CheckpointDir)
 	}
 	if err != nil {
 		return l.Refuse(err), false

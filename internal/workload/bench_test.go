@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/comm"
 	"repro/internal/costmodel"
 )
@@ -33,7 +34,7 @@ func BenchmarkColdRun(b *testing.B) {
 					runtime.ReadMemStats(&ms)
 					before := ms.NumGC
 					b.StartTimer()
-					comm.RunMeasured(ranks, costmodel.IPSC860(), func(p *comm.Proc) { in.Body(p, Restart{}) })
+					comm.RunMeasured(ranks, costmodel.IPSC860(), func(p *comm.Proc) { in.Body(p, checkpoint.Recovery{}) })
 					b.StopTimer()
 					runtime.ReadMemStats(&ms)
 					gcs += ms.NumGC - before

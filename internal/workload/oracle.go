@@ -72,7 +72,7 @@ func (k cellKey) run() (*cell, error) {
 		}()
 		w, v := find(k.row)
 		in := w.Prepare(v, oracleSeed, !k.full)
-		var r Restart
+		var r checkpoint.Recovery
 		var kills []fault.KillSpec
 		switch {
 		case k.from > 0:
@@ -80,14 +80,14 @@ func (k cellKey) run() (*cell, error) {
 			if _, err := src.run(); err != nil && !k.kill {
 				return nil, fmt.Errorf("the writer: %v", err)
 			}
-			r.Resume = checkpoint.StepDir(src.dir(), int64(in.Every))
+			r.ResumeFrom = checkpoint.StepDir(src.dir(), int64(in.Every))
 			if dir, ok := checkpoint.Latest(src.dir()); k.kill && ok {
-				r.Resume = dir
+				r.ResumeFrom = dir
 			}
 		case k.write:
-			r.Every, r.Dir = in.Every, k.dir()
+			r.CheckpointEvery, r.CheckpointDir = in.Every, k.dir()
 			if k.kill && k.col != commtest.Fault {
-				r.CrashStep = in.Every + 1
+				r.CrashStep, r.CrashRank = in.Every+1, 1
 			} else if k.kill {
 				// Rank 1 dies halfway through the sends a restore on as
 				// many ranks makes, counted back from the mem writer's last.

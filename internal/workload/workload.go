@@ -10,6 +10,7 @@ import (
 	"math"
 
 	"repro/internal/charmm"
+	"repro/internal/checkpoint"
 	"repro/internal/comm"
 	"repro/internal/costmodel"
 	"repro/internal/dsmc"
@@ -26,20 +27,13 @@ type Workload struct {
 }
 
 // An Instance is a variant bound to a size and a seed: Body runs it on one
-// rank as r asks and returns that rank's answer; Reference solves the same
-// problem apart and checks a parallel run's per-rank answers. Every, the
-// recovery checks' checkpoint interval, is 0 without a checkpoint path.
+// rank under r (zero: a plain run) and returns that rank's answer; Reference
+// solves the same problem apart and checks a parallel run's per-rank
+// answers. Every, the checkpoint interval, is 0 without a checkpoint path.
 type Instance struct {
-	Body      func(p *comm.Proc, r Restart) any
+	Body      func(p *comm.Proc, r checkpoint.Recovery) any
 	Reference func() func(answers []any) error
 	Every     int
-}
-
-// A Restart asks a run to checkpoint every Every steps under Dir, to crash
-// rank 1 at step CrashStep, or to resume from Resume (zero: a plain run).
-type Restart struct {
-	Every, CrashStep int
-	Dir, Resume      string
 }
 
 // charmmAnswer is a hand-coded CHARMM rank's answer: its result and its
@@ -64,9 +58,9 @@ var Workloads = []Workload{
 			}
 			cfg.Seed, cfg.Partitioner, cfg.Merged = seed, "rcb", variant != "multiple"
 			in := &Instance{
-				Body: func(p *comm.Proc, r Restart) any {
+				Body: func(p *comm.Proc, r checkpoint.Recovery) any {
 					cfg := cfg
-					cfg.CheckpointEvery, cfg.CheckpointDir, cfg.CrashStep, cfg.CrashRank, cfg.ResumeFrom = r.Every, r.Dir, r.CrashStep, 1, r.Resume
+					cfg.Recovery = r
 					res, fin := charmm.RunKeepState(p, cfg)
 					return charmmAnswer{res, fin}
 				},
@@ -79,10 +73,10 @@ var Workloads = []Workload{
 			if variant == "compiled" || variant == "remapped" {
 				// Fully adaptive: repartitioned RCB and RIB in turn, with a
 				// list update between two repartitions.
-				cfg.NBEvery, cfg.RemapEvery, cfg.AlternatePartitioners = 3, 2, true
+				cfg.NBEvery, cfg.Remap, cfg.AlternatePartitioners = 3, "2", true
 			}
 			if variant == "compiled" {
-				in.Body, in.Every = func(p *comm.Proc, _ Restart) any { return charmmAnswer{charmm.RunCompiled(p, cfg), nil} }, 0
+				in.Body, in.Every = func(p *comm.Proc, _ checkpoint.Recovery) any { return charmmAnswer{charmm.RunCompiled(p, cfg), nil} }, 0
 			}
 			return in
 		},
@@ -100,7 +94,7 @@ var Workloads = []Workload{
 			}
 			if variant == "remapped" {
 				// A skewed start that RCB rebalances every other step.
-				cfg.InitSlabFrac, cfg.RemapEvery, cfg.Partitioner, variant = 0.5, 2, "rcb", "light"
+				cfg.InitSlabFrac, cfg.Remap, cfg.Partitioner, variant = 0.5, "2", "rcb", "light"
 			}
 			return dsmcInstance(cfg, variant, seed)
 		},
@@ -119,7 +113,7 @@ var Workloads = []Workload{
 				run = charmm.RunKernelHand
 			}
 			return &Instance{
-				Body: func(p *comm.Proc, _ Restart) any { return run(p, cfg) },
+				Body: func(p *comm.Proc, _ checkpoint.Recovery) any { return run(p, cfg) },
 				Reference: func() func([]any) error {
 					// No sequential twin: the compiled 1-rank run is the oracle.
 					var want float64
@@ -174,9 +168,9 @@ func checksumWithin(want float64) func([]any) error {
 func dsmcInstance(cfg dsmc.Config, mover string, seed int64) *Instance {
 	cfg.Mover, cfg.Seed = dsmc.Mover(mover), seed
 	return &Instance{
-		Body: func(p *comm.Proc, r Restart) any {
+		Body: func(p *comm.Proc, r checkpoint.Recovery) any {
 			cfg := cfg
-			cfg.CheckpointEvery, cfg.CheckpointDir, cfg.CrashStep, cfg.CrashRank, cfg.ResumeFrom = r.Every, r.Dir, r.CrashStep, 1, r.Resume
+			cfg.Recovery = r
 			return dsmc.RunKeepMols(p, cfg)
 		},
 		Every: cfg.Steps / 2,
