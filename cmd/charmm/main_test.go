@@ -26,6 +26,7 @@ func TestBadInputExitsWithOneLine(t *testing.T) {
 	if err := checkpoint.WriteManifest(small, &checkpoint.Manifest{App: "charmm", NRanks: 1, N: 300, ShardCRCs: []uint32{0}}); err != nil {
 		t.Fatal(err)
 	}
+	unmade := filepath.Join(t.TempDir(), "D") // a -ckpt-dir no run may create
 	rows := [][]string{
 		{"-resume", foreign},
 		{"-atoms", "450", "-resume", small},
@@ -50,6 +51,11 @@ func TestBadInputExitsWithOneLine(t *testing.T) {
 		{"-kernel", "-part", "rib"},
 		{"-kernel", "-nbevery", "3"},
 		{"-kernel", "-atoms", "0"},
+		{"-kernel", "-atoms", "300", "-steps", "2", "-ckpt-dir", unmade},
+		{"-compiled", "-atoms", "300", "-steps", "2", "-ckpt-dir", unmade},
+		{"-atoms", "300", "-steps", "2", "-ckpt-dir", unmade},
+		{"-atoms", "300", "-steps", "2", "-remap", "3", "-adapt-verify"},
+		{"-atoms", "300", "-steps", "2", "-crash-rank", "1"},
 		{"-steps", "2", "stray"},
 	}
 	// As rank 0 of two processes every row is refused the same way, before
@@ -76,6 +82,9 @@ func TestBadInputExitsWithOneLine(t *testing.T) {
 		if stdout.Len() > 0 {
 			t.Errorf("%v: wrote to stdout:\n%s", args, stdout.String())
 		}
+	}
+	if _, err := os.Stat(unmade); !os.IsNotExist(err) {
+		t.Errorf("a refused run made its -ckpt-dir %s (stat: %v)", unmade, err)
 	}
 }
 

@@ -25,6 +25,7 @@ func TestBadInputExitsWithOneLine(t *testing.T) {
 	if err := checkpoint.WriteManifest(small, &checkpoint.Manifest{App: "dsmc", NRanks: 1, N: 144, ShardCRCs: []uint32{0}}); err != nil {
 		t.Fatal(err)
 	}
+	unmade := filepath.Join(t.TempDir(), "D") // a -ckpt-dir no run may create
 	rows := [][]string{
 		{"-resume", foreign},
 		{"-nx", "24", "-ny", "24", "-resume", small},
@@ -44,6 +45,9 @@ func TestBadInputExitsWithOneLine(t *testing.T) {
 		{"-resume", "latest"},
 		{"-procs", "2", "-crash-rank", "7", "-crash-step", "2"},
 		{"-crash-rank", "-1"},
+		{"-nx", "8", "-ny", "8", "-mols", "200", "-steps", "4", "-adapt-verify"},
+		{"-nx", "8", "-ny", "8", "-mols", "200", "-steps", "4", "-crash-rank", "1"},
+		{"-nx", "8", "-ny", "8", "-mols", "200", "-steps", "4", "-ckpt-dir", unmade},
 		{"-steps", "2", "stray"},
 	}
 	// As rank 0 of two processes every row is refused the same way, before
@@ -54,6 +58,9 @@ func TestBadInputExitsWithOneLine(t *testing.T) {
 	}
 	for _, args := range rows {
 		wantRefused(t, args)
+	}
+	if _, err := os.Stat(unmade); !os.IsNotExist(err) {
+		t.Errorf("a refused run made its -ckpt-dir %s (stat: %v)", unmade, err)
 	}
 }
 

@@ -114,8 +114,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		checks map[string]float64
 		insp   []int
 		builds int
-		inspT  float64
-		execT  float64
 	}
 	results := make([]*summary, *procs)
 	rep := comm.Run(*procs, costmodel.IPSC860(), func(p *comm.Proc) {
@@ -157,8 +155,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			sum.insp = append(sum.insp, in.Inspections(i))
 		}
 		sum.builds = in.InspectorBuilds()
-		sum.inspT = in.InspectorTime()
-		sum.execT = in.ExecutorTime()
 		results[p.Rank()] = sum
 	})
 
@@ -180,6 +176,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		mode = "-O"
 	}
 	fmt.Fprintf(stdout, "  %s: %d inspector build(s), inspector %.4f virtual s, executor %.4f virtual s\n",
-		mode, results[0].builds, results[0].inspT, results[0].execT)
+		mode, results[0].builds, rep.Phases[0]["inspector"], rep.Phases[0]["executor"])
 	return 0
 }

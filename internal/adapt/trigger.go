@@ -30,8 +30,11 @@ type Trigger struct {
 // NewTrigger parses the remap selector: a step count N (remap every N
 // steps; "" and "0" never remap after set-up), "static" (the initial
 // partition only) or "policy" (Policy decides online; verify turns on its
-// cross-rank agreement check).
+// cross-rank agreement check, which no other selector has decisions for).
 func NewTrigger(selector string, verify bool) (*Trigger, error) {
+	if verify && selector != "policy" {
+		return nil, fmt.Errorf("adapt: decision verification needs remap \"policy\", not %q", selector)
+	}
 	t := &Trigger{active: selector != "" && selector != "0"}
 	switch selector {
 	case "", "static":

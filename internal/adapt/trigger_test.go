@@ -53,6 +53,12 @@ func TestTriggerDue(t *testing.T) {
 			t.Errorf("NewTrigger(%q) accepted", bad)
 		}
 	}
+	// Only the policy makes decisions for verify to cross-check.
+	for _, selector := range []string{"", "0", "static", "4"} {
+		if _, err := NewTrigger(selector, true); err == nil {
+			t.Errorf("NewTrigger(%q, verify) accepted", selector)
+		}
+	}
 }
 
 // skewedStep charges one scripted time step: every rank computes one unit,

@@ -19,8 +19,9 @@ var cleanQuickTables = sync.OnceValue(func() []*Table { return AllTables(Quick()
 
 // TestQuickGoldens holds the virtual timeline to pinned answers: the
 // quick-scale JSON of Tables 1-7 (`tables -quick -json`), the schedule-reuse
-// table (`-quick -loopir -json`) and the adaptive-remapping table
-// (`-quick -adapt -json`) must match the committed files byte for byte.
+// table (`tables -table loopir -json`; Loopir takes no scale) and the
+// adaptive-remapping table (`tables -quick -table adapt -json`) must match
+// the committed files byte for byte.
 // Every cell is a modeled quantity (virtual seconds, message and byte
 // counts, checksums), so any difference is a change to the reproduction —
 // rerun with `go test ./internal/bench -run TestQuickGoldens -update` only

@@ -58,7 +58,7 @@ END DO`},
 // inspector and executor virtual time, and a checksum folding every REAL
 // array's global abs-sum.
 func loopirRun(prog *fortd.Program, nprocs int, optimized bool) (builds int, inspT, execT, check float64) {
-	comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
+	rep := comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
 		var in *fortd.Instance
 		if optimized {
 			in = prog.InstantiateOptimized(p)
@@ -77,12 +77,10 @@ func loopirRun(prog *fortd.Program, nprocs int, optimized bool) (builds int, ins
 		}
 		if p.Rank() == 0 {
 			builds = in.InspectorBuilds()
-			inspT = in.InspectorTime()
-			execT = in.ExecutorTime()
 			check = total
 		}
 	})
-	return
+	return builds, rep.Phases[0]["inspector"], rep.Phases[0]["executor"], check
 }
 
 // Loopir measures the program-level optimizer (§4): each workload runs at

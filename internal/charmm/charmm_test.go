@@ -235,6 +235,9 @@ func TestConfigValidate(t *testing.T) {
 		"charmm: unknown partitioner magic":                                   func(c *Config) { c.Partitioner = "magic" },
 		"charmm: NBEvery is 0, want at least 1":                               func(c *Config) { c.NBEvery = 0 },
 		"charmm: CheckpointEvery set without CheckpointDir":                   func(c *Config) { c.CheckpointEvery = 2 },
+		"charmm: CheckpointDir set without CheckpointEvery or ResumeFrom":     func(c *Config) { c.CheckpointDir = "D" },
+		"charmm: CrashRank is 1 without a CrashStep":                          func(c *Config) { c.CrashRank = 1 },
+		`adapt: decision verification needs remap "policy", not "3"`:          func(c *Config) { c.Remap, c.AdaptVerify = "3", true },
 		`adapt: bad remap "periodic:3" (want a step count, static or policy)`: func(c *Config) { c.Remap = "periodic:3" },
 	} {
 		bad := smallConfig()

@@ -95,9 +95,6 @@ func boxFor(n int, cutoff float64, partners float64) [3]float64 {
 // tests to shrink the workload.
 func (c Config) scaled(nAtoms int) Config {
 	c.NAtoms = nAtoms
-	if c.Partners == 0 {
-		c.Partners = 24
-	}
 	c.Box = boxFor(nAtoms, c.Cutoff, c.Partners)
 	return c
 }

@@ -270,6 +270,10 @@ func (r *Recovery) Validate(app string) error {
 		return fmt.Errorf("%s: CheckpointEvery is %d, want at least 0", app, r.CheckpointEvery)
 	case r.CheckpointEvery > 0 && r.CheckpointDir == "":
 		return fmt.Errorf("%s: CheckpointEvery set without CheckpointDir", app)
+	case r.CheckpointDir != "" && r.CheckpointEvery == 0 && r.ResumeFrom == "":
+		return fmt.Errorf("%s: CheckpointDir set without CheckpointEvery or ResumeFrom", app)
+	case r.CrashRank != 0 && r.CrashStep == 0:
+		return fmt.Errorf("%s: CrashRank is %d without a CrashStep", app, r.CrashRank)
 	}
 	return nil
 }

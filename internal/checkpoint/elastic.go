@@ -10,11 +10,9 @@ type FieldKind uint8
 
 // Element field kinds.
 const (
-	// FieldI32 is a fixed-width int32 field: Width values per element in a
-	// section named Field.Name.
-	FieldI32 FieldKind = iota
-	// FieldF64 is a fixed-width float64 field.
-	FieldF64
+	// FieldF64 is a fixed-width float64 field: Width values per element in
+	// a section named Field.Name.
+	FieldF64 FieldKind = iota
 	// FieldCSR is a variable-length int32 field in CSR form: element i owns
 	// the segment val[ptr[i]:ptr[i+1]], stored in sections Name+".ptr" and
 	// Name+".val".
@@ -33,7 +31,6 @@ type Field struct {
 // Dist built from Globals describes these arrays directly).
 type Elements struct {
 	Globals []int32
-	I32     map[string][]int32
 	F64     map[string][]float64
 	CSRPtr  map[string][]int32
 	CSRVal  map[string][]int32
@@ -48,7 +45,6 @@ type Elements struct {
 // repartition onto the new processor count.
 func MergeShards(shards []*Snapshot, fields []Field) (*Elements, error) {
 	e := &Elements{
-		I32:    map[string][]int32{},
 		F64:    map[string][]float64{},
 		CSRPtr: map[string][]int32{},
 		CSRVal: map[string][]int32{},
@@ -69,15 +65,6 @@ func MergeShards(shards []*Snapshot, fields []Field) (*Elements, error) {
 		e.Globals = append(e.Globals, globals...)
 		for _, f := range fields {
 			switch f.Kind {
-			case FieldI32:
-				xs, err := sh.I32(f.Name)
-				if err != nil {
-					return nil, err
-				}
-				if len(xs) != n*f.Width {
-					return nil, fmt.Errorf("checkpoint: shard %d field %q has %d values for %d elements of width %d", si, f.Name, len(xs), n, f.Width)
-				}
-				e.I32[f.Name] = append(e.I32[f.Name], xs...)
 			case FieldF64:
 				xs, err := sh.F64(f.Name)
 				if err != nil {
@@ -135,8 +122,6 @@ func MergeShards(shards []*Snapshot, fields []Field) (*Elements, error) {
 	e.Globals = sorted
 	for _, f := range fields {
 		switch f.Kind {
-		case FieldI32:
-			e.I32[f.Name] = permuteI32(e.I32[f.Name], perm, f.Width)
 		case FieldF64:
 			old := e.F64[f.Name]
 			out := make([]float64, len(old))
@@ -160,15 +145,6 @@ func MergeShards(shards []*Snapshot, fields []Field) (*Elements, error) {
 		}
 	}
 	return e, nil
-}
-
-// permuteI32 reorders a width-strided int32 array by perm.
-func permuteI32(old []int32, perm []int, width int) []int32 {
-	out := make([]int32, len(old))
-	for k, i := range perm {
-		copy(out[k*width:], old[i*width:(i+1)*width])
-	}
-	return out
 }
 
 // checkCSR validates a CSR pair read from disk: monotone non-negative

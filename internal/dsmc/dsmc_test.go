@@ -200,6 +200,9 @@ func TestConfigValidate(t *testing.T) {
 		"dsmc: unknown partitioner voronoi":                              func(c *Config) { c.Partitioner = "voronoi" },
 		"dsmc: SlotCap must be positive":                                 func(c *Config) { c.SlotCap = 0 },
 		"dsmc: CheckpointEvery set without CheckpointDir":                func(c *Config) { c.CheckpointEvery = 2 },
+		"dsmc: CheckpointDir set without CheckpointEvery or ResumeFrom":  func(c *Config) { c.CheckpointDir = "D" },
+		"dsmc: CrashRank is 1 without a CrashStep":                       func(c *Config) { c.CrashRank = 1 },
+		`adapt: decision verification needs remap "policy", not ""`:      func(c *Config) { c.AdaptVerify = true },
 		`adapt: bad remap "often" (want a step count, static or policy)`: func(c *Config) { c.Remap = "often" },
 	} {
 		bad := smallConfig()

@@ -89,10 +89,7 @@ type Instance struct {
 	hoistAt map[*irScope][]lowered
 	runAt   map[int][]int // run-starting ord -> ords of the fused run
 
-	// Phase metrics (virtual seconds / cumulative counts).
-	inspTime     float64
-	execTime     float64
-	appendBuilds int
+	appendBuilds int // schedule builds of -O0 append size recomputation
 }
 
 // AppendResult is the outcome of one REDUCE(APPEND) execution on this rank:
@@ -247,7 +244,10 @@ func (in *Instance) Redistribute(name string, newOwners []int32) {
 // Step executes the whole statement tree once, in program order: FORALLs
 // run their loops (DO bodies repeat theirs), ADAPTs invoke the host
 // adapter. Sum and pair loops accumulate into their reduction arrays;
-// append executions return their results. Collective.
+// append executions return their results. Each inspector region (hoisted
+// inspectors, a loop's guard, a fused run's guards) is charged to the
+// rank's "inspector" phase and each execution to "executor" (comm.Proc.Mark,
+// read back from Report.Phases). Collective.
 func (in *Instance) Step() []AppendResult {
 	var out []AppendResult
 	in.execScope(in.prog.ir.root, &out)
@@ -258,11 +258,11 @@ func (in *Instance) Step() []AppendResult {
 func (in *Instance) execScope(sc *irScope, out *[]AppendResult) {
 	if in.optimized && len(in.hoistAt[sc]) > 0 {
 		// Hoisted inspectors: loop-invariant preprocessing once at DO entry.
-		t0 := in.P.Clock()
+		in.P.SkipPhase()
 		for _, l := range in.hoistAt[sc] {
 			l.Inspect()
 		}
-		in.inspTime += in.P.Clock() - t0
+		in.P.Mark("inspector")
 	}
 	reps := 1
 	if sc.doN > 0 {
@@ -295,8 +295,9 @@ func (in *Instance) execScope(sc *irScope, out *[]AppendResult) {
 	}
 }
 
-// execLoop runs one FORALL, timing the inspector and executor phases
-// separately (the Table 6 split).
+// execLoop runs one FORALL, charging its inspector and executor to the
+// rank's phase ledger separately (the Table 6 split). Host time between
+// regions, an adapter's included, is charged to no phase.
 func (in *Instance) execLoop(l *irLoop, out *[]AppendResult) {
 	p := in.P
 	if l.f.kind == loopAppend {
@@ -304,7 +305,7 @@ func (in *Instance) execLoop(l *irLoop, out *[]AppendResult) {
 		src := in.reals[l.f.appendSrc.array]
 		target := in.decs[l.dataDec]
 		_, destRows := dest.CSR()
-		t0 := p.Clock()
+		p.SkipPhase()
 		var recv []float64
 		var sizes []int32
 		if in.optimized {
@@ -313,36 +314,34 @@ func (in *Instance) execLoop(l *irLoop, out *[]AppendResult) {
 			recv, sizes = loopir.ReduceAppend(p, target.Dist(), destRows, src.Local(), l.width)
 			in.appendBuilds++
 		}
-		in.execTime += p.Clock() - t0
+		p.Mark("executor")
 		*out = append(*out, AppendResult{Loop: l.ord, Records: recv, Sizes: sizes})
 		return
 	}
 	lo := in.loops[l.ord]
-	t0 := p.Clock()
+	p.SkipPhase()
 	lo.Inspect()
-	t1 := p.Clock()
+	p.Mark("inspector")
 	lo.Execute()
-	in.inspTime += t1 - t0
-	in.execTime += p.Clock() - t1
+	p.Mark("executor")
 }
 
 // execFusedRun executes a fused run of same-group loops as one
 // communication phase.
 func (in *Instance) execFusedRun(run []int) {
 	p := in.P
-	t0 := p.Clock()
+	p.SkipPhase()
 	// chaosvet:ignore clock-charge — Inspect charges internally
 	for _, ord := range run {
 		in.loops[ord].Inspect()
 	}
-	t1 := p.Clock()
+	p.Mark("inspector")
 	if in.prog.ir.loops[run[0]].f.kind == loopSum {
 		loopir.ExecuteFusedSum(typedRun[*loopir.SumLoop](in.loops, run))
 	} else {
 		loopir.ExecuteFusedPair(typedRun[*loopir.PairLoop](in.loops, run))
 	}
-	in.inspTime += t1 - t0
-	in.execTime += p.Clock() - t1
+	p.Mark("executor")
 }
 
 // typedRun collects a fused run's loops as the concrete type loopir's fused
@@ -383,14 +382,6 @@ func (in *Instance) InspectorBuilds() int {
 	}
 	return n
 }
-
-// InspectorTime returns the cumulative virtual time this rank spent in
-// inspector phases (hash-table builds, schedule builds, hoisted preprocessing).
-func (in *Instance) InspectorTime() float64 { return in.inspTime }
-
-// ExecutorTime returns the cumulative virtual time this rank spent in
-// executor phases (gathers, loop bodies, scatters, append data motion).
-func (in *Instance) ExecutorTime() float64 { return in.execTime }
 
 // compileBody turns the REDUCE(SUM) statements of a sum or pair loop into a
 // loopir.PairBody by interpreting the expression AST per component: each

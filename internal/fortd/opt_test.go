@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/costmodel"
+	"repro/internal/loopir"
 )
 
 // TestErrorPositionsGolden pins the exact rendered form of front-end
@@ -334,7 +335,7 @@ func TestOptimizedMatchesNaiveRandom(t *testing.T) {
 		}
 		run := func(optimized bool) *result {
 			res := &result{bits: map[string][]uint64{}}
-			comm.Run(nprocs, costmodel.Uniform(1e-9), func(p *comm.Proc) {
+			rep := comm.Run(nprocs, costmodel.Uniform(1e-9), func(p *comm.Proc) {
 				in := instantiateSynthetic(prog, p, optimized)
 				for s := 0; s < steps; s++ {
 					in.Step()
@@ -344,9 +345,9 @@ func TestOptimizedMatchesNaiveRandom(t *testing.T) {
 						res.bits[name] = f64bits(in.Real(name).Local())
 					}
 					res.builds = in.InspectorBuilds()
-					res.time = in.InspectorTime() + in.ExecutorTime()
 				}
 			})
+			res.time = rep.Phases[0]["inspector"] + rep.Phases[0]["executor"]
 			return res
 		}
 		naive := run(false)
@@ -377,6 +378,82 @@ func TestOptimizedMatchesNaiveRandom(t *testing.T) {
 	}
 	if !sawWin {
 		t.Error("no generated program produced an optimization win; generator is too weak")
+	}
+}
+
+// TestStepChargesItsRegionsToTheLedger: fortd keeps no clock of its own.
+// Every inspector and executor region a Step runs — hoisted inspectors, a
+// loop's guard, a fused run's guards, an append — is a phase of the rank's
+// ledger, on every rank, at -O0 and -O. Host time between steps and what an
+// adapter charges inside a step are charged to neither phase, so the two
+// phases sum to the steps' clock advance less the adapter's charges.
+func TestStepChargesItsRegionsToTheLedger(t *testing.T) {
+	prog, err := Compile(`DECOMPOSITION reg(240)
+DISTRIBUTE reg(MAP)
+DECOMPOSITION cells(40)
+REAL x(reg,1), f(reg,1), g(reg,1), y(reg,1), h(reg,1), v(reg,2)
+INDIRECTION nbr(reg) CSR
+INDIRECTION adap(reg) CSR
+INDIRECTION icell(reg) WIDTH 1
+DO t = 1, 3
+ FORALL i IN reg
+  FORALL j IN nbr(i)
+   REDUCE(SUM, f(nbr(j)), x(nbr(j)) - x(i))
+  END FORALL
+ END FORALL
+ FORALL i IN reg
+  FORALL j IN nbr(i)
+   REDUCE(SUM, g(i), x(i) * 0.5)
+  END FORALL
+ END FORALL
+ ADAPT adap
+ FORALL i IN reg
+  FORALL j IN adap(i)
+   REDUCE(SUM, h(adap(j)), y(adap(j)) - y(i))
+  END FORALL
+ END FORALL
+ FORALL i IN reg
+  REDUCE(APPEND, cells(icell(i)), v(i))
+ END FORALL
+END DO`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nprocs, hostCost, adapterCost = 3, 1.0, 0.25
+	for _, optimized := range []bool{false, true} {
+		regions := make([]float64, nprocs) // each rank's steps, less its adapter charges
+		rep := comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
+			in := instantiateSynthetic(prog, p, optimized)
+			adapts := 0
+			in.SetAdapter(func(_ string, ia *loopir.IndArray) {
+				p.Compute(adapterCost)
+				adapts++
+				ia.Touch()
+			})
+			for s := 0; s < 2; s++ {
+				if s > 0 {
+					p.Compute(hostCost)
+				}
+				t0 := p.Clock()
+				in.Step()
+				regions[p.Rank()] += p.Clock() - t0
+			}
+			regions[p.Rank()] -= float64(adapts) * adapterCost
+		})
+		for r, ph := range rep.Phases {
+			var keys []string
+			for k := range ph {
+				keys = append(keys, k)
+			}
+			if sort.Strings(keys); !slices.Equal(keys, []string{"executor", "inspector"}) {
+				t.Fatalf("optimized=%v rank %d: phases %v, want executor and inspector", optimized, r, keys)
+			}
+			got := ph["inspector"] + ph["executor"]
+			if regions[r] <= 0 || math.Abs(got-regions[r]) > 1e-9*regions[r] {
+				t.Errorf("optimized=%v rank %d: inspector %.9f + executor %.9f = %.9f, the regions charged %.9f",
+					optimized, r, ph["inspector"], ph["executor"], got, regions[r])
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
-package trace
+package launch
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/comm"
@@ -52,7 +53,9 @@ func renderedRun(t *testing.T) string {
 		schedule.Scatter(p, sched, acc, schedule.OpAdd)
 		p.Mark("executor")
 	})
-	return Gantt(rep.Spans, 64) + RenderSummary(rep.Spans)
+	var b strings.Builder
+	phaseSummary(&b, rep)
+	return gantt(rep.Spans, 64) + b.String()
 }
 
 // TestRenderingDeterministic asserts the full pipeline — virtual-time

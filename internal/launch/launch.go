@@ -45,7 +45,6 @@ import (
 	"repro/internal/comm/fault"
 	"repro/internal/costmodel"
 	"repro/internal/prof"
-	"repro/internal/trace"
 )
 
 // Launcher holds the shared flags; the exported fields are valid after Parse.
@@ -283,7 +282,8 @@ func (l *Launcher) runRank(body func(p *comm.Proc)) (rep *comm.Report, code int)
 // metrics, tail (the command's result lines), the phase table — the maximum
 // over ranks of each phase some rank spent time in, keys padded to
 // keyWidth — then under -measure the per-rank table (rankTable), and under
-// -trace the Gantt chart. Under -addrs rank 0 prints head and tail, and
+// -trace the Gantt chart of rep.Spans and the summary of rep.Phases
+// (phaseSummary). Under -addrs rank 0 prints head and tail, and
 // every rank one line of its own virtual clock, messages and bytes.
 func (l *Launcher) Report(w io.Writer, rep *comm.Report, head, tail string, keyWidth int) {
 	if l.addrs != nil {
@@ -339,9 +339,9 @@ func (l *Launcher) Report(w io.Writer, rep *comm.Report, head, tail string, keyW
 
 	if l.trace {
 		fmt.Fprintln(w)
-		fmt.Fprint(w, trace.Gantt(rep.Spans, 100))
+		fmt.Fprint(w, gantt(rep.Spans, 100))
 		fmt.Fprintln(w)
-		fmt.Fprint(w, trace.RenderSummary(rep.Spans))
+		phaseSummary(w, rep)
 	}
 }
 

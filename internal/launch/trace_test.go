@@ -1,4 +1,4 @@
-package trace
+package launch
 
 import (
 	"strings"
@@ -21,7 +21,7 @@ func sampleSpans() [][]comm.Span {
 }
 
 func TestGanttStructure(t *testing.T) {
-	out := Gantt(sampleSpans(), 40)
+	out := gantt(sampleSpans(), 40)
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 4 { // header, 2 ranks, legend
 		t.Fatalf("got %d lines:\n%s", len(lines), out)
@@ -49,36 +49,52 @@ func TestGanttStructure(t *testing.T) {
 }
 
 func TestGanttEmpty(t *testing.T) {
-	if out := Gantt(nil, 20); !strings.Contains(out, "no spans") {
+	if out := gantt(nil, 20); !strings.Contains(out, "no spans") {
 		t.Errorf("empty render: %q", out)
 	}
 }
 
 func TestGanttTinyWidthClamped(t *testing.T) {
-	out := Gantt(sampleSpans(), 1)
+	out := gantt(sampleSpans(), 1)
 	if !strings.Contains(out, "rank   0") {
 		t.Errorf("clamped render broken:\n%s", out)
 	}
 }
 
+func sampleReport() *comm.Report {
+	return &comm.Report{Phases: []map[string]float64{
+		{"inspector": 1, "executor": 3},
+		{"inspector": 2, "executor": 1},
+	}}
+}
+
+// TestSummarize: the -trace summary is rep.Phases per phase — the maximum
+// over ranks, the mean and the total — by descending maximum.
 func TestSummarize(t *testing.T) {
-	sums := Summarize(sampleSpans())
-	if len(sums) != 2 {
-		t.Fatalf("got %d summaries", len(sums))
+	var b strings.Builder
+	phaseSummary(&b, sampleReport())
+	lines := strings.Split(strings.TrimRight(b.String(), "\n"), "\n")
+	if len(lines) != 3 { // header, executor, inspector
+		t.Fatalf("got %d lines:\n%s", len(lines), b.String())
 	}
 	// Executor: rank0=3, rank1=1 -> max 3, mean 2, total 4.
-	if sums[0].Phase != "executor" || sums[0].Max != 3 || sums[0].Mean != 2 || sums[0].Total != 4 {
-		t.Errorf("executor summary: %+v", sums[0])
+	if got := strings.Fields(lines[1]); strings.Join(got, " ") != "executor 3.0000 2.0000 4.0000" {
+		t.Errorf("executor summary: %q", got)
 	}
 	// Inspector: rank0=1, rank1=2 -> max 2, mean 1.5, total 3.
-	if sums[1].Phase != "inspector" || sums[1].Max != 2 || sums[1].Mean != 1.5 || sums[1].Total != 3 {
-		t.Errorf("inspector summary: %+v", sums[1])
+	if got := strings.Fields(lines[2]); strings.Join(got, " ") != "inspector 2.0000 1.5000 3.0000" {
+		t.Errorf("inspector summary: %q", got)
 	}
 }
 
 func TestRenderSummary(t *testing.T) {
-	out := RenderSummary(sampleSpans())
-	if !strings.Contains(out, "executor") || !strings.Contains(out, "3.0000") {
-		t.Errorf("summary table:\n%s", out)
+	var b strings.Builder
+	phaseSummary(&b, sampleReport())
+	want := `phase                 max       mean      total
+executor           3.0000     2.0000     4.0000
+inspector          2.0000     1.5000     3.0000
+`
+	if b.String() != want {
+		t.Errorf("summary:\n%s\nwant:\n%s", b.String(), want)
 	}
 }
