@@ -13,10 +13,17 @@ import (
 	"repro/internal/checkpoint"
 )
 
+// refusal is a command line the command must refuse, and a substring of the
+// one line that says why.
+type refusal struct {
+	args []string
+	want string
+}
+
 // TestBadInputExitsWithOneLine: input the run cannot honour — among it a
 // -resume of another application's checkpoint or of another size — is
-// refused before any rank starts — exit status 2, one "charmm:" line and the usage on
-// stderr, nothing on stdout, and no goroutine dump.
+// refused before any rank starts — exit status 2, one "charmm:" line saying
+// why and the usage on stderr, nothing on stdout, and no goroutine dump.
 func TestBadInputExitsWithOneLine(t *testing.T) {
 	foreign := t.TempDir() // a checkpoint dsmc wrote
 	if err := checkpoint.WriteManifest(foreign, &checkpoint.Manifest{App: "dsmc", NRanks: 1, ShardCRCs: []uint32{0}}); err != nil {
@@ -27,51 +34,59 @@ func TestBadInputExitsWithOneLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	unmade := filepath.Join(t.TempDir(), "D") // a -ckpt-dir no run may create
-	rows := [][]string{
-		{"-resume", foreign},
-		{"-atoms", "450", "-resume", small},
-		{"-resume", filepath.Join(foreign, "missing")},
-		{"-procs", "0"},
-		{"-procs", "-1"},
-		{"-part", "nonsense"},
-		{"-remap", "bogus"},
-		{"-remap", "periodic:3"},
-		{"-atoms", "0"},
-		{"-remap", "-1"},
-		{"-ckpt-every", "-1"},
-		{"-resume", "latest"},
-		{"-procs", "2", "-crash-rank", "7", "-crash-step", "2"},
-		{"-crash-rank", "-1"},
-		{"-compiled", "-resume", "somewhere"},
-		{"-compiled", "-ckpt-dir", foreign, "-ckpt-every", "2"},
-		{"-compiled", "-multiple"},
-		{"-kernel", "-remap", "policy"},
-		{"-kernel", "-ckpt-dir", foreign, "-ckpt-every", "2"},
-		{"-kernel", "-multiple"},
-		{"-kernel", "-part", "rib"},
-		{"-kernel", "-nbevery", "3"},
-		{"-kernel", "-atoms", "0"},
-		{"-kernel", "-atoms", "300", "-steps", "2", "-ckpt-dir", unmade},
-		{"-compiled", "-atoms", "300", "-steps", "2", "-ckpt-dir", unmade},
-		{"-atoms", "300", "-steps", "2", "-ckpt-dir", unmade},
-		{"-atoms", "300", "-steps", "2", "-remap", "3", "-adapt-verify"},
-		{"-atoms", "300", "-steps", "2", "-crash-rank", "1"},
-		{"-steps", "2", "stray"},
+	rows := []refusal{
+		{[]string{"-resume", foreign}, `was written by "dsmc"`},
+		{[]string{"-atoms", "450", "-resume", small}, "holds 300 elements, want 450"},
+		{[]string{"-resume", filepath.Join(foreign, "missing")}, "open checkpoint"},
+		{[]string{"-part", "nonsense"}, "unknown partitioner nonsense"},
+		{[]string{"-remap", "bogus"}, `bad remap "bogus" (want a step count, static or policy)`},
+		{[]string{"-remap", "periodic:3"}, `bad remap "periodic:3"`},
+		{[]string{"-atoms", "0"}, "NAtoms is 0, want at least 1"},
+		{[]string{"-remap", "-1"}, `bad remap "-1"`},
+		{[]string{"-ckpt-every", "-1"}, "CheckpointEvery is -1, want at least 0"},
+		{[]string{"-resume", "latest"}, "-resume latest requires -ckpt-dir"},
+		{[]string{"-crash-rank", "-1"}, "-crash-rank -1 is not one of the"},
+		{[]string{"-compiled", "-resume", "somewhere"}, "-compiled takes no -resume"},
+		{[]string{"-compiled", "-ckpt-dir", foreign, "-ckpt-every", "2"}, "-compiled takes no -ckpt-every"},
+		{[]string{"-compiled", "-multiple"}, "-compiled takes no -multiple"},
+		{[]string{"-kernel", "-remap", "policy"}, `-kernel redistributes every N iterations: -remap "policy" is not a step count`},
+		{[]string{"-kernel", "-ckpt-dir", foreign, "-ckpt-every", "2"}, "-kernel takes no -ckpt-every"},
+		{[]string{"-kernel", "-multiple"}, "-kernel takes no -multiple"},
+		{[]string{"-kernel", "-part", "rib"}, "-kernel takes no -part"},
+		{[]string{"-kernel", "-nbevery", "3"}, "-kernel takes no -nbevery"},
+		{[]string{"-kernel", "-atoms", "0"}, "NAtoms is 0, want at least 1"},
+		{[]string{"-kernel", "-atoms", "300", "-steps", "2", "-ckpt-dir", unmade}, "CheckpointDir set without CheckpointEvery or ResumeFrom"},
+		{[]string{"-compiled", "-atoms", "300", "-steps", "2", "-ckpt-dir", unmade}, "CheckpointDir set without CheckpointEvery or ResumeFrom"},
+		{[]string{"-atoms", "300", "-steps", "2", "-ckpt-dir", unmade}, "CheckpointDir set without CheckpointEvery or ResumeFrom"},
+		{[]string{"-atoms", "300", "-steps", "2", "-remap", "3", "-adapt-verify"}, `decision verification needs remap "policy", not "3"`},
+		{[]string{"-atoms", "300", "-steps", "2", "-crash-rank", "1"}, "CrashRank is 1 without a CrashStep"},
+		{[]string{"-steps", "2", "stray"}, `unexpected argument "stray"`},
 	}
-	// As rank 0 of two processes every row is refused the same way, before
-	// the rank listens: one that dialled its absent peer would exit 1.
+	// As rank 0 of two processes every row is refused with the same
+	// complaint, before the rank listens: one that dialled its absent peer
+	// would exit 1.
 	rank := []string{"-rank", "0", "-addrs", reserveAddrs(t, 2), "-timeout", "1s"}
-	for _, args := range rows {
-		rows = append(rows, slices.Concat(rank, args))
+	for _, r := range rows {
+		rows = append(rows, refusal{slices.Concat(rank, r.args), r.want})
 	}
-	for _, args := range rows {
+	// -procs sets the rank count that -addrs sets, so these rows have no
+	// such twin: under -addrs the count is the list's length, never below 1,
+	// and the -crash-rank row's twin is written against the two addresses.
+	rows = append(rows,
+		refusal{[]string{"-procs", "0"}, "-procs must be at least 1, got 0"},
+		refusal{[]string{"-procs", "-1"}, "-procs must be at least 1, got -1"},
+		refusal{[]string{"-procs", "2", "-crash-rank", "7", "-crash-step", "2"}, "-crash-rank 7 is not one of the 2 ranks"},
+		refusal{slices.Concat(rank, []string{"-crash-rank", "7", "-crash-step", "2"}), "-crash-rank 7 is not one of the 2 ranks"},
+	)
+	for _, r := range rows {
+		args := r.args
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {
 			t.Errorf("%v: exit %d, want 2", args, code)
 		}
 		first, rest, _ := strings.Cut(stderr.String(), "\n")
-		if !strings.HasPrefix(first, "charmm: ") || strings.HasPrefix(first, "charmm: charmm:") {
-			t.Errorf("%v: stderr starts %q, want one charmm: line", args, first)
+		if !strings.HasPrefix(first, "charmm: ") || strings.HasPrefix(first, "charmm: charmm:") || !strings.Contains(first, r.want) {
+			t.Errorf("%v: stderr starts %q, want one charmm: line saying %q", args, first, r.want)
 		}
 		if !strings.Contains(rest, "-procs") {
 			t.Errorf("%v: no usage after the complaint:\n%s", args, rest)

@@ -26,56 +26,71 @@ func TestBadInputExitsWithOneLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	unmade := filepath.Join(t.TempDir(), "D") // a -ckpt-dir no run may create
-	rows := [][]string{
-		{"-resume", foreign},
-		{"-nx", "24", "-ny", "24", "-resume", small},
-		{"-resume", filepath.Join(foreign, "missing")},
-		{"-procs", "0"},
-		{"-procs", "-1"},
-		{"-mover", "bogus"},
-		{"-part", "nonsense"},
-		{"-remap", "bogus"},
-		{"-remap", "periodic:3"},
-		{"-part", "rcb"},
-		{"-part", "chain", "-remap", "0"},
-		{"-nx", "0"},
-		{"-mols", "-1"},
-		{"-remap", "-1"},
-		{"-ckpt-every", "-1"},
-		{"-resume", "latest"},
-		{"-procs", "2", "-crash-rank", "7", "-crash-step", "2"},
-		{"-crash-rank", "-1"},
-		{"-nx", "8", "-ny", "8", "-mols", "200", "-steps", "4", "-adapt-verify"},
-		{"-nx", "8", "-ny", "8", "-mols", "200", "-steps", "4", "-crash-rank", "1"},
-		{"-nx", "8", "-ny", "8", "-mols", "200", "-steps", "4", "-ckpt-dir", unmade},
-		{"-steps", "2", "stray"},
+	rows := []refusal{
+		{[]string{"-resume", foreign}, `was written by "charmm"`},
+		{[]string{"-nx", "24", "-ny", "24", "-resume", small}, "holds 144 elements, want 576"},
+		{[]string{"-resume", filepath.Join(foreign, "missing")}, "open checkpoint"},
+		{[]string{"-mover", "bogus"}, "unknown mover bogus"},
+		{[]string{"-part", "nonsense"}, "unknown partitioner nonsense"},
+		{[]string{"-remap", "bogus"}, `bad remap "bogus" (want a step count, static or policy)`},
+		{[]string{"-remap", "periodic:3"}, `bad remap "periodic:3"`},
+		{[]string{"-part", "rcb"}, "-part rcb has no effect without -remap"},
+		{[]string{"-part", "chain", "-remap", "0"}, "-part chain has no effect without -remap"},
+		{[]string{"-nx", "0"}, "NX is 0, want at least 1"},
+		{[]string{"-mols", "-1"}, "NMols is -1, want at least 0"},
+		{[]string{"-remap", "-1"}, `bad remap "-1"`},
+		{[]string{"-ckpt-every", "-1"}, "CheckpointEvery is -1, want at least 0"},
+		{[]string{"-resume", "latest"}, "-resume latest requires -ckpt-dir"},
+		{[]string{"-crash-rank", "-1"}, "-crash-rank -1 is not one of the"},
+		{[]string{"-nx", "8", "-ny", "8", "-mols", "200", "-steps", "4", "-adapt-verify"}, `decision verification needs remap "policy", not "0"`},
+		{[]string{"-nx", "8", "-ny", "8", "-mols", "200", "-steps", "4", "-crash-rank", "1"}, "CrashRank is 1 without a CrashStep"},
+		{[]string{"-nx", "8", "-ny", "8", "-mols", "200", "-steps", "4", "-ckpt-dir", unmade}, "CheckpointDir set without CheckpointEvery or ResumeFrom"},
+		{[]string{"-steps", "2", "stray"}, `unexpected argument "stray"`},
 	}
-	// As rank 0 of two processes every row is refused the same way, before
-	// the rank listens: one that dialled its absent peer would exit 1.
+	// As rank 0 of two processes every row is refused with the same
+	// complaint, before the rank listens: one that dialled its absent peer
+	// would exit 1.
 	rank := []string{"-rank", "0", "-addrs", reserveAddrs(t, 2), "-timeout", "1s"}
-	for _, args := range rows {
-		rows = append(rows, slices.Concat(rank, args))
+	for _, r := range rows {
+		rows = append(rows, refusal{slices.Concat(rank, r.args), r.want})
 	}
-	for _, args := range rows {
-		wantRefused(t, args)
+	// -procs sets the rank count that -addrs sets, so these rows have no
+	// such twin: under -addrs the count is the list's length, never below 1,
+	// and the -crash-rank row's twin is written against the two addresses.
+	rows = append(rows,
+		refusal{[]string{"-procs", "0"}, "-procs must be at least 1, got 0"},
+		refusal{[]string{"-procs", "-1"}, "-procs must be at least 1, got -1"},
+		refusal{[]string{"-procs", "2", "-crash-rank", "7", "-crash-step", "2"}, "-crash-rank 7 is not one of the 2 ranks"},
+		refusal{slices.Concat(rank, []string{"-crash-rank", "7", "-crash-step", "2"}), "-crash-rank 7 is not one of the 2 ranks"},
+	)
+	for _, r := range rows {
+		wantRefused(t, r)
 	}
 	if _, err := os.Stat(unmade); !os.IsNotExist(err) {
 		t.Errorf("a refused run made its -ckpt-dir %s (stat: %v)", unmade, err)
 	}
 }
 
-// wantRefused runs dsmc with args and demands the refusal of bad input:
-// exit status 2, one "dsmc:" line and the usage on stderr, nothing on
-// stdout, and no goroutine dump.
-func wantRefused(t *testing.T, args []string) {
+// refusal is a command line dsmc must refuse, and a substring of the one
+// line that says why.
+type refusal struct {
+	args []string
+	want string
+}
+
+// wantRefused runs dsmc with r's arguments and demands the refusal of bad
+// input: exit status 2, one "dsmc:" line saying r's complaint and the usage
+// on stderr, nothing on stdout, and no goroutine dump.
+func wantRefused(t *testing.T, r refusal) {
 	t.Helper()
+	args := r.args
 	var stdout, stderr bytes.Buffer
 	if code := run(args, &stdout, &stderr); code != 2 {
 		t.Errorf("%v: exit %d, want 2", args, code)
 	}
 	first, rest, _ := strings.Cut(stderr.String(), "\n")
-	if !strings.HasPrefix(first, "dsmc: ") || strings.HasPrefix(first, "dsmc: dsmc:") {
-		t.Errorf("%v: stderr starts %q, want one dsmc: line", args, first)
+	if !strings.HasPrefix(first, "dsmc: ") || strings.HasPrefix(first, "dsmc: dsmc:") || !strings.Contains(first, r.want) {
+		t.Errorf("%v: stderr starts %q, want one dsmc: line saying %q", args, first, r.want)
 	}
 	if !strings.Contains(rest, "-procs") {
 		t.Errorf("%v: no usage after the complaint:\n%s", args, rest)

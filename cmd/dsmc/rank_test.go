@@ -168,13 +168,13 @@ func TestRankRefusesBadResume(t *testing.T) {
 		return d
 	}
 	rank := []string{"-rank", "0", "-addrs", reserveAddrs(t, 2), "-timeout", "1s", "-nx", "24", "-ny", "24", "-steps", "4"}
-	for _, args := range [][]string{
-		{"-resume", manifest("charmm", "charmm", 576)},
-		{"-resume", manifest("small-dsmc", "dsmc", 144)},
-		{"-resume", filepath.Join(dir, "missing")},
-		{"-ckpt-dir", t.TempDir(), "-resume", "latest"},
+	for _, r := range []refusal{
+		{[]string{"-resume", manifest("charmm", "charmm", 576)}, `was written by "charmm"`},
+		{[]string{"-resume", manifest("small-dsmc", "dsmc", 144)}, "holds 144 elements, want 576"},
+		{[]string{"-resume", filepath.Join(dir, "missing")}, "open checkpoint"},
+		{[]string{"-ckpt-dir", t.TempDir(), "-resume", "latest"}, "no sealed checkpoint under"},
 	} {
-		wantRefused(t, slices.Concat(rank, args))
+		wantRefused(t, refusal{slices.Concat(rank, r.args), r.want})
 	}
 }
 

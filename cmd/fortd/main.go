@@ -68,9 +68,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if *vet {
+		for _, name := range []string{"O", "procs", "steps", "degree", "redistribute"} {
+			if set[name] {
+				return usageError("-%s sets how the program runs; -vet does not run it", name)
+			}
+		}
+	}
 	switch {
 	case fs.NArg() != 1:
 		return usageError("want exactly one program file, got %d argument(s)", fs.NArg())
+	case *jsonOut && !*vet:
+		return usageError("-json formats -vet's findings; give it with -vet")
 	case *procs < 1:
 		return usageError("-procs must be at least 1, got %d", *procs)
 	case *steps < 1:

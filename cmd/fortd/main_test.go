@@ -11,28 +11,40 @@ import (
 
 const example = "../../examples/fortd/charmm_loop.fd"
 
-// TestBadInputExitsWithOneLine: flags the run cannot honour are refused
-// before any rank starts — exit status 2, one "fortd:" line and the usage on
-// stderr, nothing on stdout, and no goroutine dump.
+// TestBadInputExitsWithOneLine: flags the run cannot honour, and flags the
+// mode would ignore, are refused before any rank starts — exit status 2, one
+// "fortd:" line saying why and the usage on stderr, nothing on stdout, and no
+// goroutine dump.
 func TestBadInputExitsWithOneLine(t *testing.T) {
-	for _, args := range [][]string{
-		{"-procs", "0", example},
-		{"-procs", "-1", example},
-		{"-steps", "0", example},
-		{"-steps", "-2", example},
-		{"-degree", "-1", example},
-		{"-redistribute", "-1", example},
-		{},
-		{"-O"},
-		{example, example},
+	for _, c := range []struct {
+		args []string
+		want string // the complaint
+	}{
+		{[]string{"-procs", "0", example}, "-procs must be at least 1, got 0"},
+		{[]string{"-procs", "-1", example}, "-procs must be at least 1, got -1"},
+		{[]string{"-steps", "0", example}, "-steps must be at least 1, got 0"},
+		{[]string{"-steps", "-2", example}, "-steps must be at least 1, got -2"},
+		{[]string{"-degree", "-1", example}, "-degree must not be negative, got -1"},
+		{[]string{"-redistribute", "-1", example}, "-redistribute must not be negative, got -1"},
+		{[]string{}, "want exactly one program file, got 0 argument(s)"},
+		{[]string{"-O"}, "want exactly one program file, got 0 argument(s)"},
+		{[]string{example, example}, "want exactly one program file, got 2 argument(s)"},
+		// Flags the mode would ignore.
+		{[]string{"-json", example}, "-json formats -vet's findings; give it with -vet"},
+		{[]string{"-vet", "-O", example}, "-O sets how the program runs; -vet does not run it"},
+		{[]string{"-vet", "-procs", "3", example}, "-procs sets how the program runs"},
+		{[]string{"-vet", "-steps", "3", example}, "-steps sets how the program runs"},
+		{[]string{"-vet", "-degree", "4", example}, "-degree sets how the program runs"},
+		{[]string{"-vet", "-json", "-redistribute", "2", example}, "-redistribute sets how the program runs"},
 	} {
+		args := c.args
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {
 			t.Errorf("%v: exit %d, want 2", args, code)
 		}
 		first, rest, _ := strings.Cut(stderr.String(), "\n")
-		if !strings.HasPrefix(first, "fortd: ") {
-			t.Errorf("%v: stderr starts %q, want one fortd: line", args, first)
+		if !strings.HasPrefix(first, "fortd: ") || !strings.Contains(first, c.want) {
+			t.Errorf("%v: stderr starts %q, want one fortd: line saying %q", args, first, c.want)
 		}
 		if !strings.Contains(rest, "usage: fortd") || !strings.Contains(rest, "-procs") {
 			t.Errorf("%v: no usage after the complaint:\n%s", args, rest)

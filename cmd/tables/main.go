@@ -1,19 +1,20 @@
 // Command tables regenerates every table of the paper's evaluation section
-// (Tables 1-7) on the simulated iPSC/860-like machine and prints them, or
-// writes them as markdown for EXPERIMENTS.md.
+// (Tables 1-7) on the simulated iPSC/860-like machine and prints them as
+// aligned text or newline-delimited JSON.
 //
 // Usage:
 //
-//	tables [-quick] [-table 1..7|loopir|adapt] [-markdown | -json]
+//	tables [-quick] [-table 1..7|loopir|adapt] [-json]
 //
 // Without -table, Tables 1-7 run. -table picks one table by name: a paper
 // table by number, loopir (the fortd -O0 vs -O schedule-reuse table) or adapt
 // (static, periodic and policy-driven remapping across three DSMC skew
 // scenarios). Every table reports virtual seconds under the cost model; host
 // time is measured by `bash benchmarks/run.sh`. -quick uses the shrunken
-// scale (seconds instead of minutes of wall time). -markdown emits
-// GitHub-flavoured markdown instead of aligned text; -json emits
-// newline-delimited JSON, one record per table row, for downstream tooling.
+// scale (seconds instead of minutes of wall time); loopir has one size of its
+// own, labelled quick, and refuses -quick. -json emits newline-delimited
+// JSON, one record per table row, for downstream tooling;
+// internal/bench/testdata/tables_full.ndjson is Tables 1-7 at full scale.
 package main
 
 import (
@@ -26,6 +27,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/costmodel"
 )
 
 // generators lists every table under its -table name, in usage order. The
@@ -65,10 +67,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	quick := fs.Bool("quick", false, "use the shrunken quick scale")
 	table := fs.String("table", "", "run only this table: "+tableNames(", ")+" (default: 1-7)")
-	markdown := fs.Bool("markdown", false, "emit markdown output")
 	jsonOut := fs.Bool("json", false, "emit newline-delimited JSON, one record per table row")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: tables [-quick] [-table %s] [-markdown | -json]\n", tableNames("|"))
+		fmt.Fprintf(stderr, "usage: tables [-quick] [-table %s] [-json]\n", tableNames("|"))
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -85,9 +86,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if fs.NArg() > 0 {
 		return usageError("unexpected argument %q", fs.Arg(0))
 	}
-	if *markdown && *jsonOut {
-		return usageError("-markdown and -json are mutually exclusive")
-	}
 	picked := generators[:paperTables]
 	if *table != "" {
 		picked = nil
@@ -101,28 +99,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
+	// loopir takes no scale: it always runs at its one size, which is
+	// labelled as the quick scale.
 	sc := bench.Full()
-	if *quick {
+	switch {
+	case *table == "loopir" && *quick:
+		return usageError("-table loopir runs at one fixed size: -quick does not apply")
+	case *table == "loopir" || *quick:
 		sc = bench.Quick()
 	}
 	if !*jsonOut {
-		fmt.Fprintf(stdout, "# CHAOS reproduction tables — scale=%s machine=%s\n\n", sc.Name, sc.Machine().Name)
+		fmt.Fprintf(stdout, "# CHAOS reproduction tables — scale=%s machine=%s\n\n", sc.Name, costmodel.IPSC860().Name)
 	}
 	for _, g := range picked {
 		start := time.Now()
 		t := g.gen(sc)
-		switch {
-		case *jsonOut:
+		if *jsonOut {
 			if err := t.WriteJSON(stdout, sc.Name); err != nil {
 				fmt.Fprintln(stderr, "tables:", err)
 				return 1
 			}
 			continue
-		case *markdown:
-			fmt.Fprint(stdout, t.Markdown())
-		default:
-			fmt.Fprint(stdout, t.Render())
 		}
+		fmt.Fprint(stdout, t.Render())
 		fmt.Fprintf(stdout, "  (regenerated in %.1fs wall)\n\n", time.Since(start).Seconds())
 	}
 	return 0

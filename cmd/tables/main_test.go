@@ -44,7 +44,8 @@ func TestBadInvocationsExit2(t *testing.T) {
 	}{
 		{[]string{"-table", "inspector"}, `no table "inspector" (valid: 1, 2, 3, 4, 5, 6, 7, loopir, adapt)`},
 		{[]string{"-table", "8"}, `no table "8"`},
-		{[]string{"-markdown", "-json"}, "mutually exclusive"},
+		{[]string{"-quick", "-table", "loopir"}, "-table loopir runs at one fixed size: -quick does not apply"},
+		{[]string{"-markdown"}, "flag provided but not defined"},
 		{[]string{"-quick", "loopir"}, `unexpected argument "loopir"`},
 		{[]string{"-loopir"}, "flag provided but not defined"},
 	} {
@@ -62,17 +63,17 @@ func TestBadInvocationsExit2(t *testing.T) {
 }
 
 // TestTableLoopirJSONMatchesGolden: the selector reaches the same generator,
-// scale and encoder that internal/bench pins.
+// scale label and encoder that internal/bench pins.
 func TestTableLoopirJSONMatchesGolden(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("..", "..", "internal", "bench", "testdata", "loopir_quick.ndjson"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-quick", "-table", "loopir", "-json"}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-table", "loopir", "-json"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
 	}
 	if !bytes.Equal(stdout.Bytes(), want) {
-		t.Errorf("-quick -table loopir -json differs from the pinned golden:\n%s", stdout.String())
+		t.Errorf("-table loopir -json differs from the pinned golden:\n%s", stdout.String())
 	}
 }

@@ -17,9 +17,9 @@ import (
 //	gain        = max(cost) - mean(cost)  // step time lost to skew
 //	recoverable = EWMA(gain) - floor      // the part a remap could remove
 //	debt       += max(0, recoverable)     // loss paid since the last remap
-//	remap when  sinceRemap >= Cooldown
-//	        &&  recoverable * Lookahead > remapCost * Hysteresis
-//	        &&  debt                    > remapCost * Hysteresis
+//	remap when  sinceRemap >= cooldown
+//	        &&  recoverable * lookahead > remapCost * hysteresis
+//	        &&  debt                    > remapCost * 0.5
 //
 // remapCost is fitted online from observed repartition+remap episodes
 // (ObserveRemap), bootstrapped by the initial partition. floor is the
@@ -32,23 +32,17 @@ import (
 // actually paid since the last remap would have bought a repartition.
 // When skew grows at rate r this self-times remaps to the optimal period
 // sqrt(2*remapCost/r) without knowing r, and re-times them as r changes —
-// the edge an online policy has over the best fixed period. The Lookahead
+// the edge an online policy has over the best fixed period. The lookahead
 // projection is the forward guard: however large the accumulated debt, a
 // remap must still be projected to pay for itself over the window, which
 // keeps a marginal gain inside the hysteresis band from ever triggering.
-// Hysteresis > 1 and the cooldown bound the frequency, so the controller
+// hysteresis > 1 and the cooldown bound the frequency, so the controller
 // never thrashes when gain hovers near the break-even point.
+//
+// The four tuning values are constants: the rule times its remaps from the
+// observed costs (the fitted remapCost, the floor and the debt), so no
+// caller has a reason to tune them. The zero Policy is ready to use.
 type Policy struct {
-	// Lookahead is the window, in steps, over which a remap's balance
-	// improvement is assumed to persist.
-	Lookahead int
-	// Hysteresis scales the fitted remap cost in the decision rule; the
-	// modeled payoff must exceed remapCost*Hysteresis.
-	Hysteresis float64
-	// Cooldown is the minimum number of steps between remaps.
-	Cooldown int
-	// EWMAAlpha smooths the per-step gain signal.
-	EWMAAlpha float64
 	// Verify cross-checks every decision (and the state feeding it)
 	// across ranks with an extra pair of reductions, panicking on
 	// divergence. Test instrumentation; off by default.
@@ -73,10 +67,19 @@ type Policy struct {
 	Decisions []int
 }
 
-// NewPolicy returns a Policy with default tuning.
-func NewPolicy() *Policy {
-	return &Policy{Lookahead: 12, Hysteresis: 1.2, Cooldown: 3, EWMAAlpha: 0.5}
-}
+// The policy's tuning (see Policy).
+const (
+	// lookahead is the window, in steps, over which a remap's balance
+	// improvement is assumed to persist.
+	lookahead = 12
+	// hysteresis scales the fitted remap cost in the decision rule; the
+	// projected payoff must exceed remapCost*hysteresis.
+	hysteresis = 1.2
+	// cooldown is the minimum number of steps between remaps.
+	cooldown = 3
+	// ewmaAlpha smooths the per-step gain signal and the floor's increases.
+	ewmaAlpha = 0.5
+)
 
 // Step observes one time step and returns whether to remap now. Collective:
 // every rank must call it once per step with its own local cost, and every
@@ -138,14 +141,14 @@ func (pol *Policy) decide(red []float64) bool {
 		case gain < pol.floor:
 			pol.floor = gain
 		default:
-			pol.floor += float64(pol.EWMAAlpha * (gain - pol.floor))
+			pol.floor += float64(ewmaAlpha * (gain - pol.floor))
 		}
 		pol.awaitFloor = false
 	}
 	if !pol.haveGain {
 		pol.gain, pol.haveGain = gain, true
 	} else {
-		pol.gain += float64(pol.EWMAAlpha * (gain - pol.gain))
+		pol.gain += float64(ewmaAlpha * (gain - pol.gain))
 	}
 	// Debt accrues from the raw per-step gain: the EWMA's smoothing lag
 	// would systematically under-count a growing skew ramp.
@@ -153,7 +156,7 @@ func (pol *Policy) decide(red []float64) bool {
 		pol.debt += excess
 	}
 	recoverable := pol.gain - pol.floor
-	if pol.since < pol.Cooldown || recoverable <= 0 {
+	if pol.since < cooldown || recoverable <= 0 {
 		return false
 	}
 	// The hysteresis margin guards the noisy projection. The debt bar sits
@@ -161,7 +164,7 @@ func (pol *Policy) decide(red []float64) bool {
 	// clearing the margin the skew is confirmed growing, so the debt only
 	// needs to rule out a transient — waiting for the full break-even
 	// knowingly burns another remap's worth of imbalance first.
-	return recoverable*float64(pol.Lookahead) > pol.remapCost*pol.Hysteresis &&
+	return recoverable*lookahead > pol.remapCost*hysteresis &&
 		pol.debt > 0.5*pol.remapCost
 }
 

@@ -18,7 +18,7 @@ func TestPolicyTriggersOnSustainedSkew(t *testing.T) {
 	const steps = 20
 	decs := make([][]int, nprocs)
 	comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
-		pol := NewPolicy()
+		pol := &Policy{}
 		pol.Verify = true
 		pol.ObserveRemap(p, 2e-3)
 		sinceRemap := 1 << 30 // skewed from the start
@@ -48,27 +48,26 @@ func TestPolicyTriggersOnSustainedSkew(t *testing.T) {
 			}
 		}
 	}
-	// Cooldown must hold between consecutive remaps.
-	pol := NewPolicy()
+	// The cooldown must hold between consecutive remaps.
 	for i := 1; i < len(decs[0]); i++ {
-		if decs[0][i]-decs[0][i-1] < pol.Cooldown {
-			t.Errorf("remaps at steps %d and %d violate cooldown %d", decs[0][i-1], decs[0][i], pol.Cooldown)
+		if decs[0][i]-decs[0][i-1] < cooldown {
+			t.Errorf("remaps at steps %d and %d violate cooldown %d", decs[0][i-1], decs[0][i], cooldown)
 		}
 	}
 }
 
 // TestPolicyHysteresisBlocksMarginalGain: when the modeled payoff sits
-// between the raw remap cost and cost*Hysteresis, the policy holds off —
+// between the raw remap cost and cost*hysteresis, the policy holds off —
 // the anti-thrash margin.
 func TestPolicyHysteresisBlocksMarginalGain(t *testing.T) {
 	comm.Run(2, costmodel.IPSC860(), func(p *comm.Proc) {
-		pol := NewPolicy()
+		pol := &Policy{}
 		pol.Verify = true
-		pol.ObserveRemap(p, 10e-3) // payoff must beat 15e-3 (Hysteresis 1.5)
+		pol.ObserveRemap(p, 10e-3) // payoff must beat 12e-3 (hysteresis 1.2)
 		for s := 0; s < 10; s++ {
 			cost := 1e-3
 			if p.Rank() == 0 {
-				cost = 3e-3 // gain 1e-3/step, payoff 12e-3: above cost, below margin
+				cost = 3e-3 // gain 1e-3/step, payoff 12e-3: above the cost, not above the margin
 			}
 			if pol.Step(p, cost) {
 				t.Errorf("step %d: marginal gain remapped inside the hysteresis band", s+1)
@@ -85,7 +84,7 @@ func TestPolicyAgreesUnderSkewedLocalClocks(t *testing.T) {
 	const nprocs = 4
 	decs := make([][]int, nprocs)
 	comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
-		pol := NewPolicy()
+		pol := &Policy{}
 		pol.Verify = true
 		pol.ObserveRemap(p, 1e-3)
 		for s := 0; s < 8; s++ {
@@ -115,7 +114,7 @@ func TestPolicyAgreesUnderSkewedLocalClocks(t *testing.T) {
 // and the policy stops paying for remaps that cannot help.
 func TestPolicyResidualFloorBlocksUnfixableSkew(t *testing.T) {
 	comm.Run(2, costmodel.IPSC860(), func(p *comm.Proc) {
-		pol := NewPolicy()
+		pol := &Policy{}
 		pol.Verify = true
 		pol.ObserveRemap(p, 2e-3)
 		remaps := 0
@@ -138,10 +137,13 @@ func TestPolicyResidualFloorBlocksUnfixableSkew(t *testing.T) {
 	})
 }
 
-// TestPolicyVerifyCatchesDivergence seeds a genuine divergence (ranks run
-// different tunings, which a correct deployment never does) and asserts
-// the Verify fingerprint reduction panics instead of letting ranks
-// silently desynchronize their remap schedules.
+// TestPolicyVerifyCatchesDivergence seeds a genuine divergence (ranks
+// count different steps since the last remap, which a correct deployment
+// never does) and asserts the Verify fingerprint reduction panics instead
+// of letting ranks silently desynchronize their remap schedules. The step
+// count is not in the fingerprint, so gain, floor, debt and remapCost agree
+// on every rank. The run stops at the step the decisions split, before rank
+// 0's remap resets its state, so only the decision slot can catch it.
 func TestPolicyVerifyCatchesDivergence(t *testing.T) {
 	defer func() {
 		r := recover()
@@ -153,11 +155,13 @@ func TestPolicyVerifyCatchesDivergence(t *testing.T) {
 		}
 	}()
 	comm.Run(2, costmodel.IPSC860(), func(p *comm.Proc) {
-		pol := NewPolicy()
+		pol := &Policy{}
 		pol.Verify = true
-		pol.Hysteresis += float64(p.Rank()) * 10 // rank-dependent tuning: decisions split
 		pol.ObserveRemap(p, 2e-3)
-		for s := 0; s < 10; s++ {
+		// Rank 1 stays inside the cooldown: rank 0 remaps at step 3, rank 1
+		// does not.
+		pol.since = -100 * p.Rank()
+		for s := 0; s < 3; s++ {
 			cost := 1e-3
 			if p.Rank() == 0 {
 				cost = 4e-3
@@ -181,7 +185,7 @@ func panicString(r interface{}) string {
 // smooths across episodes.
 func TestPolicyRemapCostFit(t *testing.T) {
 	comm.Run(3, costmodel.IPSC860(), func(p *comm.Proc) {
-		pol := NewPolicy()
+		pol := &Policy{}
 		pol.ObserveRemap(p, float64(p.Rank()+1)*1e-3)
 		if got := pol.RemapCost(); got != 3e-3 {
 			t.Errorf("rank %d: first fit %g, want max 3e-3", p.Rank(), got)
@@ -199,8 +203,8 @@ func TestPolicyStepAllocs(t *testing.T) {
 	const nprocs = 4
 	got := make([]float64, nprocs)
 	comm.Run(nprocs, costmodel.Uniform(1e-9), func(p *comm.Proc) {
-		pol := NewPolicy()
-		pol.Cooldown = 1 << 30 // decisions off: isolate the steady-state path
+		pol := &Policy{}
+		pol.since = -1 << 30 // inside the cooldown: decisions off, isolating the steady-state path
 		pol.ObserveRemap(p, 1e-3)
 		body := func() { pol.Step(p, float64(p.Rank())*1e-3) }
 		for i := 0; i < 5; i++ {

@@ -39,7 +39,7 @@ func NewTrigger(selector string, verify bool) (*Trigger, error) {
 	switch selector {
 	case "", "static":
 	case "policy":
-		t.pol = NewPolicy()
+		t.pol = &Policy{}
 		t.pol.Verify = verify
 	default:
 		n, err := strconv.Atoi(selector)

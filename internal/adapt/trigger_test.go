@@ -112,7 +112,7 @@ func TestTriggerPolicyMatchesHandDrivenPolicy(t *testing.T) {
 	})
 	byHand := make([]outcome, nprocs)
 	comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
-		pol := NewPolicy()
+		pol := &Policy{}
 		pol.Verify = true
 		t0 := p.Clock()
 		scriptedEpisode(p)

@@ -70,22 +70,6 @@ func dashes(widths []int) []string {
 	return out
 }
 
-// Markdown renders the table as a GitHub-flavoured markdown table.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "### %s — %s\n\n", t.ID, t.Title)
-	b.WriteString("| " + strings.Join(t.Columns, " | ") + " |\n")
-	b.WriteString("|" + strings.Repeat(" --- |", len(t.Columns)) + "\n")
-	for _, row := range t.Rows {
-		b.WriteString("| " + strings.Join(row, " | ") + " |\n")
-	}
-	b.WriteByte('\n')
-	for _, n := range t.Notes {
-		fmt.Fprintf(&b, "*Note: %s*\n\n", n)
-	}
-	return b.String()
-}
-
 // Scale sizes the experiments. Full approximates the paper's problem and
 // machine sizes; Quick shrinks everything for tests and CI benchmarks.
 type Scale struct {
@@ -114,23 +98,23 @@ type Scale struct {
 	AdaptMols  int
 	AdaptSteps int
 
-	machineModel *costmodel.Machine
 	// Transport, when non-nil, supplies the transport every experiment runs
 	// over (e.g. a TCP mesh, or a fault-injected wrapper for testing the
 	// tables under wire misbehaviour). Nil means the in-memory transport.
 	Transport func(n int) (comm.Transport, error)
 }
 
-// run executes body as an n-rank program over the scale's transport.
+// run executes body as an n-rank program on the iPSC/860 cost model, every
+// table's machine, over the scale's transport.
 func (sc Scale) run(n int, body func(p *comm.Proc)) *comm.Report {
 	if sc.Transport == nil {
-		return comm.Run(n, sc.machineModel, body)
+		return comm.Run(n, costmodel.IPSC860(), body)
 	}
 	tr, err := sc.Transport(n)
 	if err != nil {
 		panic(fmt.Sprintf("bench: transport factory for %d ranks: %v", n, err))
 	}
-	return comm.RunTransport(n, sc.machineModel, tr, body)
+	return comm.RunTransport(n, costmodel.IPSC860(), tr, body)
 }
 
 // Full returns the paper-sized scale: 14026 atoms, up to 128 processors,
@@ -156,7 +140,6 @@ func Full() Scale {
 		AdaptProcs:   16,
 		AdaptMols:    18000,
 		AdaptSteps:   200,
-		machineModel: costmodel.IPSC860(),
 	}
 }
 
@@ -182,12 +165,8 @@ func Quick() Scale {
 		AdaptProcs:   8,
 		AdaptMols:    2400,
 		AdaptSteps:   96,
-		machineModel: costmodel.IPSC860(),
 	}
 }
-
-// Machine returns the cost model in use.
-func (sc Scale) Machine() *costmodel.Machine { return sc.machineModel }
 
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
@@ -214,18 +193,17 @@ var charmmRuns = struct {
 type charmmKey struct {
 	cfg charmm.Config
 	n   int
-	m   costmodel.Machine
 }
 
 // runCharmm runs parallel CHARMM on n processors and returns the comm
-// report, once per configuration, processor count and machine over the
+// report, once per configuration and processor count over the
 // in-memory transport; a scale with its own transport runs every time.
 func (sc Scale) runCharmm(n int, cfg charmm.Config) *comm.Report {
 	body := func(p *comm.Proc) { charmm.Run(p, cfg) }
 	if sc.Transport != nil {
 		return sc.run(n, body)
 	}
-	key := charmmKey{cfg, n, *sc.machineModel}
+	key := charmmKey{cfg, n}
 	charmmRuns.Lock()
 	defer charmmRuns.Unlock()
 	rep, ok := charmmRuns.reps[key]

@@ -129,10 +129,6 @@ func TestRenderFormats(t *testing.T) {
 	if !strings.Contains(text, "Table X") || !strings.Contains(text, "hello") {
 		t.Errorf("Render output incomplete:\n%s", text)
 	}
-	md := tab.Markdown()
-	if !strings.Contains(md, "| a | b |") || !strings.Contains(md, "*Note: hello*") {
-		t.Errorf("Markdown output incomplete:\n%s", md)
-	}
 }
 
 // TestTables1to3ShareRuns counts the CHARMM runs of one quick Tables 1-3

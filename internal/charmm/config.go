@@ -55,9 +55,6 @@ type Config struct {
 	// loops (true, the paper's preferred configuration) versus separate
 	// per-loop schedules (false; the right half of Table 3).
 	Merged bool
-	// TableKind selects translation-table storage: "replicated" (default,
-	// as the paper used for CHARMM), "distributed" or "paged" (§3.1).
-	TableKind string
 	checkpoint.Recovery
 }
 

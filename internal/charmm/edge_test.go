@@ -76,36 +76,6 @@ func TestKernelWithoutRemaps(t *testing.T) {
 	}
 }
 
-func TestTranslationTableKinds(t *testing.T) {
-	// The whole application must work with all three translation-table
-	// storage modes of §3.1 and produce identical physics.
-	cfg := DefaultConfig().scaled(300)
-	cfg.Steps = 4
-	cfg.NBEvery = 2
-	_, want := Reference(cfg)
-	for _, kind := range []string{"replicated", "distributed", "paged"} {
-		cfg := cfg
-		cfg.TableKind = kind
-		results, _ := runAll(3, cfg, Run)
-		if math.Abs(results[0].Checksum-want) > 1e-9*math.Abs(want) {
-			t.Errorf("kind=%s checksum %v, want %v", kind, results[0].Checksum, want)
-		}
-	}
-}
-
-func TestUnknownTableKindPanics(t *testing.T) {
-	comm.Run(1, costmodel.IPSC860(), func(p *comm.Proc) {
-		defer func() {
-			if recover() == nil {
-				t.Error("unknown table kind did not panic")
-			}
-		}()
-		cfg := DefaultConfig().scaled(10)
-		cfg.TableKind = "holographic"
-		Run(p, cfg)
-	})
-}
-
 func TestCompiledAppNearHandPerformance(t *testing.T) {
 	cfg := DefaultConfig().scaled(1200)
 	cfg.Steps = 8

@@ -110,17 +110,7 @@ func RunKeepState(p *comm.Proc, cfg Config) (*ProcResult, *FinalState) {
 
 func run(p *comm.Proc, cfg Config) (*ProcResult, *simState) {
 	trig := cfg.mustTrigger(false)
-	rt := core.NewRuntime(p)
-	switch cfg.TableKind {
-	case "", "replicated":
-		rt.TableKind = ttable.Replicated
-	case "distributed":
-		rt.TableKind = ttable.Distributed
-	case "paged":
-		rt.TableKind = ttable.Paged
-	default:
-		panic("charmm: unknown TableKind " + cfg.TableKind)
-	}
+	rt := core.NewRuntime(p) // the replicated translation table, as the paper's CHARMM (§3.1)
 
 	var s *simState
 	startStep, remapCount := 0, 0

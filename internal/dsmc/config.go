@@ -82,18 +82,15 @@ type Config struct {
 	AdaptVerify bool
 	// Partitioner: "block", "rcb", "rib" or "chain" (chain along x).
 	Partitioner string
-	// CollideFlops is the modeled arithmetic per molecule in the collision
-	// phase (0 selects the 2-D default). The 3-D production kernel does
-	// substantially more work per molecule (3-D cross sections, more
-	// collision candidates), which Default3D reflects.
-	CollideFlops int
 	checkpoint.Recovery
 }
 
-// collideCost returns the effective per-molecule collision flops.
+// collideCost returns the modeled arithmetic per molecule in the collision
+// phase. The 3-D production kernel does substantially more work per molecule
+// (3-D cross sections, more collision candidates) than the 2-D one.
 func (c Config) collideCost() int {
-	if c.CollideFlops > 0 {
-		return c.CollideFlops
+	if c.NZ > 1 {
+		return collideFlopsPerMol3D
 	}
 	return collideFlopsPerMol
 }
@@ -176,17 +173,17 @@ func Default3D() Config {
 		Mover:        MoverLight,
 		SlotCap:      64,
 		Partitioner:  "block",
-		CollideFlops: 1500,
 	}
 }
 
 // Modeled per-molecule work (virtual cost accounting). The collision kernel
-// constant stands in for DSMC's candidate selection, cross-section
+// constants stand in for DSMC's candidate selection, cross-section
 // evaluation and acceptance tests, which dominate per-molecule cost in the
-// production code.
+// production code; collideCost picks the 2-D or the 3-D one.
 const (
-	moveFlopsPerMol    = 25
-	collideFlopsPerMol = 350
-	collideMemPerMol   = 30
-	recordWidth        = 7 // id, x, y, z, vx, vy, vz
+	moveFlopsPerMol      = 25
+	collideFlopsPerMol   = 350
+	collideFlopsPerMol3D = 1500
+	collideMemPerMol     = 30
+	recordWidth          = 7 // id, x, y, z, vx, vy, vz
 )

@@ -260,22 +260,28 @@ func TestCompilerMoverWithRemapping(t *testing.T) {
 	}
 }
 
-func TestCollideCostKnob(t *testing.T) {
-	cfg := smallConfig()
-	base := cfg.collideCost()
-	cfg.CollideFlops = 2 * base
-	if cfg.collideCost() != 2*base {
-		t.Errorf("collideCost = %d, want %d", cfg.collideCost(), 2*base)
-	}
-	// Doubling the knob must increase modeled compute.
-	run := func(c Config) float64 {
-		_, rep := runAll(2, c)
-		return rep.MeanComputeTime()
-	}
-	small := smallConfig()
-	big := smallConfig()
-	big.CollideFlops = 4 * base
-	if run(big) <= run(small) {
-		t.Error("raising CollideFlops did not increase modeled compute time")
+// TestCollideCostFollowsGeometry: the collision phase charges 1500 flops per
+// molecule in 3-D and 350 in 2-D, read off NZ whatever preset the
+// configuration started from.
+func TestCollideCostFollowsGeometry(t *testing.T) {
+	flat3D := Default3D()
+	flat3D.NZ = 1
+	deep2D := Default2D(12)
+	deep2D.NZ = 2
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want int
+	}{
+		{"Default2D", Default2D(12), 350},
+		{"smallConfig", smallConfig(), 350},
+		{"Default3D", Default3D(), 1500},
+		{"small3D", small3D(), 1500},
+		{"Default3D with NZ 1", flat3D, 350},
+		{"Default2D with NZ 2", deep2D, 1500},
+	} {
+		if got := c.cfg.collideCost(); got != c.want {
+			t.Errorf("%s (NZ %d): %d collision flops per molecule, want %d", c.name, c.cfg.NZ, got, c.want)
+		}
 	}
 }
