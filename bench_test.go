@@ -1,8 +1,7 @@
-// Top-level benchmark harness: one testing.B benchmark per table of the
-// paper's evaluation section (regenerating the table at the quick scale and
-// reporting the headline modeled metric), plus ablation benchmarks for the
-// design choices DESIGN.md calls out (hash-table reuse, duplicate removal,
-// translation-table storage, communication vectorization).
+// Top-level benchmark harness: ablation benchmarks for the design choices
+// DESIGN.md calls out (hash-table reuse, duplicate removal, translation-table
+// storage, communication vectorization). The per-table benchmarks, one per
+// table of the paper's evaluation section, are in internal/bench.
 //
 // Full-scale tables (paper-sized processor counts and problem sizes) are
 // produced by `go run ./cmd/tables`.
@@ -10,61 +9,14 @@ package repro_test
 
 import (
 	"math/rand"
-	"strconv"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/comm"
 	"repro/internal/costmodel"
 	"repro/internal/hashtab"
 	"repro/internal/schedule"
 	"repro/internal/ttable"
 )
-
-// benchTable runs one table generator per iteration and reports the first
-// numeric cell of the given row/column as "vsec" (modeled seconds).
-func benchTable(b *testing.B, gen func(bench.Scale) *bench.Table, row, col int) {
-	b.Helper()
-	sc := bench.Quick()
-	var last float64
-	for i := 0; i < b.N; i++ {
-		t := gen(sc)
-		v, err := strconv.ParseFloat(t.Rows[row][col], 64)
-		if err != nil {
-			b.Fatalf("cell (%d,%d) of %s not numeric: %q", row, col, t.ID, t.Rows[row][col])
-		}
-		last = v
-	}
-	b.ReportMetric(last, "vsec")
-}
-
-func BenchmarkTable1CharmmScaling(b *testing.B) {
-	benchTable(b, bench.Table1, 0, 1) // execution time on 1 proc
-}
-
-func BenchmarkTable2CharmmPreprocessing(b *testing.B) {
-	benchTable(b, bench.Table2, 4, 1) // schedule regeneration, smallest P
-}
-
-func BenchmarkTable3ScheduleMerging(b *testing.B) {
-	benchTable(b, bench.Table3, 0, 1) // merged comm time, smallest P
-}
-
-func BenchmarkTable4LightweightSchedules(b *testing.B) {
-	benchTable(b, bench.Table4, 1, 2) // light-weight execution, smallest P
-}
-
-func BenchmarkTable5RemappingPolicies(b *testing.B) {
-	benchTable(b, bench.Table5, 2, 1) // chain partition, smallest P
-}
-
-func BenchmarkTable6CompilerCharmm(b *testing.B) {
-	benchTable(b, bench.Table6, 0, 6) // hand-coded total, smallest P
-}
-
-func BenchmarkTable7CompilerDsmc(b *testing.B) {
-	benchTable(b, bench.Table7, 0, 2) // compiler reduce-append, smallest P
-}
 
 // buildBlockTable builds a replicated BLOCK translation table for n
 // elements.
@@ -124,7 +76,7 @@ func BenchmarkAblationHashReuse(b *testing.B) {
 
 // BenchmarkAblationDuplicateRemoval contrasts software caching (duplicate
 // removal through the hash table) against fetching every reference
-// separately (schedule.FromTranslated keeps duplicates).
+// separately (schedule.FromTranslatedInto keeps duplicates).
 func BenchmarkAblationDuplicateRemoval(b *testing.B) {
 	const n = 4000
 	const nprocs = 4
@@ -153,7 +105,7 @@ func BenchmarkAblationDuplicateRemoval(b *testing.B) {
 				owners[k] = e.Owner
 				offsets[k] = e.Offset
 			}
-			sched, _ := schedule.FromTranslated(p, tt.NLocal(p.Rank()), owners, offsets)
+			sched, _ := schedule.FromTranslatedInto(nil, nil, p, tt.NLocal(p.Rank()), owners, offsets)
 			data := make([]float64, sched.MinLen())
 			schedule.Gather(p, sched, data)
 		})
@@ -170,7 +122,7 @@ func BenchmarkAblationDuplicateRemoval(b *testing.B) {
 // BenchmarkAblationTranslationTable compares dereference cost across the
 // three storage modes of §3.1.
 func BenchmarkAblationTranslationTable(b *testing.B) {
-	const n = 3 * ttable.DefaultPageSize * 4
+	const n = 3 * 1024 * 4 // three of the paged table's 1024-entry pages per rank
 	const nprocs = 4
 	rng := rand.New(rand.NewSource(3))
 	refs := make([]int32, 5000)
@@ -212,6 +164,16 @@ func BenchmarkAblationVectorization(b *testing.B) {
 	for i := range refs {
 		refs[i] = int32(rng.Intn(n))
 	}
+	// Every rank references the same refs, so each rank sends every other
+	// rank one element per distinct reference it owns.
+	owned := make([]int, nprocs)
+	seen := make([]bool, n)
+	for _, g := range refs {
+		if !seen[g] {
+			seen[g] = true
+			owned[int(g)*nprocs/n]++
+		}
+	}
 	var vec, scalar float64
 	for i := 0; i < b.N; i++ {
 		repVec := comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
@@ -231,15 +193,16 @@ func BenchmarkAblationVectorization(b *testing.B) {
 			sched := schedule.Build(p, ht, s, 0)
 			// One message per element: send each off-processor value
 			// separately (same data, no aggregation).
-			for dst := 0; dst < p.Size(); dst++ {
+			_ = sched
+			for dst := 1; dst < p.Size(); dst++ {
 				k := (p.Rank() + dst) % p.Size()
-				for range make([]struct{}, sched.SendSize(k)) {
+				for range owned[p.Rank()] {
 					p.SendF64(k, 99, []float64{1})
 				}
 			}
-			for src := 0; src < p.Size(); src++ {
+			for src := 1; src < p.Size(); src++ {
 				k := (p.Rank() - src + p.Size()) % p.Size()
-				for range make([]struct{}, sched.FetchSize(k)) {
+				for range owned[k] {
 					p.RecvF64(k, 99, nil)
 				}
 			}

@@ -11,6 +11,8 @@ import (
 
 	"repro/internal/charmm"
 	"repro/internal/checkpoint"
+	"repro/internal/comm"
+	"repro/internal/costmodel"
 )
 
 // refusal is a command line the command must refuse, and a substring of the
@@ -25,15 +27,9 @@ type refusal struct {
 // refused before any rank starts — exit status 2, one "charmm:" line saying
 // why and the usage on stderr, nothing on stdout, and no goroutine dump.
 func TestBadInputExitsWithOneLine(t *testing.T) {
-	foreign := t.TempDir() // a checkpoint dsmc wrote
-	if err := checkpoint.WriteManifest(foreign, &checkpoint.Manifest{App: "dsmc", NRanks: 1, ShardCRCs: []uint32{0}}); err != nil {
-		t.Fatal(err)
-	}
-	small := t.TempDir() // a checkpoint of 300 atoms
-	if err := checkpoint.WriteManifest(small, &checkpoint.Manifest{App: "charmm", NRanks: 1, N: 300, ShardCRCs: []uint32{0}}); err != nil {
-		t.Fatal(err)
-	}
-	unmade := filepath.Join(t.TempDir(), "D") // a -ckpt-dir no run may create
+	foreign := sealedCheckpoint(t.TempDir(), "dsmc", 0)   // a checkpoint dsmc wrote
+	small := sealedCheckpoint(t.TempDir(), "charmm", 300) // a checkpoint of 300 atoms
+	unmade := filepath.Join(t.TempDir(), "D")             // a -ckpt-dir no run may create
 	rows := []refusal{
 		{[]string{"-resume", foreign}, `was written by "dsmc"`},
 		{[]string{"-atoms", "450", "-resume", small}, "holds 300 elements, want 450"},
@@ -144,4 +140,14 @@ func TestStdoutGolden(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sealedCheckpoint writes an empty one-rank checkpoint of app over n
+// elements under base and returns its directory.
+func sealedCheckpoint(base, app string, n int64) string {
+	var dir string
+	comm.Run(1, costmodel.IPSC860(), func(p *comm.Proc) {
+		dir = checkpoint.Save(p, base, app, n, 1, checkpoint.NewSnapshot())
+	})
+	return dir
 }

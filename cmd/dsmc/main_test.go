@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/comm"
+	"repro/internal/costmodel"
 )
 
 // TestBadInputExitsWithOneLine: input the run cannot honour — among it a
@@ -17,15 +19,9 @@ import (
 // refused before any rank starts — exit status 2, one "dsmc:" line and the usage on
 // stderr, nothing on stdout, and no goroutine dump.
 func TestBadInputExitsWithOneLine(t *testing.T) {
-	foreign := t.TempDir() // a checkpoint charmm wrote
-	if err := checkpoint.WriteManifest(foreign, &checkpoint.Manifest{App: "charmm", NRanks: 1, ShardCRCs: []uint32{0}}); err != nil {
-		t.Fatal(err)
-	}
-	small := t.TempDir() // a checkpoint of a 12×12 grid
-	if err := checkpoint.WriteManifest(small, &checkpoint.Manifest{App: "dsmc", NRanks: 1, N: 144, ShardCRCs: []uint32{0}}); err != nil {
-		t.Fatal(err)
-	}
-	unmade := filepath.Join(t.TempDir(), "D") // a -ckpt-dir no run may create
+	foreign := sealedCheckpoint(t.TempDir(), "charmm", 0) // a checkpoint charmm wrote
+	small := sealedCheckpoint(t.TempDir(), "dsmc", 144)   // a checkpoint of a 12×12 grid
+	unmade := filepath.Join(t.TempDir(), "D")             // a -ckpt-dir no run may create
 	rows := []refusal{
 		{[]string{"-resume", foreign}, `was written by "charmm"`},
 		{[]string{"-nx", "24", "-ny", "24", "-resume", small}, "holds 144 elements, want 576"},
@@ -136,4 +132,14 @@ func TestStdoutGolden(t *testing.T) {
 			t.Errorf("%s: stdout differs from testdata/%s.golden:\n%s", name, name, got)
 		}
 	}
+}
+
+// sealedCheckpoint writes an empty one-rank checkpoint of app over n
+// elements under base and returns its directory.
+func sealedCheckpoint(base, app string, n int64) string {
+	var dir string
+	comm.Run(1, costmodel.IPSC860(), func(p *comm.Proc) {
+		dir = checkpoint.Save(p, base, app, n, 1, checkpoint.NewSnapshot())
+	})
+	return dir
 }

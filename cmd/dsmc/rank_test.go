@@ -11,8 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/checkpoint"
 )
 
 // sized is the multi-process reference run: 600 molecules on a 24×24 grid
@@ -139,7 +137,7 @@ func TestRankKillResumesElastic(t *testing.T) {
 			t.Errorf("killed run, rank %d: exit %d, want 3 and %q; stderr:\n%s", r, k.code, want, k.stderr)
 		}
 	}
-	if _, err := checkpoint.Open(filepath.Join(dir, "ckpt-00000002")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "ckpt-00000002", "MANIFEST.ckpt")); err != nil {
 		t.Fatalf("ckpt-00000002 is not sealed: %v", err)
 	}
 
@@ -158,14 +156,7 @@ func TestRankKillResumesElastic(t *testing.T) {
 func TestRankRefusesBadResume(t *testing.T) {
 	dir := t.TempDir()
 	manifest := func(name, app string, n int64) string {
-		d := filepath.Join(dir, name)
-		if err := os.Mkdir(d, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := checkpoint.WriteManifest(d, &checkpoint.Manifest{App: app, NRanks: 1, N: n, ShardCRCs: []uint32{0}}); err != nil {
-			t.Fatal(err)
-		}
-		return d
+		return sealedCheckpoint(filepath.Join(dir, name), app, n)
 	}
 	rank := []string{"-rank", "0", "-addrs", reserveAddrs(t, 2), "-timeout", "1s", "-nx", "24", "-ny", "24", "-steps", "4"}
 	for _, r := range []refusal{

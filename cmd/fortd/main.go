@@ -105,6 +105,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *vet {
 		diags := prog.Vet()
 		if *jsonOut {
+			if diags == nil {
+				diags = []fortd.Diag{} // no findings encode as [], not null
+			}
 			enc := json.NewEncoder(stdout)
 			enc.SetIndent("", "  ")
 			if err := enc.Encode(diags); err != nil {

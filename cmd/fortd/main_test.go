@@ -78,7 +78,8 @@ func TestCompileErrorExits1(t *testing.T) {
 // TestStdoutGolden: every shipped example prints byte for byte what the
 // binary printed before the middle end was collapsed to one statement tree
 // (testdata/*.golden were written by that binary; only the host-clock
-// "(wall …)" field is masked): -O0 and -O runs with redistribution, and -vet.
+// "(wall …)" field is masked): -O0 and -O runs with redistribution, and -vet;
+// and -vet -json of a program without findings prints [].
 func TestStdoutGolden(t *testing.T) {
 	wall := regexp.MustCompile(`\(wall [^)]*\)`)
 	files, err := filepath.Glob("../../examples/fortd/*.fd")
@@ -106,5 +107,10 @@ func TestStdoutGolden(t *testing.T) {
 				t.Errorf("%s: stdout differs from %s:\n%s", name, golden, got)
 			}
 		}
+	}
+	// A program without findings: -vet -json prints an empty array.
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-vet", "-json", "../../examples/fortd/charmm_loop.fd"}, &stdout, &stderr); code != 0 || stdout.String() != "[]\n" {
+		t.Errorf("-vet -json charmm_loop.fd: exit %d, stdout %q, want 0 and %q; stderr:\n%s", code, stdout.String(), "[]\n", stderr.String())
 	}
 }

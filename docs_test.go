@@ -11,8 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"repro/internal/bench"
 )
 
 // TestDocsCiteExistingTests: every Test…, Fuzz… and Benchmark… name that
@@ -70,13 +68,19 @@ func TestDocsCiteExistingTests(t *testing.T) {
 // (the document words its labels its own way), and every other cell must be
 // a number within half a unit of the document's last printed digit.
 func TestExperimentsMatchFullScaleGolden(t *testing.T) {
-	golden := map[string][]bench.RowRecord{}
+	// One line of the golden, as internal/bench writes it.
+	type rowRecord struct {
+		Table   string            `json:"table"`
+		Columns []string          `json:"columns"`
+		Cells   map[string]string `json:"cells"`
+	}
+	golden := map[string][]rowRecord{}
 	data, err := os.ReadFile(filepath.Join("internal", "bench", "testdata", "tables_full.ndjson"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		var r bench.RowRecord
+		var r rowRecord
 		if err := json.Unmarshal([]byte(line), &r); err != nil {
 			t.Fatal(err)
 		}

@@ -44,13 +44,13 @@ type Steal struct {
 // belongs to one loop on one rank; its collective Plan call gives every
 // rank the identical steal plan.
 type Controller struct {
-	// TargetChunks is how many chunks the sizer aims to cut one rank's
+	// targetChunks is how many chunks the sizer aims to cut one rank's
 	// mean workload into: finer chunks steal better, coarser chunks
 	// observe better.
-	TargetChunks int
-	// MinChunkUnits floors the chunk size in loop units (pairs or
+	targetChunks int
+	// minChunkUnits floors the chunk size in loop units (pairs or
 	// iterations) so observation noise cannot shatter tiny loops.
-	MinChunkUnits int
+	minChunkUnits int
 
 	ewmaAlpha   float64
 	costPerUnit float64 // local EWMA of observed per-unit cost
@@ -84,7 +84,7 @@ const (
 
 // NewController returns a Controller with default tuning.
 func NewController() *Controller {
-	return &Controller{TargetChunks: 8, MinChunkUnits: 16, ewmaAlpha: 0.4}
+	return &Controller{targetChunks: 8, minChunkUnits: 16, ewmaAlpha: 0.4}
 }
 
 // Configure installs the steal-overhead model for the loop this controller
@@ -113,7 +113,7 @@ func (c *Controller) ChunkUnits(nUnits int) int {
 	if nUnits <= 0 {
 		return 1
 	}
-	tgt := c.TargetChunks
+	tgt := c.targetChunks
 	if tgt < 1 {
 		tgt = 1
 	}
@@ -121,8 +121,8 @@ func (c *Controller) ChunkUnits(nUnits int) int {
 	if c.globalMean > 0 && c.costPerUnit > 0 {
 		u = int(c.globalMean/float64(tgt)/c.costPerUnit + 0.5)
 	}
-	if u < c.MinChunkUnits {
-		u = c.MinChunkUnits
+	if u < c.minChunkUnits {
+		u = c.minChunkUnits
 	}
 	if u > nUnits {
 		u = nUnits
@@ -222,10 +222,6 @@ func (c *Controller) Sends() []Steal { return c.sends }
 // Work returns the steals this rank executes for donors, ascending by
 // (donor, chunk). Valid until the next Plan.
 func (c *Controller) Work() []Steal { return c.work }
-
-// Steals returns the full global plan (for tests and reports). Valid until
-// the next Plan.
-func (c *Controller) Steals() []Steal { return c.plan }
 
 // planFromObs runs the greedy makespan-descent planner over the reduced
 // observation vector. Pure: every rank reaches the identical plan because

@@ -25,7 +25,7 @@ func planOn(nprocs, chunks int, heavy float64, stealable int) [][]Steal {
 			units[i] = 40
 		}
 		ctl.Plan(p, cost, units, stealable)
-		plans[p.Rank()] = append([]Steal(nil), ctl.Steals()...)
+		plans[p.Rank()] = append([]Steal(nil), ctl.plan...)
 	})
 	return plans
 }
@@ -137,7 +137,7 @@ func TestPlanPaysForOverhead(t *testing.T) {
 			cost[0], cost[1] = 2e-3, 2e-3
 		}
 		ctl.Plan(p, cost, units, 2)
-		plans[p.Rank()] = append([]Steal(nil), ctl.Steals()...)
+		plans[p.Rank()] = append([]Steal(nil), ctl.plan...)
 	})
 	if len(plans[0]) != 0 {
 		t.Errorf("planner stole despite prohibitive modeled overhead: %+v", plans[0])
@@ -153,8 +153,8 @@ func TestChunkUnitsBounds(t *testing.T) {
 	if got := ctl.ChunkUnits(5); got != 5 {
 		t.Errorf("ChunkUnits(5) = %d, want clamp to 5", got)
 	}
-	if got := ctl.ChunkUnits(10000); got < ctl.MinChunkUnits {
-		t.Errorf("ChunkUnits(10000) = %d below MinChunkUnits %d", got, ctl.MinChunkUnits)
+	if got := ctl.ChunkUnits(10000); got < ctl.minChunkUnits {
+		t.Errorf("ChunkUnits(10000) = %d below MinChunkUnits %d", got, ctl.minChunkUnits)
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"repro/internal/recycle"
 )
 
-// Policy is the online "when to remap" controller: it generalizes the
+// policy is the online "when to remap" controller: it generalizes the
 // paper's Table 7 remap-frequency sweep into a decision rule evaluated
 // every step.
 //
@@ -42,11 +42,11 @@ import (
 // The four tuning values are constants: the rule times its remaps from the
 // observed costs (the fitted remapCost, the floor and the debt), so no
 // caller has a reason to tune them. The zero Policy is ready to use.
-type Policy struct {
-	// Verify cross-checks every decision (and the state feeding it)
+type policy struct {
+	// verify cross-checks every decision (and the state feeding it)
 	// across ranks with an extra pair of reductions, panicking on
 	// divergence. Test instrumentation; off by default.
-	Verify bool
+	verify bool
 
 	remapCost  float64
 	haveCost   bool
@@ -62,9 +62,9 @@ type Policy struct {
 	obs, scratch  []float64
 	fp, fpScratch []float64
 
-	// Decisions records the 1-based step numbers at which Step returned
+	// decisions records the 1-based step numbers at which Step returned
 	// true (for tests and reports).
-	Decisions []int
+	decisions []int
 }
 
 // The policy's tuning (see Policy).
@@ -81,11 +81,11 @@ const (
 	ewmaAlpha = 0.5
 )
 
-// Step observes one time step and returns whether to remap now. Collective:
+// step observes one time step and returns whether to remap now. Collective:
 // every rank must call it once per step with its own local cost, and every
 // rank receives the identical verdict because the rule sees only the
 // AllReduce'd cost vector.
-func (pol *Policy) Step(p *comm.Proc, localCost float64) bool {
+func (pol *policy) step(p *comm.Proc, localCost float64) bool {
 	pol.steps++
 	pol.since++
 	n := p.Size()
@@ -97,7 +97,7 @@ func (pol *Policy) Step(p *comm.Proc, localCost float64) bool {
 	pol.obs[p.Rank()] = localCost
 	pol.scratch = p.AllReduceF64Into(comm.OpSum, pol.obs, pol.scratch)
 	dec := pol.decide(pol.obs)
-	if pol.Verify {
+	if pol.verify {
 		pol.verifyAgreement(p, dec)
 	}
 	if dec {
@@ -109,7 +109,7 @@ func (pol *Policy) Step(p *comm.Proc, localCost float64) bool {
 		pol.gain, pol.haveGain = 0, false
 		pol.debt = 0
 		pol.awaitFloor = true
-		pol.Decisions = append(pol.Decisions, pol.steps)
+		pol.decisions = append(pol.decisions, pol.steps)
 	}
 	return dec
 }
@@ -119,7 +119,7 @@ func (pol *Policy) Step(p *comm.Proc, localCost float64) bool {
 // values — never a local clock, stat, or message — so every rank computes
 // the identical verdict. chaosvet's adapt-decide analyzer enforces this
 // shape.
-func (pol *Policy) decide(red []float64) bool {
+func (pol *policy) decide(red []float64) bool {
 	var max, sum float64
 	for _, v := range red {
 		sum += v
@@ -168,11 +168,11 @@ func (pol *Policy) decide(red []float64) bool {
 		pol.debt > 0.5*pol.remapCost
 }
 
-// ObserveRemap fits the remap-cost estimate from an observed repartition+
+// observeRemap fits the remap-cost estimate from an observed repartition+
 // remap episode: localCost is this rank's clock advance across the episode,
 // and the fitted cost is the AllReduce'd maximum (the makespan the machine
 // paid), EWMA-smoothed across episodes. Collective.
-func (pol *Policy) ObserveRemap(p *comm.Proc, localCost float64) {
+func (pol *policy) observeRemap(p *comm.Proc, localCost float64) {
 	c := p.AllReduceScalarF64(comm.OpMax, localCost)
 	if !pol.haveCost {
 		pol.remapCost, pol.haveCost = c, true
@@ -181,18 +181,11 @@ func (pol *Policy) ObserveRemap(p *comm.Proc, localCost float64) {
 	pol.remapCost += float64(0.5 * (c - pol.remapCost))
 }
 
-// RemapCost exposes the fitted remap cost (for tests and reports).
-func (pol *Policy) RemapCost() float64 { return pol.remapCost }
-
-// Floor exposes the fitted unrecoverable-skew floor (for tests and
-// reports).
-func (pol *Policy) Floor() float64 { return pol.floor }
-
 // verifyAgreement reduces a fingerprint of the decision and the state
 // feeding it (gain, floor, debt, remapCost) with both OpMin and OpMax;
 // any cross-rank divergence makes the two disagree, and the run panics
 // instead of silently desynchronizing.
-func (pol *Policy) verifyAgreement(p *comm.Proc, dec bool) {
+func (pol *policy) verifyAgreement(p *comm.Proc, dec bool) {
 	const fpLen = 5
 	pol.fp = recycle.Sized(pol.fp, fpLen)
 	pol.fpScratch = recycle.Sized(pol.fpScratch, fpLen)

@@ -18,9 +18,9 @@ func TestPolicyTriggersOnSustainedSkew(t *testing.T) {
 	const steps = 20
 	decs := make([][]int, nprocs)
 	comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
-		pol := &Policy{}
-		pol.Verify = true
-		pol.ObserveRemap(p, 2e-3)
+		pol := &policy{}
+		pol.verify = true
+		pol.observeRemap(p, 2e-3)
 		sinceRemap := 1 << 30 // skewed from the start
 		for s := 0; s < steps; s++ {
 			cost := 1e-3
@@ -28,12 +28,12 @@ func TestPolicyTriggersOnSustainedSkew(t *testing.T) {
 				cost = 4e-3 // hot rank once the balance has decayed: gain 2.25e-3
 			}
 			sinceRemap++
-			if pol.Step(p, cost) {
-				pol.ObserveRemap(p, 2e-3)
+			if pol.step(p, cost) {
+				pol.observeRemap(p, 2e-3)
 				sinceRemap = 0 // the remap rebalances the load
 			}
 		}
-		decs[p.Rank()] = append([]int(nil), pol.Decisions...)
+		decs[p.Rank()] = append([]int(nil), pol.decisions...)
 	})
 	if len(decs[0]) < 2 {
 		t.Fatalf("sustained redeveloping skew triggered %v, want repeated remaps", decs[0])
@@ -61,15 +61,15 @@ func TestPolicyTriggersOnSustainedSkew(t *testing.T) {
 // the anti-thrash margin.
 func TestPolicyHysteresisBlocksMarginalGain(t *testing.T) {
 	comm.Run(2, costmodel.IPSC860(), func(p *comm.Proc) {
-		pol := &Policy{}
-		pol.Verify = true
-		pol.ObserveRemap(p, 10e-3) // payoff must beat 12e-3 (hysteresis 1.2)
+		pol := &policy{}
+		pol.verify = true
+		pol.observeRemap(p, 10e-3) // payoff must beat 12e-3 (hysteresis 1.2)
 		for s := 0; s < 10; s++ {
 			cost := 1e-3
 			if p.Rank() == 0 {
 				cost = 3e-3 // gain 1e-3/step, payoff 12e-3: above the cost, not above the margin
 			}
-			if pol.Step(p, cost) {
+			if pol.step(p, cost) {
 				t.Errorf("step %d: marginal gain remapped inside the hysteresis band", s+1)
 			}
 		}
@@ -84,17 +84,17 @@ func TestPolicyAgreesUnderSkewedLocalClocks(t *testing.T) {
 	const nprocs = 4
 	decs := make([][]int, nprocs)
 	comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
-		pol := &Policy{}
-		pol.Verify = true
-		pol.ObserveRemap(p, 1e-3)
+		pol := &policy{}
+		pol.verify = true
+		pol.observeRemap(p, 1e-3)
 		for s := 0; s < 8; s++ {
 			// Deliberately rank-dependent (and step-varying) local costs.
 			cost := float64(p.Rank()*p.Rank()+1) * 1e-3 * float64(s+1)
-			if pol.Step(p, cost) {
-				pol.ObserveRemap(p, 1e-3)
+			if pol.step(p, cost) {
+				pol.observeRemap(p, 1e-3)
 			}
 		}
-		decs[p.Rank()] = append([]int(nil), pol.Decisions...)
+		decs[p.Rank()] = append([]int(nil), pol.decisions...)
 	})
 	for r := 1; r < nprocs; r++ {
 		if len(decs[r]) != len(decs[0]) {
@@ -114,25 +114,25 @@ func TestPolicyAgreesUnderSkewedLocalClocks(t *testing.T) {
 // and the policy stops paying for remaps that cannot help.
 func TestPolicyResidualFloorBlocksUnfixableSkew(t *testing.T) {
 	comm.Run(2, costmodel.IPSC860(), func(p *comm.Proc) {
-		pol := &Policy{}
-		pol.Verify = true
-		pol.ObserveRemap(p, 2e-3)
+		pol := &policy{}
+		pol.verify = true
+		pol.observeRemap(p, 2e-3)
 		remaps := 0
 		for s := 0; s < 20; s++ {
 			cost := 1e-3
 			if p.Rank() == 0 {
 				cost = 5e-3 // skew survives every remap: nothing recoverable
 			}
-			if pol.Step(p, cost) {
-				pol.ObserveRemap(p, 2e-3)
+			if pol.step(p, cost) {
+				pol.observeRemap(p, 2e-3)
 				remaps++
 			}
 		}
 		if remaps > 1 {
 			t.Errorf("unfixable skew bought %d remaps, want at most the one probe", remaps)
 		}
-		if pol.Floor() <= 0 {
-			t.Errorf("residual floor %g after an ineffective remap, want positive", pol.Floor())
+		if pol.floor <= 0 {
+			t.Errorf("residual floor %g after an ineffective remap, want positive", pol.floor)
 		}
 	})
 }
@@ -155,9 +155,9 @@ func TestPolicyVerifyCatchesDivergence(t *testing.T) {
 		}
 	}()
 	comm.Run(2, costmodel.IPSC860(), func(p *comm.Proc) {
-		pol := &Policy{}
-		pol.Verify = true
-		pol.ObserveRemap(p, 2e-3)
+		pol := &policy{}
+		pol.verify = true
+		pol.observeRemap(p, 2e-3)
 		// Rank 1 stays inside the cooldown: rank 0 remaps at step 3, rank 1
 		// does not.
 		pol.since = -100 * p.Rank()
@@ -166,7 +166,7 @@ func TestPolicyVerifyCatchesDivergence(t *testing.T) {
 			if p.Rank() == 0 {
 				cost = 4e-3
 			}
-			pol.Step(p, cost)
+			pol.step(p, cost)
 		}
 	})
 }
@@ -185,16 +185,48 @@ func panicString(r interface{}) string {
 // smooths across episodes.
 func TestPolicyRemapCostFit(t *testing.T) {
 	comm.Run(3, costmodel.IPSC860(), func(p *comm.Proc) {
-		pol := &Policy{}
-		pol.ObserveRemap(p, float64(p.Rank()+1)*1e-3)
-		if got := pol.RemapCost(); got != 3e-3 {
+		pol := &policy{}
+		pol.observeRemap(p, float64(p.Rank()+1)*1e-3)
+		if got := pol.remapCost; got != 3e-3 {
 			t.Errorf("rank %d: first fit %g, want max 3e-3", p.Rank(), got)
 		}
-		pol.ObserveRemap(p, 1e-3)
-		if got := pol.RemapCost(); got != 2e-3 {
+		pol.observeRemap(p, 1e-3)
+		if got := pol.remapCost; got != 2e-3 {
 			t.Errorf("rank %d: smoothed fit %g, want 2e-3", p.Rank(), got)
 		}
 	})
+}
+
+// TestPolicyDecideByHand pins the pure rule's state after each of a
+// hand-computed sequence of reduced cost vectors on two ranks: the gain
+// (max minus mean) seeds and then smooths the gain estimate, a post-remap
+// observation seeds and then smooths the residual floor, and the debt
+// accrues the raw gain's excess over the floor. remapCost 0.5 and a spent
+// cooldown make the verdict follow the recoverable gain alone.
+func TestPolicyDecideByHand(t *testing.T) {
+	pol := &policy{remapCost: 0.5, haveCost: true, since: cooldown}
+	for i, row := range []struct {
+		afterRemap        bool
+		red               []float64
+		floor, debt, gain float64
+		remap             bool
+	}{
+		// gain 1 seeds the floor and the gain estimate: nothing recoverable.
+		{true, []float64{3, 1}, 1, 0, 1, false},
+		// gain 2 after a remap: the floor smooths up to 1.5 and so does the
+		// gain estimate; the excess 0.5 is debt, and nothing is recoverable.
+		{true, []float64{5, 1}, 1.5, 0.5, 1.5, false},
+		// gain 3: the estimate smooths to 2.25, 0.75 over the floor, and the
+		// excess 1.5 brings the debt to 2: 0.75*12 beats 0.5*1.2.
+		{false, []float64{7, 1}, 1.5, 2, 2.25, true},
+	} {
+		pol.awaitFloor = row.afterRemap
+		remap := pol.decide(row.red)
+		if pol.floor != row.floor || pol.debt != row.debt || pol.gain != row.gain || remap != row.remap {
+			t.Errorf("row %d: floor %g, debt %g, gain %g, remap %v; want %g, %g, %g, %v",
+				i, pol.floor, pol.debt, pol.gain, remap, row.floor, row.debt, row.gain, row.remap)
+		}
+	}
 }
 
 // TestPolicyStepAllocs: the per-step decision path is allocation-free once
@@ -203,10 +235,10 @@ func TestPolicyStepAllocs(t *testing.T) {
 	const nprocs = 4
 	got := make([]float64, nprocs)
 	comm.Run(nprocs, costmodel.Uniform(1e-9), func(p *comm.Proc) {
-		pol := &Policy{}
+		pol := &policy{}
 		pol.since = -1 << 30 // inside the cooldown: decisions off, isolating the steady-state path
-		pol.ObserveRemap(p, 1e-3)
-		body := func() { pol.Step(p, float64(p.Rank())*1e-3) }
+		pol.observeRemap(p, 1e-3)
+		body := func() { pol.step(p, float64(p.Rank())*1e-3) }
 		for i := 0; i < 5; i++ {
 			body()
 		}

@@ -21,7 +21,7 @@ type Trigger struct {
 
 	every  int     // remap when step%every == 0; 0 = no periodic remaps
 	active bool    // the configuration asked for load balancing at all
-	pol    *Policy // non-nil under "policy"
+	pol    *policy // non-nil under "policy"
 	// lastCost is the cost sample the next policy step's delta is taken
 	// against.
 	lastCost float64
@@ -39,8 +39,8 @@ func NewTrigger(selector string, verify bool) (*Trigger, error) {
 	switch selector {
 	case "", "static":
 	case "policy":
-		t.pol = &Policy{}
-		t.pol.Verify = verify
+		t.pol = &policy{}
+		t.pol.verify = verify
 	default:
 		n, err := strconv.Atoi(selector)
 		if err != nil || n < 0 {
@@ -81,7 +81,7 @@ func (t *Trigger) Due(p *comm.Proc, step int) bool {
 		return t.every > 0 && step%t.every == 0
 	}
 	now := costPoint(p)
-	due := t.pol.Step(p, now-t.lastCost)
+	due := t.pol.step(p, now-t.lastCost)
 	t.lastCost = now
 	return due
 }
@@ -95,7 +95,7 @@ func (t *Trigger) Episode(p *comm.Proc, step int, body func()) {
 	t0 := episodePoint(p)
 	body()
 	if t.pol != nil {
-		t.pol.ObserveRemap(p, episodePoint(p)-t0)
+		t.pol.observeRemap(p, episodePoint(p)-t0)
 		t.lastCost = costPoint(p)
 	}
 	if step > 0 {

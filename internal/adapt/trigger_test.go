@@ -108,15 +108,15 @@ func TestTriggerPolicyMatchesHandDrivenPolicy(t *testing.T) {
 				sinceRemap = 0
 			}
 		}
-		viaTrigger[p.Rank()] = outcome{trig.pol.Decisions, trig.Steps, p.Clock()}
+		viaTrigger[p.Rank()] = outcome{trig.pol.decisions, trig.Steps, p.Clock()}
 	})
 	byHand := make([]outcome, nprocs)
 	comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
-		pol := &Policy{}
-		pol.Verify = true
+		pol := &policy{}
+		pol.verify = true
 		t0 := p.Clock()
 		scriptedEpisode(p)
-		pol.ObserveRemap(p, p.Clock()-t0)
+		pol.observeRemap(p, p.Clock()-t0)
 		p.ComputeFlops(3000000 * p.Rank())
 		var remapped []int
 		sinceRemap := 0 // the initial partition balanced the load
@@ -125,18 +125,18 @@ func TestTriggerPolicyMatchesHandDrivenPolicy(t *testing.T) {
 			skewedStep(p, sinceRemap)
 			sinceRemap++
 			now := p.Stats().ComputeTime
-			due := pol.Step(p, now-last)
+			due := pol.step(p, now-last)
 			last = now
 			if due {
 				t0 := p.Clock()
 				scriptedEpisode(p)
-				pol.ObserveRemap(p, p.Clock()-t0)
+				pol.observeRemap(p, p.Clock()-t0)
 				last = p.Stats().ComputeTime
 				remapped = append(remapped, step)
 				sinceRemap = 0
 			}
 		}
-		byHand[p.Rank()] = outcome{pol.Decisions, remapped, p.Clock()}
+		byHand[p.Rank()] = outcome{pol.decisions, remapped, p.Clock()}
 	})
 	if len(byHand[0].remapped) < 2 {
 		t.Fatalf("scripted skew remapped at %v, want repeated remaps", byHand[0].remapped)

@@ -33,25 +33,25 @@ import (
 type Analyzer struct {
 	Name string
 	Doc  string
-	Run  func(*Pass)
+	run  func(*pass)
 }
 
-// Pass carries one analyzer's run over one package.
-type Pass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Pkg      *Package
+// pass carries one analyzer's run over one package.
+type pass struct {
+	analyzer *Analyzer
+	fset     *token.FileSet
+	pkg      *Package
 	diags    *[]Diagnostic
 }
 
-// Reportf records a diagnostic at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Fset.Position(pos)
+// reportf records a diagnostic at pos.
+func (p *pass) reportf(pos token.Pos, format string, args ...any) {
+	position := p.fset.Position(pos)
 	*p.diags = append(*p.diags, Diagnostic{
 		File:     position.Filename,
 		Line:     position.Line,
 		Col:      position.Column,
-		Analyzer: p.Analyzer.Name,
+		Analyzer: p.analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
@@ -72,15 +72,15 @@ func (d Diagnostic) String() string {
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		SPMDCollective,
-		ClockCharge,
-		StampLifetime,
-		TagMatch,
-		Determinism,
-		UncheckedPeerFailure,
-		SchedReuse,
-		AdaptDecide,
-		SplitPhase,
+		spmdCollective,
+		clockCharge,
+		stampLifetime,
+		tagMatch,
+		determinism,
+		uncheckedPeerFailure,
+		schedReuse,
+		adaptDecide,
+		splitPhase,
 	}
 }
 
@@ -90,8 +90,8 @@ func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Diagnost
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
-			pass := &Pass{Analyzer: a, Fset: fset, Pkg: pkg, diags: &diags}
-			a.Run(pass)
+			pass := &pass{analyzer: a, fset: fset, pkg: pkg, diags: &diags}
+			a.run(pass)
 		}
 	}
 	diags = filterSuppressed(fset, pkgs, diags)

@@ -195,7 +195,7 @@ func TestRepoIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := loader.Load(filepath.Join(loader.ModRoot, "..."))
+	pkgs, err := loader.Load(filepath.Join(loader.modRoot, "..."))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestLoaderResolvesModuleTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := loader.LoadDir(filepath.Join(loader.ModRoot, "internal", "comm"))
+	pkg, err := loader.loadDir(filepath.Join(loader.modRoot, "internal", "comm"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestLoaderResolvesModuleTypes(t *testing.T) {
 			t.Errorf("internal/comm scope is missing %s", name)
 		}
 	}
-	if pkg.Path != loader.ModPath+"/internal/comm" {
+	if pkg.Path != loader.modPath+"/internal/comm" {
 		t.Errorf("import path = %q", pkg.Path)
 	}
 	if fmt.Sprintf("%s", pkg.Types.Name()) != "comm" {

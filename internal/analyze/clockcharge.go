@@ -5,24 +5,24 @@ import (
 	"go/types"
 )
 
-// ClockCharge flags irregular-access loops (the x[ia[i]] executor idiom:
+// clockCharge flags irregular-access loops (the x[ia[i]] executor idiom:
 // indexing a slice through a value loaded from another slice) inside
 // functions that hold a *comm.Proc yet never charge the virtual clock via
 // Compute/ComputeFlops/ComputeMem. Such loops do modeled work for free, so
 // every derived number — the Tables 1–7 reproductions, load-balance
 // indices, trace timelines — silently under-reports compute time.
-var ClockCharge = &Analyzer{
+var clockCharge = &Analyzer{
 	Name: "clock-charge",
 	Doc: "irregular-access loop in a Proc-bearing function with no " +
 		"Compute/ComputeFlops/ComputeMem charge: virtual-time undercount",
-	Run: runClockCharge,
+	run: runClockCharge,
 }
 
-func runClockCharge(pass *Pass) {
-	info := pass.Pkg.Info
+func runClockCharge(pass *pass) {
+	info := pass.pkg.Info
 	// Analysis units: function declarations plus function literals (SPMD
 	// bodies are typically closures passed to comm.Run) that hold a Proc.
-	for _, fd := range funcDecls(pass.Pkg) {
+	for _, fd := range funcDecls(pass.pkg) {
 		if funcHasProcAccess(info, fd) {
 			checkClockChargeUnit(pass, info, fd.Body, funcName(fd))
 		}
@@ -42,7 +42,7 @@ func runClockCharge(pass *Pass) {
 
 // checkClockChargeUnit reports uncharged irregular loops in one function
 // body that has a Proc available.
-func checkClockChargeUnit(pass *Pass, info *types.Info, body *ast.BlockStmt, name string) {
+func checkClockChargeUnit(pass *pass, info *types.Info, body *ast.BlockStmt, name string) {
 	if chargesClock(info, body) {
 		return
 	}
@@ -59,7 +59,7 @@ func checkClockChargeUnit(pass *Pass, info *types.Info, body *ast.BlockStmt, nam
 		if !hasIrregularAccess(info, loopBody) {
 			return true
 		}
-		pass.Reportf(n.Pos(),
+		pass.reportf(n.Pos(),
 			"loop performs irregular accesses (x[ia[i]] executor idiom) but no path in %s "+
 				"charges the virtual clock (Proc.Compute/ComputeFlops/ComputeMem): "+
 				"modeled compute time is undercounted", name)

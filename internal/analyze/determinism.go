@@ -19,7 +19,7 @@ var determinismAllowlist = []string{"internal/comm"}
 // given the seed and therefore fine.
 var randConstructors = map[string]bool{"New": true, "NewSource": true, "NewZipf": true}
 
-// Determinism flags nondeterminism sources in runtime and application
+// determinism flags nondeterminism sources in runtime and application
 // packages: wall-clock reads (time.Now/Since), draws from the global
 // math/rand source (unseeded, shared across goroutines — two SPMD runs
 // diverge), and map iteration feeding ordered output (appends, message
@@ -27,15 +27,15 @@ var randConstructors = map[string]bool{"New": true, "NewSource": true, "NewZipf"
 // reproduction's claims rest on bit-identical reruns: checkpoint/restore
 // equality, golden tables, and trace diffs all break if payloads or
 // rendered output depend on run-to-run ordering.
-var Determinism = &Analyzer{
+var determinism = &Analyzer{
 	Name: "determinism",
 	Doc: "time.Now, global math/rand, or map-range order feeding payloads " +
 		"or rendered output: breaks bit-identical reruns",
-	Run: runDeterminism,
+	run: runDeterminism,
 }
 
-func runDeterminism(pass *Pass) {
-	path := pass.Pkg.Path
+func runDeterminism(pass *pass) {
+	path := pass.pkg.Path
 	for _, suffix := range determinismAllowlist {
 		if strings.HasSuffix(path, suffix) {
 			return
@@ -44,8 +44,8 @@ func runDeterminism(pass *Pass) {
 	if strings.Contains(path, "/cmd/") || strings.HasPrefix(path, "cmd/") {
 		return // CLI wall-time reporting
 	}
-	info := pass.Pkg.Info
-	for _, f := range pass.Pkg.Files {
+	info := pass.pkg.Info
+	for _, f := range pass.pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
@@ -61,9 +61,9 @@ func runDeterminism(pass *Pass) {
 }
 
 // checkDeterminismCall flags wall-clock and global-rand calls.
-func checkDeterminismCall(pass *Pass, info *types.Info, call *ast.CallExpr) {
+func checkDeterminismCall(pass *pass, info *types.Info, call *ast.CallExpr) {
 	if qualifiedCall(info, call, "time", "Now") || qualifiedCall(info, call, "time", "Since") {
-		pass.Reportf(call.Pos(),
+		pass.reportf(call.Pos(),
 			"wall-clock read (time.Now/Since) in runtime/application code: "+
 				"results become run- and host-dependent; use the virtual clock (Proc.Clock)")
 		return
@@ -73,7 +73,7 @@ func checkDeterminismCall(pass *Pass, info *types.Info, call *ast.CallExpr) {
 		return
 	}
 	if selectorPkgPath(info, sel) == "math/rand" && !randConstructors[sel.Sel.Name] {
-		pass.Reportf(call.Pos(),
+		pass.reportf(call.Pos(),
 			"draw from the global math/rand source (rand.%s): unseeded and shared "+
 				"across goroutines; use rand.New(rand.NewSource(seed)) per rank", sel.Sel.Name)
 	}
@@ -82,7 +82,7 @@ func checkDeterminismCall(pass *Pass, info *types.Info, call *ast.CallExpr) {
 // checkMapRanges flags map-range loops whose body produces ordered output
 // (append, Send, fmt writes) when no sort call follows later in the same
 // function to canonicalize the order.
-func checkMapRanges(pass *Pass, info *types.Info, body *ast.BlockStmt) {
+func checkMapRanges(pass *pass, info *types.Info, body *ast.BlockStmt) {
 	var sortPositions []token.Pos
 	ast.Inspect(body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
@@ -118,7 +118,7 @@ func checkMapRanges(pass *Pass, info *types.Info, body *ast.BlockStmt) {
 		if !mapRangeBodyOrdered(info, rs.Body) || sortedAfter(rs.End()) {
 			return true
 		}
-		pass.Reportf(rs.Pos(),
+		pass.reportf(rs.Pos(),
 			"map iteration order feeds ordered output (append/Send/write) with no "+
 				"later sort to canonicalize it: output differs between identical runs")
 		return true

@@ -10,23 +10,23 @@ import (
 // machinery behind PeerFailure) and checkpoint surfaces persistence faults.
 var errdropPackages = []string{"internal/comm", "internal/checkpoint"}
 
-// UncheckedPeerFailure flags statements that call a comm or checkpoint API
+// uncheckedPeerFailure flags statements that call a comm or checkpoint API
 // returning an error and discard the result entirely. A dropped transport
 // error hides the very peer-failure signal the elastic-restart machinery
 // exists to catch; a dropped checkpoint error means a run believes it is
 // protected when its shards never hit disk. Deferred calls are exempt
 // (idiomatic best-effort cleanup), as is an explicit `_ =` assignment,
 // which documents the decision.
-var UncheckedPeerFailure = &Analyzer{
+var uncheckedPeerFailure = &Analyzer{
 	Name: "unchecked-peerfailure",
 	Doc: "error result of a comm/checkpoint API dropped by an expression " +
 		"statement: transport or persistence failures go unnoticed",
-	Run: runUncheckedPeerFailure,
+	run: runUncheckedPeerFailure,
 }
 
-func runUncheckedPeerFailure(pass *Pass) {
-	info := pass.Pkg.Info
-	for _, f := range pass.Pkg.Files {
+func runUncheckedPeerFailure(pass *pass) {
+	info := pass.pkg.Info
+	for _, f := range pass.pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			es, ok := n.(*ast.ExprStmt)
 			if !ok {
@@ -50,7 +50,7 @@ func runUncheckedPeerFailure(pass *Pass) {
 			if !match {
 				return true
 			}
-			pass.Reportf(call.Pos(),
+			pass.reportf(call.Pos(),
 				"error result of %s is dropped: a transport/persistence failure here "+
 					"would go unnoticed (assign it, or `_ =` it deliberately)", funcDisplay(fn))
 			return true

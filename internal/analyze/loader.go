@@ -15,14 +15,14 @@ import (
 // Package is one loaded, parsed and type-checked package of the module.
 type Package struct {
 	Path  string // module-relative import path, e.g. repro/internal/comm
-	Dir   string
+	dir   string
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-	// TypeErrors collects soft type-check errors. Because the loader stubs
+	// typeErrors collects soft type-check errors. Because the loader stubs
 	// out the standard library (see Loader), references into stdlib scopes
 	// produce errors here; they are expected and do not block analysis.
-	TypeErrors []error
+	typeErrors []error
 }
 
 // Loader parses and type-checks packages of a single module using only the
@@ -35,8 +35,8 @@ type Package struct {
 // works for stubs, so analyzers can recognize qualified calls such as
 // time.Now syntactically.
 type Loader struct {
-	ModRoot string
-	ModPath string
+	modRoot string
+	modPath string
 	Fset    *token.FileSet
 
 	pkgs    map[string]*Package // by dir
@@ -67,8 +67,8 @@ func NewLoader(dir string) (*Loader, error) {
 		return nil, err
 	}
 	return &Loader{
-		ModRoot: root,
-		ModPath: modPath,
+		modRoot: root,
+		modPath: modPath,
 		Fset:    token.NewFileSet(),
 		pkgs:    map[string]*Package{},
 		stubs:   map[string]*types.Package{},
@@ -140,7 +140,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	}
 	var out []*Package
 	for _, d := range dirs {
-		p, err := l.LoadDir(d)
+		p, err := l.loadDir(d)
 		if err != nil {
 			return nil, err
 		}
@@ -164,10 +164,10 @@ func hasGoFiles(dir string) bool {
 	return false
 }
 
-// LoadDir parses and type-checks the package in dir (memoized). Test files
+// loadDir parses and type-checks the package in dir (memoized). Test files
 // (_test.go) are excluded: they form separate packages and the invariants
 // chaosvet checks concern runtime and application code.
-func (l *Loader) LoadDir(dir string) (*Package, error) {
+func (l *Loader) loadDir(dir string) (*Package, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
@@ -181,13 +181,13 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	l.loading[abs] = true
 	defer delete(l.loading, abs)
 
-	rel, err := filepath.Rel(l.ModRoot, abs)
+	rel, err := filepath.Rel(l.modRoot, abs)
 	if err != nil || strings.HasPrefix(rel, "..") {
-		return nil, fmt.Errorf("analyze: %s is outside module %s", dir, l.ModRoot)
+		return nil, fmt.Errorf("analyze: %s is outside module %s", dir, l.modRoot)
 	}
-	importPath := l.ModPath
+	importPath := l.modPath
 	if rel != "." {
-		importPath = l.ModPath + "/" + filepath.ToSlash(rel)
+		importPath = l.modPath + "/" + filepath.ToSlash(rel)
 	}
 
 	ents, err := os.ReadDir(abs)
@@ -212,7 +212,7 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 
 	pkg := &Package{
 		Path: importPath,
-		Dir:  abs,
+		dir:  abs,
 		Info: &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
 			Defs:       map[*ast.Ident]types.Object{},
@@ -224,7 +224,7 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	conf := types.Config{
 		Importer:    (*loaderImporter)(l),
 		FakeImportC: true,
-		Error:       func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
+		Error:       func(err error) { pkg.typeErrors = append(pkg.typeErrors, err) },
 	}
 	tpkg, _ := conf.Check(importPath, l.Fset, files, pkg.Info)
 	pkg.Files = files
@@ -240,9 +240,9 @@ type loaderImporter Loader
 // complete empty stubs for everything else.
 func (li *loaderImporter) Import(path string) (*types.Package, error) {
 	l := (*Loader)(li)
-	if path == l.ModPath || strings.HasPrefix(path, l.ModPath+"/") {
-		dir := filepath.Join(l.ModRoot, filepath.FromSlash(strings.TrimPrefix(path, l.ModPath)))
-		p, err := l.LoadDir(dir)
+	if path == l.modPath || strings.HasPrefix(path, l.modPath+"/") {
+		dir := filepath.Join(l.modRoot, filepath.FromSlash(strings.TrimPrefix(path, l.modPath)))
+		p, err := l.loadDir(dir)
 		if err != nil {
 			return nil, err
 		}

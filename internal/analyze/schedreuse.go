@@ -5,11 +5,11 @@ import (
 	"go/types"
 )
 
-// SchedReuse reports missed schedule reuse (the paper's §4 program-level
+// schedReuse reports missed schedule reuse (the paper's §4 program-level
 // optimizations and the §5.3 modification-record guard):
 //
 //   - inspector work — hashtab Hash/HashInto, schedule Build/BuildInto,
-//     BuildLight/BuildLightInto, FromTranslated/FromTranslatedInto —
+//     BuildLight/BuildLightInto, FromTranslatedInto —
 //     executed inside a for/range loop even though every index input is
 //     loop-invariant: the same communication schedule is rebuilt each
 //     iteration and should be hoisted out of the loop (or guarded by a
@@ -23,16 +23,16 @@ import (
 // in the loop (including the loop header), or if the expression calls a
 // function. Hash tables that are rehashed, cleared, or reset inside the
 // loop are assumed to change between iterations and are not reported.
-var SchedReuse = &Analyzer{
+var schedReuse = &Analyzer{
 	Name: "sched-reuse",
 	Doc: "schedule or hash-table builds inside a loop whose index data never changes, " +
 		"and duplicate builds from an unchanged table: missed schedule reuse (§4, §5.3)",
-	Run: runSchedReuse,
+	run: runSchedReuse,
 }
 
-func runSchedReuse(pass *Pass) {
-	info := pass.Pkg.Info
-	for _, fd := range funcDecls(pass.Pkg) {
+func runSchedReuse(pass *pass) {
+	info := pass.pkg.Info
+	for _, fd := range funcDecls(pass.pkg) {
 		reported := map[ast.Node]bool{}
 		checkDuplicateBuilds(pass, info, fd.Body, reported)
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -49,7 +49,7 @@ func runSchedReuse(pass *Pass) {
 
 // checkLoopInvariantBuilds reports inspector work inside body whose index
 // inputs are invariant with respect to loop.
-func checkLoopInvariantBuilds(pass *Pass, info *types.Info, loop ast.Node, body *ast.BlockStmt, reported map[ast.Node]bool) {
+func checkLoopInvariantBuilds(pass *pass, info *types.Info, loop ast.Node, body *ast.BlockStmt, reported map[ast.Node]bool) {
 	variant := variantObjects(info, loop)
 	rehashed := rehashedTables(info, body)
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -66,7 +66,7 @@ func checkLoopInvariantBuilds(pass *Pass, info *types.Info, loop ast.Node, body 
 		}
 		report := func(format string, args ...any) {
 			reported[call] = true
-			pass.Reportf(call.Pos(), format, args...)
+			pass.reportf(call.Pos(), format, args...)
 		}
 		switch {
 		case isMethodOn(fn, "internal/hashtab", "Table", "Hash") && len(call.Args) == 2:
@@ -82,9 +82,8 @@ func checkLoopInvariantBuilds(pass *Pass, info *types.Info, loop ast.Node, body 
 			if invariantExpr(info, call.Args[len(call.Args)-1], variant) {
 				report("%s of loop-invariant destinations runs every iteration; build the light schedule once before the loop", fn.Name())
 			}
-		case inPkg(fn, "internal/schedule") && fn.Name() == "FromTranslated" && len(call.Args) == 4,
-			inPkg(fn, "internal/schedule") && fn.Name() == "FromTranslatedInto" && len(call.Args) == 6:
-			owners, offsets := call.Args[len(call.Args)-2], call.Args[len(call.Args)-1]
+		case inPkg(fn, "internal/schedule") && fn.Name() == "FromTranslatedInto" && len(call.Args) == 6:
+			owners, offsets := call.Args[4], call.Args[5]
 			if invariantExpr(info, owners, variant) && invariantExpr(info, offsets, variant) {
 				report("%s of loop-invariant translations runs every iteration; build the schedule once before the loop", fn.Name())
 			}
@@ -109,7 +108,7 @@ func checkLoopInvariantBuilds(pass *Pass, info *types.Info, loop ast.Node, body 
 // checkDuplicateBuilds reports a Build/BuildInto whose table and stamp
 // selection match an earlier build with no intervening rehash, clear, or
 // reset of the table: the later schedule duplicates the earlier one.
-func checkDuplicateBuilds(pass *Pass, info *types.Info, body *ast.BlockStmt, reported map[ast.Node]bool) {
+func checkDuplicateBuilds(pass *pass, info *types.Info, body *ast.BlockStmt, reported map[ast.Node]bool) {
 	type built struct{ line int }
 	last := map[types.Object]map[string]built{} // table -> stamp-selection key -> build site
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -143,14 +142,14 @@ func checkDuplicateBuilds(pass *Pass, info *types.Info, body *ast.BlockStmt, rep
 		if prev, ok := last[tbl][key]; ok {
 			if !reported[call] {
 				reported[call] = true
-				pass.Reportf(call.Pos(), "schedule identical to the one built at line %d is built again with no intervening rehash; reuse the earlier schedule", prev.line)
+				pass.reportf(call.Pos(), "schedule identical to the one built at line %d is built again with no intervening rehash; reuse the earlier schedule", prev.line)
 			}
 			return true
 		}
 		if last[tbl] == nil {
 			last[tbl] = map[string]built{}
 		}
-		last[tbl][key] = built{line: pass.Fset.Position(call.Pos()).Line}
+		last[tbl][key] = built{line: pass.fset.Position(call.Pos()).Line}
 		return true
 	})
 }

@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// SplitPhase checks the split-phase collective protocol (§3's non-blocking
+// splitPhase checks the split-phase collective protocol (§3's non-blocking
 // data motion): every GatherWStart/ScatterWStart/GatherWMultiStart/
 // ScatterWMultiStart must have a matching Motion.Wait, and the overlap
 // window between Start and Wait must not touch the sections the motion is
@@ -25,11 +25,11 @@ import (
 // flagged. Subslice views, helper calls, and copy() into slices of the
 // array are the executor's sanctioned way of touching the owned section
 // mid-flight and are not reported.
-var SplitPhase = &Analyzer{
+var splitPhase = &Analyzer{
 	Name: "split-phase",
 	Doc: "split-phase motions without a matching Wait, and element accesses " +
 		"to in-flight gathered/scattered arrays inside the overlap window",
-	Run: runSplitPhase,
+	run: runSplitPhase,
 }
 
 // motionStart describes one recognized *Start call site.
@@ -59,9 +59,9 @@ func asMotionStart(info *types.Info, call *ast.CallExpr) *motionStart {
 	return &motionStart{call: call, gather: gather, data: identObj(info, call.Args[2])}
 }
 
-func runSplitPhase(pass *Pass) {
-	info := pass.Pkg.Info
-	for _, fd := range funcDecls(pass.Pkg) {
+func runSplitPhase(pass *pass) {
+	info := pass.pkg.Info
+	for _, fd := range funcDecls(pass.pkg) {
 		checkSplitPhase(pass, info, fd.Body)
 	}
 }
@@ -69,7 +69,7 @@ func runSplitPhase(pass *Pass) {
 // checkSplitPhase analyzes one function body: classifies every Start call
 // site by how its Motion handle is consumed, then audits the overlap
 // window of each handle-bound Start.
-func checkSplitPhase(pass *Pass, info *types.Info, body *ast.BlockStmt) {
+func checkSplitPhase(pass *pass, info *types.Info, body *ast.BlockStmt) {
 	handled := map[*ast.CallExpr]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		// Statement lists live in blocks and, without one, directly in
@@ -100,7 +100,7 @@ func checkSplitPhase(pass *Pass, info *types.Info, body *ast.BlockStmt) {
 					}
 					if mo := asMotionStart(info, call); mo != nil {
 						handled[call] = true
-						pass.Reportf(call.Pos(), "split-phase motion handle is discarded; the motion can never be waited — bind the handle and call Wait, or use the blocking collective")
+						pass.reportf(call.Pos(), "split-phase motion handle is discarded; the motion can never be waited — bind the handle and call Wait, or use the blocking collective")
 					}
 				}
 			case *ast.AssignStmt:
@@ -119,10 +119,10 @@ func checkSplitPhase(pass *Pass, info *types.Info, body *ast.BlockStmt) {
 				h := identObj(info, s.Lhs[0])
 				if h == nil {
 					if id, ok := ast.Unparen(s.Lhs[0]).(*ast.Ident); ok && id.Name == "_" {
-						pass.Reportf(call.Pos(), "split-phase motion handle is bound to _; the motion can never be waited")
+						pass.reportf(call.Pos(), "split-phase motion handle is bound to _; the motion can never be waited")
 						continue
 					}
-					pass.Reportf(call.Pos(), "split-phase motion handle escapes into a non-local location; Wait cannot be verified — bind it to a local variable")
+					pass.reportf(call.Pos(), "split-phase motion handle escapes into a non-local location; Wait cannot be verified — bind it to a local variable")
 					continue
 				}
 				auditOverlapWindow(pass, info, body, list[i+1:], mo, h)
@@ -140,7 +140,7 @@ func checkSplitPhase(pass *Pass, info *types.Info, body *ast.BlockStmt) {
 			return true
 		}
 		if mo := asMotionStart(info, call); mo != nil {
-			pass.Reportf(call.Pos(), "split-phase motion handle escapes without a local Wait; every Start needs a matching Wait in the starting function")
+			pass.reportf(call.Pos(), "split-phase motion handle escapes without a local Wait; every Start needs a matching Wait in the starting function")
 		}
 		return true
 	})
@@ -150,7 +150,7 @@ func checkSplitPhase(pass *Pass, info *types.Info, body *ast.BlockStmt) {
 // up to and including the first statement whose subtree waits the handle —
 // for illegal element accesses of the in-flight array. A Start whose handle
 // is never waited anywhere in the function is reported.
-func auditOverlapWindow(pass *Pass, info *types.Info, body *ast.BlockStmt, rest []ast.Stmt, mo *motionStart, handle types.Object) {
+func auditOverlapWindow(pass *pass, info *types.Info, body *ast.BlockStmt, rest []ast.Stmt, mo *motionStart, handle types.Object) {
 	waited := false
 	for _, stmt := range rest {
 		if mo.data != nil {
@@ -162,7 +162,7 @@ func auditOverlapWindow(pass *Pass, info *types.Info, body *ast.BlockStmt, rest 
 		}
 	}
 	if !waited && !waitsHandle(info, body, handle) {
-		pass.Reportf(mo.call.Pos(), "split-phase motion handle is never waited in this function; every Start needs a matching Wait")
+		pass.reportf(mo.call.Pos(), "split-phase motion handle is never waited in this function; every Start needs a matching Wait")
 	}
 }
 
@@ -190,7 +190,7 @@ func waitsHandle(info *types.Info, n ast.Node, handle types.Object) bool {
 // array inside one overlap-window statement: stores for gathers, loads for
 // scatters. Function literals are skipped — they need not execute inside
 // the window.
-func checkWindowStmt(pass *Pass, info *types.Info, stmt ast.Stmt, mo *motionStart) {
+func checkWindowStmt(pass *pass, info *types.Info, stmt ast.Stmt, mo *motionStart) {
 	// Collect assignment-target IndexExprs so compound assignments to the
 	// owned section of a scattered array (f[i] += v, the sanctioned overlap
 	// idiom) are classified as stores, not loads.
@@ -215,10 +215,10 @@ func checkWindowStmt(pass *Pass, info *types.Info, stmt ast.Stmt, mo *motionStar
 			return true
 		}
 		if mo.gather && stores[ix] {
-			pass.Reportf(ix.Pos(), "element store into the gathered array between GatherWStart and Wait; ghost frames may land concurrently — move the write after Wait")
+			pass.reportf(ix.Pos(), "element store into the gathered array between GatherWStart and Wait; ghost frames may land concurrently — move the write after Wait")
 		}
 		if !mo.gather && !stores[ix] {
-			pass.Reportf(ix.Pos(), "element load from the scattered array between ScatterWStart and Wait; remote combines land only at Wait — read it after Wait")
+			pass.reportf(ix.Pos(), "element load from the scattered array between ScatterWStart and Wait; remote combines land only at Wait — read it after Wait")
 		}
 		return true
 	})

@@ -9,8 +9,8 @@ import (
 // global order (they are built from point-to-point messages with fixed
 // tags; a missing participant deadlocks the mesh or corrupts matching).
 var procCollectives = map[string]bool{
-	"Barrier": true, "AllGatherI32": true, "AllGatherI32Into": true, "AllGatherI64": true, "AllGatherF64": true,
-	"AllReduceF64": true, "AllReduceF64Into": true, "AllReduceI64": true,
+	"Barrier": true, "AllGatherI32Into": true, "AllGatherI64": true, "AllGatherF64": true,
+	"AllReduceF64": true, "AllReduceF64Into": true,
 	"AllReduceScalarF64": true, "AllReduceScalarI64": true,
 	"AllToAllI32": true, "AllToAllF64": true,
 }
@@ -19,32 +19,32 @@ var procCollectives = map[string]bool{
 // internal/schedule.
 var scheduleCollectives = map[string]bool{
 	"Build": true, "BuildInto": true, "BuildLight": true, "BuildLightInto": true,
-	"FromTranslated": true, "FromTranslatedInto": true,
-	"Gather": true, "GatherW": true, "GatherWMulti": true,
+	"FromTranslatedInto": true,
+	"Gather":             true, "GatherW": true, "GatherWMulti": true,
 	"Scatter": true, "ScatterW": true, "ScatterWMulti": true,
 }
 
-// SPMDCollective flags collective calls that are lexically reachable only
+// spmdCollective flags collective calls that are lexically reachable only
 // under a rank-dependent condition (p.Rank(), the private p.rank field, or
 // a variable derived from them). In the SPMD model such a call executes on
 // a strict subset of ranks; the others block forever in the collective's
 // internal receives — at best the TCP transport's PeerFailure fires, at
 // worst the run deadlocks silently.
-var SPMDCollective = &Analyzer{
+var spmdCollective = &Analyzer{
 	Name: "spmd-collective",
-	Doc: "collective call (Barrier, AllReduce*, AllGatherI32/I32Into/I64/F64, AllToAllI32/F64, " +
+	Doc: "collective call (Barrier, AllReduce*, AllGatherI32Into/I64/F64, AllToAllI32/F64, " +
 		"schedule.Build/Gather/Scatter, checkpoint.Save/Restore, ...) guarded by a " +
 		"rank-dependent condition: potential SPMD deadlock",
-	Run: runSPMDCollective,
+	run: runSPMDCollective,
 }
 
-func runSPMDCollective(pass *Pass) {
-	info := pass.Pkg.Info
-	for _, fd := range funcDecls(pass.Pkg) {
+func runSPMDCollective(pass *pass) {
+	info := pass.pkg.Info
+	for _, fd := range funcDecls(pass.pkg) {
 		tainted := rankTaintedVars(info, fd.Body)
 		walkRankGuards(info, fd.Body, false, tainted, func(call *ast.CallExpr) {
 			if name, ok := collectiveName(info, call); ok {
-				pass.Reportf(call.Pos(),
+				pass.reportf(call.Pos(),
 					"collective %s is only reached under a rank-dependent condition; "+
 						"all SPMD ranks must execute the same collective sequence (deadlock risk)", name)
 			}

@@ -7,7 +7,7 @@ import (
 	"sort"
 )
 
-// StampLifetime flags inspector-protocol lifetime violations inside a
+// stampLifetime flags inspector-protocol lifetime violations inside a
 // function: building a schedule from a stamp that was cleared
 // (Table.ClearStamp) and not re-marked by a Hash since, building from
 // stamps that predate a Table.Reset (Reset zeroes the stamp allocator, so
@@ -18,11 +18,11 @@ import (
 // The analysis is flow-insensitive: events are ordered by source position
 // within one function body, which matches how inspector code is written
 // (straight-line build/clear/rebuild sequences).
-var StampLifetime = &Analyzer{
+var stampLifetime = &Analyzer{
 	Name: "stamp-lifetime",
 	Doc: "schedule.Build using a stamp after ClearStamp/Reset, or a schedule " +
 		"used after its hash table was Reset: stale inspector state",
-	Run: runStampLifetime,
+	run: runStampLifetime,
 }
 
 // stampEvent is one lifetime-relevant operation, ordered by position.
@@ -34,14 +34,14 @@ type stampEvent struct {
 	call *ast.CallExpr
 }
 
-func runStampLifetime(pass *Pass) {
-	info := pass.Pkg.Info
-	for _, fd := range funcDecls(pass.Pkg) {
+func runStampLifetime(pass *pass) {
+	info := pass.pkg.Info
+	for _, fd := range funcDecls(pass.pkg) {
 		runStampLifetimeFunc(pass, info, fd.Body)
 	}
 }
 
-func runStampLifetimeFunc(pass *Pass, info *types.Info, body *ast.BlockStmt) {
+func runStampLifetimeFunc(pass *pass, info *types.Info, body *ast.BlockStmt) {
 	var events []stampEvent
 
 	// schedVars maps schedule-typed idents to their builds so "use" events
@@ -203,7 +203,7 @@ func runStampLifetimeFunc(pass *Pass, info *types.Info, body *ast.BlockStmt) {
 		case "build":
 			for _, s := range ev.objs {
 				if tab, isCleared := cleared[s]; isCleared && sameTable(tab, ev.tab) {
-					pass.Reportf(ev.pos,
+					pass.reportf(ev.pos,
 						"schedule.Build selects stamp %q after it was cleared "+
 							"(ClearStamp/Reset) with no Hash re-marking it: the schedule "+
 							"would be built from dead inspector state", s.Name())
@@ -213,7 +213,7 @@ func runStampLifetimeFunc(pass *Pass, info *types.Info, body *ast.BlockStmt) {
 			for _, o := range ev.objs {
 				if schedStale[o] && !reported[o] {
 					reported[o] = true
-					pass.Reportf(ev.pos,
+					pass.reportf(ev.pos,
 						"schedule %q is used after its hash table was Reset: its cached "+
 							"translations and ghost slots are stale", o.Name())
 				}
@@ -230,7 +230,7 @@ func scheduleBuild(info *types.Info, call *ast.CallExpr) *types.Func {
 		return nil
 	}
 	switch fn.Name() {
-	case "Build", "BuildInto", "FromTranslated", "FromTranslatedInto":
+	case "Build", "BuildInto", "FromTranslatedInto":
 		return fn
 	}
 	return nil

@@ -12,24 +12,24 @@ import (
 var sendMethods = map[string]bool{"Send": true, "SendF64": true, "SendI32": true, "SendI64": true, "SendStart": true, "SendPacked": true}
 var recvMethods = map[string]bool{"Recv": true, "RecvF64": true, "RecvI32": true, "RecvI64": true, "RecvF64View": true, "RecvI32View": true}
 
-// TagMatch flags constant message tags that appear on only one side of the
+// tagMatch flags constant message tags that appear on only one side of the
 // Send/Recv pairing within a package. Tags are the only matching key the
 // transport has; a one-sided tag means some rank will block forever waiting
 // for a message that is never sent (or a sent message is never consumed and
 // poisons FIFO-order assumptions). The check is per-package because this
 // codebase pairs both sides of every protocol in the same package.
-var TagMatch = &Analyzer{
+var tagMatch = &Analyzer{
 	Name: "tag-match",
 	Doc: "constant Send tag with no matching Recv tag in the package (or " +
 		"vice versa): unmatched point-to-point protocol",
-	Run: runTagMatch,
+	run: runTagMatch,
 }
 
-func runTagMatch(pass *Pass) {
-	info := pass.Pkg.Info
+func runTagMatch(pass *pass) {
+	info := pass.pkg.Info
 	sends := map[int64]token.Pos{} // tag value -> first occurrence
 	recvs := map[int64]token.Pos{}
-	for _, f := range pass.Pkg.Files {
+	for _, f := range pass.pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -64,14 +64,14 @@ func runTagMatch(pass *Pass) {
 	}
 	for tag, pos := range sends {
 		if _, ok := recvs[tag]; !ok {
-			pass.Reportf(pos,
+			pass.reportf(pos,
 				"message tag %d is sent but never received in this package: "+
 					"the matching Recv uses a different tag (receiver blocks forever)", tag)
 		}
 	}
 	for tag, pos := range recvs {
 		if _, ok := sends[tag]; !ok {
-			pass.Reportf(pos,
+			pass.reportf(pos,
 				"message tag %d is received but never sent in this package: "+
 					"the matching Send uses a different tag (receiver blocks forever)", tag)
 		}

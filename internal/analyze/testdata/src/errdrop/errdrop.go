@@ -13,10 +13,10 @@ func BadDroppedClose(tr comm.Transport) {
 	tr.Close() // want:unchecked-peerfailure
 }
 
-// BadDroppedManifest drops the manifest write error: the checkpoint
-// directory is silently left unsealed and Restore will skip it.
-func BadDroppedManifest(dir string, m *checkpoint.Manifest) {
-	checkpoint.WriteManifest(dir, m) // want:unchecked-peerfailure
+// BadDroppedResumeCheck drops the resume check's error: a checkpoint of
+// another application or size goes on to be restored.
+func BadDroppedResumeCheck(r *checkpoint.Recovery, n int64) {
+	r.CheckResume("dsmc", n) // want:unchecked-peerfailure
 }
 
 // GoodCheckedClose propagates the teardown error.
@@ -32,7 +32,7 @@ func GoodExplicitDiscard(tr comm.Transport) {
 // GoodDeferredClose is idiomatic best-effort cleanup; defers are exempt.
 func GoodDeferredClose(tr comm.Transport) error {
 	defer tr.Close()
-	m, err := checkpoint.Open("/tmp/nonexistent")
-	_ = m
+	dir, err := checkpoint.ResolveResume("latest", "/tmp/nonexistent")
+	_ = dir
 	return err
 }

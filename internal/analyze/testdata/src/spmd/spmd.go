@@ -29,7 +29,7 @@ func BadGuardedAllReduce(p *comm.Proc) float64 {
 func BadDerivedRankGuard(p *comm.Proc) {
 	leader := p.Rank() == 0
 	if leader {
-		p.AllGatherI32(nil) // want:spmd-collective
+		p.AllGatherI64(nil) // want:spmd-collective
 	}
 }
 
@@ -85,12 +85,12 @@ func GoodUnguarded(p *comm.Proc) float64 {
 
 // GoodRankGuardedPrint is the ubiquitous correct pattern: only the
 // rank-dependent part is non-collective.
-func GoodRankGuardedPrint(p *comm.Proc) [][]int32 {
-	var ids []int32
+func GoodRankGuardedPrint(p *comm.Proc) [][]int64 {
+	var ids []int64
 	if p.Rank() == 0 {
-		ids = []int32{42}
+		ids = []int64{42}
 	}
-	return p.AllGatherI32(ids)
+	return p.AllGatherI64(ids)
 }
 
 // GoodSizeGuard gates on the machine size, which is uniform across ranks.

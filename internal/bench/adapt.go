@@ -28,8 +28,8 @@ type adaptScenario struct {
 func adaptScenarios(sc Scale) []adaptScenario {
 	base := dsmc.Default3D()
 	base.NX, base.NY, base.NZ = 96, 4, 4
-	base.NMols = sc.AdaptMols
-	base.Steps = sc.AdaptSteps
+	base.NMols = sc.adaptMols
+	base.Steps = sc.adaptSteps
 	base.Partitioner = "chain"
 
 	steady := base
@@ -59,10 +59,10 @@ func adaptScenarios(sc Scale) []adaptScenario {
 	}
 }
 
-// AdaptModes are the remap selectors BENCH_adapt sweeps: never (beyond the
+// adaptModes are the remap selectors BENCH_adapt sweeps: never (beyond the
 // initial partition), three Table 7-style fixed periods, and the online
 // policy engine. The rows are labelled adapt.Mode(selector).
-var AdaptModes = []string{"static", "2", "5", "10", "policy"}
+var adaptModes = []string{"static", "2", "5", "10", "policy"}
 
 // Adapt compares remap triggers across the skew scenarios: one row per
 // mode, one virtual-seconds column per scenario, plus the per-scenario
@@ -71,46 +71,46 @@ var AdaptModes = []string{"static", "2", "5", "10", "policy"}
 func Adapt(sc Scale) *Table {
 	scens := adaptScenarios(sc)
 	t := &Table{
-		ID:    "BENCH_adapt",
-		Title: "Adaptive remapping: policy engine vs static and periodic (virtual sec)",
-		Notes: []string{
-			fmt.Sprintf("%d procs, %d molecules, %d steps, chain partitioner", sc.AdaptProcs, sc.AdaptMols, sc.AdaptSteps),
+		id:    "BENCH_adapt",
+		title: "Adaptive remapping: policy engine vs static and periodic (virtual sec)",
+		notes: []string{
+			fmt.Sprintf("%d procs, %d molecules, %d steps, chain partitioner", sc.adaptProcs, sc.adaptMols, sc.adaptSteps),
 			"remaps column: repartition count per scenario, in scenario order",
 		},
 	}
-	t.Columns = []string{"Mode"}
+	t.columns = []string{"Mode"}
 	for _, s := range scens {
-		t.Columns = append(t.Columns, s.name)
+		t.columns = append(t.columns, s.name)
 	}
-	t.Columns = append(t.Columns, "remaps")
-	for _, mode := range AdaptModes {
+	t.columns = append(t.columns, "remaps")
+	for _, mode := range adaptModes {
 		row := []string{adapt.Mode(mode)}
 		counts := ""
 		for _, s := range scens {
-			clk, remaps := RunAdaptScenario(sc, s.cfg, mode)
+			clk, remaps := runAdaptScenario(sc, s.cfg, mode)
 			row = append(row, f3(clk))
 			if counts != "" {
 				counts += "/"
 			}
 			counts += fmt.Sprint(len(remaps))
 		}
-		t.Rows = append(t.Rows, append(row, counts))
+		t.rows = append(t.rows, append(row, counts))
 	}
 	return t
 }
 
-// RunAdaptScenario runs one DSMC scenario under one remap selector and
+// runAdaptScenario runs one DSMC scenario under one remap selector and
 // returns the run makespan (virtual seconds) and the steps at which the
 // trigger remapped. Exported for the regression test that pins "policy
 // beats static and every fixed period on drifting flow".
-func RunAdaptScenario(sc Scale, cfg dsmc.Config, mode string) (clock float64, remaps []int) {
+func runAdaptScenario(sc Scale, cfg dsmc.Config, mode string) (clock float64, remaps []int) {
 	cfg.Remap = mode
 	// Verify stays off: its fingerprint reductions are test instrumentation
 	// and would bill the policy rows for communication the production
 	// configuration never does.
 	cfg.AdaptVerify = false
-	results := make([]*dsmc.ProcResult, sc.AdaptProcs)
-	rep := sc.run(sc.AdaptProcs, func(p *comm.Proc) {
+	results := make([]*dsmc.ProcResult, sc.adaptProcs)
+	rep := sc.run(sc.adaptProcs, func(p *comm.Proc) {
 		results[p.Rank()] = dsmc.Run(p, cfg)
 	})
 	return rep.MaxClock(), results[0].RemapSteps

@@ -12,18 +12,18 @@ func TestAdaptPolicyWinsOnDriftingFlow(t *testing.T) {
 	sc := Quick()
 	drifting := adaptScenarios(sc)[1].cfg
 
-	static, _ := RunAdaptScenario(sc, drifting, "static")
-	policy, psteps := RunAdaptScenario(sc, drifting, "policy")
+	static, _ := runAdaptScenario(sc, drifting, "static")
+	policy, psteps := runAdaptScenario(sc, drifting, "policy")
 	t.Logf("static  %.3f", static)
 	t.Logf("policy  %.3f remaps %v", policy, psteps)
 	if policy >= static {
 		t.Errorf("policy %.3f did not beat static %.3f on drifting flow", policy, static)
 	}
-	for _, mode := range AdaptModes {
+	for _, mode := range adaptModes {
 		if mode == "static" || mode == "policy" {
 			continue
 		}
-		per, steps := RunAdaptScenario(sc, drifting, mode)
+		per, steps := runAdaptScenario(sc, drifting, mode)
 		t.Logf("%-12s %.3f remaps %v", mode, per, steps)
 		if policy >= per {
 			t.Errorf("policy %.3f did not beat %s %.3f on drifting flow", policy, mode, per)

@@ -19,22 +19,22 @@ import (
 
 // Table is one rendered experiment.
 type Table struct {
-	ID      string
-	Title   string
-	Columns []string
-	Rows    [][]string
-	Notes   []string
+	id      string
+	title   string
+	columns []string
+	rows    [][]string
+	notes   []string
 }
 
 // Render formats the table as aligned text.
 func (t *Table) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s — %s\n", t.ID, t.Title)
-	widths := make([]int, len(t.Columns))
-	for c, h := range t.Columns {
+	fmt.Fprintf(&b, "%s — %s\n", t.id, t.title)
+	widths := make([]int, len(t.columns))
+	for c, h := range t.columns {
 		widths[c] = len(h)
 	}
-	for _, row := range t.Rows {
+	for _, row := range t.rows {
 		for c, cell := range row {
 			if c < len(widths) && len(cell) > widths[c] {
 				widths[c] = len(cell)
@@ -51,12 +51,12 @@ func (t *Table) Render() string {
 		}
 		b.WriteByte('\n')
 	}
-	line(t.Columns)
+	line(t.columns)
 	line(dashes(widths))
-	for _, row := range t.Rows {
+	for _, row := range t.rows {
 		line(row)
 	}
-	for _, n := range t.Notes {
+	for _, n := range t.notes {
 		fmt.Fprintf(&b, "  note: %s\n", n)
 	}
 	return b.String()
@@ -75,28 +75,28 @@ func dashes(widths []int) []string {
 type Scale struct {
 	Name string
 	// CHARMM (Tables 1-3).
-	CharmmAtoms  int
-	CharmmSteps  int
-	CharmmNBEvry int
-	CharmmProcs  []int // table 1 includes a leading 1
+	charmmAtoms  int
+	charmmSteps  int
+	charmmNBEvry int
+	charmmProcs  []int // table 1 includes a leading 1
 	// DSMC (Tables 4-5).
-	Dsmc2DEdges []int
-	Dsmc2DProcs []int
-	Dsmc3DProcs []int
-	Dsmc3DMols  int
-	Dsmc3DSteps int
+	dsmc2DEdges []int
+	dsmc2DProcs []int
+	dsmc3DProcs []int
+	dsmc3DMols  int
+	dsmc3DSteps int
 	// Compiler comparisons (Tables 6-7).
-	KernelAtoms int
-	KernelIters int
-	KernelProcs []int
-	Dsmc7Procs  []int
-	Dsmc7Mols   int
-	Dsmc7Steps  int
+	kernelAtoms int
+	kernelIters int
+	kernelProcs []int
+	dsmc7Procs  []int
+	dsmc7Mols   int
+	dsmc7Steps  int
 	// Adaptive remapping (BENCH_adapt): the DSMC skew scenarios on which
 	// static, periodic and policy-driven remapping are compared.
-	AdaptProcs int
-	AdaptMols  int
-	AdaptSteps int
+	adaptProcs int
+	adaptMols  int
+	adaptSteps int
 
 	// Transport, when non-nil, supplies the transport every experiment runs
 	// over (e.g. a TCP mesh, or a fault-injected wrapper for testing the
@@ -122,24 +122,24 @@ func (sc Scale) run(n int, body func(p *comm.Proc)) *comm.Report {
 func Full() Scale {
 	return Scale{
 		Name:         "full",
-		CharmmAtoms:  14026,
-		CharmmSteps:  200,
-		CharmmNBEvry: 5,
-		CharmmProcs:  []int{1, 16, 32, 64, 128},
-		Dsmc2DEdges:  []int{48, 96},
-		Dsmc2DProcs:  []int{16, 32, 64, 128},
-		Dsmc3DProcs:  []int{8, 16, 32, 64, 128},
-		Dsmc3DMols:   18000,
-		Dsmc3DSteps:  200,
-		KernelAtoms:  14026,
-		KernelIters:  100,
-		KernelProcs:  []int{32, 64},
-		Dsmc7Procs:   []int{4, 8, 16, 32},
-		Dsmc7Mols:    5000,
-		Dsmc7Steps:   50,
-		AdaptProcs:   16,
-		AdaptMols:    18000,
-		AdaptSteps:   200,
+		charmmAtoms:  14026,
+		charmmSteps:  200,
+		charmmNBEvry: 5,
+		charmmProcs:  []int{1, 16, 32, 64, 128},
+		dsmc2DEdges:  []int{48, 96},
+		dsmc2DProcs:  []int{16, 32, 64, 128},
+		dsmc3DProcs:  []int{8, 16, 32, 64, 128},
+		dsmc3DMols:   18000,
+		dsmc3DSteps:  200,
+		kernelAtoms:  14026,
+		kernelIters:  100,
+		kernelProcs:  []int{32, 64},
+		dsmc7Procs:   []int{4, 8, 16, 32},
+		dsmc7Mols:    5000,
+		dsmc7Steps:   50,
+		adaptProcs:   16,
+		adaptMols:    18000,
+		adaptSteps:   200,
 	}
 }
 
@@ -147,24 +147,24 @@ func Full() Scale {
 func Quick() Scale {
 	return Scale{
 		Name:         "quick",
-		CharmmAtoms:  1200,
-		CharmmSteps:  10,
-		CharmmNBEvry: 5,
-		CharmmProcs:  []int{1, 2, 4, 8},
-		Dsmc2DEdges:  []int{12},
-		Dsmc2DProcs:  []int{2, 4, 8},
-		Dsmc3DProcs:  []int{2, 4, 8},
-		Dsmc3DMols:   2000,
-		Dsmc3DSteps:  40,
-		KernelAtoms:  800,
-		KernelIters:  8,
-		KernelProcs:  []int{2, 4},
-		Dsmc7Procs:   []int{2, 4},
-		Dsmc7Mols:    1000,
-		Dsmc7Steps:   10,
-		AdaptProcs:   8,
-		AdaptMols:    2400,
-		AdaptSteps:   96,
+		charmmAtoms:  1200,
+		charmmSteps:  10,
+		charmmNBEvry: 5,
+		charmmProcs:  []int{1, 2, 4, 8},
+		dsmc2DEdges:  []int{12},
+		dsmc2DProcs:  []int{2, 4, 8},
+		dsmc3DProcs:  []int{2, 4, 8},
+		dsmc3DMols:   2000,
+		dsmc3DSteps:  40,
+		kernelAtoms:  800,
+		kernelIters:  8,
+		kernelProcs:  []int{2, 4},
+		dsmc7Procs:   []int{2, 4},
+		dsmc7Mols:    1000,
+		dsmc7Steps:   10,
+		adaptProcs:   8,
+		adaptMols:    2400,
+		adaptSteps:   96,
 	}
 }
 
@@ -174,11 +174,11 @@ func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 // charmmConfig builds the Tables 1-3 CHARMM configuration.
 func (sc Scale) charmmConfig() charmm.Config {
 	cfg := charmm.DefaultConfig()
-	if sc.CharmmAtoms != cfg.NAtoms {
-		cfg = charmm.ConfigForAtoms(sc.CharmmAtoms)
+	if sc.charmmAtoms != cfg.NAtoms {
+		cfg = charmm.ConfigForAtoms(sc.charmmAtoms)
 	}
-	cfg.Steps = sc.CharmmSteps
-	cfg.NBEvery = sc.CharmmNBEvry
+	cfg.Steps = sc.charmmSteps
+	cfg.NBEvery = sc.charmmNBEvry
 	return cfg
 }
 
@@ -219,10 +219,10 @@ func (sc Scale) runCharmm(n int, cfg charmm.Config) *comm.Report {
 func Table1(sc Scale) *Table {
 	cfg := sc.charmmConfig()
 	t := &Table{
-		ID:      "Table 1",
-		Title:   "Performance of Parallel CHARMM (virtual sec)",
-		Columns: append([]string{"Number of Processors"}, intStrings(sc.CharmmProcs)...),
-		Notes: []string{
+		id:      "Table 1",
+		title:   "Performance of Parallel CHARMM (virtual sec)",
+		columns: append([]string{"Number of Processors"}, intStrings(sc.charmmProcs)...),
+		notes: []string{
 			fmt.Sprintf("%d atoms, %d steps, non-bonded list updated every %d steps, RCB partitioning, merged schedules", cfg.NAtoms, cfg.Steps, cfg.NBEvery),
 		},
 	}
@@ -230,26 +230,26 @@ func Table1(sc Scale) *Table {
 	compT := []string{"Computation Time"}
 	commT := []string{"Communication Time"}
 	lb := []string{"Load Balance Index"}
-	for _, n := range sc.CharmmProcs {
+	for _, n := range sc.charmmProcs {
 		rep := sc.runCharmm(n, cfg)
 		exec = append(exec, f3(rep.MaxClock()))
 		compT = append(compT, f3(rep.MeanComputeTime()))
 		commT = append(commT, f3(rep.MeanCommTime()))
 		lb = append(lb, f2(rep.LoadBalance()))
 	}
-	t.Rows = [][]string{exec, compT, commT, lb}
+	t.rows = [][]string{exec, compT, commT, lb}
 	return t
 }
 
 // Table2 regenerates "Preprocessing Overheads of CHARMM".
 func Table2(sc Scale) *Table {
 	cfg := sc.charmmConfig()
-	procs := withoutOne(sc.CharmmProcs)
+	procs := withoutOne(sc.charmmProcs)
 	t := &Table{
-		ID:      "Table 2",
-		Title:   "Preprocessing Overheads of CHARMM (virtual sec)",
-		Columns: append([]string{"Number of Processors"}, intStrings(procs)...),
-		Notes: []string{
+		id:      "Table 2",
+		title:   "Preprocessing Overheads of CHARMM (virtual sec)",
+		columns: append([]string{"Number of Processors"}, intStrings(procs)...),
+		notes: []string{
 			fmt.Sprintf("schedule regeneration row totals all %d non-bonded list updates", cfg.Steps/cfg.NBEvery),
 		},
 	}
@@ -272,7 +272,7 @@ func Table2(sc Scale) *Table {
 		}
 	}
 	for _, name := range order {
-		t.Rows = append(t.Rows, rows[name])
+		t.rows = append(t.rows, rows[name])
 	}
 	return t
 }
@@ -280,18 +280,18 @@ func Table2(sc Scale) *Table {
 // Table3 regenerates "Schedule Merging vs Multiple Schedules".
 func Table3(sc Scale) *Table {
 	cfg := sc.charmmConfig()
-	procs := withoutOne(sc.CharmmProcs)
+	procs := withoutOne(sc.charmmProcs)
 	t := &Table{
-		ID:      "Table 3",
-		Title:   "Communication Time: Schedule Merging vs Multiple Schedules (virtual sec)",
-		Columns: []string{"Number of Processors", "Merged Comm", "Merged Exec", "Multiple Comm", "Multiple Exec"},
+		id:      "Table 3",
+		title:   "Communication Time: Schedule Merging vs Multiple Schedules (virtual sec)",
+		columns: []string{"Number of Processors", "Merged Comm", "Merged Exec", "Multiple Comm", "Multiple Exec"},
 	}
 	for _, n := range procs {
 		cfg.Merged = true
 		repM := sc.runCharmm(n, cfg)
 		cfg.Merged = false
 		repS := sc.runCharmm(n, cfg)
-		t.Rows = append(t.Rows, []string{
+		t.rows = append(t.rows, []string{
 			fmt.Sprint(n),
 			f3(repM.MeanCommTime()), f3(repM.MaxClock()),
 			f3(repS.MeanCommTime()), f3(repS.MaxClock()),
@@ -304,15 +304,15 @@ func Table3(sc Scale) *Table {
 // 2-D DSMC grids.
 func Table4(sc Scale) *Table {
 	t := &Table{
-		ID:      "Table 4",
-		Title:   "DSMC 2-D: Regular vs Light-weight Schedules, total execution (virtual sec)",
-		Columns: []string{"Grid", "Schedules"},
+		id:      "Table 4",
+		title:   "DSMC 2-D: Regular vs Light-weight Schedules, total execution (virtual sec)",
+		columns: []string{"Grid", "Schedules"},
 	}
-	t.Columns = append(t.Columns, intStrings(sc.Dsmc2DProcs)...)
-	for _, edge := range sc.Dsmc2DEdges {
+	t.columns = append(t.columns, intStrings(sc.dsmc2DProcs)...)
+	for _, edge := range sc.dsmc2DEdges {
 		for _, mover := range []dsmc.Mover{dsmc.MoverRegular, dsmc.MoverLight} {
 			row := []string{fmt.Sprintf("%dx%d", edge, edge), string(mover)}
-			for _, n := range sc.Dsmc2DProcs {
+			for _, n := range sc.dsmc2DProcs {
 				cfg := dsmc.Default2D(edge)
 				cfg.Mover = mover
 				rep := sc.run(n, func(p *comm.Proc) {
@@ -320,7 +320,7 @@ func Table4(sc Scale) *Table {
 				})
 				row = append(row, f3(rep.MaxClock()))
 			}
-			t.Rows = append(t.Rows, row)
+			t.rows = append(t.rows, row)
 		}
 	}
 	return t
@@ -331,13 +331,13 @@ func Table4(sc Scale) *Table {
 // 40 steps, plus the sequential time.
 func Table5(sc Scale) *Table {
 	cfg := dsmc.Default3D()
-	cfg.NMols = sc.Dsmc3DMols
-	cfg.Steps = sc.Dsmc3DSteps
+	cfg.NMols = sc.dsmc3DMols
+	cfg.Steps = sc.dsmc3DSteps
 	t := &Table{
-		ID:      "Table 5",
-		Title:   "DSMC 3-D: Performance effects of remapping (virtual sec)",
-		Columns: append([]string{"Policy"}, append(intStrings(sc.Dsmc3DProcs), "Sequential")...),
-		Notes:   []string{"remapped every 40 time steps; drifting molecule concentration"},
+		id:      "Table 5",
+		title:   "DSMC 3-D: Performance effects of remapping (virtual sec)",
+		columns: append([]string{"Policy"}, append(intStrings(sc.dsmc3DProcs), "Sequential")...),
+		notes:   []string{"remapped every 40 time steps; drifting molecule concentration"},
 	}
 	seq := sc.run(1, func(p *comm.Proc) {
 		dsmc.Run(p, cfg)
@@ -353,7 +353,7 @@ func Table5(sc Scale) *Table {
 	}
 	for i, pol := range policies {
 		row := []string{pol.name}
-		for _, n := range sc.Dsmc3DProcs {
+		for _, n := range sc.dsmc3DProcs {
 			c := cfg
 			c.Partitioner = pol.part
 			c.Remap = pol.remap
@@ -367,7 +367,7 @@ func Table5(sc Scale) *Table {
 		} else {
 			row = append(row, "")
 		}
-		t.Rows = append(t.Rows, row)
+		t.rows = append(t.rows, row)
 	}
 	return t
 }
@@ -376,13 +376,13 @@ func Table5(sc Scale) *Table {
 // CHARMM Loop".
 func Table6(sc Scale) *Table {
 	cfg := charmm.DefaultKernelConfig()
-	cfg.NAtoms = sc.KernelAtoms
-	cfg.Iters = sc.KernelIters
+	cfg.NAtoms = sc.kernelAtoms
+	cfg.Iters = sc.kernelIters
 	t := &Table{
-		ID:      "Table 6",
-		Title:   "Hand-Coded vs Compiler-Generated CHARMM Loop (virtual sec)",
-		Columns: []string{"Version", "Procs", "Partition", "Remap", "Inspector", "Executor", "Total"},
-		Notes: []string{
+		id:      "Table 6",
+		title:   "Hand-Coded vs Compiler-Generated CHARMM Loop (virtual sec)",
+		columns: []string{"Version", "Procs", "Partition", "Remap", "Inspector", "Executor", "Total"},
+		notes: []string{
 			fmt.Sprintf("%d atoms, %d iterations, redistributed every %d iterations alternating RCB/RIB", cfg.NAtoms, cfg.Iters, cfg.RemapEvery),
 		},
 	}
@@ -394,7 +394,7 @@ func Table6(sc Scale) *Table {
 		{"Compiler", charmm.RunKernelCompiled},
 	}
 	for _, v := range variants {
-		for _, n := range sc.KernelProcs {
+		for _, n := range sc.kernelProcs {
 			rep := sc.run(n, func(p *comm.Proc) { v.run(p, cfg) })
 			// Total is the clock at the kernel's last Mark, before the
 			// checksum's reduction: the end of each rank's last span.
@@ -402,7 +402,7 @@ func Table6(sc Scale) *Table {
 			for _, spans := range rep.Spans {
 				total = max(total, spans[len(spans)-1].End)
 			}
-			t.Rows = append(t.Rows, []string{
+			t.rows = append(t.rows, []string{
 				v.name, fmt.Sprint(n), f3(rep.PhaseMax("partition")), f3(rep.PhaseMax("remap")),
 				f3(rep.PhaseMax("inspector")), f3(rep.PhaseMax("executor")), f3(total),
 			})
@@ -415,17 +415,17 @@ func Table6(sc Scale) *Table {
 // manual light-schedule MOVE vs the compiler's REDUCE(APPEND) lowering.
 func Table7(sc Scale) *Table {
 	cfg := dsmc.Default2D(32)
-	cfg.NMols = sc.Dsmc7Mols
-	cfg.Steps = sc.Dsmc7Steps
+	cfg.NMols = sc.dsmc7Mols
+	cfg.Steps = sc.dsmc7Steps
 	t := &Table{
-		ID:      "Table 7",
-		Title:   "Compiler-generated vs Manually-parallelized DSMC (virtual sec)",
-		Columns: []string{"Metric", "Version"},
-		Notes: []string{
+		id:      "Table 7",
+		title:   "Compiler-generated vs Manually-parallelized DSMC (virtual sec)",
+		columns: []string{"Metric", "Version"},
+		notes: []string{
 			fmt.Sprintf("32x32 cells, %d molecules, %d steps", cfg.NMols, cfg.Steps),
 		},
 	}
-	t.Columns = append(t.Columns, intStrings(sc.Dsmc7Procs)...)
+	t.columns = append(t.columns, intStrings(sc.dsmc7Procs)...)
 	variants := []struct {
 		name  string
 		mover dsmc.Mover
@@ -438,7 +438,7 @@ func Table7(sc Scale) *Table {
 	for _, v := range variants {
 		appendRows[v.name] = []string{"Reduce append", v.name}
 		totalRows[v.name] = []string{"Total time", v.name}
-		for _, n := range sc.Dsmc7Procs {
+		for _, n := range sc.dsmc7Procs {
 			c := cfg
 			c.Mover = v.mover
 			rep := sc.run(n, func(p *comm.Proc) { dsmc.Run(p, c) })
@@ -447,20 +447,12 @@ func Table7(sc Scale) *Table {
 		}
 	}
 	for _, v := range variants {
-		t.Rows = append(t.Rows, appendRows[v.name])
+		t.rows = append(t.rows, appendRows[v.name])
 	}
 	for _, v := range variants {
-		t.Rows = append(t.Rows, totalRows[v.name])
+		t.rows = append(t.rows, totalRows[v.name])
 	}
 	return t
-}
-
-// AllTables runs every experiment at the given scale.
-func AllTables(sc Scale) []*Table {
-	return []*Table{
-		Table1(sc), Table2(sc), Table3(sc), Table4(sc),
-		Table5(sc), Table6(sc), Table7(sc),
-	}
 }
 
 func intStrings(xs []int) []string {

@@ -12,7 +12,7 @@ import (
 // newline-delimited JSON the CI artifact uses.
 func quickTablesJSON(t *testing.T, sc Scale) []byte {
 	t.Helper()
-	return tablesJSON(t, sc.Name, AllTables(sc))
+	return tablesJSON(t, sc.Name, allTables(sc))
 }
 
 // tablesJSON renders tables exactly as `cmd/tables -json` prints them.

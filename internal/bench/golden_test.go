@@ -15,7 +15,7 @@ var update = flag.Bool("update", false, "rewrite testdata/*_quick.ndjson from th
 // binary: TestQuickGoldens pins them, TestTablesGoldenParityUnderFaults
 // holds its fault-injected passes to them and the TestTable*Shape tests read
 // their shapes off them.
-var cleanQuickTables = sync.OnceValue(func() []*Table { return AllTables(Quick()) })
+var cleanQuickTables = sync.OnceValue(func() []*Table { return allTables(Quick()) })
 
 // TestQuickGoldens holds the virtual timeline to pinned answers: the
 // quick-scale JSON of Tables 1-7 (`tables -quick -json`), the schedule-reuse
@@ -54,5 +54,13 @@ func TestQuickGoldens(t *testing.T) {
 				t.Errorf("%s differs from the pinned golden at line %d:\n  got:  %s\n  want: %s", path, line, gl, wl)
 			}
 		})
+	}
+}
+
+// allTables runs every experiment at the given scale.
+func allTables(sc Scale) []*Table {
+	return []*Table{
+		Table1(sc), Table2(sc), Table3(sc), Table4(sc),
+		Table5(sc), Table6(sc), Table7(sc),
 	}
 }

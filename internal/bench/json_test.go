@@ -10,20 +10,20 @@ import (
 
 func sampleTable() *Table {
 	return &Table{
-		ID:      "Table 9",
-		Title:   "Sample",
-		Columns: []string{"Policy", "2", "4"},
-		Rows: [][]string{
+		id:      "Table 9",
+		title:   "Sample",
+		columns: []string{"Policy", "2", "4"},
+		rows: [][]string{
 			{"Static", "1.000", "0.600"},
 			{"RCB", "0.900", "0.450", "extra"},
 			{"Short"},
 		},
-		Notes: []string{"synthetic"},
+		notes: []string{"synthetic"},
 	}
 }
 
 func TestJSONRecords(t *testing.T) {
-	recs := sampleTable().JSONRecords("quick")
+	recs := sampleTable().jsonRecords("quick")
 	if len(recs) != 3 {
 		t.Fatalf("got %d records, want 3", len(recs))
 	}
@@ -52,7 +52,7 @@ func TestWriteJSONIsNDJSON(t *testing.T) {
 	sc := bufio.NewScanner(&buf)
 	var lines int
 	for sc.Scan() {
-		var rec RowRecord
+		var rec rowRecord
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
 			t.Fatalf("line %d not valid JSON: %v\n%s", lines, err, sc.Text())
 		}
@@ -79,14 +79,14 @@ func TestRealTableJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if strings.Count(out, "\n") != len(tab.Rows) {
-		t.Fatalf("got %d lines for %d rows:\n%s", strings.Count(out, "\n"), len(tab.Rows), out)
+	if strings.Count(out, "\n") != len(tab.rows) {
+		t.Fatalf("got %d lines for %d rows:\n%s", strings.Count(out, "\n"), len(tab.rows), out)
 	}
-	var rec RowRecord
+	var rec rowRecord
 	if err := json.Unmarshal([]byte(strings.SplitN(out, "\n", 2)[0]), &rec); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Table != tab.ID || rec.Scale != "quick" {
+	if rec.Table != tab.id || rec.Scale != "quick" {
 		t.Errorf("record = %+v", rec)
 	}
 }

@@ -92,10 +92,10 @@ func loopirRun(prog *fortd.Program, nprocs int, optimized bool) (builds int, ins
 func Loopir() *Table {
 	const nprocs = 8
 	t := &Table{
-		ID:      "BENCH-loopir",
-		Title:   "program-level schedule reuse: fortd -O0 vs -O (8 simulated procs, 5 time steps)",
-		Columns: []string{"workload", "mode", "inspector builds", "inspector (s)", "executor (s)", "total (s)", "checksum"},
-		Notes: []string{
+		id:      "BENCH-loopir",
+		title:   "program-level schedule reuse: fortd -O0 vs -O (8 simulated procs, 5 time steps)",
+		columns: []string{"workload", "mode", "inspector builds", "inspector (s)", "executor (s)", "total (s)", "checksum"},
+		notes: []string{
 			"-O merges identical-usage inspectors, hoists loop-invariant inspectors out of the DO, and fuses gather/scatter messages; checksums are bit-identical to -O0",
 		},
 	}
@@ -110,7 +110,7 @@ func Loopir() *Table {
 				mode = "-O"
 			}
 			builds, inspT, execT, check := loopirRun(prog, nprocs, optimized)
-			t.Rows = append(t.Rows, []string{
+			t.rows = append(t.rows, []string{
 				w.name, mode,
 				fmt.Sprintf("%d", builds),
 				fmt.Sprintf("%.6f", inspT),

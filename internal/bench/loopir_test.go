@@ -11,15 +11,15 @@ import (
 // checksum is unchanged.
 func TestLoopirOptimizerWins(t *testing.T) {
 	tbl := Loopir()
-	if len(tbl.Rows)%2 != 0 || len(tbl.Rows) == 0 {
-		t.Fatalf("expected paired -O0/-O rows, got %d rows", len(tbl.Rows))
+	if len(tbl.rows)%2 != 0 || len(tbl.rows) == 0 {
+		t.Fatalf("expected paired -O0/-O rows, got %d rows", len(tbl.rows))
 	}
 	col := map[string]int{}
-	for i, h := range tbl.Columns {
+	for i, h := range tbl.columns {
 		col[h] = i
 	}
-	for i := 0; i < len(tbl.Rows); i += 2 {
-		naive, opt := tbl.Rows[i], tbl.Rows[i+1]
+	for i := 0; i < len(tbl.rows); i += 2 {
+		naive, opt := tbl.rows[i], tbl.rows[i+1]
 		name := naive[col["workload"]]
 		if naive[col["mode"]] != "-O0" || opt[col["mode"]] != "-O" || opt[col["workload"]] != name {
 			t.Fatalf("row pairing broken at %d: %v / %v", i, naive, opt)

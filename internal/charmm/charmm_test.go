@@ -26,31 +26,31 @@ func runAll(n int, cfg Config, run func(*comm.Proc, Config) *ProcResult) ([]*Pro
 
 func TestGenInitStateDeterministic(t *testing.T) {
 	cfg := smallConfig()
-	a := GenInitState(cfg)
-	b := GenInitState(cfg)
-	for i := range a.Pos {
-		if a.Pos[i] != b.Pos[i] {
+	a := genInitState(cfg)
+	b := genInitState(cfg)
+	for i := range a.pos {
+		if a.pos[i] != b.pos[i] {
 			t.Fatalf("positions differ at %d", i)
 		}
 	}
-	if len(a.BondI) != len(b.BondI) {
+	if len(a.bondI) != len(b.bondI) {
 		t.Fatal("bond counts differ")
 	}
 	// Bonds connect atoms within the same 3-atom molecule.
-	for k := range a.BondI {
-		if a.BondI[k]/3 != a.BondJ[k]/3 {
-			t.Errorf("bond %d crosses molecules: %d-%d", k, a.BondI[k], a.BondJ[k])
+	for k := range a.bondI {
+		if a.bondI[k]/3 != a.bondJ[k]/3 {
+			t.Errorf("bond %d crosses molecules: %d-%d", k, a.bondI[k], a.bondJ[k])
 		}
-		if a.BondLen[k] <= 0 {
-			t.Errorf("bond %d rest length %v", k, a.BondLen[k])
+		if a.bondLen[k] <= 0 {
+			t.Errorf("bond %d rest length %v", k, a.bondLen[k])
 		}
 	}
 }
 
 func TestNBListSymmetricAndWithinCutoff(t *testing.T) {
 	cfg := smallConfig()
-	st := GenInitState(cfg)
-	ptr, jnb := buildNBListSeq(st.Pos, cfg.NAtoms, cfg)
+	st := genInitState(cfg)
+	ptr, jnb := buildNBListSeq(st.pos, cfg.NAtoms, cfg)
 	c2 := cfg.Cutoff * cfg.Cutoff
 	count := 0
 	for i := 0; i < cfg.NAtoms; i++ {
@@ -58,9 +58,9 @@ func TestNBListSymmetricAndWithinCutoff(t *testing.T) {
 			if int(j) <= i {
 				t.Fatalf("list for %d contains partner %d <= i", i, j)
 			}
-			dx := st.Pos[3*i] - st.Pos[3*j]
-			dy := st.Pos[3*i+1] - st.Pos[3*j+1]
-			dz := st.Pos[3*i+2] - st.Pos[3*j+2]
+			dx := st.pos[3*i] - st.pos[3*j]
+			dy := st.pos[3*i+1] - st.pos[3*j+1]
+			dz := st.pos[3*i+2] - st.pos[3*j+2]
 			if dx*dx+dy*dy+dz*dz >= c2 {
 				t.Fatalf("pair (%d,%d) outside cutoff", i, j)
 			}
@@ -71,9 +71,9 @@ func TestNBListSymmetricAndWithinCutoff(t *testing.T) {
 	brute := 0
 	for i := 0; i < cfg.NAtoms; i++ {
 		for j := i + 1; j < cfg.NAtoms; j++ {
-			dx := st.Pos[3*i] - st.Pos[3*j]
-			dy := st.Pos[3*i+1] - st.Pos[3*j+1]
-			dz := st.Pos[3*i+2] - st.Pos[3*j+2]
+			dx := st.pos[3*i] - st.pos[3*j]
+			dy := st.pos[3*i+1] - st.pos[3*j+1]
+			dz := st.pos[3*i+2] - st.pos[3*j+2]
 			if dx*dx+dy*dy+dz*dz < c2 {
 				brute++
 			}

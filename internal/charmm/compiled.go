@@ -22,12 +22,12 @@ import (
 // at kernel grain is Table 6 (see kernel.go).
 func RunCompiled(p *comm.Proc, cfg Config) *ProcResult {
 	trig := cfg.mustTrigger(true)
-	init := GenInitState(cfg)
+	init := genInitState(cfg)
 	prog := loopir.NewProgram(p)
 
 	// Declarations: atoms and bonds decompositions, aligned arrays.
 	atoms := prog.Decomposition(cfg.NAtoms)
-	bonds := prog.Decomposition(len(init.BondI))
+	bonds := prog.Decomposition(len(init.bondI))
 	x := atoms.AlignReal(3)   // positions (read array of both loops)
 	frc := atoms.AlignReal(3) // forces (reduction array of both loops)
 	vel := atoms.AlignReal(3) // host-integrated, but aligned so remaps move it
@@ -36,11 +36,11 @@ func RunCompiled(p *comm.Proc, cfg Config) *ProcResult {
 	jb := bonds.AlignIndFlat(1)
 	blen := bonds.AlignReal(1)
 
-	x.SetByGlobal(func(g int32, c []float64) { copy(c, init.Pos[3*g:3*g+3]) })
-	vel.SetByGlobal(func(g int32, c []float64) { copy(c, init.Vel[3*g:3*g+3]) })
-	ib.SetFlat(slabI32(p, init.BondI))
-	jb.SetFlat(slabI32(p, init.BondJ))
-	blen.SetByGlobal(func(g int32, c []float64) { c[0] = init.BondLen[g] })
+	x.SetByGlobal(func(g int32, c []float64) { copy(c, init.pos[3*g:3*g+3]) })
+	vel.SetByGlobal(func(g int32, c []float64) { copy(c, init.vel[3*g:3*g+3]) })
+	ib.SetFlat(slabI32(p, init.bondI))
+	jb.SetFlat(slabI32(p, init.bondJ))
+	blen.SetByGlobal(func(g int32, c []float64) { c[0] = init.bondLen[g] })
 
 	// Compiled loops. The bonded body reads the rest length of bond k from
 	// the aligned blen array (moved in lockstep with ib/jb on remaps).
@@ -89,7 +89,7 @@ func RunCompiled(p *comm.Proc, cfg Config) *ProcResult {
 	}
 
 	// Initial preprocessing: a list for the weights, then the first episode.
-	rebuildList(PhaseNBListInit)
+	rebuildList(phaseNBListInit)
 	trig.Episode(p, 0, func() { episode(cfg.Partitioner, PhaseNBList, PhaseSchedGen) })
 
 	remapCount := 0
@@ -97,10 +97,10 @@ func RunCompiled(p *comm.Proc, cfg Config) *ProcResult {
 	for step := 1; step <= cfg.Steps; step++ {
 		cfg.Crash("charmm", p.Rank(), step)
 		if trig.Due(p, step) {
-			trig.Episode(p, step, func() { episode(cfg.partitionerAt(remapCount), PhaseNBUpdate, PhaseSchedRegen) })
+			trig.Episode(p, step, func() { episode(cfg.partitionerAt(remapCount), phaseNBUpdate, PhaseSchedRegen) })
 			remapCount++
 		} else if step%cfg.NBEvery == 0 {
-			rebuildList(PhaseNBUpdate)
+			rebuildList(phaseNBUpdate)
 			nonbonded.Inspect() // generated guard: jnb's record changed
 			p.Barrier()
 			p.Mark(PhaseSchedRegen)
@@ -112,7 +112,7 @@ func RunCompiled(p *comm.Proc, cfg Config) *ProcResult {
 		// Host integration over the owned atoms.
 		xs, vs, fs := x.Local(), vel.Local(), frc.Local()
 		for i := 0; i < atoms.NLocal(); i++ {
-			integrate(xs[3*i:3*i+3], vs[3*i:3*i+3], fs[3*i:3*i+3], &cfg.Box, cfg.Dt)
+			integrate(xs[3*i:3*i+3], vs[3*i:3*i+3], fs[3*i:3*i+3], &cfg.box, cfg.Dt)
 		}
 		p.ComputeFlops(integrateFlops * atoms.NLocal())
 		p.Mark(PhaseExecutor)

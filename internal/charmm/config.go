@@ -22,8 +22,8 @@ import (
 type Config struct {
 	// NAtoms is the number of atoms. The paper's benchmark case has 14026.
 	NAtoms int
-	// Box is the simulation box (reflecting walls).
-	Box [3]float64
+	// box is the simulation box (reflecting walls).
+	box [3]float64
 	// Cutoff is the non-bonded interaction cutoff distance.
 	Cutoff float64
 	// Partners is the target average non-bonded partner count per atom
@@ -75,7 +75,7 @@ func DefaultConfig() Config {
 		Partitioner: "rcb",
 		Merged:      true,
 	}
-	cfg.Box = boxFor(cfg.NAtoms, cfg.Cutoff, cfg.Partners)
+	cfg.box = boxFor(cfg.NAtoms, cfg.Cutoff, cfg.Partners)
 	return cfg
 }
 
@@ -92,7 +92,7 @@ func boxFor(n int, cutoff float64, partners float64) [3]float64 {
 // tests to shrink the workload.
 func (c Config) scaled(nAtoms int) Config {
 	c.NAtoms = nAtoms
-	c.Box = boxFor(nAtoms, c.Cutoff, c.Partners)
+	c.box = boxFor(nAtoms, c.Cutoff, c.Partners)
 	return c
 }
 

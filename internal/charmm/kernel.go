@@ -59,7 +59,7 @@ func kernelSetup(p *comm.Proc, cfg KernelConfig) (pos []float64, ptr, jnb []int3
 	mdCfg.Seed = cfg.Seed
 	pos = initPositions(mdCfg)
 	var nb nbSearch
-	nb.grid.build(pos, nil, cfg.NAtoms, mdCfg.Box, mdCfg.Cutoff)
+	nb.grid.build(pos, nil, cfg.NAtoms, mdCfg.box, mdCfg.Cutoff)
 	lo, hi := partition.BlockRange(p.Rank(), cfg.NAtoms, p.Size())
 	ptr, jnb = nb.searchRows(pos, nil, lo, hi, mdCfg)
 	return pos, ptr, jnb

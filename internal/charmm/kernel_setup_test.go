@@ -28,7 +28,7 @@ func TestKernelSetupSlabMatchesSequential(t *testing.T) {
 		cfg := KernelConfig{NAtoms: n, Seed: int64(100 + ci)}
 		mdCfg := DefaultConfig().scaled(n)
 		mdCfg.Seed = cfg.Seed
-		wantPos := GenInitState(mdCfg).Pos
+		wantPos := genInitState(mdCfg).pos
 		wantPtr, wantJnb := buildNBListSeq(wantPos, n, mdCfg)
 		for _, nprocs := range []int{1, 2, 3, 4} {
 			comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
@@ -65,11 +65,11 @@ func TestKernelSetupSlabMatchesSequential(t *testing.T) {
 func TestFirstBuildEstimate(t *testing.T) {
 	for _, n := range []int{700, 3000} {
 		cfg := ConfigForAtoms(n)
-		pos := GenInitState(cfg).Pos
+		pos := genInitState(cfg).pos
 		for _, nprocs := range []int{1, 2, 4} {
 			for r := 0; r < nprocs; r++ {
 				var nb nbSearch
-				nb.grid.build(pos, nil, n, cfg.Box, cfg.Cutoff)
+				nb.grid.build(pos, nil, n, cfg.box, cfg.Cutoff)
 				lo, hi := partition.BlockRange(r, n, nprocs)
 				est := nb.estimate(pos, nil, lo, hi, cfg)
 				_, jnb := nb.searchRows(pos, nil, lo, hi, cfg)
@@ -165,13 +165,13 @@ func BenchmarkKernelRemapCycle(b *testing.B) {
 
 // TestKernelPositionsMatchInitState: the kernel draws charmm-md's initial
 // positions, bit for bit, in one allocation and without the velocities and
-// bonds GenInitState also builds.
+// bonds genInitState also builds.
 func TestKernelPositionsMatchInitState(t *testing.T) {
 	for _, n := range []int{1, 2, 300, 8000, 14026} {
 		for _, seed := range []int64{1994, 7} {
 			mdCfg := DefaultConfig().scaled(n)
 			mdCfg.Seed = seed
-			want := GenInitState(mdCfg).Pos
+			want := genInitState(mdCfg).pos
 			comm.Run(1, costmodel.IPSC860(), func(p *comm.Proc) {
 				pos, _, _ := kernelSetup(p, KernelConfig{NAtoms: n, Seed: seed})
 				if len(pos) != len(want) {
@@ -179,7 +179,7 @@ func TestKernelPositionsMatchInitState(t *testing.T) {
 				}
 				for i := range want {
 					if math.Float64bits(pos[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("n=%d seed %d: coordinate %d is %v, GenInitState's is %v", n, seed, i, pos[i], want[i])
+						t.Fatalf("n=%d seed %d: coordinate %d is %v, genInitState's is %v", n, seed, i, pos[i], want[i])
 					}
 				}
 			})

@@ -243,7 +243,7 @@ func BenchmarkPairForceRow(b *testing.B) {
 
 func benchPairForceRow(b *testing.B) {
 	cfg := ConfigForAtoms(8000)
-	pos := GenInitState(cfg).Pos
+	pos := genInitState(cfg).pos
 	ptr, jnb := buildNBListSeq(pos, cfg.NAtoms, cfg)
 	frc := make([]float64, len(pos))
 	c2 := cfg.Cutoff * cfg.Cutoff

@@ -5,41 +5,41 @@ import (
 	"math/rand"
 )
 
-// InitState is the deterministic initial condition shared by the sequential
+// initState is the deterministic initial condition shared by the sequential
 // reference and every parallel rank. Atoms are grouped into 3-atom
 // "molecules" (one centre, two satellites) connected by harmonic bonds.
-type InitState struct {
-	Pos []float64 // 3*NAtoms, interleaved x,y,z
-	Vel []float64 // 3*NAtoms
+type initState struct {
+	pos []float64 // 3*NAtoms, interleaved x,y,z
+	vel []float64 // 3*NAtoms
 	// Bonds: BondI[k]-BondJ[k] with rest length BondLen[k].
-	BondI, BondJ []int32
-	BondLen      []float64
+	bondI, bondJ []int32
+	bondLen      []float64
 }
 
-// GenInitState generates the initial condition for cfg. It is a pure
+// genInitState generates the initial condition for cfg. It is a pure
 // function of the configuration, so every rank can generate it identically.
 // The random stream draws the positions (genPositions) and then the
 // velocities; the bonds are computed from the positions and draw nothing.
-func GenInitState(cfg Config) *InitState {
+func genInitState(cfg Config) *initState {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := cfg.NAtoms
-	st := &InitState{Pos: genPositions(rng, cfg)}
+	st := &initState{pos: genPositions(rng, cfg)}
 	// Each molecule bonds its centre to its satellites.
 	for base := 0; base < n; base += 3 {
 		for j := base + 1; j < min(base+3, n); j++ {
-			st.BondI = append(st.BondI, int32(base))
-			st.BondJ = append(st.BondJ, int32(j))
-			st.BondLen = append(st.BondLen, dist3(st.Pos[3*base:3*base+3], st.Pos[3*j:3*j+3]))
+			st.bondI = append(st.bondI, int32(base))
+			st.bondJ = append(st.bondJ, int32(j))
+			st.bondLen = append(st.bondLen, dist3(st.pos[3*base:3*base+3], st.pos[3*j:3*j+3]))
 		}
 	}
-	st.Vel = make([]float64, 3*n)
-	for i := range st.Vel {
-		st.Vel[i] = 0.2 * (float64(rng.Float64()) - 0.5)
+	st.vel = make([]float64, 3*n)
+	for i := range st.vel {
+		st.vel[i] = 0.2 * (float64(rng.Float64()) - 0.5)
 	}
 	return st
 }
 
-// initPositions is GenInitState(cfg).Pos without the velocities and bonds:
+// initPositions is genInitState(cfg).pos without the velocities and bonds:
 // the same positions, bit for bit, from the same stream.
 func initPositions(cfg Config) []float64 {
 	return genPositions(rand.New(rand.NewSource(cfg.Seed)), cfg)
@@ -57,7 +57,7 @@ func genPositions(rng *rand.Rand, cfg Config) []float64 {
 	for base := 0; base < n; base += 3 {
 		var c [3]float64
 		for d := 0; d < 3; d++ {
-			c[d] = float64(0.05*cfg.Box[d]) + float64(0.9*cfg.Box[d]*rng.Float64())
+			c[d] = float64(0.05*cfg.box[d]) + float64(0.9*cfg.box[d]*rng.Float64())
 		}
 		for a := 0; a < min(3, n-base); a++ {
 			for d := 0; d < 3; d++ {
@@ -65,7 +65,7 @@ func genPositions(rng *rand.Rand, cfg Config) []float64 {
 				if a > 0 {
 					off = 0.3 * (float64(rng.Float64()) - 0.5)
 				}
-				pos[3*(base+a)+d] = clamp(c[d]+off, 0, cfg.Box[d])
+				pos[3*(base+a)+d] = clamp(c[d]+off, 0, cfg.box[d])
 			}
 		}
 	}
@@ -203,9 +203,9 @@ func integrate(pos, vel, frc []float64, box *[3]float64, dt float64) {
 // positions and a checksum (the mean absolute coordinate). It is the
 // correctness oracle for the parallel implementation.
 func Reference(cfg Config) (pos []float64, checksum float64) {
-	st := GenInitState(cfg)
-	pos = st.Pos
-	vel := st.Vel
+	st := genInitState(cfg)
+	pos = st.pos
+	vel := st.vel
 	n := cfg.NAtoms
 	c2 := cfg.Cutoff * cfg.Cutoff
 	var nb nbSearch
@@ -219,9 +219,9 @@ func Reference(cfg Config) (pos []float64, checksum float64) {
 		for i := range frc {
 			frc[i] = 0
 		}
-		for k := range st.BondI {
-			i, j := st.BondI[k], st.BondJ[k]
-			bondForce(pos[3*i:3*i+3], pos[3*j:3*j+3], frc[3*i:3*i+3], frc[3*j:3*j+3], st.BondLen[k])
+		for k := range st.bondI {
+			i, j := st.bondI[k], st.bondJ[k]
+			bondForce(pos[3*i:3*i+3], pos[3*j:3*j+3], frc[3*i:3*i+3], frc[3*j:3*j+3], st.bondLen[k])
 		}
 		for i := 0; i < n; i++ {
 			for _, j := range jnb[ptr[i]:ptr[i+1]] {
@@ -229,7 +229,7 @@ func Reference(cfg Config) (pos []float64, checksum float64) {
 			}
 		}
 		for i := 0; i < n; i++ {
-			integrate(pos[3*i:3*i+3], vel[3*i:3*i+3], frc[3*i:3*i+3], &cfg.Box, cfg.Dt)
+			integrate(pos[3*i:3*i+3], vel[3*i:3*i+3], frc[3*i:3*i+3], &cfg.box, cfg.Dt)
 		}
 	}
 	return pos, meanAbs(pos)

@@ -355,13 +355,8 @@ func (nb *nbSearch) estimate(pos []float64, ids []int32, lo, hi int, cfg Config)
 // buildSeq builds the full non-bonded list sequentially: for each atom i,
 // the partners j > i within the cutoff, CSR layout.
 func (nb *nbSearch) buildSeq(pos []float64, n int, cfg Config) (ptr, jnb []int32) {
-	nb.grid.build(pos, nil, n, cfg.Box, cfg.Cutoff)
+	nb.grid.build(pos, nil, n, cfg.box, cfg.Cutoff)
 	return nb.search(pos, nil, n, cfg)
-}
-
-// buildNBListSeq is buildSeq with throw-away working storage.
-func buildNBListSeq(pos []float64, n int, cfg Config) (ptr, jnb []int32) {
-	return new(nbSearch).buildSeq(pos, n, cfg)
 }
 
 // buildNBListPar regenerates the non-bonded list for the owned atoms using
@@ -442,7 +437,7 @@ func buildNBListPar(p *comm.Proc, globals []int32, pos []float64, cfg Config, nb
 	}
 	p.ComputeMem(nAll)
 
-	nb.grid.build(allP, allG, nAll, cfg.Box, cfg.Cutoff)
+	nb.grid.build(allP, allG, nAll, cfg.box, cfg.Cutoff)
 	p.ComputeMem(nAll)
 	ptr, jnb = nb.search(allP, allG, nOwn, cfg)
 	p.ComputeMem(searchMemOps * nb.examined)

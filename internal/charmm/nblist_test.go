@@ -91,7 +91,7 @@ func refNBList(pos []float64, ids []int32, n, nRows int, cfg Config) (ptr, jnb [
 		}
 		return ids[i]
 	}
-	grid := newRefGrid(pos, n, cfg.Box, cfg.Cutoff)
+	grid := newRefGrid(pos, n, cfg.box, cfg.Cutoff)
 	c2 := cfg.Cutoff * cfg.Cutoff
 	ptr = make([]int32, nRows+1)
 	examined = make([]int, nRows)
@@ -143,15 +143,15 @@ func nbCases() []nbCase {
 		sh := shapes[trial%len(shapes)]
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
 		n := 40 + rng.Intn(360)
-		cfg := Config{NAtoms: n, Box: sh.box, Cutoff: 2.5}
+		cfg := Config{NAtoms: n, box: sh.box, Cutoff: 2.5}
 		pos := make([]float64, 3*n)
 		for i := range pos {
-			pos[i] = rng.Float64() * cfg.Box[i%3]
+			pos[i] = rng.Float64() * cfg.box[i%3]
 		}
 		// A tenth of the atoms sit exactly on a wall in some axis.
 		for k := 0; k < n/10; k++ {
 			i, d := rng.Intn(n), rng.Intn(3)
-			pos[3*i+d] = cfg.Box[d] * float64(rng.Intn(2))
+			pos[3*i+d] = cfg.box[d] * float64(rng.Intn(2))
 		}
 		cases = append(cases, nbCase{fmt.Sprintf("%s-%d", sh.name, trial), cfg, pos})
 	}
@@ -261,7 +261,7 @@ func atCutoffCase() (c nbCase, wantPtr, wantJnb []int32) {
 		1, 1, 1.5, // 5: 0.5 from 1, 2.0 from 4
 		3.5, 1, 3.4999999, // 6: just inside the cutoff of 0 in z
 	}
-	cfg := Config{NAtoms: len(pos) / 3, Box: [3]float64{10, 10, 10}, Cutoff: 2.5}
+	cfg := Config{NAtoms: len(pos) / 3, box: [3]float64{10, 10, 10}, Cutoff: 2.5}
 	return nbCase{"at-cutoff", cfg, pos}, []int32{0, 1, 2, 2, 2, 3, 3, 3}, []int32{6, 5, 5}
 }
 
@@ -276,7 +276,7 @@ func coincidentCase() (c nbCase, wantPtr, wantJnb []int32) {
 		0, 0, 0, // 4
 		6.5, 4, 4, // 5: 2.5 from 0, 1 and 2
 	}
-	cfg := Config{NAtoms: len(pos) / 3, Box: [3]float64{10, 10, 10}, Cutoff: 2.5}
+	cfg := Config{NAtoms: len(pos) / 3, box: [3]float64{10, 10, 10}, Cutoff: 2.5}
 	return nbCase{"coincident", cfg, pos}, []int32{0, 2, 3, 3, 4, 4, 4}, []int32{1, 2, 2, 4}
 }
 
@@ -359,7 +359,7 @@ func BenchmarkNBListBuild(b *testing.B) {
 
 func benchNBListBuild(b *testing.B) {
 	cfg := ConfigForAtoms(8000)
-	init := GenInitState(cfg)
+	init := genInitState(cfg)
 	// report divides one build's time among its candidates and rows.
 	report := func(b *testing.B, examined, rows, ranges int) {
 		perBuild := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
@@ -371,12 +371,12 @@ func benchNBListBuild(b *testing.B) {
 	b.Run("seq", func(b *testing.B) {
 		b.ReportAllocs()
 		var nb nbSearch
-		nb.buildSeq(init.Pos, cfg.NAtoms, cfg) // warm-up
+		nb.buildSeq(init.pos, cfg.NAtoms, cfg) // warm-up
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			nb.buildSeq(init.Pos, cfg.NAtoms, cfg)
+			nb.buildSeq(init.pos, cfg.NAtoms, cfg)
 		}
-		report(b, nb.examined, cfg.NAtoms, walkRanges(&nb.grid, init.Pos, cfg.NAtoms, c2))
+		report(b, nb.examined, cfg.NAtoms, walkRanges(&nb.grid, init.pos, cfg.NAtoms, c2))
 	})
 	for _, nprocs := range []int{1, 2} {
 		b.Run(fmt.Sprintf("ranks=%d", nprocs), func(b *testing.B) {
@@ -388,7 +388,7 @@ func benchNBListBuild(b *testing.B) {
 				for i := range globals {
 					globals[i] = int32(lo + i)
 				}
-				pos := init.Pos[3*lo : 3*hi]
+				pos := init.pos[3*lo : 3*hi]
 				var nb nbSearch
 				buildNBListPar(p, globals, pos, cfg, &nb) // warm-up
 				p.Barrier()
@@ -508,4 +508,9 @@ func TestReferenceRetiresItsLists(t *testing.T) {
 	if rebuilt := alloc(cfg); float64(rebuilt) > 1.25*float64(once) {
 		t.Errorf("Reference allocated %d bytes with six rebuilds, %d with one build: the rebuilds do not reuse the retired lists", rebuilt, once)
 	}
+}
+
+// buildNBListSeq is buildSeq with throw-away working storage.
+func buildNBListSeq(pos []float64, n int, cfg Config) (ptr, jnb []int32) {
+	return new(nbSearch).buildSeq(pos, n, cfg)
 }

@@ -22,14 +22,14 @@ import (
 // PhaseSchedRegen) and PhaseExecutor.
 const (
 	PhasePartition  = "partition"
-	PhaseNBListInit = "nblist_init"
+	phaseNBListInit = "nblist_init"
 	PhaseNBList     = "nblist"
-	PhaseNBUpdate   = "nbupdate"
+	phaseNBUpdate   = "nbupdate"
 	PhaseRemap      = "remap"
 	PhaseSchedGen   = "schedgen"
 	PhaseSchedRegen = "schedregen"
 	PhaseExecutor   = "executor"
-	PhaseCheckpoint = "checkpoint"
+	phaseCheckpoint = "checkpoint"
 )
 
 // ProcResult is one rank's outcome of a parallel CHARMM run. Checksum and
@@ -93,8 +93,8 @@ func Run(p *comm.Proc, cfg Config) *ProcResult {
 
 // FinalState is one rank's final owned atom state, for validation.
 type FinalState struct {
-	Globals  []int32
-	Pos, Vel []float64 // 3-wide, local order
+	globals  []int32
+	pos, vel []float64 // 3-wide, local order
 }
 
 // RunKeepState is Run but also returns this rank's final owned atoms (for
@@ -102,9 +102,9 @@ type FinalState struct {
 func RunKeepState(p *comm.Proc, cfg Config) (*ProcResult, *FinalState) {
 	res, s := run(p, cfg)
 	return res, &FinalState{
-		Globals: append([]int32(nil), s.atoms.Globals()...),
-		Pos:     append([]float64(nil), s.pos...),
-		Vel:     append([]float64(nil), s.vel...),
+		globals: append([]int32(nil), s.atoms.Globals()...),
+		pos:     append([]float64(nil), s.pos...),
+		vel:     append([]float64(nil), s.vel...),
 	}
 }
 
@@ -125,7 +125,7 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, *simState) {
 		cfg.Crash("charmm", p.Rank(), step)
 		if trig.Due(p, step) {
 			trig.Episode(p, step, func() {
-				remapEpisode(p, s, cfg, cfg.partitionerAt(remapCount), PhaseNBUpdate, PhaseSchedRegen)
+				remapEpisode(p, s, cfg, cfg.partitionerAt(remapCount), phaseNBUpdate, PhaseSchedRegen)
 			})
 			remapCount++
 		} else if step%cfg.NBEvery == 0 {
@@ -135,7 +135,7 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, *simState) {
 			s.nb.retire(s.ptr, s.jnb)
 			s.ptr, s.jnb = buildNBListPar(p, s.atoms.Globals(), s.pos, cfg, &s.nb)
 			p.Barrier()
-			p.Mark(PhaseNBUpdate)
+			p.Mark(phaseNBUpdate)
 			s.ht.ClearStamp(s.sNB)
 			s.locJnb = s.ht.HashInto(s.locJnb, s.jnb, s.sNB)
 			rebuildSchedules(p, s, cfg)
@@ -146,7 +146,7 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, *simState) {
 		p.Mark(PhaseExecutor)
 		if cfg.SaveDue(step) {
 			saveCheckpoint(p, s, cfg, step, remapCount)
-			p.Mark(PhaseCheckpoint)
+			p.Mark(phaseCheckpoint)
 		}
 	}
 
@@ -161,24 +161,24 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, *simState) {
 // inspector episode is the trigger's step 0: it bootstraps a remap policy's
 // cost estimate.
 func setup(p *comm.Proc, rt *core.Runtime, cfg Config, trig *adapt.Trigger) *simState {
-	init := GenInitState(cfg)
+	init := genInitState(cfg)
 	s := &simState{atoms: rt.BlockDist(cfg.NAtoms)}
 	// Local slabs of the initial condition.
 	lo, hi := partition.BlockRange(p.Rank(), cfg.NAtoms, p.Size())
-	s.pos = append([]float64(nil), init.Pos[3*lo:3*hi]...)
-	s.vel = append([]float64(nil), init.Vel[3*lo:3*hi]...)
-	nbonds := len(init.BondI)
+	s.pos = append([]float64(nil), init.pos[3*lo:3*hi]...)
+	s.vel = append([]float64(nil), init.vel[3*lo:3*hi]...)
+	nbonds := len(init.bondI)
 	blo, bhi := partition.BlockRange(p.Rank(), nbonds, p.Size())
-	s.bondI = append([]int32(nil), init.BondI[blo:bhi]...)
-	s.bondJ = append([]int32(nil), init.BondJ[blo:bhi]...)
-	s.bondLen = append([]float64(nil), init.BondLen[blo:bhi]...)
+	s.bondI = append([]int32(nil), init.bondI[blo:bhi]...)
+	s.bondJ = append([]int32(nil), init.bondJ[blo:bhi]...)
+	s.bondLen = append([]float64(nil), init.bondLen[blo:bhi]...)
 	p.SkipPhase() // setup is not a measured phase
 
 	// Initial non-bonded list on the block distribution: it supplies the
 	// computational weights the partitioner needs (§4.1).
 	s.ptr, s.jnb = buildNBListPar(p, s.atoms.Globals(), s.pos, cfg, &s.nb)
 	p.Barrier()
-	p.Mark(PhaseNBListInit)
+	p.Mark(phaseNBListInit)
 
 	trig.Episode(p, 0, func() { remapEpisode(p, s, cfg, cfg.Partitioner, PhaseNBList, PhaseSchedGen) })
 	return s
@@ -409,7 +409,7 @@ func executeStep(p *comm.Proc, s *simState, cfg Config) {
 	}
 
 	for i := 0; i < s.atoms.NLocal(); i++ {
-		integrate(s.pos[3*i:3*i+3], s.vel[3*i:3*i+3], frc[3*i:3*i+3], &cfg.Box, cfg.Dt)
+		integrate(s.pos[3*i:3*i+3], s.vel[3*i:3*i+3], frc[3*i:3*i+3], &cfg.box, cfg.Dt)
 	}
 	p.ComputeFlops(integrateFlops * s.atoms.NLocal())
 }

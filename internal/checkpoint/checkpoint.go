@@ -12,82 +12,82 @@ import (
 	"repro/internal/core"
 )
 
-// ManifestName is the file that seals a checkpoint directory: it is written
+// manifestName is the file that seals a checkpoint directory: it is written
 // last (atomically), so its presence marks the checkpoint complete.
-const ManifestName = "MANIFEST.ckpt"
+const manifestName = "MANIFEST.ckpt"
 
-// Manifest describes one complete checkpoint.
-type Manifest struct {
-	// App identifies the writing application ("charmm", "dsmc", ...);
+// manifest describes one complete checkpoint.
+type manifest struct {
+	// app identifies the writing application ("charmm", "dsmc", ...);
 	// restore refuses a manifest from a different application.
-	App string
-	// NRanks is the processor count that wrote the checkpoint.
-	NRanks int
+	app string
+	// nRanks is the processor count that wrote the checkpoint.
+	nRanks int
 	// Step is the time step the state was captured at.
 	Step int64
-	// N is the length of the primary distributed index space (atoms for
+	// n is the length of the primary distributed index space (atoms for
 	// CHARMM, cells for DSMC).
-	N int64
-	// ShardCRCs[r] is the CRC32 of rank r's entire shard file, a second
+	n int64
+	// shardCRCs[r] is the CRC32 of rank r's entire shard file, a second
 	// integrity layer above the per-record CRCs.
-	ShardCRCs []uint32
+	shardCRCs []uint32
 }
 
-// EncodeManifest serializes a manifest.
-func EncodeManifest(m *Manifest) []byte {
+// encodeManifest serializes a manifest.
+func encodeManifest(m *manifest) []byte {
 	s := NewSnapshot()
-	s.PutBytes("app", []byte(m.App))
-	s.PutScalarI64("nranks", int64(m.NRanks))
+	s.putBytes("app", []byte(m.app))
+	s.PutScalarI64("nranks", int64(m.nRanks))
 	s.PutScalarI64("step", m.Step)
-	s.PutScalarI64("n", m.N)
-	crcs := make([]int64, len(m.ShardCRCs))
-	for i, c := range m.ShardCRCs {
+	s.PutScalarI64("n", m.n)
+	crcs := make([]int64, len(m.shardCRCs))
+	for i, c := range m.shardCRCs {
 		crcs[i] = int64(c)
 	}
-	s.PutI64("shardcrc", crcs)
+	s.putI64("shardcrc", crcs)
 	return s.encode(kindManifest)
 }
 
-// DecodeManifest parses a manifest file image. It never panics on malformed
+// decodeManifest parses a manifest file image. It never panics on malformed
 // input.
-func DecodeManifest(b []byte) (*Manifest, error) {
+func decodeManifest(b []byte) (*manifest, error) {
 	s, err := decodeSnapshot(b, kindManifest)
 	if err != nil {
 		return nil, err
 	}
-	app, err := s.Bytes("app")
+	app, err := s.bytes("app")
 	if err != nil {
 		return nil, err
 	}
-	nranks, err := s.ScalarI64("nranks")
+	nranks, err := s.scalarI64("nranks")
 	if err != nil {
 		return nil, err
 	}
-	step, err := s.ScalarI64("step")
+	step, err := s.scalarI64("step")
 	if err != nil {
 		return nil, err
 	}
-	n, err := s.ScalarI64("n")
+	n, err := s.scalarI64("n")
 	if err != nil {
 		return nil, err
 	}
-	crcs, err := s.I64("shardcrc")
+	crcs, err := s.i64("shardcrc")
 	if err != nil {
 		return nil, err
 	}
 	if nranks < 1 || int64(len(crcs)) != nranks {
 		return nil, fmt.Errorf("checkpoint: manifest has %d shard CRCs for %d ranks", len(crcs), nranks)
 	}
-	m := &Manifest{App: string(app), NRanks: int(nranks), Step: step, N: n}
-	m.ShardCRCs = make([]uint32, len(crcs))
+	m := &manifest{app: string(app), nRanks: int(nranks), Step: step, n: n}
+	m.shardCRCs = make([]uint32, len(crcs))
 	for i, c := range crcs {
-		m.ShardCRCs[i] = uint32(c)
+		m.shardCRCs[i] = uint32(c)
 	}
 	return m, nil
 }
 
-// ShardName returns the file name of rank r's shard.
-func ShardName(r int) string { return fmt.Sprintf("shard-%04d.ckpt", r) }
+// shardName returns the file name of rank r's shard.
+func shardName(r int) string { return fmt.Sprintf("shard-%04d.ckpt", r) }
 
 // StepDir returns the checkpoint directory for a given step under base.
 func StepDir(base string, step int64) string {
@@ -104,20 +104,20 @@ func writeFileAtomic(path string, data []byte) error {
 	return os.Rename(tmp, path)
 }
 
-// WriteShard writes rank's shard into dir and returns the whole-file CRC32
+// writeShard writes rank's shard into dir and returns the whole-file CRC32
 // recorded in the manifest.
-func WriteShard(dir string, rank int, s *Snapshot) (uint32, error) {
+func writeShard(dir string, rank int, s *Snapshot) (uint32, error) {
 	b := s.encode(kindShard)
-	if err := writeFileAtomic(filepath.Join(dir, ShardName(rank)), b); err != nil {
+	if err := writeFileAtomic(filepath.Join(dir, shardName(rank)), b); err != nil {
 		return 0, err
 	}
 	return crc32.ChecksumIEEE(b), nil
 }
 
-// ReadShard reads and validates rank's shard from dir. wantCRC is the
+// readShard reads and validates rank's shard from dir. wantCRC is the
 // manifest's whole-file CRC for this shard (pass 0 to skip the cross-check).
-func ReadShard(dir string, rank int, wantCRC uint32) (*Snapshot, error) {
-	b, err := os.ReadFile(filepath.Join(dir, ShardName(rank)))
+func readShard(dir string, rank int, wantCRC uint32) (*Snapshot, error) {
+	b, err := os.ReadFile(filepath.Join(dir, shardName(rank)))
 	if err != nil {
 		return nil, err
 	}
@@ -129,18 +129,18 @@ func ReadShard(dir string, rank int, wantCRC uint32) (*Snapshot, error) {
 	return decodeSnapshot(b, kindShard)
 }
 
-// WriteManifest seals the checkpoint directory.
-func WriteManifest(dir string, m *Manifest) error {
-	return writeFileAtomic(filepath.Join(dir, ManifestName), EncodeManifest(m))
+// writeManifest seals the checkpoint directory.
+func writeManifest(dir string, m *manifest) error {
+	return writeFileAtomic(filepath.Join(dir, manifestName), encodeManifest(m))
 }
 
-// Open reads and validates the manifest of a checkpoint directory.
-func Open(dir string) (*Manifest, error) {
-	b, err := os.ReadFile(filepath.Join(dir, ManifestName))
+// open reads and validates the manifest of a checkpoint directory.
+func open(dir string) (*manifest, error) {
+	b, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		return nil, err
 	}
-	return DecodeManifest(b)
+	return decodeManifest(b)
 }
 
 // Latest returns the most recent complete checkpoint directory under base
@@ -162,7 +162,7 @@ func Latest(base string) (dir string, ok bool) {
 	sort.Strings(names)
 	for i := len(names) - 1; i >= 0; i-- {
 		d := filepath.Join(base, names[i])
-		if _, err := os.Stat(filepath.Join(d, ManifestName)); err == nil {
+		if _, err := os.Stat(filepath.Join(d, manifestName)); err == nil {
 			return d, true
 		}
 	}
@@ -195,22 +195,22 @@ func ResolveResume(arg, base string) (string, error) {
 // directory. I/O failures panic, like any other collective failure in this
 // codebase, and surface as PeerFailure on the other ranks.
 func Save(p *comm.Proc, base, app string, n, step int64, snap *Snapshot) string {
-	snap.PutScalarF64("clock", p.Clock())
+	snap.putScalarF64("clock", p.Clock())
 	dir := StepDir(base, step)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		panic(fmt.Sprintf("checkpoint: mkdir %s: %v", dir, err))
 	}
-	crc, err := WriteShard(dir, p.Rank(), snap)
+	crc, err := writeShard(dir, p.Rank(), snap)
 	if err != nil {
 		panic(fmt.Sprintf("checkpoint: write shard %d: %v", p.Rank(), err))
 	}
 	gathered := p.AllGatherI64([]int64{int64(crc)})
 	if p.Rank() == 0 {
-		m := &Manifest{App: app, NRanks: p.Size(), Step: step, N: n, ShardCRCs: make([]uint32, p.Size())}
+		m := &manifest{app: app, nRanks: p.Size(), Step: step, n: n, shardCRCs: make([]uint32, p.Size())}
 		for r := range gathered {
-			m.ShardCRCs[r] = uint32(gathered[r][0])
+			m.shardCRCs[r] = uint32(gathered[r][0])
 		}
-		if err := WriteManifest(dir, m); err != nil {
+		if err := writeManifest(dir, m); err != nil {
 			panic(fmt.Sprintf("checkpoint: write manifest: %v", err))
 		}
 	}
@@ -218,14 +218,14 @@ func Save(p *comm.Proc, base, app string, n, step int64, snap *Snapshot) string 
 	return dir
 }
 
-// LoadShards reads the shards assigned to this rank under the round-robin
+// loadShards reads the shards assigned to this rank under the round-robin
 // elastic assignment (shard r goes to rank r mod nranks) and returns them
 // in ascending shard order. With nranks == m.NRanks every rank gets exactly
 // its own shard back. Purely local file I/O; no communication.
-func LoadShards(dir string, m *Manifest, rank, nranks int) ([]*Snapshot, error) {
+func loadShards(dir string, m *manifest, rank, nranks int) ([]*Snapshot, error) {
 	var out []*Snapshot
-	for r := rank; r < m.NRanks; r += nranks {
-		s, err := ReadShard(dir, r, m.ShardCRCs[r])
+	for r := rank; r < m.nRanks; r += nranks {
+		s, err := readShard(dir, r, m.shardCRCs[r])
 		if err != nil {
 			return nil, err
 		}
@@ -234,18 +234,18 @@ func LoadShards(dir string, m *Manifest, rank, nranks int) ([]*Snapshot, error) 
 	return out, nil
 }
 
-// Check opens the checkpoint in dir and checks that app wrote it over n
+// check opens the checkpoint in dir and checks that app wrote it over n
 // elements. It is not collective: a launcher refuses a wrong checkpoint
 // with it before any rank starts.
-func Check(dir, app string, n int64) (*Manifest, error) {
-	m, err := Open(dir)
+func check(dir, app string, n int64) (*manifest, error) {
+	m, err := open(dir)
 	switch {
 	case err != nil:
 		return nil, fmt.Errorf("open checkpoint: %w", err)
-	case m.App != app:
-		return nil, fmt.Errorf("checkpoint %s was written by %q", dir, m.App)
-	case m.N != n:
-		return nil, fmt.Errorf("checkpoint %s holds %d elements, want %d", dir, m.N, n)
+	case m.app != app:
+		return nil, fmt.Errorf("checkpoint %s was written by %q", dir, m.app)
+	case m.n != n:
+		return nil, fmt.Errorf("checkpoint %s holds %d elements, want %d", dir, m.n, n)
 	}
 	return m, nil
 }
@@ -281,7 +281,7 @@ func (r *Recovery) Validate(app string) error {
 // CheckResume runs Check on ResumeFrom, when set. Not collective.
 func (r *Recovery) CheckResume(app string, n int64) (err error) {
 	if r.ResumeFrom != "" {
-		_, err = Check(r.ResumeFrom, app, n)
+		_, err = check(r.ResumeFrom, app, n)
 	}
 	return err
 }
@@ -306,9 +306,9 @@ func (r *Recovery) SaveDue(step int) bool {
 
 // Restored is one rank's share of a checkpoint, as Restore leaves it.
 type Restored struct {
-	*Manifest
+	*manifest
 	Shards    []*Snapshot // the shards this rank read, in ascending order
-	*Elements             // their fields, merged
+	*elements             // their fields, merged
 	Dist      *core.Dist  // over Elements.Globals
 	Exact     bool        // restored on as many ranks as wrote it
 	Max       []int64     // the largest value of each of Restore's maxima
@@ -329,21 +329,21 @@ func Restore(p *comm.Proc, rt *core.Runtime, dir, app string, n int, fields []Fi
 			panic(fmt.Sprintf("%s: %v", app, err))
 		}
 	}
-	m, err := Check(dir, app, int64(n))
+	m, err := check(dir, app, int64(n))
 	fail(err)
-	shards, err := LoadShards(dir, m, p.Rank(), p.Size())
+	shards, err := loadShards(dir, m, p.Rank(), p.Size())
 	fail(err)
-	el, err := MergeShards(shards, fields)
+	el, err := mergeShards(shards, fields)
 	fail(err)
-	exact := m.NRanks == p.Size()
-	r := &Restored{Manifest: m, Shards: shards, Elements: el, Exact: exact, Max: make([]int64, len(maxima))}
+	exact := m.nRanks == p.Size()
+	r := &Restored{manifest: m, Shards: shards, elements: el, Exact: exact, Max: make([]int64, len(maxima))}
 	clock := 0.0
 	for _, sh := range shards {
-		c, err := sh.ScalarF64("clock")
+		c, err := sh.scalarF64("clock")
 		fail(err)
 		clock = max(clock, c)
 		for i, name := range maxima {
-			v, err := sh.ScalarI64(name)
+			v, err := sh.scalarI64(name)
 			fail(err)
 			r.Max[i] = max(r.Max[i], v)
 		}
@@ -352,7 +352,7 @@ func Restore(p *comm.Proc, rt *core.Runtime, dir, app string, n int, fields []Fi
 		p.RestoreClock(clock)
 		p.SkipPhase()
 	}
-	r.Dist = rt.DistFromGlobals(el.Globals, n)
+	r.Dist = rt.DistFromGlobals(el.globals, n)
 	if !exact {
 		// A rank with no shard (Q > P) contributes zeros.
 		for i := range maxima {

@@ -12,41 +12,48 @@ import (
 
 func sampleSnapshot() *Snapshot {
 	s := NewSnapshot()
-	s.PutBytes("raw", []byte{0xde, 0xad, 0xbe, 0xef})
+	s.putBytes("raw", []byte{0xde, 0xad, 0xbe, 0xef})
 	s.PutI32("i32", []int32{-1, 0, 7, 1 << 30})
-	s.PutI64("i64", []int64{-9, 42})
+	s.putI64("i64", []int64{-9, 42})
 	s.PutF64("f64", []float64{0, -1.5, 3.14159})
 	s.PutScalarI64("step", 50)
-	s.PutScalarF64("clock", 123.456)
+	s.putScalarF64("clock", 123.456)
 	return s
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	s := sampleSnapshot()
-	b := EncodeShard(s)
-	got, err := DecodeShard(b)
+	b := s.encode(kindShard)
+	got, err := decodeSnapshot(b, kindShard)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if !reflect.DeepEqual(got.Names(), s.Names()) {
-		t.Fatalf("names %v != %v", got.Names(), s.Names())
+	names := func(s *Snapshot) []string {
+		var out []string
+		for _, r := range s.recs {
+			out = append(out, r.name)
+		}
+		return out
 	}
-	if raw, _ := got.Bytes("raw"); !reflect.DeepEqual(raw, []byte{0xde, 0xad, 0xbe, 0xef}) {
+	if !reflect.DeepEqual(names(got), names(s)) {
+		t.Fatalf("names %v != %v", names(got), names(s))
+	}
+	if raw, _ := got.bytes("raw"); !reflect.DeepEqual(raw, []byte{0xde, 0xad, 0xbe, 0xef}) {
 		t.Fatalf("raw = %v", raw)
 	}
 	if xs, _ := got.I32("i32"); !reflect.DeepEqual(xs, []int32{-1, 0, 7, 1 << 30}) {
 		t.Fatalf("i32 = %v", xs)
 	}
-	if xs, _ := got.I64("i64"); !reflect.DeepEqual(xs, []int64{-9, 42}) {
+	if xs, _ := got.i64("i64"); !reflect.DeepEqual(xs, []int64{-9, 42}) {
 		t.Fatalf("i64 = %v", xs)
 	}
 	if xs, _ := got.F64("f64"); !reflect.DeepEqual(xs, []float64{0, -1.5, 3.14159}) {
 		t.Fatalf("f64 = %v", xs)
 	}
-	if v, _ := got.ScalarI64("step"); v != 50 {
+	if v, _ := got.scalarI64("step"); v != 50 {
 		t.Fatalf("step = %d", v)
 	}
-	if v, _ := got.ScalarF64("clock"); v != 123.456 {
+	if v, _ := got.scalarF64("clock"); v != 123.456 {
 		t.Fatalf("clock = %g", v)
 	}
 }
@@ -59,14 +66,14 @@ func TestSnapshotTypeAndMissingErrors(t *testing.T) {
 	if _, err := s.I32("nope"); err == nil {
 		t.Fatal("missing section should error")
 	}
-	if _, err := s.ScalarI64("i64"); err == nil {
+	if _, err := s.scalarI64("i64"); err == nil {
 		t.Fatal("2-element section read as scalar should error")
 	}
 }
 
 func TestDecodeRejectsWrongKind(t *testing.T) {
-	b := EncodeManifest(&Manifest{App: "x", NRanks: 1, Step: 1, N: 1, ShardCRCs: []uint32{0}})
-	if _, err := DecodeShard(b); err == nil {
+	b := encodeManifest(&manifest{app: "x", nRanks: 1, Step: 1, n: 1, shardCRCs: []uint32{0}})
+	if _, err := decodeSnapshot(b, kindShard); err == nil {
 		t.Fatal("manifest image decoded as shard")
 	}
 }
@@ -77,8 +84,8 @@ func TestDecodeRejectsWrongKind(t *testing.T) {
 // and none may panic.
 func TestDecodeRejectsEveryBitFlip(t *testing.T) {
 	images := map[string][]byte{
-		"shard":    EncodeShard(sampleSnapshot()),
-		"manifest": EncodeManifest(&Manifest{App: "charmm", NRanks: 2, Step: 50, N: 100, ShardCRCs: []uint32{1, 2}}),
+		"shard":    sampleSnapshot().encode(kindShard),
+		"manifest": encodeManifest(&manifest{app: "charmm", nRanks: 2, Step: 50, n: 100, shardCRCs: []uint32{1, 2}}),
 	}
 	for name, img := range images {
 		for bit := 0; bit < 8*len(img); bit++ {
@@ -86,9 +93,9 @@ func TestDecodeRejectsEveryBitFlip(t *testing.T) {
 			mut[bit/8] ^= 1 << (bit % 8)
 			var err error
 			if name == "shard" {
-				_, err = DecodeShard(mut)
+				_, err = decodeSnapshot(mut, kindShard)
 			} else {
-				_, err = DecodeManifest(mut)
+				_, err = decodeManifest(mut)
 			}
 			if err == nil {
 				t.Fatalf("%s: flipping bit %d went undetected", name, bit)
@@ -100,20 +107,20 @@ func TestDecodeRejectsEveryBitFlip(t *testing.T) {
 // TestDecodeRejectsEveryTruncation checks that every proper prefix of an
 // encoded shard fails to decode.
 func TestDecodeRejectsEveryTruncation(t *testing.T) {
-	img := EncodeShard(sampleSnapshot())
+	img := sampleSnapshot().encode(kindShard)
 	for n := 0; n < len(img); n++ {
-		if _, err := DecodeShard(img[:n]); err == nil {
+		if _, err := decodeSnapshot(img[:n], kindShard); err == nil {
 			t.Fatalf("truncation to %d of %d bytes went undetected", n, len(img))
 		}
 	}
-	if _, err := DecodeShard(append(append([]byte(nil), img...), 0)); err == nil {
+	if _, err := decodeSnapshot(append(append([]byte(nil), img...), 0), kindShard); err == nil {
 		t.Fatal("trailing byte went undetected")
 	}
 }
 
 func TestManifestRoundTrip(t *testing.T) {
-	m := &Manifest{App: "dsmc", NRanks: 3, Step: 40, N: 2304, ShardCRCs: []uint32{7, 8, 9}}
-	got, err := DecodeManifest(EncodeManifest(m))
+	m := &manifest{app: "dsmc", nRanks: 3, Step: 40, n: 2304, shardCRCs: []uint32{7, 8, 9}}
+	got, err := decodeManifest(encodeManifest(m))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -133,14 +140,14 @@ func TestLatestPicksSealedCheckpoints(t *testing.T) {
 	if dir, err := ResolveResume("latest", ""); err == nil {
 		t.Fatalf(`ResolveResume("latest") without a base = %q, want an error`, dir)
 	}
-	m := &Manifest{App: "x", NRanks: 1, Step: 10, N: 1, ShardCRCs: []uint32{0}}
+	m := &manifest{app: "x", nRanks: 1, Step: 10, n: 1, shardCRCs: []uint32{0}}
 	for _, step := range []int64{10, 20} {
 		dir := StepDir(base, step)
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
 		m.Step = step
-		if err := WriteManifest(dir, m); err != nil {
+		if err := writeManifest(dir, m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -165,14 +172,14 @@ func TestLatestPicksSealedCheckpoints(t *testing.T) {
 
 func TestShardCRCCrossCheck(t *testing.T) {
 	dir := t.TempDir()
-	crc, err := WriteShard(dir, 0, sampleSnapshot())
+	crc, err := writeShard(dir, 0, sampleSnapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadShard(dir, 0, crc); err != nil {
+	if _, err := readShard(dir, 0, crc); err != nil {
 		t.Fatalf("matching CRC rejected: %v", err)
 	}
-	if _, err := ReadShard(dir, 0, crc+1); err == nil {
+	if _, err := readShard(dir, 0, crc+1); err == nil {
 		t.Fatal("wrong manifest CRC accepted")
 	}
 }
@@ -194,12 +201,12 @@ func TestMergeShards(t *testing.T) {
 	b.PutI32("nb.ptr", []int32{0, 0, 2})
 	b.PutI32("nb.val", []int32{20, 21})
 
-	e, err := MergeShards([]*Snapshot{a, b}, fields)
+	e, err := mergeShards([]*Snapshot{a, b}, fields)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(e.Globals, []int32{0, 1, 3, 4}) {
-		t.Fatalf("globals = %v", e.Globals)
+	if !reflect.DeepEqual(e.globals, []int32{0, 1, 3, 4}) {
+		t.Fatalf("globals = %v", e.globals)
 	}
 	if !reflect.DeepEqual(e.F64["x"], []float64{0.5, 1.5, 3.5, 4.5}) {
 		t.Fatalf("x = %v", e.F64["x"])
@@ -213,12 +220,12 @@ func TestMergeShards(t *testing.T) {
 }
 
 func TestMergeShardsEmpty(t *testing.T) {
-	e, err := MergeShards(nil, []Field{{Name: "nb", Kind: FieldCSR}, {Name: "x", Kind: FieldF64, Width: 3}})
+	e, err := mergeShards(nil, []Field{{Name: "nb", Kind: FieldCSR}, {Name: "x", Kind: FieldF64, Width: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(e.Globals) != 0 || len(e.CSRPtr["nb"]) != 1 || e.CSRPtr["nb"][0] != 0 {
-		t.Fatalf("empty merge: globals=%v nb.ptr=%v", e.Globals, e.CSRPtr["nb"])
+	if len(e.globals) != 0 || len(e.CSRPtr["nb"]) != 1 || e.CSRPtr["nb"][0] != 0 {
+		t.Fatalf("empty merge: globals=%v nb.ptr=%v", e.globals, e.CSRPtr["nb"])
 	}
 }
 
@@ -227,14 +234,14 @@ func TestMergeShardsErrors(t *testing.T) {
 	dup.PutI32("globals", []int32{2, 5})
 	dup2 := NewSnapshot()
 	dup2.PutI32("globals", []int32{5})
-	if _, err := MergeShards([]*Snapshot{dup, dup2}, nil); err == nil {
+	if _, err := mergeShards([]*Snapshot{dup, dup2}, nil); err == nil {
 		t.Fatal("duplicate global across shards accepted")
 	}
 
 	short := NewSnapshot()
 	short.PutI32("globals", []int32{0, 1})
 	short.PutF64("x", []float64{1})
-	if _, err := MergeShards([]*Snapshot{short}, []Field{{Name: "x", Kind: FieldF64, Width: 1}}); err == nil {
+	if _, err := mergeShards([]*Snapshot{short}, []Field{{Name: "x", Kind: FieldF64, Width: 1}}); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 
@@ -242,13 +249,13 @@ func TestMergeShardsErrors(t *testing.T) {
 	badCSR.PutI32("globals", []int32{0})
 	badCSR.PutI32("nb.ptr", []int32{0, 5})
 	badCSR.PutI32("nb.val", []int32{1})
-	if _, err := MergeShards([]*Snapshot{badCSR}, []Field{{Name: "nb", Kind: FieldCSR}}); err == nil {
+	if _, err := mergeShards([]*Snapshot{badCSR}, []Field{{Name: "nb", Kind: FieldCSR}}); err == nil {
 		t.Fatal("inconsistent CSR accepted")
 	}
 }
 
 // TestSaveAndLoadCollective exercises the collective Save path on a few
-// simulated ranks, then LoadShards under both the exact and the elastic
+// simulated ranks, then loadShards under both the exact and the elastic
 // assignment.
 func TestSaveAndLoadCollective(t *testing.T) {
 	base := t.TempDir()
@@ -266,28 +273,28 @@ func TestSaveAndLoadCollective(t *testing.T) {
 	if !ok {
 		t.Fatal("no sealed checkpoint found")
 	}
-	m, err := Open(dir)
+	m, err := open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.App != "test" || m.NRanks != P || m.Step != 7 || m.N != 4 {
+	if m.app != "test" || m.nRanks != P || m.Step != 7 || m.n != 4 {
 		t.Fatalf("manifest = %+v", m)
 	}
 	// Exact assignment: rank r reads shard r.
 	for r := 0; r < P; r++ {
-		shards, err := LoadShards(dir, m, r, P)
+		shards, err := loadShards(dir, m, r, P)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(shards) != 1 {
 			t.Fatalf("rank %d got %d shards", r, len(shards))
 		}
-		if v, _ := shards[0].ScalarI64("rank"); v != int64(r) {
+		if v, _ := shards[0].scalarI64("rank"); v != int64(r) {
 			t.Fatalf("rank %d read shard of rank %d", r, v)
 		}
 	}
 	// Elastic shrink to 2 ranks: rank 0 gets shards {0, 2}, rank 1 {1, 3}.
-	shards, err := LoadShards(dir, m, 0, 2)
+	shards, err := loadShards(dir, m, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +302,7 @@ func TestSaveAndLoadCollective(t *testing.T) {
 		t.Fatalf("got %d shards", len(shards))
 	}
 	// Elastic grow to 8 ranks: high ranks get nothing.
-	shards, err = LoadShards(dir, m, 7, 8)
+	shards, err = loadShards(dir, m, 7, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +310,7 @@ func TestSaveAndLoadCollective(t *testing.T) {
 		t.Fatalf("rank 7 of 8 got %d shards", len(shards))
 	}
 	// A corrupted shard must fail the manifest CRC cross-check.
-	path := filepath.Join(dir, ShardName(1))
+	path := filepath.Join(dir, shardName(1))
 	img, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +319,7 @@ func TestSaveAndLoadCollective(t *testing.T) {
 	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadShards(dir, m, 1, P); err == nil {
+	if _, err := loadShards(dir, m, 1, P); err == nil {
 		t.Fatal("corrupted shard accepted")
 	}
 }

@@ -22,7 +22,7 @@
 // indistinguishable from an uninterrupted one. Elastic restore (P ranks
 // written, Q ranks restored) assigns shards round-robin to the new ranks,
 // merges the per-element state back into the repository's ascending-global
-// layout convention (MergeShards), rebuilds an interim distribution from the
+// layout convention (mergeShards), rebuilds an interim distribution from the
 // saved owner sets, and leaves the application to run a partitioner for Q
 // and drive remap.Plan / Dist.Repartition — the paper's phase A-D machinery
 // — to rebalance onto the new machine.
@@ -121,8 +121,8 @@ func (s *Snapshot) put(name string, typ recType, data []byte) {
 	s.recs = append(s.recs, record{name: name, typ: typ, data: data})
 }
 
-// PutBytes stores a raw byte section.
-func (s *Snapshot) PutBytes(name string, b []byte) {
+// putBytes stores a raw byte section.
+func (s *Snapshot) putBytes(name string, b []byte) {
 	s.put(name, recBytes, append([]byte(nil), b...))
 }
 
@@ -135,8 +135,8 @@ func (s *Snapshot) PutI32(name string, xs []int32) {
 	s.put(name, recI32, b)
 }
 
-// PutI64 stores an int64 section.
-func (s *Snapshot) PutI64(name string, xs []int64) {
+// putI64 stores an int64 section.
+func (s *Snapshot) putI64(name string, xs []int64) {
 	b := make([]byte, 8*len(xs))
 	for i, x := range xs {
 		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
@@ -154,19 +154,10 @@ func (s *Snapshot) PutF64(name string, xs []float64) {
 }
 
 // PutScalarI64 stores a single int64.
-func (s *Snapshot) PutScalarI64(name string, v int64) { s.PutI64(name, []int64{v}) }
+func (s *Snapshot) PutScalarI64(name string, v int64) { s.putI64(name, []int64{v}) }
 
-// PutScalarF64 stores a single float64.
-func (s *Snapshot) PutScalarF64(name string, v float64) { s.PutF64(name, []float64{v}) }
-
-// Names returns the section names in insertion order.
-func (s *Snapshot) Names() []string {
-	out := make([]string, len(s.recs))
-	for i, r := range s.recs {
-		out[i] = r.name
-	}
-	return out
-}
+// putScalarF64 stores a single float64.
+func (s *Snapshot) putScalarF64(name string, v float64) { s.PutF64(name, []float64{v}) }
 
 // get fetches the named record, checking its type.
 func (s *Snapshot) get(name string, typ recType) (record, error) {
@@ -181,8 +172,8 @@ func (s *Snapshot) get(name string, typ recType) (record, error) {
 	return r, nil
 }
 
-// Bytes returns a raw byte section.
-func (s *Snapshot) Bytes(name string) ([]byte, error) {
+// bytes returns a raw byte section.
+func (s *Snapshot) bytes(name string) ([]byte, error) {
 	r, err := s.get(name, recBytes)
 	if err != nil {
 		return nil, err
@@ -203,8 +194,8 @@ func (s *Snapshot) I32(name string) ([]int32, error) {
 	return xs, nil
 }
 
-// I64 returns an int64 section.
-func (s *Snapshot) I64(name string) ([]int64, error) {
+// i64 returns an int64 section.
+func (s *Snapshot) i64(name string) ([]int64, error) {
 	r, err := s.get(name, recI64)
 	if err != nil {
 		return nil, err
@@ -229,9 +220,9 @@ func (s *Snapshot) F64(name string) ([]float64, error) {
 	return xs, nil
 }
 
-// ScalarI64 returns a single-int64 section.
-func (s *Snapshot) ScalarI64(name string) (int64, error) {
-	xs, err := s.I64(name)
+// scalarI64 returns a single-int64 section.
+func (s *Snapshot) scalarI64(name string) (int64, error) {
+	xs, err := s.i64(name)
 	if err != nil {
 		return 0, err
 	}
@@ -241,8 +232,8 @@ func (s *Snapshot) ScalarI64(name string) (int64, error) {
 	return xs[0], nil
 }
 
-// ScalarF64 returns a single-float64 section.
-func (s *Snapshot) ScalarF64(name string) (float64, error) {
+// scalarF64 returns a single-float64 section.
+func (s *Snapshot) scalarF64(name string) (float64, error) {
 	xs, err := s.F64(name)
 	if err != nil {
 		return 0, err
@@ -367,10 +358,3 @@ func decodeSnapshot(b []byte, wantKind fileKind) (*Snapshot, error) {
 	}
 	return s, nil
 }
-
-// EncodeShard serializes a snapshot as a shard file image (exposed for
-// tests; most callers use WriteShard).
-func EncodeShard(s *Snapshot) []byte { return s.encode(kindShard) }
-
-// DecodeShard parses a shard file image.
-func DecodeShard(b []byte) (*Snapshot, error) { return decodeSnapshot(b, kindShard) }

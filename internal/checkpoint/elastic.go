@@ -26,25 +26,25 @@ type Field struct {
 	Width int // values per element; ignored for FieldCSR
 }
 
-// Elements is the merged element-wise state of one or more shards, in
+// elements is the merged element-wise state of one or more shards, in
 // ascending-global order (the repository's local layout convention, so a
 // Dist built from Globals describes these arrays directly).
-type Elements struct {
-	Globals []int32
+type elements struct {
+	globals []int32
 	F64     map[string][]float64
 	CSRPtr  map[string][]int32
 	CSRVal  map[string][]int32
 }
 
-// MergeShards concatenates the element-wise sections of the given shards
+// mergeShards concatenates the element-wise sections of the given shards
 // (each must carry a "globals" int32 section plus every requested field)
 // and sorts the result into ascending-global order. It is the local half of
 // elastic restore: after round-robin shard assignment, each rank merges
 // whatever elements it read, and the resulting (Globals, arrays) pair is a
 // valid local layout from which the runtime can rebuild a distribution and
 // repartition onto the new processor count.
-func MergeShards(shards []*Snapshot, fields []Field) (*Elements, error) {
-	e := &Elements{
+func mergeShards(shards []*Snapshot, fields []Field) (*elements, error) {
+	e := &elements{
 		F64:    map[string][]float64{},
 		CSRPtr: map[string][]int32{},
 		CSRVal: map[string][]int32{},
@@ -62,7 +62,7 @@ func MergeShards(shards []*Snapshot, fields []Field) (*Elements, error) {
 			return nil, err
 		}
 		n := len(globals)
-		e.Globals = append(e.Globals, globals...)
+		e.globals = append(e.globals, globals...)
 		for _, f := range fields {
 			switch f.Kind {
 			case FieldF64:
@@ -103,23 +103,23 @@ func MergeShards(shards []*Snapshot, fields []Field) (*Elements, error) {
 	}
 
 	// Sort into ascending-global order and apply the permutation.
-	n := len(e.Globals)
+	n := len(e.globals)
 	perm := make([]int, n)
 	for i := range perm {
 		perm[i] = i
 	}
-	sort.Slice(perm, func(a, b int) bool { return e.Globals[perm[a]] < e.Globals[perm[b]] })
+	sort.Slice(perm, func(a, b int) bool { return e.globals[perm[a]] < e.globals[perm[b]] })
 	for k := 1; k < n; k++ {
-		if e.Globals[perm[k]] == e.Globals[perm[k-1]] {
-			return nil, fmt.Errorf("checkpoint: duplicate global %d across shards", e.Globals[perm[k]])
+		if e.globals[perm[k]] == e.globals[perm[k-1]] {
+			return nil, fmt.Errorf("checkpoint: duplicate global %d across shards", e.globals[perm[k]])
 		}
 	}
 
 	sorted := make([]int32, n)
 	for k, i := range perm {
-		sorted[k] = e.Globals[i]
+		sorted[k] = e.globals[i]
 	}
-	e.Globals = sorted
+	e.globals = sorted
 	for _, f := range fields {
 		switch f.Kind {
 		case FieldF64:

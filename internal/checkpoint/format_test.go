@@ -2,6 +2,7 @@ package checkpoint_test
 
 import (
 	"encoding/hex"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -15,9 +16,10 @@ import (
 )
 
 // TestFormatPinned pins the bytes a small CHARMM and a small DSMC run write
-// at 2 ranks: each shard's whole-file CRC and the manifest image. A record
-// renamed, reordered, retyped or dropped changes them, and with them every
-// checkpoint an older binary left behind.
+// at 2 ranks, under the file names a restore looks for: each shard's
+// whole-file CRC and the manifest image. A record renamed, reordered,
+// retyped or dropped changes them, and with them every checkpoint an older
+// binary left behind.
 func TestFormatPinned(t *testing.T) {
 	for _, c := range []struct {
 		app      string
@@ -41,7 +43,7 @@ func TestFormatPinned(t *testing.T) {
 			comm.Run(2, costmodel.IPSC860(), func(p *comm.Proc) { c.run(p, base) })
 			dir := checkpoint.StepDir(base, 3)
 			for r, want := range c.shards {
-				b, err := os.ReadFile(filepath.Join(dir, checkpoint.ShardName(r)))
+				b, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("shard-%04d.ckpt", r)))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -49,7 +51,7 @@ func TestFormatPinned(t *testing.T) {
 					t.Errorf("shard %d CRC %#08x, pinned %#08x", r, got, want)
 				}
 			}
-			b, err := os.ReadFile(filepath.Join(dir, checkpoint.ManifestName))
+			b, err := os.ReadFile(filepath.Join(dir, "MANIFEST.ckpt"))
 			if err != nil {
 				t.Fatal(err)
 			}

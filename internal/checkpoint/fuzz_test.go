@@ -18,24 +18,24 @@ func fuzzSeeds(img []byte) [][]byte {
 	return seeds
 }
 
-// FuzzShard asserts DecodeShard never panics: truncated, bit-flipped or
+// FuzzShard asserts decodeSnapshot never panics: truncated, bit-flipped or
 // arbitrary inputs must return errors, and accepted inputs must re-encode
 // to the identical image (the container has a canonical form).
 func FuzzShard(f *testing.F) {
-	for _, s := range fuzzSeeds(EncodeShard(sampleSnapshot())) {
+	for _, s := range fuzzSeeds(sampleSnapshot().encode(kindShard)) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		defer func() {
 			if r := recover(); r != nil {
-				t.Fatalf("DecodeShard panicked: %v", r)
+				t.Fatalf("decodeSnapshot panicked: %v", r)
 			}
 		}()
-		s, err := DecodeShard(data)
+		s, err := decodeSnapshot(data, kindShard)
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(EncodeShard(s), data) {
+		if !bytes.Equal(s.encode(kindShard), data) {
 			t.Fatalf("accepted image does not re-encode canonically")
 		}
 	})
@@ -43,7 +43,7 @@ func FuzzShard(f *testing.F) {
 
 // FuzzManifest asserts DecodeManifest never panics on malformed input.
 func FuzzManifest(f *testing.F) {
-	img := EncodeManifest(&Manifest{App: "charmm", NRanks: 2, Step: 50, N: 100, ShardCRCs: []uint32{1, 2}})
+	img := encodeManifest(&manifest{app: "charmm", nRanks: 2, Step: 50, n: 100, shardCRCs: []uint32{1, 2}})
 	for _, s := range fuzzSeeds(img) {
 		f.Add(s)
 	}
@@ -53,11 +53,11 @@ func FuzzManifest(f *testing.F) {
 				t.Fatalf("DecodeManifest panicked: %v", r)
 			}
 		}()
-		m, err := DecodeManifest(data)
+		m, err := decodeManifest(data)
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(EncodeManifest(m), data) {
+		if !bytes.Equal(encodeManifest(m), data) {
 			t.Fatalf("accepted manifest does not re-encode canonically")
 		}
 	})

@@ -84,14 +84,14 @@ func TestPendingWaitScriptedClockSamples(t *testing.T) {
 			p.RecvF64(1, 8, nil)
 			return
 		}
-		before := p.Measured().ClockSamples
+		before := p.Measured().clockSamples
 		p.RecvF64(0, 7, nil)                                 // fresh start + end: 2 readings
 		p.RecvF64(0, 7, nil)                                 // amortized: 1 reading
 		h := p.SendStart(0, 8, appendF64(nil, []float64{1})) // no readings at issue
 		h.Wait()                                             // no readings: the send is done
 		p.RecvF64(0, 7, nil)                                 // cache invalidated by the send: 2 readings
 		p.RecvF64(0, 7, nil)                                 // amortized again: 1 reading
-		samples = p.Measured().ClockSamples - before
+		samples = p.Measured().clockSamples - before
 	})
 	if samples != 6 {
 		t.Errorf("scripted sequence took %d readings, want 6 (2+1+0+0+2+1)", samples)

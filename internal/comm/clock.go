@@ -13,24 +13,19 @@ type Clock interface {
 	Now() float64
 }
 
-// WallClock reads the host's monotonic clock: Now is time.Since over a
+// wallClock reads the host's monotonic clock: Now is time.Since over a
 // fixed epoch, which on mainstream platforms is a vDSO read (no syscall)
 // and performs no allocation. The per-message amortization lives one level
 // up, in Proc: consecutive receives share one sample (the end reading of a
 // receive doubles as the start reading of the next), so steady-state
 // executor loops take roughly one reading per message instead of two; see
-// Measured.ClockSamples.
-type WallClock struct {
+// Measured.clockSamples.
+type wallClock struct {
 	epoch time.Time
 }
 
-// NewWallClock returns a wall clock whose epoch is now.
-func NewWallClock() *WallClock {
-	return &WallClock{epoch: time.Now()}
-}
-
 // Now implements Clock.
-func (c *WallClock) Now() float64 {
+func (c *wallClock) Now() float64 {
 	return time.Since(c.epoch).Seconds()
 }
 
@@ -50,10 +45,10 @@ type Measured struct {
 	// Phases accumulates the measured time Proc.Mark charges, under the
 	// keys of the virtual phases in Report.Phases.
 	Phases map[string]float64
-	// ClockSamples counts wall-clock readings taken on this rank. The
+	// clockSamples counts wall-clock readings taken on this rank. The
 	// amortized sampling in the receive path keeps it well below two per
 	// message; tests pin that down.
-	ClockSamples int64
+	clockSamples int64
 	// Waits counts the rank's receives by the wait phase that served them:
 	// spinning, yield-polling or after a park. Only a bare MemTransport
 	// counts; zero on other transports.

@@ -55,33 +55,25 @@ func lowestRecvMask(relRank, size int) int {
 	return mask
 }
 
-// AllGatherI32 collects every rank's list on every rank and returns them
-// indexed by rank, each decoded fresh from the wire (lists may differ in
-// length; empty ones included). The lists travel as one frame of
-// (rank, byte length) records: a binomial gather to rank 0, then a
-// binomial broadcast of the whole frame.
-func (p *Proc) AllGatherI32(xs []int32) [][]int32 {
-	lists := make([][]int32, p.size)
-	allGather(p, nil, lists, xs, 4, appendI32, decodeI32Into)
-	return lists
-}
-
-// AllGatherI32Into is AllGatherI32 returning the lists concatenated in rank
-// order, decoded into dst's backing array (dst may be nil; one too short is
-// replaced under recycle.Sized's rule, so a nil dst is allocated exactly).
-// The wire is AllGatherI32's.
+// AllGatherI32Into collects every rank's list on every rank and returns the
+// lists concatenated in rank order (lists may differ in length; empty ones
+// included), decoded into dst's backing array (dst may be nil; one too
+// short is replaced under recycle.Sized's rule, so a nil dst is allocated
+// exactly). The lists travel as one frame of (rank, byte length) records: a
+// binomial gather to rank 0, then a binomial broadcast of the whole frame.
 func (p *Proc) AllGatherI32Into(dst, xs []int32) []int32 {
 	return allGather(p, dst, nil, xs, 4, appendI32, decodeI32Into)
 }
 
-// AllGatherI64 is AllGatherI32 for []int64 lists.
+// AllGatherI64 is AllGatherI32Into for []int64 lists, returned indexed by
+// rank, each decoded fresh from the wire.
 func (p *Proc) AllGatherI64(xs []int64) [][]int64 {
 	lists := make([][]int64, p.size)
 	allGather(p, nil, lists, xs, 8, appendI64, decodeI64Into)
 	return lists
 }
 
-// AllGatherF64 is AllGatherI32 for []float64 lists.
+// AllGatherF64 is AllGatherI64 for []float64 lists.
 func (p *Proc) AllGatherF64(xs []float64) [][]float64 {
 	lists := make([][]float64, p.size)
 	allGather(p, nil, lists, xs, 8, appendF64, decodeF64Into)
@@ -212,15 +204,6 @@ func (p *Proc) AllReduceF64Into(op Op, vec, scratch []float64) []float64 {
 	return allReduceInto(p, op, vec, scratch, (*Proc).SendF64, (*Proc).RecvF64)
 }
 
-// AllReduceI64 combines vec element-wise across all ranks with op and
-// returns the result on every rank. vec is not modified.
-func (p *Proc) AllReduceI64(op Op, vec []int64) []int64 {
-	acc := make([]int64, len(vec))
-	copy(acc, vec)
-	allReduceInto(p, op, acc, nil, (*Proc).SendI64, (*Proc).RecvI64)
-	return acc
-}
-
 // allReduceInto is the in-place all-reduce, written once over the element
 // type: a binomial reduce to rank 0, then a broadcast of the result along
 // the same binomial tree as allGather's broadcast of its frame.
@@ -257,9 +240,11 @@ func (p *Proc) AllReduceScalarF64(op Op, v float64) float64 {
 	return p.AllReduceF64(op, []float64{v})[0]
 }
 
-// AllReduceScalarI64 is AllReduceI64 for a single value.
+// AllReduceScalarI64 is AllReduceScalarF64 for an int64.
 func (p *Proc) AllReduceScalarI64(op Op, v int64) int64 {
-	return p.AllReduceI64(op, []int64{v})[0]
+	acc := []int64{v}
+	allReduceInto(p, op, acc, nil, (*Proc).SendI64, (*Proc).RecvI64)
+	return acc[0]
 }
 
 // AllToAllI32 sends send[r] to rank r for every r and returns the lists

@@ -335,11 +335,11 @@ func TestStatsAccounting(t *testing.T) {
 	if s0.MsgsSent != 1 || s0.BytesSent != 100 {
 		t.Errorf("rank 0 sent stats = %+v", s0)
 	}
-	if s1.MsgsRecv != 1 || s1.BytesRecv != 100 {
+	if s1.msgsRecv != 1 || s1.bytesRecv != 100 {
 		t.Errorf("rank 1 recv stats = %+v", s1)
 	}
-	if s1.CommTime <= 0 {
-		t.Errorf("rank 1 comm time = %v, want > 0 (waited for sender)", s1.CommTime)
+	if s1.commTime <= 0 {
+		t.Errorf("rank 1 comm time = %v, want > 0 (waited for sender)", s1.commTime)
 	}
 }
 
@@ -348,8 +348,8 @@ func TestReportMetrics(t *testing.T) {
 		N:      2,
 		Clocks: []float64{3, 5},
 		Stats: []Stats{
-			{ComputeTime: 2, CommTime: 1, MsgsSent: 3, BytesSent: 30},
-			{ComputeTime: 4, CommTime: 1, MsgsSent: 1, BytesSent: 10},
+			{ComputeTime: 2, commTime: 1, MsgsSent: 3, BytesSent: 30},
+			{ComputeTime: 4, commTime: 1, MsgsSent: 1, BytesSent: 10},
 		},
 	}
 	if got := rep.MaxClock(); got != 5 {
@@ -395,10 +395,10 @@ func TestSelfSendPanics(t *testing.T) {
 }
 
 func TestStatsSubAdd(t *testing.T) {
-	a := Stats{ComputeTime: 5, CommTime: 3, MsgsSent: 10, BytesSent: 100, MsgsRecv: 7, BytesRecv: 70}
-	b := Stats{ComputeTime: 2, CommTime: 1, MsgsSent: 4, BytesSent: 40, MsgsRecv: 3, BytesRecv: 30}
+	a := Stats{ComputeTime: 5, commTime: 3, MsgsSent: 10, BytesSent: 100, msgsRecv: 7, bytesRecv: 70}
+	b := Stats{ComputeTime: 2, commTime: 1, MsgsSent: 4, BytesSent: 40, msgsRecv: 3, bytesRecv: 30}
 	d := a.Sub(b)
-	if d.ComputeTime != 3 || d.CommTime != 2 || d.MsgsSent != 6 || d.BytesSent != 60 || d.MsgsRecv != 4 || d.BytesRecv != 40 {
+	if d.ComputeTime != 3 || d.commTime != 2 || d.MsgsSent != 6 || d.BytesSent != 60 || d.msgsRecv != 4 || d.bytesRecv != 40 {
 		t.Errorf("Sub = %+v", d)
 	}
 	var acc Stats
@@ -442,7 +442,7 @@ func TestNegativeComputePanics(t *testing.T) {
 }
 
 func TestMeanCommTime(t *testing.T) {
-	rep := &Report{N: 2, Stats: []Stats{{CommTime: 2}, {CommTime: 4}}}
+	rep := &Report{N: 2, Stats: []Stats{{commTime: 2}, {commTime: 4}}}
 	if got := rep.MeanCommTime(); got != 3 {
 		t.Errorf("MeanCommTime = %v", got)
 	}
@@ -458,10 +458,10 @@ func TestAllReduceMaxMinVariants(t *testing.T) {
 			t.Errorf("f64 min = %v", got)
 		}
 		ri := int64(p.Rank())
-		if got := p.AllReduceI64(OpMax, []int64{ri}); got[0] != 3 {
+		if got := p.AllReduceScalarI64(OpMax, ri); got != 3 {
 			t.Errorf("i64 max = %v", got)
 		}
-		if got := p.AllReduceI64(OpSum, []int64{ri}); got[0] != 6 {
+		if got := p.AllReduceScalarI64(OpSum, ri); got != 6 {
 			t.Errorf("i64 sum = %v", got)
 		}
 	})
@@ -485,7 +485,7 @@ func TestNewProcValidation(t *testing.T) {
 			t.Error("bad rank did not panic")
 		}
 	}()
-	NewProc(5, 2, NewMemTransport(2), costmodel.Uniform(1))
+	newProc(5, 2, NewMemTransport(2), costmodel.Uniform(1))
 }
 
 // TestBadPeerRankRefused: a peer rank outside [0, Size) is refused by the

@@ -34,6 +34,7 @@ type delayLink struct {
 	mu   sync.Mutex
 	cond sync.Cond
 	q    []delayedFrame
+	busy bool // a frame is off the queue and not yet delivered
 	stop bool
 }
 
@@ -96,17 +97,22 @@ func (t *DelayTransport) courier(l *delayLink) {
 		copy(l.q, l.q[1:])
 		l.q[len(l.q)-1] = delayedFrame{}
 		l.q = l.q[:len(l.q)-1]
+		l.busy = true
 		l.mu.Unlock()
 		if d := time.Until(f.at); d > 0 {
 			time.Sleep(d)
 		}
-		if !deliver(t.inner, f.m) {
-			// The inner link is dead (e.g. poisoned after a peer failure):
-			// stop the courier and drop what is still queued, like a
-			// broken socket. Receivers are woken by the poison itself.
-			l.mu.Lock()
-			l.stop = true
-			l.mu.Unlock()
+		ok := deliver(t.inner, f.m)
+		l.mu.Lock()
+		l.busy = false
+		// The inner link is dead (e.g. poisoned after a peer failure): stop
+		// the courier and drop what is still queued, like a broken socket.
+		// Receivers are woken by the poison itself.
+		l.stop = l.stop || !ok
+		stop := l.stop
+		l.mu.Unlock()
+		l.cond.Broadcast() // a drain may wait for this delivery
+		if stop {
 			return
 		}
 	}
@@ -165,10 +171,26 @@ func (t *DelayTransport) PoisonLink(to, from int) {
 	}
 }
 
-// RankDone implements RankObserver: frames the finished rank put on the
-// wire are time-driven, so there is nothing to flush here beyond informing
-// a decorated inner transport.
+// RankDone implements RankObserver: it waits until the couriers have
+// delivered every frame the finished rank put on the wire, then informs the
+// inner transport, which may then fail receives from the rank that find no
+// match.
 func (t *DelayTransport) RankDone(rank int) {
+	t.mu.Lock()
+	var links []*delayLink
+	for key, l := range t.links {
+		if key&0xffff == rank {
+			links = append(links, l)
+		}
+	}
+	t.mu.Unlock()
+	for _, l := range links {
+		l.mu.Lock()
+		for (len(l.q) > 0 || l.busy) && !l.stop {
+			l.cond.Wait()
+		}
+		l.mu.Unlock()
+	}
 	if ro, ok := t.inner.(RankObserver); ok {
 		ro.RankDone(rank)
 	}

@@ -8,3 +8,10 @@ func ForceWireLoops() (restore func()) {
 	nativeWire = false
 	return func() { nativeWire = host }
 }
+
+// AllGatherI32 is AllGatherI64 for []int32 lists.
+func (p *Proc) AllGatherI32(xs []int32) [][]int32 {
+	lists := make([][]int32, p.size)
+	allGather(p, nil, lists, xs, 4, appendI32, decodeI32Into)
+	return lists
+}

@@ -30,9 +30,9 @@ type LinkFaults struct {
 	// virtual seconds; after RetryBudget consecutive drops of the same
 	// message the link is declared dead (cut).
 	DropProb float64
-	// RetryBudget is the maximum number of dropped attempts per message
+	// retryBudget is the maximum number of dropped attempts per message
 	// before the link is cut. Zero means DefaultRetryBudget.
-	RetryBudget int
+	retryBudget int
 	// RetryDelay is the virtual-seconds penalty added to a message's
 	// arrival time per dropped attempt (a modeled retransmission timeout).
 	RetryDelay float64
@@ -50,9 +50,9 @@ type LinkFaults struct {
 	MaxDelay float64
 }
 
-// DefaultRetryBudget is the per-message retry budget when
+// defaultRetryBudget is the per-message retry budget when
 // LinkFaults.RetryBudget is zero.
-const DefaultRetryBudget = 3
+const defaultRetryBudget = 3
 
 // KillSpec schedules the hard kill of one rank: once the victim's
 // cumulative send count reaches AfterSends (when > 0), or one of its sends
@@ -62,7 +62,7 @@ const DefaultRetryBudget = 3
 type KillSpec struct {
 	Rank         int
 	AfterSends   int
-	AfterVirtual float64
+	afterVirtual float64
 }
 
 // Plan is a reproducible fault schedule: a seed, default per-link faults,
@@ -72,16 +72,16 @@ type Plan struct {
 	// Link is the fault configuration applied to every link without an
 	// override in Links.
 	Link LinkFaults
-	// Links overrides Link for specific directed links, keyed by
+	// links overrides Link for specific directed links, keyed by
 	// [2]int{from, to}.
-	Links map[[2]int]LinkFaults
+	links map[[2]int]LinkFaults
 	// Kills lists rank hard-kill points.
 	Kills []KillSpec
 }
 
 // faultsFor returns the fault configuration of link (from, to).
 func (pl *Plan) faultsFor(from, to int) LinkFaults {
-	if lf, ok := pl.Links[[2]int{from, to}]; ok {
+	if lf, ok := pl.links[[2]int{from, to}]; ok {
 		return lf
 	}
 	return pl.Link
@@ -89,10 +89,10 @@ func (pl *Plan) faultsFor(from, to int) LinkFaults {
 
 // budget returns the effective retry budget.
 func (lf LinkFaults) budget() int {
-	if lf.RetryBudget > 0 {
-		return lf.RetryBudget
+	if lf.retryBudget > 0 {
+		return lf.retryBudget
 	}
-	return DefaultRetryBudget
+	return defaultRetryBudget
 }
 
 // Decision salts: each fault type draws from an independent deterministic
@@ -167,7 +167,7 @@ func Parse(s string) (*Plan, error) {
 			if !ok {
 				return nil, fmt.Errorf("fault: retry wants N:D, got %q", val)
 			}
-			if pl.Link.RetryBudget, err = parseCount(n, 0); err == nil {
+			if pl.Link.retryBudget, err = parseCount(n, 0); err == nil {
 				pl.Link.RetryDelay, err = parseSeconds(d)
 			}
 		case "delay":
@@ -190,8 +190,8 @@ func Parse(s string) (*Plan, error) {
 			if key == "kill" {
 				k.AfterSends, err = parseCount(at, 1)
 			} else {
-				k.AfterVirtual, err = parseSeconds(at)
-				if err == nil && k.AfterVirtual == 0 {
+				k.afterVirtual, err = parseSeconds(at)
+				if err == nil && k.afterVirtual == 0 {
 					err = fmt.Errorf("kill time must be > 0")
 				}
 			}
@@ -252,8 +252,8 @@ func (pl *Plan) String() string {
 	if lf.DropProb > 0 {
 		fmt.Fprintf(&b, ",drop=%g", lf.DropProb)
 	}
-	if lf.RetryBudget > 0 || lf.RetryDelay > 0 {
-		fmt.Fprintf(&b, ",retry=%d:%g", lf.RetryBudget, lf.RetryDelay)
+	if lf.retryBudget > 0 || lf.RetryDelay > 0 {
+		fmt.Fprintf(&b, ",retry=%d:%g", lf.retryBudget, lf.RetryDelay)
 	}
 	if lf.DupProb > 0 {
 		fmt.Fprintf(&b, ",dup=%g", lf.DupProb)
@@ -268,8 +268,8 @@ func (pl *Plan) String() string {
 		if k.AfterSends > 0 {
 			fmt.Fprintf(&b, ",kill=%d@%d", k.Rank, k.AfterSends)
 		}
-		if k.AfterVirtual > 0 {
-			fmt.Fprintf(&b, ",killv=%d@%g", k.Rank, k.AfterVirtual)
+		if k.afterVirtual > 0 {
+			fmt.Fprintf(&b, ",killv=%d@%g", k.Rank, k.afterVirtual)
 		}
 	}
 	return b.String()
@@ -277,16 +277,16 @@ func (pl *Plan) String() string {
 
 // Event is one fired fault, recorded for the reproducibility trace.
 type Event struct {
-	From, To int
-	Seq      uint64  // per-link message sequence number the fault fired on
+	From, to int
+	seq      uint64  // per-link message sequence number the fault fired on
 	Action   string  // "drop", "dup", "reorder", "delay", "cut", "kill"
-	N        int     // drop: number of dropped attempts; kill: send count
-	Delay    float64 // extra virtual seconds added to the arrival time
+	n        int     // drop: number of dropped attempts; kill: send count
+	delay    float64 // extra virtual seconds added to the arrival time
 }
 
 // String renders one trace line.
 func (e Event) String() string {
-	return fmt.Sprintf("%d->%d #%d %s n=%d delay=%g", e.From, e.To, e.Seq, e.Action, e.N, e.Delay)
+	return fmt.Sprintf("%d->%d #%d %s n=%d delay=%g", e.From, e.to, e.seq, e.Action, e.n, e.delay)
 }
 
 // sortEvents orders a trace canonically: by link, then sequence number,
@@ -298,11 +298,11 @@ func sortEvents(evs []Event) {
 		if a.From != b.From {
 			return a.From < b.From
 		}
-		if a.To != b.To {
-			return a.To < b.To
+		if a.to != b.to {
+			return a.to < b.to
 		}
-		if a.Seq != b.Seq {
-			return a.Seq < b.Seq
+		if a.seq != b.seq {
+			return a.seq < b.seq
 		}
 		return a.Action < b.Action
 	})

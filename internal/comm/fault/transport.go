@@ -8,12 +8,12 @@ import (
 	"repro/internal/comm"
 )
 
-// WireTag is the single tag fault-injected traffic travels under on the
+// wireTag is the single tag fault-injected traffic travels under on the
 // inner transport. The fault layer prefixes every payload with a per-link
 // sequence number and the application's original tag; the receive side
 // restores sequence order and re-applies tag matching, so the inner
 // transport's own tag space is never shared with the application.
-const WireTag = 1<<30 + 7
+const wireTag = 1<<30 + 7
 
 // frameHeader is the wire overhead per message: seq uint64 + tag int32.
 const frameHeader = 12
@@ -131,9 +131,9 @@ func (t *Transport) checkKill(m comm.Message) {
 			continue
 		}
 		if (k.AfterSends > 0 && t.sent[from] >= uint64(k.AfterSends)) ||
-			(k.AfterVirtual > 0 && m.Arrive >= k.AfterVirtual) {
+			(k.afterVirtual > 0 && m.Arrive >= k.afterVirtual) {
 			t.killed[from] = true
-			t.record(Event{From: from, To: from, Seq: t.sent[from], Action: "kill", N: int(t.sent[from])})
+			t.record(Event{From: from, to: from, seq: t.sent[from], Action: "kill", n: int(t.sent[from])})
 			// Kill the victim's outgoing links: frames still held for a
 			// reorder swap die with the rank, and marking the links dead
 			// keeps a peer's flush-on-demand from resurrecting them.
@@ -193,7 +193,7 @@ func (t *Transport) Send(m comm.Message) {
 			ls.dead = true
 			ls.held = heldFrame{}
 			ls.mu.Unlock()
-			t.record(Event{From: from, To: to, Seq: seq, Action: "cut", N: drops})
+			t.record(Event{From: from, to: to, seq: seq, Action: "cut", n: drops})
 			if lp, ok := t.inner.(comm.LinkPoisoner); ok {
 				lp.PoisonLink(to, from)
 			}
@@ -205,7 +205,7 @@ func (t *Transport) Send(m comm.Message) {
 			// into the addition below (see costmodel.MsgCost).
 			d := float64(float64(drops) * lf.RetryDelay)
 			arrive += d
-			t.record(Event{From: from, To: to, Seq: seq, Action: "drop", N: drops, Delay: d})
+			t.record(Event{From: from, to: to, seq: seq, Action: "drop", n: drops, delay: d})
 		}
 	}
 
@@ -213,7 +213,7 @@ func (t *Transport) Send(m comm.Message) {
 		// Rounded before the addition, as above.
 		d := float64(t.plan.rnd(from, to, seq, saltDelayU, 0) * lf.MaxDelay)
 		arrive += d
-		t.record(Event{From: from, To: to, Seq: seq, Action: "delay", Delay: d})
+		t.record(Event{From: from, to: to, seq: seq, Action: "delay", delay: d})
 	}
 
 	// Take ownership of the payload: the frame gets its own buffer, so a
@@ -224,11 +224,11 @@ func (t *Transport) Send(m comm.Message) {
 	binary.LittleEndian.PutUint32(buf[8:], uint32(m.Tag))
 	copy(buf[frameHeader:], m.Data)
 	m.Release()
-	fr := comm.Message{From: from, To: to, Tag: WireTag, Arrive: arrive, Data: buf}
+	fr := comm.Message{From: from, To: to, Tag: wireTag, Arrive: arrive, Data: buf}
 
 	dup := lf.DupProb > 0 && t.plan.rnd(from, to, seq, saltDup, 0) < lf.DupProb
 	if dup {
-		t.record(Event{From: from, To: to, Seq: seq, Action: "dup"})
+		t.record(Event{From: from, to: to, seq: seq, Action: "dup"})
 	}
 
 	ls.mu.Lock()
@@ -245,7 +245,7 @@ func (t *Transport) Send(m comm.Message) {
 	if lf.ReorderProb > 0 && t.plan.rnd(from, to, seq, saltReorder, 0) < lf.ReorderProb {
 		ls.held = heldFrame{set: true, frame: fr, dup: dup}
 		ls.mu.Unlock()
-		t.record(Event{From: from, To: to, Seq: seq, Action: "reorder"})
+		t.record(Event{From: from, to: to, seq: seq, Action: "reorder"})
 		return
 	}
 	ls.mu.Unlock()
@@ -302,7 +302,7 @@ func (t *Transport) Recv(self, from, tag int) comm.Message {
 		// for a reorder swap and never communicates again, nobody else will
 		// put it on the wire — so the receiver emits it before blocking.
 		t.flushLink(&t.send[from*t.n+self])
-		fr := t.inner.Recv(self, from, WireTag)
+		fr := t.inner.Recv(self, from, wireTag)
 		if len(fr.Data) < frameHeader {
 			panic(fmt.Sprintf("fault: runt frame of %d bytes on link %d->%d", len(fr.Data), from, self))
 		}

@@ -61,7 +61,7 @@ func TestRunMeasuredVirtualParity(t *testing.T) {
 			t.Fatalf("n=%d: measured run reports %d measured ranks, %d workers", n, len(got.Measured), got.Workers)
 		}
 		for r, mm := range got.Measured {
-			if mm.Wall <= 0 || mm.ClockSamples < 2 {
+			if mm.Wall <= 0 || mm.clockSamples < 2 {
 				t.Errorf("n=%d rank %d: implausible measurement %+v", n, r, mm)
 			}
 		}
@@ -114,8 +114,8 @@ func TestRunMeasuredScriptedClock(t *testing.T) {
 	})
 	mm := rep.Measured[0]
 	// Readings: 1 body start, 2..7 intervals, 8 body end.
-	if mm.ClockSamples != 8 {
-		t.Errorf("ClockSamples = %d, want 8", mm.ClockSamples)
+	if mm.clockSamples != 8 {
+		t.Errorf("clockSamples = %d, want 8", mm.clockSamples)
 	}
 	if mm.Wall != 7 {
 		t.Errorf("Wall = %v, want 7", mm.Wall)
@@ -148,11 +148,11 @@ func TestMeasuredRecvSamplingAmortized(t *testing.T) {
 			}
 			return
 		}
-		before := p.Measured().ClockSamples
+		before := p.Measured().clockSamples
 		for i := 0; i < k; i++ {
 			p.RecvF64(0, 7, nil)
 		}
-		recvSamples = p.Measured().ClockSamples - before
+		recvSamples = p.Measured().clockSamples - before
 		commWall = p.Measured().CommWall
 	})
 	// k receives: one start reading for the first, one end reading each.
@@ -178,11 +178,11 @@ func TestMeasuredRecvSamplingAmortized(t *testing.T) {
 			p.RecvF64(1, 8, nil)
 			return
 		}
-		before := p.Measured().ClockSamples
+		before := p.Measured().clockSamples
 		p.RecvF64(0, 7, nil) // start + end: 2 readings
 		p.SendF64(0, 8, nil) // invalidates the cached sample
 		p.RecvF64(0, 7, nil) // start + end again: 2 readings
-		samples = p.Measured().ClockSamples - before
+		samples = p.Measured().clockSamples - before
 	})
 	if samples != 4 {
 		t.Errorf("recv/send/recv took %d readings, want 4 (send must invalidate the cached sample)", samples)

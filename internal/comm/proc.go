@@ -14,32 +14,32 @@ import (
 // communication time.
 type Stats struct {
 	ComputeTime float64
-	CommTime    float64
+	commTime    float64
 	MsgsSent    int64
 	BytesSent   int64
-	MsgsRecv    int64
-	BytesRecv   int64
+	msgsRecv    int64
+	bytesRecv   int64
 }
 
 // Add accumulates other into s.
 func (s *Stats) Add(other Stats) {
 	s.ComputeTime += other.ComputeTime
-	s.CommTime += other.CommTime
+	s.commTime += other.commTime
 	s.MsgsSent += other.MsgsSent
 	s.BytesSent += other.BytesSent
-	s.MsgsRecv += other.MsgsRecv
-	s.BytesRecv += other.BytesRecv
+	s.msgsRecv += other.msgsRecv
+	s.bytesRecv += other.bytesRecv
 }
 
 // Sub returns s minus other, used to compute per-phase deltas.
 func (s Stats) Sub(other Stats) Stats {
 	return Stats{
 		ComputeTime: s.ComputeTime - other.ComputeTime,
-		CommTime:    s.CommTime - other.CommTime,
+		commTime:    s.commTime - other.commTime,
 		MsgsSent:    s.MsgsSent - other.MsgsSent,
 		BytesSent:   s.BytesSent - other.BytesSent,
-		MsgsRecv:    s.MsgsRecv - other.MsgsRecv,
-		BytesRecv:   s.BytesRecv - other.BytesRecv,
+		msgsRecv:    s.msgsRecv - other.msgsRecv,
+		bytesRecv:   s.bytesRecv - other.bytesRecv,
 	}
 }
 
@@ -90,8 +90,8 @@ type Proc struct {
 // staleSample marks Proc.lastSample as no reading to reuse.
 var staleSample = math.NaN()
 
-// NewProc constructs a processor endpoint. Most code should use Run instead.
-func NewProc(rank, size int, tr Transport, m *costmodel.Machine) *Proc {
+// newProc constructs a processor endpoint. Most code should use Run instead.
+func newProc(rank, size int, tr Transport, m *costmodel.Machine) *Proc {
 	if err := m.Validate(); err != nil {
 		panic(err)
 	}
@@ -138,7 +138,7 @@ func (p *Proc) Measured() Measured { return p.meas }
 // sampleWall takes a fresh (counted) wall-clock reading. Callers must have
 // checked p.wall != nil.
 func (p *Proc) sampleWall() float64 {
-	p.meas.ClockSamples++
+	p.meas.clockSamples++
 	return p.wall.Now()
 }
 
@@ -191,7 +191,7 @@ func (p *Proc) send(to, tag int, data []byte, pool *byteArena) {
 	}
 	depart := p.clock
 	p.clock += p.m.Alpha
-	p.stats.CommTime += p.m.Alpha
+	p.stats.commTime += p.m.Alpha
 	p.stats.MsgsSent++
 	p.stats.BytesSent += int64(len(data))
 	p.lastSample = staleSample // encode/copy time must not count as receive wait
@@ -244,11 +244,11 @@ func (p *Proc) recvMsg(from, tag int) Message {
 		p.lastSample = t1
 	}
 	if m.Arrive > p.clock {
-		p.stats.CommTime += m.Arrive - p.clock
+		p.stats.commTime += m.Arrive - p.clock
 		p.clock = m.Arrive
 	}
-	p.stats.MsgsRecv++
-	p.stats.BytesRecv += int64(len(m.Data))
+	p.stats.msgsRecv++
+	p.stats.bytesRecv += int64(len(m.Data))
 	return m
 }
 

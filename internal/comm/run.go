@@ -57,7 +57,7 @@ func (r *Report) MeanComputeTime() float64 {
 func (r *Report) MeanCommTime() float64 {
 	s := 0.0
 	for _, st := range r.Stats {
-		s += st.CommTime
+		s += st.commTime
 	}
 	return s / float64(r.N)
 }
@@ -194,7 +194,7 @@ func RunMeasuredTransport(n int, m *costmodel.Machine, tr Transport, o MeasureOp
 	}
 	clock := o.Clock
 	if clock == nil {
-		clock = NewWallClock()
+		clock = &wallClock{epoch: time.Now()}
 	}
 	mc := &measureCfg{clock: clock, workers: workers}
 	if workers < n {
@@ -258,7 +258,7 @@ func runSPMD(n int, m *costmodel.Machine, tr Transport, mc *measureCfg, body fun
 			if bind {
 				defer bindThread(rank)()
 			}
-			p := NewProc(rank, n, tr, m)
+			p := newProc(rank, n, tr, m)
 			var slot *rankSlot
 			if mc != nil {
 				p.wall = mc.clock
@@ -274,14 +274,6 @@ func runSPMD(n int, m *costmodel.Machine, tr Transport, mc *measureCfg, body fun
 				// when the slot was already yielded inside a receive).
 				if slot != nil {
 					slot.release()
-				}
-				// Tell decorating transports the rank is done: a fault
-				// injector holding a reorder frame on one of this rank's
-				// links must put it on the wire now, or a peer still
-				// waiting for it would block until Close — which only runs
-				// after that peer finishes.
-				if ro, ok := tr.(RankObserver); ok {
-					ro.RankDone(rank)
 				}
 				rep.Clocks[rank] = p.clock
 				rep.Stats[rank] = p.stats
@@ -299,6 +291,16 @@ func runSPMD(n int, m *costmodel.Machine, tr Transport, mc *measureCfg, body fun
 					if po, ok := tr.(Poisoner); ok {
 						po.Poison()
 					}
+				}
+				// Tell the transport the rank is done: a fault injector
+				// holding a reorder frame on one of this rank's links must
+				// put it on the wire now, or a peer still waiting for it
+				// would block until Close — which only runs after that peer
+				// finishes; and a peer waiting for a message this rank never
+				// sent fails now. A panicked rank poisoned the transport
+				// first, so its peers see PeerFailure, not a finished sender.
+				if ro, ok := tr.(RankObserver); ok {
+					ro.RankDone(rank)
 				}
 			}()
 			if mc == nil {
@@ -354,7 +356,7 @@ func raisePanics(panics []any) {
 // It returns this rank's final virtual clock and statistics. The caller
 // owns transport cleanup.
 func RunRank(rank, n int, m *costmodel.Machine, tr Transport, body func(p *Proc)) (float64, Stats) {
-	p := NewProc(rank, n, tr, m)
+	p := newProc(rank, n, tr, m)
 	// RankDone fires whether body returns or panics; a panic keeps going.
 	defer func() {
 		if ro, ok := tr.(RankObserver); ok {

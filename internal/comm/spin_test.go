@@ -31,7 +31,8 @@ type takeReq struct {
 // the message to out. Its name marks the receiver's stack for waitIn.
 func spinReceiver(mb *mailbox, next <-chan takeReq, out chan<- Message) {
 	for r := range next {
-		out <- mb.take(r.tag, r.spin, r.yield)
+		m, _ := mb.take(r.tag, r.spin, r.yield)
+		out <- m
 	}
 }
 
@@ -353,8 +354,8 @@ func lateRankBody(p *Proc) {
 func parked(t *testing.T, rep *Report) (n int64) {
 	t.Helper()
 	for r, m := range rep.Measured {
-		if w := m.Waits; w.Spun+w.Yielded+w.Parked != rep.Stats[r].MsgsRecv {
-			t.Errorf("rank %d: waits %+v do not add up to its %d receives", r, w, rep.Stats[r].MsgsRecv)
+		if w := m.Waits; w.Spun+w.Yielded+w.Parked != rep.Stats[r].msgsRecv {
+			t.Errorf("rank %d: waits %+v do not add up to its %d receives", r, w, rep.Stats[r].msgsRecv)
 		}
 		n += m.Waits.Parked
 	}

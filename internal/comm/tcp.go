@@ -135,7 +135,8 @@ func (t *TCPTransport) Recv(self, from, tag int) Message {
 	}
 	// Never spin: the reader goroutines that put into boxes need a core to
 	// drain the socket, and a spinning receiver takes it.
-	return t.boxes[from].take(tag, 0, 0)
+	m, _ := t.boxes[from].take(tag, 0, 0) // TCP senders are never marked finished
+	return m
 }
 
 // Poison implements Poisoner.
@@ -203,7 +204,7 @@ func NewTCPMesh(n int) (Transport, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			eps[r], errs[r] = NewTCPEndpointOn(lns[r], r, addrs, meshTimeout)
+			eps[r], errs[r] = newTCPEndpointOn(lns[r], r, addrs, meshTimeout)
 		}()
 	}
 	wg.Wait()
@@ -264,23 +265,23 @@ func NewTCPEndpoint(rank int, addrs []string, timeout time.Duration) (*TCPTransp
 		return nil, fmt.Errorf("comm: rank %d out of range [0,%d)", rank, n)
 	}
 	if n == 1 {
-		return NewTCPEndpointOn(nil, rank, addrs, timeout)
+		return newTCPEndpointOn(nil, rank, addrs, timeout)
 	}
 	ln, err := net.Listen("tcp", addrs[rank])
 	if err != nil {
 		return nil, fmt.Errorf("comm: rank %d listen on %s: %w", rank, addrs[rank], err)
 	}
-	return NewTCPEndpointOn(ln, rank, addrs, timeout)
+	return newTCPEndpointOn(ln, rank, addrs, timeout)
 }
 
-// NewTCPEndpointOn is NewTCPEndpoint over a listener the caller has already
+// newTCPEndpointOn is NewTCPEndpoint over a listener the caller has already
 // bound. It exists for callers that must reserve ports first and assemble
 // the full address list from them (NewTCPMesh binds every rank to port 0),
 // and only then bring each rank up on its reserved port, without a
 // close-and-rebind race.
 // The endpoint takes ownership of ln and closes it once the mesh is
 // connected (ln may be nil when n == 1, where no wiring happens at all).
-func NewTCPEndpointOn(ln net.Listener, rank int, addrs []string, timeout time.Duration) (*TCPTransport, error) {
+func newTCPEndpointOn(ln net.Listener, rank int, addrs []string, timeout time.Duration) (*TCPTransport, error) {
 	n := len(addrs)
 	if rank < 0 || rank >= n {
 		if ln != nil {

@@ -230,7 +230,7 @@ func TestTCPEndpointOnPreBoundListeners(t *testing.T) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			tr, err := NewTCPEndpointOn(lns[rank], rank, addrs, 10*time.Second)
+			tr, err := newTCPEndpointOn(lns[rank], rank, addrs, 10*time.Second)
 			if err != nil {
 				errs[rank] = err
 				return
@@ -259,7 +259,7 @@ func TestTCPEndpointOnValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Out-of-range rank: rejected, and the listener is closed for us.
-	if _, err := NewTCPEndpointOn(ln, 9, []string{"a", "b"}, time.Second); err == nil {
+	if _, err := newTCPEndpointOn(ln, 9, []string{"a", "b"}, time.Second); err == nil {
 		t.Error("out-of-range rank accepted")
 	}
 	if c, err := net.Dial("tcp", ln.Addr().String()); err == nil {
@@ -267,11 +267,11 @@ func TestTCPEndpointOnValidation(t *testing.T) {
 		t.Error("listener still accepting after a rejected rank")
 	}
 	// A multi-rank mesh cannot form without a bound listener.
-	if _, err := NewTCPEndpointOn(nil, 0, []string{"a", "b"}, time.Second); err == nil {
+	if _, err := newTCPEndpointOn(nil, 0, []string{"a", "b"}, time.Second); err == nil {
 		t.Error("nil listener accepted for a 2-rank mesh")
 	}
 	// A single-rank "mesh" needs no listener at all.
-	tr, err := NewTCPEndpointOn(nil, 0, []string{"ignored"}, time.Second)
+	tr, err := newTCPEndpointOn(nil, 0, []string{"ignored"}, time.Second)
 	if err != nil {
 		t.Fatalf("single-rank endpoint: %v", err)
 	}

@@ -81,11 +81,13 @@ type LinkPoisoner interface {
 	PoisonLink(to, from int)
 }
 
-// RankObserver is implemented by decorating transports that buffer traffic
-// per rank (e.g. the fault injector's reorder hold) and need to know when a
-// rank's program has finished, so anything still buffered on its behalf can
-// be put on the wire while peers are still receiving. The runners call
-// RankDone exactly once per rank, after the rank's body returns or panics.
+// RankObserver is implemented by transports that need to know when a
+// rank's program has finished: a decorator that buffers traffic per rank
+// (e.g. the fault injector's reorder hold) puts anything still buffered on
+// its behalf on the wire while peers are still receiving, and the
+// in-memory transport fails receives that rank can no longer serve. The
+// runners call RankDone exactly once per rank: after the rank's body
+// returns, or, when it panicked, after the transport has been poisoned.
 type RankObserver interface {
 	RankDone(rank int)
 }
@@ -122,6 +124,9 @@ type mailbox struct {
 	cond    *sync.Cond
 	pending []Message
 	dead    bool
+	// done is set once the sending rank's body has returned: it sends
+	// nothing more, so a receive that finds no queued match must fail.
+	done bool
 	// puts counts puts and poisonings, bumped under mu, so a polling
 	// receiver sees either without taking the lock.
 	puts atomic.Uint64
@@ -146,8 +151,9 @@ func (mb *mailbox) put(m Message) {
 // take removes and returns the oldest message with tag, waiting for one if
 // none is queued: it spins for spin, then polls with an OS yield between
 // checks until spin+yield has passed since the wait began, then parks. Zero
-// budgets skip their phase.
-func (mb *mailbox) take(tag int, spin, yield time.Duration) Message {
+// budgets skip their phase. It returns false, and no message, when none is
+// queued and the sender has finished (see finish).
+func (mb *mailbox) take(tag int, spin, yield time.Duration) (Message, bool) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	var start time.Time
@@ -159,11 +165,14 @@ func (mb *mailbox) take(tag int, spin, yield time.Duration) Message {
 				mb.pending[len(mb.pending)-1] = Message{}
 				mb.pending = mb.pending[:len(mb.pending)-1]
 				*served++
-				return m
+				return m, true
 			}
 		}
 		if mb.dead {
 			panic(PeerFailure{})
+		}
+		if mb.done {
+			return Message{}, false
 		}
 		// One clock read per pass: the first pass starts the wait at zero.
 		var waited time.Duration
@@ -206,6 +215,15 @@ func (mb *mailbox) spinForPut(deadline time.Time, yield bool) {
 	mb.mu.Lock()
 }
 
+// finish marks the sender finished and wakes every waiter.
+func (mb *mailbox) finish() {
+	mb.mu.Lock()
+	mb.done = true
+	mb.puts.Add(1)
+	mb.mu.Unlock()
+	mb.cond.Broadcast()
+}
+
 // poison wakes every waiter with a PeerFailure panic.
 func (mb *mailbox) poison() {
 	mb.mu.Lock()
@@ -243,9 +261,23 @@ func (t *MemTransport) Send(m Message) {
 	t.boxes[m.To*t.n+m.From].put(m)
 }
 
-// Recv implements Transport.
+// Recv implements Transport. A receive from a rank whose body has returned
+// (see RankDone) that finds no queued match panics, naming the receive.
 func (t *MemTransport) Recv(self, from, tag int) Message {
-	return t.boxes[self*t.n+from].take(tag, t.spin, t.yield)
+	m, ok := t.boxes[self*t.n+from].take(tag, t.spin, t.yield)
+	if !ok {
+		panic(fmt.Sprintf("comm: rank %d waits for a message with tag %d from rank %d, which has returned", self, tag, from))
+	}
+	return m
+}
+
+// RankDone implements RankObserver for a rank whose body returned: it
+// sends nothing more, so every receive from it that finds no queued match
+// fails at once instead of waiting forever.
+func (t *MemTransport) RankDone(rank int) {
+	for to := 0; to < t.n; to++ {
+		t.boxes[to*t.n+rank].finish()
+	}
 }
 
 // waits sums rank's receive wait counts over its inbound links.
@@ -261,13 +293,15 @@ func (t *MemTransport) waits(rank int) WaitCounts {
 	return w
 }
 
-// setWait sets the receive wait budgets and zeroes the wait counts, so a
-// transport reused by another run reports that run's waits alone.
+// setWait sets the receive wait budgets and zeroes the wait counts and the
+// finished marks, so a transport reused by another run reports that run's
+// waits alone and serves its ranks afresh.
 func (t *MemTransport) setWait(spin, yield time.Duration) {
 	t.spin, t.yield = spin, yield
 	for _, mb := range t.boxes {
 		mb.mu.Lock()
 		mb.waits = WaitCounts{}
+		mb.done = false
 		mb.mu.Unlock()
 	}
 }

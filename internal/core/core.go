@@ -34,7 +34,7 @@ import (
 
 // Runtime binds CHAOS state to one SPMD processor.
 type Runtime struct {
-	P *comm.Proc
+	p *comm.Proc
 	// TableKind selects translation-table storage (default Replicated, as
 	// used for both applications in the paper).
 	TableKind ttable.Kind
@@ -47,7 +47,7 @@ type Runtime struct {
 
 // NewRuntime returns a runtime with replicated translation tables.
 func NewRuntime(p *comm.Proc) *Runtime {
-	return &Runtime{P: p, TableKind: ttable.Replicated}
+	return &Runtime{p: p, TableKind: ttable.Replicated}
 }
 
 // Dist is one distribution of an N-element global index space.
@@ -61,29 +61,29 @@ type Dist struct {
 // conventional starting point before the first irregular partitioning
 // (cf. Figure 10: "Initially arrays are distributed in blocks").
 func (rt *Runtime) BlockDist(n int) *Dist {
-	lo, hi := partition.BlockRange(rt.P.Rank(), n, rt.P.Size())
+	lo, hi := partition.BlockRange(rt.p.Rank(), n, rt.p.Size())
 	slab := make([]int32, hi-lo)
 	globals := make([]int32, hi-lo)
 	for i := range slab {
-		slab[i] = int32(rt.P.Rank())
+		slab[i] = int32(rt.p.Rank())
 		globals[i] = int32(lo + i)
 	}
-	return &Dist{rt: rt, tt: ttable.Build(rt.P, rt.TableKind, slab), globals: globals}
+	return &Dist{rt: rt, tt: ttable.Build(rt.p, rt.TableKind, slab), globals: globals}
 }
 
 // CyclicDist returns the CYCLIC distribution of n elements: element i on
 // processor i mod P (the second standard Fortran D distribution, §5.1).
 func (rt *Runtime) CyclicDist(n int) *Dist {
-	lo, hi := partition.BlockRange(rt.P.Rank(), n, rt.P.Size())
+	lo, hi := partition.BlockRange(rt.p.Rank(), n, rt.p.Size())
 	slab := make([]int32, hi-lo)
 	for i := range slab {
-		slab[i] = int32((lo + i) % rt.P.Size())
+		slab[i] = int32((lo + i) % rt.p.Size())
 	}
 	var globals []int32
-	for g := rt.P.Rank(); g < n; g += rt.P.Size() {
+	for g := rt.p.Rank(); g < n; g += rt.p.Size() {
 		globals = append(globals, int32(g))
 	}
-	return &Dist{rt: rt, tt: ttable.Build(rt.P, rt.TableKind, slab), globals: globals}
+	return &Dist{rt: rt, tt: ttable.Build(rt.p, rt.TableKind, slab), globals: globals}
 }
 
 // DistFromGlobals rebuilds a distribution in which the calling processor
@@ -99,10 +99,10 @@ func (rt *Runtime) DistFromGlobals(globals []int32, n int) *Dist {
 	}
 	owners := make([]int32, len(globals))
 	for i := range owners {
-		owners[i] = int32(rt.P.Rank())
+		owners[i] = int32(rt.p.Rank())
 	}
-	slab := remap.BlockMap(rt.P, globals, owners, n)
-	return &Dist{rt: rt, tt: ttable.Build(rt.P, rt.TableKind, slab), globals: append([]int32(nil), globals...)}
+	slab := remap.BlockMap(rt.p, globals, owners, n)
+	return &Dist{rt: rt, tt: ttable.Build(rt.p, rt.TableKind, slab), globals: append([]int32(nil), globals...)}
 }
 
 // TT returns the translation table describing this distribution.
@@ -134,13 +134,13 @@ func (d *Dist) Repartition(newOwners []int32) (*Dist, *remap.Plan) {
 	if d.rt.plan == nil {
 		d.rt.plan = new(remap.Plan)
 	}
-	slab := d.rt.plan.BlockMap(d.rt.P, d.globals, newOwners, d.N())
-	tt := ttable.Build(d.rt.P, d.rt.TableKind, slab)
+	slab := d.rt.plan.BlockMap(d.rt.p, d.globals, newOwners, d.N())
+	tt := ttable.Build(d.rt.p, d.rt.TableKind, slab)
 	recycle.PoisonI32(slab)
-	d.rt.plan = remap.NewPlanInto(d.rt.plan, d.rt.P, d.globals, tt)
+	d.rt.plan = remap.NewPlanInto(d.rt.plan, d.rt.p, d.globals, tt)
 	plan := d.rt.plan
 	// The new Dist retains its globals: a fresh array, never a recycled one.
-	newGlobals := plan.MoveI32(d.rt.P, d.globals, 1)
+	newGlobals := plan.MoveI32(d.rt.p, d.globals, 1)
 	return &Dist{rt: d.rt, tt: tt, globals: newGlobals}, plan
 }
 
@@ -154,7 +154,7 @@ func (d *Dist) NewHashTable() *hashtab.Table { return d.NewHashTableInto(nil) }
 // stale — with the slot array and entry storage kept. Charges nothing.
 func (d *Dist) NewHashTableInto(ht *hashtab.Table) *hashtab.Table {
 	if ht == nil {
-		return hashtab.New(d.rt.P, d.tt)
+		return hashtab.New(d.rt.p, d.tt)
 	}
 	ht.Reset(d.tt)
 	return ht

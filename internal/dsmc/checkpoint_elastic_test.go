@@ -1,12 +1,9 @@
 package dsmc
 
 import (
-	"net"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/comm"
@@ -17,40 +14,20 @@ import (
 // count over a different TCP mesh, and resuming past an unsealed newest
 // manifest. Both must end bit-identical to the uninterrupted reference.
 
-// runTCPMesh runs cfg on nprocs ranks that are each a real TCP endpoint on
-// a freshly reserved loopback port — the deployment shape of cmd/dsmc
-// -rank R -addrs A, minus the extra processes.
+// runTCPMesh runs cfg on nprocs ranks over a fresh loopback TCP mesh, each
+// rank its own endpoint on a newly bound port (the wiring cmd/dsmc -rank R
+// -addrs A uses, minus the extra processes).
 func runTCPMesh(t *testing.T, nprocs int, cfg Config) []float64 {
 	t.Helper()
-	lns := make([]net.Listener, nprocs)
-	addrs := make([]string, nprocs)
-	for r := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("reserve port: %v", err)
-		}
-		lns[r] = ln
-		addrs[r] = ln.Addr().String()
+	mesh, err := comm.NewTCPMesh(nprocs)
+	if err != nil {
+		t.Fatalf("NewTCPMesh(%d): %v", nprocs, err)
 	}
+	defer mesh.Close()
 	perRank := make([][]float64, nprocs)
-	var wg sync.WaitGroup
-	for r := 0; r < nprocs; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			tr, err := comm.NewTCPEndpointOn(lns[rank], rank, addrs, 10*time.Second)
-			if err != nil {
-				t.Errorf("rank %d endpoint: %v", rank, err)
-				return
-			}
-			defer tr.Close()
-			comm.RunRank(rank, nprocs, costmodel.IPSC860(), tr, func(p *comm.Proc) {
-				perRank[rank] = RunKeepMols(p, cfg)
-				p.Barrier()
-			})
-		}(r)
-	}
-	wg.Wait()
+	comm.RunTransport(nprocs, costmodel.IPSC860(), mesh, func(p *comm.Proc) {
+		perRank[p.Rank()] = RunKeepMols(p, cfg)
+	})
 	var all []float64
 	for _, m := range perRank {
 		all = append(all, m...)
@@ -76,7 +53,7 @@ func TestElasticRestoreSameCountDifferentAddresses(t *testing.T) {
 	writer.CheckpointDir = base
 	runTCPMesh(t, 3, writer)
 	dir := checkpoint.StepDir(base, 4)
-	if _, err := checkpoint.Open(dir); err != nil {
+	if err := sealed(dir); err != nil {
 		t.Fatalf("checkpoint at step 4: %v", err)
 	}
 
@@ -114,7 +91,7 @@ func TestResumeLatestSkipsUnsealedNewest(t *testing.T) {
 	if newest != checkpoint.StepDir(base, 8) {
 		t.Fatalf("newest checkpoint %q, want step 8", newest)
 	}
-	if err := os.Remove(filepath.Join(newest, checkpoint.ManifestName)); err != nil {
+	if err := os.Remove(filepath.Join(newest, manifestFile)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,6 +1,8 @@
 package dsmc
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -55,6 +57,16 @@ func skewedConfig() Config {
 // step-`step` checkpoint. Running the full simulation (rather than a
 // truncated one) keeps end-of-run special cases, like the final-step remap
 // suppression, identical between the writer and the uninterrupted run.
+// manifestFile is the seal checkpoint.Save writes last into a checkpoint
+// directory.
+const manifestFile = "MANIFEST.ckpt"
+
+// sealed reports why the checkpoint in dir is not sealed, or nil.
+func sealed(dir string) error {
+	_, err := os.Stat(filepath.Join(dir, manifestFile))
+	return err
+}
+
 func writeCheckpointAt(t *testing.T, nprocs, step int, cfg Config, base string) string {
 	t.Helper()
 	first := cfg
@@ -64,7 +76,7 @@ func writeCheckpointAt(t *testing.T, nprocs, step int, cfg Config, base string) 
 		Run(p, first)
 	})
 	dir := checkpoint.StepDir(base, int64(step))
-	if _, err := checkpoint.Open(dir); err != nil {
+	if err := sealed(dir); err != nil {
 		t.Fatalf("checkpoint at step %d: %v", step, err)
 	}
 	return dir

@@ -51,8 +51,8 @@ type Config struct {
 	NMols int
 	// Steps is the number of time steps.
 	Steps int
-	// Dt is the free-flight time step (cells per step at unit speed).
-	Dt float64
+	// dt is the free-flight time step (cells per step at unit speed).
+	dt float64
 	// Drift is the mean +x velocity. The paper observed more than 70% of
 	// molecules moving along +x; Drift above one Sigma reproduces that.
 	Drift float64
@@ -68,10 +68,10 @@ type Config struct {
 	Seed int64
 	// Mover selects the MOVE-phase implementation.
 	Mover Mover
-	// SlotCap is the per-cell slot capacity of the regular mover's global
+	// slotCap is the per-cell slot capacity of the regular mover's global
 	// new_cells array: a cell receiving more molecules in one step panics.
 	// Owners lay their rows out packed, so it sizes no buffer.
-	SlotCap int
+	slotCap int
 	// Remap selects when cells are repartitioned: every N steps for a step
 	// count N, once before the first step ("static") or when the adapt.Policy
 	// engine decides ("policy"). "" and "0" keep the BLOCK distribution.
@@ -113,7 +113,7 @@ func (c Config) Validate() error {
 	if !partition.Known(c.Partitioner) {
 		return errors.New("dsmc: unknown partitioner " + c.Partitioner)
 	}
-	if c.SlotCap < 1 {
+	if c.slotCap < 1 {
 		return errors.New("dsmc: SlotCap must be positive")
 	}
 	if c.InitSlabFrac <= 0 || c.InitSlabFrac > 1 {
@@ -143,13 +143,13 @@ func Default2D(edge int) Config {
 		NX: edge, NY: edge, NZ: 1,
 		NMols:        8 * edge * edge,
 		Steps:        50,
-		Dt:           0.35,
+		dt:           0.35,
 		Drift:        0.8,
 		Sigma:        1.0,
 		InitSlabFrac: 1.0,
 		Seed:         1994,
 		Mover:        MoverLight,
-		SlotCap:      48,
+		slotCap:      48,
 		Partitioner:  "block",
 	}
 }
@@ -165,13 +165,13 @@ func Default3D() Config {
 		NX: 768, NY: 6, NZ: 4,
 		NMols:        18000,
 		Steps:        200,
-		Dt:           0.25,
+		dt:           0.25,
 		Drift:        0.12,
 		Sigma:        0.08,
 		InitSlabFrac: 0.5,
 		Seed:         1994,
 		Mover:        MoverLight,
-		SlotCap:      64,
+		slotCap:      64,
 		Partitioner:  "block",
 	}
 }

@@ -35,8 +35,8 @@ func runAll(n int, cfg Config) ([]*ProcResult, *comm.Report) {
 
 func TestGenMoleculesDeterministic(t *testing.T) {
 	cfg := smallConfig()
-	a := GenMolecules(cfg)
-	b := GenMolecules(cfg)
+	a := genMolecules(cfg)
+	b := genMolecules(cfg)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("molecules differ at %d", i)
@@ -59,7 +59,7 @@ func TestGenMoleculesDeterministic(t *testing.T) {
 func TestDriftDirection(t *testing.T) {
 	// More than 70% of molecules should move along +x, as in the paper.
 	cfg := Default2D(48)
-	mols := GenMolecules(cfg)
+	mols := genMolecules(cfg)
 	pos := 0
 	for i := 0; i < cfg.NMols; i++ {
 		if mols[i*recordWidth+4] > 0 {
@@ -74,8 +74,8 @@ func TestDriftDirection(t *testing.T) {
 func TestCellOfAndWrap(t *testing.T) {
 	cfg := smallConfig()
 	m := []float64{0, 11.9, 0.1, 0, 1, 0, 0}
-	if c := CellOf(&cfg, m); c != 11*12 { // x-slowest ordering
-		t.Errorf("CellOf = %d", c)
+	if c := cellOf(&cfg, m); c != 11*12 { // x-slowest ordering
+		t.Errorf("cellOf = %d", c)
 	}
 	advance(&cfg, m, 0.5) // x: 11.9+0.5 wraps to 0.4
 	if math.Abs(m[1]-0.4) > 1e-12 {
@@ -88,7 +88,7 @@ func TestCellOfAndWrap(t *testing.T) {
 
 func TestCollideCellConservesMomentumComponents(t *testing.T) {
 	cfg := smallConfig()
-	mols := GenMolecules(cfg)
+	mols := genMolecules(cfg)
 	members := []int{0, recordWidth, 2 * recordWidth, 3 * recordWidth}
 	var before [3]float64
 	for _, off := range members {
@@ -112,8 +112,8 @@ func TestCollideCellConservesMomentumComponents(t *testing.T) {
 
 func TestCollideCellOrderIndependent(t *testing.T) {
 	cfg := smallConfig()
-	a := GenMolecules(cfg)
-	b := GenMolecules(cfg)
+	a := genMolecules(cfg)
+	b := genMolecules(cfg)
 	// Same set of members presented in different orders must produce the
 	// same final state.
 	ma := []int{0, recordWidth, 2 * recordWidth, 3 * recordWidth, 4 * recordWidth}
@@ -179,7 +179,7 @@ func TestRemappingBeatsStaticUnderDrift(t *testing.T) {
 func TestSlotCapOverflowPanics(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Mover = MoverRegular
-	cfg.SlotCap = 1 // guaranteed overflow
+	cfg.slotCap = 1 // guaranteed overflow
 	defer func() {
 		if recover() == nil {
 			t.Error("slot overflow did not panic")
@@ -198,7 +198,7 @@ func TestConfigValidate(t *testing.T) {
 		"dsmc: unknown mover teleport":                                   func(c *Config) { c.Mover = "teleport" },
 		"dsmc: NMols is -1, want at least 0":                             func(c *Config) { c.NMols = -1 },
 		"dsmc: unknown partitioner voronoi":                              func(c *Config) { c.Partitioner = "voronoi" },
-		"dsmc: SlotCap must be positive":                                 func(c *Config) { c.SlotCap = 0 },
+		"dsmc: SlotCap must be positive":                                 func(c *Config) { c.slotCap = 0 },
 		"dsmc: CheckpointEvery set without CheckpointDir":                func(c *Config) { c.CheckpointEvery = 2 },
 		"dsmc: CheckpointDir set without CheckpointEvery or ResumeFrom":  func(c *Config) { c.CheckpointDir = "D" },
 		"dsmc: CrashRank is 1 without a CrashStep":                       func(c *Config) { c.CrashRank = 1 },
@@ -220,7 +220,7 @@ func TestPhaseAccounting(t *testing.T) {
 		if ph[PhaseMove] <= 0 || ph[PhaseCollide] <= 0 {
 			t.Errorf("rank %d: missing move/collide time: %v", r, ph)
 		}
-		if ph[PhasePartition] <= 0 || ph[PhaseRemap] <= 0 {
+		if ph[phasePartition] <= 0 || ph[phaseRemap] <= 0 {
 			t.Errorf("rank %d: missing partition/remap time: %v", r, ph)
 		}
 	}

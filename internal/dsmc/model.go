@@ -12,8 +12,8 @@ import (
 // ids are permanent and unique; they make the collision phase independent
 // of storage order.
 
-// GenMolecules generates the deterministic initial molecule population.
-func GenMolecules(cfg Config) []float64 {
+// genMolecules generates the deterministic initial molecule population.
+func genMolecules(cfg Config) []float64 {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	mols := make([]float64, cfg.NMols*recordWidth)
 	for i := 0; i < cfg.NMols; i++ {
@@ -31,11 +31,11 @@ func GenMolecules(cfg Config) []float64 {
 	return mols
 }
 
-// CellOf returns the cell index of a molecule record under cfg's grid.
+// cellOf returns the cell index of a molecule record under cfg's grid.
 // Cell ids are x-slowest, so a BLOCK distribution of cell ids yields slabs
 // perpendicular to the dominant +x flow direction — the natural static
 // decomposition, and the one the directional drift punishes (Table 5).
-func CellOf(cfg *Config, m []float64) int {
+func cellOf(cfg *Config, m []float64) int {
 	cx := clampInt(int(m[1]), cfg.NX)
 	cy := clampInt(int(m[2]), cfg.NY)
 	cz := clampInt(int(m[3]), cfg.NZ)
@@ -52,8 +52,8 @@ func clampInt(v, n int) int {
 	return v
 }
 
-// CellCenter returns the geometric centre of cell c.
-func CellCenter(cfg *Config, c int) (x, y, z float64) {
+// cellCenter returns the geometric centre of cell c.
+func cellCenter(cfg *Config, c int) (x, y, z float64) {
 	cz := c % cfg.NZ
 	cy := (c / cfg.NZ) % cfg.NY
 	cx := c / (cfg.NZ * cfg.NY)
@@ -173,7 +173,7 @@ func orderByID(mols []float64, members []int) {
 func bucketByCell(cfg *Config, mols []float64, rows [][]int, nRows int, rowOf func(cell int) int) [][]int {
 	rows = resetRows(rows, nRows)
 	for off := 0; off+recordWidth <= len(mols); off += recordWidth {
-		r := rowOf(CellOf(cfg, mols[off:]))
+		r := rowOf(cellOf(cfg, mols[off:]))
 		rows[r] = append(rows[r], off)
 	}
 	return rows
@@ -189,9 +189,9 @@ func resetRows(rows [][]int, nRows int) [][]int {
 	return rows
 }
 
-// Checksum returns an order-independent fingerprint of a molecule
+// checksum returns an order-independent fingerprint of a molecule
 // population: the sums of positions and absolute velocities.
-func Checksum(mols []float64) float64 {
+func checksum(mols []float64) float64 {
 	var s float64
 	for i := 0; i+recordWidth <= len(mols); i += recordWidth {
 		s += mols[i+1] + mols[i+2] + mols[i+3] +
@@ -205,11 +205,11 @@ func Checksum(mols []float64) float64 {
 // correctness oracle for the parallel implementations.
 func Reference(cfg Config) ([]float64, float64) {
 	cfg.mustValidate()
-	mols := GenMolecules(cfg)
+	mols := genMolecules(cfg)
 	var cells [][]int
 	for step := 1; step <= cfg.Steps; step++ {
 		for i := 0; i < cfg.NMols; i++ {
-			advance(&cfg, mols[i*recordWidth:(i+1)*recordWidth], cfg.Dt)
+			advance(&cfg, mols[i*recordWidth:(i+1)*recordWidth], cfg.dt)
 		}
 		cells = bucketByCell(&cfg, mols, cells, cfg.NCells(), func(c int) int { return c })
 		for c := range cells {
@@ -217,5 +217,5 @@ func Reference(cfg Config) ([]float64, float64) {
 		}
 	}
 	out := SortByID(mols)
-	return out, Checksum(out)
+	return out, checksum(out)
 }

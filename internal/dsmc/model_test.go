@@ -50,7 +50,7 @@ func TestWrapMatchesMod(t *testing.T) {
 
 	// A tiny negative v whose v+n rounds to n comes back as n itself, one
 	// past the domain, as the math.Mod formula returns it. The shortcut keeps
-	// that; CellOf's clamp puts such a molecule in the last cell column.
+	// that; cellOf's clamp puts such a molecule in the last cell column.
 	cfg := smallConfig()
 	n := float64(cfg.NX)
 	checkWrap(t, -1e-20, n)
@@ -58,8 +58,8 @@ func TestWrapMatchesMod(t *testing.T) {
 		t.Fatalf("wrap(-1e-20, %v) = %v, want %v", n, w, n)
 	}
 	m := []float64{0, wrap(-1e-20, n), 0.5, 0, 0, 0, 0}
-	if c, want := CellOf(&cfg, m), (cfg.NX-1)*cfg.NY; c != want {
-		t.Errorf("CellOf(x = %v) = %d, want %d", m[1], c, want)
+	if c, want := cellOf(&cfg, m), (cfg.NX-1)*cfg.NY; c != want {
+		t.Errorf("cellOf(x = %v) = %d, want %d", m[1], c, want)
 	}
 }
 

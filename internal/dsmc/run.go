@@ -17,9 +17,9 @@ import (
 const (
 	PhaseMove       = "move"
 	PhaseCollide    = "collide"
-	PhasePartition  = "partition"
-	PhaseRemap      = "remap"
-	PhaseCheckpoint = "checkpoint"
+	phasePartition  = "partition"
+	phaseRemap      = "remap"
+	phaseCheckpoint = "checkpoint"
 )
 
 // ProcResult is one rank's outcome of a parallel DSMC run. Checksum is
@@ -62,9 +62,9 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, []float64) {
 		// Each rank keeps the molecules whose cell it owns: count, then
 		// fill a list sized like every later one (it joins the movers'
 		// ping-pong as the first spare).
-		all := GenMolecules(cfg)
+		all := genMolecules(cfg)
 		mine := func(i int) bool {
-			return int(cells.TT().OwnerOf(CellOf(&cfg, all[i*recordWidth:]))) == p.Rank()
+			return int(cells.TT().OwnerOf(cellOf(&cfg, all[i*recordWidth:]))) == p.Rank()
 		}
 		nMine := 0
 		for i := 0; i < cfg.NMols; i++ {
@@ -112,7 +112,7 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, []float64) {
 		}
 		if cfg.SaveDue(step) {
 			saveCheckpoint(p, &cfg, cells, mols, step)
-			p.Mark(PhaseCheckpoint)
+			p.Mark(phaseCheckpoint)
 		}
 		if afterStep != nil {
 			afterStep(p, step, &st)
@@ -120,7 +120,7 @@ func run(p *comm.Proc, cfg Config) (*ProcResult, []float64) {
 	}
 
 	res := &ProcResult{RemapSteps: trig.Steps}
-	res.Checksum = p.AllReduceScalarF64(comm.OpSum, Checksum(mols))
+	res.Checksum = p.AllReduceScalarF64(comm.OpSum, checksum(mols))
 	return res, mols
 }
 
@@ -143,8 +143,8 @@ func moveLight(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, st *
 	kept := 0
 	for i := 0; i < n; i++ {
 		rec := mols[i*recordWidth : (i+1)*recordWidth]
-		advance(cfg, rec, cfg.Dt)
-		c := CellOf(cfg, rec)
+		advance(cfg, rec, cfg.dt)
+		c := cellOf(cfg, rec)
 		if dest[i] = tt.OwnerOf(c); dest[i] == self {
 			row := tt.OffsetOf(c)
 			rows[row] = append(rows[row], kept*recordWidth)
@@ -172,8 +172,8 @@ func moveCompiler(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, s
 	destRows := sizedI32(&st.dest, n)
 	for i := 0; i < n; i++ {
 		rec := mols[i*recordWidth : (i+1)*recordWidth]
-		advance(cfg, rec, cfg.Dt)
-		destRows[i] = int32(CellOf(cfg, rec))
+		advance(cfg, rec, cfg.dt)
+		destRows[i] = int32(cellOf(cfg, rec))
 	}
 	p.ComputeFlops(moveFlopsPerMol * n)
 	recv, sizes := loopir.ReduceAppend(p, cells, destRows, mols, recordWidth)
@@ -198,7 +198,7 @@ func moveCompiler(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, s
 func bucketOwned(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, from int, rows [][]int) {
 	tt := cells.TT()
 	for off := from; off+recordWidth <= len(mols); off += recordWidth {
-		c := CellOf(cfg, mols[off:])
+		c := cellOf(cfg, mols[off:])
 		if int(tt.OwnerOf(c)) != p.Rank() {
 			panic(fmt.Sprintf("dsmc: rank %d holds molecule of cell %d owned by %d", p.Rank(), c, tt.OwnerOf(c)))
 		}
@@ -326,8 +326,8 @@ func moveRegular(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, st
 	dest := sizedI32(&st.dest, n)
 	for i := 0; i < n; i++ {
 		rec := mols[i*recordWidth : (i+1)*recordWidth]
-		advance(cfg, rec, cfg.Dt)
-		dest[i] = int32(CellOf(cfg, rec))
+		advance(cfg, rec, cfg.dt)
+		dest[i] = int32(cellOf(cfg, rec))
 	}
 	p.ComputeFlops(moveFlopsPerMol * n)
 
@@ -381,8 +381,8 @@ func moveRegular(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, st
 			row := tt.OffsetOf(int(c))
 			recs[k] = row
 			rowStart[row+1] += cnt
-			if rowStart[row+1] > int32(cfg.SlotCap) {
-				panic(fmt.Sprintf("dsmc: cell %d overflows SlotCap=%d (%d molecules)", c, cfg.SlotCap, rowStart[row+1]))
+			if rowStart[row+1] > int32(cfg.slotCap) {
+				panic(fmt.Sprintf("dsmc: cell %d overflows SlotCap=%d (%d molecules)", c, cfg.slotCap, rowStart[row+1]))
 			}
 		}
 	}
@@ -437,7 +437,7 @@ func moveRegular(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, st
 	rows := resetRows(st.members, nOwnedCells)
 	for row, g := range cells.Globals() {
 		for off := int(rowStart[row]) * recordWidth; off < int(rowStart[row+1])*recordWidth; off += recordWidth {
-			if c := CellOf(cfg, out[off:]); c != int(g) {
+			if c := cellOf(cfg, out[off:]); c != int(g) {
 				panic(fmt.Sprintf("dsmc: rank %d placed a molecule of cell %d in the row of cell %d", p.Rank(), c, g))
 			}
 			rows[row] = append(rows[row], off)
@@ -473,7 +473,7 @@ func remapCells(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, st 
 	n := len(mols) / recordWidth
 	tt := cells.TT()
 	for i := 0; i < n; i++ {
-		w[tt.OffsetOf(CellOf(cfg, mols[i*recordWidth:]))]++
+		w[tt.OffsetOf(cellOf(cfg, mols[i*recordWidth:]))]++
 	}
 	p.ComputeMem(n)
 
@@ -487,23 +487,23 @@ func remapCells(p *comm.Proc, cfg *Config, cells *core.Dist, mols []float64, st 
 			geom.Dim = 2
 		}
 		for i, g := range cells.Globals() {
-			geom.X[i], geom.Y[i], geom.Z[i] = CellCenter(cfg, int(g))
+			geom.X[i], geom.Y[i], geom.Z[i] = cellCenter(cfg, int(g))
 		}
 		owners = partition.ByName(nil, p, cfg.Partitioner, geom)
 	}
 	p.Barrier()
-	p.Mark(PhasePartition)
+	p.Mark(phasePartition)
 
 	newCells, _ := cells.Repartition(owners)
 	dest := sizedI32(&st.dest, n)
 	for i := 0; i < n; i++ {
-		dest[i] = newCells.TT().OwnerOf(CellOf(cfg, mols[i*recordWidth:]))
+		dest[i] = newCells.TT().OwnerOf(cellOf(cfg, mols[i*recordWidth:]))
 	}
 	p.ComputeMem(n)
 	ls := schedule.BuildLight(p, dest)
 	newMols := ls.MoveF64(p, dest, mols, recordWidth)
 	p.Barrier()
-	p.Mark(PhaseRemap)
+	p.Mark(phaseRemap)
 	return newCells, newMols
 }
 

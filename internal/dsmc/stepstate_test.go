@@ -158,8 +158,8 @@ func TestBucketOwnedPanicsOnForeignCell(t *testing.T) {
 		own := int(cells.Globals()[0])
 		foreign := (own + cfg.NCells()/2) % cfg.NCells() // the other rank's first cell
 		mols := make([]float64, 2*recordWidth)
-		mols[1], mols[2], mols[3] = CellCenter(&cfg, own)
-		mols[recordWidth+1], mols[recordWidth+2], mols[recordWidth+3] = CellCenter(&cfg, foreign)
+		mols[1], mols[2], mols[3] = cellCenter(&cfg, own)
+		mols[recordWidth+1], mols[recordWidth+2], mols[recordWidth+3] = cellCenter(&cfg, foreign)
 		want := fmt.Sprintf("dsmc: rank %d holds molecule of cell %d owned by %d", p.Rank(), foreign, 1-p.Rank())
 		got := func() (msg any) {
 			defer func() { msg = recover() }()
@@ -245,19 +245,19 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 		cfg.Mover = MoverRegular
 		narrow, narrowCaps := stepBytes(nprocs, warm, cfg)
 		wide := cfg
-		wide.SlotCap *= 2
+		wide.slotCap *= 2
 		doubled, wideCaps := stepBytes(nprocs, warm, wide)
 		if narrow > maxBytes {
 			t.Errorf("regular mover on %d ranks allocates %.0f bytes per warm step, want at most %d", nprocs, narrow, maxBytes)
 		}
 		if diff := math.Abs(doubled - narrow); diff > 0.1*narrow+1024 {
 			t.Errorf("regular mover on %d ranks: %.0f bytes per step at SlotCap %d but %.0f at %d — allocation scales with SlotCap",
-				nprocs, narrow, cfg.SlotCap, doubled, wide.SlotCap)
+				nprocs, narrow, cfg.slotCap, doubled, wide.slotCap)
 		}
 		for r := range narrowCaps {
 			if !slices.Equal(narrowCaps[r], wideCaps[r]) {
 				t.Errorf("regular mover on %d ranks, rank %d: scratch capacities %v at SlotCap %d but %v at %d",
-					nprocs, r, narrowCaps[r], cfg.SlotCap, wideCaps[r], wide.SlotCap)
+					nprocs, r, narrowCaps[r], cfg.slotCap, wideCaps[r], wide.slotCap)
 			}
 		}
 	}

@@ -5,7 +5,7 @@ import "sort"
 // symbols is the semantic-analysis symbol table.
 type symbols struct {
 	decomps map[string]*decl // DECOMPOSITION
-	dists   map[string]DistKind
+	dists   map[string]distKind
 	reals   map[string]*decl // REAL arrays
 	inds    map[string]*decl // INDIRECTION arrays
 }
@@ -16,7 +16,7 @@ type symbols struct {
 func analyze(file string, prog *program) *irProgram {
 	syms := &symbols{
 		decomps: map[string]*decl{},
-		dists:   map[string]DistKind{},
+		dists:   map[string]distKind{},
 		reals:   map[string]*decl{},
 		inds:    map[string]*decl{},
 	}
@@ -34,7 +34,7 @@ func analyze(file string, prog *program) *irProgram {
 				fail(file, d.pos, "%q already declared", d.name)
 			}
 			syms.decomps[d.name] = d
-			syms.dists[d.name] = DistBlock
+			syms.dists[d.name] = distBlock
 		case declDistribute:
 			if _, ok := syms.decomps[d.name]; !ok {
 				fail(file, d.pos, "DISTRIBUTE of undeclared decomposition %q", d.name)
@@ -201,7 +201,7 @@ func (ir *irProgram) analyzePair(l *irLoop) {
 // subscript and records the side it resolves to.
 func (ir *irProgram) analyzeReduces(l *irLoop, sub func(s *subscript)) {
 	file, f := ir.file, l.f
-	noteArr := func(r *refExpr, pos Pos, reduced bool) {
+	noteArr := func(r *refExpr, pos srcPos, reduced bool) {
 		ra, ok := ir.syms.reals[r.array]
 		if !ok {
 			fail(file, pos, "undeclared array %q", r.array)

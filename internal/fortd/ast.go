@@ -12,29 +12,29 @@ const (
 	declIndirection
 )
 
-// DistKind is the distribution named in a DISTRIBUTE statement.
-type DistKind int
+// distKind is the distribution named in a DISTRIBUTE statement.
+type distKind int
 
 // Distribution kinds.
 const (
-	DistBlock DistKind = iota
-	// DistCyclic is the round-robin standard distribution of §5.1.
-	DistCyclic
-	// DistMap marks the decomposition as irregularly distributable: the
+	distBlock distKind = iota
+	// distCyclic is the round-robin standard distribution of §5.1.
+	distCyclic
+	// distMap marks the decomposition as irregularly distributable: the
 	// host supplies the map array at run time (the paper's
 	// `DISTRIBUTE irreg(map)` with map set by an extrinsic partitioner).
-	DistMap
+	distMap
 )
 
 // decl is one declaration statement.
 type decl struct {
 	kind declKind
-	pos  Pos
+	pos  srcPos
 	// DECOMPOSITION name(n)
 	name string
 	n    int
 	// DISTRIBUTE name(BLOCK|MAP)
-	dist DistKind
+	dist distKind
 	// REAL name(decomp[,width]) — one decl per declared array.
 	width  int
 	decomp string
@@ -47,7 +47,7 @@ type decl struct {
 type subscript struct {
 	Ind string // indirection array name, "" for direct
 	Var string // loop variable name
-	pos Pos
+	pos srcPos
 	j   bool // set by analysis: the reference resolves to the j side of the pair
 }
 
@@ -75,7 +75,7 @@ func (*refExpr) exprNode() {}
 
 // reduceStmt is one REDUCE(SUM, target, expr) statement.
 type reduceStmt struct {
-	pos    Pos
+	pos    srcPos
 	target refExpr
 	value  expr
 }
@@ -100,7 +100,7 @@ func (k loopKind) String() string { return [...]string{"sum", "append", "pair"}[
 //   - append loop: FORALL i IN dec / REDUCE(APPEND, target(ind(i)), src(i))
 //     — the Figure 9/11 template.
 type forall struct {
-	pos      Pos
+	pos      srcPos
 	kind     loopKind
 	outerVar string
 	overDec  string // decomposition iterated by the outer loop
@@ -133,7 +133,7 @@ const (
 // irScope tree (ir.go).
 type stmt struct {
 	kind   stmtKind
-	pos    Pos
+	pos    srcPos
 	forall *forall // stmtForall
 	adapt  string  // stmtAdapt: indirection array name
 	doVar  string  // stmtDo: loop variable (a time counter)

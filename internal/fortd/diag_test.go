@@ -113,9 +113,9 @@ func compileOutcome(src string) (out, msg string) {
 	if err == nil {
 		return "ok", ""
 	}
-	var fe *Error
+	var fe *posError
 	if errors.As(err, &fe) {
-		msg = fe.Msg
+		msg = fe.msg
 	}
 	return err.Error(), msg
 }

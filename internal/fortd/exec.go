@@ -26,7 +26,7 @@ func CompileFile(file, src string) (pr *Program, err error) {
 			if !ok {
 				panic(e)
 			}
-			pr, err = nil, b.Error
+			pr, err = nil, b.posError
 		}
 	}()
 	ast := parse(file, src)
@@ -42,12 +42,12 @@ func Compile(src string) (*Program, error) {
 // nested in a DO time loop).
 func (pr *Program) NumLoops() int { return len(pr.ir.loops) }
 
-// Adapter is the host callback an ADAPT statement invokes: the host mutates
+// adaptHook is the host callback an ADAPT statement invokes: the host mutates
 // the named indirection array in place (list regeneration in the paper's
 // adaptive applications). Without a registered adapter, ADAPT bumps the
 // array's modification record (IndArray.Touch), forcing non-hoisted
 // inspectors to rebuild — the conservative model of "the host changed it".
-type Adapter func(name string, ia *loopir.IndArray)
+type adaptHook func(name string, ia *loopir.IndArray)
 
 // lowered is a sum or pair FORALL bound to the runtime: what the Instance
 // asks of *loopir.SumLoop and *loopir.PairLoop alike.
@@ -70,7 +70,7 @@ type lowered interface {
 // fused append data motion.
 type Instance struct {
 	prog  *Program
-	P     *comm.Proc
+	p     *comm.Proc
 	lp    *loopir.Program
 	decs  map[string]*loopir.Decomposition
 	reals map[string]*loopir.RealArray
@@ -82,7 +82,7 @@ type Instance struct {
 	shared []bool
 
 	optimized bool
-	adapter   Adapter
+	adapter   adaptHook
 
 	// Optimization plan (nil/empty at -O0).
 	groups  []*loopir.SharedSched
@@ -99,7 +99,7 @@ type Instance struct {
 type AppendResult struct {
 	Loop    int
 	Records []float64
-	Sizes   []int32
+	sizes   []int32
 }
 
 // Instantiate lowers the program onto one SPMD rank with per-loop
@@ -122,7 +122,7 @@ func (pr *Program) InstantiateOptimized(p *comm.Proc) *Instance {
 func (pr *Program) instantiate(p *comm.Proc, optimized bool) *Instance {
 	in := &Instance{
 		prog:      pr,
-		P:         p,
+		p:         p,
 		lp:        loopir.NewProgram(p),
 		decs:      map[string]*loopir.Decomposition{},
 		reals:     map[string]*loopir.RealArray{},
@@ -133,7 +133,7 @@ func (pr *Program) instantiate(p *comm.Proc, optimized bool) *Instance {
 		d := &pr.ast.decls[k]
 		switch d.kind {
 		case declDecomposition:
-			if pr.ir.syms.dists[d.name] == DistCyclic {
+			if pr.ir.syms.dists[d.name] == distCyclic {
 				in.decs[d.name] = in.lp.CyclicDecomposition(d.n)
 			} else {
 				in.decs[d.name] = in.lp.Decomposition(d.n)
@@ -201,9 +201,6 @@ func (in *Instance) applyPlan() {
 	}
 }
 
-// SetAdapter registers the host callback ADAPT statements invoke.
-func (in *Instance) SetAdapter(a Adapter) { in.adapter = a }
-
 // Decomposition returns the named decomposition.
 func (in *Instance) Decomposition(name string) *loopir.Decomposition {
 	d, ok := in.decs[name]
@@ -222,8 +219,8 @@ func (in *Instance) Real(name string) *loopir.RealArray {
 	return a
 }
 
-// Ind returns the named indirection array.
-func (in *Instance) Ind(name string) *loopir.IndArray {
+// ind returns the named indirection array.
+func (in *Instance) ind(name string) *loopir.IndArray {
 	a, ok := in.inds[name]
 	if !ok {
 		panic("fortd: unknown indirection array " + name)
@@ -235,7 +232,7 @@ func (in *Instance) Ind(name string) *loopir.IndArray {
 // decomposition: newOwners gives the new owner of each local element
 // (typically from an extrinsic partitioner, §5.1.1). Collective.
 func (in *Instance) Redistribute(name string, newOwners []int32) {
-	if in.prog.ir.syms.dists[name] != DistMap {
+	if in.prog.ir.syms.dists[name] != distMap {
 		panic(fmt.Sprintf("fortd: decomposition %q was not declared DISTRIBUTE(%s)", name, "MAP"))
 	}
 	in.Decomposition(name).Redistribute(newOwners)
@@ -258,11 +255,11 @@ func (in *Instance) Step() []AppendResult {
 func (in *Instance) execScope(sc *irScope, out *[]AppendResult) {
 	if in.optimized && len(in.hoistAt[sc]) > 0 {
 		// Hoisted inspectors: loop-invariant preprocessing once at DO entry.
-		in.P.SkipPhase()
+		in.p.SkipPhase()
 		for _, l := range in.hoistAt[sc] {
 			l.Inspect()
 		}
-		in.P.Mark("inspector")
+		in.p.Mark("inspector")
 	}
 	reps := 1
 	if sc.doN > 0 {
@@ -299,7 +296,7 @@ func (in *Instance) execScope(sc *irScope, out *[]AppendResult) {
 // rank's phase ledger separately (the Table 6 split). Host time between
 // regions, an adapter's included, is charged to no phase.
 func (in *Instance) execLoop(l *irLoop, out *[]AppendResult) {
-	p := in.P
+	p := in.p
 	if l.f.kind == loopAppend {
 		dest := in.inds[l.f.appendDest.sub.Ind]
 		src := in.reals[l.f.appendSrc.array]
@@ -315,7 +312,7 @@ func (in *Instance) execLoop(l *irLoop, out *[]AppendResult) {
 			in.appendBuilds++
 		}
 		p.Mark("executor")
-		*out = append(*out, AppendResult{Loop: l.ord, Records: recv, Sizes: sizes})
+		*out = append(*out, AppendResult{Loop: l.ord, Records: recv, sizes: sizes})
 		return
 	}
 	lo := in.loops[l.ord]
@@ -329,7 +326,7 @@ func (in *Instance) execLoop(l *irLoop, out *[]AppendResult) {
 // execFusedRun executes a fused run of same-group loops as one
 // communication phase.
 func (in *Instance) execFusedRun(run []int) {
-	p := in.P
+	p := in.p
 	p.SkipPhase()
 	// chaosvet:ignore clock-charge — Inspect charges internally
 	for _, ord := range run {
@@ -358,12 +355,6 @@ func typedRun[T lowered](loops []lowered, run []int) []T {
 // loop (program order over sum loops), exposing the §5.3 reuse behaviour.
 func (in *Instance) Inspections(i int) int {
 	return in.loops[in.prog.ir.ofKind(loopSum)[i].ord].Inspections()
-}
-
-// PairInspections returns the cumulative inspector executions of the i-th
-// pair loop.
-func (in *Instance) PairInspections(i int) int {
-	return in.loops[in.prog.ir.ofKind(loopPair)[i].ord].Inspections()
 }
 
 // InspectorBuilds returns the cumulative number of inspector builds this

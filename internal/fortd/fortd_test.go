@@ -250,7 +250,7 @@ func TestCharmmLoopExecutesCorrectly(t *testing.T) {
 				vals = append(vals, gjnb[gptr[i]:gptr[i+1]]...)
 				ptr[i-lo+1] = int32(len(vals))
 			}
-			in.Ind("jnb").SetCSR(ptr, vals)
+			in.ind("jnb").SetCSR(ptr, vals)
 			in.Step()
 			dx := in.Real("dx")
 			for i, g := range in.Decomposition("reg").Globals() {
@@ -279,7 +279,7 @@ func TestRedistributeAndInspectorReuse(t *testing.T) {
 			vals = append(vals, (g+1)%60)
 			ptr[i+1] = int32(len(vals))
 		}
-		in.Ind("jnb").SetCSR(ptr, vals)
+		in.ind("jnb").SetCSR(ptr, vals)
 
 		in.Step()
 		in.Step()
@@ -333,7 +333,7 @@ func TestAppendLoopExecutes(t *testing.T) {
 			for i, g := range parts.Globals() {
 				dest[i] = (g * 7) % nCells
 			}
-			in.Ind("icell").SetFlat(dest)
+			in.ind("icell").SetFlat(dest)
 			in.Real("vel").SetByGlobal(func(g int32, c []float64) {
 				c[0], c[1], c[2] = float64(g), float64(g)*2, float64(g)*3
 			})
@@ -344,8 +344,8 @@ func TestAppendLoopExecutes(t *testing.T) {
 			res := results[0]
 			cells := in.Decomposition("cells")
 			for i, g := range cells.Globals() {
-				if res.Sizes[i] != wantCount[g] {
-					t.Errorf("nprocs=%d cell %d size %d, want %d", nprocs, g, res.Sizes[i], wantCount[g])
+				if res.sizes[i] != wantCount[g] {
+					t.Errorf("nprocs=%d cell %d size %d, want %d", nprocs, g, res.sizes[i], wantCount[g])
 				}
 			}
 			// Each record must carry consistent components (g, 2g, 3g).
@@ -383,7 +383,7 @@ END FORALL
 			vals = append(vals, int32((i+1)%8))
 			ptr[i+1] = int32(len(vals))
 		}
-		in.Ind("nb").SetCSR(ptr, vals)
+		in.ind("nb").SetCSR(ptr, vals)
 		in.Step()
 		for i := 0; i < 8; i++ {
 			xi := float64(i)
@@ -416,7 +416,7 @@ END FORALL
 		in := prog.Instantiate(p)
 		in.Real("x").SetByGlobal(func(g int32, c []float64) { c[0] = 10 })
 		ptr := []int32{0, 1, 2, 3, 4}
-		in.Ind("nb").SetCSR(ptr, []int32{0, 1, 2, 3})
+		in.ind("nb").SetCSR(ptr, []int32{0, 1, 2, 3})
 		in.Step()
 		for i := 0; i < 4; i++ {
 			if got := in.Real("f").Local()[i]; got != -4 { // -10 + 6
@@ -434,30 +434,30 @@ func TestIntrospection(t *testing.T) {
 	if got := prog.RealNames(); len(got) != 3 || got[0] != "dx" || got[1] != "vel" || got[2] != "x" {
 		t.Errorf("RealNames = %v", got)
 	}
-	if got := prog.IndNames(); len(got) != 2 || got[0] != "icell" || got[1] != "jnb" {
+	if got := prog.indNames(); len(got) != 2 || got[0] != "icell" || got[1] != "jnb" {
 		t.Errorf("IndNames = %v", got)
 	}
-	if got := prog.DecompositionNames(); len(got) != 3 {
-		t.Errorf("DecompositionNames = %v", got)
+	if got := prog.ir.syms.decomps; len(got) != 3 {
+		t.Errorf("decompositions = %v", got)
 	}
 	if got := prog.MapDecompositions(); len(got) != 1 || got[0] != "reg" {
 		t.Errorf("MapDecompositions = %v", got)
 	}
-	if !prog.IndIsCSR("jnb") || prog.IndIsCSR("icell") {
+	if !prog.indIsCSR("jnb") || prog.indIsCSR("icell") {
 		t.Error("IndIsCSR misclassifies")
 	}
-	if prog.IndDecomp("jnb") != "reg" || prog.IndDecomp("icell") != "parts" {
+	if prog.indDecomp("jnb") != "reg" || prog.indDecomp("icell") != "parts" {
 		t.Error("IndDecomp wrong")
 	}
-	if prog.IndTargetN("jnb") != 60 {
-		t.Errorf("IndTargetN(jnb) = %d", prog.IndTargetN("jnb"))
+	if prog.indTargetN("jnb") != 60 {
+		t.Errorf("IndTargetN(jnb) = %d", prog.indTargetN("jnb"))
 	}
-	if prog.IndTargetN("icell") != 24 { // append target decomposition
-		t.Errorf("IndTargetN(icell) = %d", prog.IndTargetN("icell"))
+	if prog.indTargetN("icell") != 24 { // append target decomposition
+		t.Errorf("IndTargetN(icell) = %d", prog.indTargetN("icell"))
 	}
-	if prog.NumSumLoops() != 1 || prog.NumAppendLoops() != 1 || prog.NumLoops() != 2 {
+	if prog.NumSumLoops() != 1 || len(prog.ir.ofKind(loopAppend)) != 1 || prog.NumLoops() != 2 {
 		t.Errorf("loop counts: sum=%d append=%d total=%d",
-			prog.NumSumLoops(), prog.NumAppendLoops(), prog.NumLoops())
+			prog.NumSumLoops(), len(prog.ir.ofKind(loopAppend)), prog.NumLoops())
 	}
 }
 
@@ -492,7 +492,7 @@ END FORALL
 			vals = append(vals, (g+1)%9)
 			ptr[i+1] = int32(len(vals))
 		}
-		in.Ind("nb").SetCSR(ptr, vals)
+		in.ind("nb").SetCSR(ptr, vals)
 		in.Step()
 		for i, g := range dec.Globals() {
 			want := float64((g + 1) % 9)

@@ -15,20 +15,10 @@ func (pr *Program) RealNames() []string {
 	return out
 }
 
-// IndNames returns the declared INDIRECTION array names, sorted.
-func (pr *Program) IndNames() []string {
+// indNames returns the declared INDIRECTION array names, sorted.
+func (pr *Program) indNames() []string {
 	var out []string
 	for name := range pr.ir.syms.inds {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// DecompositionNames returns the declared decomposition names, sorted.
-func (pr *Program) DecompositionNames() []string {
-	var out []string
-	for name := range pr.ir.syms.decomps {
 		out = append(out, name)
 	}
 	sort.Strings(out)
@@ -40,7 +30,7 @@ func (pr *Program) DecompositionNames() []string {
 func (pr *Program) MapDecompositions() []string {
 	var out []string
 	for name, k := range pr.ir.syms.dists {
-		if k == DistMap {
+		if k == distMap {
 			out = append(out, name)
 		}
 	}
@@ -48,8 +38,8 @@ func (pr *Program) MapDecompositions() []string {
 	return out
 }
 
-// IndDecomp returns the decomposition an indirection array is aligned with.
-func (pr *Program) IndDecomp(name string) string {
+// indDecomp returns the decomposition an indirection array is aligned with.
+func (pr *Program) indDecomp(name string) string {
 	d, ok := pr.ir.syms.inds[name]
 	if !ok {
 		panic("fortd: unknown indirection array " + name)
@@ -57,8 +47,8 @@ func (pr *Program) IndDecomp(name string) string {
 	return d.decomp
 }
 
-// IndIsCSR reports whether the indirection array has CSR form.
-func (pr *Program) IndIsCSR(name string) bool {
+// indIsCSR reports whether the indirection array has CSR form.
+func (pr *Program) indIsCSR(name string) bool {
 	d, ok := pr.ir.syms.inds[name]
 	if !ok {
 		panic("fortd: unknown indirection array " + name)
@@ -66,12 +56,12 @@ func (pr *Program) IndIsCSR(name string) bool {
 	return d.csr
 }
 
-// IndTargetN returns the size of the index space an indirection array's
+// indTargetN returns the size of the index space an indirection array's
 // values refer to: the decomposition the FORALLs reading it index through it
 // (a sum loop's own aligned decomposition, a pair loop's data decomposition,
 // an append's target), or its own aligned decomposition when no FORALL reads
 // it.
-func (pr *Program) IndTargetN(name string) int {
+func (pr *Program) indTargetN(name string) int {
 	syms := pr.ir.syms
 	if t, ok := pr.ir.targets[name]; ok {
 		return syms.decomps[t].n
@@ -85,10 +75,3 @@ func (pr *Program) IndTargetN(name string) int {
 
 // NumSumLoops returns the number of FORALL/REDUCE(SUM) nests.
 func (pr *Program) NumSumLoops() int { return len(pr.ir.ofKind(loopSum)) }
-
-// NumAppendLoops returns the number of REDUCE(APPEND) nests.
-func (pr *Program) NumAppendLoops() int { return len(pr.ir.ofKind(loopAppend)) }
-
-// NumPairLoops returns the number of single-level two-indirection
-// reduction nests (the Figure 2 bonded template).
-func (pr *Program) NumPairLoops() int { return len(pr.ir.ofKind(loopPair)) }

@@ -31,7 +31,7 @@ import (
 type irScope struct {
 	parent *irScope
 	doN    int // 0 at the root
-	pos    Pos
+	pos    srcPos
 	stmts  []irStmt
 }
 
@@ -258,9 +258,9 @@ func (d Diag) String() string {
 func (ir *irProgram) findings() []Diag {
 	var out []Diag
 	file := ir.file
-	add := func(pos Pos, kind, format string, args ...any) {
+	add := func(pos srcPos, kind, format string, args ...any) {
 		out = append(out, Diag{
-			File: file, Line: pos.Line, Col: pos.Col,
+			File: file, Line: pos.line, Col: pos.col,
 			Kind: kind, Message: fmt.Sprintf(format, args...),
 		})
 	}
@@ -271,7 +271,7 @@ func (ir *irProgram) findings() []Diag {
 			l := ir.loops[ord]
 			add(l.f.pos, "reuse",
 				"inspector hashes index array(s) %s already hashed by the FORALL at line %d; one shared schedule serves both (applied at -O)",
-				strings.Join(l.inds, ","), first.f.pos.Line)
+				strings.Join(l.inds, ","), first.f.pos.line)
 		}
 	}
 
@@ -292,7 +292,7 @@ func (ir *irProgram) findings() []Diag {
 			if strictSubset(l.inds, o.inds) {
 				add(l.f.pos, "subset",
 					"index array(s) %s are a subset of %s used by the FORALL at line %d; an incremental or merged schedule could be shared",
-					strings.Join(l.inds, ","), strings.Join(o.inds, ","), o.f.pos.Line)
+					strings.Join(l.inds, ","), strings.Join(o.inds, ","), o.f.pos.line)
 				break
 			}
 		}
@@ -302,7 +302,7 @@ func (ir *irProgram) findings() []Diag {
 		if l.hoistScope != nil {
 			add(l.f.pos, "hoist",
 				"index array(s) %s have no ADAPT in the DO at line %d; the inspector is loop-invariant and hoists out (applied at -O)",
-				strings.Join(l.inds, ","), l.hoistScope.pos.Line)
+				strings.Join(l.inds, ","), l.hoistScope.pos.line)
 		}
 	}
 
@@ -312,7 +312,7 @@ func (ir *irProgram) findings() []Diag {
 			l := ir.loops[ord]
 			add(l.f.pos, "fuse",
 				"gather/scatter uses the same schedule as the FORALL at line %d; data motion fuses into one message per peer (applied at -O)",
-				first.f.pos.Line)
+				first.f.pos.line)
 		}
 	}
 

@@ -95,7 +95,7 @@ func (k tokKind) String() string {
 type token struct {
 	kind tokKind
 	text string
-	pos  Pos
+	pos  srcPos
 }
 
 // lexer is a pull lexer over src: each call of next scans one more token,
@@ -132,10 +132,10 @@ func (l *lexer) next() token {
 		}
 		if l.emitted {
 			l.emitted = false
-			return token{tokNewline, "", Pos{Line: l.line, Col: l.col}}
+			return token{tokNewline, "", srcPos{line: l.line, col: l.col}}
 		}
 		if !l.nextLine() {
-			return token{tokEOF, "", Pos{Line: l.line, Col: 1}}
+			return token{tokEOF, "", srcPos{line: l.line, col: 1}}
 		}
 	}
 }
@@ -172,7 +172,7 @@ func (l *lexer) nextLine() bool {
 func (l *lexer) scan() token {
 	raw, i := l.raw, l.i
 	c := raw[i]
-	pos := Pos{Line: l.line, Col: l.col}
+	pos := srcPos{line: l.line, col: l.col}
 	j := i + 1
 	var kind tokKind
 	switch {

@@ -48,15 +48,15 @@ func TestErrorPositionsGolden(t *testing.T) {
 		if err.Error() != tc.want {
 			t.Errorf("error mismatch:\n got  %s\n want %s", err.Error(), tc.want)
 		}
-		var fe *Error
-		if pe, ok := err.(*Error); ok {
+		var fe *posError
+		if pe, ok := err.(*posError); ok {
 			fe = pe
 		} else {
 			t.Errorf("%q: error is %T, want *fortd.Error", tc.src, err)
 			continue
 		}
-		if fe.File != "bad.fd" || !fe.Pos.IsValid() {
-			t.Errorf("%q: error carries file=%q pos=%v", tc.src, fe.File, fe.Pos)
+		if fe.file != "bad.fd" || fe.pos.line <= 0 {
+			t.Errorf("%q: error carries file=%q pos=%v", tc.src, fe.file, fe.pos)
 		}
 	}
 }
@@ -425,11 +425,11 @@ END DO`)
 		rep := comm.Run(nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
 			in := instantiateSynthetic(prog, p, optimized)
 			adapts := 0
-			in.SetAdapter(func(_ string, ia *loopir.IndArray) {
+			in.adapter = func(_ string, ia *loopir.IndArray) {
 				p.Compute(adapterCost)
 				adapts++
 				ia.Touch()
-			})
+			}
 			for s := 0; s < 2; s++ {
 				if s > 0 {
 					p.Compute(hostCost)
@@ -482,7 +482,7 @@ func TestOptimizedMatchesNaiveAcrossRedistributions(t *testing.T) {
 				in := instantiateSynthetic(prog, p, optimized)
 				in.Step()
 				for c := 0; c < cycles; c++ {
-					for _, name := range prog.DecompositionNames() {
+					for _, name := range decompNames(prog) {
 						dec := in.Decomposition(name)
 						owners := make([]int32, dec.NLocal())
 						for i, g := range dec.Globals() {
@@ -547,7 +547,7 @@ END DO`
 					for _, a := range appends {
 						recs := append([]float64(nil), a.Records...)
 						sort.Float64s(recs)
-						out = append(out, stepResult{records: recs, sizes: a.Sizes})
+						out = append(out, stepResult{records: recs, sizes: a.sizes})
 					}
 					builds = in.InspectorBuilds()
 				}
@@ -586,5 +586,15 @@ func f64bits(v []float64) []uint64 {
 	for i, x := range v {
 		out[i] = math.Float64bits(x)
 	}
+	return out
+}
+
+// decompNames returns the program's decomposition names, sorted.
+func decompNames(prog *Program) []string {
+	var out []string
+	for name := range prog.ir.syms.decomps {
+		out = append(out, name)
+	}
+	sort.Strings(out)
 	return out
 }

@@ -32,9 +32,9 @@ func TestCompileBondedTemplate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog.NumPairLoops() != 1 || prog.NumSumLoops() != 0 || prog.NumAppendLoops() != 0 {
+	if len(prog.ir.ofKind(loopPair)) != 1 || prog.NumSumLoops() != 0 || len(prog.ir.ofKind(loopAppend)) != 0 {
 		t.Errorf("loop classification: pair=%d sum=%d append=%d",
-			prog.NumPairLoops(), prog.NumSumLoops(), prog.NumAppendLoops())
+			len(prog.ir.ofKind(loopPair)), prog.NumSumLoops(), len(prog.ir.ofKind(loopAppend)))
 	}
 }
 
@@ -78,8 +78,8 @@ func TestBondedTemplateExecutes(t *testing.T) {
 				copy(c, x0[int(g)*width:(int(g)+1)*width])
 			})
 			lo, hi := partition.BlockRange(p.Rank(), nBonds, p.Size())
-			in.Ind("ibond").SetFlat(append([]int32(nil), gi[lo:hi]...))
-			in.Ind("jbond").SetFlat(append([]int32(nil), gj[lo:hi]...))
+			in.ind("ibond").SetFlat(append([]int32(nil), gi[lo:hi]...))
+			in.ind("jbond").SetFlat(append([]int32(nil), gj[lo:hi]...))
 			in.Step()
 			in.Step() // accumulates twice
 			bf := in.Real("bf")
@@ -91,7 +91,7 @@ func TestBondedTemplateExecutes(t *testing.T) {
 					}
 				}
 			}
-			if got := in.PairInspections(0); got != 1 {
+			if got := in.loops[in.prog.ir.ofKind(loopPair)[0].ord].Inspections(); got != 1 {
 				t.Errorf("pair inspections = %d after two unchanged steps", got)
 			}
 		})
@@ -170,8 +170,8 @@ END FORALL
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog.NumPairLoops() != 1 || prog.NumSumLoops() != 1 {
-		t.Fatalf("classification: pair=%d sum=%d", prog.NumPairLoops(), prog.NumSumLoops())
+	if len(prog.ir.ofKind(loopPair)) != 1 || prog.NumSumLoops() != 1 {
+		t.Fatalf("classification: pair=%d sum=%d", len(prog.ir.ofKind(loopPair)), prog.NumSumLoops())
 	}
 	comm.Run(2, costmodel.Uniform(1e-9), func(p *comm.Proc) {
 		in := prog.Instantiate(p)
@@ -183,8 +183,8 @@ END FORALL
 			gi[i] = g % 40
 			gj[i] = (g + 7) % 40
 		}
-		in.Ind("ib").SetFlat(gi)
-		in.Ind("jb").SetFlat(gj)
+		in.ind("ib").SetFlat(gi)
+		in.ind("jb").SetFlat(gj)
 		atoms := in.Decomposition("atoms")
 		ptr := make([]int32, atoms.NLocal()+1)
 		var vals []int32
@@ -192,7 +192,7 @@ END FORALL
 			vals = append(vals, (g+1)%40)
 			ptr[i+1] = int32(len(vals))
 		}
-		in.Ind("jnb").SetCSR(ptr, vals)
+		in.ind("jnb").SetCSR(ptr, vals)
 		in.Step()
 		// Spot-check the non-bonded loop: nbf(g) = x(g+1 mod 40) - x(g).
 		for i, g := range atoms.Globals() {

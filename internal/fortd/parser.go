@@ -18,7 +18,7 @@ type parser struct {
 func (p *parser) peek() token { return p.ahead }
 func (p *parser) next() token { t := p.ahead; p.ahead = p.lex.next(); return t }
 func (p *parser) atEOF() bool { return p.peek().kind == tokEOF }
-func (p *parser) at() Pos     { return p.peek().pos }
+func (p *parser) at() srcPos  { return p.peek().pos }
 func (p *parser) skipNL() {
 	for p.peek().kind == tokNewline {
 		p.next()
@@ -26,7 +26,7 @@ func (p *parser) skipNL() {
 }
 
 // failAt ends compilation with a diagnostic at pos.
-func (p *parser) failAt(pos Pos, format string, args ...any) {
+func (p *parser) failAt(pos srcPos, format string, args ...any) {
 	fail(p.file, pos, format, args...)
 }
 
@@ -193,11 +193,11 @@ func (p *parser) parseDistribute() decl {
 	p.expect(tokLParen)
 	switch kind := p.expect(tokIdent); strings.ToUpper(kind.text) {
 	case "BLOCK":
-		d.dist = DistBlock
+		d.dist = distBlock
 	case "CYCLIC":
-		d.dist = DistCyclic
+		d.dist = distCyclic
 	case "MAP":
-		d.dist = DistMap
+		d.dist = distMap
 	default:
 		p.failAt(kind.pos, "unsupported distribution %q (BLOCK, CYCLIC or MAP)", kind.text)
 	}

@@ -18,9 +18,9 @@ func (in *Instance) InitSynthetic(degree int) {
 			}
 		})
 	}
-	for _, name := range prog.IndNames() {
-		dec := in.Decomposition(prog.IndDecomp(name))
-		if prog.IndIsCSR(name) {
+	for _, name := range prog.indNames() {
+		dec := in.Decomposition(prog.indDecomp(name))
+		if prog.indIsCSR(name) {
 			n := int32(dec.N())
 			ptr := make([]int32, dec.NLocal()+1)
 			var vals []int32
@@ -30,9 +30,9 @@ func (in *Instance) InitSynthetic(degree int) {
 				}
 				ptr[i+1] = int32(len(vals))
 			}
-			in.Ind(name).SetCSR(ptr, vals)
+			in.ind(name).SetCSR(ptr, vals)
 		} else {
-			targetN := int32(prog.IndTargetN(name))
+			targetN := int32(prog.indTargetN(name))
 			salt := int32(0)
 			for _, ch := range name {
 				salt = salt*31 + int32(ch)
@@ -42,7 +42,7 @@ func (in *Instance) InitSynthetic(degree int) {
 			for i, g := range dec.Globals() {
 				vals[i] = (g*13 + 5 + salt) % targetN
 			}
-			in.Ind(name).SetFlat(vals)
+			in.ind(name).SetFlat(vals)
 		}
 	}
 }

@@ -62,13 +62,13 @@ const (
 
 // Entry is one hash-table record.
 type Entry struct {
-	Global int32
+	global int32
 	Owner  int32
 	Offset int32
 	// Local is the localized index: Offset when Owner is the calling
 	// processor, or nLocal+ghostSlot otherwise.
 	Local  int32
-	Stamps Stamp
+	stamps Stamp
 }
 
 // slot is one open-addressing index cell: the global index inline with the
@@ -247,13 +247,6 @@ func (t *Table) NGhosts() int { return t.nGhosts }
 // Len returns the number of distinct globals in the table.
 func (t *Table) Len() int { return len(t.global) }
 
-// Probes returns the cumulative number of hash probes (for ablations).
-func (t *Table) Probes() int64 { return t.probes }
-
-// Translations returns how many entries required a translation-table
-// dereference (i.e. were not already cached in the hash table).
-func (t *Table) Translations() int64 { return t.translations }
-
 // Hash enters the given global indices into the table (CHAOS_hash), marking
 // each with stamp, and returns the localized index for each input position
 // in a freshly allocated slice. Duplicate globals share one entry. For
@@ -410,7 +403,7 @@ func (t *Table) mark(ref int32, stamp Stamp) int32 {
 
 // entry assembles the record of entry ref.
 func (t *Table) entry(ref int) Entry {
-	return Entry{Global: t.global[ref], Owner: t.owner[ref], Offset: t.offset[ref], Local: t.local[ref], Stamps: t.stamps[ref]}
+	return Entry{global: t.global[ref], Owner: t.owner[ref], Offset: t.offset[ref], Local: t.local[ref], stamps: t.stamps[ref]}
 }
 
 // ClearStamp removes stamp from every entry. Entries whose stamp set becomes
@@ -423,17 +416,13 @@ func (t *Table) ClearStamp(stamp Stamp) {
 	t.p.ComputeMem(t.Len())
 }
 
-// Select returns the entries e with (e.Stamps & include) != 0 and
-// (e.Stamps & exclude) == 0, in insertion order (deterministic). Schedule
-// construction uses this to build regular (include = one stamp), merged
-// (include = union) and incremental (exclude = earlier stamps) schedules.
-func (t *Table) Select(include, exclude Stamp) []Entry {
-	return t.SelectInto(nil, include, exclude)
-}
-
-// SelectInto is Select appending into dst's backing array (dst may be nil).
-// Callers that rebuild schedules every adapt cycle pass a retained scratch
-// slice so selection allocates nothing in steady state.
+// SelectInto appends to dst's backing array (dst may be nil) the entries e
+// with (e.stamps & include) != 0 and (e.stamps & exclude) == 0, in
+// insertion order (deterministic). Schedule construction uses this to build
+// regular (include = one stamp), merged (include = union) and incremental
+// (exclude = earlier stamps) schedules; callers that rebuild schedules
+// every adapt cycle pass a retained scratch slice so selection allocates
+// nothing in steady state.
 func (t *Table) SelectInto(dst []Entry, include, exclude Stamp) []Entry {
 	if include == 0 {
 		panic("hashtab: Select with empty include mask")
@@ -478,5 +467,5 @@ func (t *Table) Lookup(g int32) (Entry, bool) {
 
 // String summarizes the table for debugging.
 func (t *Table) String() string {
-	return fmt.Sprintf("hashtab{n=%d local=%d ghosts=%d}", t.Len(), t.nLocal, t.nGhosts)
+	return fmt.Sprintf("hashtab{n=%d local=%d ghosts=%d translations=%d}", t.Len(), t.nLocal, t.nGhosts, t.translations)
 }

@@ -82,20 +82,20 @@ func TestStampsAccumulateAndClear(t *testing.T) {
 		ht.Hash([]int32{3, 7}, a)
 		ht.Hash([]int32{7, 9}, b)
 		e, ok := ht.Lookup(7)
-		if !ok || e.Stamps != a|b {
-			t.Errorf("entry 7 stamps = %v, want %v", e.Stamps, a|b)
+		if !ok || e.stamps != a|b {
+			t.Errorf("entry 7 stamps = %v, want %v", e.stamps, a|b)
 		}
 		ht.ClearStamp(a)
 		e, _ = ht.Lookup(7)
-		if e.Stamps != b {
-			t.Errorf("after clear, entry 7 stamps = %v, want %v", e.Stamps, b)
+		if e.stamps != b {
+			t.Errorf("after clear, entry 7 stamps = %v, want %v", e.stamps, b)
 		}
 		e, ok = ht.Lookup(3)
 		if !ok {
 			t.Error("entry 3 evicted by ClearStamp; should remain cached")
 		}
-		if e.Stamps != 0 {
-			t.Errorf("entry 3 stamps = %v, want 0", e.Stamps)
+		if e.stamps != 0 {
+			t.Errorf("entry 3 stamps = %v, want 0", e.stamps)
 		}
 	})
 }
@@ -111,11 +111,11 @@ func TestIndexAnalysisReuse(t *testing.T) {
 			gs[i] = int32(i)
 		}
 		ht.Hash(gs, s)
-		before := ht.Translations()
+		before := ht.translations
 		ht.ClearStamp(s)
 		gs[0] = 99 // one new index, rest unchanged
 		ht.Hash(gs, s)
-		added := ht.Translations() - before
+		added := ht.translations - before
 		if added != 1 {
 			t.Errorf("re-hash translated %d indices, want 1", added)
 		}
@@ -133,8 +133,8 @@ func TestSelectIncludeExclude(t *testing.T) {
 
 		got := func(include, exclude Stamp) map[int32]bool {
 			set := map[int32]bool{}
-			for _, e := range ht.Select(include, exclude) {
-				set[e.Global] = true
+			for _, e := range ht.SelectInto(nil, include, exclude) {
+				set[e.global] = true
 			}
 			return set
 		}
@@ -161,7 +161,7 @@ func TestSelectEmptyIncludePanics(t *testing.T) {
 				t.Error("Select(0, 0) did not panic")
 			}
 		}()
-		ht.Select(0, 0)
+		ht.SelectInto(nil, 0, 0)
 	})
 }
 
@@ -316,7 +316,7 @@ func (m *refModel) hash(globals []int32, stamp Stamp) []int32 {
 	for i, g := range globals {
 		k, ok := m.idx[g]
 		if !ok {
-			e := Entry{Global: g, Owner: m.tt.OwnerOf(int(g)), Offset: m.tt.OffsetOf(int(g))}
+			e := Entry{global: g, Owner: m.tt.OwnerOf(int(g)), Offset: m.tt.OffsetOf(int(g))}
 			if int(e.Owner) == m.rank {
 				e.Local = e.Offset
 			} else {
@@ -327,7 +327,7 @@ func (m *refModel) hash(globals []int32, stamp Stamp) []int32 {
 			m.entries = append(m.entries, e)
 			m.idx[g] = k
 		}
-		m.entries[k].Stamps |= stamp
+		m.entries[k].stamps |= stamp
 		loc[i] = m.entries[k].Local
 	}
 	return loc
@@ -335,14 +335,14 @@ func (m *refModel) hash(globals []int32, stamp Stamp) []int32 {
 
 func (m *refModel) clearStamp(stamp Stamp) {
 	for i := range m.entries {
-		m.entries[i].Stamps &^= stamp
+		m.entries[i].stamps &^= stamp
 	}
 }
 
 func (m *refModel) sel(include, exclude Stamp) []Entry {
 	var out []Entry
 	for _, e := range m.entries {
-		if e.Stamps&include != 0 && e.Stamps&exclude == 0 {
+		if e.stamps&include != 0 && e.stamps&exclude == 0 {
 			out = append(out, e)
 		}
 	}
@@ -390,7 +390,7 @@ func TestRandomizedEquivalenceWithMapModel(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				exc = stamps[rng.Intn(len(stamps))] &^ inc
 			}
-			gotSel := ht.Select(inc, exc)
+			gotSel := ht.SelectInto(nil, inc, exc)
 			wantSel := model.sel(inc, exc)
 			if len(gotSel) != len(wantSel) {
 				t.Fatalf("rank %d round %d: Select(%b,%b) returned %d entries, want %d",
@@ -420,7 +420,7 @@ func TestRandomizedEquivalenceWithMapModel(t *testing.T) {
 		var wantGG []int32
 		for _, e := range model.entries {
 			if int(e.Owner) != p.Rank() {
-				wantGG = append(wantGG, e.Global)
+				wantGG = append(wantGG, e.global)
 			}
 		}
 		if len(gg) != len(wantGG) {
@@ -473,7 +473,7 @@ func TestHashIntoGrowsMidCallWithDuplicates(t *testing.T) {
 		if ht.Len() != len(model.entries) || ht.NGhosts() != model.nGhosts {
 			t.Fatalf("rank %d: len/ghosts = %d/%d, want %d/%d", p.Rank(), ht.Len(), ht.NGhosts(), len(model.entries), model.nGhosts)
 		}
-		for i, e := range ht.Select(s0|s1, 0) {
+		for i, e := range ht.SelectInto(nil, s0|s1, 0) {
 			if e != model.entries[i] {
 				t.Fatalf("rank %d: entry %d = %+v, want %+v", p.Rank(), i, e, model.entries[i])
 			}

@@ -46,7 +46,7 @@ func (m *oracle) hash(globals []int32, stamp Stamp) []int32 {
 	if len(unknown) > 0 || m.tt.Kind() != ttable.Replicated {
 		ents := m.tt.Dereference(m.p, unknown)
 		for i, g := range unknown {
-			e := Entry{Global: g, Owner: ents[i].Owner, Offset: ents[i].Offset, Local: ents[i].Offset}
+			e := Entry{global: g, Owner: ents[i].Owner, Offset: ents[i].Offset, Local: ents[i].Offset}
 			if int(e.Owner) != m.p.Rank() {
 				e.Local = int32(m.tt.NLocal(m.p.Rank()) + m.nGhosts)
 				m.nGhosts++
@@ -60,7 +60,7 @@ func (m *oracle) hash(globals []int32, stamp Stamp) []int32 {
 	loc := make([]int32, len(globals))
 	for i, g := range globals {
 		e := &m.entries[m.idx[g]]
-		e.Stamps |= stamp
+		e.stamps |= stamp
 		loc[i] = e.Local
 	}
 	m.p.ComputeMem(2 * len(globals))
@@ -69,7 +69,7 @@ func (m *oracle) hash(globals []int32, stamp Stamp) []int32 {
 
 func (m *oracle) clearStamp(stamp Stamp) {
 	for i := range m.entries {
-		m.entries[i].Stamps &^= stamp
+		m.entries[i].stamps &^= stamp
 	}
 	m.p.ComputeMem(len(m.entries))
 }
@@ -77,7 +77,7 @@ func (m *oracle) clearStamp(stamp Stamp) {
 func (m *oracle) sel(include, exclude Stamp) []Entry {
 	var out []Entry // nil when empty, as SelectInto(nil, ...) returns
 	for _, e := range m.entries {
-		if e.Stamps&include != 0 && e.Stamps&exclude == 0 {
+		if e.stamps&include != 0 && e.stamps&exclude == 0 {
 			out = append(out, e)
 		}
 	}
@@ -89,7 +89,7 @@ func (m *oracle) ghostGlobals() []int32 {
 	out := []int32{}
 	for _, e := range m.entries {
 		if int(e.Owner) != m.p.Rank() {
-			out = append(out, e.Global)
+			out = append(out, e.global)
 		}
 	}
 	return out
@@ -192,7 +192,7 @@ func modelSteps(p *comm.Proc, kind ttable.Kind, n int, seed int64, real bool) []
 			o.SelA, o.SelB = ht.SelectInto(nil, a, 0), ht.SelectInto(nil, b, 0)
 			o.SelAB, o.SelAnotB = ht.SelectInto(nil, a|b, 0), ht.SelectInto(nil, a, b)
 			o.Ghosts, o.NGhosts, o.Len = ht.GhostGlobals(), ht.NGhosts(), ht.Len()
-			o.Probes, o.Translations = ht.Probes(), ht.Translations()
+			o.Probes, o.Translations = ht.probes, ht.translations
 		} else {
 			o.SelA, o.SelB = m.sel(a, 0), m.sel(b, 0)
 			o.SelAB, o.SelAnotB = m.sel(a|b, 0), m.sel(a, b)

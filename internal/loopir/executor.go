@@ -169,7 +169,7 @@ func execute(loops ...space) {
 	if split {
 		sl.prepareSplit()
 	}
-	p := lead.prog.P
+	p := lead.prog.p
 	if single {
 		lead.chargeGuard(p, first.extent())
 	}

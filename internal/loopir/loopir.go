@@ -39,13 +39,13 @@ import (
 
 // Program is the compilation context bound to one SPMD rank.
 type Program struct {
-	P  *comm.Proc
+	p  *comm.Proc
 	rt *core.Runtime
 }
 
 // NewProgram creates a program context.
 func NewProgram(p *comm.Proc) *Program {
-	return &Program{P: p, rt: core.NewRuntime(p)}
+	return &Program{p: p, rt: core.NewRuntime(p)}
 }
 
 // Decomposition is a Fortran D decomposition: a distributed template that
@@ -82,10 +82,6 @@ func (d *Decomposition) Globals() []int32 { return d.dist.Globals() }
 // hand-written CHAOS code).
 func (d *Decomposition) Dist() *core.Dist { return d.dist }
 
-// Version is the redistribution counter; generated inspectors use it to
-// detect that all preprocessing must be redone.
-func (d *Decomposition) Version() int64 { return d.version }
-
 // Redistribute executes `DISTRIBUTE reg(map)`: the decomposition takes the
 // irregular distribution given by the new owner of each local element
 // (typically produced by an extrinsic partitioner), and every aligned array
@@ -98,7 +94,7 @@ func (d *Decomposition) Version() int64 { return d.version }
 // to SetCSR/SetFlat are only ever read.
 func (d *Decomposition) Redistribute(newOwners []int32) {
 	newDist, plan := d.dist.Repartition(newOwners)
-	p := d.prog.P
+	p := d.prog.p
 	for _, a := range d.reals {
 		old := a.data
 		a.data = plan.MoveF64Into(a.spare, p, old, a.width)
@@ -149,9 +145,6 @@ func (d *Decomposition) AlignReal(width int) *RealArray {
 // The caller may read and write values; the slice dies at the next
 // Redistribute (see there) — fetch it again rather than keeping it.
 func (a *RealArray) Local() []float64 { return a.data }
-
-// Width returns the component count per element.
-func (a *RealArray) Width() int { return a.width }
 
 // Zero clears the owned section.
 func (a *RealArray) Zero() {
@@ -282,6 +275,3 @@ func (ia *IndArray) Touch() {
 // CSR returns the current CSR contents (do not modify). The slices die at
 // the next SetCSR/SetFlat or Redistribute.
 func (ia *IndArray) CSR() (ptr, vals []int32) { return ia.ptr, ia.vals }
-
-// Version returns the modification record.
-func (ia *IndArray) Version() int64 { return ia.version }

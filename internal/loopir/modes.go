@@ -23,7 +23,7 @@ func (l *SumLoop) SelfSched(ctl *adapt.Controller) {
 	w := l.x.width
 	// Per stolen pair: 2w float64 inputs out and 2w deltas back on the
 	// wire; the donor packs 2w and replays 2w slots, the thief stores 2w.
-	ctl.Configure(l.prog.P.Machine(), l.flops, 8*4*w, 4*w, 2*w)
+	ctl.Configure(l.prog.p.Machine(), l.flops, 8*4*w, 4*w, 2*w)
 	l.ss = &selfSched{ctl: ctl}
 }
 

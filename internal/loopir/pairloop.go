@@ -61,8 +61,8 @@ func (l *PairLoop) Share(g *SharedSched) {
 		panic("loopir: PairLoop shared schedule must cover the data decomposition")
 	}
 	l.shared = g
-	l.ma = g.Add(l.ia)
-	l.mb = g.Add(l.ib)
+	l.ma = g.add(l.ia)
+	l.mb = g.add(l.ib)
 }
 
 // Inspect is the generated guard: it reruns the group inspector if any
@@ -72,9 +72,9 @@ func (l *PairLoop) Share(g *SharedSched) {
 // alone bumps the arrays' modification records but not the data
 // distribution's, so the cached translations are kept.
 func (l *PairLoop) Inspect() {
-	l.shared.Inspect()
-	l.la = l.shared.Loc(l.ma)
-	l.lb = l.shared.Loc(l.mb)
+	l.shared.inspect()
+	l.la = l.shared.loc(l.ma)
+	l.lb = l.shared.loc(l.mb)
 }
 
 // Execute runs the loop once: gather x ghosts, run the body per iteration,

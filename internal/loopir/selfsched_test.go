@@ -3,6 +3,7 @@ package loopir
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/adapt"
@@ -40,7 +41,8 @@ func TestSelfSchedImprovesSkewedMakespan(t *testing.T) {
 	for i := range x0 {
 		x0[i] = rng.Float64()
 	}
-	makespan := func(self bool) (clk float64, steals int) {
+	makespan := func(self bool) (clk float64, steals int64) {
+		var stolen atomic.Int64
 		rep := comm.Run(4, costmodel.IPSC860(), func(p *comm.Proc) {
 			e := newLone(p, n, 200, gptr, gvals, x0)
 			ctl := adapt.NewController()
@@ -50,11 +52,9 @@ func TestSelfSchedImprovesSkewedMakespan(t *testing.T) {
 			for range 4 {
 				e.loop.Execute()
 			}
-			if p.Rank() == 0 {
-				steals = len(ctl.Steals())
-			}
+			stolen.Add(int64(len(ctl.Work())))
 		})
-		return rep.MaxClock(), steals
+		return rep.MaxClock(), stolen.Load()
 	}
 	staticClk, _ := makespan(false)
 	adaptClk, steals := makespan(true)
@@ -100,18 +100,18 @@ func TestAdaptSteadyStateAllocs(t *testing.T) {
 			}
 			label := fmt.Sprintf("%+v %s on %d ranks", s, tc.m.name, tc.nprocs)
 			got := make([]float64, tc.nprocs)
-			steals := 0
+			var steals atomic.Int64
 			comm.Run(tc.nprocs, costmodel.Uniform(1e-9), func(p *comm.Proc) {
 				tr := build(t.Errorf, p, s, tc.m, in, 0)
 				for range 5 {
 					tr.exec()
 				}
 				got[p.Rank()] = testing.AllocsPerRun(20, tr.exec)
-				if tr.ctl != nil && p.Rank() == 0 {
-					steals = len(tr.ctl.Steals())
+				if tr.ctl != nil {
+					steals.Add(int64(len(tr.ctl.Work())))
 				}
 			})
-			if tc.nprocs == 4 && steals == 0 {
+			if tc.nprocs == 4 && steals.Load() == 0 {
 				t.Fatalf("%s: steady state has no steals; the alloc test does not cover the steal path", label)
 			}
 			for r, a := range got {

@@ -43,10 +43,10 @@ func (pr *Program) NewSharedSched(dec *Decomposition) *SharedSched {
 	return &SharedSched{prog: pr, dec: dec, distSeen: -1}
 }
 
-// Add registers an indirection array with the group and returns its member
+// add registers an indirection array with the group and returns its member
 // index. Adding the same array again returns the existing index (loops that
 // use the same array share one stamp and one localized-index slice).
-func (g *SharedSched) Add(ia *IndArray) int {
+func (g *SharedSched) add(ia *IndArray) int {
 	for m, have := range g.members {
 		if have == ia {
 			return m
@@ -63,15 +63,15 @@ func (g *SharedSched) Add(ia *IndArray) int {
 // Inspections returns how many times the group inspector actually ran.
 func (g *SharedSched) Inspections() int { return g.inspections }
 
-// Loc returns the localized indices of member m (valid after Inspect).
-func (g *SharedSched) Loc(m int) []int32 { return g.locs[m] }
+// loc returns the localized indices of member m (valid after Inspect).
+func (g *SharedSched) loc(m int) []int32 { return g.locs[m] }
 
-// Inspect is the guard and the inspector it protects: a no-op unless a
+// inspect is the guard and the inspector it protects: a no-op unless a
 // recorded version is stale, else one hash table, one stamp per member, one
 // merged schedule build — the preprocessing all member loops then execute
 // against. Collective (all ranks reach the same staleness verdict because
 // versions advance in collective calls).
-func (g *SharedSched) Inspect() {
+func (g *SharedSched) inspect() {
 	redistributed := g.ht == nil || g.distSeen != g.dec.version
 	stale := redistributed
 	for m, ia := range g.members {
@@ -105,12 +105,12 @@ func (g *SharedSched) Inspect() {
 		include |= g.stamps[m]
 		total += len(ia.vals)
 	}
-	g.sched = schedule.BuildInto(g.sched, g.prog.P, g.ht, include, 0)
+	g.sched = schedule.BuildInto(g.sched, g.prog.p, g.ht, include, 0)
 	// Generated inspectors drive the hash and schedule calls through
 	// runtime descriptors rather than specialized code; the constant-
 	// factor interpretation overhead is what separates the Inspector
 	// columns of Table 6.
-	g.prog.P.ComputeMem(total)
+	g.prog.p.ComputeMem(total)
 	g.distSeen = g.dec.version
 	for m, ia := range g.members {
 		g.seen[m] = ia.version

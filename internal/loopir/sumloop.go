@@ -106,7 +106,7 @@ func (l *SumLoop) Share(g *SharedSched) {
 		panic("loopir: SumLoop shared schedule must cover the loop's decomposition")
 	}
 	l.shared = g
-	l.member = g.Add(l.ind)
+	l.member = g.add(l.ind)
 	// The group's list is not the one Inspect checked or the split built on.
 	l.selfChecked, l.splitInsp = -1, 0
 }
@@ -125,8 +125,8 @@ func (l *SumLoop) Share(g *SharedSched) {
 // passed stays clean until the caller edits it (SetCSR, Touch) or the loop
 // joins another group (Share).
 func (l *SumLoop) Inspect() {
-	l.shared.Inspect()
-	l.loc = l.shared.Loc(l.member)
+	l.shared.inspect()
+	l.loc = l.shared.loc(l.member)
 	if !l.selfFree || l.selfChecked == l.ind.edits {
 		return
 	}

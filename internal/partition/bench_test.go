@@ -17,7 +17,7 @@ func BenchmarkBisect(b *testing.B) {
 	for _, part := range []struct {
 		name string
 		into func([]int32, *comm.Proc, *Geom) []int32
-	}{{"rcb", RCBInto}, {"rib", RIBInto}} {
+	}{{"rcb", rcbInto}, {"rib", ribInto}} {
 		for _, integral := range []bool{true, false} {
 			name := part.name + "/fractional"
 			if integral {

@@ -110,9 +110,9 @@ func TestBisectGolden(t *testing.T) {
 		owners := make([]string, c.nprocs)
 		clocks := make([]uint64, c.nprocs)
 		comm.Run(c.nprocs, costmodel.IPSC860(), func(p *comm.Proc) {
-			into := RCBInto
+			into := rcbInto
 			if c.inertial {
-				into = RIBInto
+				into = ribInto
 			}
 			var b strings.Builder
 			for _, o := range into(nil, p, c.geom(p)) {

@@ -23,9 +23,9 @@ func TestBisectIntoReusedGeomMatchesFresh(t *testing.T) {
 	}
 	clouds := []cloud{{900, 3, 1, true}, {300, 2, 2, false}, {1200, 3, 3, false}, {40, 3, 4, true}, {900, 2, 5, true}, {3, 3, 6, false}}
 	for _, inertial := range []bool{false, true} {
-		fresh, into := RCB, RCBInto
+		fresh, into := RCB, rcbInto
 		if inertial {
-			fresh, into = RIB, RIBInto
+			fresh, into = RIB, ribInto
 		}
 		for _, nprocs := range []int{1, 2, 3, 5, 8} {
 			want := make([][][]int32, len(clouds)) // [cloud][rank]
@@ -71,7 +71,7 @@ func TestBisectIntoReusedGeomMatchesFresh(t *testing.T) {
 func TestBisectIntoSteadyStateAllocs(t *testing.T) {
 	const nprocs = 4
 	got := make([]float64, nprocs)
-	for _, into := range []func([]int32, *comm.Proc, *Geom) []int32{RCBInto, RIBInto} {
+	for _, into := range []func([]int32, *comm.Proc, *Geom) []int32{rcbInto, ribInto} {
 		comm.Run(nprocs, costmodel.Uniform(1e-9), func(p *comm.Proc) {
 			g := cloudGeom(p, 2000, 3, 7, true)
 			var owners []int32
@@ -95,8 +95,8 @@ func TestBisectIntoSteadyStateAllocs(t *testing.T) {
 // ...Into form — and a name outside Known's geometric three is refused.
 func TestByName(t *testing.T) {
 	direct := map[string]func(dst []int32, p *comm.Proc, g *Geom) []int32{
-		"rcb":   RCBInto,
-		"rib":   RIBInto,
+		"rcb":   rcbInto,
+		"rib":   ribInto,
 		"chain": func(_ []int32, p *comm.Proc, g *Geom) []int32 { return Chain(p, 0, g) },
 	}
 	for name, call := range direct {
@@ -156,3 +156,7 @@ func TestBlockOwnersInto(t *testing.T) {
 		t.Errorf("no globals gave %v", got)
 	}
 }
+
+// rcbInto and ribInto are ByName's bisections, writing into dst.
+func rcbInto(dst []int32, p *comm.Proc, g *Geom) []int32 { return ByName(dst, p, "rcb", g) }
+func ribInto(dst []int32, p *comm.Proc, g *Geom) []int32 { return ByName(dst, p, "rib", g) }

@@ -165,23 +165,11 @@ func filled(buf []float64, n int, v float64) []float64 {
 
 // RCB runs parallel recursive coordinate bisection and returns the new
 // owner of each local element. Collective.
-func RCB(p *comm.Proc, g *Geom) []int32 { return RCBInto(nil, p, g) }
-
-// RCBInto is RCB writing the owners into dst's backing array (grown as
-// needed; dst may be nil). Collective.
-func RCBInto(dst []int32, p *comm.Proc, g *Geom) []int32 {
-	return recursiveBisect(dst, p, g, false)
-}
+func RCB(p *comm.Proc, g *Geom) []int32 { return recursiveBisect(nil, p, g, false) }
 
 // RIB runs parallel recursive inertial bisection: each region is split
 // orthogonally to its principal inertia axis. Collective.
-func RIB(p *comm.Proc, g *Geom) []int32 { return RIBInto(nil, p, g) }
-
-// RIBInto is RIB writing the owners into dst's backing array (grown as
-// needed; dst may be nil). Collective.
-func RIBInto(dst []int32, p *comm.Proc, g *Geom) []int32 {
-	return recursiveBisect(dst, p, g, true)
-}
+func RIB(p *comm.Proc, g *Geom) []int32 { return recursiveBisect(nil, p, g, true) }
 
 // Known reports whether name selects a partitioner: "block" (see
 // BlockOwnersInto, which needs global indices rather than geometry) or one
@@ -191,15 +179,16 @@ func Known(name string) bool {
 }
 
 // ByName runs the geometric partitioner an application's configuration
-// names — "rcb", "rib" or "chain" (along x) — writing the owners into dst's
-// backing array where the partitioner has an ...Into form. It panics on any
-// other name: configurations are vetted with Known. Collective.
+// names — "rcb", "rib" or "chain" (along x). The bisections write the
+// owners into dst's backing array (grown as needed; dst may be nil). It
+// panics on any other name: configurations are vetted with Known.
+// Collective.
 func ByName(dst []int32, p *comm.Proc, name string, g *Geom) []int32 {
 	switch name {
 	case "rcb":
-		return RCBInto(dst, p, g)
+		return recursiveBisect(dst, p, g, false)
 	case "rib":
-		return RIBInto(dst, p, g)
+		return recursiveBisect(dst, p, g, true)
 	case "chain":
 		return Chain(p, 0, g)
 	}
@@ -650,12 +639,12 @@ func splitAround(ks, ws []float64, c, l float64) (int32, float64) {
 	return int32(m), l
 }
 
-// ChainBins is the histogram resolution of the chain partitioner: fine
+// chainBins is the histogram resolution of the chain partitioner: fine
 // enough to give each of up to 128 processors several bins of placement
 // slack on flow-direction grids of several hundred cells, while keeping the
 // single histogram reduction far cheaper than a recursive bisection — the
 // whole point of the chain partitioner.
-const ChainBins = 1024
+const chainBins = 1024
 
 // Chain runs the fast one-dimensional chain partitioner along the given
 // coordinate axis (0=x, 1=y, 2=z): a single weighted histogram is reduced
@@ -685,14 +674,14 @@ func Chain(p *comm.Proc, axis int, g *Geom) []int32 {
 	if !(hi > lo) {
 		return owners // degenerate: everything at one point -> proc 0
 	}
-	scale := float64(ChainBins) / (hi - lo)
+	scale := float64(chainBins) / (hi - lo)
 
-	histo := make([]float64, ChainBins)
+	histo := make([]float64, chainBins)
 	bin := make([]int, n)
 	for i := 0; i < n; i++ {
 		b := int((g.coord(axis, i) - lo) * scale)
-		if b >= ChainBins {
-			b = ChainBins - 1
+		if b >= chainBins {
+			b = chainBins - 1
 		}
 		if b < 0 {
 			b = 0
@@ -708,10 +697,10 @@ func Chain(p *comm.Proc, axis int, g *Geom) []int32 {
 	for _, w := range histo {
 		total += w
 	}
-	binOwner := make([]int32, ChainBins)
+	binOwner := make([]int32, chainBins)
 	acc := 0.0
 	proc := 0
-	for b := 0; b < ChainBins; b++ {
+	for b := 0; b < chainBins; b++ {
 		// Advance to the processor whose weight span covers acc's middle.
 		for proc < p.Size()-1 && acc+float64(histo[b]/2) >= total*float64(proc+1)/float64(p.Size()) {
 			proc++

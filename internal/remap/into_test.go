@@ -69,9 +69,9 @@ func recycledChain(t *testing.T, nprocs, n, hops int, seed int64) {
 			if !slices.Equal(rf, f) || !slices.Equal(rgs, gs) || !slices.Equal(rptr, ptr) || !slices.Equal(rvals, vals) {
 				t.Errorf("hop %d on %d ranks: rank %d's recycled arrays differ from the fresh ones", h, nprocs, p.Rank())
 			}
-			if plan.NewLen() != fresh.NewLen() || plan.MovedAway() != fresh.MovedAway() {
+			if plan.newLen != fresh.newLen || len(plan.sendIdx) != len(fresh.sendIdx) {
 				t.Errorf("hop %d on %d ranks: rank %d's rebuilt plan reports %d/%d, a fresh one %d/%d",
-					h, nprocs, p.Rank(), plan.NewLen(), plan.MovedAway(), fresh.NewLen(), fresh.MovedAway())
+					h, nprocs, p.Rank(), plan.newLen, len(plan.sendIdx), fresh.newLen, len(fresh.sendIdx))
 			}
 		}
 	})

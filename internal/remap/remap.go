@@ -193,12 +193,6 @@ func (pl *Plan) sendTo(r int) []int32 { return pl.sendIdx[pl.sendPtr[r]:pl.sendP
 // r (aliases plan storage).
 func (pl *Plan) placeFrom(r int) []int32 { return pl.place[r] }
 
-// NewLen returns the local array length under the destination distribution.
-func (pl *Plan) NewLen() int { return pl.newLen }
-
-// MovedAway returns how many local elements leave this processor.
-func (pl *Plan) MovedAway() int { return len(pl.sendIdx) }
-
 // MoveF64 relocates a float64 array (width components per element) from the
 // source layout to the destination layout, into a freshly allocated array.
 // Collective.

@@ -228,8 +228,8 @@ func TestPlanMoveCSRAllLocal(t *testing.T) {
 		}
 		tt := ttable.Build(p, ttable.Replicated, BlockMap(p, gs, mine, n))
 		pl := NewPlan(p, gs, tt)
-		if pl.MovedAway() != 0 {
-			t.Fatalf("identity plan moves %d elements", pl.MovedAway())
+		if len(pl.sendIdx) != 0 {
+			t.Fatalf("identity plan moves %d elements", len(pl.sendIdx))
 		}
 		ptr := make([]int32, len(gs)+1)
 		var vals []int32
@@ -339,8 +339,8 @@ func TestPlanIdentityWhenDistributionUnchanged(t *testing.T) {
 		}
 		tt := ttable.Build(p, ttable.Replicated, BlockMap(p, gs, mine, n))
 		pl := NewPlan(p, gs, tt)
-		if pl.MovedAway() != 0 {
-			t.Errorf("identity remap moved %d elements", pl.MovedAway())
+		if len(pl.sendIdx) != 0 {
+			t.Errorf("identity remap moved %d elements", len(pl.sendIdx))
 		}
 		old := make([]float64, len(gs))
 		for i := range old {

@@ -82,7 +82,7 @@ func TestGatherScatterSteadyStateAllocs(t *testing.T) {
 		widths := []int{1, 3}
 		multiBody := func() {
 			GatherWMultiStart(p, sched, datas, widths).Wait()
-			ScatterWMultiStart(p, sched, datas, widths, OpMax).Wait()
+			ScatterWMultiStart(p, sched, datas, widths, opMax).Wait()
 		}
 		lightBody := func() {
 			out = ls.MoveF64Into(p, dest, items, 3, out)

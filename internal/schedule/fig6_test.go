@@ -97,7 +97,7 @@ func TestFigure6PaperExample(t *testing.T) {
 		} else {
 			// Processor 1 sends exactly the union {6,7,8,9} for the
 			// merged schedule.
-			if got := merged.TotalSend(); got != 4 {
+			if got := merged.totalSend(); got != 4 {
 				t.Errorf("proc 1 sends %d elements for merged schedule, want 4", got)
 			}
 		}

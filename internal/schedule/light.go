@@ -14,8 +14,8 @@ import (
 type LightSchedule struct {
 	nprocs     int
 	self       int
-	SendCounts []int32
-	RecvCounts []int32
+	sendCounts []int32
+	recvCounts []int32
 	// packF/packI are per-destination packing scratch reused across
 	// Move calls, so repeated appends with one schedule stop allocating.
 	// The entry of the schedule's own rank stays nil: own items are packed
@@ -47,25 +47,25 @@ func BuildLightInto(ls *LightSchedule, p *comm.Proc, dest []int32) *LightSchedul
 		ls = &LightSchedule{
 			nprocs:     p.Size(),
 			self:       p.Rank(),
-			SendCounts: make([]int32, p.Size()),
-			RecvCounts: make([]int32, p.Size()),
+			sendCounts: make([]int32, p.Size()),
+			recvCounts: make([]int32, p.Size()),
 			countsTo:   make([][]int32, p.Size()),
 		}
 		for r := range ls.countsTo {
-			ls.countsTo[r] = ls.SendCounts[r : r+1]
+			ls.countsTo[r] = ls.sendCounts[r : r+1]
 		}
 	}
-	clear(ls.SendCounts)
+	clear(ls.sendCounts)
 	for _, d := range dest {
 		if d < 0 || int(d) >= p.Size() {
 			panic(fmt.Sprintf("schedule: append destination %d out of range [0,%d)", d, p.Size()))
 		}
-		ls.SendCounts[d]++
+		ls.sendCounts[d]++
 	}
 	p.ComputeMem(len(dest))
 	ls.countsFrom = p.AllToAllI32(ls.countsTo, ls.countsFrom)
 	for r, c := range ls.countsFrom {
-		ls.RecvCounts[r] = c[0]
+		ls.recvCounts[r] = c[0]
 	}
 	return ls
 }
@@ -74,20 +74,8 @@ func BuildLightInto(ls *LightSchedule, p *comm.Proc, dest []int32) *LightSchedul
 // during MoveF64 (including its own).
 func (ls *LightSchedule) TotalRecv() int {
 	n := 0
-	for _, c := range ls.RecvCounts {
+	for _, c := range ls.recvCounts {
 		n += int(c)
-	}
-	return n
-}
-
-// TotalSend returns the number of items actually leaving this processor
-// (destinations other than itself).
-func (ls *LightSchedule) TotalSend() int {
-	n := 0
-	for r, c := range ls.SendCounts {
-		if r != ls.self {
-			n += int(c)
-		}
 	}
 	return n
 }
@@ -109,11 +97,11 @@ func emptied[T any](buf []T, n, room int) []T {
 // across the two calls (both pack and append in identical order), so an
 // item's components may be split across one int and one float move.
 func (ls *LightSchedule) MoveI32(p *comm.Proc, dest []int32, items []int32, width int) []int32 {
-	return ls.MoveI32Into(p, dest, items, width, nil)
+	return ls.moveI32Into(p, dest, items, width, nil)
 }
 
-// MoveI32Into is MoveI32 appending into out[:0] (see MoveF64Into).
-func (ls *LightSchedule) MoveI32Into(p *comm.Proc, dest []int32, items []int32, width int, out []int32) []int32 {
+// moveI32Into is MoveI32 appending into out[:0] (see MoveF64Into).
+func (ls *LightSchedule) moveI32Into(p *comm.Proc, dest []int32, items []int32, width int, out []int32) []int32 {
 	return moveLightInto(ls, p, dest, items, width, out, &ls.packI, (*comm.Proc).SendI32, (*comm.Proc).RecvI32)
 }
 
@@ -156,7 +144,7 @@ func moveLightInto[T any](ls *LightSchedule, p *comm.Proc, dest []int32, items [
 	packed := *pack
 	for r := range packed {
 		if r != ls.self {
-			need := int(ls.SendCounts[r]) * width
+			need := int(ls.sendCounts[r]) * width
 			packed[r] = emptied(packed[r], need, need/4)
 		}
 	}
@@ -175,11 +163,11 @@ func moveLightInto[T any](ls *LightSchedule, p *comm.Proc, dest []int32, items [
 	}
 	for k := 1; k < p.Size(); k++ {
 		src := (p.Rank() - k + p.Size()) % p.Size()
-		if ls.RecvCounts[src] == 0 || src == p.Rank() {
+		if ls.recvCounts[src] == 0 || src == p.Rank() {
 			continue
 		}
 		pos := len(out)
-		want := int(ls.RecvCounts[src]) * width
+		want := int(ls.recvCounts[src]) * width
 		vals := recv(p, src, tagAppend, out[pos:pos+want])
 		if len(vals) != want {
 			panic(fmt.Sprintf("schedule: append from %d delivered %d values, want %d", src, len(vals), want))

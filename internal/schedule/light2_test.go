@@ -56,14 +56,16 @@ func TestMoveI32AlignsWithMoveF64(t *testing.T) {
 }
 
 // TestFromTranslatedMatchesHashedBuild: with duplicate-free references,
-// FromTranslated must transport exactly the same values as the hash-table
+// FromTranslatedInto must transport exactly the same values as the hash-table
 // route, and so must FromTranslatedInto rebuilding a schedule (and index
 // slice) last built for a different, larger pattern.
 func TestFromTranslatedMatchesHashedBuild(t *testing.T) {
 	const n = 120
 	const nprocs = 4
 	spellings := map[string]func(p *comm.Proc, nLocal int, owners, offsets []int32) (*Schedule, []int32){
-		"FromTranslated": FromTranslated,
+		"nil storage": func(p *comm.Proc, nLocal int, owners, offsets []int32) (*Schedule, []int32) {
+			return FromTranslatedInto(nil, nil, p, nLocal, owners, offsets)
+		},
 		"FromTranslatedInto": func(p *comm.Proc, nLocal int, owners, offsets []int32) (*Schedule, []int32) {
 			wide := make([]int32, 3*len(owners))
 			for k := range wide {
@@ -127,7 +129,7 @@ func fromTranslatedMatchesHashedBuild(t *testing.T, n, nprocs int, build func(p 
 		Gather(p, sched2, data2)
 		for k := range refs {
 			if data[loc[k]] != data2[loc2[k]] {
-				t.Errorf("rank %d ref %d: FromTranslated and Build disagree", p.Rank(), k)
+				t.Errorf("rank %d ref %d: FromTranslatedInto and Build disagree", p.Rank(), k)
 			}
 		}
 		if sched.TotalFetch() != sched2.TotalFetch() {
@@ -138,7 +140,7 @@ func fromTranslatedMatchesHashedBuild(t *testing.T, n, nprocs int, build func(p 
 }
 
 func TestFromTranslatedDuplicatesFetchTwice(t *testing.T) {
-	// FromTranslated performs no duplicate removal: the same reference
+	// FromTranslatedInto performs no duplicate removal: the same reference
 	// twice costs two fetches (the software-caching ablation relies on
 	// this).
 	comm.Run(2, costmodel.Uniform(1e-9), func(p *comm.Proc) {
@@ -147,7 +149,7 @@ func TestFromTranslatedDuplicatesFetchTwice(t *testing.T) {
 		if p.Rank() == 0 {
 			owners := []int32{1, 1}
 			offsets := []int32{0, 0}
-			sched, loc := FromTranslated(p, tt.NLocal(0), owners, offsets)
+			sched, loc := FromTranslatedInto(nil, nil, p, tt.NLocal(0), owners, offsets)
 			if sched.TotalFetch() != 2 {
 				t.Errorf("TotalFetch = %d, want 2 (no dedup)", sched.TotalFetch())
 			}
@@ -156,7 +158,7 @@ func TestFromTranslatedDuplicatesFetchTwice(t *testing.T) {
 			}
 			Gather(p, sched, make([]float64, sched.MinLen()))
 		} else {
-			sched, _ := FromTranslated(p, tt.NLocal(1), nil, nil)
+			sched, _ := FromTranslatedInto(nil, nil, p, tt.NLocal(1), nil, nil)
 			Gather(p, sched, make([]float64, sched.MinLen()))
 		}
 	})
@@ -192,16 +194,16 @@ func TestBuildLightIntoBackToBack(t *testing.T) {
 		comm.RunTransport(nprocs, costmodel.Uniform(1e-9), tr, func(p *comm.Proc) {
 			want := make([][]int32, rebuilds)
 			for k := range want {
-				want[k] = BuildLight(p, backToBackDest(p.Rank(), nprocs, k)).RecvCounts
+				want[k] = BuildLight(p, backToBackDest(p.Rank(), nprocs, k)).recvCounts
 			}
 			var ls *LightSchedule
 			for k := 0; k < rebuilds; k++ {
 				dest := backToBackDest(p.Rank(), nprocs, k)
 				ls = BuildLightInto(ls, p, dest)
-				if !slices.Equal(ls.RecvCounts, want[k]) {
-					t.Errorf("%s: rank %d rebuild %d: RecvCounts %v, fresh BuildLight %v", name, p.Rank(), k, ls.RecvCounts, want[k])
+				if !slices.Equal(ls.recvCounts, want[k]) {
+					t.Errorf("%s: rank %d rebuild %d: RecvCounts %v, fresh BuildLight %v", name, p.Rank(), k, ls.recvCounts, want[k])
 				}
-				if got := ls.TotalSend() + int(ls.SendCounts[p.Rank()]); got != len(dest) {
+				if got := lightTotalSend(ls) + int(ls.sendCounts[p.Rank()]); got != len(dest) {
 					t.Errorf("%s: rank %d rebuild %d: SendCounts cover %d items, want %d", name, p.Rank(), k, got, len(dest))
 				}
 				// A rank-dependent stall lets the others run ahead.
@@ -286,7 +288,7 @@ func TestLightMoveIntoOwnItemsFirst(t *testing.T) {
 			lightMoveIntoRow(t, nprocs, (*LightSchedule).MoveF64Into, func(ls *LightSchedule) [][]float64 { return ls.packF })
 		})
 		t.Run(fmt.Sprintf("MoveI32Into/p%d", nprocs), func(t *testing.T) {
-			lightMoveIntoRow(t, nprocs, (*LightSchedule).MoveI32Into, func(ls *LightSchedule) [][]int32 { return ls.packI })
+			lightMoveIntoRow(t, nprocs, (*LightSchedule).moveI32Into, func(ls *LightSchedule) [][]int32 { return ls.packI })
 		})
 	}
 }

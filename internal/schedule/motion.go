@@ -43,8 +43,8 @@ type CombineOp int
 const (
 	OpReplace CombineOp = iota
 	OpAdd
-	OpMax
-	OpMin
+	opMax
+	opMin
 )
 
 // Motion is one collective in flight. At most one motion can be in flight
@@ -60,9 +60,6 @@ type Motion struct {
 	tot    int // float64 values one element contributes to a message
 	active bool
 }
-
-// Active reports whether the motion has been started and not yet waited.
-func (mo *Motion) Active() bool { return mo != nil && mo.active }
 
 // check validates the parallel datas/widths argument lists and returns the
 // number of float64 values one element contributes to a message.
@@ -91,9 +88,9 @@ func (s *Schedule) check(datas [][]float64, widths []int) int {
 // permutation list's ghost slots; a scatter is the reverse.
 func (s *Schedule) lists(tag, r int) (pack, place []int32) {
 	if tag == tagGather {
-		return s.SendOffs(r), s.RecvSlots(r)
+		return s.sendOffs[r], s.RecvSlots(r)
 	}
-	return s.RecvSlots(r), s.SendOffs(r)
+	return s.RecvSlots(r), s.sendOffs[r]
 }
 
 // start is the send half of every collective: it claims the schedule's
@@ -194,7 +191,7 @@ func combine(op CombineOp, data []float64, offs []int32, vals []float64, width i
 				dst[j] += src[j]
 			}
 		}
-	case OpMax:
+	case opMax:
 		for i, off := range offs {
 			dst := data[int(off)*width : int(off+1)*width]
 			src := vals[i*width : (i+1)*width]
@@ -204,7 +201,7 @@ func combine(op CombineOp, data []float64, offs []int32, vals []float64, width i
 				}
 			}
 		}
-	case OpMin:
+	case opMin:
 		for i, off := range offs {
 			dst := data[int(off)*width : int(off+1)*width]
 			src := vals[i*width : (i+1)*width]

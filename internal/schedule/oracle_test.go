@@ -42,7 +42,7 @@ func motionRows() []motionRow {
 		{name: "GatherW", arrays: []int{1}},
 		{name: "GatherWMulti", arrays: []int{0, 1}},
 	}
-	for _, op := range []CombineOp{OpAdd, OpReplace, OpMax, OpMin} {
+	for _, op := range []CombineOp{OpAdd, OpReplace, opMax, opMin} {
 		name := [...]string{"replace", "add", "max", "min"}[op]
 		rows = append(rows,
 			motionRow{name: "Scatter/" + name, scatter: true, op: op, arrays: []int{0}},
@@ -139,9 +139,9 @@ func (mc *motionCase) scattered(op CombineOp, g int32, b, c int) float64 {
 			v += x
 		case OpReplace:
 			v = x
-		case OpMax:
+		case opMax:
 			v = math.Max(v, x)
-		case OpMin:
+		case opMin:
 			v = math.Min(v, x)
 		}
 	}

@@ -78,11 +78,6 @@ type Schedule struct {
 // NProcs returns the number of processors the schedule spans.
 func (s *Schedule) NProcs() int { return s.nprocs }
 
-// SendOffs returns the send list for rank r: local offsets of the elements
-// this processor sends to r. The slice aliases schedule storage; do not
-// modify or retain it across a rebuild.
-func (s *Schedule) SendOffs(r int) []int32 { return s.sendOffs[r] }
-
 // RecvSlots returns the permutation list for rank r: local buffer slots
 // where elements arriving from r are placed. The slice aliases schedule
 // storage; do not modify or retain it across a rebuild.
@@ -90,20 +85,12 @@ func (s *Schedule) RecvSlots(r int) []int32 {
 	return s.recvSlot[s.recvPtr[r]:s.recvPtr[r+1]]
 }
 
-// SendSize returns the number of elements sent to rank r (the paper's
-// send_size array).
-func (s *Schedule) SendSize(r int) int { return len(s.sendOffs[r]) }
-
-// FetchSize returns the number of elements fetched from rank r (the paper's
-// fetch_size array).
-func (s *Schedule) FetchSize(r int) int { return int(s.recvPtr[r+1] - s.recvPtr[r]) }
-
 // TotalFetch returns the total number of off-processor elements this
 // schedule gathers.
 func (s *Schedule) TotalFetch() int { return len(s.recvSlot) }
 
-// TotalSend returns the total number of elements this schedule sends.
-func (s *Schedule) TotalSend() int {
+// totalSend returns the total number of elements this schedule sends.
+func (s *Schedule) totalSend() int {
 	n := 0
 	for _, offs := range s.sendOffs {
 		n += len(offs)
@@ -182,7 +169,7 @@ func BuildInto(s *Schedule, p *comm.Proc, ht *hashtab.Table, include, exclude ha
 	}
 
 	s.exchange(p)
-	p.ComputeMem(s.TotalSend() + s.TotalFetch())
+	p.ComputeMem(s.totalSend() + s.TotalFetch())
 	return s
 }
 
@@ -196,7 +183,7 @@ func (s *Schedule) exchange(p *comm.Proc) {
 	s.sendOffs = p.AllToAllI32(s.reqTo, s.sendOffs)
 }
 
-// FromTranslated builds a schedule directly from already-translated
+// FromTranslatedInto builds a schedule directly from already-translated
 // references: reference k lives on owners[k] at local offset offsets[k].
 // References must be distinct (no duplicate removal is performed — callers
 // with possibly-duplicated references should go through a hash table).
@@ -206,14 +193,11 @@ func (s *Schedule) exchange(p *comm.Proc) {
 // This is the index-translation path the paper's "regular schedules" row in
 // Table 4 pays on every DSMC time step: a full schedule with permutation
 // lists is constructed for a data access pattern that changes each step.
-func FromTranslated(p *comm.Proc, nLocal int, owners, offsets []int32) (*Schedule, []int32) {
-	return FromTranslatedInto(nil, nil, p, nLocal, owners, offsets)
-}
-
-// FromTranslatedInto is FromTranslated reusing s's storage and loc's (either
-// may be nil), as BuildInto is Build: a caller that rebuilds every step
-// passes both back and a warm rebuild allocates nothing. The returned
-// schedule is s (or a fresh one) and the returned indices are loc resized.
+//
+// It reuses s's storage and loc's (either may be nil), as BuildInto is
+// Build: a caller that rebuilds every step passes both back and a warm
+// rebuild allocates nothing. The returned schedule is s (or a fresh one)
+// and the returned indices are loc resized.
 func FromTranslatedInto(s *Schedule, loc []int32, p *comm.Proc, nLocal int, owners, offsets []int32) (*Schedule, []int32) {
 	if len(owners) != len(offsets) {
 		panic(fmt.Sprintf("schedule: %d owners but %d offsets", len(owners), len(offsets)))
@@ -257,6 +241,6 @@ func FromTranslatedInto(s *Schedule, loc []int32, p *comm.Proc, nLocal int, owne
 	p.ComputeMem(len(owners))
 
 	s.exchange(p)
-	p.ComputeMem(s.TotalSend())
+	p.ComputeMem(s.totalSend())
 	return s, loc
 }

@@ -39,8 +39,8 @@ func TestSplitPhaseWindowNotBilledToCommWall(t *testing.T) {
 			GatherWStart(p, s, data, 1).Wait()
 			return
 		}
-		if len(s.SendOffs(0)) != 0 || len(s.RecvSlots(0)) == 0 {
-			t.Errorf("rank 1 sends %d and receives %d elements, want 0 and some", len(s.SendOffs(0)), len(s.RecvSlots(0)))
+		if len(s.sendOffs[0]) != 0 || len(s.RecvSlots(0)) == 0 {
+			t.Errorf("rank 1 sends %d and receives %d elements, want 0 and some", len(s.sendOffs[0]), len(s.RecvSlots(0)))
 		}
 		p.RecvF64(0, 1, nil) // caches a valid receive sample
 		before := p.Measured().CommWall

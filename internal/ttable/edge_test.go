@@ -12,7 +12,7 @@ import (
 // lookups of the other ranks must come back correct.
 func TestDereferenceEmptyBatch(t *testing.T) {
 	const nprocs = 4
-	owners := randomOwners(2*DefaultPageSize+5, nprocs, 17)
+	owners := randomOwners(2*defaultPageSize+5, nprocs, 17)
 	want := refOffsets(owners, nprocs)
 	for _, kind := range []Kind{Replicated, Distributed, Paged} {
 		comm.Run(nprocs, costmodel.Uniform(1e-9), func(p *comm.Proc) {
@@ -67,7 +67,7 @@ func TestDereferenceOutOfRangeAllKinds(t *testing.T) {
 // checking the short-page size bookkeeping.
 func TestSingleElementPage(t *testing.T) {
 	const nprocs = 2
-	n := DefaultPageSize + 1
+	n := defaultPageSize + 1
 	owners := randomOwners(n, nprocs, 41)
 	want := refOffsets(owners, nprocs)
 	last := int32(n - 1)

@@ -53,8 +53,8 @@ type Entry struct {
 	Offset int32
 }
 
-// DefaultPageSize is the page granularity of Paged tables.
-const DefaultPageSize = 1024
+// defaultPageSize is the page granularity of Paged tables.
+const defaultPageSize = 1024
 
 // Table is a translation table for one irregular distribution. Tables are
 // built collectively and Dereference on Distributed/Paged tables is a
@@ -119,7 +119,7 @@ func growI32(buf *[]int32, n int) []int32 {
 // convention for map arrays, Fig. 7). Every processor must pass its own
 // slab; slabs may have different lengths.
 func Build(p *comm.Proc, kind Kind, myOwners []int32) *Table {
-	t := &Table{kind: kind, nprocs: p.Size(), pageSize: DefaultPageSize}
+	t := &Table{kind: kind, nprocs: p.Size(), pageSize: defaultPageSize}
 
 	// Establish the block decomposition of the map array.
 	sizes := p.AllGatherI64([]int64{int64(len(myOwners))})
@@ -402,10 +402,6 @@ func (t *Table) derefPaged(p *comm.Proc, globals []int32, out []Entry) []Entry {
 	p.ComputeMem(len(globals))
 	return out
 }
-
-// CachedPages returns how many remote pages a Paged table has cached (0 for
-// other kinds). Exposed for tests and ablation benchmarks.
-func (t *Table) CachedPages() int { return len(t.pageCache) }
 
 // OwnerOf returns the owner of global g. Only valid for Replicated tables;
 // other kinds require the collective Dereference.

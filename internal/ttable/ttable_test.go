@@ -86,24 +86,24 @@ func TestAllKindsAgainstReference(t *testing.T) {
 
 func TestMultiPageTable(t *testing.T) {
 	// More than one page per processor (n > pageSize * nprocs).
-	owners := randomOwners(3*DefaultPageSize+17, 4, 99)
+	owners := randomOwners(3*defaultPageSize+17, 4, 99)
 	checkTable(t, Paged, 4, owners)
 }
 
 func TestPageCaching(t *testing.T) {
-	owners := randomOwners(4*DefaultPageSize, 4, 5)
+	owners := randomOwners(4*defaultPageSize, 4, 5)
 	comm.Run(4, costmodel.Uniform(1e-9), func(p *comm.Proc) {
 		tb := Build(p, Paged, blockSlab(owners, p.Rank(), 4))
 		// First dereference of a remote global should populate the cache.
-		g := int32((p.Rank() + 1) % 4 * DefaultPageSize) // page owned by another rank
+		g := int32((p.Rank() + 1) % 4 * defaultPageSize) // page owned by another rank
 		tb.Dereference(p, []int32{g})
-		cached := tb.CachedPages()
+		cached := len(tb.pageCache)
 		if cached == 0 {
 			t.Errorf("rank %d: no pages cached after remote dereference", p.Rank())
 		}
 		// Second dereference of the same page must not grow the cache.
 		tb.Dereference(p, []int32{g + 1})
-		if tb.CachedPages() != cached {
+		if len(tb.pageCache) != cached {
 			t.Errorf("rank %d: cache grew on repeat dereference", p.Rank())
 		}
 	})
