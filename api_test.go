@@ -30,6 +30,9 @@ var apiAllowed = map[string]string{
 
 	"comm.Clock.Now": "the method a test clock behind MeasureOpts.Clock implements",
 
+	"comm.Stats.MsgsRecv":  "the loopir oracle holds each rank's receive counts to the reference run",
+	"comm.Stats.BytesRecv": "the loopir oracle holds each rank's receive counts to the reference run",
+
 	"analyze.Package.Path":  "read by this check, which is built on the Loader",
 	"analyze.Package.Files": "read by this check, which is built on the Loader",
 	"analyze.Package.Types": "read by this check, which is built on the Loader",

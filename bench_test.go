@@ -165,7 +165,8 @@ func BenchmarkAblationVectorization(b *testing.B) {
 		refs[i] = int32(rng.Intn(n))
 	}
 	// Every rank references the same refs, so each rank sends every other
-	// rank one element per distinct reference it owns.
+	// rank one element per distinct reference it owns. The owner formula
+	// must match buildBlockTable's BLOCK ranges.
 	owned := make([]int, nprocs)
 	seen := make([]bool, n)
 	for _, g := range refs {
@@ -190,10 +191,9 @@ func BenchmarkAblationVectorization(b *testing.B) {
 			ht := hashtab.New(p, tt)
 			s := ht.NewStamp()
 			ht.Hash(refs, s)
-			sched := schedule.Build(p, ht, s, 0)
+			schedule.Build(p, ht, s, 0) // built and unused, so both runs pay for the inspector
 			// One message per element: send each off-processor value
 			// separately (same data, no aggregation).
-			_ = sched
 			for dst := 1; dst < p.Size(); dst++ {
 				k := (p.Rank() + dst) % p.Size()
 				for range owned[p.Rank()] {

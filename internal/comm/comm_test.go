@@ -335,7 +335,7 @@ func TestStatsAccounting(t *testing.T) {
 	if s0.MsgsSent != 1 || s0.BytesSent != 100 {
 		t.Errorf("rank 0 sent stats = %+v", s0)
 	}
-	if s1.msgsRecv != 1 || s1.bytesRecv != 100 {
+	if s1.MsgsRecv != 1 || s1.BytesRecv != 100 {
 		t.Errorf("rank 1 recv stats = %+v", s1)
 	}
 	if s1.commTime <= 0 {
@@ -395,10 +395,10 @@ func TestSelfSendPanics(t *testing.T) {
 }
 
 func TestStatsSubAdd(t *testing.T) {
-	a := Stats{ComputeTime: 5, commTime: 3, MsgsSent: 10, BytesSent: 100, msgsRecv: 7, bytesRecv: 70}
-	b := Stats{ComputeTime: 2, commTime: 1, MsgsSent: 4, BytesSent: 40, msgsRecv: 3, bytesRecv: 30}
+	a := Stats{ComputeTime: 5, commTime: 3, MsgsSent: 10, BytesSent: 100, MsgsRecv: 7, BytesRecv: 70}
+	b := Stats{ComputeTime: 2, commTime: 1, MsgsSent: 4, BytesSent: 40, MsgsRecv: 3, BytesRecv: 30}
 	d := a.Sub(b)
-	if d.ComputeTime != 3 || d.commTime != 2 || d.MsgsSent != 6 || d.BytesSent != 60 || d.msgsRecv != 4 || d.bytesRecv != 40 {
+	if d.ComputeTime != 3 || d.commTime != 2 || d.MsgsSent != 6 || d.BytesSent != 60 || d.MsgsRecv != 4 || d.BytesRecv != 40 {
 		t.Errorf("Sub = %+v", d)
 	}
 	var acc Stats

@@ -1,5 +1,8 @@
 package comm
 
+// TagBarrier is the tag of Barrier's messages.
+const TagBarrier = tagBarrier
+
 // ForceWireLoops makes the codecs take their value loops, and the packed
 // sends and views their scratch paths, as on a big-endian host, until the
 // returned restore is called.

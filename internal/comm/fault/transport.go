@@ -302,7 +302,7 @@ func (t *Transport) Recv(self, from, tag int) comm.Message {
 		// for a reorder swap and never communicates again, nobody else will
 		// put it on the wire — so the receiver emits it before blocking.
 		t.flushLink(&t.send[from*t.n+self])
-		fr := t.inner.Recv(self, from, wireTag)
+		fr := t.recvFrame(self, from, tag)
 		if len(fr.Data) < frameHeader {
 			panic(fmt.Sprintf("fault: runt frame of %d bytes on link %d->%d", len(fr.Data), from, self))
 		}
@@ -337,6 +337,21 @@ func (t *Transport) Recv(self, from, tag int) comm.Message {
 			}
 		}
 	}
+}
+
+// recvFrame takes the next frame on link from->self for a receive of tag.
+// When the sender has returned, the inner transport's panic names the wire
+// tag; it is raised again naming tag, the receive the caller waits for.
+func (t *Transport) recvFrame(self, from, tag int) comm.Message {
+	defer func() {
+		if e := recover(); e != nil {
+			if _, ok := e.(comm.PeerReturned); ok {
+				e = comm.PeerReturned{Rank: self, From: from, Tag: tag}
+			}
+			panic(e)
+		}
+	}()
+	return t.inner.Recv(self, from, wireTag)
 }
 
 // RankDone implements comm.RankObserver: when a rank's program finishes,

@@ -33,9 +33,9 @@ func TestMailboxFinishedPeerFailsTheReceive(t *testing.T) {
 			}()
 			select {
 			case msg := <-failed:
-				if !strings.Contains(msg, "rank 0 panicked: comm: rank 0 waits for a message with tag ") ||
-					!strings.Contains(msg, " from rank 1, which has returned") {
-					t.Errorf("the run failed with %q, want rank 0's receive from rank 1 named", msg)
+				want := fmt.Sprintf("rank 0 panicked: comm: rank 0 waits for a message with tag %d from rank 1, which has returned", comm.TagBarrier)
+				if !strings.Contains(msg, want) {
+					t.Errorf("the run failed with %q, want %q", msg, want)
 				}
 			case <-time.After(time.Second):
 				t.Fatal("rank 0 still waits for its finished peer after 1 s")

@@ -17,8 +17,8 @@ type Stats struct {
 	commTime    float64
 	MsgsSent    int64
 	BytesSent   int64
-	msgsRecv    int64
-	bytesRecv   int64
+	MsgsRecv    int64
+	BytesRecv   int64
 }
 
 // Add accumulates other into s.
@@ -27,8 +27,8 @@ func (s *Stats) Add(other Stats) {
 	s.commTime += other.commTime
 	s.MsgsSent += other.MsgsSent
 	s.BytesSent += other.BytesSent
-	s.msgsRecv += other.msgsRecv
-	s.bytesRecv += other.bytesRecv
+	s.MsgsRecv += other.MsgsRecv
+	s.BytesRecv += other.BytesRecv
 }
 
 // Sub returns s minus other, used to compute per-phase deltas.
@@ -38,8 +38,8 @@ func (s Stats) Sub(other Stats) Stats {
 		commTime:    s.commTime - other.commTime,
 		MsgsSent:    s.MsgsSent - other.MsgsSent,
 		BytesSent:   s.BytesSent - other.BytesSent,
-		msgsRecv:    s.msgsRecv - other.msgsRecv,
-		bytesRecv:   s.bytesRecv - other.bytesRecv,
+		MsgsRecv:    s.MsgsRecv - other.MsgsRecv,
+		BytesRecv:   s.BytesRecv - other.BytesRecv,
 	}
 }
 
@@ -247,8 +247,8 @@ func (p *Proc) recvMsg(from, tag int) Message {
 		p.stats.commTime += m.Arrive - p.clock
 		p.clock = m.Arrive
 	}
-	p.stats.msgsRecv++
-	p.stats.bytesRecv += int64(len(m.Data))
+	p.stats.MsgsRecv++
+	p.stats.BytesRecv += int64(len(m.Data))
 	return m
 }
 

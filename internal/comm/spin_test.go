@@ -354,8 +354,8 @@ func lateRankBody(p *Proc) {
 func parked(t *testing.T, rep *Report) (n int64) {
 	t.Helper()
 	for r, m := range rep.Measured {
-		if w := m.Waits; w.Spun+w.Yielded+w.Parked != rep.Stats[r].msgsRecv {
-			t.Errorf("rank %d: waits %+v do not add up to its %d receives", r, w, rep.Stats[r].msgsRecv)
+		if w := m.Waits; w.Spun+w.Yielded+w.Parked != rep.Stats[r].MsgsRecv {
+			t.Errorf("rank %d: waits %+v do not add up to its %d receives", r, w, rep.Stats[r].MsgsRecv)
 		}
 		n += m.Waits.Parked
 	}

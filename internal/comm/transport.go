@@ -66,6 +66,15 @@ type PeerFailure struct{}
 
 func (PeerFailure) String() string { return "comm: a peer rank failed" }
 
+// PeerReturned is the panic value of a receive on rank Rank, for a message
+// with tag Tag from rank From, after From's body returned without sending
+// it (see RankDone).
+type PeerReturned struct{ Rank, From, Tag int }
+
+func (e PeerReturned) String() string {
+	return fmt.Sprintf("comm: rank %d waits for a message with tag %d from rank %d, which has returned", e.Rank, e.Tag, e.From)
+}
+
 // Poisoner is implemented by transports that can wake all blocked receivers
 // after a rank failure.
 type Poisoner interface {
@@ -266,7 +275,7 @@ func (t *MemTransport) Send(m Message) {
 func (t *MemTransport) Recv(self, from, tag int) Message {
 	m, ok := t.boxes[self*t.n+from].take(tag, t.spin, t.yield)
 	if !ok {
-		panic(fmt.Sprintf("comm: rank %d waits for a message with tag %d from rank %d, which has returned", self, tag, from))
+		panic(PeerReturned{Rank: self, From: from, Tag: tag})
 	}
 	return m
 }

@@ -434,8 +434,9 @@ func TestIntrospection(t *testing.T) {
 	if got := prog.RealNames(); len(got) != 3 || got[0] != "dx" || got[1] != "vel" || got[2] != "x" {
 		t.Errorf("RealNames = %v", got)
 	}
-	if got := prog.indNames(); len(got) != 2 || got[0] != "icell" || got[1] != "jnb" {
-		t.Errorf("IndNames = %v", got)
+	inds := prog.ir.syms.inds
+	if len(inds) != 2 || inds["icell"] == nil || inds["jnb"] == nil {
+		t.Errorf("indirection arrays = %v", inds)
 	}
 	if got := prog.ir.syms.decomps; len(got) != 3 {
 		t.Errorf("decompositions = %v", got)
@@ -443,11 +444,11 @@ func TestIntrospection(t *testing.T) {
 	if got := prog.MapDecompositions(); len(got) != 1 || got[0] != "reg" {
 		t.Errorf("MapDecompositions = %v", got)
 	}
-	if !prog.indIsCSR("jnb") || prog.indIsCSR("icell") {
-		t.Error("IndIsCSR misclassifies")
+	if !inds["jnb"].csr || inds["icell"].csr {
+		t.Error("CSR form misclassified")
 	}
-	if prog.indDecomp("jnb") != "reg" || prog.indDecomp("icell") != "parts" {
-		t.Error("IndDecomp wrong")
+	if inds["jnb"].decomp != "reg" || inds["icell"].decomp != "parts" {
+		t.Error("aligned decomposition wrong")
 	}
 	if prog.indTargetN("jnb") != 60 {
 		t.Errorf("IndTargetN(jnb) = %d", prog.indTargetN("jnb"))

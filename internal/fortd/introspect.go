@@ -15,16 +15,6 @@ func (pr *Program) RealNames() []string {
 	return out
 }
 
-// indNames returns the declared INDIRECTION array names, sorted.
-func (pr *Program) indNames() []string {
-	var out []string
-	for name := range pr.ir.syms.inds {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // MapDecompositions returns the decompositions declared DISTRIBUTE(MAP),
 // sorted.
 func (pr *Program) MapDecompositions() []string {
@@ -38,39 +28,17 @@ func (pr *Program) MapDecompositions() []string {
 	return out
 }
 
-// indDecomp returns the decomposition an indirection array is aligned with.
-func (pr *Program) indDecomp(name string) string {
-	d, ok := pr.ir.syms.inds[name]
-	if !ok {
-		panic("fortd: unknown indirection array " + name)
-	}
-	return d.decomp
-}
-
-// indIsCSR reports whether the indirection array has CSR form.
-func (pr *Program) indIsCSR(name string) bool {
-	d, ok := pr.ir.syms.inds[name]
-	if !ok {
-		panic("fortd: unknown indirection array " + name)
-	}
-	return d.csr
-}
-
 // indTargetN returns the size of the index space an indirection array's
 // values refer to: the decomposition the FORALLs reading it index through it
 // (a sum loop's own aligned decomposition, a pair loop's data decomposition,
 // an append's target), or its own aligned decomposition when no FORALL reads
 // it.
 func (pr *Program) indTargetN(name string) int {
-	syms := pr.ir.syms
-	if t, ok := pr.ir.targets[name]; ok {
-		return syms.decomps[t].n
-	}
-	d, ok := syms.inds[name]
+	t, ok := pr.ir.targets[name]
 	if !ok {
-		panic("fortd: unknown indirection array " + name)
+		t = pr.ir.syms.inds[name].decomp
 	}
-	return syms.decomps[d.decomp].n
+	return pr.ir.syms.decomps[t].n
 }
 
 // NumSumLoops returns the number of FORALL/REDUCE(SUM) nests.

@@ -1,6 +1,9 @@
 package fortd
 
-import "math"
+import (
+	"math"
+	"sort"
+)
 
 // InitSynthetic fills every array of the instance with the deterministic
 // synthetic data set shared by cmd/fortd, the benchmarks and the lowering
@@ -18,9 +21,15 @@ func (in *Instance) InitSynthetic(degree int) {
 			}
 		})
 	}
-	for _, name := range prog.indNames() {
-		dec := in.Decomposition(prog.indDecomp(name))
-		if prog.indIsCSR(name) {
+	var inds []string
+	for name := range prog.ir.syms.inds {
+		inds = append(inds, name)
+	}
+	sort.Strings(inds)
+	for _, name := range inds {
+		d := prog.ir.syms.inds[name]
+		dec := in.Decomposition(d.decomp)
+		if d.csr {
 			n := int32(dec.N())
 			ptr := make([]int32, dec.NLocal()+1)
 			var vals []int32

@@ -899,7 +899,8 @@ func (c cell) matchesRef() {
 		if c.f.fused {
 			half = 2
 		}
-		if gm.MsgsSent*half != wm.MsgsSent || !c.f.fused && gm.BytesSent != wm.BytesSent {
+		if gm.MsgsSent*half != wm.MsgsSent || gm.MsgsRecv*half != wm.MsgsRecv ||
+			!c.f.fused && (gm.BytesSent != wm.BytesSent || gm.BytesRecv != wm.BytesRecv) {
 			c.t.Errorf("%s: rank %d data motion %+v, reference %+v", c.label, r, gm, wm)
 		}
 	}

@@ -95,8 +95,8 @@ func TestBisectIntoSteadyStateAllocs(t *testing.T) {
 // ...Into form — and a name outside Known's geometric three is refused.
 func TestByName(t *testing.T) {
 	direct := map[string]func(dst []int32, p *comm.Proc, g *Geom) []int32{
-		"rcb":   rcbInto,
-		"rib":   ribInto,
+		"rcb":   func(dst []int32, p *comm.Proc, g *Geom) []int32 { return recursiveBisect(dst, p, g, false) },
+		"rib":   func(dst []int32, p *comm.Proc, g *Geom) []int32 { return recursiveBisect(dst, p, g, true) },
 		"chain": func(_ []int32, p *comm.Proc, g *Geom) []int32 { return Chain(p, 0, g) },
 	}
 	for name, call := range direct {
