@@ -197,13 +197,15 @@ func BenchmarkAblationVectorization(b *testing.B) {
 			for dst := 1; dst < p.Size(); dst++ {
 				k := (p.Rank() + dst) % p.Size()
 				for range owned[p.Rank()] {
-					p.SendF64(k, 99, []float64{1})
+					p.PackF64(1)[0] = 1
+					p.SendPacked(k, 99)
 				}
 			}
 			for src := 1; src < p.Size(); src++ {
 				k := (p.Rank() - src + p.Size()) % p.Size()
 				for range owned[k] {
-					p.RecvF64(k, 99, nil)
+					p.RecvF64View(k, 99)
+					p.ReleaseView()
 				}
 			}
 		})

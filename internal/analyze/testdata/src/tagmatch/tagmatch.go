@@ -30,9 +30,15 @@ func BadOrphanRecv(p *comm.Proc) []byte {
 	return p.Recv(left, 500) // want:tag-match
 }
 
-// BadOrphanTypedRecv decodes tag 501, which nothing in the package sends.
-func BadOrphanTypedRecv(p *comm.Proc, dst []float64) []float64 {
-	return p.RecvF64(0, 501, dst) // want:tag-match
+// BadOrphanViewedRecv views tag 501, which nothing in the package sends.
+func BadOrphanViewedRecv(p *comm.Proc) []float64 {
+	return p.RecvF64View(0, 501) // want:tag-match
+}
+
+// BadOrphanPackedSend sends tag 502, which nothing in the package receives.
+func BadOrphanPackedSend(p *comm.Proc) {
+	p.PackI32(1)[0] = 1
+	p.SendPacked(1, 502) // want:tag-match
 }
 
 // GoodPairedTags is a matched ring exchange: every constant tag appears on
@@ -43,10 +49,14 @@ func GoodPairedTags(p *comm.Proc) {
 	}
 	right := (p.Rank() + 1) % p.Size()
 	left := (p.Rank() - 1 + p.Size()) % p.Size()
-	p.SendF64(right, tagPing, []float64{1})
-	vals := p.RecvF64(left, tagPing, nil)
-	p.SendF64(left, tagPong, vals)
-	p.RecvF64(right, tagPong, nil)
+	p.PackF64(1)[0] = 1
+	p.SendPacked(right, tagPing)
+	vals := p.RecvF64View(left, tagPing)
+	copy(p.PackF64(len(vals)), vals)
+	p.ReleaseView()
+	p.SendPacked(left, tagPong)
+	p.RecvF64View(right, tagPong)
+	p.ReleaseView()
 }
 
 // GoodVariableTag uses a computed tag; the analyzer only judges constants.

@@ -34,10 +34,10 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 )
 
 // File container constants.
@@ -126,32 +126,45 @@ func (s *Snapshot) putBytes(name string, b []byte) {
 	s.put(name, recBytes, append([]byte(nil), b...))
 }
 
-// PutI32 stores an int32 section.
-func (s *Snapshot) PutI32(name string, xs []int32) {
-	b := make([]byte, 4*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
+// word is the element type of a typed section.
+type word interface{ int32 | int64 | float64 }
+
+// recOf returns the record type of a section of T.
+func recOf[T word]() recType {
+	switch any(*new(T)).(type) {
+	case int32:
+		return recI32
+	case int64:
+		return recI64
 	}
-	s.put(name, recI32, b)
+	return recF64
 }
+
+// putWords stores a typed section, little-endian.
+func putWords[T word](s *Snapshot, name string, xs []T) {
+	var b bytes.Buffer
+	binary.Write(&b, binary.LittleEndian, xs) // a bytes.Buffer takes every write
+	s.put(name, recOf[T](), b.Bytes())
+}
+
+// words returns a typed section.
+func words[T word](s *Snapshot, name string) ([]T, error) {
+	r, err := s.get(name, recOf[T]())
+	if err != nil {
+		return nil, err
+	}
+	xs := make([]T, len(r.data)/r.typ.elemSize())
+	return xs, binary.Read(bytes.NewReader(r.data), binary.LittleEndian, xs)
+}
+
+// PutI32 stores an int32 section.
+func (s *Snapshot) PutI32(name string, xs []int32) { putWords(s, name, xs) }
 
 // putI64 stores an int64 section.
-func (s *Snapshot) putI64(name string, xs []int64) {
-	b := make([]byte, 8*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
-	}
-	s.put(name, recI64, b)
-}
+func (s *Snapshot) putI64(name string, xs []int64) { putWords(s, name, xs) }
 
 // PutF64 stores a float64 section.
-func (s *Snapshot) PutF64(name string, xs []float64) {
-	b := make([]byte, 8*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
-	}
-	s.put(name, recF64, b)
-}
+func (s *Snapshot) PutF64(name string, xs []float64) { putWords(s, name, xs) }
 
 // PutScalarI64 stores a single int64.
 func (s *Snapshot) PutScalarI64(name string, v int64) { s.putI64(name, []int64{v}) }
@@ -182,43 +195,13 @@ func (s *Snapshot) bytes(name string) ([]byte, error) {
 }
 
 // I32 returns an int32 section.
-func (s *Snapshot) I32(name string) ([]int32, error) {
-	r, err := s.get(name, recI32)
-	if err != nil {
-		return nil, err
-	}
-	xs := make([]int32, len(r.data)/4)
-	for i := range xs {
-		xs[i] = int32(binary.LittleEndian.Uint32(r.data[4*i:]))
-	}
-	return xs, nil
-}
+func (s *Snapshot) I32(name string) ([]int32, error) { return words[int32](s, name) }
 
 // i64 returns an int64 section.
-func (s *Snapshot) i64(name string) ([]int64, error) {
-	r, err := s.get(name, recI64)
-	if err != nil {
-		return nil, err
-	}
-	xs := make([]int64, len(r.data)/8)
-	for i := range xs {
-		xs[i] = int64(binary.LittleEndian.Uint64(r.data[8*i:]))
-	}
-	return xs, nil
-}
+func (s *Snapshot) i64(name string) ([]int64, error) { return words[int64](s, name) }
 
 // F64 returns a float64 section.
-func (s *Snapshot) F64(name string) ([]float64, error) {
-	r, err := s.get(name, recF64)
-	if err != nil {
-		return nil, err
-	}
-	xs := make([]float64, len(r.data)/8)
-	for i := range xs {
-		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.data[8*i:]))
-	}
-	return xs, nil
-}
+func (s *Snapshot) F64(name string) ([]float64, error) { return words[float64](s, name) }
 
 // scalarI64 returns a single-int64 section.
 func (s *Snapshot) scalarI64(name string) (int64, error) {

@@ -13,9 +13,15 @@ import (
 // exported codec (Encode*, Decode*, Append*), and no exported *Proc method
 // that takes or returns []byte or [][]byte, except the raw point-to-point
 // calls that benchmark probes time (Send, SendStart, Recv). Callers speak
-// in typed lists, so a later frame layout can change without them.
+// in typed lists, so a later frame layout can change without them. The
+// typed point-to-point path is one: besides the raw calls, the only *Proc
+// methods named Send* or Recv* are SendPacked and the viewed receives
+// Recv*View, so no staged twin of them comes back.
 func TestWireStaysInComm(t *testing.T) {
 	rawBytes := map[string]bool{"Send": true, "SendStart": true, "Recv": true}
+	pointToPoint := func(name string) bool {
+		return rawBytes[name] || name == "SendPacked" || strings.HasPrefix(name, "Recv") && strings.HasSuffix(name, "View")
+	}
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
@@ -43,6 +49,9 @@ func TestWireStaysInComm(t *testing.T) {
 			}
 			if isProcMethod(fn) && !rawBytes[fn.Name.Name] && mentionsBytes(fn.Type) {
 				t.Errorf("%s: (*Proc).%s has []byte in its signature", fset.Position(fn.Pos()), fn.Name.Name)
+			}
+			if name := fn.Name.Name; isProcMethod(fn) && (strings.HasPrefix(name, "Send") || strings.HasPrefix(name, "Recv")) && !pointToPoint(name) {
+				t.Errorf("%s: (*Proc).%s is a second typed point-to-point spelling (pack with Pack*, send with SendPacked, receive with Recv*View)", fset.Position(fn.Pos()), name)
 			}
 		}
 	}

@@ -2,8 +2,8 @@ package comm
 
 import "sync"
 
-// byteArena recycles payload buffers for the typed sends (Proc.SendF64,
-// Proc.AllToAllI32 and friends) and the TCP reader. It is a simple
+// byteArena recycles payload buffers for the typed sends (Proc.SendPacked,
+// and sendWords under the collectives) and the TCP reader. It is a simple
 // mutex-protected free list rather than a sync.Pool: buffers are returned
 // explicitly when ownership ends (see the ownership rule below), the
 // population is bounded by the number of messages in flight, and we never
@@ -18,9 +18,10 @@ import "sync"
 //     writes it to the socket before Send returns) releases the buffer
 //     itself, so it is reusable by the time Send returns.
 //   - The in-memory transport aliases the payload all the way to the
-//     receiver, so the buffer is released by the *receiver*: the typed
-//     receive paths (RecvF64, AllToAllI32, ...) decode the payload into the
-//     caller's slice and then return the byte buffer to the sender's arena.
+//     receiver, so the buffer is released by the *receiver*: ReleaseView
+//     ends a viewed receive, and recvWords (under AllToAllI32 and the other
+//     collectives) decodes the payload into the caller's slice; both then
+//     return the byte buffer to the sender's arena.
 //   - Raw Proc.Recv hands the payload to the caller, which may retain it
 //     indefinitely; such buffers are simply never reclaimed (the arena
 //     allocates a replacement) — a lost reuse, never a use-after-release.

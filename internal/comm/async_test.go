@@ -19,14 +19,14 @@ func TestSendStartVirtualParity(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				xs := []float64{float64(i), float64(p.Rank())}
 				if split {
-					h := p.SendStart(peer, 7, appendF64(nil, xs))
+					h := p.SendStart(peer, 7, appendWords(nil, xs))
 					p.ComputeFlops(1000) // overlapped-looking work, charged identically
 					h.Wait()
 				} else {
-					p.SendF64(peer, 7, xs)
+					sendWords[float64](p, peer, 7, xs)
 					p.ComputeFlops(1000)
 				}
-				got := p.RecvF64(peer, 7, nil)
+				got := recvWords[float64](p, peer, 7, nil)
 				if got[0] != float64(i) || got[1] != float64(peer) {
 					t.Errorf("rank %d: got %v", p.Rank(), got)
 				}
@@ -54,13 +54,13 @@ func TestSendStartFIFOWithBlockingSend(t *testing.T) {
 			const n = 6
 			if p.Rank() == 0 {
 				for i := 0; i < n; i++ {
-					p.SendStart(1, 7, appendF64(nil, []float64{float64(i)}))
+					p.SendStart(1, 7, appendWords(nil, []float64{float64(i)}))
 				}
-				p.SendF64(1, 7, []float64{float64(n)}) // must arrive last
+				sendWords[float64](p, 1, 7, []float64{float64(n)}) // must arrive last
 				return
 			}
 			for i := 0; i <= n; i++ {
-				if got := p.RecvF64(0, 7, nil); got[0] != float64(i) {
+				if got := recvWords[float64](p, 0, 7, nil); got[0] != float64(i) {
 					t.Fatalf("trial %d: message %d carried %v (order broken)", trial, i, got[0])
 				}
 			}
@@ -79,18 +79,18 @@ func TestPendingWaitScriptedClockSamples(t *testing.T) {
 	rep := RunMeasuredTransport(2, costmodel.Uniform(1e-6), NewMemTransport(2), MeasureOpts{Workers: 2, Clock: c}, func(p *Proc) {
 		if p.Rank() == 0 {
 			for i := 0; i < 4; i++ {
-				p.SendF64(1, 7, []float64{float64(i)})
+				sendWords[float64](p, 1, 7, []float64{float64(i)})
 			}
-			p.RecvF64(1, 8, nil)
+			recvWords[float64](p, 1, 8, nil)
 			return
 		}
 		before := p.Measured().clockSamples
-		p.RecvF64(0, 7, nil)                                 // fresh start + end: 2 readings
-		p.RecvF64(0, 7, nil)                                 // amortized: 1 reading
-		h := p.SendStart(0, 8, appendF64(nil, []float64{1})) // no readings at issue
-		h.Wait()                                             // no readings: the send is done
-		p.RecvF64(0, 7, nil)                                 // cache invalidated by the send: 2 readings
-		p.RecvF64(0, 7, nil)                                 // amortized again: 1 reading
+		recvWords[float64](p, 0, 7, nil)                       // fresh start + end: 2 readings
+		recvWords[float64](p, 0, 7, nil)                       // amortized: 1 reading
+		h := p.SendStart(0, 8, appendWords(nil, []float64{1})) // no readings at issue
+		h.Wait()                                               // no readings: the send is done
+		recvWords[float64](p, 0, 7, nil)                       // cache invalidated by the send: 2 readings
+		recvWords[float64](p, 0, 7, nil)                       // amortized again: 1 reading
 		samples = p.Measured().clockSamples - before
 	})
 	if samples != 6 {
@@ -135,7 +135,7 @@ func TestSendStartErrorSurfacesAtIssue(t *testing.T) {
 		if p.Rank() != 0 {
 			return
 		}
-		h := p.SendStart(1, 13, appendF64(nil, []float64{1, 2, 3}))
+		h := p.SendStart(1, 13, appendWords(nil, []float64{1, 2, 3}))
 		t.Error("SendStart returned despite the send failing")
 		h.Wait()
 	})

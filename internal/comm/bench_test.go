@@ -78,8 +78,8 @@ func BenchmarkCodecF64(b *testing.B) {
 	var dst []float64
 	b.SetBytes(int64(8 * len(xs)))
 	for i := 0; i < b.N; i++ {
-		buf = appendF64(buf[:0], xs)
-		dst = decodeF64Into(dst, buf)
+		buf = appendWords(buf[:0], xs)
+		dst = decodeInto[float64](dst, buf)
 	}
 }
 

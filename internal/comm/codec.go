@@ -2,21 +2,21 @@ package comm
 
 import (
 	"encoding/binary"
-	"math"
 	"slices"
 	"unsafe"
 )
 
-// The codecs convert numeric slices to and from the little-endian wire
-// format both transports carry. They are private to comm: callers speak in
-// typed slices (SendF64, AllToAllI32, AllGatherI64, ...) and never see
-// message bytes. The append* forms write into a caller-supplied buffer and
-// the decode*Into forms into a caller-supplied slice, so steady-state
-// typed sends and receives encode and decode without heap allocation.
+// The codec converts typed slices to and from the little-endian wire format
+// both transports carry. It is private to comm: callers speak in typed
+// slices (PackF64, RecvI32View, AllToAllI32, AllGatherI64, ...) and never
+// see message bytes. appendWords writes into a caller-supplied buffer and
+// decodeInto into a caller-supplied slice, so steady-state typed sends and
+// receives encode and decode without heap allocation.
 //
 // On a little-endian host a slice's memory already is its wire form, so
-// each codec is one copy of the slice's bytes (a memmove); elsewhere it is
-// a loop over the values.
+// each call is one copy of the slice's bytes (a memmove); elsewhere it is a
+// loop over the values, each moved as the unsigned integer of its width
+// (for a float64, its IEEE 754 bits).
 
 // nativeWire reports that this host lays numbers out in the wire's
 // little-endian order. Tests set it to false to run the value loops (and the
@@ -46,90 +46,44 @@ func viewOf[T word](b []byte) (v []T, ok bool) {
 	return unsafe.Slice((*T)(p), len(b)/w), true
 }
 
-// sizedFor returns dst resized to the values of a payload of len(b) bytes,
-// w bytes each, reusing dst's backing array when it is large enough. It
-// panics with misfit when len(b) is not a multiple of w.
-func sizedFor[T word](dst []T, b []byte, w int, misfit string) []T {
+// appendWords appends the wire form of xs to b and returns the extended
+// slice.
+func appendWords[T word](b []byte, xs []T) []byte {
+	if nativeWire {
+		return append(b, bytesOf(xs)...)
+	}
+	for i := range xs {
+		if p := unsafe.Pointer(&xs[i]); sizeOf[T]() == 4 {
+			b = binary.LittleEndian.AppendUint32(b, *(*uint32)(p))
+		} else {
+			b = binary.LittleEndian.AppendUint64(b, *(*uint64)(p))
+		}
+	}
+	return b
+}
+
+// decodeInto unpacks a buffer produced by appendWords into dst's backing
+// array, reallocating only if dst's capacity is too small, and returns the
+// decoded slice (length exactly len(b) / sizeOf[T]). dst may be nil; b may
+// sit at any address. It panics when len(b) is not a whole number of values;
+// the message is a constant, so the check costs no formatting per call.
+func decodeInto[T word](dst []T, b []byte) []T {
+	w := sizeOf[T]()
 	if len(b)%w != 0 {
-		panic(misfit)
+		panic("comm: decodeInto on a buffer whose length is not a whole number of values")
 	}
 	n := len(b) / w
-	return slices.Grow(dst[:0], n)[:n]
-}
-
-// appendF64 appends the wire form of xs to b and returns the extended slice.
-func appendF64(b []byte, xs []float64) []byte {
-	if nativeWire {
-		return append(b, bytesOf(xs)...)
-	}
-	for _, x := range xs {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
-	}
-	return b
-}
-
-// decodeF64Into unpacks a buffer produced by appendF64 into dst's backing
-// array, reallocating only if dst's capacity is too small, and returns the
-// decoded slice (length exactly len(b)/8). dst may be nil; b may sit at any
-// address.
-func decodeF64Into(dst []float64, b []byte) []float64 {
-	dst = sizedFor(dst, b, 8, "comm: decodeF64Into on buffer whose length is not a multiple of 8")
+	dst = slices.Grow(dst[:0], n)[:n]
 	if nativeWire {
 		copy(bytesOf(dst), b)
 		return dst
 	}
 	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return dst
-}
-
-// appendI32 appends the wire form of xs to b and returns the extended slice.
-func appendI32(b []byte, xs []int32) []byte {
-	if nativeWire {
-		return append(b, bytesOf(xs)...)
-	}
-	for _, x := range xs {
-		b = binary.LittleEndian.AppendUint32(b, uint32(x))
-	}
-	return b
-}
-
-// decodeI32Into unpacks a buffer produced by appendI32 into dst's backing
-// array (see decodeF64Into).
-func decodeI32Into(dst []int32, b []byte) []int32 {
-	dst = sizedFor(dst, b, 4, "comm: decodeI32Into on buffer whose length is not a multiple of 4")
-	if nativeWire {
-		copy(bytesOf(dst), b)
-		return dst
-	}
-	for i := range dst {
-		dst[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return dst
-}
-
-// appendI64 appends the wire form of xs to b and returns the extended slice.
-func appendI64(b []byte, xs []int64) []byte {
-	if nativeWire {
-		return append(b, bytesOf(xs)...)
-	}
-	for _, x := range xs {
-		b = binary.LittleEndian.AppendUint64(b, uint64(x))
-	}
-	return b
-}
-
-// decodeI64Into unpacks a buffer produced by appendI64 into dst's backing
-// array (see decodeF64Into).
-func decodeI64Into(dst []int64, b []byte) []int64 {
-	dst = sizedFor(dst, b, 8, "comm: decodeI64Into on buffer whose length is not a multiple of 8")
-	if nativeWire {
-		copy(bytesOf(dst), b)
-		return dst
-	}
-	for i := range dst {
-		dst[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+		if p := unsafe.Pointer(&dst[i]); w == 4 {
+			*(*uint32)(p) = binary.LittleEndian.Uint32(b[4*i:])
+		} else {
+			*(*uint64)(p) = binary.LittleEndian.Uint64(b[8*i:])
+		}
 	}
 	return dst
 }

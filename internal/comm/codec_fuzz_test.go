@@ -37,55 +37,46 @@ func FuzzDecodeInto(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add(make([]byte, 8*257)) // spans arena capacity classes
-	f.Add(appendF64(nil, []float64{0, 1, math.Inf(1), math.NaN(), -0.0}))
-	f.Add(appendI32(nil, []int32{math.MinInt32, -1, 0, math.MaxInt32}))
-	f.Add(appendI64(nil, []int64{math.MinInt64, -1, 0, math.MaxInt64}))
+	f.Add(appendWords(nil, []float64{0, 1, math.Inf(1), math.NaN(), -0.0}))
+	f.Add(appendWords(nil, []int32{math.MinInt32, -1, 0, math.MaxInt32}))
+	f.Add(appendWords(nil, []int64{math.MinInt64, -1, 0, math.MaxInt64}))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		// Reused destinations with stale contents and spare capacity: the
-		// decoders must overwrite, never blend with or run past, old data.
-		dstF := make([]float64, 3, 16)
-		dstI32 := make([]int32, 3, 16)
-		dstI64 := make([]int64, 3, 16)
-		for i := range dstF {
-			dstF[i], dstI32[i], dstI64[i] = -1, -1, -1
-		}
-
-		var outF []float64
-		if panicked := decodeGuarded(func() { outF = decodeF64Into(dstF, b) }); panicked != (len(b)%8 != 0) {
-			t.Fatalf("decodeF64Into(%d bytes): panicked=%v, want %v", len(b), panicked, len(b)%8 != 0)
-		} else if !panicked {
-			if len(outF) != len(b)/8 {
-				t.Fatalf("decodeF64Into(%d bytes): %d elements, want %d", len(b), len(outF), len(b)/8)
-			}
-			if got := appendF64(nil, outF); string(got) != string(b) {
-				t.Fatalf("decodeF64Into did not round-trip %d bytes", len(b))
-			}
-		}
-
-		var outI32 []int32
-		if panicked := decodeGuarded(func() { outI32 = decodeI32Into(dstI32, b) }); panicked != (len(b)%4 != 0) {
-			t.Fatalf("decodeI32Into(%d bytes): panicked=%v, want %v", len(b), panicked, len(b)%4 != 0)
-		} else if !panicked {
-			if len(outI32) != len(b)/4 {
-				t.Fatalf("decodeI32Into(%d bytes): %d elements, want %d", len(b), len(outI32), len(b)/4)
-			}
-			if got := appendI32(nil, outI32); string(got) != string(b) {
-				t.Fatalf("decodeI32Into did not round-trip %d bytes", len(b))
-			}
-		}
-
-		var outI64 []int64
-		if panicked := decodeGuarded(func() { outI64 = decodeI64Into(dstI64, b) }); panicked != (len(b)%8 != 0) {
-			t.Fatalf("decodeI64Into(%d bytes): panicked=%v, want %v", len(b), panicked, len(b)%8 != 0)
-		} else if !panicked {
-			if len(outI64) != len(b)/8 {
-				t.Fatalf("decodeI64Into(%d bytes): %d elements, want %d", len(b), len(outI64), len(b)/8)
-			}
-			if got := appendI64(nil, outI64); string(got) != string(b) {
-				t.Fatalf("decodeI64Into did not round-trip %d bytes", len(b))
-			}
+		// Each word type, on the host's path and on the value loops.
+		for _, loops := range []bool{false, true} {
+			func() {
+				if loops {
+					defer ForceWireLoops()()
+				}
+				checkDecodeInto[float64](t, b)
+				checkDecodeInto[int32](t, b)
+				checkDecodeInto[int64](t, b)
+			}()
 		}
 	})
+}
+
+// checkDecodeInto decodes b as T into a reused destination with stale
+// contents and spare capacity: decodeInto must overwrite, never blend with
+// or run past, old data.
+func checkDecodeInto[T word](t *testing.T, b []byte) {
+	t.Helper()
+	w := sizeOf[T]()
+	dst := make([]T, 3, 16)
+	for i := range dst {
+		dst[i] = -1
+	}
+	var out []T
+	misfit := len(b)%w != 0
+	if panicked := decodeGuarded(func() { out = decodeInto(dst, b) }); panicked != misfit {
+		t.Fatalf("decodeInto, width %d, native %v (%d bytes): panicked=%v, want %v", w, nativeWire, len(b), panicked, misfit)
+	} else if !panicked {
+		if len(out) != len(b)/w {
+			t.Fatalf("decodeInto, width %d, native %v (%d bytes): %d elements, want %d", w, nativeWire, len(b), len(out), len(b)/w)
+		}
+		if got := appendWords(nil, out); string(got) != string(b) {
+			t.Fatalf("decodeInto, width %d, native %v: %d bytes do not round-trip", w, nativeWire, len(b))
+		}
+	}
 }
 
 // FuzzCodecPaths holds the memmove codecs to the value loops they replace on
@@ -118,31 +109,31 @@ func FuzzCodecPaths(f *testing.F) {
 		if !nativeWire {
 			t.Skip("big-endian host: the codecs have no memmove path to compare")
 		}
-		checkCodecPaths(t, b, appendF64, decodeF64Into)
-		checkCodecPaths(t, b, appendI32, decodeI32Into)
-		checkCodecPaths(t, b, appendI64, decodeI64Into)
+		checkCodecPaths[float64](t, b)
+		checkCodecPaths[int32](t, b)
+		checkCodecPaths[int64](t, b)
 	})
 }
 
-func checkCodecPaths[T word](t *testing.T, b []byte, appendT func([]byte, []T) []byte, decode func([]T, []byte) []T) {
+func checkCodecPaths[T word](t *testing.T, b []byte) {
 	t.Helper()
 	w := sizeOf[T]()
 	b = b[:len(b)/w*w]
 	var loopXs []T
 	var loopB, loopPre []byte
 	restore := ForceWireLoops()
-	loopXs = decode(nil, b)
-	loopB = appendT(nil, loopXs)
-	loopPre = appendT([]byte{0xa5}, loopXs)
+	loopXs = decodeInto[T](nil, b)
+	loopB = appendWords(nil, loopXs)
+	loopPre = appendWords([]byte{0xa5}, loopXs)
 	restore()
-	memXs := decode(make([]T, 1, 3), b)
+	memXs := decodeInto(make([]T, 1, 3), b)
 	if !bytes.Equal(bytesOf(memXs), bytesOf(loopXs)) {
 		t.Fatalf("width %d: memmove and loop decode %d bytes to different values", w, len(b))
 	}
-	if got := appendT(nil, memXs); !bytes.Equal(got, b) || !bytes.Equal(loopB, b) {
+	if got := appendWords(nil, memXs); !bytes.Equal(got, b) || !bytes.Equal(loopB, b) {
 		t.Fatalf("width %d: %d bytes do not round-trip bit for bit (memmove %v, loop %v)", w, len(b), bytes.Equal(got, b), bytes.Equal(loopB, b))
 	}
-	if got := appendT([]byte{0xa5}, loopXs); !bytes.Equal(got, loopPre) {
+	if got := appendWords([]byte{0xa5}, loopXs); !bytes.Equal(got, loopPre) {
 		t.Fatalf("width %d: memmove and loop append differently after an odd prefix", w)
 	}
 }
@@ -166,8 +157,8 @@ func gatherRecord(frame []byte, rank uint32, length int, payload []byte) []byte 
 // one record per rank, in rank order, each the wire form of the list
 // returned for it, and the flat result their concatenation.
 func FuzzGatherFrame(f *testing.F) {
-	one := appendI32(nil, []int32{7})
-	two := appendI32(nil, []int32{1, -2})
+	one := appendWords(nil, []int32{7})
+	two := appendWords(nil, []int32{1, -2})
 	valid := gatherRecord(gatherRecord(gatherRecord(nil, 0, -1, two), 1, -1, nil), 2, -1, one)
 	f.Add(valid, uint8(3))
 	f.Add(gatherRecord(gatherRecord(gatherRecord(nil, 0, -1, two), 2, -1, nil), 1, -1, one), uint8(3)) // out of rank order
@@ -184,14 +175,14 @@ func FuzzGatherFrame(f *testing.F) {
 	f.Add(gatherRecord(nil, 0, -1, make([]byte, 16)), uint8(1))
 	f.Fuzz(func(t *testing.T, frame []byte, size uint8) {
 		n := max(1, int(size%9)) // 1 to 8 ranks
-		checkGatherFrame(t, frame, n, 4, appendI32, decodeI32Into)
-		checkGatherFrame(t, frame, n, 8, appendF64, decodeF64Into)
+		checkGatherFrame[int32](t, frame, n)
+		checkGatherFrame[float64](t, frame, n)
 	})
 }
 
-func checkGatherFrame[T any](t *testing.T, frame []byte, size, w int,
-	appendT func([]byte, []T) []byte, decode func([]T, []byte) []T) {
+func checkGatherFrame[T word](t *testing.T, frame []byte, size int) {
 	t.Helper()
+	w := sizeOf[T]()
 	var out [][]T
 	var flat []T
 	func() {
@@ -203,13 +194,13 @@ func checkGatherFrame[T any](t *testing.T, frame []byte, size, w int,
 			}
 		}()
 		lists := make([][]T, size)
-		flat = decodeFrame(nil, lists, frame, size, w, decode)
+		flat = decodeFrame(nil, lists, frame, size)
 		out = lists
 	}()
 	if out == nil {
 		return
 	}
-	if got, want := appendT(nil, flat), appendT(nil, slices.Concat(out...)); !bytes.Equal(got, want) {
+	if got, want := appendWords(nil, flat), appendWords(nil, slices.Concat(out...)); !bytes.Equal(got, want) {
 		t.Fatalf("width %d: the flat result is not the lists' concatenation", w)
 	}
 	if len(out) != size {
@@ -226,7 +217,7 @@ func checkGatherFrame[T any](t *testing.T, frame []byte, size, w int,
 		if int(rank) != r {
 			t.Fatalf("width %d: record %d names rank %d", w, r, rank)
 		}
-		rec := gatherRecord(nil, rank, -1, appendT(nil, out[rank]))
+		rec := gatherRecord(nil, rank, -1, appendWords(nil, out[rank]))
 		if off+len(rec) > len(frame) || string(frame[off:off+len(rec)]) != string(rec) {
 			t.Fatalf("width %d: rank %d's list does not re-encode to its record at byte %d", w, rank, off)
 		}

@@ -20,6 +20,12 @@ const (
 	tagAllGather = tagCollBase + 5
 )
 
+// collectiveOf names the collective each reserved tag belongs to, for
+// errors. Reduce's and the all-gathers' results travel under tagBcast.
+var collectiveOf = map[int]string{
+	tagBarrier: "Barrier", tagBcast: "Bcast", tagReduce: "Reduce", tagAllToAll: "AllToAll", tagAllGather: "AllGather",
+}
+
 // Op selects the combining operation for reductions.
 type Op int
 
@@ -62,33 +68,33 @@ func lowestRecvMask(relRank, size int) int {
 // exactly). The lists travel as one frame of (rank, byte length) records: a
 // binomial gather to rank 0, then a binomial broadcast of the whole frame.
 func (p *Proc) AllGatherI32Into(dst, xs []int32) []int32 {
-	return allGather(p, dst, nil, xs, 4, appendI32, decodeI32Into)
+	return allGather(p, dst, nil, xs)
 }
 
 // AllGatherI64 is AllGatherI32Into for []int64 lists, returned indexed by
 // rank, each decoded fresh from the wire.
 func (p *Proc) AllGatherI64(xs []int64) [][]int64 {
 	lists := make([][]int64, p.size)
-	allGather(p, nil, lists, xs, 8, appendI64, decodeI64Into)
+	allGather(p, nil, lists, xs)
 	return lists
 }
 
 // AllGatherF64 is AllGatherI64 for []float64 lists.
 func (p *Proc) AllGatherF64(xs []float64) [][]float64 {
 	lists := make([][]float64, p.size)
-	allGather(p, nil, lists, xs, 8, appendF64, decodeF64Into)
+	allGather(p, nil, lists, xs)
 	return lists
 }
 
-// allGather is the typed all-gather, written once over the element type of
-// width w bytes: it returns the ranks' lists concatenated in rank order in
-// dst's backing array and, when lists is non-nil, points lists[r] at rank
-// r's part (see decodeFrame). A rank first receives its children's frames,
-// so it can size its own frame once: its 8-byte record header and payload,
-// then the children's frames in tree order. Tree order is rank order: the
+// allGather is the typed all-gather, written once over the element type: it
+// returns the ranks' lists concatenated in rank order in dst's backing array
+// and, when lists is non-nil, points lists[r] at rank r's part (see
+// decodeFrame). A rank first receives its children's frames, so it can size
+// its own frame once: its 8-byte record header and payload, then the
+// children's frames in tree order. Tree order is rank order: the
 // child at mask m roots the ranks rank+m up to rank+2m-1.
-func allGather[T any](p *Proc, dst []T, lists [][]T, xs []T, w int,
-	appendT func([]byte, []T) []byte, decode func([]T, []byte) []T) []T {
+func allGather[T word](p *Proc, dst []T, lists [][]T, xs []T) []T {
+	w := sizeOf[T]()
 	var kids [][]byte
 	n := 8 + w*len(xs)
 	mask := 1
@@ -101,7 +107,7 @@ func allGather[T any](p *Proc, dst []T, lists [][]T, xs []T, w int,
 	frame := make([]byte, 8, n)
 	binary.LittleEndian.PutUint32(frame, uint32(p.rank))
 	binary.LittleEndian.PutUint32(frame[4:], uint32(w*len(xs)))
-	frame = appendT(frame, xs)
+	frame = appendWords(frame, xs)
 	for _, k := range kids {
 		frame = append(frame, k...)
 	}
@@ -114,7 +120,7 @@ func allGather[T any](p *Proc, dst []T, lists [][]T, xs []T, w int,
 			p.Send(p.rank+m, tagBcast, frame)
 		}
 	}
-	return decodeFrame(dst, lists, frame, p.size, w, decode)
+	return decodeFrame(dst, lists, frame, p.size)
 }
 
 // decodeFrame decodes a gather frame into dst's backing array (replaced
@@ -124,7 +130,8 @@ func allGather[T any](p *Proc, dst []T, lists [][]T, xs []T, w int,
 // is nil. Over TCP the frame comes from another process, so every header
 // and length is checked against the frame, and the records must name ranks
 // 0 to size-1 in order, as allGather sends them.
-func decodeFrame[T any](dst []T, lists [][]T, frame []byte, size, w int, decode func([]T, []byte) []T) []T {
+func decodeFrame[T word](dst []T, lists [][]T, frame []byte, size int) []T {
+	w := sizeOf[T]()
 	total := max(len(frame)-8*size, 0) / w
 	if dst = recycle.Sized(dst, total); dst == nil {
 		dst = []T{} // so that no part is nil, even when every list is empty
@@ -147,7 +154,7 @@ func decodeFrame[T any](dst []T, lists [][]T, frame []byte, size, w int, decode 
 		}
 		k := int(n) / w
 		part := dst[at : at+k : at+k]
-		decode(part, frame[off:off+int(n)])
+		decodeInto(part, frame[off:off+int(n)])
 		if lists != nil {
 			lists[r] = part
 		}
@@ -201,35 +208,34 @@ func (p *Proc) AllReduceF64(op Op, vec []float64) []float64 {
 // space, grown as needed and returned for reuse; once scratch has capacity
 // len(vec) the call performs no allocations.
 func (p *Proc) AllReduceF64Into(op Op, vec, scratch []float64) []float64 {
-	return allReduceInto(p, op, vec, scratch, (*Proc).SendF64, (*Proc).RecvF64)
+	return allReduceInto(p, op, vec, scratch)
 }
 
 // allReduceInto is the in-place all-reduce, written once over the element
 // type: a binomial reduce to rank 0, then a broadcast of the result along
 // the same binomial tree as allGather's broadcast of its frame.
-func allReduceInto[T float64 | int64](p *Proc, op Op, vec, scratch []T,
-	sendT func(p *Proc, to, tag int, xs []T), recvT func(p *Proc, from, tag int, dst []T) []T) []T {
+func allReduceInto[T float64 | int64](p *Proc, op Op, vec, scratch []T) []T {
 	if p.size == 1 {
 		return scratch
 	}
 	for mask := 1; mask < p.size; mask <<= 1 {
 		if p.rank&mask != 0 {
-			sendT(p, p.rank-mask, tagReduce, vec)
+			sendWords(p, p.rank-mask, tagReduce, vec)
 			break
 		}
 		if p.rank|mask < p.size {
-			scratch = recvT(p, p.rank|mask, tagReduce, scratch)
+			scratch = recvWords(p, p.rank|mask, tagReduce, scratch)
 			combine(op, vec, scratch)
 		}
 	}
 	mask := lowestRecvMask(p.rank, p.size)
 	if p.rank != 0 {
-		scratch = recvT(p, p.rank-mask, tagBcast, scratch)
+		scratch = recvWords(p, p.rank-mask, tagBcast, scratch)
 		copy(vec, scratch)
 	}
 	for m := mask >> 1; m > 0; m >>= 1 {
 		if p.rank+m < p.size {
-			sendT(p, p.rank+m, tagBcast, vec)
+			sendWords(p, p.rank+m, tagBcast, vec)
 		}
 	}
 	return scratch
@@ -243,7 +249,7 @@ func (p *Proc) AllReduceScalarF64(op Op, v float64) float64 {
 // AllReduceScalarI64 is AllReduceScalarF64 for an int64.
 func (p *Proc) AllReduceScalarI64(op Op, v int64) int64 {
 	acc := []int64{v}
-	allReduceInto(p, op, acc, nil, (*Proc).SendI64, (*Proc).RecvI64)
+	allReduceInto(p, op, acc, nil)
 	return acc[0]
 }
 
@@ -257,18 +263,17 @@ func (p *Proc) AllReduceScalarI64(op Op, v int64) int64 {
 // returns. Every pair exchanges exactly one message, empty lists included,
 // in ring order: send to rank+k, then receive from rank-k.
 func (p *Proc) AllToAllI32(send, recv [][]int32) [][]int32 {
-	return allToAll(p, send, recv, (*Proc).SendI32, (*Proc).RecvI32)
+	return allToAll(p, send, recv)
 }
 
 // AllToAllF64 is AllToAllI32 for []float64 lists.
 func (p *Proc) AllToAllF64(send, recv [][]float64) [][]float64 {
-	return allToAll(p, send, recv, (*Proc).SendF64, (*Proc).RecvF64)
+	return allToAll(p, send, recv)
 }
 
 // allToAll is the typed all-to-all ring, written once over the element
-// type; sendT and recvT are method expressions, which allocate no closure.
-func allToAll[T any](p *Proc, send, recv [][]T,
-	sendT func(p *Proc, to, tag int, xs []T), recvT func(p *Proc, from, tag int, dst []T) []T) [][]T {
+// type.
+func allToAll[T word](p *Proc, send, recv [][]T) [][]T {
 	if len(send) != p.size {
 		panic(fmt.Sprintf("comm: all-to-all with %d lists on %d ranks", len(send), p.size))
 	}
@@ -278,11 +283,11 @@ func allToAll[T any](p *Proc, send, recv [][]T,
 	recv[p.rank] = send[p.rank]
 	for k := 1; k < p.size; k++ {
 		dst := (p.rank + k) % p.size
-		sendT(p, dst, tagAllToAll, send[dst])
+		sendWords(p, dst, tagAllToAll, send[dst])
 	}
 	for k := 1; k < p.size; k++ {
 		src := (p.rank - k + p.size) % p.size
-		recv[src] = recvT(p, src, tagAllToAll, recv[src])
+		recv[src] = recvWords(p, src, tagAllToAll, recv[src])
 	}
 	return recv
 }

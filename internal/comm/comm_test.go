@@ -12,7 +12,7 @@ import (
 
 func TestCodecRoundTrip(t *testing.T) {
 	f := func(xs []float64) bool {
-		got := decodeF64Into(nil, appendF64(nil, xs))
+		got := decodeInto[float64](nil, appendWords(nil, xs))
 		if len(got) != len(xs) {
 			return false
 		}
@@ -27,7 +27,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		t.Errorf("float64 roundtrip: %v", err)
 	}
 	g := func(xs []int32) bool {
-		got := decodeI32Into(nil, appendI32(nil, xs))
+		got := decodeInto[int32](nil, appendWords(nil, xs))
 		if len(got) != len(xs) {
 			return false
 		}
@@ -42,7 +42,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		t.Errorf("int32 roundtrip: %v", err)
 	}
 	h := func(xs []int64) bool {
-		got := decodeI64Into(nil, appendI64(nil, xs))
+		got := decodeInto[int64](nil, appendWords(nil, xs))
 		if len(got) != len(xs) {
 			return false
 		}
@@ -61,27 +61,27 @@ func TestCodecRoundTrip(t *testing.T) {
 func TestDecodeBadLengthPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("decodeF64Into on odd-length buffer did not panic")
+			t.Fatal("decodeInto on odd-length buffer did not panic")
 		}
 	}()
-	decodeF64Into(nil, make([]byte, 7))
+	decodeInto[float64](nil, make([]byte, 7))
 }
 
 func TestPointToPoint(t *testing.T) {
 	m := costmodel.Uniform(1e-6)
 	Run(2, m, func(p *Proc) {
 		if p.Rank() == 0 {
-			p.SendF64(1, 7, []float64{1, 2, 3})
-			got := p.RecvF64(1, 8, nil)
+			sendWords[float64](p, 1, 7, []float64{1, 2, 3})
+			got := recvWords[float64](p, 1, 8, nil)
 			if len(got) != 1 || got[0] != 42 {
 				t.Errorf("rank 0 got %v, want [42]", got)
 			}
 		} else {
-			got := p.RecvF64(0, 7, nil)
+			got := recvWords[float64](p, 0, 7, nil)
 			if len(got) != 3 || got[2] != 3 {
 				t.Errorf("rank 1 got %v, want [1 2 3]", got)
 			}
-			p.SendF64(0, 8, []float64{42})
+			sendWords[float64](p, 0, 8, []float64{42})
 		}
 	})
 }
@@ -91,13 +91,13 @@ func TestTagMatchingOutOfOrder(t *testing.T) {
 	// mailbox must hold the tag-1 message until requested.
 	Run(2, costmodel.Uniform(1e-6), func(p *Proc) {
 		if p.Rank() == 0 {
-			p.SendI32(1, 1, []int32{11})
-			p.SendI32(1, 2, []int32{22})
+			sendWords[int32](p, 1, 1, []int32{11})
+			sendWords[int32](p, 1, 2, []int32{22})
 		} else {
-			if got := p.RecvI32(0, 2, nil); got[0] != 22 {
+			if got := recvWords[int32](p, 0, 2, nil); got[0] != 22 {
 				t.Errorf("tag 2 payload = %v, want 22", got[0])
 			}
-			if got := p.RecvI32(0, 1, nil); got[0] != 11 {
+			if got := recvWords[int32](p, 0, 1, nil); got[0] != 11 {
 				t.Errorf("tag 1 payload = %v, want 11", got[0])
 			}
 		}
@@ -109,11 +109,11 @@ func TestFIFOPerPair(t *testing.T) {
 	Run(2, costmodel.Uniform(1e-6), func(p *Proc) {
 		if p.Rank() == 0 {
 			for i := 0; i < n; i++ {
-				p.SendI32(1, 5, []int32{int32(i)})
+				sendWords[int32](p, 1, 5, []int32{int32(i)})
 			}
 		} else {
 			for i := 0; i < n; i++ {
-				if got := p.RecvI32(0, 5, nil)[0]; got != int32(i) {
+				if got := recvWords[int32](p, 0, 5, nil)[0]; got != int32(i) {
 					t.Fatalf("message %d arrived with payload %d", i, got)
 				}
 			}
@@ -505,9 +505,9 @@ func TestBadPeerRankRefused(t *testing.T) {
 		op   func(p *Proc)
 		want string
 	}{
-		{"recv", func(p *Proc) { p.RecvF64(2, 5, nil) }, "comm: recv from bad rank 2 (n=2)"},
+		{"recv", func(p *Proc) { recvWords[float64](p, 2, 5, nil) }, "comm: recv from bad rank 2 (n=2)"},
 		{"recv-negative", func(p *Proc) { p.Recv(-1, 5) }, "comm: recv from bad rank -1 (n=2)"},
-		{"send", func(p *Proc) { p.SendF64(2, 5, []float64{1}) }, "comm: send to bad rank 2 (n=2)"},
+		{"send", func(p *Proc) { sendWords[float64](p, 2, 5, []float64{1}) }, "comm: send to bad rank 2 (n=2)"},
 		{"sendstart-negative", func(p *Proc) { p.SendStart(-1, 5, nil) }, "comm: send to bad rank -1 (n=2)"},
 	}
 	for _, tr := range transports {
@@ -525,7 +525,7 @@ func TestBadPeerRankRefused(t *testing.T) {
 				}()
 				RunTransport(2, costmodel.Uniform(1e-9), link, func(p *Proc) {
 					if p.Rank() == 0 {
-						p.SendF64(1, 5, []float64{42})
+						sendWords[float64](p, 1, 5, []float64{42})
 						o.op(p)
 					}
 				})

@@ -36,7 +36,7 @@ func TestWatchdogNamesPendingReceives(t *testing.T) {
 
 func deadlock(p *comm.Proc) {
 	if p.Rank() < 2 {
-		p.RecvF64(1-p.Rank(), 7+p.Rank(), nil)
+		p.RecvF64View(1-p.Rank(), 7+p.Rank())
 	}
 }
 
@@ -68,9 +68,11 @@ func TestRunPassesThroughHealthyRuns(t *testing.T) {
 
 func ping(p *comm.Proc) {
 	if p.Rank() == 0 {
-		p.SendF64(1, 3, []float64{1})
+		p.PackF64(1)[0] = 1
+		p.SendPacked(1, 3)
 	} else {
-		p.RecvF64(0, 3, nil)
+		p.RecvF64View(0, 3)
+		p.ReleaseView()
 	}
 }
 

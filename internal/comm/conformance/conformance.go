@@ -5,8 +5,9 @@
 //   - per-(from, to, tag) FIFO delivery;
 //   - tag matching (messages with other tags stay queued, in order);
 //   - payload and virtual-arrival integrity;
-//   - arena ownership discipline for pooled sends (a staging buffer is
-//     reusable the moment Send returns, and typed receives recycle it);
+//   - arena ownership discipline for packed sends (the caller's source is
+//     reusable the moment SendPacked returns, and a released view recycles
+//     the payload);
 //   - the typed all-to-all (one message per pair, empty lists included, the
 //     caller's own entry passed through, receive lists reused);
 //   - PeerFailure poisoning (a poisoned transport wakes blocked receivers
@@ -43,6 +44,19 @@ func RunConformance(t *testing.T, factory Factory) {
 	t.Run("PeerFailurePoisoning", func(t *testing.T) { testPoisoning(t, factory) })
 }
 
+// sendVal sends v to rank to as a one-value packed message.
+func sendVal(p *comm.Proc, to, tag int, v float64) {
+	p.PackF64(1)[0] = v
+	p.SendPacked(to, tag)
+}
+
+// recvVal receives a one-value message and returns its value.
+func recvVal(p *comm.Proc, from, tag int) float64 {
+	v := p.RecvF64View(from, tag)[0]
+	p.ReleaseView()
+	return v
+}
+
 // run executes body as an n-rank SPMD program over a fresh transport.
 func run(t *testing.T, factory Factory, n int, body func(p *comm.Proc)) {
 	t.Helper()
@@ -60,12 +74,12 @@ func testFIFO(t *testing.T, factory Factory) {
 	run(t, factory, 2, func(p *comm.Proc) {
 		if p.Rank() == 0 {
 			for i := 0; i < rounds; i++ {
-				p.SendI64(1, 7, []int64{int64(i)})
+				sendVal(p, 1, 7, float64(i))
 			}
 		} else {
 			for i := 0; i < rounds; i++ {
-				if got := p.RecvI64(0, 7, nil)[0]; got != int64(i) {
-					t.Errorf("message %d arrived as %d: FIFO violated", i, got)
+				if got := recvVal(p, 0, 7); got != float64(i) {
+					t.Errorf("message %d arrived as %v: FIFO violated", i, got)
 					return
 				}
 			}
@@ -78,22 +92,22 @@ func testFIFO(t *testing.T, factory Factory) {
 func testTagMatching(t *testing.T, factory Factory) {
 	run(t, factory, 2, func(p *comm.Proc) {
 		if p.Rank() == 0 {
-			p.SendI64(1, 1, []int64{10})
-			p.SendI64(1, 2, []int64{20})
-			p.SendI64(1, 1, []int64{11})
-			p.SendI64(1, 3, []int64{30})
+			sendVal(p, 1, 1, 10)
+			sendVal(p, 1, 2, 20)
+			sendVal(p, 1, 1, 11)
+			sendVal(p, 1, 3, 30)
 		} else {
-			if got := p.RecvI64(0, 3, nil)[0]; got != 30 {
-				t.Errorf("tag 3 delivered %d, want 30", got)
+			if got := recvVal(p, 0, 3); got != 30 {
+				t.Errorf("tag 3 delivered %v, want 30", got)
 			}
-			if got := p.RecvI64(0, 1, nil)[0]; got != 10 {
-				t.Errorf("tag 1 first delivery %d, want 10", got)
+			if got := recvVal(p, 0, 1); got != 10 {
+				t.Errorf("tag 1 first delivery %v, want 10", got)
 			}
-			if got := p.RecvI64(0, 2, nil)[0]; got != 20 {
-				t.Errorf("tag 2 delivered %d, want 20", got)
+			if got := recvVal(p, 0, 2); got != 20 {
+				t.Errorf("tag 2 delivered %v, want 20", got)
 			}
-			if got := p.RecvI64(0, 1, nil)[0]; got != 11 {
-				t.Errorf("tag 1 second delivery %d, want 11", got)
+			if got := recvVal(p, 0, 1); got != 11 {
+				t.Errorf("tag 1 second delivery %v, want 11", got)
 			}
 		}
 	})
@@ -107,17 +121,17 @@ func testMultiPeer(t *testing.T, factory Factory) {
 		for i := 0; i < rounds; i++ {
 			for d := 1; d < n; d++ {
 				to := (p.Rank() + d) % n
-				p.SendI64(to, 5, []int64{int64(p.Rank()*1000 + i)})
-				p.SendI64(to, 6, []int64{int64(p.Rank()*1000 - i)})
+				sendVal(p, to, 5, float64(p.Rank()*1000+i))
+				sendVal(p, to, 6, float64(p.Rank()*1000-i))
 			}
 			for d := 1; d < n; d++ {
 				from := (p.Rank() - d + n) % n
-				if got := p.RecvI64(from, 5, nil)[0]; got != int64(from*1000+i) {
-					t.Errorf("round %d from %d tag 5: got %d", i, from, got)
+				if got := recvVal(p, from, 5); got != float64(from*1000+i) {
+					t.Errorf("round %d from %d tag 5: got %v", i, from, got)
 					return
 				}
-				if got := p.RecvI64(from, 6, nil)[0]; got != int64(from*1000-i) {
-					t.Errorf("round %d from %d tag 6: got %d", i, from, got)
+				if got := recvVal(p, from, 6); got != float64(from*1000-i) {
+					t.Errorf("round %d from %d tag 6: got %v", i, from, got)
 					return
 				}
 			}
@@ -201,26 +215,26 @@ func testVirtualArrival(t *testing.T, factory Factory) {
 }
 
 // testArenaOwnership exercises the pooled send paths: the source slice is
-// mutated immediately after each SendF64 (legal, since the arena copy is
-// complete when Send returns) and receivers decode through RecvF64,
-// which recycles staging buffers. Any ownership violation shows up as
-// corrupted values.
+// copied into a packed message and mutated immediately after SendPacked
+// (legal, since the payload is the arena's from then on), and receivers
+// read through a view whose release recycles the payload into the sender's
+// arena. Any ownership violation shows up as corrupted values.
 func testArenaOwnership(t *testing.T, factory Factory) {
 	const rounds = 120
 	run(t, factory, 3, func(p *comm.Proc) {
 		next := (p.Rank() + 1) % 3
 		prev := (p.Rank() + 2) % 3
 		src := make([]float64, 32)
-		var dst []float64
 		for i := 0; i < rounds; i++ {
 			for k := range src {
 				src[k] = float64(p.Rank()*1_000_000 + i*100 + k)
 			}
-			p.SendF64(next, 4, src)
+			copy(p.PackF64(len(src)), src)
+			p.SendPacked(next, 4)
 			for k := range src {
 				src[k] = -1 // scribble over the staging source: must not affect the payload
 			}
-			dst = p.RecvF64(prev, 4, dst)
+			dst := p.RecvF64View(prev, 4)
 			if len(dst) != 32 {
 				t.Errorf("round %d: received %d values, want 32", i, len(dst))
 				return
@@ -231,6 +245,7 @@ func testArenaOwnership(t *testing.T, factory Factory) {
 					return
 				}
 			}
+			p.ReleaseView()
 		}
 	})
 }

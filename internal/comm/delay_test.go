@@ -18,7 +18,7 @@ func TestDelayTransportFIFOAndLatency(t *testing.T) {
 		if p.Rank() == 0 {
 			t0 := time.Now()
 			for i := 0; i < k; i++ {
-				p.SendF64(1, 5, []float64{float64(i)})
+				sendWords[float64](p, 1, 5, []float64{float64(i)})
 			}
 			if el := time.Since(t0); el >= lat {
 				t.Errorf("8 sends took %v; Send must not block on the %v latency", el, lat)
@@ -26,7 +26,7 @@ func TestDelayTransportFIFOAndLatency(t *testing.T) {
 		} else {
 			t0 := time.Now()
 			for i := 0; i < k; i++ {
-				got := p.RecvF64(0, 5, nil)
+				got := recvWords[float64](p, 0, 5, nil)
 				if len(got) != 1 || got[0] != float64(i) {
 					t.Errorf("recv %d: got %v, want [%d] (per-link FIFO broken)", i, got, i)
 				}
@@ -77,6 +77,6 @@ func TestDelayTransportPeerFailure(t *testing.T) {
 		if p.Rank() == 0 {
 			panic("rank 0 dies before sending")
 		}
-		p.RecvF64(0, 9, nil) // must abort via PeerFailure, not hang
+		recvWords[float64](p, 0, 9, nil) // must abort via PeerFailure, not hang
 	})
 }

@@ -15,6 +15,6 @@ func ForceWireLoops() (restore func()) {
 // AllGatherI32 is AllGatherI64 for []int32 lists.
 func (p *Proc) AllGatherI32(xs []int32) [][]int32 {
 	lists := make([][]int32, p.size)
-	allGather(p, nil, lists, xs, 4, appendI32, decodeI32Into)
+	allGather(p, nil, lists, xs)
 	return lists
 }

@@ -19,20 +19,21 @@ func ringWorkload(rounds int) func(p *comm.Proc) {
 		for i := 0; i < rounds; i++ {
 			for d := 1; d < n; d++ {
 				to := (p.Rank() + d) % n
-				buf := make([]int64, 1+(p.Rank()+i)%5)
+				buf := p.PackF64(1 + (p.Rank()+i)%5)
 				for k := range buf {
-					buf[k] = int64(p.Rank()*10_000 + i*100 + k)
+					buf[k] = float64(p.Rank()*10_000 + i*100 + k)
 				}
-				p.SendI64(to, 3, buf)
+				p.SendPacked(to, 3)
 			}
 			for d := 1; d < n; d++ {
 				from := (p.Rank() - d + n) % n
-				got := p.RecvI64(from, 3, nil)
+				got := p.RecvF64View(from, 3)
 				for k, v := range got {
-					if want := int64(from*10_000 + i*100 + k); v != want {
+					if want := float64(from*10_000 + i*100 + k); v != want {
 						panic("payload corrupted under faults")
 					}
 				}
+				p.ReleaseView()
 			}
 		}
 	}
@@ -129,9 +130,10 @@ func TestRetryBudgetCut(t *testing.T) {
 	ft := fault.Wrap(comm.NewMemTransport(2), 2, pl)
 	expectAbort(t, ft, 2, func(p *comm.Proc) {
 		if p.Rank() == 0 {
-			p.SendI64(1, 1, []int64{42})
+			p.PackF64(1)[0] = 42
+			p.SendPacked(1, 1)
 		} else {
-			p.RecvI64(0, 1, nil)
+			p.RecvF64View(0, 1)
 		}
 	})
 	tr := ft.Trace()

@@ -34,29 +34,29 @@ func TestAppendDecodeRoundTrip(t *testing.T) {
 		}
 
 		// Append must extend, not clobber, an existing prefix.
-		b := appendF64(append([]byte(nil), prefix...), fs)
+		b := appendWords(append([]byte(nil), prefix...), fs)
 		if !bytes.HasPrefix(b, prefix) || len(b) != 2+8*n {
-			t.Fatalf("appendF64 clobbered prefix or wrong length: %d", len(b))
+			t.Fatalf("appendWords clobbered prefix or wrong length: %d", len(b))
 		}
-		dstF = decodeF64Into(dstF, b[2:])
+		dstF = decodeInto[float64](dstF, b[2:])
 		if !reflect.DeepEqual(dstF, fs) && n > 0 {
 			t.Fatalf("F64 round trip: got %v want %v", dstF, fs)
 		}
 
-		b32 := appendI32(append([]byte(nil), prefix...), i32s)
+		b32 := appendWords(append([]byte(nil), prefix...), i32s)
 		if !bytes.HasPrefix(b32, prefix) || len(b32) != 2+4*n {
-			t.Fatalf("appendI32 clobbered prefix or wrong length: %d", len(b32))
+			t.Fatalf("appendWords clobbered prefix or wrong length: %d", len(b32))
 		}
-		dstI32 = decodeI32Into(dstI32, b32[2:])
+		dstI32 = decodeInto[int32](dstI32, b32[2:])
 		if n > 0 && !reflect.DeepEqual(dstI32, i32s) {
 			t.Fatalf("I32 round trip: got %v want %v", dstI32, i32s)
 		}
 
-		b64 := appendI64(append([]byte(nil), prefix...), i64s)
+		b64 := appendWords(append([]byte(nil), prefix...), i64s)
 		if !bytes.HasPrefix(b64, prefix) || len(b64) != 2+8*n {
-			t.Fatalf("appendI64 clobbered prefix or wrong length: %d", len(b64))
+			t.Fatalf("appendWords clobbered prefix or wrong length: %d", len(b64))
 		}
-		dstI64 = decodeI64Into(dstI64, b64[2:])
+		dstI64 = decodeInto[int64](dstI64, b64[2:])
 		if n > 0 && !reflect.DeepEqual(dstI64, i64s) {
 			t.Fatalf("I64 round trip: got %v want %v", dstI64, i64s)
 		}
@@ -67,17 +67,17 @@ func TestAppendDecodeRoundTrip(t *testing.T) {
 // enough dst must be reused, a too-small one replaced.
 func TestDecodeIntoReusesCapacity(t *testing.T) {
 	big := make([]float64, 100)
-	got := decodeF64Into(big, appendF64(nil, []float64{1, 2, 3}))
+	got := decodeInto[float64](big, appendWords(nil, []float64{1, 2, 3}))
 	if len(got) != 3 || &got[0] != &big[0] {
-		t.Error("decodeF64Into did not reuse a large enough dst")
+		t.Error("decodeInto did not reuse a large enough dst")
 	}
 	small := make([]float64, 1)
-	got = decodeF64Into(small, appendF64(nil, []float64{1, 2, 3}))
+	got = decodeInto[float64](small, appendWords(nil, []float64{1, 2, 3}))
 	if len(got) != 3 || got[1] != 2 {
-		t.Error("decodeF64Into failed to grow a too-small dst")
+		t.Error("decodeInto failed to grow a too-small dst")
 	}
-	if gi := decodeI32Into(make([]int32, 0, 8), appendI32(nil, []int32{-5})); len(gi) != 1 || gi[0] != -5 {
-		t.Errorf("decodeI32Into: %v", gi)
+	if gi := decodeInto[int32](make([]int32, 0, 8), appendWords(nil, []int32{-5})); len(gi) != 1 || gi[0] != -5 {
+		t.Errorf("decodeInto: %v", gi)
 	}
 }
 
@@ -86,9 +86,9 @@ func TestDecodeIntoOddLengthPanics(t *testing.T) {
 		name string
 		f    func()
 	}{
-		{"F64", func() { decodeF64Into(nil, make([]byte, 9)) }},
-		{"I32", func() { decodeI32Into(nil, make([]byte, 6)) }},
-		{"I64", func() { decodeI64Into(nil, make([]byte, 12)) }},
+		{"F64", func() { decodeInto[float64](nil, make([]byte, 9)) }},
+		{"I32", func() { decodeInto[int32](nil, make([]byte, 6)) }},
+		{"I64", func() { decodeInto[int64](nil, make([]byte, 12)) }},
 	}
 	for _, c := range cases {
 		func() {
@@ -116,17 +116,17 @@ func pooledExchange(p *Proc, rounds int) [][]float64 {
 			xs[i] = rng.NormFloat64() // same stream on all ranks
 		}
 		if p.Rank() == 1 {
-			p.SendF64(0, 5, xs)
-			p.SendI32(0, 6, []int32{int32(round), int32(n)})
-			p.SendI64(0, 7, []int64{int64(round) << 32})
+			sendWords[float64](p, 0, 5, xs)
+			sendWords[int32](p, 0, 6, []int32{int32(round), int32(n)})
+			sendWords[int64](p, 0, 7, []int64{int64(round) << 32})
 		} else if p.Rank() == 0 {
-			scratch = p.RecvF64(1, 5, scratch)
+			scratch = recvWords[float64](p, 1, 5, scratch)
 			got = append(got, append([]float64(nil), scratch...))
-			hdr := p.RecvI32(1, 6, nil)
+			hdr := recvWords[int32](p, 1, 6, nil)
 			if hdr[0] != int32(round) || hdr[1] != int32(n) {
 				panic("pooled i32 header corrupted")
 			}
-			if v := p.RecvI64(1, 7, nil); v[0] != int64(round)<<32 {
+			if v := recvWords[int64](p, 1, 7, nil); v[0] != int64(round)<<32 {
 				panic("pooled i64 payload corrupted")
 			}
 		}
@@ -166,11 +166,11 @@ func TestPooledRoundTripRecycles(t *testing.T) {
 		var scratch []float64
 		step := func() {
 			if p.Rank() == 0 {
-				p.SendF64(1, 9, xs)
-				scratch = p.RecvF64(1, 9, scratch)
+				sendWords[float64](p, 1, 9, xs)
+				scratch = recvWords[float64](p, 1, 9, scratch)
 			} else {
-				scratch = p.RecvF64(0, 9, scratch)
-				p.SendF64(0, 9, xs)
+				scratch = recvWords[float64](p, 0, 9, scratch)
+				sendWords[float64](p, 0, 9, xs)
 			}
 		}
 		for i := 0; i < 4; i++ {

@@ -23,8 +23,8 @@ func measuredParityBody(sums []float64) func(p *Proc) {
 		if p.Size() > 1 {
 			next := (p.Rank() + 1) % p.Size()
 			prev := (p.Rank() + p.Size() - 1) % p.Size()
-			p.SendF64(next, 3, []float64{float64(p.Rank()), 2, 3})
-			got := p.RecvF64(prev, 3, nil)
+			sendWords[float64](p, next, 3, []float64{float64(p.Rank()), 2, 3})
+			got := recvWords[float64](p, prev, 3, nil)
 			p.Compute(1e-6 * got[0])
 		}
 		v := p.AllReduceF64(OpSum, []float64{float64(p.Rank() + 1)})
@@ -144,13 +144,13 @@ func TestMeasuredRecvSamplingAmortized(t *testing.T) {
 	rep := RunMeasuredTransport(2, costmodel.Uniform(1e-6), NewMemTransport(2), MeasureOpts{Clock: c}, func(p *Proc) {
 		if p.Rank() == 0 {
 			for i := 0; i < k; i++ {
-				p.SendF64(1, 7, []float64{float64(i)})
+				sendWords[float64](p, 1, 7, []float64{float64(i)})
 			}
 			return
 		}
 		before := p.Measured().clockSamples
 		for i := 0; i < k; i++ {
-			p.RecvF64(0, 7, nil)
+			recvWords[float64](p, 0, 7, nil)
 		}
 		recvSamples = p.Measured().clockSamples - before
 		commWall = p.Measured().CommWall
@@ -173,15 +173,15 @@ func TestMeasuredRecvSamplingAmortized(t *testing.T) {
 	var samples int64
 	RunMeasuredTransport(2, costmodel.Uniform(1e-6), NewMemTransport(2), MeasureOpts{Clock: c2}, func(p *Proc) {
 		if p.Rank() == 0 {
-			p.SendF64(1, 7, []float64{1})
-			p.SendF64(1, 7, []float64{2})
-			p.RecvF64(1, 8, nil)
+			sendWords[float64](p, 1, 7, []float64{1})
+			sendWords[float64](p, 1, 7, []float64{2})
+			recvWords[float64](p, 1, 8, nil)
 			return
 		}
 		before := p.Measured().clockSamples
-		p.RecvF64(0, 7, nil) // start + end: 2 readings
-		p.SendF64(0, 8, nil) // invalidates the cached sample
-		p.RecvF64(0, 7, nil) // start + end again: 2 readings
+		recvWords[float64](p, 0, 7, nil) // start + end: 2 readings
+		sendWords[float64](p, 0, 8, nil) // invalidates the cached sample
+		recvWords[float64](p, 0, 7, nil) // start + end again: 2 readings
 		samples = p.Measured().clockSamples - before
 	})
 	if samples != 4 {
@@ -210,11 +210,11 @@ func TestMeasuredTimerPathZeroAllocs(t *testing.T) {
 		var in []float64
 		body := func() {
 			if p.Rank() == 0 {
-				p.SendF64(peer, 5, buf)
-				in = p.RecvF64(peer, 6, in)
+				sendWords[float64](p, peer, 5, buf)
+				in = recvWords[float64](p, peer, 6, in)
 			} else {
-				in = p.RecvF64(peer, 5, in)
-				p.SendF64(peer, 6, buf)
+				in = recvWords[float64](p, peer, 5, in)
+				sendWords[float64](p, peer, 6, buf)
 			}
 		}
 		for i := 0; i < 5; i++ {

@@ -2,11 +2,9 @@ package comm
 
 import "repro/internal/recycle"
 
-// Packed sends and viewed receives let a caller that gathers its message
-// from scattered rows (a schedule's sections, a remap's destinations) write
-// the values straight into the outgoing payload, and place the values of an
-// arriving message straight out of the payload, with no typed staging slice
-// on either side:
+// Packed sends and viewed receives are the typed point-to-point calls of a
+// Proc. A caller writes its values straight into the outgoing payload, and
+// reads the values of an arriving message straight out of the payload:
 //
 //	buf := p.PackF64(n) // an n-value view of an arena payload
 //	... fill every buf[i] ...
@@ -16,12 +14,15 @@ import "repro/internal/recycle"
 //	... read vals ...
 //	p.ReleaseView() // the payload returns to the sender's arena
 //
-// The wire is the typed sends' wire: SendF64(to, tag, xs) sends what PackF64,
-// a copy of xs and SendPacked send, and RecvF64 decodes what RecvF64View
-// views. Where no view can alias a payload — on a big-endian
-// host, or for a payload at an address not aligned for the element type —
-// Pack* hands out Proc-owned scratch that SendPacked encodes, and Recv*View
-// decodes into Proc-owned scratch; callers cannot tell the difference.
+// A caller that gathers its message from scattered rows (a schedule's
+// sections, a remap's destinations) needs no typed staging slice on either
+// side; one that has its values in a slice copies them in, or out, once.
+// The wire is the collectives' wire: PackF64, a copy of xs and SendPacked
+// send what sendWords sends of xs, and recvWords decodes what RecvF64View
+// views. Where no view can alias a payload — on a big-endian host, or for a
+// payload at an address not aligned for the element type — Pack* hands out
+// Proc-owned scratch that SendPacked encodes, and Recv*View decodes into
+// Proc-owned scratch; callers cannot tell the difference.
 //
 // Ownership: one message is packed at a time (SendPacked before the next
 // Pack*), and one view is live at a time (ReleaseView before the next
@@ -41,8 +42,8 @@ const (
 )
 
 // wireState is a rank's packed message and live view. A Proc allocates it at
-// its first Pack* or Recv*View call, so a rank that only uses the typed sends
-// and receives carries one nil pointer.
+// its first Pack* or Recv*View call, so a rank that only takes part in
+// collectives carries one nil pointer.
 type wireState struct {
 	// The packed message: its arena payload, exactly the message's bytes,
 	// and where its values are until SendPacked.
@@ -108,18 +109,18 @@ func pack[T word](ws *wireState, arena *byteArena, n int, scratch *[]T, kind pac
 
 // SendPacked sends the message the last Pack* call handed out to rank `to`
 // with the given tag. Its modeled cost is that of Send with the encoded
-// bytes, and the payload returns to this rank's arena as a typed send's
-// does.
+// bytes, and the payload returns to this rank's arena once the receiver
+// releases it (TCP: once it is on the socket).
 func (p *Proc) SendPacked(to, tag int) {
 	ws := p.wireState()
 	switch ws.packKind {
 	case packNone:
 		panic("comm: SendPacked with nothing packed")
 	case packF64:
-		appendF64(ws.pack[:0], ws.packF)
+		appendWords(ws.pack[:0], ws.packF)
 		recycle.PoisonF64(ws.packF)
 	case packI32:
-		appendI32(ws.pack[:0], ws.packI)
+		appendWords(ws.pack[:0], ws.packI)
 		recycle.PoisonI32(ws.packI)
 	}
 	buf := ws.pack
@@ -132,18 +133,18 @@ func (p *Proc) SendPacked(to, tag int) {
 // must not be written.
 func (p *Proc) RecvF64View(from, tag int) []float64 {
 	ws := p.wireState()
-	return recvView(p, ws, from, tag, &ws.viewF, &ws.viewScratchF, decodeF64Into)
+	return recvView(p, ws, from, tag, &ws.viewF, &ws.viewScratchF)
 }
 
 // RecvI32View is RecvF64View for []int32 payloads.
 func (p *Proc) RecvI32View(from, tag int) []int32 {
 	ws := p.wireState()
-	return recvView(p, ws, from, tag, &ws.viewI, &ws.viewScratchI, decodeI32Into)
+	return recvView(p, ws, from, tag, &ws.viewI, &ws.viewScratchI)
 }
 
 // recvView receives one message and views it in place, or decodes it into
 // scratch where no view can alias it.
-func recvView[T word](p *Proc, ws *wireState, from, tag int, view, scratch *[]T, decode func([]T, []byte) []T) []T {
+func recvView[T word](p *Proc, ws *wireState, from, tag int, view, scratch *[]T) []T {
 	if ws.live {
 		panic("comm: Recv*View with a view still live (ReleaseView it first)")
 	}
@@ -152,7 +153,7 @@ func recvView[T word](p *Proc, ws *wireState, from, tag int, view, scratch *[]T,
 	if ok {
 		ws.msg, ws.poison = m, m.pool != nil
 	} else {
-		*scratch = decode(*scratch, m.Data)
+		*scratch = decodeInto(*scratch, m.Data)
 		m.Release()
 		v, ws.poison = *scratch, true
 	}
@@ -160,9 +161,8 @@ func recvView[T word](p *Proc, ws *wireState, from, tag int, view, scratch *[]T,
 	return v
 }
 
-// ReleaseView ends the live view: its payload returns to the sender's arena
-// (as a typed receive's does once decoded). It is a no-op without a live
-// view.
+// ReleaseView ends the live view: its payload returns to the sender's arena.
+// It is a no-op without a live view.
 func (p *Proc) ReleaseView() {
 	ws := p.wire
 	if ws == nil || !ws.live {

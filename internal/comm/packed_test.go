@@ -11,18 +11,19 @@ import (
 	"repro/internal/costmodel"
 )
 
-// packedExchange has rank 1 send the same values twice, once by SendF64 and
-// once by PackF64 + SendPacked (and the I32 pair likewise); rank 0 receives
-// the first of each raw and the second through a view, and checks that the
-// wire bytes are the typed send's and the view holds the values.
+// packedExchange has rank 1 send the same values twice, once by sendWords (the
+// collectives' staged send) and once by PackF64 + SendPacked (and the I32
+// pair likewise); rank 0 receives the first of each raw and the second
+// through a view, and checks that the wire bytes are the codec's and the
+// view holds the values.
 func packedExchange(t *testing.T, p *Proc, label string) {
 	xs := []float64{1.5, math.Copysign(0, -1), math.Inf(-1), math.Float64frombits(0x7ff4dead0000beef), 5e-324}
 	is := []int32{math.MinInt32, -1, 0, 7, math.MaxInt32}
 	if p.Rank() == 1 {
-		p.SendF64(0, 1, xs)
+		sendWords[float64](p, 0, 1, xs)
 		copy(p.PackF64(len(xs)), xs)
 		p.SendPacked(0, 1)
-		p.SendI32(0, 2, is)
+		sendWords[int32](p, 0, 2, is)
 		copy(p.PackI32(len(is)), is)
 		p.SendPacked(0, 2)
 		p.PackF64(0)
@@ -30,11 +31,11 @@ func packedExchange(t *testing.T, p *Proc, label string) {
 		return
 	}
 	wireF, wireI := p.Recv(1, 1), p.Recv(1, 2)
-	if !bytes.Equal(wireF, appendF64(nil, xs)) || !bytes.Equal(wireI, appendI32(nil, is)) {
+	if !bytes.Equal(wireF, appendWords(nil, xs)) || !bytes.Equal(wireI, appendWords(nil, is)) {
 		t.Errorf("%s: the typed sends' wire bytes are not the codecs'", label)
 	}
 	vf := p.RecvF64View(1, 1)
-	if !bytes.Equal(appendF64(nil, vf), wireF) {
+	if !bytes.Equal(appendWords(nil, vf), wireF) {
 		t.Errorf("%s: packed float64s arrived as %v, want %v", label, vf, xs)
 	}
 	p.ReleaseView()
@@ -68,8 +69,8 @@ func TestPackedWire(t *testing.T) {
 // takes the decode fallback into scratch and gives the same values.
 func TestViewAliasesOrDecodes(t *testing.T) {
 	xs := []float64{3, -2.25, math.Float64frombits(0x7ff4dead0000beef), 1e300}
-	aligned := appendF64(make([]byte, 0, 64), xs)
-	odd := appendF64(make([]byte, 1, 64), xs)[1:]
+	aligned := appendWords(make([]byte, 0, 64), xs)
+	odd := appendWords(make([]byte, 1, 64), xs)[1:]
 	Run(2, costmodel.Uniform(1e-6), func(p *Proc) {
 		if p.Rank() == 1 {
 			p.Send(0, 1, aligned)
@@ -105,8 +106,8 @@ func TestPackViewMisuse(t *testing.T) {
 	}
 	Run(2, costmodel.Uniform(1e-6), func(p *Proc) {
 		if p.Rank() == 1 {
-			p.SendF64(0, 1, []float64{1})
-			p.SendF64(0, 1, []float64{2})
+			sendWords[float64](p, 0, 1, []float64{1})
+			sendWords[float64](p, 0, 1, []float64{2})
 			return
 		}
 		mustPanic("SendPacked before any pack", "nothing packed", func() { p.SendPacked(1, 1) })

@@ -52,14 +52,14 @@ type Proc struct {
 	m     *costmodel.Machine
 	clock float64
 	stats Stats
-	// arena recycles payload buffers for the typed sends (SendF64 and
-	// friends, SendPacked). Buffers flow out through send and come back
-	// through Message.Release — from the TCP writer once the payload is
-	// copied to the socket, or from the receiving rank's typed receive once
-	// the payload is decoded or its view released (the in-memory transport
-	// aliases payloads, so only the receiver knows when the bytes are
-	// dead). Proc itself is single-goroutine; the arena carries the lock
-	// because releases arrive from other goroutines.
+	// arena recycles payload buffers for SendPacked and the collectives'
+	// typed sends. Buffers flow out through send and come back through
+	// Message.Release — from the TCP writer once the payload is copied to
+	// the socket, or from the receiving rank once the payload is decoded or
+	// its view released (the in-memory transport aliases payloads, so only
+	// the receiver knows when the bytes are dead). Proc itself is
+	// single-goroutine; the arena carries the lock because releases arrive
+	// from other goroutines.
 	arena byteArena
 	// wire is the message a Pack* call handed out and SendPacked sends,
 	// and the payload a Recv*View call handed out and ReleaseView gives up
@@ -172,17 +172,18 @@ func (p *Proc) ComputeMem(n int) { p.Compute(p.m.MemCost(n)) }
 // for the per-message overhead Alpha; the message arrives at the receiver at
 // departure + Alpha + Beta*len(data). Send, SendStart and Recv are the only
 // exported calls that carry raw bytes (a timing probe needs a payload of
-// any size); everything else speaks typed lists, and the wire format stays
-// inside this package.
+// any size); everything else speaks typed lists — packed sends and viewed
+// receives (packed.go) point to point, typed slices in the collectives — and
+// the wire format stays inside this package.
 //
 // Ownership: data passes to the receiver, which may alias it long after
 // Send returned, so a sender must never write to or recycle a buffer it has
-// sent. The typed sends (SendF64, SendI32, SendI64, AllToAllI32, ...) stage
-// through the send arena instead, so their callers may reuse their slices.
+// sent. Packed sends and the collectives stage through the send arena
+// instead.
 func (p *Proc) Send(to, tag int, data []byte) { p.send(to, tag, data, nil) }
 
 // send is the shared transmit path. pool is non-nil only for arena-staged
-// payloads (the typed sends); the virtual-time accounting is
+// payloads (packed and collective sends); the virtual-time accounting is
 // identical either way, so pooled sends are invisible to the cost model.
 func (p *Proc) send(to, tag int, data []byte, pool *byteArena) {
 	p.checkPeer("send to", to)
@@ -259,48 +260,22 @@ func (p *Proc) Recv(from, tag int) []byte {
 	return p.recvMsg(from, tag).Data
 }
 
-// SendF64 sends a []float64 payload staged through the per-Proc buffer
-// arena: the values are encoded into a recycled byte buffer (a memmove on a
-// little-endian host; what PackF64, a copy and SendPacked do), so xs may be
-// reused (or mutated) as soon as the call returns and the send itself does
-// not allocate in steady state. The modeled cost is that of Send with the
-// encoded bytes.
-func (p *Proc) SendF64(to, tag int, xs []float64) {
-	p.send(to, tag, appendF64(p.arena.get(8*len(xs)), xs), &p.arena)
+// sendWords is the collectives' typed send: xs is encoded into a payload
+// drawn from the send arena (a memmove on a little-endian host; what a
+// Pack*, a copy of xs and SendPacked do), so xs may be reused as soon as the
+// call returns and the send does not allocate in steady state. The modeled
+// cost is that of Send with the encoded bytes.
+func sendWords[T word](p *Proc, to, tag int, xs []T) {
+	p.send(to, tag, appendWords(p.arena.get(len(xs)*sizeOf[T]()), xs), &p.arena)
 }
 
-// RecvF64 receives a []float64 payload, decoding into dst's backing array
-// (reallocating only if it is too small; dst may be nil) and returning the
-// decoded slice. A payload staged through a send arena is reclaimed here,
-// completing the pooled round trip.
-func (p *Proc) RecvF64(from, tag int, dst []float64) []float64 {
-	return recvInto(p, from, tag, dst, decodeF64Into)
-}
-
-// SendI32 is SendF64 for []int32 payloads.
-func (p *Proc) SendI32(to, tag int, xs []int32) {
-	p.send(to, tag, appendI32(p.arena.get(4*len(xs)), xs), &p.arena)
-}
-
-// RecvI32 is RecvF64 for []int32 payloads.
-func (p *Proc) RecvI32(from, tag int, dst []int32) []int32 {
-	return recvInto(p, from, tag, dst, decodeI32Into)
-}
-
-// SendI64 is SendF64 for []int64 payloads.
-func (p *Proc) SendI64(to, tag int, xs []int64) {
-	p.send(to, tag, appendI64(p.arena.get(8*len(xs)), xs), &p.arena)
-}
-
-// RecvI64 is RecvF64 for []int64 payloads.
-func (p *Proc) RecvI64(from, tag int, dst []int64) []int64 {
-	return recvInto(p, from, tag, dst, decodeI64Into)
-}
-
-// recvInto is the typed receive: decode, then release the payload.
-func recvInto[T any](p *Proc, from, tag int, dst []T, decode func([]T, []byte) []T) []T {
+// recvWords is the collectives' typed receive: it decodes the payload into
+// dst's backing array (reallocating only if it is too small; dst may be
+// nil), returns the decoded slice, and gives a payload staged through a send
+// arena back to it, completing the pooled round trip.
+func recvWords[T word](p *Proc, from, tag int, dst []T) []T {
 	m := p.recvMsg(from, tag)
-	dst = decode(dst, m.Data)
+	dst = decodeInto(dst, m.Data)
 	m.Release()
 	return dst
 }

@@ -23,15 +23,15 @@ func runTCP(t *testing.T, n int, body func(p *Proc)) *Report {
 func TestTCPPointToPoint(t *testing.T) {
 	runTCP(t, 2, func(p *Proc) {
 		if p.Rank() == 0 {
-			p.SendF64(1, 3, []float64{2.5, -1})
-			if got := p.RecvI32(1, 4, nil); got[0] != 9 {
+			sendWords[float64](p, 1, 3, []float64{2.5, -1})
+			if got := recvWords[int32](p, 1, 4, nil); got[0] != 9 {
 				t.Errorf("rank 0 got %v", got)
 			}
 		} else {
-			if got := p.RecvF64(0, 3, nil); got[0] != 2.5 || got[1] != -1 {
+			if got := recvWords[float64](p, 0, 3, nil); got[0] != 2.5 || got[1] != -1 {
 				t.Errorf("rank 1 got %v", got)
 			}
-			p.SendI32(0, 4, []int32{9})
+			sendWords[int32](p, 0, 4, []int32{9})
 		}
 	})
 }
@@ -93,8 +93,8 @@ func TestTCPManyMessages(t *testing.T) {
 		next := (p.Rank() + 1) % 3
 		prev := (p.Rank() + 2) % 3
 		for i := 0; i < rounds; i++ {
-			p.SendI32(next, 1, []int32{int32(i)})
-			if got := p.RecvI32(prev, 1, nil)[0]; got != int32(i) {
+			sendWords[int32](p, next, 1, []int32{int32(i)})
+			if got := recvWords[int32](p, prev, 1, nil)[0]; got != int32(i) {
 				t.Fatalf("round %d: got %d", i, got)
 			}
 		}

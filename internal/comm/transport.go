@@ -68,11 +68,16 @@ func (PeerFailure) String() string { return "comm: a peer rank failed" }
 
 // PeerReturned is the panic value of a receive on rank Rank, for a message
 // with tag Tag from rank From, after From's body returned without sending
-// it (see RankDone).
+// it (see RankDone). Its message names the collective a reserved tag
+// belongs to.
 type PeerReturned struct{ Rank, From, Tag int }
 
 func (e PeerReturned) String() string {
-	return fmt.Sprintf("comm: rank %d waits for a message with tag %d from rank %d, which has returned", e.Rank, e.Tag, e.From)
+	tag := fmt.Sprint(e.Tag)
+	if name, ok := collectiveOf[e.Tag]; ok {
+		tag += " (" + name + ")"
+	}
+	return fmt.Sprintf("comm: rank %d waits for a message with tag %s from rank %d, which has returned", e.Rank, tag, e.From)
 }
 
 // Poisoner is implemented by transports that can wake all blocked receivers

@@ -262,7 +262,8 @@ func (ss *selfSched) run(p *comm.Proc, l *SumLoop) {
 		ss.payload = ss.payload[:0]
 		l.pack(lo, hi)
 		p.ComputeMem(len(ss.payload))
-		p.SendF64(st.Thief, tagStealIn, ss.payload)
+		copy(p.PackF64(len(ss.payload)), ss.payload)
+		p.SendPacked(st.Thief, tagStealIn)
 	}
 
 	// Local chunks: everything below the stolen suffix, in static order,
@@ -281,14 +282,16 @@ func (ss *selfSched) run(p *comm.Proc, l *SumLoop) {
 	// Thief: run stolen pairs into zeroed delta slots and send the per-pair
 	// deltas back.
 	for _, st := range ss.ctl.Work() {
-		ss.payload = p.RecvF64(st.Donor, tagStealIn, ss.payload)
+		ss.payload = append(ss.payload[:0], p.RecvF64View(st.Donor, tagStealIn)...)
+		p.ReleaseView()
 		n := len(ss.payload) / (2 * w)
 		ss.delta = recycle.Sized(ss.delta, 2*n*w)
 		clear(ss.delta)
 		l.runPacked(n)
 		p.ComputeFlops(l.flops * n)
 		p.ComputeMem(len(ss.payload))
-		p.SendF64(st.Donor, tagStealOut, ss.delta)
+		copy(p.PackF64(len(ss.delta)), ss.delta)
+		p.SendPacked(st.Donor, tagStealOut)
 	}
 
 	// Owner: replay stolen contributions after all local chunks, ascending
@@ -296,7 +299,8 @@ func (ss *selfSched) run(p *comm.Proc, l *SumLoop) {
 	// schedule, bit-exact.
 	for _, st := range ss.ctl.Sends() {
 		lo, hi := ss.chunkRange(st.Chunk)
-		ss.delta = p.RecvF64(st.Thief, tagStealOut, ss.delta)
+		ss.delta = append(ss.delta[:0], p.RecvF64View(st.Thief, tagStealOut)...)
+		p.ReleaseView()
 		l.replay(lo, hi)
 		p.ComputeMem(len(ss.delta))
 	}

@@ -102,7 +102,7 @@ func (ls *LightSchedule) MoveI32(p *comm.Proc, dest []int32, items []int32, widt
 
 // moveI32Into is MoveI32 appending into out[:0] (see MoveF64Into).
 func (ls *LightSchedule) moveI32Into(p *comm.Proc, dest []int32, items []int32, width int, out []int32) []int32 {
-	return moveLightInto(ls, p, dest, items, width, out, &ls.packI, (*comm.Proc).SendI32, (*comm.Proc).RecvI32)
+	return moveLightInto(ls, p, dest, items, width, out, &ls.packI, (*comm.Proc).PackI32, (*comm.Proc).RecvI32View)
 }
 
 // MoveF64 performs scatter_append: item i (the width float64 values
@@ -122,7 +122,7 @@ func (ls *LightSchedule) MoveF64(p *comm.Proc, dest []int32, items []float64, wi
 // returned slice and feed it back on the next time step make the append
 // allocation-free in steady state. out may be nil.
 func (ls *LightSchedule) MoveF64Into(p *comm.Proc, dest []int32, items []float64, width int, out []float64) []float64 {
-	return moveLightInto(ls, p, dest, items, width, out, &ls.packF, (*comm.Proc).SendF64, (*comm.Proc).RecvF64)
+	return moveLightInto(ls, p, dest, items, width, out, &ls.packF, (*comm.Proc).PackF64, (*comm.Proc).RecvF64View)
 }
 
 // moveLightInto is scatter_append, written once over the element type: pack
@@ -130,11 +130,13 @@ func (ls *LightSchedule) MoveF64Into(p *comm.Proc, dest []int32, items []float64
 // message per other destination, append each arriving one. The rank's own
 // row is out itself, sized for every item kept and received, so own items
 // land in the result in the pack pass, in order, and are copied once; the
-// schedule keeps no packing row for itself between calls. send and recv are
-// passed as method expressions, which, unlike method values, allocate no
-// closure per call.
+// schedule keeps no packing row for itself between calls. Each row is copied
+// into its packed message, and each arriving message out of its view into
+// the result. packT and view are the comm calls of the element type, passed
+// as method expressions, which, unlike method values, allocate no closure
+// per call.
 func moveLightInto[T any](ls *LightSchedule, p *comm.Proc, dest []int32, items []T, width int, out []T, pack *[][]T,
-	send func(p *comm.Proc, to, tag int, xs []T), recv func(p *comm.Proc, from, tag int, dst []T) []T) []T {
+	packT func(p *comm.Proc, n int) []T, view func(p *comm.Proc, from, tag int) []T) []T {
 	if len(items) != len(dest)*width {
 		panic(fmt.Sprintf("schedule: light move with %d values for %d items of width %d", len(items), len(dest), width))
 	}
@@ -158,7 +160,8 @@ func moveLightInto[T any](ls *LightSchedule, p *comm.Proc, dest []int32, items [
 	for k := 1; k < p.Size(); k++ {
 		dst := (p.Rank() + k) % p.Size()
 		if len(packed[dst]) > 0 {
-			send(p, dst, tagAppend, packed[dst])
+			copy(packT(p, len(packed[dst])), packed[dst])
+			p.SendPacked(dst, tagAppend)
 		}
 	}
 	for k := 1; k < p.Size(); k++ {
@@ -166,13 +169,12 @@ func moveLightInto[T any](ls *LightSchedule, p *comm.Proc, dest []int32, items [
 		if ls.recvCounts[src] == 0 || src == p.Rank() {
 			continue
 		}
-		pos := len(out)
-		want := int(ls.recvCounts[src]) * width
-		vals := recv(p, src, tagAppend, out[pos:pos+want])
-		if len(vals) != want {
+		vals := view(p, src, tagAppend)
+		if want := int(ls.recvCounts[src]) * width; len(vals) != want {
 			panic(fmt.Sprintf("schedule: append from %d delivered %d values, want %d", src, len(vals), want))
 		}
-		out = out[:pos+want]
+		out = append(out, vals...)
+		p.ReleaseView()
 	}
 	p.ComputeMem(ls.TotalRecv() * width)
 	return out

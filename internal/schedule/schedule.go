@@ -102,19 +102,6 @@ func (s *Schedule) totalSend() int {
 // section) a data array must have to be used with this schedule.
 func (s *Schedule) MinLen() int { return s.minLen }
 
-// zeroI32 returns a zeroed slice of n int32 backed by *buf.
-func zeroI32(buf *[]int32, n int) []int32 {
-	if cap(*buf) < n {
-		*buf = make([]int32, n)
-	}
-	s := (*buf)[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	*buf = s
-	return s
-}
-
 // Build constructs a communication schedule from the hash-table entries
 // selected by (include, exclude), as CHAOS_schedule does. It is a collective
 // call: every processor must invoke it with the same stamp combination.
@@ -142,7 +129,9 @@ func BuildInto(s *Schedule, p *comm.Proc, ht *hashtab.Table, include, exclude ha
 	// ghost slots they map to here. Count per owner, prefix-sum, then fill
 	// — the CSR build. reqOff shares recvPtr's extents with recvSlot.
 	s.selEnts = ht.SelectInto(s.selEnts, include, exclude)
-	ptr := zeroI32(&s.recvPtr, p.Size()+1)
+	s.recvPtr = recycle.Sized(s.recvPtr, p.Size()+1)
+	ptr := s.recvPtr
+	clear(ptr)
 	for _, e := range s.selEnts {
 		if int(e.Owner) != p.Rank() {
 			ptr[e.Owner+1]++
@@ -152,9 +141,11 @@ func BuildInto(s *Schedule, p *comm.Proc, ht *hashtab.Table, include, exclude ha
 		ptr[r+1] += ptr[r]
 	}
 	nFetch := int(ptr[p.Size()])
-	recvSlot := zeroI32(&s.recvSlot, nFetch)
-	reqOff := zeroI32(&s.reqOff, nFetch)
-	cur := zeroI32(&s.cur, p.Size())
+	s.recvSlot = recycle.Sized(s.recvSlot, nFetch)
+	s.reqOff = recycle.Sized(s.reqOff, nFetch)
+	s.cur = recycle.Sized(s.cur, p.Size())
+	recvSlot, reqOff, cur := s.recvSlot, s.reqOff, s.cur
+	clear(cur) // the fill below writes every slot of recvSlot and reqOff
 	for _, e := range s.selEnts {
 		if int(e.Owner) == p.Rank() {
 			continue
@@ -210,7 +201,9 @@ func FromTranslatedInto(s *Schedule, loc []int32, p *comm.Proc, nLocal int, owne
 		loc = make([]int32, len(owners))
 	}
 	loc = loc[:len(owners)]
-	ptr := zeroI32(&s.recvPtr, p.Size()+1)
+	s.recvPtr = recycle.Sized(s.recvPtr, p.Size()+1)
+	ptr := s.recvPtr
+	clear(ptr)
 	for _, o := range owners {
 		if int(o) != p.Rank() {
 			ptr[o+1]++
@@ -220,9 +213,11 @@ func FromTranslatedInto(s *Schedule, loc []int32, p *comm.Proc, nLocal int, owne
 		ptr[r+1] += ptr[r]
 	}
 	nFetch := int(ptr[p.Size()])
-	recvSlot := zeroI32(&s.recvSlot, nFetch)
-	reqOff := zeroI32(&s.reqOff, nFetch)
-	cur := zeroI32(&s.cur, p.Size())
+	s.recvSlot = recycle.Sized(s.recvSlot, nFetch)
+	s.reqOff = recycle.Sized(s.reqOff, nFetch)
+	s.cur = recycle.Sized(s.cur, p.Size())
+	recvSlot, reqOff, cur := s.recvSlot, s.reqOff, s.cur
+	clear(cur) // the fill below writes every slot of recvSlot and reqOff
 	ghost := 0
 	for k, o := range owners {
 		if int(o) == p.Rank() {

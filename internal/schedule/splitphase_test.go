@@ -35,14 +35,16 @@ func TestSplitPhaseWindowNotBilledToCommWall(t *testing.T) {
 		s := Build(p, ht, st, 0)
 		data := make([]float64, s.MinLen())
 		if p.Rank() == 0 {
-			p.SendF64(1, 1, nil)
+			p.PackF64(0)
+			p.SendPacked(1, 1)
 			GatherWStart(p, s, data, 1).Wait()
 			return
 		}
 		if len(s.sendOffs[0]) != 0 || len(s.RecvSlots(0)) == 0 {
 			t.Errorf("rank 1 sends %d and receives %d elements, want 0 and some", len(s.sendOffs[0]), len(s.RecvSlots(0)))
 		}
-		p.RecvF64(0, 1, nil) // caches a valid receive sample
+		p.RecvF64View(0, 1) // caches a valid receive sample
+		p.ReleaseView()
 		before := p.Measured().CommWall
 		mo := GatherWStart(p, s, data, 1)
 		c.t.Add(jump) // the uncharged overlap window

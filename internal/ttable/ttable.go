@@ -100,19 +100,6 @@ type Table struct {
 	drNeed  []int32   // paged: sorted deduplicated missing-page list
 }
 
-// growI32 returns a zeroed slice of n int32 backed by *buf.
-func growI32(buf *[]int32, n int) []int32 {
-	if cap(*buf) < n {
-		*buf = make([]int32, n)
-	}
-	s := (*buf)[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	*buf = s
-	return s
-}
-
 // Build constructs a translation table collectively. myOwners[i] gives the
 // owner of global element blockStart(rank)+i, i.e. the map array is assumed
 // block-distributed across processors in rank order (the Fortran D
@@ -298,16 +285,20 @@ func (t *Table) derefDistributed(p *comm.Proc, globals []int32, out []Entry) []E
 // here. The grouping stays in drPtr and drWhere: home r's keys came from
 // input positions drWhere[drPtr[r]:drPtr[r+1]].
 func (t *Table) route(p *comm.Proc, keys []int32, home func(int32) int) [][]int32 {
-	ptr := growI32(&t.drPtr, p.Size()+1)
+	t.drPtr = recycle.Sized(t.drPtr, p.Size()+1)
+	ptr := t.drPtr
+	clear(ptr)
 	for _, k := range keys {
 		ptr[home(k)+1]++
 	}
 	for r := 0; r < p.Size(); r++ {
 		ptr[r+1] += ptr[r]
 	}
-	req := growI32(&t.drReq, len(keys))
-	where := growI32(&t.drWhere, len(keys))
-	fill := growI32(&t.drCur, p.Size())
+	t.drReq = recycle.Sized(t.drReq, len(keys))
+	t.drWhere = recycle.Sized(t.drWhere, len(keys))
+	t.drCur = recycle.Sized(t.drCur, p.Size())
+	req, where, fill := t.drReq, t.drWhere, t.drCur
+	clear(fill) // the fill below writes every slot of req and where
 	for i, k := range keys {
 		h := home(k)
 		j := ptr[h] + fill[h]
